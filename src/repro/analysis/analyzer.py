@@ -56,11 +56,7 @@ def analyze_statement(
         if database is not None:
             plan = _try_plan(select, database)
             if plan is not None:
-                findings.extend(
-                    rules_wan.check_plan(
-                        plan, select, database.catalog, stats=stats
-                    )
-                )
+                findings.extend(rules_wan.check_plan(plan, select, database))
     elif isinstance(statement, (ast.Update, ast.Delete)):
         findings.extend(_analyze_dml_where(statement, catalog, stats))
     return sorted(findings, key=lambda f: (f.node_path, f.rule_id))

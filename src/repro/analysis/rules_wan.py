@@ -15,9 +15,11 @@ Section 6).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity
+from repro.errors import SQLError
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.ast_walk import (
     constantish as _constantish,
@@ -212,17 +214,17 @@ def _conjunct_bindings(
 
 
 def check_plan(
-    plan: Any,
-    statement: ast.SelectStatement,
-    catalog: Any,
-    stats: Optional[Any] = None,
+    plan: Any, statement: ast.SelectStatement, database: Any
 ) -> List[Finding]:
     """W002: the plan sequentially scans a table although the statement
-    constrains an indexed column of it with an index-friendly predicate.
+    constrains an indexed column of it with an index-friendly predicate:
+    an equality, an ``IN``-list, or a non-negated ``IN (subquery)`` whose
+    subquery is uncorrelated (the planner probes the index once per
+    distinct subquery value).
 
-    With *stats* (a :class:`repro.sqldb.stats.StatsCatalog`) the rule is
-    keyed off the measured selectivity: when the cost model itself prices
-    the sequential scan below a one-key index probe — the column is so
+    With the database's ANALYZE statistics the rule is keyed off the
+    measured selectivity: when the cost model itself prices the
+    sequential scan below a one-key index probe — the column is so
     non-selective that the probe would walk most of the table anyway —
     the finding is only an INFO, because the scan is the *right* plan,
     not a missed index.  Without statistics the original WARNING stands
@@ -230,6 +232,8 @@ def check_plan(
     from repro.sqldb.executor import SeqScan
     from repro.sqldb.explain import plan_operators
 
+    catalog = database.catalog
+    stats = getattr(database, "stats", None)
     scanned: Set[str] = set()
     for operator in plan_operators(plan):
         if isinstance(operator, SeqScan):
@@ -241,7 +245,9 @@ def check_plan(
     for core, core_path in _all_cores(statement, ""):
         bindings = _core_bindings(core)
         for __, conjunct in core_predicates(core):
-            for table, column in _index_candidates(conjunct, bindings):
+            for table, column, subquery in _index_candidates(
+                conjunct, bindings
+            ):
                 if table not in scanned or (table, column) in seen:
                     continue
                 if not catalog.exists(table):
@@ -249,8 +255,16 @@ def check_plan(
                 entry = catalog.lookup(table)
                 if entry.storage.find_index([column]) is None:
                     continue
+                keys = 1
+                if subquery is not None:
+                    estimate = _uncorrelated_keys(subquery, statement, database)
+                    if estimate is None:
+                        continue
+                    keys = estimate
                 seen.add((table, column))
-                severity, justified = _scan_severity(stats, table, column)
+                severity, justified = _scan_severity(
+                    stats, table, column, keys
+                )
                 note = (
                     "; statistics show the scan is cost-justified — the "
                     "column is not selective enough for the index to win"
@@ -272,9 +286,10 @@ def check_plan(
 
 
 def _scan_severity(
-    stats: Optional[Any], table: str, column: str
+    stats: Optional[Any], table: str, column: str, keys: int
 ) -> Tuple[Severity, bool]:
-    """WARNING unless collected statistics prove the scan cost-justified."""
+    """WARNING unless collected statistics prove the scan cost-justified
+    against a probe with *keys* keys."""
     from repro.sqldb.stats import (
         SELECTIVE_FRACTION,
         index_probe_cost,
@@ -290,8 +305,8 @@ def _scan_severity(
     if column_stats is None:
         return Severity.WARNING, False
     selectivity = column_stats.eq_selectivity()
-    rows_out = table_stats.row_count * selectivity
-    probe_loses = index_probe_cost(1, rows_out) >= seq_scan_cost(
+    rows_out = table_stats.row_count * min(1.0, keys * selectivity)
+    probe_loses = index_probe_cost(keys, rows_out) >= seq_scan_cost(
         table_stats.row_count
     )
     if probe_loses or selectivity > SELECTIVE_FRACTION:
@@ -308,13 +323,40 @@ def _core_bindings(core: ast.SelectCore) -> Dict[str, str]:
     return bindings
 
 
+def _uncorrelated_keys(
+    subquery: ast.SelectStatement,
+    statement: ast.SelectStatement,
+    database: Any,
+) -> Optional[int]:
+    """The planner's own test for an ``IN``-subquery access path: the
+    subquery plans with every enclosing scope hidden — only the CTEs of
+    *statement* stay visible — and yields one column.  Returns the number
+    of probe keys the planner would price (its cardinality estimate, 1
+    when it has none), or None when the subquery does not qualify."""
+    if subquery.with_clause is not None and statement.with_clause is not None:
+        return None  # two WITH clauses to merge: stay silent
+    standalone = replace(
+        subquery, with_clause=subquery.with_clause or statement.with_clause
+    )
+    try:
+        plan = database.plan_statement(standalone)
+    except SQLError:
+        return None
+    if len(plan.output_names) != 1:
+        return None
+    estimate = getattr(plan.root, "est_rows", None)
+    return 1 if estimate is None else max(1, round(estimate))
+
+
 def _index_candidates(
     conjunct: ast.Expression, bindings: Dict[str, str]
-) -> List[Tuple[str, str]]:
-    """(table, column) pairs an index could serve: equality or IN against
-    constants/parameters on a bare column, anywhere in the predicate
-    (OR branches included — that is exactly where planners give up)."""
-    candidates: List[Tuple[str, str]] = []
+) -> List[Tuple[str, str, Optional[ast.SelectStatement]]]:
+    """(table, column, subquery) triples an index could serve: equality or
+    IN against constants/parameters on a bare column (subquery None), or
+    IN against a subquery the caller must still show to be uncorrelated —
+    anywhere in the predicate (OR branches included — that is exactly
+    where planners give up)."""
+    candidates: List[Tuple[str, str, Optional[ast.SelectStatement]]] = []
     single_table = (
         next(iter(bindings.values())) if len(bindings) == 1 else None
     )
@@ -326,6 +368,7 @@ def _index_candidates(
 
     for node in ast.walk_expression(conjunct):
         column: Optional[ast.ColumnRef] = None
+        subquery: Optional[ast.SelectStatement] = None
         if isinstance(node, ast.BinaryOp) and node.operator == "=":
             sides = (node.left, node.right)
             for column_side, constant_side in (sides, sides[::-1]):
@@ -339,9 +382,13 @@ def _index_candidates(
                 _constantish(item) for item in node.items
             ):
                 column = node.operand
+        elif isinstance(node, ast.InSubquery) and not node.negated:
+            if isinstance(node.operand, ast.ColumnRef):
+                column = node.operand
+                subquery = node.subquery
         if column is None:
             continue
         table = resolve(column)
         if table is not None:
-            candidates.append((table, column.name.lower()))
+            candidates.append((table, column.name.lower(), subquery))
     return candidates

@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.errors import ExecutionError
 from repro.sqldb.functions import Aggregator, FunctionRegistry
+from repro.sqldb.stats import index_probe_cost, seq_scan_cost
 from repro.sqldb.storage import TableStorage
 from repro.sqldb.types import is_null
 
@@ -76,6 +77,10 @@ class ExecutionEnv:
         #: reading the live heap.  Threaded through the environment (not the
         #: plan) because plans are cached and shared across transactions.
         self.snapshot = None
+        #: ``id(operator) -> (key count, probed?)`` of the last run of each
+        #: subquery-keyed :class:`MultiKeyIndexLookup`; per execution
+        #: because plans are cached and shared.  EXPLAIN ANALYZE reads it.
+        self.subquery_key_runs: Dict[int, Tuple[int, bool]] = {}
 
     def bind_cte(self, name: str, frame: CTEFrame) -> None:
         """(Re)bind a CTE name; invalidates the uncorrelated-subquery cache
@@ -158,33 +163,68 @@ class IndexLookup(Operator):
 
 
 class MultiKeyIndexLookup(Operator):
-    """One equality probe per key of an IN-list (``col IN (?, ?, ?)``).
+    """One equality probe per distinct non-NULL key of an ``IN`` predicate.
 
-    The access path behind the level-at-a-time frontier fetch: all
-    children of N parents in one indexed statement instead of N scans.
+    Two key sources share the probe loop.  ``key_fns`` (``col IN (?, ?,
+    ?)``) is the access path behind the level-at-a-time frontier fetch:
+    all children of N parents in one indexed statement instead of N
+    scans.  ``subquery`` (``col IN (SELECT ...)``, uncorrelated, one
+    column) drives the outer table from the subquery side — the outer
+    ``link`` block of the recursive expand costs what its answer costs
+    instead of a scan of every link.
+
     Keys are deduplicated before probing — IN is a predicate, so a row
-    must appear once even when the list names its key twice — and NULL
-    keys are skipped (equality with NULL can never match; the residual
-    filter above this operator owns the three-valued semantics).
+    must appear once even when its key is named twice — and NULL keys are
+    skipped (equality with NULL can never match; the residual filter
+    above this operator owns the three-valued semantics).  Subquery keys
+    are probed in first-seen order of the subquery's rows, so row order
+    never depends on hash layout.
+
+    A subquery's key count is exact only once it has run (a CTE has no
+    plan-time cardinality at all), so that is when probing is priced
+    against the scan, with the planner's own two cost functions and the
+    uniform rows-per-key the index itself reports — no statistics needed.
+    When the scan is cheaper the operator scans; the residual filter
+    keeps exactly the rows the probes would have produced.
     """
 
-    def __init__(self, storage: TableStorage, index, key_fns: List[ExprFn]) -> None:
+    def __init__(
+        self,
+        storage: TableStorage,
+        index,
+        key_fns: List[ExprFn],
+        subquery=None,
+    ) -> None:
         self.storage = storage
         self.index = index
         self.key_fns = key_fns
+        #: :class:`repro.sqldb.planner.CompiledSubquery` supplying the
+        #: keys instead of ``key_fns`` (the same object the residual
+        #: filter tests membership against, so it is evaluated once).
+        self.subquery = subquery
         self.output_names = list(storage.schema.column_names)
 
+    def _probe_is_cheaper(self, keys: int) -> bool:
+        """Price *keys* probes against one scan of the table as it is now."""
+        table_rows = len(self.storage)
+        distinct = self.index.distinct_keys()
+        rows_out = keys * table_rows / distinct if distinct else 0.0
+        return index_probe_cost(keys, rows_out) < seq_scan_cost(table_rows)
+
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        seen = set()
+        if self.subquery is None:
+            keys = dict.fromkeys(fn((), env) for fn in self.key_fns)
+            keys.pop(None, None)
+        else:
+            keys = self.subquery.value_set((), env)[0]
+            probed = self._probe_is_cheaper(len(keys))
+            env.subquery_key_runs[id(self)] = (len(keys), probed)
+            if not probed:
+                yield from SeqScan(self.storage).rows(env)
+                return
         snapshot = env.snapshot
-        for fn in self.key_fns:
-            value = fn((), env)
-            if is_null(value):
-                continue
+        for value in keys:
             key = (value,)
-            if key in seen:
-                continue
-            seen.add(key)
             env.counters["index_probes"] += 1
             if snapshot is not None:
                 for row in self.storage.snapshot_probe(self.index, key, snapshot):

@@ -92,7 +92,14 @@ def explain_analyze_plan(plan: Plan, env, mode: str = "row") -> List[str]:
         record = stats.get(id(operator))
         if record is None or record["loops"] == 0:
             return f" ({prefix}never executed)"
-        return f" ({prefix}loops={record['loops']} rows={record['rows']})"
+        suffix = ""
+        key_run = env.subquery_key_runs.get(id(operator))
+        if key_run is not None:
+            # The subquery-keyed lookup chose its access method at run time.
+            suffix = f" keys={key_run[0]} {'probed' if key_run[1] else 'scanned'}"
+        return (
+            f" ({prefix}loops={record['loops']} rows={record['rows']}{suffix})"
+        )
 
     lines: List[str] = []
     for cte in plan.ctes:
@@ -273,9 +280,14 @@ def _label(operator: Operator) -> str:
             f"via {operator.index.name})"
         )
     if isinstance(operator, MultiKeyIndexLookup):
+        keys = (
+            f"{len(operator.key_fns)} keys"
+            if operator.subquery is None
+            else "keys from subquery"
+        )
         return (
             f"MultiKeyIndexLookup({operator.storage.schema.name} "
-            f"via {operator.index.name}, {len(operator.key_fns)} keys)"
+            f"via {operator.index.name}, {keys})"
         )
     if isinstance(operator, IndexNestedLoopJoin):
         return (

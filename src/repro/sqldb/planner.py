@@ -4,7 +4,9 @@ The planner implements the paper's three access-path decisions:
 
 1. **Index lookups** for ``WHERE col = <independent expr>`` on the driving
    base table of a core (the navigational child fetch), including multi-key
-   ``IN``-list probes.
+   probes for ``IN``-lists and for uncorrelated ``IN (subquery)`` predicates
+   (the outer ``link`` block of the recursive expand, driven from the
+   subquery side).
 2. **Index nested-loop joins** when the inner side of a join is a base
    table with a hash index on its equi-join key (the recursive branch of
    the multi-level expand, and the ∃structure EXISTS probes).
@@ -71,7 +73,7 @@ from repro.sqldb.expressions import (
     contains_aggregate,
 )
 from repro.sqldb.functions import AGGREGATE_NAMES, FunctionRegistry
-from repro.sqldb.render import expression_key
+from repro.sqldb.render import expression_key, render_select
 from repro.sqldb.schema import Catalog
 from repro.sqldb import stats as table_stats_mod
 
@@ -187,7 +189,13 @@ class CompiledSubquery:
         return result
 
     def value_set(self, row, env: ExecutionEnv):
-        """Return ``(frozen set of non-NULL first-column values, has_null)``."""
+        """Return ``(distinct non-NULL first-column values, has_null)``.
+
+        The values are the keys of a dict, i.e. a set that iterates in
+        first-seen order of the subquery's rows: membership tests cost the
+        same, and an index probe per value (:class:`MultiKeyIndexLookup`)
+        yields rows in an order independent of hash layout.
+        """
         hit = self._cached(env, "value_set")
         if hit is not None:
             return hit[1]
@@ -195,14 +203,14 @@ class CompiledSubquery:
             raise ExecutionError("IN subquery must return exactly one column")
         saved = self._enter(row, env)
         try:
-            values = set()
+            values: Dict[object, None] = {}
             has_null = False
             for result_row in self.plan.root.rows(env):
                 value = result_row[0]
                 if value is None:
                     has_null = True
                 else:
-                    values.add(value)
+                    values[value] = None
         finally:
             self._exit(env, saved)
         payload = (values, has_null)
@@ -278,6 +286,10 @@ class Planner:
         #: None or cost_based=False keeps planning purely rule-based.
         self.stats = stats
         self.cost_based = cost_based
+        #: Uncorrelated subqueries of the SELECT core being planned, by
+        #: :meth:`_subquery_key` (None outside a core): textually identical
+        #: ones are planned — hence evaluated — once per execution.
+        self._core_subqueries: Optional[Dict[object, CompiledSubquery]] = None
 
     # -- public entry points -------------------------------------------------
 
@@ -404,7 +416,9 @@ class Planner:
     def _plan_core(self, core: ast.SelectCore, frames: List[Frame]) -> Operator:
         frame = frames[-1]
         saved_scope = frame.scope
+        saved_subqueries = self._core_subqueries
         frame.scope = None
+        self._core_subqueries = {}
         try:
             where_conjuncts = _split_conjuncts(core.where)
             binding_stats: table_stats_mod.BindingStats = {}
@@ -451,6 +465,7 @@ class Planner:
             return operator
         finally:
             frame.scope = saved_scope
+            self._core_subqueries = saved_subqueries
 
     # -- FROM clause ------------------------------------------------------------
 
@@ -724,16 +739,20 @@ class Planner:
         table_stats: Optional[table_stats_mod.TableStats] = None,
     ) -> Optional[Operator]:
         """Turn a driving base-table scan into an index probe when a WHERE
-        conjunct pins an indexed column to a scope-independent value, or to
-        a list of them (``col IN (?, ?, ?)`` becomes a multi-key probe).
+        conjunct pins an indexed column to a scope-independent value, to a
+        list of them (``col IN (?, ?, ?)`` becomes a multi-key probe), or
+        to the value set of an uncorrelated subquery (``col IN (SELECT
+        ...)``, probed from the subquery side).
 
         All matching candidates are gathered; with statistics the cheapest
         costed path wins (and a sequential scan can win outright on small
-        tables), without statistics the fallback is deterministic:
-        unique-index probes first — a primary-key probe returns at most one
-        row — then WHERE-clause order.  Previously the *first* matching
-        conjunct always won, even when a later conjunct pinned the primary
-        key.
+        tables), without statistics the fallback is deterministic: paths
+        with a known key count before subquery-keyed ones (whose operator
+        prices itself at run time), unique-index probes first — a
+        primary-key probe returns at most one row — then WHERE-clause
+        order.  A subquery whose cardinality the planner cannot estimate
+        (it reads a CTE) is taken when no costed path beats the scan: its
+        operator makes the same comparison with the exact key count.
         """
         candidates = self._access_paths(entry, binding, conjuncts, frames)
         if not candidates:
@@ -741,15 +760,14 @@ class Planner:
         if consumed is None:
             consumed = set()
         if table_stats is None:
-            chosen = min(
-                candidates,
-                key=lambda path: (0 if path.unique else 1, path.position),
-            )
+            chosen = min(candidates, key=_AccessPath.rule_rank)
             consumed.add(id(chosen.conjunct))
             return chosen.operator
         chosen = None
         chosen_cost = table_stats_mod.seq_scan_cost(table_stats.row_count)
         for candidate in candidates:
+            if candidate.keys is None:
+                continue
             est = table_stats_mod.probe_rows(
                 table_stats, candidate.column, candidate.unique, candidate.keys
             )
@@ -759,7 +777,10 @@ class Planner:
                 chosen_cost = cost
                 chosen.operator.est_rows = est
         if chosen is None:
-            return None  # the sequential scan is the cheapest access path
+            unpriced = [path for path in candidates if path.keys is None]
+            if not unpriced:
+                return None  # the sequential scan is the cheapest access path
+            chosen = min(unpriced, key=_AccessPath.rule_rank)
         consumed.add(id(chosen.conjunct))
         return chosen.operator
 
@@ -774,7 +795,7 @@ class Planner:
         WHERE-clause discovery order."""
         paths: List[_AccessPath] = []
         for conjunct in conjuncts:
-            if isinstance(conjunct, ast.InList):
+            if isinstance(conjunct, (ast.InList, ast.InSubquery)):
                 multi = self._try_multikey_lookup(
                     entry, binding, conjunct, frames
                 )
@@ -830,22 +851,23 @@ class Planner:
         self,
         entry,
         binding: str,
-        conjunct: ast.InList,
+        conjunct: Union[ast.InList, ast.InSubquery],
         frames: List[Frame],
-    ) -> Optional[Tuple[Operator, object, int, str]]:
-        """``col IN (v1, ..., vN)`` on an indexed column → N-key probe,
-        returned as ``(operator, index, key_count, column)``.
+    ) -> Optional[Tuple[Operator, object, Optional[int], str]]:
+        """``col IN (v1, ..., vN)`` or ``col IN (SELECT ...)`` on an indexed
+        column → one probe per key, returned as ``(operator, index,
+        key_count, column)``.
 
-        Only non-negated lists qualify (NOT IN must see every row), and
-        every list item must compile independently of the scanned table.
-        Duplicate *literal* items are dropped at plan time — ``IN (1, 1)``
+        Only non-negated predicates qualify (NOT IN must see every row).
+        Every list item must compile independently of the scanned table;
+        duplicate *literal* items are dropped at plan time — ``IN (1, 1)``
         probes one key, not two (equal parameter values are deduplicated
         at run time by :class:`MultiKeyIndexLookup` itself).  The full
         WHERE clause stays as the residual filter above, so NULL items and
         three-valued logic are handled there; the probe only has to
         produce every row the predicate could accept.
         """
-        if conjunct.negated or not conjunct.items:
+        if conjunct.negated:
             return None
         operand = conjunct.operand
         if not isinstance(operand, ast.ColumnRef):
@@ -857,6 +879,10 @@ class Planner:
             return None
         index = entry.storage.find_index([operand.name])
         if index is None:
+            return None
+        if isinstance(conjunct, ast.InSubquery):
+            return self._subquery_keyed_lookup(entry, index, conjunct)
+        if not conjunct.items:
             return None
         key_fns = []
         seen_literals = set()
@@ -873,6 +899,31 @@ class Planner:
             key_fns.append(key_fn)
         operator = MultiKeyIndexLookup(entry.storage, index, key_fns)
         return operator, index, len(key_fns), operand.name.lower()
+
+    def _subquery_keyed_lookup(
+        self, entry, index, conjunct: ast.InSubquery
+    ) -> Optional[Tuple[Operator, object, Optional[int], str]]:
+        """The subquery side of :meth:`_try_multikey_lookup`.
+
+        The subquery is planned with every enclosing scope hidden: if that
+        succeeds it references nothing outside itself — uncorrelated by
+        construction — and the residual filter's compilation of the same
+        conjunct picks the same :class:`CompiledSubquery` out of the
+        core's memo, so the key set is built once.  A subquery that needs
+        an outer column (or is simply invalid) fails to plan here and the
+        residual compilation reports it in full context.  The key count is
+        the subquery's estimated cardinality, None when it has none.
+        """
+        try:
+            subquery = self._plan_subquery(conjunct.subquery, [Frame(None)])
+        except SQLError:
+            return None
+        if len(subquery.plan.output_names) != 1:
+            return None  # the residual filter raises the arity error
+        est = getattr(subquery.plan.root, "est_rows", None)
+        keys = None if est is None else max(1, round(est))
+        operator = MultiKeyIndexLookup(entry.storage, index, [], subquery)
+        return operator, index, keys, conjunct.operand.name.lower()
 
     def _plan_join(
         self,
@@ -1367,6 +1418,11 @@ class Planner:
     def _plan_subquery(
         self, statement: ast.SelectStatement, frames: List[Frame]
     ) -> CompiledSubquery:
+        shared = self._core_subqueries
+        if shared is not None:
+            key = _subquery_key(statement)
+            if key in shared:
+                return shared[key]
         child = Planner(
                 self.catalog,
                 self.functions,
@@ -1378,7 +1434,12 @@ class Planner:
             )
         sub_frame = Frame(None)
         plan = child.plan_select(statement, list(frames) + [sub_frame])
-        return CompiledSubquery(plan, sub_frame.correlated)
+        compiled = CompiledSubquery(plan, sub_frame.correlated)
+        if shared is not None and not compiled.correlated:
+            # An uncorrelated subquery reads no enclosing scope, so one
+            # plan (and one cached evaluation) serves every occurrence.
+            shared[key] = compiled
+        return compiled
 
 
 @dataclass
@@ -1390,13 +1451,32 @@ class _AccessPath:
     #: ``consumed`` set so cardinality estimation does not price it twice).
     conjunct: ast.Expression
     unique: bool
-    #: Number of probe keys (1 for ``=``, the deduplicated list length
-    #: for ``IN``).
-    keys: int
+    #: Number of probe keys: 1 for ``=``, the deduplicated list length for
+    #: an ``IN``-list, the estimated cardinality for an ``IN``-subquery —
+    #: None when it has none (the operator prices itself at run time).
+    keys: Optional[int]
     #: Probed column name (lower case), for per-key cardinality.
     column: str
     #: Discovery position, the deterministic tie-break.
     position: int
+
+    def rule_rank(self) -> Tuple[int, int, int]:
+        """Statistics-free preference (smaller is better): a known key
+        count, then a unique index, then WHERE-clause order."""
+        return (
+            0 if self.keys is not None else 1,
+            0 if self.unique else 1,
+            self.position,
+        )
+
+
+def _subquery_key(statement: ast.SelectStatement) -> object:
+    """Identity of a subquery for sharing inside one SELECT core: its
+    rendered text (case-sensitive — string literals matter).  Parameters
+    all render as ``?`` whatever their position, so a text containing one
+    identifies only its own AST node."""
+    text = render_select(statement)
+    return id(statement) if "?" in text else text
 
 
 def _slot_ref_fn(slot: int):

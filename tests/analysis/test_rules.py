@@ -236,6 +236,38 @@ class TestWanRules:
         findings = pdm_db.lint("SELECT name FROM assy")
         assert "W002" not in rule_ids(findings)
 
+    def test_w002_in_subquery_the_planner_cannot_reach_triggers(self, pdm_db):
+        # Under an OR the membership test is no access path, yet an index
+        # on obid could serve it: exactly where planners give up.
+        findings = pdm_db.lint(
+            "SELECT name FROM assy WHERE obid IN (SELECT right FROM link) "
+            "OR name = 'x'"
+        )
+        (finding,) = find(findings, "W002")
+        assert finding.severity is Severity.WARNING
+        assert "'obid'" in finding.message
+
+    def test_w002_in_subquery_probe_is_clean(self, pdm_db):
+        findings = pdm_db.lint(
+            "SELECT name FROM assy WHERE obid IN (SELECT right FROM link)"
+        )
+        assert "W002" not in rule_ids(findings)
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "obid NOT IN (SELECT right FROM link)",
+            "name IN (SELECT name FROM comp)",  # unindexed column
+            # correlated: no key set exists before the scan
+            "obid IN (SELECT l.right FROM link l WHERE l.left = assy.product)",
+        ],
+    )
+    def test_w002_in_subquery_without_an_access_path_is_clean(
+        self, pdm_db, where
+    ):
+        findings = pdm_db.lint(f"SELECT name FROM assy WHERE {where}")
+        assert "W002" not in rule_ids(findings)
+
     def test_w003_cartesian_product_triggers(self):
         findings = analyze_sql("SELECT p.name, l.qty FROM part p, link l")
         (finding,) = find(findings, "W003")
@@ -359,6 +391,18 @@ class TestStatsKeyedSeverity:
         )
         (finding,) = find(findings, "W002")
         assert finding.severity is Severity.WARNING
+
+    def test_w002_in_subquery_scan_chosen_by_cost_is_info(self, skewed_db):
+        skewed_db.execute("ANALYZE ev")
+        # code is selective, but 100 keys cost more than one scan; flag is
+        # not, so even two keys walk the whole table.
+        for sql in (
+            "SELECT id FROM ev WHERE code IN (SELECT id FROM ev)",
+            "SELECT id FROM ev WHERE flag IN (SELECT id FROM ev WHERE id < 2)",
+        ):
+            (finding,) = find(skewed_db.lint(sql), "W002")
+            assert finding.severity is Severity.INFO
+            assert "cost-justified" in finding.message
 
     def test_p002_warning_without_stats(self, skewed_db):
         (finding,) = find(skewed_db.lint(self.WRAPPED_SQL), "P002")

@@ -80,10 +80,14 @@ class TestWorkloadAnalysis:
 class TestTemplateSelfCheck:
     def test_every_template_is_lint_clean(self):
         """Every query the PDM layer or the rule rewriter can emit must
-        have no findings at WARNING or above."""
+        have no findings at WARNING or above — plan-level rules included,
+        against the indexes the PDM schema ships."""
+        from repro.pdm.schema import new_pdm_database
+
+        database = new_pdm_database()
         dirty = {}
         for name, sql in template_queries():
-            findings = analyze_sql(sql)
+            findings = analyze_sql(sql, database=database)
             if not is_lint_clean(findings):
                 dirty[name] = [f.as_row() for f in findings]
         assert not dirty, f"templates with warnings/errors: {dirty}"

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.bench.workload import build_scenario
 from repro.errors import UnknownObjectError
+from repro.model.parameters import TreeParameters
+from repro.network.profiles import WAN_512
 from repro.pdm.operations import ExpandStrategy
 from repro.pdm.structure import trees_equal
 from repro.rules.conditions import Attribute, Comparison, Const
@@ -145,6 +148,74 @@ class TestMultiLevelExpand:
         )
         assert result.tree.node_count() == scenario.product.node_count
         assert result.tree.depth() == scenario.tree.depth
+
+
+class TestRecursiveExpandCost:
+    """One recursive expand costs what its answer costs: engine work is a
+    function of the visible subtree, not of the product around it (exact
+    counters, no clock)."""
+
+    @staticmethod
+    def scenario(depth):
+        return build_scenario(
+            TreeParameters(depth=depth, branching=3, visibility=0.6),
+            WAN_512,
+            seed=4,
+        )
+
+    def leaf_assembly_expands(self, depth):
+        """``{k: counters}`` over one lowest-level assembly per visible
+        subtree size k (same κ ⇒ same shape ⇒ comparable work)."""
+        scenario = self.scenario(depth)
+        product = scenario.product
+        assemblies = {assembly.obid for assembly in product.assemblies}
+        database = scenario.database
+        measured = {}
+        for obid in sorted(assemblies & product.visible_obids):
+            children = [child for __, child in product.children.get(obid, ())]
+            if any(child in assemblies for child in children):
+                continue
+            k = 1 + sum(child in product.visible_obids for child in children)
+            if k in measured:
+                continue
+            before = database.statistics["rows_returned"]
+            result = scenario.client.multi_level_expand(
+                obid,
+                ExpandStrategy.RECURSIVE_EARLY,
+                root_attrs=scenario.client.fetch_object(obid),
+            )
+            assert len(result.tree.obids()) == k
+            measured[k] = dict(
+                database.last_counters,
+                rows_returned=database.statistics["rows_returned"] - before,
+            )
+        return measured
+
+    def test_same_subtree_costs_the_same_in_a_larger_product(self):
+        small = self.leaf_assembly_expands(depth=4)
+        large = self.leaf_assembly_expands(depth=6)  # 9x the links
+        shared = [k for k in sorted(small) if k in large and k >= 3]
+        assert shared, "no common subtree size to compare"
+        for k in shared:
+            assert small[k] == large[k]
+            assert small[k]["subquery_executions"] == 1
+            assert small[k]["rows_scanned"] <= 6 * small[k]["rows_returned"]
+
+    def test_invisible_root_scans_one_row(self):
+        scenario = self.scenario(depth=4)
+        product = scenario.product
+        hidden = min(
+            assembly.obid
+            for assembly in product.assemblies
+            if assembly.obid not in product.visible_obids
+        )
+        result = scenario.client.multi_level_expand(
+            hidden,
+            ExpandStrategy.RECURSIVE_EARLY,
+            root_attrs=scenario.client.fetch_object(hidden),
+        )
+        assert result.tree is None
+        assert scenario.database.last_counters["rows_scanned"] == 1
 
 
 class TestFetchObject:

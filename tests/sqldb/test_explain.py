@@ -61,6 +61,12 @@ class TestExplainOutput:
         assert "seed branch:" in text
         assert "recursive branch (joins the delta):" in text
 
+    def test_in_subquery_on_indexed_column_is_labelled(self, db):
+        text = plan_text(
+            db, "SELECT * FROM b WHERE a_id IN (SELECT id FROM a WHERE v > 1)"
+        )
+        assert "MultiKeyIndexLookup(b via b_a, keys from subquery)" in text
+
     def test_explain_method_facade(self, db):
         result = db.explain("SELECT * FROM a")
         assert result.columns == ["plan"]
@@ -101,3 +107,27 @@ class TestPDMPlanShape:
             ).rows
         )
         assert "IndexLookup(link via link_left_idx)" in text
+
+    def test_recursive_mle_drives_the_link_block_from_rtbl(self, figure2_db):
+        sql = render_select(recursive_mle_spec().to_statement())
+        text = "\n".join(
+            line for (line,) in figure2_db.execute(f"EXPLAIN {sql}").rows
+        )
+        assert (
+            "MultiKeyIndexLookup(link via link_left_idx, keys from subquery)"
+            in text
+        )
+
+    def test_no_template_select_scans_link(self, figure2_db):
+        from repro.analysis.templates import template_queries
+
+        scanning = [
+            name
+            for name, sql in template_queries()
+            if sql.lstrip().upper().startswith(("SELECT", "WITH"))
+            and any(
+                "SeqScan(link)" in line
+                for (line,) in figure2_db.execute(f"EXPLAIN {sql}").rows
+            )
+        ]
+        assert scanning == []

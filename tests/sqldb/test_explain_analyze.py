@@ -42,6 +42,20 @@ class TestExplainAnalyze:
         assert "IndexLookup(t via t_pk) (loops=1 rows=1)" in text
         assert "index_probes: 1" in text
 
+    def test_subquery_keyed_lookup_reports_keys_and_access_method(self, db):
+        db.execute("CREATE TABLE s (x INTEGER)")
+        db.execute("INSERT INTO s VALUES (1), (1)")
+        sql = "SELECT a FROM t WHERE b IN (SELECT x FROM s)"
+        lookup = "MultiKeyIndexLookup(t via t_b, keys from subquery)"
+        # One distinct key, 3 rows per key: 4 + 3 probing beats 9 scanning.
+        assert f"{lookup} (loops=1 rows=3 keys=1 probed)" in analyze_text(db, sql)
+        db.execute("INSERT INTO s VALUES (0), (2)")
+        # Three keys would cost 12 + 9: the operator scans instead.
+        text = analyze_text(db, sql)
+        assert f"{lookup} (loops=1 rows=9 keys=3 scanned)" in text
+        assert "Execution: 9 row(s) returned" in text
+        assert "index_probes: 0" in text
+
     def test_plain_explain_has_no_counts(self, db):
         text = "\n".join(
             line

@@ -87,6 +87,35 @@ class TestSnapshotVisibility:
         assert rows == [(20,)]
         db.execute("COMMIT", session="reader")
 
+    def test_in_subquery_probe_under_snapshot(self):
+        """The subquery-keyed index probe reads at the snapshot's stamp on
+        both sides: the key set and the probed table."""
+        db = Database(mvcc=True)
+        db.execute_script(
+            "CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER);"
+            "CREATE INDEX big_k ON big (k);"
+            "CREATE TABLE wanted (x INTEGER)"
+        )
+        db.executemany(
+            "INSERT INTO big VALUES (?, ?)", [(i, i % 10) for i in range(40)]
+        )
+        db.execute("INSERT INTO wanted VALUES (1)")
+        sql = "SELECT id FROM big WHERE k IN (SELECT x FROM wanted) ORDER BY 1"
+        db.execute("BEGIN TRANSACTION READ ONLY", session="reader")
+        db.execute("UPDATE big SET k = 1 WHERE id = 5")  # moves into the key
+        db.execute("UPDATE big SET k = 5 WHERE id = 11")  # moves out of it
+        db.execute("DELETE FROM big WHERE id = 21")
+        db.execute("INSERT INTO big VALUES (41, 1)")
+        db.execute("INSERT INTO wanted VALUES (2)")
+        assert db.execute(sql, session="reader").rows == [
+            (1,), (11,), (21,), (31,)
+        ]
+        assert db.last_counters["index_probes"] == 1
+        assert db.execute(sql).rows == [
+            (1,), (2,), (5,), (12,), (22,), (31,), (32,), (41,)
+        ]
+        db.execute("COMMIT", session="reader")
+
     def test_two_snapshots_see_their_own_stamps(self):
         db = make_db()
         db.execute("BEGIN TRANSACTION READ ONLY", session="old")

@@ -1,0 +1,208 @@
+"""stdlib ``sqlite3`` as an independent oracle for what the planner re-plans.
+
+First slice of ROADMAP 4a: exactly the statements whose access path the
+``IN (subquery)`` probe changes — every recursive SELECT of the PDM
+template corpus (their outer link block is ``link.left IN (SELECT obid
+FROM rtbl) AND link.right IN (...)``) and the ``IN`` / ``NOT IN
+(subquery)`` NULL matrix on indexed and unindexed columns — must return
+the same multiset of rows from this engine and from SQLite, which shares
+no code with it.  The rendered template text runs on SQLite verbatim.
+
+Catalogue of intentional divergences (each one neutralised here, none of
+them hides a wrong row):
+
+* **Booleans.**  The engine has a BOOLEAN type and returns ``True`` /
+  ``False``; SQLite returns ``1`` / ``0``.  Rows are compared with Python
+  equality, under which ``False == 0`` (and the hashes agree).
+* **Row order.**  Without ``ORDER BY`` both engines may return rows in any
+  order, and with it ties are unordered — results are compared as
+  multisets (``collections.Counter``), never as lists.
+* **Type affinity.**  An SQLite column declared INTEGER converts the text
+  ``'1'`` to ``1``; this engine never coerces for comparison (a string key
+  simply does not match an integer column).  The oracle's tables are
+  declared without types, so SQLite stores and compares the values the
+  loader hands it, like the engine does.
+* **Stored functions.**  ``options_overlap`` / ``is_effective`` are not SQL:
+  SQLite gets the engine's own Python implementations through
+  ``create_function`` (NULL-propagating, like ``register_function``), so a
+  difference can only come from planning and execution, not from them.
+"""
+
+import sqlite3
+from collections import Counter
+
+import pytest
+
+from repro.analysis.templates import template_queries
+from repro.model.parameters import TreeParameters
+from repro.pdm.generator import generate_product
+from repro.pdm.schema import CLIENT_FUNCTIONS, load_product, new_pdm_database
+from repro.sqldb import Database
+
+RECURSIVE_TEMPLATES = [
+    (name, sql)
+    for name, sql in template_queries()
+    if sql.startswith("WITH RECURSIVE")
+]
+
+
+def null_propagating(function):
+    return lambda *args: None if None in args else function(*args)
+
+
+def sqlite_twin(tables):
+    """An in-memory SQLite database holding *tables* — ``{name: (columns,
+    rows)}`` — in typeless columns, with the PDM stored functions."""
+    connection = sqlite3.connect(":memory:")
+    for name, (columns, rows) in tables.items():
+        connection.execute(f"CREATE TABLE {name} ({', '.join(columns)})")
+        marks = ", ".join("?" * len(columns))
+        connection.executemany(f"INSERT INTO {name} VALUES ({marks})", rows)
+    for name, function in CLIENT_FUNCTIONS.items():
+        connection.create_function(name, -1, null_propagating(function))
+    return connection
+
+
+def assert_same_multiset(db, oracle, sql, params=()):
+    ours = Counter(db.execute(sql, list(params)).rows)
+    theirs = Counter(oracle.execute(sql, list(params)).fetchall())
+    assert ours == theirs, f"{sql}\nparams={params!r}"
+    return sum(ours.values())
+
+
+@pytest.fixture(scope="module")
+def pdm():
+    """δ=4 κ=3 σ=0.6 product in both engines, plus the roots to expand:
+    the product root, an assembly the generator made invisible, a
+    lowest-level (leaf) assembly, an inner visible assembly and a visible
+    component (a where-used start; every expand of it is empty).  The
+    rewrites carry their own rule constants, so they prune further:
+    ``rewrite-mle-early-inside`` returns nothing for three of the five."""
+    product = generate_product(
+        TreeParameters(depth=4, branching=3, visibility=0.6), seed=4
+    )
+    db = new_pdm_database()
+    load_product(db, product)
+    oracle = sqlite_twin(
+        {
+            name: (
+                db.catalog.lookup(name).schema.column_names,
+                [record.to_row() for record in records],
+            )
+            for name, records in (
+                ("assy", product.assemblies),
+                ("comp", product.components),
+                ("link", product.links),
+            )
+        }
+    )
+    assemblies = {assembly.obid for assembly in product.assemblies}
+    visible = product.visible_obids
+
+    def has_assembly_child(obid):
+        return any(c in assemblies for __, c in product.children[obid])
+
+    roots = {
+        "root": product.root_obid,
+        "invisible": min(assemblies - visible),
+        "leaf-assembly": min(
+            o for o in assemblies & visible if not has_assembly_child(o)
+        ),
+        "inner-assembly": min(
+            o
+            for o in assemblies & visible
+            if o != product.root_obid and has_assembly_child(o)
+        ),
+        "component": max(visible - assemblies),
+    }
+    yield db, oracle, roots
+    oracle.close()
+
+
+class TestRecursiveTemplates:
+    def test_corpus_is_the_seven_recursive_selects(self):
+        assert sorted(name for name, __ in RECURSIVE_TEMPLATES) == [
+            "mle-recursive",
+            "mle-recursive-depth-bounded",
+            "mle-recursive-ordered",
+            "rewrite-mle-checkout-forall",
+            "rewrite-mle-early-inside",
+            "rewrite-mle-early-outside",
+            "where-used-recursive",
+        ]
+
+    @pytest.mark.parametrize(
+        "name, sql", RECURSIVE_TEMPLATES, ids=[n for n, __ in RECURSIVE_TEMPLATES]
+    )
+    def test_same_rows_as_sqlite_from_every_root(self, pdm, name, sql):
+        db, oracle, roots = pdm
+        returned = {}
+        for label, obid in roots.items():
+            # The first parameter is the root; the depth-bounded template
+            # binds its bound twice after it.
+            params = [obid] + [2] * (sql.count("?") - 1)
+            returned[label] = assert_same_multiset(db, oracle, sql, params)
+        assert max(returned.values()) > 1, "vacuous: no root returned a tree"
+
+
+def matrix_databases(s_values, analyzed):
+    """``t`` (40 rows; ``k`` indexed in the engine, ``u`` the same values
+    unindexed, every tenth NULL) and ``s (x)`` holding *s_values*."""
+    t_rows = [
+        (i, None if i % 10 == 9 else i % 8, None if i % 10 == 9 else i % 8)
+        for i in range(40)
+    ]
+    s_rows = [(value,) for value in s_values]
+    db = Database()
+    db.execute_script(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, u INTEGER);"
+        "CREATE INDEX t_k ON t (k);"
+        "CREATE TABLE s (x INTEGER)"
+    )
+    db.executemany("INSERT INTO t VALUES (?, ?, ?)", t_rows)
+    db.executemany("INSERT INTO s VALUES (?)", s_rows)
+    if analyzed:
+        db.execute("ANALYZE")
+    oracle = sqlite_twin(
+        {"t": (["id", "k", "u"], t_rows), "s": (["x"], s_rows)}
+    )
+    return db, oracle
+
+
+class TestInSubqueryNullMatrix:
+    @pytest.mark.parametrize("analyzed", [False, True], ids=["rules", "stats"])
+    @pytest.mark.parametrize(
+        "s_values",
+        [[], [1, 3], [1, None, 3, 1], [None], list(range(8)) + [None]],
+        ids=["empty", "values", "values+null", "only-null", "every-key+null"],
+    )
+    def test_three_valued_membership_matches_sqlite(self, s_values, analyzed):
+        db, oracle = matrix_databases(s_values, analyzed)
+        try:
+            for column in ("k", "u"):
+                for keyword in ("IN", "NOT IN"):
+                    test = f"{column} {keyword} (SELECT x FROM s)"
+                    assert_same_multiset(
+                        db, oracle, f"SELECT id FROM t WHERE {test}"
+                    )
+                    # ...and the UNKNOWNs themselves, not just what WHERE
+                    # keeps of them.
+                    assert_same_multiset(
+                        db, oracle, f"SELECT id, {test} FROM t"
+                    )
+                    assert_same_multiset(
+                        db,
+                        oracle,
+                        f"SELECT id FROM t WHERE {test} AND id < 20 "
+                        f"OR id IN (SELECT x FROM s)",
+                    )
+        finally:
+            oracle.close()
+
+    def test_the_matrix_exercises_the_probe_path(self):
+        db, oracle = matrix_databases([1, None, 3, 1], analyzed=False)
+        oracle.close()
+        db.execute("SELECT id FROM t WHERE k IN (SELECT x FROM s)")
+        assert db.last_counters["index_probes"] == 2
+        db.execute("SELECT id FROM t WHERE u IN (SELECT x FROM s)")
+        assert db.last_counters["index_probes"] == 0
