@@ -36,8 +36,11 @@ def analyze_statement(
     it the analyzer resolves indexes for severity decisions and runs the
     plan-level rules (W002).  Non-SELECT statements are analyzed where it
     makes sense: INSERT ... SELECT through its query, UPDATE/DELETE through
-    their WHERE clause; DDL has no findings.
+    their WHERE clause and the plan that locates their target rows; DDL
+    has no findings.
     """
+    if isinstance(statement, ast.Explain):
+        statement = statement.statement
     catalog = database.catalog if database is not None else None
     stats = getattr(database, "stats", None) if database is not None else None
     findings: List[Finding] = []
@@ -58,7 +61,7 @@ def analyze_statement(
             if plan is not None:
                 findings.extend(rules_wan.check_plan(plan, select, database))
     elif isinstance(statement, (ast.Update, ast.Delete)):
-        findings.extend(_analyze_dml_where(statement, catalog, stats))
+        findings.extend(_analyze_dml_where(statement, catalog, stats, database))
     return sorted(findings, key=lambda f: (f.node_path, f.rule_id))
 
 
@@ -67,7 +70,7 @@ def _selectable(statement: Any) -> Tuple[Optional[ast.SelectStatement], bool]:
     client would actually ship (root shapes count for W001)."""
     if isinstance(statement, ast.SelectStatement):
         return statement, True
-    if isinstance(statement, (ast.Explain, ast.Lint)):
+    if isinstance(statement, ast.Lint):
         return statement.statement, True
     if isinstance(statement, ast.Insert) and statement.select is not None:
         return statement.select, False
@@ -77,10 +80,15 @@ def _selectable(statement: Any) -> Tuple[Optional[ast.SelectStatement], bool]:
 
 
 def _analyze_dml_where(
-    statement: Any, catalog: Optional[Any], stats: Optional[Any] = None
+    statement: Any,
+    catalog: Optional[Any],
+    stats: Optional[Any],
+    database: Optional[Any],
 ) -> List[Finding]:
     """UPDATE/DELETE predicates get the predicate-shape rules by wrapping
-    them in a synthetic single-table SELECT core."""
+    them in a synthetic single-table SELECT core.  The plan-level rule
+    (W002) reads that core for the predicates too, but judges the plan the
+    statement will really locate its rows with."""
     if statement.where is None:
         return []
     synthetic = ast.SelectStatement(
@@ -90,12 +98,14 @@ def _analyze_dml_where(
             where=statement.where,
         )
     )
-    return rules_pushdown.check(synthetic, "", catalog, stats=stats)
+    findings = rules_pushdown.check(synthetic, "", catalog, stats=stats)
+    plan = _try_plan(statement, database) if database is not None else None
+    if plan is not None:
+        findings.extend(rules_wan.check_plan(plan, synthetic, database))
+    return findings
 
 
-def _try_plan(
-    statement: ast.SelectStatement, database: Any
-) -> Optional[Any]:
+def _try_plan(statement: Any, database: Any) -> Optional[Any]:
     """Plan without executing; linting never fails on unplannable SQL —
     execution will report the real error with full context."""
     try:

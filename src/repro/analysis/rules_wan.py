@@ -220,7 +220,9 @@ def check_plan(
     constrains an indexed column of it with an index-friendly predicate:
     an equality, an ``IN``-list, or a non-negated ``IN (subquery)`` whose
     subquery is uncorrelated (the planner probes the index once per
-    distinct subquery value).
+    distinct subquery value).  For an UPDATE/DELETE, *plan* is the one
+    that locates the target rows and *statement* its WHERE clause as a
+    one-table SELECT.
 
     With the database's ANALYZE statistics the rule is keyed off the
     measured selectivity: when the cost model itself prices the

@@ -7,7 +7,8 @@ After a crash, :meth:`Durability.recover` rebuilds the database by
 1. scanning the log's clean prefix (per-record CRCs, strict mid-log
    corruption detection — see :func:`repro.recovery.wal.scan_wal`);
 2. restoring the most recent checkpoint snapshot, if any (checkpoints
-   bound replay length: everything before the snapshot is one record);
+   bound replay length: everything before the snapshot is one record,
+   and a completed checkpoint drops that prefix from the disk);
 3. replaying the records after it — operations buffer per transaction
    and apply at that transaction's COMMIT, so in-flight transactions are
    discarded for free and strict 2PL guarantees commit-order replay is
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, WalCorruptError
 from repro.recovery.simdisk import SimDisk
 from repro.recovery.wal import (
     KIND_ABORT,
@@ -195,8 +196,32 @@ def _apply_op(database: Database, record: WalRecord) -> None:
     elif record.kind == KIND_DELETE:
         storage.delete(record.row_id)
     else:  # KIND_UPDATE
-        assert record.row is not None
-        storage.update(record.row_id, record.row)
+        assert record.changes is not None
+        storage.update(record.row_id, _patched(storage, record))
+
+
+def _patched(storage: TableStorage, record: WalRecord) -> List[Any]:
+    """The row an update record leaves in its slot: the row replay finds
+    there with the logged columns replaced.  Sound for the reason replay
+    is (module docstring): in commit order under strict 2PL the slot holds
+    exactly the row the original update saw."""
+    assert record.row_id is not None and record.changes is not None
+    slots = storage._rows
+    current = slots[record.row_id] if record.row_id < len(slots) else None
+    if current is None:
+        raise WalCorruptError(
+            f"update record for empty slot {record.row_id} of "
+            f"{storage.schema.name!r}"
+        )
+    row = list(current)
+    for position, value in record.changes:
+        if position >= len(row):
+            raise WalCorruptError(
+                f"update record changes column {position} of "
+                f"{storage.schema.name!r}, which has {len(row)}"
+            )
+        row[position] = value
+    return row
 
 
 def _replay(
@@ -355,8 +380,7 @@ class Durability:
 
         Later recoveries restore the snapshot and replay only the records
         behind it, bounding replay work; the log before the checkpoint is
-        dead weight (the simulated disk keeps it — compaction is not the
-        point of the model).
+        dead, and the writer drops it once the record is on the disk.
         """
         if self.database is None or self.wal is None:
             raise DurabilityError("open() the database before checkpointing")

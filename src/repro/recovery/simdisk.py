@@ -17,8 +17,9 @@ lives on it) and can be armed with a :class:`DiskFaultProfile`:
   corruption the WAL reader must detect via its per-record CRC.
 
 Reads are always allowed (after the "reboot" the platter is readable),
-and :meth:`truncate` lets recovery repair the tail by cutting the log at
-the end of its clean prefix before appending resumes.
+:meth:`truncate` lets recovery repair the tail by cutting the log at the
+end of its clean prefix before appending resumes, and :meth:`drop_prefix`
+lets a checkpoint discard the log it made dead.
 """
 
 from __future__ import annotations
@@ -148,6 +149,22 @@ class SimDisk:
                 f"cannot truncate {len(self._data)}-byte disk to {length}"
             )
         del self._data[length:]
+
+    def drop_prefix(self, length: int) -> None:
+        """Forget the first *length* bytes (a checkpoint made them dead).
+
+        Atomic, like the rename that swaps in a compacted log file: it
+        either happened or it did not, there is no crash point inside.
+        The survivors move to a fresh buffer (deleting in place would keep
+        the old allocation), so the dropped prefix's memory is returned.
+        """
+        if self.crashed:
+            raise DiskCrashed("disk is crashed; reopen it after recovery")
+        if length < 0 or length > len(self._data):
+            raise DurabilityError(
+                f"cannot drop {length} bytes from a {len(self._data)}-byte disk"
+            )
+        self._data = self._data[length:]
 
     def reopen(self) -> None:
         """Bring the disk back after a crash (the reboot).

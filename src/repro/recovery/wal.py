@@ -17,7 +17,9 @@ Record kinds:
 ``C`` commit       body: origin flag(1) [+ u32 client_id + u32 seq]
 ``A`` abort        body: empty
 ``I`` insert       body: table, u64 row_id, u16 arity, values
-``U`` update       body: table, u64 row_id, u16 arity, values (new row)
+``U`` update       body: table, u64 row_id, u16 n, n x (u16 position, value)
+                   — only the columns the update changed; replay patches
+                   them into the row it finds in the slot (n may be 0)
 ``D`` delete       body: table, u64 row_id
 ``Q`` ddl          body: SQL text (rendered statement, replayed verbatim)
 ``K`` checkpoint   body: full snapshot (tables, rows, views, HWM map)
@@ -84,6 +86,8 @@ _KINDS = frozenset(
 )
 
 Row = Tuple[Any, ...]
+#: The columns an update changed: ``(position, new value)`` pairs.
+Changes = Tuple[Tuple[int, Any], ...]
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,9 @@ class WalRecord:
 
     A single carrier type keeps the scanner's output homogeneous; the
     fields beyond ``kind``/``txn_id`` are populated per kind (``table``/
-    ``row_id``/``row`` for data ops, ``sql`` for DDL, ``origin`` for
-    commits, ``snapshot`` for checkpoints).
+    ``row_id`` for data ops, with the whole ``row`` for an insert and the
+    ``changes`` — ``(column position, new value)`` pairs — for an update;
+    ``sql`` for DDL, ``origin`` for commits, ``snapshot`` for checkpoints).
     """
 
     kind: str
@@ -101,6 +106,7 @@ class WalRecord:
     table: Optional[str] = None
     row_id: Optional[int] = None
     row: Optional[Row] = None
+    changes: Optional[Changes] = None
     sql: Optional[str] = None
     origin: Optional[Tuple[int, int]] = None
     snapshot: Optional["Snapshot"] = None
@@ -210,6 +216,50 @@ def _dec_row(buffer: bytes, offset: int) -> Tuple[Row, int]:
     return tuple(values), offset
 
 
+def row_delta(old_row: Row, new_row: Row) -> Changes:
+    """The columns in which *new_row* differs from *old_row*.
+
+    A column counts as unchanged only when both values have the same type
+    and the same encoding, so ``1``/``TRUE``/``1.0`` and ``-0.0``/``0.0``
+    are never conflated; logging a column that did not change is always
+    correct, dropping one that did never is.
+    """
+    return tuple(
+        (position, value)
+        for position, (before, value) in enumerate(zip(old_row, new_row))
+        if before is not value
+        and (
+            type(before) is not type(value)
+            or encode_value(before) != encode_value(value)
+        )
+    )
+
+
+def _enc_changes(changes: Changes) -> bytes:
+    if len(changes) > 0xFFFF:
+        raise ProtocolError("row arity exceeds the WAL limit")
+    parts = [struct.pack(">H", len(changes))]
+    for position, value in changes:
+        parts.append(struct.pack(">H", position))
+        parts.append(encode_value(value))
+    return b"".join(parts)
+
+
+def _dec_changes(buffer: bytes, offset: int) -> Tuple[Changes, int]:
+    if offset + 2 > len(buffer):
+        raise ProtocolError("truncated WAL update")
+    count = struct.unpack_from(">H", buffer, offset)[0]
+    offset += 2
+    changes: List[Tuple[int, Any]] = []
+    for __ in range(count):
+        if offset + 2 > len(buffer):
+            raise ProtocolError("truncated WAL update")
+        position = struct.unpack_from(">H", buffer, offset)[0]
+        value, offset = decode_value(buffer, offset + 2)
+        changes.append((position, value))
+    return tuple(changes), offset
+
+
 # -- record encoding ---------------------------------------------------------
 
 
@@ -230,12 +280,13 @@ def encode_record(record: WalRecord) -> bytes:
             body = b"\x01" + struct.pack(">II", *record.origin)
     elif kind in (KIND_INSERT, KIND_UPDATE):
         assert record.table is not None and record.row_id is not None
-        assert record.row is not None
-        body = (
-            _enc_str(record.table)
-            + struct.pack(">Q", record.row_id)
-            + _enc_row(record.row)
-        )
+        if kind == KIND_INSERT:
+            assert record.row is not None
+            values = _enc_row(record.row)
+        else:
+            assert record.changes is not None
+            values = _enc_changes(record.changes)
+        body = _enc_str(record.table) + struct.pack(">Q", record.row_id) + values
     elif kind == KIND_DELETE:
         assert record.table is not None and record.row_id is not None
         body = _enc_str(record.table) + struct.pack(">Q", record.row_id)
@@ -285,10 +336,16 @@ def decode_payload(payload: bytes) -> WalRecord:
             raise ProtocolError("truncated WAL row id")
         row_id = struct.unpack_from(">Q", payload, offset)[0]
         offset += 8
-        row, offset = _dec_row(payload, offset)
+        if kind == KIND_INSERT:
+            row, offset = _dec_row(payload, offset)
+            _expect_end(payload, offset)
+            return WalRecord(
+                kind=kind, txn_id=txn_id, table=table, row_id=row_id, row=row
+            )
+        changes, offset = _dec_changes(payload, offset)
         _expect_end(payload, offset)
         return WalRecord(
-            kind=kind, txn_id=txn_id, table=table, row_id=row_id, row=row
+            kind=kind, txn_id=txn_id, table=table, row_id=row_id, changes=changes
         )
     if kind == KIND_DELETE:
         table, offset = _dec_str(payload, offset)
@@ -578,11 +635,20 @@ class WalWriter:
             )
         )
 
-    def log_update(self, txn_id: int, table: str, row_id: int, row: Row) -> None:
+    def log_update(
+        self, txn_id: int, table: str, row_id: int, old_row: Row, new_row: Row
+    ) -> None:
+        """Log what the update changed (:func:`row_delta`).  An update
+        that changed nothing still logs its (empty) record, so replay
+        bumps the same counters the original execution did."""
         self._ensure_begun(txn_id)
         self._append(
             WalRecord(
-                kind=KIND_UPDATE, txn_id=txn_id, table=table, row_id=row_id, row=row
+                kind=KIND_UPDATE,
+                txn_id=txn_id,
+                table=table,
+                row_id=row_id,
+                changes=row_delta(old_row, new_row),
             )
         )
 
@@ -622,5 +688,12 @@ class WalWriter:
         self._append(WalRecord(kind=KIND_FENCE))
 
     def checkpoint(self, snapshot: Snapshot) -> None:
+        """Append the checkpoint, then drop the log before it: recovery
+        starts from the last checkpoint, so that prefix is dead.  A crash
+        on the append itself raises before the cut and leaves the old log
+        whole."""
+        start = self.disk.size
         self._append(WalRecord(kind=KIND_CHECKPOINT, snapshot=snapshot))
+        if not self.disk.crashed:
+            self.disk.drop_prefix(start)
         self.statistics["checkpoints"] += 1

@@ -380,13 +380,15 @@ class RollbackTransaction:
 
 @dataclass
 class Explain:
-    """``EXPLAIN [ANALYZE] <select>`` — the physical plan as text rows.
+    """``EXPLAIN [ANALYZE] <select>`` — the physical plan as text rows —
+    or ``EXPLAIN <update|delete>``: the plan that locates the target rows.
 
     With ``ANALYZE`` the statement is actually executed and each plan
-    operator is annotated with its invocation and produced-row counts.
+    operator is annotated with its invocation and produced-row counts
+    (SELECT only: explaining a write must not perform it).
     """
 
-    statement: "SelectStatement"
+    statement: Union["SelectStatement", "Update", "Delete"]
     analyze: bool = False
 
 

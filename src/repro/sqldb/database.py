@@ -4,14 +4,27 @@ This is the "relational DBMS" the PDM system sits on.  The facade keeps an
 LRU plan cache keyed by statement text, so the navigational workload —
 thousands of executions of the same parameterised child-fetch query — pays
 the parse/plan cost once, mirroring the prepared-statement behaviour of a
-production DBMS.
+production DBMS.  INSERT/UPDATE/DELETE are prepared the same way and live
+in the same cache; UPDATE and DELETE locate their rows through the
+planner's access paths, so a write costs what it changes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import (
     CatalogError,
@@ -112,9 +125,11 @@ class Database:
         #: only: never WAL-logged (lost on crash/recovery) because losing
         #: them can only change plan quality, not results.
         self.stats = StatsCatalog()
-        #: Statement-text -> Plan cache (SELECT only; DML re-plans, which is
-        #: cheap because DML statements here are tiny).
-        self._plan_cache: "OrderedDict[str, Plan]" = OrderedDict()
+        #: Statement-text -> :class:`Plan` (SELECT) or :class:`_PreparedDml`
+        #: (INSERT/UPDATE/DELETE) cache: one LRU, one set of invalidations.
+        self._plan_cache: "OrderedDict[str, Union[Plan, _PreparedDml]]" = (
+            OrderedDict()
+        )
         self._plan_cache_size = plan_cache_size
         #: Counters a server can report: statements executed, cache hits.
         #: The MVCC block is present (at zero) even without MVCC so the
@@ -246,12 +261,18 @@ class Database:
         statement = None
         if isinstance(sql, str):
             cached = self._plan_cache.get(sql)
-            if cached is not None and not self._auto_analyze(cached.tables):
+            # Only a SELECT refreshes drifted statistics: a writer must not
+            # start taking the table-S locks ANALYZE needs.
+            if cached is not None and not (
+                isinstance(cached, Plan) and self._auto_analyze(cached.tables)
+            ):
                 self.statistics["plan_cache_hits"] += 1
                 self._plan_cache.move_to_end(sql)
                 if span is not None:
                     span.meta["plan_cache_hit"] = True
-                return self._run_select(cached, params, mode)
+                if isinstance(cached, Plan):
+                    return self._run_select(cached, params, mode)
+                return self._run_dml(cached, params)
             # A refreshed statistics catalog emptied the plan cache: fall
             # through and re-plan under the new estimates.
             statement = parse_statement(sql)
@@ -263,20 +284,25 @@ class Database:
             if isinstance(sql, str):
                 self._remember_plan(sql, plan)
             return self._run_select(plan, params, mode)
+        if isinstance(sql, str) and isinstance(statement, self._DML_STATEMENTS):
+            return self._write(statement, params, sql)
         return self._execute_dml(statement, params, mode)
 
     def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> int:
         """Execute a parameterised DML statement once per parameter row.
 
-        Parses once; returns the total number of affected rows.  This is the
-        bulk-load path used when a scenario database is generated.
+        Parses and prepares once; returns the total number of affected
+        rows.  This is the bulk-load path used when a scenario database is
+        generated.
         """
         statement = parse_statement(sql)
-        total = 0
-        for params in rows:
-            result = self._execute_dml(statement, params)
-            total += result.rowcount
-        return total
+        if not isinstance(statement, self._DML_STATEMENTS):
+            return sum(
+                self._execute_dml(statement, params).rowcount for params in rows
+            )
+        self._reject_in_read_only(statement)
+        prepared = self._prepare_dml(statement)
+        return sum(self._run_dml(prepared, params).rowcount for params in rows)
 
     def execute_script(self, sql: str) -> None:
         """Execute a ``;``-separated script (DDL bootstrap)."""
@@ -307,13 +333,16 @@ class Database:
         """Return the physical plan of a SELECT statement as text rows."""
         return self.execute(f"EXPLAIN {sql}")
 
-    def plan_statement(self, statement: ast.SelectStatement) -> Plan:
-        """Plan a SELECT without executing or caching it.
+    def plan_statement(self, statement) -> Plan:
+        """Plan a SELECT — or the target-row lookup of an UPDATE/DELETE —
+        without executing or caching it.
 
         Public for the static analyzer (:mod:`repro.analysis`), whose
         plan-level rules inspect access paths; planning touches only the
         catalog, never table data.
         """
+        if isinstance(statement, (ast.Update, ast.Delete)):
+            return self._prepare_modify(statement).plan
         return self._plan(statement)
 
     def lint(self, sql: str) -> list:
@@ -368,7 +397,7 @@ class Database:
     def _attach_journal(self, storage) -> None:
         table = storage.schema.name
 
-        def sink(op: str, row_id: int, row) -> None:
+        def sink(op: str, row_id: int, row, old_row=None) -> None:
             wal = self.wal
             txn_id = self._wal_txn_id
             if wal is None or txn_id is None:
@@ -376,7 +405,7 @@ class Database:
             if op == "insert":
                 wal.log_insert(txn_id, table, row_id, row)
             elif op == "update":
-                wal.log_update(txn_id, table, row_id, row)
+                wal.log_update(txn_id, table, row_id, old_row, row)
             else:
                 wal.log_delete(txn_id, table, row_id)
 
@@ -687,24 +716,10 @@ class Database:
 
         self._acquire_footprint(owner, parkable, select_footprint(tables))
 
-    def _where_subquery_tables(self, where) -> Tuple[str, ...]:
-        """Base tables referenced by subqueries of a DML WHERE clause —
-        they are read, so they need shared locks too."""
-        from repro.concurrency.footprint import where_subquery_tables  # local: avoid cycle
-
-        return where_subquery_tables(where, self._referenced_tables)
-
     # -- planning / environments -----------------------------------------------
 
     def _plan(self, statement: ast.SelectStatement) -> Plan:
-        planner = Planner(
-            self.catalog,
-            self.functions,
-            views=self.views,
-            stats=self.stats,
-            cost_based=self.planner_mode == "cost",
-        )
-        plan = planner.plan_select(statement)
+        plan = self._planner().plan_select(statement)
         plan.tables = self._referenced_tables(statement)
         return plan
 
@@ -823,6 +838,9 @@ class Database:
         ast.DropView,
     )
 
+    #: Statement types that are prepared once and kept in the plan cache.
+    _DML_STATEMENTS = (ast.Insert, ast.Update, ast.Delete)
+
     def _execute_dml(
         self, statement, params: Sequence[Any], mode: Optional[str] = None
     ) -> ResultSet:
@@ -843,6 +861,8 @@ class Database:
             entry.storage.create_index(
                 statement.name, statement.columns, unique=statement.unique
             )
+            # Statements planned before the index existed must see it.
+            self._plan_cache.clear()
             self._log_ddl(statement)
             return ResultSet([], [], rowcount=0)
         if isinstance(statement, ast.DropTable):
@@ -853,22 +873,8 @@ class Database:
             self._plan_cache.clear()
             self._log_ddl(statement)
             return ResultSet([], [], rowcount=0)
-        if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
-            txn = self._transactions.get(self._current_session)
-            if txn is not None and txn.read_only:
-                raise ExecutionError(
-                    f"{type(statement).__name__.upper()} is not allowed "
-                    f"inside a READ ONLY transaction"
-                )
-            # mvcc_scope outer: an autocommit statement's versions install
-            # after its implicit WAL commit, same order as explicit commit.
-            with self.mvcc_scope():
-                with self._wal_statement():
-                    if isinstance(statement, ast.Insert):
-                        return self._insert(statement, params)
-                    if isinstance(statement, ast.Update):
-                        return self._update(statement, params)
-                    return self._delete(statement, params)
+        if isinstance(statement, self._DML_STATEMENTS):
+            return self._write(statement, params)
         if isinstance(statement, ast.CreateView):
             result = self._create_view(statement)
             self._log_ddl(statement)
@@ -893,8 +899,14 @@ class Database:
         if isinstance(statement, ast.Explain):
             from repro.sqldb.explain import explain_analyze_plan, explain_plan
 
-            self._auto_analyze(self._referenced_tables(statement.statement))
-            plan = self._plan(statement.statement)
+            if isinstance(statement.statement, ast.SelectStatement):
+                self._auto_analyze(self._referenced_tables(statement.statement))
+            elif statement.analyze:
+                raise ExecutionError(
+                    "EXPLAIN ANALYZE would execute the write; use plain "
+                    "EXPLAIN for UPDATE and DELETE"
+                )
+            plan = self.plan_statement(statement.statement)
             if statement.analyze:
                 # EXPLAIN ANALYZE plans are never cached, so the operator
                 # instances are fresh and safe to instrument in place.
@@ -1002,14 +1014,7 @@ class Database:
             )
         # Validate the definition now (plannable, column arity) so broken
         # views fail at CREATE time, not at first use.
-        planner = Planner(
-            self.catalog,
-            self.functions,
-            views=self.views,
-            stats=self.stats,
-            cost_based=self.planner_mode == "cost",
-        )
-        plan = planner.plan_select(statement.select)
+        plan = self._planner().plan_select(statement.select)
         if statement.columns is not None and len(statement.columns) != len(
             plan.output_names
         ):
@@ -1038,149 +1043,209 @@ class Database:
         self.adopt_storage(schema, storage)
         return ResultSet([], [], rowcount=0)
 
-    def _insert(self, statement: ast.Insert, params: Sequence[Any]) -> ResultSet:
-        from repro.concurrency.footprint import insert_footprint  # local: avoid cycle
-
-        entry = self.catalog.lookup(statement.table)
-        # Table-level X on the target: serialises inserts against scans
-        # holding the table-level S, which closes the phantom window.
-        # INSERT ... SELECT sources are read, so they take table-S.
-        sources = (
-            self._referenced_tables(statement.select)
-            if statement.rows is None
-            else ()
-        )
-        requests = insert_footprint(entry.schema.name, sources)
-        with self._lock_scope() as (owner, parkable):
-            self._acquire_footprint(owner, parkable, requests)
-            return self._insert_locked(statement, params, entry)
-
-    def _insert_locked(
-        self, statement: ast.Insert, params: Sequence[Any], entry
-    ) -> ResultSet:
-        self._enlist(entry.storage)
-        schema = entry.schema
-        if statement.columns is not None:
-            positions = [schema.column_index(name) for name in statement.columns]
-        else:
-            positions = list(range(schema.arity))
-        env = self._environment(params)
-        source_rows: List[Tuple[Any, ...]]
-        if statement.rows is not None:
-            ctx = CompileContext([Frame(Scope([]))], self._reject_subquery, self.functions)
-            source_rows = []
-            for value_exprs in statement.rows:
-                if len(value_exprs) != len(positions):
-                    raise IntegrityError(
-                        f"INSERT supplies {len(value_exprs)} values for "
-                        f"{len(positions)} columns"
-                    )
-                closures = [compile_expression(expr, ctx) for expr in value_exprs]
-                source_rows.append(tuple(fn((), env) for fn in closures))
-        else:
-            plan = self._plan(statement.select)
-            source_rows = execute_plan(plan, env)
-            if source_rows and len(source_rows[0]) != len(positions):
-                raise IntegrityError(
-                    "INSERT ... SELECT column count mismatch"
-                )
-        inserted = 0
-        for values in source_rows:
-            full_row: List[Any] = [None] * schema.arity
-            for position, value in zip(positions, values):
-                column = schema.columns[position]
-                full_row[position] = (
-                    None if is_null(value) else coerce_value(value, column.sql_type)
-                )
-            entry.storage.insert(full_row)
-            inserted += 1
-        return ResultSet([], [], rowcount=inserted)
-
-    def _reject_subquery(self, statement, frames):
-        # INSERT ... VALUES may not embed subqueries in this dialect; the
-        # planner callback position still has to exist for the compiler.
-        raise ExecutionError("subqueries are not allowed in VALUES lists")
-
-    def _table_context(self, entry) -> Tuple[CompileContext, Scope]:
-        scope = Scope([(entry.schema.name, entry.schema.column_names)])
-        planner = Planner(
+    def _planner(self) -> Planner:
+        return Planner(
             self.catalog,
             self.functions,
             views=self.views,
             stats=self.stats,
             cost_based=self.planner_mode == "cost",
         )
-        frames = [Frame(scope)]
-        ctx = CompileContext(frames, planner._plan_subquery, self.functions)
-        return ctx, scope
 
-    def _matching_row_ids(self, entry, where, params, env) -> List[int]:
-        ctx, __ = self._table_context(entry)
-        predicate = (
-            compile_expression(where, ctx) if where is not None else None
-        )
-        matches = []
-        for row_id, row in entry.storage.scan():
-            if predicate is None or predicate(row, env) is True:
-                matches.append(row_id)
-        return matches
+    def _reject_in_read_only(self, statement) -> None:
+        txn = self._transactions.get(self._current_session)
+        if txn is not None and txn.read_only:
+            raise ExecutionError(
+                f"{type(statement).__name__.upper()} is not allowed "
+                f"inside a READ ONLY transaction"
+            )
 
-    def _update(self, statement: ast.Update, params: Sequence[Any]) -> ResultSet:
-        from repro.concurrency.footprint import update_footprint  # local: avoid cycle
+    def _write(
+        self, statement, params: Sequence[Any], sql: Optional[str] = None
+    ) -> ResultSet:
+        """Prepare an INSERT/UPDATE/DELETE — remembering the prepared form
+        under its text *sql*, when it came as text — and run it."""
+        self._reject_in_read_only(statement)  # before any planning
+        prepared = self._prepare_dml(statement)
+        if sql is not None:
+            self._remember_plan(sql, prepared)
+        return self._run_dml(prepared, params)
 
+    def _prepare_dml(self, statement) -> "_PreparedDml":
+        """Everything about a DML statement that no parameter value
+        changes: target table, lock footprint, access plan, closures."""
+        if isinstance(statement, ast.Insert):
+            return self._prepare_insert(statement)
+        return self._prepare_modify(statement)
+
+    def _footprint(self, statement) -> tuple:
+        from repro.concurrency.footprint import statement_footprint  # local: avoid cycle
+
+        return statement_footprint(statement, self._referenced_tables)
+
+    def _prepare_insert(self, statement: ast.Insert) -> "_PreparedInsert":
         entry = self.catalog.lookup(statement.table)
         schema = entry.schema
-        env = self._environment(params)
-        ctx, __ = self._table_context(entry)
-        compiled = [
-            (schema.column_index(column), compile_expression(value, ctx))
-            for column, value in statement.assignments
-        ]
-        requests = update_footprint(
-            schema.name,
-            statement.where,
-            self._where_subquery_tables(statement.where),
+        if statement.columns is not None:
+            positions = [schema.column_index(name) for name in statement.columns]
+        else:
+            positions = list(range(schema.arity))
+        select = None
+        value_rows: List[list] = []
+        if statement.rows is None:
+            select = self._plan(statement.select)
+        else:
+            ctx = CompileContext(
+                [Frame(Scope([]))], self._reject_subquery, self.functions
+            )
+            for value_exprs in statement.rows:
+                if len(value_exprs) != len(positions):
+                    raise IntegrityError(
+                        f"INSERT supplies {len(value_exprs)} values for "
+                        f"{len(positions)} columns"
+                    )
+                value_rows.append(
+                    [compile_expression(expr, ctx) for expr in value_exprs]
+                )
+        return _PreparedInsert(
+            statement, entry, self._footprint(statement), positions, value_rows, select
         )
+
+    def _prepare_modify(self, statement) -> "_PreparedModify":
+        entry = self.catalog.lookup(statement.table)
+        assignments = (
+            statement.assignments if isinstance(statement, ast.Update) else ()
+        )
+        positions = [entry.schema.column_index(column) for column, __ in assignments]
+        plan, closures = self._planner().plan_dml_target(
+            entry, statement.where, [value for __, value in assignments]
+        )
+        return _PreparedModify(
+            statement,
+            entry,
+            self._footprint(statement),
+            plan,
+            list(zip(positions, closures)),
+        )
+
+    def _run_dml(self, prepared: "_PreparedDml", params: Sequence[Any]) -> ResultSet:
+        self._reject_in_read_only(prepared.statement)
+        # mvcc_scope outer: an autocommit statement's versions install
+        # after its implicit WAL commit, same order as explicit commit.
+        with self.mvcc_scope():
+            with self._wal_statement():
+                if isinstance(prepared, _PreparedInsert):
+                    return self._insert(prepared, params)
+                return self._modify(prepared, params)
+
+    def _insert(self, prepared: "_PreparedInsert", params: Sequence[Any]) -> ResultSet:
+        entry = prepared.entry
+        schema = entry.schema
+        positions = prepared.positions
+        with self._lock_scope() as (owner, parkable):
+            # Table-level X on the target: serialises inserts against scans
+            # holding the table-level S, which closes the phantom window.
+            # INSERT ... SELECT sources are read, so they take table-S.
+            self._acquire_footprint(owner, parkable, prepared.requests)
+            self._enlist(entry.storage)
+            env = self._environment(params)
+            if prepared.select is None:
+                source_rows = [
+                    tuple(fn((), env) for fn in closures)
+                    for closures in prepared.value_rows
+                ]
+            else:
+                source_rows = execute_plan(prepared.select, env)
+                if source_rows and len(source_rows[0]) != len(positions):
+                    raise IntegrityError(
+                        "INSERT ... SELECT column count mismatch"
+                    )
+            for values in source_rows:
+                full_row: List[Any] = [None] * schema.arity
+                for position, value in zip(positions, values):
+                    column = schema.columns[position]
+                    full_row[position] = (
+                        None if is_null(value) else coerce_value(value, column.sql_type)
+                    )
+                entry.storage.insert(full_row)
+        return ResultSet([], [], rowcount=len(source_rows))
+
+    def _reject_subquery(self, statement, frames):
+        # INSERT ... VALUES may not embed subqueries in this dialect; the
+        # planner callback position still has to exist for the compiler.
+        raise ExecutionError("subqueries are not allowed in VALUES lists")
+
+    def _modify(self, prepared: "_PreparedModify", params: Sequence[Any]) -> ResultSet:
+        """UPDATE and DELETE: locate, lock, mutate."""
+        storage = prepared.entry.storage
+        columns = prepared.entry.schema.columns
+        requests = prepared.requests
+        env = self._environment(params)
         with self._lock_scope() as (owner, parkable):
             self._acquire_footprint(owner, parkable, requests)
-            row_ids = self._matching_row_ids(entry, statement.where, params, env)
+            # Every match is known, in heap order, before the first lock or
+            # mutation: lock, undo and WAL order do not depend on the access
+            # path, and a statement that moves its own index key (``SET k =
+            # k + 1 WHERE k = ?``) cannot meet a row twice.
+            row_ids = sorted(prepared.plan.root.row_ids(env))
             # Row-level X on every matched row *before* the first mutation:
             # a conflict aborts the statement with nothing to undo, and the
             # rows are re-fetched below after the grant, so an assignment
             # like ``v = v + 1`` always reads the latest committed value.
             self._acquire_row_locks(owner, parkable, requests, row_ids)
-            self._enlist(entry.storage)
-            for row_id in row_ids:
-                old_row = entry.storage.fetch(row_id)
-                row = list(old_row)
-                # SQL semantics: every assignment sees the pre-update row.
-                for position, closure in compiled:
-                    value = closure(old_row, env)
-                    column = schema.columns[position]
-                    row[position] = (
-                        None if is_null(value) else coerce_value(value, column.sql_type)
-                    )
-                entry.storage.update(row_id, row)
+            self._enlist(storage)
+            if isinstance(prepared.statement, ast.Delete):
+                for row_id in row_ids:
+                    storage.delete(row_id)
+            else:
+                for row_id in row_ids:
+                    old_row = storage.fetch(row_id)
+                    row = list(old_row)
+                    # SQL semantics: every assignment sees the pre-update row.
+                    for position, closure in prepared.assignments:
+                        value = closure(old_row, env)
+                        row[position] = (
+                            None
+                            if is_null(value)
+                            else coerce_value(value, columns[position].sql_type)
+                        )
+                    storage.update(row_id, row)
+        self.last_counters = dict(env.counters)
         return ResultSet([], [], rowcount=len(row_ids))
 
-    def _delete(self, statement: ast.Delete, params: Sequence[Any]) -> ResultSet:
-        from repro.concurrency.footprint import delete_footprint  # local: avoid cycle
 
-        entry = self.catalog.lookup(statement.table)
-        env = self._environment(params)
-        requests = delete_footprint(
-            entry.schema.name,
-            statement.where,
-            self._where_subquery_tables(statement.where),
-        )
-        with self._lock_scope() as (owner, parkable):
-            self._acquire_footprint(owner, parkable, requests)
-            row_ids = self._matching_row_ids(entry, statement.where, params, env)
-            self._acquire_row_locks(owner, parkable, requests, row_ids)
-            self._enlist(entry.storage)
-            for row_id in row_ids:
-                entry.storage.delete(row_id)
-        return ResultSet([], [], rowcount=len(row_ids))
+@dataclass
+class _PreparedDml:
+    """A parsed INSERT/UPDATE/DELETE with everything about it that does
+    not depend on parameter values, built once per statement text and kept
+    in the plan cache beside SELECT plans."""
+
+    statement: Any
+    #: Catalog entry of the target table.
+    entry: Any
+    #: The static lock footprint (:mod:`repro.concurrency.footprint`).
+    requests: tuple
+
+
+@dataclass
+class _PreparedInsert(_PreparedDml):
+    #: Column positions the supplied values go to.
+    positions: List[int]
+    #: INSERT ... VALUES: one list of closures per row.
+    value_rows: List[list]
+    #: INSERT ... SELECT: the source query's plan (None for VALUES).
+    select: Optional[Plan]
+
+
+@dataclass
+class _PreparedModify(_PreparedDml):
+    """An UPDATE or DELETE."""
+
+    #: The target-row access plan; its root answers ``row_ids``.
+    plan: Plan
+    #: UPDATE: ``(column position, closure over the pre-update row)`` per
+    #: SET clause; empty for DELETE.
+    assignments: List[Tuple[int, Any]]
 
 
 class _TransactionContext:

@@ -16,7 +16,17 @@ subquery cache with its invalidation epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ExecutionError
 from repro.sqldb.functions import Aggregator, FunctionRegistry
@@ -115,8 +125,26 @@ class Operator:
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         raise NotImplementedError
 
+    def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
+        """Ids of the live-heap rows this operator would produce.
 
-class SeqScan(Operator):
+        The protocol of an UPDATE/DELETE target plan, which must know
+        *which* slots to lock and change: only the base-table access
+        paths and a :class:`Filter` directly above one implement it.
+        Always the current heap, never a snapshot — read-only
+        transactions cannot write.
+        """
+        raise NotImplementedError
+
+
+class _TableAccess(Operator):
+    """An access path to one base table: what can say *which* rows it
+    produced (:meth:`Operator.row_ids`), not only what was in them."""
+
+    storage: TableStorage
+
+
+class SeqScan(_TableAccess):
     """Full scan of a base table."""
 
     def __init__(self, storage: TableStorage) -> None:
@@ -125,17 +153,75 @@ class SeqScan(Operator):
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         snapshot = env.snapshot
-        source = (
-            self.storage.rows()
-            if snapshot is None
-            else self.storage.snapshot_rows(snapshot)
-        )
-        for row in source:
-            env.counters["rows_scanned"] += 1
-            yield row
+        if snapshot is None:
+            return _scanned(self.storage.rows(), env)
+        return _scanned(self.storage.snapshot_rows(snapshot), env)
+
+    def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
+        return _scanned((row_id for row_id, __ in self.storage.scan()), env)
 
 
-class IndexLookup(Operator):
+def _scanned(items: Iterator[Any], env: ExecutionEnv) -> Iterator[Any]:
+    """Pass *items* through, charging each to ``rows_scanned``."""
+    counters = env.counters
+    for item in items:
+        counters["rows_scanned"] += 1
+        yield item
+
+
+def _row_id(row_id: int) -> int:
+    return row_id
+
+
+class _IndexProbe(_TableAccess):
+    """Equality probes into a hash index of a base table, one per key.
+
+    Subclasses enumerate the keys (:meth:`_keys`); the probe loop lives
+    here once and serves both consumers: ``rows`` fetches what it finds
+    (or, under a snapshot, reads the versions visible at its stamp) and
+    ``row_ids`` — how a DML statement locates its target rows, always on
+    the live heap — keeps the ids.
+    """
+
+    index: Any
+
+    def _keys(self, env: ExecutionEnv) -> Optional[Iterable[Tuple[Any, ...]]]:
+        """The keys to probe, or None when scanning the table is cheaper."""
+        raise NotImplementedError
+
+    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
+        keys = self._keys(env)
+        if keys is None:
+            return SeqScan(self.storage).rows(env)
+        return self._probe(keys, env, self.storage.fetch)
+
+    def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
+        keys = self._keys(env)
+        if keys is None:
+            return SeqScan(self.storage).row_ids(env)
+        return self._probe(keys, env, _row_id)
+
+    def _probe(
+        self,
+        keys: Iterable[Tuple[Any, ...]],
+        env: ExecutionEnv,
+        emit: Callable[[int], Any],
+    ) -> Iterator[Any]:
+        snapshot = env.snapshot
+        counters = env.counters
+        for key in keys:
+            counters["index_probes"] += 1
+            if snapshot is not None:
+                for row in self.storage.snapshot_probe(self.index, key, snapshot):
+                    counters["rows_scanned"] += 1
+                    yield row
+                continue
+            for row_id in self.index.probe(key):
+                counters["rows_scanned"] += 1
+                yield emit(row_id)
+
+
+class IndexLookup(_IndexProbe):
     """Equality probe into a hash index of a base table.
 
     ``key_fns`` compute the probe key; they may reference outer rows (for
@@ -148,21 +234,11 @@ class IndexLookup(Operator):
         self.key_fns = key_fns
         self.output_names = list(storage.schema.column_names)
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        key = tuple(fn((), env) for fn in self.key_fns)
-        env.counters["index_probes"] += 1
-        snapshot = env.snapshot
-        if snapshot is not None:
-            for row in self.storage.snapshot_probe(self.index, key, snapshot):
-                env.counters["rows_scanned"] += 1
-                yield row
-            return
-        for row_id in self.index.probe(key):
-            env.counters["rows_scanned"] += 1
-            yield self.storage.fetch(row_id)
+    def _keys(self, env: ExecutionEnv) -> Iterable[Tuple[Any, ...]]:
+        return (tuple(fn((), env) for fn in self.key_fns),)
 
 
-class MultiKeyIndexLookup(Operator):
+class MultiKeyIndexLookup(_IndexProbe):
     """One equality probe per distinct non-NULL key of an ``IN`` predicate.
 
     Two key sources share the probe loop.  ``key_fns`` (``col IN (?, ?,
@@ -211,29 +287,17 @@ class MultiKeyIndexLookup(Operator):
         rows_out = keys * table_rows / distinct if distinct else 0.0
         return index_probe_cost(keys, rows_out) < seq_scan_cost(table_rows)
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
+    def _keys(self, env: ExecutionEnv) -> Optional[Iterable[Tuple[Any, ...]]]:
         if self.subquery is None:
-            keys = dict.fromkeys(fn((), env) for fn in self.key_fns)
-            keys.pop(None, None)
+            values = dict.fromkeys(fn((), env) for fn in self.key_fns)
+            values.pop(None, None)
         else:
-            keys = self.subquery.value_set((), env)[0]
-            probed = self._probe_is_cheaper(len(keys))
-            env.subquery_key_runs[id(self)] = (len(keys), probed)
+            values = self.subquery.value_set((), env)[0]
+            probed = self._probe_is_cheaper(len(values))
+            env.subquery_key_runs[id(self)] = (len(values), probed)
             if not probed:
-                yield from SeqScan(self.storage).rows(env)
-                return
-        snapshot = env.snapshot
-        for value in keys:
-            key = (value,)
-            env.counters["index_probes"] += 1
-            if snapshot is not None:
-                for row in self.storage.snapshot_probe(self.index, key, snapshot):
-                    env.counters["rows_scanned"] += 1
-                    yield row
-                continue
-            for row_id in self.index.probe(key):
-                env.counters["rows_scanned"] += 1
-                yield self.storage.fetch(row_id)
+                return None
+        return zip(values)  # one-column keys: (value,) per value
 
 
 class CTEScan(Operator):
@@ -279,6 +343,18 @@ class Filter(Operator):
         for row in self.child.rows(env):
             if predicate(row, env) is True:
                 yield row
+
+    def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
+        source = self.child
+        if not isinstance(source, _TableAccess):
+            raise NotImplementedError(
+                "row ids exist only directly above a base-table access path"
+            )
+        predicate = self.predicate
+        fetch = source.storage.fetch
+        for row_id in source.row_ids(env):
+            if predicate(fetch(row_id), env) is True:
+                yield row_id
 
 
 class Project(Operator):

@@ -183,9 +183,14 @@ class _Parser:
             )
             if analyze:
                 self.advance()
-            return ast.Explain(
-                statement=self.parse_select_statement(), analyze=analyze
-            )
+            target = self.peek()
+            if target.matches_keyword("UPDATE"):
+                explained: ast.Statement = self._parse_update()
+            elif target.matches_keyword("DELETE"):
+                explained = self._parse_delete()
+            else:
+                explained = self.parse_select_statement()
+            return ast.Explain(statement=explained, analyze=analyze)
         # LINT is a soft keyword, like ANALYZE: it only has meaning at the
         # start of a statement, so a column or table named "lint" keeps
         # working everywhere else.

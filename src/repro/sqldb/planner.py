@@ -429,24 +429,9 @@ class Planner:
             scope = Scope(bindings)
             frame.scope = scope
             ctx = self._context(frames)
-            operator: Operator = source
-            if core.where is not None:
-                operator = Filter(operator, compile_expression(core.where, ctx))
-                source_est = getattr(source, "est_rows", None)
-                if source_est is not None:
-                    # Conjuncts already folded into an index probe must not
-                    # be priced a second time here.
-                    residual = [
-                        conjunct
-                        for conjunct in where_conjuncts
-                        if id(conjunct) not in consumed
-                    ]
-                    operator.est_rows = (
-                        source_est
-                        * table_stats_mod.condition_selectivity(
-                            residual, binding_stats
-                        )
-                    )
+            operator = self._filtered(
+                source, core.where, where_conjuncts, consumed, binding_stats, ctx
+            )
             needs_aggregate = bool(core.group_by) or any(
                 contains_aggregate(item.expression)
                 for item in core.items
@@ -466,6 +451,71 @@ class Planner:
         finally:
             frame.scope = saved_scope
             self._core_subqueries = saved_subqueries
+
+    def _filtered(
+        self,
+        source: Operator,
+        where: Optional[ast.Expression],
+        where_conjuncts: List[ast.Expression],
+        consumed: set,
+        binding_stats: table_stats_mod.BindingStats,
+        ctx: CompileContext,
+    ) -> Operator:
+        """*source* under the whole WHERE clause as residual filter."""
+        if where is None:
+            return source
+        operator = Filter(source, compile_expression(where, ctx))
+        source_est = getattr(source, "est_rows", None)
+        if source_est is not None:
+            # Conjuncts already folded into an index probe must not be
+            # priced a second time here.
+            residual = [
+                conjunct
+                for conjunct in where_conjuncts
+                if id(conjunct) not in consumed
+            ]
+            operator.est_rows = source_est * table_stats_mod.condition_selectivity(
+                residual, binding_stats
+            )
+        return operator
+
+    def plan_dml_target(
+        self,
+        entry,
+        where: Optional[ast.Expression],
+        assignments: Sequence[ast.Expression] = (),
+    ) -> Tuple[Plan, List]:
+        """Plan the rows an UPDATE/DELETE on *entry*'s table touches.
+
+        The target is the driving (and only) table of a one-table core, so
+        it gets the same access paths and the same pricing as a SELECT
+        would, with the whole WHERE as residual filter; the plan's root
+        answers :meth:`Operator.row_ids`.  *assignments* (the SET values)
+        compile against the same scope and are returned as closures over
+        the pre-update row.
+        """
+        frame = Frame(None)
+        frames = [frame]
+        self._core_subqueries = {}
+        where_conjuncts = _split_conjuncts(where)
+        binding_stats: table_stats_mod.BindingStats = {}
+        consumed: set = set()
+        source, bindings = self._plan_base_table(
+            entry,
+            entry.schema.name,
+            frames,
+            where_conjuncts,
+            True,
+            binding_stats,
+            consumed,
+        )
+        frame.scope = Scope(bindings)
+        ctx = self._context(frames)
+        root = self._filtered(
+            source, where, where_conjuncts, consumed, binding_stats, ctx
+        )
+        closures = [compile_expression(value, ctx) for value in assignments]
+        return Plan(root=root, output_names=list(root.output_names)), closures
 
     # -- FROM clause ------------------------------------------------------------
 
@@ -672,10 +722,31 @@ class Planner:
         if view is not None:
             binding_stats.setdefault(binding.lower(), None)
             return self._plan_view(ref, view)
-        entry = self.catalog.lookup(ref.name)
-        storage = entry.storage
+        return self._plan_base_table(
+            self.catalog.lookup(ref.name),
+            binding,
+            frames,
+            where_conjuncts,
+            leftmost,
+            binding_stats,
+            consumed,
+        )
+
+    def _plan_base_table(
+        self,
+        entry,
+        binding: str,
+        frames: List[Frame],
+        where_conjuncts: List[ast.Expression],
+        leftmost: bool,
+        binding_stats: table_stats_mod.BindingStats,
+        consumed: set,
+    ) -> Tuple[Operator, List[Tuple[Optional[str], List[str]]]]:
+        """The cheapest access path to a base table: an index probe a
+        WHERE conjunct makes available when it drives the core, else the
+        sequential scan."""
         columns = entry.schema.column_names
-        table_stats = self._table_stats(ref.name)
+        table_stats = self._table_stats(entry.schema.name)
         binding_stats[binding.lower()] = table_stats
         if leftmost and where_conjuncts:
             indexed = self._try_index_scan(
@@ -683,7 +754,7 @@ class Planner:
             )
             if indexed is not None:
                 return indexed, [(binding, list(columns))]
-        scan = SeqScan(storage)
+        scan = SeqScan(entry.storage)
         if table_stats is not None:
             scan.est_rows = float(table_stats.row_count)
         return scan, [(binding, list(columns))]

@@ -63,7 +63,7 @@ def render_statement(statement: ast.Statement) -> str:
     if isinstance(statement, ast.RollbackTransaction):
         return "ROLLBACK"
     if isinstance(statement, ast.Explain):
-        return f"EXPLAIN {render_select(statement.statement)}"
+        return f"EXPLAIN {render_statement(statement.statement)}"
     if isinstance(statement, ast.Lint):
         return f"LINT {render_select(statement.statement)}"
     if isinstance(statement, ast.LintTransaction):

@@ -40,12 +40,16 @@ class HashIndex:
         key = self.key_for(row)
         if key is None:
             return
-        bucket = self._buckets.setdefault(key, [])
-        if self.unique and bucket:
+        self.check_unique(key)
+        self._buckets.setdefault(key, []).append(row_id)
+
+    def check_unique(self, key: Tuple[object, ...]) -> None:
+        """Raise if indexing one more row under *key* would break
+        uniqueness (callable before anything is modified)."""
+        if self.unique and self._buckets.get(key):
             raise IntegrityError(
                 f"unique index {self.name!r} violated by key {key!r}"
             )
-        bucket.append(row_id)
 
     def remove(self, row_id: int, row: Row) -> None:
         key = self.key_for(row)
@@ -84,7 +88,8 @@ class TableStorage:
         #: Undo log for the enclosing transaction; None when not enlisted.
         self._undo: Optional[List[tuple]] = None
         #: Redo journal sink (the database's WAL hook): called as
-        #: ``journal(op, row_id, row)`` after every successful mutation.
+        #: ``journal(op, row_id, row)`` after every successful mutation
+        #: (an update also passes the row it replaced).
         #: Detached (like ``_undo``) while a rollback replays inverses —
         #: an abort is logged as one ABORT record, not as compensation.
         self._journal = None
@@ -194,16 +199,26 @@ class TableStorage:
                 raise IntegrityError(
                     f"column {self.schema.name}.{column.name} is NOT NULL"
                 )
+        # Only indexes whose key changed are touched — a non-key update
+        # leaves the row's place in every bucket alone — and uniqueness is
+        # checked before the first of them is, so a violation leaves the
+        # row indexed exactly as it was.
+        moved = []
         for index in self._indexes.values():
+            new_key = index.key_for(stored)
+            if new_key != index.key_for(old_row):
+                if new_key is not None:
+                    index.check_unique(new_key)
+                moved.append(index)
+        for index in moved:
             index.remove(row_id, old_row)
-        for index in self._indexes.values():
             index.add(row_id, stored)
         self._rows[row_id] = stored
         self.version += 1
         if self._undo is not None:
             self._undo.append(("update", row_id, old_row))
         if self._journal is not None:
-            self._journal("update", row_id, stored)
+            self._journal("update", row_id, stored, old_row)
         self._notify_mvcc(row_id, old_row)
 
     def scan(self) -> Iterator[Tuple[int, Row]]:

@@ -268,6 +268,41 @@ class TestWanRules:
         findings = pdm_db.lint(f"SELECT name FROM assy WHERE {where}")
         assert "W002" not in rule_ids(findings)
 
+    def test_w002_dml_indexed_equality_that_scans_triggers(self, pdm_db):
+        # The rule judges the plan the UPDATE/DELETE will locate its rows
+        # with: under an OR no access path applies and every assy row is
+        # read (and row-locked on a match).
+        for sql in (
+            "UPDATE assy SET state = 'x' WHERE obid = ? OR obid = ?",
+            "DELETE FROM assy WHERE obid = ? OR name = 'x'",
+        ):
+            (finding,) = find(pdm_db.lint(sql), "W002")
+            assert finding.severity is Severity.WARNING
+            assert "'assy'" in finding.message and "'obid'" in finding.message
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "UPDATE assy SET state = 'x' WHERE obid = ?",  # probes assy_pk
+            "DELETE FROM assy WHERE obid IN (?, ?, ?, ?)",
+            "DELETE FROM link WHERE left IN (SELECT obid FROM assy)",
+            "UPDATE assy SET state = 'x' WHERE name = ?",  # nothing indexed
+            "UPDATE assy SET state = 'x'",  # a scan by intent
+            "DELETE FROM assy",
+        ],
+    )
+    def test_w002_dml_that_probes_or_has_no_candidate_is_clean(self, pdm_db, sql):
+        assert "W002" not in rule_ids(pdm_db.lint(sql))
+
+    def test_w002_dml_is_plan_level_only(self):
+        # Without a database there is no plan to judge.
+        findings = analyze_sql("UPDATE assy SET state = 'x' WHERE obid = 1 OR obid = 2")
+        assert "W002" not in rule_ids(findings)
+
+    def test_explain_of_dml_is_analyzed_like_the_dml(self, pdm_db):
+        sql = "UPDATE assy SET state = 'x' WHERE obid = ? OR obid = ?"
+        assert pdm_db.lint(f"EXPLAIN {sql}") == pdm_db.lint(sql)
+
     def test_w003_cartesian_product_triggers(self):
         findings = analyze_sql("SELECT p.name, l.qty FROM part p, link l")
         (finding,) = find(findings, "W003")
@@ -403,6 +438,20 @@ class TestStatsKeyedSeverity:
             (finding,) = find(skewed_db.lint(sql), "W002")
             assert finding.severity is Severity.INFO
             assert "cost-justified" in finding.message
+
+    def test_w002_dml_scan_chosen_by_cost_is_info(self, skewed_db):
+        sql = "UPDATE ev SET code = 0 WHERE flag = ? OR flag = ?"
+        (finding,) = find(skewed_db.lint(sql), "W002")
+        assert finding.severity is Severity.WARNING
+        skewed_db.execute("ANALYZE ev")
+        # Half the table per key: no index would have beaten the scan.
+        (finding,) = find(skewed_db.lint(sql), "W002")
+        assert finding.severity is Severity.INFO
+        assert "cost-justified" in finding.message
+        (finding,) = find(
+            skewed_db.lint("DELETE FROM ev WHERE code = ? OR code = ?"), "W002"
+        )
+        assert finding.severity is Severity.WARNING
 
     def test_p002_warning_without_stats(self, skewed_db):
         (finding,) = find(skewed_db.lint(self.WRAPPED_SQL), "P002")

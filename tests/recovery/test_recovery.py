@@ -7,6 +7,7 @@ from repro.recovery import (
     DiskFaultProfile,
     Durability,
     SimDisk,
+    encode_record,
     scan_wal,
 )
 
@@ -154,6 +155,58 @@ class TestCheckpoint:
         assert recovered.execute(
             "SELECT id FROM big ORDER BY id"
         ).rows == [(2,), (3,)]
+
+
+    def test_successful_checkpoint_leaves_only_its_own_record(self):
+        durability, db = make_durability()
+        for i in range(3, 40):
+            db.execute("INSERT INTO t VALUES (?, ?)", [i, i * 10])
+        before = durability.disk.size
+        durability.checkpoint()
+        (record,) = scan_wal(durability.disk.read_all()).records
+        assert record.kind == "K"
+        assert durability.disk.size == len(encode_record(record)) < before
+        db.execute("UPDATE t SET v = 0 WHERE id = 39")
+        recovered = durability.recover()
+        report = durability.last_report
+        assert report.checkpoint_used
+        assert (report.records_scanned, report.replayed_records) == (4, 1)
+        assert recovered.execute("SELECT COUNT(*), MIN(v) FROM t").rows == [(39, 0)]
+
+    @pytest.mark.parametrize("failure", ["clean", "torn", "corrupt"])
+    def test_crash_during_the_checkpoint_append_keeps_the_old_log(self, failure):
+        durability, db = make_durability()
+        db.execute("UPDATE t SET v = 11 WHERE id = 1")
+        before = durability.disk.read_all()
+        durability.disk.arm(
+            DiskFaultProfile(
+                name="x",
+                crash_at_append=1,
+                torn=failure == "torn",
+                corrupt=failure == "corrupt",
+            ),
+            seed=3,
+        )
+        with pytest.raises(DiskCrashed):
+            durability.checkpoint()
+        assert durability.disk.read_all()[: len(before)] == before
+        recovered = durability.recover()
+        report = durability.last_report
+        assert not report.checkpoint_used
+        assert report.tail_status == ("clean" if failure == "clean" else failure)
+        assert recovered.execute("SELECT id, v FROM t ORDER BY id").rows == [
+            (1, 11), (2, 20),
+        ]
+        assert durability.disk.read_all() == before  # the debris is cut off
+
+    def test_checkpoint_on_a_dead_disk_drops_nothing(self):
+        durability, db = make_durability()
+        durability.disk.arm(DiskFaultProfile(name="x", crash_at_append=1))
+        with pytest.raises(DiskCrashed):
+            db.execute("INSERT INTO t VALUES (3, 30)")
+        before = durability.disk.read_all()
+        durability.checkpoint()  # like every append after the crash: a no-op
+        assert durability.disk.read_all() == before
 
 
 class TestCrashTails:

@@ -121,3 +121,33 @@ class TestReopenTruncate:
         disk.append(b"two")
         with pytest.raises(DiskCrashed):
             disk.append(b"three")
+
+
+class TestDropPrefix:
+    def test_drop_prefix_keeps_the_tail_and_appends_continue(self):
+        disk = SimDisk()
+        disk.append(b"dead")
+        disk.append(b"live")
+        disk.drop_prefix(4)
+        assert disk.read_all() == b"live"
+        assert disk.append(b"more") == 4
+        assert disk.read_all() == b"livemore"
+
+    def test_drop_prefix_bounds(self):
+        disk = SimDisk()
+        disk.append(b"abc")
+        for length in (-1, 4):
+            with pytest.raises(DurabilityError):
+                disk.drop_prefix(length)
+        disk.drop_prefix(3)
+        assert disk.size == 0
+
+    def test_crashed_disk_rejects_drop_prefix(self):
+        disk = SimDisk()
+        disk.append(b"abc")
+        disk.arm(DiskFaultProfile(name="x", crash_at_append=1))
+        with pytest.raises(DiskCrashed):
+            disk.append(b"victim")
+        with pytest.raises(DiskCrashed):
+            disk.drop_prefix(1)
+        assert disk.read_all() == b"abc"

@@ -10,10 +10,17 @@ confined to the tail must never raise.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProtocolError, WalCorruptError
+import struct
+
+import pytest
+
+from repro.errors import DurabilityError, ProtocolError, WalCorruptError
 from repro.recovery import (
     KIND_COMMIT,
     KIND_INSERT,
+    KIND_UPDATE,
+    Durability,
+    SimDisk,
     WalRecord,
     decode_payload,
     encode_record,
@@ -37,6 +44,17 @@ records = st.one_of(
         table=st.just("t"),
         row_id=st.integers(min_value=0, max_value=2**32 - 1),
         row=st.tuples(values, values),
+    ),
+    st.builds(
+        WalRecord,
+        kind=st.just(KIND_UPDATE),
+        txn_id=st.integers(min_value=1, max_value=2**40),
+        table=st.just("t"),
+        row_id=st.integers(min_value=0, max_value=2**32 - 1),
+        changes=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=0xFFFF), values),
+            max_size=3,
+        ).map(tuple),
     ),
     st.builds(
         WalRecord,
@@ -122,3 +140,67 @@ class TestDamagedLogs:
         if scan is None:
             return  # resync found an intact record inside the garbage
         assert scan.records[: len(records_in)] == records_in
+
+
+class TestHostileDeltas:
+    """An update record that does not fit the table it names is a typed
+    error at replay, never an IndexError or a silently patched row."""
+
+    def log_with(self, *records):
+        durability = Durability(SimDisk())
+        db = durability.open()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        db.execute("DELETE FROM t WHERE id = 2")
+        for record in records:
+            durability.disk.append(encode_record(record))
+        return durability
+
+    def committed_update(self, row_id, changes):
+        return (
+            WalRecord(kind="B", txn_id=77),
+            WalRecord(
+                kind=KIND_UPDATE, txn_id=77, table="t", row_id=row_id,
+                changes=changes,
+            ),
+            WalRecord(kind=KIND_COMMIT, txn_id=77),
+        )
+
+    def test_well_formed_delta_replays(self):
+        durability = self.log_with(*self.committed_update(0, ((1, 11),)))
+        assert durability.recover().execute("SELECT * FROM t").rows == [(1, 11)]
+
+    @pytest.mark.parametrize(
+        "row_id, changes",
+        [
+            (0, ((2, 5),)),  # position == arity
+            (0, ((0xFFFF, 5),)),
+            (1, ((1, 5),)),  # the slot was deleted
+            (9, ((1, 5),)),  # the slot never existed
+        ],
+        ids=["arity", "far-past-arity", "deleted-slot", "missing-slot"],
+    )
+    def test_delta_that_does_not_fit_is_a_typed_error(self, row_id, changes):
+        durability = self.log_with(*self.committed_update(row_id, changes))
+        with pytest.raises(DurabilityError) as raised:
+            durability.recover()
+        assert isinstance(raised.value, WalCorruptError)
+
+    def test_uncommitted_hostile_delta_is_never_applied(self):
+        begin, update, __ = self.committed_update(9, ((7, 5),))
+        durability = self.log_with(begin, update)
+        assert durability.recover().execute("SELECT * FROM t").rows == [(1, 10)]
+
+    def test_truncated_pair_is_a_protocol_error(self):
+        record = WalRecord(
+            kind=KIND_UPDATE, txn_id=1, table="t", row_id=0,
+            changes=((0, 1), (1, "abc")),
+        )
+        payload = encode_record(record)[9:]
+        for cut in range(1, 12):
+            with pytest.raises(ProtocolError):
+                decode_payload(payload[:-cut])
+        # A count that promises more pairs than the body holds.
+        head = payload[: 9 + 4 + 1 + 8]
+        with pytest.raises(ProtocolError):
+            decode_payload(head + struct.pack(">H", 3) + payload[len(head) + 2 :])

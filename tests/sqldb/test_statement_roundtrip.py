@@ -121,6 +121,13 @@ class TestRegression:
             ") SELECT obid FROM r ORDER BY depth"
         )
 
+    def test_explain_of_a_write_roundtrip(self):
+        roundtrip("EXPLAIN UPDATE t1 SET a = a + 1 WHERE a IN (1, 2)")
+        roundtrip("EXPLAIN DELETE FROM t1 WHERE a = ?")
+        assert isinstance(
+            parse_statement("EXPLAIN DELETE FROM t1").statement, ast.Delete
+        )
+
     def test_set_operation_semantics_differ(self):
         # Execution-level proof that the parenthesisation matters.
         from repro.sqldb import Database

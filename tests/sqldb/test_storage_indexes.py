@@ -143,3 +143,71 @@ class TestHashIndexUnit:
         index = HashIndex("i", [0])
         index.remove(0, (1,))  # no error
         assert index.probe((1,)) == []
+
+
+class TestUpdateIndexMaintenance:
+    """An update touches only the indexes whose key it changed, and a
+    unique violation touches none."""
+
+    def test_failed_update_leaves_every_index_intact(self, storage):
+        storage.create_index("t_grp", ["grp"])
+        first = storage.insert((1, 10, "a"))
+        second = storage.insert((2, 20, "b"))
+        with pytest.raises(IntegrityError):
+            storage.update(first, (2, 30, "a"))  # pk collides with `second`
+        assert storage.fetch(first) == (1, 10, "a")
+        assert storage.find_index(["id"]).probe((1,)) == [first]
+        assert storage.find_index(["id"]).probe((2,)) == [second]
+        assert storage.find_index(["grp"]).probe((10,)) == [first]
+        assert storage.find_index(["grp"]).probe((30,)) == []
+
+    def test_failed_update_through_sql_keeps_the_row_reachable_by_key(self):
+        from repro.sqldb import Database
+
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        with pytest.raises(IntegrityError):
+            db.execute("UPDATE t SET id = 2 WHERE v = 10")
+        assert db.execute("SELECT * FROM t WHERE id = 1").rows == [(1, 10)]
+        assert db.execute("UPDATE t SET v = 11 WHERE id = 1").rowcount == 1
+        assert db.execute("DELETE FROM t WHERE id = 1").rowcount == 1
+
+    def test_non_key_update_leaves_bucket_order_unchanged(self, storage):
+        storage.create_index("t_grp", ["grp"])
+        ids = [storage.insert((i, 7, "x")) for i in range(4)]
+        storage.update(ids[1], (1, 7, "renamed"))
+        assert storage.find_index(["grp"]).probe((7,)) == ids
+
+    def test_key_update_moves_the_row_between_buckets(self, storage):
+        storage.create_index("t_grp", ["grp"])
+        ids = [storage.insert((i, 7, "x")) for i in range(3)]
+        storage.update(ids[0], (0, 8, "x"))
+        index = storage.find_index(["grp"])
+        assert index.probe((7,)) == ids[1:]
+        assert index.probe((8,)) == [ids[0]]
+
+    def test_update_to_and_from_null_key(self, storage):
+        storage.create_index("t_grp", ["grp"])
+        row_id = storage.insert((1, 5, "a"))
+        index = storage.find_index(["grp"])
+        storage.update(row_id, (1, None, "a"))
+        assert index.probe((5,)) == []
+        storage.update(row_id, (1, 6, "a"))
+        assert index.probe((6,)) == [row_id]
+
+    def test_rollback_restores_rows_and_indexes(self, storage):
+        storage.create_index("t_grp", ["grp"])
+        first = storage.insert((1, 10, "a"))
+        second = storage.insert((2, 20, "b"))
+        storage.begin_undo()
+        storage.update(first, (3, 11, "a"))
+        storage.update(second, (1, 20, "renamed"))  # takes over the freed pk
+        storage.rollback_undo()
+        assert list(storage.rows()) == [(1, 10, "a"), (2, 20, "b")]
+        pk = storage.find_index(["id"])
+        assert pk.probe((1,)) == [first]
+        assert pk.probe((2,)) == [second]
+        assert pk.probe((3,)) == []
+        assert storage.find_index(["grp"]).probe((10,)) == [first]
+        assert storage.find_index(["grp"]).probe((11,)) == []
