@@ -24,13 +24,6 @@ sys.path.insert(
 )
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bench_engine_micro import (  # noqa: E402
-    SMOKE_SIZES,
-    planner_mode_failures,
-    run_micro,
-    run_planner_modes,
-)
-
 from repro.bench.measure import measure_action  # noqa: E402
 from repro.bench.workload import build_scenario  # noqa: E402
 from repro.model.parameters import (  # noqa: E402
@@ -257,21 +250,6 @@ def run_mvcc_smoke() -> dict:
     }
 
 
-#: Schema tag of the perf-trajectory file; bump when the layout changes.
-TRAJECTORY_SCHEMA = "bench-trajectory/v1"
-
-#: This PR's slot in the trajectory sequence (BENCH_<pr>.json).
-TRAJECTORY_PR = 10
-
-#: Micro-bench shapes whose row-vs-columnar speedup the trajectory diff
-#: gates on (the scan shapes the vectorized executor was built for).
-SCAN_SHAPE_PREFIXES = ("scan_filter", "narrow_and")
-
-#: A scan shape may not lose more than this fraction of its baseline
-#: speedup before the diff gate fails (noisy CI runners need slack).
-TRAJECTORY_REGRESSION_FLOOR = 0.4
-
-
 def run_crash_smoke() -> dict:
     """Fixed-seed crash-chaos smoke: one torn-tail crash cell run twice
     (byte-identical reports required) plus a reduced crash-point sweep
@@ -308,98 +286,6 @@ def run_crash_smoke() -> dict:
         "sweep_ok": sweep_ok,
         "sweep_error": sweep_error,
     }
-
-
-def diff_trajectory(current: dict, baseline_path: str) -> list:
-    """Diff this PR's trajectory slice against the previous PR's file.
-
-    Fails when a scan-shape micro-bench lost most of its baseline
-    row-vs-columnar speedup — the executor must not regress on the
-    shapes it was built for.  A missing baseline is not an error (first
-    run on a fresh checkout)."""
-    if not os.path.exists(baseline_path):
-        return []
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    failures = []
-    for name, entry in current["benches"].items():
-        if not name.startswith(SCAN_SHAPE_PREFIXES):
-            continue
-        previous = baseline.get("benches", {}).get(name)
-        if previous is None:
-            continue
-        floor = TRAJECTORY_REGRESSION_FLOOR * previous["speedup"]
-        if entry["speedup"] < floor:
-            failures.append(
-                f"trajectory diff {name}: speedup {entry['speedup']:.2f}x "
-                f"fell below {floor:.2f}x "
-                f"(={TRAJECTORY_REGRESSION_FLOOR} x baseline "
-                f"{previous['speedup']:.2f}x from "
-                f"{os.path.basename(baseline_path)})"
-            )
-    return failures
-
-
-def run_engine_micro(scale: str) -> dict:
-    """The row-vs-columnar executor micro-suite (bench_engine_micro)."""
-    if scale == "small":
-        return run_micro(sizes=SMOKE_SIZES, repeats=2)
-    return run_micro()
-
-
-def trajectory_report(report: dict) -> dict:
-    """The perf-trajectory slice written to ``BENCH_<pr>.json``: one
-    entry per micro-bench with timings, throughput, and the executor
-    modes compared — the file later PRs diff against — plus the crash
-    smoke's durability verdict."""
-    benches = {}
-    for name, entry in report["engine_micro"].items():
-        benches[name] = {
-            "modes": ["row", "columnar"],
-            "table_rows": entry["table_rows"],
-            "rows_returned": entry["rows_returned"],
-            "row_s": entry["row_s"],
-            "columnar_s": entry["columnar_s"],
-            "row_rows_per_s": entry["row_rows_per_s"],
-            "columnar_rows_per_s": entry["columnar_rows_per_s"],
-            "speedup": entry["speedup"],
-        }
-    trajectory = {
-        "schema": TRAJECTORY_SCHEMA,
-        "pr": TRAJECTORY_PR,
-        "scale": report["scale"],
-        "benches": benches,
-    }
-    planner_modes = report.get("planner_modes")
-    if planner_modes:
-        trajectory["planner_modes"] = {
-            name: {
-                "rule_s": entry["rule_s"],
-                "cost_s": entry["cost_s"],
-                "ratio": entry["ratio"],
-            }
-            for name, entry in planner_modes.items()
-        }
-    bench_mvcc = report.get("bench_mvcc")
-    if bench_mvcc:
-        trajectory["mvcc"] = {
-            "ro_lock_waits_2pl": bench_mvcc["ro_lock_waits_2pl"],
-            "ro_lock_waits_mvcc": bench_mvcc["ro_lock_waits_mvcc"],
-            "ro_aborts_2pl": bench_mvcc["ro_aborts_2pl"],
-            "ro_aborts_mvcc": bench_mvcc["ro_aborts_mvcc"],
-            "expand_p99_2pl": bench_mvcc["expand_p99_2pl"],
-            "expand_p99_mvcc": bench_mvcc["expand_p99_mvcc"],
-            "schedule_hash_mvcc": bench_mvcc["schedule_hash_mvcc"],
-        }
-    crash = report.get("crash")
-    if crash:
-        trajectory["crash"] = {
-            "schedule_hash": crash["schedule_hash"],
-            "sweep_profiles": crash["sweep_profiles"],
-            "lost_committed": crash["lost_committed"],
-            "resurrected": crash["resurrected"],
-        }
-    return trajectory
 
 
 def run(scale: str, fault_profile=None, fault_seed: int = 1, trace_profile=None) -> dict:
@@ -449,10 +335,6 @@ def run(scale: str, fault_profile=None, fault_seed: int = 1, trace_profile=None)
         "contention": run_contention_smoke(),
         "bench_mvcc": run_mvcc_smoke(),
         "crash": run_crash_smoke(),
-        "engine_micro": run_engine_micro(scale),
-        "planner_modes": run_planner_modes(
-            size=SMOKE_SIZES[0], repeats=2 if scale == "small" else 3
-        ),
     }
     if fault_profile is not None and not fault_profile.perfect:
         report["faults"] = run_chaos(tree, scenario, fault_profile, fault_seed)
@@ -554,24 +436,6 @@ def check(report: dict) -> list:
                 f"crash sweep violated durability invariants: "
                 f"{crash['sweep_error']}"
             )
-    micro = report.get("engine_micro")
-    if micro:
-        # Coarse gate: the vectorized executor must never be slower than
-        # the row executor on the scan/filter shapes it was built for.
-        # (The ambitious >=5x target is recorded in the trajectory file
-        # and EXPERIMENTS.md, not enforced on noisy CI runners.)
-        for name, entry in micro.items():
-            if entry["shape"] in ("scan_filter", "narrow_and") and entry["speedup"] < 1.0:
-                failures.append(
-                    f"engine micro {name}: columnar slower than row "
-                    f"({entry['speedup']:.2f}x)"
-                )
-    planner_modes = report.get("planner_modes")
-    if planner_modes:
-        # The costed planner may only deviate from the rule-based one
-        # where the cost model says it should win, so its wall time must
-        # stay within 2x on every micro shape.
-        failures.extend(planner_mode_failures(planner_modes))
     trace = report.get("trace")
     if trace:
         decomposition = trace["decomposition"]
@@ -615,16 +479,6 @@ def main(argv=None) -> int:
         help="run one fully traced resilient batched expand (under "
         "--fault-profile, default flaky-wan), write the span-tree JSON "
         "export to PATH and print the time decomposition",
-    )
-    parser.add_argument(
-        "--bench-trajectory",
-        metavar="PATH",
-        default=os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), "..", f"BENCH_{TRAJECTORY_PR}.json"
-        ),
-        help="where to write the perf-trajectory baseline "
-        f"(default: BENCH_{TRAJECTORY_PR}.json at the repo root; "
-        "pass '' to skip)",
     )
     args = parser.parse_args(argv)
     report = run(
@@ -713,35 +567,8 @@ def main(argv=None) -> int:
             f"sweep={crash['sweep_profiles']} profiles "
             f"deterministic={'yes' if crash['deterministic'] else 'NO'}"
         )
-    micro = report.get("engine_micro")
-    if micro:
-        from bench_engine_micro import format_micro
-
-        print("\nengine micro (row vs columnar):")
-        print(format_micro(micro))
-    planner_modes = report.get("planner_modes")
-    if planner_modes:
-        from bench_engine_micro import format_planner_modes
-
-        print("\nplanner modes (rule vs cost-based after ANALYZE):")
-        print(format_planner_modes(planner_modes))
     failures = check(report)
-    trajectory = trajectory_report(report)
-    # Diff against the most recent predecessor that actually exists —
-    # trajectory slots are PR numbers and not every PR writes one.
-    repo_root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-    for previous in range(TRAJECTORY_PR - 1, 0, -1):
-        baseline_path = os.path.join(repo_root, f"BENCH_{previous}.json")
-        if os.path.exists(baseline_path):
-            failures.extend(diff_trajectory(trajectory, baseline_path))
-            break
     report["ok"] = not failures
-    trajectory_path = args.bench_trajectory
-    if trajectory_path:
-        with open(trajectory_path, "w", encoding="utf-8") as handle:
-            json.dump(trajectory, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {trajectory_path}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)

@@ -298,7 +298,7 @@ class Durability:
         db = durability.recover()       # replayed from the log
 
     ``db_kwargs`` are forwarded to every :class:`Database` the bundle
-    constructs (execution mode, plan-cache size, ...).
+    constructs (MVCC, plan-cache size, ...).
     """
 
     def __init__(

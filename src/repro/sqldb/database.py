@@ -32,7 +32,6 @@ from repro.errors import (
     ExecutionError,
     IntegrityError,
     LockTimeout,
-    SQLError,
 )
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import ast_walk
@@ -96,32 +95,19 @@ class Database:
     'two'
     """
 
-    #: Valid executor modes: ``row`` is the iterator oracle, ``columnar``
-    #: runs vectorizable plans batch-at-a-time (others fall back to row).
-    EXECUTION_MODES = ("row", "columnar")
-
     def __init__(
         self,
         plan_cache_size: int = 512,
         recursion_limit: int = 1_000_000,
-        execution_mode: str = "row",
-        planner_mode: str = "cost",
         mvcc: bool = False,
         auto_analyze_threshold: int = 256,
     ) -> None:
         self.catalog = Catalog()
         self.functions = FunctionRegistry()
         self.recursion_limit = recursion_limit
-        if planner_mode not in ("cost", "rule"):
-            raise SQLError(
-                f"unknown planner mode {planner_mode!r} (expected 'cost' or 'rule')"
-            )
-        #: ``"cost"`` (default) prices access paths and join orders with
-        #: ANALYZE-collected statistics; ``"rule"`` is the ablation switch
-        #: that keeps the deterministic rule-based choices even after
-        #: ANALYZE.
-        self.planner_mode = planner_mode
-        #: ANALYZE-collected optimizer statistics.  In-memory and advisory
+        #: ANALYZE-collected optimizer statistics; the planner prices access
+        #: paths and join orders for the tables that have them and keeps its
+        #: deterministic rules for the rest.  In-memory and advisory
         #: only: never WAL-logged (lost on crash/recovery) because losing
         #: them can only change plan quality, not results.
         self.stats = StatsCatalog()
@@ -160,11 +146,9 @@ class Database:
         #: ANALYZEd database stays statistics-free (and deterministic).
         #: <= 0 disables the trigger.
         self.auto_analyze_threshold = auto_analyze_threshold
-        #: Default executor for SELECTs; per-query ``mode=`` overrides it.
-        self.execution_mode = self._validate_mode(execution_mode)
-        #: Which executor ran the most recent SELECT: ``"row"``,
-        #: ``"columnar"`` or ``"row (columnar fallback: <reason>)"``.
-        #: None until a SELECT has run (DML resets it).
+        #: Which operator set ran the most recent SELECT: ``"columnar"``
+        #: when the whole plan vectorizes, else ``"row (columnar fallback:
+        #: <reason>)"``.  None until a SELECT has run (DML resets it).
         self.last_executor: Optional[str] = None
         #: Ablation switch threaded into every execution environment
         #: (paper Section 5.3.1 — uncorrelated subquery caching).
@@ -216,7 +200,6 @@ class Database:
         sql: str,
         params: Sequence[Any] = (),
         session: Hashable = None,
-        mode: Optional[str] = None,
     ) -> ResultSet:
         """Parse, plan and execute a single statement.
 
@@ -225,9 +208,6 @@ class Database:
         session whose transaction was force-aborted (deadlock victim)
         raises :class:`DeadlockError` so the owner learns about the abort
         and can restart.
-
-        *mode* overrides the database's ``execution_mode`` for this one
-        statement (``"row"`` or ``"columnar"``); DML ignores it.
         """
         previous = self._current_session
         self._current_session = session
@@ -235,13 +215,13 @@ class Database:
             self._check_aborted(session)
             recorder = self.recorder
             if recorder is None:
-                return self._execute(sql, params, mode=mode)
+                return self._execute(sql, params)
             with recorder.span(
                 "db.execute",
                 kind="database",
                 sql=sql if isinstance(sql, str) else type(sql).__name__,
             ) as span:
-                result = self._execute(sql, params, span, mode=mode)
+                result = self._execute(sql, params, span)
                 span.meta["rows"] = len(result.rows)
                 if self.last_executor is not None:
                     span.meta["executor"] = self.last_executor
@@ -249,9 +229,7 @@ class Database:
         finally:
             self._current_session = previous
 
-    def _execute(
-        self, sql: str, params: Sequence[Any], span=None, mode: Optional[str] = None
-    ) -> ResultSet:
+    def _execute(self, sql: str, params: Sequence[Any], span=None) -> ResultSet:
         self.statistics["statements"] += 1
         #: A DML statement scans nothing through the executor counters, so
         #: reset here — a server CPU model must never be charged for a
@@ -271,7 +249,7 @@ class Database:
                 if span is not None:
                     span.meta["plan_cache_hit"] = True
                 if isinstance(cached, Plan):
-                    return self._run_select(cached, params, mode)
+                    return self._run_select(cached, params)
                 return self._run_dml(cached, params)
             # A refreshed statistics catalog emptied the plan cache: fall
             # through and re-plan under the new estimates.
@@ -283,10 +261,10 @@ class Database:
             plan = self._plan(statement)
             if isinstance(sql, str):
                 self._remember_plan(sql, plan)
-            return self._run_select(plan, params, mode)
+            return self._run_select(plan, params)
         if isinstance(sql, str) and isinstance(statement, self._DML_STATEMENTS):
             return self._write(statement, params, sql)
-        return self._execute_dml(statement, params, mode)
+        return self._execute_dml(statement, params)
 
     def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> int:
         """Execute a parameterised DML statement once per parameter row.
@@ -758,23 +736,7 @@ class Database:
         env.snapshot = self._current_snapshot()
         return env
 
-    def _validate_mode(self, mode: str) -> str:
-        if mode not in self.EXECUTION_MODES:
-            raise ExecutionError(
-                f"unknown execution mode {mode!r}; "
-                f"expected one of {', '.join(self.EXECUTION_MODES)}"
-            )
-        return mode
-
-    def _resolve_mode(self, mode: Optional[str]) -> str:
-        if mode is None:
-            return self.execution_mode
-        return self._validate_mode(mode)
-
-    def _run_select(
-        self, plan: Plan, params: Sequence[Any], mode: Optional[str] = None
-    ) -> ResultSet:
-        resolved = self._resolve_mode(mode)
+    def _run_select(self, plan: Plan, params: Sequence[Any]) -> ResultSet:
         if self._current_snapshot() is not None:
             # Snapshot read: visibility replaces shared locks entirely —
             # no lock scope, no waits, no deadlock exposure.
@@ -782,30 +744,23 @@ class Database:
             if self.recorder is not None:
                 self.recorder.metrics.counter("db.snapshot_reads").inc()
             env = self._environment(params)
-            if resolved == "columnar":
-                rows = self._run_columnar(plan, env)
-            else:
-                self.last_executor = "row"
-                rows = execute_plan(plan, env)
+            rows = self._run_plan(plan, env)
         else:
             with self._lock_scope() as (owner, parkable):
                 self._lock_tables_shared(owner, parkable, plan.tables)
                 env = self._environment(params)
-                if resolved == "columnar":
-                    rows = self._run_columnar(plan, env)
-                else:
-                    self.last_executor = "row"
-                    rows = execute_plan(plan, env)
+                rows = self._run_plan(plan, env)
         self.statistics["rows_returned"] += len(rows)
         self.last_counters = dict(env.counters)
         return ResultSet(plan.output_names, rows)
 
-    def _run_columnar(self, plan: Plan, env: ExecutionEnv) -> List[Tuple[Any, ...]]:
-        """Execute through the batch pipeline, or fall back whole-plan.
+    def _run_plan(self, plan: Plan, env: ExecutionEnv) -> List[Tuple[Any, ...]]:
+        """Execute through the batch pipeline when the whole plan
+        vectorizes, through the row operators otherwise.
 
-        The fallback keeps semantics single-sourced: a plan either runs
-        entirely vectorized or entirely through the row executor — never a
-        mix at operator granularity.
+        The plan decides, and it decides whole: a plan runs entirely
+        vectorized or entirely row-at-a-time — never a mix at operator
+        granularity — so semantics stay single-sourced.
         """
         root, reason = vectorized_root(plan)
         recorder = self.recorder
@@ -841,9 +796,7 @@ class Database:
     #: Statement types that are prepared once and kept in the plan cache.
     _DML_STATEMENTS = (ast.Insert, ast.Update, ast.Delete)
 
-    def _execute_dml(
-        self, statement, params: Sequence[Any], mode: Optional[str] = None
-    ) -> ResultSet:
+    def _execute_dml(self, statement, params: Sequence[Any]) -> ResultSet:
         if self.session_in_transaction(self._current_session) and isinstance(
             statement, self._DDL_STATEMENTS
         ):
@@ -911,7 +864,7 @@ class Database:
                 # EXPLAIN ANALYZE plans are never cached, so the operator
                 # instances are fresh and safe to instrument in place.
                 env = self._environment(params)
-                lines = explain_analyze_plan(plan, env, mode=self._resolve_mode(mode))
+                lines = explain_analyze_plan(plan, env, *vectorized_root(plan))
             else:
                 lines = explain_plan(plan)
             return ResultSet(["plan"], [(line,) for line in lines])
@@ -1045,11 +998,7 @@ class Database:
 
     def _planner(self) -> Planner:
         return Planner(
-            self.catalog,
-            self.functions,
-            views=self.views,
-            stats=self.stats,
-            cost_based=self.planner_mode == "cost",
+            self.catalog, self.functions, views=self.views, stats=self.stats
         )
 
     def _reject_in_read_only(self, statement) -> None:

@@ -30,6 +30,7 @@ from repro.sqldb.executor import (
     UnionAll,
 )
 from repro.sqldb.planner import Plan, PlannedCTE, SubplanOperator
+from repro.sqldb.vec_executor import VecOperator, VecUnionAll, vec_execute
 
 
 def explain_plan(plan: Plan) -> List[str]:
@@ -41,50 +42,60 @@ def explain_plan(plan: Plan) -> List[str]:
     return lines
 
 
-def explain_analyze_plan(plan: Plan, env, mode: str = "row") -> List[str]:
+def explain_analyze_plan(
+    plan: Plan, env, vec_root: Optional[VecOperator], fallback_reason: str
+) -> List[str]:
     """Execute *plan* in *env* and render it with runtime statistics.
 
-    Every operator's ``rows`` generator is wrapped with a per-instance
-    counting shim before execution, so each rendered line carries the
-    operator's invocation count (``loops``) and the total rows it
-    produced; an operator the execution never pulled from is marked
-    ``(never executed)``.  The plan must be freshly built — EXPLAIN
-    ANALYZE statements bypass the plan cache, so the instrumented
-    operator instances are discarded with the plan.
+    *vec_root* and *fallback_reason* are what
+    :func:`~repro.sqldb.vec_executor.vectorized_root` answers for the
+    plan: it runs on its batch operators when it has them, on the row
+    operators otherwise, exactly as a plain execution would.  Either way
+    the tree rendered is the one ``EXPLAIN`` shows.
 
-    With ``mode="columnar"`` and a vectorizable plan, the batch pipeline
-    runs instead and every line carries per-operator batch/row counts; a
-    non-vectorizable plan falls back to the row rendering, labelled with
-    the fallback reason.  The trailing ``Executor:`` line always states
-    which executor actually ran.
+    Every operator's ``rows`` (or ``batches``) generator is wrapped with a
+    per-instance counting shim before execution, so each rendered line
+    carries the operator's invocation count (``loops``) and the total rows
+    it produced — plus, on a vectorized plan, the ``batches`` they came
+    in; an operator the execution never pulled from is marked ``(never
+    executed)``.  The plan must be freshly built — EXPLAIN ANALYZE
+    statements bypass the plan cache, so the instrumented operator
+    instances are discarded with the plan.  The trailing ``Executor:``
+    line states which operator set ran, and why when it is the row one.
     """
     from repro.sqldb.recursive import execute_plan
-    from repro.sqldb.vec_executor import vectorized_root
 
-    executor_line = "Executor: row"
-    if mode == "columnar":
-        root, reason = vectorized_root(plan)
-        if root is None:
-            executor_line = f"Executor: row (columnar fallback: {reason})"
-        else:
-            return _explain_analyze_columnar(root, env)
-
+    operators = _all_operators(plan)
+    vectorized = vec_root is not None
+    if vec_root is not None:
+        # ``_vectorize`` maps the row tree one-to-one (and a vectorized
+        # plan has no CTEs), so the two preorder walks line up.
+        running, pull = _subtree(vec_root), "batches"
+    else:
+        running, pull = operators, "rows"
     stats = {}
-    for operator in _all_operators(plan):
+    for operator, target in zip(operators, running):
         if id(operator) in stats:
             continue
-        record = stats[id(operator)] = {"loops": 0, "rows": 0}
-        original = operator.rows
+        record = stats[id(operator)] = {"loops": 0, "pulls": 0, "rows": 0}
 
-        def counting_rows(env, _original=original, _record=record):
+        def counting(env, _original=getattr(target, pull), _record=record):
             _record["loops"] += 1
-            for row in _original(env):
-                _record["rows"] += 1
-                yield row
+            for item in _original(env):
+                _record["pulls"] += 1
+                _record["rows"] += item.length if vectorized else 1
+                yield item
 
-        operator.rows = counting_rows
+        setattr(target, pull, counting)
 
-    rows = execute_plan(plan, env)
+    counters = ["rows_scanned", "index_probes", "subquery_executions"]
+    if vec_root is not None:
+        rows = vec_execute(vec_root, env)
+        executor = "columnar"
+        counters += ["vec_batches", "vec_rows"]
+    else:
+        rows = execute_plan(plan, env)
+        executor = f"row (columnar fallback: {fallback_reason})"
 
     def annotate(operator: Operator) -> str:
         estimate = _estimate(operator)
@@ -97,8 +108,10 @@ def explain_analyze_plan(plan: Plan, env, mode: str = "row") -> List[str]:
         if key_run is not None:
             # The subquery-keyed lookup chose its access method at run time.
             suffix = f" keys={key_run[0]} {'probed' if key_run[1] else 'scanned'}"
+        batches = f" (batches={record['pulls']})" if vectorized else ""
         return (
             f" ({prefix}loops={record['loops']} rows={record['rows']}{suffix})"
+            f"{batches}"
         )
 
     lines: List[str] = []
@@ -106,115 +119,9 @@ def explain_analyze_plan(plan: Plan, env, mode: str = "row") -> List[str]:
         lines.extend(_explain_cte(cte, annotate))
     lines.extend(_explain_operator(plan.root, 0, annotate))
     lines.append(f"Execution: {len(rows)} row(s) returned")
-    lines.append(executor_line)
-    for name in ("rows_scanned", "index_probes", "subquery_executions"):
+    lines.append(f"Executor: {executor}")
+    for name in counters:
         lines.append(f"  {name}: {env.counters.get(name, 0)}")
-    return lines
-
-
-def _explain_analyze_columnar(root, env) -> List[str]:
-    """Run the batch pipeline with per-operator counting shims."""
-    from repro.sqldb.vec_executor import vec_execute
-
-    stats = {}
-    for operator in _vec_operators(root):
-        if id(operator) in stats:
-            continue
-        record = stats[id(operator)] = {"loops": 0, "batches": 0, "rows": 0}
-        original = operator.batches
-
-        def counting_batches(env, _original=original, _record=record):
-            _record["loops"] += 1
-            for batch in _original(env):
-                _record["batches"] += 1
-                _record["rows"] += batch.length
-                yield batch
-
-        operator.batches = counting_batches
-
-    rows = vec_execute(root, env)
-
-    def annotate(operator) -> str:
-        record = stats.get(id(operator))
-        if record is None or record["loops"] == 0:
-            return " (never executed)"
-        return f" (batches={record['batches']} rows={record['rows']})"
-
-    lines = _explain_vec_operator(root, 0, annotate)
-    lines.append(f"Execution: {len(rows)} row(s) returned")
-    lines.append("Executor: columnar")
-    for name in (
-        "rows_scanned",
-        "index_probes",
-        "subquery_executions",
-        "vec_batches",
-        "vec_rows",
-    ):
-        lines.append(f"  {name}: {env.counters.get(name, 0)}")
-    return lines
-
-
-def _vec_operators(root) -> List[object]:
-    """Every vectorized operator instance under *root*."""
-    operators: List[object] = []
-
-    def walk(operator) -> None:
-        operators.append(operator)
-        for child in _vec_children(operator):
-            walk(child)
-
-    walk(root)
-    return operators
-
-
-def _vec_children(operator) -> List[object]:
-    from repro.sqldb.vec_executor import VecOperator, VecUnionAll
-
-    if isinstance(operator, VecUnionAll):
-        return list(operator.children)
-    children: List[object] = []
-    for attribute in ("child", "left", "right"):
-        value = getattr(operator, attribute, None)
-        if isinstance(value, VecOperator):
-            children.append(value)
-    return children
-
-
-def _vec_label(operator) -> str:
-    from repro.sqldb import vec_executor as vec
-
-    if isinstance(operator, vec.VecSeqScan):
-        return f"VecSeqScan({operator.storage.schema.name})"
-    if isinstance(operator, vec.VecRowsSource):
-        return "VecValues"
-    if isinstance(operator, vec.VecFilter):
-        return "VecFilter"
-    if isinstance(operator, vec.VecProject):
-        return f"VecProject({', '.join(operator.output_names)})"
-    if isinstance(operator, vec.VecHashJoin):
-        return f"VecHashJoin({len(operator.left_kernels)} key(s))"
-    if isinstance(operator, vec.VecAggregate):
-        return (
-            f"VecAggregate({len(operator.group_kernels)} group key(s), "
-            f"{len(operator.aggregates)} aggregate(s))"
-        )
-    if isinstance(operator, vec.VecSort):
-        return f"VecSort({len(operator.keys)} key(s))"
-    if isinstance(operator, vec.VecDistinct):
-        return "VecDistinct"
-    if isinstance(operator, vec.VecUnionAll):
-        return "VecUnionAll"
-    if isinstance(operator, vec.VecLimit):
-        return "VecLimit"
-    if isinstance(operator, vec.VecOffset):
-        return "VecOffset"
-    return type(operator).__name__
-
-
-def _explain_vec_operator(operator, depth: int, annotate) -> List[str]:
-    lines = ["  " * depth + "-> " + _vec_label(operator) + annotate(operator)]
-    for child in _vec_children(operator):
-        lines.extend(_explain_vec_operator(child, depth + 1, annotate))
     return lines
 
 
@@ -228,16 +135,18 @@ def plan_operators(plan: Plan) -> List[Operator]:
 def _all_operators(plan: Plan) -> List[Operator]:
     """Every operator instance in the plan, CTE branches included."""
     operators: List[Operator] = []
-
-    def walk(operator: Operator) -> None:
-        operators.append(operator)
-        for child in _children(operator):
-            walk(child)
-
     for cte in plan.ctes:
         for branch in list(cte.seed_plans) + list(cte.recursive_plans):
-            walk(branch)
-    walk(plan.root)
+            operators.extend(_subtree(branch))
+    operators.extend(_subtree(plan.root))
+    return operators
+
+
+def _subtree(operator) -> list:
+    """*operator* and everything below it, in the order EXPLAIN prints."""
+    operators = [operator]
+    for child in _children(operator):
+        operators.extend(_subtree(child))
     return operators
 
 
@@ -329,15 +238,17 @@ def _label(operator: Operator) -> str:
     return type(operator).__name__
 
 
-def _children(operator: Operator) -> List[Operator]:
+def _children(operator) -> list:
+    """Inputs of a row operator — or of a batch operator, which names
+    them the same way."""
     if isinstance(operator, SubplanOperator):
         return [operator.subquery.plan.root]
-    if isinstance(operator, UnionAll):
+    if isinstance(operator, (UnionAll, VecUnionAll)):
         return list(operator.children)
-    children: List[Operator] = []
+    children = []
     for attribute in ("child", "left", "right"):
         value = getattr(operator, attribute, None)
-        if isinstance(value, Operator):
+        if isinstance(value, (Operator, VecOperator)):
             children.append(value)
     return children
 

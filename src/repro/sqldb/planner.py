@@ -14,9 +14,9 @@ The planner implements the paper's three access-path decisions:
 
 Access-path *choice* runs in one of two regimes:
 
-* **No statistics** (nothing ``ANALYZE``-d yet, or ``planner_mode="rule"``):
-  deterministic rules — among matching index probes, unique-index probes
-  first, then WHERE-clause order.
+* **No statistics** (the table was never ``ANALYZE``-d): deterministic
+  rules — among matching index probes, unique-index probes first, then
+  WHERE-clause order.
 * **With statistics** (:mod:`repro.sqldb.stats`): every candidate probe is
   priced against the sequential scan with the stats-backed cost model,
   comma-joined tables are greedily reordered by estimated cardinality
@@ -111,7 +111,7 @@ class Plan:
     #: Lazily computed vectorization of this plan: ``(vec_root, reason)``
     #: where ``vec_root`` is the columnar operator tree (None when the plan
     #: cannot be vectorized, with ``reason`` saying why).  Filled by
-    #: :func:`repro.sqldb.vec_executor.vectorized_root` on first columnar
+    #: :func:`repro.sqldb.vec_executor.vectorized_root` on first
     #: execution; safe to cache because plans are immutable after build.
     vec_cache: Optional[Tuple[Optional[object], str]] = None
 
@@ -271,7 +271,6 @@ class Planner:
         views: Optional[Dict[str, "object"]] = None,
         expanding_views: Optional[set] = None,
         stats: Optional[table_stats_mod.StatsCatalog] = None,
-        cost_based: bool = True,
     ) -> None:
         self.catalog = catalog
         self.functions = functions
@@ -283,9 +282,8 @@ class Planner:
             expanding_views if expanding_views is not None else set()
         )
         #: ANALYZE-collected statistics (shared with the owning Database);
-        #: None or cost_based=False keeps planning purely rule-based.
+        #: None keeps planning purely rule-based.
         self.stats = stats
-        self.cost_based = cost_based
         #: Uncorrelated subqueries of the SELECT core being planned, by
         #: :meth:`_subquery_key` (None outside a core): textually identical
         #: ones are planned — hence evaluated — once per execution.
@@ -589,15 +587,15 @@ class Planner:
         """Greedy cost-based ordering of comma-joined FROM items.
 
         Applies only when every item is a base table with collected
-        statistics; otherwise (and in rule mode) the written order is
-        kept.  Start from the item with the smallest estimated filtered
-        cardinality, then repeatedly append the item minimising the
-        estimated intermediate-result size through the WHERE clause's
-        equi-join predicates.  Ties keep the written order, so the plan
-        is deterministic for a given catalog + statistics state.
+        statistics; otherwise the written order is kept.  Start from the
+        item with the smallest estimated filtered cardinality, then
+        repeatedly append the item minimising the estimated
+        intermediate-result size through the WHERE clause's equi-join
+        predicates.  Ties keep the written order, so the plan is
+        deterministic for a given catalog + statistics state.
         """
         identity = list(range(len(from_items)))
-        if len(from_items) < 2 or self.stats is None or not self.cost_based:
+        if len(from_items) < 2 or self.stats is None:
             return identity
         per_item: List[Tuple[str, table_stats_mod.TableStats]] = []
         for item in from_items:
@@ -677,7 +675,6 @@ class Planner:
                 views=self.views,
                 expanding_views=self._expanding_views,
                 stats=self.stats,
-                cost_based=self.cost_based,
             )
             sub_frame = Frame(None)
             plan = child.plan_select(item.subquery, frames + [sub_frame])
@@ -760,7 +757,7 @@ class Planner:
         return scan, [(binding, list(columns))]
 
     def _table_stats(self, name: str) -> Optional[table_stats_mod.TableStats]:
-        if not self.cost_based or self.stats is None:
+        if self.stats is None:
             return None
         return self.stats.get(name)
 
@@ -782,7 +779,6 @@ class Planner:
                 views=self.views,
                 expanding_views=self._expanding_views,
                 stats=self.stats,
-                cost_based=self.cost_based,
             )
             plan = child.plan_select(view.select)
         finally:
@@ -1501,7 +1497,6 @@ class Planner:
                 views=self.views,
                 expanding_views=self._expanding_views,
                 stats=self.stats,
-                cost_based=self.cost_based,
             )
         sub_frame = Frame(None)
         plan = child.plan_select(statement, list(frames) + [sub_frame])

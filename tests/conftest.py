@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.bench.workload import build_scenario
@@ -10,6 +12,23 @@ from repro.network.profiles import WAN_256
 from repro.pdm.generator import figure2_dataset
 from repro.pdm.schema import create_pdm_schema, load_product
 from repro.sqldb.database import Database
+
+
+@pytest.fixture(scope="session")
+def row_operators():
+    """The row operators as the differential oracle.
+
+    ``with row_operators(): ...`` makes the engine find no plan
+    vectorizable, so every SELECT inside the block runs row-at-a-time and
+    leaves ``"row (columnar fallback: row oracle)"`` in ``last_executor``.
+    Product code has no way to ask for this.  (Session scope only so that
+    hypothesis tests may use it; the patch lasts for the ``with`` block.)
+    """
+
+    def decline(plan):
+        return None, "row oracle"
+
+    return lambda: mock.patch("repro.sqldb.database.vectorized_root", decline)
 
 
 @pytest.fixture

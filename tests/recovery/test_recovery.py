@@ -261,9 +261,7 @@ class TestCrashTails:
 
 class TestColumnarCacheAcrossRecovery:
     def test_no_pre_crash_chunks_served_after_recovery(self):
-        durability = Durability(
-            SimDisk(), db_kwargs={"execution_mode": "columnar"}
-        )
+        durability = Durability(SimDisk())
         db = durability.open()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         db.executemany(

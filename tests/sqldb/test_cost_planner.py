@@ -96,12 +96,12 @@ class TestInListDedup:
         text = plan_text(db, "SELECT id FROM s WHERE id IN (1, 1, 2)")
         assert "MultiKeyIndexLookup(s via s_pk, 2 keys)" in text
 
-    def test_deduped_plan_returns_each_row_once(self, db):
+    def test_deduped_plan_returns_each_row_once(self, db, row_operators):
         sql = "SELECT id FROM s WHERE id IN (1, 1, 2) ORDER BY id"
-        row_rows = db.execute(sql, mode="row").rows
-        columnar_rows = db.execute(sql, mode="columnar").rows
+        with row_operators():
+            row_rows = db.execute(sql).rows
         assert row_rows == [(1,), (2,)]
-        assert columnar_rows == row_rows
+        assert db.execute(sql).rows == row_rows
 
     def test_duplicate_parameters_still_runtime_deduplicated(self, db):
         text = plan_text(db, "SELECT id FROM s WHERE id IN (?, ?)", (2, 2))
@@ -170,21 +170,3 @@ class TestJoinReordering:
             ).rows
         )
         assert "Filter (est_rows=2 loops=1 rows=2)" in text
-
-
-class TestPlannerModeSwitch:
-    def test_invalid_mode_rejected(self):
-        from repro.errors import SQLError
-
-        with pytest.raises(SQLError):
-            Database(planner_mode="fancy")
-
-    def test_rule_mode_ignores_collected_stats(self):
-        db = Database(planner_mode="rule")
-        db.execute("CREATE TABLE tiny (x INTEGER)")
-        db.execute("CREATE INDEX tiny_x ON tiny (x)")
-        db.executemany("INSERT INTO tiny VALUES (?)", [(i,) for i in range(3)])
-        db.execute("ANALYZE tiny")
-        # Cost mode would flip to SeqScan; rule mode keeps the index.
-        text = plan_text(db, "SELECT * FROM tiny WHERE x = ?", (1,))
-        assert "IndexLookup(tiny via tiny_x)" in text

@@ -1,14 +1,17 @@
 """Differential row-oracle tests: columnar == row, query by query.
 
-The row executor is the semantics oracle for the vectorized pipeline.
+The row operators are the semantics oracle for the vectorized pipeline.
 Every query in the shared corpus — the 25-template ``repro.analysis``
 corpus (the statements the PDM layer actually emits) plus an
-engine-level corpus covering each vectorizable operator — runs through
-both executors and must produce *identical ordered* results: same
-columns, same rows, same order.  A query that raises must raise an
-:class:`~repro.errors.SQLError` subclass in both modes (the exact
-subclass and message may differ when column-at-a-time evaluation meets
-an error on a different row first; see DESIGN.md §10).
+engine-level corpus covering each vectorizable operator — runs twice,
+once as the engine chooses and once under the ``row_operators`` fixture
+(``tests/conftest.py``), which forces the row operators, and must
+produce *identical ordered* results: same columns, same rows, same
+order.  ``last_executor`` proves each side ran where it claims.  A query
+that raises must raise an :class:`~repro.errors.SQLError` subclass on
+both sides (the exact subclass and message may differ when
+column-at-a-time evaluation meets an error on a different row first;
+see DESIGN.md §10).
 
 A hypothesis-driven test generates random filters/projections over a
 seeded table so the corpus is not limited to shapes we thought of.
@@ -22,26 +25,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SQLError
+from repro.errors import ExecutionError, SQLError
+from repro.sqldb.columnar import BATCH_SIZE
 from repro.sqldb.database import Database
 
+#: ``last_executor`` of a SELECT that ran under the ``row_operators`` oracle.
+ORACLE = "row (columnar fallback: row oracle)"
 
-def run_differential(db: Database, sql: str, params=()):
-    """Run *sql* in both modes; assert the oracle contract; return rows.
 
-    Either both executors succeed with identical ordered results, or
-    both raise an ``SQLError``.
+def run_differential(db: Database, sql: str, params=(), *, oracle, vectorizes):
+    """Run *sql* on both operator sets; assert the oracle contract;
+    return rows.
+
+    Either both sides succeed with identical ordered results, or both
+    raise an ``SQLError``.  *oracle* is the ``row_operators`` fixture.
+    The oracle side must have run on the row operators because the oracle
+    said so, the other side must not have; *vectorizes* pins whether the
+    engine's own choice was the batch pipeline, so a corpus cannot
+    silently compare the row path with itself.
     """
     row_error = columnar_error = None
     row_result = columnar_result = None
     try:
-        row_result = db.execute(sql, params, mode="row")
+        with oracle():
+            row_result = db.execute(sql, params)
     except SQLError as exc:
         row_error = exc
+    oracle_executor = db.last_executor
     try:
-        columnar_result = db.execute(sql, params, mode="columnar")
+        columnar_result = db.execute(sql, params)
     except SQLError as exc:
         columnar_error = exc
+    # ``last_executor`` is None when the statement failed before running.
+    assert oracle_executor in (ORACLE, None), sql
+    assert db.last_executor != ORACLE, sql
+    assert (db.last_executor == "columnar") is vectorizes, (sql, db.last_executor)
 
     if row_error is not None or columnar_error is not None:
         assert row_error is not None, (
@@ -80,9 +98,14 @@ def pdm_select_templates():
 @pytest.mark.parametrize(
     "name,sql", pdm_select_templates(), ids=[n for n, _ in pdm_select_templates()]
 )
-def test_pdm_template_corpus_differential(figure2_db, name, sql):
+def test_pdm_template_corpus_differential(figure2_db, row_operators, name, sql):
     params = tuple([1] * parameter_count(sql))  # Figure 2 root obid
-    run_differential(figure2_db, sql, params)
+    # Every PDM template plans onto an index path or a CTE, which only the
+    # row operators implement (ROADMAP item 3), so here the engine's own
+    # choice is the row side too.
+    run_differential(
+        figure2_db, sql, params, oracle=row_operators, vectorizes=False
+    )
 
 
 def test_pdm_corpus_covers_every_template():
@@ -136,12 +159,22 @@ ENGINE_CORPUS = [
     "SELECT id FROM t ORDER BY id LIMIT 7",
     "SELECT id FROM t ORDER BY id LIMIT 5 OFFSET 95",
     "SELECT v FROM t WHERE v < 3 UNION ALL SELECT k FROM dim WHERE k < 3",
-    # shapes that fall back to the row executor (fallback must be silent)
-    "SELECT v FROM t WHERE id = 4",  # primary-key index lookup
+    # a scalar subquery has no kernel: its row closure runs over the batch
     "SELECT v, (SELECT MAX(k) FROM dim) FROM t WHERE v < 3",
+    # shapes with no batch plan (see ROW_ONLY): the engine itself picks the
+    # row operators, silently
+    "SELECT v FROM t WHERE id = 4",  # primary-key index lookup
     "SELECT x.id FROM (SELECT id FROM t WHERE v < 5) AS x",
     "WITH small AS (SELECT id, v FROM t WHERE v < 5) SELECT * FROM small",
 ]
+
+#: The corpus queries whose plan does not vectorize; every other one must.
+ROW_ONLY = {
+    "SELECT t.id, dim.label FROM t LEFT JOIN dim ON t.v = dim.k",  # nested loop
+    "SELECT v FROM t WHERE id = 4",
+    "SELECT x.id FROM (SELECT id FROM t WHERE v < 5) AS x",
+    "WITH small AS (SELECT id, v FROM t WHERE v < 5) SELECT * FROM small",
+}
 
 
 @pytest.fixture(scope="module")
@@ -165,23 +198,75 @@ def engine_db() -> Database:
 
 
 @pytest.mark.parametrize("sql", ENGINE_CORPUS)
-def test_engine_corpus_differential(engine_db, sql):
-    run_differential(engine_db, sql)
+def test_engine_corpus_differential(engine_db, row_operators, sql):
+    run_differential(
+        engine_db, sql, oracle=row_operators, vectorizes=sql not in ROW_ONLY
+    )
 
 
-def test_division_error_raises_in_both_modes(engine_db):
+def test_division_error_raises_in_both_modes(engine_db, row_operators):
     # Column-at-a-time evaluation may hit the failing row in a different
     # order, but both executors must surface an SQLError.
-    assert run_differential(engine_db, "SELECT 10 / (v - v) FROM t") is None
-    assert run_differential(engine_db, "SELECT id FROM t WHERE 10 / n > 1") is None
+    for sql in ("SELECT 10 / (v - v) FROM t", "SELECT id FROM t WHERE 10 / n > 1"):
+        assert (
+            run_differential(engine_db, sql, oracle=row_operators, vectorizes=True)
+            is None
+        )
 
 
-def test_masked_conjunction_guards_division(engine_db):
+def test_masked_conjunction_guards_division(engine_db, row_operators):
     # The AND kernel must not evaluate the right operand on rows the left
     # already rejected — otherwise this guarded division would blow up on
-    # v = 0 rows in columnar mode only.
-    rows = run_differential(engine_db, "SELECT id FROM t WHERE v <> 0 AND 100 / v > 10")
+    # v = 0 rows on the batch operators only.
+    rows = run_differential(
+        engine_db,
+        "SELECT id FROM t WHERE v <> 0 AND 100 / v > 10",
+        oracle=row_operators,
+        vectorizes=True,
+    )
     assert rows  # the guard admits rows, it doesn't just mask errors
+
+
+# ---------------------------------------------------------------------------
+# The one documented divergence (DESIGN.md §10): a batch is evaluated whole
+# before LIMIT sees it.  Pinned per operator set so it cannot drift silently;
+# the cure (a row budget handed down from Limit) is ROADMAP item 3.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sql,row_answer",
+    [
+        ("SELECT 10 / v FROM t LIMIT 2", [(2,), (2,)]),
+        ("SELECT id FROM t WHERE 10 / v > 1 LIMIT 1", [(0,)]),
+    ],
+)
+def test_error_past_the_limit_is_raised_only_by_the_batch_operators(
+    row_operators, sql, row_answer
+):
+    db = Database()
+    db.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
+    # v = 0 at id 5: past what the row operators read to fill the LIMIT.
+    db.executemany("INSERT INTO t VALUES (?, ?)", [(i, 5 - i) for i in range(10)])
+    with row_operators():
+        assert db.execute(sql).rows == row_answer
+    assert db.last_executor == ORACLE
+    with pytest.raises(ExecutionError, match="division by zero"):
+        db.execute(sql)
+    assert db.last_executor == "columnar"
+
+
+def test_rows_scanned_under_limit_is_batch_granular(row_operators):
+    db = Database()
+    db.execute("CREATE TABLE big (id INTEGER)")
+    db.executemany("INSERT INTO big VALUES (?)", [(i,) for i in range(5000)])
+    sql = "SELECT id FROM big LIMIT 3"
+    with row_operators():
+        row_rows = db.execute(sql).rows
+    assert db.last_counters["rows_scanned"] == 3
+    assert db.execute(sql).rows == row_rows
+    assert db.last_executor == "columnar"
+    assert db.last_counters["rows_scanned"] == BATCH_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -213,5 +298,12 @@ projection = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(select=projection, where=predicate)
-def test_random_filter_projection_differential(engine_db, select, where):
-    run_differential(engine_db, f"SELECT {select} FROM t WHERE {where}")
+def test_random_filter_projection_differential(
+    engine_db, row_operators, select, where
+):
+    run_differential(
+        engine_db,
+        f"SELECT {select} FROM t WHERE {where}",
+        oracle=row_operators,
+        vectorizes=True,
+    )

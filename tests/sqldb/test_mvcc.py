@@ -200,15 +200,17 @@ class TestRowColumnarDifferential:
         ("SELECT COUNT(*) FROM t WHERE id <> ?", [2]),
     ]
 
-    def test_row_and_columnar_agree_under_snapshot(self):
+    def test_row_and_columnar_agree_under_snapshot(self, row_operators):
         db = make_db()
         db.execute("BEGIN TRANSACTION READ ONLY", session="reader")
         db.execute("UPDATE t SET v = 99 WHERE id = 1")
         db.execute("DELETE FROM t WHERE id = 2")
         db.execute("INSERT INTO t VALUES (4, 40)")
         for sql, params in self.QUERIES:
-            row = db.execute(sql, params, session="reader", mode="row")
-            col = db.execute(sql, params, session="reader", mode="columnar")
+            with row_operators():
+                row = db.execute(sql, params, session="reader")
+            col = db.execute(sql, params, session="reader")
+            assert db.last_executor == "columnar", sql
             assert col.rows == row.rows, sql
         # And the snapshot answer differs from the live answer, so the
         # differential above actually exercised the version chains.
@@ -222,12 +224,9 @@ class TestRowColumnarDifferential:
         db.execute("BEGIN TRANSACTION READ ONLY", session="old")
         db.execute("UPDATE t SET v = 99 WHERE id = 1")
         db.execute("BEGIN TRANSACTION READ ONLY", session="new")
-        old = db.execute(
-            "SELECT SUM(v) FROM t", session="old", mode="columnar"
-        ).scalar()
-        new = db.execute(
-            "SELECT SUM(v) FROM t", session="new", mode="columnar"
-        ).scalar()
+        old = db.execute("SELECT SUM(v) FROM t", session="old").scalar()
+        new = db.execute("SELECT SUM(v) FROM t", session="new").scalar()
+        assert db.last_executor == "columnar"
         assert old == 60
         assert new == 149
         db.execute("COMMIT", session="old")

@@ -1,7 +1,7 @@
 """Property test: the costed planner never changes query results.
 
-Two databases hold identical data; one plans rule-based, the other
-cost-based with fresh ANALYZE statistics.  Whatever plans they pick
+Two databases hold identical data; one is never ANALYZEd, so it plans
+rule-based, the other prices its paths with fresh ANALYZE statistics.  Whatever plans they pick
 (seq scans, index probes, reordered comma joins), the answers must be
 identical — ordered when the query orders, as multisets otherwise.
 This is the safety net behind turning cost-based planning on by
@@ -47,8 +47,8 @@ QUERIES = [
 ]
 
 
-def build(rows, planner_mode):
-    db = Database(planner_mode=planner_mode)
+def build(rows):
+    db = Database()
     db.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, "
         "v INTEGER)"
@@ -69,8 +69,8 @@ def build(rows, planner_mode):
 @given(rows_strategy)
 @settings(max_examples=25, deadline=None)
 def test_cost_and_rule_planners_agree(rows):
-    rule_db = build(rows, "rule")
-    cost_db = build(rows, "cost")
+    rule_db = build(rows)
+    cost_db = build(rows)
     cost_db.execute("ANALYZE")
     for sql, params in QUERIES:
         rule_result = rule_db.execute(sql, params)
@@ -88,10 +88,10 @@ def test_stale_stats_never_change_results(rows):
     """Statistics collected before the data changed (every row deleted
     and reinserted shifted) may mislead the cost model, but never the
     answer."""
-    cost_db = build(rows, "cost")
+    cost_db = build(rows)
     cost_db.execute("ANALYZE")
     cost_db.execute("DELETE FROM t WHERE a >= ?", (15,))
-    rule_db = build(rows, "rule")
+    rule_db = build(rows)
     rule_db.execute("DELETE FROM t WHERE a >= ?", (15,))
     for sql, params in QUERIES:
         rule_result = rule_db.execute(sql, params)

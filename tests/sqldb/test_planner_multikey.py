@@ -181,7 +181,7 @@ class TestSubqueryPlannerChoice:
         assert SUBQUERY_LOOKUP in text
 
     def test_probe_path_falls_back_from_the_columnar_executor(self):
-        columnar = Database(execution_mode="columnar")
+        columnar = Database()
         columnar.execute_script(
             "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER);"
             "CREATE INDEX t_k ON t (k);"

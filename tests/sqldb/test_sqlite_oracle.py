@@ -26,6 +26,15 @@ them hides a wrong row):
   SQLite gets the engine's own Python implementations through
   ``create_function`` (NULL-propagating, like ``register_function``), so a
   difference can only come from planning and execution, not from them.
+* **Errors past a LIMIT.**  A plan that vectorizes evaluates a whole batch
+  before ``LIMIT`` sees it, so ``SELECT 10 / v FROM t LIMIT 2`` raises
+  ``division by zero`` when a later row of the batch has ``v = 0``; a
+  row-at-a-time engine stops reading first (and SQLite would answer NULL
+  for ``x / 0`` anyway).  The executor is not selectable, so this is what
+  every caller gets; ``rows_scanned`` under ``LIMIT`` is batch-granular
+  for the same reason.  No statement compared here puts a ``LIMIT`` over
+  an expression that can raise; ``test_differential.py`` pins both
+  outcomes on both operator sets (DESIGN §10).
 """
 
 import sqlite3

@@ -1,4 +1,4 @@
-"""Unit tests for the vectorized executor: mode wiring, whole-plan
+"""Unit tests for the vectorized executor: executor selection, whole-plan
 fallback, chunk-cache invalidation, batch boundaries, counters, EXPLAIN
 ANALYZE labelling, and the observability hooks.
 
@@ -9,9 +9,10 @@ machinery *around* the batch pipeline.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from repro.errors import ExecutionError
 from repro.obs import TraceRecorder
 from repro.sqldb.columnar import BATCH_SIZE, Batch, table_batches
 from repro.sqldb.database import Database
@@ -28,38 +29,16 @@ def db() -> Database:
 
 
 class TestExecutionModes:
-    def test_default_mode_is_row(self, db):
-        assert db.execution_mode == "row"
+    def test_the_plan_picks_the_executor(self, db):
         db.execute("SELECT v FROM t WHERE v < 3")
-        assert db.last_executor == "row"
-
-    def test_database_level_columnar_mode(self):
-        columnar = Database(execution_mode="columnar")
-        columnar.execute("CREATE TABLE t (a INTEGER)")
-        columnar.execute("INSERT INTO t VALUES (1)")
-        columnar.execute("SELECT a FROM t WHERE a > 0")
-        assert columnar.last_executor == "columnar"
-
-    def test_per_query_mode_overrides_database_default(self, db):
-        db.execute("SELECT v FROM t WHERE v < 3", mode="columnar")
         assert db.last_executor == "columnar"
-        db.execute("SELECT v FROM t WHERE v < 3", mode="row")
-        assert db.last_executor == "row"
-        # The database default is untouched.
-        assert db.execution_mode == "row"
-
-    def test_unknown_mode_rejected_at_construction(self):
-        with pytest.raises(ExecutionError, match="unknown execution mode"):
-            Database(execution_mode="simd")
-
-    def test_unknown_mode_rejected_per_query(self, db):
-        with pytest.raises(ExecutionError, match="unknown execution mode"):
-            db.execute("SELECT v FROM t", mode="vectorised")
+        db.execute("SELECT v FROM t WHERE id = 1")  # index path
+        assert db.last_executor.startswith("row (columnar fallback:")
 
     def test_statistics_track_columnar_runs_and_fallbacks(self, db):
         before = dict(db.statistics)
-        db.execute("SELECT v FROM t WHERE v < 3", mode="columnar")
-        db.execute("SELECT v FROM t WHERE id = 1", mode="columnar")  # index path
+        db.execute("SELECT v FROM t WHERE v < 3")
+        db.execute("SELECT v FROM t WHERE id = 1")  # index path
         after = db.statistics
         assert after["columnar_statements"] == before["columnar_statements"] + 1
         assert after["columnar_fallbacks"] == before["columnar_fallbacks"] + 1
@@ -67,77 +46,76 @@ class TestExecutionModes:
 
 class TestWholePlanFallback:
     def test_index_lookup_falls_back(self, db):
-        db.execute("SELECT v FROM t WHERE id = 7", mode="columnar")
+        db.execute("SELECT v FROM t WHERE id = 7")
         assert db.last_executor is not None
         assert db.last_executor.startswith("row (columnar fallback:")
 
     def test_recursive_cte_falls_back(self, db):
         db.execute(
             "WITH RECURSIVE c (n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM c"
-            " WHERE n < 5) SELECT n FROM c",
-            mode="columnar",
+            " WHERE n < 5) SELECT n FROM c"
         )
         assert db.last_executor is not None
         assert "columnar fallback" in db.last_executor
 
     def test_derived_table_falls_back(self, db):
-        db.execute(
-            "SELECT x.v FROM (SELECT v FROM t WHERE v < 5) AS x", mode="columnar"
-        )
+        db.execute("SELECT x.v FROM (SELECT v FROM t WHERE v < 5) AS x")
         assert db.last_executor is not None
         assert "columnar fallback" in db.last_executor
 
-    def test_fallback_result_matches_row_mode(self, db):
-        columnar = db.execute("SELECT v FROM t WHERE id = 7", mode="columnar")
-        row = db.execute("SELECT v FROM t WHERE id = 7", mode="row")
-        assert columnar.rows == row.rows
+    def test_fallback_result_matches_row_mode(self, db, row_operators):
+        fallback = db.execute("SELECT v FROM t WHERE id = 7")
+        with row_operators():
+            row = db.execute("SELECT v FROM t WHERE id = 7")
+        assert fallback.rows == row.rows
 
 
 class TestCounters:
     def test_vec_counters_populated_in_columnar_mode(self, db):
-        db.execute("SELECT v FROM t WHERE v < 3", mode="columnar")
+        db.execute("SELECT v FROM t WHERE v < 3")
         assert db.last_counters["vec_batches"] > 0
         assert db.last_counters["vec_rows"] > 0
         assert db.last_counters["rows_scanned"] == 100
 
-    def test_vec_counters_stay_zero_in_row_mode(self, db):
-        db.execute("SELECT v FROM t WHERE v < 3", mode="row")
+    def test_vec_counters_stay_zero_in_row_mode(self, db, row_operators):
+        with row_operators():
+            db.execute("SELECT v FROM t WHERE v < 3")
         assert db.last_counters["vec_batches"] == 0
         assert db.last_counters["vec_rows"] == 0
 
 
 class TestChunkCacheInvalidation:
     def test_insert_invalidates_cached_chunks(self, db):
-        first = db.execute("SELECT COUNT(*) FROM t", mode="columnar")
+        first = db.execute("SELECT COUNT(*) FROM t")
         db.execute("INSERT INTO t VALUES (100, 42)")
-        second = db.execute("SELECT COUNT(*) FROM t", mode="columnar")
+        second = db.execute("SELECT COUNT(*) FROM t")
         assert (first.rows[0][0], second.rows[0][0]) == (100, 101)
 
     def test_update_invalidates_cached_chunks(self, db):
-        db.execute("SELECT v FROM t WHERE v = 42", mode="columnar")
+        db.execute("SELECT v FROM t WHERE v = 42")
         db.execute("UPDATE t SET v = 42 WHERE id = 3")
-        result = db.execute("SELECT id FROM t WHERE v = 42", mode="columnar")
+        result = db.execute("SELECT id FROM t WHERE v = 42")
         assert result.rows == [(3,)]
 
     def test_delete_invalidates_cached_chunks(self, db):
-        db.execute("SELECT COUNT(*) FROM t", mode="columnar")
+        db.execute("SELECT COUNT(*) FROM t")
         db.execute("DELETE FROM t WHERE v < 5")
-        result = db.execute("SELECT COUNT(*) FROM t", mode="columnar")
+        result = db.execute("SELECT COUNT(*) FROM t")
         assert result.rows == [(50,)]
 
     def test_rollback_invalidates_cached_chunks(self, db):
         db.execute("BEGIN")
         db.execute("INSERT INTO t VALUES (100, 42)")
-        inside = db.execute("SELECT COUNT(*) FROM t", mode="columnar")
+        inside = db.execute("SELECT COUNT(*) FROM t")
         db.execute("ROLLBACK")
-        after = db.execute("SELECT COUNT(*) FROM t", mode="columnar")
+        after = db.execute("SELECT COUNT(*) FROM t")
         assert (inside.rows[0][0], after.rows[0][0]) == (101, 100)
 
     def test_unchanged_table_reuses_cached_chunks(self, db):
-        db.execute("SELECT COUNT(*) FROM t", mode="columnar")
+        db.execute("SELECT COUNT(*) FROM t")
         storage = db.catalog.lookup("t").storage
         first = table_batches(storage)
-        db.execute("SELECT SUM(v) FROM t", mode="columnar")
+        db.execute("SELECT SUM(v) FROM t")
         assert table_batches(storage) is first
 
 
@@ -153,56 +131,97 @@ class TestBatchBoundaries:
         return database
 
     def test_multi_batch_scan_sees_every_row(self, big_db):
-        result = big_db.execute("SELECT COUNT(*) FROM big", mode="columnar")
+        result = big_db.execute("SELECT COUNT(*) FROM big")
         assert result.rows == [(2 * BATCH_SIZE + 100,)]
         assert big_db.last_counters["vec_batches"] >= 3
 
-    def test_offset_and_limit_across_batch_boundary(self, big_db):
+    def test_offset_and_limit_across_batch_boundary(self, big_db, row_operators):
         sql = "SELECT id FROM big LIMIT 10 OFFSET ?"
         for offset in (BATCH_SIZE - 5, BATCH_SIZE, 2 * BATCH_SIZE + 95):
-            columnar = big_db.execute(sql, (offset,), mode="columnar")
-            row = big_db.execute(sql, (offset,), mode="row")
+            columnar = big_db.execute(sql, (offset,))
+            assert big_db.last_executor == "columnar"
+            with row_operators():
+                row = big_db.execute(sql, (offset,))
             assert columnar.rows == row.rows
 
     def test_limit_stops_consuming_batches_early(self, big_db):
-        big_db.execute("SELECT id FROM big LIMIT 5", mode="columnar")
+        big_db.execute("SELECT id FROM big LIMIT 5")
         assert big_db.last_counters["vec_batches"] <= 4
 
 
 class TestExplainAnalyze:
-    def plan_text(self, db, sql, mode):
-        result = db.execute(f"EXPLAIN ANALYZE {sql}", mode=mode)
-        return "\n".join(line for (line,) in result.rows)
+    SQL = "SELECT v FROM t WHERE v < 3"
+
+    def plan_text(self, db, sql, prefix="EXPLAIN ANALYZE"):
+        return "\n".join(line for (line,) in db.execute(f"{prefix} {sql}").rows)
 
     def test_columnar_plan_labels_operators_and_executor(self, db):
-        text = self.plan_text(db, "SELECT v FROM t WHERE v < 3", "columnar")
-        assert "VecSeqScan(t)" in text
-        assert "VecFilter" in text
-        assert "batches=" in text and "rows=" in text
+        text = self.plan_text(db, self.SQL)
+        assert "-> SeqScan(t) (loops=1 rows=100) (batches=1)" in text
+        assert "-> Filter (loops=1 rows=30) (batches=1)" in text
         assert "Executor: columnar" in text
         assert "vec_batches:" in text and "vec_rows:" in text
 
-    def test_row_plan_labels_executor(self, db):
-        text = self.plan_text(db, "SELECT v FROM t WHERE v < 3", "row")
+    def test_row_plan_labels_executor(self, db, row_operators):
+        with row_operators():
+            text = self.plan_text(db, self.SQL)
         assert "Executor: row" in text
-        assert "Vec" not in text
+        assert "batches" not in text
 
     def test_fallback_plan_names_the_reason(self, db):
-        text = self.plan_text(db, "SELECT v FROM t WHERE id = 7", "columnar")
-        assert "Executor: row (columnar fallback:" in text
+        text = self.plan_text(db, "SELECT v FROM t WHERE id = 7")
+        assert "Executor: row (columnar fallback: operator IndexLookup" in text
+
+    def test_one_rendering_for_both_operator_sets(self, db, row_operators):
+        """Same operator names as plain EXPLAIN; estimates, loops and rows
+        on every operator line either way; the batch operators add only
+        their batch counts and their own footer."""
+        db.execute("ANALYZE")
+        plain = self.plan_text(db, self.SQL, "EXPLAIN").splitlines()
+        vectorized = self.plan_text(db, self.SQL).splitlines()
+        with row_operators():
+            rows = self.plan_text(db, self.SQL).splitlines()
+        counts = re.compile(r" loops=1 rows=\d+\)( \(batches=\d+\))?$")
+        for plain_line, vec_line, row_line in zip(plain, vectorized, rows):
+            assert "est_rows=" in plain_line
+            assert counts.sub(")", vec_line) == plain_line
+            assert vec_line.startswith(row_line + " (batches=")
+        footer = len(plain)
+        assert vectorized[footer : footer + 2] == [
+            "Execution: 30 row(s) returned",
+            "Executor: columnar",
+        ]
+        assert rows[footer : footer + 2] == [
+            "Execution: 30 row(s) returned",
+            "Executor: row (columnar fallback: row oracle)",
+        ]
+
+    def test_batch_counts_follow_the_tree_through_joins_and_unions(self, db):
+        db.execute("CREATE TABLE dim (k INTEGER)")
+        db.executemany("INSERT INTO dim VALUES (?)", [(k,) for k in range(5)])
+        text = self.plan_text(
+            db,
+            "SELECT t.id FROM t JOIN dim ON t.v = dim.k"
+            " UNION ALL SELECT k FROM dim WHERE k < 2",
+        )
+        assert "-> SeqScan(t) (loops=1 rows=100) (batches=1)" in text
+        assert text.count("-> SeqScan(dim) (loops=1 rows=5) (batches=1)") == 2
+        assert "-> HashJoin(1 key(s)) (loops=1 rows=50) (batches=1)" in text
+        assert "-> UnionAll (loops=1 rows=52) (batches=2)" in text
+        assert "Executor: columnar" in text
 
 
 class TestObservability:
     def test_span_meta_carries_executor(self, db):
         db.recorder = TraceRecorder()
-        db.execute("SELECT v FROM t WHERE v < 3", mode="columnar")
+        db.execute("SELECT v FROM t WHERE v < 3")
         spans = list(db.recorder.iter_spans())
         assert any(span.meta.get("executor") == "columnar" for span in spans)
 
     def test_columnar_metrics_counters(self, db):
         db.recorder = TraceRecorder()
-        db.execute("SELECT v FROM t WHERE v < 3", mode="columnar")
-        db.execute("SELECT v FROM t WHERE id = 7", mode="columnar")
+        db.execute("SELECT v FROM t WHERE v < 3")
+        db.execute("SELECT v FROM t WHERE id = 7")
         counters = db.recorder.metrics.to_dict()["counters"]
         assert counters["db.columnar_executions"] == 1
         assert counters["db.columnar_fallbacks"] == 1

@@ -4,6 +4,8 @@ A downstream user should be able to drive the whole reproduction through
 ``import repro`` — this suite is the contract.
 """
 
+import inspect
+
 import repro
 
 
@@ -33,6 +35,28 @@ class TestExports:
         ):
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestEngineOptions:
+    """The plan picks the executor and the statistics pick the planner:
+    neither is an option, and this is what keeps one from creeping back."""
+
+    def test_database_signature(self):
+        assert tuple(inspect.signature(repro.Database).parameters) == (
+            "plan_cache_size",
+            "recursion_limit",
+            "mvcc",
+            "auto_analyze_threshold",
+        )
+
+    def test_execute_signature(self):
+        parameters = tuple(inspect.signature(repro.Database.execute).parameters)
+        assert parameters == ("self", "sql", "params", "session")
+
+    def test_planner_has_no_cost_switch(self):
+        from repro.sqldb.planner import Planner
+
+        assert "cost_based" not in inspect.signature(Planner).parameters
 
 
 class TestTopLevelWorkflow:
