@@ -89,35 +89,49 @@ class TrafficStats:
 
     def merge(self, other: "TrafficStats") -> None:
         """Accumulate *other* into this stats object."""
-        for spec in fields(self):
-            mine = getattr(self, spec.name)
-            theirs = getattr(other, spec.name)
-            if isinstance(mine, dict):
-                for key, value in theirs.items():
-                    mine[key] = mine.get(key, 0) + value
-            else:
-                setattr(self, spec.name, mine + theirs)
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name in _BREAKDOWNS:
+            mine = getattr(self, name)
+            for key, value in getattr(other, name).items():
+                mine[key] = mine.get(key, 0) + value
 
     def snapshot(self) -> "TrafficStats":
         """Return an independent copy (used for per-action deltas)."""
-        values = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            values[spec.name] = dict(value) if isinstance(value, dict) else value
-        return TrafficStats(**values)
+        copy = _from_values(self.__dict__)
+        for name in _BREAKDOWNS:
+            setattr(copy, name, dict(getattr(self, name)))
+        return copy
 
     def delta_since(self, earlier: "TrafficStats") -> "TrafficStats":
         """Stats accumulated since *earlier* (a snapshot of this object)."""
-        values = {}
-        for spec in fields(self):
-            now = getattr(self, spec.name)
-            then = getattr(earlier, spec.name)
-            if isinstance(now, dict):
-                values[spec.name] = {
-                    key: value - then.get(key, 0)
-                    for key, value in now.items()
-                    if value != then.get(key, 0)
-                }
-            else:
-                values[spec.name] = now - then
-        return TrafficStats(**values)
+        now, then = self.__dict__, earlier.__dict__
+        values = {name: now[name] - then[name] for name in _COUNTERS}
+        for name in _BREAKDOWNS:
+            before = then[name]
+            values[name] = {
+                key: value - before.get(key, 0)
+                for key, value in now[name].items()
+                if value != before.get(key, 0)
+            }
+        return _from_values(values)
+
+
+#: The dataclass's fields, split once at import by how they combine: the
+#: per-opcode breakdowns are dicts combined key by key, everything else is
+#: a number.  ``snapshot`` / ``delta_since`` bracket every user action, so
+#: they neither reflect over ``dataclasses.fields()`` nor go through the
+#: 23-argument ``__init__`` each time.
+_BREAKDOWNS = tuple(
+    spec.name for spec in fields(TrafficStats) if spec.default_factory is dict
+)
+_COUNTERS = tuple(
+    spec.name for spec in fields(TrafficStats) if spec.name not in _BREAKDOWNS
+)
+
+
+def _from_values(values: Dict[str, object]) -> TrafficStats:
+    """A stats object holding *values* (one entry per field)."""
+    stats = TrafficStats.__new__(TrafficStats)
+    stats.__dict__.update(values)
+    return stats

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -56,6 +58,7 @@ from repro.rules.modificator import ExistsPlacement, QueryModificator
 from repro.rules.ruletable import RuleTable
 from repro.server.client import RemoteConnection
 from repro.sqldb.render import render_select
+from repro.sqldb.result import ResultSet
 
 
 class ExpandStrategy(Enum):
@@ -78,6 +81,51 @@ BATCH_KEY_BUCKETS = PLAN_CACHE_KEY_BUCKETS
 #: Upper bound on keys per statement; wider frontiers are split into
 #: several statements (still one round trip — they ride the same batch).
 BATCH_CHUNK_KEYS = BATCH_KEY_BUCKETS[-1]
+
+#: The columns of a homogenised child-fetch row that describe the link,
+#: and the attribute names they get in a link's dict; every other column
+#: describes the child node.
+_LINK_COLUMNS = ("link_obid", "left", "right", "eff_from", "eff_to", "link_opt")
+_LINK_ATTRS = ("type", "obid", "left", "right", "eff_from", "eff_to", "strc_opt")
+
+
+@lru_cache(maxsize=16)
+def _child_row_shape(columns: Tuple[str, ...]):
+    """Where link and node attributes sit in a child row with *columns*:
+    ``(getter of the link values, node keys, node positions)``.
+
+    Keys are lower-cased, and a repeated name keeps its first place and
+    its last value — what ``dict(zip(keys, row))`` gives — so the split
+    equals one made from :meth:`ResultSet.as_dicts`.  A client sees a
+    handful of shapes (one per child-fetch text), so they are remembered.
+    """
+    keys = [name.lower() for name in columns]
+    last = {key: position for position, key in enumerate(keys)}
+    node_keys = tuple(
+        key for key in dict.fromkeys(keys) if key not in _LINK_COLUMNS
+    )
+    return (
+        itemgetter(*(last[key] for key in _LINK_COLUMNS)),
+        node_keys,
+        tuple(last[key] for key in node_keys),
+    )
+
+
+def _child_pairs(result: ResultSet) -> List[Tuple[Attrs, Attrs]]:
+    """The ``(link, node)`` attribute pairs of a homogenised child-fetch
+    result, built straight from the row tuples — the one place that knows
+    how such a row splits, shared by the navigational and the batched
+    expand."""
+    if not result.rows:
+        return []
+    link_of, node_keys, node_at = _child_row_shape(tuple(result.columns))
+    return [
+        (
+            dict(zip(_LINK_ATTRS, ("link",) + link_of(row))),
+            dict(zip(node_keys, map(row.__getitem__, node_at))),
+        )
+        for row in result.rows
+    ]
 
 
 class CheckOutMode(Enum):
@@ -541,34 +589,15 @@ class PDMClient:
         filtered by row rules (server-side when *early*)."""
         sql = self._navigational_sql("child_fetch", early, action)
         result = self.connection.execute(sql, [parent_obid, parent_obid])
-        children: List[Tuple[Attrs, Attrs]] = []
-        for row in result.as_dicts():
-            link_attrs, node_attrs = self._split_child_row(row)
-            if not early:
-                if not self._permitted(link_attrs, action):
-                    continue
-                if not self._permitted(node_attrs, action):
-                    continue
-            children.append((link_attrs, node_attrs))
-        return children
-
-    @staticmethod
-    def _split_child_row(row: Attrs) -> Tuple[Attrs, Attrs]:
-        """Split one homogenised child-fetch row into (link, node) attrs."""
-        link_keys = ("link_obid", "left", "right", "eff_from", "eff_to", "link_opt")
-        link_attrs = {
-            "type": "link",
-            "obid": row["link_obid"],
-            "left": row["left"],
-            "right": row["right"],
-            "eff_from": row["eff_from"],
-            "eff_to": row["eff_to"],
-            "strc_opt": row["link_opt"],
-        }
-        node_attrs = {
-            key: value for key, value in row.items() if key not in link_keys
-        }
-        return link_attrs, node_attrs
+        children = _child_pairs(result)
+        if early:
+            return children
+        return [
+            (link_attrs, node_attrs)
+            for link_attrs, node_attrs in children
+            if self._permitted(link_attrs, action)
+            and self._permitted(node_attrs, action)
+        ]
 
     @staticmethod
     def _padded_chunks(keys: List[Any]) -> List[List[Any]]:
@@ -681,8 +710,7 @@ class PDMClient:
                 for result in batch_results:
                     if isinstance(result, ReproError):
                         raise result
-                    for row in result.as_dicts():
-                        link_attrs, node_attrs = self._split_child_row(row)
+                    for link_attrs, node_attrs in _child_pairs(result):
                         children_by_parent.setdefault(
                             link_attrs["left"], []
                         ).append((link_attrs, node_attrs))

@@ -52,7 +52,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError, WalCorruptError
 from repro.recovery.simdisk import SimDisk
-from repro.sqldb.wire import decode_value, encode_value
+from repro.sqldb.wire import decode_run, decode_value, encode_run, encode_value
 
 MAGIC = 0xA5
 _HEADER = struct.Struct(">BII")
@@ -200,7 +200,7 @@ def _enc_row(row: Row) -> bytes:
     if len(row) > 0xFFFF:
         raise ProtocolError("row arity exceeds the WAL limit")
     parts = [struct.pack(">H", len(row))]
-    parts.extend(encode_value(value) for value in row)
+    encode_run(row, parts)
     return b"".join(parts)
 
 
@@ -208,11 +208,7 @@ def _dec_row(buffer: bytes, offset: int) -> Tuple[Row, int]:
     if offset + 2 > len(buffer):
         raise ProtocolError("truncated WAL row")
     arity = struct.unpack_from(">H", buffer, offset)[0]
-    offset += 2
-    values: List[Any] = []
-    for __ in range(arity):
-        value, offset = decode_value(buffer, offset)
-        values.append(value)
+    values, offset = decode_run(buffer, offset + 2, arity)
     return tuple(values), offset
 
 

@@ -124,13 +124,6 @@ class RemoteConnection:
 
     # -- core round trip ------------------------------------------------------
 
-    @staticmethod
-    def _opcode_label(frame: bytes) -> str:
-        try:
-            return Opcode(frame[0]).name
-        except (IndexError, ValueError):
-            return "UNKNOWN"
-
     def _ensure_open(self) -> None:
         if self.closed:
             raise ProtocolError("connection is closed")
@@ -138,31 +131,34 @@ class RemoteConnection:
     def _round_trip(self, request: bytes) -> bytes:
         self._ensure_open()
         recorder = self.recorder
-        with maybe_span(
-            recorder,
+        if recorder is None:
+            return self._exchange(request)
+        with recorder.span(
             "rpc.round_trip",
             kind="client",
-            opcode=self._opcode_label(request),
+            opcode=protocol.opcode_label(request),
         ):
             start = self.link.clock.now
-            if self.retry_policy is not None:
-                response = self._resilient_round_trip(request)
-            elif self._session_open:
-                response = self._sequenced_attempt(request)
-            else:
-                response = self._attempt(request)
-            if recorder is not None:
-                metrics = recorder.metrics
-                metrics.histogram("client.round_trip_seconds").observe(
-                    self.link.clock.now - start
-                )
-                metrics.histogram(
-                    "client.request_bytes", BYTES_BUCKETS
-                ).observe(len(request))
-                metrics.histogram(
-                    "client.response_bytes", BYTES_BUCKETS
-                ).observe(len(response))
+            response = self._exchange(request)
+            metrics = recorder.metrics
+            metrics.histogram("client.round_trip_seconds").observe(
+                self.link.clock.now - start
+            )
+            metrics.histogram("client.request_bytes", BYTES_BUCKETS).observe(
+                len(request)
+            )
+            metrics.histogram("client.response_bytes", BYTES_BUCKETS).observe(
+                len(response)
+            )
             return response
+
+    def _exchange(self, request: bytes) -> bytes:
+        """Carry *request* the way this connection is configured to."""
+        if self.retry_policy is not None:
+            return self._resilient_round_trip(request)
+        if self._session_open:
+            return self._sequenced_attempt(request)
+        return self._attempt(request)
 
     def _attempt(self, request: bytes) -> bytes:
         """One bare request/response exchange (no failure handling)."""
@@ -174,7 +170,7 @@ class RemoteConnection:
             request_bytes=len(request),
         ) as span:
             delivered = self.link.deliver(
-                request, is_request=True, opcode=self._opcode_label(request)
+                request, is_request=True, opcode=protocol.opcode_label(request)
             )
             response = self.server.handle(delivered)
             cpu_seconds = getattr(self.server, "last_cpu_seconds", 0.0)
@@ -184,7 +180,9 @@ class RemoteConnection:
                 self.link.clock.advance(cpu_seconds, "server_cpu")
                 self.link.stats.server_seconds += cpu_seconds
             response = self.link.deliver(
-                response, is_request=False, opcode=self._opcode_label(response)
+                response,
+                is_request=False,
+                opcode=protocol.opcode_label(response),
             )
             if span is not None:
                 span.meta["response_bytes"] = len(response)

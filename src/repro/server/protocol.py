@@ -69,18 +69,36 @@ BATCH_ENTRY_RESULT = 0
 BATCH_ENTRY_ERROR = 1
 
 
+#: The envelope's first byte, both ways, looked up instead of built: an
+#: ``Opcode(...)`` construction or a ``.name`` read is a Python-level
+#: call, and every round trip makes several.
+_OPCODE_BYTE = {opcode: bytes([opcode]) for opcode in Opcode}
+_OPCODE_OF_BYTE = {int(opcode): opcode for opcode in Opcode}
+_OPCODE_NAME_OF_BYTE = {int(opcode): opcode.name for opcode in Opcode}
+
+#: First byte of a SEQUENCED request, for the server's pre-decode test.
+SEQUENCED_BYTE = _OPCODE_BYTE[Opcode.SEQUENCED]
+
+
 def encode_envelope(opcode: Opcode, body: bytes = b"") -> bytes:
-    return bytes([int(opcode)]) + body
+    return _OPCODE_BYTE[opcode] + body
 
 
 def decode_envelope(frame: bytes) -> Tuple[Opcode, bytes]:
     if not frame:
         raise ProtocolError("empty frame")
-    try:
-        opcode = Opcode(frame[0])
-    except ValueError:
-        raise ProtocolError(f"unknown opcode {frame[0]}") from None
+    opcode = _OPCODE_OF_BYTE.get(frame[0])
+    if opcode is None:
+        raise ProtocolError(f"unknown opcode {frame[0]}")
     return opcode, frame[1:]
+
+
+def opcode_label(frame: bytes) -> str:
+    """Opcode name of *frame* for traffic attribution and span metadata;
+    ``"UNKNOWN"`` for an empty frame or a byte that is no opcode."""
+    if not frame:
+        return "UNKNOWN"
+    return _OPCODE_NAME_OF_BYTE.get(frame[0], "UNKNOWN")
 
 
 def encode_sequenced(client_id: int, seq: int, inner: bytes) -> bytes:
@@ -136,7 +154,7 @@ def encode_procedure_call(name: str, args: Sequence[Any]) -> bytes:
     """Body of a CALL_PROCEDURE request."""
     payload = name.encode("utf-8")
     parts = [struct.pack(">I", len(payload)), payload, struct.pack(">H", len(args))]
-    parts.extend(wire.encode_value(value) for value in args)
+    wire.encode_run(args, parts)
     return b"".join(parts)
 
 
@@ -153,11 +171,7 @@ def decode_procedure_call(body: bytes) -> Tuple[str, List[Any]]:
         raise ProtocolError("invalid UTF-8 in procedure name") from None
     offset += length
     count = struct.unpack_from(">H", body, offset)[0]
-    offset += 2
-    args: List[Any] = []
-    for __ in range(count):
-        value, offset = wire.decode_value(body, offset)
-        args.append(value)
+    args, offset = wire.decode_run(body, offset + 2, count)
     if offset != len(body):
         raise ProtocolError("trailing bytes after procedure-call frame")
     return name, args
@@ -192,11 +206,7 @@ def decode_batch(body: bytes) -> List[Tuple[str, List[Any]]]:
             raise ProtocolError("invalid UTF-8 in batch statement") from None
         offset += length
         param_count = struct.unpack_from(">H", body, offset)[0]
-        offset += 2
-        params: List[Any] = []
-        for __param in range(param_count):
-            value, offset = wire.decode_value(body, offset)
-            params.append(value)
+        params, offset = wire.decode_run(body, offset + 2, param_count)
         statements.append((sql, params))
     if offset != len(body):
         raise ProtocolError("trailing bytes after batch frame")
@@ -279,42 +289,35 @@ def encode_error(error: Exception) -> bytes:
 
 
 def decode_error(body: bytes) -> Tuple[str, str]:
-    if len(body) < 4:
-        raise ProtocolError("truncated error frame")
-    kind_length = struct.unpack_from(">I", body, 0)[0]
-    offset = 4
-    try:
-        kind = body[offset : offset + kind_length].decode("utf-8")
-    except UnicodeDecodeError:
-        raise ProtocolError("invalid UTF-8 in error frame") from None
-    offset += kind_length
-    if offset + 4 > len(body):
-        raise ProtocolError("truncated error frame")
-    message_length = struct.unpack_from(">I", body, offset)[0]
-    offset += 4
-    try:
-        message = body[offset : offset + message_length].decode("utf-8")
-    except UnicodeDecodeError:
-        raise ProtocolError("invalid UTF-8 in error frame") from None
-    return kind, message
+    texts: List[str] = []
+    offset = 0
+    for __ in range(2):  # error class name, then message
+        if offset + 4 > len(body):
+            raise ProtocolError("truncated error frame")
+        start = offset + 4
+        offset = start + struct.unpack_from(">I", body, offset)[0]
+        if offset > len(body):
+            raise ProtocolError("truncated error frame")
+        try:
+            texts.append(body[start:offset].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ProtocolError("invalid UTF-8 in error frame") from None
+    if offset != len(body):
+        raise ProtocolError("trailing bytes after error frame")
+    return texts[0], texts[1]
 
 
 def encode_values(values: Sequence[Any]) -> bytes:
     """Body of a PROCEDURE_RESULT response (a flat value list)."""
     parts = [struct.pack(">H", len(values))]
-    parts.extend(wire.encode_value(value) for value in values)
+    wire.encode_run(values, parts)
     return b"".join(parts)
 
 
 def decode_values(body: bytes) -> List[Any]:
     if len(body) < 2:
         raise ProtocolError("truncated value-list frame")
-    count = struct.unpack_from(">H", body, 0)[0]
-    offset = 2
-    values: List[Any] = []
-    for __ in range(count):
-        value, offset = wire.decode_value(body, offset)
-        values.append(value)
+    values, offset = wire.decode_run(body, 2, struct.unpack_from(">H", body, 0)[0])
     if offset != len(body):
         raise ProtocolError("trailing bytes after value-list frame")
     return values

@@ -258,7 +258,7 @@ class DatabaseServer:
         """
         if self.crashed:
             return self._refuse_unavailable(frame)
-        if frame[:1] == bytes([int(Opcode.SEQUENCED)]):
+        if frame[:1] == protocol.SEQUENCED_BYTE:
             return self._handle_sequenced(frame[1:])
         self.last_cpu_seconds = 0.0
         self._request_rows_scanned = 0
@@ -354,7 +354,7 @@ class DatabaseServer:
                 Opcode.ERROR,
                 protocol.encode_error(FrameCorrupted(str(error))),
             )
-        if inner[:1] == bytes([int(Opcode.SEQUENCED)]):
+        if inner[:1] == protocol.SEQUENCED_BYTE:
             self.statistics["errors"] += 1
             self.last_cpu_seconds = 0.0
             return protocol.encode_envelope(
@@ -467,7 +467,7 @@ class DatabaseServer:
                 )
             ),
         )
-        if frame[:1] == bytes([int(Opcode.SEQUENCED)]):
+        if frame[:1] == protocol.SEQUENCED_BYTE:
             try:
                 client_id, seq, __ = protocol.decode_sequenced(frame[1:])
             except ProtocolError:

@@ -697,8 +697,11 @@ class Database:
     # -- planning / environments -----------------------------------------------
 
     def _plan(self, statement: ast.SelectStatement) -> Plan:
+        from repro.concurrency.footprint import select_footprint  # local: avoid cycle
+
         plan = self._planner().plan_select(statement)
         plan.tables = self._referenced_tables(statement)
+        plan.footprint = select_footprint(plan.tables)
         return plan
 
     def _referenced_tables(self, statement: ast.SelectStatement) -> Tuple[str, ...]:
@@ -737,18 +740,19 @@ class Database:
         return env
 
     def _run_select(self, plan: Plan, params: Sequence[Any]) -> ResultSet:
-        if self._current_snapshot() is not None:
+        env = self._environment(params)
+        if env.snapshot is not None:
             # Snapshot read: visibility replaces shared locks entirely —
             # no lock scope, no waits, no deadlock exposure.
             self.statistics["snapshot_reads"] += 1
             if self.recorder is not None:
                 self.recorder.metrics.counter("db.snapshot_reads").inc()
-            env = self._environment(params)
+            rows = self._run_plan(plan, env)
+        elif self.locks is None:
             rows = self._run_plan(plan, env)
         else:
             with self._lock_scope() as (owner, parkable):
-                self._lock_tables_shared(owner, parkable, plan.tables)
-                env = self._environment(params)
+                self._acquire_footprint(owner, parkable, plan.footprint)
                 rows = self._run_plan(plan, env)
         self.statistics["rows_returned"] += len(rows)
         self.last_counters = dict(env.counters)

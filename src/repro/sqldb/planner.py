@@ -108,6 +108,11 @@ class Plan:
     #: shared locks.  Stored on the plan so the plan-cache fast path can
     #: lock without re-parsing.
     tables: Tuple[str, ...] = ()
+    #: ``select_footprint(tables)`` — the lock requests themselves, built
+    #: with the plan by :mod:`repro.concurrency.footprint` (the source the
+    #: transaction analyzer shares) so that a cached plan re-acquires its
+    #: locks without rebuilding them per execution.
+    footprint: tuple = ()
     #: Lazily computed vectorization of this plan: ``(vec_root, reason)``
     #: where ``vec_root`` is the columnar operator tree (None when the plan
     #: cannot be vectorized, with ``reason`` saying why).  Filled by

@@ -21,9 +21,10 @@ class ResultSet:
         self.columns: List[str] = list(columns)
         self.rows: List[Tuple[Any, ...]] = [tuple(row) for row in rows]
         self.rowcount: int = len(self.rows) if rowcount is None else rowcount
-        self._column_index: Dict[str, int] = {}
-        for position, name in enumerate(self.columns):
-            self._column_index.setdefault(name.lower(), position)
+        #: Lower-cased name -> first position; built by the first
+        #: :meth:`column_index` call, since most results are read by
+        #: position and never ask.
+        self._column_index: Optional[Dict[str, int]] = None
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         return iter(self.rows)
@@ -52,8 +53,13 @@ class ResultSet:
         return [row[index] for row in self.rows]
 
     def column_index(self, name: str) -> int:
+        index = self._column_index
+        if index is None:
+            index = self._column_index = {}
+            for position, column in enumerate(self.columns):
+                index.setdefault(column.lower(), position)
         try:
-            return self._column_index[name.lower()]
+            return index[name.lower()]
         except KeyError:
             raise KeyError(
                 f"result has no column {name!r}; columns: {self.columns}"

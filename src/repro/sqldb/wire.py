@@ -21,16 +21,23 @@ inject corruption to verify that.
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Sequence, Tuple
+from functools import lru_cache
+from itertools import chain
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from repro.errors import ProtocolError
 from repro.sqldb.result import ResultSet
 
+#: The tag table: one byte in front of every value.
 _TAG_NULL = b"N"
 _TAG_INT = b"I"
 _TAG_FLOAT = b"D"
 _TAG_BOOL = b"B"
 _TAG_STR = b"S"
+_NULL, _INT, _FLOAT, _BOOL, _STR = (
+    tag[0] for tag in (_TAG_NULL, _TAG_INT, _TAG_FLOAT, _TAG_BOOL, _TAG_STR)
+)
+_FALSE, _TRUE = _TAG_BOOL + b"\x00", _TAG_BOOL + b"\x01"
 
 #: The wire integer type is a signed 64-bit big-endian word; Python ints
 #: outside this range must fail as a protocol error (an ERROR envelope),
@@ -38,138 +45,230 @@ _TAG_STR = b"S"
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
+_pack_int = struct.Struct(">cq").pack
+_pack_float = struct.Struct(">cd").pack
+_pack_str = struct.Struct(">cI").pack
+_pack_u16 = struct.Struct(">H").pack
+_pack_u32 = struct.Struct(">I").pack
+_unpack_int = struct.Struct(">q").unpack_from
+_unpack_float = struct.Struct(">d").unpack_from
+_unpack_u16 = struct.Struct(">H").unpack_from
+_unpack_u32 = struct.Struct(">I").unpack_from
+
+#: Types the encoder dispatches on by identity; anything else is a
+#: subclass (``IntEnum``, a ``str`` mix-in) or not a wire value at all.
+_WIRE_TYPES = frozenset((type(None), bool, int, float, str))
+
+
+def _base_type(value: Any) -> type:
+    """Wire type of a value whose exact type is none of the five: the
+    first match in the codec's historical ``isinstance`` order."""
+    for base in (bool, int, float, str):
+        if isinstance(value, base):
+            return base
+    raise ProtocolError(f"cannot encode value of type {type(value).__name__}")
+
+
+def encode_run(values: Iterable[Any], parts: List[bytes]) -> None:
+    """Append the encoding of every value of *values* to *parts*.
+
+    The one encoder of the tag table: a row, a parameter list, a
+    procedure's argument list and a WAL row are all runs of values, and
+    each is encoded by one pass of this loop — no call per value.
+    """
+    append = parts.append
+    for value in values:
+        kind = type(value)
+        if kind not in _WIRE_TYPES:
+            kind = _base_type(value)
+        if kind is str:
+            payload = value.encode("utf-8")
+            append(_pack_str(_TAG_STR, len(payload)))
+            append(payload)
+        elif kind is int:
+            if not INT64_MIN <= value <= INT64_MAX:
+                raise ProtocolError(
+                    f"integer {value} is outside the int64 wire range"
+                )
+            append(_pack_int(_TAG_INT, value))
+        elif value is None:
+            append(_TAG_NULL)
+        elif kind is float:
+            append(_pack_float(_TAG_FLOAT, value))
+        else:
+            append(_TRUE if value else _FALSE)
+
+
+def decode_run(buffer: bytes, offset: int, count: int) -> Tuple[List[Any], int]:
+    """Decode *count* values starting at *offset*; return (values, next
+    offset).  The one decoder of the tag table (see :func:`encode_run`)."""
+    end = len(buffer)
+    values: List[Any] = []
+    append = values.append
+    for __ in range(count):
+        if offset >= end:
+            raise ProtocolError("truncated value frame")
+        tag = buffer[offset]
+        offset += 1
+        if tag == _STR:
+            if offset + 4 > end:
+                raise ProtocolError("truncated value frame")
+            start = offset + 4
+            offset = start + _unpack_u32(buffer, offset)[0]
+            if offset > end:
+                raise ProtocolError("truncated value frame")
+            try:
+                append(buffer[start:offset].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(f"invalid UTF-8 in frame: {exc}") from None
+        elif tag == _INT:
+            if offset + 8 > end:
+                raise ProtocolError("truncated value frame")
+            append(_unpack_int(buffer, offset)[0])
+            offset += 8
+        elif tag == _NULL:
+            append(None)
+        elif tag == _FLOAT:
+            if offset + 8 > end:
+                raise ProtocolError("truncated value frame")
+            append(_unpack_float(buffer, offset)[0])
+            offset += 8
+        elif tag == _BOOL:
+            if offset >= end:
+                raise ProtocolError("truncated value frame")
+            append(buffer[offset] != 0)
+            offset += 1
+        else:
+            raise ProtocolError(
+                f"unknown value tag {buffer[offset - 1 : offset]!r}"
+            )
+    return values, offset
+
 
 def encode_value(value: Any) -> bytes:
     """Encode one SQL value."""
-    if value is None:
-        return _TAG_NULL
-    if isinstance(value, bool):
-        return _TAG_BOOL + (b"\x01" if value else b"\x00")
-    if isinstance(value, int):
-        if not INT64_MIN <= value <= INT64_MAX:
-            raise ProtocolError(
-                f"integer {value} is outside the int64 wire range"
-            )
-        return _TAG_INT + struct.pack(">q", value)
-    if isinstance(value, float):
-        return _TAG_FLOAT + struct.pack(">d", value)
-    if isinstance(value, str):
-        payload = value.encode("utf-8")
-        return _TAG_STR + struct.pack(">I", len(payload)) + payload
-    raise ProtocolError(f"cannot encode value of type {type(value).__name__}")
+    parts: List[bytes] = []
+    encode_run((value,), parts)
+    return b"".join(parts)
 
 
 def decode_value(buffer: bytes, offset: int) -> Tuple[Any, int]:
     """Decode one value at *offset*; return (value, next offset)."""
-    if offset >= len(buffer):
-        raise ProtocolError("truncated value frame")
-    tag = buffer[offset : offset + 1]
-    offset += 1
-    if tag == _TAG_NULL:
-        return None, offset
-    if tag == _TAG_BOOL:
-        _check(buffer, offset, 1)
-        return buffer[offset] != 0, offset + 1
-    if tag == _TAG_INT:
-        _check(buffer, offset, 8)
-        return struct.unpack_from(">q", buffer, offset)[0], offset + 8
-    if tag == _TAG_FLOAT:
-        _check(buffer, offset, 8)
-        return struct.unpack_from(">d", buffer, offset)[0], offset + 8
-    if tag == _TAG_STR:
-        _check(buffer, offset, 4)
-        length = struct.unpack_from(">I", buffer, offset)[0]
-        offset += 4
-        _check(buffer, offset, length)
-        text = _decode_utf8(buffer[offset : offset + length])
-        return text, offset + length
-    raise ProtocolError(f"unknown value tag {tag!r}")
-
-
-def _check(buffer: bytes, offset: int, needed: int) -> None:
-    if offset + needed > len(buffer):
-        raise ProtocolError("truncated value frame")
-
-
-def _decode_utf8(payload: bytes) -> str:
-    try:
-        return payload.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"invalid UTF-8 in frame: {exc}") from None
+    values, offset = decode_run(buffer, offset, 1)
+    return values[0], offset
 
 
 def _encode_str(text: str) -> bytes:
     payload = text.encode("utf-8")
-    return struct.pack(">I", len(payload)) + payload
+    return _pack_u32(len(payload)) + payload
 
 
-def _decode_str(buffer: bytes, offset: int) -> Tuple[str, int]:
-    _check(buffer, offset, 4)
-    length = struct.unpack_from(">I", buffer, offset)[0]
-    offset += 4
-    _check(buffer, offset, length)
-    return _decode_utf8(buffer[offset : offset + length]), offset + length
+def _decode_strs(buffer: bytes, offset: int, count: int) -> Tuple[List[str], int]:
+    """Decode *count* untagged length-prefixed strings (SQL text, column
+    names) starting at *offset*."""
+    end = len(buffer)
+    texts: List[str] = []
+    for __ in range(count):
+        if offset + 4 > end:
+            raise ProtocolError("truncated value frame")
+        start = offset + 4
+        offset = start + _unpack_u32(buffer, offset)[0]
+        if offset > end:
+            raise ProtocolError("truncated value frame")
+        try:
+            texts.append(buffer[start:offset].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"invalid UTF-8 in frame: {exc}") from None
+    return texts, offset
 
 
 def encode_query(sql: str, params: Sequence[Any] = ()) -> bytes:
     """Encode an execute-query request body."""
     if len(params) > 0xFFFF:
         raise ProtocolError("too many parameters")
-    parts = [_encode_str(sql), struct.pack(">H", len(params))]
-    parts.extend(encode_value(value) for value in params)
+    parts = [_encode_str(sql), _pack_u16(len(params))]
+    encode_run(params, parts)
     return b"".join(parts)
 
 
 def decode_query(buffer: bytes) -> Tuple[str, List[Any]]:
     """Decode an execute-query request body."""
-    sql, offset = _decode_str(buffer, 0)
-    _check(buffer, offset, 2)
-    count = struct.unpack_from(">H", buffer, offset)[0]
-    offset += 2
-    params: List[Any] = []
-    for __ in range(count):
-        value, offset = decode_value(buffer, offset)
-        params.append(value)
+    (sql,), offset = _decode_strs(buffer, 0, 1)
+    if offset + 2 > len(buffer):
+        raise ProtocolError("truncated value frame")
+    params, offset = decode_run(buffer, offset + 2, _unpack_u16(buffer, offset)[0])
     if offset != len(buffer):
         raise ProtocolError("trailing bytes after query frame")
     return sql, params
 
 
+@lru_cache(maxsize=256)
+def _encode_header(columns: Tuple[str, ...]) -> bytes:
+    """Column count + names of a result frame.  A cached plan answers
+    with the same column tuple every time, so the header is encoded once
+    per shape, not once per result; the memo holds names only."""
+    if len(columns) > 0xFFFF:
+        raise ProtocolError("too many columns")
+    return _pack_u16(len(columns)) + b"".join(map(_encode_str, columns))
+
+
+@lru_cache(maxsize=256)
+def _header_columns(header: bytes) -> Tuple[str, ...]:
+    """Inverse of :func:`_encode_header`, remembered the same way: the
+    client of a cached plan meets the same header bytes every time."""
+    return tuple(_decode_strs(header, 2, _unpack_u16(header, 0)[0])[0])
+
+
+def _decode_header(buffer: bytes) -> Tuple[Sequence[str], int]:
+    """Column names of a result frame and the offset just past them."""
+    end = len(buffer)
+    if end < 2:
+        raise ProtocolError("truncated value frame")
+    width = _unpack_u16(buffer, 0)[0]
+    offset = 2
+    for __ in range(width):
+        if offset + 4 > end:
+            break
+        offset += 4 + _unpack_u32(buffer, offset)[0]
+    else:
+        if offset <= end:
+            return _header_columns(buffer[:offset]), offset
+    # The names do not fit the frame: decode them one by one, so that the
+    # first fault in frame order is the one reported.
+    return _decode_strs(buffer, 2, width)
+
+
 def encode_result(result: ResultSet) -> bytes:
     """Encode a result set (columns + rows + rowcount)."""
-    if len(result.columns) > 0xFFFF:
-        raise ProtocolError("too many columns")
-    parts = [struct.pack(">H", len(result.columns))]
-    parts.extend(_encode_str(name) for name in result.columns)
-    parts.append(struct.pack(">I", len(result.rows)))
-    for row in result.rows:
-        parts.extend(encode_value(value) for value in row)
-    parts.append(struct.pack(">I", result.rowcount))
+    rows = result.rows
+    parts = [_encode_header(tuple(result.columns)), _pack_u32(len(rows))]
+    encode_run(chain.from_iterable(rows), parts)
+    parts.append(_pack_u32(result.rowcount))
     return b"".join(parts)
 
 
 def decode_result(buffer: bytes) -> ResultSet:
     """Decode a result set frame."""
-    _check(buffer, 0, 2)
-    column_count = struct.unpack_from(">H", buffer, 0)[0]
-    offset = 2
-    columns: List[str] = []
-    for __ in range(column_count):
-        name, offset = _decode_str(buffer, offset)
-        columns.append(name)
-    _check(buffer, offset, 4)
-    row_count = struct.unpack_from(">I", buffer, offset)[0]
+    end = len(buffer)
+    columns, offset = _decode_header(buffer)
+    width = len(columns)
+    if offset + 4 > end:
+        raise ProtocolError("truncated value frame")
+    row_count = _unpack_u32(buffer, offset)[0]
     offset += 4
-    rows: List[Tuple[Any, ...]] = []
-    for __ in range(row_count):
-        values = []
-        for __col in range(column_count):
-            value, offset = decode_value(buffer, offset)
-            values.append(value)
-        rows.append(tuple(values))
-    _check(buffer, offset, 4)
-    rowcount = struct.unpack_from(">I", buffer, offset)[0]
-    offset += 4
-    if offset != len(buffer):
+    # Every value is at least its tag byte and a zero-column result
+    # carries no rows: a declared count the frame cannot hold is damage,
+    # rejected before anything is allocated for it.
+    if row_count * max(width, 1) > end - offset:
+        raise ProtocolError("truncated value frame")
+    flat, offset = decode_run(buffer, offset, row_count * width)
+    if width:
+        rows = [tuple(flat[at : at + width]) for at in range(0, len(flat), width)]
+    else:
+        rows = [()] * row_count
+    if offset + 4 > end:
+        raise ProtocolError("truncated value frame")
+    rowcount = _unpack_u32(buffer, offset)[0]
+    if offset + 4 != end:
         raise ProtocolError("trailing bytes after result frame")
     return ResultSet(columns, rows, rowcount=rowcount)

@@ -1,11 +1,14 @@
 """Network link: timing arithmetic, packetisation, accounting modes."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import LinkConfigurationError, NetworkError
 from repro.network.clock import SimulatedClock
 from repro.network.link import BITS_PER_KBIT, NetworkLink, PacketAccounting
 from repro.network.profiles import LAN, PAPER_PROFILES, WAN_256, WAN_512, WAN_1024
+from repro.network.stats import TrafficStats
 
 
 class TestClock:
@@ -146,6 +149,59 @@ class TestStats:
         link.round_trip(1, 1)
         link.round_trip(1, 1)
         assert link.stats.round_trips == 2
+
+
+class TestStatsCoverEveryField:
+    """``snapshot`` / ``delta_since`` / ``merge`` run over field lists
+    computed once at import instead of reflecting per call; these tests
+    fail when a dataclass field exists that one of them does not carry
+    (or cannot combine), which is what the reflection used to guarantee."""
+
+    @staticmethod
+    def filled(scale=1):
+        """Stats with a distinct non-zero value in every field."""
+        stats = TrafficStats()
+        for number, spec in enumerate(dataclasses.fields(TrafficStats), start=1):
+            current = getattr(stats, spec.name)
+            if isinstance(current, dict):
+                value = {"QUERY": number * scale, f"OP{number}": scale}
+            else:
+                value = type(current)(number * scale)
+            setattr(stats, spec.name, value)
+        return stats
+
+    def test_snapshot_copies_every_field_independently(self):
+        stats = self.filled()
+        snapshot = stats.snapshot()
+        assert snapshot == stats
+        assert dataclasses.asdict(snapshot).keys() == {
+            spec.name for spec in dataclasses.fields(TrafficStats)
+        }
+        stats.record_opcode("QUERY", 10)
+        stats.messages += 1
+        assert snapshot == self.filled()
+
+    def test_delta_since_subtracts_every_field(self):
+        assert self.filled().delta_since(TrafficStats()) == self.filled()
+        assert self.filled(3).delta_since(self.filled()) == self.filled(2)
+        # Unchanged opcode entries drop out of the breakdowns.
+        assert self.filled().delta_since(self.filled()) == TrafficStats()
+
+    def test_merge_adds_every_field(self):
+        stats = self.filled()
+        stats.merge(self.filled(2))
+        assert stats == self.filled(3)
+        empty = TrafficStats()
+        empty.merge(self.filled())
+        assert empty == self.filled()
+
+    def test_results_are_ordinary_stats_objects(self):
+        delta = self.filled(2).delta_since(self.filled())
+        assert isinstance(delta, TrafficStats)
+        assert delta.round_trips == delta.messages / 2
+        assert "messages=1" in repr(delta)
+        delta.record_opcode("PING", 1)
+        assert delta.opcode_messages["PING"] == 1
 
 
 class TestProfiles:

@@ -6,10 +6,13 @@ from repro.bench.workload import build_scenario
 from repro.errors import UnknownObjectError
 from repro.model.parameters import TreeParameters
 from repro.network.profiles import WAN_512
-from repro.pdm.operations import ExpandStrategy
+from repro.pdm import queries
+from repro.pdm.operations import ExpandStrategy, _child_pairs
 from repro.pdm.structure import trees_equal
 from repro.rules.conditions import Attribute, Comparison, Const
 from repro.rules.model import Actions, Rule
+from repro.sqldb.render import render_select
+from repro.sqldb.result import ResultSet
 
 
 class TestQueryAction:
@@ -79,6 +82,88 @@ class TestSingleLevelExpand:
         )
         assert result.objects == []
         assert result.round_trips == 1
+
+
+def split_through_dicts(result):
+    """The split as it was made before ``_child_pairs``: every row through
+    ``as_dicts()``, then taken apart by key."""
+    link_keys = ("link_obid", "left", "right", "eff_from", "eff_to", "link_opt")
+    pairs = []
+    for row in result.as_dicts():
+        link = {
+            "type": "link",
+            "obid": row["link_obid"],
+            "left": row["left"],
+            "right": row["right"],
+            "eff_from": row["eff_from"],
+            "eff_to": row["eff_to"],
+            "strc_opt": row["link_opt"],
+        }
+        node = {key: value for key, value in row.items() if key not in link_keys}
+        pairs.append((link, node))
+    return pairs
+
+
+def same_pairs_in_the_same_key_order(left, right):
+    assert left == right
+    for (left_link, left_node), (right_link, right_node) in zip(left, right):
+        assert list(left_link) == list(right_link)
+        assert list(left_node) == list(right_node)
+
+
+class TestChildRowSplit:
+    """One helper owns how a homogenised child row splits into link and
+    node attributes; it builds both dicts straight from the row tuple."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            render_select(queries.child_fetch_spec().to_statement()),
+            render_select(queries.batched_children_spec("assy", 4).to_statement()),
+            render_select(queries.batched_children_spec("comp", 4).to_statement()),
+        ],
+        ids=["child-fetch", "batched-assy", "batched-comp"],
+    )
+    def test_equals_the_split_through_dicts_on_real_results(
+        self, small_scenario, sql
+    ):
+        count = sql.count("?")
+        for assembly in small_scenario.product.assemblies:
+            result = small_scenario.connection.execute(sql, [assembly.obid] * count)
+            if result.rows:
+                break
+        assert result.rows
+        same_pairs_in_the_same_key_order(
+            _child_pairs(result), split_through_dicts(result)
+        )
+
+    def test_column_order_case_and_repeats_are_handled_like_as_dicts(self):
+        result = ResultSet(
+            ["Name", "LEFT", "link_opt", "obid", "eff_to", "right", "name",
+             "eff_from", "Link_Obid", "type"],
+            [("a", 1, "o", 2, None, 3, "b", None, 9, "assy"),
+             ("c", 4, "", 5, 7.5, 6, "d", 0.5, 8, "comp")],
+        )
+        pairs = _child_pairs(result)
+        same_pairs_in_the_same_key_order(pairs, split_through_dicts(result))
+        assert pairs[0][1] == {"name": "b", "obid": 2, "type": "assy"}
+
+    def test_no_rows_no_pairs_whatever_the_columns(self):
+        assert _child_pairs(ResultSet(["unrelated"], [])) == []
+
+    def test_a_result_without_the_link_columns_is_refused(self):
+        with pytest.raises(KeyError):
+            _child_pairs(ResultSet(["obid", "type"], [(1, "assy")]))
+
+    def test_pairs_are_fresh_dicts(self):
+        result = ResultSet(
+            ["link_obid", "left", "right", "eff_from", "eff_to", "link_opt", "obid"],
+            [(1, 2, 3, None, None, "", 3)],
+        )
+        first, second = _child_pairs(result), _child_pairs(result)
+        first[0][0]["left"] = "changed"
+        first[0][1]["obid"] = "changed"
+        assert second == _child_pairs(result)
 
 
 class TestMultiLevelExpand:

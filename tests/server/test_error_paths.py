@@ -101,3 +101,35 @@ class TestUnexpectedExceptions:
         kind, message = protocol.decode_error(body)
         assert kind == "ProtocolError"
         assert "KeyError" in message
+
+
+class TestDamagedErrorFrames:
+    """An ERROR frame is checked like every other frame: damage in
+    transit surfaces as ``ProtocolError``, never as a well-typed server
+    error carrying half a message."""
+
+    @pytest.fixture
+    def damaging_stack(self, stack):
+        server, connection = stack
+        handle = server.handle
+        damage = {"apply": lambda response: response}
+        server.handle = lambda frame: damage["apply"](handle(frame))
+        return connection, damage
+
+    def test_intact_error_frame_re_raises_the_server_error(self, damaging_stack):
+        connection, __ = damaging_stack
+        with pytest.raises(ReproError, match="no_such_column") as excinfo:
+            connection.execute("SELECT no_such_column FROM t")
+        assert not isinstance(excinfo.value, ProtocolError)
+
+    def test_truncated_error_frame_is_a_protocol_error(self, damaging_stack):
+        connection, damage = damaging_stack
+        damage["apply"] = lambda response: response[:-10]
+        with pytest.raises(ProtocolError, match="truncated error frame"):
+            connection.execute("SELECT no_such_column FROM t")
+
+    def test_padded_error_frame_is_a_protocol_error(self, damaging_stack):
+        connection, damage = damaging_stack
+        damage["apply"] = lambda response: response + b"\x00"
+        with pytest.raises(ProtocolError, match="trailing bytes"):
+            connection.execute("SELECT no_such_column FROM t")

@@ -49,6 +49,27 @@ class TestAccessors:
         duplicated = ResultSet(["x", "x"], [(1, 2)])
         assert duplicated.column("x") == [1]
 
+    def test_mixed_case_duplicates_resolve_to_the_first_position(self):
+        """The name index is built on first use; it answers as the eager
+        one did: case-insensitively, first occurrence wins."""
+        mixed = ResultSet(["X", "y", "x", "Y"], [(1, 2, 3, 4), (5, 6, 7, 8)])
+        assert mixed.column_index("x") == mixed.column_index("X") == 0
+        assert mixed.column_index("Y") == 1
+        assert mixed.column("x") == [1, 5]
+        assert mixed.column("y") == [2, 6]
+        # as_dicts keys each name once, in first-seen order, last value.
+        assert mixed.as_dicts()[0] == {"x": 3, "y": 4}
+
+    def test_first_lookup_may_be_a_miss(self):
+        fresh = ResultSet(["Obid"], [(1,)])
+        with pytest.raises(KeyError, match="Obid"):
+            fresh.column_index("missing")
+        assert fresh.column_index("OBID") == 0
+
+    def test_zero_column_result_has_no_names(self):
+        with pytest.raises(KeyError):
+            ResultSet([], [], rowcount=3).column("anything")
+
     def test_rowcount_defaults_to_len(self, result):
         assert result.rowcount == 2
 

@@ -7,11 +7,14 @@ server loop.
 """
 
 import math
+import struct
+import time
 
 import pytest
 
 from repro.errors import ProtocolError
 from repro.network.profiles import LAN
+from repro.server import protocol
 from repro.server.client import RemoteConnection
 from repro.server.server import DatabaseServer
 from repro.sqldb import Database, wire
@@ -92,6 +95,57 @@ class TestResultShapes:
         rows = [(INT64_MIN, None, True, 1.5, "日本語"), (0, "", False, -0.0, "x")]
         result = roundtrip_result(ResultSet(list("abcde"), rows))
         assert result.rows == rows
+
+
+class TestHostileRowCounts:
+    """A declared row count the frame cannot hold is damage, rejected
+    before the decoder loops over it: every value is at least one byte,
+    and a zero-column result carries no rows.  (On a policy-less
+    connection there is no CRC in front of a mangled RESULT.)"""
+
+    @pytest.mark.parametrize("declared", [5, 3_000_000, 0xFFFFFFFF])
+    def test_zero_column_frame_with_an_oversize_row_count(self, declared):
+        frame = struct.pack(">HII", 0, declared, 0)
+        started = time.perf_counter()
+        with pytest.raises(ProtocolError, match="truncated"):
+            wire.decode_result(frame)
+        # Four billion empty tuples took ~18 minutes; the check is O(1).
+        assert time.perf_counter() - started < 0.05
+
+    @staticmethod
+    def one_column_frame(declared):
+        """Two NULL rows (six bytes with the trailing rowcount) behind a
+        header that declares *declared* rows."""
+        intact = wire.encode_result(ResultSet(["v"], [(None,), (None,)]))
+        header = 2 + 4 + 1  # column count, name length, "v"
+        return intact[:header] + struct.pack(">I", declared) + intact[header + 4 :]
+
+    @pytest.mark.parametrize("declared", [7, 3_000_000, 0xFFFFFFFF])
+    def test_one_column_frame_with_an_oversize_row_count(self, declared):
+        frame = self.one_column_frame(declared)
+        started = time.perf_counter()
+        with pytest.raises(ProtocolError, match="truncated"):
+            wire.decode_result(frame)
+        assert time.perf_counter() - started < 0.05
+
+    @pytest.mark.parametrize("declared", [0, 1, 3, 6])
+    def test_a_wrong_count_the_frame_could_hold_fails_in_the_rows(self, declared):
+        with pytest.raises(ProtocolError):
+            wire.decode_result(self.one_column_frame(declared))
+
+    def test_value_list_count_beyond_the_frame_is_truncation(self):
+        with pytest.raises(ProtocolError, match="truncated"):
+            protocol.decode_values(struct.pack(">H", 0xFFFF) + b"N" * 10)
+
+    def test_the_largest_count_the_frame_can_hold_still_decodes(self):
+        rows = [(None,)] * 7
+        decoded = roundtrip_result(ResultSet(["v"], rows))
+        assert decoded.rows == rows
+
+    def test_dml_result_without_columns_or_rows_still_round_trips(self):
+        decoded = roundtrip_result(ResultSet([], [], rowcount=0xFFFFFFFF))
+        assert (decoded.columns, decoded.rows) == ([], [])
+        assert decoded.rowcount == 0xFFFFFFFF
 
 
 class TestLiveServerBoundaries:

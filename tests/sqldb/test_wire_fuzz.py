@@ -5,7 +5,9 @@ must never raise anything else (no IndexError/struct.error/etc. escaping
 into the server loop) and must never hang.
 """
 
-from hypothesis import given, settings
+import struct
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
@@ -29,6 +31,10 @@ class TestDecoderFuzz:
         must_fail_cleanly(wire.decode_query, payload)
 
     @given(arbitrary_bytes)
+    # Zero columns, four billion rows: ten bytes that used to decode into
+    # as many empty tuples (minutes, gigabytes) instead of failing.
+    @example(struct.pack(">HII", 0, 0xFFFFFFFF, 0))
+    @example(struct.pack(">HI", 1, 1) + b"v" + struct.pack(">I", 0xFFFFFFFF) + b"N")
     @settings(max_examples=200, deadline=None)
     def test_decode_result(self, payload):
         must_fail_cleanly(wire.decode_result, payload)
@@ -62,6 +68,29 @@ class TestDecoderFuzz:
     @settings(max_examples=100, deadline=None)
     def test_decode_session_op(self, payload):
         must_fail_cleanly(protocol.decode_session_op, payload)
+
+    @given(arbitrary_bytes)
+    @settings(max_examples=200, deadline=None)
+    def test_decode_error(self, payload):
+        must_fail_cleanly(protocol.decode_error, payload)
+
+    @given(st.text(max_size=40), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_damaged_error_frame_never_decodes_to_a_clipped_message(
+        self, message, data
+    ):
+        """ERROR frames get the integrity their sibling decoders have: a
+        cut or padded frame is rejected, not re-raised half a message
+        short."""
+        frame = protocol.encode_error(ProtocolError(message))
+        assert protocol.decode_error(frame) == ("ProtocolError", message)
+        cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+        for damaged in (frame[:cut], frame + b"\x00", frame + frame):
+            try:
+                protocol.decode_error(damaged)
+            except ProtocolError:
+                continue
+            raise AssertionError(f"damaged error frame decoded: {damaged!r}")
 
     @given(
         st.lists(
