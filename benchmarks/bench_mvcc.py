@@ -1,22 +1,25 @@
-"""MVCC benchmark: READ ONLY auditors racing ECO write bursts.
+"""MVCC benchmark: auditors racing ECO write bursts, locking vs snapshot.
 
 Runs the contention simulator's ``audit_eco`` scenario twice with the
-same seed — once on a plain strict-2PL build and once with the MVCC
-snapshot-read subsystem enabled — and compares lock waits, aborts and
-the multi-level-expand latency distribution between the two builds:
+same seed on the same engine — once with auditors that open their
+transaction with a plain ``BEGIN`` (S locks held to commit: the strict
+2PL reader) and once with ``BEGIN TRANSACTION READ ONLY`` (snapshot
+reads) — and compares lock waits, aborts and the multi-level-expand
+latency distribution between the two:
 
     python benchmarks/bench_mvcc.py --json BENCH_mvcc.json
 
 ``--smoke`` runs one fixed-seed pair and fails unless
 
-* both builds are deterministic (byte-identical same-seed reports),
-* the 2PL build actually contends (RO lock waits > 0, else the cell
-  proves nothing),
-* the MVCC build shows ZERO lock waits and ZERO aborts for read-only
-  transactions,
-* the MVCC build's p99 multi-level-expand latency is strictly lower,
-* neither build loses an update (the zero-lost-update audit), and
-* MVCC garbage collection drains every version chain by the end.
+* both sides are deterministic (byte-identical same-seed reports),
+* the locking side actually contends (auditor lock waits > 0, else the
+  cell proves nothing) and reads no snapshot,
+* the snapshot side shows ZERO lock waits and ZERO aborts for its
+  auditors,
+* the snapshot side's p99 multi-level-expand latency is strictly lower,
+* neither side loses an update (the zero-lost-update audit), and
+* on both sides every version chain is drained by the end and every
+  version created was collected.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro.concurrency import (  # noqa: E402
 SEED = 42
 
 #: One smoke cell: enough clients for auditor/writer overlap, long
-#: enough transactions for the 2PL build to park and deadlock.
+#: enough transactions for the locking auditors to park and deadlock.
 SMOKE_KWARGS = dict(
     clients=6,
     ops_per_client=6,
@@ -50,22 +53,27 @@ SMOKE_KWARGS = dict(
 )
 
 
-def run_pair(seed: int, clients: int, ops: int) -> dict:
-    """Run the same audit_eco cell under 2PL-only and MVCC."""
-    kwargs = dict(
-        clients=clients,
-        ops_per_client=ops,
-        conflict_rate=0.5,
-        seed=seed,
-        scenario="audit_eco",
-    )
-    locking = ContentionSim(ContentionConfig(mvcc=False, **kwargs)).run()
-    mvcc = ContentionSim(ContentionConfig(mvcc=True, **kwargs)).run()
+def run_cell(read_only_audits: bool, **kwargs) -> dict:
+    """One audit_eco run; the two sides differ only in what the auditors
+    send to open their transaction."""
+    config = ContentionConfig(read_only_audits=read_only_audits, **kwargs)
+    return ContentionSim(config).run()
+
+
+def run_pair(**kwargs) -> dict:
+    """Run the same audit_eco cell with locking and with snapshot auditors."""
+    locking = run_cell(False, **kwargs)
+    mvcc = run_cell(True, **kwargs)
     return {"2pl": locking, "mvcc": mvcc, "deltas": compare(locking, mvcc)}
 
 
+def sides(pair: dict) -> tuple:
+    """The two reports of a pair with the names the messages use."""
+    return (("locking", pair["2pl"]), ("snapshot", pair["mvcc"]))
+
+
 def compare(locking: dict, mvcc: dict) -> dict:
-    """Headline deltas between the two builds of one cell."""
+    """Headline deltas between the two sides of one cell."""
     lt, mt = locking["totals"], mvcc["totals"]
     lx, mx = locking["expand_latency_s"], mvcc["expand_latency_s"]
     return {
@@ -79,21 +87,26 @@ def compare(locking: dict, mvcc: dict) -> dict:
 
 
 def check_pair(pair: dict) -> List[str]:
-    """The acceptance gates for one 2PL/MVCC cell pair."""
+    """The acceptance gates for one locking/snapshot cell pair."""
     locking, mvcc = pair["2pl"], pair["mvcc"]
     failures = []
     if locking["totals"]["ro_lock_waits"] == 0:
         failures.append(
-            "2PL build saw no read-only lock waits — cell proves nothing"
+            "locking auditors saw no lock waits — cell proves nothing"
+        )
+    if locking["mvcc"]["snapshot_reads"] != 0:
+        failures.append(
+            f"locking auditors made {locking['mvcc']['snapshot_reads']} "
+            f"snapshot reads (expected 0)"
         )
     if mvcc["totals"]["ro_lock_waits"] != 0:
         failures.append(
-            f"MVCC build saw {mvcc['totals']['ro_lock_waits']} read-only "
+            f"snapshot auditors saw {mvcc['totals']['ro_lock_waits']} "
             f"lock waits (expected 0)"
         )
     if mvcc["totals"]["ro_aborts"] != 0:
         failures.append(
-            f"MVCC build saw {mvcc['totals']['ro_aborts']} read-only "
+            f"snapshot auditors saw {mvcc['totals']['ro_aborts']} "
             f"aborts (expected 0)"
         )
     p99_2pl = locking["expand_latency_s"]["p99"]
@@ -102,18 +115,25 @@ def check_pair(pair: dict) -> List[str]:
         failures.append("missing expand latency percentiles")
     elif not p99_mvcc < p99_2pl:
         failures.append(
-            f"MVCC expand p99 {p99_mvcc:.3f}s not below 2PL {p99_2pl:.3f}s"
+            f"snapshot expand p99 {p99_mvcc:.3f}s not below locking "
+            f"{p99_2pl:.3f}s"
         )
-    for name, report in (("2PL", locking), ("MVCC", mvcc)):
+    for name, report in sides(pair):
         if report["lost_updates"] != 0:
-            failures.append(f"{name} build lost {report['lost_updates']} updates")
-    if mvcc["mvcc"]["chains"] != 0:
-        failures.append(
-            f"{mvcc['mvcc']['chains']} version chains survived GC "
-            f"(expected 0 with no open snapshots)"
-        )
+            failures.append(f"{name} side lost {report['lost_updates']} updates")
+        versions = report["mvcc"]
+        if versions["chains"] != 0:
+            failures.append(
+                f"{name} side: {versions['chains']} version chains survived "
+                f"GC (expected 0 with no open snapshots)"
+            )
+        if versions["versions_created"] != versions["versions_gc"]:
+            failures.append(
+                f"{name} side created {versions['versions_created']} "
+                f"versions but collected {versions['versions_gc']}"
+            )
     if mvcc["mvcc"]["snapshot_reads"] == 0:
-        failures.append("MVCC build recorded no snapshot reads")
+        failures.append("snapshot auditors recorded no snapshot reads")
     return failures
 
 
@@ -122,7 +142,7 @@ def print_pair(pair: dict) -> None:
         f"{'':>12s} {'ro_waits':>8s} {'ro_aborts':>9s} "
         f"{'exp p50':>8s} {'exp p95':>8s} {'exp p99':>8s} {'lost':>5s}"
     )
-    for name, report in (("2PL-only", pair["2pl"]), ("MVCC", pair["mvcc"])):
+    for name, report in sides(pair):
         totals = report["totals"]
         expand = report["expand_latency_s"]
         print(
@@ -134,21 +154,19 @@ def print_pair(pair: dict) -> None:
 
 
 def smoke() -> int:
-    """Fixed-seed gate: determinism plus the MVCC acceptance criteria."""
-    first = ContentionSim(ContentionConfig(mvcc=True, **SMOKE_KWARGS)).run()
-    second = ContentionSim(ContentionConfig(mvcc=True, **SMOKE_KWARGS)).run()
-    locking = ContentionSim(ContentionConfig(mvcc=False, **SMOKE_KWARGS)).run()
-    locking2 = ContentionSim(ContentionConfig(mvcc=False, **SMOKE_KWARGS)).run()
+    """Fixed-seed gate: determinism plus the snapshot acceptance criteria."""
+    pair = run_pair(**SMOKE_KWARGS)
     failures = []
-    if report_json(first) != report_json(second):
-        failures.append("same-seed MVCC reports differ — not deterministic")
-    if report_json(locking) != report_json(locking2):
-        failures.append("same-seed 2PL reports differ — not deterministic")
-    pair = {"2pl": locking, "mvcc": first, "deltas": compare(locking, first)}
+    for name, report in sides(pair):
+        again = run_cell(report["config"]["read_only_audits"], **SMOKE_KWARGS)
+        if report_json(report) != report_json(again):
+            failures.append(
+                f"same-seed {name} reports differ — not deterministic"
+            )
     failures.extend(check_pair(pair))
     print_pair(pair)
-    print(f"2PL schedule hash:  {locking['schedule']['hash']}")
-    print(f"MVCC schedule hash: {first['schedule']['hash']}")
+    print(f"locking schedule hash:  {pair['2pl']['schedule']['hash']}")
+    print(f"snapshot schedule hash: {pair['mvcc']['schedule']['hash']}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -174,7 +192,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.smoke:
         return smoke()
-    pair = run_pair(args.seed, args.clients, args.ops)
+    pair = run_pair(
+        clients=args.clients,
+        ops_per_client=args.ops,
+        conflict_rate=0.5,
+        seed=args.seed,
+        scenario="audit_eco",
+    )
     print_pair(pair)
     failures = check_pair(pair)
     if args.json:

@@ -219,18 +219,18 @@ def run_contention_smoke() -> dict:
 
 
 def run_mvcc_smoke() -> dict:
-    """Fixed-seed MVCC smoke: the audit_eco scenario (READ ONLY auditors
-    racing ECO write bursts) under 2PL-only and MVCC builds with the
-    same seed, gated on bench_mvcc's acceptance criteria — zero RO lock
-    waits/aborts and strictly lower expand p99 under MVCC."""
-    from bench_mvcc import SMOKE_KWARGS, check_pair, compare
+    """Fixed-seed MVCC smoke: the audit_eco scenario (auditors racing
+    ECO write bursts) with locking and with snapshot auditors on the same
+    engine and seed, gated on bench_mvcc's acceptance criteria — zero
+    auditor lock waits/aborts and strictly lower expand p99 for
+    snapshot auditors."""
+    from bench_mvcc import SMOKE_KWARGS, check_pair, run_cell, run_pair
 
-    from repro.concurrency import ContentionConfig, ContentionSim, report_json
+    from repro.concurrency import report_json
 
-    locking = ContentionSim(ContentionConfig(mvcc=False, **SMOKE_KWARGS)).run()
-    mvcc = ContentionSim(ContentionConfig(mvcc=True, **SMOKE_KWARGS)).run()
-    again = ContentionSim(ContentionConfig(mvcc=True, **SMOKE_KWARGS)).run()
-    pair = {"2pl": locking, "mvcc": mvcc, "deltas": compare(locking, mvcc)}
+    pair = run_pair(**SMOKE_KWARGS)
+    locking, mvcc = pair["2pl"], pair["mvcc"]
+    again = run_cell(True, **SMOKE_KWARGS)
     return {
         "deterministic": report_json(mvcc) == report_json(again),
         "schedule_hash_2pl": locking["schedule"]["hash"],
@@ -406,7 +406,7 @@ def check(report: dict) -> list:
     if bench_mvcc:
         if not bench_mvcc["deterministic"]:
             failures.append(
-                "bench_mvcc: same-seed MVCC runs are not byte-identical"
+                "bench_mvcc: same-seed snapshot-auditor runs are not byte-identical"
             )
         failures.extend(
             f"bench_mvcc: {failure}"
@@ -548,12 +548,12 @@ def main(argv=None) -> int:
     if bench_mvcc:
         print(
             f"\nmvcc smoke (audit_eco): "
-            f"ro_waits 2pl={bench_mvcc['ro_lock_waits_2pl']} "
-            f"mvcc={bench_mvcc['ro_lock_waits_mvcc']} "
-            f"ro_aborts 2pl={bench_mvcc['ro_aborts_2pl']} "
-            f"mvcc={bench_mvcc['ro_aborts_mvcc']} "
-            f"expand_p99 2pl={bench_mvcc['expand_p99_2pl']:.3f}s "
-            f"mvcc={bench_mvcc['expand_p99_mvcc']:.3f}s "
+            f"ro_waits locking={bench_mvcc['ro_lock_waits_2pl']} "
+            f"snapshot={bench_mvcc['ro_lock_waits_mvcc']} "
+            f"ro_aborts locking={bench_mvcc['ro_aborts_2pl']} "
+            f"snapshot={bench_mvcc['ro_aborts_mvcc']} "
+            f"expand_p99 locking={bench_mvcc['expand_p99_2pl']:.3f}s "
+            f"snapshot={bench_mvcc['expand_p99_mvcc']:.3f}s "
             f"deterministic={'yes' if bench_mvcc['deterministic'] else 'NO'}"
         )
     crash = report.get("crash")

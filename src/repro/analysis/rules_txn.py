@@ -430,11 +430,11 @@ def _check_readonly(script: TxnScript) -> List[Finding]:
     """C006: a SELECT-only script of two or more statements that never
     declares ``BEGIN TRANSACTION READ ONLY``.
 
-    Under plain 2PL each select takes the shared locks in its footprint
+    Undeclared, each select takes the shared locks in its footprint
     (and an explicit transaction holds them to COMMIT), so the script
     both blocks writers and can deadlock with them.  Declared READ ONLY,
-    an MVCC build serves every statement from one snapshot — no locks,
-    no waits, one consistent view across the statements.
+    every statement is served from one snapshot — no locks, no waits,
+    one consistent view across the statements.
     """
     payload = [
         stmt
@@ -469,8 +469,8 @@ def _check_readonly(script: TxnScript) -> List[Finding]:
             Severity.WARNING,
             f"read-only workload not declared: {len(payload)} SELECT "
             f"statements acquire {', '.join(held)} under 2PL; wrap them "
-            f"in BEGIN TRANSACTION READ ONLY .. COMMIT so an MVCC build "
-            f"serves them lock-free from one consistent snapshot",
+            f"in BEGIN TRANSACTION READ ONLY .. COMMIT so they are "
+            f"served lock-free from one consistent snapshot",
             f"stmt[{payload[0].index}]",
         )
     ]

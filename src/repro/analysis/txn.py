@@ -18,8 +18,8 @@ script *sets*:
 * **C004** table-lock escalation inside a long transaction.
 * **C005** DDL inside a transaction script.
 * **C006** a SELECT-only multi-statement script that does not declare
-  ``BEGIN TRANSACTION READ ONLY`` — under 2PL it holds shared locks an
-  MVCC snapshot would make unnecessary.
+  ``BEGIN TRANSACTION READ ONLY`` — it holds shared locks a snapshot
+  would make unnecessary.
 
 Everything here is purely static: scripts are parsed and their
 footprints built, but nothing is ever executed and no lock is ever
@@ -86,8 +86,8 @@ class TxnSegment:
     end: Optional[int]
     committed: bool
     #: The segment was opened with BEGIN TRANSACTION READ ONLY: its
-    #: selects run lock-free from a snapshot on an MVCC build, and the
-    #: server rejects DML inside it either way.
+    #: selects run lock-free from a snapshot, and the server rejects DML
+    #: inside it.
     read_only: bool = False
 
 

@@ -35,12 +35,13 @@ is exactly how deadlock cycles form; deadlock victims acknowledge the
 abort with a rollback and restart their transaction from scratch.
 
 A second scenario, ``audit_eco``, splits the clients into long-running
-READ ONLY auditors (multi-level expand + counter audit inside one
-``BEGIN TRANSACTION READ ONLY``) racing ECO write bursts (hot-counter
-increments plus an assembly-row update per transaction).  Run with
-``mvcc=False`` the auditors acquire S locks and fight the writers; with
-``mvcc=True`` they read a snapshot and never wait — the same seed, the
-same wire traffic, directly comparable reports.
+auditors (multi-level expand + counter audit inside one transaction)
+racing ECO write bursts (hot-counter increments plus an assembly-row
+update per transaction).  ``read_only_audits`` says how the auditors
+open that transaction: with a plain ``BEGIN`` they acquire S locks and
+fight the writers; with ``BEGIN TRANSACTION READ ONLY`` they read a
+snapshot and never wait — the same seed, the same engine, directly
+comparable reports.
 """
 
 from __future__ import annotations
@@ -134,10 +135,12 @@ class ContentionConfig:
     #: Product tree for expand/check-out targets.
     tree_depth: int = 3
     tree_branching: int = 3
-    #: Build the database with the MVCC snapshot-read subsystem enabled.
-    mvcc: bool = False
+    #: How ``audit_eco`` auditors open their transaction: True sends
+    #: ``BEGIN TRANSACTION READ ONLY`` (snapshot reads, no locks), False a
+    #: plain ``BEGIN`` (S locks held to commit — the 2PL comparison).
+    read_only_audits: bool = False
     #: ``mixed`` is the classic three-way workload; ``audit_eco`` races
-    #: READ ONLY auditors against ECO write bursts.
+    #: auditors against ECO write bursts.
     scenario: str = "mixed"
 
     def __post_init__(self) -> None:
@@ -194,7 +197,7 @@ class ContentionSim:
 
         self.config = config
         self.clock = SimulatedClock()
-        self.database = Database(mvcc=config.mvcc)
+        self.database = Database()
         create_pdm_schema(self.database)
         product = generate_product(
             TreeParameters(
@@ -250,7 +253,7 @@ class ContentionSim:
         self.committed_increments = 0
         self.latencies: List[float] = []
         #: Latency of each successful multi-level expand statement inside
-        #: a READ ONLY audit transaction (includes its lock waits).
+        #: an audit transaction (includes its lock waits).
         self.expand_latencies: List[float] = []
         self.schedule: List[str] = []
         self.schedule_hash: Optional[str] = None
@@ -399,19 +402,19 @@ class ContentionSim:
             return
 
     def _run_audit_txn(self, index: int, rng: random.Random) -> Iterator[str]:
-        """One long READ ONLY audit: a multi-level subtree expand and a
-        whole-table counter audit inside a single ``BEGIN TRANSACTION
-        READ ONLY``.
+        """One long audit: a multi-level subtree expand and a whole-table
+        counter audit inside a single transaction.
 
-        Under plain 2PL the selects take S locks held to commit, so the
-        auditor parks behind (and deadlocks with) ECO writers; with MVCC
-        the same wire transaction reads a snapshot and never waits.  The
-        expand statement's latency — queueing included — is recorded
-        separately so the two builds can be compared per statement.
+        Opened with a plain ``BEGIN`` the selects take S locks held to
+        commit, so the auditor parks behind (and deadlocks with) ECO
+        writers; opened READ ONLY the same statements read a snapshot and
+        never wait.  The expand statement's latency — queueing included —
+        is recorded separately so the two settings can be compared per
+        statement.
         """
         connection = self.connections[index]
         while True:
-            connection.begin(read_only=True)
+            connection.begin(read_only=self.config.read_only_audits)
             self.counts["ro_txns"] += 1
             yield "begin-ro"
             aborted = False
@@ -578,16 +581,12 @@ class ContentionSim:
                 "readonly_txns": self.server.statistics["readonly_txns"],
             },
             "mvcc": {
-                "enabled": self.config.mvcc,
+                "read_only_audits": self.config.read_only_audits,
                 "snapshot_reads": db_stats["snapshot_reads"],
                 "versions_created": db_stats["versions_created"],
                 "versions_gc": db_stats["versions_gc"],
                 "readonly_txns": db_stats["readonly_txns"],
-                "chains": (
-                    self.database.mvcc.chain_count()
-                    if self.database.mvcc is not None
-                    else 0
-                ),
+                "chains": self.database.mvcc.chain_count(),
             },
             "elapsed_s": elapsed,
             "throughput_ops_per_s": ops_done / elapsed if elapsed else 0.0,
@@ -599,8 +598,8 @@ class ContentionSim:
                 "p99": exact_percentile(latencies, 0.99),
                 "max": latencies[-1] if latencies else None,
             },
-            # Per-statement latency of the READ ONLY auditors' multi-level
-            # expands (empty outside the audit_eco scenario).
+            # Per-statement latency of the auditors' multi-level expands
+            # (empty outside the audit_eco scenario).
             "expand_latency_s": {
                 "count": len(expand_latencies),
                 "mean": (

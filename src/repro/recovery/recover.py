@@ -144,7 +144,7 @@ def snapshot_database(database: Database, hwm: Dict[int, int]) -> Snapshot:
         tables=tuple(tables),
         views=views,
         hwm=tuple(sorted(hwm.items())),
-        mvcc_clock=database.mvcc.clock if database.mvcc is not None else 0,
+        mvcc_clock=database.mvcc.clock,
     )
 
 
@@ -172,16 +172,14 @@ def restore_snapshot(database: Database, snapshot: Snapshot) -> None:
         for row_id, row in table.rows:
             storage.insert_at(row_id, row)
         storage.pad_slots(table.total_slots)
-        # adopt_storage attaches WAL journal and MVCC hooks; the storage is
-        # fully populated first, so restore itself creates no versions —
-        # checkpointed rows are committed state, chainless by definition.
+        # adopt_storage attaches the WAL journal; the storage is fully
+        # populated first, so restore itself logs nothing.
         database.adopt_storage(schema, storage)
     for view_sql in snapshot.views:
         database.execute(view_sql)
-    if database.mvcc is not None:
-        # Resume the commit clock where the checkpoint froze it so replayed
-        # commits reuse the original stamps.
-        database.mvcc.clock = snapshot.mvcc_clock
+    # Resume the commit clock where the checkpoint froze it so replayed
+    # commits reuse the original stamps.
+    database.mvcc.clock = snapshot.mvcc_clock
 
 
 # -- replay ------------------------------------------------------------------
@@ -253,13 +251,16 @@ def _replay(
         elif kind in (KIND_INSERT, KIND_DELETE, KIND_UPDATE):
             open_txns.setdefault(record.txn_id, []).append(record)
         elif kind == KIND_COMMIT:
-            # One mvcc_scope per committed transaction: the commit clock
-            # bumps exactly once per writing transaction, in log order —
-            # the same sequence the original execution produced.
-            with database.mvcc_scope():
-                for buffered in open_txns.pop(record.txn_id, []):
-                    _apply_op(database, buffered)
-                    report.replayed_records += 1
+            operations = open_txns.pop(record.txn_id, [])
+            for buffered in operations:
+                _apply_op(database, buffered)
+                report.replayed_records += 1
+            if operations:
+                # The commit clock ticks exactly once per writing
+                # transaction, in log order — the same sequence the
+                # original execution produced.  No snapshot is open during
+                # replay, so there are no versions to install.
+                database.mvcc.commit()
             report.txns_committed += 1
             if record.origin is not None:
                 client_id, seq = record.origin
@@ -296,20 +297,15 @@ class Durability:
         db = durability.open()          # fresh or recovered, WAL attached
         ...crash...
         db = durability.recover()       # replayed from the log
-
-    ``db_kwargs`` are forwarded to every :class:`Database` the bundle
-    constructs (MVCC, plan-cache size, ...).
     """
 
     def __init__(
         self,
         disk: Optional[SimDisk] = None,
         recorder: Optional[Any] = None,
-        db_kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.disk = disk if disk is not None else SimDisk()
         self.recorder = recorder
-        self.db_kwargs = dict(db_kwargs or {})
         self.wal: Optional[WalWriter] = None
         self.database: Optional[Database] = None
         self.last_report: Optional[RecoveryReport] = None
@@ -356,7 +352,7 @@ class Durability:
         report.records_scanned = len(scan.records)
         report.tail_status = scan.tail_status
         report.truncated_bytes = len(data) - scan.clean_length
-        database = Database(**self.db_kwargs)
+        database = Database()
         database.recorder = self.recorder
         hwm = _replay(database, scan.records, report)
         report.hwm = dict(hwm)

@@ -151,9 +151,8 @@ class Snapshot:
     tables: Tuple[TableSnapshot, ...]
     views: Tuple[str, ...]
     hwm: Tuple[Tuple[int, int], ...]
-    #: MVCC commit-clock value at checkpoint time (0 on non-MVCC builds):
-    #: restoring it lets replayed commits continue the exact stamp
-    #: sequence, so the rebuilt version store matches the original.
+    #: MVCC commit-clock value at checkpoint time: restoring it lets
+    #: replayed commits continue the exact stamp sequence.
     mvcc_clock: int = 0
 
 

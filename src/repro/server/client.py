@@ -426,8 +426,8 @@ class RemoteConnection:
 
         Opens the session implicitly on first use.  ``read_only=True``
         sends ``TXN_BEGIN_RO`` (``BEGIN READ ONLY``): the server rejects
-        DML inside the transaction and, when built with MVCC, serves its
-        reads from a lock-free snapshot.
+        DML inside the transaction and serves its reads from a lock-free
+        snapshot.
         """
         self._ensure_open()
         if not self._session_open:

@@ -37,8 +37,8 @@ class Opcode(IntEnum):
     TXN_BEGIN = 9
     TXN_COMMIT = 10
     TXN_ROLLBACK = 11
-    #: BEGIN READ ONLY: the transaction rejects DML; an MVCC server routes
-    #: its reads to a snapshot (no locks), a 2PL-only server to S locks.
+    #: BEGIN READ ONLY: the transaction rejects DML and its reads go to a
+    #: snapshot (no locks).
     TXN_BEGIN_RO = 12
     RESULT = 16
     PROCEDURE_RESULT = 17

@@ -363,8 +363,8 @@ class DropView:
 
 @dataclass
 class BeginTransaction:
-    #: ``BEGIN [TRANSACTION] READ ONLY``: the transaction rejects DML and,
-    #: on an MVCC database, reads a snapshot instead of taking S locks.
+    #: ``BEGIN [TRANSACTION] READ ONLY``: the transaction rejects DML and
+    #: reads a snapshot instead of taking S locks.
     read_only: bool = False
 
 

@@ -143,42 +143,32 @@ class _GatheredColumns:
 def table_batches(storage, batch_size: int = BATCH_SIZE, snapshot=None) -> List[Batch]:
     """The column chunks of a base table, built lazily and cached.
 
-    The cache key is ``(storage.version, batch_size)``: every mutation of
-    the heap bumps the version, so a columnar scan after any DML (or a
-    rollback) rebuilds the chunks.  The chunk batches keep a reference to
-    the underlying row tuples, making the row-view (:meth:`Batch.rows`)
-    free for fallback expressions.
-
-    With *snapshot* (an MVCC snapshot read) the chunks are built from the
-    rows *visible to that snapshot* and cached separately under
-    ``(snapshot.stamp, storage.version, batch_size)`` — two reads of the
-    same snapshot share chunks, a writer's commit (version bump) or a
-    different snapshot rebuilds them, and the live-heap cache is never
-    polluted with snapshot data.
+    The cache key is ``(stamp-or-live, storage.version, batch_size)``:
+    every mutation of the heap bumps the version, so a columnar scan
+    after any DML (or a rollback) rebuilds the chunks, and two reads at
+    the same stamp share them.  A read under *snapshot* that resolves no
+    version chain (``storage.as_of`` says so) *is* a live read and uses
+    the live chunks; one that does gets the second cache slot, so it
+    never evicts the live-heap chunks.  The chunk batches keep a
+    reference to the underlying row tuples, making the row-view
+    (:meth:`Batch.rows`) free for fallback expressions.
     """
-    if snapshot is not None:
-        cached = getattr(storage, "_columnar_snapshot_cache", None)
-        key = (snapshot.stamp, storage.version, batch_size)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        rows = list(storage.snapshot_rows(snapshot))
-        arity = storage.schema.arity
-        batches = [
-            Batch.from_rows(rows[start : start + batch_size], arity)
-            for start in range(0, len(rows), batch_size)
-        ]
-        storage._columnar_snapshot_cache = (key, batches)
-        return batches
-    cached = getattr(storage, "_columnar_cache", None)
-    if cached is not None and cached[0] == storage.version and cached[1] == batch_size:
-        return cached[2]
-    rows = list(storage.rows())
+    stamp = storage.as_of(snapshot)
+    key = (stamp, storage.version, batch_size)
+    slot = "live" if stamp is None else "snapshot"
+    cache = getattr(storage, "_columnar_cache", None)
+    if cache is None:
+        cache = storage._columnar_cache = {}
+    cached = cache.get(slot)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    rows = list(storage.rows(snapshot))
     arity = storage.schema.arity
     batches = [
         Batch.from_rows(rows[start : start + batch_size], arity)
         for start in range(0, len(rows), batch_size)
     ]
-    storage._columnar_cache = (storage.version, batch_size, batches)
+    cache[slot] = (key, batches)
     return batches
 
 

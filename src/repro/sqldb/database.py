@@ -59,7 +59,7 @@ class _Transaction:
     """One open transaction: its undo logs, keyed by the session that
     owns it (``None`` is the local/legacy default session)."""
 
-    __slots__ = ("session", "txn_id", "storages", "logs", "read_only", "snapshot", "mvcc_writes")
+    __slots__ = ("session", "txn_id", "storages", "logs", "read_only", "snapshot")
 
     def __init__(self, session: Hashable, txn_id: int, read_only: bool = False) -> None:
         self.session = session
@@ -68,14 +68,12 @@ class _Transaction:
         self.storages: list = []
         #: id(storage) -> that storage's undo entries for this transaction.
         self.logs: Dict[int, list] = {}
-        #: READ ONLY transactions reject DML; under MVCC they read a
-        #: snapshot instead of taking shared locks.
+        #: READ ONLY transactions reject DML and read a snapshot instead
+        #: of taking shared locks.
         self.read_only = read_only
         #: The :class:`repro.sqldb.mvcc.Snapshot` captured at BEGIN for a
-        #: read-only transaction on an MVCC database; None otherwise.
+        #: read-only transaction; None otherwise.
         self.snapshot = None
-        #: Dirty ``(storage, row_id)`` pairs to version-install at commit.
-        self.mvcc_writes: list = []
 
     def log_for(self, storage) -> list:
         log = self.logs.get(id(storage))
@@ -83,6 +81,15 @@ class _Transaction:
             log = self.logs[id(storage)] = []
             self.storages.append(storage)
         return log
+
+    def writes(self) -> list:
+        """``(storage, undo entries)`` for every storage this transaction
+        changed: what it must undo, and what its versions are built from."""
+        return [
+            (storage, self.logs[id(storage)])
+            for storage in self.storages
+            if self.logs[id(storage)]
+        ]
 
 
 class Database:
@@ -99,7 +106,6 @@ class Database:
         self,
         plan_cache_size: int = 512,
         recursion_limit: int = 1_000_000,
-        mvcc: bool = False,
         auto_analyze_threshold: int = 256,
     ) -> None:
         self.catalog = Catalog()
@@ -118,8 +124,6 @@ class Database:
         )
         self._plan_cache_size = plan_cache_size
         #: Counters a server can report: statements executed, cache hits.
-        #: The MVCC block is present (at zero) even without MVCC so the
-        #: STATS wire shape is build-independent.
         self.statistics = {
             "statements": 0,
             "plan_cache_hits": 0,
@@ -132,14 +136,9 @@ class Database:
             "readonly_txns": 0,
             "auto_analyze": 0,
         }
-        #: MVCC snapshot-read subsystem (DESIGN §14): commit clock, open
-        #: snapshots, per-table version stores.  Opt-in so the default
-        #: build stays byte-identical to the 2PL-only engine.
-        self.mvcc = MvccManager(self.statistics) if mvcc else None
-        #: Dirty-write sink of the statement scope currently open for an
-        #: *autocommit* DML statement (explicit transactions collect into
-        #: their own ``mvcc_writes``); None when no scope is open.
-        self._mvcc_scope_writes: Optional[list] = None
+        #: Snapshot reads (DESIGN §14): commit clock, open snapshots and,
+        #: only while one is open, the version chains it reads.
+        self.mvcc = MvccManager(self.statistics)
         #: Re-ANALYZE a table before planning when its storage ``version``
         #: drifted this far past the version the statistics were collected
         #: at.  Only tables that *have* statistics re-collect — a never-
@@ -441,9 +440,9 @@ class Database:
         commit); returns the transaction id.
 
         ``read_only=True`` (``BEGIN READ ONLY``) rejects DML for the
-        transaction's lifetime; on an MVCC database it additionally
-        captures a :class:`repro.sqldb.mvcc.Snapshot`, and every SELECT
-        inside the transaction reads that snapshot without taking locks.
+        transaction's lifetime and captures a
+        :class:`repro.sqldb.mvcc.Snapshot`: every SELECT inside the
+        transaction reads that snapshot without taking locks.
         """
         self._check_aborted(session)
         if session in self._transactions:
@@ -458,8 +457,11 @@ class Database:
             self.statistics["readonly_txns"] += 1
             if self.recorder is not None:
                 self.recorder.metrics.counter("db.readonly_txns").inc()
-            if self.mvcc is not None:
-                txn.snapshot = self.mvcc.open_snapshot()
+            txn.snapshot = self.mvcc.open_snapshot(
+                written
+                for other in self._transactions.values()
+                for written in other.writes()
+            )
         self._transactions[session] = txn
         return txn_id
 
@@ -481,14 +483,15 @@ class Database:
             # ambiguous on purpose — exactly like a real commit racing a
             # power cut — and recovery decides by what hit the platter.
             self.wal.commit(txn.txn_id)
-        if self.mvcc is not None:
-            # Versions install only after the commit record is durable, so
-            # a crash between the two leaves no committed-but-unlogged
-            # version for a snapshot to see after recovery.
-            if txn.snapshot is not None:
-                self.mvcc.close_snapshot(txn.snapshot)
-            else:
-                self.mvcc.commit(txn.mvcc_writes)
+        # Versions install only after the commit record is durable, so a
+        # crash between the two leaves no committed-but-unlogged version
+        # for a snapshot to see after recovery.
+        if txn.snapshot is not None:
+            self.mvcc.close_snapshot(txn.snapshot)
+        else:
+            writes = txn.writes()
+            if writes:
+                self.mvcc.commit(writes)
         if self.locks is not None:
             self.locks.release_all(txn.txn_id)
 
@@ -523,10 +526,10 @@ class Database:
             storage.rollback_entries(txn.logs[id(storage)])
         if self.wal is not None and not txn.read_only:
             self.wal.abort(txn.txn_id)
-        if self.mvcc is not None:
-            if txn.snapshot is not None:
-                self.mvcc.close_snapshot(txn.snapshot)
-            self.mvcc.abort(txn.mvcc_writes)
+        if txn.snapshot is not None:
+            self.mvcc.close_snapshot(txn.snapshot)
+        else:
+            self.mvcc.abort(txn.writes())
         if self.locks is not None:
             self.locks.release_all(txn.txn_id)
 
@@ -553,61 +556,9 @@ class Database:
         if reason is not None:
             raise DeadlockError(reason)
 
-    def _enlist(self, storage) -> None:
-        """Point the storage's undo logging at the executing session's
-        transaction log — or detach it for autocommit statements, so an
-        autocommit write is never captured by a stale attached log."""
-        txn = self._transactions.get(self._current_session)
-        if txn is None:
-            if storage.in_transaction:
-                storage.detach_undo()
-            return
-        storage.attach_undo(txn.log_for(storage))
-
-    # -- MVCC ---------------------------------------------------------------------
-
-    def _record_mvcc_write(self, storage, row_id: int) -> None:
-        """Storage write hook: route the dirty slot to whoever commits it —
-        the open explicit transaction, the autocommit statement scope, or
-        (for direct storage pokes outside any scope) an immediate
-        single-write commit so the version store never lags the heap."""
-        scope = self._mvcc_scope_writes
-        if scope is not None:
-            scope.append((storage, row_id))
-            return
-        txn = self._transactions.get(self._current_session)
-        if txn is not None:
-            txn.mvcc_writes.append((storage, row_id))
-            return
-        self.mvcc.commit([(storage, row_id)])
-
-    @contextmanager
-    def mvcc_scope(self):
-        """Version-install scope: writes recorded inside commit as one
-        stamped install at exit (even on error, mirroring
-        :meth:`_wal_statement`: a partially-applied autocommit INSERT keeps
-        its pre-error rows, and the version store must agree with memory).
-        Used for autocommit DML statements and by recovery replay, which
-        wraps each committed transaction's redo ops so the commit clock
-        rebuilds exactly.  A no-op inside an explicit transaction (its
-        commit installs) or without MVCC.
-        """
-        if self.mvcc is None or self._transactions.get(self._current_session) is not None:
-            yield
-            return
-        previous = self._mvcc_scope_writes
-        writes = self._mvcc_scope_writes = []
-        try:
-            yield
-        finally:
-            self._mvcc_scope_writes = previous
-            self.mvcc.commit(writes)
-
     def _current_snapshot(self):
         """The executing session's snapshot, when it is a read-only
-        transaction on an MVCC database; else None (locking reads)."""
-        if self.mvcc is None:
-            return None
+        transaction; else None (locking reads of the live heap)."""
         txn = self._transactions.get(self._current_session)
         if txn is None:
             return None
@@ -619,9 +570,7 @@ class Database:
         self.catalog.create(schema, storage)
         if self.wal is not None:
             self._attach_journal(storage)
-        if self.mvcc is not None:
-            self.mvcc.register(storage)
-            storage._mvcc_hook = self._record_mvcc_write
+        self.mvcc.register(storage)
 
     # -- locking ------------------------------------------------------------------
 
@@ -823,8 +772,7 @@ class Database:
             self._log_ddl(statement)
             return ResultSet([], [], rowcount=0)
         if isinstance(statement, ast.DropTable):
-            if self.mvcc is not None:
-                self.mvcc.forget(self.catalog.lookup(statement.name).schema.name)
+            self.mvcc.forget(self.catalog.lookup(statement.name).storage)
             self.catalog.drop(statement.name)
             self.stats.drop(statement.name)
             self._plan_cache.clear()
@@ -1083,13 +1031,39 @@ class Database:
 
     def _run_dml(self, prepared: "_PreparedDml", params: Sequence[Any]) -> ResultSet:
         self._reject_in_read_only(prepared.statement)
-        # mvcc_scope outer: an autocommit statement's versions install
-        # after its implicit WAL commit, same order as explicit commit.
-        with self.mvcc_scope():
+        storage = prepared.entry.storage
+        mvcc = self.mvcc
+        txn = self._transactions.get(self._current_session)
+        # No statement of another session runs inside this one, so whether
+        # a snapshot is open holds for the whole statement.
+        capturing = mvcc.open_snapshots > 0
+        # Mutations log their inverses to the executing transaction's log.
+        # An autocommit statement has nothing to undo and logs only while
+        # a snapshot is open, because the entries are also the pre-images
+        # its versions are built from (DESIGN §14) — otherwise it detaches,
+        # so its writes are never captured by a stale attached log.
+        if txn is not None:
+            log = txn.log_for(storage)
+        else:
+            log = [] if capturing else None
+        storage.attach_undo(log)
+        logged = len(log) if log else 0
+        version = storage.version
+        try:
             with self._wal_statement():
                 if isinstance(prepared, _PreparedInsert):
                     return self._insert(prepared, params)
                 return self._modify(prepared, params)
+        finally:
+            # Even on error, mirroring _wal_statement: a partially-applied
+            # autocommit INSERT keeps its pre-error rows, and the version
+            # store must agree with memory.
+            if capturing:
+                mvcc.capture(storage, log[logged:])
+            # Outside _wal_statement: an autocommit statement's versions
+            # install after its implicit WAL commit, same order as commit().
+            if txn is None and storage.version != version:
+                mvcc.commit([(storage, log)] if capturing else ())
 
     def _insert(self, prepared: "_PreparedInsert", params: Sequence[Any]) -> ResultSet:
         entry = prepared.entry
@@ -1100,7 +1074,6 @@ class Database:
             # holding the table-level S, which closes the phantom window.
             # INSERT ... SELECT sources are read, so they take table-S.
             self._acquire_footprint(owner, parkable, prepared.requests)
-            self._enlist(entry.storage)
             env = self._environment(params)
             if prepared.select is None:
                 source_rows = [
@@ -1146,7 +1119,6 @@ class Database:
             # rows are re-fetched below after the grant, so an assignment
             # like ``v = v + 1`` always reads the latest committed value.
             self._acquire_row_locks(owner, parkable, requests, row_ids)
-            self._enlist(storage)
             if isinstance(prepared.statement, ast.Delete):
                 for row_id in row_ids:
                     storage.delete(row_id)

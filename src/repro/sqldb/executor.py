@@ -16,6 +16,7 @@ subquery cache with its invalidation epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -82,10 +83,11 @@ class ExecutionEnv:
         #: the owning :class:`~repro.sqldb.database.Database` (None keeps
         #: execution untraced).
         self.recorder = None
-        #: Optional :class:`repro.sqldb.mvcc.Snapshot`: when set, base-table
-        #: access paths evaluate version visibility at this stamp instead of
-        #: reading the live heap.  Threaded through the environment (not the
-        #: plan) because plans are cached and shared across transactions.
+        #: Optional :class:`repro.sqldb.mvcc.Snapshot`: what base-table
+        #: access paths hand to the storage so it resolves version chains
+        #: at this stamp; None reads the live heap.  Threaded through the
+        #: environment (not the plan) because plans are cached and shared
+        #: across transactions.
         self.snapshot = None
         #: ``id(operator) -> (key count, probed?)`` of the last run of each
         #: subquery-keyed :class:`MultiKeyIndexLookup`; per execution
@@ -152,10 +154,7 @@ class SeqScan(_TableAccess):
         self.output_names = list(storage.schema.column_names)
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        snapshot = env.snapshot
-        if snapshot is None:
-            return _scanned(self.storage.rows(), env)
-        return _scanned(self.storage.snapshot_rows(snapshot), env)
+        return _scanned(self.storage.rows(env.snapshot), env)
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
         return _scanned((row_id for row_id, __ in self.storage.scan()), env)
@@ -169,18 +168,14 @@ def _scanned(items: Iterator[Any], env: ExecutionEnv) -> Iterator[Any]:
         yield item
 
 
-def _row_id(row_id: int) -> int:
-    return row_id
-
-
 class _IndexProbe(_TableAccess):
     """Equality probes into a hash index of a base table, one per key.
 
     Subclasses enumerate the keys (:meth:`_keys`); the probe loop lives
-    here once and serves both consumers: ``rows`` fetches what it finds
-    (or, under a snapshot, reads the versions visible at its stamp) and
+    here once and serves both consumers: ``rows`` asks the storage for
+    the rows its snapshot (or the live heap) shows under each key, and
     ``row_ids`` — how a DML statement locates its target rows, always on
-    the live heap — keeps the ids.
+    the live heap — asks the index for the ids.
     """
 
     index: Any
@@ -193,32 +188,28 @@ class _IndexProbe(_TableAccess):
         keys = self._keys(env)
         if keys is None:
             return SeqScan(self.storage).rows(env)
-        return self._probe(keys, env, self.storage.fetch)
+        return self._probe(
+            keys, env, partial(self.storage.probe, self.index, snapshot=env.snapshot)
+        )
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
         keys = self._keys(env)
         if keys is None:
             return SeqScan(self.storage).row_ids(env)
-        return self._probe(keys, env, _row_id)
+        return self._probe(keys, env, self.index.probe)
 
     def _probe(
         self,
         keys: Iterable[Tuple[Any, ...]],
         env: ExecutionEnv,
-        emit: Callable[[int], Any],
+        probe: Callable[[Tuple[Any, ...]], List[Any]],
     ) -> Iterator[Any]:
-        snapshot = env.snapshot
         counters = env.counters
         for key in keys:
             counters["index_probes"] += 1
-            if snapshot is not None:
-                for row in self.storage.snapshot_probe(self.index, key, snapshot):
-                    counters["rows_scanned"] += 1
-                    yield row
-                continue
-            for row_id in self.index.probe(key):
+            for found in probe(key):
                 counters["rows_scanned"] += 1
-                yield emit(row_id)
+                yield found
 
 
 class IndexLookup(_IndexProbe):
@@ -484,27 +475,17 @@ class IndexNestedLoopJoin(Operator):
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         pad = (None,) * self.storage.schema.arity
-        snapshot = env.snapshot
+        probe, index, snapshot = self.storage.probe, self.index, env.snapshot
         for left_row in self.left.rows(env):
             key = tuple(fn(left_row, env) for fn in self.left_key_fns)
             env.counters["index_probes"] += 1
             matched = False
-            if snapshot is not None:
-                for right_row in self.storage.snapshot_probe(
-                    self.index, key, snapshot
-                ):
-                    env.counters["rows_scanned"] += 1
-                    combined = left_row + right_row
-                    if self.residual is None or self.residual(combined, env) is True:
-                        matched = True
-                        yield combined
-            else:
-                for row_id in self.index.probe(key):
-                    env.counters["rows_scanned"] += 1
-                    combined = left_row + self.storage.fetch(row_id)
-                    if self.residual is None or self.residual(combined, env) is True:
-                        matched = True
-                        yield combined
+            for right_row in probe(index, key, snapshot):
+                env.counters["rows_scanned"] += 1
+                combined = left_row + right_row
+                if self.residual is None or self.residual(combined, env) is True:
+                    matched = True
+                    yield combined
             if self.kind == "LEFT" and not matched:
                 yield left_row + pad
 

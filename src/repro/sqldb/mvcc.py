@@ -3,22 +3,33 @@
 The paper's workload is long read-only navigations — multi-level
 expands, where-used audits — racing engineering-change writes.  Under
 strict 2PL those reads block and get blocked by writers.  This module
-adds the other classic answer: versioned rows with snapshot-isolation
+is the other classic answer: versioned rows with snapshot-isolation
 reads, so a ``BEGIN READ ONLY`` transaction captures a :class:`Snapshot`
 at start and reads a consistent committed state without acquiring a
 single lock, while writes keep taking X locks through the existing
 :class:`~repro.concurrency.locks.LockManager`.
+
+Capture rule
+    A version exists only while a snapshot can need it.  With no
+    snapshot open a write costs what the heap write costs and a commit
+    only advances the clock: no chain, no pre-image, nothing to collect.
+    While one is open, the pre-image of every uncommitted heap write is
+    in a chain by the end of the writing statement.  The pre-images are
+    the undo entries the write logged anyway (first entry per slot) —
+    the undo log *is* the pre-image store, this module copies from it:
+    a transaction's whole log when the first snapshot opens around it,
+    a statement's tail afterwards.  When the last snapshot closes every
+    chain is dropped; a writer still in flight is captured again from
+    its undo log if another snapshot opens.
 
 Version format
     Each heap slot may own a :class:`VersionChain` of committed
     :class:`RowVersion` entries stamped ``[begin, end)`` with values of
     a monotonic commit counter (the :class:`MvccManager` clock).  The
     heap row itself is the *newest* state — possibly dirty while a write
-    transaction is open.  A slot with **no chain** is trivially visible
-    (the heap row, when present, is committed and unchanged since before
-    every open snapshot); the first write to a slot captures the
-    committed pre-image into a chain, so snapshot readers keep seeing it
-    while the writer mutates the heap in place.
+    transaction is open.  A slot with **no chain** is trivially visible:
+    the heap row, when present, is committed and unchanged since before
+    every open snapshot.
 
 Visibility rule
     Version ``v`` is visible to snapshot ``s`` iff
@@ -28,12 +39,13 @@ Visibility rule
     snapshot can never observe a torn or uncommitted row.
 
 Garbage collection
-    The low-water mark is the minimum stamp over open snapshots (the
-    current clock when none are open).  Versions dead to the low-water
-    mark are pruned; a chain that degenerates to a single live version
-    equal to the heap row (and visible to every open snapshot) is
-    dropped entirely, restoring the cheap chainless fast path.  With no
-    open snapshots the steady-state chain count is zero.
+    The low-water mark is the minimum stamp over open snapshots.
+    Versions dead to it are pruned; a chain that degenerates to a single
+    live version equal to the heap row (and visible to every open
+    snapshot) is dropped entirely, restoring the chainless fast path.
+    Every version that enters a chain is counted in ``versions_created``
+    and every one that leaves in ``versions_gc``, so the two are equal
+    whenever no chain is left.
 
 Everything is deterministic: stamps come from the commit counter, GC is
 a pure function of the chain/snapshot state, and iteration orders are
@@ -42,9 +54,30 @@ sorted — same seed, byte-identical reports.
 
 from __future__ import annotations
 
-from typing import Dict, List, MutableMapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    MutableMapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+if TYPE_CHECKING:
+    from repro.sqldb.storage import TableStorage
 
 Row = Tuple[object, ...]
+
+#: One entry of a storage undo log: ``("insert", row_id)``, or
+#: ``("update" | "delete", row_id, replaced_row)``.
+UndoEntry = Tuple[Any, ...]
+
+#: What writers changed: each storage written, with the undo entries
+#: logged there.
+Writes = Iterable[Tuple["TableStorage", Sequence[UndoEntry]]]
 
 #: Begin stamp of a pre-image version: the row was committed before any
 #: snapshot that can still be open, so it is visible "since forever".
@@ -87,23 +120,24 @@ class RowVersion:
 class VersionChain:
     """The committed version history of one heap slot.
 
-    ``pending`` counts uncommitted heap writes to the slot (strict 2PL
-    guarantees at most one transaction holds them at a time); a pending
-    chain is pinned against GC because its bookkeeping is still in
-    flight.  An *empty* chain with ``pending`` writes is the insert
-    marker: the uncommitted heap row exists but no snapshot may see it.
+    ``pending`` marks a slot holding an uncommitted heap write (strict
+    2PL guarantees at most one transaction writes it at a time); a
+    pending chain is pinned against GC because its bookkeeping is still
+    in flight.  An *empty* pending chain is the insert marker: the
+    uncommitted heap row exists but no snapshot may see it.
     """
 
     __slots__ = ("versions", "pending")
 
     def __init__(self) -> None:
         self.versions: List[RowVersion] = []
-        self.pending = 0
+        self.pending = False
 
-    def visible(self, stamp: int) -> Optional[RowVersion]:
+    def visible(self, stamp: int) -> Optional[Row]:
+        """The row snapshot *stamp* sees in this slot (None = invisible)."""
         for version in reversed(self.versions):
             if version.visible_to(stamp):
-                return version
+                return version.row
         return None
 
     def live_tail(self) -> Optional[RowVersion]:
@@ -122,23 +156,28 @@ class VersionStore:
 
     # -- write side --------------------------------------------------------
 
-    def record_write(self, row_id: int, old_row: Optional[Row]) -> None:
-        """Note an (uncommitted) heap write to *row_id*.
+    def capture(self, entries: Iterable[UndoEntry]) -> int:
+        """Mark the slots *entries* wrote as holding uncommitted values.
 
-        On the slot's first write the committed pre-image (*old_row*;
-        None for an insert) is captured into a fresh chain, so snapshot
-        readers keep resolving the slot while the heap value is dirty.
-        Later writes by the same transaction find the chain in place —
-        the dirty intermediate values must never become versions.
+        A slot's first entry carries its committed pre-image (none for
+        an insert), which goes into a fresh chain so snapshot readers
+        keep resolving the slot while the heap value is dirty.  Later
+        entries find the chain in place — the dirty intermediate values
+        must never become versions.  Returns the pre-images captured.
         """
-        chain = self.chains.get(row_id)
-        if chain is None:
-            chain = self.chains[row_id] = VersionChain()
-            if old_row is not None:
-                chain.versions.append(
-                    RowVersion(PRE_IMAGE_STAMP, None, old_row)
-                )
-        chain.pending += 1
+        captured = 0
+        chains = self.chains
+        for entry in entries:
+            chain = chains.get(entry[1])
+            if chain is None:
+                chain = chains[entry[1]] = VersionChain()
+                if len(entry) > 2:
+                    chain.versions.append(
+                        RowVersion(PRE_IMAGE_STAMP, None, entry[2])
+                    )
+                    captured += 1
+            chain.pending = True
+        return captured
 
     def install(
         self, row_ids: List[int], heap: List[Optional[Row]], stamp: int
@@ -151,12 +190,10 @@ class VersionStore:
         Returns the number of versions created.
         """
         created = 0
-        for row_id in sorted(set(row_ids)):
-            chain = self.chains.get(row_id)
-            if chain is None:  # pragma: no cover - writes always chain
-                continue
-            chain.pending = 0
-            live = heap[row_id] if row_id < len(heap) else None
+        for row_id in row_ids:
+            chain = self.chains[row_id]
+            chain.pending = False
+            live = heap[row_id]
             tail = chain.live_tail()
             if live is None:
                 if tail is not None:
@@ -174,13 +211,10 @@ class VersionStore:
         """Forget the pending writes to *row_ids* (rollback already
         restored the heap).  An aborted insert's empty marker chain is
         dropped so the dead slot stays invisible-and-chainless."""
-        for row_id in sorted(set(row_ids)):
-            chain = self.chains.get(row_id)
-            if chain is None:
-                continue
-            chain.pending = 0
-            live = heap[row_id] if row_id < len(heap) else None
-            if not chain.versions and live is None:
+        for row_id in row_ids:
+            chain = self.chains[row_id]
+            chain.pending = False
+            if not chain.versions and heap[row_id] is None:
                 del self.chains[row_id]
 
     def gc(self, low_water: int, heap: List[Optional[Row]]) -> int:
@@ -204,7 +238,7 @@ class VersionStore:
             ]
             dropped += len(chain.versions) - len(kept)
             chain.versions = kept
-            live = heap[row_id] if row_id < len(heap) else None
+            live = heap[row_id]
             if not kept:
                 if live is None:
                     del self.chains[row_id]
@@ -219,17 +253,12 @@ class VersionStore:
                 del self.chains[row_id]
         return dropped
 
-    # -- read side ---------------------------------------------------------
-
-    def visible_row(
-        self, row_id: int, live: Optional[Row], stamp: int
-    ) -> Optional[Row]:
-        """The row *snapshot stamp* sees in this slot (None = invisible)."""
-        chain = self.chains.get(row_id)
-        if chain is None:
-            return live
-        version = chain.visible(stamp)
-        return None if version is None else version.row
+    def clear(self) -> int:
+        """Drop every chain (no snapshot is left to read one); returns
+        the number of versions dropped."""
+        dropped = sum(len(chain.versions) for chain in self.chains.values())
+        self.chains.clear()
+        return dropped
 
     def dump(self) -> Dict[int, List[Tuple[int, Optional[int], Row]]]:
         """Deterministic chain dump for tests and recovery audits."""
@@ -237,6 +266,10 @@ class VersionStore:
             row_id: [version.as_tuple() for version in chain.versions]
             for row_id, chain in sorted(self.chains.items())
         }
+
+
+def _row_ids(entries: Sequence[UndoEntry]) -> List[int]:
+    return sorted({entry[1] for entry in entries})
 
 
 class MvccManager:
@@ -250,28 +283,36 @@ class MvccManager:
         self._snapshot_seq = 0
         #: Open snapshots: sid -> stamp (the GC low-water mark inputs).
         self._open: Dict[int, int] = {}
-        #: Registered tables: sorted-stable list of (name, storage, store).
-        self._tables: List[Tuple[str, object, VersionStore]] = []
+        #: The database's table storages, in registration order.
+        self._tables: List[TableStorage] = []
         #: Shared counter sink (the owning Database's ``statistics``).
         self.statistics = statistics if statistics is not None else {}
 
     # -- registration ------------------------------------------------------
 
-    def register(self, storage: object) -> VersionStore:
-        """Attach a :class:`VersionStore` to *storage* and track it."""
-        store = VersionStore()
-        name = storage.schema.name  # type: ignore[attr-defined]
-        storage.mvcc = store  # type: ignore[attr-defined]
-        self._tables.append((name, storage, store))
-        return store
+    def register(self, storage: TableStorage) -> None:
+        """Track *storage* (its ``mvcc`` store holds the table's chains)."""
+        self._tables.append(storage)
 
-    def forget(self, name: str) -> None:
-        """Drop the store of a dropped table."""
-        self._tables = [entry for entry in self._tables if entry[0] != name]
+    def forget(self, storage: TableStorage) -> None:
+        """Stop tracking a dropped table; its chains go with it."""
+        self._bump("versions_gc", storage.mvcc.clear())
+        self._tables.remove(storage)
 
     # -- snapshots ---------------------------------------------------------
 
-    def open_snapshot(self) -> Snapshot:
+    def open_snapshot(self, in_flight: Writes = ()) -> Snapshot:
+        """Open a snapshot at the current clock.
+
+        *in_flight* is what the open write transactions have written so
+        far.  It is consumed only when no snapshot is open yet: those
+        writes went uncaptured, so their slots get their pre-images from
+        the undo logs now.  With a snapshot already open every statement
+        has been capturing its own writes.
+        """
+        if not self._open:
+            for storage, entries in in_flight:
+                self.capture(storage, entries)
         self._snapshot_seq += 1
         snapshot = Snapshot(stamp=self.clock, sid=self._snapshot_seq)
         self._open[snapshot.sid] = snapshot.stamp
@@ -279,69 +320,66 @@ class MvccManager:
 
     def close_snapshot(self, snapshot: Snapshot) -> None:
         self._open.pop(snapshot.sid, None)
-        self.collect()
-
-    def low_water(self) -> int:
-        if not self._open:
-            return self.clock
-        return min(self._open.values())
+        if self._open:
+            self._collect()
+            return
+        # Nobody is left to read a chain, pending ones included: a writer
+        # still in flight is captured afresh if a snapshot opens again.
+        for storage in self._tables:
+            if storage.mvcc.chains:
+                self._bump("versions_gc", storage.mvcc.clear())
 
     @property
     def open_snapshots(self) -> int:
         return len(self._open)
 
-    # -- commit / abort ----------------------------------------------------
+    # -- capture / commit / abort ------------------------------------------
 
-    def commit(self, writes: List[Tuple[object, int]]) -> Optional[int]:
-        """Install *writes* (``(storage, row_id)`` pairs) as one commit.
+    def capture(
+        self, storage: TableStorage, entries: Iterable[UndoEntry]
+    ) -> None:
+        """Shield the uncommitted writes *entries* made to *storage* from
+        snapshot readers (call only while a snapshot is open)."""
+        self._bump("versions_created", storage.mvcc.capture(entries))
 
-        Bumps the clock once per commit that actually wrote (read-only
-        and empty commits leave it untouched — that keeps the clock a
-        pure function of the committed write history, which is what lets
-        recovery replay rebuild it exactly).  Returns the stamp used, or
-        None when there was nothing to install.
+    def commit(self, writes: Writes = ()) -> int:
+        """One writer commits: advance the clock and return its stamp.
+
+        Called exactly once per committing transaction (or autocommit
+        statement, or replayed transaction) that wrote — never for a
+        read-only or empty one — which keeps the clock a pure function
+        of the committed write history, and that is what lets recovery
+        replay rebuild it exactly.  *writes* become versions at the new
+        stamp when a snapshot is open to need them; the caller passes
+        nothing when it knows none is.
         """
-        if not writes:
-            return None
         self.clock += 1
-        stamp = self.clock
-        by_store: Dict[int, Tuple[object, List[int]]] = {}
-        for storage, row_id in writes:
-            entry = by_store.setdefault(id(storage), (storage, []))
-            entry[1].append(row_id)
-        created = 0
-        for storage, row_ids in by_store.values():
-            store: VersionStore = storage.mvcc  # type: ignore[attr-defined]
-            created += store.install(
-                row_ids, storage._rows, stamp  # type: ignore[attr-defined]
-            )
-        self._bump("versions_created", created)
-        self.collect()
-        return stamp
-
-    def abort(self, writes: List[Tuple[object, int]]) -> None:
-        if not writes:
-            return
-        by_store: Dict[int, Tuple[object, List[int]]] = {}
-        for storage, row_id in writes:
-            entry = by_store.setdefault(id(storage), (storage, []))
-            entry[1].append(row_id)
-        for storage, row_ids in by_store.values():
-            store: VersionStore = storage.mvcc  # type: ignore[attr-defined]
-            store.abort(row_ids, storage._rows)  # type: ignore[attr-defined]
-        self.collect()
-
-    def collect(self) -> int:
-        """Run GC over every table; returns versions dropped."""
-        low_water = self.low_water()
-        dropped = 0
-        for __, storage, store in self._tables:
-            if store.chains:
-                dropped += store.gc(
-                    low_water, storage._rows  # type: ignore[attr-defined]
+        if self._open:
+            created = 0
+            for storage, entries in writes:
+                created += storage.mvcc.install(
+                    _row_ids(entries), storage._rows, self.clock
                 )
+            self._bump("versions_created", created)
+            self._collect()
+        return self.clock
+
+    def abort(self, writes: Writes) -> None:
+        """One writer rolled back (the heap is already restored)."""
+        if not self._open:
+            return
+        for storage, entries in writes:
+            storage.mvcc.abort(_row_ids(entries), storage._rows)
+        self._collect()
+
+    def _collect(self) -> None:
+        """Run GC over every table against the oldest open snapshot."""
+        low_water = min(self._open.values())
+        dropped = 0
+        for storage in self._tables:
+            if storage.mvcc.chains:
+                dropped += storage.mvcc.gc(low_water, storage._rows)
         self._bump("versions_gc", dropped)
-        return dropped
 
     def _bump(self, key: str, amount: int) -> None:
         if amount:
@@ -350,7 +388,7 @@ class MvccManager:
     # -- introspection -----------------------------------------------------
 
     def chain_count(self) -> int:
-        return sum(len(store.chains) for __, __s, store in self._tables)
+        return sum(len(storage.mvcc.chains) for storage in self._tables)
 
     def dump(self) -> Dict[str, object]:
         """Deterministic full state: clock plus per-table chain dumps.
@@ -360,7 +398,7 @@ class MvccManager:
         byte-for-byte.
         """
         tables: Dict[str, Dict[int, List[Tuple[int, Optional[int], Row]]]] = {}
-        for name, __, store in sorted(self._tables, key=lambda e: e[0]):
-            if store.chains:
-                tables[name] = store.dump()
+        for storage in sorted(self._tables, key=lambda s: s.schema.name):
+            if storage.mvcc.chains:
+                tables[storage.schema.name] = storage.mvcc.dump()
         return {"clock": self.clock, "tables": tables}

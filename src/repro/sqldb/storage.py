@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, IntegrityError
+from repro.sqldb.mvcc import Snapshot, VersionStore
 from repro.sqldb.schema import TableSchema
 from repro.sqldb.types import is_null
 
@@ -97,16 +98,10 @@ class TableStorage:
         #: Derived caches (the columnar chunk cache) key on it to detect
         #: staleness without hooking every mutation path individually.
         self.version = 0
-        #: MVCC version store (``repro.sqldb.mvcc.VersionStore``) when the
-        #: owning database runs with snapshot reads; None otherwise.  The
-        #: committed pre-image of every write is captured here *as part of
-        #: the write*, so snapshot readers never see dirty heap values.
-        self.mvcc = None
-        #: Database dirty-write tracker: called as ``hook(storage, row_id)``
-        #: after every mutation so the enclosing transaction (or autocommit
-        #: statement scope) knows which slots to version-install at commit.
-        #: Detached together with ``_journal`` during rollback replay.
-        self._mvcc_hook = None
+        #: Version chains of the slots an open snapshot sees differently
+        #: from the heap; empty whenever no snapshot is open.  Writes never
+        #: touch it: the owning database fills it from the undo log.
+        self.mvcc = VersionStore()
         pk_position = schema.primary_key_index()
         if pk_position is not None:
             self.create_index(f"{schema.name}_pk", [schema.columns[pk_position].name], unique=True)
@@ -140,7 +135,6 @@ class TableStorage:
             self._undo.append(("insert", row_id))
         if self._journal is not None:
             self._journal("insert", row_id, stored)
-        self._notify_mvcc(row_id, None)
         return row_id
 
     def insert_at(self, row_id: int, row: Sequence[object]) -> None:
@@ -166,7 +160,6 @@ class TableStorage:
         self._rows[row_id] = stored
         self._live_count += 1
         self.version += 1
-        self._notify_mvcc(row_id, None)
 
     def pad_slots(self, total_slots: int) -> None:
         """Extend the heap with dead slots up to *total_slots* (restoring
@@ -187,7 +180,6 @@ class TableStorage:
             self._undo.append(("delete", row_id, row))
         if self._journal is not None:
             self._journal("delete", row_id, row)
-        self._notify_mvcc(row_id, row)
 
     def update(self, row_id: int, new_row: Sequence[object]) -> None:
         old_row = self._rows[row_id]
@@ -219,7 +211,6 @@ class TableStorage:
             self._undo.append(("update", row_id, old_row))
         if self._journal is not None:
             self._journal("update", row_id, stored, old_row)
-        self._notify_mvcc(row_id, old_row)
 
     def scan(self) -> Iterator[Tuple[int, Row]]:
         """Yield (row_id, row) for every live row in insertion order."""
@@ -227,85 +218,79 @@ class TableStorage:
             if row is not None:
                 yield row_id, row
 
-    def rows(self) -> Iterator[Row]:
-        """Yield every live row (without row ids)."""
-        for __, row in self.scan():
-            yield row
-
     def fetch(self, row_id: int) -> Row:
         row = self._rows[row_id]
         if row is None:
             raise IntegrityError(f"row {row_id} of {self.schema.name!r} is deleted")
         return row
 
-    # -- MVCC snapshot reads ---------------------------------------------------
+    # -- reads, as of a snapshot or live --------------------------------------
+    #
+    # The one way operators read rows and probe indexes.  *snapshot* None
+    # is the live heap; a slot without a version chain — every slot, when
+    # no snapshot is open — answers a snapshot exactly as it answers a
+    # live read, with no extra work per row.
 
-    def _notify_mvcc(self, row_id: int, old_row: Optional[Row]) -> None:
-        """Version bookkeeping for one successful heap write: capture the
-        committed pre-image (first write to the slot) and report the dirty
-        slot to the owning database's transaction scope."""
-        if self.mvcc is not None:
-            self.mvcc.record_write(row_id, old_row)
-        if self._mvcc_hook is not None:
-            self._mvcc_hook(self, row_id)
+    def as_of(self, snapshot: Optional[Snapshot]) -> Optional[int]:
+        """The stamp a read under *snapshot* has to resolve chains at, or
+        None when it reads what a live read reads (the key derived caches
+        file a read under)."""
+        if snapshot is None or not self.mvcc.chains:
+            return None
+        return snapshot.stamp
 
-    def snapshot_rows(self, snapshot) -> Iterator[Row]:
-        """Every row visible to *snapshot*, in slot order, lock-free."""
-        store = self.mvcc
-        if store is None or not store.chains:
-            yield from self.rows()
+    def rows(self, snapshot: Optional[Snapshot] = None) -> Iterator[Row]:
+        """Yield every row visible to *snapshot*, in slot order."""
+        chains = self.mvcc.chains
+        if snapshot is None or not chains:
+            for row in self._rows:
+                if row is not None:
+                    yield row
             return
-        chains = store.chains
         stamp = snapshot.stamp
-        for row_id, live in enumerate(self._rows):
+        for row_id, row in enumerate(self._rows):
+            chain = chains.get(row_id)
+            if chain is not None:
+                row = chain.visible(stamp)
+            if row is not None:
+                yield row
+
+    def probe(
+        self,
+        index: HashIndex,
+        key: Tuple[object, ...],
+        snapshot: Optional[Snapshot] = None,
+    ) -> List[Row]:
+        """The rows visible to *snapshot* whose *index* columns equal *key*.
+
+        Order: the bucket's slots in bucket order, then — the hash index
+        reflects the current heap, so a row whose current value left the
+        key while its visible version still matches is not in the bucket —
+        the matching chained slots outside it, in slot order.  A chained
+        slot's visible version is re-verified against the key; chainless
+        slots are taken as the bucket gives them.
+        """
+        rows = self._rows
+        # A key with a NULL part is never indexed, so it finds no bucket.
+        bucket = index._buckets.get(key, ())
+        chains = self.mvcc.chains
+        if snapshot is None or not chains:
+            return list(map(rows.__getitem__, bucket))
+        stamp = snapshot.stamp
+        matched = []
+        for row_id in bucket:
             chain = chains.get(row_id)
             if chain is None:
-                if live is not None:
-                    yield live
-                continue
-            version = chain.visible(stamp)
-            if version is not None:
-                yield version.row
-
-    def snapshot_fetch(self, row_id: int, snapshot) -> Optional[Row]:
-        """The row *snapshot* sees in slot *row_id*, or None."""
-        live = self._rows[row_id] if row_id < len(self._rows) else None
-        store = self.mvcc
-        if store is None:
-            return live
-        return store.visible_row(row_id, live, snapshot.stamp)
-
-    def snapshot_probe(self, index: HashIndex, key: Tuple[object, ...], snapshot) -> Iterator[Row]:
-        """Index-equality probe evaluated under *snapshot* visibility.
-
-        The hash index reflects the *current* heap, which may differ from
-        the snapshot: dirty/newer rows must be filtered out (re-verify the
-        key against the visible version) and rows whose current value left
-        the key — but whose snapshot version still matches — must be found
-        through a supplemental pass over the chained slots.  GC keeps that
-        chain set tiny, so the common chainless case is the plain probe.
-        """
-        store = self.mvcc
-        if store is None or not store.chains:
-            for row_id in index.probe(key):
-                yield self._rows[row_id]
-            return
-        matched: List[Tuple[int, Row]] = []
-        seen = set()
-        for row_id in index.probe(key):
-            seen.add(row_id)
-            row = self.snapshot_fetch(row_id, snapshot)
+                matched.append(rows[row_id])
+            else:
+                row = chain.visible(stamp)
+                if row is not None and index.key_for(row) == key:
+                    matched.append(row)
+        for row_id in sorted(chains.keys() - bucket):
+            row = chains[row_id].visible(stamp)
             if row is not None and index.key_for(row) == key:
-                matched.append((row_id, row))
-        for row_id in store.chains:
-            if row_id in seen:
-                continue
-            row = self.snapshot_fetch(row_id, snapshot)
-            if row is not None and index.key_for(row) == key:
-                matched.append((row_id, row))
-        matched.sort(key=lambda pair: pair[0])
-        for __, row in matched:
-            yield row
+                matched.append(row)
+        return matched
 
     # -- transactions ---------------------------------------------------------
 
@@ -313,8 +298,9 @@ class TableStorage:
     def in_transaction(self) -> bool:
         return self._undo is not None
 
-    def attach_undo(self, log: List[tuple]) -> None:
-        """Point mutation logging at *log* (owned by one transaction).
+    def attach_undo(self, log: Optional[List[tuple]]) -> None:
+        """Point mutation logging at *log* (owned by one transaction; None
+        stops logging).
 
         The database re-attaches the executing transaction's log before
         every DML statement, so concurrent sessions each collect their own
@@ -353,15 +339,8 @@ class TableStorage:
         """
         attached = self._undo
         journal = self._journal
-        store = self.mvcc
-        hook = self._mvcc_hook
         self._undo = None  # replay must not log
         self._journal = None  # the WAL sees one ABORT, not compensation ops
-        # Inverse replay restores the committed state the chains already
-        # describe — re-capturing "pre-images" of the compensation writes
-        # would corrupt the pending counts, so MVCC detaches too.
-        self.mvcc = None
-        self._mvcc_hook = None
         try:
             for entry in reversed(entries):
                 kind = entry[0]
@@ -374,8 +353,6 @@ class TableStorage:
         finally:
             self._undo = None if attached is entries else attached
             self._journal = journal
-            self.mvcc = store
-            self._mvcc_hook = hook
 
     def _restore(self, row_id: int, row: Row) -> None:
         """Re-materialise a deleted row in its original slot."""

@@ -74,7 +74,8 @@ class TestInvariants:
 
 
 class TestAuditEco:
-    """Long READ ONLY audits racing ECO write bursts, 2PL vs MVCC."""
+    """Long audits racing ECO write bursts: auditors that open with a
+    plain BEGIN (S locks) vs BEGIN READ ONLY (snapshot), same engine."""
 
     AUDIT_KWARGS = dict(
         clients=6, ops_per_client=6, conflict_rate=0.5, seed=42,
@@ -83,17 +84,21 @@ class TestAuditEco:
 
     @pytest.fixture(scope="class")
     def locked(self):
-        return ContentionSim(ContentionConfig(**self.AUDIT_KWARGS)).run()
+        return ContentionSim(
+            ContentionConfig(read_only_audits=False, **self.AUDIT_KWARGS)
+        ).run()
 
     @pytest.fixture(scope="class")
     def snapshotted(self):
         return ContentionSim(
-            ContentionConfig(mvcc=True, **self.AUDIT_KWARGS)
+            ContentionConfig(read_only_audits=True, **self.AUDIT_KWARGS)
         ).run()
 
     def test_same_seed_byte_identical_for_both_builds(self):
-        for mvcc in (False, True):
-            config = ContentionConfig(mvcc=mvcc, **self.AUDIT_KWARGS)
+        for read_only in (False, True):
+            config = ContentionConfig(
+                read_only_audits=read_only, **self.AUDIT_KWARGS
+            )
             first = ContentionSim(config).run()
             second = ContentionSim(config).run()
             assert report_json(first) == report_json(second)
@@ -101,18 +106,29 @@ class TestAuditEco:
     def test_2pl_auditors_actually_contend(self, locked):
         totals = locked["totals"]
         assert totals["ro_lock_waits"] > 0
-        assert not locked["mvcc"]["enabled"]
+        assert not locked["mvcc"]["read_only_audits"]
         assert locked["mvcc"]["snapshot_reads"] == 0
 
     def test_mvcc_auditors_never_wait_or_abort(self, snapshotted):
         totals = snapshotted["totals"]
         assert totals["ro_lock_waits"] == 0
         assert totals["ro_aborts"] == 0
-        assert snapshotted["mvcc"]["enabled"]
+        assert snapshotted["mvcc"]["read_only_audits"]
         assert snapshotted["mvcc"]["snapshot_reads"] > 0
         assert snapshotted["mvcc"]["readonly_txns"] > 0
-        # Steady state after the run: every chain garbage-collected.
-        assert snapshotted["mvcc"]["chains"] == 0
+
+    def test_versions_are_all_collected_at_quiescence(
+        self, locked, snapshotted
+    ):
+        for report in (locked, snapshotted):
+            versions = report["mvcc"]
+            # Steady state after the run: every chain garbage-collected,
+            # and every version that entered one counted out again.
+            assert versions["chains"] == 0
+            assert versions["versions_created"] == versions["versions_gc"]
+        # Versions follow readers: nobody opened a snapshot, none was made.
+        assert locked["mvcc"]["versions_created"] == 0
+        assert snapshotted["mvcc"]["versions_created"] > 0
 
     def test_mvcc_expand_tail_latency_strictly_better(
         self, locked, snapshotted

@@ -332,7 +332,7 @@ class TestReadOnlyWire:
 
     @pytest.fixture
     def mvcc_db(self):
-        database = Database(mvcc=True)
+        database = Database()
         database.execute(
             "CREATE TABLE acct (id INTEGER PRIMARY KEY, balance INTEGER)"
         )

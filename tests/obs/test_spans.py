@@ -149,7 +149,7 @@ class TestMvccMetrics:
     def test_readonly_txn_counters_reach_the_recorder(self, recorder):
         from repro.sqldb import Database
 
-        db = Database(mvcc=True)
+        db = Database()
         db.recorder = recorder
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         db.execute("INSERT INTO t VALUES (1, 10)")

@@ -1,4 +1,4 @@
-"""Recovery on an MVCC build: version state rebuilds deterministically.
+"""Recovery and snapshots: version state rebuilds deterministically.
 
 The commit clock is a pure function of the committed write history, so
 replaying the log (or restoring a checkpoint and replaying the records
@@ -11,7 +11,7 @@ from repro.recovery import Durability, SimDisk
 
 
 def make_durability():
-    durability = Durability(SimDisk(), db_kwargs={"mvcc": True})
+    durability = Durability(SimDisk())
     db = durability.open()
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
     db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")

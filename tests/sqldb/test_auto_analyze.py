@@ -85,7 +85,7 @@ class TestAutoAnalyze:
         """A READ ONLY snapshot read is lock-free by contract, and an
         auto-ANALYZE would take shared locks mid-transaction — the
         trigger must sit the snapshot out (and catch up afterwards)."""
-        db = Database(mvcc=True, auto_analyze_threshold=100)
+        db = Database(auto_analyze_threshold=100)
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)")
         db.execute("CREATE INDEX t_x ON t (x)")
         db.execute("INSERT INTO t VALUES (1, 1)")

@@ -101,7 +101,7 @@ GOLDEN_EXCHANGES: Dict[str, str] = {
 #: SHA-256 of the log the DML script leaves, and of the checkpoint record
 #: that replaces it.
 GOLDEN_WAL = "827e21a6f2509e95c5006ff07c2f6d19be0b50a8f62dda716de6d1774f4af0e5"
-GOLDEN_CHECKPOINT = "dcc70a5ed4245cff30cb1fcae9194b05baacd3413c1e1b895cbd73d656ca621a"
+GOLDEN_CHECKPOINT = "462caeb22c94f0c91e16bafa8b3e30460b73c2d7cef34a78e7fe2b2eb5fae5d0"
 
 #: Twenty statements touching every record kind (Q, B, I, U, D, C, A) and
 #: every value tag (NULL, bool, int64 edges, float, multibyte string).

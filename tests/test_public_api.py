@@ -38,15 +38,23 @@ class TestExports:
 
 
 class TestEngineOptions:
-    """The plan picks the executor and the statistics pick the planner:
-    neither is an option, and this is what keeps one from creeping back."""
+    """The plan picks the executor, the statistics pick the planner and
+    snapshots are always on: none is an option, and this is what keeps
+    one from creeping back."""
 
     def test_database_signature(self):
         assert tuple(inspect.signature(repro.Database).parameters) == (
             "plan_cache_size",
             "recursion_limit",
-            "mvcc",
             "auto_analyze_threshold",
+        )
+
+    def test_durability_signature(self):
+        from repro.recovery import Durability
+
+        assert tuple(inspect.signature(Durability).parameters) == (
+            "disk",
+            "recorder",
         )
 
     def test_execute_signature(self):
