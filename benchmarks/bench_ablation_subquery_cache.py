@@ -57,15 +57,15 @@ def test_cache_reduces_subquery_executions(db):
     from repro.sqldb.executor import ExecutionEnv
     from repro.sqldb.parser import parse_statement
     from repro.sqldb.planner import Planner
-    from repro.sqldb.recursive import execute_plan
+    from repro.sqldb.recursive import run_plan
 
     plan = Planner(db.catalog, db.functions).plan_select(
         parse_statement(ALL_OR_NOTHING)
     )
     cached_env = ExecutionEnv(functions=db.functions)
-    execute_plan(plan, cached_env)
+    run_plan(plan, cached_env)
     uncached_env = ExecutionEnv(functions=db.functions)
     uncached_env.enable_subquery_cache = False
-    execute_plan(plan, uncached_env)
+    run_plan(plan, uncached_env)
     assert cached_env.counters["subquery_executions"] == 1
     assert uncached_env.counters["subquery_executions"] == ROWS

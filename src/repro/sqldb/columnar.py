@@ -1,8 +1,8 @@
-"""Column-chunk batches: the data representation of the vectorized executor.
+"""Column-chunk batches: what the operators' ``batches`` bodies pass around.
 
 A :class:`Batch` is a horizontal slice of a relation stored column-wise:
 one Python list (or tuple) per output slot, all of the same length.  The
-vectorized operators in :mod:`repro.sqldb.vec_executor` pass batches
+``batches`` bodies in :mod:`repro.sqldb.executor` pass batches
 instead of single rows, so per-tuple interpreter overhead — generator
 frames, closure calls, tuple indexing — is paid once per ``BATCH_SIZE``
 rows instead of once per row.  NULLs stay in-band as ``None`` (matching
@@ -170,18 +170,3 @@ def table_batches(storage, batch_size: int = BATCH_SIZE, snapshot=None) -> List[
     ]
     cache[slot] = (key, batches)
     return batches
-
-
-def eval_batch(fn, batch: Batch, env) -> List[Any]:
-    """Evaluate a compiled expression over a whole batch.
-
-    Uses the columnar kernel attached by
-    :func:`repro.sqldb.expressions.compile_expression` when the expression
-    supports one; otherwise falls back to evaluating the row closure over
-    the batch's row view — still batch-at-a-time, and semantically
-    identical by construction because it *is* the row executor's closure.
-    """
-    kernel = getattr(fn, "vector", None)
-    if kernel is not None:
-        return kernel(batch, env)
-    return [fn(row, env) for row in batch.rows()]

@@ -46,9 +46,8 @@ from repro.sqldb.functions import FunctionRegistry
 from repro.sqldb.mvcc import MvccManager
 from repro.sqldb.parser import parse_script, parse_statement
 from repro.sqldb.planner import Plan, Planner
-from repro.sqldb.recursive import execute_plan
+from repro.sqldb.recursive import run_plan
 from repro.sqldb.result import ResultSet
-from repro.sqldb.vec_executor import vec_execute, vectorized_root
 from repro.sqldb.schema import Catalog, Column, TableSchema
 from repro.sqldb.stats import StatsCatalog
 from repro.sqldb.storage import TableStorage
@@ -708,31 +707,24 @@ class Database:
         return ResultSet(plan.output_names, rows)
 
     def _run_plan(self, plan: Plan, env: ExecutionEnv) -> List[Tuple[Any, ...]]:
-        """Execute through the batch pipeline when the whole plan
-        vectorizes, through the row operators otherwise.
-
-        The plan decides, and it decides whole: a plan runs entirely
-        vectorized or entirely row-at-a-time — never a mix at operator
-        granularity — so semantics stay single-sourced.
-        """
-        root, reason = vectorized_root(plan)
-        recorder = self.recorder
-        if root is None:
-            self.statistics["columnar_fallbacks"] += 1
-            self.last_executor = f"row (columnar fallback: {reason})"
-            if recorder is not None:
-                recorder.metrics.counter("db.columnar_fallbacks").inc()
-            return execute_plan(plan, env)
-        self.statistics["columnar_statements"] += 1
-        self.last_executor = "columnar"
-        rows = vec_execute(root, env)
-        if recorder is not None:
-            recorder.metrics.counter("db.columnar_executions").inc()
-            recorder.metrics.counter("db.vec_batches").inc(
-                env.counters["vec_batches"]
-            )
-            recorder.metrics.counter("db.vec_rows").inc(env.counters["vec_rows"])
-        return rows
+        """Run *plan* and account which operator bodies it ran on — also
+        when it fails part-way."""
+        try:
+            return run_plan(plan, env)
+        finally:
+            executor = self.last_executor = env.executor
+            recorder = self.recorder
+            if executor == "columnar":
+                self.statistics["columnar_statements"] += 1
+                if recorder is not None:
+                    counter = recorder.metrics.counter
+                    counter("db.columnar_executions").inc()
+                    counter("db.vec_batches").inc(env.counters["vec_batches"])
+                    counter("db.vec_rows").inc(env.counters["vec_rows"])
+            else:
+                self.statistics["columnar_fallbacks"] += 1
+                if recorder is not None:
+                    recorder.metrics.counter("db.columnar_fallbacks").inc()
 
     # -- DML / DDL ----------------------------------------------------------------
 
@@ -816,7 +808,7 @@ class Database:
                 # EXPLAIN ANALYZE plans are never cached, so the operator
                 # instances are fresh and safe to instrument in place.
                 env = self._environment(params)
-                lines = explain_analyze_plan(plan, env, *vectorized_root(plan))
+                lines = explain_analyze_plan(plan, env)
             else:
                 lines = explain_plan(plan)
             return ResultSet(["plan"], [(line,) for line in lines])
@@ -1081,7 +1073,7 @@ class Database:
                     for closures in prepared.value_rows
                 ]
             else:
-                source_rows = execute_plan(prepared.select, env)
+                source_rows = run_plan(prepared.select, env)
                 if source_rows and len(source_rows[0]) != len(positions):
                     raise IntegrityError(
                         "INSERT ... SELECT column count mismatch"

@@ -1,10 +1,28 @@
 """Physical operators and the execution environment.
 
-The engine uses the classic iterator ("volcano") model: every operator
-exposes ``rows(env)`` yielding plain Python tuples.  Compiled expressions
-are closures ``(row, env) -> value`` produced by
-:mod:`repro.sqldb.expressions`; operators are therefore independent of the
-AST and can be unit-tested with hand-written closures.
+There is one operator hierarchy.  Every operator exposes ``rows(env)``
+yielding plain Python tuples — the classic iterator ("volcano") model —
+and the operators that can also work a :class:`~repro.sqldb.columnar.Batch`
+at a time carry that body as ``batches(env)`` on the same class.  Under
+CPython the per-row cost (a generator resumption plus a closure call per
+expression per row) dominates scan-heavy queries; the batch bodies pay
+it once per chunk, running expressions through the columnar kernels
+compiled by :mod:`repro.sqldb.expressions` (or the row closure over the
+batch's row view where no kernel exists, which is identical by
+construction).  Both bodies of an operator produce the same rows in the
+same order (scan order, left-order hash probe, first-seen group and
+distinct order), so comparing them is exact, not set-based.
+
+A plan runs entirely on ``batches`` or entirely on ``rows``
+(:func:`repro.sqldb.recursive.run_plan`): each node knows from
+construction whether it and everything below it has a batch body
+(:attr:`Operator.fallback`).  The row bodies are the only implementation
+of index paths, CTE scans, nested loops and set operations, and the
+differential oracle for the rest.
+
+Compiled expressions are closures ``(row, env) -> value``; operators are
+therefore independent of the AST and can be unit-tested with
+hand-written closures.
 
 :class:`ExecutionEnv` carries everything that varies per execution:
 statement parameters, the function registry, materialised CTE frames
@@ -30,6 +48,8 @@ from typing import (
 )
 
 from repro.errors import ExecutionError
+from repro.sqldb.columnar import BATCH_SIZE, Batch, table_batches
+from repro.sqldb.expressions import as_kernel
 from repro.sqldb.functions import Aggregator, FunctionRegistry
 from repro.sqldb.stats import index_probe_cost, seq_scan_cost
 from repro.sqldb.storage import TableStorage
@@ -67,8 +87,8 @@ class ExecutionEnv:
             "rows_scanned": 0,
             "subquery_executions": 0,
             "index_probes": 0,
-            # Columnar executor: batches emitted / rows carried by them.
-            # Stay 0 for row-mode executions.
+            # Batches emitted / rows carried by them; stay 0 when the
+            # plan runs on the row bodies.
             "vec_batches": 0,
             "vec_rows": 0,
         }
@@ -89,6 +109,10 @@ class ExecutionEnv:
         #: environment (not the plan) because plans are cached and shared
         #: across transactions.
         self.snapshot = None
+        #: Which operator bodies the statement's plan ran on (``"columnar"``
+        #: or ``"row (columnar fallback: <reason>)"``), set by
+        #: :func:`repro.sqldb.recursive.run_plan`; None until a plan runs.
+        self.executor: Optional[str] = None
         #: ``id(operator) -> (key count, probed?)`` of the last run of each
         #: subquery-keyed :class:`MultiKeyIndexLookup`; per execution
         #: because plans are cached and shared.  EXPLAIN ANALYZE reads it.
@@ -119,13 +143,52 @@ class Operator:
     """Base class for physical operators.
 
     ``output_names`` lists the result column names in slot order; they
-    drive result-set metadata and star expansion.
+    drive result-set metadata and star expansion.  ``children`` are the
+    node's inputs in the order ``EXPLAIN`` prints them.  ``fallback`` is
+    None when this node and everything below it has a ``batches`` body,
+    otherwise the reason the plan runs on ``rows``: it names the first
+    operator in ``EXPLAIN`` order without one.
     """
 
-    output_names: List[str] = []
+    output_names: List[str]
+    children: Tuple["Operator", ...]
+    fallback: Optional[str]
+
+    def __init__(self, output_names: Sequence[str], *children: "Operator") -> None:
+        self.output_names = list(output_names)
+        self.children = children
+        if type(self).batches is Operator.batches:
+            self.fallback = (
+                f"operator {type(self).__name__} has no vectorized implementation"
+            )
+        else:
+            self.fallback = next(
+                (child.fallback for child in children if child.fallback), None
+            )
+
+    def label(self) -> str:
+        """This node's line in ``EXPLAIN``."""
+        return type(self).__name__
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         raise NotImplementedError
+
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        """The rows of :meth:`rows`, in order, as :class:`Batch` chunks."""
+        raise NotImplementedError
+
+    def _emit(self, batch: Batch, env: ExecutionEnv) -> Batch:
+        """Account one outgoing batch in the execution counters."""
+        counters = env.counters
+        counters["vec_batches"] += 1
+        counters["vec_rows"] += batch.length
+        return batch
+
+    def _materialised(self, rows: List[Row], env: ExecutionEnv) -> Iterator[Batch]:
+        """Re-chunk a materialised row list into output batches."""
+        arity = len(self.output_names)
+        for start in range(0, len(rows), BATCH_SIZE):
+            yield self._emit(Batch.from_rows(rows[start : start + BATCH_SIZE], arity), env)
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
         """Ids of the live-heap rows this operator would produce.
@@ -143,18 +206,24 @@ class _TableAccess(Operator):
     """An access path to one base table: what can say *which* rows it
     produced (:meth:`Operator.row_ids`), not only what was in them."""
 
-    storage: TableStorage
+    def __init__(self, storage: TableStorage) -> None:
+        super().__init__(storage.schema.column_names)
+        self.storage = storage
 
 
 class SeqScan(_TableAccess):
-    """Full scan of a base table."""
+    """Full scan of a base table; batch-wise over its cached column chunks."""
 
-    def __init__(self, storage: TableStorage) -> None:
-        self.storage = storage
-        self.output_names = list(storage.schema.column_names)
+    def label(self) -> str:
+        return f"SeqScan({self.storage.schema.name})"
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         return _scanned(self.storage.rows(env.snapshot), env)
+
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        for batch in table_batches(self.storage, snapshot=env.snapshot):
+            env.counters["rows_scanned"] += batch.length
+            yield self._emit(batch, env)
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
         return _scanned((row_id for row_id, __ in self.storage.scan()), env)
@@ -178,7 +247,10 @@ class _IndexProbe(_TableAccess):
     the live heap — asks the index for the ids.
     """
 
-    index: Any
+    def __init__(self, storage: TableStorage, index, key_fns: List[ExprFn]) -> None:
+        super().__init__(storage)
+        self.index = index
+        self.key_fns = key_fns
 
     def _keys(self, env: ExecutionEnv) -> Optional[Iterable[Tuple[Any, ...]]]:
         """The keys to probe, or None when scanning the table is cheaper."""
@@ -219,11 +291,8 @@ class IndexLookup(_IndexProbe):
     correlated lookups) but never the scanned table itself.
     """
 
-    def __init__(self, storage: TableStorage, index, key_fns: List[ExprFn]) -> None:
-        self.storage = storage
-        self.index = index
-        self.key_fns = key_fns
-        self.output_names = list(storage.schema.column_names)
+    def label(self) -> str:
+        return f"IndexLookup({self.storage.schema.name} via {self.index.name})"
 
     def _keys(self, env: ExecutionEnv) -> Iterable[Tuple[Any, ...]]:
         return (tuple(fn((), env) for fn in self.key_fns),)
@@ -262,14 +331,22 @@ class MultiKeyIndexLookup(_IndexProbe):
         key_fns: List[ExprFn],
         subquery=None,
     ) -> None:
-        self.storage = storage
-        self.index = index
-        self.key_fns = key_fns
+        super().__init__(storage, index, key_fns)
         #: :class:`repro.sqldb.planner.CompiledSubquery` supplying the
         #: keys instead of ``key_fns`` (the same object the residual
         #: filter tests membership against, so it is evaluated once).
         self.subquery = subquery
-        self.output_names = list(storage.schema.column_names)
+
+    def label(self) -> str:
+        keys = (
+            f"{len(self.key_fns)} keys"
+            if self.subquery is None
+            else "keys from subquery"
+        )
+        return (
+            f"MultiKeyIndexLookup({self.storage.schema.name} "
+            f"via {self.index.name}, {keys})"
+        )
 
     def _probe_is_cheaper(self, keys: int) -> bool:
         """Price *keys* probes against one scan of the table as it is now."""
@@ -299,8 +376,11 @@ class CTEScan(Operator):
     """
 
     def __init__(self, name: str, columns: List[str]) -> None:
+        super().__init__(columns)
         self.name = name
-        self.output_names = list(columns)
+
+    def label(self) -> str:
+        return f"CTEScan({self.name})"
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         frame = env.cte(self.name)
@@ -314,26 +394,49 @@ class RowsSource(Operator):
     VALUES lists, test fixtures)."""
 
     def __init__(self, columns: List[str], rows: List[Row]) -> None:
-        self.output_names = list(columns)
+        super().__init__(columns)
         self._rows = rows
+
+    def label(self) -> str:
+        return "Values"
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         return iter(self._rows)
+
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        yield from self._materialised(self._rows, env)
 
 
 class Filter(Operator):
     """Keep rows for which the predicate is TRUE (not FALSE, not UNKNOWN)."""
 
     def __init__(self, child: Operator, predicate: ExprFn) -> None:
+        super().__init__(child.output_names, child)
         self.child = child
         self.predicate = predicate
-        self.output_names = list(child.output_names)
+        self.kernel = as_kernel(predicate)
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         predicate = self.predicate
         for row in self.child.rows(env):
             if predicate(row, env) is True:
                 yield row
+
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        """A batch the predicate fully accepts passes through untouched
+        (the common case for selective scans is all-or-mostly matches per
+        chunk); otherwise matching positions are gathered into a fresh
+        batch."""
+        kernel = self.kernel
+        for batch in self.child.batches(env):
+            mask = kernel(batch, env)
+            # Strict identity (`is True`), like ``rows``: a predicate
+            # yielding a plain 1 does not keep the row in either body.
+            selected = [i for i, value in enumerate(mask) if value is True]
+            if len(selected) == batch.length:
+                yield self._emit(batch, env)
+            elif selected:
+                yield self._emit(batch.gather(selected), env)
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
         source = self.child
@@ -352,14 +455,25 @@ class Project(Operator):
     """Compute the select list."""
 
     def __init__(self, child: Operator, exprs: List[ExprFn], names: List[str]) -> None:
+        super().__init__(names, child)
         self.child = child
         self.exprs = exprs
-        self.output_names = list(names)
+        self.kernels = [as_kernel(fn) for fn in exprs]
+
+    def label(self) -> str:
+        return f"Project({', '.join(self.output_names)})"
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         exprs = self.exprs
         for row in self.child.rows(env):
             yield tuple(fn(row, env) for fn in exprs)
+
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        """Column-at-a-time — no row materialisation."""
+        kernels = self.kernels
+        for batch in self.child.batches(env):
+            columns = [kernel(batch, env) for kernel in kernels]
+            yield self._emit(Batch(columns, batch.length), env)
 
 
 class NestedLoopJoin(Operator):
@@ -376,11 +490,14 @@ class NestedLoopJoin(Operator):
         condition: Optional[ExprFn],
         kind: str = "INNER",
     ) -> None:
+        super().__init__(left.output_names + right.output_names, left, right)
         self.left = left
         self.right = right
         self.condition = condition
         self.kind = kind
-        self.output_names = list(left.output_names) + list(right.output_names)
+
+    def label(self) -> str:
+        return f"NestedLoopJoin({'CROSS' if self.condition is None else self.kind})"
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         right_rows = list(self.right.rows(env))
@@ -414,13 +531,18 @@ class HashJoin(Operator):
         residual: Optional[ExprFn] = None,
         kind: str = "INNER",
     ) -> None:
+        super().__init__(left.output_names + right.output_names, left, right)
         self.left = left
         self.right = right
         self.left_keys = left_keys
         self.right_keys = right_keys
+        self.left_kernels = [as_kernel(fn) for fn in left_keys]
+        self.right_kernels = [as_kernel(fn) for fn in right_keys]
         self.residual = residual
         self.kind = kind
-        self.output_names = list(left.output_names) + list(right.output_names)
+
+    def label(self) -> str:
+        return f"HashJoin({len(self.left_keys)} key(s))"
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         table: Dict[Tuple[Any, ...], List[Row]] = {}
@@ -441,6 +563,40 @@ class HashJoin(Operator):
                         yield combined
             if self.kind == "LEFT" and not matched:
                 yield left_row + pad
+
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        """Batched build and probe: key columns come from kernels, right
+        rows are inserted in scan order and the left child is walked in
+        order, so the output order is that of ``rows``."""
+        table: Dict[Tuple[Any, ...], List[Row]] = {}
+        for batch in self.right.batches(env):
+            key_columns = [kernel(batch, env) for kernel in self.right_kernels]
+            rows = batch.rows()
+            for i, key in enumerate(zip(*key_columns)):
+                if any(part is None for part in key):
+                    continue  # NULL never equi-joins
+                table.setdefault(key, []).append(rows[i])
+        pad = (None,) * len(self.right.output_names)
+        residual = self.residual
+        pad_left = self.kind == "LEFT"
+        for batch in self.left.batches(env):
+            key_columns = [kernel(batch, env) for kernel in self.left_kernels]
+            left_rows = batch.rows()
+            out: List[Row] = []
+            append = out.append
+            for i, key in enumerate(zip(*key_columns)):
+                left_row = left_rows[i]
+                matched = False
+                if not any(part is None for part in key):
+                    for right_row in table.get(key, ()):
+                        combined = left_row + right_row
+                        if residual is None or residual(combined, env) is True:
+                            matched = True
+                            append(combined)
+                if pad_left and not matched:
+                    append(left_row + pad)
+            if out:
+                yield self._emit(Batch.from_rows(out, len(self.output_names)), env)
 
 
 class IndexNestedLoopJoin(Operator):
@@ -463,14 +619,18 @@ class IndexNestedLoopJoin(Operator):
         residual: Optional[ExprFn],
         kind: str = "INNER",
     ) -> None:
+        super().__init__(left.output_names + list(storage.schema.column_names), left)
         self.left = left
         self.storage = storage
         self.index = index
         self.left_key_fns = left_key_fns
         self.residual = residual
         self.kind = kind
-        self.output_names = list(left.output_names) + list(
-            storage.schema.column_names
+
+    def label(self) -> str:
+        return (
+            f"IndexNestedLoopJoin({self.kind} probe "
+            f"{self.storage.schema.name} via {self.index.name})"
         )
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
@@ -494,21 +654,26 @@ class UnionAll(Operator):
     """Concatenate children (arity checked at plan time)."""
 
     def __init__(self, children: List[Operator]) -> None:
-        self.children = children
-        self.output_names = list(children[0].output_names)
+        super().__init__(children[0].output_names, *children)
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         for child in self.children:
             for row in child.rows(env):
                 yield row
 
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        for child in self.children:
+            for batch in child.batches(env):
+                yield self._emit(batch, env)
+
 
 class Distinct(Operator):
-    """Remove duplicate rows (used for UNION and SELECT DISTINCT)."""
+    """Remove duplicate rows, first occurrence wins (used for UNION and
+    SELECT DISTINCT)."""
 
     def __init__(self, child: Operator) -> None:
+        super().__init__(child.output_names, child)
         self.child = child
-        self.output_names = list(child.output_names)
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         seen = set()
@@ -517,14 +682,33 @@ class Distinct(Operator):
                 seen.add(row)
                 yield row
 
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        seen: set = set()
+        arity = len(self.output_names)
+        for batch in self.child.batches(env):
+            out: List[Row] = []
+            for row in batch.rows():
+                if row not in seen:
+                    seen.add(row)
+                    out.append(row)
+            if out:
+                yield self._emit(Batch.from_rows(out, arity), env)
 
-class SetDifference(Operator):
-    """EXCEPT (distinct) — rows of left not present in right."""
+
+class _SetOperation(Operator):
+    """Two inputs of equal arity; the output takes the left one's names."""
 
     def __init__(self, left: Operator, right: Operator) -> None:
+        super().__init__(left.output_names, left, right)
         self.left = left
         self.right = right
-        self.output_names = list(left.output_names)
+
+
+class SetDifference(_SetOperation):
+    """EXCEPT (distinct) — rows of left not present in right."""
+
+    def label(self) -> str:
+        return "Except"
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         exclude = set(self.right.rows(env))
@@ -535,13 +719,11 @@ class SetDifference(Operator):
                 yield row
 
 
-class SetIntersection(Operator):
+class SetIntersection(_SetOperation):
     """INTERSECT (distinct) — rows occurring in both children."""
 
-    def __init__(self, left: Operator, right: Operator) -> None:
-        self.left = left
-        self.right = right
-        self.output_names = list(left.output_names)
+    def label(self) -> str:
+        return "Intersect"
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         keep = set(self.right.rows(env))
@@ -571,7 +753,10 @@ class Aggregate(Operator):
     Output rows are ``group key values + aggregate values``; the planner
     compiles the select list and HAVING against that synthetic layout.
     With no GROUP BY there is exactly one (possibly empty) group, matching
-    SQL's scalar-aggregate semantics.
+    SQL's scalar-aggregate semantics.  Groups come out in first-seen
+    order; both bodies accumulate into the same
+    :class:`~repro.sqldb.functions.Aggregator` state machines, so DISTINCT
+    handling, NULL screening and result typing cannot diverge.
     """
 
     def __init__(
@@ -581,51 +766,98 @@ class Aggregate(Operator):
         aggregates: List[AggregateSpec],
         output_names: List[str],
     ) -> None:
+        super().__init__(output_names, child)
         self.child = child
         self.group_exprs = group_exprs
         self.aggregates = aggregates
-        self.output_names = list(output_names)
+        self.group_kernels = [as_kernel(fn) for fn in group_exprs]
+        self.arg_kernels = [
+            None if spec.star else as_kernel(spec.argument) for spec in aggregates
+        ]
+
+    def label(self) -> str:
+        return (
+            f"Aggregate({len(self.group_exprs)} group key(s), "
+            f"{len(self.aggregates)} aggregate(s))"
+        )
+
+    def _new_group(self) -> List[Aggregator]:
+        return [spec.new_aggregator() for spec in self.aggregates]
+
+    def _results(self, groups: Dict[Tuple[Any, ...], List[Aggregator]]) -> List[Row]:
+        if not self.group_exprs and not groups:
+            # SELECT COUNT(*) FROM empty_table must yield one row.
+            groups[()] = self._new_group()
+        return [
+            key + tuple(aggregator.result() for aggregator in aggregators)
+            for key, aggregators in groups.items()
+        ]
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         groups: Dict[Tuple[Any, ...], List[Aggregator]] = {}
-        order: List[Tuple[Any, ...]] = []
         for row in self.child.rows(env):
             key = tuple(fn(row, env) for fn in self.group_exprs)
             aggregators = groups.get(key)
             if aggregators is None:
-                aggregators = [spec.new_aggregator() for spec in self.aggregates]
-                groups[key] = aggregators
-                order.append(key)
+                aggregators = groups[key] = self._new_group()
             for spec, aggregator in zip(self.aggregates, aggregators):
                 if spec.star:
                     aggregator.add(None)
                 else:
                     aggregator.add(spec.argument(row, env))
-        if not self.group_exprs and not groups:
-            # SELECT COUNT(*) FROM empty_table must yield one row.
-            groups[()] = [spec.new_aggregator() for spec in self.aggregates]
-            order.append(())
-        for key in order:
-            yield key + tuple(agg.result() for agg in groups[key])
+        yield from self._results(groups)
+
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        """Group keys and aggregate arguments computed per batch by kernels."""
+        groups: Dict[Tuple[Any, ...], List[Aggregator]] = {}
+        group_kernels = self.group_kernels
+        for batch in self.child.batches(env):
+            if group_kernels:
+                key_columns = [kernel(batch, env) for kernel in group_kernels]
+                keys = list(zip(*key_columns))
+            else:
+                keys = [()] * batch.length
+            arg_columns = [
+                None if kernel is None else kernel(batch, env)
+                for kernel in self.arg_kernels
+            ]
+            for i, key in enumerate(keys):
+                aggregators = groups.get(key)
+                if aggregators is None:
+                    aggregators = groups[key] = self._new_group()
+                for column, aggregator in zip(arg_columns, aggregators):
+                    aggregator.add(None if column is None else column[i])
+        yield from self._materialised(self._results(groups), env)
 
 
 class Sort(Operator):
     """Stable multi-key sort; NULLs sort last ascending, first descending."""
 
     def __init__(self, child: Operator, keys: List[Tuple[ExprFn, bool]]) -> None:
+        super().__init__(child.output_names, child)
         self.child = child
         self.keys = keys  # (closure, descending)
-        self.output_names = list(child.output_names)
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        materialised = list(self.child.rows(env))
+    def label(self) -> str:
+        return f"Sort({len(self.keys)} key(s))"
+
+    def _sorted(self, materialised: List[Row], env: ExecutionEnv) -> List[Row]:
         # Stable sort by least-significant key first.
         for key_fn, descending in reversed(self.keys):
             materialised.sort(
                 key=lambda row: _null_safe_key(key_fn(row, env)),
                 reverse=descending,
             )
-        return iter(materialised)
+        return materialised
+
+    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
+        return iter(self._sorted(list(self.child.rows(env)), env))
+
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        materialised: List[Row] = []
+        for batch in self.child.batches(env):
+            materialised.extend(batch.rows())
+        yield from self._materialised(self._sorted(materialised, env), env)
 
 
 def _null_safe_key(value: Any):
@@ -639,39 +871,64 @@ def _null_safe_key(value: Any):
     return (1, str(value))
 
 
-class Offset(Operator):
-    """Skip the first N rows; N comes from a compiled expression."""
+class _RowCount(Operator):
+    """One input and a row count N from a compiled expression (it may be
+    a ``?`` parameter); NULL and negative counts are 0."""
 
-    def __init__(self, child: Operator, offset_fn: ExprFn) -> None:
+    def __init__(self, child: Operator, count_fn: ExprFn) -> None:
+        super().__init__(child.output_names, child)
         self.child = child
-        self.offset_fn = offset_fn
-        self.output_names = list(child.output_names)
+        self.count_fn = count_fn
+
+    def _count(self, env: ExecutionEnv) -> int:
+        count = self.count_fn((), env)
+        return 0 if is_null(count) else max(0, int(count))
+
+
+class Offset(_RowCount):
+    """Skip the first N rows — across batch boundaries in ``batches``."""
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        skip = self.offset_fn((), env)
-        skip = 0 if is_null(skip) else int(skip)
+        skip = self._count(env)
         for position, row in enumerate(self.child.rows(env)):
             if position >= skip:
                 yield row
 
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        skip = self._count(env)
+        for batch in self.child.batches(env):
+            if skip == 0:
+                yield self._emit(batch, env)
+            elif skip >= batch.length:
+                skip -= batch.length
+            else:
+                yield self._emit(batch.gather(list(range(skip, batch.length))), env)
+                skip = 0
 
-class Limit(Operator):
-    """Yield at most N rows; N comes from a compiled expression."""
 
-    def __init__(self, child: Operator, limit_fn: ExprFn) -> None:
-        self.child = child
-        self.limit_fn = limit_fn
-        self.output_names = list(child.output_names)
+class Limit(_RowCount):
+    """Yield at most N rows — truncating the final batch in ``batches``."""
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        remaining = self.limit_fn((), env)
-        if is_null(remaining):
-            remaining = 0
-        remaining = int(remaining)
-        if remaining <= 0:
+        remaining = self._count(env)
+        if remaining == 0:
             return
         for row in self.child.rows(env):
             yield row
             remaining -= 1
             if remaining == 0:
+                return
+
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        remaining = self._count(env)
+        if remaining == 0:
+            return
+        for batch in self.child.batches(env):
+            if batch.length <= remaining:
+                remaining -= batch.length
+                yield self._emit(batch, env)
+                if remaining == 0:
+                    return
+            else:
+                yield self._emit(batch.gather(list(range(remaining))), env)
                 return

@@ -9,28 +9,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.sqldb.executor import (
-    Aggregate,
-    CTEScan,
-    Distinct,
-    Filter,
-    HashJoin,
-    IndexLookup,
-    IndexNestedLoopJoin,
-    Limit,
-    MultiKeyIndexLookup,
-    NestedLoopJoin,
-    Operator,
-    Project,
-    RowsSource,
-    SeqScan,
-    SetDifference,
-    SetIntersection,
-    Sort,
-    UnionAll,
-)
-from repro.sqldb.planner import Plan, PlannedCTE, SubplanOperator
-from repro.sqldb.vec_executor import VecOperator, VecUnionAll, vec_execute
+from repro.sqldb import recursive
+from repro.sqldb.executor import Operator
+from repro.sqldb.planner import Plan, PlannedCTE
 
 
 def explain_plan(plan: Plan) -> List[str]:
@@ -42,16 +23,12 @@ def explain_plan(plan: Plan) -> List[str]:
     return lines
 
 
-def explain_analyze_plan(
-    plan: Plan, env, vec_root: Optional[VecOperator], fallback_reason: str
-) -> List[str]:
+def explain_analyze_plan(plan: Plan, env) -> List[str]:
     """Execute *plan* in *env* and render it with runtime statistics.
 
-    *vec_root* and *fallback_reason* are what
-    :func:`~repro.sqldb.vec_executor.vectorized_root` answers for the
-    plan: it runs on its batch operators when it has them, on the row
-    operators otherwise, exactly as a plain execution would.  Either way
-    the tree rendered is the one ``EXPLAIN`` shows.
+    The plan runs exactly as a plain execution would
+    (:func:`~repro.sqldb.recursive.run_plan`): on its operators'
+    ``batches`` bodies when every one has them, on ``rows`` otherwise.
 
     Every operator's ``rows`` (or ``batches``) generator is wrapped with a
     per-instance counting shim before execution, so each rendered line
@@ -61,41 +38,29 @@ def explain_analyze_plan(
     executed)``.  The plan must be freshly built — EXPLAIN ANALYZE
     statements bypass the plan cache, so the instrumented operator
     instances are discarded with the plan.  The trailing ``Executor:``
-    line states which operator set ran, and why when it is the row one.
+    line states which bodies ran, and why when it is the row ones.
     """
-    from repro.sqldb.recursive import execute_plan
-
-    operators = _all_operators(plan)
-    vectorized = vec_root is not None
-    if vec_root is not None:
-        # ``_vectorize`` maps the row tree one-to-one (and a vectorized
-        # plan has no CTEs), so the two preorder walks line up.
-        running, pull = _subtree(vec_root), "batches"
-    else:
-        running, pull = operators, "rows"
+    vectorized = recursive.batch_fallback(plan) is None
+    pull = "batches" if vectorized else "rows"
     stats = {}
-    for operator, target in zip(operators, running):
+    for operator in plan_operators(plan):
         if id(operator) in stats:
             continue
         record = stats[id(operator)] = {"loops": 0, "pulls": 0, "rows": 0}
 
-        def counting(env, _original=getattr(target, pull), _record=record):
+        def counting(env, _original=getattr(operator, pull), _record=record):
             _record["loops"] += 1
             for item in _original(env):
                 _record["pulls"] += 1
                 _record["rows"] += item.length if vectorized else 1
                 yield item
 
-        setattr(target, pull, counting)
+        setattr(operator, pull, counting)
 
+    rows = recursive.run_plan(plan, env)
     counters = ["rows_scanned", "index_probes", "subquery_executions"]
-    if vec_root is not None:
-        rows = vec_execute(vec_root, env)
-        executor = "columnar"
+    if vectorized:
         counters += ["vec_batches", "vec_rows"]
-    else:
-        rows = execute_plan(plan, env)
-        executor = f"row (columnar fallback: {fallback_reason})"
 
     def annotate(operator: Operator) -> str:
         estimate = _estimate(operator)
@@ -119,7 +84,7 @@ def explain_analyze_plan(
         lines.extend(_explain_cte(cte, annotate))
     lines.extend(_explain_operator(plan.root, 0, annotate))
     lines.append(f"Execution: {len(rows)} row(s) returned")
-    lines.append(f"Executor: {executor}")
+    lines.append(f"Executor: {env.executor}")
     for name in counters:
         lines.append(f"  {name}: {env.counters.get(name, 0)}")
     return lines
@@ -129,11 +94,6 @@ def plan_operators(plan: Plan) -> List[Operator]:
     """Every operator instance in *plan*, CTE branches included.  Public
     so the static analyzer (:mod:`repro.analysis`) can inspect access
     paths without executing anything."""
-    return _all_operators(plan)
-
-
-def _all_operators(plan: Plan) -> List[Operator]:
-    """Every operator instance in the plan, CTE branches included."""
     operators: List[Operator] = []
     for cte in plan.ctes:
         for branch in list(cte.seed_plans) + list(cte.recursive_plans):
@@ -142,10 +102,10 @@ def _all_operators(plan: Plan) -> List[Operator]:
     return operators
 
 
-def _subtree(operator) -> list:
+def _subtree(operator: Operator) -> List[Operator]:
     """*operator* and everything below it, in the order EXPLAIN prints."""
     operators = [operator]
-    for child in _children(operator):
+    for child in operator.children:
         operators.extend(_subtree(child))
     return operators
 
@@ -180,83 +140,10 @@ def _explain_cte(cte: PlannedCTE, annotate=_no_annotation) -> List[str]:
     return lines
 
 
-def _label(operator: Operator) -> str:
-    if isinstance(operator, SeqScan):
-        return f"SeqScan({operator.storage.schema.name})"
-    if isinstance(operator, IndexLookup):
-        return (
-            f"IndexLookup({operator.storage.schema.name} "
-            f"via {operator.index.name})"
-        )
-    if isinstance(operator, MultiKeyIndexLookup):
-        keys = (
-            f"{len(operator.key_fns)} keys"
-            if operator.subquery is None
-            else "keys from subquery"
-        )
-        return (
-            f"MultiKeyIndexLookup({operator.storage.schema.name} "
-            f"via {operator.index.name}, {keys})"
-        )
-    if isinstance(operator, IndexNestedLoopJoin):
-        return (
-            f"IndexNestedLoopJoin({operator.kind} probe "
-            f"{operator.storage.schema.name} via {operator.index.name})"
-        )
-    if isinstance(operator, CTEScan):
-        return f"CTEScan({operator.name})"
-    if isinstance(operator, RowsSource):
-        return "Values"
-    if isinstance(operator, Filter):
-        return "Filter"
-    if isinstance(operator, Project):
-        return f"Project({', '.join(operator.output_names)})"
-    if isinstance(operator, NestedLoopJoin):
-        kind = "CROSS" if operator.condition is None else operator.kind
-        return f"NestedLoopJoin({kind})"
-    if isinstance(operator, HashJoin):
-        return f"HashJoin({len(operator.left_keys)} key(s))"
-    if isinstance(operator, UnionAll):
-        return "UnionAll"
-    if isinstance(operator, Distinct):
-        return "Distinct"
-    if isinstance(operator, SetDifference):
-        return "Except"
-    if isinstance(operator, SetIntersection):
-        return "Intersect"
-    if isinstance(operator, Aggregate):
-        return (
-            f"Aggregate({len(operator.group_exprs)} group key(s), "
-            f"{len(operator.aggregates)} aggregate(s))"
-        )
-    if isinstance(operator, Sort):
-        return f"Sort({len(operator.keys)} key(s))"
-    if isinstance(operator, Limit):
-        return "Limit"
-    if isinstance(operator, SubplanOperator):
-        return "Subplan"
-    return type(operator).__name__
-
-
-def _children(operator) -> list:
-    """Inputs of a row operator — or of a batch operator, which names
-    them the same way."""
-    if isinstance(operator, SubplanOperator):
-        return [operator.subquery.plan.root]
-    if isinstance(operator, (UnionAll, VecUnionAll)):
-        return list(operator.children)
-    children = []
-    for attribute in ("child", "left", "right"):
-        value = getattr(operator, attribute, None)
-        if isinstance(value, (Operator, VecOperator)):
-            children.append(value)
-    return children
-
-
 def _explain_operator(
     operator: Operator, depth: int, annotate=_no_annotation
 ) -> List[str]:
-    lines = ["  " * depth + "-> " + _label(operator) + annotate(operator)]
-    for child in _children(operator):
+    lines = ["  " * depth + "-> " + operator.label() + annotate(operator)]
+    for child in operator.children:
         lines.extend(_explain_operator(child, depth + 1, annotate))
     return lines

@@ -113,12 +113,6 @@ class Plan:
     #: transaction analyzer shares) so that a cached plan re-acquires its
     #: locks without rebuilding them per execution.
     footprint: tuple = ()
-    #: Lazily computed vectorization of this plan: ``(vec_root, reason)``
-    #: where ``vec_root`` is the columnar operator tree (None when the plan
-    #: cannot be vectorized, with ``reason`` saying why).  Filled by
-    #: :func:`repro.sqldb.vec_executor.vectorized_root` on first
-    #: execution; safe to cache because plans are immutable after build.
-    vec_cache: Optional[Tuple[Optional[object], str]] = None
 
 
 class CompiledSubquery:
@@ -256,8 +250,12 @@ class SubplanOperator(Operator):
     """Operator adapter running a full :class:`Plan` (derived tables)."""
 
     def __init__(self, plan: Plan) -> None:
+        super().__init__(plan.output_names, plan.root)
         self.subquery = CompiledSubquery(plan, correlated=True)
-        self.output_names = list(plan.output_names)
+        self.fallback = "derived-table subplan runs row-at-a-time"
+
+    def label(self) -> str:
+        return "Subplan"
 
     def rows(self, env: ExecutionEnv):
         # Derived tables see no extra outer row; push an empty tuple so the
@@ -1579,27 +1577,16 @@ def _annotate_join_estimate(
     operator.est_rows = est
 
 
-def _operator_children(operator: Operator) -> List[Operator]:
-    if isinstance(operator, SubplanOperator):
-        return []  # its plan was finalized by the child planner
-    if isinstance(operator, UnionAll):
-        return list(operator.children)
-    children: List[Operator] = []
-    for attr in ("child", "left", "right"):
-        node = getattr(operator, attr, None)
-        if isinstance(node, Operator):
-            children.append(node)
-    return children
-
-
 def _finalize_estimates(operator: Operator) -> None:
     """Post-pass filling ``est_rows`` on wrapper operators that pass their
     child's cardinality through unchanged (or bounded): projections, sorts
     and the like inherit, UNION ALL sums.  Operators whose output cannot
     be derived (aggregates, set difference, …) keep no estimate rather
     than a made-up one."""
-    for child in _operator_children(operator):
-        _finalize_estimates(child)
+    # A subplan's tree was finalized by the child planner that built it.
+    if not isinstance(operator, SubplanOperator):
+        for child in operator.children:
+            _finalize_estimates(child)
     if getattr(operator, "est_rows", None) is not None:
         return
     if isinstance(operator, (Project, Sort, Distinct, Filter, Limit, Offset)):

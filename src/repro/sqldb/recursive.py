@@ -16,7 +16,7 @@ a recursively defined object tree in one query" (Section 5.2).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.errors import ExecutionError
 from repro.obs import maybe_span
@@ -44,16 +44,17 @@ def materialize_cte(planned: PlannedCTE, env: ExecutionEnv) -> CTEFrame:
     it never first materialises an unboundedly large round in memory.
     """
     if not planned.recursive:
-        rows = _run_plan(planned.seed_plans[0], env)
+        # One operator tree — CTE bodies cannot carry their own WITH
+        # clauses in this dialect.
+        rows = list(planned.seed_plans[0].rows(env))
         frame = CTEFrame(columns=list(planned.columns), rows=rows)
         env.bind_cte(planned.name, frame)
         return frame
-    seminaive = getattr(env, "enable_seminaive", True)
+    seminaive = env.enable_seminaive
     if not seminaive and not planned.distinct:
         raise ExecutionError(
             "naive fixpoint evaluation requires UNION (distinct) semantics"
         )
-    recorder = getattr(env, "recorder", None)
     limit = env.recursion_limit
     seen = set()
     accumulated: List[tuple] = []
@@ -86,7 +87,7 @@ def materialize_cte(planned: PlannedCTE, env: ExecutionEnv) -> CTEFrame:
         )
         next_delta: List[tuple] = []
         with maybe_span(
-            recorder,
+            env.recorder,
             "cte.fixpoint_round",
             kind="executor",
             cte=planned.name,
@@ -111,14 +112,35 @@ def materialize_cte(planned: PlannedCTE, env: ExecutionEnv) -> CTEFrame:
     return frame
 
 
-def _run_plan(branch, env: ExecutionEnv) -> List[tuple]:
-    """Execute one CTE branch (an operator tree — CTE bodies cannot carry
-    their own WITH clauses in this dialect)."""
-    return list(branch.rows(env))
+def batch_fallback(plan: Plan) -> Optional[str]:
+    """Why *plan* runs on its operators' ``rows`` bodies, or None when it
+    runs on ``batches``.
+
+    The plan decides, and it decides whole: every operator has a batch
+    body or none is used — never a mix at operator granularity — so
+    semantics stay single-sourced.  Both answers were settled when the
+    plan was built.
+    """
+    if plan.ctes:
+        return "plan materialises CTEs"
+    return plan.root.fallback
 
 
-def execute_plan(plan: Plan, env: ExecutionEnv) -> List[tuple]:
-    """Materialise a full statement plan: CTEs first, then the root tree."""
+def run_plan(plan: Plan, env: ExecutionEnv) -> List[tuple]:
+    """Execute a full statement plan: CTEs first, then the root tree.
+
+    ``env.executor`` says which bodies ran (what ``Database.last_executor``
+    reports); it is set before the first row is pulled, so a statement
+    that fails part-way still says what it failed on.
+    """
+    reason = batch_fallback(plan)
+    if reason is None:
+        env.executor = "columnar"
+        rows: List[tuple] = []
+        for batch in plan.root.batches(env):
+            rows.extend(batch.rows())
+        return rows
+    env.executor = f"row (columnar fallback: {reason})"
     for planned in plan.ctes:
         materialize_cte(planned, env)
     return list(plan.root.rows(env))

@@ -18,17 +18,18 @@ from repro.sqldb.database import Database
 def row_operators():
     """The row operators as the differential oracle.
 
-    ``with row_operators(): ...`` makes the engine find no plan
-    vectorizable, so every SELECT inside the block runs row-at-a-time and
-    leaves ``"row (columnar fallback: row oracle)"`` in ``last_executor``.
-    Product code has no way to ask for this.  (Session scope only so that
-    hypothesis tests may use it; the patch lasts for the ``with`` block.)
+    ``with row_operators(): ...`` makes the engine find a reason to run
+    every plan on its operators' ``rows`` bodies, so every SELECT inside
+    the block runs row-at-a-time and leaves ``"row (columnar fallback: row
+    oracle)"`` in ``last_executor``.  Product code has no way to ask for
+    this.  (Session scope only so that hypothesis tests may use it; the
+    patch lasts for the ``with`` block.)
     """
 
     def decline(plan):
-        return None, "row oracle"
+        return "row oracle"
 
-    return lambda: mock.patch("repro.sqldb.database.vectorized_root", decline)
+    return lambda: mock.patch("repro.sqldb.recursive.batch_fallback", decline)
 
 
 @pytest.fixture

@@ -158,6 +158,10 @@ ENGINE_CORPUS = [
     "SELECT DISTINCT n FROM t WHERE v < 10",
     "SELECT id FROM t ORDER BY id LIMIT 7",
     "SELECT id FROM t ORDER BY id LIMIT 5 OFFSET 95",
+    # a negative OFFSET skips nothing (it once re-emitted the batch's tail)
+    "SELECT id FROM t OFFSET -1",
+    "SELECT id FROM t OFFSET ?",
+    "SELECT id FROM t LIMIT 2 OFFSET -1",
     "SELECT v FROM t WHERE v < 3 UNION ALL SELECT k FROM dim WHERE k < 3",
     # a scalar subquery has no kernel: its row closure runs over the batch
     "SELECT v, (SELECT MAX(k) FROM dim) FROM t WHERE v < 3",
@@ -167,6 +171,9 @@ ENGINE_CORPUS = [
     "SELECT x.id FROM (SELECT id FROM t WHERE v < 5) AS x",
     "WITH small AS (SELECT id, v FROM t WHERE v < 5) SELECT * FROM small",
 ]
+
+#: Parameters of the corpus queries that take any.
+CORPUS_PARAMS = {"SELECT id FROM t OFFSET ?": (-2,)}
 
 #: The corpus queries whose plan does not vectorize; every other one must.
 ROW_ONLY = {
@@ -200,7 +207,11 @@ def engine_db() -> Database:
 @pytest.mark.parametrize("sql", ENGINE_CORPUS)
 def test_engine_corpus_differential(engine_db, row_operators, sql):
     run_differential(
-        engine_db, sql, oracle=row_operators, vectorizes=sql not in ROW_ONLY
+        engine_db,
+        sql,
+        CORPUS_PARAMS.get(sql, ()),
+        oracle=row_operators,
+        vectorizes=sql not in ROW_ONLY,
     )
 
 

@@ -131,3 +131,205 @@ class TestPDMPlanShape:
             )
         ]
         assert scanning == []
+
+
+# ---------------------------------------------------------------------------
+# One statement per concrete operator class: its EXPLAIN text, exactly, and
+# the proof that the class is wired into the tree it renders.
+# ---------------------------------------------------------------------------
+
+#: operator class -> (statement, its whole EXPLAIN output)
+OPERATOR_CORPUS = {
+    "SeqScan": ("SELECT * FROM a", ["-> Project(id, grp, v)", "  -> SeqScan(a)"]),
+    "IndexLookup": (
+        "SELECT * FROM a WHERE id = 1",
+        ["-> Project(id, grp, v)", "  -> Filter", "    -> IndexLookup(a via a_pk)"],
+    ),
+    "MultiKeyIndexLookup": (
+        "SELECT * FROM a WHERE id IN (1, 2, 3)",
+        [
+            "-> Project(id, grp, v)",
+            "  -> Filter",
+            "    -> MultiKeyIndexLookup(a via a_pk, 3 keys)",
+        ],
+    ),
+    "IndexNestedLoopJoin": (
+        "SELECT * FROM c LEFT JOIN b ON b.a_id = c.x",
+        [
+            "-> Project(x, id, a_id)",
+            "  -> IndexNestedLoopJoin(LEFT probe b via b_a)",
+            "    -> SeqScan(c)",
+        ],
+    ),
+    "CTEScan": (
+        "WITH w (n) AS (SELECT id FROM a) SELECT n FROM w",
+        [
+            "materialize cte w (UNION)",
+            "  seed branch:",
+            "    -> Project(id)",
+            "      -> SeqScan(a)",
+            "-> Project(n)",
+            "  -> CTEScan(w)",
+        ],
+    ),
+    "RowsSource": ("SELECT 1", ["-> Project(col1)", "  -> Values"]),
+    "Filter": (
+        "SELECT * FROM a WHERE v > 1",
+        ["-> Project(id, grp, v)", "  -> Filter", "    -> SeqScan(a)"],
+    ),
+    "Project": ("SELECT id, v + 1 AS w FROM a", ["-> Project(id, w)", "  -> SeqScan(a)"]),
+    "NestedLoopJoin": (
+        "SELECT * FROM c AS l, c AS r",
+        [
+            "-> Project(x, x)",
+            "  -> NestedLoopJoin(CROSS)",
+            "    -> SeqScan(c)",
+            "    -> SeqScan(c)",
+        ],
+    ),
+    "HashJoin": (
+        "SELECT * FROM c AS l JOIN c AS r ON l.x = r.x",
+        [
+            "-> Project(x, x)",
+            "  -> HashJoin(1 key(s))",
+            "    -> SeqScan(c)",
+            "    -> SeqScan(c)",
+        ],
+    ),
+    "UnionAll": (
+        "SELECT x FROM c UNION ALL SELECT x FROM c",
+        [
+            "-> UnionAll",
+            "  -> Project(x)",
+            "    -> SeqScan(c)",
+            "  -> Project(x)",
+            "    -> SeqScan(c)",
+        ],
+    ),
+    "Distinct": (
+        "SELECT DISTINCT x FROM c",
+        ["-> Distinct", "  -> Project(x)", "    -> SeqScan(c)"],
+    ),
+    "SetDifference": (
+        "SELECT x FROM c EXCEPT SELECT id FROM a",
+        [
+            "-> Except",
+            "  -> Project(x)",
+            "    -> SeqScan(c)",
+            "  -> Project(id)",
+            "    -> SeqScan(a)",
+        ],
+    ),
+    "SetIntersection": (
+        "SELECT x FROM c INTERSECT SELECT id FROM a",
+        [
+            "-> Intersect",
+            "  -> Project(x)",
+            "    -> SeqScan(c)",
+            "  -> Project(id)",
+            "    -> SeqScan(a)",
+        ],
+    ),
+    "Aggregate": (
+        "SELECT grp, COUNT(*), SUM(v) FROM a GROUP BY grp",
+        [
+            "-> Project(grp, count, sum)",
+            "  -> Aggregate(1 group key(s), 2 aggregate(s))",
+            "    -> SeqScan(a)",
+        ],
+    ),
+    "Sort": (
+        "SELECT x FROM c ORDER BY x DESC, 1",
+        ["-> Sort(2 key(s))", "  -> Project(x)", "    -> SeqScan(c)"],
+    ),
+    "Offset": (
+        "SELECT x FROM c OFFSET 2",
+        ["-> Offset", "  -> Project(x)", "    -> SeqScan(c)"],
+    ),
+    "Limit": (
+        "SELECT x FROM c LIMIT 3 OFFSET 2",
+        ["-> Limit", "  -> Offset", "    -> Project(x)", "      -> SeqScan(c)"],
+    ),
+    "SubplanOperator": (
+        "SELECT d.x FROM (SELECT x FROM c WHERE x > 1) AS d",
+        [
+            "-> Project(x)",
+            "  -> Subplan",
+            "    -> Project(x)",
+            "      -> Filter",
+            "        -> SeqScan(c)",
+        ],
+    ),
+}
+
+
+@pytest.fixture
+def corpus_db(db):
+    db.execute("CREATE TABLE c (x INTEGER)")
+    return db
+
+
+def concrete_operator_classes():
+    import repro.sqldb.planner  # noqa: F401  (defines SubplanOperator)
+    from repro.sqldb.executor import Operator
+
+    def walk(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from walk(sub)
+
+    # A leading underscore marks the shared bases (_TableAccess, ...).
+    return [cls for cls in walk(Operator) if not cls.__name__.startswith("_")]
+
+
+class TestOperatorSet:
+    @pytest.mark.parametrize("operator", sorted(OPERATOR_CORPUS))
+    def test_explain_text_of_every_operator(self, corpus_db, operator):
+        sql, expected = OPERATOR_CORPUS[operator]
+        assert plan_text(corpus_db, sql).splitlines() == expected
+
+    def test_the_corpus_names_every_operator_class(self):
+        assert sorted(cls.__name__ for cls in concrete_operator_classes()) == sorted(
+            OPERATOR_CORPUS
+        )
+
+    def test_no_operator_is_half_registered(self, corpus_db):
+        """Every concrete class has its own ``rows`` and a ``label()``, and
+        ``children`` is every operator an instance holds — whatever
+        attribute it keeps it under — so EXPLAIN, EXPLAIN ANALYZE, the
+        estimate pass and the batch-or-rows decision all see the same
+        tree."""
+        from repro.sqldb.executor import Operator
+        from repro.sqldb.explain import plan_operators
+        from repro.sqldb.parser import parse_statement
+
+        def held(operator):
+            """Operators kept under any attribute other than ``children``."""
+            found = []
+            for name, value in vars(operator).items():
+                if name == "children":
+                    continue
+                if isinstance(value, Operator):
+                    found.append(value)
+                elif isinstance(value, (list, tuple)):
+                    found.extend(v for v in value if isinstance(v, Operator))
+                elif hasattr(value, "plan"):  # SubplanOperator's subquery
+                    found.append(value.plan.root)
+            return found
+
+        instances = {}
+        for sql, __ in OPERATOR_CORPUS.values():
+            plan = corpus_db.plan_statement(parse_statement(sql))
+            for operator in plan_operators(plan):
+                instances.setdefault(type(operator), operator)
+        for cls in concrete_operator_classes():
+            assert cls.rows is not Operator.rows, cls
+            instance = instances[cls]
+            assert instance.label()
+            children = [id(child) for child in instance.children]
+            inputs = [id(child) for child in held(instance)]
+            assert [child for child in children if child in inputs] == inputs, cls
+            has_batches = cls.batches is not Operator.batches
+            assert (instance.fallback is None) == (
+                has_batches and all(c.fallback is None for c in instance.children)
+            ), cls

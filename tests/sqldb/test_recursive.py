@@ -162,7 +162,7 @@ class TestRecursion:
         iteration joins only the delta, not the accumulated result."""
         from repro.sqldb.parser import parse_statement
         from repro.sqldb.planner import Planner
-        from repro.sqldb.recursive import execute_plan
+        from repro.sqldb.recursive import run_plan
         from repro.sqldb.executor import ExecutionEnv
 
         db = Database()
@@ -180,7 +180,7 @@ class TestRecursion:
             )
         )
         env = ExecutionEnv(functions=db.functions)
-        rows = execute_plan(plan, env)
+        rows = run_plan(plan, env)
         assert rows[0][0] == 101
         # Naive evaluation would rescan the accumulated set every round
         # (~100*100/2 = 5000 probes); semi-naive needs ~100.

@@ -208,6 +208,20 @@ class TestInSubqueryNullMatrix:
         finally:
             oracle.close()
 
+    def test_negative_offset_skips_nothing(self):
+        """On both of the engine's operator bodies, as in SQLite (which
+        wants a LIMIT before any OFFSET)."""
+        db, oracle = matrix_databases([], analyzed=False)
+        try:
+            sql = "SELECT id FROM t ORDER BY id LIMIT 2 OFFSET -1"
+            assert assert_same_multiset(db, oracle, sql) == 2
+            assert db.last_executor == "columnar"
+            sql = "SELECT id FROM t WHERE k IN (1, 2) LIMIT 50 OFFSET -3"
+            assert assert_same_multiset(db, oracle, sql) == 9
+            assert db.last_executor.startswith("row (")
+        finally:
+            oracle.close()
+
     def test_the_matrix_exercises_the_probe_path(self):
         db, oracle = matrix_databases([1, None, 3, 1], analyzed=False)
         oracle.close()

@@ -57,7 +57,7 @@ class TestExists:
         # With caching on, the inner SELECT runs once, not once per row.
         from repro.sqldb.parser import parse_statement
         from repro.sqldb.planner import Planner
-        from repro.sqldb.recursive import execute_plan
+        from repro.sqldb.recursive import run_plan
         from repro.sqldb.executor import ExecutionEnv
 
         plan = Planner(db.catalog, db.functions).plan_select(
@@ -67,18 +67,18 @@ class TestExists:
             )
         )
         env = ExecutionEnv(functions=db.functions)
-        execute_plan(plan, env)
+        run_plan(plan, env)
         assert env.counters["subquery_executions"] == 1
 
         env2 = ExecutionEnv(functions=db.functions)
         env2.enable_subquery_cache = False
-        execute_plan(plan, env2)
+        run_plan(plan, env2)
         assert env2.counters["subquery_executions"] == 4  # once per row
 
     def test_correlated_subquery_not_cached(self, db):
         from repro.sqldb.parser import parse_statement
         from repro.sqldb.planner import Planner
-        from repro.sqldb.recursive import execute_plan
+        from repro.sqldb.recursive import run_plan
         from repro.sqldb.executor import ExecutionEnv
 
         plan = Planner(db.catalog, db.functions).plan_select(
@@ -88,7 +88,7 @@ class TestExists:
             )
         )
         env = ExecutionEnv(functions=db.functions)
-        execute_plan(plan, env)
+        run_plan(plan, env)
         assert env.counters["subquery_executions"] == 4
 
 

@@ -63,6 +63,91 @@ class TestWholePlanFallback:
         assert db.last_executor is not None
         assert "columnar fallback" in db.last_executor
 
+    #: One statement per family of plan that runs on the row bodies, with
+    #: the first operator (in EXPLAIN order) that has no batch body.
+    FAMILIES = {
+        "index lookup": (
+            "SELECT v FROM t WHERE id = 7",
+            "operator IndexLookup has no vectorized implementation",
+        ),
+        "multi-key lookup": (
+            "SELECT v FROM t WHERE id IN (1, 2, 3)",
+            "operator MultiKeyIndexLookup has no vectorized implementation",
+        ),
+        "index-nested-loop": (
+            "SELECT c.x FROM c JOIN u ON u.t_id = c.x",
+            "operator IndexNestedLoopJoin has no vectorized implementation",
+        ),
+        "nested loop": (
+            "SELECT l.x FROM c AS l JOIN c AS r ON l.x < r.x",
+            "operator NestedLoopJoin has no vectorized implementation",
+        ),
+        # The join is named, not the index lookup below it: EXPLAIN order.
+        "nested loop over index lookup": (
+            "SELECT l.x FROM c AS l, t WHERE t.id = 3 AND l.x < t.v",
+            "operator NestedLoopJoin has no vectorized implementation",
+        ),
+        "cte": (
+            "WITH w (n) AS (SELECT x FROM c) SELECT n FROM w",
+            "plan materialises CTEs",
+        ),
+        "set difference": (
+            "SELECT x FROM c EXCEPT SELECT v FROM t",
+            "operator SetDifference has no vectorized implementation",
+        ),
+        "set intersection": (
+            "SELECT x FROM c INTERSECT SELECT v FROM t",
+            "operator SetIntersection has no vectorized implementation",
+        ),
+        "derived table": (
+            "SELECT d.v FROM (SELECT v FROM t WHERE v < 5) AS d",
+            "derived-table subplan runs row-at-a-time",
+        ),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_fallback_family_says_why_and_is_counted(self, db, family):
+        sql, reason = self.FAMILIES[family]
+        db.execute_script(
+            "CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER);"
+            "CREATE INDEX u_t ON u (t_id);"
+            "CREATE TABLE c (x INTEGER)"
+        )
+        db.executemany("INSERT INTO c VALUES (?)", [(i,) for i in range(5)])
+        before = dict(db.statistics)
+        db.execute(sql)
+        assert db.last_executor == f"row (columnar fallback: {reason})"
+        assert db.statistics["columnar_fallbacks"] == before["columnar_fallbacks"] + 1
+        assert db.statistics["columnar_statements"] == before["columnar_statements"]
+        assert db.last_counters["vec_batches"] == 0
+        assert db.last_counters["vec_rows"] == 0
+        footer = [line for (line,) in db.execute(f"EXPLAIN ANALYZE {sql}").rows]
+        assert f"Executor: row (columnar fallback: {reason})" in footer
+
+    def test_a_plan_runs_whole_on_one_kind_of_body(self, db):
+        """The hash join has a batch body and so has everything below it,
+        but the EXCEPT above it has none: nothing in the plan emits a
+        batch."""
+        db.execute("CREATE TABLE dim (k INTEGER)")
+        db.executemany("INSERT INTO dim VALUES (?)", [(k,) for k in range(5)])
+        join = "SELECT t.id FROM t JOIN dim ON t.v = dim.k"
+        db.execute(join)
+        assert db.last_executor == "columnar"
+        assert db.last_counters["vec_batches"] > 0
+        db.execute(f"{join} EXCEPT SELECT k FROM dim")
+        assert db.last_executor.startswith("row (columnar fallback: operator SetDiff")
+        assert db.last_counters["vec_batches"] == 0
+
+    def test_columnar_counts_are_what_they_were(self, db):
+        before = dict(db.statistics)
+        db.execute("SELECT v FROM t WHERE v < 3")
+        assert db.last_executor == "columnar"
+        assert db.statistics["columnar_statements"] == before["columnar_statements"] + 1
+        assert db.statistics["columnar_fallbacks"] == before["columnar_fallbacks"]
+        # scan, filter and project each emit one batch: 100 + 30 + 30 rows
+        assert db.last_counters["vec_batches"] == 3
+        assert db.last_counters["vec_rows"] == 160
+
     def test_fallback_result_matches_row_mode(self, db, row_operators):
         fallback = db.execute("SELECT v FROM t WHERE id = 7")
         with row_operators():

@@ -66,6 +66,17 @@ class TestEngineOptions:
 
         assert "cost_based" not in inspect.signature(Planner).parameters
 
+    def test_there_is_one_operator_hierarchy(self):
+        """No twin module to translate a plan into, no slot on the plan to
+        cache the translation in."""
+        import dataclasses
+        import importlib.util
+
+        from repro.sqldb.planner import Plan
+
+        assert importlib.util.find_spec("repro.sqldb.vec_executor") is None
+        assert "vec_cache" not in {f.name for f in dataclasses.fields(Plan)}
+
 
 class TestTopLevelWorkflow:
     def test_full_flow_through_top_level_names_only(self):
