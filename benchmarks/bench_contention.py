@@ -6,9 +6,11 @@ the deadlock/abort/retry accounting per cell:
 
     python benchmarks/bench_contention.py --json BENCH_contention.json
 
-``--smoke`` runs one fixed-seed cell twice and fails unless the two
-reports (schedule hash included) are byte-identical and no update was
-lost — the CI determinism gate for the concurrency subsystem.
+Exits non-zero when a cell breaks one of the simulator's invariants
+(``repro.concurrency.violations``: lost updates, an abort without its
+restart, an open session, surviving version chains).  The fixed-seed
+determinism gate is the ``contention`` block of
+``benchmarks/run_all.py --scale small``.
 """
 
 from __future__ import annotations
@@ -25,14 +27,10 @@ sys.path.insert(
 from repro.concurrency import (  # noqa: E402
     ContentionConfig,
     ContentionSim,
-    report_json,
+    violations,
 )
 
 SEED = 42
-
-SMOKE_CONFIG = ContentionConfig(
-    clients=4, ops_per_client=8, conflict_rate=0.7, seed=SEED
-)
 
 
 def run_cell(clients: int, conflict_rate: float, seed: int, ops: int) -> dict:
@@ -76,38 +74,6 @@ def print_table(cells) -> None:
         )
 
 
-def smoke() -> int:
-    """Fixed-seed determinism gate: two runs, byte-identical reports,
-    zero lost updates, and at least one conflict actually exercised."""
-    first = ContentionSim(SMOKE_CONFIG).run()
-    second = ContentionSim(SMOKE_CONFIG).run()
-    failures = []
-    if report_json(first) != report_json(second):
-        failures.append("same-seed reports differ — simulator is not deterministic")
-    if first["schedule"]["hash"] != second["schedule"]["hash"]:
-        failures.append("same-seed schedule hashes differ")
-    if first["lost_updates"] != 0:
-        failures.append(f"{first['lost_updates']} updates lost under contention")
-    conflicts = (
-        first["totals"]["write_retries"]
-        + first["totals"]["read_retries"]
-        + first["totals"]["deadlock_aborts"]
-    )
-    if conflicts == 0:
-        failures.append("smoke cell saw no lock conflicts — proved nothing")
-    print(f"schedule hash: {first['schedule']['hash']}")
-    print(
-        f"steps={first['schedule']['steps']} "
-        f"committed_increments={first['committed_increments']} "
-        f"deadlocks={first['totals']['deadlock_aborts']} "
-        f"restarts={first['totals']['txn_restarts']} "
-        f"lost_updates={first['lost_updates']}"
-    )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -131,22 +97,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--json", metavar="PATH", help="write the full report to PATH"
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the fixed-seed determinism gate instead of the sweep",
-    )
     args = parser.parse_args(argv)
-    if args.smoke:
-        return smoke()
     cells = sweep(args.clients, args.conflict_rates, args.seed, args.ops)
     print_table(cells)
     failures = [
         f"clients={cell['config']['clients']} "
-        f"conflict={cell['config']['conflict_rate']}: "
-        f"{cell['lost_updates']} lost updates"
+        f"conflict={cell['config']['conflict_rate']}: {failure}"
         for cell in cells
-        if cell["lost_updates"] != 0
+        for failure in violations(cell)
     ]
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:

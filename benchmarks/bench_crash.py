@@ -8,10 +8,10 @@ zero resurrected uncommitted writes.
 
     python benchmarks/bench_crash.py --json BENCH_crash.json
 
-``--smoke`` runs one fixed-seed crash cell twice (byte-identical
-reports required) plus a reduced sweep — the CI gate for the recovery
-subsystem.  The full mode sweeps >= 50 crash points and additionally
-re-runs a sample cell to assert byte-identical reports per seed.
+The sweep covers >= 50 crash points and additionally re-runs a sample
+cell to assert byte-identical reports per seed; the verdict on every
+report is ``repro.recovery.violations``.  The fixed-seed CI gate is the
+``crash`` block of ``benchmarks/run_all.py --scale small``.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from repro.recovery import (  # noqa: E402
     CrashChaosSim,
     report_json,
     run_crash_sweep,
+    violations,
 )
 
 SEED = 42
-
-SMOKE_CONFIG = CrashConfig(crash_at_append=7, failure="torn", seed=SEED)
 
 
 def print_table(summary: dict) -> None:
@@ -62,19 +61,11 @@ def determinism_check(config: CrashConfig) -> list:
     """Two runs of one cell must produce byte-identical reports."""
     first = CrashChaosSim(config).run()
     second = CrashChaosSim(config).run()
-    failures = []
+    failures = violations(first)
     if report_json(first) != report_json(second):
         failures.append(
             "same-seed crash reports differ — recovery is not deterministic"
         )
-    if first["lost_committed"]:
-        failures.append(f"lost committed txns: {first['lost_committed']}")
-    if first["resurrected"]:
-        failures.append(f"resurrected increments: {first['resurrected']}")
-    if not first["final_recovery_fixpoint"]:
-        failures.append("final recovery is not a fixpoint")
-    if not first["crash"]["occurred"]:
-        failures.append("crash point never fired — proved nothing")
     print(
         f"cell crash@{config.crash_at_append}-{config.failure}: "
         f"schedule hash {first['schedule']['hash']}"
@@ -86,24 +77,6 @@ def determinism_check(config: CrashConfig) -> list:
         f"discarded={first['crash_recovery'].get('txns_discarded')}"
     )
     return failures
-
-
-def smoke() -> int:
-    """Fixed-seed gate: one cell twice byte-identically, plus a reduced
-    sweep covering all three failure flavours."""
-    failures = determinism_check(SMOKE_CONFIG)
-    try:
-        summary = run_crash_sweep(seed=SEED, max_crash_at=4)
-    except DurabilityError as error:
-        failures.append(str(error))
-    else:
-        print(
-            f"reduced sweep: {summary['profiles']} profiles, "
-            f"invariants held: {summary['all_invariants_held']}"
-        )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def main(argv=None) -> int:
@@ -124,14 +97,7 @@ def main(argv=None) -> int:
         "--txns", type=int, default=3, help="transactions per client"
     )
     parser.add_argument("--json", metavar="PATH", help="write the summary")
-    parser.add_argument(
-        "--smoke", action="store_true", help="CI determinism gate"
-    )
     args = parser.parse_args(argv)
-
-    if args.smoke:
-        return smoke()
-
     failures = determinism_check(
         CrashConfig(
             clients=args.clients,

@@ -9,17 +9,20 @@ latency distribution between the two:
 
     python benchmarks/bench_mvcc.py --json BENCH_mvcc.json
 
-``--smoke`` runs one fixed-seed pair and fails unless
+Exits non-zero unless
 
-* both sides are deterministic (byte-identical same-seed reports),
 * the locking side actually contends (auditor lock waits > 0, else the
   cell proves nothing) and reads no snapshot,
 * the snapshot side shows ZERO lock waits and ZERO aborts for its
   auditors,
 * the snapshot side's p99 multi-level-expand latency is strictly lower,
-* neither side loses an update (the zero-lost-update audit), and
-* on both sides every version chain is drained by the end and every
-  version created was collected.
+  and
+* both sides hold the simulator's invariants
+  (``repro.concurrency.violations``: no lost update, every version chain
+  drained by the end and every version created collected).
+
+The fixed-seed gate (``SMOKE_KWARGS``, determinism included) is the
+``bench_mvcc`` block of ``benchmarks/run_all.py --scale small``.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ sys.path.insert(
 from repro.concurrency import (  # noqa: E402
     ContentionConfig,
     ContentionSim,
-    report_json,
+    violations,
 )
 
 SEED = 42
 
-#: One smoke cell: enough clients for auditor/writer overlap, long
-#: enough transactions for the locking auditors to park and deadlock.
+#: run_all's fixed-seed cell: enough clients for auditor/writer overlap,
+#: long enough transactions for the locking auditors to park and deadlock.
 SMOKE_KWARGS = dict(
     clients=6,
     ops_per_client=6,
@@ -119,19 +122,9 @@ def check_pair(pair: dict) -> List[str]:
             f"{p99_2pl:.3f}s"
         )
     for name, report in sides(pair):
-        if report["lost_updates"] != 0:
-            failures.append(f"{name} side lost {report['lost_updates']} updates")
-        versions = report["mvcc"]
-        if versions["chains"] != 0:
-            failures.append(
-                f"{name} side: {versions['chains']} version chains survived "
-                f"GC (expected 0 with no open snapshots)"
-            )
-        if versions["versions_created"] != versions["versions_gc"]:
-            failures.append(
-                f"{name} side created {versions['versions_created']} "
-                f"versions but collected {versions['versions_gc']}"
-            )
+        failures.extend(
+            f"{name} side: {failure}" for failure in violations(report)
+        )
     if mvcc["mvcc"]["snapshot_reads"] == 0:
         failures.append("snapshot auditors recorded no snapshot reads")
     return failures
@@ -153,25 +146,6 @@ def print_pair(pair: dict) -> None:
         )
 
 
-def smoke() -> int:
-    """Fixed-seed gate: determinism plus the snapshot acceptance criteria."""
-    pair = run_pair(**SMOKE_KWARGS)
-    failures = []
-    for name, report in sides(pair):
-        again = run_cell(report["config"]["read_only_audits"], **SMOKE_KWARGS)
-        if report_json(report) != report_json(again):
-            failures.append(
-                f"same-seed {name} reports differ — not deterministic"
-            )
-    failures.extend(check_pair(pair))
-    print_pair(pair)
-    print(f"locking schedule hash:  {pair['2pl']['schedule']['hash']}")
-    print(f"snapshot schedule hash: {pair['mvcc']['schedule']['hash']}")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=SEED)
@@ -184,14 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--json", metavar="PATH", help="write the full pair report to PATH"
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the fixed-seed acceptance gate instead of the sweep",
-    )
     args = parser.parse_args(argv)
-    if args.smoke:
-        return smoke()
     pair = run_pair(
         clients=args.clients,
         ops_per_client=args.ops,

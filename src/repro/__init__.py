@@ -52,11 +52,6 @@ from repro.pdm import (
 )
 from repro.rules import Actions, Rule, RuleTable
 from repro.server import DatabaseServer, RemoteConnection
-from repro.server.multisite import (
-    ReplicatedDatabase,
-    build_replicated_deployment,
-    make_site,
-)
 from repro.sqldb import Database
 
 __version__ = "1.0.0"
@@ -86,9 +81,6 @@ __all__ = [
     "predict",
     "Scenario",
     "build_scenario",
-    "ReplicatedDatabase",
-    "build_replicated_deployment",
-    "make_site",
     "LockManager",
     "LockMode",
     "SessionManager",

@@ -261,17 +261,3 @@ def may_conflict(a: LockRequest, b: LockRequest) -> bool:
     they may cover a common resource and their modes are incompatible
     under the manager's S/X matrix."""
     return may_overlap(a, b) and not compatible(a.mode, b.mode)
-
-
-def read_tables(requests: Iterable[LockRequest]) -> Tuple[str, ...]:
-    """Tables a footprint reads (S requests), sorted."""
-    return tuple(
-        sorted({r.table for r in requests if r.mode is LockMode.SHARED})
-    )
-
-
-def write_tables(requests: Iterable[LockRequest]) -> Tuple[str, ...]:
-    """Tables a footprint writes (X requests), sorted."""
-    return tuple(
-        sorted({r.table for r in requests if r.mode is LockMode.EXCLUSIVE})
-    )

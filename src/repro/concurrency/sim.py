@@ -1,4 +1,4 @@
-"""Deterministic contention simulator: N clients, one server, one clock.
+"""Deterministic client simulator: N clients, one server, one clock.
 
 The server is single-threaded, so true parallelism is neither possible
 nor needed — what matters for contention is the *interleaving* of
@@ -10,6 +10,21 @@ picks which client to resume next.  All clients share one
 :class:`~repro.network.link.NetworkLink`s, so every round trip, lock
 wait and backoff advances the same timeline.
 
+The first half of this module is the **kernel** every simulated
+workload is assembled from, and the only code that knows it:
+:func:`interleave` (the seeded scheduler, its trace and its hash);
+:func:`execute_parked` and :func:`attempt_txn` (the client protocol: a
+statement parked on ``LockUnavailable`` is retried on the next
+resumption while the transaction stays open — exactly how deadlock
+cycles form — a deadlock or timeout victim acknowledges the abort with
+a rollback, a crashed server costs the client its session; each
+workload's schedule labels and ``counts`` keys come in as
+:class:`TxnLabels`); :func:`connect_clients`, :func:`latency_summary`
+and :func:`report_json` (wiring and rendering).  The second half is one
+workload over it, :class:`ContentionSim`, and the verdict on its
+reports, :func:`violations`; the other workload is
+:class:`repro.recovery.chaos.CrashChaosSim`.
+
 Determinism: the schedule is a pure function of the seed (a
 ``random.Random(seed)`` drives both the scheduler and each client's
 workload choices through derived per-client seeds), the clock is
@@ -18,23 +33,16 @@ run to run inside one process (such as globally allocated wire client
 ids).  Two runs with the same configuration produce byte-identical
 reports — the schedule hash makes that checkable at a glance.
 
-The workload mixes the paper's three access patterns:
+The ``mixed`` scenario mixes the paper's three access patterns:
+``expand`` — a recursive subtree expansion (read-only, autocommit) or,
+with probability ``conflict_rate``, an *audit* read of the shared
+counter table that collides with open write transactions; ``increment``
+— a wire transaction updating two counter rows (hot, shared rows with
+probability ``conflict_rate``, else client-private rows), the classic
+lost-update workload; ``checkout`` — the server-side check-out/check-in
+procedure pair on a randomly chosen subtree.
 
-* ``expand`` — a recursive subtree expansion (read-only, autocommit),
-  or, with probability ``conflict_rate``, an *audit* read of the shared
-  counter table that collides with open write transactions;
-* ``increment`` — a wire transaction updating two counter rows (hot,
-  shared rows with probability ``conflict_rate``, else client-private
-  rows), the classic lost-update workload;
-* ``checkout`` — the server-side check-out/check-in procedure pair on a
-  randomly chosen subtree.
-
-Clients wait *patiently* on lock conflicts: a parked statement is
-retried on the next resumption while the transaction stays open, which
-is exactly how deadlock cycles form; deadlock victims acknowledge the
-abort with a rollback and restart their transaction from scratch.
-
-A second scenario, ``audit_eco``, splits the clients into long-running
+The ``audit_eco`` scenario splits the clients into long-running
 auditors (multi-level expand + counter audit inside one transaction)
 racing ECO write bursts (hot-counter increments plus an assembly-row
 update per transaction).  ``read_only_audits`` says how the auditors
@@ -51,26 +59,219 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.concurrency.locks import LockManager
 from repro.concurrency.sessions import SessionManager
 from repro.errors import (
+    SESSION_LOST_ERRORS,
     CheckOutError,
     ConcurrencyError,
     DeadlockError,
     LockTimeout,
     LockUnavailable,
+    ReproError,
 )
 from repro.model.parameters import TreeParameters
 from repro.network.clock import SimulatedClock
 from repro.network.link import NetworkLink
 from repro.sqldb.database import Database
 
-# The server and PDM layers are imported inside ContentionSim.__init__:
-# they (transitively) import repro.analysis, which imports this package
-# for the shared lock-footprint model — a module-level import here would
-# close that cycle.
+# The server and PDM layers are imported inside the functions that need
+# them: they (transitively) import repro.analysis, which imports this
+# package for the shared lock-footprint model — a module-level import
+# here would close that cycle.
+
+#: Errors that abort the transaction but keep the session alive.
+ABORT_ERRORS = (DeadlockError, LockTimeout)
+
+#: One statement of a simulated transaction: SQL, parameters and the
+#: schedule label its completion is recorded under.
+Statement = Tuple[str, Sequence[Any], str]
+
+
+def interleave(
+    clients: Sequence[Iterator[str]],
+    seed: int,
+    max_steps: int,
+    between: Optional[Callable[[], Optional[str]]] = None,
+) -> Tuple[List[str], str]:
+    """Resume *clients* one step at a time in an order drawn from
+    ``random.Random(seed)`` until all are exhausted; return the trace and
+    its SHA-256.
+
+    Every resumption is recorded as ``"{step}:{client}:{label}"`` with
+    the label the client yielded (``done`` for the resumption that found
+    it exhausted).  *between* runs before each step and once after the
+    last; a label it returns is recorded as ``"{step}:{label}"`` (the
+    crash workload restarts its server there).  Exceeding *max_steps*
+    means livelock — a bug — and raises :class:`ConcurrencyError`.
+    """
+    scheduler = random.Random(seed)
+    alive = list(range(len(clients)))
+    trace: List[str] = []
+    steps = 0
+    while True:
+        note = between() if between is not None else None
+        if note is not None:
+            trace.append(f"{steps}:{note}")
+        if not alive:
+            break
+        if steps >= max_steps:
+            raise ConcurrencyError(
+                f"scheduler exceeded {max_steps} steps — livelock"
+            )
+        index = alive[scheduler.randrange(len(alive))]
+        try:
+            label = next(clients[index])
+        except StopIteration:
+            alive.remove(index)
+            label = "done"
+        trace.append(f"{steps}:{index}:{label}")
+        steps += 1
+    digest = hashlib.sha256("\n".join(trace).encode("utf-8")).hexdigest()
+    return trace, digest
+
+
+@dataclass(frozen=True)
+class TxnLabels:
+    """What one workload calls the events of the client protocol: the
+    schedule labels it yields and the ``counts`` keys it bumps."""
+
+    begin: str = "begin"
+    wait: str = "write-wait"
+    abort: str = "restart"
+    commit: str = "commit"
+    waits: str = "write_retries"
+    deadlocks: str = "deadlock_aborts"
+    timeouts: str = "timeout_aborts"
+    #: Key counting lost sessions; None where the server cannot crash.
+    crashes: Optional[str] = None
+
+
+def execute_parked(
+    connection: Any,
+    sql: str,
+    params: Sequence[Any],
+    counts: Dict[str, int],
+    labels: TxnLabels,
+) -> Generator[str, None, Any]:
+    """Execute one statement, parking on ``LockUnavailable``: the request
+    stays queued server-side (a transaction keeps its other locks), so
+    the client yields ``labels.wait`` and retries on its next resumption.
+    Returns the result set; every other error propagates."""
+    while True:
+        try:
+            return connection.execute(sql, params)
+        except LockUnavailable:
+            counts[labels.waits] += 1
+            yield labels.wait
+
+
+def attempt_txn(
+    connection: Any,
+    statements: Sequence[Statement],
+    counts: Dict[str, int],
+    labels: TxnLabels,
+    read_only: bool = False,
+    on_statement: Optional[Callable[[str, float, Any], None]] = None,
+) -> Generator[str, None, Optional[ReproError]]:
+    """One attempt at a wire transaction; returns ``None`` once it has
+    committed, else the error that ended the attempt.
+
+    A deadlock or timeout abort is acknowledged with a rollback before
+    the error is returned (restarting is the caller's decision); a
+    crashed server or evicted session, wherever it shows, marks the
+    connection's session lost so the next ``begin`` re-opens one.
+    *on_statement* sees each completed statement's label, its simulated
+    seconds (lock waits included) and its result.
+    """
+    clock = connection.link.clock
+    try:
+        try:
+            connection.begin(read_only=read_only)
+            yield labels.begin
+            for sql, params, label in statements:
+                start = clock.now
+                result = yield from execute_parked(
+                    connection, sql, params, counts, labels
+                )
+                if on_statement is not None:
+                    on_statement(label, clock.now - start, result)
+                yield label
+            connection.commit()
+        except ABORT_ERRORS as error:
+            victim = isinstance(error, DeadlockError)
+            counts[labels.deadlocks if victim else labels.timeouts] += 1
+            connection.rollback()  # acknowledges a force-abort too
+            yield labels.abort
+            return error
+    except SESSION_LOST_ERRORS as error:
+        connection.mark_session_lost()
+        if labels.crashes is not None:
+            counts[labels.crashes] += 1
+        return error
+    yield labels.commit
+    return None
+
+
+def connect_clients(
+    server: Any, clock: SimulatedClock, config: Any
+) -> List[Any]:
+    """One :class:`RemoteConnection` per ``config.clients``, each over its
+    own ``config.latency_s`` / ``dtr_kbit_s`` link, all on the one *clock*."""
+    from repro.server.client import RemoteConnection
+
+    return [
+        RemoteConnection(
+            server,
+            NetworkLink(
+                latency_s=config.latency_s,
+                dtr_kbit_s=config.dtr_kbit_s,
+                clock=clock,
+            ),
+        )
+        for __ in range(config.clients)
+    ]
+
+
+def exact_percentile(sorted_values: List[float], q: float) -> Optional[float]:
+    """Exact linear-interpolation percentile of pre-sorted data."""
+    if not sorted_values:
+        return None
+    position = q * (len(sorted_values) - 1)
+    lower = math.floor(position)
+    upper = math.ceil(position)
+    if lower == upper:
+        return sorted_values[lower]
+    fraction = position - lower
+    return (
+        sorted_values[lower] * (1.0 - fraction)
+        + sorted_values[upper] * fraction
+    )
+
+
+def latency_summary(values: Sequence[float]) -> Dict[str, Optional[float]]:
+    """Count, mean, exact p50/p95/p99 and max of a latency sample."""
+    ordered = sorted(values)
+    return {
+        "count": len(ordered),
+        "mean": sum(ordered) / len(ordered) if ordered else None,
+        "p50": exact_percentile(ordered, 0.50),
+        "p95": exact_percentile(ordered, 0.95),
+        "p99": exact_percentile(ordered, 0.99),
+        "max": ordered[-1] if ordered else None,
+    }
+
+
+def report_json(report: Dict[str, Any]) -> str:
+    """Canonical (byte-stable) JSON rendering of a report."""
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
+# -- the contention workload -------------------------------------------------
 
 #: Recursive subtree expansion (the paper's expand-all action).
 _EXPAND_SQL = """
@@ -89,6 +290,20 @@ _INCREMENT_SQL = "UPDATE counters SET value = value + 1 WHERE id = ?"
 #: ECO write burst touches product structure too, so it collides with
 #: the auditors' subtree expands, not just with the counter audit.
 _ECO_SQL = "UPDATE assy SET name = ? WHERE obid = ?"
+
+#: Increment and ECO transactions use :class:`TxnLabels`' defaults; the
+#: auditors' transactions are told apart in the trace and the counters.
+_WRITE_TXN = TxnLabels()
+_AUTOCOMMIT_READ = TxnLabels(wait="read-wait", waits="read_retries")
+_AUDIT_TXN = TxnLabels(
+    begin="begin-ro",
+    wait="ro-wait",
+    abort="ro-restart",
+    commit="commit-ro",
+    waits="ro_lock_waits",
+    deadlocks="ro_aborts",
+    timeouts="ro_aborts",
+)
 
 
 def workload_scripts() -> List[Tuple[str, str, bool]]:
@@ -161,22 +376,6 @@ class ContentionConfig:
             raise ConcurrencyError("mix weights must be non-negative, sum > 0")
 
 
-def exact_percentile(sorted_values: List[float], q: float) -> Optional[float]:
-    """Exact linear-interpolation percentile of pre-sorted data."""
-    if not sorted_values:
-        return None
-    position = q * (len(sorted_values) - 1)
-    lower = math.floor(position)
-    upper = math.ceil(position)
-    if lower == upper:
-        return sorted_values[lower]
-    fraction = position - lower
-    return (
-        sorted_values[lower] * (1.0 - fraction)
-        + sorted_values[upper] * fraction
-    )
-
-
 class ContentionSim:
     """Build, run and report one seeded contention experiment."""
 
@@ -192,7 +391,6 @@ class ContentionSim:
             install_checkout_procedures,
             load_product,
         )
-        from repro.server.client import RemoteConnection
         from repro.server.server import DatabaseServer
 
         self.config = config
@@ -224,32 +422,17 @@ class ContentionSim:
         self.server = DatabaseServer(self.database, sessions=self.sessions)
         install_checkout_procedures(self.server)
         self._create_counters()
-        self.connections: List[Any] = []
-        for __ in range(config.clients):
-            link = NetworkLink(
-                latency_s=config.latency_s,
-                dtr_kbit_s=config.dtr_kbit_s,
-                clock=self.clock,
-            )
-            self.connections.append(RemoteConnection(self.server, link))
-        self.counts: Dict[str, int] = {
-            "expands": 0,
-            "audits": 0,
-            "increments": 0,
-            "checkouts": 0,
-            "checkins": 0,
-            "checkout_conflicts": 0,
-            "read_retries": 0,
-            "write_retries": 0,
-            "txn_restarts": 0,
-            "deadlock_aborts": 0,
-            "timeout_aborts": 0,
-            # audit_eco scenario; always present so report shape is stable.
-            "ro_txns": 0,
-            "ro_lock_waits": 0,
-            "ro_aborts": 0,
-            "eco_commits": 0,
-        }
+        self.connections = connect_clients(self.server, self.clock, config)
+        self.counts: Dict[str, int] = dict.fromkeys(
+            (
+                "expands", "audits", "increments", "checkouts", "checkins",
+                "checkout_conflicts", "read_retries", "write_retries",
+                "txn_restarts", "deadlock_aborts", "timeout_aborts",
+                # audit_eco scenario; always present so report shape is stable.
+                "ro_txns", "ro_lock_waits", "ro_aborts", "eco_commits",
+            ),
+            0,
+        )
         self.committed_increments = 0
         self.latencies: List[float] = []
         #: Latency of each successful multi-level expand statement inside
@@ -283,17 +466,7 @@ class ContentionSim:
 
     # -- client workload ------------------------------------------------------
 
-    def _pick_op(self, rng: random.Random) -> str:
-        weights = self.config.mix
-        total = sum(weights)
-        draw = rng.random() * total
-        if draw < weights[0]:
-            return "expand"
-        if draw < weights[0] + weights[1]:
-            return "increment"
-        return "checkout"
-
-    def _client(self, index: int) -> Iterator[str]:
+    def client(self, index: int) -> Iterator[str]:
         """One client's whole life as a cooperative generator.
 
         Every ``yield`` marks one completed wire operation (or one retry
@@ -304,62 +477,73 @@ class ContentionSim:
         connection = self.connections[index]
         connection.open_session()
         yield "open"
-        auditor = self.config.scenario == "audit_eco" and index % 2 == 0
+        if self.config.scenario == "mixed":
+            operation = self._run_mixed
+        elif index % 2 == 0:
+            operation = self._run_audit_txn
+        else:
+            operation = self._run_eco
         for __ in range(self.config.ops_per_client):
             start = self.clock.now
-            if self.config.scenario == "audit_eco":
-                runner = (
-                    self._run_audit_txn if auditor else self._run_eco
-                )
-                for label in runner(index, rng):
-                    yield label
-                self.latencies.append(self.clock.now - start)
-                continue
-            op = self._pick_op(rng)
-            if op == "expand":
-                for label in self._run_read(index, rng):
-                    yield label
-            elif op == "increment":
-                for label in self._run_increment(index, rng):
-                    yield label
-            else:
-                for label in self._run_checkout(index, rng):
-                    yield label
+            yield from operation(index, rng)
             self.latencies.append(self.clock.now - start)
         connection.close_session()
         yield "close"
+
+    def _run_mixed(self, index: int, rng: random.Random) -> Iterator[str]:
+        """One operation drawn from the ``mix`` weights."""
+        weights = self.config.mix
+        draw = rng.random() * sum(weights)
+        if draw < weights[0]:
+            return self._run_read(index, rng)
+        if draw < weights[0] + weights[1]:
+            return self._run_increment(index, rng)
+        return self._run_checkout(index, rng)
 
     def _run_read(self, index: int, rng: random.Random) -> Iterator[str]:
         """Autocommit read: subtree expand, or (with ``conflict_rate``)
         an audit of the counter table that collides with open write
         transactions.  Autocommit statements fail fast on conflict
         (nothing to deadlock with), so the client just retries later."""
-        audit = rng.random() < self.config.conflict_rate
-        connection = self.connections[index]
+        if rng.random() < self.config.conflict_rate:
+            sql, params, label, key = _AUDIT_SQL, [], "audit", "audits"
+        else:
+            sql, params, label, key = (
+                _EXPAND_SQL, [self.root_obid], "expand", "expands",
+            )
+        yield from execute_parked(
+            self.connections[index], sql, params, self.counts, _AUTOCOMMIT_READ
+        )
+        self.counts[key] += 1
+        yield label
+
+    def _until_committed(
+        self,
+        index: int,
+        statements: Sequence[Statement],
+        labels: TxnLabels,
+        **options: Any,
+    ) -> Generator[str, None, int]:
+        """Restart one transaction (*options* as :func:`attempt_txn`'s)
+        from scratch until it commits; returns the number of attempts.
+        An attempt ends in a deadlock or timeout abort or not at all:
+        this workload's server cannot crash."""
+        attempts = 0
         while True:
-            try:
-                if audit:
-                    connection.execute(_AUDIT_SQL)
-                    self.counts["audits"] += 1
-                    yield "audit"
-                else:
-                    connection.execute(_EXPAND_SQL, [self.root_obid])
-                    self.counts["expands"] += 1
-                    yield "expand"
-                return
-            except LockUnavailable:
-                self.counts["read_retries"] += 1
-                yield "read-wait"
+            attempts += 1
+            error = yield from attempt_txn(
+                self.connections[index], statements, self.counts, labels,
+                **options,
+            )
+            if error is None:
+                return attempts
+            if not isinstance(error, ABORT_ERRORS):
+                raise error
+            self.counts["txn_restarts"] += 1
 
     def _run_increment(self, index: int, rng: random.Random) -> Iterator[str]:
-        """One wire transaction incrementing two counter rows.
-
-        Parked statements are retried patiently (the transaction stays
-        open — this is what lets deadlock cycles form); a deadlock or
-        timeout abort is acknowledged with a rollback and the whole
-        transaction restarted.
-        """
-        connection = self.connections[index]
+        """One wire transaction incrementing two counter rows — hot ones
+        with ``conflict_rate``, else this client's private rows."""
         if (
             rng.random() < self.config.conflict_rate
             or self.config.private_counters < 2
@@ -367,39 +551,13 @@ class ContentionSim:
             targets = rng.sample(self._hot_ids(), 2)
         else:
             targets = rng.sample(self._private_ids(index), 2)
-        while True:
-            connection.begin()
-            yield "begin"
-            aborted = False
-            for counter_id in targets:
-                while True:
-                    try:
-                        connection.execute(_INCREMENT_SQL, [counter_id])
-                        yield "update"
-                        break
-                    except LockUnavailable:
-                        self.counts["write_retries"] += 1
-                        yield "write-wait"
-                    except DeadlockError:
-                        self.counts["deadlock_aborts"] += 1
-                        aborted = True
-                        break
-                    except LockTimeout:
-                        self.counts["timeout_aborts"] += 1
-                        aborted = True
-                        break
-                if aborted:
-                    break
-            if aborted:
-                connection.rollback()  # acknowledges a force-abort too
-                self.counts["txn_restarts"] += 1
-                yield "restart"
-                continue
-            connection.commit()
-            self.committed_increments += len(targets)
-            self.counts["increments"] += 1
-            yield "commit"
-            return
+        yield from self._until_committed(
+            index,
+            [(_INCREMENT_SQL, [target], "update") for target in targets],
+            _WRITE_TXN,
+        )
+        self.committed_increments += len(targets)
+        self.counts["increments"] += 1
 
     def _run_audit_txn(self, index: int, rng: random.Random) -> Iterator[str]:
         """One long audit: a multi-level subtree expand and a whole-table
@@ -412,92 +570,42 @@ class ContentionSim:
         is recorded separately so the two settings can be compared per
         statement.
         """
-        connection = self.connections[index]
-        while True:
-            connection.begin(read_only=self.config.read_only_audits)
-            self.counts["ro_txns"] += 1
-            yield "begin-ro"
-            aborted = False
-            for sql, params, label in (
+
+        def record(label: str, seconds: float, result: Any) -> None:
+            if label == "expand":
+                self.expand_latencies.append(seconds)
+                self.counts["expands"] += 1
+            else:
+                self.counts["audits"] += 1
+
+        attempts = yield from self._until_committed(
+            index,
+            [
                 (_EXPAND_SQL, [self.root_obid], "expand"),
                 (_AUDIT_SQL, [], "audit"),
-            ):
-                start = self.clock.now
-                while True:
-                    try:
-                        connection.execute(sql, params)
-                        if label == "expand":
-                            self.expand_latencies.append(
-                                self.clock.now - start
-                            )
-                            self.counts["expands"] += 1
-                        else:
-                            self.counts["audits"] += 1
-                        yield label
-                        break
-                    except LockUnavailable:
-                        self.counts["ro_lock_waits"] += 1
-                        yield "ro-wait"
-                    except (DeadlockError, LockTimeout):
-                        self.counts["ro_aborts"] += 1
-                        aborted = True
-                        break
-                if aborted:
-                    break
-            if aborted:
-                connection.rollback()  # acknowledges the force-abort
-                self.counts["txn_restarts"] += 1
-                yield "ro-restart"
-                continue
-            connection.commit()
-            yield "commit-ro"
-            return
+            ],
+            _AUDIT_TXN,
+            read_only=self.config.read_only_audits,
+            on_statement=record,
+        )
+        self.counts["ro_txns"] += attempts
 
     def _run_eco(self, index: int, rng: random.Random) -> Iterator[str]:
         """One ECO write burst: bump two hot counters and touch one
-        assembly row, all inside one wire transaction.  Same patient
-        retry / deadlock-restart protocol as :meth:`_run_increment`."""
-        connection = self.connections[index]
+        assembly row, all inside one wire transaction."""
         targets = rng.sample(self._hot_ids(), 2)
         part = rng.choice(self.checkout_roots)
-        statements: List[Tuple[str, List[Any], str]] = [
-            (_INCREMENT_SQL, [targets[0]], "update"),
-            (_INCREMENT_SQL, [targets[1]], "update"),
-            (_ECO_SQL, [f"eco-{index}", part], "eco-update"),
-        ]
-        while True:
-            connection.begin()
-            yield "begin"
-            aborted = False
-            for sql, params, label in statements:
-                while True:
-                    try:
-                        connection.execute(sql, params)
-                        yield label
-                        break
-                    except LockUnavailable:
-                        self.counts["write_retries"] += 1
-                        yield "write-wait"
-                    except DeadlockError:
-                        self.counts["deadlock_aborts"] += 1
-                        aborted = True
-                        break
-                    except LockTimeout:
-                        self.counts["timeout_aborts"] += 1
-                        aborted = True
-                        break
-                if aborted:
-                    break
-            if aborted:
-                connection.rollback()
-                self.counts["txn_restarts"] += 1
-                yield "restart"
-                continue
-            connection.commit()
-            self.committed_increments += 2
-            self.counts["eco_commits"] += 1
-            yield "commit"
-            return
+        yield from self._until_committed(
+            index,
+            [
+                (_INCREMENT_SQL, [targets[0]], "update"),
+                (_INCREMENT_SQL, [targets[1]], "update"),
+                (_ECO_SQL, [f"eco-{index}", part], "eco-update"),
+            ],
+            _WRITE_TXN,
+        )
+        self.committed_increments += 2
+        self.counts["eco_commits"] += 1
 
     def _run_checkout(self, index: int, rng: random.Random) -> Iterator[str]:
         """Check out a subtree, then check it back in (two procedure
@@ -518,37 +626,18 @@ class ContentionSim:
         self.counts["checkins"] += 1
         yield "checkin"
 
-    # -- scheduler ------------------------------------------------------------
+    # -- run and report ---------------------------------------------------------
 
     def run(self) -> dict:
         """Interleave all clients to completion; return the report."""
-        scheduler = random.Random(self.config.seed)
-        generators: Dict[int, Iterator[str]] = {}
-        for index in range(self.config.clients):
-            generators[index] = self._client(index)
-        alive = sorted(generators)
-        steps = 0
-        while alive:
-            if steps >= self.MAX_STEPS:
-                raise ConcurrencyError(
-                    f"scheduler exceeded {self.MAX_STEPS} steps — livelock"
-                )
-            index = alive[scheduler.randrange(len(alive))]
-            try:
-                label = next(generators[index])
-            except StopIteration:
-                alive.remove(index)
-                label = "done"
-            self.schedule.append(f"{steps}:{index}:{label}")
-            steps += 1
-        self.schedule_hash = hashlib.sha256(
-            "\n".join(self.schedule).encode("utf-8")
-        ).hexdigest()
-        return self._report(steps)
+        self.schedule, self.schedule_hash = interleave(
+            [self.client(index) for index in range(self.config.clients)],
+            self.config.seed,
+            self.MAX_STEPS,
+        )
+        return self.report()
 
-    # -- reporting ------------------------------------------------------------
-
-    def _report(self, steps: int) -> dict:
+    def report(self) -> dict:
         actual = int(
             self.database.execute("SELECT SUM(value) FROM counters").scalar()
         )
@@ -561,13 +650,11 @@ class ContentionSim:
             + self.counts["checkout_conflicts"]
             + self.counts["eco_commits"]
         )
-        latencies = sorted(self.latencies)
-        expand_latencies = sorted(self.expand_latencies)
         db_stats = self.database.statistics
         elapsed = self.clock.now
-        report = {
+        return {
             "config": asdict(self.config),
-            "schedule": {"steps": steps, "hash": self.schedule_hash},
+            "schedule": {"steps": len(self.schedule), "hash": self.schedule_hash},
             "totals": dict(self.counts),
             "committed_increments": expected,
             "counter_sum": actual,
@@ -590,37 +677,41 @@ class ContentionSim:
             },
             "elapsed_s": elapsed,
             "throughput_ops_per_s": ops_done / elapsed if elapsed else 0.0,
-            "latency_s": {
-                "count": len(latencies),
-                "mean": sum(latencies) / len(latencies) if latencies else None,
-                "p50": exact_percentile(latencies, 0.50),
-                "p95": exact_percentile(latencies, 0.95),
-                "p99": exact_percentile(latencies, 0.99),
-                "max": latencies[-1] if latencies else None,
-            },
+            "latency_s": latency_summary(self.latencies),
             # Per-statement latency of the auditors' multi-level expands
             # (empty outside the audit_eco scenario).
-            "expand_latency_s": {
-                "count": len(expand_latencies),
-                "mean": (
-                    sum(expand_latencies) / len(expand_latencies)
-                    if expand_latencies
-                    else None
-                ),
-                "p50": exact_percentile(expand_latencies, 0.50),
-                "p95": exact_percentile(expand_latencies, 0.95),
-                "p99": exact_percentile(expand_latencies, 0.99),
-                "max": expand_latencies[-1] if expand_latencies else None,
-            },
+            "expand_latency_s": latency_summary(self.expand_latencies),
         }
-        return report
+
+
+def violations(report: dict) -> List[str]:
+    """The verdict on a :class:`ContentionSim` report: every invariant it
+    breaks, one message each (empty when all hold)."""
+    totals, versions = report["totals"], report["mvcc"]
+    lost, left_open = report["lost_updates"], report["server"]["sessions_open"]
+    restarts, chains = totals["txn_restarts"], versions["chains"]
+    aborts = (
+        totals["deadlock_aborts"]
+        + totals["timeout_aborts"]
+        + totals["ro_aborts"]
+    )
+    created, collected = versions["versions_created"], versions["versions_gc"]
+    checks = [
+        (lost, f"{lost} updates lost"),
+        (
+            restarts != aborts,
+            f"{aborts} transactions aborted but {restarts} restarted",
+        ),
+        (left_open, f"{left_open} sessions left open"),
+        (chains, f"{chains} version chains outlived the last snapshot"),
+        (
+            created != collected,
+            f"{created} versions created but {collected} collected",
+        ),
+    ]
+    return [message for broken, message in checks if broken]
 
 
 def run_contention(config: ContentionConfig) -> dict:
     """Convenience wrapper: build, run, report."""
     return ContentionSim(config).run()
-
-
-def report_json(report: dict) -> str:
-    """Canonical (byte-stable) JSON rendering of a report."""
-    return json.dumps(report, sort_keys=True, indent=2)

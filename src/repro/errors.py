@@ -165,6 +165,11 @@ class SessionError(ConcurrencyError):
     open, transaction frame without an open session)."""
 
 
+#: Server errors that mean "your session is gone" (server crash/restart
+#: dropped it): reopen the session before the next transaction attempt.
+SESSION_LOST_ERRORS = (ServerUnavailable, SessionError)
+
+
 class PDMError(ReproError):
     """Base class for errors raised by the :mod:`repro.pdm` layer."""
 

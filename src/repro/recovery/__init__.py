@@ -11,18 +11,20 @@ Layers, bottom up:
 * :mod:`repro.recovery.recover` — checkpoint snapshots and the
   :class:`Durability` bundle that replays the log into a fresh database
   at every open;
-* :mod:`repro.recovery.chaos` — the deterministic crash-chaos simulator
-  and its sweep driver (the ``bench_crash`` harness).
+* :mod:`repro.recovery.chaos` — the crash workload over the client
+  simulator of :mod:`repro.concurrency.sim`, its verdict
+  (:func:`violations`) and its sweep driver (the ``bench_crash`` harness).
 """
 
+from repro.concurrency.sim import report_json
 from repro.recovery.chaos import (
     CRASH_FAILURES,
     CrashChaosSim,
     CrashConfig,
-    report_json,
     run_crash_chaos,
     run_crash_sweep,
     sweep_profiles,
+    violations,
 )
 from repro.recovery.recover import (
     Durability,
@@ -83,4 +85,5 @@ __all__ = [
     "scan_wal",
     "snapshot_database",
     "sweep_profiles",
+    "violations",
 ]

@@ -1,13 +1,13 @@
 """Deterministic crash-chaos simulator: contention workload + crash points.
 
-Mirrors :class:`repro.concurrency.sim.ContentionSim` — N generator
-clients resumed by a seeded scheduler over one simulated clock — but the
+A second workload over the kernel of :mod:`repro.concurrency.sim`
+(scheduler, client protocol, wiring, rendering — none repeated here): the
 server runs on a :class:`Durability` bundle (WAL on a :class:`SimDisk`)
-and the disk is armed with a seeded crash point: on the Nth WAL append
-the disk dies (optionally leaving a torn final record or a bit-flipped
-corrupt tail).  The server crashes, evicts every session, and the
-scheduler restarts it through WAL recovery before resuming the clients,
-which reconcile and finish their workload.
+whose disk is armed with a seeded crash point: on the Nth WAL append it
+dies (optionally leaving a torn final record or a bit-flipped corrupt
+tail).  The server crashes, evicts every session, and the scheduler's
+``between`` hook restarts it through WAL recovery before resuming the
+clients, which reconcile and finish their workload.
 
 Every transaction is crash-idempotent via the *applied-token* pattern:
 it inserts one unique token row in the same transaction as its two
@@ -16,7 +16,7 @@ in-flight commit made it to disk, so it queries its token — present
 means the transaction is durable (count it committed), absent means it
 was discarded at recovery (re-run it).
 
-The audit at the end checks the two durability invariants byte-exactly:
+The audit at the end (verdict: :func:`violations`) checks byte-exactly:
 
 * **zero lost committed updates** — every transaction a client counted
   as committed has its token row in the recovered database;
@@ -32,26 +32,22 @@ ids are excluded), so two runs with the same seed are byte-identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.concurrency.locks import LockManager
 from repro.concurrency.sessions import SessionManager
-from repro.errors import (
-    DeadlockError,
-    DurabilityError,
-    LockTimeout,
-    LockUnavailable,
-    ReproError,
-    ServerUnavailable,
-    SessionError,
+from repro.concurrency.sim import (
+    TxnLabels,
+    attempt_txn,
+    connect_clients,
+    execute_parked,
+    interleave,
 )
+from repro.errors import SESSION_LOST_ERRORS, DurabilityError
 from repro.network.clock import SimulatedClock
-from repro.network.link import NetworkLink
-from repro.recovery.recover import Durability
+from repro.recovery.recover import Durability, RecoveryReport
 from repro.recovery.simdisk import DiskFaultProfile, SimDisk
 from repro.server.client import RemoteConnection
 from repro.server.server import DatabaseServer
@@ -64,10 +60,11 @@ _INCREMENT_SQL = "UPDATE counters SET value = value + 1 WHERE id = ?"
 _TOKEN_SQL = "INSERT INTO applied (token, client) VALUES (?, ?)"
 _TOKEN_CHECK_SQL = "SELECT token FROM applied WHERE token = ?"
 
-#: Errors that mean "the server crashed / my session is gone".
-_CRASH_ERRORS = (ServerUnavailable, SessionError)
-#: Errors that abort the transaction but keep the session alive.
-_ABORT_ERRORS = (DeadlockError, LockTimeout)
+#: Schedule labels and ``counts`` keys of the token transactions.
+_TOKEN_TXN = TxnLabels(
+    wait="wait", abort="abort", waits="lock_waits", crashes="crash_observations"
+)
+_RECONCILE = TxnLabels(wait="reconcile-wait", waits="lock_waits")
 
 
 @dataclass(frozen=True)
@@ -142,14 +139,9 @@ class CrashChaosSim:
         self.server = DatabaseServer(
             database, sessions=self.sessions, durability=self.durability
         )
-        self.connections: List[RemoteConnection] = []
-        for __ in range(config.clients):
-            link = NetworkLink(
-                latency_s=config.latency_s,
-                dtr_kbit_s=config.dtr_kbit_s,
-                clock=self.clock,
-            )
-            self.connections.append(RemoteConnection(self.server, link))
+        self.connections: List[RemoteConnection] = connect_clients(
+            self.server, self.clock, config
+        )
         self.acked: Dict[int, List[int]] = {
             index: [] for index in range(config.clients)
         }
@@ -190,12 +182,12 @@ class CrashChaosSim:
     def _token(self, index: int, txn: int) -> int:
         return (index + 1) * 1_000_000 + txn
 
-    def _client(self, index: int) -> Generator[str, None, None]:
+    def client(self, index: int) -> Generator[str, None, None]:
         """One client: open a session, run its transactions, close."""
         config = self.config
         connection = self.connections[index]
         rng = random.Random(config.seed * 1_000_003 + index)
-        yield from self._guarded(index, connection.open_session, "open")
+        yield from self._open_session(connection)
         txn = 0
         while txn < config.txns_per_client:
             token = self._token(index, txn)
@@ -203,190 +195,106 @@ class CrashChaosSim:
             second = rng.randrange(1, config.hot_counters + 1)
             while second == first:
                 second = rng.randrange(1, config.hot_counters + 1)
-            outcome = yield from self._run_txn(index, token, (first, second))
-            if outcome == "committed":
+            error = yield from attempt_txn(
+                connection,
+                [
+                    (_TOKEN_SQL, [token, index], "token"),
+                    (_INCREMENT_SQL, [first], "inc1"),
+                    (_INCREMENT_SQL, [second], "inc2"),
+                ],
+                self.counts,
+                _TOKEN_TXN,
+            )
+            if error is None:
                 self.acked[index].append(token)
                 self.counts["committed"] += 1
                 txn += 1
-            elif outcome == "crash":
-                applied = yield from self._reconcile(index, token)
+            elif isinstance(error, SESSION_LOST_ERRORS):
+                applied = yield from self._reconcile(connection, token)
                 if applied:
                     self.acked[index].append(token)
                     self.counts["reconciled_committed"] += 1
                     txn += 1
                 else:
                     self.counts["reconciled_retried"] += 1
-            # "aborted" (deadlock/timeout): retry the same token.
+            # else a deadlock/timeout victim: retry the same token.
         try:
             connection.close_session()
-        except _CRASH_ERRORS:
+        except SESSION_LOST_ERRORS:
             connection.mark_session_lost()
         yield "close"
 
-    def _guarded(
-        self, index: int, op: Callable[[], object], label: str
+    def _open_session(
+        self, connection: RemoteConnection
     ) -> Generator[str, None, None]:
-        """Run a session op, waiting out crashes until it succeeds."""
-        connection = self.connections[index]
+        """Open the session, waiting out crashes until it succeeds."""
         while True:
             try:
-                op()
-            except _CRASH_ERRORS:
+                connection.open_session()
+            except SESSION_LOST_ERRORS:
                 connection.mark_session_lost()
                 self.counts["crash_observations"] += 1
                 yield "crash-wait"
-                continue
-            yield label
-            return
+            else:
+                yield "open"
+                return
 
-    def _run_txn(
-        self, index: int, token: int, targets: Tuple[int, int]
-    ) -> Generator[str, None, str]:
-        """One attempt at an increment transaction; returns the outcome
-        (``committed`` / ``aborted`` / ``crash``)."""
-        connection = self.connections[index]
-        try:
-            connection.begin()
-        except _CRASH_ERRORS:
-            return self._observe_crash(index)
-        yield "begin"
-        statements: List[Tuple[str, List[int]]] = [
-            (_TOKEN_SQL, [token, index]),
-            (_INCREMENT_SQL, [targets[0]]),
-            (_INCREMENT_SQL, [targets[1]]),
-        ]
-        for label, (sql, params) in zip(("token", "inc1", "inc2"), statements):
-            while True:
-                try:
-                    connection.execute(sql, params)
-                except LockUnavailable:
-                    # Parked: the statement stays queued server-side;
-                    # retry on the next resumption, transaction open.
-                    self.counts["lock_waits"] += 1
-                    yield "wait"
-                    continue
-                except _ABORT_ERRORS as error:
-                    yield from self._acknowledge_abort(index, error)
-                    return "aborted"
-                except _CRASH_ERRORS:
-                    return self._observe_crash(index)
-                yield label
-                break
-        try:
-            connection.commit()
-        except _ABORT_ERRORS as error:
-            yield from self._acknowledge_abort(index, error)
-            return "aborted"
-        except _CRASH_ERRORS:
-            return self._observe_crash(index)
-        yield "commit"
-        return "committed"
-
-    def _observe_crash(self, index: int) -> str:
-        self.connections[index].mark_session_lost()
-        self.counts["crash_observations"] += 1
-        return "crash"
-
-    def _acknowledge_abort(
-        self, index: int, error: ReproError
-    ) -> Generator[str, None, None]:
-        key = (
-            "deadlock_aborts"
-            if isinstance(error, DeadlockError)
-            else "timeout_aborts"
-        )
-        self.counts[key] += 1
-        connection = self.connections[index]
-        try:
-            connection.rollback()
-        except _CRASH_ERRORS:
-            connection.mark_session_lost()
-            self.counts["crash_observations"] += 1
-        except ReproError:
-            pass
-        yield "abort"
-
-    def _reconcile(self, index: int, token: int) -> Generator[str, None, bool]:
+    def _reconcile(
+        self, connection: RemoteConnection, token: int
+    ) -> Generator[str, None, bool]:
         """After a crash: is this transaction's token durable?
 
-        The autocommit read needs no session; a still-crashed server (or
-        a not-yet-cleared eviction) is waited out.
+        The autocommit read needs no session; it parks like any reader
+        behind another client's open transaction on the token table, and
+        a still-crashed server (or a not-yet-cleared eviction) is waited
+        out.
         """
-        connection = self.connections[index]
         yield "crashed"
         while True:
             try:
-                result = connection.execute(_TOKEN_CHECK_SQL, [token])
-            except LockUnavailable:
-                # Another client's open transaction holds the write lock
-                # on the token table; park and retry like any reader.
-                self.counts["lock_waits"] += 1
-                yield "reconcile-wait"
-                continue
-            except _CRASH_ERRORS:
+                result = yield from execute_parked(
+                    connection, _TOKEN_CHECK_SQL, [token], self.counts, _RECONCILE
+                )
+            except SESSION_LOST_ERRORS:
                 connection.mark_session_lost()
-                yield "reconcile-wait"
-                continue
-            yield "reconcile"
-            return len(result.rows) > 0
+                yield _RECONCILE.wait
+            else:
+                yield "reconcile"
+                return len(result.rows) > 0
 
     # -- run -----------------------------------------------------------------
 
     def run(self) -> Dict[str, Any]:
         """Drive all clients to completion and return the audited report."""
-        generators = {
-            index: self._client(index)
-            for index in range(self.config.clients)
-        }
-        scheduler = random.Random(self.config.seed)
-        steps = 0
-        while generators:
-            if self.server.crashed:
-                self.server.restart()
-                self.restarts += 1
-                self._note_recovery()
-                self.schedule.append(f"{steps}:restart")
-            alive = sorted(generators)
-            index = alive[scheduler.randrange(len(alive))]
-            try:
-                label = next(generators[index])
-            except StopIteration:
-                del generators[index]
-                label = "done"
-            self.schedule.append(f"{steps}:{index}:{label}")
-            steps += 1
-            if steps >= self.MAX_STEPS:
-                raise RuntimeError(
-                    f"crash sim exceeded {self.MAX_STEPS} steps (livelock?)"
-                )
-        if self.server.crashed:
-            # The crash fired on the run's very last append.
-            self.server.restart()
-            self.restarts += 1
-            self._note_recovery()
-            self.schedule.append(f"{steps}:restart")
-        self.schedule_hash = hashlib.sha256(
-            "\n".join(self.schedule).encode()
-        ).hexdigest()
-        return self._report()
+        self.schedule, self.schedule_hash = interleave(
+            [self.client(index) for index in range(self.config.clients)],
+            self.config.seed,
+            self.MAX_STEPS,
+            between=self.restart_if_crashed,
+        )
+        return self.report()
 
-    def _note_recovery(self) -> None:
-        if self.crash_recovery is not None:
-            return
+    def restart_if_crashed(self) -> Optional[str]:
+        """The scheduler's ``between`` hook: bring a crashed server back
+        through WAL recovery (``restart`` goes into the trace).  Runs once
+        more after the last step, for a crash on the very last append."""
+        if not self.server.crashed:
+            return None
+        self.server.restart()
+        self.restarts += 1
         last = self.durability.last_report
-        if last is None:
-            return
-        self.crash_recovery = self._scrub_recovery(last.as_dict(), len(last.hwm))
+        if self.crash_recovery is None and last is not None:
+            self.crash_recovery = self._scrub_recovery(last)
+        return "restart"
 
     @staticmethod
-    def _scrub_recovery(
-        recovery: Dict[str, Any], hwm_clients: int
-    ) -> Dict[str, Any]:
+    def _scrub_recovery(last: RecoveryReport) -> Dict[str, Any]:
         # Wire client ids are allocated from a process-global counter, so
         # the high-water-mark map would differ between two in-process
         # runs of the same configuration; report only its cardinality.
+        recovery = last.as_dict()
         recovery.pop("hwm", None)
-        recovery["hwm_clients"] = hwm_clients
+        recovery["hwm_clients"] = len(last.hwm)
         return recovery
 
     # -- audit ---------------------------------------------------------------
@@ -405,7 +313,7 @@ class CrashChaosSim:
         )
         return tokens, counters, sum(value for __, value in counters)
 
-    def _report(self) -> Dict[str, Any]:
+    def report(self) -> Dict[str, Any]:
         tokens, counters, counter_sum = self._state()
         acked = sorted(
             token for tokens_ in self.acked.values() for token in tokens_
@@ -418,13 +326,9 @@ class CrashChaosSim:
         tokens_after, counters_after, __ = self._state()
         fixpoint = tokens_after == tokens and counters_after == counters
         last = self.durability.last_report
-        recovery: Dict[str, Any] = (
-            {}
-            if last is None
-            else self._scrub_recovery(last.as_dict(), len(last.hwm))
-        )
+        recovery = {} if last is None else self._scrub_recovery(last)
         wal = self.durability.wal
-        report: Dict[str, Any] = {
+        return {
             "config": asdict(self.config),
             "schedule": {"steps": len(self.schedule), "hash": self.schedule_hash},
             "counts": dict(self.counts),
@@ -450,22 +354,33 @@ class CrashChaosSim:
             "server": {
                 key: self.server.statistics[key]
                 for key in (
-                    "crashes",
-                    "recoveries",
-                    "replayed_records",
-                    "hwm_suppressed",
-                    "unavailable_refusals",
+                    "crashes", "recoveries", "replayed_records",
+                    "hwm_suppressed", "unavailable_refusals",
                 )
             },
             "sessions": dict(self.sessions.statistics),
             "locks": dict(self.locks.statistics),
         }
-        return report
 
 
-def report_json(report: Dict[str, Any]) -> str:
-    """Canonical JSON rendering (byte-comparable across runs)."""
-    return json.dumps(report, sort_keys=True, indent=2)
+def violations(report: Dict[str, Any]) -> List[str]:
+    """The verdict on a :class:`CrashChaosSim` report: every invariant it
+    breaks, one message each (empty when all hold)."""
+    lost, resurrected = report["lost_committed"], report["resurrected"]
+    crash_at = report["crash"]["configured_at_append"]
+    checks = [
+        (lost, f"lost committed transactions {lost}"),
+        (resurrected, f"{resurrected} resurrected uncommitted increments"),
+        (
+            not report["final_recovery_fixpoint"],
+            "final recovery is not a fixpoint",
+        ),
+        (
+            crash_at is not None and not report["crash"]["occurred"],
+            f"crash point {crash_at} never fired",
+        ),
+    ]
+    return [message for broken, message in checks if broken]
 
 
 def run_crash_chaos(config: CrashConfig) -> Dict[str, Any]:
@@ -508,20 +423,10 @@ def run_crash_sweep(
             seed=seed,
         )
         report = run_crash_chaos(config)
-        if report["lost_committed"]:
+        broken = violations(report)
+        if broken:
             raise DurabilityError(
-                f"lost committed transactions {report['lost_committed']} "
-                f"at crash point {crash_at} ({failure})"
-            )
-        if report["resurrected"]:
-            raise DurabilityError(
-                f"{report['resurrected']} resurrected uncommitted "
-                f"increments at crash point {crash_at} ({failure})"
-            )
-        if not report["final_recovery_fixpoint"]:
-            raise DurabilityError(
-                f"final recovery not a fixpoint at crash point "
-                f"{crash_at} ({failure})"
+                f"{'; '.join(broken)} at crash point {crash_at} ({failure})"
             )
         runs.append(
             {

@@ -59,10 +59,6 @@ class SelectBlock:
     object_type: Optional[str] = None
     tables: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def in_recursive_part(self) -> bool:
-        return self.role in (BlockRole.SEED, BlockRole.RECURSIVE)
-
     def append_predicate(self, predicate: ast.Expression) -> None:
         self.core.where = and_append(self.core.where, predicate)
 

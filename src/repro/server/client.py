@@ -18,6 +18,7 @@ import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
+    SESSION_LOST_ERRORS,
     CheckOutError,
     CircuitOpenError,
     DeadlockError,
@@ -59,10 +60,6 @@ _ERROR_TYPES = {
 
 #: Server errors that mean "restart the whole transaction and try again".
 RETRIABLE_TXN_ERRORS = (DeadlockError, LockTimeout, LockUnavailable)
-
-#: Server errors that mean "your session is gone" (server crash/restart
-#: dropped it): reopen the session before the next transaction attempt.
-SESSION_LOST_ERRORS = (ServerUnavailable, SessionError)
 
 
 class RemoteError(ReproError):
@@ -416,8 +413,10 @@ class RemoteConnection:
         Call this on :class:`ServerUnavailable` / :class:`SessionError`
         (crash eviction): the server-side session is gone, so there is
         nothing to close or roll back remotely — the next :meth:`begin`
-        re-opens a session against the recovered server.
+        re-opens a session against the recovered server.  Idempotent.
         """
+        if self._session_open:
+            self.link.stats.sessions_open -= 1
         self._session_open = False
         self._txn_open = False
 

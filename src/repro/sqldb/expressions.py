@@ -87,12 +87,6 @@ class Scope:
     def arity(self) -> int:
         return len(self._slots)
 
-    def binding_names(self) -> List[str]:
-        return [name for name, __ in self.bindings if name]
-
-    def has_binding(self, name: str) -> bool:
-        return name.lower() in self.binding_names()
-
     def binding_slot_range(self, name: str) -> Tuple[int, int]:
         """Return the (start, end) slot range of a binding, for ``alias.*``."""
         offset = 0
@@ -102,9 +96,6 @@ class Scope:
                 return offset, offset + len(columns)
             offset += len(columns)
         raise UnresolvedColumnError(f"unknown table alias {name!r}")
-
-    def slot_names(self) -> List[str]:
-        return [column for __, column in self._slots]
 
     def binding_of_slot(self, slot: int) -> Optional[str]:
         """The (lowercased) binding name a slot belongs to, or None."""

@@ -294,10 +294,6 @@ class TableStorage:
 
     # -- transactions ---------------------------------------------------------
 
-    @property
-    def in_transaction(self) -> bool:
-        return self._undo is not None
-
     def attach_undo(self, log: Optional[List[tuple]]) -> None:
         """Point mutation logging at *log* (owned by one transaction; None
         stops logging).
@@ -313,22 +309,6 @@ class TableStorage:
     def detach_undo(self) -> None:
         """Stop logging mutations (autocommit, or after commit)."""
         self._undo = None
-
-    def begin_undo(self) -> None:
-        """Enlist this table in a transaction: start recording inverses."""
-        if self._undo is None:
-            self._undo = []
-
-    def commit_undo(self) -> None:
-        """Forget the undo log (changes become permanent)."""
-        self._undo = None
-
-    def rollback_undo(self) -> None:
-        """Replay the attached undo log backwards, restoring the
-        pre-transaction state (rows and indexes)."""
-        entries = self._undo
-        self._undo = None  # replay must not log
-        self.rollback_entries(entries or [])
 
     def rollback_entries(self, entries: List[tuple]) -> None:
         """Replay *entries* backwards with logging detached.

@@ -30,7 +30,6 @@ def test_examples_directory_complete():
         "access_rules.py",
         "checkout_workflow.py",
         "capacity_planning.py",
-        "global_replication.py",
         "impact_analysis.py",
         "engineer_session.py",
     } <= names
@@ -66,12 +65,6 @@ def test_capacity_planning():
     assert "Buy bandwidth" in out
     assert "Closed-form planning" in out
     assert "impossible" in out
-
-
-def test_global_replication():
-    out = run_example("global_replication.py")
-    assert "STALE" in out
-    assert "after flush" in out
 
 
 def test_engineer_session():

@@ -1,5 +1,7 @@
 """The crash-chaos simulator: determinism and durability invariants."""
 
+import copy
+
 import pytest
 
 from repro.errors import DurabilityError
@@ -11,6 +13,7 @@ from repro.recovery import (
     run_crash_chaos,
     run_crash_sweep,
     sweep_profiles,
+    violations,
 )
 
 
@@ -54,11 +57,9 @@ class TestInvariants:
         report = run_crash_chaos(
             CrashConfig(crash_at_append=8, failure=failure, seed=4)
         )
-        assert report["crash"]["occurred"]
         assert report["restarts"] >= 1
-        assert report["lost_committed"] == []
-        assert report["resurrected"] == 0
-        assert report["final_recovery_fixpoint"]
+        # No lost, no resurrected, recovery a fixpoint, crash fired.
+        assert violations(report) == []
         # Everything every client acked is on disk, and the counters add
         # up to exactly two increments per applied transaction.
         assert report["acked_txns"] <= report["applied_txns"]
@@ -76,8 +77,24 @@ class TestInvariants:
         assert not report["crash"]["occurred"]
         assert report["restarts"] == 0
         assert report["counts"]["crash_observations"] == 0
-        assert report["lost_committed"] == []
-        assert report["resurrected"] == 0
+        assert violations(report) == []
+
+    def test_verdict_names_each_broken_invariant(self):
+        report = run_crash_chaos(CrashConfig(crash_at_append=5, seed=3))
+        assert violations(report) == []
+        for path, value, word in (
+            (("lost_committed",), [1000001], "lost"),
+            (("resurrected",), 2, "resurrected"),
+            (("final_recovery_fixpoint",), False, "fixpoint"),
+            (("crash", "occurred"), False, "never fired"),
+        ):
+            broken = copy.deepcopy(report)
+            target = broken
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            (message,) = violations(broken)
+            assert word in message
 
 
 class TestSweep:

@@ -200,10 +200,11 @@ class TestUpdateIndexMaintenance:
         storage.create_index("t_grp", ["grp"])
         first = storage.insert((1, 10, "a"))
         second = storage.insert((2, 20, "b"))
-        storage.begin_undo()
+        log = []
+        storage.attach_undo(log)
         storage.update(first, (3, 11, "a"))
         storage.update(second, (1, 20, "renamed"))  # takes over the freed pk
-        storage.rollback_undo()
+        storage.rollback_entries(log)
         assert list(storage.rows()) == [(1, 10, "a"), (2, 20, "b")]
         pk = storage.find_index(["id"])
         assert pk.probe((1,)) == [first]

@@ -112,19 +112,6 @@ class TestTopLevelWorkflow:
         connection = repro.RemoteConnection(server, repro.LAN.create_link())
         assert connection.execute("SELECT 41 + 1").scalar() == 42
 
-    def test_replication_through_top_level(self):
-        product = repro.generate_product(
-            repro.TreeParameters(depth=1, branching=2), seed=1
-        )
-        deployment = repro.build_replicated_deployment(
-            product,
-            primary_profile=repro.WAN_256,
-            replica_profiles={"near": repro.LAN},
-        )
-        result, __, site = deployment.execute_read("SELECT COUNT(*) FROM comp")
-        assert site.name == "near"
-        assert result.scalar() == 2
-
     def test_rule_construction_through_rules_package(self):
         from repro.rules import (
             Actions,
