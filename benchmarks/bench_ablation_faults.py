@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.bench.measure import EXPAND_STRATEGIES
 from repro.bench.workload import build_scenario
 from repro.model.parameters import NetworkParameters, TreeParameters
 from repro.model.response_time import (
@@ -27,7 +28,6 @@ from repro.model.response_time import (
 )
 from repro.network.faults import STOCHASTIC_PRESETS, RetryPolicy
 from repro.network.profiles import WAN_512
-from repro.pdm.operations import ExpandStrategy
 
 TREE = TreeParameters(depth=4, branching=3, visibility=0.6)
 NETWORK = NetworkParameters(latency_s=0.15, dtr_kbit_s=512)
@@ -39,13 +39,6 @@ RETRY_POLICY = RetryPolicy(timeout_s=2.0, jitter_fraction=0.1)
 #: batch ships one statement per node type).
 QUERY_PACKETS = {Strategy.BATCHED: 2}
 
-STRATEGY_MAP = {
-    Strategy.LATE: ExpandStrategy.NAVIGATIONAL_LATE,
-    Strategy.EARLY: ExpandStrategy.NAVIGATIONAL_EARLY,
-    Strategy.RECURSIVE: ExpandStrategy.RECURSIVE_EARLY,
-    Strategy.BATCHED: ExpandStrategy.EXPAND_BATCHED,
-}
-
 FAULT_SEEDS = tuple(
     range(1, 13 if os.environ.get("REPRO_BENCH_SCALE") == "small" else 41)
 )
@@ -55,7 +48,7 @@ def run_expand(scenario, strategy):
     root = scenario.product.root_obid
     root_attrs = scenario.product.root_attributes()
     return scenario.client.resilient_multi_level_expand(
-        root, STRATEGY_MAP[strategy], root_attrs=root_attrs
+        root, EXPAND_STRATEGIES[strategy], root_attrs=root_attrs
     )
 
 
@@ -64,7 +57,7 @@ def baseline():
     """Zero-fault scenario: reference bytes and seconds per strategy."""
     scenario = build_scenario(TREE, WAN_512, seed=SEED)
     reference = {}
-    for strategy in STRATEGY_MAP:
+    for strategy in EXPAND_STRATEGIES:
         result = run_expand(scenario, strategy)
         reference[strategy] = (
             result.tree.canonical_bytes(),
@@ -80,7 +73,7 @@ def chaos_runs(baseline):
     base_scenario, reference = baseline
     runs = {}
     for preset in STOCHASTIC_PRESETS:
-        for strategy in STRATEGY_MAP:
+        for strategy in EXPAND_STRATEGIES:
             seconds, identical = [], 0
             counters = {"drops": 0, "retries": 0, "timeouts": 0}
             for fault_seed in FAULT_SEEDS:
@@ -218,11 +211,11 @@ def test_model_matches_simulated_mean(benchmark, baseline, chaos_runs):
         for preset in STOCHASTIC_PRESETS:
             simulated = sum(
                 chaos_runs[(preset.name, strategy)]["mean_seconds"]
-                for strategy in STRATEGY_MAP
+                for strategy in EXPAND_STRATEGIES
             )
             modeled = sum(
                 predicted_seconds(preset, strategy, reference[strategy])
-                for strategy in STRATEGY_MAP
+                for strategy in EXPAND_STRATEGIES
             )
             errors[preset.name] = abs(simulated - modeled) / modeled
         return errors

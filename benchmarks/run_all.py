@@ -24,7 +24,7 @@ sys.path.insert(
 )
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from repro.bench.measure import measure_action  # noqa: E402
+from repro.bench.measure import EXPAND_STRATEGIES, measure_action  # noqa: E402
 from repro.bench.workload import build_scenario  # noqa: E402
 from repro.model.parameters import (  # noqa: E402
     NetworkParameters,
@@ -51,13 +51,6 @@ STRATEGIES = (
     Strategy.BATCHED,
     Strategy.RECURSIVE,
 )
-
-EXPAND_STRATEGIES = {
-    Strategy.LATE: ExpandStrategy.NAVIGATIONAL_LATE,
-    Strategy.EARLY: ExpandStrategy.NAVIGATIONAL_EARLY,
-    Strategy.BATCHED: ExpandStrategy.EXPAND_BATCHED,
-    Strategy.RECURSIVE: ExpandStrategy.RECURSIVE_EARLY,
-}
 
 FAULT_PROFILES = {
     profile.name: profile

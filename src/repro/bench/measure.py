@@ -25,8 +25,8 @@ from repro.network.stats import TrafficStats
 from repro.bench.workload import Scenario
 from repro.pdm.operations import ExpandStrategy
 
-#: Model (action, strategy) -> client strategy for the three actions.
-_STRATEGY_MAP = {
+#: Model strategy -> client strategy; the benches import this table.
+EXPAND_STRATEGIES = {
     Strategy.LATE: ExpandStrategy.NAVIGATIONAL_LATE,
     Strategy.EARLY: ExpandStrategy.NAVIGATIONAL_EARLY,
     Strategy.RECURSIVE: ExpandStrategy.RECURSIVE_EARLY,
@@ -65,7 +65,7 @@ def measure_action(
     client = scenario.client
     root = scenario.product.root_obid
     root_attrs = scenario.product.root_attributes()
-    expand_strategy = _STRATEGY_MAP[strategy]
+    expand_strategy = EXPAND_STRATEGIES[strategy]
     db_before = dict(scenario.database.statistics)
     if action is Action.QUERY:
         # Query and expand use navigational SQL in every strategy; the

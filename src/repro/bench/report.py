@@ -99,8 +99,11 @@ def trace_summary(recorder) -> dict:
 
     Bundles the full span forest, the component decomposition aggregated
     over every root's subtree (which, by construction of the clock
-    observer, sums to the roots' total duration exactly) and the metrics
-    registry snapshot.
+    observer, sums to the roots' total duration exactly), the histogram
+    registry, and what moved since :func:`repro.obs.instrument_stack` in
+    the traced server's ``counters()`` and the traced link's
+    ``TrafficStats`` (a restart replaces engine and WAL writer, whose
+    counts then start over).
     """
     roots = list(recorder.roots)
     components: Dict[str, float] = {}
@@ -113,11 +116,24 @@ def trace_summary(recorder) -> dict:
         for at, message, data in span.events
         if message.startswith("fault.")
     ]
+    counters: Dict[str, float] = {}
+    if recorder.server is not None:
+        before = recorder.server_baseline
+        for name, value in recorder.server.counters().items():
+            delta = value - before.get(name, 0)
+            if delta:
+                counters[name] = delta
+    link: Dict[str, object] = {}
+    if recorder.link is not None:
+        moved = recorder.link.stats.delta_since(recorder.link_baseline)
+        link = {name: value for name, value in vars(moved).items() if value}
     return {
         "span_count": sum(1 for __ in recorder.iter_spans()),
         "root_seconds": sum(root.duration for root in roots),
         "components": dict(sorted(components.items())),
         "fault_events": fault_events,
+        "counters": counters,
+        "link": link,
         "metrics": recorder.metrics.to_dict(),
         "spans": [root.to_dict() for root in roots],
     }
@@ -127,7 +143,8 @@ def format_trace_summary(summary: dict, max_depth: Optional[int] = None) -> str:
     """Human-readable rendering of a :func:`trace_summary` dict.
 
     ``max_depth`` truncates the span tree (None renders it fully); the
-    component totals and metrics always print in full.
+    component totals, counters and histograms always print in full
+    (the link's per-opcode breakdowns only in the JSON).
     """
     lines = [
         f"trace: {summary['span_count']} span(s), "
@@ -146,11 +163,16 @@ def format_trace_summary(summary: dict, max_depth: Optional[int] = None) -> str:
             lines.append(f"    {name:<14}{seconds:>10.3f}s  {share:5.1f}%")
     if summary["fault_events"]:
         lines.append(f"  fault events: {len(summary['fault_events'])}")
-    counters = summary["metrics"]["counters"]
-    if counters:
-        lines.append("  counters:")
-        for name, value in counters.items():
-            lines.append(f"    {name} = {value:g}")
+    for title in ("counters", "link"):
+        moved = {
+            name: value
+            for name, value in summary[title].items()
+            if not isinstance(value, dict)
+        }
+        if moved:
+            lines.append(f"  {title}:")
+            for name, value in moved.items():
+                lines.append(f"    {name} = {value:g}")
     histograms = summary["metrics"]["histograms"]
     if histograms:
         lines.append("  histograms:")

@@ -63,11 +63,6 @@ def overlaps(a: Resource, b: Resource) -> bool:
     return a[1] is None or b[1] is None or a[1] == b[1]
 
 
-# Historical private names, kept for callers inside this module.
-_compatible = compatible
-_overlaps = overlaps
-
-
 class _Waiter:
     """One parked lock request, keeping its FIFO position across retries."""
 
@@ -115,11 +110,9 @@ class LockManager:
         self,
         clock: Optional[Any] = None,
         timeout_s: Optional[float] = None,
-        recorder: Optional[Any] = None,
     ) -> None:
         self.clock = clock
         self.timeout_s = timeout_s
-        self.recorder = recorder
         self._txn_ids = itertools.count(1)
         self._txns: Dict[int, _Txn] = {}
         #: table name -> FIFO list of parked waiters for that table.
@@ -128,6 +121,11 @@ class LockManager:
         #: transaction *other than the requester* — the database rolls the
         #: victim back (which re-enters release_all).
         self.abort_callback: Optional[Callable[[int], None]] = None
+        #: What happened *here*: ``waits`` counts ``LockUnavailable``
+        #: raised for a parked request and ``deadlocks`` cycles detected.
+        #: The server's ``lock_waits`` / ``deadlocks`` count the error
+        #: frames it *sent* (fail-fast refusals included, a victim only
+        #: once it is told) — a different event, so both exist.
         self.statistics = {
             "acquisitions": 0,
             "waits": 0,
@@ -196,7 +194,7 @@ class LockManager:
         found: Dict[int, LockMode] = {}
         for txn in self._txns.values():
             for held_resource, mode in txn.held.items():
-                if _overlaps(held_resource, resource):
+                if overlaps(held_resource, resource):
                     found[txn.txn_id] = mode
         return found
 
@@ -353,7 +351,7 @@ class LockManager:
             if other.txn_id == txn.txn_id:
                 continue
             for held_resource, held_mode in other.held.items():
-                if _overlaps(held_resource, resource) and not _compatible(
+                if overlaps(held_resource, resource) and not compatible(
                     held_mode, mode
                 ):
                     conflicts.append(other.txn_id)
@@ -374,8 +372,8 @@ class LockManager:
                 break  # only waiters *ahead* of our own position block us
             if waiter.txn_id == txn.txn_id:
                 continue
-            if _overlaps(waiter.resource, resource) and not (
-                _compatible(waiter.mode, mode)
+            if overlaps(waiter.resource, resource) and not (
+                compatible(waiter.mode, mode)
             ):
                 blocking.append(waiter.txn_id)
         return blocking
@@ -410,8 +408,6 @@ class LockManager:
         )
         waiter = _Waiter(txn_id, resource, mode, now, deadline)
         self._queues.setdefault(resource[0], []).append(waiter)
-        if self.recorder is not None:
-            self.recorder.metrics.counter("locks.parked").inc()
         return waiter
 
     def _cancel_waiters(self, txn_id: int) -> None:

@@ -19,10 +19,10 @@ resumption while the transaction stays open — exactly how deadlock
 cycles form — a deadlock or timeout victim acknowledges the abort with
 a rollback, a crashed server costs the client its session; each
 workload's schedule labels and ``counts`` keys come in as
-:class:`TxnLabels`); :func:`connect_clients`, :func:`latency_summary`
-and :func:`report_json` (wiring and rendering).  The second half is one
-workload over it, :class:`ContentionSim`, and the verdict on its
-reports, :func:`violations`; the other workload is
+:class:`TxnLabels`); :func:`connect_clients`, :func:`latency_summary`,
+:func:`counter_group` and :func:`report_json` (wiring and rendering).
+The second half is one workload over it, :class:`ContentionSim`, and the
+verdict on its reports, :func:`violations`; the other workload is
 :class:`repro.recovery.chaos.CrashChaosSim`.
 
 Determinism: the schedule is a pure function of the seed (a
@@ -263,6 +263,16 @@ def latency_summary(values: Sequence[float]) -> Dict[str, Optional[float]]:
         "p95": exact_percentile(ordered, 0.95),
         "p99": exact_percentile(ordered, 0.99),
         "max": ordered[-1] if ordered else None,
+    }
+
+
+def counter_group(counters: Dict[str, Any], prefix: str) -> Dict[str, Any]:
+    """One layer's entries of a ``DatabaseServer.counters()`` snapshot,
+    *prefix* stripped (``"locks_"`` gives the lock manager's counters)."""
+    return {
+        name[len(prefix):]: value
+        for name, value in counters.items()
+        if name.startswith(prefix)
     }
 
 
@@ -650,7 +660,7 @@ class ContentionSim:
             + self.counts["checkout_conflicts"]
             + self.counts["eco_commits"]
         )
-        db_stats = self.database.statistics
+        counters = self.server.counters()
         elapsed = self.clock.now
         return {
             "config": asdict(self.config),
@@ -659,20 +669,20 @@ class ContentionSim:
             "committed_increments": expected,
             "counter_sum": actual,
             "lost_updates": expected - actual,
-            "locks": dict(self.locks.statistics),
+            "locks": counter_group(counters, "locks_"),
             "server": {
-                "lock_waits": self.server.statistics["lock_waits"],
-                "deadlocks": self.server.statistics["deadlocks"],
-                "txn_aborts": self.server.statistics["txn_aborts"],
-                "sessions_open": self.server.statistics["sessions_open"],
-                "readonly_txns": self.server.statistics["readonly_txns"],
+                "lock_waits": counters["lock_waits"],
+                "deadlocks": counters["deadlocks"],
+                "txn_aborts": counters["txn_aborts"],
+                "sessions_open": counters["sessions_open"],
+                "readonly_txns": counters["db_readonly_txns"],
             },
             "mvcc": {
                 "read_only_audits": self.config.read_only_audits,
-                "snapshot_reads": db_stats["snapshot_reads"],
-                "versions_created": db_stats["versions_created"],
-                "versions_gc": db_stats["versions_gc"],
-                "readonly_txns": db_stats["readonly_txns"],
+                "snapshot_reads": counters["db_snapshot_reads"],
+                "versions_created": counters["db_versions_created"],
+                "versions_gc": counters["db_versions_gc"],
+                "readonly_txns": counters["db_readonly_txns"],
                 "chains": self.database.mvcc.chain_count(),
             },
             "elapsed_s": elapsed,

@@ -49,16 +49,6 @@ class TrafficStats:
     timeout_seconds: float = 0.0
     retries: int = 0
     backoff_seconds: float = 0.0
-    #: Session/transaction activity observed by the client driver.
-    #: ``sessions_open`` is a gauge (+1 on OPEN_SESSION, -1 on
-    #: CLOSE_SESSION); the rest are event counters fed by ERROR frames
-    #: the server answered with.
-    sessions_open: int = 0
-    lock_waits: int = 0
-    deadlocks: int = 0
-    txn_aborts: int = 0
-    #: READ ONLY transactions begun through :meth:`RemoteConnection.begin`.
-    readonly_txns: int = 0
     opcode_messages: Dict[str, int] = field(default_factory=dict)
     opcode_payload_bytes: Dict[str, int] = field(default_factory=dict)
 
@@ -121,7 +111,7 @@ class TrafficStats:
 #: per-opcode breakdowns are dicts combined key by key, everything else is
 #: a number.  ``snapshot`` / ``delta_since`` bracket every user action, so
 #: they neither reflect over ``dataclasses.fields()`` nor go through the
-#: 23-argument ``__init__`` each time.
+#: 18-argument ``__init__`` each time.
 _BREAKDOWNS = tuple(
     spec.name for spec in fields(TrafficStats) if spec.default_factory is dict
 )

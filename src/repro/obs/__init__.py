@@ -8,8 +8,11 @@ nested spans on the :class:`~repro.network.clock.SimulatedClock` (user
 action -> per-level round trips -> link transmissions -> server handling
 -> plan execution), every simulated-clock advance is attributed to a
 named component of the innermost open span, and a small
-:class:`MetricsRegistry` accumulates monotonic counters and fixed-bucket
-histograms (round-trip time, frame size, rows per result).
+:class:`MetricsRegistry` accumulates fixed-bucket histograms (round-trip
+time, frame size, rows per result).  Event counts are not kept here:
+each lives once, always on, in the layer where the event happens, and a
+trace summary reports how far ``DatabaseServer.counters()`` moved since
+:func:`instrument_stack`.
 
 Tracing is strictly opt-in: every instrumented layer carries a
 ``recorder`` attribute that defaults to ``None``, and all hooks are
@@ -22,7 +25,6 @@ from repro.obs.metrics import (
     BYTES_BUCKETS,
     ROWS_BUCKETS,
     SECONDS_BUCKETS,
-    Counter,
     Histogram,
     MetricsRegistry,
 )
@@ -32,7 +34,6 @@ __all__ = [
     "BYTES_BUCKETS",
     "ROWS_BUCKETS",
     "SECONDS_BUCKETS",
-    "Counter",
     "Histogram",
     "MetricsRegistry",
     "Span",

@@ -147,6 +147,13 @@ class TraceRecorder:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.roots: List[Span] = []
         self._stack: List[Span] = []
+        #: The traced server and link and where their always-on counters
+        #: stood when :func:`instrument_stack` attached them; a trace
+        #: summary reports the movement since.
+        self.server = None
+        self.server_baseline: Dict[str, Any] = {}
+        self.link = None
+        self.link_baseline = None
 
     # -- span lifecycle -------------------------------------------------------
 
@@ -250,12 +257,15 @@ def instrument_stack(
     Binds the link's simulated clock to the recorder (so clock advances
     are attributed to spans) and sets the ``recorder`` attribute each
     layer guards its instrumentation on.  Layers not passed stay
-    untraced.  ``client`` (a :class:`~repro.pdm.operations.PDMClient`)
-    needs no attribute of its own — it reads the connection's — but is
-    accepted so call sites can pass the whole stack uniformly.
+    untraced.  The server's ``counters()`` and the link's ``stats`` are
+    snapshotted as the baseline a trace summary measures from.
+    ``client`` (a :class:`~repro.pdm.operations.PDMClient`) needs no
+    attribute of its own — it reads the connection's — but is accepted
+    so call sites can pass the whole stack uniformly.
     """
     if link is not None:
         link.recorder = recorder
+        recorder.link, recorder.link_baseline = link, link.stats.snapshot()
         if recorder.clock is None:
             recorder.clock = link.clock
         link.clock.observer = recorder
@@ -266,6 +276,7 @@ def instrument_stack(
             connection.link.clock.observer = recorder
     if server is not None:
         server.recorder = recorder
+        recorder.server, recorder.server_baseline = server, server.counters()
     if database is not None:
         database.recorder = recorder
     return recorder

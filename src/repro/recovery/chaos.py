@@ -42,6 +42,7 @@ from repro.concurrency.sim import (
     TxnLabels,
     attempt_txn,
     connect_clients,
+    counter_group,
     execute_parked,
     interleave,
 )
@@ -327,7 +328,7 @@ class CrashChaosSim:
         fixpoint = tokens_after == tokens and counters_after == counters
         last = self.durability.last_report
         recovery = {} if last is None else self._scrub_recovery(last)
-        wal = self.durability.wal
+        snapshot = self.server.counters()
         return {
             "config": asdict(self.config),
             "schedule": {"steps": len(self.schedule), "hash": self.schedule_hash},
@@ -350,16 +351,20 @@ class CrashChaosSim:
             },
             "crash_recovery": self.crash_recovery or {},
             "final_recovery": recovery,
-            "wal": dict(wal.statistics) if wal is not None else {},
+            "wal": counter_group(snapshot, "wal_"),
             "server": {
-                key: self.server.statistics[key]
+                key: snapshot[key]
                 for key in (
                     "crashes", "recoveries", "replayed_records",
                     "hwm_suppressed", "unavailable_refusals",
                 )
             },
-            "sessions": dict(self.sessions.statistics),
-            "locks": dict(self.locks.statistics),
+            # Named, not grouped: ``sessions_open`` is the live gauge.
+            "sessions": {
+                key: snapshot[f"sessions_{key}"]
+                for key in ("opened", "closed", "evicted")
+            },
+            "locks": counter_group(snapshot, "locks_"),
         }
 
 

@@ -309,11 +309,6 @@ class Durability:
         self.wal: Optional[WalWriter] = None
         self.database: Optional[Database] = None
         self.last_report: Optional[RecoveryReport] = None
-        self.statistics = {
-            "recoveries": 0,
-            "replayed_records": 0,
-            "checkpoints": 0,
-        }
 
     def open(self) -> Database:
         """Open the database: recover whatever the log holds (nothing,
@@ -334,11 +329,6 @@ class Durability:
             span.meta["txns_committed"] = report.txns_committed
             span.meta["txns_discarded"] = report.txns_discarded
             span.meta["tail_status"] = report.tail_status
-            recorder.metrics.counter("recovery.recoveries").inc()
-            if report.replayed_records:
-                recorder.metrics.counter("recovery.replayed_records").inc(
-                    report.replayed_records
-                )
             return database
 
     def _recover(self) -> Database:
@@ -358,7 +348,7 @@ class Durability:
         report.hwm = dict(hwm)
         if report.truncated_bytes:
             disk.truncate(scan.clean_length)
-        writer = WalWriter(disk, recorder=self.recorder)
+        writer = WalWriter(disk)
         writer.hwm = dict(hwm)
         if report.txns_discarded:
             writer.fence()
@@ -367,8 +357,6 @@ class Durability:
         self.wal = writer
         self.database = database
         self.last_report = report
-        self.statistics["recoveries"] += 1
-        self.statistics["replayed_records"] += report.replayed_records
         return database
 
     def checkpoint(self) -> None:
@@ -382,4 +370,3 @@ class Durability:
             raise DurabilityError("open() the database before checkpointing")
         snapshot = snapshot_database(self.database, self.wal.hwm)
         self.wal.checkpoint(snapshot)
-        self.statistics["checkpoints"] += 1

@@ -591,9 +591,8 @@ class WalWriter:
     reconstructs from the log.
     """
 
-    def __init__(self, disk: SimDisk, recorder: Optional[Any] = None) -> None:
+    def __init__(self, disk: SimDisk) -> None:
         self.disk = disk
-        self.recorder = recorder
         #: Transactions whose BEGIN has been written and COMMIT has not.
         self._begun: Dict[int, bool] = {}
         #: (client_id, seq) of the wire request currently being handled;
@@ -612,8 +611,6 @@ class WalWriter:
             return
         self.disk.append(encode_record(record))
         self.statistics["appends"] += 1
-        if self.recorder is not None:
-            self.recorder.metrics.counter("wal.appends").inc()
 
     def _ensure_begun(self, txn_id: int) -> None:
         if txn_id not in self._begun:

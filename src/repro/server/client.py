@@ -114,7 +114,6 @@ class RemoteConnection:
         #: attempt, no retries) so the server can route statements to this
         #: client's transaction.
         self._session_open = False
-        self._txn_open = False
         #: Optional :class:`repro.obs.TraceRecorder` (see
         #: :func:`repro.obs.instrument_stack`); None disables tracing.
         self.recorder = None
@@ -229,7 +228,6 @@ class RemoteConnection:
                     self.recorder.event(
                         "rpc.retry", attempt=attempt + 1, backoff_s=pause
                     )
-                    self.recorder.metrics.counter("client.retries").inc()
                 clock.advance(pause, "backoff")
             deadline = clock.now + policy.timeout_s
             try:
@@ -241,7 +239,6 @@ class RemoteConnection:
                     self.recorder.event(
                         "rpc.timeout", attempt=attempt + 1, reason=str(dropped)
                     )
-                    self.recorder.metrics.counter("client.timeouts").inc()
                 if clock.now < deadline:
                     stats.timeout_seconds += deadline - clock.now
                     clock.advance(deadline - clock.now, "timeout")
@@ -344,12 +341,9 @@ class RemoteConnection:
         return results
 
     def server_stats(self) -> Dict[str, Any]:
-        """Fetch the server's counter dictionary (one round trip).
-
-        Includes the database-level counters prefixed ``db_`` —
-        ``db_statements``, ``db_plan_cache_hits``, ``db_rows_returned`` —
-        so plan-cache efficacy is observable per experiment.
-        """
+        """Fetch :meth:`DatabaseServer.counters` (one round trip): the
+        server's own counters under their bare names, every attached
+        layer's under ``db_`` / ``wal_`` / ``locks_`` / ``sessions_``."""
         self._ensure_open()
         request = protocol.encode_envelope(Opcode.STATS)
         response = self._round_trip(request)
@@ -397,15 +391,12 @@ class RemoteConnection:
         self._ensure_open()
         self._session_op(Opcode.OPEN_SESSION, Opcode.SESSION_RESULT)
         self._session_open = True
-        self.link.stats.sessions_open += 1
 
     def close_session(self) -> None:
         """Close the server session (rolls back any open transaction)."""
         self._ensure_open()
         self._session_op(Opcode.CLOSE_SESSION, Opcode.SESSION_RESULT)
         self._session_open = False
-        self._txn_open = False
-        self.link.stats.sessions_open -= 1
 
     def mark_session_lost(self) -> None:
         """Forget client-side session state after the server dropped it.
@@ -415,10 +406,7 @@ class RemoteConnection:
         nothing to close or roll back remotely — the next :meth:`begin`
         re-opens a session against the recovered server.  Idempotent.
         """
-        if self._session_open:
-            self.link.stats.sessions_open -= 1
         self._session_open = False
-        self._txn_open = False
 
     def begin(self, read_only: bool = False) -> int:
         """Start a server-side transaction; returns its id.
@@ -433,9 +421,6 @@ class RemoteConnection:
             self.open_session()
         opcode = Opcode.TXN_BEGIN_RO if read_only else Opcode.TXN_BEGIN
         values = self._session_op(opcode, Opcode.TXN_RESULT)
-        self._txn_open = True
-        if read_only:
-            self.link.stats.readonly_txns += 1
         return int(values[1])
 
     def commit(self) -> None:
@@ -452,7 +437,6 @@ class RemoteConnection:
             self._session_op(Opcode.TXN_COMMIT, Opcode.TXN_RESULT)
         except DuplicateRequest:
             pass
-        self._txn_open = False
 
     def rollback(self) -> None:
         """Roll back this session's transaction.
@@ -463,8 +447,6 @@ class RemoteConnection:
         """
         self._ensure_open()
         self._session_op(Opcode.TXN_ROLLBACK, Opcode.TXN_RESULT)
-        self._txn_open = False
-        self.link.stats.txn_aborts += 1
 
     def transaction(self) -> "_RemoteTransaction":
         """Context manager mirroring :meth:`Database.transaction`:
@@ -555,10 +537,6 @@ class RemoteConnection:
         kind, message = protocol.decode_error(body)
         error_type = _ERROR_TYPES.get(kind)
         if error_type is not None:
-            if error_type is LockUnavailable:
-                self.link.stats.lock_waits += 1
-            elif error_type is DeadlockError:
-                self.link.stats.deadlocks += 1
             return error_type(message)
         if kind.endswith("Error") and kind in (
             "ParseError",

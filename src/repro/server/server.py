@@ -26,6 +26,7 @@ from repro.errors import (
     ProtocolError,
     ReproError,
     ServerUnavailable,
+    SessionError,
     SQLError,
 )
 from repro.obs import ROWS_BUCKETS, maybe_span
@@ -127,6 +128,14 @@ class DatabaseServer:
         #: makes retried EXECUTE/BATCH requests idempotent.
         self._replay_cache: "OrderedDict[Tuple[int, int], bytes]" = OrderedDict()
         self.replay_cache_size = 512
+        #: Events that happen *here*.  What happens in the engine, the
+        #: WAL, the lock manager or the session manager is counted there
+        #: and nowhere else; :meth:`counters` is the one view over all of
+        #: them.  ``lock_waits`` / ``deadlocks`` count the refusals this
+        #: server *sent* (the lock manager counts what it raised for a
+        #: parked request and the cycles it found); ``txn_aborts`` counts
+        #: every deadlock or timeout abort sent plus every TXN_ROLLBACK
+        #: received, so an acknowledged victim shows twice.
         self.statistics = {
             "queries": 0,
             "procedure_calls": 0,
@@ -139,11 +148,9 @@ class DatabaseServer:
             "crc_rejects": 0,
             "lint_checks": 0,
             "lint_rejections": 0,
-            "sessions_open": 0,
             "lock_waits": 0,
             "deadlocks": 0,
             "txn_aborts": 0,
-            "readonly_txns": 0,
             "crashes": 0,
             "recoveries": 0,
             "replayed_records": 0,
@@ -380,8 +387,6 @@ class DatabaseServer:
                 replay_hit=True,
             ):
                 pass
-            if recorder is not None:
-                recorder.metrics.counter("server.replay_hits").inc()
             return cached
         wal = self.database.wal
         if wal is not None and 0 < seq <= wal.hwm.get(client_id, 0):
@@ -495,13 +500,10 @@ class DatabaseServer:
         self.statistics["crashes"] += 1
         if self.sessions is not None:
             self.sessions.evict_all()
-            self.statistics["sessions_open"] = 0
         if self.database.locks is not None:
             self.database.locks.reset()
         self._replay_cache.clear()
         self._lint_cache.clear()
-        if self.recorder is not None:
-            self.recorder.metrics.counter("server.crashes").inc()
 
     def restart(self) -> Database:
         """Recover the database from the write-ahead log and come back up.
@@ -558,8 +560,6 @@ class DatabaseServer:
             if self._active_client is not None and self.sessions.was_evicted(
                 self._active_client
             ):
-                from repro.errors import SessionError
-
                 raise SessionError(
                     f"session of client {self._active_client} was evicted "
                     f"by the server (idle teardown or crash); send "
@@ -576,13 +576,11 @@ class DatabaseServer:
         client_id = protocol.decode_session_op(body)
         if opcode is Opcode.OPEN_SESSION:
             self.sessions.open(client_id)
-            self.statistics["sessions_open"] = self.sessions.open_count
             return protocol.encode_envelope(
                 Opcode.SESSION_RESULT, protocol.encode_values(["open", client_id])
             )
         if opcode is Opcode.CLOSE_SESSION:
             self.sessions.close(client_id)
-            self.statistics["sessions_open"] = self.sessions.open_count
             return protocol.encode_envelope(
                 Opcode.SESSION_RESULT, protocol.encode_values(["closed", client_id])
             )
@@ -593,7 +591,6 @@ class DatabaseServer:
             )
         if opcode is Opcode.TXN_BEGIN_RO:
             txn_id = self.sessions.begin(client_id, read_only=True)
-            self.statistics["readonly_txns"] += 1
             return protocol.encode_envelope(
                 Opcode.TXN_RESULT, protocol.encode_values(["begin_ro", txn_id])
             )
@@ -667,26 +664,37 @@ class DatabaseServer:
             Opcode.BATCH_RESULT, protocol.encode_batch_result(entries)
         )
 
-    def _handle_stats(self, body: bytes) -> bytes:
-        """Report server- and database-level counters in one round trip.
+    def counters(self) -> Dict[str, Any]:
+        """One flat snapshot of every always-on counter in this stack.
 
-        The database counters (statements, plan-cache hits, rows returned)
-        are the ones the plan cache's efficacy shows up in; exposing them
-        over the wire lets a bench harness read them without reaching into
-        the server process.
+        The server's own ``statistics`` keep their names; each attached
+        layer's follow under its prefix — ``db_`` (engine), ``wal_``,
+        ``locks_``, ``sessions_`` — and ``sessions_open`` is the session
+        manager's live gauge.  Nothing is copied anywhere else: the STATS
+        frame, the simulator reports and the trace summary all read this.
         """
+        database = self.database
+        snapshot = dict(self.statistics)
+        for prefix, layer in (
+            ("db_", database),
+            ("wal_", database.wal),
+            ("locks_", database.locks),
+            ("sessions_", self.sessions),
+        ):
+            if layer is not None:
+                for name, value in layer.statistics.items():
+                    snapshot[prefix + name] = value
+        if self.sessions is not None:
+            snapshot["sessions_open"] = self.sessions.open_count
+        return snapshot
+
+    def _handle_stats(self, body: bytes) -> bytes:
+        """Report :meth:`counters` in one round trip, so a bench harness
+        reads them without reaching into the server process."""
         if body:
             raise ProtocolError("STATS request carries no body")
-        counters = dict(self.statistics)
-        for name, value in self.database.statistics.items():
-            counters[f"db_{name}"] = value
-        wal = self.database.wal
-        if wal is not None:
-            counters["wal_appends"] = wal.statistics["appends"]
-            counters["wal_commits"] = wal.statistics["commits"]
-            counters["wal_aborts"] = wal.statistics["aborts"]
         return protocol.encode_envelope(
-            Opcode.STATS_RESULT, protocol.encode_stats(counters)
+            Opcode.STATS_RESULT, protocol.encode_stats(self.counters())
         )
 
     def _handle_procedure(self, body: bytes) -> bytes:

@@ -454,8 +454,6 @@ class Database:
         txn = _Transaction(session, txn_id, read_only=read_only)
         if read_only:
             self.statistics["readonly_txns"] += 1
-            if self.recorder is not None:
-                self.recorder.metrics.counter("db.readonly_txns").inc()
             txn.snapshot = self.mvcc.open_snapshot(
                 written
                 for other in self._transactions.values()
@@ -693,8 +691,6 @@ class Database:
             # Snapshot read: visibility replaces shared locks entirely —
             # no lock scope, no waits, no deadlock exposure.
             self.statistics["snapshot_reads"] += 1
-            if self.recorder is not None:
-                self.recorder.metrics.counter("db.snapshot_reads").inc()
             rows = self._run_plan(plan, env)
         elif self.locks is None:
             rows = self._run_plan(plan, env)
@@ -713,18 +709,10 @@ class Database:
             return run_plan(plan, env)
         finally:
             executor = self.last_executor = env.executor
-            recorder = self.recorder
             if executor == "columnar":
                 self.statistics["columnar_statements"] += 1
-                if recorder is not None:
-                    counter = recorder.metrics.counter
-                    counter("db.columnar_executions").inc()
-                    counter("db.vec_batches").inc(env.counters["vec_batches"])
-                    counter("db.vec_rows").inc(env.counters["vec_rows"])
             else:
                 self.statistics["columnar_fallbacks"] += 1
-                if recorder is not None:
-                    recorder.metrics.counter("db.columnar_fallbacks").inc()
 
     # -- DML / DDL ----------------------------------------------------------------
 

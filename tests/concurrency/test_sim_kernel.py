@@ -282,8 +282,9 @@ class TestClientProtocol:
 
 
 class TestSessionGauge:
-    """``TrafficStats.sessions_open`` follows the client's own view of
-    its session through a crash (it used to stay at 1 forever)."""
+    """``sessions_open`` is the session manager's own count, read live by
+    ``DatabaseServer.counters()`` — no copy on the server or the link to
+    go stale when a session dies without a CLOSE_SESSION."""
 
     def test_crash_cell_leaves_no_session_open_anywhere(self):
         sim = CrashChaosSim(
@@ -291,21 +292,25 @@ class TestSessionGauge:
         )
         report = sim.run()
         assert report["crash"]["occurred"]
-        assert [c.link.stats.sessions_open for c in sim.connections] == [0, 0, 0]
         assert sim.sessions.open_count == 0
-        assert sim.server.statistics["sessions_open"] == 0
+        assert sim.server.counters()["sessions_open"] == 0
+        assert "sessions_open" not in sim.server.statistics
 
     def test_mark_session_lost_is_idempotent(self):
         database = Database()
         sessions = SessionManager(database, LockManager(clock=SimulatedClock()))
-        connection = RemoteConnection(
-            DatabaseServer(database, sessions=sessions), LAN.create_link()
-        )
+        server = DatabaseServer(database, sessions=sessions)
+        connection = RemoteConnection(server, LAN.create_link())
         connection.open_session()
-        assert connection.link.stats.sessions_open == 1
+        assert server.counters()["sessions_open"] == 1
+        # Evicted behind the server's back: the assigned copy stayed at 1.
+        sessions.evict(connection.client_id)
+        assert server.counters()["sessions_open"] == 0
         connection.mark_session_lost()
         connection.mark_session_lost()
-        assert connection.link.stats.sessions_open == 0
+        connection.begin()  # re-opens the session first
+        assert server.counters()["sessions_open"] == 1
+        assert sessions.statistics["opened"] == 2
 
 
 if __name__ == "__main__":

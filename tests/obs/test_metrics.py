@@ -1,30 +1,14 @@
-"""The metrics registry: monotonic counters and fixed-bucket histograms."""
+"""The metrics registry: fixed-bucket histograms."""
 
 import pytest
 
 from repro.errors import ReproError
 from repro.obs import (
     BYTES_BUCKETS,
-    Counter,
     Histogram,
     MetricsRegistry,
     ROWS_BUCKETS,
 )
-
-
-class TestCounter:
-    def test_starts_at_zero_and_accumulates(self):
-        counter = Counter("c")
-        assert counter.value == 0
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-
-    def test_rejects_negative_increments(self):
-        counter = Counter("c")
-        with pytest.raises(ReproError):
-            counter.inc(-1)
-        assert counter.value == 0
 
 
 class TestHistogram:
@@ -134,12 +118,6 @@ class TestHistogramQuantiles:
 
 
 class TestRegistry:
-    def test_counter_get_or_create(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.counter("a").inc()
-        assert registry.counter("a").value == 2
-
     def test_histogram_existing_bounds_win(self):
         registry = MetricsRegistry()
         first = registry.histogram("h", BYTES_BUCKETS)
@@ -151,9 +129,9 @@ class TestRegistry:
         import json
 
         registry = MetricsRegistry()
-        registry.counter("b").inc()
-        registry.counter("a").inc(2)
-        registry.histogram("h", (1.0,)).observe(0.5)
+        registry.histogram("b", (1.0,)).observe(0.5)
+        registry.histogram("a", (1.0,)).observe(2.0)
         data = registry.to_dict()
-        assert list(data["counters"]) == ["a", "b"]
+        assert list(data) == ["histograms"]  # counts live in the layers
+        assert list(data["histograms"]) == ["a", "b"]
         json.dumps(data)  # must be serialisable as exported

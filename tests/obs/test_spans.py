@@ -108,10 +108,10 @@ class TestSpanTree:
     def test_reset_drops_everything(self, recorder, clock):
         with recorder.span("s"):
             clock.advance(1.0)
-        recorder.metrics.counter("c").inc()
+        recorder.metrics.histogram("h").observe(1.0)
         recorder.reset()
         assert recorder.roots == []
-        assert recorder.metrics.counters == {}
+        assert recorder.metrics.histograms == {}
 
 
 class TestMaybeSpan:
@@ -147,14 +147,23 @@ class TestInstrumentStack:
 
 class TestMvccMetrics:
     def test_readonly_txn_counters_reach_the_recorder(self, recorder):
+        """Counted once, in ``Database.statistics``; the trace summary
+        shows how far the server's snapshot moved since it was traced."""
+        from repro.bench.report import trace_summary
+        from repro.server.server import DatabaseServer
         from repro.sqldb import Database
 
         db = Database()
-        db.recorder = recorder
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         db.execute("INSERT INTO t VALUES (1, 10)")
+        instrument_stack(recorder, server=DatabaseServer(db), database=db)
         db.execute("BEGIN TRANSACTION READ ONLY", session="r")
         db.execute("SELECT v FROM t WHERE id = 1", session="r")
         db.execute("COMMIT", session="r")
-        assert recorder.metrics.counter("db.readonly_txns").value == 1
-        assert recorder.metrics.counter("db.snapshot_reads").value >= 1
+        assert trace_summary(recorder)["counters"] == {
+            "db_statements": 3,
+            "db_readonly_txns": 1,
+            "db_snapshot_reads": 1,
+            "db_rows_returned": 1,
+            "db_columnar_fallbacks": 1,
+        }

@@ -1,12 +1,14 @@
 """stdlib ``sqlite3`` as an independent oracle for what the planner re-plans.
 
-First slice of ROADMAP 4a: exactly the statements whose access path the
-``IN (subquery)`` probe changes — every recursive SELECT of the PDM
-template corpus (their outer link block is ``link.left IN (SELECT obid
-FROM rtbl) AND link.right IN (...)``) and the ``IN`` / ``NOT IN
-(subquery)`` NULL matrix on indexed and unindexed columns — must return
-the same multiset of rows from this engine and from SQLite, which shares
-no code with it.  The rendered template text runs on SQLite verbatim.
+ROADMAP 3(a), slices one and two: every SELECT of the PDM template
+corpus — the seven recursive ones (their outer link block is ``link.left
+IN (SELECT obid FROM rtbl) AND link.right IN (...)``, the access path the
+``IN (subquery)`` probe changed) and the sixteen navigational and batched
+ones — the engine-level corpus of ``test_differential.py``, and the
+``IN`` / ``NOT IN (subquery)`` NULL matrix on indexed and unindexed
+columns must return the same multiset of rows from this engine and from
+SQLite, which shares no code with it.  The statement text runs on SQLite
+verbatim.
 
 Catalogue of intentional divergences (each one neutralised here, none of
 them hides a wrong row):
@@ -35,6 +37,10 @@ them hides a wrong row):
   for the same reason.  No statement compared here puts a ``LIMIT`` over
   an expression that can raise; ``test_differential.py`` pins both
   outcomes on both operator sets (DESIGN §10).
+* **OFFSET without LIMIT.**  The engine accepts ``SELECT ... OFFSET n``;
+  SQLite's grammar wants a ``LIMIT`` first and rejects the text.  The two
+  such statements of the engine corpus (``NO_SQLITE_GRAMMAR``) are left
+  to the row-operator differential; ``LIMIT 2 OFFSET -1`` is compared.
 """
 
 import sqlite3
@@ -47,12 +53,27 @@ from repro.model.parameters import TreeParameters
 from repro.pdm.generator import generate_product
 from repro.pdm.schema import CLIENT_FUNCTIONS, load_product, new_pdm_database
 from repro.sqldb import Database
+from tests.sqldb.test_differential import (  # noqa: F401 — engine_db is a fixture
+    CORPUS_PARAMS,
+    ENGINE_CORPUS,
+    engine_db,
+)
 
 RECURSIVE_TEMPLATES = [
     (name, sql)
     for name, sql in template_queries()
     if sql.startswith("WITH RECURSIVE")
 ]
+
+#: The other SELECTs of the corpus: navigational, batched, where-used.
+FLAT_TEMPLATES = [
+    (name, sql)
+    for name, sql in template_queries()
+    if sql.startswith("SELECT")
+]
+
+#: Engine-corpus statements SQLite cannot parse (see the catalogue).
+NO_SQLITE_GRAMMAR = {"SELECT id FROM t OFFSET -1", "SELECT id FROM t OFFSET ?"}
 
 
 def null_propagating(function):
@@ -124,7 +145,7 @@ def pdm():
         ),
         "component": max(visible - assemblies),
     }
-    yield db, oracle, roots
+    yield db, oracle, roots, product
     oracle.close()
 
 
@@ -144,7 +165,7 @@ class TestRecursiveTemplates:
         "name, sql", RECURSIVE_TEMPLATES, ids=[n for n, __ in RECURSIVE_TEMPLATES]
     )
     def test_same_rows_as_sqlite_from_every_root(self, pdm, name, sql):
-        db, oracle, roots = pdm
+        db, oracle, roots, __ = pdm
         returned = {}
         for label, obid in roots.items():
             # The first parameter is the root; the depth-bounded template
@@ -152,6 +173,71 @@ class TestRecursiveTemplates:
             params = [obid] + [2] * (sql.count("?") - 1)
             returned[label] = assert_same_multiset(db, oracle, sql, params)
         assert max(returned.values()) > 1, "vacuous: no root returned a tree"
+
+
+class TestFlatTemplates:
+    def test_with_the_recursive_ones_they_are_every_select(self):
+        selects = {name for name, __ in RECURSIVE_TEMPLATES + FLAT_TEMPLATES}
+        others = {name for name, __ in template_queries()} - selects
+        assert len(FLAT_TEMPLATES) == 16
+        assert others == {"update-checkout-1", "update-checkout-4"}
+
+    @pytest.mark.parametrize(
+        "name, sql", FLAT_TEMPLATES, ids=[n for n, __ in FLAT_TEMPLATES]
+    )
+    def test_same_rows_as_sqlite(self, pdm, name, sql):
+        db, oracle, roots, product = pdm
+        width = sql.count("?")
+        if name == "set-query":
+            # Both branches filter on the product id; one that exists and
+            # one that does not.
+            bindings = [[product.assemblies[0].product] * 2, [-1] * 2]
+        elif name.startswith("batched-children"):
+            # A frontier as wide as the IN list, once led by the root
+            # (assembly children) and once by a leaf assembly (component
+            # children), then every assembly in order — repeating when
+            # the list is longer than the product.
+            assemblies = sorted(a.obid for a in product.assemblies)
+            bindings = [
+                [([lead] + assemblies)[i % (len(assemblies) + 1)]
+                 for i in range(width)]
+                for lead in (roots["root"], roots["leaf-assembly"])
+            ]
+        else:
+            # One object (or parent, or child) id, bound once per branch.
+            bindings = [[obid] * width for obid in roots.values()]
+        returned = sum(
+            assert_same_multiset(db, oracle, sql, params) for params in bindings
+        )
+        assert returned > 0, "vacuous: no binding returned a row"
+
+
+class TestEngineCorpus:
+    @pytest.fixture(scope="class")
+    def oracle(self, engine_db):
+        connection = sqlite_twin(
+            {
+                name: (
+                    engine_db.catalog.lookup(name).schema.column_names,
+                    engine_db.execute(f"SELECT * FROM {name}").rows,
+                )
+                for name in ("t", "dim", "empty")
+            }
+        )
+        yield connection
+        connection.close()
+
+    @pytest.mark.parametrize(
+        "sql", [sql for sql in ENGINE_CORPUS if sql not in NO_SQLITE_GRAMMAR]
+    )
+    def test_same_rows_as_sqlite(self, engine_db, oracle, sql):
+        assert_same_multiset(engine_db, oracle, sql, CORPUS_PARAMS.get(sql, ()))
+
+    def test_sqlite_rejects_only_the_catalogued_grammar(self, oracle):
+        assert NO_SQLITE_GRAMMAR <= set(ENGINE_CORPUS)
+        for sql in NO_SQLITE_GRAMMAR:
+            with pytest.raises(sqlite3.OperationalError, match="syntax error"):
+                oracle.execute(sql, CORPUS_PARAMS.get(sql, ()))
 
 
 def matrix_databases(s_values, analyzed):
