@@ -5,12 +5,13 @@ Layers, bottom up:
 * :mod:`repro.recovery.simdisk` — an append-only simulated disk with a
   seeded fault profile (crash at the Nth append, optionally leaving a
   torn or bit-flipped final record);
-* :mod:`repro.recovery.wal` — the CRC-framed redo log: record codec,
+* :mod:`repro.recovery.wal` — the CRC-framed redo log: record codec
+  (a checkpoint embeds ordinary ``Q`` and ``I`` records), the
   damage-distinguishing scanner and the :class:`WalWriter` the database
   appends through;
-* :mod:`repro.recovery.recover` — checkpoint snapshots and the
-  :class:`Durability` bundle that replays the log into a fresh database
-  at every open;
+* :mod:`repro.recovery.recover` — the :class:`Durability` bundle that
+  writes checkpoints and replays the log into a fresh database at every
+  open;
 * :mod:`repro.recovery.chaos` — the crash workload over the client
   simulator of :mod:`repro.concurrency.sim`, its verdict
   (:func:`violations`) and its sweep driver (the ``bench_crash`` harness).
@@ -26,12 +27,7 @@ from repro.recovery.chaos import (
     sweep_profiles,
     violations,
 )
-from repro.recovery.recover import (
-    Durability,
-    RecoveryReport,
-    restore_snapshot,
-    snapshot_database,
-)
+from repro.recovery.recover import Durability, RecoveryReport
 from repro.recovery.simdisk import PERFECT_DISK, DiskFaultProfile, SimDisk
 from repro.recovery.wal import (
     KIND_ABORT,
@@ -44,7 +40,6 @@ from repro.recovery.wal import (
     KIND_INSERT,
     KIND_UPDATE,
     MAX_PAYLOAD,
-    Snapshot,
     WalRecord,
     WalScan,
     WalWriter,
@@ -72,18 +67,15 @@ __all__ = [
     "PERFECT_DISK",
     "RecoveryReport",
     "SimDisk",
-    "Snapshot",
     "WalRecord",
     "WalScan",
     "WalWriter",
     "decode_payload",
     "encode_record",
     "report_json",
-    "restore_snapshot",
     "run_crash_chaos",
     "run_crash_sweep",
     "scan_wal",
-    "snapshot_database",
     "sweep_profiles",
     "violations",
 ]

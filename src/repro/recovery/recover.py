@@ -6,9 +6,12 @@ After a crash, :meth:`Durability.recover` rebuilds the database by
 
 1. scanning the log's clean prefix (per-record CRCs, strict mid-log
    corruption detection — see :func:`repro.recovery.wal.scan_wal`);
-2. restoring the most recent checkpoint snapshot, if any (checkpoints
-   bound replay length: everything before the snapshot is one record,
-   and a completed checkpoint drops that prefix from the disk);
+2. applying the most recent checkpoint, if any: its embedded ``Q`` and
+   ``I`` records go through the same DDL execute and :func:`_apply_op`
+   as the records behind it, then its header restores the heap slot
+   counts and the commit clock (checkpoints bound replay length:
+   everything before one is one record, and a completed checkpoint drops
+   that prefix from the disk);
 3. replaying the records after it — operations buffer per transaction
    and apply at that transaction's COMMIT, so in-flight transactions are
    discarded for free and strict 2PL guarantees commit-order replay is
@@ -26,7 +29,7 @@ transaction's effects survive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import DurabilityError, WalCorruptError
 from repro.recovery.simdisk import SimDisk
@@ -40,19 +43,18 @@ from repro.recovery.wal import (
     KIND_FENCE,
     KIND_INSERT,
     KIND_UPDATE,
-    ColumnDef,
-    IndexDef,
-    Snapshot,
-    TableSnapshot,
+    Checkpoint,
+    CheckpointTable,
     WalRecord,
     WalWriter,
+    embedded_records,
     scan_wal,
 )
+from repro.sqldb import ast_nodes as ast
+from repro.sqldb import ast_walk
 from repro.sqldb.database import Database
 from repro.sqldb.render import render_statement
-from repro.sqldb.schema import Column, TableSchema
 from repro.sqldb.storage import TableStorage
-from repro.sqldb.types import SQLType
 
 
 @dataclass
@@ -88,114 +90,131 @@ class RecoveryReport:
         return payload
 
 
-# -- snapshots ---------------------------------------------------------------
+# -- checkpoints -------------------------------------------------------------
 
 
-def snapshot_database(database: Database, hwm: Dict[int, int]) -> Snapshot:
-    """Capture *database* as a checkpoint snapshot.
-
-    Requires a quiescent database (no open transactions): a checkpoint is
-    a clean point in the log, so replay never has to stitch a transaction
-    across one.
+def _contents(database: Database) -> Tuple[List[str], List[CheckpointTable]]:
+    """What a checkpoint of *database* holds: a ``CREATE TABLE`` and its
+    ``CREATE INDEX`` statements per table, then the views each after the
+    views it reads; and each table's name, slot count and live rows.
     """
-    if database._transactions:
-        raise DurabilityError(
-            "cannot checkpoint with open transactions; commit or roll "
-            "back first"
-        )
-    tables: List[TableSnapshot] = []
+    ddl: List[str] = []
+    tables: List[CheckpointTable] = []
     for name in database.table_names():
         entry = database.catalog.lookup(name)
-        storage = entry.storage
-        columns = tuple(
-            ColumnDef(
-                name=column.name,
-                type_name=column.sql_type.name,
-                type_length=column.sql_type.length,
-                not_null=column.not_null,
-                primary_key=column.primary_key,
-            )
-            for column in entry.schema.columns
-        )
-        indexes = tuple(
-            IndexDef(
-                name=index.name,
-                columns=tuple(
-                    entry.schema.columns[position].name
-                    for position in index.column_positions
-                ),
-                unique=index.unique,
-            )
-            for index in storage._indexes.values()
-        )
-        tables.append(
-            TableSnapshot(
-                name=entry.schema.name,
-                columns=columns,
-                indexes=indexes,
-                total_slots=len(storage._rows),
-                rows=tuple(storage.scan()),
-            )
-        )
-    views = tuple(
-        render_statement(database.views[key]) for key in sorted(database.views)
-    )
-    return Snapshot(
-        tables=tuple(tables),
-        views=views,
-        hwm=tuple(sorted(hwm.items())),
-        mvcc_clock=database.mvcc.clock,
-    )
+        schema, storage = entry.schema, entry.storage
+        columns = [
+            ast.ColumnDef(column.name, column.sql_type, column.not_null, column.primary_key)
+            for column in schema.columns
+        ]
+        ddl.append(render_statement(ast.CreateTable(schema.name, columns)))
+        # CREATE TABLE itself makes the primary-key index.
+        made = f"{schema.name}_pk".lower() if schema.primary_key_index() is not None else None
+        for key, index in storage._indexes.items():
+            if key != made:
+                names = [schema.columns[position].name for position in index.column_positions]
+                create = ast.CreateIndex(index.name, schema.name, names, index.unique)
+                ddl.append(render_statement(create))
+        tables.append((schema.name, len(storage._rows), storage.scan()))
+    ddl.extend(render_statement(view) for view in _views_in_dependency_order(database))
+    return ddl, tables
 
 
-def restore_snapshot(database: Database, snapshot: Snapshot) -> None:
-    """Materialise *snapshot* into a fresh (empty) *database*."""
-    for table in snapshot.tables:
-        schema = TableSchema(
-            name=table.name,
-            columns=[
-                Column(
-                    name=column.name,
-                    sql_type=SQLType(column.type_name, column.type_length),
-                    not_null=column.not_null,
-                    primary_key=column.primary_key,
+def _views_in_dependency_order(database: Database) -> List[ast.CreateView]:
+    """Every view after the views it reads, otherwise by name.
+
+    Creation order is not enough: a view can be dropped and re-created
+    under an older view that reads it.  A view that reads a dropped table
+    could not be re-created from the checkpoint, which is refused.
+    """
+    views = database.views
+    ordered: List[ast.CreateView] = []
+    placed: Set[str] = set()
+
+    def place(key: str) -> None:
+        if key in placed:
+            return
+        placed.add(key)
+        for name in ast_walk.referenced_tables(views[key].select):
+            if name in views:
+                place(name)
+            elif not database.catalog.exists(name):
+                raise DurabilityError(
+                    f"cannot checkpoint view {views[key].name!r}: it reads "
+                    f"{name!r}, which no longer exists"
                 )
-                for column in table.columns
-            ],
-        )
-        storage = TableStorage(schema)
-        existing = {name.lower() for name in storage.index_names()}
-        for index in table.indexes:
-            if index.name.lower() in existing:
-                continue  # the PK index auto-created by TableStorage
-            storage.create_index(index.name, list(index.columns), unique=index.unique)
-        for row_id, row in table.rows:
-            storage.insert_at(row_id, row)
-        storage.pad_slots(table.total_slots)
-        # adopt_storage attaches the WAL journal; the storage is fully
-        # populated first, so restore itself logs nothing.
-        database.adopt_storage(schema, storage)
-    for view_sql in snapshot.views:
-        database.execute(view_sql)
-    # Resume the commit clock where the checkpoint froze it so replayed
-    # commits reuse the original stamps.
-    database.mvcc.clock = snapshot.mvcc_clock
+        ordered.append(views[key])
+
+    for key in sorted(views):
+        place(key)
+    return ordered
 
 
 # -- replay ------------------------------------------------------------------
 
 
-def _apply_op(database: Database, record: WalRecord) -> None:
+def _apply_checkpoint(database: Database, checkpoint: Checkpoint) -> Dict[str, int]:
+    """Rebuild *database* from *checkpoint*; return its slot counts by
+    lowercased table name.
+
+    The embedded records go through the same DDL execute and
+    :func:`_apply_op` as the records behind the checkpoint, each as it is
+    decoded; then the header pads every heap to its slot count and
+    resumes the commit clock where the checkpoint froze it, so replayed
+    commits reuse the original stamps.
+    """
+    slots = {table.lower(): count for table, count in checkpoint.slots}
+    for record in embedded_records(checkpoint):
+        if record.kind == KIND_DDL:
+            assert record.sql is not None
+            database.execute(record.sql)
+        elif record.kind == KIND_INSERT:
+            _apply_op(database, record, slots, 0)
+        else:
+            raise WalCorruptError(f"checkpoint embeds a {record.kind!r} record")
+    for table, count in checkpoint.slots:
+        database.catalog.lookup(table).storage.pad_slots(count)
+    database.mvcc.clock = checkpoint.clock
+    return slots
+
+
+def _apply_op(
+    database: Database, record: WalRecord, slots: Dict[str, int], headroom: int
+) -> None:
+    """Redo one row record.
+
+    An insert's row id must lie below its table's slot count at the
+    checkpoint (*slots*) plus *headroom*, and its row must have the
+    table's arity.  Every slot allocated after a checkpoint was logged by
+    an ``I`` record, so the records scanned are the headroom behind it;
+    inside it there is none.
+    """
     assert record.table is not None and record.row_id is not None
     storage = database.catalog.lookup(record.table).storage
+    row_id = record.row_id
     if record.kind == KIND_INSERT:
         assert record.row is not None
-        storage.insert_at(record.row_id, record.row)
+        limit = slots.get(record.table.lower(), 0) + headroom
+        if row_id >= limit:
+            raise WalCorruptError(
+                f"insert record for slot {row_id} of {record.table!r}, "
+                f"past the {limit} slots the log can have allocated"
+            )
+        if len(record.row) != storage.schema.arity:
+            raise WalCorruptError(
+                f"insert record of {len(record.row)} values for "
+                f"{record.table!r}, which has {storage.schema.arity} columns"
+            )
+        storage.insert_at(row_id, record.row)
     elif record.kind == KIND_DELETE:
-        storage.delete(record.row_id)
+        if row_id >= len(storage._rows):
+            raise WalCorruptError(
+                f"delete record for missing slot {row_id} of {record.table!r}"
+            )
+        storage.delete(row_id)
     else:  # KIND_UPDATE
         assert record.changes is not None
-        storage.update(record.row_id, _patched(storage, record))
+        storage.update(row_id, _patched(storage, record))
 
 
 def _patched(storage: TableStorage, record: WalRecord) -> List[Any]:
@@ -227,19 +246,19 @@ def _replay(
 ) -> Dict[int, int]:
     """Replay *records* into *database*; return the high-water-mark map.
 
-    Starts from the last checkpoint in *records* (restoring its snapshot)
-    and buffers subsequent operations per transaction, applying each
-    buffer at its COMMIT.  Whatever is still buffered at the end of the
-    log belonged to in-flight transactions and is discarded.
+    Starts from the last checkpoint in *records* (applying it) and
+    buffers subsequent operations per transaction, applying each buffer
+    at its COMMIT.  Whatever is still buffered at the end of the log
+    belonged to in-flight transactions and is discarded.
     """
     start = 0
     hwm: Dict[int, int] = {}
+    slots: Dict[str, int] = {}
     for position in range(len(records) - 1, -1, -1):
-        if records[position].kind == KIND_CHECKPOINT:
-            snapshot = records[position].snapshot
-            assert snapshot is not None
-            restore_snapshot(database, snapshot)
-            hwm = dict(snapshot.hwm)
+        checkpoint = records[position].checkpoint
+        if checkpoint is not None:
+            slots = _apply_checkpoint(database, checkpoint)
+            hwm = dict(checkpoint.hwm)
             report.checkpoint_used = True
             start = position + 1
             break
@@ -253,7 +272,7 @@ def _replay(
         elif kind == KIND_COMMIT:
             operations = open_txns.pop(record.txn_id, [])
             for buffered in operations:
-                _apply_op(database, buffered)
+                _apply_op(database, buffered, slots, len(records))
                 report.replayed_records += 1
             if operations:
                 # The commit clock ticks exactly once per writing
@@ -360,13 +379,21 @@ class Durability:
         return database
 
     def checkpoint(self) -> None:
-        """Write a checkpoint record snapshotting the current database.
+        """Write a checkpoint record of the current database.
 
-        Later recoveries restore the snapshot and replay only the records
-        behind it, bounding replay work; the log before the checkpoint is
-        dead, and the writer drops it once the record is on the disk.
+        Later recoveries apply it and replay only the records behind it,
+        bounding replay work; the log before the checkpoint is dead, and
+        the writer drops it once the record is on the disk.
         """
-        if self.database is None or self.wal is None:
+        database = self.database
+        if database is None or self.wal is None:
             raise DurabilityError("open() the database before checkpointing")
-        snapshot = snapshot_database(self.database, self.wal.hwm)
-        self.wal.checkpoint(snapshot)
+        # A checkpoint is a clean point in the log, so replay never has to
+        # stitch a transaction across one.
+        if database._transactions:
+            raise DurabilityError(
+                "cannot checkpoint with open transactions; commit or roll "
+                "back first"
+            )
+        ddl, tables = _contents(database)
+        self.wal.checkpoint(database.mvcc.clock, ddl, tables)

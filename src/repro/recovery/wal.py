@@ -22,7 +22,10 @@ Record kinds:
                    them into the row it finds in the slot (n may be 0)
 ``D`` delete       body: table, u64 row_id
 ``Q`` ddl          body: SQL text (rendered statement, replayed verbatim)
-``K`` checkpoint   body: full snapshot (tables, rows, views, HWM map)
+``K`` checkpoint   body: u32 n, n x (u32 client_id, u32 seq) HWM pairs;
+                   u64 MVCC clock; u32 m, m x (table, u64 slot count);
+                   then, up to the end of the body, ordinary ``Q`` and
+                   ``I`` record payloads, each prefixed by its u32 length
 ``F`` fence        body: empty (written by recovery: every txn open
                    before this point crashed and must be discarded)
 
@@ -30,6 +33,11 @@ The commit record's *origin* is the ``(client_id, seq)`` of the wire
 request that drove the commit; the per-client maximum over commit
 origins is the SEQUENCED **high-water mark**, which is how at-most-once
 execution survives a restart that wiped the in-memory replay cache.
+
+A checkpoint is written in the log's own records: one ``Q`` per table,
+index and view, one ``I`` per live row, read back by
+:func:`embedded_records` with :func:`decode_payload` — the database's
+shape has one encoding, whether it sits in the log or in a checkpoint.
 
 Values reuse the deterministic wire codec
 (:func:`repro.sqldb.wire.encode_value`), so a WAL byte stream — like a
@@ -48,9 +56,9 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import ProtocolError, WalCorruptError
+from repro.errors import DurabilityError, ProtocolError, WalCorruptError
 from repro.recovery.simdisk import SimDisk
 from repro.sqldb.wire import decode_run, decode_value, encode_run, encode_value
 
@@ -88,6 +96,8 @@ _KINDS = frozenset(
 Row = Tuple[Any, ...]
 #: The columns an update changed: ``(position, new value)`` pairs.
 Changes = Tuple[Tuple[int, Any], ...]
+#: One table a checkpoint holds: name, heap slot count, live ``(row_id, row)``.
+CheckpointTable = Tuple[str, int, Iterable[Tuple[int, Row]]]
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,8 @@ class WalRecord:
     fields beyond ``kind``/``txn_id`` are populated per kind (``table``/
     ``row_id`` for data ops, with the whole ``row`` for an insert and the
     ``changes`` — ``(column position, new value)`` pairs — for an update;
-    ``sql`` for DDL, ``origin`` for commits, ``snapshot`` for checkpoints).
+    ``sql`` for DDL, ``origin`` for commits, ``checkpoint`` for
+    checkpoints).
     """
 
     kind: str
@@ -109,51 +120,24 @@ class WalRecord:
     changes: Optional[Changes] = None
     sql: Optional[str] = None
     origin: Optional[Tuple[int, int]] = None
-    snapshot: Optional["Snapshot"] = None
+    checkpoint: Optional["Checkpoint"] = None
 
 
 @dataclass(frozen=True)
-class IndexDef:
-    name: str
-    columns: Tuple[str, ...]
-    unique: bool
+class Checkpoint:
+    """A ``K`` record's body: its header, and its embedded records as
+    they lie in the log (read them with :func:`embedded_records`)."""
 
-
-@dataclass(frozen=True)
-class ColumnDef:
-    name: str
-    type_name: str
-    type_length: Optional[int]
-    not_null: bool
-    primary_key: bool
-
-
-@dataclass(frozen=True)
-class TableSnapshot:
-    """One table's schema, indexes and slot-exact contents.
-
-    ``total_slots`` preserves the heap's row-id space: deleted (and
-    never-committed) slots stay ``None`` after restore, so row ids in
-    later WAL records keep pointing at the right rows.
-    """
-
-    name: str
-    columns: Tuple[ColumnDef, ...]
-    indexes: Tuple[IndexDef, ...]
-    total_slots: int
-    rows: Tuple[Tuple[int, Row], ...]
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """A checkpoint's full image: tables, views, and the HWM map."""
-
-    tables: Tuple[TableSnapshot, ...]
-    views: Tuple[str, ...]
+    #: ``(client_id, seq)`` high-water marks, ascending.
     hwm: Tuple[Tuple[int, int], ...]
-    #: MVCC commit-clock value at checkpoint time: restoring it lets
-    #: replayed commits continue the exact stamp sequence.
-    mvcc_clock: int = 0
+    #: The MVCC commit clock, so replayed commits continue the exact
+    #: stamp sequence.
+    clock: int
+    #: ``(table, slot count)`` per table — the heap's row-id space,
+    #: deleted slots included, so later row ids keep resolving.
+    slots: Tuple[Tuple[str, int], ...]
+    #: The length-prefixed ``Q`` and ``I`` payloads after the header.
+    embedded: bytes
 
 
 @dataclass
@@ -258,12 +242,22 @@ def _dec_changes(buffer: bytes, offset: int) -> Tuple[Changes, int]:
 # -- record encoding ---------------------------------------------------------
 
 
-def _frame(payload: bytes) -> bytes:
-    return _HEADER.pack(MAGIC, len(payload), zlib.crc32(payload)) + payload
-
-
 def encode_record(record: WalRecord) -> bytes:
     """Encode one record, CRC frame included."""
+    payload = _encode_payload(record)
+    if record.checkpoint is None:
+        return _HEADER.pack(MAGIC, len(payload), zlib.crc32(payload)) + payload
+    embedded = record.checkpoint.embedded
+    # A checkpoint's embedded records are framed where they lie, not first
+    # copied into one payload: the checkpoint is the one record as large
+    # as the database.
+    crc = zlib.crc32(embedded, zlib.crc32(payload))
+    header = _HEADER.pack(MAGIC, len(payload) + len(embedded), crc)
+    return b"".join((header, payload, embedded))
+
+
+def _encode_payload(record: WalRecord) -> bytes:
+    """The payload of *record*, less a checkpoint's embedded records."""
     body: bytes
     kind = record.kind
     if kind in (KIND_BEGIN, KIND_ABORT, KIND_FENCE):
@@ -289,12 +283,17 @@ def encode_record(record: WalRecord) -> bytes:
         assert record.sql is not None
         body = _enc_str(record.sql)
     elif kind == KIND_CHECKPOINT:
-        assert record.snapshot is not None
-        body = _enc_snapshot(record.snapshot)
+        checkpoint = record.checkpoint
+        assert checkpoint is not None
+        parts = [struct.pack(">I", len(checkpoint.hwm))]
+        parts.extend(struct.pack(">II", *pair) for pair in checkpoint.hwm)
+        parts.append(struct.pack(">QI", checkpoint.clock, len(checkpoint.slots)))
+        for table, count in checkpoint.slots:
+            parts.append(_enc_str(table) + struct.pack(">Q", count))
+        body = b"".join(parts)
     else:
         raise ProtocolError(f"unknown WAL record kind {kind!r}")
-    payload = kind.encode("ascii") + struct.pack(">Q", record.txn_id) + body
-    return _frame(payload)
+    return kind.encode("ascii") + struct.pack(">Q", record.txn_id) + body
 
 
 def decode_payload(payload: bytes) -> WalRecord:
@@ -354,10 +353,24 @@ def decode_payload(payload: bytes) -> WalRecord:
         sql, offset = _dec_str(payload, offset)
         _expect_end(payload, offset)
         return WalRecord(kind=kind, txn_id=txn_id, sql=sql)
-    # KIND_CHECKPOINT
-    snapshot, offset = _dec_snapshot(payload, offset)
-    _expect_end(payload, offset)
-    return WalRecord(kind=kind, txn_id=txn_id, snapshot=snapshot)
+    # KIND_CHECKPOINT: the header; the embedded records stay bytes until
+    # replay reads them one at a time.
+    def _u(fmt: str, size: int) -> int:
+        nonlocal offset
+        if offset + size > len(payload):
+            raise ProtocolError("truncated checkpoint header")
+        value = struct.unpack_from(fmt, payload, offset)[0]
+        offset += size
+        return int(value)
+
+    hwm = tuple((_u(">I", 4), _u(">I", 4)) for __ in range(_u(">I", 4)))
+    clock = _u(">Q", 8)
+    slots: List[Tuple[str, int]] = []
+    for __ in range(_u(">I", 4)):
+        table, offset = _dec_str(payload, offset)
+        slots.append((table, _u(">Q", 8)))
+    checkpoint = Checkpoint(hwm, clock, tuple(slots), payload[offset:])
+    return WalRecord(kind=kind, txn_id=txn_id, checkpoint=checkpoint)
 
 
 def _expect_end(payload: bytes, offset: int) -> None:
@@ -365,127 +378,65 @@ def _expect_end(payload: bytes, offset: int) -> None:
         raise ProtocolError("trailing bytes inside WAL record")
 
 
-# -- snapshot codec ----------------------------------------------------------
+# -- checkpoints -------------------------------------------------------------
 
 
-def _enc_snapshot(snapshot: Snapshot) -> bytes:
-    parts: List[bytes] = [struct.pack(">I", len(snapshot.tables))]
-    for table in snapshot.tables:
-        parts.append(_enc_str(table.name))
-        parts.append(struct.pack(">H", len(table.columns)))
-        for column in table.columns:
-            parts.append(_enc_str(column.name))
-            parts.append(_enc_str(column.type_name))
-            has_length = column.type_length is not None
-            flags = (
-                (1 if column.not_null else 0)
-                | (2 if column.primary_key else 0)
-                | (4 if has_length else 0)
-            )
-            parts.append(struct.pack(">B", flags))
-            if has_length:
-                assert column.type_length is not None
-                parts.append(struct.pack(">I", column.type_length))
-        parts.append(struct.pack(">H", len(table.indexes)))
-        for index in table.indexes:
-            parts.append(_enc_str(index.name))
-            parts.append(struct.pack(">H", len(index.columns)))
-            for name in index.columns:
-                parts.append(_enc_str(name))
-            parts.append(b"\x01" if index.unique else b"\x00")
-        parts.append(struct.pack(">Q", table.total_slots))
-        parts.append(struct.pack(">I", len(table.rows)))
-        for row_id, row in table.rows:
-            parts.append(struct.pack(">Q", row_id))
-            parts.append(_enc_row(row))
-    parts.append(struct.pack(">I", len(snapshot.views)))
-    for view_sql in snapshot.views:
-        parts.append(_enc_str(view_sql))
-    parts.append(struct.pack(">I", len(snapshot.hwm)))
-    for client_id, seq in snapshot.hwm:
-        parts.append(struct.pack(">II", client_id, seq))
-    parts.append(struct.pack(">Q", snapshot.mvcc_clock))
-    return b"".join(parts)
+def checkpoint_record(
+    hwm: Dict[int, int],
+    clock: int,
+    ddl: Iterable[str],
+    tables: Iterable[CheckpointTable],
+) -> WalRecord:
+    """A ``K`` record: one ``Q`` per statement of *ddl*, then one ``I``
+    per ``(row_id, row)`` of each ``(table, slot count, rows)`` in
+    *tables*, behind the header.
 
+    Each row's payload is the one :func:`encode_record` writes for
+    ``WalRecord(kind="I", table=..., row_id=..., row=...)``, its fixed
+    prefix encoded once per table rather than once per row.
+    """
+    embedded = bytearray()
 
-def _dec_snapshot(buffer: bytes, offset: int) -> Tuple[Snapshot, int]:
-    def _u(fmt: str, size: int) -> int:
-        nonlocal offset
-        if offset + size > len(buffer):
-            raise ProtocolError("truncated WAL snapshot")
-        value = struct.unpack_from(fmt, buffer, offset)[0]
-        offset += size
-        return int(value)
+    def embed(payload: bytes) -> None:
+        embedded.extend(struct.pack(">I", len(payload)))
+        embedded.extend(payload)
 
-    tables: List[TableSnapshot] = []
-    for __ in range(_u(">I", 4)):
-        name, offset = _dec_str(buffer, offset)
-        columns: List[ColumnDef] = []
-        for __c in range(_u(">H", 2)):
-            column_name, offset = _dec_str(buffer, offset)
-            type_name, offset = _dec_str(buffer, offset)
-            flags = _u(">B", 1)
-            type_length = _u(">I", 4) if flags & 4 else None
-            columns.append(
-                ColumnDef(
-                    name=column_name,
-                    type_name=type_name,
-                    type_length=type_length,
-                    not_null=bool(flags & 1),
-                    primary_key=bool(flags & 2),
-                )
-            )
-        indexes: List[IndexDef] = []
-        for __i in range(_u(">H", 2)):
-            index_name, offset = _dec_str(buffer, offset)
-            index_columns: List[str] = []
-            for __n in range(_u(">H", 2)):
-                column_name, offset = _dec_str(buffer, offset)
-                index_columns.append(column_name)
-            unique = _u(">B", 1)
-            if unique not in (0, 1):
-                raise ProtocolError("invalid index uniqueness flag")
-            indexes.append(
-                IndexDef(
-                    name=index_name,
-                    columns=tuple(index_columns),
-                    unique=bool(unique),
-                )
-            )
-        total_slots = _u(">Q", 8)
-        rows: List[Tuple[int, Row]] = []
-        for __r in range(_u(">I", 4)):
-            row_id = _u(">Q", 8)
-            row, offset = _dec_row(buffer, offset)
-            rows.append((row_id, row))
-        tables.append(
-            TableSnapshot(
-                name=name,
-                columns=tuple(columns),
-                indexes=tuple(indexes),
-                total_slots=total_slots,
-                rows=tuple(rows),
-            )
-        )
-    views: List[str] = []
-    for __v in range(_u(">I", 4)):
-        view_sql, offset = _dec_str(buffer, offset)
-        views.append(view_sql)
-    hwm: List[Tuple[int, int]] = []
-    for __h in range(_u(">I", 4)):
-        client_id = _u(">I", 4)
-        seq = _u(">I", 4)
-        hwm.append((client_id, seq))
-    mvcc_clock = _u(">Q", 8)
-    return (
-        Snapshot(
-            tables=tuple(tables),
-            views=tuple(views),
-            hwm=tuple(hwm),
-            mvcc_clock=mvcc_clock,
-        ),
-        offset,
+    for sql in ddl:
+        embed(_encode_payload(WalRecord(kind=KIND_DDL, sql=sql)))
+    slots: List[Tuple[str, int]] = []
+    for table, count, rows in tables:
+        slots.append((table, count))
+        prefix = KIND_INSERT.encode("ascii") + struct.pack(">Q", 0) + _enc_str(table)
+        for row_id, row in rows:
+            embed(prefix + struct.pack(">Q", row_id) + _enc_row(row))
+    checkpoint = Checkpoint(
+        tuple(sorted(hwm.items())), clock, tuple(slots), bytes(embedded)
     )
+    return WalRecord(kind=KIND_CHECKPOINT, checkpoint=checkpoint)
+
+
+def embedded_records(checkpoint: Checkpoint) -> Iterator[WalRecord]:
+    """Decode a checkpoint's embedded records, one at a time.
+
+    The checkpoint passed its CRC, so an embedded record that does not
+    decode is not a torn tail but a damaged log:
+    :class:`~repro.errors.WalCorruptError`.
+    """
+    body = checkpoint.embedded
+    offset = 0
+    while offset < len(body):
+        start = offset + 4
+        if start > len(body):
+            raise WalCorruptError("damaged checkpoint: truncated record length")
+        end = start + struct.unpack_from(">I", body, offset)[0]
+        if end > len(body):
+            raise WalCorruptError("damaged checkpoint: truncated record")
+        try:
+            record = decode_payload(body[start:end])
+        except ProtocolError as exc:
+            raise WalCorruptError(f"damaged checkpoint: {exc}") from None
+        yield record
+        offset = end
 
 
 # -- scanning ----------------------------------------------------------------
@@ -679,13 +630,32 @@ class WalWriter:
         self._begun.clear()
         self._append(WalRecord(kind=KIND_FENCE))
 
-    def checkpoint(self, snapshot: Snapshot) -> None:
-        """Append the checkpoint, then drop the log before it: recovery
-        starts from the last checkpoint, so that prefix is dead.  A crash
-        on the append itself raises before the cut and leaves the old log
-        whole."""
-        start = self.disk.size
-        self._append(WalRecord(kind=KIND_CHECKPOINT, snapshot=snapshot))
+    def checkpoint(
+        self,
+        clock: int,
+        ddl: Iterable[str],
+        tables: Iterable[CheckpointTable],
+    ) -> None:
+        """Append a checkpoint (see :func:`checkpoint_record`) carrying
+        this writer's high-water marks, then drop the log before it:
+        recovery starts from the last checkpoint, so that prefix is dead.
+
+        A crash on the append itself raises before the cut and leaves the
+        old log whole.  So does a record too large to be read back — the
+        scanner would take it for framing garbage and cut it off — which
+        is refused before anything is written.  The record is framed in
+        one expression so that only its bytes, not a second copy of the
+        database, are alive while the disk grows.
+        """
+        framed = encode_record(checkpoint_record(self.hwm, clock, ddl, tables))
+        if len(framed) - _HEADER.size > MAX_PAYLOAD:
+            raise DurabilityError(
+                f"checkpoint of {len(framed) - _HEADER.size} bytes exceeds "
+                f"the {MAX_PAYLOAD}-byte record limit; the log is kept whole"
+            )
         if not self.disk.crashed:
+            start = self.disk.size
+            self.disk.append(framed)
+            self.statistics["appends"] += 1
             self.disk.drop_prefix(start)
         self.statistics["checkpoints"] += 1

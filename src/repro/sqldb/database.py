@@ -561,14 +561,6 @@ class Database:
             return None
         return txn.snapshot
 
-    def adopt_storage(self, schema, storage) -> None:
-        """Register an externally built storage (checkpoint restore) with
-        the catalog plus every attached subsystem (WAL journal, MVCC)."""
-        self.catalog.create(schema, storage)
-        if self.wal is not None:
-            self._attach_journal(storage)
-        self.mvcc.register(storage)
-
     # -- locking ------------------------------------------------------------------
 
     @contextmanager
@@ -925,7 +917,10 @@ class Database:
             ],
         )
         storage = TableStorage(schema)
-        self.adopt_storage(schema, storage)
+        self.catalog.create(schema, storage)
+        if self.wal is not None:
+            self._attach_journal(storage)
+        self.mvcc.register(storage)
         return ResultSet([], [], rowcount=0)
 
     def _planner(self) -> Planner:

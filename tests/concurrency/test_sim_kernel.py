@@ -77,7 +77,7 @@ GOLDEN: Dict[str, Tuple[str, str]] = {
     ),
     "crash": (
         "8e8313572c2e1e5f9840b2f22a4b28116a447139aa0608656fcc25daab583cb4",
-        "42d349eac70b601e71b895909f502c4062ae8195700aad9c69bd681869d895e1",
+        "5413bff89b1ab844dd5e48218b94600b4723db1092e7713af0f11f701a7abbd6",
     ),
 }
 

@@ -10,6 +10,7 @@ from repro.recovery import (
     encode_record,
     scan_wal,
 )
+from repro.sqldb.render import render_statement
 
 
 def make_durability():
@@ -156,7 +157,6 @@ class TestCheckpoint:
             "SELECT id FROM big ORDER BY id"
         ).rows == [(2,), (3,)]
 
-
     def test_successful_checkpoint_leaves_only_its_own_record(self):
         durability, db = make_durability()
         for i in range(3, 40):
@@ -198,6 +198,98 @@ class TestCheckpoint:
             (1, 11), (2, 20),
         ]
         assert durability.disk.read_all() == before  # the debris is cut off
+
+    def test_recovered_database_equals_the_checkpointed_one(self):
+        durability, db = make_durability()
+        db.execute("CREATE TABLE u (k VARCHAR(8) NOT NULL, n DOUBLE, b BOOLEAN)")
+        db.execute("CREATE UNIQUE INDEX u_k ON u (k)")
+        db.execute("CREATE INDEX t_v ON t (v)")
+        db.execute("INSERT INTO u VALUES ('x', 1.5, TRUE), ('y', NULL, NULL)")
+        db.execute("INSERT INTO u VALUES ('z', -0.0, FALSE)")
+        db.execute("DELETE FROM u WHERE k = 'z'")  # a dead trailing slot
+        db.execute("DELETE FROM t WHERE id = 1")  # a dead leading slot
+        db.execute("CREATE VIEW big AS SELECT id FROM t WHERE v > 15")
+        with db.transaction():
+            db.execute("UPDATE t SET v = 21 WHERE id = 2")
+        durability.wal.hwm.update({7: 3, 2: 9})
+
+        def image(database, durability):
+            tables = {}
+            for name in database.table_names():
+                storage = database.catalog.lookup(name).storage
+                tables[name] = (
+                    storage.schema,
+                    list(storage._rows),
+                    [(i.name, i.column_positions, i.unique)
+                     for i in storage._indexes.values()],
+                )
+            views = {
+                key: render_statement(view)
+                for key, view in database.views.items()
+            }
+            return tables, views, dict(durability.wal.hwm), database.mvcc.dump()
+
+        before = image(db, durability)
+        durability.checkpoint()
+        recovered = durability.recover()
+        assert durability.last_report.checkpoint_used
+        assert image(recovered, durability) == before
+        assert durability.last_report.replayed_records == 0
+
+    def test_views_are_restored_after_the_views_they_read(self):
+        durability, db = make_durability()
+        db.execute("CREATE VIEW zz AS SELECT id, v FROM t")
+        db.execute("CREATE VIEW aa AS SELECT id FROM zz WHERE v > 15")
+        durability.checkpoint()
+        recovered = durability.recover()
+        assert recovered.execute("SELECT id FROM aa").rows == [(2,)]
+        assert durability.recover().view_names() == ["aa", "zz"]
+
+    def test_a_recreated_view_is_restored_before_its_older_reader(self):
+        durability, db = make_durability()
+        db.execute("CREATE VIEW b AS SELECT id, v FROM t")
+        db.execute("CREATE VIEW a AS SELECT id FROM b WHERE v > 15")
+        db.execute("DROP VIEW b")
+        db.execute("CREATE VIEW b AS SELECT id, v FROM t WHERE id > 1")
+        assert list(db.views) == ["a", "b"]  # creation order misleads
+        durability.checkpoint()
+        recovered = durability.recover()
+        assert recovered.execute("SELECT id FROM a").rows == [(2,)]
+
+    def test_a_view_over_a_dropped_table_refuses_the_checkpoint(self):
+        durability, db = make_durability()
+        db.execute("CREATE TABLE gone (id INTEGER)")
+        db.execute("CREATE VIEW v AS SELECT id FROM gone")
+        db.execute("DROP TABLE gone")
+        before = durability.disk.read_all()
+        with pytest.raises(DurabilityError, match="no longer exists"):
+            durability.checkpoint()
+        assert durability.disk.read_all() == before
+        recovered = durability.recover()  # the log still replays
+        assert recovered.view_names() == ["v"]
+
+    def test_an_oversized_checkpoint_is_refused_and_the_log_kept(
+        self, monkeypatch
+    ):
+        from repro.recovery import wal
+
+        durability = Durability(SimDisk())
+        db = durability.open()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, pad VARCHAR(600))")
+        db.executemany(
+            "INSERT INTO t VALUES (?, ?)", [(i, "x" * 500) for i in range(200)]
+        )
+        before = durability.disk.read_all()
+        monkeypatch.setattr(wal, "MAX_PAYLOAD", 50_000)
+        with pytest.raises(DurabilityError, match="record limit"):
+            durability.checkpoint()
+        assert durability.disk.read_all() == before
+        assert durability.wal.statistics["checkpoints"] == 0
+        recovered = durability.recover()
+        report = durability.last_report
+        assert (report.tail_status, report.truncated_bytes) == ("clean", 0)
+        assert not report.checkpoint_used
+        assert recovered.table_rowcount("t") == 200
 
     def test_checkpoint_on_a_dead_disk_drops_nothing(self):
         durability, db = make_durability()

@@ -8,7 +8,6 @@ from repro.errors import ProtocolError, WalCorruptError
 from repro.recovery import (
     KIND_ABORT,
     KIND_BEGIN,
-    KIND_CHECKPOINT,
     KIND_COMMIT,
     KIND_DDL,
     KIND_DELETE,
@@ -16,7 +15,6 @@ from repro.recovery import (
     KIND_INSERT,
     KIND_UPDATE,
     SimDisk,
-    Snapshot,
     WalRecord,
     WalWriter,
     decode_payload,
@@ -24,27 +22,21 @@ from repro.recovery import (
     scan_wal,
 )
 from repro.recovery.wal import (
-    ColumnDef,
-    IndexDef,
-    TableSnapshot,
     _HEADER,
+    Checkpoint,
+    checkpoint_record,
+    embedded_records,
 )
 
-SAMPLE_SNAPSHOT = Snapshot(
-    tables=(
-        TableSnapshot(
-            name="t",
-            columns=(
-                ColumnDef("id", "INTEGER", None, True, True),
-                ColumnDef("name", "VARCHAR", 40, False, False),
-            ),
-            indexes=(IndexDef("t_pk", ("id",), True),),
-            total_slots=5,
-            rows=((0, (1, "a")), (3, (7, None))),
-        ),
-    ),
-    views=("CREATE VIEW v AS SELECT id FROM t",),
-    hwm=((9, 4), (11, 2)),
+SAMPLE_DDL = (
+    "CREATE TABLE t (id INTEGER PRIMARY KEY, name VARCHAR(40))",
+    "CREATE VIEW v AS SELECT id FROM t",
+)
+SAMPLE_CHECKPOINT = checkpoint_record(
+    {11: 2, 9: 4},
+    clock=6,
+    ddl=SAMPLE_DDL,
+    tables=[("t", 5, [(0, (1, "a")), (3, (7, None))])],
 )
 
 SAMPLE_RECORDS = [
@@ -61,7 +53,7 @@ SAMPLE_RECORDS = [
     WalRecord(kind=KIND_ABORT, txn_id=5),
     WalRecord(kind=KIND_DDL, sql="CREATE TABLE t (id INTEGER)"),
     WalRecord(kind=KIND_FENCE),
-    WalRecord(kind=KIND_CHECKPOINT, snapshot=SAMPLE_SNAPSHOT),
+    SAMPLE_CHECKPOINT,
 ]
 
 
@@ -92,6 +84,42 @@ class TestCodec:
     def test_empty_payload_rejected(self):
         with pytest.raises(ProtocolError):
             decode_payload(b"")
+
+
+class TestCheckpointRecord:
+    """A ``K`` record is a header plus ordinary record payloads."""
+
+    def test_header(self):
+        checkpoint = SAMPLE_CHECKPOINT.checkpoint
+        assert (checkpoint.hwm, checkpoint.clock, checkpoint.slots) == (
+            ((9, 4), (11, 2)), 6, (("t", 5),),
+        )
+
+    def test_embedded_records_are_ordinary_records(self):
+        assert list(embedded_records(SAMPLE_CHECKPOINT.checkpoint)) == [
+            WalRecord(kind=KIND_DDL, sql=SAMPLE_DDL[0]),
+            WalRecord(kind=KIND_DDL, sql=SAMPLE_DDL[1]),
+            WalRecord(kind=KIND_INSERT, table="t", row_id=0, row=(1, "a")),
+            WalRecord(kind=KIND_INSERT, table="t", row_id=3, row=(7, None)),
+        ]
+
+    def test_each_embedded_payload_is_what_encode_record_writes(self):
+        embedded = SAMPLE_CHECKPOINT.checkpoint.embedded
+        offset, payloads = 0, []
+        while offset < len(embedded):
+            length = int.from_bytes(embedded[offset : offset + 4], "big")
+            payloads.append(embedded[offset + 4 : offset + 4 + length])
+            offset += 4 + length
+        assert payloads == [
+            payload_of(frame(record))
+            for record in embedded_records(SAMPLE_CHECKPOINT.checkpoint)
+        ]
+
+    @pytest.mark.parametrize("cut", [1, 3, 5, 20])
+    def test_damaged_embedded_stream_is_a_typed_error(self, cut):
+        damaged = Checkpoint((), 0, (), SAMPLE_CHECKPOINT.checkpoint.embedded[:-cut])
+        with pytest.raises(WalCorruptError):
+            list(embedded_records(damaged))
 
 
 class TestScan:

@@ -4,7 +4,10 @@ Whatever bytes are on the disk after a crash, ``scan_wal`` must either
 return a clean prefix of intact records or raise ``WalCorruptError``
 (mid-log damage) — never any other exception, and never a silently
 wrong prefix: every record it returns must byte-round-trip, and damage
-confined to the tail must never raise.
+confined to the tail must never raise.  And a log whose every record
+passes its CRC but says something impossible — a row that does not fit
+its table, a slot past any the log allocated, a checkpoint that
+contradicts itself — recovers or raises a typed ``ReproError``.
 """
 
 from hypothesis import given, settings
@@ -14,9 +17,13 @@ import struct
 
 import pytest
 
-from repro.errors import DurabilityError, ProtocolError, WalCorruptError
+from repro.errors import DurabilityError, ProtocolError, ReproError, WalCorruptError
 from repro.recovery import (
+    KIND_BEGIN,
+    KIND_CHECKPOINT,
     KIND_COMMIT,
+    KIND_DDL,
+    KIND_DELETE,
     KIND_INSERT,
     KIND_UPDATE,
     Durability,
@@ -26,6 +33,7 @@ from repro.recovery import (
     encode_record,
     scan_wal,
 )
+from repro.recovery.wal import Checkpoint, checkpoint_record
 
 arbitrary_bytes = st.binary(max_size=400)
 
@@ -36,7 +44,35 @@ values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32),
 )
 
+#: The fixed schema hostile logs are written against.
+SCHEMA = (
+    "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)",
+    "CREATE TABLE u (k VARCHAR(4) NOT NULL, w DOUBLE)",
+)
+u32 = st.integers(min_value=0, max_value=2**32 - 1)
+table_names = st.sampled_from(["t", "u"])
+row_ids = st.one_of(
+    st.integers(min_value=0, max_value=6), st.sampled_from([2**31, 2**64 - 1])
+)
+rows = st.lists(values, max_size=3).map(tuple)
+
+checkpoints = st.builds(
+    checkpoint_record,
+    hwm=st.dictionaries(u32, u32, max_size=3),
+    clock=st.integers(min_value=0, max_value=2**64 - 1),
+    ddl=st.lists(st.sampled_from(SCHEMA + ("CREATE INDEX t_v ON t (v)",)), max_size=3),
+    tables=st.lists(
+        st.tuples(
+            table_names,
+            st.integers(min_value=0, max_value=8),
+            st.lists(st.tuples(row_ids, rows), max_size=3),
+        ),
+        max_size=2,
+    ),
+)
+
 records = st.one_of(
+    checkpoints,
     st.builds(
         WalRecord,
         kind=st.just(KIND_INSERT),
@@ -65,6 +101,38 @@ records = st.one_of(
 
 logs = st.lists(records, max_size=6).map(
     lambda rs: (rs, b"".join(encode_record(r) for r in rs))
+)
+
+txn_ids = st.integers(min_value=1, max_value=3)
+hostile_records = st.one_of(
+    st.builds(WalRecord, kind=st.just(KIND_BEGIN), txn_id=txn_ids),
+    st.builds(
+        WalRecord,
+        kind=st.just(KIND_INSERT),
+        txn_id=txn_ids,
+        table=table_names,
+        row_id=row_ids,
+        row=rows,
+    ),
+    st.builds(
+        WalRecord,
+        kind=st.just(KIND_UPDATE),
+        txn_id=txn_ids,
+        table=table_names,
+        row_id=row_ids,
+        changes=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=3), values), max_size=2
+        ).map(tuple),
+    ),
+    st.builds(
+        WalRecord,
+        kind=st.just(KIND_DELETE),
+        txn_id=txn_ids,
+        table=table_names,
+        row_id=row_ids,
+    ),
+    st.builds(WalRecord, kind=st.just(KIND_COMMIT), txn_id=txn_ids),
+    checkpoints,
 )
 
 
@@ -142,32 +210,56 @@ class TestDamagedLogs:
         assert scan.records[: len(records_in)] == records_in
 
 
+class TestHostileLogs:
+    @given(st.lists(hostile_records, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_crc_valid_log_recovers_or_raises_a_typed_error(self, log):
+        disk = SimDisk()
+        for sql in SCHEMA:
+            disk.append(encode_record(WalRecord(kind=KIND_DDL, sql=sql)))
+        for record in log:
+            disk.append(encode_record(record))
+        try:
+            Durability(disk).recover()
+        except ReproError:
+            pass
+
+
+def log_with(*records):
+    """A log holding ``t`` = {slot 0: (1, 10), slot 1: deleted}, then
+    *records*."""
+    durability = Durability(SimDisk())
+    db = durability.open()
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+    db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+    db.execute("DELETE FROM t WHERE id = 2")
+    for record in records:
+        durability.disk.append(encode_record(record))
+    return durability
+
+
+def committed(record):
+    return (
+        WalRecord(kind=KIND_BEGIN, txn_id=77),
+        record,
+        WalRecord(kind=KIND_COMMIT, txn_id=77),
+    )
+
+
 class TestHostileDeltas:
     """An update record that does not fit the table it names is a typed
     error at replay, never an IndexError or a silently patched row."""
 
-    def log_with(self, *records):
-        durability = Durability(SimDisk())
-        db = durability.open()
-        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
-        db.execute("DELETE FROM t WHERE id = 2")
-        for record in records:
-            durability.disk.append(encode_record(record))
-        return durability
-
     def committed_update(self, row_id, changes):
-        return (
-            WalRecord(kind="B", txn_id=77),
+        return committed(
             WalRecord(
                 kind=KIND_UPDATE, txn_id=77, table="t", row_id=row_id,
                 changes=changes,
-            ),
-            WalRecord(kind=KIND_COMMIT, txn_id=77),
+            )
         )
 
     def test_well_formed_delta_replays(self):
-        durability = self.log_with(*self.committed_update(0, ((1, 11),)))
+        durability = log_with(*self.committed_update(0, ((1, 11),)))
         assert durability.recover().execute("SELECT * FROM t").rows == [(1, 11)]
 
     @pytest.mark.parametrize(
@@ -181,14 +273,14 @@ class TestHostileDeltas:
         ids=["arity", "far-past-arity", "deleted-slot", "missing-slot"],
     )
     def test_delta_that_does_not_fit_is_a_typed_error(self, row_id, changes):
-        durability = self.log_with(*self.committed_update(row_id, changes))
+        durability = log_with(*self.committed_update(row_id, changes))
         with pytest.raises(DurabilityError) as raised:
             durability.recover()
         assert isinstance(raised.value, WalCorruptError)
 
     def test_uncommitted_hostile_delta_is_never_applied(self):
         begin, update, __ = self.committed_update(9, ((7, 5),))
-        durability = self.log_with(begin, update)
+        durability = log_with(begin, update)
         assert durability.recover().execute("SELECT * FROM t").rows == [(1, 10)]
 
     def test_truncated_pair_is_a_protocol_error(self):
@@ -204,3 +296,68 @@ class TestHostileDeltas:
         head = payload[: 9 + 4 + 1 + 8]
         with pytest.raises(ProtocolError):
             decode_payload(head + struct.pack(">H", 3) + payload[len(head) + 2 :])
+
+
+class TestHostileRows:
+    """Insert and delete records are checked against the table and the
+    slots the log can have allocated: a typed error, never a silently
+    short row, an IndexError or a heap padded until memory runs out."""
+
+    def insert(self, row_id, row):
+        return WalRecord(
+            kind=KIND_INSERT, txn_id=77, table="t", row_id=row_id, row=row
+        )
+
+    def test_well_formed_insert_replays(self):
+        durability = log_with(*committed(self.insert(2, (3, 30))))
+        rows = durability.recover().execute("SELECT * FROM t ORDER BY id").rows
+        assert rows == [(1, 10), (3, 30)]
+
+    @pytest.mark.parametrize("row", [(3,), (3, 30, 300), ()])
+    def test_row_of_the_wrong_arity_is_a_typed_error(self, row):
+        durability = log_with(*committed(self.insert(2, row)))
+        with pytest.raises(WalCorruptError, match="columns"):
+            durability.recover()
+
+    def test_row_id_past_every_slot_the_log_allocated_is_a_typed_error(self):
+        # Eleven records are scanned, each allocating at most one slot.
+        durability = log_with(*committed(self.insert(10**6, (3, 30))))
+        with pytest.raises(WalCorruptError, match="slots the log"):
+            durability.recover()
+
+    def test_delete_of_a_missing_slot_is_a_typed_error(self):
+        durability = log_with(
+            *committed(WalRecord(kind=KIND_DELETE, txn_id=77, table="t", row_id=9))
+        )
+        with pytest.raises(WalCorruptError, match="missing slot"):
+            durability.recover()
+
+    def checkpoint(self, slots, rows):
+        return checkpoint_record({}, 0, SCHEMA[:1], [("t", slots, rows)])
+
+    def test_checkpoint_insert_below_its_slot_count_restores(self):
+        durability = log_with(self.checkpoint(4, [(3, (1, 10))]))
+        recovered = durability.recover()
+        assert recovered.execute("SELECT * FROM t").rows == [(1, 10)]
+        assert len(recovered.catalog.lookup("t").storage._rows) == 4
+
+    @pytest.mark.parametrize(
+        "slots, rows",
+        [(4, [(4, (1, 10))]), (0, [(0, (1, 10))]), (4, [(0, (1,))])],
+        ids=["at-slot-count", "no-slots", "arity"],
+    )
+    def test_checkpoint_insert_that_does_not_fit_is_a_typed_error(
+        self, slots, rows
+    ):
+        durability = log_with(self.checkpoint(slots, rows))
+        with pytest.raises(WalCorruptError):
+            durability.recover()
+
+    def test_checkpoint_embedding_a_non_schema_record_is_a_typed_error(self):
+        commit = encode_record(WalRecord(kind=KIND_COMMIT, txn_id=1))[9:]
+        checkpoint = self.checkpoint(0, []).checkpoint
+        embedded = checkpoint.embedded + struct.pack(">I", len(commit)) + commit
+        hostile = Checkpoint(checkpoint.hwm, checkpoint.clock, checkpoint.slots, embedded)
+        durability = log_with(WalRecord(kind=KIND_CHECKPOINT, checkpoint=hostile))
+        with pytest.raises(WalCorruptError, match="embeds"):
+            durability.recover()

@@ -99,9 +99,9 @@ GOLDEN_EXCHANGES: Dict[str, str] = {
 }
 
 #: SHA-256 of the log the DML script leaves, and of the checkpoint record
-#: that replaces it.
+#: that replaces it (a header plus the log's own ``Q`` and ``I`` payloads).
 GOLDEN_WAL = "827e21a6f2509e95c5006ff07c2f6d19be0b50a8f62dda716de6d1774f4af0e5"
-GOLDEN_CHECKPOINT = "462caeb22c94f0c91e16bafa8b3e30460b73c2d7cef34a78e7fe2b2eb5fae5d0"
+GOLDEN_CHECKPOINT = "869ce7e3cb2236ab5e309bb449342e98d163957487042b5a5d31275f0501213e"
 
 #: Twenty statements touching every record kind (Q, B, I, U, D, C, A) and
 #: every value tag (NULL, bool, int64 edges, float, multibyte string).
