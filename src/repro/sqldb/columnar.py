@@ -21,6 +21,7 @@ columns are shared between executions through the cache.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Rows per column chunk.  Big enough that the per-batch interpreter
@@ -39,12 +40,17 @@ class Batch:
     ``rows()`` materialises (and memoises) the row-tuple view used by
     operators or expressions that have no columnar implementation — the
     generic fallback stays batch-at-a-time but evaluates row closures.
+    A batch built from rows is the mirror image: each column is pivoted
+    out of the rows on first read, so a batch that is only passed along
+    (a probe's few rows, an aggregate's result) never pivots and zips
+    back, and a scan reads only the columns its plan touches.
     """
 
     __slots__ = ("columns", "length", "_rows", "_validity")
 
-    # Either a plain list of column sequences or the lazy
-    # :class:`_GatheredColumns` view produced by :meth:`gather`.
+    # Either a plain list of column sequences or a lazy view
+    # (:class:`_PivotedColumns` from :meth:`from_rows`,
+    # :class:`_GatheredColumns` from :meth:`gather`).
     columns: Any
 
     def __init__(
@@ -60,13 +66,13 @@ class Batch:
 
     @classmethod
     def from_rows(cls, rows: List[Row], arity: int) -> "Batch":
-        """Pivot a list of row tuples into a column chunk (rows kept)."""
-        length = len(rows)
-        if length == 0:
-            columns: List[Sequence[Any]] = [() for __ in range(arity)]
-        else:
-            columns = list(zip(*rows)) if arity else []
-        return cls(columns, length, rows=rows)
+        """A column chunk over a list of row tuples (rows kept)."""
+        batch = object.__new__(cls)
+        batch.columns = _PivotedColumns(rows, arity)
+        batch.length = len(rows)
+        batch._rows = rows
+        batch._validity = None
+        return batch
 
     def rows(self) -> List[Row]:
         """The row-tuple view of this batch (memoised)."""
@@ -111,33 +117,71 @@ class Batch:
         return f"Batch(arity={len(self.columns)}, length={self.length})"
 
 
-class _GatheredColumns:
-    """Column list of a gathered batch, materialised per column on demand.
+class _LazyColumns:
+    """A batch's column list, each column materialised on first read.
 
     Quacks like the list :class:`Batch` stores: ``[slot]`` indexing,
     ``len``, truthiness and iteration (``zip(*columns)`` in ``rows()``).
+    Subclasses say how many columns there are and how one is built.
     """
 
-    __slots__ = ("_source", "_indices", "_cache")
+    __slots__ = ("_source", "_cache")
 
-    def __init__(self, source_columns, indices: List[int]) -> None:
-        self._source = source_columns
-        self._indices = indices
-        self._cache: Dict[int, List[Any]] = {}
+    _source: Any
+    _cache: Dict[int, List[Any]]
 
     def __len__(self) -> int:
-        return len(self._source)
+        raise NotImplementedError
+
+    def _column(self, slot: int) -> List[Any]:
+        raise NotImplementedError
 
     def __getitem__(self, slot: int) -> List[Any]:
         column = self._cache.get(slot)
         if column is None:
-            source = self._source[slot]
-            column = self._cache[slot] = [source[i] for i in self._indices]
+            column = self._cache[slot] = self._column(slot)
         return column
 
     def __iter__(self):
-        for slot in range(len(self._source)):
+        for slot in range(len(self)):
             yield self[slot]
+
+
+class _PivotedColumns(_LazyColumns):
+    """The columns of a list of row tuples.  One column is one C-level
+    pass over the rows; ``zip(*rows)`` would build every column at once
+    and allocate an iterator per row on the way."""
+
+    __slots__ = ("_arity",)
+
+    def __init__(self, rows: List[Row], arity: int) -> None:
+        self._source = rows
+        self._cache = {}
+        self._arity = arity
+
+    def __len__(self) -> int:
+        return self._arity
+
+    def _column(self, slot: int) -> List[Any]:
+        return list(map(itemgetter(slot), self._source))
+
+
+class _GatheredColumns(_LazyColumns):
+    """The columns of a gathered batch: the source's, at *indices*."""
+
+    __slots__ = ("_indices",)
+
+    def __init__(self, source_columns, indices: List[int]) -> None:
+        self._source = source_columns
+        self._cache = {}
+        self._indices = indices
+
+    def __len__(self) -> int:
+        return len(self._source)
+
+    def _column(self, slot: int) -> List[Any]:
+        source = self._source[slot]
+        return [source[i] for i in self._indices]
 
 
 def table_batches(storage, batch_size: int = BATCH_SIZE, snapshot=None) -> List[Batch]:

@@ -17,7 +17,7 @@ A plan runs entirely on ``batches`` or entirely on ``rows``
 (:func:`repro.sqldb.recursive.run_plan`): each node knows from
 construction whether it and everything below it has a batch body
 (:attr:`Operator.fallback`).  The row bodies are the only implementation
-of index paths, CTE scans, nested loops and set operations, and the
+of index joins, CTE scans, nested loops and set operations, and the
 differential oracle for the rest.
 
 Compiled expressions are closures ``(row, env) -> value``; operators are
@@ -51,7 +51,7 @@ from repro.errors import ExecutionError
 from repro.sqldb.columnar import BATCH_SIZE, Batch, table_batches
 from repro.sqldb.expressions import as_kernel
 from repro.sqldb.functions import Aggregator, FunctionRegistry
-from repro.sqldb.stats import index_probe_cost, seq_scan_cost
+from repro.sqldb.stats import INDEX_TUPLE_COST, PROBE_COST, SEQ_TUPLE_COST
 from repro.sqldb.storage import TableStorage
 from repro.sqldb.types import is_null
 
@@ -114,9 +114,10 @@ class ExecutionEnv:
         #: :func:`repro.sqldb.recursive.run_plan`; None until a plan runs.
         self.executor: Optional[str] = None
         #: ``id(operator) -> (key count, probed?)`` of the last run of each
-        #: subquery-keyed :class:`MultiKeyIndexLookup`; per execution
-        #: because plans are cached and shared.  EXPLAIN ANALYZE reads it.
-        self.subquery_key_runs: Dict[int, Tuple[int, bool]] = {}
+        #: priced index probe (:meth:`_IndexProbe._priced_keys`); per
+        #: execution because plans are cached and shared.  EXPLAIN ANALYZE
+        #: reads it.
+        self.probe_runs: Dict[int, Tuple[int, bool]] = {}
 
     def bind_cte(self, name: str, frame: CTEFrame) -> None:
         """(Re)bind a CTE name; invalidates the uncorrelated-subquery cache
@@ -240,11 +241,17 @@ def _scanned(items: Iterator[Any], env: ExecutionEnv) -> Iterator[Any]:
 class _IndexProbe(_TableAccess):
     """Equality probes into a hash index of a base table, one per key.
 
-    Subclasses enumerate the keys (:meth:`_keys`); the probe loop lives
-    here once and serves both consumers: ``rows`` asks the storage for
-    the rows its snapshot (or the live heap) shows under each key, and
-    ``row_ids`` — how a DML statement locates its target rows, always on
-    the live heap — asks the index for the ids.
+    Subclasses enumerate the keys (:meth:`_keys`); everything else lives
+    here once.  The keys are priced as soon as they are known — each
+    execution, since a plan is cached across data changes — against one
+    scan of the table as it stands (:meth:`_priced_keys`), and when the
+    scan is cheaper the node *is* a :class:`SeqScan`: the planner keeps
+    the whole WHERE as the residual filter above every access path, so
+    that filter keeps exactly the rows the probes would have produced.
+    The probe loop serves all three consumers: ``rows`` and ``batches``
+    ask the storage for the rows its snapshot (or the live heap) shows
+    under each key, and ``row_ids`` — how a DML statement locates its
+    target rows, always on the live heap — asks the index for the ids.
     """
 
     def __init__(self, storage: TableStorage, index, key_fns: List[ExprFn]) -> None:
@@ -252,22 +259,61 @@ class _IndexProbe(_TableAccess):
         self.index = index
         self.key_fns = key_fns
 
-    def _keys(self, env: ExecutionEnv) -> Optional[Iterable[Tuple[Any, ...]]]:
-        """The keys to probe, or None when scanning the table is cheaper."""
+    def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
+        """The distinct keys to probe, in probe order."""
         raise NotImplementedError
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
+    def _priced_keys(self, env: ExecutionEnv) -> Optional[Sequence[Tuple[Any, ...]]]:
+        """The keys to probe, or None when one scan of the table is cheaper.
+
+        ``index_probe_cost(keys, rows_out) < seq_scan_cost(table_rows)``
+        spelt out over the counts the storage keeps anyway — the live row
+        count and the index's bucket count, whose ratio is its uniform
+        rows-per-key — so pricing needs no statistics and calls nothing.
+        A unique index is never priced: a probe returns at most one row.
+        """
         keys = self._keys(env)
+        index = self.index
+        if index.unique:
+            return keys
+        count = len(keys)
+        table_rows = self.storage._live_count
+        distinct = len(index._buckets)
+        rows_out = count * table_rows / distinct if distinct else 0.0
+        probed = (
+            PROBE_COST * count + INDEX_TUPLE_COST * rows_out
+            < SEQ_TUPLE_COST * table_rows
+        )
+        env.probe_runs[id(self)] = (count, probed)
+        return keys if probed else None
+
+    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
+        keys = self._priced_keys(env)
         if keys is None:
-            return SeqScan(self.storage).rows(env)
+            return SeqScan.rows(self, env)
         return self._probe(
             keys, env, partial(self.storage.probe, self.index, snapshot=env.snapshot)
         )
 
-    def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
-        keys = self._keys(env)
+    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+        """The scan's cached column chunks when priced out, else the
+        probed rows as one batch."""
+        keys = self._priced_keys(env)
         if keys is None:
-            return SeqScan(self.storage).row_ids(env)
+            yield from SeqScan.batches(self, env)
+            return
+        found = list(
+            self._probe(
+                keys, env, partial(self.storage.probe, self.index, snapshot=env.snapshot)
+            )
+        )
+        if found:
+            yield self._emit(Batch.from_rows(found, len(self.output_names)), env)
+
+    def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
+        keys = self._priced_keys(env)
+        if keys is None:
+            return SeqScan.row_ids(self, env)
         return self._probe(keys, env, self.index.probe)
 
     def _probe(
@@ -294,8 +340,8 @@ class IndexLookup(_IndexProbe):
     def label(self) -> str:
         return f"IndexLookup({self.storage.schema.name} via {self.index.name})"
 
-    def _keys(self, env: ExecutionEnv) -> Iterable[Tuple[Any, ...]]:
-        return (tuple(fn((), env) for fn in self.key_fns),)
+    def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
+        return [tuple([fn((), env) for fn in self.key_fns])]
 
 
 class MultiKeyIndexLookup(_IndexProbe):
@@ -307,7 +353,9 @@ class MultiKeyIndexLookup(_IndexProbe):
     scans.  ``subquery`` (``col IN (SELECT ...)``, uncorrelated, one
     column) drives the outer table from the subquery side — the outer
     ``link`` block of the recursive expand costs what its answer costs
-    instead of a scan of every link.
+    instead of a scan of every link.  A subquery's key count is exact only
+    once it has run (a CTE has no plan-time cardinality at all), which is
+    when every key source is priced anyway.
 
     Keys are deduplicated before probing — IN is a predicate, so a row
     must appear once even when its key is named twice — and NULL keys are
@@ -315,13 +363,6 @@ class MultiKeyIndexLookup(_IndexProbe):
     above this operator owns the three-valued semantics).  Subquery keys
     are probed in first-seen order of the subquery's rows, so row order
     never depends on hash layout.
-
-    A subquery's key count is exact only once it has run (a CTE has no
-    plan-time cardinality at all), so that is when probing is priced
-    against the scan, with the planner's own two cost functions and the
-    uniform rows-per-key the index itself reports — no statistics needed.
-    When the scan is cheaper the operator scans; the residual filter
-    keeps exactly the rows the probes would have produced.
     """
 
     def __init__(
@@ -348,24 +389,13 @@ class MultiKeyIndexLookup(_IndexProbe):
             f"via {self.index.name}, {keys})"
         )
 
-    def _probe_is_cheaper(self, keys: int) -> bool:
-        """Price *keys* probes against one scan of the table as it is now."""
-        table_rows = len(self.storage)
-        distinct = self.index.distinct_keys()
-        rows_out = keys * table_rows / distinct if distinct else 0.0
-        return index_probe_cost(keys, rows_out) < seq_scan_cost(table_rows)
-
-    def _keys(self, env: ExecutionEnv) -> Optional[Iterable[Tuple[Any, ...]]]:
+    def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
         if self.subquery is None:
             values = dict.fromkeys(fn((), env) for fn in self.key_fns)
             values.pop(None, None)
         else:
             values = self.subquery.value_set((), env)[0]
-            probed = self._probe_is_cheaper(len(values))
-            env.subquery_key_runs[id(self)] = (len(values), probed)
-            if not probed:
-                return None
-        return zip(values)  # one-column keys: (value,) per value
+        return list(zip(values))  # one-column keys: (value,) per value
 
 
 class CTEScan(Operator):
@@ -426,9 +456,15 @@ class Filter(Operator):
         """A batch the predicate fully accepts passes through untouched
         (the common case for selective scans is all-or-mostly matches per
         chunk); otherwise matching positions are gathered into a fresh
-        batch."""
+        batch.  A batch of one row — a point probe's — is tested with the
+        row closure, which costs what the row body costs."""
         kernel = self.kernel
+        predicate = self.predicate
         for batch in self.child.batches(env):
+            if batch.length == 1:
+                if predicate(batch.rows()[0], env) is True:
+                    yield self._emit(batch, env)
+                continue
             mask = kernel(batch, env)
             # Strict identity (`is True`), like ``rows``: a predicate
             # yielding a plain 1 does not keep the row in either body.
@@ -459,6 +495,11 @@ class Project(Operator):
         self.child = child
         self.exprs = exprs
         self.kernels = [as_kernel(fn) for fn in exprs]
+        #: Every output slot reads the same input slot (``SELECT *``):
+        #: batches pass through as they are.
+        self.identity = len(exprs) == len(child.output_names) and all(
+            getattr(fn, "column_slot", None) == slot for slot, fn in enumerate(exprs)
+        )
 
     def label(self) -> str:
         return f"Project({', '.join(self.output_names)})"
@@ -469,9 +510,21 @@ class Project(Operator):
             yield tuple(fn(row, env) for fn in exprs)
 
     def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        """Column-at-a-time — no row materialisation."""
+        """Column-at-a-time — no row materialisation — except for a batch
+        of one row, which the row closures project as ``rows`` would."""
+        if self.identity:
+            for batch in self.child.batches(env):
+                yield self._emit(batch, env)
+            return
+        exprs = self.exprs
         kernels = self.kernels
+        arity = len(self.output_names)
         for batch in self.child.batches(env):
+            if batch.length == 1:
+                row = batch.rows()[0]
+                projected = [tuple([fn(row, env) for fn in exprs])]
+                yield self._emit(Batch.from_rows(projected, arity), env)
+                continue
             columns = [kernel(batch, env) for kernel in kernels]
             yield self._emit(Batch(columns, batch.length), env)
 

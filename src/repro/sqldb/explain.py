@@ -69,9 +69,9 @@ def explain_analyze_plan(plan: Plan, env) -> List[str]:
         if record is None or record["loops"] == 0:
             return f" ({prefix}never executed)"
         suffix = ""
-        key_run = env.subquery_key_runs.get(id(operator))
+        key_run = env.probe_runs.get(id(operator))
         if key_run is not None:
-            # The subquery-keyed lookup chose its access method at run time.
+            # The index probe priced its keys against a scan at run time.
             suffix = f" keys={key_run[0]} {'probed' if key_run[1] else 'scanned'}"
         batches = f" (batches={record['pulls']})" if vectorized else ""
         return (

@@ -68,10 +68,6 @@ class HashIndex:
             return []
         return list(self._buckets.get(key, ()))
 
-    def distinct_keys(self) -> int:
-        """Number of distinct (non-NULL) keys currently indexed."""
-        return len(self._buckets)
-
 
 class TableStorage:
     """Heap storage for one table, with optional hash indexes.

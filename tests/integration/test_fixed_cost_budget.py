@@ -14,18 +14,38 @@ one ``encode_value`` / ``decode_value`` call per value, an ``Opcode(...)``
 construction per label and a lock footprint rebuilt per SELECT; 269.7
 once the codec became one loop per run of values and shape work moved to
 plan time; 249.2 once an index probe became one ``TableStorage.probe``
-call instead of a probe plus a fetch per row.  The budget sits between
-the first two, with room for interpreter versions that count
-comprehensions differently.
+call instead of a probe plus a fetch per row, and still 249.2 once every
+probe was priced against a scan at run time (the pricing reads two counts
+inline and costs one call; building the key as a list costs one fewer
+than as a generator).  The budget sits between the first two, with room
+for interpreter versions that count comprehensions differently.
+
+Two engine-level statements are held the same way, on the ``txn_mix``
+product (δ=6, κ=4: 1 365 assemblies, all of one product), each cached
+and run straight on the ``Database``:
+
+* the audit, ``SELECT COUNT(*), SUM(weight) FROM assy WHERE product =
+  ?``, whose one key is the whole table: 20 522 calls while its index
+  probe ran on the row operators, 4 160 once the probe was priced out
+  and the plan ran on the batch operators as a scan (what is left is the
+  aggregate's per-row ``add``);
+* a primary-key point ``SELECT *``, the batch of one: 62 calls on the
+  row operators, 45 on the batch operators, where a filter tests a
+  one-row batch with its row closure and a ``SELECT *`` projection
+  passes it through untouched.
 """
 
 import gc
 import sys
 
+import pytest
+
 from repro.bench.workload import build_scenario
 from repro.model.parameters import TreeParameters
 from repro.network.profiles import WAN_512
+from repro.pdm.generator import generate_product
 from repro.pdm.operations import ExpandStrategy
+from repro.pdm.schema import load_product, new_pdm_database
 
 TREE = TreeParameters(depth=5, branching=3, visibility=0.6)
 SEED = 4
@@ -33,6 +53,43 @@ STRATEGIES = (ExpandStrategy.NAVIGATIONAL_LATE, ExpandStrategy.NAVIGATIONAL_EARL
 
 #: Python-level calls one cached navigational round trip may cost.
 CALLS_PER_ROUND_TRIP_BUDGET = 300
+
+#: The ``txn_mix`` product and its two engine-level statements.
+TXN_MIX_TREE = TreeParameters(depth=6, branching=4, visibility=0.6)
+AUDIT_SQL = "SELECT COUNT(*), SUM(weight) FROM assy WHERE product = ?"
+POINT_SQL = "SELECT * FROM assy WHERE obid = ?"
+
+#: Calls one cached audit statement may cost: well under the 20 522 of
+#: its row-operator plan.
+AUDIT_CALLS_BUDGET = 5_000
+
+#: Calls one cached primary-key point SELECT may cost: no more than on
+#: the row operators.
+POINT_CALLS_BUDGET = 62
+
+
+def count_calls(action) -> int:
+    """Interpreter ``call`` events while *action* runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    # A collection that finalises a suspended generator resumes it, which
+    # the profiler reports as a call; when one falls depends on what the
+    # process allocated before this test, so none may fall inside the count.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        action()
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    return calls
 
 
 def calls_per_round_trip():
@@ -50,28 +107,24 @@ def calls_per_round_trip():
             client.multi_level_expand(root, strategy, root_attrs=root_attrs)
 
     one_pass()  # plan cache, SQL cache, header and shape memos are warm
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
     before = connection.statistics["round_trips"]
-    previous = sys.getprofile()
-    # A collection that finalises a suspended generator resumes it, which
-    # the profiler reports as a call; when one falls depends on what the
-    # process allocated before this test, so none may fall inside the count.
-    gc.collect()
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        one_pass()
-    finally:
-        sys.setprofile(previous)
-        gc.enable()
+    calls = count_calls(one_pass)
     round_trips = connection.statistics["round_trips"] - before
     return calls / round_trips, round_trips
+
+
+@pytest.fixture(scope="module")
+def txn_mix_db():
+    product = generate_product(TXN_MIX_TREE, seed=SEED)
+    database = new_pdm_database()
+    load_product(database, product)
+    return database, product.root_obid
+
+
+def statement_calls(database, sql, params):
+    """Calls of one execution of *sql*, cached by a first one."""
+    database.execute(sql, params)
+    return count_calls(lambda: database.execute(sql, params))
 
 
 def test_a_cached_round_trip_stays_inside_its_call_budget():
@@ -86,3 +139,28 @@ def test_a_cached_round_trip_stays_inside_its_call_budget():
 
 def test_the_count_repeats_to_the_call():
     assert calls_per_round_trip() == calls_per_round_trip()
+
+
+def test_the_audit_runs_as_a_columnar_scan_inside_its_budget(txn_mix_db):
+    database, root = txn_mix_db
+    calls = statement_calls(database, AUDIT_SQL, [root])
+    assert database.last_executor == "columnar"
+    assert database.last_counters["index_probes"] == 0
+    assert database.last_counters["rows_scanned"] == 1365
+    assert calls <= AUDIT_CALLS_BUDGET, (
+        f"{calls} Python-level calls for one cached audit statement "
+        f"(budget {AUDIT_CALLS_BUDGET}): the priced-out probe no longer "
+        f"runs as a scan on the batch operators"
+    )
+
+
+def test_a_point_select_costs_no_more_as_a_batch_of_one(txn_mix_db):
+    database, root = txn_mix_db
+    calls = statement_calls(database, POINT_SQL, [root])
+    assert database.last_executor == "columnar"
+    assert database.last_counters["index_probes"] == 1
+    assert calls <= POINT_CALLS_BUDGET, (
+        f"{calls} Python-level calls for one cached point SELECT (budget "
+        f"{POINT_CALLS_BUDGET}, its cost on the row operators): a batch of "
+        f"one costs more than a tuple"
+    )

@@ -121,6 +121,8 @@ def at(stack: SimpleNamespace, when: float) -> None:
 
 POINT = "SELECT v FROM t WHERE id = 1"
 SCAN = "SELECT id FROM t WHERE v < 2"
+#: One row, like POINT, from a plan with no batch body (EXCEPT).
+EXCEPT = "SELECT v FROM t WHERE id = 1 EXCEPT SELECT v FROM t WHERE id = 2"
 WRITE = "UPDATE t SET v = v + 1 WHERE id = ?"
 
 
@@ -138,7 +140,7 @@ def columnar_run(stack):
 
 
 def columnar_fallback(stack):
-    stack.first.execute(POINT)
+    stack.first.execute(EXCEPT)
 
 
 def wal_append(stack):
@@ -213,7 +215,7 @@ LOST = {"link.drops": 1, "link.timeouts": 1, "link.retries": 1}
 LOGGED = {"wal_appends": 3, "wal_commits": 1, "locks_acquisitions": 1}
 #: The point SELECT whose request was lost once.
 RESENT_SELECT = {
-    **QUERY, **LOST, "db_rows_returned": 1, "db_columnar_fallbacks": 1,
+    **QUERY, **LOST, "db_rows_returned": 1, "db_columnar_statements": 1,
     "locks_acquisitions": 1,
 }
 
@@ -225,7 +227,7 @@ EVENTS = [
     ),
     (
         "snapshot read", snapshot_read, "db_snapshot_reads", 1,
-        {**QUERY, "db_rows_returned": 1, "db_columnar_fallbacks": 1},
+        {**QUERY, "db_rows_returned": 1, "db_columnar_statements": 1},
     ),
     (
         "columnar run", columnar_run, "db_columnar_statements", 1,
@@ -319,7 +321,7 @@ def test_trace_summary_is_the_movement_since_instrument_stack():
     assert "counters" not in summary["metrics"]
     # open_session and the statement: two frames the server saw.
     assert summary["counters"]["sequenced_requests"] == 2
-    assert summary["counters"]["db_columnar_fallbacks"] == 1
+    assert summary["counters"]["db_columnar_statements"] == 1
     assert "db_versions_created" not in summary["counters"]  # did not move
     assert (summary["link"]["retries"], summary["link"]["timeouts"]) == (1, 1)
 

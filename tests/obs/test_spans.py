@@ -165,5 +165,5 @@ class TestMvccMetrics:
             "db_readonly_txns": 1,
             "db_snapshot_reads": 1,
             "db_rows_returned": 1,
-            "db_columnar_fallbacks": 1,
+            "db_columnar_statements": 1,
         }

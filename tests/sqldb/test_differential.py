@@ -95,16 +95,29 @@ def pdm_select_templates():
     ]
 
 
+#: The PDM templates whose plan is index probes under filter, projection
+#: and union.  Every other template joins through an index, materialises a
+#: CTE or takes a set difference, which only the row operators implement
+#: (ROADMAP item 1), so there the engine's own choice is the row side too.
+VECTORIZING_TEMPLATES = {
+    "set-query",
+    "fetch-object-assy",
+    "fetch-object-comp",
+    "where-used-parents",
+}
+
+
 @pytest.mark.parametrize(
     "name,sql", pdm_select_templates(), ids=[n for n, _ in pdm_select_templates()]
 )
 def test_pdm_template_corpus_differential(figure2_db, row_operators, name, sql):
     params = tuple([1] * parameter_count(sql))  # Figure 2 root obid
-    # Every PDM template plans onto an index path or a CTE, which only the
-    # row operators implement (ROADMAP item 3), so here the engine's own
-    # choice is the row side too.
     run_differential(
-        figure2_db, sql, params, oracle=row_operators, vectorizes=False
+        figure2_db,
+        sql,
+        params,
+        oracle=row_operators,
+        vectorizes=name in VECTORIZING_TEMPLATES,
     )
 
 
@@ -165,9 +178,9 @@ ENGINE_CORPUS = [
     "SELECT v FROM t WHERE v < 3 UNION ALL SELECT k FROM dim WHERE k < 3",
     # a scalar subquery has no kernel: its row closure runs over the batch
     "SELECT v, (SELECT MAX(k) FROM dim) FROM t WHERE v < 3",
+    "SELECT v FROM t WHERE id = 4",  # primary-key index lookup
     # shapes with no batch plan (see ROW_ONLY): the engine itself picks the
     # row operators, silently
-    "SELECT v FROM t WHERE id = 4",  # primary-key index lookup
     "SELECT x.id FROM (SELECT id FROM t WHERE v < 5) AS x",
     "WITH small AS (SELECT id, v FROM t WHERE v < 5) SELECT * FROM small",
 ]
@@ -178,7 +191,6 @@ CORPUS_PARAMS = {"SELECT id FROM t OFFSET ?": (-2,)}
 #: The corpus queries whose plan does not vectorize; every other one must.
 ROW_ONLY = {
     "SELECT t.id, dim.label FROM t LEFT JOIN dim ON t.v = dim.k",  # nested loop
-    "SELECT v FROM t WHERE id = 4",
     "SELECT x.id FROM (SELECT id FROM t WHERE v < 5) AS x",
     "WITH small AS (SELECT id, v FROM t WHERE v < 5) SELECT * FROM small",
 }

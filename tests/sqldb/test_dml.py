@@ -405,7 +405,11 @@ class TestPreparedDmlCache:
         ["SELECT id FROM t WHERE n = 20", "UPDATE t SET name = 'x' WHERE n = 20"],
     )
     def test_create_index_forces_a_replan(self, db, sql):
-        db.execute("INSERT INTO t VALUES (1, 'a', 10), (2, 'b', 20), (3, 'c', 30)")
+        # Enough distinct keys that one probe is cheaper than the scan
+        # (on three rows the probe would be priced out at run time).
+        db.executemany(
+            "INSERT INTO t VALUES (?, ?, ?)", [(i, "r", 10 * i) for i in range(1, 9)]
+        )
         assert "SeqScan(t)" in plan_lines(db, sql)[-1]
         db.execute(sql)
         assert db.last_counters["index_probes"] == 0

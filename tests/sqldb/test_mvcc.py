@@ -24,6 +24,13 @@ def make_db():
     return db
 
 
+#: ``id -> (k, v)`` of forty rows with a key each, none of them a key the
+#: tests probe: they keep one probe of an index on ``k`` cheaper than a
+#: scan of the table, so that index path stays a probe whatever the
+#: writers did (on a handful of rows it would be priced out).
+FILLER = {row_id: (row_id, 0) for row_id in range(100, 140)}
+
+
 def snapshot_rows(db, session="reader"):
     return db.execute(
         "SELECT id, v FROM t ORDER BY id", session=session
@@ -315,9 +322,15 @@ class TestVersionsFollowReaders:
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
         db.execute("CREATE INDEX t_k ON t (k)")
         db.execute("INSERT INTO t VALUES (1, 0), (2, 7), (3, 7), (4, 7)")
+        # Keys of their own, so that one probe stays cheaper than the scan.
+        db.execute(
+            "INSERT INTO t VALUES "
+            + ", ".join(f"({row_id}, {k})" for row_id, (k, __) in FILLER.items())
+        )
         db.execute("UPDATE t SET k = 7 WHERE id = 1")  # bucket 7: 2, 3, 4, 1
         sql = "SELECT id FROM t WHERE k = ?"
         assert db.execute(sql, [7]).rows == [(2,), (3,), (4,), (1,)]
+        assert db.last_counters["index_probes"] == 1
         db.execute("BEGIN TRANSACTION READ ONLY", session="reader")
         assert db.execute(sql, [7], session="reader").rows == [
             (2,), (3,), (4,), (1,)
@@ -329,6 +342,7 @@ class TestVersionsFollowReaders:
         assert db.execute(sql, [7], session="reader").rows == [
             (4,), (1,), (2,), (3,)
         ]
+        assert db.last_counters["index_probes"] == 1
         db.execute("COMMIT", session="reader")
         assert_quiescent(db)
 
@@ -423,10 +437,11 @@ OPS = st.lists(
 )
 
 
-def assert_reads_state(db, session, expected):
+def assert_reads_state(db, session, expected, oracle):
     """Every access path must show *session* exactly *expected*
-    (``{id: (k, v)}``): columnar scan and aggregate, index probe, row
-    scan driving an index-nested-loop join, and the join's probe side."""
+    (``{id: (k, v)}``): columnar scan and aggregate, index probe on both
+    operator sets (*oracle* is the ``row_operators`` fixture), row scan
+    driving an index-nested-loop join, and the join's probe side."""
     rows = sorted((i, k, v) for i, (k, v) in expected.items())
 
     def read(sql, params=()):
@@ -440,11 +455,15 @@ def assert_reads_state(db, session, expected):
     for key in range(3):
         matching = [(i, v) for i, k, v in rows if k == key]
         assert sorted(read("SELECT id, v FROM t WHERE k = ?", [key])) == matching
-        assert "IndexLookup" in db.last_executor
-    labelled = [(i, 10 * k) for i, k, __ in rows]
+        assert db.last_executor == "columnar"
+        assert db.last_counters["index_probes"] == 1
+        with oracle():
+            assert sorted(read("SELECT id, v FROM t WHERE k = ?", [key])) == matching
+        assert db.last_counters["index_probes"] == 1
+    labelled = [(i, 10 * k) for i, k, __ in rows if k < 3]
     assert sorted(read("SELECT t.id, g.w FROM t JOIN g ON g.k = t.k")) == labelled
     assert "IndexNestedLoopJoin" in db.last_executor
-    probed = sorted((k, i, v) for i, k, v in rows)
+    probed = sorted((k, i, v) for i, k, v in rows if k < 3)
     assert sorted(read("SELECT g.k, t.id, t.v FROM g JOIN t ON t.k = g.k")) == probed
     assert "IndexNestedLoopJoin" in db.last_executor
 
@@ -486,7 +505,7 @@ class TestVisibilityProperty:
         ]
     )
     @settings(max_examples=60, deadline=None)
-    def test_every_snapshot_always_reads_its_begin_state(self, ops):
+    def test_every_snapshot_always_reads_its_begin_state(self, row_operators, ops):
         """Random interleavings of autocommit writes, two explicit write
         transactions (committing or rolling back) and snapshots opening
         and closing anywhere in between: at any point, every open
@@ -497,11 +516,15 @@ class TestVisibilityProperty:
         db.execute("CREATE INDEX t_k ON t (k)")
         db.execute("CREATE TABLE g (k INTEGER PRIMARY KEY, w INTEGER)")
         db.execute("INSERT INTO g VALUES (0, 0), (1, 10), (2, 20)")
-        committed = {}  # id -> (k, v)
+        db.execute(
+            "INSERT INTO t VALUES "
+            + ", ".join(f"({row_id}, {k}, {v})" for row_id, (k, v) in FILLER.items())
+        )
+        committed = dict(FILLER)  # id -> (k, v)
         pending = {}  # open writer -> {id: (k, v) | None} not yet committed
         snapshots = {}  # session -> the committed state at its BEGIN
         sequence = 0
-        writers_committed = 1  # the INSERT above; DDL is not a writer
+        writers_committed = 2  # the INSERTs above; DDL is not a writer
 
         def write(row_id, row, state, session=None):
             if row is None:
@@ -555,13 +578,13 @@ class TestVisibilityProperty:
                 snapshots[session] = dict(committed)
             elif kind == "read":
                 for session, expected in snapshots.items():
-                    assert_reads_state(db, session, expected)
+                    assert_reads_state(db, session, expected, row_operators)
             elif kind == "close" and snapshots:
                 session = next(iter(snapshots))
-                assert_reads_state(db, session, snapshots.pop(session))
+                assert_reads_state(db, session, snapshots.pop(session), row_operators)
                 db.execute("COMMIT", session=session)
         for session, expected in snapshots.items():
-            assert_reads_state(db, session, expected)
+            assert_reads_state(db, session, expected, row_operators)
             db.execute("COMMIT", session=session)
         # Every snapshot closed — some writers may still be in flight, and
         # finish with nobody watching.
@@ -570,4 +593,4 @@ class TestVisibilityProperty:
             finish(writer, commit=writer == "w1")
         assert_quiescent(db)
         assert db.mvcc.clock == writers_committed
-        assert_reads_state(db, None, committed)
+        assert_reads_state(db, None, committed, row_operators)

@@ -180,15 +180,17 @@ class TestSubqueryPlannerChoice:
         )
         assert SUBQUERY_LOOKUP in text
 
-    def test_probe_path_falls_back_from_the_columnar_executor(self):
-        columnar = Database()
-        columnar.execute_script(
-            "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER);"
-            "CREATE INDEX t_k ON t (k);"
-            "CREATE TABLE s (x INTEGER)"
-        )
-        columnar.execute("SELECT * FROM t WHERE k IN (SELECT x FROM s)")
-        assert "MultiKeyIndexLookup has no vectorized" in columnar.last_executor
+    def test_probe_path_runs_on_both_operator_sets(self, row_operators):
+        db = make_db(s_rows=[(1, 0, "a"), (2, 0, "b")])
+        sql = "SELECT * FROM t WHERE k IN (SELECT x FROM s)"
+        columnar = db.execute(sql)
+        assert db.last_executor == "columnar"
+        assert db.last_counters["index_probes"] == 2
+        with row_operators():
+            row = db.execute(sql)
+        assert db.last_counters["index_probes"] == 2
+        assert columnar.rows == row.rows
+        assert len(row.rows) == 8
 
 
 class TestSubqueryOperatorSemantics:

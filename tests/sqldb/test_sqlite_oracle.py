@@ -294,17 +294,22 @@ class TestInSubqueryNullMatrix:
         finally:
             oracle.close()
 
-    def test_negative_offset_skips_nothing(self):
+    def test_negative_offset_skips_nothing(self, row_operators):
         """On both of the engine's operator bodies, as in SQLite (which
-        wants a LIMIT before any OFFSET)."""
+        wants a LIMIT before any OFFSET), over a scan and over a probe."""
         db, oracle = matrix_databases([], analyzed=False)
         try:
-            sql = "SELECT id FROM t ORDER BY id LIMIT 2 OFFSET -1"
-            assert assert_same_multiset(db, oracle, sql) == 2
-            assert db.last_executor == "columnar"
-            sql = "SELECT id FROM t WHERE k IN (1, 2) LIMIT 50 OFFSET -3"
-            assert assert_same_multiset(db, oracle, sql) == 9
-            assert db.last_executor.startswith("row (")
+            for sql, count, probes in (
+                ("SELECT id FROM t ORDER BY id LIMIT 2 OFFSET -1", 2, 0),
+                ("SELECT id FROM t WHERE k IN (1, 2) LIMIT 50 OFFSET -3", 9, 2),
+            ):
+                assert assert_same_multiset(db, oracle, sql) == count
+                assert db.last_executor == "columnar"
+                assert db.last_counters["index_probes"] == probes
+                with row_operators():
+                    assert assert_same_multiset(db, oracle, sql) == count
+                assert db.last_executor.startswith("row (")
+                assert db.last_counters["index_probes"] == probes
         finally:
             oracle.close()
 

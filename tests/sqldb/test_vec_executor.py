@@ -28,27 +28,37 @@ def db() -> Database:
     return database
 
 
+#: A one-row answer from a plan with no batch body (set difference).
+EXCEPT = "SELECT v FROM t WHERE id = 7 EXCEPT SELECT v FROM t WHERE id = 8"
+
+
 class TestExecutionModes:
     def test_the_plan_picks_the_executor(self, db):
         db.execute("SELECT v FROM t WHERE v < 3")
         assert db.last_executor == "columnar"
         db.execute("SELECT v FROM t WHERE id = 1")  # index path
+        assert db.last_executor == "columnar"
+        db.execute(EXCEPT)
         assert db.last_executor.startswith("row (columnar fallback:")
 
     def test_statistics_track_columnar_runs_and_fallbacks(self, db):
         before = dict(db.statistics)
         db.execute("SELECT v FROM t WHERE v < 3")
-        db.execute("SELECT v FROM t WHERE id = 1")  # index path
+        db.execute(EXCEPT)
         after = db.statistics
         assert after["columnar_statements"] == before["columnar_statements"] + 1
         assert after["columnar_fallbacks"] == before["columnar_fallbacks"] + 1
 
 
 class TestWholePlanFallback:
-    def test_index_lookup_falls_back(self, db):
-        db.execute("SELECT v FROM t WHERE id = 7")
+    def test_index_join_falls_back(self, db):
+        db.execute("CREATE TABLE u (t_id INTEGER)")
+        db.execute("INSERT INTO u VALUES (7)")
+        db.execute("SELECT t.v FROM u JOIN t ON t.id = u.t_id")
         assert db.last_executor is not None
-        assert db.last_executor.startswith("row (columnar fallback:")
+        assert db.last_executor.startswith(
+            "row (columnar fallback: operator IndexNestedLoopJoin"
+        )
 
     def test_recursive_cte_falls_back(self, db):
         db.execute(
@@ -66,14 +76,6 @@ class TestWholePlanFallback:
     #: One statement per family of plan that runs on the row bodies, with
     #: the first operator (in EXPLAIN order) that has no batch body.
     FAMILIES = {
-        "index lookup": (
-            "SELECT v FROM t WHERE id = 7",
-            "operator IndexLookup has no vectorized implementation",
-        ),
-        "multi-key lookup": (
-            "SELECT v FROM t WHERE id IN (1, 2, 3)",
-            "operator MultiKeyIndexLookup has no vectorized implementation",
-        ),
         "index-nested-loop": (
             "SELECT c.x FROM c JOIN u ON u.t_id = c.x",
             "operator IndexNestedLoopJoin has no vectorized implementation",
@@ -149,10 +151,37 @@ class TestWholePlanFallback:
         assert db.last_counters["vec_rows"] == 160
 
     def test_fallback_result_matches_row_mode(self, db, row_operators):
-        fallback = db.execute("SELECT v FROM t WHERE id = 7")
+        fallback = db.execute(EXCEPT)
+        assert db.last_executor.startswith("row (columnar fallback:")
         with row_operators():
-            row = db.execute("SELECT v FROM t WHERE id = 7")
-        assert fallback.rows == row.rows
+            row = db.execute(EXCEPT)
+        assert fallback.rows == row.rows == [(7,)]
+
+
+class TestIndexProbeBodies:
+    """An index probe has both bodies: the engine runs its batch body, the
+    oracle its row body, and both probe (a unique index is never priced
+    against the scan)."""
+
+    PROBES = {
+        "index lookup": ("SELECT v FROM t WHERE id = 7", 1),
+        "multi-key lookup": ("SELECT v FROM t WHERE id IN (1, 2, 3)", 3),
+    }
+
+    @pytest.mark.parametrize("family", sorted(PROBES))
+    def test_both_bodies_probe_and_agree(self, db, row_operators, family):
+        sql, probes = self.PROBES[family]
+        before = dict(db.statistics)
+        columnar = db.execute(sql)
+        assert db.last_executor == "columnar"
+        assert db.statistics["columnar_statements"] == before["columnar_statements"] + 1
+        assert db.last_counters["index_probes"] == probes
+        assert db.last_counters["vec_batches"] > 0
+        with row_operators():
+            row = db.execute(sql)
+        assert db.last_counters["index_probes"] == probes
+        assert db.last_counters["vec_batches"] == 0
+        assert columnar.rows == row.rows
 
 
 class TestCounters:
@@ -254,8 +283,8 @@ class TestExplainAnalyze:
         assert "batches" not in text
 
     def test_fallback_plan_names_the_reason(self, db):
-        text = self.plan_text(db, "SELECT v FROM t WHERE id = 7")
-        assert "Executor: row (columnar fallback: operator IndexLookup" in text
+        text = self.plan_text(db, EXCEPT)
+        assert "Executor: row (columnar fallback: operator SetDifference" in text
 
     def test_one_rendering_for_both_operator_sets(self, db, row_operators):
         """Same operator names as plain EXPLAIN; estimates, loops and rows
@@ -311,7 +340,7 @@ class TestObservability:
         before = dict(db.statistics)
         db.execute("SELECT v FROM t WHERE v < 3")
         assert db.last_counters["vec_rows"] >= 100
-        db.execute("SELECT v FROM t WHERE id = 7")
+        db.execute(EXCEPT)
         assert db.last_counters["vec_rows"] == 0
         assert db.statistics["columnar_statements"] == (
             before["columnar_statements"] + 1

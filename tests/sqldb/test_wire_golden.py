@@ -93,7 +93,7 @@ GOLDEN_EXCHANGES: Dict[str, str] = {
     "call_procedure":
         "caebf6c93ff0684da0448bdeb08e2e3dbe9da893d3734247fa247f76c51c278b",
     "stats":
-        "fc1920de4b48d5ba8380fffe77676b77dc9092b10e8ec28e76b3ec5aaf0897fd",
+        "48f2e87d56cbf2f57d809dd74019c46405e5e1a790c888a50006f806c1f4b086",
     "sequenced":
         "864d60a061c5824d021d73063f4ecfcf0b1eef4a5e2c264348692b431ab56282",
 }
