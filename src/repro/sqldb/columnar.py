@@ -7,8 +7,9 @@ instead of single rows, so per-tuple interpreter overhead — generator
 frames, closure calls, tuple indexing — is paid once per ``BATCH_SIZE``
 rows instead of once per row.  NULLs stay in-band as ``None`` (matching
 the row executor), but every batch can materialise a *validity mask* per
-column on demand; the IS [NOT] NULL kernels and aggregate inputs use the
-mask instead of re-testing ``is None`` element by element.
+column on demand, which the IS [NOT] NULL kernels share instead of
+re-testing ``is None`` element by element.  Aggregates do not read it:
+each drops the NULLs of the column slice it folds.
 
 Base-table batches are built lazily from :class:`~repro.sqldb.storage.
 TableStorage` and cached on the storage object, keyed by its mutation
@@ -87,8 +88,8 @@ class Batch:
     def validity(self, slot: int) -> List[bool]:
         """Validity mask of one column: ``True`` where the value is non-NULL.
 
-        Memoised per batch, so repeated IS NULL tests (and aggregate NULL
-        screening) over the same cached chunk share one mask.
+        Memoised per batch, so repeated IS NULL tests over the same
+        cached chunk share one mask.
         """
         if self._validity is None:
             self._validity = {}

@@ -808,7 +808,9 @@ class Aggregate(Operator):
     With no GROUP BY there is exactly one (possibly empty) group, matching
     SQL's scalar-aggregate semantics.  Groups come out in first-seen
     order; both bodies accumulate into the same
-    :class:`~repro.sqldb.functions.Aggregator` state machines, so DISTINCT
+    :class:`~repro.sqldb.functions.Aggregator` state machines — ``rows``
+    with one ``add`` per row, ``batches`` with one ``add_many`` per group
+    per batch, which leaves the state the ``add`` loop would — so DISTINCT
     handling, NULL screening and result typing cannot diverge.
     """
 
@@ -861,25 +863,42 @@ class Aggregate(Operator):
         yield from self._results(groups)
 
     def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        """Group keys and aggregate arguments computed per batch by kernels."""
+        """Group keys and aggregate arguments computed per batch by
+        kernels; each aggregate folds its column slice per group with one
+        :meth:`~repro.sqldb.functions.Aggregator.add_many` call."""
         groups: Dict[Tuple[Any, ...], List[Aggregator]] = {}
-        group_kernels = self.group_kernels
         for batch in self.child.batches(env):
-            if group_kernels:
-                key_columns = [kernel(batch, env) for kernel in group_kernels]
-                keys = list(zip(*key_columns))
-            else:
-                keys = [()] * batch.length
+            length = batch.length
+            if not length:
+                continue
+            key_columns = [kernel(batch, env) for kernel in self.group_kernels]
             arg_columns = [
                 None if kernel is None else kernel(batch, env)
                 for kernel in self.arg_kernels
             ]
-            for i, key in enumerate(keys):
+            if key_columns:
+                # Each group's row positions, groups in first-seen order.
+                positions: Dict[Tuple[Any, ...], Any] = {}
+                for i, key in enumerate(zip(*key_columns)):
+                    at = positions.get(key)
+                    if at is None:
+                        positions[key] = [i]
+                    else:
+                        at.append(i)
+            else:
+                positions = {(): range(length)}
+            for key, at in positions.items():
                 aggregators = groups.get(key)
                 if aggregators is None:
                     aggregators = groups[key] = self._new_group()
+                whole = len(at) == length
                 for column, aggregator in zip(arg_columns, aggregators):
-                    aggregator.add(None if column is None else column[i])
+                    if column is None:
+                        aggregator.add_many(at)  # COUNT(*): only the length counts
+                    elif whole:
+                        aggregator.add_many(column)
+                    else:
+                        aggregator.add_many(list(map(column.__getitem__, at)))
         yield from self._materialised(self._results(groups), env)
 
 

@@ -15,7 +15,9 @@ layer registers domain functions such as ``options_overlap`` and
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional
+from functools import reduce
+from operator import add
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.sqldb.types import is_null
@@ -142,6 +144,39 @@ class Aggregator:
         elif self.name == "MIN":
             if self._extreme is None or value < self._extreme:
                 self._extreme = value
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        """Feed a column slice, leaving exactly the state that one
+        :meth:`add` per value, in order, would.
+
+        COUNT(*) counts ``len(values)``.  Otherwise NULLs (``None``) are
+        dropped, DISTINCT screens the rest against ``_seen`` in input
+        order, SUM/AVG fold left with ``+`` from the running total and
+        MIN/MAX fold with the builtin into the running extreme.  Never
+        ``sum()`` or ``math.fsum``: both round floats differently from a
+        left fold (``sum`` compensates from Python 3.12).
+        """
+        if self.star:
+            self._count += len(values)
+            return
+        values = [value for value in values if value is not None]
+        seen = self._seen
+        if seen is not None:
+            # ``seen.add`` returns None, so a first sighting is kept.
+            values = [
+                value for value in values if not (value in seen or seen.add(value))
+            ]
+        if not values:
+            return
+        self._count += len(values)
+        name = self.name
+        if name in ("SUM", "AVG"):
+            total = self._total
+            self._total = reduce(add, values) if total is None else reduce(add, values, total)
+        elif name in ("MAX", "MIN"):
+            fold = max if name == "MAX" else min
+            extreme = self._extreme
+            self._extreme = fold(values) if extreme is None else fold((extreme, *values))
 
     def result(self) -> Any:
         """Return the aggregate value for the rows fed so far."""

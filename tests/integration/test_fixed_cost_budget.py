@@ -20,15 +20,20 @@ inline and costs one call; building the key as a list costs one fewer
 than as a generator).  The budget sits between the first two, with room
 for interpreter versions that count comprehensions differently.
 
-Two engine-level statements are held the same way, on the ``txn_mix``
+Three engine-level statements are held the same way, on the ``txn_mix``
 product (δ=6, κ=4: 1 365 assemblies, all of one product), each cached
 and run straight on the ``Database``:
 
 * the audit, ``SELECT COUNT(*), SUM(weight) FROM assy WHERE product =
   ?``, whose one key is the whole table: 20 522 calls while its index
   probe ran on the row operators, 4 160 once the probe was priced out
-  and the plan ran on the batch operators as a scan (what is left is the
-  aggregate's per-row ``add``);
+  and the plan ran on the batch operators as a scan, 69 once each
+  aggregate folded its column slice with one ``add_many`` per batch
+  instead of one ``add`` per row;
+* a grouped roll-up of the same table, ``SELECT state, COUNT(*),
+  SUM(weight), MIN(weight), MAX(weight) FROM assy GROUP BY state``: 9 618
+  calls with one ``add`` per row and aggregate, 70 with one ``add_many``
+  per group, aggregate and batch;
 * a primary-key point ``SELECT *``, the batch of one: 62 calls on the
   row operators, 45 on the batch operators, where a filter tests a
   one-row batch with its row closure and a ``SELECT *`` projection
@@ -54,14 +59,21 @@ STRATEGIES = (ExpandStrategy.NAVIGATIONAL_LATE, ExpandStrategy.NAVIGATIONAL_EARL
 #: Python-level calls one cached navigational round trip may cost.
 CALLS_PER_ROUND_TRIP_BUDGET = 300
 
-#: The ``txn_mix`` product and its two engine-level statements.
+#: The ``txn_mix`` product and its three engine-level statements.
 TXN_MIX_TREE = TreeParameters(depth=6, branching=4, visibility=0.6)
 AUDIT_SQL = "SELECT COUNT(*), SUM(weight) FROM assy WHERE product = ?"
+GROUPED_SQL = (
+    "SELECT state, COUNT(*), SUM(weight), MIN(weight), MAX(weight) FROM assy GROUP BY state"
+)
 POINT_SQL = "SELECT * FROM assy WHERE obid = ?"
 
-#: Calls one cached audit statement may cost: well under the 20 522 of
-#: its row-operator plan.
-AUDIT_CALLS_BUDGET = 5_000
+#: Calls one cached audit statement may cost: a fold per aggregate per
+#: batch, not an ``add`` per row (4 160 calls).
+AUDIT_CALLS_BUDGET = 200
+
+#: Calls one cached grouped roll-up may cost: a fold per group, aggregate
+#: and batch, not an ``add`` per row and aggregate (9 618 calls).
+GROUPED_CALLS_BUDGET = 300
 
 #: Calls one cached primary-key point SELECT may cost: no more than on
 #: the row operators.
@@ -150,7 +162,20 @@ def test_the_audit_runs_as_a_columnar_scan_inside_its_budget(txn_mix_db):
     assert calls <= AUDIT_CALLS_BUDGET, (
         f"{calls} Python-level calls for one cached audit statement "
         f"(budget {AUDIT_CALLS_BUDGET}): the priced-out probe no longer "
-        f"runs as a scan on the batch operators"
+        f"runs as a scan on the batch operators, or the aggregate no longer "
+        f"folds a column slice per batch"
+    )
+
+
+def test_a_grouped_rollup_folds_per_group_inside_its_budget(txn_mix_db):
+    database, _ = txn_mix_db
+    calls = statement_calls(database, GROUPED_SQL, [])
+    assert database.last_executor == "columnar"
+    assert database.last_counters["rows_scanned"] == 1365
+    assert calls <= GROUPED_CALLS_BUDGET, (
+        f"{calls} Python-level calls for one cached grouped roll-up (budget "
+        f"{GROUPED_CALLS_BUDGET}): the aggregate no longer folds a column "
+        f"slice per group and batch"
     )
 
 

@@ -162,6 +162,8 @@ ENGINE_CORPUS = [
     "SELECT COUNT(n), SUM(n), MIN(n), MAX(n), AVG(n) FROM t",
     "SELECT v, COUNT(*), SUM(a) FROM t GROUP BY v",
     "SELECT v, COUNT(*) FROM t GROUP BY v HAVING COUNT(*) > 3",
+    "SELECT COUNT(DISTINCT n), SUM(DISTINCT n), AVG(n) FROM t",
+    "SELECT v, COUNT(DISTINCT n), SUM(DISTINCT n), AVG(n) FROM t GROUP BY v",
     "SELECT COUNT(*) FROM empty",
     "SELECT SUM(k) FROM empty",
     # sort / distinct / limit / offset / set ops

@@ -1,6 +1,8 @@
 """Function registry: builtins, stored functions, aggregator unit tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.sqldb import Database
@@ -132,3 +134,92 @@ class TestAggregatorUnit:
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(ExecutionError):
             Aggregator("MEDIAN")
+
+
+# ---------------------------------------------------------------------------
+# add_many: one fold per column slice leaves the state of one add per value.
+# ---------------------------------------------------------------------------
+
+#: Ints, floats (some equal to an int, some with rounding tails) and
+#: bools, with NULLs and duplicates; values of one chunk often recur in the next.
+NUMBERS = st.one_of(
+    st.none(),
+    st.integers(-5, 5),
+    st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, 1.0, 2.5, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.booleans(),
+)
+STRINGS = st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "B", "ä"]))
+
+
+def chunked(values):
+    """Split points over *values*: any chunking, empty chunks included."""
+    return st.lists(st.integers(0, len(values)), max_size=6).map(
+        lambda cuts: [0, *sorted(cuts), len(values)]
+    )
+
+
+#: (name, star) of every aggregate kind.
+KINDS = [
+    ("COUNT", True),
+    ("COUNT", False),
+    ("SUM", False),
+    ("AVG", False),
+    ("MIN", False),
+    ("MAX", False),
+]
+
+
+@st.composite
+def folds(draw):
+    """An aggregate, its input values and a chunking of them."""
+    name, star = draw(st.sampled_from(KINDS))
+    distinct = not star and draw(st.booleans())
+    pool = STRINGS if name in ("MIN", "MAX") and draw(st.booleans()) else NUMBERS
+    values = draw(st.lists(pool, max_size=40))
+    return name, distinct, star, values, draw(chunked(values))
+
+
+def same_result(left, right):
+    """Equal value and type; floats bit for bit (``-0.0`` is not ``0.0``)."""
+    if isinstance(left, float) and isinstance(right, float):
+        return left.hex() == right.hex()
+    return type(left) is type(right) and left == right
+
+
+class TestAddMany:
+    @settings(max_examples=400, deadline=None)
+    @given(folds())
+    def test_a_chunked_fold_equals_the_add_loop(self, case):
+        name, distinct, star, values, cuts = case
+        one_by_one = Aggregator(name, distinct=distinct, star=star)
+        for value in values:
+            one_by_one.add(value)
+        folded = Aggregator(name, distinct=distinct, star=star)
+        for start, stop in zip(cuts, cuts[1:]):
+            folded.add_many(values[start:stop])
+        assert same_result(folded.result(), one_by_one.result()), (
+            folded.result(),
+            one_by_one.result(),
+        )
+
+    def test_int_sum_stays_int_and_all_null_stays_null(self):
+        total = Aggregator("SUM")
+        total.add_many([1, None, 2])
+        total.add_many([None, None])
+        total.add_many([])
+        assert total.result() == 3 and type(total.result()) is int
+        empty = Aggregator("AVG")
+        empty.add_many([None, None])
+        assert empty.result() is None
+
+    def test_distinct_screens_across_chunks_in_input_order(self):
+        aggregator = Aggregator("SUM", distinct=True)
+        aggregator.add_many([1, 2, 2])
+        aggregator.add_many([2.0, 3, True])  # 2.0 and True were seen as 2 and 1
+        assert aggregator.result() == 6 and type(aggregator.result()) is int
+
+    def test_float_sum_is_a_left_fold_not_compensated(self):
+        aggregator = Aggregator("SUM")
+        aggregator.add_many([0.1] * 10)
+        assert aggregator.result() == 0.9999999999999999

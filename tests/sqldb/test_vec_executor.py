@@ -4,7 +4,8 @@ ANALYZE labelling, and the observability hooks.
 
 Semantic equivalence with the row executor is covered separately by the
 differential harness (``test_differential.py``); these tests pin the
-machinery *around* the batch pipeline.
+machinery *around* the batch pipeline, and the aggregate fold over
+groups and DISTINCT values that span chunks.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from repro.obs import TraceRecorder
 from repro.sqldb.columnar import BATCH_SIZE, Batch, table_batches
 from repro.sqldb.database import Database
+from tests.sqldb.test_differential import run_differential
 
 
 @pytest.fixture
@@ -261,6 +263,58 @@ class TestBatchBoundaries:
     def test_limit_stops_consuming_batches_early(self, big_db):
         big_db.execute("SELECT id FROM big LIMIT 5")
         assert big_db.last_counters["vec_batches"] <= 4
+
+
+class TestAggregateFoldAcrossChunks:
+    """``Aggregate.batches`` folds each group's column slice per batch;
+    the row body adds value by value.  Over three chunks both must give
+    the same rows in the same (first-seen) order."""
+
+    AGGREGATES = [
+        # groups 5 and 6 are first seen in the second chunk; every x of
+        # group 6 is NULL
+        "SELECT g, COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x) FROM agg GROUP BY g",
+        # DISTINCT values recur in every chunk
+        "SELECT COUNT(DISTINCT d), SUM(DISTINCT d), AVG(DISTINCT x), MIN(s), MAX(s) FROM agg",
+        "SELECT g, COUNT(DISTINCT d), SUM(DISTINCT x), AVG(d) FROM agg GROUP BY g",
+        "SELECT g, d, COUNT(*), SUM(x) FROM agg GROUP BY g, d",
+        # a filter leaves each chunk's groups uneven
+        "SELECT g, SUM(x), MAX(s) FROM agg WHERE d < 5 GROUP BY g",
+        "SELECT g, SUM(x) FROM agg GROUP BY g HAVING COUNT(x) > 0",
+        "SELECT g, COUNT(*) FROM agg GROUP BY g HAVING SUM(d) > 3000",
+        # empty input: one row for a scalar aggregate, none for a grouped one
+        "SELECT COUNT(*), COUNT(x), SUM(x), MIN(s) FROM agg WHERE id < 0",
+        "SELECT g, COUNT(*), SUM(x) FROM agg WHERE id < 0 GROUP BY g",
+    ]
+
+    @pytest.fixture(scope="class")
+    def agg_db(self) -> Database:
+        database = Database()
+        database.execute(
+            "CREATE TABLE agg (id INTEGER PRIMARY KEY, g INTEGER, d INTEGER,"
+            " x DOUBLE, s VARCHAR(10))"
+        )
+        rows = []
+        for i in range(2 * BATCH_SIZE + 300):
+            g = i % 5 if i < BATCH_SIZE else i % 7
+            x = None if g == 6 or i % 11 == 0 else i * 0.1
+            rows.append((i, g, i % 13, x, f"s{i % 97}"))
+        database.executemany("INSERT INTO agg VALUES (?, ?, ?, ?, ?)", rows)
+        return database
+
+    @pytest.mark.parametrize("sql", AGGREGATES)
+    def test_batch_fold_equals_row_adds(self, agg_db, row_operators, sql):
+        rows = run_differential(agg_db, sql, oracle=row_operators, vectorizes=True)
+        assert rows is not None
+        if "id < 0" not in sql:
+            assert agg_db.last_counters["vec_batches"] >= 3
+
+    def test_the_edge_cases_are_in_the_data(self, agg_db):
+        rows = agg_db.execute(self.AGGREGATES[0]).rows
+        assert [row[0] for row in rows] == [0, 1, 2, 3, 4, 5, 6]
+        assert rows[-1][2:] == (0, None, None, None, None)
+        assert agg_db.execute(self.AGGREGATES[-2]).rows == [(0, 0, None, None)]
+        assert agg_db.execute(self.AGGREGATES[-1]).rows == []
 
 
 class TestExplainAnalyze:
