@@ -15,18 +15,18 @@ is available, its plans):
   static lock-footprint model of :mod:`repro.concurrency.footprint`.
 
 Entry points: :func:`analyze_sql` / :func:`analyze_statement` for one
-statement, :func:`analyze_workload` for a statement sequence,
+statement (pass ``database=`` for the index- and plan-aware rules),
+:func:`analyze_workload` for a statement sequence,
 :func:`analyze_transaction_sql` / :func:`analyze_transaction_workload`
-for transaction scripts, ``Database.lint(sql)`` and the ``LINT
-<query>`` / ``LINT TRANSACTION '<script>'`` statements for the engine
-surface, ``DatabaseServer(strict_lint=True)`` for the server gate, and
-``python -m repro.analysis`` (``--scripts`` for script corpora) for the
-CLI.
+for transaction scripts, and ``python -m repro.analysis`` (``--scripts``
+for script corpora) for the CLI.  It is an offline tool: no engine or
+server path runs it.  The one check that must hold at run time — R001 /
+R002, recursion without a fixpoint — the planner enforces itself, with
+the same predicates (:mod:`repro.sqldb.ast_walk`).
 
 This package imports only :mod:`repro.errors`, :mod:`repro.sqldb`, and
-:mod:`repro.concurrency` (the pure lock-footprint model) — the server
-imports it for strict mode and the PDM layer re-exports its bucket
-constant, so anything higher would cycle.
+:mod:`repro.concurrency` (the pure lock-footprint model) — the PDM layer
+re-exports its bucket constant, so anything higher would cycle.
 """
 
 from repro.analysis.analyzer import analyze_sql, analyze_statement
@@ -36,7 +36,6 @@ from repro.analysis.findings import (
     Finding,
     RuleInfo,
     Severity,
-    errors_only,
     is_lint_clean,
     max_severity,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "analyze_transaction_sql",
     "analyze_transaction_workload",
     "analyze_workload",
-    "errors_only",
     "is_lint_clean",
     "max_severity",
     "parse_txn_script",

@@ -70,8 +70,6 @@ def _selectable(statement: Any) -> Tuple[Optional[ast.SelectStatement], bool]:
     client would actually ship (root shapes count for W001)."""
     if isinstance(statement, ast.SelectStatement):
         return statement, True
-    if isinstance(statement, ast.Lint):
-        return statement.statement, True
     if isinstance(statement, ast.Insert) and statement.select is not None:
         return statement.select, False
     if isinstance(statement, ast.CreateView):

@@ -4,7 +4,7 @@ Severity semantics:
 
 * ``ERROR``   — the statement is semantically unsafe (non-linear or
   non-monotonic recursion, a tree condition pushed into the recursive
-  part).  Server strict mode refuses to execute these.
+  part).  The planner itself refuses the R001/R002 shapes.
 * ``WARNING`` — the statement will execute correctly but with a cost
   profile the paper warns about (unguarded UNION ALL recursion, plan-
   cache-defeating IN-lists, full scans, cartesian products).
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 class Severity(enum.IntEnum):
@@ -39,7 +39,7 @@ class Finding:
     node_path: str
 
     def as_row(self) -> Tuple[str, str, str, str]:
-        """The finding as a result-set row (``LINT <query>`` output)."""
+        """The finding as a flat row (the CLI's JSON fields, in order)."""
         return (self.rule_id, self.severity.name, self.message, self.node_path)
 
 
@@ -179,8 +179,3 @@ def max_severity(findings: Sequence[Finding]) -> Severity:
 def is_lint_clean(findings: Sequence[Finding]) -> bool:
     """True when nothing at WARNING or above was found."""
     return all(finding.severity < Severity.WARNING for finding in findings)
-
-
-def errors_only(findings: Sequence[Finding]) -> List[Finding]:
-    """The subset of findings at ERROR severity."""
-    return [f for f in findings if f.severity >= Severity.ERROR]

@@ -8,6 +8,10 @@ recursive member, no negated membership test against it).  On top of
 semantics, the paper's Section 5.6 partial expand shows why unguarded
 UNION ALL recursion is dangerous on real PDM data: a single cycle in the
 structure relation makes the fixpoint loop forever.
+
+The planner refuses every R001/R002 shape with a ``ParseError``, using
+the same predicates from :mod:`repro.sqldb.ast_walk`; these rules report
+them with node paths before anything reaches an engine.
 """
 
 from __future__ import annotations
@@ -17,15 +21,14 @@ from typing import List, Optional, Set
 from repro.analysis.findings import Finding, Severity
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.ast_walk import (
+    branch_aggregates,
     constantish as _constantish,
     core_predicates,
     core_references,
     count_table_refs,
     flatten_set_operations,
-    iter_subqueries,
-    statement_references,
+    negates_cte,
 )
-from repro.sqldb.expressions import contains_aggregate
 
 #: Set operators with monotonic fixpoint semantics.
 _MONOTONIC_OPERATORS = frozenset({"UNION", "UNION ALL"})
@@ -93,7 +96,7 @@ def _check_cte(cte: ast.CommonTableExpr, path: str) -> List[Finding]:
     for position, branch in enumerate(branches):
         branch_path = f"{cte_path}.branch[{position}]"
         # R002b — aggregation over the recursive member.
-        if id(branch) in recursive_ids and _branch_aggregates(branch):
+        if id(branch) in recursive_ids and branch_aggregates(branch):
             findings.append(
                 Finding(
                     "R002",
@@ -106,7 +109,7 @@ def _check_cte(cte: ast.CommonTableExpr, path: str) -> List[Finding]:
             )
         # R002c — the recursive member under negation inside its own body.
         for clause, conjunct in core_predicates(branch):
-            if _negates_cte(conjunct, cte.name):
+            if negates_cte(conjunct, cte.name):
                 findings.append(
                     Finding(
                         "R002",
@@ -140,38 +143,6 @@ def _check_cte(cte: ast.CommonTableExpr, path: str) -> List[Finding]:
                 )
             )
     return findings
-
-
-def _branch_aggregates(branch: ast.SelectCore) -> bool:
-    """True if *branch* itself groups or aggregates (subqueries excluded —
-    ``walk_expression`` does not descend into them)."""
-    if branch.group_by:
-        return True
-    if branch.having is not None:
-        return True
-    for item in branch.items:
-        if isinstance(item, ast.SelectItem) and contains_aggregate(
-            item.expression
-        ):
-            return True
-    return False
-
-
-def _negates_cte(conjunct: ast.Expression, cte_name: str) -> bool:
-    """True if *conjunct* tests the CTE's membership under negation."""
-    for wrapper, subquery in iter_subqueries(conjunct):
-        negated = isinstance(
-            wrapper, (ast.ExistsTest, ast.InSubquery)
-        ) and wrapper.negated
-        if negated and statement_references(subquery, cte_name):
-            return True
-    # NOT (...) around a subquery wrapper.
-    for node in ast.walk_expression(conjunct):
-        if isinstance(node, ast.UnaryOp) and node.operator == "NOT":
-            for __, subquery in iter_subqueries(node.operand):
-                if statement_references(subquery, cte_name):
-                    return True
-    return False
 
 
 def _has_depth_guard(branch: ast.SelectCore, cte: ast.CommonTableExpr) -> bool:

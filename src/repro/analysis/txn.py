@@ -25,8 +25,7 @@ Everything here is purely static: scripts are parsed and their
 footprints built, but nothing is ever executed and no lock is ever
 acquired — analyzing a script leaves every table byte-identical.
 
-Entry points: :func:`analyze_transaction_sql` (the ``LINT TRANSACTION``
-statement and the server's strict-lint script gate),
+Entry points: :func:`analyze_transaction_sql` (one script's text),
 :func:`analyze_transaction_workload` (the CLI ``--scripts`` mode and the
 ContentionSim cross-validation), :func:`parse_txn_script` for callers
 that want the model itself.
@@ -233,7 +232,7 @@ def analyze_transaction_sql(
     sequenced: Optional[bool] = None,
     name: str = "script",
 ) -> List[Finding]:
-    """Parse and analyze one script; the ``LINT TRANSACTION`` surface."""
+    """Parse and analyze one script's text."""
     script = parse_txn_script(
         name, script_text, database=database, sequenced=sequenced
     )

@@ -77,12 +77,15 @@ from repro.errors import (
 from repro.model.parameters import TreeParameters
 from repro.network.clock import SimulatedClock
 from repro.network.link import NetworkLink
+from repro.server.client import RemoteConnection
+from repro.server.server import DatabaseServer
 from repro.sqldb.database import Database
 
-# The server and PDM layers are imported inside the functions that need
-# them: they (transitively) import repro.analysis, which imports this
-# package for the shared lock-footprint model — a module-level import
-# here would close that cycle.
+# The PDM layer is imported inside the function that needs it: it
+# imports repro.analysis for its IN-list bucket constant
+# (PLAN_CACHE_KEY_BUCKETS), and repro.analysis imports this package for
+# the shared lock-footprint model — a module-level import here would
+# close that cycle.
 
 #: Errors that abort the transaction but keep the session alive.
 ABORT_ERRORS = (DeadlockError, LockTimeout)
@@ -222,8 +225,6 @@ def connect_clients(
 ) -> List[Any]:
     """One :class:`RemoteConnection` per ``config.clients``, each over its
     own ``config.latency_s`` / ``dtr_kbit_s`` link, all on the one *clock*."""
-    from repro.server.client import RemoteConnection
-
     return [
         RemoteConnection(
             server,
@@ -401,7 +402,6 @@ class ContentionSim:
             install_checkout_procedures,
             load_product,
         )
-        from repro.server.server import DatabaseServer
 
         self.config = config
         self.clock = SimulatedClock()

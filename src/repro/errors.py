@@ -41,12 +41,6 @@ class ExecutionError(SQLError):
     more than one row, recursion limit exceeded, division by zero)."""
 
 
-class LintViolation(SQLError):
-    """A statement was rejected by the static analyzer before execution
-    (server strict-lint mode, :mod:`repro.analysis`).  Carries the
-    findings that caused the rejection in the message."""
-
-
 class IntegrityError(SQLError):
     """A statement violated an integrity constraint (duplicate primary key,
     NOT NULL column receiving NULL, arity mismatch on INSERT)."""

@@ -24,7 +24,6 @@ from repro.errors import (
     DeadlockError,
     DuplicateRequest,
     ExecutionError,
-    LintViolation,
     LockTimeout,
     LockUnavailable,
     MessageDropped,
@@ -50,7 +49,6 @@ _ERROR_TYPES = {
     "DeadlockError": DeadlockError,
     "DuplicateRequest": DuplicateRequest,
     "ExecutionError": ExecutionError,
-    "LintViolation": LintViolation,
     "LockTimeout": LockTimeout,
     "LockUnavailable": LockUnavailable,
     "ProtocolError": ProtocolError,

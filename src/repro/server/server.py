@@ -13,21 +13,18 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import Severity, errors_only
 from repro.errors import (
     DeadlockError,
     DiskCrashed,
     DuplicateRequest,
     DurabilityError,
     FrameCorrupted,
-    LintViolation,
     LockTimeout,
     LockUnavailable,
     ProtocolError,
     ReproError,
     ServerUnavailable,
     SessionError,
-    SQLError,
 )
 from repro.obs import ROWS_BUCKETS, maybe_span
 from repro.server import protocol
@@ -77,7 +74,6 @@ class DatabaseServer:
         self,
         database: Database,
         cpu_cost: Optional[CpuCostModel] = None,
-        strict_lint: bool = False,
         sessions=None,
         durability=None,
     ) -> None:
@@ -99,18 +95,6 @@ class DatabaseServer:
         #: Client id of the SEQUENCED frame being handled (routes QUERY /
         #: BATCH statements to that client's session transaction).
         self._active_client: Optional[int] = None
-        #: With strict lint on, statements with ERROR-severity analyzer
-        #: findings (non-linear / non-monotonic recursion, misplaced tree
-        #: conditions) are rejected with a :class:`LintViolation` ERROR
-        #: frame *before* execution — the statement never runs.
-        self.strict_lint = strict_lint
-        #: sql text -> LintViolation (or None for clean/unlintable text);
-        #: a navigational client repeats identical statement text, so the
-        #: gate is an LRU on exactly that text.
-        self._lint_cache: "OrderedDict[str, Optional[LintViolation]]" = (
-            OrderedDict()
-        )
-        self.lint_cache_size = 256
         #: CPU seconds charged for the most recent request (consumed by
         #: the client driver to advance the simulated clock).
         self.last_cpu_seconds = 0.0
@@ -146,8 +130,6 @@ class DatabaseServer:
             "sequenced_requests": 0,
             "duplicates_suppressed": 0,
             "crc_rejects": 0,
-            "lint_checks": 0,
-            "lint_rejections": 0,
             "lock_waits": 0,
             "deadlocks": 0,
             "txn_aborts": 0,
@@ -157,97 +139,6 @@ class DatabaseServer:
             "hwm_suppressed": 0,
             "unavailable_refusals": 0,
         }
-
-    def _lint_gate(self, sql: str) -> None:
-        """Raise :class:`LintViolation` for ERROR-severity findings.
-
-        Purely static: the analyzer parses and plans but never executes,
-        so a gated statement has no effect on the database whatsoever.
-        Lint failures of the analyzer itself (unparseable text, unknown
-        tables) are swallowed — execution will report the real error.
-        """
-        if not self.strict_lint:
-            return
-        self.statistics["lint_checks"] += 1
-        if sql in self._lint_cache:
-            self._lint_cache.move_to_end(sql)
-            violation = self._lint_cache[sql]
-        else:
-            violation = None
-            try:
-                findings = self.database.lint(sql)
-            except SQLError:
-                findings = []
-            errors = errors_only(findings)
-            if errors:
-                details = "; ".join(
-                    f"{f.rule_id} [{f.node_path}] {f.message}" for f in errors
-                )
-                violation = LintViolation(
-                    f"statement rejected by strict lint: {details}"
-                )
-            self._lint_cache[sql] = violation
-            while len(self._lint_cache) > self.lint_cache_size:
-                self._lint_cache.popitem(last=False)
-        if violation is not None:
-            self.statistics["lint_rejections"] += 1
-            raise violation
-
-    def _script_lint_gate(
-        self, statements: Sequence[Tuple[str, Sequence[Any]]]
-    ) -> None:
-        """Raise :class:`LintViolation` for C-rule ERRORs in a batch.
-
-        A multi-statement BATCH is a transaction script: with strict lint
-        on it runs through the transaction analyzer
-        (:mod:`repro.analysis.txn`) *before the first statement
-        executes*, and a C-rule ERROR (non-idempotent DML outside a
-        retry envelope, DDL inside a transaction) rejects the whole
-        batch — the database state is untouched.  SEQUENCED batches are
-        analyzed as sequenced (the replay cache makes retries
-        exactly-once, so C002 does not apply).  Per-statement base rules
-        are still gated one by one by :meth:`_lint_gate`, preserving the
-        entry-level error shape for non-script violations.
-        """
-        if not self.strict_lint or len(statements) < 2:
-            return
-        self.statistics["lint_checks"] += 1
-        sequenced = self._active_client is not None
-        joined = ";\n".join(sql for sql, __ in statements)
-        key = f"script:{int(sequenced)}:{joined}"
-        if key in self._lint_cache:
-            self._lint_cache.move_to_end(key)
-            violation = self._lint_cache[key]
-        else:
-            from repro.analysis import analyze_transaction_sql
-
-            violation = None
-            try:
-                findings = analyze_transaction_sql(
-                    joined, database=self.database, sequenced=sequenced
-                )
-            except SQLError:
-                # Unparseable as a script: execution reports the real
-                # error per entry with full context.
-                findings = []
-            errors = [
-                f
-                for f in findings
-                if f.severity >= Severity.ERROR and f.rule_id.startswith("C")
-            ]
-            if errors:
-                details = "; ".join(
-                    f"{f.rule_id} [{f.node_path}] {f.message}" for f in errors
-                )
-                violation = LintViolation(
-                    f"batch rejected by strict script lint: {details}"
-                )
-            self._lint_cache[key] = violation
-            while len(self._lint_cache) > self.lint_cache_size:
-                self._lint_cache.popitem(last=False)
-        if violation is not None:
-            self.statistics["lint_rejections"] += 1
-            raise violation
 
     def register_procedure(self, name: str, procedure: ServerProcedure) -> None:
         """Install a server procedure callable via CALL_PROCEDURE requests."""
@@ -488,8 +379,8 @@ class DatabaseServer:
 
         Sessions are evicted through the same path a single dead client's
         eviction uses (rolling back their transactions, which releases
-        their 2PL locks in order), the lock table and the replay/lint
-        caches are cleared, and the server refuses all requests until
+        their 2PL locks in order), the lock table and the replay cache
+        are cleared, and the server refuses all requests until
         :meth:`restart`.  Idempotent.  The database object stays referenced
         but is semantically dead — restart replaces it with the recovered
         one.
@@ -503,7 +394,6 @@ class DatabaseServer:
         if self.database.locks is not None:
             self.database.locks.reset()
         self._replay_cache.clear()
-        self._lint_cache.clear()
 
     def restart(self) -> Database:
         """Recover the database from the write-ahead log and come back up.
@@ -619,7 +509,6 @@ class DatabaseServer:
     def _handle_query(self, body: bytes) -> bytes:
         sql, params = wire.decode_query(body)
         self.statistics["queries"] += 1
-        self._lint_gate(sql)
         result = self.database.execute(sql, params, session=self._session_token())
         self._statement_done(result)
         return protocol.encode_envelope(Opcode.RESULT, wire.encode_result(result))
@@ -633,13 +522,11 @@ class DatabaseServer:
         """
         statements = protocol.decode_batch(body)
         self.statistics["batches"] += 1
-        self._script_lint_gate(statements)
         token = self._session_token()
         entries: List[tuple] = []
         for sql, params in statements:
             self.statistics["batch_statements"] += 1
             try:
-                self._lint_gate(sql)
                 result = self.database.execute(sql, params, session=token)
             except ReproError as error:
                 self._note_concurrency_error(error)

@@ -393,31 +393,6 @@ class Explain:
 
 
 @dataclass
-class Lint:
-    """``LINT <select>`` — static-analysis findings as result rows.
-
-    The wrapped statement is parsed and analyzed but never executed; the
-    result set carries one row per :class:`repro.analysis.Finding`.
-    """
-
-    statement: "SelectStatement"
-
-
-@dataclass
-class LintTransaction:
-    """``LINT TRANSACTION '<script>'`` — transaction-script findings.
-
-    The quoted script (semicolon-separated statements, BEGIN/COMMIT
-    included) is parsed and analyzed by :mod:`repro.analysis.txn` but
-    never executed; the result set carries one row per finding, the
-    C-rule family (lock-order inversion, retry idempotence, lock scope)
-    included.
-    """
-
-    script: str
-
-
-@dataclass
 class Analyze:
     """``ANALYZE [table]`` — collect optimizer statistics.
 

@@ -3,8 +3,10 @@
 These started life as private functions inside the planner; the static
 analyzer (:mod:`repro.analysis`) walks the same structures, so the shared
 vocabulary lives here: conjunct splitting, set-operation flattening,
-"does this query block reference table X" tests, and iterators over the
-places predicates and subqueries can hide in a SELECT core.
+"does this query block reference table X" tests, iterators over the
+places predicates and subqueries can hide in a SELECT core, and the
+recursion-safety predicates the planner enforces and the analyzer
+reports (R001/R002).
 
 Everything in this module is pure: no function mutates the AST it walks.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.sqldb import ast_nodes as ast
+from repro.sqldb.expressions import contains_aggregate
 
 #: A query body is either a single SELECT core or a set-operation tree.
 Body = Union[ast.SelectCore, ast.SetOperation]
@@ -197,6 +200,35 @@ def count_table_refs(core: ast.SelectCore, table_name: str) -> int:
         for __, subquery in iter_subqueries(expression):
             total += count_statement_refs(subquery, wanted)
     return total
+
+
+def branch_aggregates(branch: ast.SelectCore) -> bool:
+    """True if *branch* itself groups or aggregates (subqueries excluded —
+    ``walk_expression`` does not descend into them).  In a recursive
+    branch that is non-monotonic: the fixpoint has no defined answer."""
+    if branch.group_by or branch.having is not None:
+        return True
+    return any(
+        isinstance(item, ast.SelectItem) and contains_aggregate(item.expression)
+        for item in branch.items
+    )
+
+
+def negates_cte(conjunct: ast.Expression, cte_name: str) -> bool:
+    """True if *conjunct* tests membership in *cte_name* under negation
+    (``NOT EXISTS`` / ``NOT IN`` / ``NOT (...)`` around a subquery)."""
+    for wrapper, subquery in iter_subqueries(conjunct):
+        negated = isinstance(
+            wrapper, (ast.ExistsTest, ast.InSubquery)
+        ) and wrapper.negated
+        if negated and statement_references(subquery, cte_name):
+            return True
+    for node in ast.walk_expression(conjunct):
+        if isinstance(node, ast.UnaryOp) and node.operator == "NOT":
+            for __, subquery in iter_subqueries(node.operand):
+                if statement_references(subquery, cte_name):
+                    return True
+    return False
 
 
 def referenced_tables(statement: ast.SelectStatement) -> List[str]:

@@ -321,17 +321,6 @@ class Database:
             return self._prepare_modify(statement).plan
         return self._plan(statement)
 
-    def lint(self, sql: str) -> list:
-        """Statically analyze *sql* and return the list of
-        :class:`repro.analysis.Finding` — without executing anything.
-
-        Imported lazily: the engine layer stays importable without the
-        analysis package and vice versa.
-        """
-        from repro.analysis import analyze_sql
-
-        return analyze_sql(sql, database=self)
-
     # -- transactions ------------------------------------------------------------
 
     @property
@@ -792,24 +781,6 @@ class Database:
             else:
                 lines = explain_plan(plan)
             return ResultSet(["plan"], [(line,) for line in lines])
-        if isinstance(statement, ast.Lint):
-            from repro.analysis import analyze_statement
-
-            findings = analyze_statement(statement.statement, database=self)
-            return ResultSet(
-                ["rule_id", "severity", "message", "node_path"],
-                [finding.as_row() for finding in findings],
-            )
-        if isinstance(statement, ast.LintTransaction):
-            from repro.analysis.txn import analyze_transaction_sql
-
-            # Purely static: the quoted script is parsed and analyzed,
-            # never executed — database state is byte-identical after.
-            findings = analyze_transaction_sql(statement.script, database=self)
-            return ResultSet(
-                ["rule_id", "severity", "message", "node_path"],
-                [finding.as_row() for finding in findings],
-            )
         if isinstance(statement, ast.Analyze):
             return self._analyze(statement)
         raise ExecutionError(

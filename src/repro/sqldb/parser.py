@@ -152,7 +152,7 @@ class _Parser:
         if token.matches_keyword("BEGIN"):
             self.advance()
             self.accept_keyword("TRANSACTION")
-            # READ ONLY is a soft-keyword pair (like ANALYZE/LINT): it only
+            # READ ONLY is a soft-keyword pair (like ANALYZE): it only
             # has meaning here, so columns named "read" keep working.
             nxt = self.peek()
             if nxt.kind is TokenKind.IDENT and nxt.value.upper() == "READ":
@@ -191,28 +191,7 @@ class _Parser:
             else:
                 explained = self.parse_select_statement()
             return ast.Explain(statement=explained, analyze=analyze)
-        # LINT is a soft keyword, like ANALYZE: it only has meaning at the
-        # start of a statement, so a column or table named "lint" keeps
-        # working everywhere else.
-        if token.kind is TokenKind.IDENT and token.value.upper() == "LINT":
-            nxt = self.peek(1)
-            if nxt.matches_keyword("SELECT", "WITH"):
-                self.advance()
-                return ast.Lint(statement=self.parse_select_statement())
-            # LINT TRANSACTION '<script>': the script travels as a string
-            # literal so the statement stays a single parseable unit.
-            if nxt.matches_keyword("TRANSACTION"):
-                self.advance()
-                self.advance()
-                script = self.peek()
-                if script.kind is not TokenKind.STRING:
-                    raise ParseError(
-                        f"expected a quoted transaction script after "
-                        f"LINT TRANSACTION, found {script}"
-                    )
-                self.advance()
-                return ast.LintTransaction(script=script.value)
-        # ANALYZE is likewise soft: only meaningful as the whole statement
+        # ANALYZE is a soft keyword: only meaningful as the whole statement
         # (optionally followed by one table name).
         if token.kind is TokenKind.IDENT and token.value.upper() == "ANALYZE":
             self.advance()

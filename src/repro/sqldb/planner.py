@@ -59,8 +59,12 @@ from repro.sqldb.executor import (
     UnionAll,
 )
 from repro.sqldb.ast_walk import (
+    branch_aggregates as _branch_aggregates,
+    core_predicates as _core_predicates,
     core_references as _core_references,
+    count_table_refs as _count_table_refs,
     flatten_set_operations as _flatten_set_operations,
+    negates_cte as _negates_cte,
     split_conjuncts as _split_conjuncts,
 )
 from repro.sqldb.expressions import (
@@ -356,8 +360,11 @@ class Planner:
             )
         if any(op not in ("UNION", "UNION ALL") for op in operators):
             raise ParseError(
-                "recursive CTEs support only UNION / UNION ALL between branches"
+                f"recursive CTE {cte.name!r} may combine its branches only "
+                f"with UNION / UNION ALL"
             )
+        for branch in self_referencing:
+            _check_fixpoint_branch(branch, cte.name)
         seeds = [b for b in branches if not _core_references(b, cte.name)]
         if not seeds:
             raise ParseError(
@@ -1536,6 +1543,29 @@ class _AccessPath:
             0 if self.keys is not None else 1,
             0 if self.unique else 1,
             self.position,
+        )
+
+
+def _check_fixpoint_branch(branch: ast.SelectCore, cte_name: str) -> None:
+    """Refuse a recursive branch whose fixpoint is undefined: semi-naive
+    evaluation joins each round's delta against one reference, so a second
+    reference (R001), an aggregate or a negated membership test (R002)
+    would silently return the wrong rows.  SQLite refuses all three."""
+    references = _count_table_refs(branch, cte_name)
+    if references > 1:
+        raise ParseError(
+            f"recursive CTE {cte_name!r} is referenced {references} times in "
+            f"one recursive branch; recursion must be linear"
+        )
+    if _branch_aggregates(branch):
+        raise ParseError(
+            f"a recursive branch of CTE {cte_name!r} aggregates or groups; "
+            f"aggregate over the recursion in the outer SELECT"
+        )
+    if any(_negates_cte(c, cte_name) for __, c in _core_predicates(branch)):
+        raise ParseError(
+            f"a recursive branch of CTE {cte_name!r} tests it under NOT "
+            f"EXISTS / NOT IN; negated recursion has no fixpoint"
         )
 
 

@@ -64,11 +64,6 @@ def render_statement(statement: ast.Statement) -> str:
         return "ROLLBACK"
     if isinstance(statement, ast.Explain):
         return f"EXPLAIN {render_statement(statement.statement)}"
-    if isinstance(statement, ast.Lint):
-        return f"LINT {render_select(statement.statement)}"
-    if isinstance(statement, ast.LintTransaction):
-        escaped = statement.script.replace("'", "''")
-        return f"LINT TRANSACTION '{escaped}'"
     if isinstance(statement, ast.Analyze):
         if statement.table is not None:
             return f"ANALYZE {statement.table}"

@@ -157,7 +157,9 @@ class TestPushdownRules:
         assert finding.severity is Severity.INFO
 
     def test_p002_indexed_column_escalates_to_warning(self, pdm_db):
-        findings = pdm_db.lint("SELECT name FROM assy WHERE obid + 0 = ?")
+        findings = analyze_sql(
+            "SELECT name FROM assy WHERE obid + 0 = ?", database=pdm_db
+        )
         assert any(
             f.rule_id == "P002" and f.severity is Severity.WARNING
             for f in findings
@@ -219,37 +221,39 @@ class TestWanRules:
         assert "W001" not in rule_ids(findings)
 
     def test_w002_or_disjunction_forces_seq_scan(self, pdm_db):
-        findings = pdm_db.lint(
-            "SELECT name FROM assy WHERE obid = ? OR obid = ?"
+        findings = analyze_sql(
+            "SELECT name FROM assy WHERE obid = ? OR obid = ?", database=pdm_db
         )
         (finding,) = find(findings, "W002")
         assert finding.severity is Severity.WARNING
         assert "assy" in finding.message
 
     def test_w002_index_probe_is_clean(self, pdm_db):
-        findings = pdm_db.lint("SELECT name FROM assy WHERE obid = ?")
+        findings = analyze_sql("SELECT name FROM assy WHERE obid = ?", database=pdm_db)
         assert "W002" not in rule_ids(findings)
 
     def test_w002_unconstrained_scan_is_clean(self, pdm_db):
         # A full scan with no equality candidates is a table scan by
         # intent, not a missed index.
-        findings = pdm_db.lint("SELECT name FROM assy")
+        findings = analyze_sql("SELECT name FROM assy", database=pdm_db)
         assert "W002" not in rule_ids(findings)
 
     def test_w002_in_subquery_the_planner_cannot_reach_triggers(self, pdm_db):
         # Under an OR the membership test is no access path, yet an index
         # on obid could serve it: exactly where planners give up.
-        findings = pdm_db.lint(
+        findings = analyze_sql(
             "SELECT name FROM assy WHERE obid IN (SELECT right FROM link) "
-            "OR name = 'x'"
+            "OR name = 'x'",
+            database=pdm_db,
         )
         (finding,) = find(findings, "W002")
         assert finding.severity is Severity.WARNING
         assert "'obid'" in finding.message
 
     def test_w002_in_subquery_probe_is_clean(self, pdm_db):
-        findings = pdm_db.lint(
-            "SELECT name FROM assy WHERE obid IN (SELECT right FROM link)"
+        findings = analyze_sql(
+            "SELECT name FROM assy WHERE obid IN (SELECT right FROM link)",
+            database=pdm_db,
         )
         assert "W002" not in rule_ids(findings)
 
@@ -265,7 +269,7 @@ class TestWanRules:
     def test_w002_in_subquery_without_an_access_path_is_clean(
         self, pdm_db, where
     ):
-        findings = pdm_db.lint(f"SELECT name FROM assy WHERE {where}")
+        findings = analyze_sql(f"SELECT name FROM assy WHERE {where}", database=pdm_db)
         assert "W002" not in rule_ids(findings)
 
     def test_w002_dml_indexed_equality_that_scans_triggers(self, pdm_db):
@@ -276,7 +280,7 @@ class TestWanRules:
             "UPDATE assy SET state = 'x' WHERE obid = ? OR obid = ?",
             "DELETE FROM assy WHERE obid = ? OR name = 'x'",
         ):
-            (finding,) = find(pdm_db.lint(sql), "W002")
+            (finding,) = find(analyze_sql(sql, database=pdm_db), "W002")
             assert finding.severity is Severity.WARNING
             assert "'assy'" in finding.message and "'obid'" in finding.message
 
@@ -292,7 +296,7 @@ class TestWanRules:
         ],
     )
     def test_w002_dml_that_probes_or_has_no_candidate_is_clean(self, pdm_db, sql):
-        assert "W002" not in rule_ids(pdm_db.lint(sql))
+        assert "W002" not in rule_ids(analyze_sql(sql, database=pdm_db))
 
     def test_w002_dml_is_plan_level_only(self):
         # Without a database there is no plan to judge.
@@ -301,7 +305,9 @@ class TestWanRules:
 
     def test_explain_of_dml_is_analyzed_like_the_dml(self, pdm_db):
         sql = "UPDATE assy SET state = 'x' WHERE obid = ? OR obid = ?"
-        assert pdm_db.lint(f"EXPLAIN {sql}") == pdm_db.lint(sql)
+        assert analyze_sql(f"EXPLAIN {sql}", database=pdm_db) == analyze_sql(
+            sql, database=pdm_db
+        )
 
     def test_w003_cartesian_product_triggers(self):
         findings = analyze_sql("SELECT p.name, l.qty FROM part p, link l")
@@ -380,7 +386,7 @@ class TestCatalogOfRules:
         db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
         statements_before = db.statistics["statements"]
-        db.lint("SELECT id FROM t WHERE id = ?")
+        analyze_sql("SELECT id FROM t WHERE id = ?", database=db)
         assert db.statistics["statements"] == statements_before
         assert db.execute("SELECT COUNT(*) FROM t").rows[0][0] == 0
 
@@ -410,19 +416,19 @@ class TestStatsKeyedSeverity:
     WRAPPED_SQL = "SELECT id FROM ev WHERE flag + 0 = ?"
 
     def test_w002_warning_without_stats(self, skewed_db):
-        (finding,) = find(skewed_db.lint(self.SCAN_SQL), "W002")
+        (finding,) = find(analyze_sql(self.SCAN_SQL, database=skewed_db), "W002")
         assert finding.severity is Severity.WARNING
 
     def test_w002_downgraded_for_nonselective_column(self, skewed_db):
         skewed_db.execute("ANALYZE ev")
-        (finding,) = find(skewed_db.lint(self.SCAN_SQL), "W002")
+        (finding,) = find(analyze_sql(self.SCAN_SQL, database=skewed_db), "W002")
         assert finding.severity is Severity.INFO
         assert "cost-justified" in finding.message
 
     def test_w002_stays_warning_for_selective_column(self, skewed_db):
         skewed_db.execute("ANALYZE ev")
-        findings = skewed_db.lint(
-            "SELECT id FROM ev WHERE code = ? OR code = ?"
+        findings = analyze_sql(
+            "SELECT id FROM ev WHERE code = ? OR code = ?", database=skewed_db
         )
         (finding,) = find(findings, "W002")
         assert finding.severity is Severity.WARNING
@@ -435,35 +441,40 @@ class TestStatsKeyedSeverity:
             "SELECT id FROM ev WHERE code IN (SELECT id FROM ev)",
             "SELECT id FROM ev WHERE flag IN (SELECT id FROM ev WHERE id < 2)",
         ):
-            (finding,) = find(skewed_db.lint(sql), "W002")
+            (finding,) = find(analyze_sql(sql, database=skewed_db), "W002")
             assert finding.severity is Severity.INFO
             assert "cost-justified" in finding.message
 
     def test_w002_dml_scan_chosen_by_cost_is_info(self, skewed_db):
         sql = "UPDATE ev SET code = 0 WHERE flag = ? OR flag = ?"
-        (finding,) = find(skewed_db.lint(sql), "W002")
+        (finding,) = find(analyze_sql(sql, database=skewed_db), "W002")
         assert finding.severity is Severity.WARNING
         skewed_db.execute("ANALYZE ev")
         # Half the table per key: no index would have beaten the scan.
-        (finding,) = find(skewed_db.lint(sql), "W002")
+        (finding,) = find(analyze_sql(sql, database=skewed_db), "W002")
         assert finding.severity is Severity.INFO
         assert "cost-justified" in finding.message
         (finding,) = find(
-            skewed_db.lint("DELETE FROM ev WHERE code = ? OR code = ?"), "W002"
+            analyze_sql(
+                "DELETE FROM ev WHERE code = ? OR code = ?", database=skewed_db
+            ),
+            "W002",
         )
         assert finding.severity is Severity.WARNING
 
     def test_p002_warning_without_stats(self, skewed_db):
-        (finding,) = find(skewed_db.lint(self.WRAPPED_SQL), "P002")
+        (finding,) = find(analyze_sql(self.WRAPPED_SQL, database=skewed_db), "P002")
         assert finding.severity is Severity.WARNING
 
     def test_p002_downgraded_for_nonselective_column(self, skewed_db):
         skewed_db.execute("ANALYZE ev")
-        (finding,) = find(skewed_db.lint(self.WRAPPED_SQL), "P002")
+        (finding,) = find(analyze_sql(self.WRAPPED_SQL, database=skewed_db), "P002")
         assert finding.severity is Severity.INFO
 
     def test_p002_stays_warning_for_selective_column(self, skewed_db):
         skewed_db.execute("ANALYZE ev")
-        findings = skewed_db.lint("SELECT id FROM ev WHERE code + 0 = ?")
+        findings = analyze_sql(
+            "SELECT id FROM ev WHERE code + 0 = ?", database=skewed_db
+        )
         (finding,) = find(findings, "P002")
         assert finding.severity is Severity.WARNING

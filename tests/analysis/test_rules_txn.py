@@ -459,28 +459,3 @@ class TestWorkloadReport:
         (finding,) = find(report.findings, "P003")
         assert finding.node_path.startswith("script[inlist].stmt[0].")
 
-
-class TestLintTransactionStatement:
-    def test_returns_findings_as_rows(self, db):
-        result = db.execute(
-            "LINT TRANSACTION 'UPDATE t SET v = v + 1 WHERE id = 1'"
-        )
-        assert result.columns == ["rule_id", "severity", "message", "node_path"]
-        assert "C002" in [row[0] for row in result.rows]
-
-    def test_never_executes_the_script(self, db):
-        before = db.execute("SELECT id, v FROM t ORDER BY id").rows
-        db.execute("LINT TRANSACTION 'UPDATE t SET v = v + 1 WHERE id = 1'")
-        db.execute(
-            "LINT TRANSACTION 'BEGIN; DELETE FROM t WHERE id = 1; COMMIT'"
-        )
-        assert db.execute("SELECT id, v FROM t ORDER BY id").rows == before
-
-    def test_renders_and_reparses(self):
-        from repro.sqldb.parser import parse_statement
-        from repro.sqldb.render import render_statement
-
-        statement = parse_statement(
-            "LINT TRANSACTION 'SELECT ''quoted'' FROM t'"
-        )
-        assert parse_statement(render_statement(statement)) == statement

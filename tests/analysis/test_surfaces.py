@@ -1,13 +1,17 @@
-"""The analyzer's user-facing surfaces: Database.lint, the LINT
-statement, workload analysis, the template self-check, and the CLI."""
+"""The analyzer's surfaces: one statement or script against a database
+(which it never executes), workload analysis, the template self-check,
+and the CLI."""
 
 import json
+
+import pytest
 
 from repro.analysis import (
     PLAN_CACHE_KEY_BUCKETS,
     REPEAT_THRESHOLD,
     Severity,
     analyze_sql,
+    analyze_transaction_sql,
     analyze_workload,
     is_lint_clean,
 )
@@ -22,31 +26,56 @@ from repro.sqldb import Database
 POINT_SELECT = "SELECT name FROM part WHERE obid = ?"
 
 
-class TestDatabaseSurfaces:
-    def test_lint_statement_returns_findings_as_rows(self):
-        db = Database()
-        result = db.execute("LINT SELECT name FROM part WHERE obid IN (?, ?, ?)")
-        assert result.columns == ["rule_id", "severity", "message", "node_path"]
-        assert [row[0] for row in result.rows] == ["P003"]
+class TestStaticness:
+    """Given a database, the analyzer reads its catalog, statistics and
+    plans but executes nothing: the statement counter and every table's
+    rows are the same after as before."""
 
-    def test_lint_statement_clean_query_returns_no_rows(self):
-        db = Database()
-        result = db.execute(
-            "LINT SELECT name FROM part WHERE obid IN (?, ?, ?, ?)"
-        )
-        assert result.rows == []
-
-    def test_lint_statement_renders_and_reparses(self):
-        from repro.sqldb.parser import parse_statement
-        from repro.sqldb.render import render_statement
-
-        statement = parse_statement("LINT SELECT a FROM t")
-        assert parse_statement(render_statement(statement)) == statement
-
-    def test_database_lint_matches_analyze_sql(self):
+    @pytest.fixture
+    def db(self):
         db = Database()
         db.execute("CREATE TABLE part (obid INTEGER PRIMARY KEY, name VARCHAR(10))")
-        assert db.lint(POINT_SELECT) == analyze_sql(POINT_SELECT, database=db)
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("INSERT INTO part VALUES (1, 'root'), (2, 'child')")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        return db
+
+    @staticmethod
+    def rows(db):
+        return {
+            name: db.execute(f"SELECT * FROM {name} ORDER BY 1").rows
+            for name in db.table_names()
+        }
+
+    def test_analyze_sql_executes_nothing(self, db):
+        before = self.rows(db)
+        statements = db.statistics["statements"]
+        for sql in (
+            POINT_SELECT,
+            "UPDATE t SET v = v + 1 WHERE id = 1",
+            "DELETE FROM part WHERE obid = 2",
+            "INSERT INTO t SELECT obid, 0 FROM part",
+        ):
+            analyze_sql(sql, database=db)
+        assert db.statistics["statements"] == statements
+        assert self.rows(db) == before
+
+    def test_analyze_transaction_sql_executes_nothing(self, db):
+        before = self.rows(db)
+        statements = db.statistics["statements"]
+        (c002,) = [
+            f
+            for f in analyze_transaction_sql(
+                "UPDATE t SET v = v + 1 WHERE id = 1", database=db
+            )
+            if f.rule_id == "C002"
+        ]
+        assert c002.severity is Severity.ERROR
+        analyze_transaction_sql(
+            "BEGIN; DELETE FROM t WHERE id = 1; COMMIT", database=db
+        )
+        assert db.statistics["statements"] == statements
+        assert self.rows(db) == before
 
 
 class TestWorkloadAnalysis:

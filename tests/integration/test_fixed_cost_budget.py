@@ -17,8 +17,10 @@ plan time; 249.2 once an index probe became one ``TableStorage.probe``
 call instead of a probe plus a fetch per row, and still 249.2 once every
 probe was priced against a scan at run time (the pricing reads two counts
 inline and costs one call; building the key as a list costs one fewer
-than as a generator).  The budget sits between the first two, with room
-for interpreter versions that count comprehensions differently.
+than as a generator); 248.2 once the server stopped calling an opt-in
+lint gate (off, but still a call) on every QUERY and BATCH.  The budget
+sits between the first two, with room for interpreter versions that
+count comprehensions differently.
 
 Three engine-level statements are held the same way, on the ``txn_mix``
 product (δ=6, κ=4: 1 365 assemblies, all of one product), each cached

@@ -336,3 +336,23 @@ class TestDDLAndDML:
     def test_empty_statement_rejected(self):
         with pytest.raises(ParseError):
             parse_statement("")
+
+
+class TestLintIsAnOrdinaryName:
+    """``lint`` is no statement keyword: static analysis is
+    :func:`repro.analysis.analyze_sql`, not SQL."""
+
+    def test_lint_names_a_table_and_a_column(self):
+        from repro.sqldb import Database
+
+        db = Database()
+        db.execute("CREATE TABLE lint (lint INTEGER PRIMARY KEY)")
+        db.execute("INSERT INTO lint (lint) VALUES (1)")
+        assert db.execute("SELECT lint FROM lint WHERE lint = 1").rows == [(1,)]
+
+    @pytest.mark.parametrize(
+        "sql", ["LINT SELECT 1", "LINT TRANSACTION 'SELECT 1'"]
+    )
+    def test_lint_statements_are_parse_errors(self, sql):
+        with pytest.raises(ParseError):
+            parse_statement(sql)

@@ -187,6 +187,95 @@ class TestRecursion:
         assert env.counters["index_probes"] < 1000
 
 
+@pytest.fixture
+def chain_db():
+    """The chain 1 -> 2 -> 3 -> 4 -> 5: its transitive closure has 10 pairs."""
+    db = Database()
+    db.execute("CREATE TABLE e (a INTEGER, b INTEGER)")
+    db.executemany("INSERT INTO e VALUES (?, ?)", [(1, 2), (2, 3), (3, 4), (4, 5)])
+    return db
+
+
+#: Recursion whose fixpoint is undefined, with what evaluating it anyway
+#: returned before the planner refused it.  SQLite refuses them all.
+NO_FIXPOINT = {
+    # R002: EXCEPT between the branches (refused by the planner before).
+    "except": (
+        "WITH RECURSIVE r(b) AS (SELECT 1 EXCEPT SELECT b FROM r) "
+        "SELECT b FROM r"
+    ),
+    # R001: two references in one branch; 8 of the 10 closure pairs,
+    # (1, 4) and (2, 5) missing.
+    "non-linear": (
+        "WITH RECURSIVE r(a, b) AS (SELECT a, b FROM e "
+        "UNION SELECT r1.a, r2.b FROM r r1 JOIN r r2 ON r1.b = r2.a) "
+        "SELECT a, b FROM r"
+    ),
+    # R002: an aggregate over the recursive member; [(1, 0), (1, 1)].
+    "aggregate": (
+        "WITH RECURSIVE r(a, n) AS (SELECT 1, 0 "
+        "UNION SELECT a, COUNT(*) FROM r GROUP BY a) SELECT a, n FROM r"
+    ),
+    # R002: the recursive member under NOT IN; 4 rows.
+    "negated": (
+        "WITH RECURSIVE r(b) AS (SELECT b FROM e WHERE a = 1 "
+        "UNION SELECT e.b FROM e WHERE e.b NOT IN (SELECT b FROM r)) "
+        "SELECT b FROM r"
+    ),
+}
+
+#: The linear closure over the same chain.
+LINEAR_CLOSURE = (
+    "WITH RECURSIVE r(a, b) AS (SELECT a, b FROM e "
+    "UNION SELECT r.a, e.b FROM r JOIN e ON r.b = e.a) SELECT a, b FROM r"
+)
+
+
+class TestNoFixpointRefused:
+    """Semi-naive evaluation joins each round's delta against one
+    reference to the CTE, so it only computes linear, monotonic
+    recursion; the planner refuses anything else instead of answering
+    wrong."""
+
+    @pytest.mark.parametrize("shape", sorted(NO_FIXPOINT))
+    def test_refused_naming_the_cte(self, chain_db, shape):
+        with pytest.raises(ParseError, match="'r'"):
+            chain_db.execute(NO_FIXPOINT[shape])
+
+    def test_not_exists_over_the_cte_is_refused(self, chain_db):
+        with pytest.raises(ParseError, match="NOT EXISTS / NOT IN"):
+            chain_db.execute(
+                "WITH RECURSIVE r(b) AS (SELECT 2 UNION SELECT e.b FROM e "
+                "WHERE NOT EXISTS (SELECT 1 FROM r WHERE r.b = e.b)) "
+                "SELECT b FROM r"
+            )
+
+    def test_linear_closure_is_complete(self, chain_db):
+        rows = chain_db.execute(LINEAR_CLOSURE).rows
+        assert sorted(rows) == [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+
+    def test_remote_client_gets_a_typed_sql_error(self, chain_db):
+        from repro.errors import SQLError
+        from repro.network.profiles import WAN_256
+        from repro.server.client import RemoteConnection
+        from repro.server.server import DatabaseServer
+
+        server = DatabaseServer(chain_db)
+        connection = RemoteConnection(server, WAN_256.create_link())
+        with pytest.raises(SQLError, match="ParseError: .*'r'"):
+            connection.execute(NO_FIXPOINT["non-linear"])
+        assert server.statistics["errors"] == 1
+
+    def test_planner_and_analyzer_share_one_detector(self):
+        from repro.analysis import rules_recursion
+        from repro.sqldb import ast_walk, planner
+
+        assert planner._branch_aggregates is ast_walk.branch_aggregates
+        assert planner._negates_cte is ast_walk.negates_cte
+        assert rules_recursion.branch_aggregates is ast_walk.branch_aggregates
+        assert rules_recursion.negates_cte is ast_walk.negates_cte
+
+
 class TestNaiveFixpointAblation:
     """Correctness parity of the semi-naive and naive evaluation modes."""
 

@@ -41,6 +41,11 @@ them hides a wrong row):
   SQLite's grammar wants a ``LIMIT`` first and rejects the text.  The two
   such statements of the engine corpus (``NO_SQLITE_GRAMMAR``) are left
   to the row-operator differential; ``LIMIT 2 OFFSET -1`` is compared.
+* **Recursion without a fixpoint.**  A recursive branch that references
+  its CTE twice, aggregates, or tests it under ``NOT IN``, and EXCEPT
+  between branches, are refused by both engines (``ParseError`` here,
+  ``OperationalError`` there), not compared; the linear closure over the
+  same chain is compared.
 """
 
 import sqlite3
@@ -49,6 +54,7 @@ from collections import Counter
 import pytest
 
 from repro.analysis.templates import template_queries
+from repro.errors import ParseError
 from repro.model.parameters import TreeParameters
 from repro.pdm.generator import generate_product
 from repro.pdm.schema import CLIENT_FUNCTIONS, load_product, new_pdm_database
@@ -58,6 +64,7 @@ from tests.sqldb.test_differential import (  # noqa: F401 — engine_db is a fix
     ENGINE_CORPUS,
     engine_db,
 )
+from tests.sqldb.test_recursive import LINEAR_CLOSURE, NO_FIXPOINT
 
 RECURSIVE_TEMPLATES = [
     (name, sql)
@@ -320,3 +327,29 @@ class TestInSubqueryNullMatrix:
         assert db.last_counters["index_probes"] == 2
         db.execute("SELECT id FROM t WHERE u IN (SELECT x FROM s)")
         assert db.last_counters["index_probes"] == 0
+
+
+class TestRecursionWithoutFixpoint:
+    """Over the chain 1 -> 2 -> 3 -> 4 -> 5 in both engines."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        rows = [(1, 2), (2, 3), (3, 4), (4, 5)]
+        db = Database()
+        db.execute("CREATE TABLE e (a INTEGER, b INTEGER)")
+        db.executemany("INSERT INTO e VALUES (?, ?)", rows)
+        oracle = sqlite_twin({"e": (["a", "b"], rows)})
+        yield db, oracle
+        oracle.close()
+
+    @pytest.mark.parametrize("shape", sorted(NO_FIXPOINT))
+    def test_both_refuse(self, chain, shape):
+        db, oracle = chain
+        with pytest.raises(ParseError):
+            db.execute(NO_FIXPOINT[shape])
+        with pytest.raises(sqlite3.OperationalError):
+            oracle.execute(NO_FIXPOINT[shape])
+
+    def test_linear_closure_same_rows(self, chain):
+        db, oracle = chain
+        assert assert_same_multiset(db, oracle, LINEAR_CLOSURE) == 10

@@ -93,7 +93,7 @@ GOLDEN_EXCHANGES: Dict[str, str] = {
     "call_procedure":
         "caebf6c93ff0684da0448bdeb08e2e3dbe9da893d3734247fa247f76c51c278b",
     "stats":
-        "48f2e87d56cbf2f57d809dd74019c46405e5e1a790c888a50006f806c1f4b086",
+        "aaefc950b77e00af9f13f5ed9ee6a69a2ebf1d7aac24fd24007a28ab62d52bfb",
     "sequenced":
         "864d60a061c5824d021d73063f4ecfcf0b1eef4a5e2c264348692b431ab56282",
 }
