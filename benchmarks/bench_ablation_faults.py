@@ -47,7 +47,7 @@ FAULT_SEEDS = tuple(
 def run_expand(scenario, strategy):
     root = scenario.product.root_obid
     root_attrs = scenario.product.root_attributes()
-    return scenario.client.resilient_multi_level_expand(
+    return scenario.client.multi_level_expand(
         root, EXPAND_STRATEGIES[strategy], root_attrs=root_attrs
     )
 

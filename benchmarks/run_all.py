@@ -59,8 +59,8 @@ FAULT_PROFILES = {
 
 
 def run_chaos(tree, scenario, profile, fault_seed: int) -> dict:
-    """Re-run every strategy resiliently under *profile* and check each
-    converges to a tree byte-identical to its own zero-fault run."""
+    """Re-run every strategy under *profile* and check each converges to
+    a tree byte-identical to its own zero-fault run."""
     root = scenario.product.root_obid
     root_attrs = scenario.product.root_attributes()
     reference = {
@@ -80,7 +80,7 @@ def run_chaos(tree, scenario, profile, fault_seed: int) -> dict:
             fault_seed=fault_seed,
             retry_policy=RetryPolicy(),
         )
-        result = chaos_scenario.client.resilient_multi_level_expand(
+        result = chaos_scenario.client.multi_level_expand(
             root, EXPAND_STRATEGIES[strategy], root_attrs=root_attrs
         )
         stats = chaos_scenario.link.stats
@@ -117,7 +117,7 @@ def run_chaos(tree, scenario, profile, fault_seed: int) -> dict:
 
 
 def run_trace(tree, scenario, profile, fault_seed: int) -> dict:
-    """One fully traced resilient batched expand under *profile*.
+    """One fully traced batched expand under *profile*.
 
     Returns the :func:`repro.bench.report.trace_summary` dict extended
     with a ``decomposition`` entry proving the observability invariant:
@@ -138,13 +138,13 @@ def run_trace(tree, scenario, profile, fault_seed: int) -> dict:
         retry_policy=None if profile.perfect else RetryPolicy(),
         recorder=recorder,
     )
-    result = traced.client.resilient_multi_level_expand(
+    result = traced.client.multi_level_expand(
         scenario.product.root_obid,
         ExpandStrategy.EXPAND_BATCHED,
         root_attrs=scenario.product.root_attributes(),
     )
     summary = trace_summary(recorder)
-    root = recorder.find_root("pdm.resilient_multi_level_expand")
+    root = recorder.find_root("pdm.multi_level_expand")
     components = root.total_components()
     component_sum = sum(components.values())
     summary["profile"] = profile.name
@@ -461,8 +461,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--fault-profile",
         choices=sorted(FAULT_PROFILES),
-        help="additionally re-run every strategy resiliently under this "
-        "chaos preset and require byte-identical convergence",
+        help="additionally re-run every strategy under this chaos preset "
+        "and require byte-identical convergence",
     )
     parser.add_argument(
         "--fault-seed",
@@ -473,7 +473,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--trace",
         metavar="PATH",
-        help="run one fully traced resilient batched expand (under "
+        help="run one fully traced batched expand (under "
         "--fault-profile, default flaky-wan), write the span-tree JSON "
         "export to PATH and print the time decomposition",
     )

@@ -178,13 +178,9 @@ class CheckOutError(PDMError):
 
 
 class ExpandInterrupted(PDMError):
-    """A multi-level expand lost a frontier batch for good (retry budget
-    exhausted or circuit open).  Carries the checkpoint of the last
-    completed level so the caller can resume without re-fetching."""
-
-    def __init__(self, message: str, checkpoint=None) -> None:
-        super().__init__(message)
-        self.checkpoint = checkpoint
+    """A multi-level expand kept losing a round trip for good (retry
+    budget exhausted or circuit open) after spending its resumes; the
+    message names the lost round trip, the cause is its last error."""
 
 
 class RuleError(ReproError):

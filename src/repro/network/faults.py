@@ -415,19 +415,21 @@ NOISY_WAN = FaultProfile(
     corrupt_probability=0.02,
 )
 
-#: A scheduled server outage in the middle of the working day, with a
-#: little background loss on either side.
+#: A 45 s server outage with a little background loss on either side.  It
+#: opens one simulated second into the run, so it cuts into every expand
+#: but the small-scale recursive one, which is over by then.
 OUTAGE_WAN = FaultProfile(
     name="outage-wan",
     drop_probability=0.01,
-    outages=((30.0, 75.0),),
+    outages=((1.0, 46.0),),
 )
 
-#: A broken middlebox that silently truncates jumbo frames: small
-#: per-level batches squeeze through, the recursive mega-response never
-#: arrives intact — the scenario that forces the batched fallback.
+#: A broken middlebox that silently truncates every frame over 8 KiB.  On
+#: the small-scale tree (δ=4, κ=3) only the recursive response (~15 KiB)
+#: is that large, so the scenario forces the batched fallback; on larger
+#: trees the widest level batches are cut too and no resend gets through.
 JUMBO_TRUNCATING_WAN = FaultProfile(
-    name="jumbo-truncating-wan", truncate_over_bytes=16 * 1024
+    name="jumbo-truncating-wan", truncate_over_bytes=8 * 1024
 )
 
 CHAOS_PRESETS = (DROP_5, FLAKY_WAN, NOISY_WAN, OUTAGE_WAN)

@@ -82,6 +82,10 @@ BATCH_KEY_BUCKETS = PLAN_CACHE_KEY_BUCKETS
 #: several statements (still one round trip — they ride the same batch).
 BATCH_CHUNK_KEYS = BATCH_KEY_BUCKETS[-1]
 
+#: Lost round trips one multi-level expand re-issues before it gives up
+#: with :class:`~repro.errors.ExpandInterrupted`.
+MAX_RESUMES = 16
+
 #: The columns of a homogenised child-fetch row that describe the link,
 #: and the attribute names they get in a link's dict; every other column
 #: describes the child node.
@@ -133,27 +137,6 @@ class CheckOutMode(Enum):
 
     TWO_PHASE = "two-phase"  # fetch tree, then UPDATEs: extra round trips
     SERVER_PROCEDURE = "server-procedure"  # function shipping: one round trip
-
-
-@dataclass
-class ExpandCheckpoint:
-    """Resumption state of an interrupted level-at-a-time expand.
-
-    ``root`` is the tree built so far (all completed levels attached),
-    ``frontier`` the nodes whose children the lost batch was fetching and
-    ``depth`` that level's index.  Passing the checkpoint back into
-    :meth:`PDMClient.resume_multi_level_expand` retries only the lost
-    level and continues — completed levels are never re-fetched.
-    """
-
-    root: StructureNode
-    frontier: List[StructureNode]
-    depth: int
-    max_depth: Optional[int]
-
-    @property
-    def levels_completed(self) -> int:
-        return self.depth
 
 
 @dataclass
@@ -212,10 +195,9 @@ class PDMClient:
         )
         #: Rendered SQL cache: (builder, early, action) -> sql text.
         self._sql_cache: Dict[Tuple[str, bool, str], str] = {}
-        #: Resilience counters: how often expands lost a level, resumed
-        #: from a checkpoint, or degraded from recursive to batched.
+        #: Resilience counters: how often expands re-issued a lost round
+        #: trip, or degraded from recursive to batched.
         self.statistics = {
-            "expand_interruptions": 0,
             "expand_resumes": 0,
             "recursive_fallbacks": 0,
         }
@@ -437,6 +419,17 @@ class PDMClient:
         query is issued before measurement starts.  ``max_depth`` bounds
         the expansion (a partial multi-level expand); None retrieves the
         entire structure.
+
+        The expand degrades instead of failing.  A round trip lost for
+        good (the connection's retries exhausted or its circuit breaker
+        open) is re-issued alone — one navigational child fetch or one
+        level batch — after the breaker's cool-down has passed on the
+        simulated clock; after :data:`MAX_RESUMES` such resumes the expand
+        gives up with :class:`~repro.errors.ExpandInterrupted`.  A lost
+        recursive response falls back to the batched levels: the same
+        visible tree in the batched strategy's shape, with one level as
+        the unit of loss.  The measurement covers all of it — timeouts,
+        backoff, cool-downs, the fallback's extra round trips.
         """
         if root_attrs is None:
             root_attrs = self.fetch_object(root_obid)
@@ -448,130 +441,29 @@ class PDMClient:
         ):
             begin = self._begin()
             if strategy is ExpandStrategy.RECURSIVE_EARLY:
-                tree = self._expand_recursive(root_obid, root_attrs, max_depth)
-            elif strategy is ExpandStrategy.EXPAND_BATCHED:
-                tree = self._expand_batched(root_obid, root_attrs, max_depth)
-                tree = self._apply_tree_conditions_late(
-                    tree, Actions.MULTI_LEVEL_EXPAND
-                )
-            else:
-                early = strategy is ExpandStrategy.NAVIGATIONAL_EARLY
-                tree = self._expand_navigational(
-                    root_obid, root_attrs, early, max_depth
-                )
-                tree = self._apply_tree_conditions_late(
-                    tree, Actions.MULTI_LEVEL_EXPAND
-                )
-            return self._finish(begin, tree=tree)
-
-    def resume_multi_level_expand(
-        self, checkpoint: ExpandCheckpoint
-    ) -> ActionResult:
-        """Continue an interrupted batched expand from its checkpoint.
-
-        Only the lost level (and the levels below it) are fetched; the
-        completed levels stay as already built in the checkpoint's tree.
-        The returned :class:`ActionResult` measures the resumed portion.
-        """
-        with self._action_span(
-            "pdm.resume_multi_level_expand",
-            root_obid=checkpoint.root.obid,
-            resume_depth=checkpoint.depth,
-        ):
-            begin = self._begin()
-            self.statistics["expand_resumes"] += 1
-            tree = self._expand_batched(
-                checkpoint.root.obid, None, checkpoint=checkpoint
-            )
-            tree = self._apply_tree_conditions_late(
-                tree, Actions.MULTI_LEVEL_EXPAND
-            )
-            return self._finish(begin, tree=tree)
-
-    def resilient_multi_level_expand(
-        self,
-        root_obid: int,
-        strategy: ExpandStrategy = ExpandStrategy.EXPAND_BATCHED,
-        root_attrs: Optional[Attrs] = None,
-        max_depth: Optional[int] = None,
-        max_resumes: int = 16,
-    ) -> ActionResult:
-        """Multi-level expand that degrades instead of failing.
-
-        * ``RECURSIVE_EARLY``: if the single recursive round trip cannot
-          be completed (retry budget exhausted or circuit open), fall back
-          to the level-checkpointed batched strategy — same visible tree,
-          but the unit of loss shrinks from the whole response to one
-          frontier batch.
-        * ``EXPAND_BATCHED`` (and the fallback path): every interruption
-          resumes from the last completed level, up to ``max_resumes``
-          times.  While the circuit breaker is open, the client waits out
-          the cool-down on the simulated clock before resuming.
-        * Navigational strategies retry per child fetch at the connection
-          layer already (their unit of loss is one small query), so they
-          simply delegate to :meth:`multi_level_expand`.
-
-        The returned measurement covers everything: timeouts, backoff,
-        breaker cool-downs, the fallback's extra round trips.
-        """
-        if strategy in (
-            ExpandStrategy.NAVIGATIONAL_LATE,
-            ExpandStrategy.NAVIGATIONAL_EARLY,
-        ):
-            return self.multi_level_expand(
-                root_obid, strategy, root_attrs=root_attrs, max_depth=max_depth
-            )
-        if root_attrs is None:
-            root_attrs = self.fetch_object(root_obid)
-        with self._action_span(
-            "pdm.resilient_multi_level_expand",
-            strategy=strategy.value,
-            root_obid=root_obid,
-            max_depth=max_depth,
-        ):
-            begin = self._begin()
-            if strategy is ExpandStrategy.RECURSIVE_EARLY:
                 try:
                     tree = self._expand_recursive(
                         root_obid, root_attrs, max_depth
                     )
-                    return self._finish(begin, tree=tree)
                 except (TimeoutError, CircuitOpenError):
                     self.statistics["recursive_fallbacks"] += 1
                     if self.recorder is not None:
                         self.recorder.event("pdm.recursive_fallback")
                     self._wait_for_circuit()
-            clock = self.connection.link.clock
-            checkpoint: Optional[ExpandCheckpoint] = None
-            interrupted: Optional[ExpandInterrupted] = None
-            for __ in range(max_resumes + 1):
-                try:
-                    if checkpoint is None:
-                        tree = self._expand_batched(
-                            root_obid, root_attrs, max_depth
-                        )
-                    else:
-                        self.statistics["expand_resumes"] += 1
-                        tree = self._expand_batched(
-                            root_obid, None, checkpoint=checkpoint
-                        )
-                except ExpandInterrupted as error:
-                    checkpoint = error.checkpoint
-                    interrupted = error
-                    # Timeouts and backoff already advanced the clock; if
-                    # the breaker opened, sleep (simulated) until it
-                    # half-opens.
-                    self._wait_for_circuit()
-                    continue
-                tree = self._apply_tree_conditions_late(
-                    tree, Actions.MULTI_LEVEL_EXPAND
+                    strategy = ExpandStrategy.EXPAND_BATCHED
+                else:
+                    return self._finish(begin, tree=tree)
+            if strategy is ExpandStrategy.EXPAND_BATCHED:
+                tree = self._expand_batched(root_obid, root_attrs, max_depth)
+            else:
+                early = strategy is ExpandStrategy.NAVIGATIONAL_EARLY
+                tree = self._expand_navigational(
+                    root_obid, root_attrs, early, max_depth
                 )
-                return self._finish(begin, tree=tree)
-            raise ExpandInterrupted(
-                f"expand of {root_obid} still failing after {max_resumes} "
-                f"resumes (simulated t={clock.now:.1f}s)",
-                checkpoint=checkpoint,
-            ) from interrupted
+            tree = self._apply_tree_conditions_late(
+                tree, Actions.MULTI_LEVEL_EXPAND
+            )
+            return self._finish(begin, tree=tree)
 
     def _wait_for_circuit(self) -> None:
         """Advance the simulated clock until the breaker allows a trial."""
@@ -581,6 +473,20 @@ class PDMClient:
             clock.advance(
                 breaker.seconds_until_trial(clock.now), "circuit_wait"
             )
+
+    def _resume(self, error: ReproError, lost: str, resumes: int) -> int:
+        """Count one resume of the round trip that *error* lost (*lost*
+        names it) and wait out the breaker's cool-down; returns the
+        expand's new resume count.  An expand that has already resumed
+        :data:`MAX_RESUMES` times gives up instead."""
+        if resumes == MAX_RESUMES:
+            raise ExpandInterrupted(
+                f"lost {lost} after {MAX_RESUMES} resumes (simulated "
+                f"t={self.connection.link.clock.now:.1f}s): {error}"
+            ) from error
+        self.statistics["expand_resumes"] += 1
+        self._wait_for_circuit()
+        return resumes + 1
 
     def _fetch_children(
         self, parent_obid: int, early: bool, action: str
@@ -621,16 +527,26 @@ class PDMClient:
     ) -> StructureNode:
         """BFS of single-level expands (the paper's baseline): one query
         per visible node, leaves included (unless the depth bound stops
-        the descent earlier)."""
+        the descent earlier).  A lost child fetch goes back on the queue
+        and is the next one re-issued."""
         root = StructureNode(attrs=dict(root_attrs))
         queue = [(root, 0)]
+        resumes = 0
         while queue:
             node, depth = queue.pop()
             if max_depth is not None and depth >= max_depth:
                 continue
-            for link_attrs, child_attrs in self._fetch_children(
-                node.obid, early, Actions.MULTI_LEVEL_EXPAND
-            ):
+            try:
+                children = self._fetch_children(
+                    node.obid, early, Actions.MULTI_LEVEL_EXPAND
+                )
+            except (TimeoutError, CircuitOpenError) as error:
+                resumes = self._resume(
+                    error, f"the child fetch of {node.obid}", resumes
+                )
+                queue.append((node, depth))
+                continue
+            for link_attrs, child_attrs in children:
                 child = StructureNode(attrs=child_attrs, link=link_attrs)
                 node.children.append(child)
                 queue.append((child, depth + 1))
@@ -639,9 +555,8 @@ class PDMClient:
     def _expand_batched(
         self,
         root_obid: int,
-        root_attrs: Optional[Attrs],
+        root_attrs: Attrs,
         max_depth: Optional[int] = None,
-        checkpoint: Optional[ExpandCheckpoint] = None,
     ) -> StructureNode:
         """Level-at-a-time BFS over the pipelined batch protocol.
 
@@ -656,79 +571,74 @@ class PDMClient:
         Row rules are injected server-side (Approach 1); tree conditions
         are applied late by the caller, as for the navigational paths.
 
-        The loop is checkpointed: if a level's batch is lost for good
-        (retry budget exhausted or circuit open), the completed levels
-        survive in an :class:`ExpandCheckpoint` carried by the raised
-        :class:`~repro.errors.ExpandInterrupted` — resuming re-fetches
-        only the lost level, never the finished ones.
+        A lost level batch is re-issued for the same frontier, in a fresh
+        ``pdm.expand_level`` span: the completed levels are never fetched
+        again.
         """
-        if checkpoint is not None:
-            root = checkpoint.root
-            frontier = checkpoint.frontier
-            depth = checkpoint.depth
-            max_depth = checkpoint.max_depth
-        else:
-            root = StructureNode(attrs=dict(root_attrs))
-            frontier = [root] if str(root.object_type) != "comp" else []
-            depth = 0
+        root = StructureNode(attrs=dict(root_attrs))
+        frontier = [root] if str(root.object_type) != "comp" else []
+        depth = resumes = 0
         while frontier and (max_depth is None or depth < max_depth):
-            with maybe_span(
-                self.recorder,
-                "pdm.expand_level",
-                kind="pdm",
-                depth=depth,
-                parents=len(frontier),
-            ) as span:
-                keys: List[Any] = []
-                seen = set()
-                for node in frontier:
-                    if node.obid not in seen:
-                        seen.add(node.obid)
-                        keys.append(node.obid)
-                statements: List[Tuple[str, List[Any]]] = []
-                for node_type in ("assy", "comp"):
-                    for chunk in self._padded_chunks(keys):
-                        sql = self._batched_sql(
-                            node_type, len(chunk), Actions.MULTI_LEVEL_EXPAND
-                        )
-                        statements.append((sql, chunk))
-                try:
+            try:
+                with maybe_span(
+                    self.recorder,
+                    "pdm.expand_level",
+                    kind="pdm",
+                    depth=depth,
+                    parents=len(frontier),
+                ) as span:
+                    keys: List[Any] = []
+                    seen = set()
+                    for node in frontier:
+                        if node.obid not in seen:
+                            seen.add(node.obid)
+                            keys.append(node.obid)
+                    statements: List[Tuple[str, List[Any]]] = []
+                    for node_type in ("assy", "comp"):
+                        for chunk in self._padded_chunks(keys):
+                            sql = self._batched_sql(
+                                node_type,
+                                len(chunk),
+                                Actions.MULTI_LEVEL_EXPAND,
+                            )
+                            statements.append((sql, chunk))
                     batch_results = self.connection.execute_batch(statements)
-                except (TimeoutError, CircuitOpenError) as error:
-                    self.statistics["expand_interruptions"] += 1
-                    raise ExpandInterrupted(
-                        f"lost the level-{depth} frontier batch "
-                        f"({len(frontier)} parents): {error}",
-                        checkpoint=ExpandCheckpoint(
-                            root=root,
-                            frontier=frontier,
-                            depth=depth,
-                            max_depth=max_depth,
-                        ),
-                    ) from error
-                children_by_parent: Dict[Any, List[Tuple[Attrs, Attrs]]] = {}
-                for result in batch_results:
-                    if isinstance(result, ReproError):
-                        raise result
-                    for link_attrs, node_attrs in _child_pairs(result):
-                        children_by_parent.setdefault(
-                            link_attrs["left"], []
-                        ).append((link_attrs, node_attrs))
-                next_frontier: List[StructureNode] = []
-                for node in frontier:
-                    for link_attrs, child_attrs in children_by_parent.get(
-                        node.obid, ()
-                    ):
-                        child = StructureNode(
-                            attrs=dict(child_attrs), link=dict(link_attrs)
+                    children_by_parent: Dict[
+                        Any, List[Tuple[Attrs, Attrs]]
+                    ] = {}
+                    for result in batch_results:
+                        if isinstance(result, ReproError):
+                            raise result
+                        for link_attrs, node_attrs in _child_pairs(result):
+                            children_by_parent.setdefault(
+                                link_attrs["left"], []
+                            ).append((link_attrs, node_attrs))
+                    next_frontier: List[StructureNode] = []
+                    for node in frontier:
+                        for link_attrs, child_attrs in children_by_parent.get(
+                            node.obid, ()
+                        ):
+                            child = StructureNode(
+                                attrs=dict(child_attrs), link=dict(link_attrs)
+                            )
+                            node.children.append(child)
+                            if str(child.object_type) != "comp":
+                                next_frontier.append(child)
+                    if span is not None:
+                        span.meta["children"] = sum(
+                            len(found)
+                            for found in children_by_parent.values()
                         )
-                        node.children.append(child)
-                        if str(child.object_type) != "comp":
-                            next_frontier.append(child)
-                if span is not None:
-                    span.meta["children"] = sum(
-                        len(found) for found in children_by_parent.values()
-                    )
+            except (TimeoutError, CircuitOpenError) as error:
+                # Caught outside the level's span, so the breaker wait is
+                # charged to the expand's root span.
+                resumes = self._resume(
+                    error,
+                    f"the level-{depth} frontier batch "
+                    f"({len(frontier)} parents)",
+                    resumes,
+                )
+                continue
             frontier = next_frontier
             depth += 1
         return root

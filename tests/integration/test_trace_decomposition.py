@@ -38,7 +38,7 @@ FAULT_SEEDS = tuple(
 )
 TOLERANCE = 0.5 if os.environ.get("REPRO_BENCH_SCALE") == "small" else 0.10
 
-ROOT_SPAN = "pdm.resilient_multi_level_expand"
+ROOT_SPAN = "pdm.multi_level_expand"
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def run_traced(product, fault_seed, recorder):
         retry_policy=RETRY_POLICY,
         recorder=recorder,
     )
-    result = scenario.client.resilient_multi_level_expand(
+    result = scenario.client.multi_level_expand(
         scenario.product.root_obid,
         ExpandStrategy.EXPAND_BATCHED,
         root_attrs=scenario.product.root_attributes(),
@@ -117,7 +117,7 @@ class TestTransparency:
 class TestModelAgreement:
     def test_traced_mean_within_tolerance_of_model(self, product):
         zero_fault = build_scenario(TREE, WAN_512, seed=SEED, product=product)
-        reference = zero_fault.client.resilient_multi_level_expand(
+        reference = zero_fault.client.multi_level_expand(
             zero_fault.product.root_obid,
             ExpandStrategy.EXPAND_BATCHED,
             root_attrs=zero_fault.product.root_attributes(),

@@ -1,13 +1,21 @@
-"""Resilient multi-level expand: checkpoints, resume, graceful fallback."""
+"""Resilient multi-level expand: resume of lost round trips, graceful
+fallback — all through the one ``multi_level_expand``."""
 
 import pytest
 
 from repro.bench.workload import build_scenario
-from repro.errors import ExpandInterrupted
+from repro.errors import CircuitOpenError, ExpandInterrupted, TimeoutError
 from repro.model.parameters import TreeParameters
-from repro.network.faults import DROP_5, FaultProfile, RetryPolicy
+from repro.network.faults import (
+    DROP_5,
+    JUMBO_TRUNCATING_WAN,
+    OUTAGE_WAN,
+    FaultProfile,
+    RetryPolicy,
+)
 from repro.network.profiles import WAN_512
-from repro.pdm.operations import ExpandStrategy
+from repro.obs import TraceRecorder
+from repro.pdm.operations import MAX_RESUMES, ExpandStrategy
 
 TREE = TreeParameters(depth=4, branching=3, visibility=0.6)
 
@@ -18,10 +26,10 @@ ALL_STRATEGIES = (
     ExpandStrategy.EXPAND_BATCHED,
 )
 
-#: Truncates the recursive strategy's jumbo response at this tree scale
-#: while every per-level batch squeezes through (largest batch ~6.5 KiB,
-#: recursive response ~15 KiB).
-MIDDLEBOX_8K = FaultProfile(name="middlebox-8k", truncate_over_bytes=8192)
+NAVIGATIONAL = (
+    ExpandStrategy.NAVIGATIONAL_LATE,
+    ExpandStrategy.NAVIGATIONAL_EARLY,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +47,7 @@ def baseline():
     return scenario, trees
 
 
-def faulty_scenario(baseline, profile, fault_seed, **policy_kwargs):
+def faulty_scenario(baseline, profile, fault_seed, recorder=None, **policy_kwargs):
     scenario, __ = baseline
     policy_kwargs.setdefault("seed", fault_seed)
     return build_scenario(
@@ -50,6 +58,7 @@ def faulty_scenario(baseline, profile, fault_seed, **policy_kwargs):
         fault_profile=profile,
         fault_seed=fault_seed,
         retry_policy=RetryPolicy(**policy_kwargs),
+        recorder=recorder,
     )
 
 
@@ -74,7 +83,7 @@ class TestConvergenceUnderLoss:
         for fault_seed in (6, 9, 31):
             scenario = faulty_scenario(baseline, DROP_5, fault_seed)
             root, root_attrs = expand_args(scenario)
-            result = scenario.client.resilient_multi_level_expand(
+            result = scenario.client.multi_level_expand(
                 root, strategy, root_attrs=root_attrs
             )
             assert result.tree.canonical_bytes() == reference[strategy]
@@ -85,7 +94,7 @@ class TestConvergenceUnderLoss:
     def test_retry_counters_surface_in_traffic_stats(self, baseline):
         scenario = faulty_scenario(baseline, DROP_5, fault_seed=6)
         root, root_attrs = expand_args(scenario)
-        result = scenario.client.resilient_multi_level_expand(
+        result = scenario.client.multi_level_expand(
             root, ExpandStrategy.EXPAND_BATCHED, root_attrs=root_attrs
         )
         assert scenario.link.stats.drops > 0
@@ -97,55 +106,28 @@ class TestConvergenceUnderLoss:
 
 
 class TestCheckpointResume:
-    def outage_scenario(self, baseline):
-        profile = FaultProfile(name="hard-outage", outages=((1.2, 120.0),))
+    """A hard outage from 1.2 s to 120 s outlasts the connection's two
+    attempts per round trip many times over: only resuming the lost round
+    trip after each breaker cool-down gets an expand through it."""
+
+    def outage_scenario(self, baseline, end=120.0, recorder=None):
+        profile = FaultProfile(name="hard-outage", outages=((1.2, end),))
         return faulty_scenario(
-            baseline, profile, fault_seed=5, max_attempts=2, timeout_s=1.0
+            baseline,
+            profile,
+            fault_seed=5,
+            recorder=recorder,
+            max_attempts=2,
+            timeout_s=1.0,
         )
-
-    def test_interrupted_expand_carries_a_checkpoint(self, baseline):
-        scenario = self.outage_scenario(baseline)
-        root, root_attrs = expand_args(scenario)
-        with pytest.raises(ExpandInterrupted) as exc_info:
-            scenario.client.multi_level_expand(
-                root, ExpandStrategy.EXPAND_BATCHED, root_attrs=root_attrs
-            )
-        checkpoint = exc_info.value.checkpoint
-        assert checkpoint is not None
-        assert checkpoint.levels_completed > 0
-        assert checkpoint.root.obid == root
-        assert scenario.client.statistics["expand_interruptions"] == 1
-
-    def test_resume_refetches_only_the_lost_level(self, baseline):
-        """Levels completed before the outage must not travel again: the
-        resumed expand issues exactly the remaining per-level batches."""
-        __, reference = baseline
-        scenario = self.outage_scenario(baseline)
-        root, root_attrs = expand_args(scenario)
-        with pytest.raises(ExpandInterrupted) as exc_info:
-            scenario.client.multi_level_expand(
-                root, ExpandStrategy.EXPAND_BATCHED, root_attrs=root_attrs
-            )
-        checkpoint = exc_info.value.checkpoint
-        batches_before = scenario.server.statistics["batches"]
-        scenario.link.clock.advance(130.0)  # outage over
-        result = scenario.client.resume_multi_level_expand(checkpoint)
-        resumed_batches = (
-            scenario.server.statistics["batches"] - batches_before
-        )
-        assert resumed_batches == TREE.depth - checkpoint.levels_completed
-        assert result.tree.canonical_bytes() == reference[
-            ExpandStrategy.EXPAND_BATCHED
-        ]
-        assert scenario.client.statistics["expand_resumes"] == 1
 
     def test_resilient_expand_rides_out_the_outage_by_itself(self, baseline):
-        """With a breaker, resilient_multi_level_expand waits out the
-        cool-downs on the simulated clock and converges unaided."""
+        """The expand waits out the cool-downs on the simulated clock and
+        converges unaided."""
         __, reference = baseline
         scenario = self.outage_scenario(baseline)
         root, root_attrs = expand_args(scenario)
-        result = scenario.client.resilient_multi_level_expand(
+        result = scenario.client.multi_level_expand(
             root, ExpandStrategy.EXPAND_BATCHED, root_attrs=root_attrs
         )
         assert result.tree.canonical_bytes() == reference[
@@ -153,6 +135,79 @@ class TestCheckpointResume:
         ]
         assert scenario.client.statistics["expand_resumes"] > 0
         assert scenario.link.clock.now > 120.0  # it did live through it
+
+    def test_resume_refetches_only_the_lost_level(self, baseline):
+        """Levels completed before the outage must not travel again: the
+        server runs exactly one batch per level, and each depth has one
+        span that completed (the lost attempts' spans carry the error)."""
+        recorder = TraceRecorder()
+        scenario = self.outage_scenario(baseline, recorder=recorder)
+        root, root_attrs = expand_args(scenario)
+        scenario.client.multi_level_expand(
+            root, ExpandStrategy.EXPAND_BATCHED, root_attrs=root_attrs
+        )
+        assert scenario.client.statistics["expand_resumes"] > 0
+        assert scenario.server.statistics["batches"] == TREE.depth
+        levels = [
+            span
+            for span in recorder.find_root("pdm.multi_level_expand").children
+            if span.name == "pdm.expand_level"
+        ]
+        completed = [span for span in levels if "error" not in span.meta]
+        assert sorted(span.meta["depth"] for span in completed) == list(
+            range(TREE.depth)
+        )
+        lost = [span for span in levels if "error" in span.meta]
+        assert len(lost) == scenario.client.statistics["expand_resumes"]
+        assert {span.meta["error"] for span in lost} <= {
+            "TimeoutError",
+            "CircuitOpenError",
+        }
+
+    @pytest.mark.parametrize("strategy", NAVIGATIONAL, ids=lambda s: s.name.lower())
+    def test_navigational_expand_rides_out_the_outage(self, baseline, strategy):
+        """One child fetch is the unit of loss: the expand resumes it
+        rather than failing with the connection's TimeoutError."""
+        __, reference = baseline
+        scenario = self.outage_scenario(baseline)
+        root, root_attrs = expand_args(scenario)
+        result = scenario.client.multi_level_expand(
+            root, strategy, root_attrs=root_attrs
+        )
+        assert result.tree.canonical_bytes() == reference[strategy]
+        assert scenario.client.statistics["expand_resumes"] > 0
+
+    def test_outage_past_the_resume_budget_is_typed(self, baseline):
+        """An outage longer than MAX_RESUMES cool-downs ends in a typed
+        ExpandInterrupted naming the lost round trip — never a hang."""
+        scenario = self.outage_scenario(baseline, end=100_000.0)
+        root, root_attrs = expand_args(scenario)
+        with pytest.raises(ExpandInterrupted, match="frontier batch") as info:
+            scenario.client.multi_level_expand(
+                root, ExpandStrategy.EXPAND_BATCHED, root_attrs=root_attrs
+            )
+        assert f"after {MAX_RESUMES} resumes" in str(info.value)
+        assert isinstance(info.value.__cause__, (TimeoutError, CircuitOpenError))
+        assert scenario.client.statistics["expand_resumes"] == MAX_RESUMES
+
+    @pytest.mark.parametrize(
+        "strategy",
+        NAVIGATIONAL + (ExpandStrategy.EXPAND_BATCHED,),
+        ids=lambda s: s.name.lower(),
+    )
+    def test_outage_wan_preset_forces_resumes_on_this_tree(
+        self, baseline, strategy
+    ):
+        """The preset's window opens inside every expand of this tree (the
+        ``run_all.py --scale small`` one) but the recursive one."""
+        __, reference = baseline
+        scenario = faulty_scenario(baseline, OUTAGE_WAN, fault_seed=1)
+        root, root_attrs = expand_args(scenario)
+        result = scenario.client.multi_level_expand(
+            root, strategy, root_attrs=root_attrs
+        )
+        assert result.tree.canonical_bytes() == reference[strategy]
+        assert scenario.client.statistics["expand_resumes"] > 0
 
 
 class TestRecursiveFallback:
@@ -162,10 +217,10 @@ class TestRecursiveFallback:
         the batched strategy's shape), smaller unit of loss."""
         __, reference = baseline
         scenario = faulty_scenario(
-            baseline, MIDDLEBOX_8K, fault_seed=3, max_attempts=3
+            baseline, JUMBO_TRUNCATING_WAN, fault_seed=3, max_attempts=3
         )
         root, root_attrs = expand_args(scenario)
-        result = scenario.client.resilient_multi_level_expand(
+        result = scenario.client.multi_level_expand(
             root, ExpandStrategy.RECURSIVE_EARLY, root_attrs=root_attrs
         )
         assert scenario.client.statistics["recursive_fallbacks"] == 1
@@ -179,26 +234,13 @@ class TestRecursiveFallback:
             baseline, FaultProfile(name="clean"), fault_seed=0
         )
         root, root_attrs = expand_args(scenario)
-        result = scenario.client.resilient_multi_level_expand(
+        result = scenario.client.multi_level_expand(
             root, ExpandStrategy.RECURSIVE_EARLY, root_attrs=root_attrs
         )
         assert scenario.client.statistics["recursive_fallbacks"] == 0
         assert result.tree.canonical_bytes() == reference[
             ExpandStrategy.RECURSIVE_EARLY
         ]
-
-    def test_navigational_strategies_delegate(self, baseline):
-        __, reference = baseline
-        scenario = faulty_scenario(baseline, DROP_5, fault_seed=2)
-        root, root_attrs = expand_args(scenario)
-        for strategy in (
-            ExpandStrategy.NAVIGATIONAL_LATE,
-            ExpandStrategy.NAVIGATIONAL_EARLY,
-        ):
-            result = scenario.client.resilient_multi_level_expand(
-                root, strategy, root_attrs=root_attrs
-            )
-            assert result.tree.canonical_bytes() == reference[strategy]
 
 
 class TestCanonicalBytes:

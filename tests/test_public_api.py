@@ -78,6 +78,41 @@ class TestEngineOptions:
         assert "vec_cache" not in {f.name for f in dataclasses.fields(Plan)}
 
 
+class TestOneExpand:
+    """Every strategy degrades instead of failing inside the one
+    multi-level expand: no second entry point, no resume budget option
+    and no checkpoint type for a caller to hand back."""
+
+    def test_no_resilient_or_resume_entry_point(self):
+        from repro.pdm.operations import PDMClient
+
+        forks = [
+            name
+            for name in dir(PDMClient)
+            if name.startswith(("resilient_", "resume_"))
+        ]
+        assert forks == []
+
+    def test_no_public_checkpoint_type(self):
+        from repro.pdm import operations
+
+        assert not hasattr(operations, "ExpandCheckpoint")
+
+    def test_multi_level_expand_signature(self):
+        from repro.pdm.operations import PDMClient
+
+        parameters = tuple(
+            inspect.signature(PDMClient.multi_level_expand).parameters
+        )
+        assert parameters == (
+            "self",
+            "root_obid",
+            "strategy",
+            "root_attrs",
+            "max_depth",
+        )
+
+
 class TestTopLevelWorkflow:
     def test_full_flow_through_top_level_names_only(self):
         scenario = repro.build_scenario(
