@@ -499,10 +499,12 @@ def _compile_binary(node: ast.BinaryOp, ctx: CompileContext) -> ExprFn:
     right = compile_expression(node.right, ctx)
     if operator in _COMPARISONS:
         decide = _COMPARISONS[operator]
+        compare = _slot_literal_compare(node, left, right)
+        if compare is None:
 
-        def compare(row, env):
-            result = compare_values(left(row, env), right(row, env))
-            return None if result is None else decide(result)
+            def compare(row, env):
+                result = compare_values(left(row, env), right(row, env))
+                return None if result is None else decide(result)
 
         left_kernel = as_kernel(left)
         right_kernel = as_kernel(right)
@@ -570,6 +572,50 @@ def _compile_binary(node: ast.BinaryOp, ctx: CompileContext) -> ExprFn:
 
         return _attach_kernel(concat, concat_kernel)
     raise ExecutionError(f"unknown operator {operator!r}")
+
+
+#: The operator that reads ``b <op'> a`` for ``a <op> b``.
+_MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _slot_literal_compare(
+    node: ast.BinaryOp, left: ExprFn, right: ExprFn
+) -> Optional[ExprFn]:
+    """The row closure of ``column <op> literal`` (either side), or None
+    for any other comparison.
+
+    :func:`compare_values` spelt out inline against the one constant, so
+    a row filter costs one call instead of five; same sign rule, same
+    NULL and type-mismatch outcomes.  The row operators run every
+    index-join plan, whose pushed filters are mostly of this shape."""
+    if isinstance(node.right, ast.Literal):
+        slot = getattr(left, "column_slot", None)
+        literal = node.right.value
+        decide = _COMPARISONS[node.operator]
+        column_first = True
+    elif isinstance(node.left, ast.Literal):
+        slot = getattr(right, "column_slot", None)
+        literal = node.left.value
+        decide = _COMPARISONS[_MIRRORED[node.operator]]
+        column_first = False
+    else:
+        return None
+    if slot is None or literal is None:
+        return None
+    numeric = isinstance(literal, (int, float))
+
+    def compare(row, env):
+        value = row[slot]
+        if value is None:
+            return None
+        if isinstance(value, (int, float)) is not numeric:
+            names = [type(value).__name__, type(literal).__name__]
+            if not column_first:
+                names.reverse()
+            raise TypeMismatchError(f"cannot compare {names[0]} with {names[1]}")
+        return decide(-1 if value < literal else 1 if value > literal else 0)
+
+    return compare
 
 
 def _arith_value(operator: str, left_value: Any, right_value: Any) -> Any:
@@ -830,13 +876,28 @@ def _compile_between(node: ast.Between, ctx: CompileContext) -> ExprFn:
     high_kernel = as_kernel(high)
 
     def between_kernel(batch, env):
+        values = operand_kernel(batch, env)
+        lows = low_kernel(batch, env)
+        highs = high_kernel(batch, env)
+        # C-level pass when the three columns are all numeric or all
+        # strings without NULLs (compare_kernel's precheck): ``low <= v``
+        # and ``v <= high`` are then exactly the signs compare_values
+        # decides on.  Anything else keeps the careful loop and its errors.
+        kinds = _column_kinds(values, lows, highs)
+        if _NONE_TYPE not in kinds and (
+            kinds <= _NUMERIC_KINDS or kinds <= _STRING_KINDS
+        ):
+            inside = list(
+                map(
+                    _py_operator.and_,
+                    map(_py_operator.le, lows, values),
+                    map(_py_operator.le, values, highs),
+                )
+            )
+            return list(map(_py_operator.not_, inside)) if negated else inside
         return [
             _decide(value, low_value, high_value)
-            for value, low_value, high_value in zip(
-                operand_kernel(batch, env),
-                low_kernel(batch, env),
-                high_kernel(batch, env),
-            )
+            for value, low_value, high_value in zip(values, lows, highs)
         ]
 
     return _attach_kernel(between, between_kernel)

@@ -7,31 +7,39 @@ The planner implements the paper's three access-path decisions:
    probes for ``IN``-lists and for uncorrelated ``IN (subquery)`` predicates
    (the outer ``link`` block of the recursive expand, driven from the
    subquery side).
-2. **Index nested-loop joins** when the inner side of a join is a base
-   table with a hash index on its equi-join key (the recursive branch of
-   the multi-level expand, and the ∃structure EXISTS probes).
-3. **Hash joins** for remaining equi-joins; nested loops otherwise.
+2. **Index nested-loop joins** when the next table of a join graph is a
+   base table with a hash index on an equi-join key (the recursive branch
+   of the multi-level expand, and the ∃structure EXISTS probes).
+3. **Hash joins** over the next table's filtered access path for the
+   other equi-joins; nested loops otherwise.
 
-Access-path *choice* runs in one of two regimes:
+The INNER joins and comma items of one SELECT core form one *join
+graph*: their ON conjuncts and the WHERE conjuncts are one pool, every
+cross-table equality of which is a join key.  A LEFT JOIN is a barrier
+planned in its written place.  Choices run in one of two regimes:
 
 * **No statistics** (the table was never ``ANALYZE``-d): deterministic
-  rules — among matching index probes, unique-index probes first, then
-  WHERE-clause order.
+  rules — the written order; among matching index probes, unique-index
+  probes first, then WHERE-clause order; an index join before a hash
+  join.
 * **With statistics** (:mod:`repro.sqldb.stats`): every candidate probe is
   priced against the sequential scan with the stats-backed cost model,
-  comma-joined tables are greedily reordered by estimated cardinality
-  (deterministic tie-break on the written order), and every operator
-  carries an ``est_rows`` estimate that ``EXPLAIN`` renders beside the
-  actual counts.
+  single-table conjuncts are filtered directly over their table's access
+  path, a graph of base tables is greedily ordered by estimated
+  cardinality (deterministic tie-break on the written order), each join
+  prices an index join against a hash join, and every operator carries an
+  ``est_rows`` estimate that ``EXPLAIN`` renders beside the actual counts.
 
-The full WHERE / ON predicates are always kept as residual filters, so a
-missed or partial optimisation can never change results — only speed.
+The full WHERE predicate is always kept as the residual filter above the
+graph, and each ON conjunct is evaluated by the join that first holds its
+tables, so a missed or partial optimisation can never change results —
+only speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExecutionError, ParseError, SQLError
 from repro.sqldb import ast_nodes as ast
@@ -59,6 +67,7 @@ from repro.sqldb.executor import (
     UnionAll,
 )
 from repro.sqldb.ast_walk import (
+    SUBQUERY_NODES as _SUBQUERY_NODES,
     branch_aggregates as _branch_aggregates,
     core_predicates as _core_predicates,
     core_references as _core_references,
@@ -513,7 +522,6 @@ class Planner:
             entry.schema.name,
             frames,
             where_conjuncts,
-            True,
             binding_stats,
             consumed,
         )
@@ -534,121 +542,236 @@ class Planner:
         where_conjuncts: List[ast.Expression],
         binding_stats: table_stats_mod.BindingStats,
         consumed: set,
+        driving: Optional[List[ast.Expression]] = None,
     ) -> Tuple[Operator, List[Tuple[Optional[str], List[str]]]]:
+        """Plan a FROM clause as one join graph.
+
+        The comma items and every INNER / CROSS join below them are the
+        graph's leaves, their ON conjuncts and *where_conjuncts* its
+        predicate pool; a LEFT JOIN is one leaf, planned as a graph of two
+        (:meth:`_plan_left_join`).  *driving* (default: the WHERE
+        conjuncts) are what the first leaf may turn into an index probe.
+        A single leaf is planned alone, exactly as before.
+        """
         if not from_items:
             return RowsSource([], [()]), []
-        order = self._comma_order(from_items, where_conjuncts)
-        operator: Optional[Operator] = None
-        bindings: List[Tuple[Optional[str], List[str]]] = []
-        planned: Dict[int, Tuple[Operator, List[Tuple[Optional[str], List[str]]]]] = {}
-        for rank, position in enumerate(order):
-            item_op, item_bindings = self._plan_from_item(
-                from_items[position],
-                frames,
-                bindings,
-                where_conjuncts,
-                rank == 0,
-                binding_stats,
-                consumed,
+        if driving is None:
+            driving = where_conjuncts
+        if len(from_items) == 1 and not _inner_join(from_items[0]):
+            return self._plan_from_item(
+                from_items[0], frames, driving, binding_stats, consumed
             )
-            bindings = bindings + item_bindings
-            planned[position] = (item_op, item_bindings)
+        leaves: List[_Leaf] = []
+        conjuncts: List[_Conjunct] = []
+        for item in from_items:
+            _flatten_inner(item, leaves, conjuncts)
+        everything = range(len(leaves))
+        conjuncts.extend(
+            _Conjunct(conjunct, everything, on=False) for conjunct in where_conjuncts
+        )
+        return self._plan_graph(
+            _JoinGraph(leaves, conjuncts, "INNER"),
+            frames,
+            driving,
+            binding_stats,
+            consumed,
+        )
+
+    def _plan_left_join(
+        self,
+        join: ast.Join,
+        frames: List[Frame],
+        driving: List[ast.Expression],
+        binding_stats: table_stats_mod.BindingStats,
+        consumed: set,
+    ) -> Tuple[Operator, List[Tuple[Optional[str], List[str]]]]:
+        """A LEFT JOIN is a barrier: its preserved side is a join graph of
+        its own (whose first leaf may still take *driving* as its access
+        path), nothing is pushed into its null-extended side, and the two
+        are joined in their written order."""
+        left_op, left_bindings = self._plan_from(
+            [join.left], frames, [], binding_stats, consumed, driving
+        )
+        both = range(2)
+        graph = _JoinGraph(
+            [_Leaf(None, left_op, left_bindings), _Leaf(join.right)],
+            [
+                _Conjunct(conjunct, both, on=True)
+                for conjunct in _split_conjuncts(join.condition)
+            ],
+            "LEFT",
+        )
+        return self._plan_graph(graph, frames, [], binding_stats, consumed)
+
+    def _plan_graph(
+        self,
+        graph: "_JoinGraph",
+        frames: List[Frame],
+        driving: List[ast.Expression],
+        binding_stats: table_stats_mod.BindingStats,
+        consumed: set,
+    ) -> Tuple[Operator, List[Tuple[Optional[str], List[str]]]]:
+        """Plan the leaves, push single-table conjuncts onto the base
+        tables with statistics, order the leaves (:meth:`_join_order`),
+        join them one at a time (:meth:`_join`), and restore the written
+        column order with a projection when the order moved."""
+        leaves = graph.leaves
+        for position, leaf in enumerate(leaves):
+            if leaf.operator is not None:
+                continue
+            leaf.entry = self._base_entry(leaf.item)
+            if leaf.entry is None:
+                leaf.operator, leaf.bindings = self._plan_from_item(
+                    leaf.item,
+                    frames,
+                    driving if position == 0 else [],
+                    binding_stats,
+                    consumed,
+                )
+                continue
+            binding = leaf.item.binding_name
+            leaf.stats = self._table_stats(leaf.entry.schema.name)
+            leaf.bindings = [(binding, list(leaf.entry.schema.column_names))]
+            binding_stats[binding.lower()] = leaf.stats
+        for conjunct in graph.conjuncts:
+            conjunct.refs = graph.refs(conjunct.expression, conjunct.visible)
+            if graph.kind != "INNER" or len(conjunct.refs) != 1:
+                continue
+            leaf = leaves[next(iter(conjunct.refs))]
+            if leaf.stats is not None and _pushable(conjunct.expression):
+                leaf.pushed.append(conjunct)
+                conjunct.applied = True
+                consumed.add(id(conjunct.expression))
+        order = self._join_order(graph)
+        operator: Optional[Operator] = None
+        joined: List[int] = []
+        for index in order:
+            leaf = leaves[index]
+            if leaf.operator is None:
+                leaf.operator = self._plan_base_leaf(
+                    leaf, frames, [] if joined else driving, binding_stats, consumed
+                )
             if operator is None:
-                operator = item_op
+                operator = leaf.operator
             else:
-                joined = NestedLoopJoin(operator, item_op, condition=None)
-                left_est = getattr(operator, "est_rows", None)
-                right_est = getattr(item_op, "est_rows", None)
-                if left_est is not None and right_est is not None:
-                    joined.est_rows = left_est * right_est
-                operator = joined
-        if order == list(range(len(from_items))):
+                operator = self._join(
+                    graph, operator, joined, index, frames, binding_stats, consumed
+                )
+            joined.append(index)
+        bindings = [binding for leaf in leaves for binding in leaf.bindings]
+        if order == sorted(order):
             return operator, bindings
-        # The comma items were joined in cost order; restore the written
-        # column (and binding) order with a projection so SELECT * output
-        # and name resolution are unchanged by the reordering.
-        offsets: Dict[int, int] = {}
+        # Restore the written column order: a column pass per slot, and a
+        # batch passes through untouched when nothing moved.
+        starts: Dict[int, int] = {}
         offset = 0
-        for position in order:
-            offsets[position] = offset
-            offset += sum(len(cols) for __, cols in planned[position][1])
-        exprs = []
-        names: List[str] = []
-        original_bindings: List[Tuple[Optional[str], List[str]]] = []
-        for position in range(len(from_items)):
-            start = offsets[position]
-            for binding_name, cols in planned[position][1]:
-                for column_offset, column in enumerate(cols):
-                    exprs.append(_slot_ref_fn(start + column_offset))
-                    names.append(column)
-                start += len(cols)
-                original_bindings.append((binding_name, list(cols)))
+        for index in order:
+            starts[index] = offset
+            offset += sum(len(columns) for __, columns in leaves[index].bindings)
+        ctx = self._context(frames)
+        exprs = [
+            compile_expression(SlotRef(starts[index] + position), ctx)
+            for index in range(len(leaves))
+            for position in range(
+                sum(len(columns) for __, columns in leaves[index].bindings)
+            )
+        ]
+        names = [column for __, columns in bindings for column in columns]
         project = Project(operator, exprs, names)
         est = getattr(operator, "est_rows", None)
         if est is not None:
             project.est_rows = est
-        return project, original_bindings
+        return project, bindings
 
-    def _comma_order(
+    def _base_entry(self, item: Optional[ast.FromItem]):
+        """The catalog entry of a FROM item naming a base table (None for
+        CTEs, views, derived tables and joins)."""
+        if not isinstance(item, ast.TableRef):
+            return None
+        key = item.name.lower()
+        if key in self.cte_columns or key in self.views:
+            return None
+        return self.catalog.lookup(item.name)
+
+    def _plan_base_leaf(
         self,
-        from_items: Sequence[ast.FromItem],
-        where_conjuncts: List[ast.Expression],
-    ) -> List[int]:
-        """Greedy cost-based ordering of comma-joined FROM items.
+        leaf: "_Leaf",
+        frames: List[Frame],
+        driving: List[ast.Expression],
+        binding_stats: table_stats_mod.BindingStats,
+        consumed: set,
+    ) -> Operator:
+        """A base-table leaf: the cheapest access path over *driving* and
+        its pushed conjuncts, under a filter of the pushed conjuncts."""
+        pushed = [conjunct.expression for conjunct in leaf.pushed]
+        access = list(driving) + [
+            expression
+            for expression in pushed
+            if not any(expression is other for other in driving)
+        ]
+        binding = leaf.item.binding_name
+        probed: set = set()
+        operator, __ = self._plan_base_table(
+            leaf.entry, binding, frames, access, binding_stats, probed
+        )
+        consumed |= probed
+        leaf.access_rows = getattr(operator, "est_rows", None)
+        if not pushed:
+            return operator
+        predicate = pushed[0]
+        for expression in pushed[1:]:
+            predicate = ast.BinaryOp("AND", predicate, expression)
+        filtered = Filter(
+            operator, self._compile_in(predicate, Scope(leaf.bindings), frames)
+        )
+        if leaf.access_rows is not None:
+            filtered.est_rows = leaf.access_rows * table_stats_mod.condition_selectivity(
+                [e for e in pushed if id(e) not in probed],
+                {binding.lower(): leaf.stats},
+            )
+        return filtered
 
-        Applies only when every item is a base table with collected
-        statistics; otherwise the written order is kept.  Start from the
-        item with the smallest estimated filtered cardinality, then
-        repeatedly append the item minimising the estimated
-        intermediate-result size through the WHERE clause's equi-join
-        predicates.  Ties keep the written order, so the plan is
-        deterministic for a given catalog + statistics state.
+    def _join_order(self, graph: "_JoinGraph") -> List[int]:
+        """Greedy cost-based order of an INNER graph's leaves.
+
+        Applies only when every leaf is a base table with collected
+        statistics (and binding names are distinct); otherwise the written
+        order is kept.  Start from the leaf with the smallest estimated
+        filtered cardinality (its pushed conjuncts), then repeatedly append
+        the leaf minimising the estimated intermediate result through the
+        pool's equi-join predicates.  Ties keep the written order, so the
+        plan is deterministic for a given catalog + statistics state.
         """
-        identity = list(range(len(from_items)))
-        if len(from_items) < 2 or self.stats is None:
+        leaves = graph.leaves
+        identity = list(range(len(leaves)))
+        if graph.kind != "INNER" or any(leaf.stats is None for leaf in leaves):
             return identity
-        per_item: List[Tuple[str, table_stats_mod.TableStats]] = []
-        for item in from_items:
-            if not isinstance(item, ast.TableRef):
-                return identity
-            key = item.name.lower()
-            if key in self.cte_columns or key in self.views:
-                return identity
-            if not self.catalog.exists(item.name):
-                return identity
-            item_stats = self.stats.get(item.name)
-            if item_stats is None:
-                return identity
-            per_item.append((item.binding_name.lower(), item_stats))
-        all_stats: table_stats_mod.BindingStats = dict(per_item)
-        if len(all_stats) != len(per_item):
+        groups = [
+            {leaf.item.binding_name.lower(): leaf.stats} for leaf in leaves
+        ]
+        if len({name for group in groups for name in group}) != len(leaves):
             return identity  # duplicate binding names: keep the written order
-        filtered: List[float] = []
-        for binding, item_stats in per_item:
-            selectivity = 1.0
-            for conjunct in where_conjuncts:
-                if table_stats_mod.references_only(conjunct, binding, all_stats):
-                    selectivity *= table_stats_mod.conjunct_selectivity(
-                        conjunct, {binding: item_stats}
-                    )
-            filtered.append(item_stats.row_count * selectivity)
+        filtered = [
+            leaf.stats.row_count
+            * table_stats_mod.condition_selectivity(
+                [conjunct.expression for conjunct in leaf.pushed], group
+            )
+            for leaf, group in zip(leaves, groups)
+        ]
         remaining = identity[:]
         start = min(remaining, key=lambda position: (filtered[position], position))
         order = [start]
         remaining.remove(start)
         cardinality = filtered[start]
-        included: Dict[str, table_stats_mod.TableStats] = {
-            per_item[start][0]: per_item[start][1]
-        }
+        included: Dict[str, table_stats_mod.TableStats] = dict(groups[start])
         while remaining:
             best = remaining[0]
             best_cardinality: Optional[float] = None
             for position in remaining:
-                candidate_group = {per_item[position][0]: per_item[position][1]}
                 selectivity = 1.0
-                for conjunct in where_conjuncts:
+                for conjunct in graph.conjuncts:
                     join_sel = table_stats_mod.join_selectivity(
-                        conjunct, included, candidate_group
+                        conjunct.expression, included, groups[position]
                     )
                     if join_sel is not None:
                         selectivity *= join_sel
@@ -660,22 +783,20 @@ class Planner:
             remaining.remove(best)
             if best_cardinality is not None:
                 cardinality = best_cardinality
-            included[per_item[best][0]] = per_item[best][1]
+            included.update(groups[best])
         return order
 
     def _plan_from_item(
         self,
         item: ast.FromItem,
         frames: List[Frame],
-        left_bindings: List[Tuple[Optional[str], List[str]]],
-        where_conjuncts: List[ast.Expression],
-        leftmost: bool,
+        driving: List[ast.Expression],
         binding_stats: table_stats_mod.BindingStats,
         consumed: set,
     ) -> Tuple[Operator, List[Tuple[Optional[str], List[str]]]]:
         if isinstance(item, ast.TableRef):
             return self._plan_table_ref(
-                item, frames, where_conjuncts, leftmost, binding_stats, consumed
+                item, frames, driving, binding_stats, consumed
             )
         if isinstance(item, ast.SubqueryRef):
             child = Planner(
@@ -696,27 +817,20 @@ class Planner:
                 binding_stats.setdefault(item.alias.lower(), None)
             return operator, [(item.alias, list(plan.output_names))]
         if isinstance(item, ast.Join):
-            left_op, left_binds = self._plan_from_item(
-                item.left,
-                frames,
-                left_bindings,
-                where_conjuncts,
-                leftmost,
-                binding_stats,
-                consumed,
+            if item.kind == "LEFT":
+                return self._plan_left_join(
+                    item, frames, driving, binding_stats, consumed
+                )
+            return self._plan_from(
+                [item], frames, [], binding_stats, consumed, driving
             )
-            join_op, right_binds = self._plan_join(
-                item, left_op, left_bindings + left_binds, frames, binding_stats
-            )
-            return join_op, left_binds + right_binds
         raise ParseError(f"unsupported FROM item {type(item).__name__}")
 
     def _plan_table_ref(
         self,
         ref: ast.TableRef,
         frames: List[Frame],
-        where_conjuncts: List[ast.Expression],
-        leftmost: bool,
+        driving: List[ast.Expression],
         binding_stats: table_stats_mod.BindingStats,
         consumed: set,
     ) -> Tuple[Operator, List[Tuple[Optional[str], List[str]]]]:
@@ -733,8 +847,7 @@ class Planner:
             self.catalog.lookup(ref.name),
             binding,
             frames,
-            where_conjuncts,
-            leftmost,
+            driving,
             binding_stats,
             consumed,
         )
@@ -744,20 +857,20 @@ class Planner:
         entry,
         binding: str,
         frames: List[Frame],
-        where_conjuncts: List[ast.Expression],
-        leftmost: bool,
+        conjuncts: List[ast.Expression],
         binding_stats: table_stats_mod.BindingStats,
         consumed: set,
     ) -> Tuple[Operator, List[Tuple[Optional[str], List[str]]]]:
-        """The cheapest access path to a base table: an index probe a
-        WHERE conjunct makes available when it drives the core, else the
+        """The cheapest access path to a base table: an index probe one of
+        *conjuncts* makes available (the WHERE clause when the table drives
+        the core, its pushed conjuncts inside a join graph), else the
         sequential scan."""
         columns = entry.schema.column_names
         table_stats = self._table_stats(entry.schema.name)
         binding_stats[binding.lower()] = table_stats
-        if leftmost and where_conjuncts:
+        if conjuncts:
             indexed = self._try_index_scan(
-                entry, binding, where_conjuncts, frames, consumed, table_stats
+                entry, binding, conjuncts, frames, consumed, table_stats
             )
             if indexed is not None:
                 return indexed, [(binding, list(columns))]
@@ -1002,234 +1115,159 @@ class Planner:
         operator = MultiKeyIndexLookup(entry.storage, index, [], subquery)
         return operator, index, keys, conjunct.operand.name.lower()
 
-    def _plan_join(
+    def _join(
         self,
-        join: ast.Join,
-        left_op: Operator,
-        left_bindings: List[Tuple[Optional[str], List[str]]],
+        graph: "_JoinGraph",
+        left: Operator,
+        joined: List[int],
+        index: int,
         frames: List[Frame],
         binding_stats: table_stats_mod.BindingStats,
-    ) -> Tuple[Operator, List[Tuple[Optional[str], List[str]]]]:
-        frame = frames[-1]
-        if join.kind == "CROSS":
-            right_op, right_binds = self._plan_from_item(
-                join.right, frames, left_bindings, [], False, binding_stats, set()
-            )
-            bindings = _strip_prefix(left_bindings, right_binds)
-            operator = NestedLoopJoin(left_op, right_op, condition=None)
-            _annotate_join_estimate(
-                operator, left_op, right_op, [], binding_stats, "INNER"
-            )
-            return operator, bindings
-        # Try an index nested-loop join with the right side as a base table.
-        if isinstance(join.right, ast.TableRef) and join.right.name.lower() not in (
-            self.cte_columns
-        ) and self.catalog.exists(join.right.name):
-            indexed = self._try_index_join(
-                join, left_op, left_bindings, frames, binding_stats
-            )
-            if indexed is not None:
-                return indexed
-        right_op, right_binds = self._plan_from_item(
-            join.right, frames, left_bindings, [], False, binding_stats, set()
-        )
-        condition_conjuncts = _split_conjuncts(join.condition)
-        combined_bindings = left_bindings + right_binds
-        combined_scope = Scope(combined_bindings)
-        saved = frame.scope
-        frame.scope = combined_scope
-        try:
-            condition_fn = (
-                compile_expression(join.condition, self._context(frames))
-                if join.condition is not None
-                else None
-            )
-            hash_join = None
-            if join.kind == "INNER" and join.condition is not None:
-                hash_join = self._try_hash_join(
-                    join, left_op, right_op, left_bindings, right_binds, frames,
-                    condition_fn,
-                )
-            if hash_join is not None:
-                _annotate_join_estimate(
-                    hash_join,
-                    left_op,
-                    right_op,
-                    condition_conjuncts,
-                    binding_stats,
-                    "INNER",
-                )
-                return hash_join, _strip_prefix(left_bindings, right_binds)
-        finally:
-            frame.scope = saved
-        operator = NestedLoopJoin(left_op, right_op, condition_fn, kind=join.kind)
-        _annotate_join_estimate(
-            operator, left_op, right_op, condition_conjuncts, binding_stats, join.kind
-        )
-        return operator, _strip_prefix(left_bindings, right_binds)
+        consumed: set,
+    ) -> Operator:
+        """Join leaf *index* to the *joined* leaves (plan order) below *left*.
 
-    def _try_index_join(
-        self,
-        join: ast.Join,
-        left_op: Operator,
-        left_bindings: List[Tuple[Optional[str], List[str]]],
-        frames: List[Frame],
-        binding_stats: table_stats_mod.BindingStats,
-    ) -> Optional[Tuple[Operator, List[Tuple[Optional[str], List[str]]]]]:
-        entry = self.catalog.lookup(join.right.name)
-        right_binding = join.right.binding_name
-        right_stats = self._table_stats(join.right.name)
-        binding_stats[right_binding.lower()] = right_stats
-        frame = frames[-1]
-        conjuncts = _split_conjuncts(join.condition)
-        left_scope = Scope(left_bindings)
-        for conjunct in conjuncts:
-            if not (
-                isinstance(conjunct, ast.BinaryOp) and conjunct.operator == "="
-            ):
-                continue
-            for column_side, key_side in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if not isinstance(column_side, ast.ColumnRef):
-                    continue
-                qualifier = column_side.qualifier
-                if qualifier is not None and qualifier.lower() != right_binding.lower():
-                    continue
-                if qualifier is None and _scope_has_column(
-                    left_scope, column_side.name
-                ):
-                    continue  # would be ambiguous or belong to the left side
-                if not entry.schema.has_column(column_side.name):
-                    continue
-                index = entry.storage.find_index([column_side.name])
-                if index is None:
-                    continue
-                saved = frame.scope
-                frame.scope = left_scope
-                try:
-                    key_fn = self._compile_independent(
-                        key_side, frames, entry.schema
-                    )
-                finally:
-                    frame.scope = saved
-                if key_fn is None:
-                    continue
-                combined_bindings = left_bindings + [
-                    (right_binding, list(entry.schema.column_names))
-                ]
-                saved = frame.scope
-                frame.scope = Scope(combined_bindings)
-                try:
-                    residual = compile_expression(
-                        join.condition, self._context(frames)
-                    )
-                finally:
-                    frame.scope = saved
-                operator = IndexNestedLoopJoin(
-                    left_op,
-                    entry.storage,
-                    index,
-                    [key_fn],
-                    residual,
-                    kind=join.kind,
-                )
-                left_est = getattr(left_op, "est_rows", None)
-                if left_est is not None and right_stats is not None:
-                    est = (
-                        left_est
-                        * right_stats.row_count
-                        * table_stats_mod.condition_selectivity(
-                            conjuncts, binding_stats
-                        )
-                    )
-                    if join.kind == "LEFT":
-                        est = max(est, left_est)
-                    operator.est_rows = est
-                return operator, [
-                    (right_binding, list(entry.schema.column_names))
-                ]
-        return None
-
-    def _try_hash_join(
-        self,
-        join: ast.Join,
-        left_op: Operator,
-        right_op: Operator,
-        left_bindings,
-        right_binds,
-        frames: List[Frame],
-        condition_fn,
-    ) -> Optional[Operator]:
-        frame = frames[-1]
-        left_scope = Scope(left_bindings)
-        right_scope = Scope(right_binds)
-        left_keys = []
-        right_keys = []
-        for conjunct in _split_conjuncts(join.condition):
-            if not (
-                isinstance(conjunct, ast.BinaryOp) and conjunct.operator == "="
-            ):
-                return None
-            pair = self._classify_equi_sides(
-                conjunct, left_scope, right_scope, frames
-            )
-            if pair is None:
-                return None
-            left_keys.append(pair[0])
-            right_keys.append(pair[1])
-        if not left_keys:
-            return None
-        return HashJoin(
-            left_op,
-            right_op,
-            left_keys,
-            right_keys,
-            residual=None,
-            kind="INNER",
+        The keys are the pool's equalities with one side on the joined
+        leaves and the other on this leaf.  An index nested-loop join
+        probes this leaf's index on a key column; a hash join builds on
+        its filtered access path.  With statistics on the leaf and an
+        estimate for *left* the two are priced — ``index_probe_cost(|L|,
+        |L| × rows per key)`` against ``seq_scan_cost(rows read) + |L|`` —
+        otherwise the index join wins, then the hash join, then a nested
+        loop.  The ON conjuncts whose leaves are all joined here (pushed
+        ones aside) are the join's residual; WHERE conjuncts are left to
+        the filter above the graph.
+        """
+        leaf = graph.leaves[index]
+        step = frozenset(joined) | {index}
+        on = [
+            conjunct
+            for conjunct in graph.conjuncts
+            if conjunct.on and not conjunct.applied and conjunct.refs <= step
+        ]
+        keys = graph.keys(joined, index)
+        for conjunct in on:
+            conjunct.applied = True
+        probe = None
+        if leaf.entry is not None:
+            for key in keys:
+                if isinstance(key.right, ast.ColumnRef):
+                    found = leaf.entry.storage.find_index([key.right.name])
+                    if found is not None:
+                        probe = (key, found)
+                        break
+        hashed = (
+            [key for key in keys if key.left_refs] if graph.kind == "INNER" else []
         )
+        left_est = getattr(left, "est_rows", None)
+        right_est = getattr(leaf.operator, "est_rows", None)
+        if (
+            probe is not None
+            and hashed
+            and leaf.stats is not None
+            and left_est is not None
+        ):
+            key, found = probe
+            per_key = table_stats_mod.probe_rows(
+                leaf.stats, key.right.name, found.unique, 1
+            )
+            index_cost = table_stats_mod.index_probe_cost(left_est, left_est * per_key)
+            scanned = leaf.access_rows
+            if scanned is None:
+                scanned = float(leaf.stats.row_count)
+            if index_cost >= table_stats_mod.seq_scan_cost(scanned) + left_est:
+                probe = None
+        used = [probe[0]] if probe is not None else hashed
+        used_conjuncts = [key.conjunct for key in used]
+        residual = [conjunct for conjunct in on if conjunct not in used_conjuncts]
+        step_order = joined + [index]
+        if probe is not None:
+            key, found = probe
+            operator: Operator = IndexNestedLoopJoin(
+                left,
+                leaf.entry.storage,
+                found,
+                [self._compile_in(key.left, graph.scope(joined, key.conjunct), frames)],
+                self._compile_all(graph, residual + leaf.pushed, step_order, frames),
+                kind=graph.kind,
+            )
+        elif used:
+            operator = HashJoin(
+                left,
+                leaf.operator,
+                [
+                    self._compile_in(key.left, graph.scope(joined, key.conjunct), frames)
+                    for key in used
+                ],
+                [
+                    self._compile_in(key.right, graph.scope([index], key.conjunct), frames)
+                    for key in used
+                ],
+                residual=self._compile_all(graph, residual, step_order, frames),
+                kind="INNER",
+            )
+        else:
+            operator = NestedLoopJoin(
+                left,
+                leaf.operator,
+                self._compile_all(graph, residual, step_order, frames),
+                kind=graph.kind,
+            )
+        if left_est is not None and right_est is not None:
+            selectivity = 1.0
+            for key in used:
+                selectivity *= table_stats_mod.equi_join_selectivity(
+                    key.conjunct.expression, binding_stats, left_est, right_est
+                )
+            selectivity *= table_stats_mod.condition_selectivity(
+                [conjunct.expression for conjunct in residual], binding_stats
+            )
+            est = left_est * right_est * selectivity
+            if graph.kind == "LEFT":
+                est = max(est, left_est)  # every left row appears at least once
+            operator.est_rows = est
+        for key in used:
+            consumed.add(id(key.conjunct.expression))
+        return operator
 
-    def _classify_equi_sides(
+    def _compile_all(
         self,
-        conjunct: ast.BinaryOp,
-        left_scope: Scope,
-        right_scope: Scope,
+        graph: "_JoinGraph",
+        conjuncts: List["_Conjunct"],
+        order: List[int],
         frames: List[Frame],
     ):
-        """Compile the sides of an equi-conjunct against (left, right) scopes.
+        """One row closure that is True when every conjunct is, each
+        compiled against the *order* leaves as its written scope sees
+        them; None for no conjuncts."""
+        fns = [
+            self._compile_in(
+                conjunct.expression, graph.scope(order, conjunct), frames
+            )
+            for conjunct in conjuncts
+        ]
+        if not fns:
+            return None
+        if len(fns) == 1:
+            return fns[0]
 
-        Returns ``(left_key_fn, right_key_fn)`` or None if the conjunct does
-        not split cleanly across the join.
-        """
+        def all_true(row, env):
+            for fn in fns:
+                if fn(row, env) is not True:
+                    return False
+            return True
+
+        return all_true
+
+    def _compile_in(self, expression: ast.Expression, scope: Scope, frames: List[Frame]):
+        """Compile *expression* with *scope* as the current frame's."""
         frame = frames[-1]
-
-        def compile_against(expr, scope):
-            saved = frame.scope
-            frame.scope = scope
-            try:
-                return compile_expression(expr, self._context(frames))
-            except SQLError:
-                return None
-            finally:
-                frame.scope = saved
-
-        left_fn = compile_against(conjunct.left, left_scope)
-        right_fn = compile_against(conjunct.right, right_scope)
-        if left_fn is not None and right_fn is not None:
-            # Ensure neither side is actually resolvable on both scopes,
-            # which would make this split ambiguous — fall back.
-            if (
-                compile_against(conjunct.left, right_scope) is not None
-                or compile_against(conjunct.right, left_scope) is not None
-            ):
-                return None
-            return (left_fn, right_fn)
-        swapped_left = compile_against(conjunct.right, left_scope)
-        swapped_right = compile_against(conjunct.left, right_scope)
-        if swapped_left is not None and swapped_right is not None:
-            return (swapped_left, swapped_right)
-        return None
+        saved = frame.scope
+        frame.scope = scope
+        try:
+            return compile_expression(expression, self._context(frames))
+        finally:
+            frame.scope = saved
 
     def _compile_independent(self, expr: ast.Expression, frames: List[Frame], avoid_schema):
         """Compile *expr* so that it may reference outer frames and the
@@ -1479,13 +1517,7 @@ class Planner:
         return Project(sorted_root, strip, output_names)
 
     def _compile_scalar(self, expression: ast.Expression, frames: List[Frame]):
-        frame = frames[-1]
-        saved = frame.scope
-        frame.scope = Scope([])
-        try:
-            return compile_expression(expression, self._context(frames))
-        finally:
-            frame.scope = saved
+        return self._compile_in(expression, Scope([]), frames)
 
     # -- helpers -------------------------------------------------------------------
 
@@ -1578,33 +1610,191 @@ def _subquery_key(statement: ast.SelectStatement) -> object:
     return id(statement) if "?" in text else text
 
 
-def _slot_ref_fn(slot: int):
-    """Raw slot projection ``(row, env) -> row[slot]`` (same idiom as the
-    hidden ORDER BY keys; plans using it fall back to the row executor)."""
-    return lambda row, env: row[slot]
+Bindings = List[Tuple[Optional[str], List[str]]]
 
 
-def _annotate_join_estimate(
-    operator: Operator,
-    left_op: Operator,
-    right_op: Operator,
-    conjuncts: List[ast.Expression],
-    binding_stats: table_stats_mod.BindingStats,
-    kind: str,
+@dataclass
+class _Leaf:
+    """One input relation of a join graph."""
+
+    #: The FROM item to plan; None when ``operator`` arrives planned (the
+    #: preserved side of a LEFT JOIN).
+    item: Optional[ast.FromItem]
+    operator: Optional[Operator] = None
+    bindings: Bindings = field(default_factory=list)
+    #: Catalog entry of a base table (None for CTEs, views, derived tables
+    #: and joins): only a base table is probed by an index join, takes
+    #: pushed conjuncts, or moves in a reordered graph.
+    entry: object = None
+    stats: Optional[table_stats_mod.TableStats] = None
+    #: Single-table conjuncts filtered directly over the access path.
+    pushed: List["_Conjunct"] = field(default_factory=list)
+    #: Rows the access path reads: what a hash join building on it pays.
+    access_rows: Optional[float] = None
+
+
+@dataclass(eq=False)
+class _Conjunct:
+    """One conjunct of a join graph's predicate pool."""
+
+    expression: ast.Expression
+    #: The leaves of its written scope: every leaf for WHERE, the join's
+    #: subtree for ON.
+    visible: range
+    #: An ON conjunct is evaluated by the join that first holds its leaves;
+    #: a WHERE conjunct by the residual filter above the graph.
+    on: bool
+    #: The leaves its columns resolve to (all of ``visible`` when it holds a
+    #: subquery, which may read any of them).
+    refs: FrozenSet[int] = frozenset()
+    #: Evaluated already: pushed onto a leaf, or an ON conjunct a join owns.
+    applied: bool = False
+
+
+@dataclass
+class _Key:
+    """An equality usable as a join key: ``left`` reads only joined leaves
+    (``left_refs``; empty for a constant, which only an ON clause's index
+    join probes with), ``right`` only the next one."""
+
+    conjunct: _Conjunct
+    left: ast.Expression
+    right: ast.Expression
+    left_refs: FrozenSet[int]
+
+
+class _JoinGraph:
+    """The leaves and predicate pool of one join graph (``kind`` INNER, or
+    LEFT for the two sides of a LEFT JOIN), and what the planner asks of
+    them."""
+
+    def __init__(
+        self, leaves: List[_Leaf], conjuncts: List[_Conjunct], kind: str
+    ) -> None:
+        self.leaves = leaves
+        self.conjuncts = conjuncts
+        self.kind = kind
+        self._scopes: Dict[Tuple[int, int], Tuple[Scope, List[int]]] = {}
+
+    def refs(self, expression: ast.Expression, visible: range) -> FrozenSet[int]:
+        """The leaves *expression*'s columns resolve to in the *visible*
+        scope; a column found in none is an outer reference."""
+        key = (visible.start, visible.stop)
+        cached = self._scopes.get(key)
+        if cached is None:
+            bindings: Bindings = []
+            owners: List[int] = []
+            for index in visible:
+                for name, columns in self.leaves[index].bindings:
+                    bindings.append((name, columns))
+                    owners.extend([index] * len(columns))
+            cached = self._scopes[key] = (Scope(bindings), owners)
+        scope, owners = cached
+        found = set()
+        for node in ast.walk_expression(expression):
+            if isinstance(node, _SUBQUERY_NODES):
+                return frozenset(visible)
+            if isinstance(node, ast.ColumnRef):
+                try:
+                    found.add(owners[scope.resolve(node.qualifier, node.name)])
+                except UnresolvedColumnError:
+                    pass
+        return frozenset(found)
+
+    def keys(self, joined: List[int], index: int) -> List[_Key]:
+        """The pool's equalities between the *joined* leaves and leaf
+        *index*, in pool order (ON conjuncts first)."""
+        joined_set = frozenset(joined)
+        step = joined_set | {index}
+        keys: List[_Key] = []
+        for conjunct in self.conjuncts:
+            expression = conjunct.expression
+            if (
+                conjunct.applied
+                or index not in conjunct.refs
+                or not conjunct.refs <= step
+                or not isinstance(expression, ast.BinaryOp)
+                or expression.operator != "="
+            ):
+                continue
+            for left, right in (
+                (expression.left, expression.right),
+                (expression.right, expression.left),
+            ):
+                left_refs = self.refs(left, conjunct.visible)
+                if (left_refs or conjunct.on) and left_refs <= joined_set and self.refs(
+                    right, conjunct.visible
+                ) == {index}:
+                    keys.append(_Key(conjunct, left, right, left_refs))
+                    break
+        return keys
+
+    def scope(self, order: List[int], conjunct: _Conjunct) -> Scope:
+        """The *order* leaves' bindings as *conjunct*'s written scope sees
+        them: a leaf outside it keeps its slots but loses its names."""
+        bindings: Bindings = []
+        for index in order:
+            for name, columns in self.leaves[index].bindings:
+                if index in conjunct.visible:
+                    bindings.append((name, columns))
+                else:
+                    bindings.append((None, [""] * len(columns)))
+        return Scope(bindings)
+
+
+def _inner_join(item: ast.FromItem) -> bool:
+    return isinstance(item, ast.Join) and item.kind in ("INNER", "CROSS")
+
+
+def _flatten_inner(
+    item: ast.FromItem, leaves: List[_Leaf], conjuncts: List[_Conjunct]
 ) -> None:
-    """Estimate join output as |left| × |right| × selectivity(ON)."""
-    left_est = getattr(left_op, "est_rows", None)
-    right_est = getattr(right_op, "est_rows", None)
-    if left_est is None or right_est is None:
-        return
-    est = (
-        left_est
-        * right_est
-        * table_stats_mod.condition_selectivity(conjuncts, binding_stats)
-    )
-    if kind == "LEFT":
-        est = max(est, left_est)  # every left row appears at least once
-    operator.est_rows = est
+    """Append *item*'s leaves in written order, descending through INNER
+    and CROSS joins (a LEFT JOIN is one leaf), and each ON clause's
+    conjuncts with the leaves of its join as their scope."""
+    if _inner_join(item):
+        start = len(leaves)
+        _flatten_inner(item.left, leaves, conjuncts)
+        _flatten_inner(item.right, leaves, conjuncts)
+        scope = range(start, len(leaves))
+        conjuncts.extend(
+            _Conjunct(conjunct, scope, on=True)
+            for conjunct in _split_conjuncts(item.condition)
+        )
+    else:
+        leaves.append(_Leaf(item))
+
+
+_PUSHABLE_OPERATORS = frozenset(("=", "<>", "<", "<=", ">", ">=", "AND", "OR"))
+_PUSHABLE_NODES = (
+    ast.ColumnRef,
+    ast.Literal,
+    ast.Parameter,
+    ast.Between,
+    ast.InList,
+    ast.Like,
+    ast.IsNullTest,
+)
+
+
+def _pushable(expression: ast.Expression) -> bool:
+    """True for a predicate built only from columns, (signed) literals,
+    parameters, comparisons, BETWEEN, IN-lists, LIKE, IS [NOT] NULL and
+    AND/OR/NOT: one that may run below a join.  Arithmetic, function
+    calls, CASE, CAST and subqueries stay in the residual filter."""
+    for node in ast.walk_expression(expression):
+        if isinstance(node, ast.BinaryOp):
+            if node.operator.upper() not in _PUSHABLE_OPERATORS:
+                return False
+        elif isinstance(node, ast.UnaryOp):
+            if node.operator.upper() != "NOT" and not (
+                isinstance(node.operand, ast.Literal)
+                and isinstance(node.operand.value, (int, float))
+            ):
+                return False
+        elif not isinstance(node, _PUSHABLE_NODES):
+            return False
+    return True
 
 
 def _finalize_estimates(operator: Operator) -> None:
@@ -1631,21 +1821,6 @@ def _finalize_estimates(operator: Operator) -> None:
         ]
         if branch_ests and all(est is not None for est in branch_ests):
             operator.est_rows = float(sum(branch_ests))
-
-
-def _strip_prefix(left_bindings, right_binds):
-    """Bindings contributed by a join node = right side only (the caller
-    already owns the left bindings)."""
-    return right_binds
-
-
-def _scope_has_column(scope: Scope, name: str) -> bool:
-    wanted = name.lower()
-    return any(
-        column.lower() == wanted
-        for __, columns in scope.bindings
-        for column in columns
-    )
 
 
 def _display_names(scope: Scope) -> List[str]:

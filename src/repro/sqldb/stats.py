@@ -308,24 +308,6 @@ def _column_stats(
     return table_stats.column(column.name)
 
 
-def references_only(
-    expression: ast.Expression, binding: str, binding_stats: BindingStats
-) -> bool:
-    """True when every column reference in *expression* resolves to
-    *binding* (and there is at least one), with no subqueries — i.e. the
-    predicate restricts that one table alone."""
-    wanted = binding.lower()
-    found = False
-    for node in ast.walk_expression(expression):
-        if isinstance(node, (ast.ExistsTest, ast.InSubquery, ast.ScalarSubquery)):
-            return False
-        if isinstance(node, ast.ColumnRef):
-            if column_binding(node, binding_stats) != wanted:
-                return False
-            found = True
-    return found
-
-
 def _literal_value(expression: ast.Expression) -> Tuple[bool, object]:
     if isinstance(expression, ast.Literal):
         return True, expression.value
@@ -522,3 +504,28 @@ def join_selectivity(
         _column_stats(conjunct.left, combined),
         _column_stats(conjunct.right, combined),
     )
+
+
+def equi_join_selectivity(
+    conjunct: ast.Expression,
+    binding_stats: BindingStats,
+    left_rows: float,
+    right_rows: float,
+) -> float:
+    """Selectivity of the join key *conjunct* (``l = r``) between inputs of
+    *left_rows* and *right_rows*: ``1 / max(nd_l, nd_r)`` when both sides
+    are columns with statistics, else ``1 / max(|L|, |R|)`` — each row of
+    the smaller input meets one row of the larger (a key / foreign-key
+    join), so the join keeps ``|L|·|R| / max(|L|, |R|)`` rows."""
+    if (
+        isinstance(conjunct, ast.BinaryOp)
+        and isinstance(conjunct.left, ast.ColumnRef)
+        and isinstance(conjunct.right, ast.ColumnRef)
+    ):
+        selectivity = equi_join_selectivity_from_stats(
+            _column_stats(conjunct.left, binding_stats),
+            _column_stats(conjunct.right, binding_stats),
+        )
+        if selectivity is not None:
+            return selectivity
+    return 1.0 / max(left_rows, right_rows, 1.0)

@@ -18,7 +18,9 @@ call instead of a probe plus a fetch per row, and still 249.2 once every
 probe was priced against a scan at run time (the pricing reads two counts
 inline and costs one call; building the key as a list costs one fewer
 than as a generator); 248.2 once the server stopped calling an opt-in
-lint gate (off, but still a call) on every QUERY and BATCH.  The budget
+lint gate (off, but still a call) on every QUERY and BATCH; 236.9 once an
+index join stopped re-testing the key equality its probe had matched (the
+ON clause minus its join key is the residual, as for a hash join).  The budget
 sits between the first two, with room for interpreter versions that
 count comprehensions differently.
 

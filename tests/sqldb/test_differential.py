@@ -239,6 +239,26 @@ def test_division_error_raises_in_both_modes(engine_db, row_operators):
         )
 
 
+@pytest.mark.parametrize(
+    "where",
+    ["s < 5", "5 > s", "v = 'x'", "s BETWEEN 1 AND 2", "v NOT BETWEEN 'a' AND 'z'"],
+)
+def test_comparing_a_string_with_a_number_raises_in_both_modes(
+    engine_db, row_operators, where
+):
+    # A column-vs-literal comparison and BETWEEN take fast paths on both
+    # operator sets; a kind mismatch must still raise, not compare.
+    assert (
+        run_differential(
+            engine_db,
+            f"SELECT id FROM t WHERE {where}",
+            oracle=row_operators,
+            vectorizes=True,
+        )
+        is None
+    )
+
+
 def test_masked_conjunction_guards_division(engine_db, row_operators):
     # The AND kernel must not evaluate the right operand on rows the left
     # already rejected — otherwise this guarded division would blow up on
@@ -304,10 +324,18 @@ comparison = st.tuples(
     st.sampled_from(COLUMNS),
     st.sampled_from(("<", "<=", ">", ">=", "=", "<>")),
     st.integers(min_value=-5, max_value=60),
-).map(lambda t: f"{t[0]} {t[1]} {t[2]}")
+    st.booleans(),
+).map(lambda t: f"{t[0]} {t[1]} {t[2]}" if t[3] else f"{t[2]} {t[1]} {t[0]}")
+
+between = st.tuples(
+    st.sampled_from(COLUMNS),
+    st.sampled_from(("", "NOT ")),
+    st.integers(min_value=-5, max_value=60),
+    st.sampled_from(("5", "30.5", "n", "NULL")),
+).map(lambda t: f"{t[0]} {t[1]}BETWEEN {t[2]} AND {t[3]}")
 
 predicate = st.recursive(
-    comparison,
+    comparison | between,
     lambda inner: st.tuples(inner, st.sampled_from(("AND", "OR")), inner).map(
         lambda t: f"({t[0]} {t[1]} {t[2]})"
     ),
