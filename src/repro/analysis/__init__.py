@@ -1,37 +1,34 @@
-"""Static query/plan analyzer for the PDM reproduction.
+"""Static query and transaction-script analyzer for the PDM reproduction.
 
-Three rule families over the :mod:`repro.sqldb` AST (and, when a database
-is available, its plans):
+It keeps only the rules that state a paper argument the engine cannot
+decide from one statement:
 
-* **Recursion safety** (R001-R003): linearity, monotonicity, termination
-  of recursive CTEs.
-* **Pushdown safety** (P001-P003): Section 5.5 placement of rule
-  predicates, sargability, plan-cache-friendly IN-list shapes.
-* **WAN anti-patterns** (W001-W003): navigational point-SELECTs,
-  index-ignoring full scans, cartesian products.
-* **Transaction scripts** (C001-C005): lock-order inversion (static
-  deadlock risk), retry idempotence, X-locks held across round trips,
-  table-lock escalation, DDL inside transactions — over the shared
-  static lock-footprint model of :mod:`repro.concurrency.footprint`.
+* **R003** unguarded ``UNION ALL`` recursion (Section 5.6): whether the
+  data holds a cycle is not in the query.
+* **P001** a tree condition inside the recursive part (Section 5.5
+  steps A-B).
+* **W001** the navigational point-SELECT (Table 2), escalated when a
+  workload repeats it per node.
+* **C001** lock-order inversion between transaction scripts, over the
+  shared static lock-footprint model of
+  :mod:`repro.concurrency.footprint`; **C002** DML a lost-reply retry
+  would apply twice outside the SEQUENCED envelope.
+
+What the engine decides, it shows in ``EXPLAIN`` or refuses itself:
+recursion without a fixpoint is a planner ``ParseError``, a probe priced
+against a scan prints ``keys=N probed|scanned``, and a keyless join edge
+prints ``NestedLoopJoin(CROSS)``.
 
 Entry points: :func:`analyze_sql` / :func:`analyze_statement` for one
-statement (pass ``database=`` for the index- and plan-aware rules),
-:func:`analyze_workload` for a statement sequence,
+statement, :func:`analyze_workload` for a statement sequence,
 :func:`analyze_transaction_sql` / :func:`analyze_transaction_workload`
-for transaction scripts, and ``python -m repro.analysis`` (``--scripts``
-for script corpora) for the CLI.  It is an offline tool: no engine or
-server path runs it.  The one check that must hold at run time — R001 /
-R002, recursion without a fixpoint — the planner enforces itself, with
-the same predicates (:mod:`repro.sqldb.ast_walk`).
-
-This package imports only :mod:`repro.errors`, :mod:`repro.sqldb`, and
-:mod:`repro.concurrency` (the pure lock-footprint model) — the PDM layer
-re-exports its bucket constant, so anything higher would cycle.
+for transaction scripts (``database=`` resolves views and primary keys),
+and ``python -m repro.analysis`` for the CLI.  It is an offline tool:
+no module of :mod:`repro` outside this package imports it.
 """
 
 from repro.analysis.analyzer import analyze_sql, analyze_statement
 from repro.analysis.findings import (
-    PLAN_CACHE_KEY_BUCKETS,
     RULE_CATALOG,
     Finding,
     RuleInfo,
@@ -59,7 +56,6 @@ from repro.analysis.workload import (
 )
 
 __all__ = [
-    "PLAN_CACHE_KEY_BUCKETS",
     "REPEAT_THRESHOLD",
     "RULE_CATALOG",
     "SEQUENCED_PRAGMA",

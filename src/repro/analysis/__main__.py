@@ -168,13 +168,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.templates:
         from repro.analysis.templates import template_queries
-        from repro.pdm.schema import new_pdm_database
 
-        # Against the (empty) PDM schema, so the plan-level rules see the
-        # access paths the templates get on the indexes the schema ships.
-        database = new_pdm_database()
         for name, sql in template_queries():
-            findings = analyze_sql(sql, database=database)
+            findings = analyze_sql(sql)
             worst = max(worst, max_severity(findings))
             results.append(
                 {

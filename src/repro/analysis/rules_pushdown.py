@@ -1,4 +1,4 @@
-"""Pushdown-safety rules (P001-P003).
+"""Pushdown-safety rule (P001).
 
 The paper's Section 5.5 places each translated rule condition at the one
 level of the recursive query where it is semantically safe: row
@@ -7,85 +7,41 @@ recursive part (step C), but ∀rows and tree-aggregate conditions only in
 the *outer* SELECTs (steps A-B) — inside the recursion they would judge a
 half-built tree.  P001 flags predicates over the whole recursion result
 that ended up inside the recursive part.
-
-P002 and P003 guard the access-path story: a predicate that wraps an
-indexed column in an expression cannot use the index (Section 5.4), and a
-parameter IN-list whose length is not one of the padded bucket sizes
-generates a new SQL text per frontier width, defeating the plan cache the
-batched expand relies on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import List
 
-from repro.analysis.findings import (
-    PLAN_CACHE_KEY_BUCKETS,
-    Finding,
-    Severity,
-)
+from repro.analysis.findings import Finding, Severity
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.ast_walk import (
-    constantish as _constantish,
     core_predicates,
     core_references,
     flatten_set_operations,
-    iter_from_leaves,
     iter_subqueries,
     statement_references,
 )
 from repro.sqldb.expressions import contains_aggregate
 
-_COMPARISON_OPERATORS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 
-
-def check(
-    statement: ast.SelectStatement,
-    path: str = "",
-    catalog: Optional[Any] = None,
-    stats: Optional[Any] = None,
-) -> List[Finding]:
-    """Run P001-P003 over every core of *statement* (CTE bodies included).
-
-    *stats* (a :class:`repro.sqldb.stats.StatsCatalog`) refines P002
-    severity: losing an index on a column the optimizer would not have
-    probed anyway — measured selectivity worse than
-    :data:`repro.sqldb.stats.SELECTIVE_FRACTION` — is only an INFO."""
+def check(statement: ast.SelectStatement, path: str = "") -> List[Finding]:
+    """Run P001 over every branch of every recursive CTE of *statement*."""
     findings: List[Finding] = []
-    cte_names = set()
-    if statement.with_clause is not None:
-        for cte in statement.with_clause.ctes:
-            cte_names.add(cte.name.lower())
-        for cte in statement.with_clause.ctes:
-            branches, __ = flatten_set_operations(cte.body)
-            recursive = statement.with_clause.recursive and any(
-                core_references(branch, cte.name) for branch in branches
-            )
-            for position, branch in enumerate(branches):
-                branch_path = f"{path}cte[{cte.name}].branch[{position}]"
-                if recursive:
-                    findings.extend(
-                        _check_placement(branch, cte.name, branch_path)
-                    )
-                findings.extend(
-                    _check_predicates(
-                        branch, branch_path, catalog, cte_names, stats
-                    )
+    with_clause = statement.with_clause
+    if with_clause is None or not with_clause.recursive:
+        return findings
+    for cte in with_clause.ctes:
+        branches, __ = flatten_set_operations(cte.body)
+        if not any(core_references(branch, cte.name) for branch in branches):
+            continue
+        for position, branch in enumerate(branches):
+            findings.extend(
+                _check_placement(
+                    branch, cte.name, f"{path}cte[{cte.name}].branch[{position}]"
                 )
-    branches, __ = flatten_set_operations(statement.body)
-    for position, branch in enumerate(branches):
-        branch_path = (
-            f"{path}body"
-            if len(branches) == 1
-            else f"{path}body.branch[{position}]"
-        )
-        findings.extend(
-            _check_predicates(branch, branch_path, catalog, cte_names, stats)
-        )
+            )
     return findings
-
-
-# -- P001: tree conditions inside the recursive part -----------------------
 
 
 def _check_placement(
@@ -127,190 +83,3 @@ def _condition_shape(
     if isinstance(wrapper, (ast.ExistsTest, ast.InSubquery)) and wrapper.negated:
         return "∀rows"
     return "membership"
-
-
-# -- P002 / P003: sargability and IN-list shape ----------------------------
-
-
-def _check_predicates(
-    core: ast.SelectCore,
-    core_path: str,
-    catalog: Optional[Any],
-    cte_names: Set[str],
-    stats: Optional[Any] = None,
-) -> List[Finding]:
-    findings: List[Finding] = []
-    bindings = _binding_map(core)
-    for clause, conjunct in core_predicates(core):
-        where = f"{core_path}.{clause}"
-        findings.extend(
-            _check_sargable(
-                conjunct, where, bindings, catalog, cte_names, stats
-            )
-        )
-        findings.extend(_check_in_list(conjunct, where))
-    return findings
-
-
-def _binding_map(core: ast.SelectCore) -> Dict[str, Optional[str]]:
-    """Binding name (alias or table name, lowercase) -> base table name
-    (None for derived tables)."""
-    bindings: Dict[str, Optional[str]] = {}
-    for item in core.from_items:
-        for leaf in iter_from_leaves(item):
-            if isinstance(leaf, ast.TableRef):
-                key = (leaf.alias or leaf.name).lower()
-                bindings[key] = leaf.name.lower()
-            elif isinstance(leaf, ast.SubqueryRef):
-                bindings[leaf.alias.lower()] = None
-    return bindings
-
-
-def _check_sargable(
-    conjunct: ast.Expression,
-    where: str,
-    bindings: Dict[str, Optional[str]],
-    catalog: Optional[Any],
-    cte_names: Set[str],
-    stats: Optional[Any] = None,
-) -> List[Finding]:
-    wrapped: Optional[ast.ColumnRef] = None
-    reason = ""
-    if (
-        isinstance(conjunct, ast.BinaryOp)
-        and conjunct.operator in _COMPARISON_OPERATORS
-    ):
-        sides = (conjunct.left, conjunct.right)
-        for column_side, constant_side in (sides, sides[::-1]):
-            if not _constantish(constant_side):
-                continue
-            if isinstance(column_side, ast.ColumnRef):
-                continue  # bare column: sargable
-            column = _first_column(column_side)
-            if column is not None:
-                wrapped = column
-                reason = (
-                    f"column {column} is wrapped in an expression on the "
-                    f"{conjunct.operator!r} comparison"
-                )
-                break
-    elif isinstance(conjunct, ast.Like):
-        pattern = conjunct.pattern
-        if (
-            isinstance(pattern, ast.Literal)
-            and isinstance(pattern.value, str)
-            and pattern.value[:1] in ("%", "_")
-        ):
-            column = _first_column(conjunct.operand)
-            if column is not None:
-                wrapped = column
-                reason = (
-                    f"LIKE pattern {pattern.value!r} starts with a "
-                    f"wildcard, so no index prefix can match"
-                )
-    if wrapped is None:
-        return []
-    indexed = _column_is_indexed(wrapped, bindings, catalog, cte_names)
-    severity = Severity.WARNING if indexed else Severity.INFO
-    if indexed and _index_not_worth_using(wrapped, bindings, stats):
-        # Losing an index the optimizer would not probe anyway (the
-        # column is non-selective per collected statistics) costs
-        # nothing — keep the finding, drop the alarm.
-        severity = Severity.INFO
-    return [
-        Finding(
-            "P002",
-            severity,
-            f"non-sargable predicate: {reason}; the engine cannot use an "
-            f"index for it (Section 5.4)",
-            where,
-        )
-    ]
-
-
-def _check_in_list(conjunct: ast.Expression, where: str) -> List[Finding]:
-    findings: List[Finding] = []
-    for node in ast.walk_expression(conjunct):
-        if not isinstance(node, ast.InList) or node.negated:
-            continue
-        if not isinstance(node.operand, ast.ColumnRef):
-            continue
-        if len(node.items) < 2:
-            continue
-        if not all(isinstance(item, ast.Parameter) for item in node.items):
-            continue
-        if len(node.items) in PLAN_CACHE_KEY_BUCKETS:
-            continue
-        findings.append(
-            Finding(
-                "P003",
-                Severity.WARNING,
-                f"parameter IN-list of length {len(node.items)} is not a "
-                f"padded bucket size {PLAN_CACHE_KEY_BUCKETS}; every "
-                f"distinct length is a new SQL text, defeating the plan "
-                f"cache — pad with repeated keys",
-                where,
-            )
-        )
-    return findings
-
-
-def _column_is_indexed(
-    column: ast.ColumnRef,
-    bindings: Dict[str, Optional[str]],
-    catalog: Optional[Any],
-    cte_names: Set[str],
-) -> bool:
-    if catalog is None:
-        return False
-    table = resolve_column_table(column, bindings)
-    if table is None or table in cte_names:
-        return False
-    if not catalog.exists(table):
-        return False
-    entry = catalog.lookup(table)
-    return entry.storage.find_index([column.name]) is not None
-
-
-def _index_not_worth_using(
-    column: ast.ColumnRef,
-    bindings: Dict[str, Optional[str]],
-    stats: Optional[Any],
-) -> bool:
-    """True when collected statistics say an equality probe on *column*
-    would not beat a scan (selectivity above SELECTIVE_FRACTION)."""
-    from repro.sqldb.stats import SELECTIVE_FRACTION
-
-    if stats is None:
-        return False
-    table = resolve_column_table(column, bindings)
-    if table is None:
-        return False
-    table_stats = stats.get(table)
-    if table_stats is None:
-        return False
-    column_stats = table_stats.column(column.name)
-    if column_stats is None:
-        return False
-    return column_stats.eq_selectivity() > SELECTIVE_FRACTION
-
-
-def resolve_column_table(
-    column: ast.ColumnRef, bindings: Dict[str, Optional[str]]
-) -> Optional[str]:
-    """Base table a column reference resolves to, or None."""
-    if column.qualifier is not None:
-        return bindings.get(column.qualifier.lower())
-    tables = [table for table in bindings.values() if table is not None]
-    if len(bindings) == 1 and len(tables) == 1:
-        return tables[0]
-    return None
-
-
-def _first_column(expression: ast.Expression) -> Optional[ast.ColumnRef]:
-    for node in ast.walk_expression(expression):
-        if isinstance(node, ast.ColumnRef):
-            return node
-    return None
-
-

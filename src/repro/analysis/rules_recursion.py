@@ -1,44 +1,36 @@
-"""Recursion-safety rules (R001-R003).
+"""Recursion-termination rule (R003).
 
-A recursive CTE only has well-defined fixpoint semantics when the
-recursion is *linear* (the recursive relation appears at most once per
-recursive branch) and *monotonic* (no branch shrinks the accumulated
-result: no EXCEPT/INTERSECT across branches, no aggregation over the
-recursive member, no negated membership test against it).  On top of
-semantics, the paper's Section 5.6 partial expand shows why unguarded
-UNION ALL recursion is dangerous on real PDM data: a single cycle in the
-structure relation makes the fixpoint loop forever.
+The paper's Section 5.6 partial expand shows why unguarded UNION ALL
+recursion is dangerous on real PDM data: UNION ALL deduplicates nothing,
+so a single cycle in the structure relation makes the fixpoint loop
+forever unless a recursive branch bounds the depth.  The engine cannot
+decide this — whether the data holds a cycle is not in the query — so it
+stays a lint.
 
-The planner refuses every R001/R002 shape with a ``ParseError``, using
-the same predicates from :mod:`repro.sqldb.ast_walk`; these rules report
-them with node paths before anything reaches an engine.
+Recursion without a fixpoint (non-linear, aggregating or negated
+branches, or branches combined by anything but UNION / UNION ALL) is not
+a lint: the planner refuses it with a ``ParseError`` naming the CTE.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.analysis.findings import Finding, Severity
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.ast_walk import (
-    branch_aggregates,
     constantish as _constantish,
     core_predicates,
     core_references,
-    count_table_refs,
     flatten_set_operations,
-    negates_cte,
 )
-
-#: Set operators with monotonic fixpoint semantics.
-_MONOTONIC_OPERATORS = frozenset({"UNION", "UNION ALL"})
 
 #: Comparison operators that can bound a depth column.
 _BOUND_OPERATORS = frozenset({"<", "<=", ">", ">="})
 
 
 def check(statement: ast.SelectStatement, path: str = "") -> List[Finding]:
-    """Run R001-R003 over every recursive CTE of *statement*."""
+    """Run R003 over every recursive CTE of *statement*."""
     findings: List[Finding] = []
     with_clause = statement.with_clause
     if with_clause is None or not with_clause.recursive:
@@ -50,99 +42,24 @@ def check(statement: ast.SelectStatement, path: str = "") -> List[Finding]:
 
 def _check_cte(cte: ast.CommonTableExpr, path: str) -> List[Finding]:
     branches, operators = flatten_set_operations(cte.body)
-    recursive_ids: Set[int] = {
-        id(branch)
-        for branch in branches
-        if core_references(branch, cte.name)
-    }
-    if not recursive_ids:
+    recursive = [
+        branch for branch in branches if core_references(branch, cte.name)
+    ]
+    if not recursive or any(op != "UNION ALL" for op in operators):
         return []
-    cte_path = f"{path}cte[{cte.name}]"
-    findings: List[Finding] = []
-
-    # R001 — linear recursion: the recursive relation may be referenced at
-    # most once per recursive branch.
-    for position, branch in enumerate(branches):
-        if id(branch) not in recursive_ids:
-            continue
-        references = count_table_refs(branch, cte.name)
-        if references > 1:
-            findings.append(
-                Finding(
-                    "R001",
-                    Severity.ERROR,
-                    f"recursive relation {cte.name!r} is referenced "
-                    f"{references} times in one recursive branch; SQL:1999 "
-                    f"recursion must be linear (one reference per branch)",
-                    f"{cte_path}.branch[{position}]",
-                )
-            )
-
-    # R002a — only UNION / UNION ALL combine branches monotonically.
-    for operator in operators:
-        if operator not in _MONOTONIC_OPERATORS:
-            findings.append(
-                Finding(
-                    "R002",
-                    Severity.ERROR,
-                    f"{operator} combines the branches of recursive CTE "
-                    f"{cte.name!r}; only UNION / UNION ALL are monotonic, "
-                    f"so this recursion has no guaranteed fixpoint",
-                    cte_path,
-                )
-            )
-            break
-
-    for position, branch in enumerate(branches):
-        branch_path = f"{cte_path}.branch[{position}]"
-        # R002b — aggregation over the recursive member.
-        if id(branch) in recursive_ids and branch_aggregates(branch):
-            findings.append(
-                Finding(
-                    "R002",
-                    Severity.ERROR,
-                    f"a recursive branch of {cte.name!r} aggregates or "
-                    f"groups over the recursive member; aggregation is "
-                    f"non-monotonic and must move to the outer SELECT",
-                    branch_path,
-                )
-            )
-        # R002c — the recursive member under negation inside its own body.
-        for clause, conjunct in core_predicates(branch):
-            if negates_cte(conjunct, cte.name):
-                findings.append(
-                    Finding(
-                        "R002",
-                        Severity.ERROR,
-                        f"the recursive member {cte.name!r} appears under "
-                        f"negation (NOT EXISTS / NOT IN) inside its own "
-                        f"definition; negated membership is non-monotonic",
-                        f"{branch_path}.{clause}",
-                    )
-                )
-
-    # R003 — termination: UNION ALL recursion deduplicates nothing, so on
-    # cyclic data the fixpoint never converges unless a branch carries an
-    # explicit depth bound.
-    if all(operator == "UNION ALL" for operator in operators):
-        guarded = any(
-            _has_depth_guard(branch, cte)
-            for branch in branches
-            if id(branch) in recursive_ids
+    if any(_has_depth_guard(branch, cte) for branch in recursive):
+        return []
+    return [
+        Finding(
+            "R003",
+            Severity.WARNING,
+            f"recursive CTE {cte.name!r} uses UNION ALL (no cycle "
+            f"protection) and no recursive branch bounds the "
+            f"depth; a cycle in the data would loop forever — use "
+            f"UNION or add a depth guard",
+            f"{path}cte[{cte.name}]",
         )
-        if not guarded:
-            findings.append(
-                Finding(
-                    "R003",
-                    Severity.WARNING,
-                    f"recursive CTE {cte.name!r} uses UNION ALL (no cycle "
-                    f"protection) and no recursive branch bounds the "
-                    f"depth; a cycle in the data would loop forever — use "
-                    f"UNION or add a depth guard",
-                    cte_path,
-                )
-            )
-    return findings
+    ]
 
 
 def _has_depth_guard(branch: ast.SelectCore, cte: ast.CommonTableExpr) -> bool:
@@ -179,5 +96,3 @@ def _references_cte_column(
         if qualifier is None and node.name.lower() in columns:
             return True
     return False
-
-

@@ -25,41 +25,9 @@ from repro.concurrency.footprint import (
     LockRequest,
     may_conflict,
 )
-from repro.concurrency.locks import LockMode, compatible
+from repro.concurrency.locks import compatible
 from repro.errors import SQLError
 from repro.sqldb import ast_nodes as ast
-
-#: Round trips an exclusive lock may be held across before C003 fires.
-#: The COMMIT shipping counts as one trip; at two or more, every blocked
-#: peer waits multiple WAN latencies.
-HOLD_ROUND_TRIPS = 2
-
-#: Payload statements at which an explicit transaction counts as "long"
-#: for the C004 escalation check.
-LONG_TXN_STATEMENTS = 4
-
-#: Statement classes the engine treats as DDL (not undo-logged, rejected
-#: inside transactions by ``Database._execute_dml``).
-DDL_STATEMENTS = (
-    ast.CreateTable,
-    ast.CreateIndex,
-    ast.DropTable,
-    ast.CreateView,
-    ast.DropView,
-)
-
-
-def check_script(
-    script: TxnScript, database: Optional[Any] = None
-) -> List[Finding]:
-    """Script-local rules: C002..C006 (C001 is pairwise)."""
-    findings: List[Finding] = []
-    findings.extend(_check_idempotence(script, database))
-    findings.extend(_check_held_round_trips(script))
-    findings.extend(_check_escalation(script))
-    findings.extend(_check_ddl(script))
-    findings.extend(_check_readonly(script))
-    return findings
 
 
 # -- C001: lock-order inversion ----------------------------------------------
@@ -217,10 +185,11 @@ def _describe_inversion(
 # -- C002: retry idempotence -------------------------------------------------
 
 
-def _check_idempotence(
+def check_idempotence(
     script: TxnScript, database: Optional[Any]
 ) -> List[Finding]:
-    """C002: DML a lost-reply retry would apply twice.
+    """C002, the one script-local rule: DML a lost-reply retry would
+    apply twice.
 
     Suppressed entirely for SEQUENCED scripts: the server's replay cache
     returns the recorded reply instead of re-executing, so the retry is
@@ -297,180 +266,3 @@ def _keyless_insert(
     ):
         return f"the column list omits the primary key {pk_name!r}"
     return None
-
-
-# -- C003: X-locks held across round trips -----------------------------------
-
-
-def _check_held_round_trips(script: TxnScript) -> List[Finding]:
-    """C003: an exclusive lock acquired early in an explicit transaction
-    is held across every later statement's client round trip (COMMIT
-    included) — each one a full WAN latency during which every blocked
-    peer sits still.  Costed with the paper's WAN-512 profile.
-    """
-    # local: the analysis package otherwise imports only errors + sqldb
-    # + the pure footprint model; the network layer stays optional.
-    from repro.network.profiles import WAN_512
-
-    round_trip_s = 2 * WAN_512.latency_s
-    findings: List[Finding] = []
-    for segment in _explicit_segments(script):
-        for position, stmt in enumerate(segment.statements):
-            if not any(
-                request.mode is LockMode.EXCLUSIVE
-                for request in stmt.footprint
-            ):
-                continue
-            # Statements after this one, plus the COMMIT/ROLLBACK trip
-            # (an unterminated segment still must eventually send one).
-            trips = len(segment.statements) - position - 1 + 1
-            if trips >= HOLD_ROUND_TRIPS:
-                held_s = trips * round_trip_s
-                findings.append(
-                    Finding(
-                        "C003",
-                        Severity.WARNING,
-                        f"exclusive lock acquired at stmt[{stmt.index}] "
-                        f"is held across {trips} further client round "
-                        f"trips (~{held_s:.1f} s at {WAN_512.name}); "
-                        f"every peer blocked on it waits that long — "
-                        f"acquire X-locks as late as possible",
-                        f"stmt[{stmt.index}]",
-                    )
-                )
-            break  # report the earliest X acquisition per segment only
-    return findings
-
-
-# -- C004: table-lock escalation in long transactions ------------------------
-
-
-def _check_escalation(script: TxnScript) -> List[Finding]:
-    """C004: a table-covering exclusive lock inside a long explicit
-    transaction serialises every reader and writer of the table for the
-    transaction's whole span (the paper's remedy: lock the working
-    subtree, not the table)."""
-    findings: List[Finding] = []
-    for segment in _explicit_segments(script):
-        if len(segment.statements) < LONG_TXN_STATEMENTS:
-            continue
-        for stmt in segment.statements:
-            escalating = next(
-                (
-                    request
-                    for request in stmt.footprint
-                    if request.mode is LockMode.EXCLUSIVE
-                    and request.covers_table()
-                ),
-                None,
-            )
-            if escalating is not None:
-                findings.append(
-                    Finding(
-                        "C004",
-                        Severity.WARNING,
-                        f"{escalating.describe()} inside a "
-                        f"{len(segment.statements)}-statement "
-                        f"transaction: the whole table is unavailable "
-                        f"to every other client until COMMIT",
-                        f"stmt[{stmt.index}]",
-                    )
-                )
-                break  # one escalation report per segment
-    return findings
-
-
-# -- C005: DDL inside transaction scripts ------------------------------------
-
-
-def _check_ddl(script: TxnScript) -> List[Finding]:
-    """C005: DDL inside BEGIN..COMMIT is an ERROR (the server rejects it
-    — catalog changes are not undo-logged); DDL merely mixed into a
-    multi-statement script is a WARNING (it commits immediately and
-    cannot be rolled back with the rest).  A single-statement DDL script
-    is an ordinary schema migration and stays clean."""
-    findings: List[Finding] = []
-    multi = len(script.statements) > 1
-    for segment in script.segments:
-        for stmt in segment.statements:
-            if not isinstance(stmt.statement, DDL_STATEMENTS):
-                continue
-            kind = type(stmt.statement).__name__
-            if segment.explicit:
-                findings.append(
-                    Finding(
-                        "C005",
-                        Severity.ERROR,
-                        f"DDL inside a transaction: the server rejects "
-                        f"{kind} mid-transaction because catalog changes "
-                        f"are not undo-logged; run it outside "
-                        f"BEGIN..COMMIT",
-                        f"stmt[{stmt.index}]",
-                    )
-                )
-            elif multi:
-                findings.append(
-                    Finding(
-                        "C005",
-                        Severity.WARNING,
-                        f"{kind} mixed into a transaction script: DDL "
-                        f"commits immediately and cannot roll back with "
-                        f"the rest of the script; run schema changes as "
-                        f"a separate offline step",
-                        f"stmt[{stmt.index}]",
-                    )
-                )
-    return findings
-
-
-# -- C006: undeclared read-only transactions ----------------------------------
-
-
-def _check_readonly(script: TxnScript) -> List[Finding]:
-    """C006: a SELECT-only script of two or more statements that never
-    declares ``BEGIN TRANSACTION READ ONLY``.
-
-    Undeclared, each select takes the shared locks in its footprint
-    (and an explicit transaction holds them to COMMIT), so the script
-    both blocks writers and can deadlock with them.  Declared READ ONLY,
-    every statement is served from one snapshot — no locks, no waits,
-    one consistent view across the statements.
-    """
-    payload = [
-        stmt
-        for stmt in script.statements
-        if not isinstance(
-            stmt.statement,
-            (
-                ast.BeginTransaction,
-                ast.CommitTransaction,
-                ast.RollbackTransaction,
-            ),
-        )
-    ]
-    if len(payload) < 2:
-        return []
-    if not all(
-        isinstance(stmt.statement, ast.SelectStatement) for stmt in payload
-    ):
-        return []
-    if any(segment.read_only for segment in script.segments):
-        return []
-    held = sorted(
-        {
-            request.describe()
-            for stmt in payload
-            for request in stmt.footprint
-        }
-    )
-    return [
-        Finding(
-            "C006",
-            Severity.WARNING,
-            f"read-only workload not declared: {len(payload)} SELECT "
-            f"statements acquire {', '.join(held)} under 2PL; wrap them "
-            f"in BEGIN TRANSACTION READ ONLY .. COMMIT so they are "
-            f"served lock-free from one consistent snapshot",
-            f"stmt[{payload[0].index}]",
-        )
-    ]

@@ -5,22 +5,20 @@ the paper's Sections 4-5 argue these rewrites are correct, and the
 analyzer turns that argument into an executable check — every template
 must be lint-clean (nothing at WARNING or above).
 
-This module imports :mod:`repro.pdm` and :mod:`repro.rules`, which sit
-*above* the analysis package in the layering — so it must only ever be
-imported lazily (by ``__main__`` and tests), never from
-``repro.analysis.__init__``.
+The corpus comes from :mod:`repro.pdm` and :mod:`repro.rules`, imported
+inside the functions, so importing :mod:`repro.analysis` does not load
+the PDM layer.  Nothing below the analyzer imports it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.analysis.findings import PLAN_CACHE_KEY_BUCKETS
-
 
 def template_queries() -> List[Tuple[str, str]]:
     """(name, sql) pairs covering the PDM builders and rule rewrites."""
     from repro.pdm import queries
+    from repro.pdm.operations import BATCH_KEY_BUCKETS
     from repro.rules.conditions import ExistsStructure, TreeAggregate, Const
     from repro.rules.model import Actions, Rule
     from repro.rules.modificator import ExistsPlacement, QueryModificator
@@ -42,7 +40,7 @@ def template_queries() -> List[Tuple[str, str]]:
     add("child-fetch", render_select(queries.child_fetch_spec().to_statement()))
     add("set-query", render_select(queries.set_query_spec().to_statement()))
     for node_type in ("assy", "comp"):
-        for bucket in PLAN_CACHE_KEY_BUCKETS:
+        for bucket in BATCH_KEY_BUCKETS:
             add(
                 f"batched-children-{node_type}-{bucket}",
                 render_select(

@@ -13,13 +13,10 @@ script *sets*:
   instances of one script): a statically predicted deadlock risk.
 * **C002** non-idempotent DML (``x = x + 1``, keyless INSERT) outside a
   retry envelope.
-* **C003** exclusive locks held across client round trips, costed with
-  the WAN latency model.
-* **C004** table-lock escalation inside a long transaction.
-* **C005** DDL inside a transaction script.
-* **C006** a SELECT-only multi-statement script that does not declare
-  ``BEGIN TRANSACTION READ ONLY`` — it holds shared locks a snapshot
-  would make unnecessary.
+
+A statement inside ``BEGIN TRANSACTION READ ONLY`` has the empty
+footprint, as at run time: the engine serves it from a snapshot without
+taking a lock, so it can neither wait nor be waited for.
 
 Everything here is purely static: scripts are parsed and their
 footprints built, but nothing is ever executed and no lock is ever
@@ -70,24 +67,15 @@ class ScriptStatement:
 class TxnSegment:
     """A maximal span of statements whose locks are held together.
 
-    An *explicit* segment covers BEGIN .. COMMIT/ROLLBACK: under strict
-    2PL every lock acquired inside it is held until the terminator.  An
-    autocommit statement forms its own single-statement segment (its
-    locks release at statement end, and the server acquires them
-    non-parking — autocommit cannot deadlock).
+    An *explicit* segment covers BEGIN .. COMMIT/ROLLBACK (or the end of
+    the script): under strict 2PL every lock acquired inside it is held
+    until the terminator.  An autocommit statement forms its own
+    single-statement segment (its locks release at statement end, and
+    the server acquires them non-parking — autocommit cannot deadlock).
     """
 
     explicit: bool
     statements: Tuple[ScriptStatement, ...]
-    #: Statement index of the terminating COMMIT/ROLLBACK; None for
-    #: autocommit segments and for a script that ends inside an open
-    #: transaction (locks then held until the session closes — worse).
-    end: Optional[int]
-    committed: bool
-    #: The segment was opened with BEGIN TRANSACTION READ ONLY: its
-    #: selects run lock-free from a snapshot, and the server rejects DML
-    #: inside it.
-    read_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -159,18 +147,28 @@ def parse_txn_script(
         if database is not None
         else ast_walk.referenced_tables
     )
-    statements = tuple(
-        ScriptStatement(
-            index=index,
-            statement=parsed,
-            sql=render_statement(parsed),
-            footprint=statement_footprint(parsed, tables_of),
+    statements: List[ScriptStatement] = []
+    read_only = False
+    for index, parsed in enumerate(parse_script(text)):
+        if isinstance(parsed, ast.BeginTransaction):
+            read_only = parsed.read_only
+        elif isinstance(
+            parsed, (ast.CommitTransaction, ast.RollbackTransaction)
+        ):
+            read_only = False
+        statements.append(
+            ScriptStatement(
+                index=index,
+                statement=parsed,
+                sql=render_statement(parsed),
+                footprint=(
+                    () if read_only else statement_footprint(parsed, tables_of)
+                ),
+            )
         )
-        for index, parsed in enumerate(parse_script(text))
-    )
     return TxnScript(
         name=name,
-        statements=statements,
+        statements=tuple(statements),
         segments=_segment(statements),
         sequenced=sequenced,
     )
@@ -181,45 +179,28 @@ def _segment(
 ) -> Tuple[TxnSegment, ...]:
     segments: List[TxnSegment] = []
     current: Optional[List[ScriptStatement]] = None
-    current_read_only = False
     for stmt in statements:
         node = stmt.statement
         if isinstance(node, ast.BeginTransaction):
             if current is not None:
                 # BEGIN inside an open transaction: the server rejects
-                # it; statically, close the dangling segment unterminated.
-                segments.append(
-                    TxnSegment(
-                        True, tuple(current), None, False, current_read_only
-                    )
-                )
+                # it; statically, close the dangling segment.
+                segments.append(TxnSegment(True, tuple(current)))
             current = []
-            current_read_only = node.read_only
         elif isinstance(
             node, (ast.CommitTransaction, ast.RollbackTransaction)
         ):
             if current is not None:
-                segments.append(
-                    TxnSegment(
-                        True,
-                        tuple(current),
-                        stmt.index,
-                        isinstance(node, ast.CommitTransaction),
-                        current_read_only,
-                    )
-                )
+                segments.append(TxnSegment(True, tuple(current)))
                 current = None
-                current_read_only = False
             # A stray COMMIT outside a transaction is a runtime error
             # with no lock consequences; nothing to record statically.
         elif current is not None:
             current.append(stmt)
         else:
-            segments.append(TxnSegment(False, (stmt,), None, True))
+            segments.append(TxnSegment(False, (stmt,)))
     if current is not None:
-        segments.append(
-            TxnSegment(True, tuple(current), None, False, current_read_only)
-        )
+        segments.append(TxnSegment(True, tuple(current)))
     return tuple(segments)
 
 
@@ -243,9 +224,9 @@ def analyze_transaction_script(
     script: TxnScript, database: Optional[Any] = None
 ) -> List[Finding]:
     """All findings for one script: every statement through the base
-    analyzer (node paths prefixed ``stmt[i].``), the script-local
-    C-rules, and the C001 self-pair (two concurrent instances of this
-    script against each other)."""
+    analyzer (node paths prefixed ``stmt[i].``), C002, and the C001
+    self-pair (two concurrent instances of this script against each
+    other)."""
     from repro.analysis import rules_txn  # local: rules_txn imports us
 
     findings = _script_findings(script, database)
@@ -262,7 +243,7 @@ def _script_findings(
 
     findings: List[Finding] = []
     for stmt in script.statements:
-        for finding in analyze_statement(stmt.statement, database=database):
+        for finding in analyze_statement(stmt.statement):
             findings.append(
                 Finding(
                     finding.rule_id,
@@ -271,7 +252,7 @@ def _script_findings(
                     f"stmt[{stmt.index}].{finding.node_path}",
                 )
             )
-    findings.extend(rules_txn.check_script(script, database=database))
+    findings.extend(rules_txn.check_idempotence(script, database))
     return findings
 
 

@@ -11,7 +11,7 @@ when the same shape repeats past a threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.analyzer import analyze_sql
 from repro.analysis.findings import Finding, Severity
@@ -40,11 +40,7 @@ class WorkloadReport:
         )
 
 
-def analyze_workload(
-    statements: Sequence[str],
-    database: Optional[Any] = None,
-    repeat_threshold: int = REPEAT_THRESHOLD,
-) -> WorkloadReport:
+def analyze_workload(statements: Sequence[str]) -> WorkloadReport:
     """Analyze every distinct statement once and escalate repeated
     per-node shapes.
 
@@ -64,10 +60,10 @@ def analyze_workload(
     report.distinct_shapes = len(order)
     for position, normalized in enumerate(order):
         count = report.shape_counts[normalized]
-        for finding in analyze_sql(normalized, database=database):
+        for finding in analyze_sql(normalized):
             if (
                 finding.rule_id == "W001"
-                and count >= repeat_threshold
+                and count >= REPEAT_THRESHOLD
                 and finding.severity < Severity.WARNING
             ):
                 finding = Finding(

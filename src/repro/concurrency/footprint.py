@@ -6,11 +6,12 @@ relation it reads; an INSERT takes table-level X on its target (phantom
 protection) plus table-level S on INSERT ... SELECT sources; UPDATE and
 DELETE take table-level S on the base tables of their WHERE subqueries
 and then row-level X on every matched row.  This module expresses that
-policy as *data* — a tuple of :class:`LockRequest` per statement — so the
-runtime (which binds row-granularity requests to actual row ids) and the
-static transaction analyzer (:mod:`repro.analysis.txn`, which reasons
-about requests symbolically) consume one model instead of two parallel
-re-implementations.
+policy as *data* — a tuple of :class:`LockRequest` per statement.  The
+runtime binds row-granularity requests to actual row ids; the offline
+transaction-script analyzer reasons about the same requests
+symbolically with the conflict tests at the bottom of this module.  One
+model, so a conflict predicted offline is one the lock manager can
+produce.
 
 Row-granularity requests carry what is statically knowable about the
 rows: when the WHERE clause pins a single column to literal values
@@ -43,9 +44,9 @@ from repro.concurrency.locks import LockMode, compatible
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import ast_walk
 
-#: Resolves a SELECT statement to the base tables it reads.  The runtime
-#: passes ``Database._referenced_tables`` (which expands views); the
-#: static analyzer passes :func:`repro.sqldb.ast_walk.referenced_tables`.
+#: Resolves a SELECT statement to the base tables it reads:
+#: ``Database._referenced_tables`` (which expands views), or
+#: :func:`repro.sqldb.ast_walk.referenced_tables` without a catalog.
 TablesOf = Callable[[ast.SelectStatement], Sequence[str]]
 
 
@@ -80,7 +81,7 @@ class LockRequest:
         return self.granularity is Granularity.TABLE or self.whole_table
 
     def describe(self) -> str:
-        """Human-readable form for analyzer messages."""
+        """Human-readable form, as deadlock-risk reports quote it."""
         if self.granularity is Granularity.TABLE:
             return f"{self.mode.value} on table {self.table!r}"
         if self.whole_table:
@@ -162,8 +163,8 @@ def bounded_keys(
     """(column, literal keys) when a top-level conjunct pins one column
     via ``= literal`` or ``IN (literals)``; ``(None, None)`` otherwise.
 
-    Parameters deliberately do not bound: the analyzer cannot know their
-    values, so a parameterised predicate stays unbounded (may overlap
+    Parameters deliberately do not bound: their values are not in the
+    statement, so a parameterised predicate stays unbounded (may overlap
     anything on the table)."""
     for conjunct in ast_walk.split_conjuncts(where):
         if (

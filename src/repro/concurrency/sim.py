@@ -77,15 +77,15 @@ from repro.errors import (
 from repro.model.parameters import TreeParameters
 from repro.network.clock import SimulatedClock
 from repro.network.link import NetworkLink
+from repro.pdm.generator import generate_product
+from repro.pdm.schema import (
+    create_pdm_schema,
+    install_checkout_procedures,
+    load_product,
+)
 from repro.server.client import RemoteConnection
 from repro.server.server import DatabaseServer
 from repro.sqldb.database import Database
-
-# The PDM layer is imported inside the function that needs it: it
-# imports repro.analysis for its IN-list bucket constant
-# (PLAN_CACHE_KEY_BUCKETS), and repro.analysis imports this package for
-# the shared lock-footprint model — a module-level import here would
-# close that cycle.
 
 #: Errors that abort the transaction but keep the session alive.
 ABORT_ERRORS = (DeadlockError, LockTimeout)
@@ -395,14 +395,6 @@ class ContentionSim:
     MAX_STEPS = 200_000
 
     def __init__(self, config: ContentionConfig) -> None:
-        # Function-scoped: see the note next to the module imports.
-        from repro.pdm.generator import generate_product
-        from repro.pdm.schema import (
-            create_pdm_schema,
-            install_checkout_procedures,
-            load_product,
-        )
-
         self.config = config
         self.clock = SimulatedClock()
         self.database = Database()

@@ -40,7 +40,6 @@ from repro.errors import (
     UnknownObjectError,
 )
 from repro.network.stats import TrafficStats
-from repro.analysis import PLAN_CACHE_KEY_BUCKETS
 from repro.obs import maybe_span
 from repro.pdm import queries
 from repro.pdm.schema import CLIENT_FUNCTIONS
@@ -73,10 +72,8 @@ class ExpandStrategy(Enum):
 #: IN-list sizes the batched expand pads its frontier chunks to.  A fixed
 #: set of shapes bounds the number of distinct SQL texts, so the server's
 #: plan cache starts hitting after the first few levels; the multi-key
-#: index probe deduplicates keys, which makes the padding free.  The
-#: canonical sizes live in the analysis package so the P003 lint and the
-#: client can never disagree about what "padded" means.
-BATCH_KEY_BUCKETS = PLAN_CACHE_KEY_BUCKETS
+#: index probe deduplicates keys, which makes the padding free.
+BATCH_KEY_BUCKETS: Tuple[int, ...] = (1, 4, 16, 64, 256)
 
 #: Upper bound on keys per statement; wider frontiers are split into
 #: several statements (still one round trip — they ride the same batch).

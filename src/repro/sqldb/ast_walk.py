@@ -1,12 +1,11 @@
 """Reusable AST traversal helpers.
 
-These started life as private functions inside the planner; the static
-analyzer (:mod:`repro.analysis`) walks the same structures, so the shared
-vocabulary lives here: conjunct splitting, set-operation flattening,
-"does this query block reference table X" tests, iterators over the
-places predicates and subqueries can hide in a SELECT core, and the
-recursion-safety predicates the planner enforces and the analyzer
-reports (R001/R002).
+These started life as private functions inside the planner; the lock
+footprints and the offline analyzer walk the same structures, so the
+shared vocabulary lives here: conjunct splitting, set-operation
+flattening, "does this query block reference table X" tests, iterators
+over the places predicates and subqueries can hide in a SELECT core,
+and the fixpoint predicates the planner refuses recursion with.
 
 Everything in this module is pure: no function mutates the AST it walks.
 """
@@ -101,9 +100,8 @@ def constantish(expression: ast.Expression) -> bool:
     evaluates to the same value for every candidate row (literals,
     parameters, arithmetic over them, function calls on constants).
 
-    This is the analyzer's shared notion of "the other side of a
-    sargable comparison"; the rule modules used to carry three identical
-    private copies of it.
+    The analyzer's R003 reads a depth guard as a CTE column compared
+    against such an expression.
     """
     for node in ast.walk_expression(expression):
         if isinstance(
@@ -182,7 +180,7 @@ def count_table_refs(core: ast.SelectCore, table_name: str) -> int:
     """How many times *core* refers to *table_name*: FROM leaves plus
     references inside nested subqueries (any clause).  The SQL:1999
     linear-recursion rule is "at most once per recursive branch", so the
-    analyzer needs a count, not just a boolean."""
+    planner needs a count, not just a boolean."""
     wanted = table_name.lower()
 
     def count_from_item(item: ast.FromItem) -> int:

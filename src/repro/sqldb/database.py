@@ -313,9 +313,9 @@ class Database:
         """Plan a SELECT — or the target-row lookup of an UPDATE/DELETE —
         without executing or caching it.
 
-        Public for the static analyzer (:mod:`repro.analysis`), whose
-        plan-level rules inspect access paths; planning touches only the
-        catalog, never table data.
+        ``EXPLAIN`` renders this plan; it is public so that tests and
+        the perfbench stage costs can time and inspect planning alone.
+        Planning touches only the catalog, never table data.
         """
         if isinstance(statement, (ast.Update, ast.Delete)):
             return self._prepare_modify(statement).plan

@@ -91,9 +91,9 @@ def explain_analyze_plan(plan: Plan, env) -> List[str]:
 
 
 def plan_operators(plan: Plan) -> List[Operator]:
-    """Every operator instance in *plan*, CTE branches included.  Public
-    so the static analyzer (:mod:`repro.analysis`) can inspect access
-    paths without executing anything."""
+    """Every operator instance in *plan*, CTE branches included, in the
+    order EXPLAIN prints them.  Public so tests can inspect access paths
+    without executing anything."""
     operators: List[Operator] = []
     for cte in plan.ctes:
         for branch in list(cte.seed_plans) + list(cte.recursive_plans):

@@ -1581,8 +1581,8 @@ class _AccessPath:
 def _check_fixpoint_branch(branch: ast.SelectCore, cte_name: str) -> None:
     """Refuse a recursive branch whose fixpoint is undefined: semi-naive
     evaluation joins each round's delta against one reference, so a second
-    reference (R001), an aggregate or a negated membership test (R002)
-    would silently return the wrong rows.  SQLite refuses all three."""
+    reference, an aggregate or a negated membership test would silently
+    return the wrong rows.  SQLite refuses all three."""
     references = _count_table_refs(branch, cte_name)
     if references > 1:
         raise ParseError(

@@ -60,12 +60,6 @@ DEFAULT_EQ_SELECTIVITY = 0.1
 #: Default selectivity of a ``LIKE`` pattern match.
 DEFAULT_LIKE_SELECTIVITY = 0.25
 
-#: An equality predicate keeping more than this fraction of a table is
-#: considered non-selective: an index probe over it would touch a large
-#: slice of the table anyway, so a seq-scan plan is not a smell.  The
-#: static analyzer keys W002/P002 severity off this threshold.
-SELECTIVE_FRACTION = 0.1
-
 _NUMERIC_TYPES = (int, float)
 
 

@@ -56,25 +56,30 @@ class TestScriptModel:
             " SELECT v FROM t",
         )
         explicit, autocommit = script.segments
-        assert explicit.explicit and explicit.committed
+        assert explicit.explicit
         assert [s.index for s in explicit.statements] == [1]
-        assert explicit.end == 2
         assert not autocommit.explicit
         assert [s.index for s in autocommit.statements] == [3]
 
     def test_unterminated_transaction_has_no_end(self):
-        script = parse_txn_script("s", "BEGIN; UPDATE t SET v = 1 WHERE id = 1")
+        # The locks are held to the end of the script (and beyond).
+        script = parse_txn_script(
+            "s", "BEGIN; UPDATE t SET v = 1 WHERE id = 1; SELECT v FROM u"
+        )
         (segment,) = script.segments
         assert segment.explicit
-        assert segment.end is None and not segment.committed
+        assert [s.index for s in segment.statements] == [1, 2]
 
     def test_rollback_terminates_uncommitted(self):
         script = parse_txn_script(
-            "s", "BEGIN; UPDATE t SET v = 1 WHERE id = 1; ROLLBACK"
+            "s",
+            "BEGIN; UPDATE t SET v = 1 WHERE id = 1; ROLLBACK;"
+            " SELECT v FROM t",
         )
-        (segment,) = script.segments
-        assert segment.explicit and not segment.committed
-        assert segment.end == 2
+        explicit, autocommit = script.segments
+        assert explicit.explicit
+        assert [s.index for s in explicit.statements] == [1]
+        assert not autocommit.explicit
 
     def test_pragma_marks_script_sequenced(self):
         text = "-- pragma: sequenced\nUPDATE t SET v = v + 1 WHERE id = 1"
@@ -294,142 +299,40 @@ class TestC002Idempotence:
         assert not find(findings, "C002")
 
 
-class TestC003HeldRoundTrips:
-    def test_early_x_lock_triggers_with_wan_cost(self):
-        findings = analyze_transaction_sql(
-            "-- pragma: sequenced\n"
-            "BEGIN; UPDATE t SET v = 1 WHERE id = 1; "
-            "SELECT v FROM u WHERE id = 1; COMMIT"
+class TestReadOnlySegments:
+    """A READ ONLY transaction reads a snapshot without locks, so its
+    statements have the empty footprint: no edge, no cycle."""
+
+    SELECTS = "SELECT v FROM t WHERE id = 1; SELECT COUNT(*) FROM t;"
+    WRITER = "BEGIN; UPDATE t SET v = 1 WHERE id = 1; COMMIT"
+
+    def edges(self, reader_text):
+        reader = parse_txn_script("reader", reader_text)
+        writer = parse_txn_script("writer", self.WRITER, sequenced=True)
+        return analyze_transaction_workload([reader, writer]).conflict_edges
+
+    def test_plain_transaction_selects_conflict_with_a_writer(self):
+        edges = self.edges(f"BEGIN; {self.SELECTS} COMMIT")
+        assert ("reader", "writer", "t") in edges
+
+    def test_read_only_selects_have_no_edge_to_a_writer(self):
+        text = f"BEGIN TRANSACTION READ ONLY; {self.SELECTS} COMMIT"
+        assert all(
+            not stmt.footprint
+            for stmt in parse_txn_script("reader", text).statements
         )
-        (finding,) = find(findings, "C003")
-        assert finding.severity is Severity.WARNING
-        assert "2 further client round trips" in finding.message
-        assert "~0.6 s" in finding.message
+        edges = self.edges(text)
+        assert not [edge for edge in edges if "reader" in edge[:2]]
 
-    def test_late_x_lock_is_clean(self):
-        findings = analyze_transaction_sql(
-            "-- pragma: sequenced\n"
-            "BEGIN; SELECT v FROM u WHERE id = 1; "
-            "UPDATE t SET v = 1 WHERE id = 1; COMMIT"
+    def test_footprints_resume_after_the_read_only_commit(self):
+        script = parse_txn_script(
+            "s",
+            "BEGIN TRANSACTION READ ONLY; SELECT v FROM t; COMMIT;"
+            " SELECT v FROM u",
         )
-        assert not find(findings, "C003")
-
-    def test_autocommit_holds_nothing_across_trips(self):
-        findings = analyze_transaction_sql(
-            "-- pragma: sequenced\n"
-            "UPDATE t SET v = 1 WHERE id = 1;\n"
-            "SELECT v FROM u WHERE id = 1;\n"
-            "SELECT v FROM u WHERE id = 2"
-        )
-        assert not find(findings, "C003")
-
-
-class TestC004Escalation:
-    LONG_TAIL = (
-        "SELECT v FROM t WHERE id = 1; "
-        "SELECT v FROM t WHERE id = 2; "
-        "SELECT v FROM u WHERE id = 1; "
-    )
-
-    def test_table_x_in_long_transaction_triggers(self):
-        findings = analyze_transaction_sql(
-            "-- pragma: sequenced\n"
-            f"BEGIN; {self.LONG_TAIL} INSERT INTO u VALUES (9, 1); COMMIT"
-        )
-        (finding,) = find(findings, "C004")
-        assert finding.severity is Severity.WARNING
-        assert "4-statement" in finding.message
-
-    def test_whole_table_update_in_long_transaction_triggers(self):
-        findings = analyze_transaction_sql(
-            "-- pragma: sequenced\n"
-            f"BEGIN; {self.LONG_TAIL} UPDATE u SET v = 0; COMMIT"
-        )
-        assert find(findings, "C004")
-
-    def test_short_transaction_is_clean(self):
-        findings = analyze_transaction_sql(
-            "-- pragma: sequenced\n"
-            "BEGIN; SELECT v FROM t WHERE id = 1; "
-            "INSERT INTO u VALUES (9, 1); COMMIT"
-        )
-        assert not find(findings, "C004")
-
-    def test_long_row_level_transaction_is_clean(self):
-        findings = analyze_transaction_sql(
-            "-- pragma: sequenced\n"
-            f"BEGIN; {self.LONG_TAIL} UPDATE u SET v = 0 WHERE id = 1; COMMIT"
-        )
-        assert not find(findings, "C004")
-
-
-class TestC005Ddl:
-    def test_ddl_inside_transaction_is_error(self):
-        findings = analyze_transaction_sql(
-            "BEGIN; CREATE TABLE w (id INTEGER PRIMARY KEY); COMMIT"
-        )
-        (finding,) = find(findings, "C005")
-        assert finding.severity is Severity.ERROR
-
-    def test_ddl_mixed_into_script_is_warning(self):
-        findings = analyze_transaction_sql(
-            "CREATE INDEX t_v ON t (v); SELECT v FROM t WHERE id = 1"
-        )
-        (finding,) = find(findings, "C005")
-        assert finding.severity is Severity.WARNING
-
-    def test_lone_ddl_script_is_clean(self):
-        findings = analyze_transaction_sql(
-            "CREATE TABLE w (id INTEGER PRIMARY KEY)"
-        )
-        assert not find(findings, "C005")
-
-
-class TestC006UndeclaredReadOnly:
-    def test_multi_select_script_without_declaration_warns(self):
-        findings = analyze_transaction_sql(
-            "SELECT v FROM t WHERE id = 1; SELECT COUNT(*) FROM u"
-        )
-        (finding,) = find(findings, "C006")
-        assert finding.severity is Severity.WARNING
-        assert "READ ONLY" in finding.message
-        assert finding.node_path == "stmt[0]"
-
-    def test_declared_read_only_is_clean(self):
-        findings = analyze_transaction_sql(
-            "BEGIN TRANSACTION READ ONLY;"
-            " SELECT v FROM t WHERE id = 1;"
-            " SELECT COUNT(*) FROM u;"
-            " COMMIT"
-        )
-        assert not find(findings, "C006")
-
-    def test_selects_in_a_plain_transaction_still_warn(self):
-        findings = analyze_transaction_sql(
-            "BEGIN; SELECT v FROM t WHERE id = 1;"
-            " SELECT COUNT(*) FROM u; COMMIT"
-        )
-        (finding,) = find(findings, "C006")
-        assert finding.severity is Severity.WARNING
-
-    def test_single_select_is_clean(self):
-        findings = analyze_transaction_sql("SELECT v FROM t WHERE id = 1")
-        assert not find(findings, "C006")
-
-    def test_any_dml_makes_the_script_exempt(self):
-        findings = analyze_transaction_sql(
-            "SELECT v FROM t WHERE id = 1;"
-            " UPDATE u SET v = 1 WHERE id = 1"
-        )
-        assert not find(findings, "C006")
-
-    def test_message_names_the_lock_footprint(self):
-        findings = analyze_transaction_sql(
-            "SELECT v FROM t WHERE id = 1; SELECT COUNT(*) FROM u"
-        )
-        (finding,) = find(findings, "C006")
-        assert "S on table 't'" in finding.message
-        assert "S on table 'u'" in finding.message
+        assert [bool(stmt.footprint) for stmt in script.statements] == [
+            False, False, False, True
+        ]
 
 
 class TestWorkloadReport:
@@ -451,11 +354,8 @@ class TestWorkloadReport:
     def test_base_rules_run_per_statement(self):
         # The single-statement analyzer still applies inside scripts.
         script = parse_txn_script(
-            "inlist",
-            "SELECT v FROM t WHERE id IN (?, ?, ?)",
-            sequenced=True,
+            "point", "SELECT v FROM t WHERE id = ?", sequenced=True
         )
         report = analyze_transaction_workload([script])
-        (finding,) = find(report.findings, "P003")
-        assert finding.node_path.startswith("script[inlist].stmt[0].")
-
+        (finding,) = find(report.findings, "W001")
+        assert finding.node_path.startswith("script[point].stmt[0].")

@@ -1,13 +1,11 @@
-"""The analyzer's surfaces: one statement or script against a database
-(which it never executes), workload analysis, the template self-check,
-and the CLI."""
+"""The analyzer's surfaces: a script against a database (which it never
+executes), workload analysis, the template self-check, and the CLI."""
 
 import json
 
 import pytest
 
 from repro.analysis import (
-    PLAN_CACHE_KEY_BUCKETS,
     REPEAT_THRESHOLD,
     Severity,
     analyze_sql,
@@ -27,9 +25,9 @@ POINT_SELECT = "SELECT name FROM part WHERE obid = ?"
 
 
 class TestStaticness:
-    """Given a database, the analyzer reads its catalog, statistics and
-    plans but executes nothing: the statement counter and every table's
-    rows are the same after as before."""
+    """Given a database, the script analyzer reads its catalog but
+    executes nothing: the statement counter and every table's rows are
+    the same after as before."""
 
     @pytest.fixture
     def db(self):
@@ -46,19 +44,6 @@ class TestStaticness:
             name: db.execute(f"SELECT * FROM {name} ORDER BY 1").rows
             for name in db.table_names()
         }
-
-    def test_analyze_sql_executes_nothing(self, db):
-        before = self.rows(db)
-        statements = db.statistics["statements"]
-        for sql in (
-            POINT_SELECT,
-            "UPDATE t SET v = v + 1 WHERE id = 1",
-            "DELETE FROM part WHERE obid = 2",
-            "INSERT INTO t SELECT obid, 0 FROM part",
-        ):
-            analyze_sql(sql, database=db)
-        assert db.statistics["statements"] == statements
-        assert self.rows(db) == before
 
     def test_analyze_transaction_sql_executes_nothing(self, db):
         before = self.rows(db)
@@ -109,14 +94,10 @@ class TestWorkloadAnalysis:
 class TestTemplateSelfCheck:
     def test_every_template_is_lint_clean(self):
         """Every query the PDM layer or the rule rewriter can emit must
-        have no findings at WARNING or above — plan-level rules included,
-        against the indexes the PDM schema ships."""
-        from repro.pdm.schema import new_pdm_database
-
-        database = new_pdm_database()
+        have no findings at WARNING or above."""
         dirty = {}
         for name, sql in template_queries():
-            findings = analyze_sql(sql, database=database)
+            findings = analyze_sql(sql)
             if not is_lint_clean(findings):
                 dirty[name] = [f.as_row() for f in findings]
         assert not dirty, f"templates with warnings/errors: {dirty}"
@@ -128,9 +109,18 @@ class TestTemplateSelfCheck:
         assert any(name.startswith("batched-children") for name in names)
 
     def test_bucket_constant_shared_with_pdm_client(self):
-        from repro.pdm import operations
+        from repro.pdm.operations import BATCH_KEY_BUCKETS
 
-        assert operations.BATCH_KEY_BUCKETS is PLAN_CACHE_KEY_BUCKETS
+        names = {name for name, __ in template_queries()}
+        for node_type in ("assy", "comp"):
+            assert {
+                name
+                for name in names
+                if name.startswith(f"batched-children-{node_type}-")
+            } == {
+                f"batched-children-{node_type}-{bucket}"
+                for bucket in BATCH_KEY_BUCKETS
+            }
 
 
 class TestCli:
@@ -158,13 +148,15 @@ class TestCli:
     def test_lints_sql_file(self, tmp_path, capsys):
         workload = tmp_path / "workload.sql"
         workload.write_text(
-            "SELECT name FROM part WHERE obid IN (?, ?, ?);\n"
-            "SELECT p.name, l.qty FROM part p, link l;\n"
+            "SELECT name FROM part WHERE obid = ?;\n"
+            "WITH RECURSIVE r(obid) AS (SELECT obid FROM part WHERE obid = ?"
+            " UNION ALL SELECT l.right FROM r JOIN link l ON l.left = r.obid)"
+            " SELECT obid FROM r;\n"
         )
         exit_code = cli_main([str(workload), "--fail-on", "warning"])
         out = capsys.readouterr().out
         assert exit_code == 1
-        assert "P003" in out and "W003" in out
+        assert "W001" in out and "R003" in out
 
     def test_unparseable_file_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.sql"

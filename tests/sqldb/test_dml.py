@@ -268,10 +268,10 @@ class TestTargetAccessPath:
     @pytest.mark.parametrize("table", ["assy", "comp"])
     @pytest.mark.parametrize("value", ["TRUE", "FALSE"])
     def test_access_path_of_every_update_checkout_shape(self, pdm_db, table, value):
-        from repro.analysis import PLAN_CACHE_KEY_BUCKETS
         from repro.pdm import queries
+        from repro.pdm.operations import BATCH_KEY_BUCKETS
 
-        for count in PLAN_CACHE_KEY_BUCKETS:
+        for count in BATCH_KEY_BUCKETS:
             lines = plan_lines(
                 pdm_db, queries.update_checkout_sql(table, count, value)
             )

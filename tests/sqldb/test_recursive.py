@@ -266,14 +266,24 @@ class TestNoFixpointRefused:
             connection.execute(NO_FIXPOINT["non-linear"])
         assert server.statistics["errors"] == 1
 
-    def test_planner_and_analyzer_share_one_detector(self):
-        from repro.analysis import rules_recursion
+    def test_planner_is_the_only_fixpoint_detector(self):
+        import re
+        from pathlib import Path
+
+        import repro
         from repro.sqldb import ast_walk, planner
 
         assert planner._branch_aggregates is ast_walk.branch_aggregates
         assert planner._negates_cte is ast_walk.negates_cte
-        assert rules_recursion.branch_aggregates is ast_walk.branch_aggregates
-        assert rules_recursion.negates_cte is ast_walk.negates_cte
+        assert planner._count_table_refs is ast_walk.count_table_refs
+        detector = re.compile(r"\b(branch_aggregates|negates_cte|count_table_refs)\b")
+        root = Path(repro.__file__).parent
+        users = {
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*.py")
+            if detector.search(path.read_text(encoding="utf-8"))
+        }
+        assert users == {"sqldb/ast_walk.py", "sqldb/planner.py"}
 
 
 class TestNaiveFixpointAblation:
