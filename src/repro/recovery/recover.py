@@ -29,9 +29,11 @@ transaction's effects survive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import DurabilityError, WalCorruptError
+from repro.errors import DurabilityError, IntegrityError, WalCorruptError
 from repro.recovery.simdisk import SimDisk
 from repro.recovery.wal import (
     KIND_ABORT,
@@ -54,7 +56,7 @@ from repro.sqldb import ast_nodes as ast
 from repro.sqldb import ast_walk
 from repro.sqldb.database import Database
 from repro.sqldb.render import render_statement
-from repro.sqldb.storage import TableStorage
+from repro.sqldb.storage import Row, TableStorage
 
 
 @dataclass
@@ -157,21 +159,28 @@ def _apply_checkpoint(database: Database, checkpoint: Checkpoint) -> Dict[str, i
     """Rebuild *database* from *checkpoint*; return its slot counts by
     lowercased table name.
 
-    The embedded records go through the same DDL execute and
-    :func:`_apply_op` as the records behind the checkpoint, each as it is
-    decoded; then the header pads every heap to its slot count and
-    resumes the commit clock where the checkpoint froze it, so replayed
-    commits reuse the original stamps.
+    The embedded ``Q`` records go through the same DDL execute as the
+    records behind the checkpoint.  Each run of one table's ``I`` records
+    passes the checks :func:`_apply_op` makes and is loaded with one
+    :meth:`TableStorage.load` — the rows, then each index once.  Then the
+    header pads every heap to its slot count and resumes the commit clock
+    where the checkpoint froze it, so replayed commits reuse the original
+    stamps.
     """
     slots = {table.lower(): count for table, count in checkpoint.slots}
-    for record in embedded_records(checkpoint):
-        if record.kind == KIND_DDL:
-            assert record.sql is not None
-            database.execute(record.sql)
-        elif record.kind == KIND_INSERT:
-            _apply_op(database, record, slots, 0)
+    runs = groupby(embedded_records(checkpoint), attrgetter("kind", "table"))
+    for (kind, table), records in runs:
+        if kind == KIND_DDL:
+            for record in records:
+                assert record.sql is not None
+                database.execute(record.sql)
+        elif kind == KIND_INSERT:
+            storage = database.catalog.lookup(table).storage
+            limit = slots.get(table.lower(), 0)
+            arity = storage.schema.arity
+            _load(storage, [_checked_row(record, limit, arity) for record in records])
         else:
-            raise WalCorruptError(f"checkpoint embeds a {record.kind!r} record")
+            raise WalCorruptError(f"checkpoint embeds a {kind!r} record")
     for table, count in checkpoint.slots:
         database.catalog.lookup(table).storage.pad_slots(count)
     database.mvcc.clock = checkpoint.clock
@@ -193,19 +202,8 @@ def _apply_op(
     storage = database.catalog.lookup(record.table).storage
     row_id = record.row_id
     if record.kind == KIND_INSERT:
-        assert record.row is not None
         limit = slots.get(record.table.lower(), 0) + headroom
-        if row_id >= limit:
-            raise WalCorruptError(
-                f"insert record for slot {row_id} of {record.table!r}, "
-                f"past the {limit} slots the log can have allocated"
-            )
-        if len(record.row) != storage.schema.arity:
-            raise WalCorruptError(
-                f"insert record of {len(record.row)} values for "
-                f"{record.table!r}, which has {storage.schema.arity} columns"
-            )
-        storage.insert_at(row_id, record.row)
+        _load(storage, [_checked_row(record, limit, storage.schema.arity)])
     elif record.kind == KIND_DELETE:
         if row_id >= len(storage._rows):
             raise WalCorruptError(
@@ -215,6 +213,35 @@ def _apply_op(
     else:  # KIND_UPDATE
         assert record.changes is not None
         storage.update(row_id, _patched(storage, record))
+
+
+def _checked_row(record: WalRecord, limit: int, arity: int) -> Tuple[int, Row]:
+    """An insert record's ``(row_id, row)``, once its row id lies below
+    *limit* and its row has *arity* values."""
+    row_id, row = record.row_id, record.row
+    assert row_id is not None and row is not None
+    if row_id >= limit:
+        raise WalCorruptError(
+            f"insert record for slot {row_id} of {record.table!r}, "
+            f"past the {limit} slots the log can have allocated"
+        )
+    if len(row) != arity:
+        raise WalCorruptError(
+            f"insert record of {len(row)} values for "
+            f"{record.table!r}, which has {arity} columns"
+        )
+    return row_id, row
+
+
+def _load(storage: TableStorage, rows: List[Tuple[int, Row]]) -> None:
+    """Load *rows* into *storage*; two rows for one slot, or for one
+    unique key, are a damaged log."""
+    try:
+        storage.load(rows)
+    except IntegrityError as exc:
+        raise WalCorruptError(
+            f"cannot restore the rows of {storage.schema.name!r}: {exc}"
+        ) from None
 
 
 def _patched(storage: TableStorage, record: WalRecord) -> List[Any]:

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -35,7 +36,7 @@ from repro.errors import (
 )
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import ast_walk
-from repro.sqldb.executor import ExecutionEnv
+from repro.sqldb.executor import ExecutionEnv, unbound_parameter
 from repro.sqldb.expressions import (
     CompileContext,
     Frame,
@@ -51,7 +52,7 @@ from repro.sqldb.result import ResultSet
 from repro.sqldb.schema import Catalog, Column, TableSchema
 from repro.sqldb.stats import StatsCatalog
 from repro.sqldb.storage import TableStorage
-from repro.sqldb.types import coerce_value, is_null
+from repro.sqldb.types import converter
 
 
 class _Transaction:
@@ -183,8 +184,8 @@ class Database:
         #: :meth:`attach_wal`); None keeps the database purely in-memory.
         self.wal = None
         #: WAL transaction id of the statement currently executing (set by
-        #: :meth:`_wal_statement`); the storage journal sinks stamp it
-        #: onto every logged operation.
+        #: :meth:`_run_writes`); the storage journal sinks stamp it onto
+        #: every logged operation.
         self._wal_txn_id: Optional[int] = None
         #: Implicit (autocommit) WAL transaction ids are drawn from a
         #: disjoint high range so they can never collide with explicit
@@ -265,20 +266,29 @@ class Database:
         return self._execute_dml(statement, params)
 
     def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> int:
-        """Execute a parameterised DML statement once per parameter row.
+        """Execute a parameterised statement once per parameter row; return
+        the total number of affected rows.
 
-        Parses and prepares once; returns the total number of affected
-        rows.  This is the bulk-load path used when a scenario database is
-        generated.
+        Parses and prepares once.  Each parameter row is still one
+        statement, exactly as if :meth:`execute` ran it: outside a
+        transaction it autocommits on its own — its own implicit WAL
+        transaction and commit record, one tick of the commit clock, and
+        versions for an open snapshot — so an error at row *k* raises with
+        the rows before *k* committed.  Inside a transaction every row logs
+        to that transaction.  Only what no row can change is done once per
+        call: the read-only check, the transaction lookup, and the lock
+        scope and footprint (no other statement runs between two rows).
+        This is the bulk-load path a scenario database is generated
+        through.
         """
+        self._check_aborted(self._current_session)
         statement = parse_statement(sql)
         if not isinstance(statement, self._DML_STATEMENTS):
             return sum(
                 self._execute_dml(statement, params).rowcount for params in rows
             )
-        self._reject_in_read_only(statement)
-        prepared = self._prepare_dml(statement)
-        return sum(self._run_dml(prepared, params).rowcount for params in rows)
+        self._reject_in_read_only(statement)  # before any planning
+        return self._run_writes(self._prepare_dml(statement), rows)
 
     def execute_script(self, sql: str) -> None:
         """Execute a ``;``-separated script (DDL bootstrap)."""
@@ -375,41 +385,6 @@ class Database:
                 wal.log_delete(txn_id, table, row_id)
 
         storage._journal = sink
-
-    @contextmanager
-    def _wal_statement(self):
-        """WAL transaction scope of one DML statement.
-
-        Inside an explicit transaction the statement logs under that
-        transaction's id (made durable by :meth:`commit`).  An autocommit
-        statement gets an implicit id committed at statement end — even
-        when the statement raised, because a multi-row autocommit INSERT
-        keeps its pre-error rows in memory and the log must agree with
-        memory.  (After a disk crash the commit append is a silent no-op:
-        the log ends where the power died, and the in-flight implicit
-        transaction is discarded at recovery — matching the memory state
-        the server throws away when it crashes.)
-        """
-        wal = self.wal
-        if wal is None:
-            yield
-            return
-        txn = self._transactions.get(self._current_session)
-        if txn is not None:
-            self._wal_txn_id = txn.txn_id
-            try:
-                yield
-            finally:
-                self._wal_txn_id = None
-            return
-        self._implicit_txn_seq += 1
-        txn_id = self._IMPLICIT_TXN_BASE + self._implicit_txn_seq
-        self._wal_txn_id = txn_id
-        try:
-            yield
-        finally:
-            self._wal_txn_id = None
-            wal.commit(txn_id)
 
     def _log_ddl(self, statement) -> None:
         """Append a DDL record (the statement re-rendered to SQL text).
@@ -937,8 +912,13 @@ class Database:
             positions = [schema.column_index(name) for name in statement.columns]
         else:
             positions = list(range(schema.arity))
+        targets = [
+            (position, converter(schema.columns[position].sql_type))
+            for position in positions
+        ]
         select = None
         value_rows: List[list] = []
+        needs_env = False
         if statement.rows is None:
             select = self._plan(statement.select)
         else:
@@ -951,11 +931,22 @@ class Database:
                         f"INSERT supplies {len(value_exprs)} values for "
                         f"{len(positions)} columns"
                     )
-                value_rows.append(
-                    [compile_expression(expr, ctx) for expr in value_exprs]
-                )
+                readers: list = []
+                for expr in value_exprs:
+                    if isinstance(expr, ast.Parameter):
+                        readers.append(expr.index)
+                    else:
+                        readers.append(compile_expression(expr, ctx))
+                        needs_env = needs_env or not isinstance(expr, ast.Literal)
+                value_rows.append(readers)
         return _PreparedInsert(
-            statement, entry, self._footprint(statement), positions, value_rows, select
+            statement,
+            entry,
+            self._footprint(statement),
+            targets,
+            value_rows,
+            needs_env,
+            select,
         )
 
     def _prepare_modify(self, statement) -> "_PreparedModify":
@@ -972,117 +963,147 @@ class Database:
             entry,
             self._footprint(statement),
             plan,
-            list(zip(positions, closures)),
+            [
+                (position, closure, converter(entry.schema.columns[position].sql_type))
+                for position, closure in zip(positions, closures)
+            ],
         )
 
     def _run_dml(self, prepared: "_PreparedDml", params: Sequence[Any]) -> ResultSet:
+        return ResultSet([], [], rowcount=self._run_writes(prepared, (params,)))
+
+    def _run_writes(
+        self, prepared: "_PreparedDml", param_rows: Iterable[Sequence[Any]]
+    ) -> int:
+        """Run *prepared* once per parameter row, each run one statement
+        (see :meth:`executemany`); return the rows affected."""
         self._reject_in_read_only(prepared.statement)
         storage = prepared.entry.storage
         mvcc = self.mvcc
+        wal = self.wal
         txn = self._transactions.get(self._current_session)
-        # No statement of another session runs inside this one, so whether
-        # a snapshot is open holds for the whole statement.
+        # No statement of another session runs inside this call, so whether
+        # a snapshot is open holds for all of it.
         capturing = mvcc.open_snapshots > 0
         # Mutations log their inverses to the executing transaction's log.
         # An autocommit statement has nothing to undo and logs only while
         # a snapshot is open, because the entries are also the pre-images
         # its versions are built from (DESIGN §14) — otherwise it detaches,
         # so its writes are never captured by a stale attached log.
-        if txn is not None:
-            log = txn.log_for(storage)
-        else:
-            log = [] if capturing else None
-        storage.attach_undo(log)
-        logged = len(log) if log else 0
-        version = storage.version
-        try:
-            with self._wal_statement():
-                if isinstance(prepared, _PreparedInsert):
-                    return self._insert(prepared, params)
-                return self._modify(prepared, params)
-        finally:
-            # Even on error, mirroring _wal_statement: a partially-applied
-            # autocommit INSERT keeps its pre-error rows, and the version
-            # store must agree with memory.
-            if capturing:
-                mvcc.capture(storage, log[logged:])
-            # Outside _wal_statement: an autocommit statement's versions
-            # install after its implicit WAL commit, same order as commit().
-            if txn is None and storage.version != version:
-                mvcc.commit([(storage, log)] if capturing else ())
-
-    def _insert(self, prepared: "_PreparedInsert", params: Sequence[Any]) -> ResultSet:
-        entry = prepared.entry
-        schema = entry.schema
-        positions = prepared.positions
+        log = txn.log_for(storage) if txn is not None else None
+        run = self._insert if isinstance(prepared, _PreparedInsert) else self._modify
+        affected = 0
         with self._lock_scope() as (owner, parkable):
-            # Table-level X on the target: serialises inserts against scans
-            # holding the table-level S, which closes the phantom window.
-            # INSERT ... SELECT sources are read, so they take table-S.
+            # An INSERT takes table-level X on its target (which closes the
+            # phantom window against scans holding table-level S) and
+            # table-level S on INSERT ... SELECT sources; an UPDATE or
+            # DELETE adds row locks once it knows its rows.
             self._acquire_footprint(owner, parkable, prepared.requests)
-            env = self._environment(params)
-            if prepared.select is None:
-                source_rows = [
-                    tuple(fn((), env) for fn in closures)
-                    for closures in prepared.value_rows
-                ]
-            else:
-                source_rows = run_plan(prepared.select, env)
-                if source_rows and len(source_rows[0]) != len(positions):
-                    raise IntegrityError(
-                        "INSERT ... SELECT column count mismatch"
-                    )
-            for values in source_rows:
-                full_row: List[Any] = [None] * schema.arity
-                for position, value in zip(positions, values):
-                    column = schema.columns[position]
-                    full_row[position] = (
-                        None if is_null(value) else coerce_value(value, column.sql_type)
-                    )
-                entry.storage.insert(full_row)
-        return ResultSet([], [], rowcount=len(source_rows))
+            for params in param_rows:
+                if txn is None and capturing:
+                    log = []
+                storage.attach_undo(log)
+                logged = len(log) if log else 0
+                version = storage.version
+                # The statement's WAL transaction: its transaction's id, or
+                # an implicit id committed at statement end — even when the
+                # statement raised, because a multi-row autocommit INSERT
+                # keeps its pre-error rows in memory and the log must agree
+                # with memory.  (After a disk crash the commit append is a
+                # silent no-op: the log ends where the power died, and the
+                # in-flight implicit transaction is discarded at recovery.)
+                if wal is not None:
+                    if txn is None:
+                        self._implicit_txn_seq += 1
+                        self._wal_txn_id = self._IMPLICIT_TXN_BASE + self._implicit_txn_seq
+                    else:
+                        self._wal_txn_id = txn.txn_id
+                try:
+                    affected += run(prepared, params, owner, parkable)
+                finally:
+                    if wal is not None:
+                        txn_id = self._wal_txn_id
+                        self._wal_txn_id = None
+                        if txn is None:
+                            wal.commit(txn_id)
+                    # Even on error: a partially-applied autocommit INSERT
+                    # keeps its pre-error rows, and the version store must
+                    # agree with memory.
+                    if capturing:
+                        mvcc.capture(storage, log[logged:])
+                    # After the implicit WAL commit, the same order as
+                    # commit(): one clock tick per autocommit statement.
+                    if txn is None and storage.version != version:
+                        mvcc.commit([(storage, log)] if capturing else ())
+        return affected
+
+    def _insert(
+        self, prepared: "_PreparedInsert", params: Sequence[Any], owner, parkable
+    ) -> int:
+        """One INSERT statement: read every source row, then convert and
+        insert them one by one."""
+        targets = prepared.targets
+        if prepared.select is None:
+            env = self._environment(params) if prepared.needs_env else None
+            bound = len(params)
+            source_rows: List[Sequence[Any]] = []
+            for readers in prepared.value_rows:
+                values = []
+                for reader in readers:
+                    if reader.__class__ is int:
+                        if reader >= bound:
+                            raise unbound_parameter(reader, bound)
+                        values.append(params[reader])
+                    else:
+                        values.append(reader((), env))
+                source_rows.append(values)
+        else:
+            source_rows = run_plan(prepared.select, self._environment(params))
+            if source_rows and len(source_rows[0]) != len(targets):
+                raise IntegrityError("INSERT ... SELECT column count mismatch")
+        storage = prepared.entry.storage
+        arity = storage.schema.arity
+        for values in source_rows:
+            row: List[Any] = [None] * arity
+            for (position, convert), value in zip(targets, values):
+                row[position] = convert(value)
+            storage.insert(row)
+        return len(source_rows)
 
     def _reject_subquery(self, statement, frames):
         # INSERT ... VALUES may not embed subqueries in this dialect; the
         # planner callback position still has to exist for the compiler.
         raise ExecutionError("subqueries are not allowed in VALUES lists")
 
-    def _modify(self, prepared: "_PreparedModify", params: Sequence[Any]) -> ResultSet:
-        """UPDATE and DELETE: locate, lock, mutate."""
+    def _modify(
+        self, prepared: "_PreparedModify", params: Sequence[Any], owner, parkable
+    ) -> int:
+        """One UPDATE or DELETE statement: locate, lock, mutate."""
         storage = prepared.entry.storage
-        columns = prepared.entry.schema.columns
-        requests = prepared.requests
         env = self._environment(params)
-        with self._lock_scope() as (owner, parkable):
-            self._acquire_footprint(owner, parkable, requests)
-            # Every match is known, in heap order, before the first lock or
-            # mutation: lock, undo and WAL order do not depend on the access
-            # path, and a statement that moves its own index key (``SET k =
-            # k + 1 WHERE k = ?``) cannot meet a row twice.
-            row_ids = sorted(prepared.plan.root.row_ids(env))
-            # Row-level X on every matched row *before* the first mutation:
-            # a conflict aborts the statement with nothing to undo, and the
-            # rows are re-fetched below after the grant, so an assignment
-            # like ``v = v + 1`` always reads the latest committed value.
-            self._acquire_row_locks(owner, parkable, requests, row_ids)
-            if isinstance(prepared.statement, ast.Delete):
-                for row_id in row_ids:
-                    storage.delete(row_id)
-            else:
-                for row_id in row_ids:
-                    old_row = storage.fetch(row_id)
-                    row = list(old_row)
-                    # SQL semantics: every assignment sees the pre-update row.
-                    for position, closure in prepared.assignments:
-                        value = closure(old_row, env)
-                        row[position] = (
-                            None
-                            if is_null(value)
-                            else coerce_value(value, columns[position].sql_type)
-                        )
-                    storage.update(row_id, row)
+        # Every match is known, in heap order, before the first lock or
+        # mutation: lock, undo and WAL order do not depend on the access
+        # path, and a statement that moves its own index key (``SET k =
+        # k + 1 WHERE k = ?``) cannot meet a row twice.
+        row_ids = sorted(prepared.plan.root.row_ids(env))
+        # Row-level X on every matched row *before* the first mutation:
+        # a conflict aborts the statement with nothing to undo, and the
+        # rows are re-fetched below after the grant, so an assignment
+        # like ``v = v + 1`` always reads the latest committed value.
+        self._acquire_row_locks(owner, parkable, prepared.requests, row_ids)
+        if isinstance(prepared.statement, ast.Delete):
+            for row_id in row_ids:
+                storage.delete(row_id)
+        else:
+            for row_id in row_ids:
+                old_row = storage.fetch(row_id)
+                row = list(old_row)
+                # SQL semantics: every assignment sees the pre-update row.
+                for position, closure, convert in prepared.assignments:
+                    row[position] = convert(closure(old_row, env))
+                storage.update(row_id, row)
         self.last_counters = dict(env.counters)
-        return ResultSet([], [], rowcount=len(row_ids))
+        return len(row_ids)
 
 
 @dataclass
@@ -1100,10 +1121,14 @@ class _PreparedDml:
 
 @dataclass
 class _PreparedInsert(_PreparedDml):
-    #: Column positions the supplied values go to.
-    positions: List[int]
-    #: INSERT ... VALUES: one list of closures per row.
+    #: ``(column position, converter)`` per supplied value, in order.
+    targets: List[Tuple[int, Callable[[Any], Any]]]
+    #: INSERT ... VALUES: per row, what each value reads — the index of a
+    #: bare ``?``, else a closure ``(row, env)``.
     value_rows: List[list]
+    #: Whether a value closure may read the environment (a literal does
+    #: not); without one no environment is built.
+    needs_env: bool
     #: INSERT ... SELECT: the source query's plan (None for VALUES).
     select: Optional[Plan]
 
@@ -1114,9 +1139,9 @@ class _PreparedModify(_PreparedDml):
 
     #: The target-row access plan; its root answers ``row_ids``.
     plan: Plan
-    #: UPDATE: ``(column position, closure over the pre-update row)`` per
-    #: SET clause; empty for DELETE.
-    assignments: List[Tuple[int, Any]]
+    #: UPDATE: ``(column position, closure over the pre-update row,
+    #: converter)`` per SET clause; empty for DELETE.
+    assignments: List[Tuple[int, Any, Callable[[Any], Any]]]
 
 
 class _TransactionContext:

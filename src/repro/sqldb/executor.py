@@ -133,11 +133,17 @@ class ExecutionEnv:
 
     def parameter(self, index: int) -> Any:
         if index >= len(self.params):
-            raise ExecutionError(
-                f"statement has a ?-parameter at position {index} but only "
-                f"{len(self.params)} values were bound"
-            )
+            raise unbound_parameter(index, len(self.params))
         return self.params[index]
+
+
+def unbound_parameter(index: int, bound: int) -> ExecutionError:
+    """The error for reading ``?`` number *index* when *bound* values were
+    bound."""
+    return ExecutionError(
+        f"statement has a ?-parameter at position {index} but only "
+        f"{bound} values were bound"
+    )
 
 
 class Operator:

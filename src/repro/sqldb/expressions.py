@@ -47,8 +47,8 @@ from repro.errors import CatalogError, ExecutionError, SQLError, TypeMismatchErr
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.functions import AGGREGATE_NAMES
 from repro.sqldb.types import (
-    coerce_value,
     compare_values,
+    converter,
     is_null,
     logical_and,
     logical_not,
@@ -296,16 +296,16 @@ def compile_expression(node: ast.Expression, ctx: CompileContext) -> ExprFn:
         return _compile_call(node, ctx)
     if isinstance(node, ast.Cast):
         operand = compile_expression(node.operand, ctx)
-        target = node.target
+        convert = converter(node.target)
 
         def cast(row, env):
-            return coerce_value(operand(row, env), target)
+            return convert(operand(row, env))
 
         operand_kernel = vector_kernel(operand)
         if operand_kernel is not None:
 
             def cast_kernel(batch, env):
-                return [coerce_value(value, target) for value in operand_kernel(batch, env)]
+                return list(map(convert, operand_kernel(batch, env)))
 
             return _attach_kernel(cast, cast_kernel)
         return cast

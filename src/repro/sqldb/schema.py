@@ -33,6 +33,8 @@ class TableSchema:
     columns: List[Column] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        #: Number of columns (a table's columns never change).
+        self.arity = len(self.columns)
         self._index_by_name: Dict[str, int] = {}
         for position, column in enumerate(self.columns):
             key = column.name.lower()
@@ -45,10 +47,6 @@ class TableSchema:
     @property
     def column_names(self) -> List[str]:
         return [column.name for column in self.columns]
-
-    @property
-    def arity(self) -> int:
-        return len(self.columns)
 
     def column_index(self, name: str) -> int:
         """Return the 0-based position of *name* (case-insensitive).

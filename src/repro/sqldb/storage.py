@@ -8,7 +8,8 @@ workload (``WHERE link.left = ?``) and the engine's hash joins.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, IntegrityError
 from repro.sqldb.mvcc import Snapshot, VersionStore
@@ -30,30 +31,49 @@ class HashIndex:
         self.column_positions = tuple(column_positions)
         self.unique = unique
         self._buckets: Dict[Tuple[object, ...], List[int]] = {}
-
-    def key_for(self, row: Row) -> Optional[Tuple[object, ...]]:
-        key = tuple(row[position] for position in self.column_positions)
-        if any(is_null(part) for part in key):
-            return None
-        return key
+        #: ``row -> key``, or None when a key column is NULL; built once
+        #: here, so maintaining the index costs one call per row.
+        self.key: Callable[[Row], Optional[Tuple[object, ...]]] = _key_function(
+            self.column_positions
+        )
 
     def add(self, row_id: int, row: Row) -> None:
-        key = self.key_for(row)
+        key = self.key(row)
         if key is None:
             return
         self.check_unique(key)
         self._buckets.setdefault(key, []).append(row_id)
 
+    def fill(self, rows: Iterable[Tuple[int, Row]]) -> None:
+        """Index every ``(row_id, row)`` of *rows*, in their order — what
+        one :meth:`add` per row leaves, in one pass."""
+        key_of = self.key
+        buckets = self._buckets
+        unique = self.unique
+        for row_id, row in rows:
+            key = key_of(row)
+            if key is None:
+                continue
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [row_id]
+            elif unique:
+                raise self._violation(key)
+            else:
+                bucket.append(row_id)
+
     def check_unique(self, key: Tuple[object, ...]) -> None:
         """Raise if indexing one more row under *key* would break
-        uniqueness (callable before anything is modified)."""
-        if self.unique and self._buckets.get(key):
-            raise IntegrityError(
-                f"unique index {self.name!r} violated by key {key!r}"
-            )
+        uniqueness (callable before anything is modified).  A bucket is
+        never empty — a removal that empties one deletes it."""
+        if self.unique and key in self._buckets:
+            raise self._violation(key)
+
+    def _violation(self, key: Tuple[object, ...]) -> IntegrityError:
+        return IntegrityError(f"unique index {self.name!r} violated by key {key!r}")
 
     def remove(self, row_id: int, row: Row) -> None:
-        key = self.key_for(row)
+        key = self.key(row)
         if key is None:
             return
         bucket = self._buckets.get(key)
@@ -67,6 +87,28 @@ class HashIndex:
         if any(is_null(part) for part in key):
             return []
         return list(self._buckets.get(key, ()))
+
+
+def _key_function(
+    positions: Tuple[int, ...]
+) -> Callable[[Row], Optional[Tuple[object, ...]]]:
+    """``row -> tuple of the values at *positions*``, or None when one of
+    them is NULL."""
+    if len(positions) == 1:
+        (position,) = positions
+
+        def single(row: Row) -> Optional[Tuple[object, ...]]:
+            value = row[position]
+            return None if value is None else (value,)
+
+        return single
+    pick = itemgetter(*positions)
+
+    def composite(row: Row) -> Optional[Tuple[object, ...]]:
+        key = pick(row)
+        return None if None in key else key
+
+    return composite
 
 
 class TableStorage:
@@ -98,6 +140,12 @@ class TableStorage:
         #: from the heap; empty whenever no snapshot is open.  Writes never
         #: touch it: the owning database fills it from the undo log.
         self.mvcc = VersionStore()
+        #: Positions of the NOT NULL columns, in column order.
+        self._not_null = tuple(
+            position
+            for position, column in enumerate(schema.columns)
+            if column.not_null
+        )
         pk_position = schema.primary_key_index()
         if pk_position is not None:
             self.create_index(f"{schema.name}_pk", [schema.columns[pk_position].name], unique=True)
@@ -115,15 +163,9 @@ class TableStorage:
                 f"got {len(row)}"
             )
         stored = tuple(row)
-        for column, value in zip(self.schema.columns, stored):
-            if column.not_null and is_null(value):
-                raise IntegrityError(
-                    f"column {self.schema.name}.{column.name} is NOT NULL"
-                )
+        self._check_not_null(stored)
         row_id = len(self._rows)
-        # Index maintenance first so a unique violation leaves no trace.
-        for index in self._indexes.values():
-            index.add(row_id, stored)
+        self._index_row(row_id, stored)
         self._rows.append(stored)
         self._live_count += 1
         self.version += 1
@@ -133,29 +175,59 @@ class TableStorage:
             self._journal("insert", row_id, stored)
         return row_id
 
-    def insert_at(self, row_id: int, row: Sequence[object]) -> None:
-        """Re-materialise a row in a specific slot (recovery redo path).
+    def _check_not_null(self, row: Row) -> None:
+        for position in self._not_null:
+            if row[position] is None:
+                raise IntegrityError(
+                    f"column {self.schema.name}.{self.schema.columns[position].name} "
+                    f"is NOT NULL"
+                )
 
-        Pads the heap with dead slots up to *row_id*: transactions whose
-        inserts were discarded (aborted, or in flight at a crash) consumed
-        row ids too, and replay must reproduce the exact slot layout so
-        the row ids inside later WAL records keep resolving correctly.
-        Skips constraint validation — the row passed it when the record
-        was originally logged — but maintains the indexes.
+    def _index_row(self, row_id: int, row: Row) -> None:
+        """Add *row* under *row_id* to every index — after checking every
+        unique one, so a violation leaves no index touched."""
+        indexes = self._indexes.values()
+        keys = [index.key(row) for index in indexes]
+        for index, key in zip(indexes, keys):
+            if index.unique and key is not None and key in index._buckets:
+                raise index._violation(key)
+        for index, key in zip(indexes, keys):
+            if key is not None:
+                index._buckets.setdefault(key, []).append(row_id)
+
+    def load(self, rows: Sequence[Tuple[int, Row]]) -> None:
+        """Re-materialise ``(row_id, row)`` pairs in their slots (the
+        recovery redo path), then fill each index once, in the pairs' order.
+
+        Pads the heap with dead slots up to each *row_id*: transactions
+        whose inserts were discarded (aborted, or in flight at a crash)
+        consumed row ids too, and replay must reproduce the exact slot
+        layout so the row ids inside later WAL records keep resolving.
+        Skips constraint validation — each row passed it when its record
+        was logged — and leaves every slot, bucket, ``_live_count`` and
+        ``version`` what one row at a time would.  Raises
+        :class:`IntegrityError` for an occupied slot or a duplicate unique
+        key; a duplicate key is found after the rows are placed, and the
+        storage is then unusable — recovery discards it.
         """
-        while len(self._rows) <= row_id:
-            self._rows.append(None)
-        if self._rows[row_id] is not None:
-            raise IntegrityError(
-                f"cannot replay insert into occupied slot {row_id} of "
-                f"{self.schema.name!r}"
-            )
-        stored = tuple(row)
+        heap = self._rows
+        for row_id, row in rows:
+            if row_id == len(heap):  # a checkpoint's rows come in slot order
+                heap.append(row)
+            elif row_id > len(heap):
+                heap.extend([None] * (row_id - len(heap)))
+                heap.append(row)
+            elif heap[row_id] is None:
+                heap[row_id] = row
+            else:
+                raise IntegrityError(
+                    f"cannot replay insert into occupied slot {row_id} of "
+                    f"{self.schema.name!r}"
+                )
         for index in self._indexes.values():
-            index.add(row_id, stored)
-        self._rows[row_id] = stored
-        self._live_count += 1
-        self.version += 1
+            index.fill(rows)
+        self._live_count += len(rows)
+        self.version += len(rows)
 
     def pad_slots(self, total_slots: int) -> None:
         """Extend the heap with dead slots up to *total_slots* (restoring
@@ -182,19 +254,15 @@ class TableStorage:
         if old_row is None:
             raise IntegrityError(f"row {row_id} of {self.schema.name!r} is deleted")
         stored = tuple(new_row)
-        for column, value in zip(self.schema.columns, stored):
-            if column.not_null and is_null(value):
-                raise IntegrityError(
-                    f"column {self.schema.name}.{column.name} is NOT NULL"
-                )
+        self._check_not_null(stored)
         # Only indexes whose key changed are touched — a non-key update
         # leaves the row's place in every bucket alone — and uniqueness is
         # checked before the first of them is, so a violation leaves the
         # row indexed exactly as it was.
         moved = []
         for index in self._indexes.values():
-            new_key = index.key_for(stored)
-            if new_key != index.key_for(old_row):
+            new_key = index.key(stored)
+            if new_key != index.key(old_row):
                 if new_key is not None:
                     index.check_unique(new_key)
                 moved.append(index)
@@ -280,11 +348,11 @@ class TableStorage:
                 matched.append(rows[row_id])
             else:
                 row = chain.visible(stamp)
-                if row is not None and index.key_for(row) == key:
+                if row is not None and index.key(row) == key:
                     matched.append(row)
         for row_id in sorted(chains.keys() - bucket):
             row = chains[row_id].visible(stamp)
-            if row is not None and index.key_for(row) == key:
+            if row is not None and index.key(row) == key:
                 matched.append(row)
         return matched
 
@@ -337,8 +405,7 @@ class TableStorage:
                 f"cannot restore row {row_id} of {self.schema.name!r}: "
                 f"slot is occupied"
             )
-        for index in self._indexes.values():
-            index.add(row_id, row)
+        self._index_row(row_id, row)
         self._rows[row_id] = row
         self._live_count += 1
         self.version += 1
@@ -351,8 +418,7 @@ class TableStorage:
             raise CatalogError(f"index {name!r} already exists")
         positions = [self.schema.column_index(column) for column in column_names]
         index = HashIndex(name, positions, unique=unique)
-        for row_id, row in self.scan():
-            index.add(row_id, row)
+        index.fill(self.scan())
         self._indexes[key] = index
 
     def find_index(self, column_names: Sequence[str]) -> Optional[HashIndex]:

@@ -9,7 +9,7 @@ comparison rules used by :mod:`repro.sqldb.expressions`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import TypeMismatchError
 
@@ -92,46 +92,68 @@ def type_from_name(name: str, length: Optional[int] = None) -> SQLType:
     return factory(length)
 
 
-def coerce_value(value: Any, sql_type: SQLType) -> Any:
-    """Coerce a Python value to the representation of *sql_type*.
+def _to_boolean(value: Any) -> bool:
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, float)):
+        return bool(value)
+    if isinstance(value, str):
+        lowered = value.strip().lower()
+        if lowered in ("true", "t", "1"):
+            return True
+        if lowered in ("false", "f", "0"):
+            return False
+    raise ValueError(value)
+
+
+def converter(sql_type: SQLType) -> Callable[[Any], Any]:
+    """The function that coerces a Python value to the representation of
+    *sql_type* — built once per type, so a caller that converts many
+    values (an INSERT's rows, a CAST's batch) does the type dispatch once.
 
     NULL passes through untouched.  Numeric strings are converted for
-    numeric targets; everything is stringified for character targets.
-    Raises :class:`TypeMismatchError` when the conversion is impossible.
+    numeric targets; everything is stringified for character targets, and
+    a value longer than the type's length is truncated to it — by INSERT
+    and UPDATE as by CAST, where SQL would raise, which matches the
+    engine's permissive storage model.  The converter raises
+    :class:`TypeMismatchError` when the conversion is impossible.
     """
-    if is_null(value):
-        return NULL
-    try:
-        if sql_type.name == "INTEGER":
-            if isinstance(value, bool):
-                return int(value)
-            return int(value)
-        if sql_type.name == "DOUBLE":
-            return float(value)
-        if sql_type.name == "BOOLEAN":
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, (int, float)):
-                return bool(value)
-            if isinstance(value, str):
-                lowered = value.strip().lower()
-                if lowered in ("true", "t", "1"):
-                    return True
-                if lowered in ("false", "f", "0"):
-                    return False
-            raise ValueError(value)
-        if sql_type.is_character:
-            text = str(value)
-            if sql_type.length is not None and len(text) > sql_type.length:
-                # SQL would raise on overlong VARCHAR inserts; we truncate on
-                # CAST which matches the engine's permissive storage model.
-                text = text[: sql_type.length]
-            return text
-    except (TypeError, ValueError) as exc:
-        raise TypeMismatchError(
-            f"cannot coerce {value!r} to {sql_type}"
-        ) from exc
-    raise TypeMismatchError(f"unsupported cast target {sql_type}")
+    cast: Callable[[Any], Any]
+    if sql_type.name == "INTEGER":
+        cast = int
+    elif sql_type.name == "DOUBLE":
+        cast = float
+    elif sql_type.name == "BOOLEAN":
+        cast = _to_boolean
+    elif sql_type.is_character:
+        length = sql_type.length
+
+        def cast(value: Any) -> str:
+            # Slicing past the end (or by None) returns the text itself.
+            return str(value)[:length]
+
+    else:
+
+        def cast(value: Any) -> Any:
+            raise TypeMismatchError(f"unsupported cast target {sql_type}")
+
+    def convert(value: Any) -> Any:
+        if value is None:
+            return NULL
+        try:
+            return cast(value)
+        except (TypeError, ValueError) as exc:
+            raise TypeMismatchError(
+                f"cannot coerce {value!r} to {sql_type}"
+            ) from exc
+
+    return convert
+
+
+def coerce_value(value: Any, sql_type: SQLType) -> Any:
+    """Coerce one Python value to the representation of *sql_type* (see
+    :func:`converter`)."""
+    return converter(sql_type)(value)
 
 
 def infer_type(value: Any) -> SQLType:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DiskCrashed, DurabilityError
+from repro.errors import DiskCrashed, DurabilityError, WalCorruptError
 from repro.recovery import (
     DiskFaultProfile,
     Durability,
@@ -10,6 +10,8 @@ from repro.recovery import (
     encode_record,
     scan_wal,
 )
+from repro.recovery.wal import checkpoint_record, embedded_records
+from repro.sqldb import Database
 from repro.sqldb.render import render_statement
 
 
@@ -299,6 +301,103 @@ class TestCheckpoint:
         before = durability.disk.read_all()
         durability.checkpoint()  # like every append after the crash: a no-op
         assert durability.disk.read_all() == before
+
+
+def restore_row_at_a_time(checkpoint):
+    """*checkpoint* restored one ``I`` record at a time: pad the heap to
+    the slot, add the row to every index, place it — the yardstick the
+    bulk load must equal."""
+    database = Database()
+    for record in embedded_records(checkpoint):
+        if record.kind == "Q":
+            database.execute(record.sql)
+            continue
+        storage = database.catalog.lookup(record.table).storage
+        storage.pad_slots(record.row_id + 1)
+        for index in storage._indexes.values():
+            index.add(record.row_id, record.row)
+        storage._rows[record.row_id] = record.row
+        storage._live_count += 1
+        storage.version += 1
+    for table, count in checkpoint.slots:
+        database.catalog.lookup(table).storage.pad_slots(count)
+    return database
+
+
+def heap_image(database):
+    image = {}
+    for name in database.table_names():
+        storage = database.catalog.lookup(name).storage
+        image[name] = (
+            list(storage._rows),
+            {key: list(i._buckets.items()) for key, i in storage._indexes.items()},
+            storage._live_count,
+            storage.version,
+        )
+    return image
+
+
+class TestBulkRestore:
+    """A checkpoint's rows are loaded per table and each index is built
+    once, leaving exactly what one row at a time leaves."""
+
+    def test_restore_equals_a_row_at_a_time_restore(self):
+        durability = Durability(SimDisk())
+        db = durability.open()
+        db.execute(
+            "CREATE TABLE p (id INTEGER PRIMARY KEY, k INTEGER, "
+            "a VARCHAR(4), b INTEGER)"
+        )
+        db.execute("CREATE INDEX p_k ON p (k)")
+        db.execute("CREATE INDEX p_ab ON p (a, b)")
+        db.execute("CREATE UNIQUE INDEX p_b ON p (b)")
+        db.execute("CREATE TABLE q (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.executemany(
+            "INSERT INTO p VALUES (?, ?, ?, ?)",
+            [
+                (i, i % 3, None if i % 4 == 0 else "x", None if i % 5 == 0 else i)
+                for i in range(20)
+            ],
+        )
+        db.executemany("INSERT INTO q VALUES (?, ?)", [(i, i) for i in range(5)])
+        db.execute("DELETE FROM p WHERE id IN (3, 4, 7)")  # dead slots mid-heap
+        db.execute("DELETE FROM p WHERE id >= 17")  # and at the tail
+        db.execute("DELETE FROM q WHERE id = 4")
+        db.execute("UPDATE p SET k = 0 WHERE id = 1")  # bucket (0,) out of slot order
+        before = {
+            name: (list(storage._rows), storage._live_count)
+            for name, storage in (
+                (n, db.catalog.lookup(n).storage) for n in db.table_names()
+            )
+        }
+        durability.checkpoint()
+        (record,) = scan_wal(durability.disk.read_all()).records
+        restored = durability.recover()  # a restart: only the disk survives
+        reference = restore_row_at_a_time(record.checkpoint)
+        assert heap_image(restored) == heap_image(reference)
+        for name, (heap, live) in before.items():
+            storage = restored.catalog.lookup(name).storage
+            assert (storage._rows, storage._live_count) == (heap, live)
+            expected = reference.catalog.lookup(name).storage
+            for key, index in storage._indexes.items():
+                twin = expected._indexes[key]
+                for probe in list(twin._buckets) + [(None,) * len(index.column_positions)]:
+                    assert storage.probe(index, probe) == expected.probe(twin, probe)
+
+    @pytest.mark.parametrize(
+        "rows, damage",
+        [
+            ([(0, (1, 10)), (0, (2, 20))], "occupied slot 0"),
+            ([(0, (1, 10)), (1, (1, 20))], "unique index 't_pk'"),
+        ],
+        ids=["one-slot", "one-key"],
+    )
+    def test_two_rows_for_one_slot_or_one_key_are_a_damaged_log(self, rows, damage):
+        ddl = ["CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)"]
+        disk = SimDisk()
+        disk.append(encode_record(checkpoint_record({}, 0, ddl, [("t", 2, rows)])))
+        with pytest.raises(WalCorruptError, match=f"rows of 't'.*{damage}"):
+            Durability(disk).recover()
 
 
 class TestCrashTails:

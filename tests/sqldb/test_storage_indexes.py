@@ -212,3 +212,29 @@ class TestUpdateIndexMaintenance:
         assert pk.probe((3,)) == []
         assert storage.find_index(["grp"]).probe((10,)) == [first]
         assert storage.find_index(["grp"]).probe((11,)) == []
+
+
+class TestInsertIndexMaintenance:
+    """An insert checks every unique index before it adds the row to any."""
+
+    def test_a_violation_on_a_later_unique_index_touches_no_index(self, storage):
+        storage.create_index("t_name", ["name"], unique=True)
+        storage.insert((1, 10, "a"))
+        with pytest.raises(IntegrityError, match="t_name"):
+            storage.insert((2, 20, "a"))  # the pk index would take id 2
+        pk = storage.find_index(["id"])
+        assert pk.probe((2,)) == []
+        reused = storage.insert((3, 30, "b"))  # the failed insert's slot
+        assert pk.probe((2,)) == []
+        assert pk.probe((3,)) == [reused]
+        assert len(storage) == 2
+
+    def test_a_restored_delete_is_indexed_again(self, storage):
+        storage.create_index("t_grp", ["grp"])
+        row_id = storage.insert((1, 10, "a"))
+        log = []
+        storage.attach_undo(log)
+        storage.delete(row_id)
+        storage.rollback_entries(log)
+        assert storage.find_index(["id"]).probe((1,)) == [row_id]
+        assert storage.find_index(["grp"]).probe((10,)) == [row_id]
