@@ -42,20 +42,16 @@ from repro.errors import (
 from repro.network.stats import TrafficStats
 from repro.obs import maybe_span
 from repro.pdm import queries
-from repro.pdm.schema import CLIENT_FUNCTIONS
+from repro.pdm.schema import register_stored_functions
 from repro.pdm.structure import Attrs, StructureNode, build_tree
 from repro.rules.conditions import ConditionClass
-from repro.rules.evaluate import (
-    EvaluationContext,
-    exists_structure_holds,
-    forall_holds,
-    object_permitted,
-    tree_aggregate_holds,
-)
+from repro.rules.evaluate import RowCheck, aggregate_holds, forall_holds
 from repro.rules.model import Actions
 from repro.rules.modificator import ExistsPlacement, QueryModificator
 from repro.rules.ruletable import RuleTable
 from repro.server.client import RemoteConnection
+from repro.sqldb.executor import ExecutionEnv
+from repro.sqldb.functions import FunctionRegistry
 from repro.sqldb.render import render_select
 from repro.sqldb.result import ResultSet
 
@@ -88,6 +84,9 @@ MAX_RESUMES = 16
 #: describes the child node.
 _LINK_COLUMNS = ("link_obid", "left", "right", "eff_from", "eff_to", "link_opt")
 _LINK_ATTRS = ("type", "obid", "left", "right", "eff_from", "eff_to", "strc_opt")
+
+#: A row-check cache entry not built yet (None means "no row rule").
+_UNCOMPILED = object()
 
 
 @lru_cache(maxsize=16)
@@ -185,13 +184,15 @@ class PDMClient:
         self.modificator = QueryModificator(
             self.rule_table, self.user, self.user_env
         )
-        self._eval_ctx = EvaluationContext(
-            user_env=self.user_env,
-            functions=dict(CLIENT_FUNCTIONS),
-            related=self._related_exists,
+        #: What late rule checks run in: the stored functions, registered
+        #: as on the server.
+        self._env = ExecutionEnv(
+            functions=register_stored_functions(FunctionRegistry())
         )
-        #: Rendered SQL cache: (builder, early, action) -> sql text.
-        self._sql_cache: Dict[Tuple[str, bool, str], str] = {}
+        #: Rendered SQL texts and compiled row checks, each keyed on the
+        #: rule table's generation (the key's last element).
+        self._rule_cache: Dict[Tuple[Any, ...], Any] = {}
+        self._generation = self.rule_table.generation
         #: Resilience counters: how often expands re-issued a lost round
         #: trip, or degraded from recursive to batched.
         self.statistics = {
@@ -236,13 +237,35 @@ class PDMClient:
 
     # -- rule helpers ---------------------------------------------------------
 
+    def _remember(self, key: Tuple[Any, ...], value: Any) -> Any:
+        """Cache *value* under *key*, whose last element is the rule
+        table's generation; a new generation first drops everything built
+        from the old rules."""
+        if key[-1] != self._generation:
+            self._rule_cache.clear()
+            self._generation = key[-1]
+        self._rule_cache[key] = value
+        return value
+
     def _permitted(self, attrs: Attrs, action: str) -> bool:
-        rules = self.rule_table.relevant(
-            self.user, action, str(attrs.get("type")), ConditionClass.ROW
-        )
-        return object_permitted(
-            rules, attrs, self._eval_ctx, default_permit=self.default_permit
-        )
+        """Late row-rule check of one fetched object: the OR of the
+        relevant row rules, compiled from the predicate early evaluation
+        injects; no relevant rule falls back to ``default_permit``."""
+        key = (action, str(attrs.get("type")), self.rule_table.generation)
+        check = self._rule_cache.get(key, _UNCOMPILED)
+        if check is _UNCOMPILED:
+            rules = self.rule_table.relevant(
+                self.user, action, key[1], ConditionClass.ROW
+            )
+            check = self._remember(
+                key,
+                RowCheck([rule.condition for rule in rules], self.user_env)
+                if rules
+                else None,
+            )
+        if check is None:
+            return self.default_permit
+        return check.value(attrs, self._env) is True
 
     def _related_exists(self, obid, relation_table: str, related_table: str) -> bool:
         sql = (
@@ -261,42 +284,53 @@ class PDMClient:
         self, tree: Optional[StructureNode], action: str
     ) -> Optional[StructureNode]:
         """Client-side evaluation of tree conditions on a fetched tree,
-        mirroring the recursive query's semantics: ∃structure prunes nodes
-        (and their subtrees) first; ∀rows and tree-aggregate conditions
-        then apply all-or-nothing over the surviving tree."""
+        combined as the recursive query combines them: ∃structure prunes
+        nodes (and their subtrees) first, a node of type O staying when
+        any ∃structure rule on O holds; then the ∀rows rules, OR-combined,
+        and the tree-aggregate rules, OR-combined, each apply
+        all-or-nothing over the surviving tree."""
         if tree is None:
             return None
         root_type = str(tree.object_type)
-        exists_rules = self._tree_rules(
+        probes: Dict[str, list] = {}
+        for rule in self._tree_rules(
             action, root_type, ConditionClass.EXISTS_STRUCTURE
-        )
-        for rule in exists_rules:
-            condition = rule.condition
+        ):
+            probes.setdefault(rule.condition.object_type.lower(), []).append(
+                rule.condition
+            )
+        if probes:
 
             def keep(node: StructureNode) -> bool:
-                if str(node.object_type) != condition.object_type:
-                    return True
-                return exists_structure_holds(condition, node.attrs, self._eval_ctx)
+                conditions = probes.get(str(node.object_type).lower())
+                return conditions is None or any(
+                    self._related_exists(
+                        node.obid, condition.relation_table, condition.related_table
+                    )
+                    for condition in conditions
+                )
 
             if not keep(tree):
                 return None
             tree.prune(keep)
         nodes = [node.attrs for node in tree.iter_nodes()]
-        for rule in self._tree_rules(action, root_type, ConditionClass.FORALL_ROWS):
-            if not forall_holds(rule.condition, nodes, self._eval_ctx):
-                return None
-        for rule in self._tree_rules(
-            action, root_type, ConditionClass.TREE_AGGREGATE
+        for condition_class, holds in (
+            (ConditionClass.FORALL_ROWS, forall_holds),
+            (ConditionClass.TREE_AGGREGATE, aggregate_holds),
         ):
-            if not tree_aggregate_holds(rule.condition, nodes, self._eval_ctx):
+            rules = self._tree_rules(action, root_type, condition_class)
+            if rules and not any(
+                holds(rule.condition, nodes, self._env, self.user_env)
+                for rule in rules
+            ):
                 return None
         return tree
 
     # -- SQL construction --------------------------------------------------------
 
     def _navigational_sql(self, builder_name: str, early: bool, action: str) -> str:
-        key = (builder_name, early, action)
-        cached = self._sql_cache.get(key)
+        key = (builder_name, early, action, self.rule_table.generation)
+        cached = self._rule_cache.get(key)
         if cached is not None:
             return cached
         builder = (
@@ -307,31 +341,33 @@ class PDMClient:
         spec = builder()
         if early:
             spec = self.modificator.modify_navigational(spec, action)
-        sql = render_select(spec.to_statement())
-        self._sql_cache[key] = sql
-        return sql
+        return self._remember(key, render_select(spec.to_statement()))
 
     def _batched_sql(self, node_type: str, key_count: int, action: str) -> str:
         """Rendered (and rule-injected) frontier fetch for one node type
         and one IN-list shape; cached so repeated shapes re-send the same
         SQL text and the server's plan cache can hit."""
-        key = (f"batched_children_{node_type}_{key_count}", True, action)
-        cached = self._sql_cache.get(key)
+        key = (
+            f"batched_children_{node_type}_{key_count}",
+            True,
+            action,
+            self.rule_table.generation,
+        )
+        cached = self._rule_cache.get(key)
         if cached is not None:
             return cached
         spec = queries.batched_children_spec(node_type, key_count)
         spec = self.modificator.modify_navigational(spec, action)
-        sql = render_select(spec.to_statement())
-        self._sql_cache[key] = sql
-        return sql
+        return self._remember(key, render_select(spec.to_statement()))
 
     def _recursive_sql(self, action: str, depth_bounded: bool = False) -> str:
         key = (
             "recursive_mle_bounded" if depth_bounded else "recursive_mle",
             True,
             action,
+            self.rule_table.generation,
         )
-        cached = self._sql_cache.get(key)
+        cached = self._rule_cache.get(key)
         if cached is not None:
             return cached
         # The bound itself is a parameter; any non-None value enables the
@@ -340,9 +376,7 @@ class PDMClient:
         spec = self.modificator.modify_recursive(
             spec, action, exists_placement=self.exists_placement
         )
-        sql = render_select(spec.to_statement())
-        self._sql_cache[key] = sql
-        return sql
+        return self._remember(key, render_select(spec.to_statement()))
 
     # -- object fetch --------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from typing import Dict, List
 
 from repro.errors import CheckOutError, LockUnavailable
 from repro.sqldb.database import Database
+from repro.sqldb.functions import FunctionRegistry
 
 #: Columns shared by assemblies and components in the homogenised result
 #: type of recursive queries (paper Section 5.2: a result type "enfolding
@@ -110,9 +111,10 @@ def _is_effective(eff_from: int, eff_to: int, unit: int) -> bool:
     return int(eff_from) <= int(unit) <= int(eff_to)
 
 
-#: Client-side implementations of the stored functions, used by the late
-#: (reference) evaluator.  Must stay in sync with the server registrations
-#: — enforced by tests/rules/test_function_parity.py.
+#: The stored functions by SQL name.  :func:`register_stored_functions`
+#: puts them into the server database's registry and into the registry a
+#: :class:`~repro.pdm.operations.PDMClient` evaluates late rules with, so
+#: both sides call the same code under the same NULL propagation.
 CLIENT_FUNCTIONS: Dict[str, callable] = {
     "options_overlap": _options_overlap,
     "intervals_overlap": _intervals_overlap,
@@ -120,11 +122,17 @@ CLIENT_FUNCTIONS: Dict[str, callable] = {
 }
 
 
+def register_stored_functions(functions: FunctionRegistry) -> FunctionRegistry:
+    """Register the stored functions on *functions*; returns it."""
+    for name, function in CLIENT_FUNCTIONS.items():
+        functions.register(name, function)
+    return functions
+
+
 def create_pdm_schema(db: Database) -> None:
     """Create tables, indexes and stored functions on *db*."""
     db.execute_script(_DDL)
-    for name, function in CLIENT_FUNCTIONS.items():
-        db.register_function(name, function)
+    register_stored_functions(db.functions)
 
 
 def new_pdm_database() -> Database:

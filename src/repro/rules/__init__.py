@@ -8,9 +8,11 @@ The packages split responsibilities exactly along the paper's pipeline:
   (row conditions; ∀rows, ∃structure and tree-aggregate tree conditions).
 * :mod:`repro.rules.model` — rules as (user, action, object type,
   condition) 4-tuples.
-* :mod:`repro.rules.evaluate` — the *late* (client-side) evaluator; this
-  is the reference semantics the SQL translations must reproduce.
 * :mod:`repro.rules.translate` — conditions → SQL predicate ASTs.
+* :mod:`repro.rules.evaluate` — *late* (client-side) evaluation: the
+  translated predicate, compiled by :mod:`repro.sqldb.expressions` and
+  run on fetched objects, so late and early evaluation share one
+  semantics.
 * :mod:`repro.rules.ruletable` — the client-side table of translated
   conditions consulted by the query modificator.
 * :mod:`repro.rules.modificator` — steps A-D of Section 5.5: inject the

@@ -1,213 +1,141 @@
-"""Late (client-side) rule evaluation — the reference semantics.
+"""Late (client-side) rule evaluation: the early predicate, run on the
+fetched objects.
 
 The navigational baseline of the paper ships whole result sets to the
-client and filters there.  This module implements that filtering over
-plain attribute dictionaries, and it doubles as the specification the SQL
-translations must match: the property-based tests assert that early
-evaluation (predicates injected into queries) yields exactly the node set
-this evaluator admits.
+client and filters there (Table 2); early evaluation appends the same
+rules to the WHERE clauses instead (Tables 3 and 4).  Both run one
+translation.  A row condition is translated by
+:func:`repro.rules.translate.translate_row_condition` — the predicate the
+query modificator injects — and compiled by
+:func:`repro.sqldb.expressions.compile_expression` against a one-binding
+scope of the attributes it reads.  An object is then tested the way the
+engine's ``Filter`` tests a row: the same comparisons, the same
+three-valued ``NOT`` / ``AND`` / ``OR``, the stored functions called
+through a :class:`~repro.sqldb.functions.FunctionRegistry`, and only TRUE
+admits.  Late and early evaluation therefore agree by construction; the
+independent checks are the generator's ``visible_obids`` and SQLite.
 
-Rule combination semantics (Section 3.1 + 4.1): rules *permit*; several
-relevant rules combine by OR; if no rule is relevant for a (user, action,
-type), the object is permitted by default unless the caller opts into the
-strict negative-biased mode.
+Rule combination (Sections 3.1 and 4.1): rules *permit*; the relevant
+rules of a (user, action, type) combine by OR; with no relevant rule the
+caller's default applies.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Sequence, Tuple
 
 from repro.errors import RuleError
 from repro.rules import conditions as cond
-from repro.rules.conditions import ConditionClass
-from repro.rules.model import Rule
+from repro.rules import translate
+from repro.sqldb import ast_nodes as ast
+from repro.sqldb.expressions import (
+    CompileContext,
+    ExprFn,
+    Frame,
+    Scope,
+    SlotRef,
+    compile_expression,
+    to_bool,
+)
+from repro.sqldb.functions import Aggregator
 
 #: An object is a plain mapping of lowercase attribute names to values;
 #: ``type`` and ``obid`` are always present.
 ObjectAttrs = Dict[str, Any]
 
 
-class EvaluationContext:
-    """Everything the interpreter needs besides the object itself.
+def _compile(expression: ast.Expression, attributes: Sequence[str]) -> ExprFn:
+    """Compile *expression* over rows holding *attributes* in order."""
+    scope = Scope([(None, attributes)])
+    return compile_expression(expression, CompileContext([Frame(scope)], None, None))
 
-    ``functions`` supplies the client-side implementations of the stored
-    functions used in conditions (they must agree with the server-side
-    registrations — a deliberate invariant the tests check).
 
-    ``related`` answers ∃structure probes:
-    ``related(obid, relation_table, related_table) -> bool``.
-    """
+def _row(attrs: ObjectAttrs, attributes: Tuple[str, ...]) -> Tuple[Any, ...]:
+    """The values of *attributes* on one object, as a row."""
+    try:
+        return tuple(map(attrs.__getitem__, attributes))
+    except KeyError as missing:
+        raise RuleError(
+            f"object of type {attrs.get('type')!r} has no attribute "
+            f"{missing.args[0]!r}"
+        ) from None
+
+
+class RowCheck:
+    """The OR of some row conditions, translated and compiled once."""
 
     def __init__(
-        self,
-        user_env: Optional[Dict[str, Any]] = None,
-        functions: Optional[Dict[str, Callable[..., Any]]] = None,
-        related: Optional[Callable[[Any, str, str], bool]] = None,
+        self, conditions: Sequence[cond.Condition], user_env: translate.UserEnv
     ) -> None:
-        self.user_env = dict(user_env or {})
-        self.functions = dict(functions or {})
-        self.related = related
-
-    def call(self, name: str, args: List[Any]) -> Any:
-        function = self.functions.get(name.lower())
-        if function is None:
-            raise RuleError(f"no client-side implementation of function {name!r}")
-        return function(*args)
-
-
-def eval_term(term: cond.Term, attrs: ObjectAttrs, ctx: EvaluationContext) -> Any:
-    if isinstance(term, cond.Attribute):
-        key = term.name.lower()
-        if key not in attrs:
-            raise RuleError(
-                f"object of type {attrs.get('type')!r} has no attribute "
-                f"{term.name!r}"
+        #: The attributes the conditions read, lower-cased, in row order.
+        self.attributes = tuple(
+            dict.fromkeys(
+                name.lower()
+                for condition in conditions
+                for name in cond.attributes_used(condition)
             )
-        return attrs[key]
-    if isinstance(term, cond.Const):
-        return term.value
-    if isinstance(term, cond.UserVar):
-        if term.name not in ctx.user_env:
-            raise RuleError(f"user environment lacks variable {term.name!r}")
-        return ctx.user_env[term.name]
-    if isinstance(term, cond.Apply):
-        return ctx.call(
-            term.function, [eval_term(arg, attrs, ctx) for arg in term.args]
         )
-    raise RuleError(f"cannot evaluate term {term!r}")
-
-
-_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def eval_row_condition(
-    condition: cond.Condition, attrs: ObjectAttrs, ctx: EvaluationContext
-) -> bool:
-    """Evaluate a row condition on one object.
-
-    SQL's UNKNOWN maps to False here (a row only qualifies when the
-    predicate is true), which keeps late and early evaluation aligned.
-    """
-    if isinstance(condition, cond.Comparison):
-        left = eval_term(condition.left, attrs, ctx)
-        right = eval_term(condition.right, attrs, ctx)
-        if left is None or right is None:
-            return False
-        return bool(_COMPARATORS[condition.operator](left, right))
-    if isinstance(condition, cond.BoolFunction):
-        result = ctx.call(
-            condition.function,
-            [eval_term(arg, attrs, ctx) for arg in condition.args],
+        predicate = translate.disjunction(
+            [
+                translate.translate_row_condition(condition, None, user_env)
+                for condition in conditions
+            ]
         )
-        return bool(result) if result is not None else False
-    if isinstance(condition, cond.Not):
-        return not eval_row_condition(condition.operand, attrs, ctx)
-    if isinstance(condition, cond.And):
-        return eval_row_condition(condition.left, attrs, ctx) and eval_row_condition(
-            condition.right, attrs, ctx
-        )
-    if isinstance(condition, cond.Or):
-        return eval_row_condition(condition.left, attrs, ctx) or eval_row_condition(
-            condition.right, attrs, ctx
-        )
-    raise RuleError(f"{type(condition).__name__} is not a row condition")
+        self._predicate = _compile(predicate, self.attributes)
+
+    def value(self, attrs: ObjectAttrs, env) -> Any:
+        """The predicate's SQL value on one object: TRUE admits it, FALSE
+        and NULL (UNKNOWN) do not.  *env* is an
+        :class:`~repro.sqldb.executor.ExecutionEnv` holding the stored
+        functions."""
+        return self._predicate(_row(attrs, self.attributes), env)
 
 
-def object_permitted(
-    rules: Sequence[Rule],
-    attrs: ObjectAttrs,
-    ctx: EvaluationContext,
-    default_permit: bool = True,
-) -> bool:
-    """Combine the *relevant row rules* for one object by OR.
-
-    ``rules`` must already be filtered to the object's type/user/action
-    (use :meth:`repro.rules.ruletable.RuleTable.relevant`).  With
-    ``default_permit=False`` the strict negative-biased semantics of the
-    paper apply: no rule, no access.
-    """
-    row_rules = [
-        rule for rule in rules if rule.condition_class is ConditionClass.ROW
-    ]
-    if not row_rules:
-        return default_permit
-    return any(
-        eval_row_condition(rule.condition, attrs, ctx) for rule in row_rules
-    )
+def _of_type(nodes: Iterable[ObjectAttrs], object_type) -> Iterable[ObjectAttrs]:
+    """The nodes a tree condition's ``[WHERE type = 'T']`` keeps."""
+    if object_type is None:
+        return nodes
+    return (attrs for attrs in nodes if attrs.get("type") == object_type)
 
 
 def forall_holds(
     condition: cond.ForAllRows,
     nodes: Iterable[ObjectAttrs],
-    ctx: EvaluationContext,
+    env,
+    user_env: translate.UserEnv,
 ) -> bool:
-    """∀rows over a node set: all (type-matching) nodes must satisfy."""
-    for attrs in nodes:
-        if (
-            condition.object_type is not None
-            and attrs.get("type") != condition.object_type
-        ):
-            continue
-        if not eval_row_condition(condition.row_condition, attrs, ctx):
-            return False
-    return True
-
-
-def exists_structure_holds(
-    condition: cond.ExistsStructure, attrs: ObjectAttrs, ctx: EvaluationContext
-) -> bool:
-    """∃structure for one object: a related object must exist."""
-    if ctx.related is None:
-        raise RuleError(
-            "evaluation context provides no related-object resolver"
-        )
-    return bool(
-        ctx.related(
-            attrs["obid"], condition.relation_table, condition.related_table
-        )
+    """∀rows over a node set, as ``NOT EXISTS (SELECT * FROM tree WHERE
+    [type = 'T' AND] NOT cond)``: only a node on which the row condition
+    is FALSE fails it, an UNKNOWN one does not."""
+    check = RowCheck([condition.row_condition], user_env)
+    return not any(
+        to_bool(check.value(attrs, env)) is False
+        for attrs in _of_type(nodes, condition.object_type)
     )
 
 
-def tree_aggregate_holds(
+def aggregate_holds(
     condition: cond.TreeAggregate,
     nodes: Iterable[ObjectAttrs],
-    ctx: EvaluationContext,
+    env,
+    user_env: translate.UserEnv,
 ) -> bool:
-    """Tree-aggregate over a node set, compared against the threshold."""
-    values: List[Any] = []
-    count = 0
-    for attrs in nodes:
-        if (
-            condition.object_type is not None
-            and attrs.get("type") != condition.object_type
-        ):
-            continue
-        count += 1
-        if condition.attribute is not None:
-            value = attrs.get(condition.attribute.lower())
-            if value is not None:
-                values.append(value)
-    function = condition.function.upper()
-    if function == "COUNT":
-        aggregate: Any = count if condition.attribute is None else len(values)
-    elif not values:
-        return False  # SQL would compare against NULL -> UNKNOWN -> drop
-    elif function == "SUM":
-        aggregate = sum(values)
-    elif function == "AVG":
-        aggregate = sum(values) / len(values)
-    elif function == "MAX":
-        aggregate = max(values)
-    else:
-        aggregate = min(values)
-    threshold = eval_term(condition.threshold, {}, ctx)
-    if threshold is None:
-        return False
-    return bool(_COMPARATORS[condition.operator](aggregate, threshold))
+    """Tree-aggregate over a node set, as ``(SELECT AGG(attr) FROM tree
+    [WHERE type = 'T']) <op> threshold``: the engine's aggregate and
+    comparison, so an empty set compares NULL (UNKNOWN) except for
+    COUNT."""
+    values = list(_of_type(nodes, condition.object_type))
+    if condition.attribute is not None:
+        attribute = (condition.attribute.lower(),)
+        values = [_row(attrs, attribute)[0] for attrs in values]
+    aggregator = Aggregator(condition.function, star=condition.attribute is None)
+    aggregator.add_many(values)
+    compare = _compile(
+        ast.BinaryOp(
+            operator=condition.operator,
+            left=SlotRef(0),
+            right=translate.translate_term(condition.threshold, None, user_env),
+        ),
+        (),
+    )
+    return compare((aggregator.result(),), env) is True

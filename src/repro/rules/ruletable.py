@@ -79,12 +79,18 @@ class RuleTable:
     def __init__(self, rules: Sequence[Rule] = ()) -> None:
         self._rules: List[Rule] = []
         self._translated: Dict[Tuple[int, Tuple[Tuple[str, object], ...]], TranslatedRule] = {}
+        self._relevant: Dict[Tuple[str, str, str, Optional[ConditionClass]], List[Rule]] = {}
+        #: Bumped by every :meth:`add` and :meth:`remove`: whatever a client
+        #: derives from the rules (rendered SQL, compiled checks) is keyed
+        #: on it, so a change to the table is never served stale.
+        self.generation = 0
         for rule in rules:
             self.add(rule)
 
     def add(self, rule: Rule) -> None:
         """Register a new rule (administrator action, Section 5.5)."""
         self._rules.append(rule)
+        self._changed()
 
     def remove(self, rule: Rule) -> None:
         self._rules.remove(rule)
@@ -93,6 +99,11 @@ class RuleTable:
             for key, value in self._translated.items()
             if value.rule is not rule
         }
+        self._changed()
+
+    def _changed(self) -> None:
+        self.generation += 1
+        self._relevant.clear()
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -109,17 +120,18 @@ class RuleTable:
     ) -> List[Rule]:
         """Rules relevant for (user, action, object type) — paper footnote
         9 — optionally filtered by condition class (the "flag" that
-        "qualifies the different condition types", Section 5.5)."""
-        rules = [
-            rule
-            for rule in self._rules
-            if rule.matches(user, action, object_type)
-        ]
-        if condition_class is not None:
-            rules = [
-                rule for rule in rules if rule.condition_class is condition_class
+        "qualifies the different condition types", Section 5.5).  The
+        answer is remembered until the table changes."""
+        key = (user, action, object_type.lower(), condition_class)
+        rules = self._relevant.get(key)
+        if rules is None:
+            rules = self._relevant[key] = [
+                rule
+                for rule in self._rules
+                if rule.matches(user, action, object_type)
+                and (condition_class is None or rule.condition_class is condition_class)
             ]
-        return rules
+        return list(rules)
 
     def translated(
         self, rule: Rule, user_env: Dict[str, object]

@@ -19,20 +19,24 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     SESSION_LOST_ERRORS,
+    CatalogError,
     CheckOutError,
     CircuitOpenError,
     DeadlockError,
     DuplicateRequest,
     ExecutionError,
+    IntegrityError,
+    LexerError,
     LockTimeout,
     LockUnavailable,
     MessageDropped,
+    ParseError,
     ProtocolError,
     ReproError,
     ServerUnavailable,
     SessionError,
-    SQLError,
     TimeoutError,
+    TypeMismatchError,
 )
 from repro.network.faults import CircuitBreaker, RetryPolicy
 from repro.network.link import NetworkLink
@@ -54,6 +58,13 @@ _ERROR_TYPES = {
     "ProtocolError": ProtocolError,
     "ServerUnavailable": ServerUnavailable,
     "SessionError": SessionError,
+}
+
+#: Engine errors the client re-raises as their own class, the message still
+#: prefixed with the server's class name.
+_SQL_ERROR_TYPES = {
+    error.__name__: error
+    for error in (ParseError, LexerError, CatalogError, TypeMismatchError, IntegrityError)
 }
 
 #: Server errors that mean "restart the whole transaction and try again".
@@ -536,14 +547,9 @@ class RemoteConnection:
         error_type = _ERROR_TYPES.get(kind)
         if error_type is not None:
             return error_type(message)
-        if kind.endswith("Error") and kind in (
-            "ParseError",
-            "LexerError",
-            "CatalogError",
-            "TypeMismatchError",
-            "IntegrityError",
-        ):
-            return SQLError(f"{kind}: {message}")
+        error_type = _SQL_ERROR_TYPES.get(kind)
+        if error_type is not None:
+            return error_type(f"{kind}: {message}")
         return RemoteError(kind, message)
 
 

@@ -20,9 +20,18 @@ inline and costs one call; building the key as a list costs one fewer
 than as a generator); 248.2 once the server stopped calling an opt-in
 lint gate (off, but still a call) on every QUERY and BATCH; 236.9 once an
 index join stopped re-testing the key equality its probe had matched (the
-ON clause minus its join key is the residual, as for a hash join).  The budget
-sits between the first two, with room for interpreter versions that
-count comprehensions differently.
+ON clause minus its join key is the residual, as for a hash join); 234.9
+before late rule evaluation was compiled, 222.9 after.  The budget sits
+between the first two, with room for interpreter versions that count
+comprehensions differently.
+
+The late half of that pass is also held on its own, because there the
+client checks the access rules of every fetched object: 254.2 calls per
+cached navigational-late round trip while each object looked up its
+relevant rules (re-matching and re-classifying every rule) and a second
+interpreter walked each condition, 230.5 once each (action, type) has one
+compiled check — the predicate early evaluation injects — run on the
+object's attribute tuple.
 
 Three engine-level statements are held the same way, on the ``txn_mix``
 product (δ=6, κ=4: 1 365 assemblies, all of one product), each cached
@@ -81,6 +90,11 @@ STRATEGIES = (ExpandStrategy.NAVIGATIONAL_LATE, ExpandStrategy.NAVIGATIONAL_EARL
 #: Python-level calls one cached navigational round trip may cost.
 CALLS_PER_ROUND_TRIP_BUDGET = 300
 
+#: Calls one cached navigational-late round trip may cost: one compiled
+#: rule check per fetched object, not a rule lookup and a condition walk
+#: (254.2 calls).
+LATE_CALLS_PER_ROUND_TRIP_BUDGET = 242
+
 #: The ``txn_mix`` product and its three engine-level statements.
 TXN_MIX_TREE = TreeParameters(depth=6, branching=4, visibility=0.6)
 AUDIT_SQL = "SELECT COUNT(*), SUM(weight) FROM assy WHERE product = ?"
@@ -134,10 +148,10 @@ def count_calls(action) -> int:
     return calls
 
 
-def calls_per_round_trip():
+def calls_per_round_trip(strategies=STRATEGIES):
     """Build the stack, warm one pass of navigational expands of the
-    whole product, count interpreter ``call`` events over a second pass;
-    returns ``(calls per round trip, round trips)``."""
+    whole product (one per strategy), count interpreter ``call`` events
+    over a second pass; returns ``(calls per round trip, round trips)``."""
     scenario = build_scenario(TREE, WAN_512, seed=SEED)
     client = scenario.client
     connection = scenario.connection
@@ -145,7 +159,7 @@ def calls_per_round_trip():
     root_attrs = client.fetch_object(root)
 
     def one_pass():
-        for strategy in STRATEGIES:
+        for strategy in strategies:
             client.multi_level_expand(root, strategy, root_attrs=root_attrs)
 
     one_pass()  # plan cache, SQL cache, header and shape memos are warm
@@ -176,6 +190,16 @@ def test_a_cached_round_trip_stays_inside_its_call_budget():
         f"{per_trip:.1f} Python-level calls per cached navigational round "
         f"trip (budget {CALLS_PER_ROUND_TRIP_BUDGET}): per-statement fixed "
         f"cost crept back in — see DESIGN.md §5, 'run-of-values kernel'"
+    )
+
+
+def test_a_cached_late_round_trip_checks_its_rules_inside_its_budget():
+    per_trip, round_trips = calls_per_round_trip((ExpandStrategy.NAVIGATIONAL_LATE,))
+    assert round_trips > 50  # one statement per visible node
+    assert per_trip <= LATE_CALLS_PER_ROUND_TRIP_BUDGET, (
+        f"{per_trip:.1f} Python-level calls per cached navigational-late "
+        f"round trip (budget {LATE_CALLS_PER_ROUND_TRIP_BUDGET}): the late "
+        f"rule check no longer runs one compiled predicate per object"
     )
 
 
