@@ -39,9 +39,12 @@ index and view, one ``I`` per live row, read back by
 :func:`embedded_records` with :func:`decode_payload` — the database's
 shape has one encoding, whether it sits in the log or in a checkpoint.
 
-Values reuse the deterministic wire codec
-(:func:`repro.sqldb.wire.encode_value`), so a WAL byte stream — like a
-wire frame — is a pure function of the operations that produced it.
+Strings (table names, DDL text) and rows are the wire codec's
+length-prefixed strings and counted lists (:func:`repro.sqldb.wire.encode_str`,
+:func:`~repro.sqldb.wire.encode_list`); this module keeps only its record
+layouts.  So a WAL byte stream — like a wire frame — is a pure function
+of the operations that produced it, and a value the wire cannot carry is
+a :class:`~repro.errors.ProtocolError` before any byte is appended.
 
 The scanner (:func:`scan_wal`) verifies each record's CRC and framing.
 Damage *at the tail* (a torn final write, a flipped bit in the last
@@ -60,7 +63,15 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import DurabilityError, ProtocolError, WalCorruptError
 from repro.recovery.simdisk import SimDisk
-from repro.sqldb.wire import decode_run, decode_value, encode_run, encode_value
+from repro.sqldb.wire import (
+    decode_list,
+    decode_strs,
+    decode_value,
+    encode_list,
+    encode_str,
+    encode_value,
+    expect_end,
+)
 
 MAGIC = 0xA5
 _HEADER = struct.Struct(">BII")
@@ -94,6 +105,8 @@ _KINDS = frozenset(
 )
 
 Row = Tuple[Any, ...]
+#: What a record's decode errors call the frame.
+_FRAME = "WAL record"
 #: The columns an update changed: ``(position, new value)`` pairs.
 Changes = Tuple[Tuple[int, Any], ...]
 #: One table a checkpoint holds: name, heap slot count, live ``(row_id, row)``.
@@ -157,42 +170,7 @@ class WalScan:
     tail_error: Optional[str] = None
 
 
-# -- low-level string/row helpers -------------------------------------------
-
-
-def _enc_str(text: str) -> bytes:
-    payload = text.encode("utf-8")
-    return struct.pack(">I", len(payload)) + payload
-
-
-def _dec_str(buffer: bytes, offset: int) -> Tuple[str, int]:
-    if offset + 4 > len(buffer):
-        raise ProtocolError("truncated WAL string")
-    length = struct.unpack_from(">I", buffer, offset)[0]
-    offset += 4
-    if offset + length > len(buffer):
-        raise ProtocolError("truncated WAL string")
-    try:
-        text = buffer[offset : offset + length].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"invalid UTF-8 in WAL record: {exc}") from None
-    return text, offset + length
-
-
-def _enc_row(row: Row) -> bytes:
-    if len(row) > 0xFFFF:
-        raise ProtocolError("row arity exceeds the WAL limit")
-    parts = [struct.pack(">H", len(row))]
-    encode_run(row, parts)
-    return b"".join(parts)
-
-
-def _dec_row(buffer: bytes, offset: int) -> Tuple[Row, int]:
-    if offset + 2 > len(buffer):
-        raise ProtocolError("truncated WAL row")
-    arity = struct.unpack_from(">H", buffer, offset)[0]
-    values, offset = decode_run(buffer, offset + 2, arity)
-    return tuple(values), offset
+# -- update deltas -----------------------------------------------------------
 
 
 def row_delta(old_row: Row, new_row: Row) -> Changes:
@@ -267,21 +245,26 @@ def _encode_payload(record: WalRecord) -> bytes:
             body = b"\x00"
         else:
             body = b"\x01" + struct.pack(">II", *record.origin)
-    elif kind in (KIND_INSERT, KIND_UPDATE):
+    elif kind == KIND_INSERT:
         assert record.table is not None and record.row_id is not None
-        if kind == KIND_INSERT:
-            assert record.row is not None
-            values = _enc_row(record.row)
-        else:
-            assert record.changes is not None
-            values = _enc_changes(record.changes)
-        body = _enc_str(record.table) + struct.pack(">Q", record.row_id) + values
+        assert record.row is not None
+        parts = [encode_str(record.table), struct.pack(">Q", record.row_id)]
+        encode_list(record.row, parts)
+        body = b"".join(parts)
+    elif kind == KIND_UPDATE:
+        assert record.table is not None and record.row_id is not None
+        assert record.changes is not None
+        body = (
+            encode_str(record.table)
+            + struct.pack(">Q", record.row_id)
+            + _enc_changes(record.changes)
+        )
     elif kind == KIND_DELETE:
         assert record.table is not None and record.row_id is not None
-        body = _enc_str(record.table) + struct.pack(">Q", record.row_id)
+        body = encode_str(record.table) + struct.pack(">Q", record.row_id)
     elif kind == KIND_DDL:
         assert record.sql is not None
-        body = _enc_str(record.sql)
+        body = encode_str(record.sql)
     elif kind == KIND_CHECKPOINT:
         checkpoint = record.checkpoint
         assert checkpoint is not None
@@ -289,7 +272,7 @@ def _encode_payload(record: WalRecord) -> bytes:
         parts.extend(struct.pack(">II", *pair) for pair in checkpoint.hwm)
         parts.append(struct.pack(">QI", checkpoint.clock, len(checkpoint.slots)))
         for table, count in checkpoint.slots:
-            parts.append(_enc_str(table) + struct.pack(">Q", count))
+            parts.append(encode_str(table) + struct.pack(">Q", count))
         body = b"".join(parts)
     else:
         raise ProtocolError(f"unknown WAL record kind {kind!r}")
@@ -306,7 +289,7 @@ def decode_payload(payload: bytes) -> WalRecord:
     txn_id = struct.unpack_from(">Q", payload, 1)[0]
     offset = 9
     if kind in (KIND_BEGIN, KIND_ABORT, KIND_FENCE):
-        _expect_end(payload, offset)
+        expect_end(payload, offset, _FRAME)
         return WalRecord(kind=kind, txn_id=txn_id)
     if kind == KIND_COMMIT:
         if offset >= len(payload):
@@ -322,36 +305,31 @@ def decode_payload(payload: bytes) -> WalRecord:
             offset += 8
         elif flag != 0:
             raise ProtocolError(f"invalid commit origin flag {flag:#x}")
-        _expect_end(payload, offset)
+        expect_end(payload, offset, _FRAME)
         return WalRecord(kind=kind, txn_id=txn_id, origin=origin)
-    if kind in (KIND_INSERT, KIND_UPDATE):
-        table, offset = _dec_str(payload, offset)
+    if kind in (KIND_INSERT, KIND_UPDATE, KIND_DELETE):
+        (table,), offset = decode_strs(payload, offset, 1, _FRAME)
         if offset + 8 > len(payload):
             raise ProtocolError("truncated WAL row id")
         row_id = struct.unpack_from(">Q", payload, offset)[0]
         offset += 8
         if kind == KIND_INSERT:
-            row, offset = _dec_row(payload, offset)
-            _expect_end(payload, offset)
+            row, offset = decode_list(payload, offset, _FRAME)
+            expect_end(payload, offset, _FRAME)
             return WalRecord(
-                kind=kind, txn_id=txn_id, table=table, row_id=row_id, row=row
+                kind=kind, txn_id=txn_id, table=table, row_id=row_id, row=tuple(row)
             )
-        changes, offset = _dec_changes(payload, offset)
-        _expect_end(payload, offset)
-        return WalRecord(
-            kind=kind, txn_id=txn_id, table=table, row_id=row_id, changes=changes
-        )
-    if kind == KIND_DELETE:
-        table, offset = _dec_str(payload, offset)
-        if offset + 8 > len(payload):
-            raise ProtocolError("truncated WAL row id")
-        row_id = struct.unpack_from(">Q", payload, offset)[0]
-        offset += 8
-        _expect_end(payload, offset)
+        if kind == KIND_UPDATE:
+            changes, offset = _dec_changes(payload, offset)
+            expect_end(payload, offset, _FRAME)
+            return WalRecord(
+                kind=kind, txn_id=txn_id, table=table, row_id=row_id, changes=changes
+            )
+        expect_end(payload, offset, _FRAME)
         return WalRecord(kind=kind, txn_id=txn_id, table=table, row_id=row_id)
     if kind == KIND_DDL:
-        sql, offset = _dec_str(payload, offset)
-        _expect_end(payload, offset)
+        (sql,), offset = decode_strs(payload, offset, 1, _FRAME)
+        expect_end(payload, offset, _FRAME)
         return WalRecord(kind=kind, txn_id=txn_id, sql=sql)
     # KIND_CHECKPOINT: the header; the embedded records stay bytes until
     # replay reads them one at a time.
@@ -367,15 +345,10 @@ def decode_payload(payload: bytes) -> WalRecord:
     clock = _u(">Q", 8)
     slots: List[Tuple[str, int]] = []
     for __ in range(_u(">I", 4)):
-        table, offset = _dec_str(payload, offset)
+        (table,), offset = decode_strs(payload, offset, 1, _FRAME)
         slots.append((table, _u(">Q", 8)))
     checkpoint = Checkpoint(hwm, clock, tuple(slots), payload[offset:])
     return WalRecord(kind=kind, txn_id=txn_id, checkpoint=checkpoint)
-
-
-def _expect_end(payload: bytes, offset: int) -> None:
-    if offset != len(payload):
-        raise ProtocolError("trailing bytes inside WAL record")
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -406,9 +379,11 @@ def checkpoint_record(
     slots: List[Tuple[str, int]] = []
     for table, count, rows in tables:
         slots.append((table, count))
-        prefix = KIND_INSERT.encode("ascii") + struct.pack(">Q", 0) + _enc_str(table)
+        prefix = KIND_INSERT.encode("ascii") + struct.pack(">Q", 0) + encode_str(table)
         for row_id, row in rows:
-            embed(prefix + struct.pack(">Q", row_id) + _enc_row(row))
+            parts = [prefix, struct.pack(">Q", row_id)]
+            encode_list(row, parts)
+            embed(b"".join(parts))
     checkpoint = Checkpoint(
         tuple(sorted(hwm.items())), clock, tuple(slots), bytes(embedded)
     )
@@ -558,25 +533,32 @@ class WalWriter:
         return self.statistics["appends"]
 
     def _append(self, record: WalRecord) -> None:
-        if self.disk.crashed:
-            return
-        self.disk.append(encode_record(record))
-        self.statistics["appends"] += 1
+        self._write(encode_record(record))
 
-    def _ensure_begun(self, txn_id: int) -> None:
+    def _write(self, framed: bytes) -> None:
+        if not self.disk.crashed:
+            self.disk.append(framed)
+            self.statistics["appends"] += 1
+
+    def _log(self, txn_id: int, **fields: Any) -> None:
+        """Append a data record, behind its transaction's BEGIN when it
+        is the first.  The record is encoded before anything is written:
+        a value the log refuses (:class:`ProtocolError`) leaves no byte
+        behind, not even the BEGIN."""
+        framed = encode_record(WalRecord(txn_id=txn_id, **fields))
         if txn_id not in self._begun:
             self._begun[txn_id] = True
             self._append(WalRecord(kind=KIND_BEGIN, txn_id=txn_id))
+        self._write(framed)
 
     # -- logging hooks ------------------------------------------------------
+    #
+    # The storage calls these *before* it changes the heap or an index
+    # (``TableStorage`` journals first), so a refused value never reaches
+    # memory either.
 
     def log_insert(self, txn_id: int, table: str, row_id: int, row: Row) -> None:
-        self._ensure_begun(txn_id)
-        self._append(
-            WalRecord(
-                kind=KIND_INSERT, txn_id=txn_id, table=table, row_id=row_id, row=row
-            )
-        )
+        self._log(txn_id, kind=KIND_INSERT, table=table, row_id=row_id, row=row)
 
     def log_update(
         self, txn_id: int, table: str, row_id: int, old_row: Row, new_row: Row
@@ -584,27 +566,24 @@ class WalWriter:
         """Log what the update changed (:func:`row_delta`).  An update
         that changed nothing still logs its (empty) record, so replay
         bumps the same counters the original execution did."""
-        self._ensure_begun(txn_id)
-        self._append(
-            WalRecord(
-                kind=KIND_UPDATE,
-                txn_id=txn_id,
-                table=table,
-                row_id=row_id,
-                changes=row_delta(old_row, new_row),
-            )
-        )
+        changes = row_delta(old_row, new_row)
+        self._log(txn_id, kind=KIND_UPDATE, table=table, row_id=row_id, changes=changes)
 
     def log_delete(self, txn_id: int, table: str, row_id: int) -> None:
-        self._ensure_begun(txn_id)
-        self._append(
-            WalRecord(kind=KIND_DELETE, txn_id=txn_id, table=table, row_id=row_id)
-        )
+        self._log(txn_id, kind=KIND_DELETE, table=table, row_id=row_id)
 
-    def log_ddl(self, sql: str) -> None:
-        """DDL is durable immediately: it is rejected inside transactions
-        by the engine, so there is nothing to buffer or undo."""
-        self._append(WalRecord(kind=KIND_DDL, sql=sql))
+    @staticmethod
+    def ddl_record(sql: str) -> bytes:
+        """The framed ``Q`` record of *sql*.  Encode it before the catalog
+        changes — text the log cannot hold is a :class:`ProtocolError`
+        there — and append it with :meth:`log_ddl` after."""
+        return encode_record(WalRecord(kind=KIND_DDL, sql=sql))
+
+    def log_ddl(self, record: bytes) -> None:
+        """Append a :meth:`ddl_record`.  DDL is durable immediately: it is
+        rejected inside transactions by the engine, so there is nothing
+        to buffer or undo."""
+        self._write(record)
 
     def commit(self, txn_id: int) -> None:
         if self._begun.pop(txn_id, None) is None:

@@ -133,11 +133,25 @@ class RemoteConnection:
         if self.closed:
             raise ProtocolError("connection is closed")
 
-    def _round_trip(self, request: bytes) -> bytes:
+    def _call(self, opcode: Opcode, body: bytes, expect: Opcode) -> bytes:
+        """The one reply path: one round trip carrying *body* under
+        *opcode*; returns the body of the *expect* reply.  An ERROR reply
+        raises the server's error, any other opcode :class:`ProtocolError`."""
         self._ensure_open()
+        request = protocol.encode_envelope(opcode, body)
+        if self.recorder is None:
+            response = self._exchange(request)
+        else:
+            response = self._traced_exchange(request)
+        answer, body = protocol.decode_envelope(response)
+        if answer is expect:
+            return body
+        if answer is Opcode.ERROR:
+            raise self._remote_error(body)
+        raise ProtocolError(f"unexpected response opcode {answer.name}")
+
+    def _traced_exchange(self, request: bytes) -> bytes:
         recorder = self.recorder
-        if recorder is None:
-            return self._exchange(request)
         with recorder.span(
             "rpc.round_trip",
             kind="client",
@@ -198,13 +212,8 @@ class RemoteConnection:
         """One sequenced exchange without retries (session mode on a
         policy-less connection): the SEQUENCED wrapper carries the client
         id that routes the statement to this client's session."""
-        seq = next(self._seq) & 0xFFFFFFFF
-        wrapped = protocol.encode_envelope(
-            Opcode.SEQUENCED,
-            protocol.encode_sequenced(self.client_id, seq, request),
-        )
-        raw = self._attempt(wrapped)
-        inner = self._unwrap_sequenced(raw, seq)
+        seq, wrapped = self._sequenced(request)
+        inner = self._unwrap_sequenced(self._attempt(wrapped), seq)
         if inner is None:
             raise ProtocolError(
                 f"response to sequence {seq} failed its integrity check"
@@ -216,11 +225,7 @@ class RemoteConnection:
         breaker = self.circuit_breaker
         clock = self.link.clock
         stats = self.link.stats
-        seq = next(self._seq) & 0xFFFFFFFF
-        wrapped = protocol.encode_envelope(
-            Opcode.SEQUENCED,
-            protocol.encode_sequenced(self.client_id, seq, request),
-        )
+        seq, wrapped = self._sequenced(request)
         failure: Optional[ReproError] = None
         for attempt in range(policy.max_attempts):
             if breaker is not None and not breaker.allow(clock.now):
@@ -270,6 +275,12 @@ class RemoteConnection:
             f"request abandoned after {policy.max_attempts} attempts"
         ) from failure
 
+    def _sequenced(self, request: bytes) -> Tuple[int, bytes]:
+        """The next sequence number and *request* wrapped under it."""
+        seq = next(self._seq) & 0xFFFFFFFF
+        body = protocol.encode_sequenced(self.client_id, seq, request)
+        return seq, protocol.encode_envelope(Opcode.SEQUENCED, body)
+
     def _unwrap_sequenced(self, raw: bytes, seq: int) -> Optional[bytes]:
         """Extract the inner response, or None for any transport damage.
 
@@ -298,16 +309,7 @@ class RemoteConnection:
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Execute one SQL statement on the server (one round trip)."""
-        self._ensure_open()
-        request = protocol.encode_envelope(
-            Opcode.QUERY, wire.encode_query(sql, params)
-        )
-        response = self._round_trip(request)
-        opcode, body = protocol.decode_envelope(response)
-        if opcode is Opcode.ERROR:
-            self._raise_remote(body)
-        if opcode is not Opcode.RESULT:
-            raise ProtocolError(f"unexpected response opcode {opcode.name}")
+        body = self._call(Opcode.QUERY, wire.encode_query(sql, params), Opcode.RESULT)
         return wire.decode_result(body)
 
     def execute_batch(
@@ -323,18 +325,12 @@ class RemoteConnection:
         An empty batch is answered locally — shipping zero statements
         across a WAN would pay a round trip for nothing.
         """
-        self._ensure_open()
         if not statements:
+            self._ensure_open()
             return []
-        request = protocol.encode_envelope(
-            Opcode.BATCH, protocol.encode_batch(statements)
+        body = self._call(
+            Opcode.BATCH, protocol.encode_batch(statements), Opcode.BATCH_RESULT
         )
-        response = self._round_trip(request)
-        opcode, body = protocol.decode_envelope(response)
-        if opcode is Opcode.ERROR:
-            self._raise_remote(body)
-        if opcode is not Opcode.BATCH_RESULT:
-            raise ProtocolError(f"unexpected response opcode {opcode.name}")
         entries = protocol.decode_batch_result(body)
         if len(entries) != len(statements):
             raise ProtocolError(
@@ -353,42 +349,23 @@ class RemoteConnection:
         """Fetch :meth:`DatabaseServer.counters` (one round trip): the
         server's own counters under their bare names, every attached
         layer's under ``db_`` / ``wal_`` / ``locks_`` / ``sessions_``."""
-        self._ensure_open()
-        request = protocol.encode_envelope(Opcode.STATS)
-        response = self._round_trip(request)
-        opcode, body = protocol.decode_envelope(response)
-        if opcode is Opcode.ERROR:
-            self._raise_remote(body)
-        if opcode is not Opcode.STATS_RESULT:
-            raise ProtocolError(f"unexpected response opcode {opcode.name}")
-        return protocol.decode_stats(body)
+        return protocol.decode_stats(
+            self._call(Opcode.STATS, b"", Opcode.STATS_RESULT)
+        )
 
     def call_procedure(self, name: str, args: Sequence[Any] = ()) -> List[Any]:
         """Invoke a server procedure (one round trip, function shipping)."""
-        self._ensure_open()
-        request = protocol.encode_envelope(
-            Opcode.CALL_PROCEDURE, protocol.encode_procedure_call(name, args)
+        body = self._call(
+            Opcode.CALL_PROCEDURE,
+            protocol.encode_procedure_call(name, args),
+            Opcode.PROCEDURE_RESULT,
         )
-        response = self._round_trip(request)
-        opcode, body = protocol.decode_envelope(response)
-        if opcode is Opcode.ERROR:
-            self._raise_remote(body)
-        if opcode is not Opcode.PROCEDURE_RESULT:
-            raise ProtocolError(f"unexpected response opcode {opcode.name}")
         return protocol.decode_values(body)
 
     # -- sessions / transactions -------------------------------------------------
 
     def _session_op(self, opcode: Opcode, expect: Opcode) -> List[Any]:
-        request = protocol.encode_envelope(
-            opcode, protocol.encode_session_op(self.client_id)
-        )
-        response = self._round_trip(request)
-        answer, body = protocol.decode_envelope(response)
-        if answer is Opcode.ERROR:
-            self._raise_remote(body)
-        if answer is not expect:
-            raise ProtocolError(f"unexpected response opcode {answer.name}")
+        body = self._call(opcode, protocol.encode_session_op(self.client_id), expect)
         return protocol.decode_values(body)
 
     def open_session(self) -> None:
@@ -397,13 +374,11 @@ class RemoteConnection:
         Required before :meth:`begin`; idempotent on the server side so a
         retransmitted handshake cannot fail.
         """
-        self._ensure_open()
         self._session_op(Opcode.OPEN_SESSION, Opcode.SESSION_RESULT)
         self._session_open = True
 
     def close_session(self) -> None:
         """Close the server session (rolls back any open transaction)."""
-        self._ensure_open()
         self._session_op(Opcode.CLOSE_SESSION, Opcode.SESSION_RESULT)
         self._session_open = False
 
@@ -425,7 +400,6 @@ class RemoteConnection:
         DML inside the transaction and serves its reads from a lock-free
         snapshot.
         """
-        self._ensure_open()
         if not self._session_open:
             self.open_session()
         opcode = Opcode.TXN_BEGIN_RO if read_only else Opcode.TXN_BEGIN
@@ -441,7 +415,6 @@ class RemoteConnection:
         high-water mark — the commit is on disk, only the original
         response was lost with the restart.
         """
-        self._ensure_open()
         try:
             self._session_op(Opcode.TXN_COMMIT, Opcode.TXN_RESULT)
         except DuplicateRequest:
@@ -454,7 +427,6 @@ class RemoteConnection:
         aborted as a deadlock victim) — rolling back must be safe to call
         from any failure path.
         """
-        self._ensure_open()
         self._session_op(Opcode.TXN_ROLLBACK, Opcode.TXN_RESULT)
 
     def transaction(self) -> "_RemoteTransaction":
@@ -520,12 +492,8 @@ class RemoteConnection:
 
     def ping(self) -> float:
         """Measure one empty round trip; returns the delay in seconds."""
-        self._ensure_open()
         before = self.link.clock.now
-        response = self._round_trip(protocol.encode_envelope(Opcode.PING))
-        opcode, __ = protocol.decode_envelope(response)
-        if opcode is not Opcode.PONG:
-            raise ProtocolError(f"unexpected response opcode {opcode.name}")
+        self._call(Opcode.PING, b"", Opcode.PONG)
         return self.link.clock.now - before
 
     def close(self) -> None:
@@ -537,9 +505,6 @@ class RemoteConnection:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _raise_remote(self, body: bytes) -> None:
-        raise self._remote_error(body)
 
     def _remote_error(self, body: bytes) -> ReproError:
         """Reconstruct (without raising) the exception an ERROR frame carries."""

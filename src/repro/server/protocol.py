@@ -1,9 +1,13 @@
 """Request/response envelopes for the client/server protocol.
 
-An envelope is ``opcode (1 byte) + body``.  Query bodies are encoded by
-:mod:`repro.sqldb.wire`; procedure calls encode the procedure name and a
-value list with the same primitives.  Error responses carry the error
-class name and message so the client can re-raise a faithful exception.
+An envelope is ``opcode (1 byte) + body``.  Strings, counted value lists
+and statement bodies are :mod:`repro.sqldb.wire`'s; this module owns only
+the envelope and opcode tables, the SEQUENCED header and CRC, the session
+operand, the batch counts and entry kinds, and the STATS pairing.  A
+CALL_PROCEDURE body *is* a statement body (the name in place of the SQL
+text, the arguments in place of the parameters), an ERROR body is two
+strings — the error class name and message, so the client can re-raise a
+faithful exception — and a value-list body is one counted list.
 
 The BATCH opcode ships N statements in one request and N per-statement
 entries in one response — the pipelined middle ground between "one query
@@ -150,35 +154,17 @@ def decode_session_op(body: bytes) -> int:
     return struct.unpack(">I", body)[0]
 
 
-def encode_procedure_call(name: str, args: Sequence[Any]) -> bytes:
-    """Body of a CALL_PROCEDURE request."""
-    payload = name.encode("utf-8")
-    parts = [struct.pack(">I", len(payload)), payload, struct.pack(">H", len(args))]
-    wire.encode_run(args, parts)
-    return b"".join(parts)
+#: A CALL_PROCEDURE body is a statement body: the procedure's name in
+#: place of the SQL text, its arguments in place of the parameters.
+encode_procedure_call = wire.encode_query
 
 
 def decode_procedure_call(body: bytes) -> Tuple[str, List[Any]]:
-    if len(body) < 4:
-        raise ProtocolError("truncated procedure-call frame")
-    length = struct.unpack_from(">I", body, 0)[0]
-    offset = 4
-    if offset + length + 2 > len(body):
-        raise ProtocolError("truncated procedure-call frame")
-    try:
-        name = body[offset : offset + length].decode("utf-8")
-    except UnicodeDecodeError:
-        raise ProtocolError("invalid UTF-8 in procedure name") from None
-    offset += length
-    count = struct.unpack_from(">H", body, offset)[0]
-    args, offset = wire.decode_run(body, offset + 2, count)
-    if offset != len(body):
-        raise ProtocolError("trailing bytes after procedure-call frame")
-    return name, args
+    return wire.decode_query(body, "procedure-call")
 
 
 def encode_batch(statements: Sequence[Tuple[str, Sequence[Any]]]) -> bytes:
-    """Body of a BATCH request: ``u16 count`` + one query body per statement."""
+    """Body of a BATCH request: ``u16 count`` + one statement body each."""
     if len(statements) > 0xFFFF:
         raise ProtocolError("too many statements in batch")
     parts = [struct.pack(">H", len(statements))]
@@ -190,26 +176,12 @@ def encode_batch(statements: Sequence[Tuple[str, Sequence[Any]]]) -> bytes:
 def decode_batch(body: bytes) -> List[Tuple[str, List[Any]]]:
     if len(body) < 2:
         raise ProtocolError("truncated batch frame")
-    count = struct.unpack_from(">H", body, 0)[0]
     offset = 2
     statements: List[Tuple[str, List[Any]]] = []
-    for __ in range(count):
-        if offset + 4 > len(body):
-            raise ProtocolError("truncated batch frame")
-        length = struct.unpack_from(">I", body, offset)[0]
-        offset += 4
-        if offset + length + 2 > len(body):
-            raise ProtocolError("truncated batch frame")
-        try:
-            sql = body[offset : offset + length].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ProtocolError("invalid UTF-8 in batch statement") from None
-        offset += length
-        param_count = struct.unpack_from(">H", body, offset)[0]
-        params, offset = wire.decode_run(body, offset + 2, param_count)
+    for __ in range(struct.unpack_from(">H", body, 0)[0]):
+        sql, params, offset = wire.decode_statement(body, offset, "batch")
         statements.append((sql, params))
-    if offset != len(body):
-        raise ProtocolError("trailing bytes after batch frame")
+    wire.expect_end(body, offset, "batch")
     return statements
 
 
@@ -249,8 +221,7 @@ def decode_batch_result(body: bytes) -> List[Tuple[int, bytes]]:
             raise ProtocolError("truncated batch-result frame")
         entries.append((kind, body[offset : offset + length]))
         offset += length
-    if offset != len(body):
-        raise ProtocolError("trailing bytes after batch-result frame")
+    wire.expect_end(body, offset, "batch-result")
     return entries
 
 
@@ -277,47 +248,32 @@ def decode_stats(body: bytes) -> dict:
 
 
 def encode_error(error: Exception) -> bytes:
-    """Body of an ERROR response."""
-    kind = type(error).__name__.encode("utf-8")
-    message = str(error).encode("utf-8")
-    return (
-        struct.pack(">I", len(kind))
-        + kind
-        + struct.pack(">I", len(message))
-        + message
-    )
+    """Body of an ERROR response: the error's class name and message.
+
+    A message UTF-8 cannot carry (a lone surrogate from stored text) is
+    sent escaped, so an error always reaches the client as an error.
+    """
+    kind = wire.encode_str(type(error).__name__)
+    try:
+        return kind + wire.encode_str(str(error))
+    except ProtocolError:
+        return kind + wire.encode_str(ascii(str(error)))
 
 
 def decode_error(body: bytes) -> Tuple[str, str]:
-    texts: List[str] = []
-    offset = 0
-    for __ in range(2):  # error class name, then message
-        if offset + 4 > len(body):
-            raise ProtocolError("truncated error frame")
-        start = offset + 4
-        offset = start + struct.unpack_from(">I", body, offset)[0]
-        if offset > len(body):
-            raise ProtocolError("truncated error frame")
-        try:
-            texts.append(body[start:offset].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ProtocolError("invalid UTF-8 in error frame") from None
-    if offset != len(body):
-        raise ProtocolError("trailing bytes after error frame")
-    return texts[0], texts[1]
+    (kind, message), offset = wire.decode_strs(body, 0, 2, "error")
+    wire.expect_end(body, offset, "error")
+    return kind, message
 
 
 def encode_values(values: Sequence[Any]) -> bytes:
-    """Body of a PROCEDURE_RESULT response (a flat value list)."""
-    parts = [struct.pack(">H", len(values))]
-    wire.encode_run(values, parts)
+    """Body of a PROCEDURE_RESULT response (a counted list)."""
+    parts: List[bytes] = []
+    wire.encode_list(values, parts)
     return b"".join(parts)
 
 
 def decode_values(body: bytes) -> List[Any]:
-    if len(body) < 2:
-        raise ProtocolError("truncated value-list frame")
-    values, offset = wire.decode_run(body, 2, struct.unpack_from(">H", body, 0)[0])
-    if offset != len(body):
-        raise ProtocolError("trailing bytes after value-list frame")
+    values, offset = wire.decode_list(body, 0, "value-list")
+    wire.expect_end(body, offset, "value-list")
     return values

@@ -185,43 +185,12 @@ class DatabaseServer:
                     raise ProtocolError(
                         f"unexpected request opcode {opcode.name}"
                     )
-            except DiskCrashed as error:
-                # The WAL disk lost power mid-append: all volatile state
-                # (sessions, locks, caches, the in-memory tables) is gone.
-                # Take the server down; only restart() brings it back.
-                self.crash()
-                self.statistics["errors"] += 1
-                if span is not None:
-                    span.meta["error"] = type(error).__name__
-                return protocol.encode_envelope(
-                    Opcode.ERROR,
-                    protocol.encode_error(
-                        ServerUnavailable(f"server crashed: {error}")
-                    ),
-                )
-            except ReproError as error:
-                self._note_concurrency_error(error)
-                self.statistics["errors"] += 1
-                if span is not None:
-                    span.meta["error"] = type(error).__name__
-                return protocol.encode_envelope(
-                    Opcode.ERROR, protocol.encode_error(error)
-                )
             except Exception as error:  # noqa: BLE001 — last-resort guard
-                # A bug below the wire layer (or a misbehaving server
-                # procedure) must cost the client an error round trip,
-                # never kill the server loop.
-                self.statistics["errors"] += 1
                 if span is not None:
                     span.meta["error"] = type(error).__name__
-                    span.meta["unexpected"] = True
-                wrapped = ProtocolError(
-                    f"internal server error: "
-                    f"{type(error).__name__}: {error}"
-                )
-                return protocol.encode_envelope(
-                    Opcode.ERROR, protocol.encode_error(wrapped)
-                )
+                    if not isinstance(error, ReproError):
+                        span.meta["unexpected"] = True
+                return self._error_reply(self._answer_for(error))
             if self.cpu_cost.enabled:
                 statements = (
                     self.database.statistics["statements"] - statements_before
@@ -246,20 +215,12 @@ class DatabaseServer:
             client_id, seq, inner = protocol.decode_sequenced(body)
         except ProtocolError as error:
             self.statistics["crc_rejects"] += 1
-            self.statistics["errors"] += 1
             self.last_cpu_seconds = 0.0
-            return protocol.encode_envelope(
-                Opcode.ERROR,
-                protocol.encode_error(FrameCorrupted(str(error))),
-            )
+            return self._error_reply(FrameCorrupted(str(error)))
         if inner[:1] == protocol.SEQUENCED_BYTE:
-            self.statistics["errors"] += 1
             self.last_cpu_seconds = 0.0
-            return protocol.encode_envelope(
-                Opcode.ERROR,
-                protocol.encode_error(
-                    ProtocolError("nested sequenced frames are not allowed")
-                ),
+            return self._error_reply(
+                ProtocolError("nested sequenced frames are not allowed")
             )
         self.statistics["sequenced_requests"] += 1
         key = (client_id, seq)
@@ -287,23 +248,13 @@ class DatabaseServer:
             # with a distinguishable refusal instead (at-most-once
             # across restarts).
             self.statistics["hwm_suppressed"] += 1
-            wrapped = protocol.encode_envelope(
-                Opcode.SEQUENCED_RESULT,
-                protocol.encode_sequenced(
-                    client_id,
-                    seq,
-                    protocol.encode_envelope(
-                        Opcode.ERROR,
-                        protocol.encode_error(
-                            DuplicateRequest(
-                                f"sequence {seq} of client {client_id} was "
-                                f"executed and committed before a server "
-                                f"restart; its response was lost with the "
-                                f"crash"
-                            )
-                        ),
-                    ),
-                ),
+            refusal = DuplicateRequest(
+                f"sequence {seq} of client {client_id} was executed and "
+                f"committed before a server restart; its response was lost "
+                f"with the crash"
+            )
+            wrapped = self._sequenced_reply(
+                client_id, seq, self._error_envelope(refusal)
             )
             self._replay_cache[key] = wrapped
             return wrapped
@@ -328,10 +279,7 @@ class DatabaseServer:
                 self._active_client = previous
                 if wal is not None:
                     wal.origin = previous_origin
-        wrapped = protocol.encode_envelope(
-            Opcode.SEQUENCED_RESULT,
-            protocol.encode_sequenced(client_id, seq, response),
-        )
+        wrapped = self._sequenced_reply(client_id, seq, response)
         if self.crashed:
             # The request crashed the server: never cache the refusal —
             # a retry after restart must re-resolve against the durable
@@ -355,24 +303,52 @@ class DatabaseServer:
         """
         self.last_cpu_seconds = 0.0
         self.statistics["unavailable_refusals"] += 1
-        error_frame = protocol.encode_envelope(
-            Opcode.ERROR,
-            protocol.encode_error(
-                ServerUnavailable(
-                    "server is crashed; wait for restart and retry"
-                )
-            ),
+        error_frame = self._error_envelope(
+            ServerUnavailable("server is crashed; wait for restart and retry")
         )
         if frame[:1] == protocol.SEQUENCED_BYTE:
             try:
                 client_id, seq, __ = protocol.decode_sequenced(frame[1:])
             except ProtocolError:
                 return error_frame
-            return protocol.encode_envelope(
-                Opcode.SEQUENCED_RESULT,
-                protocol.encode_sequenced(client_id, seq, error_frame),
-            )
+            return self._sequenced_reply(client_id, seq, error_frame)
         return error_frame
+
+    # -- reply builders -----------------------------------------------------
+
+    def _answer_for(self, error: Exception) -> Exception:
+        """The error a request that raised *error* is answered with."""
+        if isinstance(error, DiskCrashed):
+            # The WAL disk lost power mid-append: all volatile state
+            # (sessions, locks, caches, the in-memory tables) is gone.
+            # Take the server down; only restart() brings it back.
+            self.crash()
+            return ServerUnavailable(f"server crashed: {error}")
+        if isinstance(error, ReproError):
+            self._note_concurrency_error(error)
+            return error
+        # A bug below the wire layer (or a misbehaving server procedure)
+        # must cost the client an error round trip, never kill the server.
+        return ProtocolError(f"internal server error: {type(error).__name__}: {error}")
+
+    @staticmethod
+    def _error_envelope(error: Exception) -> bytes:
+        """The one place an ERROR envelope is built."""
+        return protocol.encode_envelope(Opcode.ERROR, protocol.encode_error(error))
+
+    def _error_reply(self, error: Exception) -> bytes:
+        """Answer the request being handled with *error*, counted once."""
+        self.statistics["errors"] += 1
+        return self._error_envelope(error)
+
+    @staticmethod
+    def _sequenced_reply(client_id: int, seq: int, response: bytes) -> bytes:
+        """The one place a SEQUENCED_RESULT wrapper is built: *response*
+        behind the request's client id, sequence number and CRC."""
+        return protocol.encode_envelope(
+            Opcode.SEQUENCED_RESULT,
+            protocol.encode_sequenced(client_id, seq, response),
+        )
 
     def crash(self) -> None:
         """Deterministic power-off: drop every piece of volatile state.
@@ -464,37 +440,26 @@ class DatabaseServer:
                 f"{opcode.name} requires a server with session support"
             )
         client_id = protocol.decode_session_op(body)
+        sessions = self.sessions
+        answer = Opcode.TXN_RESULT
         if opcode is Opcode.OPEN_SESSION:
-            self.sessions.open(client_id)
-            return protocol.encode_envelope(
-                Opcode.SESSION_RESULT, protocol.encode_values(["open", client_id])
-            )
-        if opcode is Opcode.CLOSE_SESSION:
-            self.sessions.close(client_id)
-            return protocol.encode_envelope(
-                Opcode.SESSION_RESULT, protocol.encode_values(["closed", client_id])
-            )
-        if opcode is Opcode.TXN_BEGIN:
-            txn_id = self.sessions.begin(client_id)
-            return protocol.encode_envelope(
-                Opcode.TXN_RESULT, protocol.encode_values(["begin", txn_id])
-            )
-        if opcode is Opcode.TXN_BEGIN_RO:
-            txn_id = self.sessions.begin(client_id, read_only=True)
-            return protocol.encode_envelope(
-                Opcode.TXN_RESULT, protocol.encode_values(["begin_ro", txn_id])
-            )
-        if opcode is Opcode.TXN_COMMIT:
-            self.sessions.commit(client_id)
-            return protocol.encode_envelope(
-                Opcode.TXN_RESULT, protocol.encode_values(["commit", client_id])
-            )
-        # TXN_ROLLBACK
-        self.sessions.rollback(client_id)
-        self.statistics["txn_aborts"] += 1
-        return protocol.encode_envelope(
-            Opcode.TXN_RESULT, protocol.encode_values(["rollback", client_id])
-        )
+            sessions.open(client_id)
+            answer, values = Opcode.SESSION_RESULT, ["open", client_id]
+        elif opcode is Opcode.CLOSE_SESSION:
+            sessions.close(client_id)
+            answer, values = Opcode.SESSION_RESULT, ["closed", client_id]
+        elif opcode is Opcode.TXN_BEGIN:
+            values = ["begin", sessions.begin(client_id)]
+        elif opcode is Opcode.TXN_BEGIN_RO:
+            values = ["begin_ro", sessions.begin(client_id, read_only=True)]
+        elif opcode is Opcode.TXN_COMMIT:
+            sessions.commit(client_id)
+            values = ["commit", client_id]
+        else:  # TXN_ROLLBACK
+            sessions.rollback(client_id)
+            self.statistics["txn_aborts"] += 1
+            values = ["rollback", client_id]
+        return protocol.encode_envelope(answer, protocol.encode_values(values))
 
     def _statement_done(self, result) -> None:
         """Account one successfully executed statement's scan and rows."""
@@ -528,25 +493,19 @@ class DatabaseServer:
             self.statistics["batch_statements"] += 1
             try:
                 result = self.database.execute(sql, params, session=token)
+                self._statement_done(result)
+                # An unencodable result (an int64-overflowing value, text
+                # UTF-8 cannot carry) fails here, as a ProtocolError, and
+                # poisons only its own entry.
+                entries.append(
+                    (protocol.BATCH_ENTRY_RESULT, wire.encode_result(result))
+                )
             except ReproError as error:
                 self._note_concurrency_error(error)
                 self.statistics["errors"] += 1
                 entries.append(
                     (protocol.BATCH_ENTRY_ERROR, protocol.encode_error(error))
                 )
-                continue
-            self._statement_done(result)
-            try:
-                payload = wire.encode_result(result)
-            except ReproError as error:
-                # An unencodable result (e.g. an int64-overflowing value)
-                # poisons only its own entry, not the whole batch.
-                self.statistics["errors"] += 1
-                entries.append(
-                    (protocol.BATCH_ENTRY_ERROR, protocol.encode_error(error))
-                )
-            else:
-                entries.append((protocol.BATCH_ENTRY_RESULT, payload))
         return protocol.encode_envelope(
             Opcode.BATCH_RESULT, protocol.encode_batch_result(entries)
         )

@@ -358,9 +358,10 @@ class Database:
         :class:`repro.recovery.WalWriter`).
 
         Hooks a journal sink onto every table's storage (tables created
-        later get theirs in :meth:`_create_table`): after each successful
-        insert/update/delete the sink appends a redo record under the
-        executing statement's WAL transaction id.  Explicit transactions
+        later get theirs in :meth:`_create_table`): before each insert,
+        update or delete changes memory — after its constraints are
+        checked — the sink appends a redo record under the executing
+        statement's WAL transaction id.  Explicit transactions
         log COMMIT/ABORT from :meth:`commit`/:meth:`rollback`; autocommit
         statements run as implicit single-statement transactions committed
         at statement end.
@@ -385,18 +386,6 @@ class Database:
                 wal.log_delete(txn_id, table, row_id)
 
         storage._journal = sink
-
-    def _log_ddl(self, statement) -> None:
-        """Append a DDL record (the statement re-rendered to SQL text).
-
-        DDL is rejected inside transactions, so a logged DDL statement is
-        durable the moment it succeeds; recovery replays the text through
-        the ordinary execute path."""
-        if self.wal is None:
-            return
-        from repro.sqldb.render import render_statement
-
-        self.wal.log_ddl(render_statement(statement))
 
     def begin(self, session: Hashable = None, read_only: bool = False) -> int:
         """Start a transaction on *session* (DML becomes undoable until
@@ -686,48 +675,10 @@ class Database:
     _DML_STATEMENTS = (ast.Insert, ast.Update, ast.Delete)
 
     def _execute_dml(self, statement, params: Sequence[Any]) -> ResultSet:
-        if self.session_in_transaction(self._current_session) and isinstance(
-            statement, self._DDL_STATEMENTS
-        ):
-            raise ExecutionError(
-                f"DDL ({type(statement).__name__}) is not allowed inside a "
-                f"transaction: catalog changes are not covered by the undo "
-                f"log and could not be rolled back"
-            )
-        if isinstance(statement, ast.CreateTable):
-            result = self._create_table(statement)
-            self._log_ddl(statement)
-            return result
-        if isinstance(statement, ast.CreateIndex):
-            entry = self.catalog.lookup(statement.table)
-            entry.storage.create_index(
-                statement.name, statement.columns, unique=statement.unique
-            )
-            # Statements planned before the index existed must see it.
-            self._plan_cache.clear()
-            self._log_ddl(statement)
-            return ResultSet([], [], rowcount=0)
-        if isinstance(statement, ast.DropTable):
-            self.mvcc.forget(self.catalog.lookup(statement.name).storage)
-            self.catalog.drop(statement.name)
-            self.stats.drop(statement.name)
-            self._plan_cache.clear()
-            self._log_ddl(statement)
-            return ResultSet([], [], rowcount=0)
+        if isinstance(statement, self._DDL_STATEMENTS):
+            return self._execute_ddl(statement)
         if isinstance(statement, self._DML_STATEMENTS):
             return self._write(statement, params)
-        if isinstance(statement, ast.CreateView):
-            result = self._create_view(statement)
-            self._log_ddl(statement)
-            return result
-        if isinstance(statement, ast.DropView):
-            key = statement.name.lower()
-            if key not in self.views:
-                raise CatalogError(f"view {statement.name!r} does not exist")
-            del self.views[key]
-            self._plan_cache.clear()
-            self._log_ddl(statement)
-            return ResultSet([], [], rowcount=0)
         if isinstance(statement, ast.BeginTransaction):
             self.begin(self._current_session, read_only=statement.read_only)
             return ResultSet([], [], rowcount=0)
@@ -761,6 +712,52 @@ class Database:
         raise ExecutionError(
             f"unsupported statement type {type(statement).__name__}"
         )
+
+    def _execute_ddl(self, statement) -> ResultSet:
+        """Change the catalog, and log the statement re-rendered to SQL
+        text (recovery replays it through the ordinary execute path).
+
+        The record is rendered and encoded before the catalog changes, so
+        text the log refuses leaves the catalog as it was; it is appended
+        after, so a statement the catalog refuses is never logged.  DDL
+        is rejected inside transactions, so a logged statement is durable
+        the moment it succeeds."""
+        if self.session_in_transaction(self._current_session):
+            raise ExecutionError(
+                f"DDL ({type(statement).__name__}) is not allowed inside a "
+                f"transaction: catalog changes are not covered by the undo "
+                f"log and could not be rolled back"
+            )
+        record = None
+        if self.wal is not None:
+            from repro.sqldb.render import render_statement
+
+            record = self.wal.ddl_record(render_statement(statement))
+        if isinstance(statement, ast.CreateTable):
+            self._create_table(statement)
+        elif isinstance(statement, ast.CreateIndex):
+            entry = self.catalog.lookup(statement.table)
+            entry.storage.create_index(
+                statement.name, statement.columns, unique=statement.unique
+            )
+            # Statements planned before the index existed must see it.
+            self._plan_cache.clear()
+        elif isinstance(statement, ast.DropTable):
+            self.mvcc.forget(self.catalog.lookup(statement.name).storage)
+            self.catalog.drop(statement.name)
+            self.stats.drop(statement.name)
+            self._plan_cache.clear()
+        elif isinstance(statement, ast.CreateView):
+            self._create_view(statement)
+        else:  # DropView
+            key = statement.name.lower()
+            if key not in self.views:
+                raise CatalogError(f"view {statement.name!r} does not exist")
+            del self.views[key]
+            self._plan_cache.clear()
+        if record is not None:
+            self.wal.log_ddl(record)
+        return ResultSet([], [], rowcount=0)
 
     def _analyze(self, statement: ast.Analyze) -> ResultSet:
         """``ANALYZE [table]`` — collect optimizer statistics.
@@ -829,7 +826,7 @@ class Database:
         self._plan_cache.clear()
         return True
 
-    def _create_view(self, statement: ast.CreateView) -> ResultSet:
+    def _create_view(self, statement: ast.CreateView) -> None:
         key = statement.name.lower()
         if self.catalog.exists(statement.name) or key in self.views:
             raise CatalogError(
@@ -847,9 +844,8 @@ class Database:
             )
         self.views[key] = statement
         self._plan_cache.clear()
-        return ResultSet([], [], rowcount=0)
 
-    def _create_table(self, statement: ast.CreateTable) -> ResultSet:
+    def _create_table(self, statement: ast.CreateTable) -> None:
         schema = TableSchema(
             name=statement.name,
             columns=[
@@ -867,7 +863,6 @@ class Database:
         if self.wal is not None:
             self._attach_journal(storage)
         self.mvcc.register(storage)
-        return ResultSet([], [], rowcount=0)
 
     def _planner(self) -> Planner:
         return Planner(

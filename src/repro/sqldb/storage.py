@@ -127,8 +127,10 @@ class TableStorage:
         #: Undo log for the enclosing transaction; None when not enlisted.
         self._undo: Optional[List[tuple]] = None
         #: Redo journal sink (the database's WAL hook): called as
-        #: ``journal(op, row_id, row)`` after every successful mutation
-        #: (an update also passes the row it replaced).
+        #: ``journal(op, row_id, row)`` once a mutation passed its checks
+        #: and before it changes the heap or an index (an update also
+        #: passes the row it replaced), so a record the journal refuses
+        #: leaves memory as it was.
         #: Detached (like ``_undo``) while a rollback replays inverses —
         #: an abort is logged as one ABORT record, not as compensation.
         self._journal = None
@@ -165,14 +167,7 @@ class TableStorage:
         stored = tuple(row)
         self._check_not_null(stored)
         row_id = len(self._rows)
-        self._index_row(row_id, stored)
-        self._rows.append(stored)
-        self._live_count += 1
-        self.version += 1
-        if self._undo is not None:
-            self._undo.append(("insert", row_id))
-        if self._journal is not None:
-            self._journal("insert", row_id, stored)
+        self._place(row_id, stored)
         return row_id
 
     def _check_not_null(self, row: Row) -> None:
@@ -183,17 +178,29 @@ class TableStorage:
                     f"is NOT NULL"
                 )
 
-    def _index_row(self, row_id: int, row: Row) -> None:
-        """Add *row* under *row_id* to every index — after checking every
-        unique one, so a violation leaves no index touched."""
+    def _place(self, row_id: int, row: Row) -> None:
+        """Put *row* in the free slot *row_id* (the next one, for an
+        insert) and under it in every index — after checking every unique
+        index and journaling the insert, so a violation or a record the
+        journal refuses leaves the heap and every index untouched."""
         indexes = self._indexes.values()
         keys = [index.key(row) for index in indexes]
         for index, key in zip(indexes, keys):
             if index.unique and key is not None and key in index._buckets:
                 raise index._violation(key)
+        if self._journal is not None:
+            self._journal("insert", row_id, row)
         for index, key in zip(indexes, keys):
             if key is not None:
                 index._buckets.setdefault(key, []).append(row_id)
+        if row_id == len(self._rows):
+            self._rows.append(row)
+        else:
+            self._rows[row_id] = row
+        self._live_count += 1
+        self.version += 1
+        if self._undo is not None:
+            self._undo.append(("insert", row_id))
 
     def load(self, rows: Sequence[Tuple[int, Row]]) -> None:
         """Re-materialise ``(row_id, row)`` pairs in their slots (the
@@ -239,6 +246,8 @@ class TableStorage:
         row = self._rows[row_id]
         if row is None:
             return
+        if self._journal is not None:
+            self._journal("delete", row_id, row)
         for index in self._indexes.values():
             index.remove(row_id, row)
         self._rows[row_id] = None
@@ -246,8 +255,6 @@ class TableStorage:
         self.version += 1
         if self._undo is not None:
             self._undo.append(("delete", row_id, row))
-        if self._journal is not None:
-            self._journal("delete", row_id, row)
 
     def update(self, row_id: int, new_row: Sequence[object]) -> None:
         old_row = self._rows[row_id]
@@ -257,8 +264,8 @@ class TableStorage:
         self._check_not_null(stored)
         # Only indexes whose key changed are touched — a non-key update
         # leaves the row's place in every bucket alone — and uniqueness is
-        # checked before the first of them is, so a violation leaves the
-        # row indexed exactly as it was.
+        # checked, and the update journaled, before the first of them is,
+        # so a violation or a refused record leaves the row as it was.
         moved = []
         for index in self._indexes.values():
             new_key = index.key(stored)
@@ -266,6 +273,8 @@ class TableStorage:
                 if new_key is not None:
                     index.check_unique(new_key)
                 moved.append(index)
+        if self._journal is not None:
+            self._journal("update", row_id, stored, old_row)
         for index in moved:
             index.remove(row_id, old_row)
             index.add(row_id, stored)
@@ -273,8 +282,6 @@ class TableStorage:
         self.version += 1
         if self._undo is not None:
             self._undo.append(("update", row_id, old_row))
-        if self._journal is not None:
-            self._journal("update", row_id, stored, old_row)
 
     def scan(self) -> Iterator[Tuple[int, Row]]:
         """Yield (row_id, row) for every live row in insertion order."""
@@ -405,10 +412,7 @@ class TableStorage:
                 f"cannot restore row {row_id} of {self.schema.name!r}: "
                 f"slot is occupied"
             )
-        self._index_row(row_id, row)
-        self._rows[row_id] = row
-        self._live_count += 1
-        self.version += 1
+        self._place(row_id, row)  # undo and journal are detached here
 
     # -- indexes -------------------------------------------------------------
 

@@ -8,14 +8,21 @@ type tags, length-prefixed strings, 8-byte integers.
 
 Layout (big-endian):
 
-* request  = opcode(1) u32-len + sql-utf8, u16 param count, params as values
-* response = u16 column count, columns as strings, u32 row count, rows as
-  values; or an error frame (opcode carried by the transport envelope)
-* value    = tag(1) + payload:  N=null, I=int64, D=float64, B=bool(1),
-  S=u32-len + utf8
+* string     = u32-len + utf8
+* value      = tag(1) + payload:  N=null, I=int64, D=float64, B=bool(1),
+  S=string
+* list       = u16 count + values (a counted list)
+* statement  = string + list: SQL text and its parameters, or a
+  procedure's name and its arguments
+* response   = u16 column count, columns as strings, u32 row count, rows
+  as values, u32 rowcount
 
-The functions raise :class:`ProtocolError` on malformed frames — the tests
-inject corruption to verify that.
+This module is the one owner of that format: ``server.protocol`` builds
+its envelopes, and ``recovery.wal`` its log records, from these strings,
+lists and statement bodies, with one set of bounds checks.  Malformed
+input raises :class:`ProtocolError` naming the frame being decoded, and
+so does a value the format cannot carry (text UTF-8 cannot encode, an
+integer outside int64, a list past 65 535 values).
 """
 
 from __future__ import annotations
@@ -77,26 +84,29 @@ def encode_run(values: Iterable[Any], parts: List[bytes]) -> None:
     each is encoded by one pass of this loop — no call per value.
     """
     append = parts.append
-    for value in values:
-        kind = type(value)
-        if kind not in _WIRE_TYPES:
-            kind = _base_type(value)
-        if kind is str:
-            payload = value.encode("utf-8")
-            append(_pack_str(_TAG_STR, len(payload)))
-            append(payload)
-        elif kind is int:
-            if not INT64_MIN <= value <= INT64_MAX:
-                raise ProtocolError(
-                    f"integer {value} is outside the int64 wire range"
-                )
-            append(_pack_int(_TAG_INT, value))
-        elif value is None:
-            append(_TAG_NULL)
-        elif kind is float:
-            append(_pack_float(_TAG_FLOAT, value))
-        else:
-            append(_TRUE if value else _FALSE)
+    try:
+        for value in values:
+            kind = type(value)
+            if kind not in _WIRE_TYPES:
+                kind = _base_type(value)
+            if kind is str:
+                payload = value.encode("utf-8")
+                append(_pack_str(_TAG_STR, len(payload)))
+                append(payload)
+            elif kind is int:
+                if not INT64_MIN <= value <= INT64_MAX:
+                    raise ProtocolError(
+                        f"integer {value} is outside the int64 wire range"
+                    )
+                append(_pack_int(_TAG_INT, value))
+            elif value is None:
+                append(_TAG_NULL)
+            elif kind is float:
+                append(_pack_float(_TAG_FLOAT, value))
+            else:
+                append(_TRUE if value else _FALSE)
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise _unencodable(exc) from None
 
 
 def decode_run(buffer: bytes, offset: int, count: int) -> Tuple[List[Any], int]:
@@ -158,48 +168,103 @@ def decode_value(buffer: bytes, offset: int) -> Tuple[Any, int]:
     return values[0], offset
 
 
-def _encode_str(text: str) -> bytes:
-    payload = text.encode("utf-8")
+# -- strings, counted lists, statement bodies ------------------------------
+#
+# What every frame and every WAL record is built from.  A decode error
+# names the frame it was decoding (*frame*).
+
+#: Most values a counted list (u16 count) holds.
+_MAX_COUNT = 0xFFFF
+
+
+def _unencodable(exc: UnicodeEncodeError) -> ProtocolError:
+    return ProtocolError(f"text cannot be encoded as UTF-8: {exc}")
+
+
+def _too_long(count: int) -> ProtocolError:
+    return ProtocolError(f"a list of {count} values is too long for its u16 count")
+
+
+def encode_str(text: str) -> bytes:
+    """A length-prefixed string: u32 length + UTF-8."""
+    try:
+        payload = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise _unencodable(exc) from None
     return _pack_u32(len(payload)) + payload
 
 
-def _decode_strs(buffer: bytes, offset: int, count: int) -> Tuple[List[str], int]:
-    """Decode *count* untagged length-prefixed strings (SQL text, column
-    names) starting at *offset*."""
+def decode_strs(
+    buffer: bytes, offset: int, count: int, frame: str = "value"
+) -> Tuple[List[str], int]:
+    """Decode *count* length-prefixed strings starting at *offset*;
+    return (strings, next offset)."""
     end = len(buffer)
     texts: List[str] = []
     for __ in range(count):
         if offset + 4 > end:
-            raise ProtocolError("truncated value frame")
+            raise ProtocolError(f"truncated {frame} frame")
         start = offset + 4
         offset = start + _unpack_u32(buffer, offset)[0]
         if offset > end:
-            raise ProtocolError("truncated value frame")
+            raise ProtocolError(f"truncated {frame} frame")
         try:
             texts.append(buffer[start:offset].decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise ProtocolError(f"invalid UTF-8 in frame: {exc}") from None
+            raise ProtocolError(f"invalid UTF-8 in {frame} frame: {exc}") from None
     return texts, offset
 
 
+def encode_list(values: Sequence[Any], parts: List[bytes]) -> None:
+    """Append a counted list — u16 count + run of values — to *parts*."""
+    if len(values) > _MAX_COUNT:
+        raise _too_long(len(values))
+    parts.append(_pack_u16(len(values)))
+    encode_run(values, parts)
+
+
+def decode_list(buffer: bytes, offset: int, frame: str) -> Tuple[List[Any], int]:
+    """Decode a counted list at *offset*; return (values, next offset)."""
+    if offset + 2 > len(buffer):
+        raise ProtocolError(f"truncated {frame} frame")
+    return decode_run(buffer, offset + 2, _unpack_u16(buffer, offset)[0])
+
+
+def expect_end(buffer: bytes, offset: int, frame: str) -> None:
+    """The trailing-bytes check: *frame* ends at *offset*."""
+    if offset != len(buffer):
+        raise ProtocolError(f"trailing bytes after {frame} frame")
+
+
 def encode_query(sql: str, params: Sequence[Any] = ()) -> bytes:
-    """Encode an execute-query request body."""
-    if len(params) > 0xFFFF:
-        raise ProtocolError("too many parameters")
-    parts = [_encode_str(sql), _pack_u16(len(params))]
+    """Encode a statement body: a string and a counted list (SQL text and
+    parameters, or a procedure's name and arguments).  It runs on every
+    round trip, so it calls the run codec directly, as its decoders do."""
+    if len(params) > _MAX_COUNT:
+        raise _too_long(len(params))
+    parts = [encode_str(sql), _pack_u16(len(params))]
     encode_run(params, parts)
     return b"".join(parts)
 
 
-def decode_query(buffer: bytes) -> Tuple[str, List[Any]]:
-    """Decode an execute-query request body."""
-    (sql,), offset = _decode_strs(buffer, 0, 1)
+def decode_statement(
+    buffer: bytes, offset: int, frame: str
+) -> Tuple[str, List[Any], int]:
+    """Decode a statement body at *offset*; return (text, values, next
+    offset)."""
+    (text,), offset = decode_strs(buffer, offset, 1, frame)
     if offset + 2 > len(buffer):
-        raise ProtocolError("truncated value frame")
-    params, offset = decode_run(buffer, offset + 2, _unpack_u16(buffer, offset)[0])
-    if offset != len(buffer):
-        raise ProtocolError("trailing bytes after query frame")
-    return sql, params
+        raise ProtocolError(f"truncated {frame} frame")
+    values, offset = decode_run(buffer, offset + 2, _unpack_u16(buffer, offset)[0])
+    return text, values, offset
+
+
+def decode_query(buffer: bytes, frame: str = "query") -> Tuple[str, List[Any]]:
+    """Decode a frame that is exactly one statement body."""
+    text, values, offset = decode_statement(buffer, 0, frame)
+    if offset != len(buffer):  # expect_end, inline on the per-request path
+        raise ProtocolError(f"trailing bytes after {frame} frame")
+    return text, values
 
 
 @lru_cache(maxsize=256)
@@ -207,16 +272,16 @@ def _encode_header(columns: Tuple[str, ...]) -> bytes:
     """Column count + names of a result frame.  A cached plan answers
     with the same column tuple every time, so the header is encoded once
     per shape, not once per result; the memo holds names only."""
-    if len(columns) > 0xFFFF:
+    if len(columns) > _MAX_COUNT:
         raise ProtocolError("too many columns")
-    return _pack_u16(len(columns)) + b"".join(map(_encode_str, columns))
+    return _pack_u16(len(columns)) + b"".join(map(encode_str, columns))
 
 
 @lru_cache(maxsize=256)
 def _header_columns(header: bytes) -> Tuple[str, ...]:
     """Inverse of :func:`_encode_header`, remembered the same way: the
     client of a cached plan meets the same header bytes every time."""
-    return tuple(_decode_strs(header, 2, _unpack_u16(header, 0)[0])[0])
+    return tuple(decode_strs(header, 2, _unpack_u16(header, 0)[0])[0])
 
 
 def _decode_header(buffer: bytes) -> Tuple[Sequence[str], int]:
@@ -235,7 +300,7 @@ def _decode_header(buffer: bytes) -> Tuple[Sequence[str], int]:
             return _header_columns(buffer[:offset]), offset
     # The names do not fit the frame: decode them one by one, so that the
     # first fault in frame order is the one reported.
-    return _decode_strs(buffer, 2, width)
+    return decode_strs(buffer, 2, width)
 
 
 def encode_result(result: ResultSet) -> bytes:

@@ -62,7 +62,9 @@ rows):
   its key through two generators); 29.2 once that work is done once per
   call, each column's converter is built at prepare time, a ``?`` is
   read straight from the parameter row and each index has a key
-  function;
+  function; 27.2 by the time the frame format had one owner, and still
+  27.2 once the storage journals a row before it changes the heap and
+  its indexes (check, journal, then mutate, in one ``_place`` call);
 * restarting from its checkpoint (decode included): 34.2 calls per row
   while each ``I`` record went through ``insert_at`` and one
   ``HashIndex.add`` per index; 13.8 once each table's run of rows is

@@ -8,6 +8,11 @@ Regression tests for two crash modes:
 * any unexpected exception below the wire layer (e.g. a buggy server
   procedure) did the same.
 
+And for values the frame format cannot carry — a counted list past 65 535
+values, text UTF-8 cannot encode — which escaped as a bare
+``struct.error`` / ``UnicodeEncodeError`` at the client or failed a whole
+batch.
+
 Both must now cost the client one error round trip and leave the server
 answering the next request normally.
 """
@@ -58,6 +63,77 @@ class TestOversizedIntegers:
         assert results[0].rows == [(1,)]
         assert isinstance(results[1], ReproError)
         assert results[2].rows == [(2,)]
+
+    def test_unencodable_text_in_batch_poisons_only_its_entry(self, stack):
+        server, connection = stack
+        server.database.execute("CREATE TABLE s (v VARCHAR(8))")
+        server.database.execute("INSERT INTO s VALUES (?)", ["\ud800"])
+        results = connection.execute_batch(
+            [
+                ("SELECT v FROM t", []),
+                ("SELECT v FROM s", []),
+                ("SELECT v + 1 FROM t", []),
+            ]
+        )
+        assert results[0].rows == [(1,)]
+        assert isinstance(results[1], ProtocolError)
+        assert "UTF-8" in str(results[1])
+        assert results[2].rows == [(2,)]
+
+
+class TestOversizedLists:
+    """A counted list holds at most 65 535 values (u16 count)."""
+
+    def test_procedure_result_past_the_count_is_a_typed_error(self, stack):
+        server, connection = stack
+        server.register_procedure("many", lambda database: list(range(65536)))
+        with pytest.raises(ProtocolError, match="too long"):
+            connection.call_procedure("many")
+        assert connection.execute("SELECT v FROM t").rows == [(1,)]
+
+    def test_procedure_arguments_past_the_count_are_a_typed_error(self, stack):
+        server, connection = stack
+        server.register_procedure("x", lambda database, *args: [len(args)])
+        with pytest.raises(ProtocolError, match="too long"):
+            connection.call_procedure("x", list(range(65536)))
+        assert connection.call_procedure("x", list(range(65535))) == [65535]
+
+
+class TestUnencodableText:
+    """Text UTF-8 cannot encode (a lone surrogate) is a ``ProtocolError``
+    at the caller, before anything is sent."""
+
+    def test_parameter(self, stack):
+        server, connection = stack
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            connection.execute("SELECT ?", ["\ud800"])
+        assert connection.statistics["round_trips"] == 0
+
+    def test_statement_text(self, stack):
+        server, connection = stack
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            connection.execute("SELECT '\ud800'")
+        assert connection.statistics["round_trips"] == 0
+
+    def test_procedure_name(self, stack):
+        server, connection = stack
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            connection.call_procedure("p\ud800")
+        assert connection.statistics["round_trips"] == 0
+
+    def test_an_error_message_with_a_surrogate_still_reaches_the_client(
+        self, stack
+    ):
+        server, connection = stack
+
+        def buggy(database):
+            raise ValueError("bad \ud800 text")
+
+        server.register_procedure("buggy", buggy)
+        with pytest.raises(ProtocolError, match="internal server error") as excinfo:
+            connection.call_procedure("buggy")
+        assert "\\ud800" in str(excinfo.value)
+        assert connection.ping() > 0
 
 
 class TestUnexpectedExceptions:

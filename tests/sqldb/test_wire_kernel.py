@@ -303,3 +303,28 @@ class TestDamagedFramesFailCleanly:
         for cut in range(len(frame)):
             kind, got = outcome(decode, frame[:cut])
             assert kind == "error" or repr(got) != whole
+
+
+# -- one statement codec ----------------------------------------------------------
+
+
+class TestProcedureCallIsAStatementBody:
+    """A CALL_PROCEDURE body is a statement body: the procedure's name in
+    place of the SQL text, its arguments in place of the parameters —
+    encoded by the one statement codec, not by a copy of it."""
+
+    @given(st.text(max_size=20), runs)
+    @settings(max_examples=200, deadline=None)
+    def test_procedure_call_bytes_are_the_statement_bytes(self, name, args):
+        assert protocol.encode_procedure_call(name, args) == wire.encode_query(
+            name, args
+        )
+
+    @given(st.text(max_size=20), runs)
+    @settings(max_examples=100, deadline=None)
+    def test_both_decoders_read_the_same_statement(self, name, args):
+        body = wire.encode_query(name, args)
+        decoded_name, decoded_args = protocol.decode_procedure_call(body)
+        sql, params = wire.decode_query(body)
+        assert decoded_name == sql == name
+        assert same_values(decoded_args, params) and same_values(params, args)
