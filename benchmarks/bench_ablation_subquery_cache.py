@@ -6,7 +6,9 @@ needs to be evaluated only once, as it is an uncorrelated sub-query."
 
 This bench measures the engine with and without that optimisation on the
 ∀rows all-or-nothing query shape, at a size where the difference is the
-asymptotic O(n) vs O(n²).
+asymptotic O(n) vs O(n²).  The engine always caches an uncorrelated
+subquery; "without" is the same test made correlated by a no-op outer
+reference, which the engine re-runs for every outer row by definition.
 """
 
 import pytest
@@ -31,10 +33,14 @@ ALL_OR_NOTHING = (
     "(SELECT * FROM nodes WHERE dec <> '+')"
 )
 
+#: The same test, correlated by an outer reference that is always TRUE.
+CORRELATED = (
+    "SELECT * FROM nodes o WHERE NOT EXISTS "
+    "(SELECT * FROM nodes WHERE dec <> '+' AND o.obid = o.obid)"
+)
+
 
 def test_bench_with_cache(benchmark, db):
-    db.enable_subquery_cache = True
-
     def run():
         return db.execute(ALL_OR_NOTHING)
 
@@ -43,13 +49,10 @@ def test_bench_with_cache(benchmark, db):
 
 
 def test_bench_without_cache(benchmark, db):
-    db.enable_subquery_cache = False
-
     def run():
-        return db.execute(ALL_OR_NOTHING)
+        return db.execute(CORRELATED)
 
     result = benchmark(run)
-    db.enable_subquery_cache = True
     assert len(result) == ROWS
 
 
@@ -59,13 +62,11 @@ def test_cache_reduces_subquery_executions(db):
     from repro.sqldb.planner import Planner
     from repro.sqldb.recursive import run_plan
 
-    plan = Planner(db.catalog, db.functions).plan_select(
-        parse_statement(ALL_OR_NOTHING)
-    )
-    cached_env = ExecutionEnv(functions=db.functions)
-    run_plan(plan, cached_env)
-    uncached_env = ExecutionEnv(functions=db.functions)
-    uncached_env.enable_subquery_cache = False
-    run_plan(plan, uncached_env)
-    assert cached_env.counters["subquery_executions"] == 1
-    assert uncached_env.counters["subquery_executions"] == ROWS
+    def executions(sql):
+        plan = Planner(db.catalog, db.functions).plan_select(parse_statement(sql))
+        env = ExecutionEnv(functions=db.functions)
+        run_plan(plan, env)
+        return env.counters["subquery_executions"]
+
+    assert executions(ALL_OR_NOTHING) == 1
+    assert executions(CORRELATED) == ROWS

@@ -6,10 +6,7 @@ one Python list (or tuple) per output slot, all of the same length.  The
 instead of single rows, so per-tuple interpreter overhead — generator
 frames, closure calls, tuple indexing — is paid once per ``BATCH_SIZE``
 rows instead of once per row.  NULLs stay in-band as ``None`` (matching
-the row executor), but every batch can materialise a *validity mask* per
-column on demand, which the IS [NOT] NULL kernels share instead of
-re-testing ``is None`` element by element.  Aggregates do not read it:
-each drops the NULLs of the column slice it folds.
+the row executor).
 
 Base-table batches are built lazily from :class:`~repro.sqldb.storage.
 TableStorage` and cached on the storage object, keyed by its mutation
@@ -39,15 +36,15 @@ class Batch:
     """One column-chunk: ``columns[slot][i]`` is row *i*'s value for *slot*.
 
     ``rows()`` materialises (and memoises) the row-tuple view used by
-    operators or expressions that have no columnar implementation — the
-    generic fallback stays batch-at-a-time but evaluates row closures.
+    operators that work on rows (joins, distinct, sort) and by expressions
+    that read the whole row (subqueries).
     A batch built from rows is the mirror image: each column is pivoted
     out of the rows on first read, so a batch that is only passed along
     (a probe's few rows, an aggregate's result) never pivots and zips
     back, and a scan reads only the columns its plan touches.
     """
 
-    __slots__ = ("columns", "length", "_rows", "_validity")
+    __slots__ = ("columns", "length", "_rows")
 
     # Either a plain list of column sequences or a lazy view
     # (:class:`_PivotedColumns` from :meth:`from_rows`,
@@ -63,7 +60,6 @@ class Batch:
         self.columns = list(columns)
         self.length = length
         self._rows = rows
-        self._validity: Optional[Dict[int, List[bool]]] = None
 
     @classmethod
     def from_rows(cls, rows: List[Row], arity: int) -> "Batch":
@@ -72,7 +68,6 @@ class Batch:
         batch.columns = _PivotedColumns(rows, arity)
         batch.length = len(rows)
         batch._rows = rows
-        batch._validity = None
         return batch
 
     def rows(self) -> List[Row]:
@@ -84,20 +79,6 @@ class Batch:
                 # Zero-arity relation (SELECT without FROM): every row is ().
                 self._rows = [()] * self.length
         return self._rows
-
-    def validity(self, slot: int) -> List[bool]:
-        """Validity mask of one column: ``True`` where the value is non-NULL.
-
-        Memoised per batch, so repeated IS NULL tests over the same
-        cached chunk share one mask.
-        """
-        if self._validity is None:
-            self._validity = {}
-        mask = self._validity.get(slot)
-        if mask is None:
-            mask = [value is not None for value in self.columns[slot]]
-            self._validity[slot] = mask
-        return mask
 
     def gather(self, indices: List[int]) -> "Batch":
         """A new batch holding the given row positions (in that order).
@@ -111,7 +92,6 @@ class Batch:
         batch.columns = _GatheredColumns(self.columns, indices)
         batch.length = len(indices)
         batch._rows = None
-        batch._validity = None
         return batch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -149,11 +149,6 @@ class Database:
         #: when the whole plan vectorizes, else ``"row (columnar fallback:
         #: <reason>)"``.  None until a SELECT has run (DML resets it).
         self.last_executor: Optional[str] = None
-        #: Ablation switch threaded into every execution environment
-        #: (paper Section 5.3.1 — uncorrelated subquery caching).
-        self.enable_subquery_cache = True
-        #: Ablation switch: semi-naive (True) vs naive recursive fixpoint.
-        self.enable_seminaive = True
         #: name (lower) -> ast.CreateView records, expanded at plan time.
         self.views: dict = {}
         #: Counters of the most recent execution (rows scanned, index
@@ -624,8 +619,6 @@ class Database:
             functions=self.functions,
             recursion_limit=self.recursion_limit,
         )
-        env.enable_subquery_cache = self.enable_subquery_cache
-        env.enable_seminaive = self.enable_seminaive
         env.recorder = self.recorder
         env.snapshot = self._current_snapshot()
         return env
@@ -1053,7 +1046,10 @@ class Database:
                         values.append(reader((), env))
                 source_rows.append(values)
         else:
-            source_rows = run_plan(prepared.select, self._environment(params))
+            env = self._environment(params)
+            source_rows = run_plan(prepared.select, env)
+            # What the SELECT scanned, as an UPDATE reports its search.
+            self.last_counters = dict(env.counters)
             if source_rows and len(source_rows[0]) != len(targets):
                 raise IntegrityError("INSERT ... SELECT column count mismatch")
         storage = prepared.entry.storage

@@ -4,14 +4,14 @@ There is one operator hierarchy.  Every operator exposes ``rows(env)``
 yielding plain Python tuples — the classic iterator ("volcano") model —
 and the operators that can also work a :class:`~repro.sqldb.columnar.Batch`
 at a time carry that body as ``batches(env)`` on the same class.  Under
-CPython the per-row cost (a generator resumption plus a closure call per
-expression per row) dominates scan-heavy queries; the batch bodies pay
-it once per chunk, running expressions through the columnar kernels
-compiled by :mod:`repro.sqldb.expressions` (or the row closure over the
-batch's row view where no kernel exists, which is identical by
-construction).  Both bodies of an operator produce the same rows in the
-same order (scan order, left-order hash probe, first-seen group and
-distinct order), so comparing them is exact, not set-based.
+CPython the per-row cost (a generator resumption plus a function call per
+operator per row) dominates scan-heavy queries; the batch bodies pay
+it once per chunk, running each operator's expressions through the
+batch loop generated for them by :mod:`repro.sqldb.expressions` (the
+same text as their row function).  Both bodies of an operator produce
+the same rows in the same order (scan order, left-order hash probe,
+first-seen group and distinct order), so comparing them is exact, not
+set-based.
 
 A plan runs entirely on ``batches`` or entirely on ``rows``
 (:func:`repro.sqldb.recursive.run_plan`): each node knows from
@@ -20,9 +20,11 @@ construction whether it and everything below it has a batch body
 of index joins, CTE scans, nested loops and set operations, and the
 differential oracle for the rest.
 
-Compiled expressions are closures ``(row, env) -> value``; operators are
-therefore independent of the AST and can be unit-tested with
-hand-written closures.
+An operator holds the generated :class:`~repro.sqldb.expressions.
+Program` of its expressions (one per operator role: a filter's predicate,
+a projection's select list, a join's keys, an aggregate's group keys and
+arguments) or, where only rows are evaluated, plain row functions
+``(row, env) -> value``.
 
 :class:`ExecutionEnv` carries everything that varies per execution:
 statement parameters, the function registry, materialised CTE frames
@@ -49,7 +51,7 @@ from typing import (
 
 from repro.errors import ExecutionError
 from repro.sqldb.columnar import BATCH_SIZE, Batch, table_batches
-from repro.sqldb.expressions import as_kernel
+from repro.sqldb.expressions import Program
 from repro.sqldb.functions import Aggregator, FunctionRegistry
 from repro.sqldb.stats import INDEX_TUPLE_COST, PROBE_COST, SEQ_TUPLE_COST
 from repro.sqldb.storage import TableStorage
@@ -92,13 +94,6 @@ class ExecutionEnv:
             "vec_batches": 0,
             "vec_rows": 0,
         }
-        #: When False, uncorrelated subqueries are re-evaluated every time —
-        #: the "no intelligent optimizer" ablation (paper Section 5.3.1).
-        self.enable_subquery_cache = True
-        #: When False, recursive CTEs are evaluated with the naive fixpoint
-        #: (the whole accumulated set re-joined each round) instead of the
-        #: semi-naive delta algorithm — an engine ablation.
-        self.enable_seminaive = True
         #: Optional :class:`repro.obs.TraceRecorder` threaded down from
         #: the owning :class:`~repro.sqldb.database.Database` (None keeps
         #: execution untraced).
@@ -260,10 +255,11 @@ class _IndexProbe(_TableAccess):
     target rows, always on the live heap — asks the index for the ids.
     """
 
-    def __init__(self, storage: TableStorage, index, key_fns: List[ExprFn]) -> None:
+    def __init__(self, storage: TableStorage, index, keys: Optional[Program]) -> None:
         super().__init__(storage)
         self.index = index
-        self.key_fns = key_fns
+        #: The probe key values (row-independent: evaluated on ``()``).
+        self.keys = keys
 
     def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
         """The distinct keys to probe, in probe order."""
@@ -339,7 +335,7 @@ class _IndexProbe(_TableAccess):
 class IndexLookup(_IndexProbe):
     """Equality probe into a hash index of a base table.
 
-    ``key_fns`` compute the probe key; they may reference outer rows (for
+    ``keys`` compute the probe key; they may reference outer rows (for
     correlated lookups) but never the scanned table itself.
     """
 
@@ -347,13 +343,13 @@ class IndexLookup(_IndexProbe):
         return f"IndexLookup({self.storage.schema.name} via {self.index.name})"
 
     def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
-        return [tuple([fn((), env) for fn in self.key_fns])]
+        return [self.keys.row((), env)]
 
 
 class MultiKeyIndexLookup(_IndexProbe):
     """One equality probe per distinct non-NULL key of an ``IN`` predicate.
 
-    Two key sources share the probe loop.  ``key_fns`` (``col IN (?, ?,
+    Two key sources share the probe loop.  ``keys`` (``col IN (?, ?,
     ?)``) is the access path behind the level-at-a-time frontier fetch:
     all children of N parents in one indexed statement instead of N
     scans.  ``subquery`` (``col IN (SELECT ...)``, uncorrelated, one
@@ -375,18 +371,18 @@ class MultiKeyIndexLookup(_IndexProbe):
         self,
         storage: TableStorage,
         index,
-        key_fns: List[ExprFn],
+        keys: Optional[Program],
         subquery=None,
     ) -> None:
-        super().__init__(storage, index, key_fns)
+        super().__init__(storage, index, keys)
         #: :class:`repro.sqldb.planner.CompiledSubquery` supplying the
-        #: keys instead of ``key_fns`` (the same object the residual
+        #: keys instead of ``keys`` (the same object the residual
         #: filter tests membership against, so it is evaluated once).
         self.subquery = subquery
 
     def label(self) -> str:
         keys = (
-            f"{len(self.key_fns)} keys"
+            f"{len(self.keys.exprs)} keys"
             if self.subquery is None
             else "keys from subquery"
         )
@@ -397,7 +393,7 @@ class MultiKeyIndexLookup(_IndexProbe):
 
     def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
         if self.subquery is None:
-            values = dict.fromkeys(fn((), env) for fn in self.key_fns)
+            values = dict.fromkeys(self.keys.row((), env))
             values.pop(None, None)
         else:
             values = self.subquery.value_set((), env)[0]
@@ -446,14 +442,13 @@ class RowsSource(Operator):
 class Filter(Operator):
     """Keep rows for which the predicate is TRUE (not FALSE, not UNKNOWN)."""
 
-    def __init__(self, child: Operator, predicate: ExprFn) -> None:
+    def __init__(self, child: Operator, predicate: Program) -> None:
         super().__init__(child.output_names, child)
         self.child = child
         self.predicate = predicate
-        self.kernel = as_kernel(predicate)
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        predicate = self.predicate
+        predicate = self.predicate.row
         for row in self.child.rows(env):
             if predicate(row, env) is True:
                 yield row
@@ -461,20 +456,19 @@ class Filter(Operator):
     def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
         """A batch the predicate fully accepts passes through untouched
         (the common case for selective scans is all-or-mostly matches per
-        chunk); otherwise matching positions are gathered into a fresh
-        batch.  A batch of one row — a point probe's — is tested with the
-        row closure, which costs what the row body costs."""
-        kernel = self.kernel
-        predicate = self.predicate
+        chunk); otherwise the positions the batch loop selects (where the
+        predicate is TRUE: a plain 1 keeps no row in either body) are
+        gathered into a fresh batch.  A batch of one row — a point
+        probe's — is tested with the row function, which costs what the
+        row body costs."""
+        select = self.predicate.batch
+        predicate = self.predicate.row
         for batch in self.child.batches(env):
             if batch.length == 1:
                 if predicate(batch.rows()[0], env) is True:
                     yield self._emit(batch, env)
                 continue
-            mask = kernel(batch, env)
-            # Strict identity (`is True`), like ``rows``: a predicate
-            # yielding a plain 1 does not keep the row in either body.
-            selected = [i for i, value in enumerate(mask) if value is True]
+            selected = select(batch, env)
             if len(selected) == batch.length:
                 yield self._emit(batch, env)
             elif selected:
@@ -486,7 +480,7 @@ class Filter(Operator):
             raise NotImplementedError(
                 "row ids exist only directly above a base-table access path"
             )
-        predicate = self.predicate
+        predicate = self.predicate.row
         fetch = source.storage.fetch
         for row_id in source.row_ids(env):
             if predicate(fetch(row_id), env) is True:
@@ -496,43 +490,39 @@ class Filter(Operator):
 class Project(Operator):
     """Compute the select list."""
 
-    def __init__(self, child: Operator, exprs: List[ExprFn], names: List[str]) -> None:
+    def __init__(self, child: Operator, exprs: Program, names: List[str]) -> None:
         super().__init__(names, child)
         self.child = child
         self.exprs = exprs
-        self.kernels = [as_kernel(fn) for fn in exprs]
         #: Every output slot reads the same input slot (``SELECT *``):
         #: batches pass through as they are.
-        self.identity = len(exprs) == len(child.output_names) and all(
-            getattr(fn, "column_slot", None) == slot for slot, fn in enumerate(exprs)
-        )
+        self.identity = exprs.bare_slots() == list(range(len(child.output_names)))
 
     def label(self) -> str:
         return f"Project({', '.join(self.output_names)})"
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        exprs = self.exprs
+        project = self.exprs.row
         for row in self.child.rows(env):
-            yield tuple(fn(row, env) for fn in exprs)
+            yield project(row, env)
 
     def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        """Column-at-a-time — no row materialisation — except for a batch
-        of one row, which the row closures project as ``rows`` would."""
+        """One loop over the batch's columns building the output rows in
+        row order — a batch of one row takes the row function, as
+        ``rows`` would."""
         if self.identity:
             for batch in self.child.batches(env):
                 yield self._emit(batch, env)
             return
-        exprs = self.exprs
-        kernels = self.kernels
+        project = self.exprs.batch
+        row_function = self.exprs.row
         arity = len(self.output_names)
         for batch in self.child.batches(env):
             if batch.length == 1:
-                row = batch.rows()[0]
-                projected = [tuple([fn(row, env) for fn in exprs])]
-                yield self._emit(Batch.from_rows(projected, arity), env)
-                continue
-            columns = [kernel(batch, env) for kernel in kernels]
-            yield self._emit(Batch(columns, batch.length), env)
+                projected = [row_function(batch.rows()[0], env)]
+            else:
+                projected = project(batch, env)
+            yield self._emit(Batch.from_rows(projected, arity), env)
 
 
 class NestedLoopJoin(Operator):
@@ -575,18 +565,17 @@ class NestedLoopJoin(Operator):
 class HashJoin(Operator):
     """Equi-join: build a hash table on the right child, probe with left.
 
-    ``left_keys``/``right_keys`` are closures evaluated against the child
-    rows *alone* (right keys see the right row padded into the combined
-    slot layout is unnecessary — they are compiled against the right scope
-    only).  A residual condition, if any, is checked on combined rows.
+    ``left_keys``/``right_keys`` are evaluated against the child rows
+    *alone* (each is compiled against its own side's scope).  A residual
+    condition, if any, is checked on combined rows.
     """
 
     def __init__(
         self,
         left: Operator,
         right: Operator,
-        left_keys: List[ExprFn],
-        right_keys: List[ExprFn],
+        left_keys: Program,
+        right_keys: Program,
         residual: Optional[ExprFn] = None,
         kind: str = "INNER",
     ) -> None:
@@ -595,26 +584,26 @@ class HashJoin(Operator):
         self.right = right
         self.left_keys = left_keys
         self.right_keys = right_keys
-        self.left_kernels = [as_kernel(fn) for fn in left_keys]
-        self.right_kernels = [as_kernel(fn) for fn in right_keys]
         self.residual = residual
         self.kind = kind
 
     def label(self) -> str:
-        return f"HashJoin({len(self.left_keys)} key(s))"
+        return f"HashJoin({len(self.left_keys.exprs)} key(s))"
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         table: Dict[Tuple[Any, ...], List[Row]] = {}
+        right_key = self.right_keys.row
         for right_row in self.right.rows(env):
-            key = tuple(fn(right_row, env) for fn in self.right_keys)
-            if any(is_null(part) for part in key):
+            key = right_key(right_row, env)
+            if None in key:
                 continue  # NULL never equi-joins
             table.setdefault(key, []).append(right_row)
         pad = (None,) * len(self.right.output_names)
+        left_key = self.left_keys.row
         for left_row in self.left.rows(env):
-            key = tuple(fn(left_row, env) for fn in self.left_keys)
+            key = left_key(left_row, env)
             matched = False
-            if not any(is_null(part) for part in key):
+            if None not in key:
                 for right_row in table.get(key, ()):
                     combined = left_row + right_row
                     if self.residual is None or self.residual(combined, env) is True:
@@ -624,29 +613,27 @@ class HashJoin(Operator):
                 yield left_row + pad
 
     def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        """Batched build and probe: key columns come from kernels, right
-        rows are inserted in scan order and the left child is walked in
-        order, so the output order is that of ``rows``."""
+        """Batched build and probe: each batch's keys come from one batch
+        loop, right rows are inserted in scan order and the left child is
+        walked in order, so the output order is that of ``rows``."""
         table: Dict[Tuple[Any, ...], List[Row]] = {}
         for batch in self.right.batches(env):
-            key_columns = [kernel(batch, env) for kernel in self.right_kernels]
             rows = batch.rows()
-            for i, key in enumerate(zip(*key_columns)):
-                if any(part is None for part in key):
+            for i, key in enumerate(self.right_keys.batch(batch, env)):
+                if None in key:
                     continue  # NULL never equi-joins
                 table.setdefault(key, []).append(rows[i])
         pad = (None,) * len(self.right.output_names)
         residual = self.residual
         pad_left = self.kind == "LEFT"
         for batch in self.left.batches(env):
-            key_columns = [kernel(batch, env) for kernel in self.left_kernels]
             left_rows = batch.rows()
             out: List[Row] = []
             append = out.append
-            for i, key in enumerate(zip(*key_columns)):
+            for i, key in enumerate(self.left_keys.batch(batch, env)):
                 left_row = left_rows[i]
                 matched = False
-                if not any(part is None for part in key):
+                if None not in key:
                     for right_row in table.get(key, ()):
                         combined = left_row + right_row
                         if residual is None or residual(combined, env) is True:
@@ -664,7 +651,7 @@ class IndexNestedLoopJoin(Operator):
     This is the operator that makes the paper-scale simulations feasible:
     the navigational child fetch and the recursive branch both join the
     working set against ``link`` (and then against ``assy``/``comp``) on
-    indexed equality keys.  ``left_key_fns`` are compiled against the left
+    indexed equality keys.  ``left_keys`` are compiled against the left
     scope; the residual condition (the full ON clause) is verified on the
     combined row, so a partially-matching index never loses correctness.
     """
@@ -674,7 +661,7 @@ class IndexNestedLoopJoin(Operator):
         left: Operator,
         storage: TableStorage,
         index,
-        left_key_fns: List[ExprFn],
+        left_keys: Program,
         residual: Optional[ExprFn],
         kind: str = "INNER",
     ) -> None:
@@ -682,7 +669,7 @@ class IndexNestedLoopJoin(Operator):
         self.left = left
         self.storage = storage
         self.index = index
-        self.left_key_fns = left_key_fns
+        self.left_keys = left_keys
         self.residual = residual
         self.kind = kind
 
@@ -695,8 +682,9 @@ class IndexNestedLoopJoin(Operator):
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         pad = (None,) * self.storage.schema.arity
         probe, index, snapshot = self.storage.probe, self.index, env.snapshot
+        left_key = self.left_keys.row
         for left_row in self.left.rows(env):
-            key = tuple(fn(left_row, env) for fn in self.left_key_fns)
+            key = left_key(left_row, env)
             env.counters["index_probes"] += 1
             matched = False
             for right_row in probe(index, key, snapshot):
@@ -795,10 +783,10 @@ class SetIntersection(_SetOperation):
 
 @dataclass
 class AggregateSpec:
-    """One aggregate computation: function name, input closure, flags."""
+    """One aggregate computation: function name and flags (its argument
+    is a column of :attr:`Aggregate.arguments`, none for ``COUNT(*)``)."""
 
     name: str
-    argument: Optional[ExprFn]
     distinct: bool = False
     star: bool = False
 
@@ -809,7 +797,9 @@ class AggregateSpec:
 class Aggregate(Operator):
     """Hash aggregation.
 
-    Output rows are ``group key values + aggregate values``; the planner
+    Output rows are ``group key values + aggregate values``: ``groups``
+    computes the key, ``arguments`` the argument of each aggregate that is
+    not ``COUNT(*)``, in order.  The planner
     compiles the select list and HAVING against that synthetic layout.
     With no GROUP BY there is exactly one (possibly empty) group, matching
     SQL's scalar-aggregate semantics.  Groups come out in first-seen
@@ -823,22 +813,20 @@ class Aggregate(Operator):
     def __init__(
         self,
         child: Operator,
-        group_exprs: List[ExprFn],
+        groups: Program,
         aggregates: List[AggregateSpec],
+        arguments: Program,
         output_names: List[str],
     ) -> None:
         super().__init__(output_names, child)
         self.child = child
-        self.group_exprs = group_exprs
+        self.groups = groups
         self.aggregates = aggregates
-        self.group_kernels = [as_kernel(fn) for fn in group_exprs]
-        self.arg_kernels = [
-            None if spec.star else as_kernel(spec.argument) for spec in aggregates
-        ]
+        self.arguments = arguments
 
     def label(self) -> str:
         return (
-            f"Aggregate({len(self.group_exprs)} group key(s), "
+            f"Aggregate({len(self.groups.exprs)} group key(s), "
             f"{len(self.aggregates)} aggregate(s))"
         )
 
@@ -846,7 +834,7 @@ class Aggregate(Operator):
         return [spec.new_aggregator() for spec in self.aggregates]
 
     def _results(self, groups: Dict[Tuple[Any, ...], List[Aggregator]]) -> List[Row]:
-        if not self.group_exprs and not groups:
+        if not self.groups.exprs and not groups:
             # SELECT COUNT(*) FROM empty_table must yield one row.
             groups[()] = self._new_group()
         return [
@@ -856,36 +844,33 @@ class Aggregate(Operator):
 
     def rows(self, env: ExecutionEnv) -> Iterator[Row]:
         groups: Dict[Tuple[Any, ...], List[Aggregator]] = {}
+        group_key, arguments = self.groups.row, self.arguments.row
         for row in self.child.rows(env):
-            key = tuple(fn(row, env) for fn in self.group_exprs)
+            key = group_key(row, env)
             aggregators = groups.get(key)
             if aggregators is None:
                 aggregators = groups[key] = self._new_group()
+            values = iter(arguments(row, env))
             for spec, aggregator in zip(self.aggregates, aggregators):
-                if spec.star:
-                    aggregator.add(None)
-                else:
-                    aggregator.add(spec.argument(row, env))
+                aggregator.add(None if spec.star else next(values))
         yield from self._results(groups)
 
     def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        """Group keys and aggregate arguments computed per batch by
-        kernels; each aggregate folds its column slice per group with one
-        :meth:`~repro.sqldb.functions.Aggregator.add_many` call."""
+        """Group keys and aggregate arguments computed per batch by their
+        batch loops; each aggregate folds its column slice per group with
+        one :meth:`~repro.sqldb.functions.Aggregator.add_many` call."""
         groups: Dict[Tuple[Any, ...], List[Aggregator]] = {}
+        keyed = bool(self.groups.exprs)
         for batch in self.child.batches(env):
             length = batch.length
             if not length:
                 continue
-            key_columns = [kernel(batch, env) for kernel in self.group_kernels]
-            arg_columns = [
-                None if kernel is None else kernel(batch, env)
-                for kernel in self.arg_kernels
-            ]
-            if key_columns:
+            values = iter(self.arguments.batch(batch, env))
+            arg_columns = [None if spec.star else next(values) for spec in self.aggregates]
+            if keyed:
                 # Each group's row positions, groups in first-seen order.
                 positions: Dict[Tuple[Any, ...], Any] = {}
-                for i, key in enumerate(zip(*key_columns)):
+                for i, key in enumerate(self.groups.batch(batch, env)):
                     at = positions.get(key)
                     if at is None:
                         positions[key] = [i]
@@ -914,7 +899,7 @@ class Sort(Operator):
     def __init__(self, child: Operator, keys: List[Tuple[ExprFn, bool]]) -> None:
         super().__init__(child.output_names, child)
         self.child = child
-        self.keys = keys  # (closure, descending)
+        self.keys = keys  # (row function, descending)
 
     def label(self) -> str:
         return f"Sort({len(self.keys)} key(s))"

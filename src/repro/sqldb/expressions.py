@@ -1,64 +1,58 @@
-"""Compile expression ASTs into executable closures.
+"""One expression compiler: SQL expressions become generated Python.
 
-Compilation resolves every column reference to a slot index at plan time
-(:class:`Scope`), so evaluation is a straight tuple lookup.  References
-that do not resolve in the current scope are searched in the enclosing
-subquery frames; such references compile to reads of the runtime
-outer-row stack and mark every frame they cross as *correlated*, which is
-what disables result caching for the affected subqueries.
+*Lowering* (:func:`lower`) resolves every column reference to a slot of
+the current row (:class:`Scope`) or of an enclosing subquery's row on
+the runtime outer-row stack (marking every frame it crosses
+*correlated*, which disables result caching for those subqueries),
+plans subqueries and folds constant sub-expressions at plan time (a
+constant that raises stays unfolded and raises where it runs; stored
+functions are never folded).  The result is a tuple IR ``(kind, data,
+children)``.
 
-All predicates follow SQL three-valued logic: closures return ``True``,
-``False`` or ``None`` (UNKNOWN); only ``True`` keeps a row.
+*Emission* (:class:`_Emitter`) turns IR into the text of one Python
+expression with SQL semantics: three-valued AND / OR / NOT that
+short-circuit left to right (a side that would raise is never evaluated
+where it is skipped), NULL propagation, ``TypeMismatchError`` for a
+number against a string or arithmetic on a non-number, integer division
+truncating toward zero and ``ExecutionError("division by zero")``.
+:func:`program` wraps that one text two ways in one generated module: a
+row function ``row(r, env)``, and a batch loop ``batch(b, env)`` — the
+same text in one list comprehension over a batch's columns.
 
-Columnar kernels
-----------------
-Besides the row closure ``(row, env) -> value``, compilation attaches a
-*columnar kernel* ``(batch, env) -> list`` as the closure's ``vector``
-attribute whenever the expression shape supports one.  Kernels evaluate a
-whole :class:`repro.sqldb.columnar.Batch` per call, hoisting the dispatch
-that the row closure pays per tuple out to once per batch; they must be
-*semantically identical* to the row closure over the same rows (same
-values, same NULL handling, same error classes).  Two rules keep that
-contract honest:
+The batch loop may run a *fast* form of the text first, with
+comparisons and ``+ - *`` as bare Python operators, where that cannot
+change a result: ordering comparisons under ``try/except TypeError``
+(Python raises it on exactly the cases SQL treats specially: NULL, a
+number against a string), ``=``, ``<>``, BETWEEN and ``+ - *`` behind one
+per-batch precheck of the kinds they read.  Otherwise, and whenever the
+guard trips, it is the row text over the columns, so errors surface in
+row order as on the row operators.  An expression with a subquery or an
+outer reference runs its row function over the batch's rows.
 
-* AND/OR kernels **mask**: the right operand is evaluated only on the
-  rows the row executor would have evaluated it on (left not-False for
-  AND, left not-True for OR), so data-dependent errors — ``a <> 0 AND
-  10 / a > 2`` — surface on exactly the same rows in both executors.
-* Column-at-a-time evaluation may order two *independent* errors
-  differently than row-at-a-time (the left column is finished before the
-  right column starts).  Both executors still raise an
-  :class:`~repro.errors.SQLError`; the differential harness pins exactly
-  that contract.
-
-Expressions without a kernel (CASE, function calls, subqueries, outer
-references) simply lack the attribute; batch operators fall back to
-evaluating the row closure over the batch's row view, which is identical
-by construction.
+No SQL text becomes Python source: the source holds operator tokens,
+slot and parameter numbers and generated names.  Literals are holes of
+a template whose text is emitted once; literals, folded constants,
+converters, LIKE regexes, function names and subqueries are arguments
+of the module's factory, so plans that differ only in literal values
+share one source, compiled once (:func:`_compile`).
 """
 
 from __future__ import annotations
 
-import operator as _py_operator
+import functools
 import re
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, ExecutionError, SQLError, TypeMismatchError
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.functions import AGGREGATE_NAMES
-from repro.sqldb.types import (
-    compare_values,
-    converter,
-    is_null,
-    logical_and,
-    logical_not,
-    logical_or,
-)
+from repro.sqldb.types import converter
 
 ExprFn = Callable[[Tuple[Any, ...], Any], Any]
 
-#: Columnar kernel: evaluate the expression over a whole column batch.
-VectorFn = Callable[[Any, Any], List[Any]]
+#: Lowered expression: ``(kind, data, children)``.
+IR = Tuple[str, Any, Tuple[Any, ...]]
 
 
 class UnresolvedColumnError(SQLError):
@@ -161,11 +155,11 @@ class SlotRef(ast.Expression):
 
 
 class CompileContext:
-    """Everything :func:`compile_expression` needs.
+    """Everything :func:`lower` needs.
 
     ``frames`` is the stack of subquery frames, innermost last.
     ``plan_subquery`` is the planner callback used for subquery
-    expressions; it returns an object with ``exists/value_list/scalar``
+    expressions; it returns an object with ``exists/value_set/scalar``
     runtime methods (see :class:`repro.sqldb.planner.CompiledSubquery`).
     """
 
@@ -173,10 +167,6 @@ class CompileContext:
         self.frames = frames
         self.plan_subquery = plan_subquery
         self.functions = functions
-
-    @property
-    def scope(self) -> Scope:
-        return self.frames[-1].scope
 
     def resolve_column(self, ref: ast.ColumnRef) -> Tuple[int, int]:
         """Resolve *ref* against the frame stack.
@@ -202,741 +192,228 @@ class CompileContext:
         raise last_error
 
 
-def _attach_kernel(
-    fn: ExprFn, kernel: VectorFn, column_slot: Optional[int] = None
-) -> ExprFn:
-    """Attach a columnar kernel (and optional slot tag) to a row closure.
+# -- lowering ----------------------------------------------------------------
 
-    ``column_slot`` marks closures that are a bare read of one input slot;
-    IS [NOT] NULL uses it to answer from the batch's cached validity mask
-    instead of scanning the column.
-    """
-    setattr(fn, "vector", kernel)
-    if column_slot is not None:
-        setattr(fn, "column_slot", column_slot)
-    return fn
+#: SQL comparison -> Python operator token.
+_COMPARISONS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+_ORDERING = frozenset(("<", "<=", ">", ">="))
+_ARITHMETIC = frozenset(("+", "-", "*", "/", "%"))
 
-
-def vector_kernel(fn: ExprFn) -> Optional[VectorFn]:
-    """The columnar kernel of a compiled expression, if it has one."""
-    return getattr(fn, "vector", None)
+#: Kinds that are never folded: they read the row, the statement's
+#: parameters or the database.
+_RUNTIME_KINDS = frozenset(
+    ("slot", "outer", "const", "param", "call", "exists", "scalar", "insub", "alltrue")
+)
 
 
-def as_kernel(fn: ExprFn) -> VectorFn:
-    """A kernel for *fn*, falling back to a row loop over the batch.
-
-    The fallback evaluates the row closure itself over the batch's row
-    view, so it is semantically identical to the row executor no matter
-    what the expression contains (subqueries included) — just without the
-    columnar speedup.
-    """
-    kernel = vector_kernel(fn)
-    if kernel is not None:
-        return kernel
-
-    def row_loop(batch, env):
-        return [fn(row, env) for row in batch.rows()]
-
-    return row_loop
+def slot(index: int) -> IR:
+    """The IR of a bare read of input slot *index*."""
+    return ("slot", index, ())
 
 
-def _slot_reader(index: int) -> ExprFn:
-    """Read one input slot: the hottest expression in any plan."""
-
-    def read(row, env):
-        return row[index]
-
-    def read_kernel(batch, env):
-        return batch.columns[index]
-
-    return _attach_kernel(read, read_kernel, column_slot=index)
-
-
-def compile_expression(node: ast.Expression, ctx: CompileContext) -> ExprFn:
-    """Compile *node* into a closure ``(row, env) -> value``.
-
-    Where the expression shape has a columnar implementation the closure
-    also carries a ``vector`` attribute — a kernel ``(batch, env) ->
-    list`` evaluating the whole batch (see module docstring).
-    """
+def lower(node: ast.Expression, ctx: CompileContext) -> IR:
+    """Resolve, plan and fold *node* into IR (see module docstring)."""
     if isinstance(node, SlotRef):
-        return _slot_reader(node.index)
+        return slot(node.index)
     if isinstance(node, ast.Literal):
-        value = node.value
-
-        def literal(row, env):
-            return value
-
-        def literal_kernel(batch, env):
-            return [value] * batch.length
-
-        return _attach_kernel(literal, literal_kernel)
+        return ("const", node.value, ())
     if isinstance(node, ast.Parameter):
-        index = node.index
-
-        def parameter(row, env):
-            return env.parameter(index)
-
-        def parameter_kernel(batch, env):
-            return [env.parameter(index)] * batch.length
-
-        return _attach_kernel(parameter, parameter_kernel)
+        return ("param", node.index, ())
     if isinstance(node, ast.ColumnRef):
-        depth, slot = ctx.resolve_column(node)
-        if depth == 0:
-            return _slot_reader(slot)
-        # Outer reference: only reachable inside subquery plans, which are
-        # never vectorized as part of the enclosing plan — no kernel.
-        return lambda row, env: env.outer_rows[-depth][slot]
+        depth, index = ctx.resolve_column(node)
+        return slot(index) if depth == 0 else ("outer", (depth, index), ())
     if isinstance(node, ast.UnaryOp):
-        return _compile_unary(node, ctx)
+        operand = lower(node.operand, ctx)
+        if node.operator == "+":
+            return operand
+        if node.operator == "-":
+            return _folded(("neg", None, (operand,)))
+        if node.operator == "NOT":
+            return _folded(("not", None, (operand,)))
+        raise ExecutionError(f"unknown unary operator {node.operator!r}")
     if isinstance(node, ast.BinaryOp):
-        return _compile_binary(node, ctx)
+        operator = node.operator
+        pair = (lower(node.left, ctx), lower(node.right, ctx))
+        if operator in ("AND", "OR"):
+            # Flattened: SQL's left-to-right short-circuit is associative.
+            kind = operator.lower()
+            children: Tuple[IR, ...] = ()
+            for child in pair:
+                children += child[2] if child[0] == kind else (child,)
+            return _folded((kind, None, children))
+        if operator in _COMPARISONS:
+            return _folded(("cmp", operator, pair))
+        if operator in _ARITHMETIC:
+            return _folded(("arith", operator, pair))
+        if operator == "||":
+            return _folded(("concat", None, pair))
+        raise ExecutionError(f"unknown operator {operator!r}")
     if isinstance(node, ast.FunctionCall):
-        return _compile_call(node, ctx)
+        name = node.name.upper()
+        if name in AGGREGATE_NAMES:
+            raise ExecutionError(
+                f"aggregate function {name} used outside of a grouped query context"
+            )
+        if name == "NULLIF" and len(node.args) != 2:
+            raise ExecutionError("NULLIF takes exactly two arguments")
+        args = tuple(lower(arg, ctx) for arg in node.args)
+        if name in ("COALESCE", "NULLIF"):
+            return _folded((name.lower(), None, args))
+        return ("call", name, args)
     if isinstance(node, ast.Cast):
-        operand = compile_expression(node.operand, ctx)
-        convert = converter(node.target)
-
-        def cast(row, env):
-            return convert(operand(row, env))
-
-        operand_kernel = vector_kernel(operand)
-        if operand_kernel is not None:
-
-            def cast_kernel(batch, env):
-                return list(map(convert, operand_kernel(batch, env)))
-
-            return _attach_kernel(cast, cast_kernel)
-        return cast
+        return _folded(("cast", node.target, (lower(node.operand, ctx),)))
     if isinstance(node, ast.IsNullTest):
-        return _compile_is_null(node, ctx)
+        return _folded(("isnull", node.negated, (lower(node.operand, ctx),)))
     if isinstance(node, ast.InList):
-        return _compile_in_list(node, ctx)
+        operand = lower(node.operand, ctx)
+        items = tuple(lower(item, ctx) for item in node.items)
+        return _folded(("in", node.negated, (operand,) + items))
     if isinstance(node, ast.InSubquery):
-        return _compile_in_subquery(node, ctx)
+        operand = lower(node.operand, ctx)
+        subquery = ctx.plan_subquery(node.subquery, ctx.frames)
+        return ("insub", (subquery, node.negated), (operand,))
     if isinstance(node, ast.ExistsTest):
         subquery = ctx.plan_subquery(node.subquery, ctx.frames)
-        if node.negated:
-            return lambda row, env: not subquery.exists(row, env)
-        return lambda row, env: subquery.exists(row, env)
+        return ("exists", (subquery, node.negated), ())
     if isinstance(node, ast.ScalarSubquery):
-        subquery = ctx.plan_subquery(node.subquery, ctx.frames)
-        return lambda row, env: subquery.scalar(row, env)
+        return ("scalar", ctx.plan_subquery(node.subquery, ctx.frames), ())
     if isinstance(node, ast.Between):
-        return _compile_between(node, ctx)
+        children = tuple(lower(part, ctx) for part in (node.operand, node.low, node.high))
+        return _folded(("between", node.negated, children))
     if isinstance(node, ast.Like):
-        return _compile_like(node, ctx)
+        children = (lower(node.operand, ctx), lower(node.pattern, ctx))
+        return _folded(("like", node.negated, children))
     if isinstance(node, ast.CaseWhen):
-        return _compile_case(node, ctx)
+        parts: Tuple[IR, ...] = ()
+        for condition, value in node.branches:
+            parts += (lower(condition, ctx), lower(value, ctx))
+        has_default = node.default is not None
+        if has_default:
+            parts += (lower(node.default, ctx),)
+        return _folded(("case", has_default, parts))
     raise ExecutionError(f"cannot compile {type(node).__name__}")
 
 
-def to_bool(value: Any) -> Optional[bool]:
-    """Interpret a value in boolean context (NULL stays UNKNOWN)."""
-    if is_null(value):
-        return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return bool(value)
-    raise TypeMismatchError(f"{value!r} is not a boolean")
+def _folded(ir: IR) -> IR:
+    """*ir* evaluated to a constant when every operand is one; *ir*
+    itself when it reads anything else or its evaluation raises (the
+    error then surfaces where the expression runs, if it ever does)."""
+    children = ir[2]
+    if ir[0] in _RUNTIME_KINDS or not all(child[0] == "const" for child in children):
+        return ir
+    try:
+        return ("const", program([ir], VALUE).row((), None), ())
+    except (SQLError, ArithmeticError):
+        return ir
 
 
-def _compile_unary(node: ast.UnaryOp, ctx: CompileContext) -> ExprFn:
-    operand = compile_expression(node.operand, ctx)
-    operand_kernel = as_kernel(operand)
-    if node.operator == "NOT":
-
-        def not_fn(row, env):
-            return logical_not(to_bool(operand(row, env)))
-
-        def not_kernel(batch, env):
-            return [logical_not(to_bool(value)) for value in operand_kernel(batch, env)]
-
-        return _attach_kernel(not_fn, not_kernel)
-    if node.operator == "-":
-
-        def negate(row, env):
-            value = operand(row, env)
-            return None if is_null(value) else -value
-
-        def negate_kernel(batch, env):
-            return [
-                None if value is None else -value
-                for value in operand_kernel(batch, env)
-            ]
-
-        return _attach_kernel(negate, negate_kernel)
-    if node.operator == "+":
-        return operand
-    raise ExecutionError(f"unknown unary operator {node.operator!r}")
+def conjunction(conjuncts: Sequence[IR]) -> IR:
+    """One predicate that is TRUE when every conjunct is TRUE, evaluated
+    left to right and stopping at the first that is not (an UNKNOWN or a
+    non-boolean value stops it too, without a type check)."""
+    if len(conjuncts) == 1:
+        return conjuncts[0]
+    return ("alltrue", None, tuple(conjuncts))
 
 
-_COMPARISONS = {
-    "=": lambda cmp: cmp == 0,
-    "<>": lambda cmp: cmp != 0,
-    "<": lambda cmp: cmp < 0,
-    "<=": lambda cmp: cmp <= 0,
-    ">": lambda cmp: cmp > 0,
-    ">=": lambda cmp: cmp >= 0,
-}
+def contains_aggregate(node: ast.Expression) -> bool:
+    """True if *node* contains an aggregate call outside any subquery."""
+    for sub in ast.walk_expression(node):
+        if isinstance(sub, ast.FunctionCall) and sub.name.upper() in AGGREGATE_NAMES:
+            return True
+    return False
 
-#: Direct Python comparison per SQL operator — identical to deciding on
-#: the sign of :func:`compare_values` once both operands are known to be
-#: the same kind (both numeric or both strings).
-_VEC_COMPARISONS = {
-    "=": _py_operator.eq,
-    "<>": _py_operator.ne,
-    "<": _py_operator.lt,
-    "<=": _py_operator.le,
-    ">": _py_operator.gt,
-    ">=": _py_operator.ge,
-}
 
-#: Ordering comparisons can run as a bare C-level ``map``: every case the
-#: careful path treats specially (NULL operands, number-vs-string) raises
-#: TypeError under ``<``/``>`` in Python, which triggers the fallback.
-#: Equality cannot (``None == 5`` is False, not an error), so ``=``/``<>``
-#: need the type precheck instead.
-_VEC_ORDERING = frozenset(("<", "<=", ">", ">="))
+# -- runtime helpers the generated code calls --------------------------------
 
+_NUM = (int, float)
 _NUMERIC_KINDS = frozenset((int, float, bool))
 _STRING_KINDS = frozenset((str,))
-_BOOLEAN_KINDS = frozenset((bool, type(None)))
-_NONE_TYPE = type(None)
 
 
-def _column_kinds(*columns: List[Any]) -> set:
-    """The exact element types present across *columns* (one C pass each)."""
-    kinds: set = set()
-    for column in columns:
-        kinds.update(map(type, column))
-    return kinds
+def _uniform(*kinds: set) -> bool:
+    """Precheck of ``=``, ``<>`` and BETWEEN: no NULL, and all numbers or
+    all strings, so Python's operator decides as SQL's comparison does."""
+    found = set().union(*kinds)
+    return found <= _NUMERIC_KINDS or found <= _STRING_KINDS
 
 
-def _bool_column(values: List[Any]) -> List[Optional[bool]]:
-    """Apply :func:`to_bool` to a column, skipping the per-element calls
-    when the column is already three-valued booleans (the common case —
-    comparison kernels produce exactly that)."""
-    if _column_kinds(values) <= _BOOLEAN_KINDS:
-        return values
-    return [to_bool(value) for value in values]
+def _numeric(*kinds: set) -> bool:
+    """Precheck of ``+ - *`` and unary minus: no NULL, numbers only."""
+    return set().union(*kinds) <= _NUMERIC_KINDS
 
 
-def _compile_binary(node: ast.BinaryOp, ctx: CompileContext) -> ExprFn:
-    operator = node.operator
-    if operator == "AND":
-        left = compile_expression(node.left, ctx)
-        right = compile_expression(node.right, ctx)
-
-        def and_fn(row, env):
-            left_value = to_bool(left(row, env))
-            if left_value is False:
-                return False
-            return logical_and(left_value, to_bool(right(row, env)))
-
-        left_kernel = as_kernel(left)
-        right_kernel = as_kernel(right)
-
-        def and_kernel(batch, env):
-            # Masked evaluation: the right operand runs only on rows where
-            # the left side did not already decide False, mirroring the row
-            # closure's short-circuit — including which rows can raise.
-            left_bools = _bool_column(left_kernel(batch, env))
-            out: List[Optional[bool]] = [False] * batch.length
-            pending = [i for i, value in enumerate(left_bools) if value is not False]
-            if pending:
-                sub = batch if len(pending) == batch.length else batch.gather(pending)
-                right_bools = _bool_column(right_kernel(sub, env))
-                # Inlined logical_and with the left side known not-False:
-                # TRUE AND r = r;  UNKNOWN AND r = FALSE if r FALSE else UNKNOWN.
-                for position, i in enumerate(pending):
-                    right_value = right_bools[position]
-                    if left_bools[i] is True:
-                        out[i] = right_value
-                    elif right_value is False:
-                        out[i] = False
-                    else:
-                        out[i] = None
-            return out
-
-        return _attach_kernel(and_fn, and_kernel)
-    if operator == "OR":
-        left = compile_expression(node.left, ctx)
-        right = compile_expression(node.right, ctx)
-
-        def or_fn(row, env):
-            left_value = to_bool(left(row, env))
-            if left_value is True:
-                return True
-            return logical_or(left_value, to_bool(right(row, env)))
-
-        left_kernel = as_kernel(left)
-        right_kernel = as_kernel(right)
-
-        def or_kernel(batch, env):
-            left_bools = _bool_column(left_kernel(batch, env))
-            out: List[Optional[bool]] = [True] * batch.length
-            pending = [i for i, value in enumerate(left_bools) if value is not True]
-            if pending:
-                sub = batch if len(pending) == batch.length else batch.gather(pending)
-                right_bools = _bool_column(right_kernel(sub, env))
-                # Inlined logical_or with the left side known not-True:
-                # FALSE OR r = r;  UNKNOWN OR r = TRUE if r TRUE else UNKNOWN.
-                for position, i in enumerate(pending):
-                    right_value = right_bools[position]
-                    if left_bools[i] is False:
-                        out[i] = right_value
-                    elif right_value is True:
-                        out[i] = True
-                    else:
-                        out[i] = None
-            return out
-
-        return _attach_kernel(or_fn, or_kernel)
-    left = compile_expression(node.left, ctx)
-    right = compile_expression(node.right, ctx)
-    if operator in _COMPARISONS:
-        decide = _COMPARISONS[operator]
-        compare = _slot_literal_compare(node, left, right)
-        if compare is None:
-
-            def compare(row, env):
-                result = compare_values(left(row, env), right(row, env))
-                return None if result is None else decide(result)
-
-        left_kernel = as_kernel(left)
-        right_kernel = as_kernel(right)
-        direct = _VEC_COMPARISONS[operator]
-        ordering = operator in _VEC_ORDERING
-
-        def compare_kernel(batch, env):
-            left_values = left_kernel(batch, env)
-            right_values = right_kernel(batch, env)
-            # Optimistic C-level pass over both columns; any case needing
-            # SQL semantics (NULL, cross-kind) drops to the careful loop.
-            if ordering:
-                try:
-                    return list(map(direct, left_values, right_values))
-                except TypeError:
-                    pass
-            else:
-                kinds = _column_kinds(left_values, right_values)
-                if _NONE_TYPE not in kinds and (
-                    kinds <= _NUMERIC_KINDS or kinds <= _STRING_KINDS
-                ):
-                    return list(map(direct, left_values, right_values))
-            out: List[Optional[bool]] = []
-            append = out.append
-            for left_value, right_value in zip(left_values, right_values):
-                if left_value is None or right_value is None:
-                    append(None)
-                elif isinstance(left_value, (int, float)) != isinstance(
-                    right_value, (int, float)
-                ):
-                    # Same type discipline as compare_values (bool counts
-                    # as numeric there too, being an int subclass).
-                    raise TypeMismatchError(
-                        f"cannot compare {type(left_value).__name__} "
-                        f"with {type(right_value).__name__}"
-                    )
-                else:
-                    append(direct(left_value, right_value))
-            return out
-
-        return _attach_kernel(compare, compare_kernel)
-    if operator in ("+", "-", "*", "/", "%"):
-        return _arithmetic(operator, left, right)
-    if operator == "||":
-
-        def concat(row, env):
-            left_value = left(row, env)
-            right_value = right(row, env)
-            if is_null(left_value) or is_null(right_value):
-                return None
-            return str(left_value) + str(right_value)
-
-        left_kernel = as_kernel(left)
-        right_kernel = as_kernel(right)
-
-        def concat_kernel(batch, env):
-            return [
-                None
-                if left_value is None or right_value is None
-                else str(left_value) + str(right_value)
-                for left_value, right_value in zip(
-                    left_kernel(batch, env), right_kernel(batch, env)
-                )
-            ]
-
-        return _attach_kernel(concat, concat_kernel)
-    raise ExecutionError(f"unknown operator {operator!r}")
+def _mismatch(left: Any, right: Any) -> Any:
+    raise TypeMismatchError(
+        f"cannot compare {type(left).__name__} with {type(right).__name__}"
+    )
 
 
-#: The operator that reads ``b <op'> a`` for ``a <op> b``.
-_MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+def _arith_error(left: Any, operator: str, right: Any) -> Any:
+    raise TypeMismatchError(
+        f"arithmetic on non-numeric values {left!r} {operator} {right!r}"
+    )
 
 
-def _slot_literal_compare(
-    node: ast.BinaryOp, left: ExprFn, right: ExprFn
-) -> Optional[ExprFn]:
-    """The row closure of ``column <op> literal`` (either side), or None
-    for any other comparison.
+def _negate_error(value: Any) -> Any:
+    raise TypeMismatchError(f"arithmetic on non-numeric value -{value!r}")
 
-    :func:`compare_values` spelt out inline against the one constant, so
-    a row filter costs one call instead of five; same sign rule, same
-    NULL and type-mismatch outcomes.  The row operators run every
-    index-join plan, whose pushed filters are mostly of this shape."""
-    if isinstance(node.right, ast.Literal):
-        slot = getattr(left, "column_slot", None)
-        literal = node.right.value
-        decide = _COMPARISONS[node.operator]
-        column_first = True
-    elif isinstance(node.left, ast.Literal):
-        slot = getattr(right, "column_slot", None)
-        literal = node.left.value
-        decide = _COMPARISONS[_MIRRORED[node.operator]]
-        column_first = False
-    else:
+
+def _arith(operator: str, left: Any, right: Any) -> Any:
+    """``/`` and ``%``: NULL propagation, the numeric check, integer
+    division truncating toward zero and the zero-divisor error."""
+    if left is None or right is None:
         return None
-    if slot is None or literal is None:
-        return None
-    numeric = isinstance(literal, (int, float))
-
-    def compare(row, env):
-        value = row[slot]
-        if value is None:
-            return None
-        if isinstance(value, (int, float)) is not numeric:
-            names = [type(value).__name__, type(literal).__name__]
-            if not column_first:
-                names.reverse()
-            raise TypeMismatchError(f"cannot compare {names[0]} with {names[1]}")
-        return decide(-1 if value < literal else 1 if value > literal else 0)
-
-    return compare
-
-
-def _arith_value(operator: str, left_value: Any, right_value: Any) -> Any:
-    """One arithmetic application — shared by the row closure and kernel
-    so NULL propagation, the type check and error classes cannot drift."""
-    if left_value is None or right_value is None:
-        return None
-    if not isinstance(left_value, (int, float)) or not isinstance(
-        right_value, (int, float)
-    ):
-        raise TypeMismatchError(
-            f"arithmetic on non-numeric values "
-            f"{left_value!r} {operator} {right_value!r}"
-        )
+    if not isinstance(left, _NUM) or not isinstance(right, _NUM):
+        _arith_error(left, operator, right)
     try:
-        if operator == "+":
-            return left_value + right_value
-        if operator == "-":
-            return left_value - right_value
-        if operator == "*":
-            return left_value * right_value
-        if operator == "/":
-            if isinstance(left_value, int) and isinstance(right_value, int):
-                # SQL integer division truncates toward zero.
-                return int(left_value / right_value)
-            return left_value / right_value
-        return left_value % right_value
+        if operator == "%":
+            return left % right
+        if isinstance(left, int) and isinstance(right, int):
+            return int(left / right)
+        return left / right
     except ZeroDivisionError:
         raise ExecutionError("division by zero") from None
 
 
-_VEC_ARITHMETIC = {
-    "+": _py_operator.add,
-    "-": _py_operator.sub,
-    "*": _py_operator.mul,
-}
+def to_bool(value: Any) -> Optional[bool]:
+    """Interpret a value in boolean context (NULL stays UNKNOWN)."""
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, _NUM):
+        return bool(value)
+    raise TypeMismatchError(f"{value!r} is not a boolean")
 
 
-def _arithmetic(operator: str, left: ExprFn, right: ExprFn) -> ExprFn:
-    def apply(row, env):
-        return _arith_value(operator, left(row, env), right(row, env))
-
-    left_kernel = as_kernel(left)
-    right_kernel = as_kernel(right)
-    # + - * on all-numeric NULL-free columns are a single C-level map;
-    # / and % stay per-element (integer division truncates toward zero
-    # and zero divisors must surface as ExecutionError in row order).
-    fast = _VEC_ARITHMETIC.get(operator)
-
-    def apply_kernel(batch, env):
-        left_values = left_kernel(batch, env)
-        right_values = right_kernel(batch, env)
-        if fast is not None and _column_kinds(
-            left_values, right_values
-        ) <= _NUMERIC_KINDS:
-            return list(map(fast, left_values, right_values))
-        return [
-            _arith_value(operator, left_value, right_value)
-            for left_value, right_value in zip(left_values, right_values)
-        ]
-
-    return _attach_kernel(apply, apply_kernel)
-
-
-def _compile_is_null(node: ast.IsNullTest, ctx: CompileContext) -> ExprFn:
-    operand = compile_expression(node.operand, ctx)
-    if node.negated:
-
-        def not_null_fn(row, env):
-            return not is_null(operand(row, env))
-
-        fn = not_null_fn
+def _member(value: Any, values, has_null: bool, negated: bool) -> Optional[bool]:
+    """``value [NOT] IN values`` as membership: an item of another kind
+    is not a match (and not an error); NULL as in SQL."""
+    if value is None:
+        result: Optional[bool] = None if values or has_null else False
+    elif value in values:
+        result = True
     else:
-
-        def null_fn(row, env):
-            return is_null(operand(row, env))
-
-        fn = null_fn
-    slot = getattr(operand, "column_slot", None)
-    if slot is not None:
-        # Bare column: answer straight from the cached validity mask.
-        if node.negated:
-
-            def valid_kernel(batch, env):
-                return batch.validity(slot)
-
-            return _attach_kernel(fn, valid_kernel)
-
-        def invalid_kernel(batch, env):
-            return [not valid for valid in batch.validity(slot)]
-
-        return _attach_kernel(fn, invalid_kernel)
-    operand_kernel = vector_kernel(operand)
-    if operand_kernel is None:
-        return fn
-    if node.negated:
-
-        def not_null_kernel(batch, env):
-            return [value is not None for value in operand_kernel(batch, env)]
-
-        return _attach_kernel(fn, not_null_kernel)
-
-    def null_kernel(batch, env):
-        return [value is None for value in operand_kernel(batch, env)]
-
-    return _attach_kernel(fn, null_kernel)
+        result = None if has_null else False
+    return result if result is None or not negated else not result
 
 
-def _compile_call(node: ast.FunctionCall, ctx: CompileContext) -> ExprFn:
-    name = node.name.upper()
-    if name in AGGREGATE_NAMES:
-        raise ExecutionError(
-            f"aggregate function {name} used outside of a grouped query context"
+def _in_static(value: Any, env, token: object, items, negated: bool) -> Optional[bool]:
+    """IN over a list of literals and ``?`` parameters: the set is built
+    once per execution (``obid IN (?, ..thousands..)`` stays linear)."""
+    cached = env.subquery_cache.get(token)
+    if cached is None:
+        values = [env.parameter(item) if is_param else item for is_param, item in items]
+        cached = env.subquery_cache[token] = (
+            {item for item in values if item is not None},
+            None in values,
         )
-    if name == "COALESCE":
-        args = [compile_expression(arg, ctx) for arg in node.args]
-
-        def coalesce(row, env):
-            for arg in args:
-                value = arg(row, env)
-                if not is_null(value):
-                    return value
-            return None
-
-        return coalesce
-    if name == "NULLIF":
-        if len(node.args) != 2:
-            raise ExecutionError("NULLIF takes exactly two arguments")
-        first = compile_expression(node.args[0], ctx)
-        second = compile_expression(node.args[1], ctx)
-
-        def nullif(row, env):
-            value = first(row, env)
-            if compare_values(value, second(row, env)) == 0:
-                return None
-            return value
-
-        return nullif
-    args = [compile_expression(arg, ctx) for arg in node.args]
-
-    def call(row, env):
-        return env.functions.call(name, [arg(row, env) for arg in args])
-
-    return call
+    return _member(value, cached[0], cached[1], negated)
 
 
-def _compile_in_list(node: ast.InList, ctx: CompileContext) -> ExprFn:
-    operand = compile_expression(node.operand, ctx)
-    negated = node.negated
-    # Fast path: a list of literals/parameters is row-independent, so the
-    # membership set can be built once per execution.  This matters for the
-    # bulk check-out statements (``WHERE obid IN (?, ?, ..thousands..)``),
-    # where the naive per-row linear scan would be quadratic.
-    if all(
-        isinstance(item, (ast.Literal, ast.Parameter)) for item in node.items
-    ):
-        item_fns = [compile_expression(item, ctx) for item in node.items]
-        cache_token = object()
-
-        def _membership_set(env):
-            cached = env.subquery_cache.get(cache_token)
-            if cached is None:
-                values = set()
-                has_null = False
-                for fn in item_fns:
-                    # Items are literals/parameters: row-independent.
-                    item_value = fn((), env)
-                    if is_null(item_value):
-                        has_null = True
-                    else:
-                        values.add(item_value)
-                cached = (values, has_null)
-                env.subquery_cache[cache_token] = cached
-            return cached
-
-        def _decide(value, values, has_null):
-            if is_null(value):
-                result: Optional[bool] = None if (values or has_null) else False
-            elif value in values:
-                result = True
-            elif has_null:
-                result = None
-            else:
-                result = False
-            return logical_not(result) if negated else result
-
-        def contains_static(row, env):
-            values, has_null = _membership_set(env)
-            return _decide(operand(row, env), values, has_null)
-
-        operand_kernel = as_kernel(operand)
-
-        def contains_static_kernel(batch, env):
-            values, has_null = _membership_set(env)
-            return [
-                _decide(value, values, has_null)
-                for value in operand_kernel(batch, env)
-            ]
-
-        return _attach_kernel(contains_static, contains_static_kernel)
-    items = [compile_expression(item, ctx) for item in node.items]
-
-    def contains(row, env):
-        value = operand(row, env)
-        result: Optional[bool] = False
-        for item in items:
-            comparison = compare_values(value, item(row, env))
-            if comparison == 0:
-                result = True
-                break
-            if comparison is None:
-                result = None
-        return logical_not(result) if negated else result
-
-    return contains
-
-
-def _compile_in_subquery(node: ast.InSubquery, ctx: CompileContext) -> ExprFn:
-    operand = compile_expression(node.operand, ctx)
-    subquery = ctx.plan_subquery(node.subquery, ctx.frames)
-    negated = node.negated
-
-    def contains(row, env):
-        value = operand(row, env)
-        values, has_null = subquery.value_set(row, env)
-        if not is_null(value) and value in values:
-            result: Optional[bool] = True
-        elif is_null(value) and (values or has_null):
-            result = None
-        elif has_null:
-            result = None
-        else:
-            result = False
-        return logical_not(result) if negated else result
-
-    return contains
-
-
-def _compile_between(node: ast.Between, ctx: CompileContext) -> ExprFn:
-    operand = compile_expression(node.operand, ctx)
-    low = compile_expression(node.low, ctx)
-    high = compile_expression(node.high, ctx)
-    negated = node.negated
-
-    def _decide(value, low_value, high_value):
-        low_cmp = compare_values(value, low_value)
-        high_cmp = compare_values(value, high_value)
-        above_low = None if low_cmp is None else low_cmp >= 0
-        below_high = None if high_cmp is None else high_cmp <= 0
-        result = logical_and(above_low, below_high)
-        return logical_not(result) if negated else result
-
-    def between(row, env):
-        return _decide(operand(row, env), low(row, env), high(row, env))
-
-    operand_kernel = as_kernel(operand)
-    low_kernel = as_kernel(low)
-    high_kernel = as_kernel(high)
-
-    def between_kernel(batch, env):
-        values = operand_kernel(batch, env)
-        lows = low_kernel(batch, env)
-        highs = high_kernel(batch, env)
-        # C-level pass when the three columns are all numeric or all
-        # strings without NULLs (compare_kernel's precheck): ``low <= v``
-        # and ``v <= high`` are then exactly the signs compare_values
-        # decides on.  Anything else keeps the careful loop and its errors.
-        kinds = _column_kinds(values, lows, highs)
-        if _NONE_TYPE not in kinds and (
-            kinds <= _NUMERIC_KINDS or kinds <= _STRING_KINDS
-        ):
-            inside = list(
-                map(
-                    _py_operator.and_,
-                    map(_py_operator.le, lows, values),
-                    map(_py_operator.le, values, highs),
-                )
-            )
-            return list(map(_py_operator.not_, inside)) if negated else inside
-        return [
-            _decide(value, low_value, high_value)
-            for value, low_value, high_value in zip(values, lows, highs)
-        ]
-
-    return _attach_kernel(between, between_kernel)
-
-
-def _compile_like(node: ast.Like, ctx: CompileContext) -> ExprFn:
-    operand = compile_expression(node.operand, ctx)
-    pattern = compile_expression(node.pattern, ctx)
-    negated = node.negated
-    cache: dict = {}
-
-    def _match(value, pattern_value):
-        if is_null(value) or is_null(pattern_value):
-            return None
-        regex = cache.get(pattern_value)
-        if regex is None:
-            regex = _like_to_regex(str(pattern_value))
-            cache[pattern_value] = regex
-        result = regex.fullmatch(str(value)) is not None
-        return (not result) if negated else result
-
-    def like(row, env):
-        return _match(operand(row, env), pattern(row, env))
-
-    operand_kernel = as_kernel(operand)
-    pattern_kernel = as_kernel(pattern)
-
-    def like_kernel(batch, env):
-        return [
-            _match(value, pattern_value)
-            for value, pattern_value in zip(
-                operand_kernel(batch, env), pattern_kernel(batch, env)
-            )
-        ]
-
-    return _attach_kernel(like, like_kernel)
-
-
-def _like_to_regex(pattern: str) -> "re.Pattern":
+@functools.lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> "re.Pattern":
     parts: List[str] = []
     for ch in pattern:
         if ch == "%":
@@ -948,29 +425,567 @@ def _like_to_regex(pattern: str) -> "re.Pattern":
     return re.compile("".join(parts), re.DOTALL)
 
 
-def _compile_case(node: ast.CaseWhen, ctx: CompileContext) -> ExprFn:
-    branches = [
-        (compile_expression(condition, ctx), compile_expression(value, ctx))
-        for condition, value in node.branches
-    ]
-    default = (
-        compile_expression(node.default, ctx) if node.default is not None else None
-    )
+def _like(value: Any, pattern: Any, negated: bool) -> Optional[bool]:
+    """LIKE against a pattern computed per row."""
+    if value is None or pattern is None:
+        return None
+    return (_like_regex(str(pattern)).fullmatch(str(value)) is None) is negated
 
-    def case(row, env):
-        for condition, value in branches:
-            if to_bool(condition(row, env)) is True:
-                return value(row, env)
-        if default is not None:
-            return default(row, env)
+
+#: The generated modules' globals.
+_RUNTIME: Dict[str, Any] = {
+    name: globals()[name]
+    for name in "_NUM _uniform _numeric _mismatch _arith_error _negate_error _arith "
+    "to_bool _member _in_static _like".split()
+}
+
+
+# -- emission ----------------------------------------------------------------
+
+
+#: One emitted expression: its source, what it yields — ``"bool"``
+#: (TRUE/FALSE), ``"bool3"`` (TRUE/FALSE/NULL), ``"num"`` (a number, never
+#: NULL) or None (anything) — its IR, and whether it is a name (may be
+#: referenced again without evaluating anything).
+_Text = namedtuple("_Text", "text kind ir name", defaults=(False,))
+
+_BOOLEAN = ("bool", "bool3")
+
+
+def _template(ir: IR, values: List[Any]) -> IR:
+    """*ir* with each constant replaced by a ``hole`` numbering it in
+    preorder, its value appended to *values*: templates hold no literal."""
+    kind, data, children = ir
+    if kind == "const":
+        values.append(data)
+        return ("hole", len(values) - 1, ())
+    if not children:
+        return ir
+    return (kind, data, tuple([_template(child, values) for child in children]))
+
+
+#: A factory argument, computed from the literal values of the template.
+Recipe = Callable[[Sequence[Any]], Any]
+
+
+class _Emitter:
+    """Emit the text of a template's IR nodes; collect what it reads.
+
+    Every factory argument ``k<n>`` is a :data:`Recipe` over the
+    template's literals.  ``fast`` emits the batch loop's fast form:
+    ``?`` values are read from names hoisted out of the loop, and
+    ``prechecks`` / ``guarded`` record what must hold before it runs.
+    """
+
+    def __init__(self) -> None:
+        self.recipes: List[Recipe] = []
+        self._hole_names: Dict[int, str] = {}
+        self.temps = 0
+        self.params: set = set()
+        self.prechecks: List[str] = []
+        self.kind_columns: set = set()
+        self.guarded = False
+        self.fast = False
+
+    def argument(self, recipe: Recipe) -> str:
+        """The name of a new factory argument computed by *recipe*."""
+        self.recipes.append(recipe)
+        return f"k{len(self.recipes) - 1}"
+
+    def const(self, value: Any) -> str:
+        """The name of a factory argument holding *value* (plan data, not
+        a literal: a converter, a subquery, a flag, a function name)."""
+        return self.argument(lambda values: value)
+
+    def literal(self, index: int) -> str:
+        name = self._hole_names.get(index)
+        if name is None:
+            name = self._hole_names[index] = self.argument(lambda values: values[index])
+        return name
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def bind(self, text: _Text) -> Tuple[str, str]:
+        """(first use, later uses) of *text*: a walrus on first use
+        unless it is a name already."""
+        if text.name:
+            return text.text, text.text
+        name = self.temp()
+        return f"({name} := {text.text})", name
+
+    def pin(self, texts: Sequence[_Text]) -> Tuple[List[str], List[_Text]]:
+        """Evaluate *texts* in order up front: the walruses to run first
+        and a name for each."""
+        binds: List[str] = []
+        named: List[_Text] = []
+        for text in texts:
+            if text.name:
+                named.append(text)
+            else:
+                first, later = self.bind(text)
+                binds.append(first)
+                named.append(_Text(later, text.kind, text.ir, name=True))
+        return binds, named
+
+    def is_number(self, text: _Text, name: str) -> str:
+        """Source testing whether *name* (the value of *text*) is numeric."""
+        if text.ir[0] == "hole":
+            index = text.ir[1]
+            return self.argument(lambda values: isinstance(values[index], _NUM))
+        return f"isinstance({name}, _NUM)"
+
+    def kinds_of(self, text: _Text) -> Optional[str]:
+        """Source of the set of kinds *text* can take in one batch (a
+        column's, a constant's, a parameter's), "num" when it is a
+        number by construction, None when neither is known."""
+        kind, data, __ = text.ir
+        if text.kind in ("num", "bool"):
+            return "num"
+        if kind == "slot":
+            return f"y{data}"
+        if kind == "hole" or (kind == "param" and self.fast):
+            return f"{{type({text.text})}}"
         return None
 
-    return case
+    def precheck(self, check: str, texts: Sequence[_Text]) -> bool:
+        """Record that the fast form of *texts*' node needs *check* over
+        their kinds; False when some kind cannot be prechecked."""
+        kinds = [self.kinds_of(text) for text in texts]
+        if None in kinds:
+            return False
+        self.kind_columns.update(t.ir[1] for t in texts if t.ir[0] == "slot")
+        sets = [found for found in kinds if found != "num"]
+        if len(sets) < len(kinds):
+            check = "_numeric"  # a number by construction fixes the kind
+        if sets:
+            self.prechecks.append(f"{check}({', '.join(sets)})")
+        return True
+
+    def truth(self, text: _Text) -> _Text:
+        """*text* in boolean context (``to_bool``)."""
+        if text.kind in _BOOLEAN:
+            return text
+        return _Text(f"to_bool({text.text})", "bool3", text.ir)
+
+    # -- nodes ---------------------------------------------------------------
+
+    def emit(self, ir: IR) -> _Text:
+        kind, data, children = ir
+        if kind == "slot":
+            return _Text(f"_{data}", None, ir, name=True)
+        if kind == "hole":
+            return _Text(self.literal(data), None, ir, name=True)
+        if kind == "param":
+            if self.fast:
+                self.params.add(data)
+                return _Text(f"p{data}", None, ir, name=True)
+            return _Text(f"env.parameter({data})", None, ir)
+        if kind == "outer":
+            depth, index = data
+            return _Text(f"env.outer_rows[-{depth}][{index}]", None, ir, name=True)
+        texts = [self.emit(child) for child in children]
+        return getattr(self, f"_{kind}")(ir, data, texts)
+
+    def operands(self, left: _Text, right: _Text) -> Tuple[str, str, str]:
+        """Both operands evaluated (left first), then tested for NULL:
+        the test, and a name for each value."""
+        a1, a2 = self.bind(left)
+        b1, b2 = self.bind(right)
+        if right.name:
+            return f"{a1} is None or {b1} is None", a2, b2
+        return f"({a1} is None) | ({b1} is None)", a2, b2
+
+    def _compare(self, operator: str, left: _Text, right: _Text) -> str:
+        """SQL comparison: NULL if either side is, a type error for a
+        number against a string, else the Python operator."""
+        null, a2, b2 = self.operands(left, right)
+        same = f"{self.is_number(left, a2)} is {self.is_number(right, b2)}"
+        return (
+            f"(None if {null} else ({a2} {operator} {b2} if {same} "
+            f"else _mismatch({a2}, {b2})))"
+        )
+
+    def _cmp(self, ir: IR, operator: str, texts: List[_Text]) -> _Text:
+        left, right = texts
+        python = _COMPARISONS[operator]
+        if self.fast:
+            if operator in _ORDERING:
+                self.guarded = True
+                return _Text(f"({left.text} {python} {right.text})", "bool", ir)
+            if self.precheck("_uniform", texts):
+                return _Text(f"({left.text} {python} {right.text})", "bool", ir)
+        return _Text(self._compare(python, left, right), "bool3", ir)
+
+    def _arith(self, ir: IR, operator: str, texts: List[_Text]) -> _Text:
+        left, right = texts
+        if operator in ("/", "%"):
+            return _Text(f"_arith('{operator}', {left.text}, {right.text})", None, ir)
+        if self.fast and self.precheck("_numeric", texts):
+            return _Text(f"({left.text} {operator} {right.text})", "num", ir)
+        null, a2, b2 = self.operands(left, right)
+        numbers = f"{self.is_number(left, a2)} and {self.is_number(right, b2)}"
+        return _Text(
+            f"(None if {null} else ({a2} {operator} {b2} if {numbers} "
+            f"else _arith_error({a2}, '{operator}', {b2})))",
+            None,
+            ir,
+        )
+
+    def _neg(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
+        (operand,) = texts
+        if self.fast and self.precheck("_numeric", texts):
+            return _Text(f"(-{operand.text})", "num", ir)
+        x1, x2 = self.bind(operand)
+        return _Text(
+            f"(None if {x1} is None else (-{x2} if {self.is_number(operand, x2)} "
+            f"else _negate_error({x2})))",
+            None,
+            ir,
+        )
+
+    def _concat(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
+        null, a2, b2 = self.operands(*texts)
+        return _Text(f"(None if {null} else str({a2}) + str({b2}))", None, ir)
+
+    def _logical(self, decisive: str, python: str, ir: IR, data: Any, texts: List[_Text]) -> _Text:
+        """n-ary AND (*decisive* False) / OR (*decisive* True): stop at the
+        first decisive operand; else UNKNOWN if any operand is."""
+        operands = [self.truth(text) for text in texts]
+        if all(operand.kind == "bool" for operand in operands):
+            return _Text(f"({f' {python} '.join(o.text for o in operands)})", "bool", ir)
+        stops: List[str] = []
+        unknowns: List[str] = []
+        for operand in operands:
+            if operand.kind == "bool":
+                stops.append(f"{decisive} if {operand.text} is {decisive} else")
+                continue
+            first, later = self.bind(operand)
+            stops.append(f"{decisive} if {first} is {decisive} else")
+            unknowns.append(f"{later} is None")
+        other = "False" if decisive == "True" else "True"
+        return _Text(
+            f"({' '.join(stops)} (None if {' or '.join(unknowns)} else {other}))",
+            "bool3",
+            ir,
+        )
+
+    _and = functools.partialmethod(_logical, "False", "and")
+    _or = functools.partialmethod(_logical, "True", "or")
+
+    def _not(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
+        operand = self.truth(texts[0])
+        if operand.kind == "bool":
+            return _Text(f"(not {operand.text})", "bool", ir)
+        x1, x2 = self.bind(operand)
+        return _Text(f"(None if {x1} is None else not {x2})", "bool3", ir)
+
+    def _alltrue(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
+        parts = [t.text if t.kind == "bool" else f"{t.text} is True" for t in texts]
+        return _Text(f"({' and '.join(parts)})", "bool", ir)
+
+    def _isnull(self, ir: IR, negated: bool, texts: List[_Text]) -> _Text:
+        return _Text(f"({texts[0].text} is {'not ' if negated else ''}None)", "bool", ir)
+
+    def _between(self, ir: IR, negated: bool, texts: List[_Text]) -> _Text:
+        value, low, high = texts
+        if self.fast and self.precheck("_uniform", texts):
+            inside = f"({low.text} <= {value.text} <= {high.text})"
+            return _Text(f"(not {inside})" if negated else inside, "bool", ir)
+        # Both comparisons are made (either may raise), then combined.
+        binds, (value, low, high) = self.pin(texts)
+        above = self._compare(">=", value, low)
+        below = self._compare("<=", value, high)
+        a, b = self.temp(), self.temp()
+        inside = (
+            f"(False if (({a} := {above}) is False) | (({b} := {below}) is False) "
+            f"else (None if {a} is None or {b} is None else True))"
+        )
+        if negated:
+            result = self.temp()
+            inside = f"(None if ({result} := {inside}) is None else not {result})"
+        if binds:
+            inside = f"({', '.join(binds)}, {inside})[{len(binds)}]"
+        return _Text(inside, "bool3", ir)
+
+    def _in(self, ir: IR, negated: bool, texts: List[_Text]) -> _Text:
+        value, items = texts[0], texts[1:]
+        item_irs = ir[2][1:]
+        if all(item[0] == "hole" for item in item_irs):
+            holes = [item[1] for item in item_irs]
+            members = self.argument(
+                lambda values: frozenset(values[i] for i in holes) - {None}
+            )
+            has_null = self.argument(lambda values: any(values[i] is None for i in holes))
+            x1, x2 = self.bind(value)
+            hit, miss = ("False", "True") if negated else ("True", "False")
+            return _Text(
+                f"(None if {x1} is None else ({hit} if {x2} in {members} "
+                f"else (None if {has_null} else {miss})))",
+                "bool3",
+                ir,
+            )
+        if all(item[0] in ("hole", "param") for item in item_irs):
+            items = [(kind == "param", data) for kind, data, __ in item_irs]
+            listed = self.argument(
+                lambda values: tuple(
+                    (is_param, data if is_param else values[data]) for is_param, data in items
+                )
+            )
+            token = self.argument(lambda values: object())
+            flag = self.const(negated)
+            return _Text(
+                f"_in_static({value.text}, env, {token}, {listed}, {flag})", "bool3", ir
+            )
+        found = self.temp()
+        listed = ", ".join(item.text for item in items)
+        flag = self.const(negated)
+        return _Text(
+            f"_member({value.text}, ({found} := ({listed},)), None in {found}, {flag})",
+            "bool3",
+            ir,
+        )
+
+    def _insub(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
+        subquery, negated = data
+        return _Text(
+            f"_member({texts[0].text}, *{self.const(subquery)}.value_set(r, env), "
+            f"{self.const(negated)})",
+            "bool3",
+            ir,
+        )
+
+    def _exists(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
+        subquery, negated = data
+        test = f"{self.const(subquery)}.exists(r, env)"
+        return _Text(f"(not {test})" if negated else test, "bool", ir)
+
+    def _scalar(self, ir: IR, subquery: Any, texts: List[_Text]) -> _Text:
+        return _Text(f"{self.const(subquery)}.scalar(r, env)", None, ir)
+
+    def _like(self, ir: IR, negated: bool, texts: List[_Text]) -> _Text:
+        value, pattern = texts
+        if pattern.ir[0] != "hole":
+            return _Text(
+                f"_like({value.text}, {pattern.text}, {self.const(negated)})", "bool3", ir
+            )
+        index = pattern.ir[1]
+        name = self.argument(
+            lambda values: None if values[index] is None else _like_regex(str(values[index]))
+        )
+        x1, x2 = self.bind(value)
+        test = "is None" if negated else "is not None"
+        return _Text(
+            f"(None if {x1} is None or {name} is None "
+            f"else ({name}.fullmatch(str({x2})) {test}))",
+            "bool3",
+            ir,
+        )
+
+    def _case(self, ir: IR, has_default: bool, texts: List[_Text]) -> _Text:
+        # One flat conditional chain: nesting would cap the branch count.
+        text = texts.pop().text if has_default else "None"
+        for index in range(len(texts) - 2, -1, -2):
+            condition = self.truth(texts[index])
+            test = condition.text if condition.kind == "bool" else f"{condition.text} is True"
+            text = f"{texts[index + 1].text} if {test} else {text}"
+        return _Text(f"({text})", None, ir)
+
+    def _cast(self, ir: IR, target: Any, texts: List[_Text]) -> _Text:
+        return _Text(f"{self.const(converter(target))}({texts[0].text})", None, ir)
+
+    def _coalesce(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
+        if not texts:
+            return _Text("None", None, ir)
+        text = texts[-1].text
+        for arg in reversed(texts[:-1]):
+            first, later = self.bind(arg)
+            text = f"{later} if {first} is not None else {text}"
+        return _Text(f"({text})", None, ir)
+
+    def _nullif(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
+        binds, (value, other) = self.pin(texts)
+        text = f"(None if {self._compare('==', value, other)} is True else {value.text})"
+        if binds:
+            text = f"({', '.join(binds)}, {text})[{len(binds)}]"
+        return _Text(text, None, ir)
+
+    def _call(self, ir: IR, name: str, texts: List[_Text]) -> _Text:
+        args = ", ".join(text.text for text in texts)
+        return _Text(f"env.functions.call({self.const(name)}, [{args}])", None, ir)
 
 
-def contains_aggregate(node: ast.Expression) -> bool:
-    """True if *node* contains an aggregate call outside any subquery."""
-    for sub in ast.walk_expression(node):
-        if isinstance(sub, ast.FunctionCall) and sub.name.upper() in AGGREGATE_NAMES:
-            return True
-    return False
+# -- programs ----------------------------------------------------------------
+
+#: Program shapes: what ``row`` returns and what ``batch`` builds.
+VALUE = "value"  # row -> value; no batch loop
+KEYS = "keys"  # row -> tuple; no batch loop
+PREDICATE = "predicate"  # row -> value; batch -> positions where TRUE
+TUPLES = "tuples"  # row -> tuple; batch -> list of row tuples
+COLUMNS = "columns"  # row -> tuple; batch -> list of columns
+
+
+class Program(NamedTuple):
+    """The generated functions of some expressions.
+
+    ``row(r, env)`` evaluates them on one row; ``batch(b, env)`` (None
+    for :data:`VALUE` and :data:`KEYS`) on a whole batch.  ``exprs`` is
+    the IR they were generated from; ``source`` the generated text.
+    """
+
+    row: Callable
+    batch: Optional[Callable]
+    exprs: Tuple[IR, ...]
+    source: str
+
+    def bare_slots(self) -> Optional[List[int]]:
+        """The input slot of each expression when every one is a bare
+        read of the current row, else None."""
+        if all(ir[0] == "slot" for ir in self.exprs):
+            return [ir[1] for ir in self.exprs]
+        return None
+
+
+def _row_dependent(ir: IR) -> bool:
+    """Does *ir* need the whole row tuple (subqueries, outer rows)?"""
+    if ir[0] in ("outer", "exists", "scalar", "insub"):
+        return True
+    return any(_row_dependent(child) for child in ir[2])
+
+
+def _slots(ir: IR, found: set) -> set:
+    if ir[0] == "slot":
+        found.add(ir[1])
+    for child in ir[2]:
+        _slots(child, found)
+    return found
+
+
+#: The batch loop of an expression that reads whole rows (a subquery, an
+#: outer reference): the row function over the batch's rows.
+_ROW_LOOPS = {
+    PREDICATE: "[i for i, r in enumerate(b.rows()) if row(r, env) is True]",
+    TUPLES: "[row(r, env) for r in b.rows()]",
+    COLUMNS: "[list(column) for column in zip(*[row(r, env) for r in b.rows()])]",
+}
+
+
+def _loop_head(slots: Sequence[int], position: bool = False) -> str:
+    """``for`` clause binding each slot's value as ``_<slot>`` (and the
+    row's position as ``i``)."""
+    if not slots:
+        return "for i in range(n)"
+    names = ", ".join(f"_{s}" for s in slots)
+    source = f"zip({', '.join(f'cols[{s}]' for s in slots)})" if slots[1:] else f"cols[{slots[0]}]"
+    if position:
+        return f"for i, ({names}) in enumerate({source})"
+    return f"for {names} in {source}"
+
+
+def _loop(shape: str, exprs: Sequence[IR], texts: List[_Text]) -> str:
+    """The batch loop of *shape* over the emitted *texts*."""
+    if shape == PREDICATE:
+        (text,) = texts
+        test = text.text if text.kind == "bool" else f"{text.text} is True"
+        return f"[i {_loop_head(sorted(_slots(exprs[0], set())), True)} if {test}]"
+    if shape == TUPLES:
+        if exprs and all(ir[0] == "slot" for ir in exprs):
+            return f"list(zip({', '.join(f'cols[{ir[1]}]' for ir in exprs)}))"
+        head = _loop_head(sorted(set().union(*[_slots(ir, set()) for ir in exprs])))
+        return f"[({''.join(text.text + ', ' for text in texts)}) {head}]"
+    columns = []
+    for ir, text in zip(exprs, texts):
+        if ir[0] == "slot":
+            columns.append(f"cols[{ir[1]}]")
+        else:
+            columns.append(f"[{text.text} {_loop_head(sorted(_slots(ir, set())))}]")
+    return f"[{', '.join(columns)}]"
+
+
+@functools.lru_cache(maxsize=512)
+def _source(exprs: Tuple[IR, ...], shape: str) -> Tuple[str, Tuple[Recipe, ...]]:
+    """The module text of the templates *exprs* in *shape*, and the
+    recipes of its factory's arguments."""
+    emitter = _Emitter()
+    careful = [emitter.emit(ir) for ir in exprs]
+    slots = sorted(set().union(*[_slots(ir, set()) for ir in exprs]))
+    if shape in (VALUE, PREDICATE):
+        result = careful[0].text
+    else:
+        result = f"({''.join(text.text + ', ' for text in careful)})"
+    lines = ["    def row(r, env):"]
+    lines += [f"        _{s} = r[{s}]" for s in slots]
+    lines.append(f"        return {result}")
+    if shape not in (VALUE, KEYS):
+        lines.append("    def batch(b, env):")
+        if any(_row_dependent(ir) for ir in exprs):
+            lines.append(f"        return {_ROW_LOOPS[shape]}")
+        else:
+            lines += ["        cols = b.columns", "        n = b.length"]
+            careful_loop = _loop(shape, exprs, careful)
+            emitter.fast = True
+            fast = [emitter.emit(ir) for ir in exprs]
+            fast_loop = _loop(shape, exprs, fast)
+            if fast_loop != careful_loop:
+                lines += _fast_block(emitter, fast_loop)
+            lines.append(f"        return {careful_loop}")
+    body = "\n".join(lines)
+    arguments = ", ".join(f"k{index}" for index in range(len(emitter.recipes)))
+    returned = "batch" if shape not in (VALUE, KEYS) else "None"
+    source = f"def make({arguments}):\n{body}\n    return row, {returned}\n"
+    return source, tuple(emitter.recipes)
+
+
+def _fast_block(emitter: _Emitter, fast_loop: str) -> List[str]:
+    """Lines running *fast_loop* where its conditions hold."""
+    lines: List[str] = []
+    indent = "        "
+    if emitter.params:
+        lines.append(f"{indent}if len(env.params) > {max(emitter.params)}:")
+        indent += "    "
+        lines += [f"{indent}p{i} = env.params[{i}]" for i in sorted(emitter.params)]
+    lines += [f"{indent}y{s} = set(map(type, cols[{s}]))" for s in sorted(emitter.kind_columns)]
+    if emitter.prechecks:
+        checks = " and ".join(dict.fromkeys(emitter.prechecks))
+        lines.append(f"{indent}if {checks}:")
+        indent += "    "
+    if not emitter.guarded:
+        return lines + [f"{indent}return {fast_loop}"]
+    return lines + [
+        f"{indent}try:",
+        f"{indent}    return {fast_loop}",
+        f"{indent}except TypeError:",
+        f"{indent}    pass",
+    ]
+
+
+@functools.lru_cache(maxsize=512)
+def _compile(source: str):
+    """The ``make`` factory of one generated module, compiled once per
+    distinct source."""
+    namespace: Dict[str, Any] = {}
+    exec(compile(source, "<sql expression>", "exec"), _RUNTIME, namespace)
+    return namespace["make"]
+
+
+def program(exprs: Sequence[IR], shape: str) -> Program:
+    """Generate (or reuse) the code of *exprs* in *shape* and bind it to
+    their literals: text is emitted once per template (the expressions
+    with their literals taken out) and compiled once per source."""
+    exprs = tuple(exprs)
+    values: List[Any] = []
+    templates = tuple([_template(ir, values) for ir in exprs])
+    try:
+        source, recipes = _source(templates, shape)
+        make = _compile(source)
+    except (SyntaxError, RecursionError):
+        # Python's parser allows ~100 nested operators in one expression.
+        raise ExecutionError("expression is too deeply nested to compile") from None
+    row, batch = make(*[recipe(values) for recipe in recipes])
+    return Program(row, batch, exprs, source)
+
+
+def compile_expression(node: ast.Expression, ctx: CompileContext) -> ExprFn:
+    """The row function ``(row, env) -> value`` of *node*."""
+    return program([lower(node, ctx)], VALUE).row

@@ -82,8 +82,17 @@ from repro.sqldb.expressions import (
     Scope,
     SlotRef,
     UnresolvedColumnError,
+    COLUMNS,
+    KEYS,
+    PREDICATE,
+    TUPLES,
+    VALUE,
     compile_expression,
+    conjunction,
     contains_aggregate,
+    lower,
+    program,
+    slot,
 )
 from repro.sqldb.functions import AGGREGATE_NAMES, FunctionRegistry
 from repro.sqldb.render import expression_key, render_select
@@ -131,7 +140,7 @@ class Plan:
 class CompiledSubquery:
     """Runtime wrapper around a planned subquery expression.
 
-    Provides the three access styles expression closures need (EXISTS,
+    Provides the three access styles generated expressions call (EXISTS,
     IN-set, scalar).  Results of *uncorrelated* subqueries are cached in
     the execution environment, keyed by the cache epoch so that CTE
     rebinding (recursive fixpoint iterations) invalidates stale entries.
@@ -147,7 +156,7 @@ class CompiledSubquery:
     # -- cache plumbing ----------------------------------------------------
 
     def _cached(self, env: ExecutionEnv, kind: str):
-        if self.correlated or not env.enable_subquery_cache:
+        if self.correlated:
             return None
         hit = env.subquery_cache.get((id(self), kind))
         if hit is not None and hit[0] == env.cache_epoch:
@@ -155,7 +164,7 @@ class CompiledSubquery:
         return None
 
     def _store(self, env: ExecutionEnv, kind: str, value) -> None:
-        if self.correlated or not env.enable_subquery_cache:
+        if self.correlated:
             return
         env.subquery_cache[(id(self), kind)] = (env.cache_epoch, value)
 
@@ -481,7 +490,7 @@ class Planner:
         """*source* under the whole WHERE clause as residual filter."""
         if where is None:
             return source
-        operator = Filter(source, compile_expression(where, ctx))
+        operator = Filter(source, program([lower(where, ctx)], PREDICATE))
         source_est = getattr(source, "est_rows", None)
         if source_est is not None:
             # Conjuncts already folded into an index probe must not be
@@ -670,14 +679,14 @@ class Planner:
             offset += sum(len(columns) for __, columns in leaves[index].bindings)
         ctx = self._context(frames)
         exprs = [
-            compile_expression(SlotRef(starts[index] + position), ctx)
+            slot(starts[index] + position)
             for index in range(len(leaves))
             for position in range(
                 sum(len(columns) for __, columns in leaves[index].bindings)
             )
         ]
         names = [column for __, columns in bindings for column in columns]
-        project = Project(operator, exprs, names)
+        project = Project(operator, program(exprs, TUPLES), names)
         est = getattr(operator, "est_rows", None)
         if est is not None:
             project.est_rows = est
@@ -722,7 +731,8 @@ class Planner:
         for expression in pushed[1:]:
             predicate = ast.BinaryOp("AND", predicate, expression)
         filtered = Filter(
-            operator, self._compile_in(predicate, Scope(leaf.bindings), frames)
+            operator,
+            program([self._lower_in(predicate, Scope(leaf.bindings), frames)], PREDICATE),
         )
         if leaf.access_rows is not None:
             filtered.est_rows = leaf.access_rows * table_stats_mod.condition_selectivity(
@@ -1019,14 +1029,12 @@ class Planner:
                 index = entry.storage.find_index([column_side.name])
                 if index is None:
                     continue
-                key_fn = self._compile_independent(
-                    value_side, frames, entry.schema
-                )
-                if key_fn is None:
+                key = self._lower_independent(value_side, frames, entry.schema)
+                if key is None:
                     continue
                 paths.append(
                     _AccessPath(
-                        operator=IndexLookup(entry.storage, index, [key_fn]),
+                        operator=IndexLookup(entry.storage, index, program([key], KEYS)),
                         conjunct=conjunct,
                         unique=index.unique,
                         keys=1,
@@ -1074,7 +1082,7 @@ class Planner:
             return self._subquery_keyed_lookup(entry, index, conjunct)
         if not conjunct.items:
             return None
-        key_fns = []
+        keys = []
         seen_literals = set()
         for item in conjunct.items:
             if isinstance(item, ast.Literal) and isinstance(
@@ -1083,12 +1091,12 @@ class Planner:
                 if item.value in seen_literals:
                     continue
                 seen_literals.add(item.value)
-            key_fn = self._compile_independent(item, frames, entry.schema)
-            if key_fn is None:
+            key = self._lower_independent(item, frames, entry.schema)
+            if key is None:
                 return None
-            key_fns.append(key_fn)
-        operator = MultiKeyIndexLookup(entry.storage, index, key_fns)
-        return operator, index, len(key_fns), operand.name.lower()
+            keys.append(key)
+        operator = MultiKeyIndexLookup(entry.storage, index, program(keys, KEYS))
+        return operator, index, len(keys), operand.name.lower()
 
     def _subquery_keyed_lookup(
         self, entry, index, conjunct: ast.InSubquery
@@ -1112,7 +1120,7 @@ class Planner:
             return None  # the residual filter raises the arity error
         est = getattr(subquery.plan.root, "est_rows", None)
         keys = None if est is None else max(1, round(est))
-        operator = MultiKeyIndexLookup(entry.storage, index, [], subquery)
+        operator = MultiKeyIndexLookup(entry.storage, index, None, subquery)
         return operator, index, keys, conjunct.operand.name.lower()
 
     def _join(
@@ -1187,7 +1195,10 @@ class Planner:
                 left,
                 leaf.entry.storage,
                 found,
-                [self._compile_in(key.left, graph.scope(joined, key.conjunct), frames)],
+                program(
+                    [self._lower_in(key.left, graph.scope(joined, key.conjunct), frames)],
+                    KEYS,
+                ),
                 self._compile_all(graph, residual + leaf.pushed, step_order, frames),
                 kind=graph.kind,
             )
@@ -1195,14 +1206,20 @@ class Planner:
             operator = HashJoin(
                 left,
                 leaf.operator,
-                [
-                    self._compile_in(key.left, graph.scope(joined, key.conjunct), frames)
-                    for key in used
-                ],
-                [
-                    self._compile_in(key.right, graph.scope([index], key.conjunct), frames)
-                    for key in used
-                ],
+                program(
+                    [
+                        self._lower_in(key.left, graph.scope(joined, key.conjunct), frames)
+                        for key in used
+                    ],
+                    TUPLES,
+                ),
+                program(
+                    [
+                        self._lower_in(key.right, graph.scope([index], key.conjunct), frames)
+                        for key in used
+                    ],
+                    TUPLES,
+                ),
                 residual=self._compile_all(graph, residual, step_order, frames),
                 kind="INNER",
             )
@@ -1237,40 +1254,29 @@ class Planner:
         order: List[int],
         frames: List[Frame],
     ):
-        """One row closure that is True when every conjunct is, each
+        """One row function that is True when every conjunct is, each
         compiled against the *order* leaves as its written scope sees
         them; None for no conjuncts."""
-        fns = [
-            self._compile_in(
-                conjunct.expression, graph.scope(order, conjunct), frames
-            )
+        if not conjuncts:
+            return None
+        lowered = [
+            self._lower_in(conjunct.expression, graph.scope(order, conjunct), frames)
             for conjunct in conjuncts
         ]
-        if not fns:
-            return None
-        if len(fns) == 1:
-            return fns[0]
+        return program([conjunction(lowered)], VALUE).row
 
-        def all_true(row, env):
-            for fn in fns:
-                if fn(row, env) is not True:
-                    return False
-            return True
-
-        return all_true
-
-    def _compile_in(self, expression: ast.Expression, scope: Scope, frames: List[Frame]):
-        """Compile *expression* with *scope* as the current frame's."""
+    def _lower_in(self, expression: ast.Expression, scope: Scope, frames: List[Frame]):
+        """Lower *expression* with *scope* as the current frame's."""
         frame = frames[-1]
         saved = frame.scope
         frame.scope = scope
         try:
-            return compile_expression(expression, self._context(frames))
+            return lower(expression, self._context(frames))
         finally:
             frame.scope = saved
 
-    def _compile_independent(self, expr: ast.Expression, frames: List[Frame], avoid_schema):
-        """Compile *expr* so that it may reference outer frames and the
+    def _lower_independent(self, expr: ast.Expression, frames: List[Frame], avoid_schema):
+        """Lower *expr* so that it may reference outer frames and the
         current frame's (possibly partial) scope, but must not reference the
         table described by *avoid_schema* through unqualified names.
 
@@ -1287,7 +1293,7 @@ class Planner:
             ):
                 return None  # keep the optimisation path simple and safe
         try:
-            return compile_expression(expr, self._context(frames))
+            return lower(expr, self._context(frames))
         except SQLError:
             return None
 
@@ -1311,13 +1317,13 @@ class Planner:
                     else (0, scope.arity)
                 )
                 display = _display_names(scope)
-                for slot in range(start, end):
-                    exprs.append(compile_expression(SlotRef(slot), ctx))
-                    names.append(display[slot])
+                for position in range(start, end):
+                    exprs.append(slot(position))
+                    names.append(display[position])
                 continue
-            exprs.append(compile_expression(item.expression, ctx))
+            exprs.append(lower(item.expression, ctx))
             names.append(_output_name(item, len(names)))
-        return Project(child, exprs, names)
+        return Project(child, program(exprs, TUPLES), names)
 
     def _plan_aggregate(
         self, core: ast.SelectCore, child: Operator, frames: List[Frame]
@@ -1325,7 +1331,7 @@ class Planner:
         if any(isinstance(item, ast.Star) for item in core.items):
             raise ParseError("SELECT * cannot be combined with aggregation")
         ctx = self._context(frames)
-        group_fns = [compile_expression(expr, ctx) for expr in core.group_by]
+        group_exprs = [lower(expr, ctx) for expr in core.group_by]
         group_keys = [expression_key(expr) for expr in core.group_by]
         aggregate_nodes: List[ast.FunctionCall] = []
         aggregate_keys: List[str] = []
@@ -1346,25 +1352,27 @@ class Planner:
         if core.having is not None:
             collect(core.having)
         specs: List[AggregateSpec] = []
+        arguments = []
         for node in aggregate_nodes:
             if node.star:
-                specs.append(AggregateSpec(node.name, None, star=True))
+                specs.append(AggregateSpec(node.name, star=True))
                 continue
             if len(node.args) != 1:
                 raise ParseError(
                     f"aggregate {node.name} takes exactly one argument"
                 )
-            specs.append(
-                AggregateSpec(
-                    node.name,
-                    compile_expression(node.args[0], ctx),
-                    distinct=node.distinct,
-                )
-            )
-        output_names = [f"__group_{i}" for i in range(len(group_fns))] + [
+            arguments.append(lower(node.args[0], ctx))
+            specs.append(AggregateSpec(node.name, distinct=node.distinct))
+        output_names = [f"__group_{i}" for i in range(len(group_exprs))] + [
             f"__agg_{i}" for i in range(len(specs))
         ]
-        aggregate_op = Aggregate(child, group_fns, specs, output_names)
+        aggregate_op = Aggregate(
+            child,
+            program(group_exprs, TUPLES),
+            specs,
+            program(arguments, COLUMNS),
+            output_names,
+        )
         # Compile post-aggregation expressions: group keys and aggregate
         # calls become direct slot references.  Plain-column group keys
         # additionally stay addressable by name — including their original
@@ -1383,8 +1391,9 @@ class Planner:
                 binding_name = group_expr.qualifier
                 if binding_name is None and pre_scope is not None:
                     try:
-                        slot = pre_scope.resolve(None, group_expr.name)
-                        binding_name = pre_scope.binding_of_slot(slot)
+                        binding_name = pre_scope.binding_of_slot(
+                            pre_scope.resolve(None, group_expr.name)
+                        )
                     except SQLError:
                         binding_name = None
             post_bindings.append((binding_name, [column_name]))
@@ -1403,14 +1412,14 @@ class Planner:
 
             operator: Operator = aggregate_op
             if core.having is not None:
-                having_fn = compile_expression(rewrite(core.having), post_ctx)
-                operator = Filter(operator, having_fn)
+                having = lower(rewrite(core.having), post_ctx)
+                operator = Filter(operator, program([having], PREDICATE))
             exprs = []
             names = []
             for item in core.items:
-                exprs.append(compile_expression(rewrite(item.expression), post_ctx))
+                exprs.append(lower(rewrite(item.expression), post_ctx))
                 names.append(_output_name(item, len(names)))
-            return Project(operator, exprs, names)
+            return Project(operator, program(exprs, TUPLES), names)
         finally:
             frame.scope = saved
 
@@ -1491,11 +1500,11 @@ class Planner:
                     (lower_names.index(expression.name.lower()), item.descending)
                 )
                 continue
-            slot = len(output_names) + len(hidden_items)
+            hidden = len(output_names) + len(hidden_items)
             hidden_items.append(
-                ast.SelectItem(expression=expression, alias=f"__order_{slot}")
+                ast.SelectItem(expression=expression, alias=f"__order_{hidden}")
             )
-            key_slots.append((slot, item.descending))
+            key_slots.append((hidden, item.descending))
         extended = ast.SelectCore(
             items=list(core.items) + hidden_items,
             from_items=core.from_items,
@@ -1506,18 +1515,15 @@ class Planner:
         )
         extended_root = self._plan_core(extended, frames)
         keys = [
-            ((lambda slot: (lambda row, env: row[slot]))(slot), descending)
-            for slot, descending in key_slots
+            (program([slot(position)], VALUE).row, descending)
+            for position, descending in key_slots
         ]
         sorted_root = Sort(extended_root, keys)
-        strip = [
-            (lambda slot: (lambda row, env: row[slot]))(position)
-            for position in range(len(output_names))
-        ]
+        strip = program([slot(position) for position in range(len(output_names))], TUPLES)
         return Project(sorted_root, strip, output_names)
 
     def _compile_scalar(self, expression: ast.Expression, frames: List[Frame]):
-        return self._compile_in(expression, Scope([]), frames)
+        return program([self._lower_in(expression, Scope([]), frames)], VALUE).row
 
     # -- helpers -------------------------------------------------------------------
 

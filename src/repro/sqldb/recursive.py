@@ -50,11 +50,6 @@ def materialize_cte(planned: PlannedCTE, env: ExecutionEnv) -> CTEFrame:
         frame = CTEFrame(columns=list(planned.columns), rows=rows)
         env.bind_cte(planned.name, frame)
         return frame
-    seminaive = env.enable_seminaive
-    if not seminaive and not planned.distinct:
-        raise ExecutionError(
-            "naive fixpoint evaluation requires UNION (distinct) semantics"
-        )
     limit = env.recursion_limit
     seen = set()
     accumulated: List[tuple] = []
@@ -77,13 +72,10 @@ def materialize_cte(planned: PlannedCTE, env: ExecutionEnv) -> CTEFrame:
                 f"recursive CTE {planned.name!r} exceeded "
                 f"{MAX_ITERATIONS} iterations"
             )
-        # Semi-naive: the recursive branches see only last round's new
-        # rows.  Naive (the ablation baseline): they re-see everything
-        # accumulated so far, redoing all previous rounds' join work.
-        working = delta if seminaive else accumulated
+        # Semi-naive: the recursive branches see only last round's new rows.
         env.bind_cte(
             planned.name,
-            CTEFrame(columns=list(planned.columns), rows=list(working)),
+            CTEFrame(columns=list(planned.columns), rows=list(delta)),
         )
         next_delta: List[tuple] = []
         with maybe_span(
@@ -92,7 +84,7 @@ def materialize_cte(planned: PlannedCTE, env: ExecutionEnv) -> CTEFrame:
             kind="executor",
             cte=planned.name,
             round=iterations,
-            delta_in=len(working),
+            delta_in=len(delta),
         ) as span:
             for plan in planned.recursive_plans:
                 for row in plan.rows(env):

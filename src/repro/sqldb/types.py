@@ -142,7 +142,7 @@ def converter(sql_type: SQLType) -> Callable[[Any], Any]:
             return NULL
         try:
             return cast(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TypeMismatchError(
                 f"cannot coerce {value!r} to {sql_type}"
             ) from exc

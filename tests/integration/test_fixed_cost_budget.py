@@ -21,9 +21,12 @@ than as a generator); 248.2 once the server stopped calling an opt-in
 lint gate (off, but still a call) on every QUERY and BATCH; 236.9 once an
 index join stopped re-testing the key equality its probe had matched (the
 ON clause minus its join key is the residual, as for a hash join); 234.9
-before late rule evaluation was compiled, 222.9 after.  The budget sits
-between the first two, with room for interpreter versions that count
-comprehensions differently.
+before late rule evaluation was compiled, 222.9 after; 143.9 once every
+expression was emitted as Python text (one generated function per
+filter, projection, key list and residual instead of a closure per
+expression node, constants included).  The budget sits above the last,
+with room for interpreter versions that count comprehensions
+differently.
 
 The late half of that pass is also held on its own, because there the
 client checks the access rules of every fetched object: 254.2 calls per
@@ -31,7 +34,16 @@ cached navigational-late round trip while each object looked up its
 relevant rules (re-matching and re-classifying every rule) and a second
 interpreter walked each condition, 230.5 once each (action, type) has one
 compiled check — the predicate early evaluation injects — run on the
-object's attribute tuple.
+object's attribute tuple, 149.6 once that check is one generated function.
+
+One cached ``RECURSIVE_EARLY`` expand of the same product is held as a
+whole: the one ``WITH RECURSIVE`` statement runs on the row operators,
+where every fixpoint round filters, projects and joins row by row.
+21 984 calls while each expression node was a closure (``read``,
+``is_null``, ``literal``, ``to_bool``, ``and_fn``, a ``cast`` and a
+``types.convert`` per ``CAST(NULL AS ...)`` pad, a generator per
+projected row), 7 913 once each operator calls one generated function
+and constants are folded at plan time.
 
 Three engine-level statements are held the same way, on the ``txn_mix``
 product (δ=6, κ=4: 1 365 assemblies, all of one product), each cached
@@ -89,13 +101,19 @@ TREE = TreeParameters(depth=5, branching=3, visibility=0.6)
 SEED = 4
 STRATEGIES = (ExpandStrategy.NAVIGATIONAL_LATE, ExpandStrategy.NAVIGATIONAL_EARLY)
 
-#: Python-level calls one cached navigational round trip may cost.
-CALLS_PER_ROUND_TRIP_BUDGET = 300
+#: Python-level calls one cached navigational round trip may cost: one
+#: generated function per operator, not a closure per expression node
+#: (222.9 calls).
+CALLS_PER_ROUND_TRIP_BUDGET = 175
 
-#: Calls one cached navigational-late round trip may cost: one compiled
+#: Calls one cached navigational-late round trip may cost: one generated
 #: rule check per fetched object, not a rule lookup and a condition walk
-#: (254.2 calls).
-LATE_CALLS_PER_ROUND_TRIP_BUDGET = 242
+#: (254.2 calls) nor a closure per condition node (230.5 calls).
+LATE_CALLS_PER_ROUND_TRIP_BUDGET = 185
+
+#: Calls one cached recursive early expand of the whole product may cost
+#: (21 984 calls with a closure per expression node).
+RECURSIVE_EXPAND_CALLS_BUDGET = 12_000
 
 #: The ``txn_mix`` product and its three engine-level statements.
 TXN_MIX_TREE = TreeParameters(depth=6, branching=4, visibility=0.6)
@@ -202,6 +220,28 @@ def test_a_cached_late_round_trip_checks_its_rules_inside_its_budget():
         f"{per_trip:.1f} Python-level calls per cached navigational-late "
         f"round trip (budget {LATE_CALLS_PER_ROUND_TRIP_BUDGET}): the late "
         f"rule check no longer runs one compiled predicate per object"
+    )
+
+
+def test_a_cached_recursive_expand_stays_inside_its_call_budget():
+    scenario = build_scenario(TREE, WAN_512, seed=SEED)
+    client = scenario.client
+    root = scenario.product.root_obid
+    root_attrs = client.fetch_object(root)
+
+    def expand():
+        return client.multi_level_expand(
+            root, ExpandStrategy.RECURSIVE_EARLY, root_attrs=root_attrs
+        )
+
+    expand()  # plan cache and SQL cache are warm
+    before = scenario.connection.statistics["round_trips"]
+    calls = count_calls(expand)
+    assert scenario.connection.statistics["round_trips"] - before == 1
+    assert calls <= RECURSIVE_EXPAND_CALLS_BUDGET, (
+        f"{calls} Python-level calls for one cached recursive expand (budget "
+        f"{RECURSIVE_EXPAND_CALLS_BUDGET}): expressions on the row operators "
+        f"cost a call per node again"
     )
 
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import CatalogError, ExecutionError, IntegrityError
+from repro.errors import CatalogError, ExecutionError, IntegrityError, TypeMismatchError
 from repro.sqldb import Database
 
 
@@ -65,6 +65,32 @@ class TestInsert:
         )
         assert total == 5
         assert db.table_rowcount("t") == 5
+
+
+class TestInfinityIntoInteger:
+    """Infinity cannot be an INTEGER: a typed error, and no row changes."""
+
+    @pytest.fixture(autouse=True)
+    def seed(self, db):
+        db.execute("CREATE TABLE f (id INTEGER PRIMARY KEY, a INTEGER, x DOUBLE)")
+        db.execute("INSERT INTO f VALUES (1, 1, 2.0), (2, 2, 3.0)")
+
+    def heap(self, db):
+        return db.execute("SELECT * FROM f ORDER BY id").rows
+
+    @pytest.mark.parametrize(
+        "sql,params",
+        [
+            ("INSERT INTO f (id, a) VALUES (3, 1e400)", []),
+            ("INSERT INTO f (id, a) VALUES (?, ?)", [3, float("inf")]),
+            ("UPDATE f SET a = x * 1e400", []),
+        ],
+    )
+    def test_is_a_type_error_with_the_heap_unchanged(self, db, sql, params):
+        before = self.heap(db)
+        with pytest.raises(TypeMismatchError, match="cannot coerce inf to INTEGER"):
+            db.execute(sql, params)
+        assert self.heap(db) == before
 
 
 class TestUpdate:

@@ -9,6 +9,7 @@ from repro.errors import (
     LexerError,
     ParseError,
     SQLError,
+    TypeMismatchError,
 )
 from repro.sqldb import Database
 
@@ -100,3 +101,48 @@ class TestRuntimeErrors:
     def test_exceptions_are_sqlerror_subclasses(self):
         for error_type in (CatalogError, ParseError, LexerError, ExecutionError):
             assert issubclass(error_type, SQLError)
+
+
+class TestUnaryMinusOnANonNumber:
+    """``-x`` checks that x is a number, as ``x + 1`` does, on a one-row
+    table (the row function) and on a table of several rows (the batch
+    loop), and on the row operators."""
+
+    QUERIES = (
+        "SELECT -s FROM t",
+        "SELECT a FROM t WHERE -s = 1",
+        "SELECT -(a || 'z') FROM t",
+    )
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_is_a_type_mismatch(self, sql, rows, row_operators):
+        db = Database()
+        db.execute("CREATE TABLE t (a INTEGER, s VARCHAR(8))")
+        db.executemany("INSERT INTO t VALUES (?, ?)", [(i, f"v{i}") for i in range(rows)])
+        with pytest.raises(TypeMismatchError, match="non-numeric"):
+            db.execute(sql)
+        with row_operators(), pytest.raises(TypeMismatchError, match="non-numeric"):
+            db.execute(sql)
+
+
+class TestExpressionDepth:
+    """An expression is compiled to one Python expression, so its nesting
+    is bounded by Python's parser: past it, a typed error at plan time."""
+
+    def test_deep_sums_run_until_the_limit_then_fail_typed(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        assert db.execute("SELECT a" + " + a" * 80 + " FROM t").scalar() == 81
+        with pytest.raises(ExecutionError, match="too deeply nested"):
+            db.execute("SELECT a" + " + a" * 400 + " FROM t")
+
+    def test_long_case_and_coalesce_chains_are_flat(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a INTEGER)")
+        db.execute("INSERT INTO t VALUES (7)")
+        branches = " ".join(f"WHEN a = {i} THEN {i * 10}" for i in range(300))
+        assert db.execute(f"SELECT CASE {branches} END FROM t").scalar() == 70
+        nulls = ", ".join(["NULL"] * 300)
+        assert db.execute(f"SELECT COALESCE({nulls}, a) FROM t").scalar() == 7

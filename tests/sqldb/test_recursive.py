@@ -286,44 +286,68 @@ class TestNoFixpointRefused:
         assert users == {"sqldb/ast_walk.py", "sqldb/planner.py"}
 
 
+#: One round of the naive fixpoint of ``reach``: the whole accumulated
+#: table joined again, keeping only rows not accumulated yet.
+NAIVE_REACH_ROUND = (
+    "INSERT INTO acc SELECT DISTINCT edge.dst FROM acc JOIN edge "
+    "ON acc.node = edge.src WHERE edge.dst NOT IN (SELECT node FROM acc)"
+)
+
+
+def naive_reach(db, start):
+    """``reach`` from *start* by the naive fixpoint, written as SQL the
+    engine runs: non-recursive ``INSERT ... SELECT`` rounds over the whole
+    accumulated table until one adds nothing.  Returns the reached nodes
+    in order and the index probes of all rounds."""
+    db.execute("CREATE TABLE acc (node INTEGER)")
+    db.execute("INSERT INTO acc VALUES (?)", [start])
+    probes = 0
+    while True:
+        added = db.execute(NAIVE_REACH_ROUND).rowcount
+        probes += db.last_counters["index_probes"]
+        if not added:
+            break
+    return db.execute("SELECT node FROM acc ORDER BY 1").rows, probes
+
+
 class TestNaiveFixpointAblation:
-    """Correctness parity of the semi-naive and naive evaluation modes."""
+    """The engine's semi-naive fixpoint against the naive one, which is a
+    loop of non-recursive statements (:func:`naive_reach`)."""
+
+    REACH = (
+        "WITH RECURSIVE reach (node) AS "
+        "(SELECT 1 UNION SELECT dst FROM reach JOIN edge "
+        "ON reach.node = edge.src) SELECT node FROM reach ORDER BY 1"
+    )
 
     def test_results_identical_on_tree(self, graph_db):
-        sql = (
-            "WITH RECURSIVE reach (node) AS "
-            "(SELECT 1 UNION SELECT dst FROM reach JOIN edge "
-            "ON reach.node = edge.src) SELECT node FROM reach ORDER BY 1"
-        )
-        fast = graph_db.execute(sql).rows
-        graph_db.enable_seminaive = False
-        graph_db._plan_cache.clear()
-        slow = graph_db.execute(sql).rows
-        graph_db.enable_seminaive = True
-        assert fast == slow
+        fast = graph_db.execute(self.REACH).rows
+        slow, __ = naive_reach(graph_db, 1)
+        assert fast == slow == [(1,), (2,), (3,), (4,), (5,)]
 
     def test_results_identical_on_cycle(self, graph_db):
         graph_db.execute("INSERT INTO edge VALUES (4, 1)")
-        sql = (
-            "WITH RECURSIVE reach (node) AS "
-            "(SELECT 1 UNION SELECT dst FROM reach JOIN edge "
-            "ON reach.node = edge.src) SELECT COUNT(*) FROM reach"
-        )
-        graph_db.enable_seminaive = False
-        assert graph_db.execute(sql).scalar() == 5
-        graph_db.enable_seminaive = True
+        fast = graph_db.execute(self.REACH).rows
+        slow, __ = naive_reach(graph_db, 1)
+        assert fast == slow
+        assert len(slow) == 5
 
     def test_naive_requires_union_distinct(self, graph_db):
-        from repro.errors import ExecutionError
-
-        graph_db.enable_seminaive = False
-        with pytest.raises(ExecutionError):
-            graph_db.execute(
-                "WITH RECURSIVE s (n) AS "
-                "(SELECT 1 UNION ALL SELECT n + 1 FROM s WHERE n < 3) "
-                "SELECT COUNT(*) FROM s"
-            )
-        graph_db.enable_seminaive = True
+        # UNION ALL has no naive form: a round re-derives every row of the
+        # rounds before it, so without duplicate elimination the loop
+        # never adds nothing.  The engine's semi-naive UNION ALL ends.
+        assert graph_db.execute(
+            "WITH RECURSIVE s (n) AS "
+            "(SELECT 1 UNION ALL SELECT n + 1 FROM s WHERE n < 3) "
+            "SELECT COUNT(*) FROM s"
+        ).scalar() == 3
+        graph_db.execute("CREATE TABLE s (n INTEGER)")
+        graph_db.execute("INSERT INTO s VALUES (1)")
+        added = [
+            graph_db.execute("INSERT INTO s SELECT n + 1 FROM s WHERE n < 3").rowcount
+            for __ in range(4)
+        ]
+        assert added == [1, 2, 3, 4]  # one more each round, never none
 
 
 class TestRecursionLimitMidRound:

@@ -41,6 +41,10 @@ them hides a wrong row):
   SQLite's grammar wants a ``LIMIT`` first and rejects the text.  The two
   such statements of the engine corpus (``NO_SQLITE_GRAMMAR``) are left
   to the row-operator differential; ``LIMIT 2 OFFSET -1`` is compared.
+* **IN over a list of mixed kinds.**  Not a divergence: both engines
+  test membership, so ``2 IN (1, 'x')`` is FALSE in both, while ``2 =
+  'x'`` is a ``TypeMismatchError`` here and FALSE in SQLite.  Only the
+  ``IN`` forms are compared.
 * **Recursion without a fixpoint.**  A recursive branch that references
   its CTE twice, aggregates, or tests it under ``NOT IN``, and EXCEPT
   between branches, are refused by both engines (``ParseError`` here,
@@ -317,6 +321,21 @@ class TestInSubqueryNullMatrix:
                     assert assert_same_multiset(db, oracle, sql) == count
                 assert db.last_executor.startswith("row (")
                 assert db.last_counters["index_probes"] == probes
+        finally:
+            oracle.close()
+
+    def test_a_list_of_mixed_kinds_is_membership(self):
+        """An item of the other kind is no match, not an error, on the
+        indexed column (probed) and the unindexed one, whether the list
+        holds constants or expressions (DESIGN §10)."""
+        db, oracle = matrix_databases([1, None, 3], analyzed=False)
+        try:
+            for column in ("k", "u"):
+                for keyword in ("IN", "NOT IN"):
+                    for items in ("1, 'x'", f"{column}, 'x'", "'x', NULL"):
+                        test = f"{column} {keyword} ({items})"
+                        assert_same_multiset(db, oracle, f"SELECT id, {test} FROM t")
+                        assert_same_multiset(db, oracle, f"SELECT id FROM t WHERE {test}")
         finally:
             oracle.close()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TypeMismatchError
 from repro.sqldb import Database
 
 
@@ -54,26 +54,30 @@ class TestExists:
         assert len(result) == 4
 
     def test_uncorrelated_subquery_cached(self, db):
-        # With caching on, the inner SELECT runs once, not once per row.
+        # The inner SELECT runs once, not once per row.  The same test
+        # made correlated by a no-op outer reference runs once per row.
         from repro.sqldb.parser import parse_statement
         from repro.sqldb.planner import Planner
         from repro.sqldb.recursive import run_plan
         from repro.sqldb.executor import ExecutionEnv
 
-        plan = Planner(db.catalog, db.functions).plan_select(
-            parse_statement(
-                "SELECT * FROM node WHERE NOT EXISTS "
-                "(SELECT * FROM node WHERE kind = 'z')"
-            )
-        )
-        env = ExecutionEnv(functions=db.functions)
-        run_plan(plan, env)
-        assert env.counters["subquery_executions"] == 1
+        def executions(sql):
+            plan = Planner(db.catalog, db.functions).plan_select(parse_statement(sql))
+            env = ExecutionEnv(functions=db.functions)
+            rows = run_plan(plan, env)
+            return rows, env.counters["subquery_executions"]
 
-        env2 = ExecutionEnv(functions=db.functions)
-        env2.enable_subquery_cache = False
-        run_plan(plan, env2)
-        assert env2.counters["subquery_executions"] == 4  # once per row
+        cached = executions(
+            "SELECT * FROM node WHERE NOT EXISTS "
+            "(SELECT * FROM node WHERE kind = 'z')"
+        )
+        uncached = executions(
+            "SELECT * FROM node o WHERE NOT EXISTS "
+            "(SELECT * FROM node WHERE kind = 'z' AND o.obid = o.obid)"
+        )
+        assert cached[1] == 1
+        assert uncached[1] == 4  # once per row
+        assert cached[0] == uncached[0]
 
     def test_correlated_subquery_not_cached(self, db):
         from repro.sqldb.parser import parse_statement
@@ -179,3 +183,56 @@ class TestNestedSubqueries:
             "ORDER BY kind"
         )
         assert result.rows == [("a", 2), ("b", 2)]
+
+
+class TestInIsMembership:
+    """``IN`` is membership in each of its forms — a list of constants, a
+    list of expressions, a subquery: NULL as SQL has it, and an item of
+    the other kind is no match rather than an error (SQLite agrees; ``=``
+    still raises).  The three forms agree on every row."""
+
+    LISTS = [
+        ("1", "'x'"),
+        ("2", "'x'"),
+        ("'x'", "'y'"),
+        ("1", "NULL"),
+        ("'x'", "NULL"),
+        ("NULL", "NULL"),
+    ]
+
+    @pytest.mark.parametrize("negated", [False, True], ids=["in", "not-in"])
+    @pytest.mark.parametrize("items", LISTS, ids=lambda items: ",".join(items))
+    def test_the_three_forms_agree_on_every_row(self, items, negated):
+        first, second = items
+        # Columns i1 / i2 hold the items, for the list-of-expressions form.
+        kinds = ["VARCHAR(4)" if item.startswith("'") else "INTEGER" for item in items]
+        db = Database()
+        db.execute(
+            f"CREATE TABLE t (a INTEGER, s VARCHAR(4), i1 {kinds[0]}, i2 {kinds[1]})"
+        )
+        rows = [(2, "x"), (1, "y"), (None, "x"), (1, None)]
+        for a, s in rows:
+            db.execute(f"INSERT INTO t VALUES (?, ?, {first}, {second})", [a, s])
+        keyword = "NOT IN" if negated else "IN"
+        for operand in ("a", "s"):
+            literal = f"{operand} {keyword} ({first}, {second})"
+            expression = f"{operand} {keyword} (i1, i2)"
+            subquery = (
+                f"{operand} {keyword} (SELECT {first} UNION ALL SELECT {second})"
+            )
+            result = db.execute(f"SELECT {literal}, {expression}, {subquery} FROM t").rows
+            assert len(result) == len(rows)
+            for literal_value, expression_value, subquery_value in result:
+                assert literal_value == expression_value == subquery_value
+                assert literal_value is None or isinstance(literal_value, bool)
+
+    def test_an_item_of_the_other_kind_is_no_match(self):
+        mixed = Database()
+        mixed.execute("CREATE TABLE t (a INTEGER, s VARCHAR(4))")
+        mixed.execute("INSERT INTO t VALUES (2, 'x')")
+        assert mixed.execute(
+            "SELECT a IN (1, 'x'), a IN (a, 'x'), a IN (a + 5, 'x'), "
+            "a IN (SELECT s FROM t) FROM t"
+        ).rows == [(False, True, False, False)]
+        with pytest.raises(TypeMismatchError):
+            mixed.execute("SELECT a = 'x' FROM t")

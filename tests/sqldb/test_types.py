@@ -89,6 +89,17 @@ class TestCoercion:
         with pytest.raises(TypeMismatchError):
             coerce_value("maybe", BOOLEAN)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinity_into_integer_is_a_type_error(self, value):
+        with pytest.raises(TypeMismatchError, match="cannot coerce -?inf to INTEGER"):
+            coerce_value(value, INTEGER)
+
+    def test_cast_of_infinity_to_integer_is_a_type_error(self):
+        from repro.sqldb import Database
+
+        with pytest.raises(TypeMismatchError, match="cannot coerce inf to INTEGER"):
+            Database().execute("SELECT CAST(1e400 AS INTEGER)")
+
 
 class TestInference:
     def test_infer(self):

@@ -415,11 +415,6 @@ class TestBatchPrimitives:
         batch = Batch([], 3)
         assert batch.rows() == [(), (), ()]
 
-    def test_validity_mask_marks_non_nulls(self):
-        batch = Batch.from_rows([(1,), (None,), (3,)], arity=1)
-        assert batch.validity(0) == [True, False, True]
-        assert batch.validity(0) is batch.validity(0)  # memoised
-
     def test_gather_is_lazy_and_ordered(self):
         batch = Batch([[10, 20, 30, 40], ["a", "b", "c", "d"]], 4)
         picked = batch.gather([3, 1])

@@ -16,6 +16,9 @@ constructs that would smuggle nondeterminism (or real I/O) in:
   runs over the simulated link, never a real network or real
   concurrency.
 * ``os.urandom`` / ``uuid.uuid1`` / ``uuid.uuid4`` / ``secrets``.
+* the builtins ``exec`` / ``compile`` anywhere but
+  ``sqldb/expressions.py`` — generated code has one home, the expression
+  compiler, whose source is a pure function of the plan.
 
 Usage: ``python tools/check_determinism.py [root]`` (default
 ``src/repro``).  Exits 1 and lists offending ``file:line`` sites.
@@ -65,6 +68,10 @@ BANNED_IMPORTS = {
     "secrets": "use a seeded random.Random instead",
 }
 
+#: Builtins that turn text into code, and the one module allowed them.
+CODE_BUILTINS = ("exec", "compile")
+CODE_HOME = "sqldb/expressions.py"
+
 Violation = Tuple[str, int, str]
 
 
@@ -101,6 +108,12 @@ def check_module(path: pathlib.Path, rel: str) -> Iterator[Violation]:
                 )
         elif isinstance(node, ast.Call):
             dotted = _dotted(node.func)
+            if dotted in CODE_BUILTINS and not rel.replace("\\", "/").endswith(CODE_HOME):
+                yield (
+                    rel,
+                    node.lineno,
+                    f"{dotted}(): generated code lives only in {CODE_HOME}",
+                )
             parts = dotted.split(".")
             if len(parts) == 2:
                 pair = (parts[0], parts[1])
