@@ -1,182 +1,144 @@
-"""Column-chunk batches: what the operators' ``batches`` bodies pass around.
+"""Batches: what every operator's ``batches`` body passes around.
 
-A :class:`Batch` is a horizontal slice of a relation stored column-wise:
-one Python list (or tuple) per output slot, all of the same length.  The
-``batches`` bodies in :mod:`repro.sqldb.executor` pass batches
-instead of single rows, so per-tuple interpreter overhead — generator
-frames, closure calls, tuple indexing — is paid once per ``BATCH_SIZE``
-rows instead of once per row.  NULLs stay in-band as ``None`` (matching
-the row executor).
+A :class:`Batch` is a horizontal slice of a relation: the list of its row
+tuples.  Operators hand batches down the pipeline, so per-tuple
+interpreter overhead — generator frames, closure calls, tuple indexing —
+is paid once per batch instead of once per row.  NULLs stay in-band as
+``None``.
+
+The generated batch loops of :mod:`repro.sqldb.expressions` read a large
+batch column-wise: ``columns`` is a lazy view pivoting each column out of
+the rows on its first read, set on the batch the first time a loop needs
+it, so a scan pays only for the columns its plan reads and a cached chunk
+pivots a column once per table version.  A batch of at most
+:data:`SMALL_BATCH` rows (a point probe's, an index join's, a fixpoint
+round's) is never pivoted: its loops run the row function per row.
 
 Base-table batches are built lazily from :class:`~repro.sqldb.storage.
 TableStorage` and cached on the storage object, keyed by its mutation
 ``version`` — any insert/update/delete (including transaction rollback
-replay) invalidates the cached chunks, so a columnar scan can never see
-stale data.  Batches are immutable by convention: operators must build
-new column lists rather than mutate ones they received, because chunk
-columns are shared between executions through the cache.
+replay) invalidates the cached chunks, so a scan can never see stale
+data.  Batches are immutable by convention: operators build new batches
+rather than mutate ones they received, because chunk rows and columns
+are shared between executions through the cache.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 #: Rows per column chunk.  Big enough that the per-batch interpreter
 #: overhead (one Python-level loop set-up per operator per batch) is
 #: amortised over thousands of rows, small enough that a chunk's columns
-#: stay cache-resident and short-circuiting operators (LIMIT, EXISTS-style
-#: early exits) never materialise much more than they consume.
+#: stay cache-resident.
 BATCH_SIZE = 2048
+
+#: Batch loops run the row function per row up to this many rows and
+#: pivot the batch above it.  The navigational flood's batches (one to a
+#: few rows) and the recursive expand's fixpoint rounds sit below it; the
+#: report scans' chunks (``BATCH_SIZE`` rows) above it.
+SMALL_BATCH = 64
 
 Row = Tuple[Any, ...]
 
 
-class Batch:
-    """One column-chunk: ``columns[slot][i]`` is row *i*'s value for *slot*.
+class Batch(list):
+    """Some rows of a relation, as the list of their tuples;
+    ``columns[slot][i]`` is row *i*'s value for *slot* once a batch loop
+    has pivoted it (None before)."""
 
-    ``rows()`` materialises (and memoises) the row-tuple view used by
-    operators that work on rows (joins, distinct, sort) and by expressions
-    that read the whole row (subqueries).
-    A batch built from rows is the mirror image: each column is pivoted
-    out of the rows on first read, so a batch that is only passed along
-    (a probe's few rows, an aggregate's result) never pivots and zips
-    back, and a scan reads only the columns its plan touches.
-    """
+    columns: Optional["Columns"] = None
 
-    __slots__ = ("columns", "length", "_rows")
-
-    # Either a plain list of column sequences or a lazy view
-    # (:class:`_PivotedColumns` from :meth:`from_rows`,
-    # :class:`_GatheredColumns` from :meth:`gather`).
-    columns: Any
-
-    def __init__(
-        self,
-        columns: Sequence[Sequence[Any]],
-        length: int,
-        rows: Optional[List[Row]] = None,
-    ) -> None:
-        self.columns = list(columns)
-        self.length = length
-        self._rows = rows
-
-    @classmethod
-    def from_rows(cls, rows: List[Row], arity: int) -> "Batch":
-        """A column chunk over a list of row tuples (rows kept)."""
-        batch = object.__new__(cls)
-        batch.columns = _PivotedColumns(rows, arity)
-        batch.length = len(rows)
-        batch._rows = rows
-        return batch
-
-    def rows(self) -> List[Row]:
-        """The row-tuple view of this batch (memoised)."""
-        if self._rows is None:
-            if self.columns:
-                self._rows = list(zip(*self.columns))
-            else:
-                # Zero-arity relation (SELECT without FROM): every row is ().
-                self._rows = [()] * self.length
-        return self._rows
-
-    def gather(self, indices: List[int]) -> "Batch":
-        """A new batch holding the given row positions (in that order).
-
-        Columns are gathered *lazily*: a filtered batch often has only one
-        or two of its columns read downstream (a narrow projection, a join
-        key), so each column is materialised on first access rather than
-        eagerly copied.
-        """
-        batch = object.__new__(Batch)
-        batch.columns = _GatheredColumns(self.columns, indices)
-        batch.length = len(indices)
-        batch._rows = None
-        return batch
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Batch(arity={len(self.columns)}, length={self.length})"
+    def gather(self, indices: List[int]):
+        """A new batch holding the given row positions (in that order); a
+        large one picked out of a batch with columns is a :class:`_Gathered`
+        batch."""
+        if self.columns is None or len(indices) <= SMALL_BATCH:
+            return Batch(map(self.__getitem__, indices))
+        return _Gathered(self, indices)
 
 
-class _LazyColumns:
-    """A batch's column list, each column materialised on first read.
+class _Gathered:
+    """Rows picked out of a large batch with columns: a batch whose rows,
+    and each of its columns, are gathered out of the source's on first
+    read — a filter's survivors that only a projection or an aggregate
+    reads are never built as rows."""
 
-    Quacks like the list :class:`Batch` stores: ``[slot]`` indexing,
-    ``len``, truthiness and iteration (``zip(*columns)`` in ``rows()``).
-    Subclasses say how many columns there are and how one is built.
-    """
+    __slots__ = ("columns", "_source", "_indices", "_rows")
 
-    __slots__ = ("_source", "_cache")
+    def __init__(self, source: Batch, indices: List[int]) -> None:
+        self.columns = _GatheredColumns(source.columns, indices)
+        self._source = source
+        self._indices = indices
+        self._rows: Optional[List[Row]] = None
 
-    _source: Any
-    _cache: Dict[int, List[Any]]
+    def _picked(self) -> List[Row]:
+        rows = self._rows
+        if rows is None:
+            source = self._source
+            rows = self._rows = [source[i] for i in self._indices]
+        return rows
 
     def __len__(self) -> int:
-        raise NotImplementedError
-
-    def _column(self, slot: int) -> List[Any]:
-        raise NotImplementedError
-
-    def __getitem__(self, slot: int) -> List[Any]:
-        column = self._cache.get(slot)
-        if column is None:
-            column = self._cache[slot] = self._column(slot)
-        return column
+        return len(self._indices)
 
     def __iter__(self):
-        for slot in range(len(self)):
-            yield self[slot]
+        return iter(self._picked())
+
+    def __getitem__(self, index):
+        return self._picked()[index]
+
+    def gather(self, indices: List[int]):
+        picked = [self._indices[i] for i in indices]
+        if len(picked) <= SMALL_BATCH:
+            source = self._source
+            return Batch([source[i] for i in picked])
+        return _Gathered(self._source, picked)
 
 
-class _PivotedColumns(_LazyColumns):
-    """The columns of a list of row tuples.  One column is one C-level
-    pass over the rows; ``zip(*rows)`` would build every column at once
-    and allocate an iterator per row on the way."""
+class Columns(dict):
+    """A batch's columns, each pivoted out of its rows on first read
+    (``columns[slot]`` costs a call only then)."""
 
-    __slots__ = ("_arity",)
+    __slots__ = ("_rows",)
 
-    def __init__(self, rows: List[Row], arity: int) -> None:
-        self._source = rows
-        self._cache = {}
-        self._arity = arity
+    def __init__(self, rows: List[Row]) -> None:
+        super().__init__()
+        self._rows = rows
 
-    def __len__(self) -> int:
-        return self._arity
-
-    def _column(self, slot: int) -> List[Any]:
-        return list(map(itemgetter(slot), self._source))
+    def __missing__(self, slot: int) -> List[Any]:
+        column = self[slot] = list(map(itemgetter(slot), self._rows))
+        return column
 
 
-class _GatheredColumns(_LazyColumns):
-    """The columns of a gathered batch: the source's, at *indices*."""
+class _GatheredColumns(dict):
+    """The columns of a gathered batch, each gathered out of the source's
+    column on first read."""
 
-    __slots__ = ("_indices",)
+    __slots__ = ("_source", "_indices")
 
-    def __init__(self, source_columns, indices: List[int]) -> None:
-        self._source = source_columns
-        self._cache = {}
+    def __init__(self, source, indices: List[int]) -> None:
+        super().__init__()
+        self._source = source
         self._indices = indices
 
-    def __len__(self) -> int:
-        return len(self._source)
-
-    def _column(self, slot: int) -> List[Any]:
+    def __missing__(self, slot: int) -> List[Any]:
         source = self._source[slot]
-        return [source[i] for i in self._indices]
+        column = self[slot] = [source[i] for i in self._indices]
+        return column
 
 
 def table_batches(storage, batch_size: int = BATCH_SIZE, snapshot=None) -> List[Batch]:
     """The column chunks of a base table, built lazily and cached.
 
     The cache key is ``(stamp-or-live, storage.version, batch_size)``:
-    every mutation of the heap bumps the version, so a columnar scan
-    after any DML (or a rollback) rebuilds the chunks, and two reads at
-    the same stamp share them.  A read under *snapshot* that resolves no
-    version chain (``storage.as_of`` says so) *is* a live read and uses
-    the live chunks; one that does gets the second cache slot, so it
-    never evicts the live-heap chunks.  The chunk batches keep a
-    reference to the underlying row tuples, making the row-view
-    (:meth:`Batch.rows`) free for fallback expressions.
+    every mutation of the heap bumps the version, so a scan after any DML
+    (or a rollback) rebuilds the chunks, and two reads at the same stamp
+    share them — rows and pivoted columns alike.  A read under *snapshot*
+    that resolves no version chain (``storage.as_of`` says so) *is* a live
+    read and uses the live chunks; one that does gets the second cache
+    slot, so it never evicts the live-heap chunks.
     """
     stamp = storage.as_of(snapshot)
     key = (stamp, storage.version, batch_size)
@@ -188,10 +150,10 @@ def table_batches(storage, batch_size: int = BATCH_SIZE, snapshot=None) -> List[
     if cached is not None and cached[0] == key:
         return cached[1]
     rows = list(storage.rows(snapshot))
-    arity = storage.schema.arity
-    batches = [
-        Batch.from_rows(rows[start : start + batch_size], arity)
-        for start in range(0, len(rows), batch_size)
-    ]
+    batches = []
+    for start in range(0, len(rows), batch_size):
+        chunk = Batch(rows[start : start + batch_size])
+        chunk.columns = Columns(chunk)
+        batches.append(chunk)
     cache[slot] = (key, batches)
     return batches

@@ -129,6 +129,8 @@ class Database:
             "plan_cache_hits": 0,
             "rows_returned": 0,
             "columnar_statements": 0,
+            # Every SELECT runs on the batch operators, so this stays 0; the
+            # key stays because the STATS frame and its readers carry it.
             "columnar_fallbacks": 0,
             "snapshot_reads": 0,
             "versions_created": 0,
@@ -145,10 +147,6 @@ class Database:
         #: ANALYZEd database stays statistics-free (and deterministic).
         #: <= 0 disables the trigger.
         self.auto_analyze_threshold = auto_analyze_threshold
-        #: Which operator set ran the most recent SELECT: ``"columnar"``
-        #: when the whole plan vectorizes, else ``"row (columnar fallback:
-        #: <reason>)"``.  None until a SELECT has run (DML resets it).
-        self.last_executor: Optional[str] = None
         #: name (lower) -> ast.CreateView records, expanded at plan time.
         self.views: dict = {}
         #: Counters of the most recent execution (rows scanned, index
@@ -217,8 +215,6 @@ class Database:
             ) as span:
                 result = self._execute(sql, params, span)
                 span.meta["rows"] = len(result.rows)
-                if self.last_executor is not None:
-                    span.meta["executor"] = self.last_executor
                 return result
         finally:
             self._current_session = previous
@@ -229,7 +225,6 @@ class Database:
         #: reset here — a server CPU model must never be charged for a
         #: previous statement's stale scan counts.
         self.last_counters = {}
-        self.last_executor = None
         statement = None
         if isinstance(sql, str):
             cached = self._plan_cache.get(sql)
@@ -641,16 +636,10 @@ class Database:
         return ResultSet(plan.output_names, rows)
 
     def _run_plan(self, plan: Plan, env: ExecutionEnv) -> List[Tuple[Any, ...]]:
-        """Run *plan* and account which operator bodies it ran on — also
-        when it fails part-way."""
-        try:
-            return run_plan(plan, env)
-        finally:
-            executor = self.last_executor = env.executor
-            if executor == "columnar":
-                self.statistics["columnar_statements"] += 1
-            else:
-                self.statistics["columnar_fallbacks"] += 1
+        """Run *plan*, counted in ``columnar_statements`` also when it
+        fails part-way: every plan runs on the batch operators."""
+        self.statistics["columnar_statements"] += 1
+        return run_plan(plan, env)
 
     # -- DML / DDL ----------------------------------------------------------------
 

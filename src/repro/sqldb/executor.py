@@ -1,24 +1,34 @@
 """Physical operators and the execution environment.
 
-There is one operator hierarchy.  Every operator exposes ``rows(env)``
-yielding plain Python tuples — the classic iterator ("volcano") model —
-and the operators that can also work a :class:`~repro.sqldb.columnar.Batch`
-at a time carry that body as ``batches(env)`` on the same class.  Under
-CPython the per-row cost (a generator resumption plus a function call per
-operator per row) dominates scan-heavy queries; the batch bodies pay
-it once per chunk, running each operator's expressions through the
-batch loop generated for them by :mod:`repro.sqldb.expressions` (the
-same text as their row function).  Both bodies of an operator produce
-the same rows in the same order (scan order, left-order hash probe,
-first-seen group and distinct order), so comparing them is exact, not
-set-based.
+There is one operator hierarchy and one protocol: ``batches(env,
+budget)`` returns an operator's rows, in order, as
+:class:`~repro.sqldb.columnar.Batch` chunks, and every operator runs its
+expressions through the batch loops generated for them by
+:mod:`repro.sqldb.expressions`.  Under CPython the per-row cost of a
+pipeline (a generator resumption plus a function call per operator per
+row) dominates scan-heavy queries; a batch pays it once per chunk.  Row
+order is defined: scan order, key order of an index probe, left order
+then probe order of a join, frame order of a CTE scan, first-seen order
+of groups, DISTINCT and set operations.
 
-A plan runs entirely on ``batches`` or entirely on ``rows``
-(:func:`repro.sqldb.recursive.run_plan`): each node knows from
-construction whether it and everything below it has a batch body
-(:attr:`Operator.fallback`).  The row bodies are the only implementation
-of index joins, CTE scans, nested loops and set operations, and the
-differential oracle for the rest.
+The *budget* is how many more rows the consumer may take.  ``Limit``,
+``EXISTS`` (1), a scalar subquery (2) and the recursive fixpoint (its
+recursion limit minus what it holds, plus one) set it, and it is handed
+down the tree: no operator puts more rows than the budget in one batch,
+so a producer stops where the consumer stops — ``SELECT 10 / v FROM t
+LIMIT 2`` divides twice.  Operators that must see all of an input (the
+build side of a join, a sort, an aggregate, a set operation's right
+side) read it with :data:`UNBOUNDED`.  An operator finishes the batch it
+works on: a ``Filter`` cannot know how many of its input rows will pass,
+so it hands its own budget down and may read up to a budget's worth of
+rows past the last one its consumer takes, and a join tests every match
+of its left batch (DESIGN §10).
+
+A body returns a tuple when its output is computed already and fits in
+one batch, else an iterator that computes each batch as it is pulled;
+an operator over a computed input computes its own output at once, so a
+pipeline that sees one batch — a point query, a fixpoint round — runs
+without a generator.
 
 An operator holds the generated :class:`~repro.sqldb.expressions.
 Program` of its expressions (one per operator role: a filter's predicate,
@@ -35,8 +45,9 @@ subquery cache with its invalidation epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+import sys
+from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -60,13 +71,8 @@ from repro.sqldb.types import is_null
 Row = Tuple[Any, ...]
 ExprFn = Callable[[Row, "ExecutionEnv"], Any]
 
-
-@dataclass
-class CTEFrame:
-    """A materialised common table expression: column names plus rows."""
-
-    columns: List[str]
-    rows: List[Row] = field(default_factory=list)
+#: The budget of a consumer that takes every row.
+UNBOUNDED = sys.maxsize
 
 
 class ExecutionEnv:
@@ -81,7 +87,8 @@ class ExecutionEnv:
         self.params = tuple(params)
         self.functions = functions if functions is not None else FunctionRegistry()
         self.recursion_limit = recursion_limit
-        self.cte_frames: Dict[str, CTEFrame] = {}
+        #: CTE name (lower) -> its materialised rows as one batch.
+        self.cte_frames: Dict[str, Batch] = {}
         self.outer_rows: List[Row] = []
         self.cache_epoch = 0
         self.subquery_cache: Dict[int, Tuple[int, Any]] = {}
@@ -89,10 +96,6 @@ class ExecutionEnv:
             "rows_scanned": 0,
             "subquery_executions": 0,
             "index_probes": 0,
-            # Batches emitted / rows carried by them; stay 0 when the
-            # plan runs on the row bodies.
-            "vec_batches": 0,
-            "vec_rows": 0,
         }
         #: Optional :class:`repro.obs.TraceRecorder` threaded down from
         #: the owning :class:`~repro.sqldb.database.Database` (None keeps
@@ -104,23 +107,18 @@ class ExecutionEnv:
         #: environment (not the plan) because plans are cached and shared
         #: across transactions.
         self.snapshot = None
-        #: Which operator bodies the statement's plan ran on (``"columnar"``
-        #: or ``"row (columnar fallback: <reason>)"``), set by
-        #: :func:`repro.sqldb.recursive.run_plan`; None until a plan runs.
-        self.executor: Optional[str] = None
         #: ``id(operator) -> (key count, probed?)`` of the last run of each
         #: priced index probe (:meth:`_IndexProbe._priced_keys`); per
         #: execution because plans are cached and shared.  EXPLAIN ANALYZE
         #: reads it.
         self.probe_runs: Dict[int, Tuple[int, bool]] = {}
-
-    def bind_cte(self, name: str, frame: CTEFrame) -> None:
+    def bind_cte(self, name: str, frame: Batch) -> None:
         """(Re)bind a CTE name; invalidates the uncorrelated-subquery cache
         because cached results may depend on the old binding."""
         self.cte_frames[name.lower()] = frame
         self.cache_epoch += 1
 
-    def cte(self, name: str) -> CTEFrame:
+    def cte(self, name: str) -> Batch:
         try:
             return self.cte_frames[name.lower()]
         except KeyError:
@@ -146,51 +144,26 @@ class Operator:
 
     ``output_names`` lists the result column names in slot order; they
     drive result-set metadata and star expansion.  ``children`` are the
-    node's inputs in the order ``EXPLAIN`` prints them.  ``fallback`` is
-    None when this node and everything below it has a ``batches`` body,
-    otherwise the reason the plan runs on ``rows``: it names the first
-    operator in ``EXPLAIN`` order without one.
+    node's inputs in the order ``EXPLAIN`` prints them.
     """
 
     output_names: List[str]
     children: Tuple["Operator", ...]
-    fallback: Optional[str]
 
     def __init__(self, output_names: Sequence[str], *children: "Operator") -> None:
         self.output_names = list(output_names)
         self.children = children
-        if type(self).batches is Operator.batches:
-            self.fallback = (
-                f"operator {type(self).__name__} has no vectorized implementation"
-            )
-        else:
-            self.fallback = next(
-                (child.fallback for child in children if child.fallback), None
-            )
 
     def label(self) -> str:
         """This node's line in ``EXPLAIN``."""
         return type(self).__name__
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        """This operator's rows, in order, in non-empty batches of at
+        most *budget* rows: a tuple of at most one batch when they are
+        computed already, else an iterator computing each as it is
+        pulled."""
         raise NotImplementedError
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        """The rows of :meth:`rows`, in order, as :class:`Batch` chunks."""
-        raise NotImplementedError
-
-    def _emit(self, batch: Batch, env: ExecutionEnv) -> Batch:
-        """Account one outgoing batch in the execution counters."""
-        counters = env.counters
-        counters["vec_batches"] += 1
-        counters["vec_rows"] += batch.length
-        return batch
-
-    def _materialised(self, rows: List[Row], env: ExecutionEnv) -> Iterator[Batch]:
-        """Re-chunk a materialised row list into output batches."""
-        arity = len(self.output_names)
-        for start in range(0, len(rows), BATCH_SIZE):
-            yield self._emit(Batch.from_rows(rows[start : start + BATCH_SIZE], arity), env)
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
         """Ids of the live-heap rows this operator would produce.
@@ -204,6 +177,63 @@ class Operator:
         raise NotImplementedError
 
 
+def as_batches(rows: List[Row], budget: int) -> Iterable[Batch]:
+    """*rows* in batches of at most *budget* (and ``BATCH_SIZE``) rows:
+    a tuple when they fit in one, else each built as it is pulled."""
+    size = budget if budget < BATCH_SIZE else BATCH_SIZE
+    if len(rows) <= size:
+        return (Batch(rows),) if rows else ()
+    return (Batch(rows[start : start + size]) for start in range(0, len(rows), size))
+
+
+def _each(source: Iterable[Batch], step, env: ExecutionEnv) -> Iterable[Batch]:
+    """*step* — ``(batch, env) -> batch or None`` — over the batches of
+    *source*: at once when *source* is computed (a tuple), else as each
+    batch is pulled.  ``Filter`` and ``Project``, on every PDM statement's
+    path, spell this out in their ``batches``: the helper's frame per
+    call costs 3–5 % of the navigational and recursive statements'
+    engine time."""
+    if source.__class__ is not tuple:
+        return _pulled(source, step, env)
+    result = step(source[0], env) if source else None
+    return () if result is None else (result,)
+
+
+def _pulled(source: Iterable[Batch], step, env: ExecutionEnv) -> Iterator[Batch]:
+    for batch in source:
+        result = step(batch, env)
+        if result is not None:
+            yield result
+
+
+def _joined(source: Iterable[Batch], matches, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+    """The rows *matches* — ``(batch, env) -> rows`` — joins to each batch
+    of *source*, in batches of at most *budget* rows: at once when
+    *source* is computed (a tuple), else as each batch is pulled.  The
+    index join spells this out, as ``Filter`` does :func:`_each`."""
+    if source.__class__ is not tuple:
+        return _joined_pulled(source, matches, env, budget)
+    out = matches(source[0], env) if source else None
+    return as_batches(out, budget) if out else ()
+
+
+def _joined_pulled(
+    source: Iterable[Batch], matches, env: ExecutionEnv, budget: int
+) -> Iterator[Batch]:
+    for batch in source:
+        out = matches(batch, env)
+        if out:
+            yield from as_batches(out, budget)
+
+
+def plan_rows(operator: Operator, env: ExecutionEnv) -> List[Row]:
+    """Every row of *operator*, in order."""
+    rows: List[Row] = []
+    for batch in operator.batches(env, UNBOUNDED):
+        rows += batch
+    return rows
+
+
 class _TableAccess(Operator):
     """An access path to one base table: what can say *which* rows it
     produced (:meth:`Operator.row_ids`), not only what was in them."""
@@ -214,29 +244,37 @@ class _TableAccess(Operator):
 
 
 class SeqScan(_TableAccess):
-    """Full scan of a base table; batch-wise over its cached column chunks."""
+    """Full scan of a base table over its cached column chunks."""
 
     def label(self) -> str:
         return f"SeqScan({self.storage.schema.name})"
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        return _scanned(self.storage.rows(env.snapshot), env)
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        for batch in table_batches(self.storage, snapshot=env.snapshot):
-            env.counters["rows_scanned"] += batch.length
-            yield self._emit(batch, env)
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        """The cached chunks, sliced to the budget."""
+        chunks = table_batches(self.storage, snapshot=env.snapshot)
+        if len(chunks) == 1 and len(chunks[0]) <= budget:
+            env.counters["rows_scanned"] += len(chunks[0])
+            return (chunks[0],)
+        if budget < BATCH_SIZE:
+            chunks = chain.from_iterable(
+                (chunk,) if len(chunk) <= budget else as_batches(chunk, budget)
+                for chunk in chunks
+            )
+        return _scanned(chunks, env)
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
-        return _scanned((row_id for row_id, __ in self.storage.scan()), env)
+        counters = env.counters
+        for row_id, __ in self.storage.scan():
+            counters["rows_scanned"] += 1
+            yield row_id
 
 
-def _scanned(items: Iterator[Any], env: ExecutionEnv) -> Iterator[Any]:
-    """Pass *items* through, charging each to ``rows_scanned``."""
+def _scanned(batches: Iterable[Batch], env: ExecutionEnv) -> Iterator[Batch]:
+    """*batches*, each charged to ``rows_scanned`` as it is pulled."""
     counters = env.counters
-    for item in items:
-        counters["rows_scanned"] += 1
-        yield item
+    for batch in batches:
+        counters["rows_scanned"] += len(batch)
+        yield batch
 
 
 class _IndexProbe(_TableAccess):
@@ -249,10 +287,9 @@ class _IndexProbe(_TableAccess):
     scan is cheaper the node *is* a :class:`SeqScan`: the planner keeps
     the whole WHERE as the residual filter above every access path, so
     that filter keeps exactly the rows the probes would have produced.
-    The probe loop serves all three consumers: ``rows`` and ``batches``
-    ask the storage for the rows its snapshot (or the live heap) shows
-    under each key, and ``row_ids`` — how a DML statement locates its
-    target rows, always on the live heap — asks the index for the ids.
+    ``batches`` asks the storage for the rows its snapshot (or the live
+    heap) shows under each key; ``row_ids`` — how a DML statement locates
+    its target rows, always on the live heap — asks the index for the ids.
     """
 
     def __init__(self, storage: TableStorage, index, keys: Optional[Program]) -> None:
@@ -289,47 +326,58 @@ class _IndexProbe(_TableAccess):
         env.probe_runs[id(self)] = (count, probed)
         return keys if probed else None
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        keys = self._priced_keys(env)
-        if keys is None:
-            return SeqScan.rows(self, env)
-        return self._probe(
-            keys, env, partial(self.storage.probe, self.index, snapshot=env.snapshot)
-        )
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
         """The scan's cached column chunks when priced out, else the
-        probed rows as one batch."""
+        probed rows: probed at once for one key or an unbounded budget,
+        else key by key as the batches are pulled."""
         keys = self._priced_keys(env)
         if keys is None:
-            yield from SeqScan.batches(self, env)
-            return
-        found = list(
-            self._probe(
-                keys, env, partial(self.storage.probe, self.index, snapshot=env.snapshot)
-            )
-        )
+            return SeqScan.batches(self, env, budget)
+        if len(keys) > 1 and budget < UNBOUNDED:
+            return self._probed(keys, env, budget)
+        probe, index, snapshot = self.storage.probe, self.index, env.snapshot
+        counters = env.counters
+        found: List[Row] = []
+        for key in keys:
+            counters["index_probes"] += 1
+            found += probe(index, key, snapshot)
+        if len(found) > budget:
+            return _scanned(as_batches(found, budget), env)
+        counters["rows_scanned"] += len(found)
+        return as_batches(found, budget)
+
+    def _probed(
+        self, keys: Sequence[Tuple[Any, ...]], env: ExecutionEnv, budget: int
+    ) -> Iterator[Batch]:
+        """The rows under each key in key order; a key is probed once the
+        batches before it are taken."""
+        probe, index, snapshot = self.storage.probe, self.index, env.snapshot
+        counters = env.counters
+        found: List[Row] = []
+        for key in keys:
+            counters["index_probes"] += 1
+            found += probe(index, key, snapshot)
+            while len(found) >= budget:
+                counters["rows_scanned"] += budget
+                yield Batch(found[:budget])
+                del found[:budget]
         if found:
-            yield self._emit(Batch.from_rows(found, len(self.output_names)), env)
+            counters["rows_scanned"] += len(found)
+            yield Batch(found)
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
         keys = self._priced_keys(env)
         if keys is None:
             return SeqScan.row_ids(self, env)
-        return self._probe(keys, env, self.index.probe)
+        return self._probed_ids(keys, env)
 
-    def _probe(
-        self,
-        keys: Iterable[Tuple[Any, ...]],
-        env: ExecutionEnv,
-        probe: Callable[[Tuple[Any, ...]], List[Any]],
-    ) -> Iterator[Any]:
+    def _probed_ids(self, keys: Sequence[Tuple[Any, ...]], env: ExecutionEnv) -> Iterator[int]:
         counters = env.counters
         for key in keys:
             counters["index_probes"] += 1
-            for found in probe(key):
+            for row_id in self.index.probe(key):
                 counters["rows_scanned"] += 1
-                yield found
+                yield row_id
 
 
 class IndexLookup(_IndexProbe):
@@ -414,11 +462,13 @@ class CTEScan(Operator):
     def label(self) -> str:
         return f"CTEScan({self.name})"
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        """The frame itself when it fits the budget and ``BATCH_SIZE``."""
         frame = env.cte(self.name)
-        for row in frame.rows:
-            env.counters["rows_scanned"] += 1
-            yield row
+        if len(frame) > budget or len(frame) > BATCH_SIZE:
+            return _scanned(as_batches(frame, budget), env)
+        env.counters["rows_scanned"] += len(frame)
+        return (frame,) if frame else ()
 
 
 class RowsSource(Operator):
@@ -432,11 +482,8 @@ class RowsSource(Operator):
     def label(self) -> str:
         return "Values"
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        return iter(self._rows)
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        yield from self._materialised(self._rows, env)
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        return as_batches(self._rows, budget)
 
 
 class Filter(Operator):
@@ -447,32 +494,26 @@ class Filter(Operator):
         self.child = child
         self.predicate = predicate
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        predicate = self.predicate.row
-        for row in self.child.rows(env):
-            if predicate(row, env) is True:
-                yield row
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        source = self.child.batches(env, budget)
+        if source.__class__ is not tuple:
+            return _pulled(source, self._kept, env)
+        kept = self._kept(source[0], env) if source else None
+        return () if kept is None else (kept,)
 
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+    def _kept(self, batch: Batch, env: ExecutionEnv) -> Optional[Batch]:
         """A batch the predicate fully accepts passes through untouched
         (the common case for selective scans is all-or-mostly matches per
         chunk); otherwise the positions the batch loop selects (where the
-        predicate is TRUE: a plain 1 keeps no row in either body) are
-        gathered into a fresh batch.  A batch of one row — a point
-        probe's — is tested with the row function, which costs what the
-        row body costs."""
-        select = self.predicate.batch
-        predicate = self.predicate.row
-        for batch in self.child.batches(env):
-            if batch.length == 1:
-                if predicate(batch.rows()[0], env) is True:
-                    yield self._emit(batch, env)
-                continue
-            selected = select(batch, env)
-            if len(selected) == batch.length:
-                yield self._emit(batch, env)
-            elif selected:
-                yield self._emit(batch.gather(selected), env)
+        predicate is TRUE: a plain 1 keeps no row) are gathered into a
+        fresh batch.  A batch of one row — a point probe's — is tested
+        with the row function."""
+        if len(batch) == 1:
+            return batch if self.predicate.row(batch[0], env) is True else None
+        selected = self.predicate.batch(batch, env)
+        if len(selected) == len(batch):
+            return batch
+        return batch.gather(selected) if selected else None
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
         source = self.child
@@ -501,32 +542,24 @@ class Project(Operator):
     def label(self) -> str:
         return f"Project({', '.join(self.output_names)})"
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        project = self.exprs.row
-        for row in self.child.rows(env):
-            yield project(row, env)
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        """One loop over the batch's columns building the output rows in
-        row order — a batch of one row takes the row function, as
-        ``rows`` would."""
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        source = self.child.batches(env, budget)
         if self.identity:
-            for batch in self.child.batches(env):
-                yield self._emit(batch, env)
-            return
-        project = self.exprs.batch
-        row_function = self.exprs.row
-        arity = len(self.output_names)
-        for batch in self.child.batches(env):
-            if batch.length == 1:
-                projected = [row_function(batch.rows()[0], env)]
-            else:
-                projected = project(batch, env)
-            yield self._emit(Batch.from_rows(projected, arity), env)
+            return source
+        if source.__class__ is not tuple:
+            return _pulled(source, self._projected, env)
+        return (self._projected(source[0], env),) if source else ()
+
+    def _projected(self, batch: Batch, env: ExecutionEnv) -> Batch:
+        """One loop over the batch building the output rows in row order —
+        a batch of one row takes the row function."""
+        if len(batch) == 1:
+            return Batch([self.exprs.row(batch[0], env)])
+        return Batch(self.exprs.batch(batch, env))
 
 
 class NestedLoopJoin(Operator):
-    """Tuple-at-a-time join supporting INNER, LEFT and CROSS kinds.
+    """Join supporting INNER, LEFT and CROSS kinds.
 
     The right child is materialised once (it may be an arbitrary subplan);
     the full ON condition is evaluated on concatenated rows.
@@ -548,18 +581,25 @@ class NestedLoopJoin(Operator):
     def label(self) -> str:
         return f"NestedLoopJoin({'CROSS' if self.condition is None else self.kind})"
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        right_rows = list(self.right.rows(env))
-        pad = (None,) * len(self.right.output_names)
-        for left_row in self.left.rows(env):
-            matched = False
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if self.condition is None or self.condition(combined, env) is True:
-                    matched = True
-                    yield combined
-            if self.kind == "LEFT" and not matched:
-                yield left_row + pad
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        right_rows = plan_rows(self.right, env)
+        pad = (None,) * len(self.right.output_names) if self.kind == "LEFT" else None
+        condition = self.condition
+
+        def matches(batch: Batch, env: ExecutionEnv) -> List[Row]:
+            out: List[Row] = []
+            for left_row in batch:
+                matched = False
+                for right_row in right_rows:
+                    combined = left_row + right_row
+                    if condition is None or condition(combined, env) is True:
+                        matched = True
+                        out.append(combined)
+                if pad is not None and not matched:
+                    out.append(left_row + pad)
+            return out
+
+        return _joined(self.left.batches(env, budget), matches, env, budget)
 
 
 class HashJoin(Operator):
@@ -590,48 +630,24 @@ class HashJoin(Operator):
     def label(self) -> str:
         return f"HashJoin({len(self.left_keys.exprs)} key(s))"
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        table: Dict[Tuple[Any, ...], List[Row]] = {}
-        right_key = self.right_keys.row
-        for right_row in self.right.rows(env):
-            key = right_key(right_row, env)
-            if None in key:
-                continue  # NULL never equi-joins
-            table.setdefault(key, []).append(right_row)
-        pad = (None,) * len(self.right.output_names)
-        left_key = self.left_keys.row
-        for left_row in self.left.rows(env):
-            key = left_key(left_row, env)
-            matched = False
-            if None not in key:
-                for right_row in table.get(key, ()):
-                    combined = left_row + right_row
-                    if self.residual is None or self.residual(combined, env) is True:
-                        matched = True
-                        yield combined
-            if self.kind == "LEFT" and not matched:
-                yield left_row + pad
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
         """Batched build and probe: each batch's keys come from one batch
         loop, right rows are inserted in scan order and the left child is
-        walked in order, so the output order is that of ``rows``."""
+        walked in order."""
         table: Dict[Tuple[Any, ...], List[Row]] = {}
-        for batch in self.right.batches(env):
-            rows = batch.rows()
-            for i, key in enumerate(self.right_keys.batch(batch, env)):
+        for batch in self.right.batches(env, UNBOUNDED):
+            for right_row, key in zip(batch, self.right_keys.batch(batch, env)):
                 if None in key:
                     continue  # NULL never equi-joins
-                table.setdefault(key, []).append(rows[i])
-        pad = (None,) * len(self.right.output_names)
+                table.setdefault(key, []).append(right_row)
+        pad = (None,) * len(self.right.output_names) if self.kind == "LEFT" else None
         residual = self.residual
-        pad_left = self.kind == "LEFT"
-        for batch in self.left.batches(env):
-            left_rows = batch.rows()
+        left_keys = self.left_keys.batch
+
+        def matches(batch: Batch, env: ExecutionEnv) -> List[Row]:
             out: List[Row] = []
             append = out.append
-            for i, key in enumerate(self.left_keys.batch(batch, env)):
-                left_row = left_rows[i]
+            for left_row, key in zip(batch, left_keys(batch, env)):
                 matched = False
                 if None not in key:
                     for right_row in table.get(key, ()):
@@ -639,10 +655,11 @@ class HashJoin(Operator):
                         if residual is None or residual(combined, env) is True:
                             matched = True
                             append(combined)
-                if pad_left and not matched:
+                if pad is not None and not matched:
                     append(left_row + pad)
-            if out:
-                yield self._emit(Batch.from_rows(out, len(self.output_names)), env)
+            return out
+
+        return _joined(self.left.batches(env, budget), matches, env, budget)
 
 
 class IndexNestedLoopJoin(Operator):
@@ -652,8 +669,9 @@ class IndexNestedLoopJoin(Operator):
     the navigational child fetch and the recursive branch both join the
     working set against ``link`` (and then against ``assy``/``comp``) on
     indexed equality keys.  ``left_keys`` are compiled against the left
-    scope; the residual condition (the full ON clause) is verified on the
-    combined row, so a partially-matching index never loses correctness.
+    scope; the residual condition (the full ON clause minus the probed
+    key) is verified on the combined row.  Output is in left order, then
+    probe order.
     """
 
     def __init__(
@@ -672,6 +690,8 @@ class IndexNestedLoopJoin(Operator):
         self.left_keys = left_keys
         self.residual = residual
         self.kind = kind
+        #: The NULLs a LEFT join pads an unmatched left row with.
+        self.pad = (None,) * storage.schema.arity if kind == "LEFT" else None
 
     def label(self) -> str:
         return (
@@ -679,22 +699,42 @@ class IndexNestedLoopJoin(Operator):
             f"{self.storage.schema.name} via {self.index.name})"
         )
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        pad = (None,) * self.storage.schema.arity
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        source = self.left.batches(env, budget)
+        if source.__class__ is not tuple:
+            return _joined_pulled(source, self._matches, env, budget)
+        out = self._matches(source[0], env) if source else None
+        if not out:
+            return ()
+        if len(out) <= budget and len(out) <= BATCH_SIZE:
+            return (Batch(out),)
+        return as_batches(out, budget)
+
+    def _matches(self, batch: Batch, env: ExecutionEnv) -> List[Row]:
+        """The left batch's keys come from one batch loop (a batch of one
+        row takes the row function); one ``TableStorage.probe`` per left
+        row."""
         probe, index, snapshot = self.storage.probe, self.index, env.snapshot
-        left_key = self.left_keys.row
-        for left_row in self.left.rows(env):
-            key = left_key(left_row, env)
-            env.counters["index_probes"] += 1
+        residual, pad = self.residual, self.pad
+        if len(batch) == 1:
+            keys = [self.left_keys.row(batch[0], env)]
+        else:
+            keys = self.left_keys.batch(batch, env)
+        counters = env.counters
+        counters["index_probes"] += len(batch)
+        out: List[Row] = []
+        for left_row, key in zip(batch, keys):
+            found = probe(index, key, snapshot)
+            counters["rows_scanned"] += len(found)
             matched = False
-            for right_row in probe(index, key, snapshot):
-                env.counters["rows_scanned"] += 1
+            for right_row in found:
                 combined = left_row + right_row
-                if self.residual is None or self.residual(combined, env) is True:
+                if residual is None or residual(combined, env) is True:
                     matched = True
-                    yield combined
-            if self.kind == "LEFT" and not matched:
-                yield left_row + pad
+                    out.append(combined)
+            if pad is not None and not matched:
+                out.append(left_row + pad)
+        return out
 
 
 class UnionAll(Operator):
@@ -703,15 +743,8 @@ class UnionAll(Operator):
     def __init__(self, children: List[Operator]) -> None:
         super().__init__(children[0].output_names, *children)
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        for child in self.children:
-            for row in child.rows(env):
-                yield row
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        for child in self.children:
-            for batch in child.batches(env):
-                yield self._emit(batch, env)
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        return chain.from_iterable(child.batches(env, budget) for child in self.children)
 
 
 class Distinct(Operator):
@@ -722,63 +755,64 @@ class Distinct(Operator):
         super().__init__(child.output_names, child)
         self.child = child
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        seen = set()
-        for row in self.child.rows(env):
-            if row not in seen:
-                seen.add(row)
-                yield row
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
         seen: set = set()
-        arity = len(self.output_names)
-        for batch in self.child.batches(env):
+
+        def fresh(batch: Batch, env: ExecutionEnv) -> Optional[Batch]:
             out: List[Row] = []
-            for row in batch.rows():
+            for row in batch:
                 if row not in seen:
                     seen.add(row)
                     out.append(row)
-            if out:
-                yield self._emit(Batch.from_rows(out, arity), env)
+            return Batch(out) if out else None
+
+        return _each(self.child.batches(env, budget), fresh, env)
 
 
 class _SetOperation(Operator):
-    """Two inputs of equal arity; the output takes the left one's names."""
+    """Two inputs of equal arity; the output takes the left one's names.
+    Distinct left rows in first-seen order, kept when their presence in
+    the right input is :attr:`keep_present`."""
+
+    keep_present: bool
 
     def __init__(self, left: Operator, right: Operator) -> None:
         super().__init__(left.output_names, left, right)
         self.left = left
         self.right = right
 
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        right = set(plan_rows(self.right, env))
+        keep = self.keep_present
+        seen: set = set()
+
+        def kept(batch: Batch, env: ExecutionEnv) -> Optional[Batch]:
+            out: List[Row] = []
+            for row in batch:
+                if (row in right) is keep and row not in seen:
+                    seen.add(row)
+                    out.append(row)
+            return Batch(out) if out else None
+
+        return _each(self.left.batches(env, budget), kept, env)
+
 
 class SetDifference(_SetOperation):
     """EXCEPT (distinct) — rows of left not present in right."""
 
+    keep_present = False
+
     def label(self) -> str:
         return "Except"
-
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        exclude = set(self.right.rows(env))
-        seen = set()
-        for row in self.left.rows(env):
-            if row not in exclude and row not in seen:
-                seen.add(row)
-                yield row
 
 
 class SetIntersection(_SetOperation):
     """INTERSECT (distinct) — rows occurring in both children."""
 
+    keep_present = True
+
     def label(self) -> str:
         return "Intersect"
-
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        keep = set(self.right.rows(env))
-        seen = set()
-        for row in self.left.rows(env):
-            if row in keep and row not in seen:
-                seen.add(row)
-                yield row
 
 
 @dataclass
@@ -803,11 +837,9 @@ class Aggregate(Operator):
     compiles the select list and HAVING against that synthetic layout.
     With no GROUP BY there is exactly one (possibly empty) group, matching
     SQL's scalar-aggregate semantics.  Groups come out in first-seen
-    order; both bodies accumulate into the same
-    :class:`~repro.sqldb.functions.Aggregator` state machines — ``rows``
-    with one ``add`` per row, ``batches`` with one ``add_many`` per group
-    per batch, which leaves the state the ``add`` loop would — so DISTINCT
-    handling, NULL screening and result typing cannot diverge.
+    order; each aggregate folds its column slice per group and batch into
+    a :class:`~repro.sqldb.functions.Aggregator` with one ``add_many``,
+    which leaves the state one ``add`` per value would.
     """
 
     def __init__(
@@ -833,38 +865,14 @@ class Aggregate(Operator):
     def _new_group(self) -> List[Aggregator]:
         return [spec.new_aggregator() for spec in self.aggregates]
 
-    def _results(self, groups: Dict[Tuple[Any, ...], List[Aggregator]]) -> List[Row]:
-        if not self.groups.exprs and not groups:
-            # SELECT COUNT(*) FROM empty_table must yield one row.
-            groups[()] = self._new_group()
-        return [
-            key + tuple(aggregator.result() for aggregator in aggregators)
-            for key, aggregators in groups.items()
-        ]
-
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        groups: Dict[Tuple[Any, ...], List[Aggregator]] = {}
-        group_key, arguments = self.groups.row, self.arguments.row
-        for row in self.child.rows(env):
-            key = group_key(row, env)
-            aggregators = groups.get(key)
-            if aggregators is None:
-                aggregators = groups[key] = self._new_group()
-            values = iter(arguments(row, env))
-            for spec, aggregator in zip(self.aggregates, aggregators):
-                aggregator.add(None if spec.star else next(values))
-        yield from self._results(groups)
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
         """Group keys and aggregate arguments computed per batch by their
         batch loops; each aggregate folds its column slice per group with
         one :meth:`~repro.sqldb.functions.Aggregator.add_many` call."""
         groups: Dict[Tuple[Any, ...], List[Aggregator]] = {}
         keyed = bool(self.groups.exprs)
-        for batch in self.child.batches(env):
-            length = batch.length
-            if not length:
-                continue
+        for batch in self.child.batches(env, UNBOUNDED):
+            length = len(batch)
             values = iter(self.arguments.batch(batch, env))
             arg_columns = [None if spec.star else next(values) for spec in self.aggregates]
             if keyed:
@@ -890,7 +898,16 @@ class Aggregate(Operator):
                         aggregator.add_many(column)
                     else:
                         aggregator.add_many(list(map(column.__getitem__, at)))
-        yield from self._materialised(self._results(groups), env)
+        if not keyed and not groups:
+            # SELECT COUNT(*) FROM empty_table must yield one row.
+            groups[()] = self._new_group()
+        return as_batches(
+            [
+                key + tuple(aggregator.result() for aggregator in aggregators)
+                for key, aggregators in groups.items()
+            ],
+            budget,
+        )
 
 
 class Sort(Operator):
@@ -904,23 +921,15 @@ class Sort(Operator):
     def label(self) -> str:
         return f"Sort({len(self.keys)} key(s))"
 
-    def _sorted(self, materialised: List[Row], env: ExecutionEnv) -> List[Row]:
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        materialised = plan_rows(self.child, env)
         # Stable sort by least-significant key first.
         for key_fn, descending in reversed(self.keys):
             materialised.sort(
                 key=lambda row: _null_safe_key(key_fn(row, env)),
                 reverse=descending,
             )
-        return materialised
-
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
-        return iter(self._sorted(list(self.child.rows(env)), env))
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        materialised: List[Row] = []
-        for batch in self.child.batches(env):
-            materialised.extend(batch.rows())
-        yield from self._materialised(self._sorted(materialised, env), env)
+        return as_batches(materialised, budget)
 
 
 def _null_safe_key(value: Any):
@@ -949,49 +958,33 @@ class _RowCount(Operator):
 
 
 class Offset(_RowCount):
-    """Skip the first N rows — across batch boundaries in ``batches``."""
+    """Skip the first N rows: the input's budget is N more than its own,
+    and what is left of an input batch is cut to the budget."""
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterator[Batch]:
         skip = self._count(env)
-        for position, row in enumerate(self.child.rows(env)):
-            if position >= skip:
-                yield row
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        skip = self._count(env)
-        for batch in self.child.batches(env):
-            if skip == 0:
-                yield self._emit(batch, env)
-            elif skip >= batch.length:
-                skip -= batch.length
-            else:
-                yield self._emit(batch.gather(list(range(skip, batch.length))), env)
+        for batch in self.child.batches(env, budget + skip):
+            if skip >= len(batch):
+                skip -= len(batch)
+                continue
+            if skip:
+                batch = Batch(batch[skip:])
                 skip = 0
+            yield from (batch,) if len(batch) <= budget else as_batches(batch, budget)
 
 
 class Limit(_RowCount):
-    """Yield at most N rows — truncating the final batch in ``batches``."""
+    """Yield at most N rows: the input's budget is at most N, and the
+    final batch is truncated."""
 
-    def rows(self, env: ExecutionEnv) -> Iterator[Row]:
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterator[Batch]:
         remaining = self._count(env)
         if remaining == 0:
             return
-        for row in self.child.rows(env):
-            yield row
-            remaining -= 1
-            if remaining == 0:
-                return
-
-    def batches(self, env: ExecutionEnv) -> Iterator[Batch]:
-        remaining = self._count(env)
-        if remaining == 0:
-            return
-        for batch in self.child.batches(env):
-            if batch.length <= remaining:
-                remaining -= batch.length
-                yield self._emit(batch, env)
-                if remaining == 0:
-                    return
+        for batch in self.child.batches(env, min(budget, remaining)):
+            if len(batch) < remaining:
+                remaining -= len(batch)
+                yield batch
             else:
-                yield self._emit(batch.gather(list(range(remaining))), env)
+                yield batch if len(batch) == remaining else Batch(batch[:remaining])
                 return

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.sqldb import recursive
 from repro.sqldb.executor import Operator
 from repro.sqldb.planner import Plan, PlannedCTE
+from repro.sqldb.recursive import run_plan
 
 
 def explain_plan(plan: Plan) -> List[str]:
@@ -27,40 +27,31 @@ def explain_analyze_plan(plan: Plan, env) -> List[str]:
     """Execute *plan* in *env* and render it with runtime statistics.
 
     The plan runs exactly as a plain execution would
-    (:func:`~repro.sqldb.recursive.run_plan`): on its operators'
-    ``batches`` bodies when every one has them, on ``rows`` otherwise.
-
-    Every operator's ``rows`` (or ``batches``) generator is wrapped with a
-    per-instance counting shim before execution, so each rendered line
-    carries the operator's invocation count (``loops``) and the total rows
-    it produced — plus, on a vectorized plan, the ``batches`` they came
-    in; an operator the execution never pulled from is marked ``(never
-    executed)``.  The plan must be freshly built — EXPLAIN ANALYZE
-    statements bypass the plan cache, so the instrumented operator
-    instances are discarded with the plan.  The trailing ``Executor:``
-    line states which bodies ran, and why when it is the row ones.
+    (:func:`~repro.sqldb.recursive.run_plan`).  Every operator's
+    ``batches`` is wrapped with a per-instance counting shim before
+    execution, so each rendered line carries the operator's invocation
+    count (``loops``), the total rows it produced and the ``batches`` they
+    came in; an operator the execution never pulled from is marked
+    ``(never executed)``.  The plan must be freshly built — EXPLAIN
+    ANALYZE statements bypass the plan cache, so the instrumented
+    operator instances are discarded with the plan.
     """
-    vectorized = recursive.batch_fallback(plan) is None
-    pull = "batches" if vectorized else "rows"
     stats = {}
     for operator in plan_operators(plan):
         if id(operator) in stats:
             continue
-        record = stats[id(operator)] = {"loops": 0, "pulls": 0, "rows": 0}
+        record = stats[id(operator)] = {"loops": 0, "batches": 0, "rows": 0}
 
-        def counting(env, _original=getattr(operator, pull), _record=record):
+        def counting(env, budget, _original=operator.batches, _record=record):
             _record["loops"] += 1
-            for item in _original(env):
-                _record["pulls"] += 1
-                _record["rows"] += item.length if vectorized else 1
-                yield item
+            for batch in _original(env, budget):
+                _record["batches"] += 1
+                _record["rows"] += len(batch)
+                yield batch
 
-        setattr(operator, pull, counting)
+        operator.batches = counting
 
-    rows = recursive.run_plan(plan, env)
-    counters = ["rows_scanned", "index_probes", "subquery_executions"]
-    if vectorized:
-        counters += ["vec_batches", "vec_rows"]
+    rows = run_plan(plan, env)
 
     def annotate(operator: Operator) -> str:
         estimate = _estimate(operator)
@@ -73,10 +64,9 @@ def explain_analyze_plan(plan: Plan, env) -> List[str]:
         if key_run is not None:
             # The index probe priced its keys against a scan at run time.
             suffix = f" keys={key_run[0]} {'probed' if key_run[1] else 'scanned'}"
-        batches = f" (batches={record['pulls']})" if vectorized else ""
         return (
             f" ({prefix}loops={record['loops']} rows={record['rows']}{suffix})"
-            f"{batches}"
+            f" (batches={record['batches']})"
         )
 
     lines: List[str] = []
@@ -84,8 +74,7 @@ def explain_analyze_plan(plan: Plan, env) -> List[str]:
         lines.extend(_explain_cte(cte, annotate))
     lines.extend(_explain_operator(plan.root, 0, annotate))
     lines.append(f"Execution: {len(rows)} row(s) returned")
-    lines.append(f"Executor: {env.executor}")
-    for name in counters:
+    for name in ("rows_scanned", "index_probes", "subquery_executions"):
         lines.append(f"  {name}: {env.counters.get(name, 0)}")
     return lines
 

@@ -26,8 +26,10 @@ change a result: ordering comparisons under ``try/except TypeError``
 number against a string), ``=``, ``<>``, BETWEEN and ``+ - *`` behind one
 per-batch precheck of the kinds they read.  Otherwise, and whenever the
 guard trips, it is the row text over the columns, so errors surface in
-row order as on the row operators.  An expression with a subquery or an
-outer reference runs its row function over the batch's rows.
+row order.  An expression with a correlated subquery, an EXISTS or
+scalar subquery, or an outer reference runs its row function over the
+batch's rows; an uncorrelated ``IN (subquery)`` fetches its value set
+once per call and tests membership inline.
 
 No SQL text becomes Python source: the source holds operator tokens,
 slot and parameter numbers and generated names.  Literals are holes of
@@ -42,10 +44,12 @@ from __future__ import annotations
 import functools
 import re
 from collections import namedtuple
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, ExecutionError, SQLError, TypeMismatchError
 from repro.sqldb import ast_nodes as ast
+from repro.sqldb.columnar import SMALL_BATCH, Columns
 from repro.sqldb.functions import AGGREGATE_NAMES
 from repro.sqldb.types import converter
 
@@ -436,7 +440,7 @@ def _like(value: Any, pattern: Any, negated: bool) -> Optional[bool]:
 _RUNTIME: Dict[str, Any] = {
     name: globals()[name]
     for name in "_NUM _uniform _numeric _mismatch _arith_error _negate_error _arith "
-    "to_bool _member _in_static _like".split()
+    "to_bool _member _in_static _like Columns".split()
 }
 
 
@@ -486,6 +490,11 @@ class _Emitter:
         self.kind_columns: set = set()
         self.guarded = False
         self.fast = False
+        #: Slots read as ``_<slot>`` (bound by a column loop), not ``r[slot]``.
+        self.columns = False
+        #: ``id(subquery) -> (name, fetch)`` of each uncorrelated ``IN
+        #: (subquery)``'s value set (see :meth:`_insub`).
+        self.value_sets: Dict[int, Tuple[str, str]] = {}
 
     def argument(self, recipe: Recipe) -> str:
         """The name of a new factory argument computed by *recipe*."""
@@ -574,7 +583,7 @@ class _Emitter:
     def emit(self, ir: IR) -> _Text:
         kind, data, children = ir
         if kind == "slot":
-            return _Text(f"_{data}", None, ir, name=True)
+            return _Text(f"_{data}" if self.columns else f"r[{data}]", None, ir, name=True)
         if kind == "hole":
             return _Text(self.literal(data), None, ir, name=True)
         if kind == "param":
@@ -749,9 +758,29 @@ class _Emitter:
 
     def _insub(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
         subquery, negated = data
+        if subquery.correlated:
+            return _Text(
+                f"_member({texts[0].text}, *{self.const(subquery)}.value_set(r, env), "
+                f"{self.const(negated)})",
+                "bool3",
+                ir,
+            )
+        # Uncorrelated: ``(values, has_null)`` is bound to a name on first
+        # use in each call of the generated function — once per row
+        # function call, once per batch loop — and membership is inline.
+        found = self.value_sets.get(id(subquery))
+        if found is None:
+            found = self.value_sets[id(subquery)] = (
+                f"v{len(self.value_sets)}",
+                f"{self.const(subquery)}.value_set((), env)",
+            )
+        name, fetch = found
+        values = f"({name} or ({name} := {fetch}))"
+        x1, x2 = self.bind(texts[0])
+        hit, miss = ("False", "True") if negated else ("True", "False")
         return _Text(
-            f"_member({texts[0].text}, *{self.const(subquery)}.value_set(r, env), "
-            f"{self.const(negated)})",
+            f"((None if {values}[0] or {name}[1] else {miss}) if {x1} is None "
+            f"else ({hit} if {x2} in {values}[0] else (None if {name}[1] else {miss})))",
             "bool3",
             ir,
         )
@@ -848,8 +877,11 @@ class Program(NamedTuple):
 
 
 def _row_dependent(ir: IR) -> bool:
-    """Does *ir* need the whole row tuple (subqueries, outer rows)?"""
-    if ir[0] in ("outer", "exists", "scalar", "insub"):
+    """Does *ir* need the whole row tuple (subqueries, outer rows)?  An
+    uncorrelated ``IN (subquery)`` does not: its value set is fetched once
+    per call of the generated function."""
+    kind = ir[0]
+    if kind in ("outer", "exists", "scalar") or (kind == "insub" and ir[1][0].correlated):
         return True
     return any(_row_dependent(child) for child in ir[2])
 
@@ -862,18 +894,9 @@ def _slots(ir: IR, found: set) -> set:
     return found
 
 
-#: The batch loop of an expression that reads whole rows (a subquery, an
-#: outer reference): the row function over the batch's rows.
-_ROW_LOOPS = {
-    PREDICATE: "[i for i, r in enumerate(b.rows()) if row(r, env) is True]",
-    TUPLES: "[row(r, env) for r in b.rows()]",
-    COLUMNS: "[list(column) for column in zip(*[row(r, env) for r in b.rows()])]",
-}
-
-
 def _loop_head(slots: Sequence[int], position: bool = False) -> str:
     """``for`` clause binding each slot's value as ``_<slot>`` (and the
-    row's position as ``i``)."""
+    row's position as ``i``) from the batch's columns."""
     if not slots:
         return "for i in range(n)"
     names = ", ".join(f"_{s}" for s in slots)
@@ -884,11 +907,10 @@ def _loop_head(slots: Sequence[int], position: bool = False) -> str:
 
 
 def _loop(shape: str, exprs: Sequence[IR], texts: List[_Text]) -> str:
-    """The batch loop of *shape* over the emitted *texts*."""
+    """The batch loop of *shape* over the batch's columns."""
     if shape == PREDICATE:
         (text,) = texts
-        test = text.text if text.kind == "bool" else f"{text.text} is True"
-        return f"[i {_loop_head(sorted(_slots(exprs[0], set())), True)} if {test}]"
+        return f"[i {_loop_head(sorted(_slots(exprs[0], set())), True)} if {_test(text)}]"
     if shape == TUPLES:
         if exprs and all(ir[0] == "slot" for ir in exprs):
             return f"list(zip({', '.join(f'cols[{ir[1]}]' for ir in exprs)}))"
@@ -903,26 +925,53 @@ def _loop(shape: str, exprs: Sequence[IR], texts: List[_Text]) -> str:
     return f"[{', '.join(columns)}]"
 
 
+def _rows_loop(shape: str, texts: List[_Text]) -> str:
+    """The batch loop of *shape* over the batch's rows, with the row
+    function's text (slots read as ``r[slot]``) inline."""
+    if shape == PREDICATE:
+        return f"[i for i, r in enumerate(b) if {_test(texts[0])}]"
+    if shape == TUPLES:
+        return f"[({''.join(text.text + ', ' for text in texts)}) for r in b]"
+    return f"[{', '.join(f'[{text.text} for r in b]' for text in texts)}]"
+
+
+def _test(text: _Text) -> str:
+    """*text* as a Python condition: SQL TRUE."""
+    return text.text if text.kind == "bool" else f"{text.text} is True"
+
+
 @functools.lru_cache(maxsize=512)
 def _source(exprs: Tuple[IR, ...], shape: str) -> Tuple[str, Tuple[Recipe, ...]]:
     """The module text of the templates *exprs* in *shape*, and the
     recipes of its factory's arguments."""
     emitter = _Emitter()
-    careful = [emitter.emit(ir) for ir in exprs]
-    slots = sorted(set().union(*[_slots(ir, set()) for ir in exprs]))
+    by_row = [emitter.emit(ir) for ir in exprs]
     if shape in (VALUE, PREDICATE):
-        result = careful[0].text
+        result = by_row[0].text
     else:
-        result = f"({''.join(text.text + ', ' for text in careful)})"
-    lines = ["    def row(r, env):"]
-    lines += [f"        _{s} = r[{s}]" for s in slots]
-    lines.append(f"        return {result}")
+        result = f"({''.join(text.text + ', ' for text in by_row)})"
+    unfetched = [f"        {name} = None" for name, __ in emitter.value_sets.values()]
+    lines = ["    def row(r, env):"] + unfetched + [f"        return {result}"]
     if shape not in (VALUE, KEYS):
-        lines.append("    def batch(b, env):")
+        lines += ["    def batch(b, env):"] + unfetched
+        rows_loop = _rows_loop(shape, by_row)
+        if shape == TUPLES and exprs and all(ir[0] == "slot" for ir in exprs):
+            # A bare projection: C-level picking, no loop frame.
+            picked = f"map({emitter.const(itemgetter(*[ir[1] for ir in exprs]))}, b)"
+            rows_loop = f"list({picked})" if exprs[1:] else f"list(zip({picked}))"
         if any(_row_dependent(ir) for ir in exprs):
-            lines.append(f"        return {_ROW_LOOPS[shape]}")
+            lines.append(f"        return {rows_loop}")
         else:
-            lines += ["        cols = b.columns", "        n = b.length"]
+            lines += [
+                "        n = len(b)",
+                "        cols = b.columns",
+                "        if cols is None:",
+                f"            if n <= {SMALL_BATCH}:",
+                f"                return {rows_loop}",
+                "            cols = b.columns = Columns(b)",
+            ]
+            emitter.columns = True
+            careful = [emitter.emit(ir) for ir in exprs]
             careful_loop = _loop(shape, exprs, careful)
             emitter.fast = True
             fast = [emitter.emit(ir) for ir in exprs]

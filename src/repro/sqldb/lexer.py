@@ -43,25 +43,26 @@ def tokenize(sql: str) -> List[Token]:
                 raise LexerError("unterminated block comment", i)
             i = end + 2
             continue
+        start = i
         if ch == "'":
             literal, i = _read_string(sql, i)
-            tokens.append(Token(TokenKind.STRING, literal, i))
+            tokens.append(Token(TokenKind.STRING, literal, start))
             continue
         if ch == '"':
             ident, i = _read_quoted_identifier(sql, i)
-            tokens.append(Token(TokenKind.IDENT, ident, i))
+            tokens.append(Token(TokenKind.IDENT, ident, start))
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
             value, i = _read_number(sql, i)
-            tokens.append(Token(TokenKind.NUMBER, value, i))
+            tokens.append(Token(TokenKind.NUMBER, value, start))
             continue
         if ch.isalpha() or ch == "_":
             word, i = _read_word(sql, i)
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, i))
+                tokens.append(Token(TokenKind.KEYWORD, upper, start))
             else:
-                tokens.append(Token(TokenKind.IDENT, word, i))
+                tokens.append(Token(TokenKind.IDENT, word, start))
             continue
         if ch == "?":
             tokens.append(Token(TokenKind.PARAM, "?", i))

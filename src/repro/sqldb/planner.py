@@ -39,6 +39,7 @@ only speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExecutionError, ParseError, SQLError
@@ -64,7 +65,10 @@ from repro.sqldb.executor import (
     SetDifference,
     SetIntersection,
     Sort,
+    UNBOUNDED,
     UnionAll,
+    as_batches,
+    plan_rows,
 )
 from repro.sqldb.ast_walk import (
     SUBQUERY_NODES as _SUBQUERY_NODES,
@@ -137,6 +141,9 @@ class Plan:
     footprint: tuple = ()
 
 
+_first = itemgetter(0)
+
+
 class CompiledSubquery:
     """Runtime wrapper around a planned subquery expression.
 
@@ -194,16 +201,13 @@ class CompiledSubquery:
     # -- access styles -----------------------------------------------------
 
     def exists(self, row, env: ExecutionEnv) -> bool:
-        """True if the subquery yields at least one row (early exit)."""
+        """True if the subquery yields at least one row (a budget of one)."""
         hit = self._cached(env, "exists")
         if hit is not None:
             return hit[1]
         saved = self._enter(row, env)
         try:
-            result = False
-            for __ in self.plan.root.rows(env):
-                result = True
-                break
+            result = next(iter(self.plan.root.batches(env, 1)), None) is not None
         finally:
             self._exit(env, saved)
         self._store(env, "exists", result)
@@ -225,21 +229,19 @@ class CompiledSubquery:
         saved = self._enter(row, env)
         try:
             values: Dict[object, None] = {}
-            has_null = False
-            for result_row in self.plan.root.rows(env):
-                value = result_row[0]
-                if value is None:
-                    has_null = True
-                else:
-                    values[value] = None
+            for batch in self.plan.root.batches(env, UNBOUNDED):
+                values.update(dict.fromkeys(map(_first, batch)))
         finally:
             self._exit(env, saved)
+        has_null = None in values
+        values.pop(None, None)
         payload = (values, has_null)
         self._store(env, "value_set", payload)
         return payload
 
     def scalar(self, row, env: ExecutionEnv):
-        """Return the single value of the subquery (NULL when empty)."""
+        """Return the single value of the subquery (NULL when empty); a
+        budget of two rows shows a second one."""
         hit = self._cached(env, "scalar")
         if hit is not None:
             return hit[1]
@@ -247,15 +249,14 @@ class CompiledSubquery:
             raise ExecutionError("scalar subquery must return exactly one column")
         saved = self._enter(row, env)
         try:
-            value = None
-            count = 0
-            for result_row in self.plan.root.rows(env):
-                count += 1
-                if count > 1:
+            found: List[tuple] = []
+            for batch in self.plan.root.batches(env, 2):
+                found += batch
+                if len(found) > 1:
                     raise ExecutionError("scalar subquery returned more than one row")
-                value = result_row[0]
         finally:
             self._exit(env, saved)
+        value = found[0][0] if found else None
         self._store(env, "scalar", value)
         return value
 
@@ -263,7 +264,7 @@ class CompiledSubquery:
         """Materialise all rows (used by derived tables and tests)."""
         saved = self._enter(row, env)
         try:
-            return list(self.plan.root.rows(env))
+            return plan_rows(self.plan.root, env)
         finally:
             self._exit(env, saved)
 
@@ -274,15 +275,15 @@ class SubplanOperator(Operator):
     def __init__(self, plan: Plan) -> None:
         super().__init__(plan.output_names, plan.root)
         self.subquery = CompiledSubquery(plan, correlated=True)
-        self.fallback = "derived-table subplan runs row-at-a-time"
 
     def label(self) -> str:
         return "Subplan"
 
-    def rows(self, env: ExecutionEnv):
-        # Derived tables see no extra outer row; push an empty tuple so the
-        # outer-row stack depth stays consistent for the subplan.
-        return iter(self.subquery.rows((), env))
+    def batches(self, env: ExecutionEnv, budget: int):
+        # Materialised whole while an empty outer row is pushed (derived
+        # tables see no outer row), so the outer-row stack is back to its
+        # depth before any row reaches the consumer.
+        return as_batches(self.subquery.rows((), env), budget)
 
 
 class Planner:
@@ -1197,7 +1198,7 @@ class Planner:
                 found,
                 program(
                     [self._lower_in(key.left, graph.scope(joined, key.conjunct), frames)],
-                    KEYS,
+                    TUPLES,
                 ),
                 self._compile_all(graph, residual + leaf.pushed, step_order, frames),
                 kind=graph.kind,

@@ -121,8 +121,6 @@ def at(stack: SimpleNamespace, when: float) -> None:
 
 POINT = "SELECT v FROM t WHERE id = 1"
 SCAN = "SELECT id FROM t WHERE v < 2"
-#: One row, like POINT, from a plan with no batch body (EXCEPT).
-EXCEPT = "SELECT v FROM t WHERE id = 1 EXCEPT SELECT v FROM t WHERE id = 2"
 WRITE = "UPDATE t SET v = v + 1 WHERE id = ?"
 
 
@@ -137,10 +135,6 @@ def snapshot_read(stack):
 
 def columnar_run(stack):
     stack.first.execute(SCAN)
-
-
-def columnar_fallback(stack):
-    stack.first.execute(EXCEPT)
 
 
 def wal_append(stack):
@@ -232,10 +226,6 @@ EVENTS = [
     (
         "columnar run", columnar_run, "db_columnar_statements", 1,
         {**QUERY, "db_rows_returned": 4, "locks_acquisitions": 1},
-    ),
-    (
-        "columnar fallback", columnar_fallback, "db_columnar_fallbacks", 1,
-        {**QUERY, "db_rows_returned": 1, "locks_acquisitions": 1},
     ),
     ("WAL append", wal_append, "wal_appends", 3, {**QUERY, **LOGGED}),
     ("checkpoint", checkpoint, "wal_checkpoints", 1, {"wal_appends": 1}),

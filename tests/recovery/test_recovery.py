@@ -461,7 +461,6 @@ class TestColumnarCacheAcrossRecovery:
         # Populate the chunk cache with a columnar scan, then mutate
         # inside a committed transaction.
         assert db.execute("SELECT COUNT(*) FROM t WHERE v >= 0").scalar() == 50
-        assert db.last_executor == "columnar"
         old_storage = db.catalog.lookup("t").storage
         assert getattr(old_storage, "_columnar_cache", None) is not None
         with db.transaction():
@@ -475,4 +474,3 @@ class TestColumnarCacheAcrossRecovery:
         assert getattr(new_storage, "_columnar_cache", None) is None
         result = recovered.execute("SELECT COUNT(*) FROM t WHERE v >= 0")
         assert result.scalar() == 40
-        assert recovered.last_executor == "columnar"

@@ -96,12 +96,9 @@ class TestInListDedup:
         text = plan_text(db, "SELECT id FROM s WHERE id IN (1, 1, 2)")
         assert "MultiKeyIndexLookup(s via s_pk, 2 keys)" in text
 
-    def test_deduped_plan_returns_each_row_once(self, db, row_operators):
+    def test_deduped_plan_returns_each_row_once(self, db):
         sql = "SELECT id FROM s WHERE id IN (1, 1, 2) ORDER BY id"
-        with row_operators():
-            row_rows = db.execute(sql).rows
-        assert row_rows == [(1,), (2,)]
-        assert db.execute(sql).rows == row_rows
+        assert db.execute(sql).rows == [(1,), (2,)]
 
     def test_duplicate_parameters_still_runtime_deduplicated(self, db):
         text = plan_text(db, "SELECT id FROM s WHERE id IN (?, ?)", (2, 2))

@@ -12,6 +12,7 @@ from repro.errors import (
     TypeMismatchError,
 )
 from repro.sqldb import Database
+from repro.sqldb.columnar import SMALL_BATCH
 
 
 @pytest.fixture
@@ -105,8 +106,8 @@ class TestRuntimeErrors:
 
 class TestUnaryMinusOnANonNumber:
     """``-x`` checks that x is a number, as ``x + 1`` does, on a one-row
-    table (the row function) and on a table of several rows (the batch
-    loop), and on the row operators."""
+    table (the row function), on a small batch (the row function per row)
+    and on a batch with columns (the batch loop)."""
 
     QUERIES = (
         "SELECT -s FROM t",
@@ -114,15 +115,13 @@ class TestUnaryMinusOnANonNumber:
         "SELECT -(a || 'z') FROM t",
     )
 
-    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("rows", [1, 5, SMALL_BATCH + 1])
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_is_a_type_mismatch(self, sql, rows, row_operators):
+    def test_is_a_type_mismatch(self, sql, rows):
         db = Database()
         db.execute("CREATE TABLE t (a INTEGER, s VARCHAR(8))")
         db.executemany("INSERT INTO t VALUES (?, ?)", [(i, f"v{i}") for i in range(rows)])
         with pytest.raises(TypeMismatchError, match="non-numeric"):
-            db.execute(sql)
-        with row_operators(), pytest.raises(TypeMismatchError, match="non-numeric"):
             db.execute(sql)
 
 

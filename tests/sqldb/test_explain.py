@@ -294,11 +294,11 @@ class TestOperatorSet:
         )
 
     def test_no_operator_is_half_registered(self, corpus_db):
-        """Every concrete class has its own ``rows`` and a ``label()``, and
-        ``children`` is every operator an instance holds — whatever
-        attribute it keeps it under — so EXPLAIN, EXPLAIN ANALYZE, the
-        estimate pass and the batch-or-rows decision all see the same
-        tree."""
+        """Every concrete class has its own ``batches`` — its one body: no
+        operator has ``rows`` — and a ``label()``, and ``children`` is
+        every operator an instance holds — whatever attribute it keeps it
+        under — so EXPLAIN, EXPLAIN ANALYZE and the estimate pass all see
+        the same tree."""
         from repro.sqldb.executor import Operator
         from repro.sqldb.explain import plan_operators
         from repro.sqldb.parser import parse_statement
@@ -323,13 +323,10 @@ class TestOperatorSet:
             for operator in plan_operators(plan):
                 instances.setdefault(type(operator), operator)
         for cls in concrete_operator_classes():
-            assert cls.rows is not Operator.rows, cls
+            assert cls.batches is not Operator.batches, cls
+            assert not hasattr(cls, "rows"), cls
             instance = instances[cls]
             assert instance.label()
             children = [id(child) for child in instance.children]
             inputs = [id(child) for child in held(instance)]
             assert [child for child in children if child in inputs] == inputs, cls
-            has_batches = cls.batches is not Operator.batches
-            assert (instance.fallback is None) == (
-                has_batches and all(c.fallback is None for c in instance.children)
-            ), cls

@@ -54,6 +54,13 @@ class TestBasicTokens:
     def test_punctuation(self):
         assert values("( ) , . ;") == ["(", ")", ",", ".", ";"]
 
+    def test_every_token_records_its_start_offset(self):
+        sql = "SELECT a, 'xy', 12, \"Q\" FROM t"
+        # SELECT a , 'xy' , 12 , "Q" FROM t <EOF>
+        assert [token.position for token in tokenize(sql)] == [
+            0, 7, 8, 10, 14, 16, 18, 20, 24, 29, 30
+        ]
+
 
 class TestStrings:
     def test_simple_string(self):

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, IntegrityError
 from repro.sqldb import Database
+from repro.sqldb.executor import ExecutionEnv
+from repro.sqldb.parser import parse_statement
 
 
 def make_db():
@@ -348,9 +350,10 @@ class TestVersionsFollowReaders:
 
 
 class TestRowColumnarDifferential:
-    """The row executor is the semantics oracle: under a snapshot both
-    pipelines must return identical rows (the columnar chunk cache is
-    keyed by snapshot stamp, so it may never leak live data in)."""
+    """Under a snapshot a plan returns what the table held at the
+    snapshot's BEGIN, whether its rows are pulled in batches or a row at a
+    time (the columnar chunk cache is keyed by snapshot stamp, so it may
+    never leak live data in)."""
 
     QUERIES = [
         ("SELECT id, v FROM t ORDER BY id", []),
@@ -359,20 +362,22 @@ class TestRowColumnarDifferential:
         ("SELECT COUNT(*) FROM t WHERE id <> ?", [2]),
     ]
 
-    def test_row_and_columnar_agree_under_snapshot(self, row_operators):
+    def test_row_and_columnar_agree_under_snapshot(self):
         db = make_db()
+        begin_state = [db.execute(sql, params).rows for sql, params in self.QUERIES]
         db.execute("BEGIN TRANSACTION READ ONLY", session="reader")
         db.execute("UPDATE t SET v = 99 WHERE id = 1")
         db.execute("DELETE FROM t WHERE id = 2")
         db.execute("INSERT INTO t VALUES (4, 40)")
-        for sql, params in self.QUERIES:
-            with row_operators():
-                row = db.execute(sql, params, session="reader")
-            col = db.execute(sql, params, session="reader")
-            assert db.last_executor == "columnar", sql
-            assert col.rows == row.rows, sql
+        snapshot = db._transactions["reader"].snapshot
+        for (sql, params), expected in zip(self.QUERIES, begin_state):
+            assert db.execute(sql, params, session="reader").rows == expected, sql
+            plan = db.plan_statement(parse_statement(sql))
+            env = ExecutionEnv(params=params, functions=db.functions)
+            env.snapshot = snapshot
+            assert [row for batch in plan.root.batches(env, 1) for row in batch] == expected
         # And the snapshot answer differs from the live answer, so the
-        # differential above actually exercised the version chains.
+        # comparison above actually exercised the version chains.
         live = db.execute("SELECT id, v FROM t ORDER BY id").rows
         snap = snapshot_rows(db)
         assert live != snap
@@ -385,7 +390,6 @@ class TestRowColumnarDifferential:
         db.execute("BEGIN TRANSACTION READ ONLY", session="new")
         old = db.execute("SELECT SUM(v) FROM t", session="old").scalar()
         new = db.execute("SELECT SUM(v) FROM t", session="new").scalar()
-        assert db.last_executor == "columnar"
         assert old == 60
         assert new == 149
         db.execute("COMMIT", session="old")
@@ -404,8 +408,8 @@ class TestRowColumnarDifferential:
         db.execute("UPDATE t SET v = 99 WHERE id = 1")
         live = table_batches(storage)
         old = table_batches(storage, snapshot=snapshot)
-        assert [row for batch in old for row in batch.rows()][0] == (1, 10)
-        assert [row for batch in live for row in batch.rows()][0] == (1, 99)
+        assert [row for batch in old for row in batch][0] == (1, 10)
+        assert [row for batch in live for row in batch][0] == (1, 99)
         assert table_batches(storage) is live
         assert table_batches(storage, snapshot=snapshot) is old
         db.execute("COMMIT", session="reader")
@@ -437,35 +441,32 @@ OPS = st.lists(
 )
 
 
-def assert_reads_state(db, session, expected, oracle):
+#: The two index-nested-loop joins: a scan of ``t`` driving probes of
+#: ``g``, and a scan of ``g`` driving probes of ``t``.
+LABELLED = "SELECT t.id, g.w FROM t JOIN g ON g.k = t.k"
+PROBED = "SELECT g.k, t.id, t.v FROM g JOIN t ON t.k = g.k"
+
+
+def assert_reads_state(db, session, expected):
     """Every access path must show *session* exactly *expected*
-    (``{id: (k, v)}``): columnar scan and aggregate, index probe on both
-    operator sets (*oracle* is the ``row_operators`` fixture), row scan
-    driving an index-nested-loop join, and the join's probe side."""
+    (``{id: (k, v)}``): scan and aggregate, index probe, scan driving an
+    index-nested-loop join, and the join's probe side."""
     rows = sorted((i, k, v) for i, (k, v) in expected.items())
 
     def read(sql, params=()):
         return db.execute(sql, params, session=session).rows
 
     assert read("SELECT id, k, v FROM t ORDER BY id") == rows
-    assert db.last_executor == "columnar"
     total = sum(v for __, __k, v in rows) if rows else None
     assert read("SELECT COUNT(*), SUM(v) FROM t") == [(len(rows), total)]
-    assert db.last_executor == "columnar"
     for key in range(3):
         matching = [(i, v) for i, k, v in rows if k == key]
         assert sorted(read("SELECT id, v FROM t WHERE k = ?", [key])) == matching
-        assert db.last_executor == "columnar"
-        assert db.last_counters["index_probes"] == 1
-        with oracle():
-            assert sorted(read("SELECT id, v FROM t WHERE k = ?", [key])) == matching
         assert db.last_counters["index_probes"] == 1
     labelled = [(i, 10 * k) for i, k, __ in rows if k < 3]
-    assert sorted(read("SELECT t.id, g.w FROM t JOIN g ON g.k = t.k")) == labelled
-    assert "IndexNestedLoopJoin" in db.last_executor
+    assert sorted(read(LABELLED)) == labelled
     probed = sorted((k, i, v) for i, k, v in rows if k < 3)
-    assert sorted(read("SELECT g.k, t.id, t.v FROM g JOIN t ON t.k = g.k")) == probed
-    assert "IndexNestedLoopJoin" in db.last_executor
+    assert sorted(read(PROBED)) == probed
 
 
 #: A writer in flight around a snapshot's whole life, then finishing.
@@ -505,7 +506,7 @@ class TestVisibilityProperty:
         ]
     )
     @settings(max_examples=60, deadline=None)
-    def test_every_snapshot_always_reads_its_begin_state(self, row_operators, ops):
+    def test_every_snapshot_always_reads_its_begin_state(self, ops):
         """Random interleavings of autocommit writes, two explicit write
         transactions (committing or rolling back) and snapshots opening
         and closing anywhere in between: at any point, every open
@@ -520,6 +521,9 @@ class TestVisibilityProperty:
             "INSERT INTO t VALUES "
             + ", ".join(f"({row_id}, {k}, {v})" for row_id, (k, v) in FILLER.items())
         )
+        for join in (LABELLED, PROBED):
+            plan = "\n".join(line for (line,) in db.execute(f"EXPLAIN {join}").rows)
+            assert "IndexNestedLoopJoin" in plan
         committed = dict(FILLER)  # id -> (k, v)
         pending = {}  # open writer -> {id: (k, v) | None} not yet committed
         snapshots = {}  # session -> the committed state at its BEGIN
@@ -578,13 +582,13 @@ class TestVisibilityProperty:
                 snapshots[session] = dict(committed)
             elif kind == "read":
                 for session, expected in snapshots.items():
-                    assert_reads_state(db, session, expected, row_operators)
+                    assert_reads_state(db, session, expected)
             elif kind == "close" and snapshots:
                 session = next(iter(snapshots))
-                assert_reads_state(db, session, snapshots.pop(session), row_operators)
+                assert_reads_state(db, session, snapshots.pop(session))
                 db.execute("COMMIT", session=session)
         for session, expected in snapshots.items():
-            assert_reads_state(db, session, expected, row_operators)
+            assert_reads_state(db, session, expected)
             db.execute("COMMIT", session=session)
         # Every snapshot closed — some writers may still be in flight, and
         # finish with nobody watching.
@@ -593,4 +597,4 @@ class TestVisibilityProperty:
             finish(writer, commit=writer == "w1")
         assert_quiescent(db)
         assert db.mvcc.clock == writers_committed
-        assert_reads_state(db, None, committed, row_operators)
+        assert_reads_state(db, None, committed)

@@ -180,17 +180,11 @@ class TestSubqueryPlannerChoice:
         )
         assert SUBQUERY_LOOKUP in text
 
-    def test_probe_path_runs_on_both_operator_sets(self, row_operators):
+    def test_probe_path_probes_each_subquery_key(self):
         db = make_db(s_rows=[(1, 0, "a"), (2, 0, "b")])
         sql = "SELECT * FROM t WHERE k IN (SELECT x FROM s)"
-        columnar = db.execute(sql)
-        assert db.last_executor == "columnar"
+        assert len(db.execute(sql).rows) == 8
         assert db.last_counters["index_probes"] == 2
-        with row_operators():
-            row = db.execute(sql)
-        assert db.last_counters["index_probes"] == 2
-        assert columnar.rows == row.rows
-        assert len(row.rows) == 8
 
 
 class TestSubqueryOperatorSemantics:

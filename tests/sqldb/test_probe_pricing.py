@@ -37,7 +37,7 @@ from repro.sqldb.executor import (
 from repro.sqldb.explain import plan_operators
 from repro.sqldb.parser import parse_statement
 from repro.sqldb.stats import index_probe_cost, seq_scan_cost
-from tests.sqldb.test_differential import parameter_count
+from tests.sqldb.test_sqlite_oracle import parameter_count
 from tests.sqldb.test_sqlite_oracle import sqlite_twin
 
 AUDIT = "SELECT COUNT(*), SUM(w) FROM t WHERE product = ?"
@@ -74,17 +74,14 @@ class TestPricing:
         """The audit's shape: the one key is the whole table."""
         db = make_db([1] * 200)
         assert db.execute(AUDIT, [1]).rows == [(200, sum(i % 7 for i in range(200)))]
-        assert db.last_executor == "columnar"
         assert db.last_counters["index_probes"] == 0
         assert db.last_counters["rows_scanned"] == 200
         lines = analyze_lines(db, AUDIT, [1])
         assert "keys=1 scanned" in probe_line(lines)
-        assert "Executor: columnar" in lines
 
     def test_a_selective_index_still_probes(self):
         db = make_db([i % 50 for i in range(200)])
         assert db.execute(AUDIT, [7]).scalar() == 4
-        assert db.last_executor == "columnar"
         assert db.last_counters["index_probes"] == 1
         assert db.last_counters["rows_scanned"] == 4
         assert "keys=1 probed" in probe_line(analyze_lines(db, AUDIT, [7]))
@@ -149,14 +146,11 @@ class TestPricedOutUnderASnapshot:
     @given(hot=HOT, cold=COLD, writes=WRITES)
     @example(hot=30, cold=[], writes=[("move-out", 3), ("delete", 5)])  # scans
     @example(hot=3, cold=list(range(1, 13)) * 3, writes=[("move-in", 20)])  # probes
-    def test_the_answer_is_the_probes_multiset(
-        self, row_operators, hot, cold, writes
-    ):
+    def test_the_answer_is_the_probes_multiset(self, hot, cold, writes):
         """A READ ONLY snapshot opened before autocommit writers move rows
         into and out of the audited key, delete and insert: whether the
         probe is priced out or not, the reader's answer is the multiset the
-        probe sees at its stamp, SQLite's over the rows at BEGIN, and the
-        row operators'."""
+        probe sees at its stamp, and SQLite's over the rows at BEGIN."""
         keys = [0] * hot + cold
         db = make_db(keys)
         at_begin = [(row_id, key, row_id % 7) for row_id, key in enumerate(keys)]
@@ -180,7 +174,6 @@ class TestPricedOutUnderASnapshot:
 
         sql = "SELECT id, product, w FROM t WHERE product = ?"
         answer = Counter(db.execute(sql, [0], session="reader").rows)
-        assert db.last_executor == "columnar"
         probes = db.last_counters["index_probes"]
         # The live heap as the index sees it: NULL keys are never indexed.
         table_rows, distinct = db.execute(
@@ -200,9 +193,6 @@ class TestPricedOutUnderASnapshot:
             assert answer == Counter(oracle.execute(sql, [0]).fetchall())
         finally:
             oracle.close()
-        with row_operators():
-            rows = db.execute(sql, [0], session="reader").rows
-        assert answer == Counter(rows)
         db.execute("COMMIT", session="reader")
 
 

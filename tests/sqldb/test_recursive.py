@@ -407,3 +407,43 @@ class TestRecursionLimitMidRound:
             "SELECT COUNT(*) FROM r"
         )
         assert result.scalar() == 1 + self.WIDE
+
+
+class TestInSubqueryOncePerBatch:
+    """An uncorrelated ``IN (SELECT ...)`` in a recursive branch fetches its
+    value set once per batch the branch's filter sees — one per round here
+    — not once per row."""
+
+    def test_value_set_calls_per_fixpoint_round(self, monkeypatch):
+        from repro.sqldb.planner import CompiledSubquery
+
+        wide = 128  # round 1's batch is pivoted to columns, round 2's is not
+        db = Database()
+        db.execute("CREATE TABLE e (p INTEGER, c INTEGER)")
+        db.execute("CREATE TABLE ok (x INTEGER)")
+        db.executemany(
+            "INSERT INTO e VALUES (?, ?)",
+            [(1, 10 + i) for i in range(wide)] + [(10 + i, 1000 + i) for i in range(wide)],
+        )
+        db.executemany(
+            "INSERT INTO ok VALUES (?)",
+            [(10 + i,) for i in range(0, wide, 2)] + [(1000 + i,) for i in range(wide)],
+        )
+        calls = []
+        value_set = CompiledSubquery.value_set
+
+        def counted(self, row, env):
+            calls.append(env.cache_epoch)
+            return value_set(self, row, env)
+
+        monkeypatch.setattr(CompiledSubquery, "value_set", counted)
+        rows = db.execute(
+            "WITH RECURSIVE r (n) AS (SELECT 1 UNION ALL "
+            " SELECT e.c FROM r JOIN e ON e.p = r.n WHERE e.c IN (SELECT x FROM ok)) "
+            "SELECT n FROM r"
+        ).rows
+        assert len(rows) == 1 + wide // 2 + wide // 2
+        # Rounds 1 and 2 join rows (round 3's delta joins none): one fetch
+        # each, at that round's cache epoch — not one per row (2 * wide).
+        assert len(calls) == 2
+        assert calls[0] < calls[1]

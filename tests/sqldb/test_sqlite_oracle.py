@@ -1,14 +1,16 @@
-"""stdlib ``sqlite3`` as an independent oracle for what the planner re-plans.
+"""stdlib ``sqlite3`` as the engine's reference.
 
-ROADMAP 3(a), slices one and two: every SELECT of the PDM template
-corpus — the seven recursive ones (their outer link block is ``link.left
-IN (SELECT obid FROM rtbl) AND link.right IN (...)``, the access path the
-``IN (subquery)`` probe changed) and the sixteen navigational and batched
-ones — the engine-level corpus of ``test_differential.py``, and the
-``IN`` / ``NOT IN (subquery)`` NULL matrix on indexed and unindexed
-columns must return the same multiset of rows from this engine and from
-SQLite, which shares no code with it.  The statement text runs on SQLite
-verbatim.
+Every SELECT of the PDM template corpus — the seven recursive ones (their
+outer link block is ``link.left IN (SELECT obid FROM rtbl) AND
+link.right IN (...)``, the access path the ``IN (subquery)`` probe
+changed) and the sixteen navigational and batched ones — the
+engine-level corpus below (one statement per operator and expression
+shape), and the ``IN`` / ``NOT IN (subquery)`` NULL matrix on indexed and
+unindexed columns must return the same multiset of rows from this engine
+and from SQLite, which shares no code with it; an engine-corpus
+statement whose ``ORDER BY`` orders every row must return the same list.
+The statement text runs on SQLite verbatim, but for the one grammar gap
+below.
 
 Catalogue of intentional divergences (each one neutralised here, none of
 them hides a wrong row):
@@ -18,7 +20,10 @@ them hides a wrong row):
   equality, under which ``False == 0`` (and the hashes agree).
 * **Row order.**  Without ``ORDER BY`` both engines may return rows in any
   order, and with it ties are unordered — results are compared as
-  multisets (``collections.Counter``), never as lists.
+  multisets (``collections.Counter``), and as lists only where the
+  ``ORDER BY`` leaves no tie between different rows (``TOTAL_ORDER``).
+  NULLs sort last ascending here and first in SQLite, so ``ORDER BY n``
+  over a nullable ``n`` is compared as a multiset.
 * **Type affinity.**  An SQLite column declared INTEGER converts the text
   ``'1'`` to ``1``; this engine never coerces for comparison (a string key
   simply does not match an integer column).  The oracle's tables are
@@ -28,19 +33,14 @@ them hides a wrong row):
   SQLite gets the engine's own Python implementations through
   ``create_function`` (NULL-propagating, like ``register_function``), so a
   difference can only come from planning and execution, not from them.
-* **Errors past a LIMIT.**  A plan that vectorizes evaluates a whole batch
-  before ``LIMIT`` sees it, so ``SELECT 10 / v FROM t LIMIT 2`` raises
-  ``division by zero`` when a later row of the batch has ``v = 0``; a
-  row-at-a-time engine stops reading first (and SQLite would answer NULL
-  for ``x / 0`` anyway).  The executor is not selectable, so this is what
-  every caller gets; ``rows_scanned`` under ``LIMIT`` is batch-granular
-  for the same reason.  No statement compared here puts a ``LIMIT`` over
-  an expression that can raise; ``test_differential.py`` pins both
-  outcomes on both operator sets (DESIGN §10).
+* **Errors.**  SQLite answers NULL for ``x / 0`` and compares a number
+  with a string; this engine raises.  No statement compared here
+  evaluates either; ``test_differential.py`` pins the errors, and that a
+  ``LIMIT`` stops evaluation where the rows it returns end (DESIGN §10).
 * **OFFSET without LIMIT.**  The engine accepts ``SELECT ... OFFSET n``;
   SQLite's grammar wants a ``LIMIT`` first and rejects the text.  The two
-  such statements of the engine corpus (``NO_SQLITE_GRAMMAR``) are left
-  to the row-operator differential; ``LIMIT 2 OFFSET -1`` is compared.
+  such statements of the engine corpus (``NO_SQLITE_GRAMMAR``) run on
+  SQLite with ``LIMIT -1`` (no limit) before the ``OFFSET``.
 * **IN over a list of mixed kinds.**  Not a divergence: both engines
   test membership, so ``2 IN (1, 'x')`` is FALSE in both, while ``2 =
   'x'`` is a ``TypeMismatchError`` here and FALSE in SQLite.  Only the
@@ -52,6 +52,7 @@ them hides a wrong row):
   same chain is compared.
 """
 
+import re
 import sqlite3
 from collections import Counter
 
@@ -63,11 +64,6 @@ from repro.model.parameters import TreeParameters
 from repro.pdm.generator import generate_product
 from repro.pdm.schema import CLIENT_FUNCTIONS, load_product, new_pdm_database
 from repro.sqldb import Database
-from tests.sqldb.test_differential import (  # noqa: F401 — engine_db is a fixture
-    CORPUS_PARAMS,
-    ENGINE_CORPUS,
-    engine_db,
-)
 from tests.sqldb.test_recursive import LINEAR_CLOSURE, NO_FIXPOINT
 
 RECURSIVE_TEMPLATES = [
@@ -83,8 +79,127 @@ FLAT_TEMPLATES = [
     if sql.startswith("SELECT")
 ]
 
+
+def parameter_count(sql: str) -> int:
+    """``?`` placeholders outside string literals."""
+    return re.sub(r"'[^']*'", "", sql).count("?")
+
+
+# ---------------------------------------------------------------------------
+# Engine-level corpus: one seeded table pair, every operator and expression
+# shape.
+# ---------------------------------------------------------------------------
+
+ENGINE_CORPUS = [
+    # scans / filters / three-valued logic
+    "SELECT * FROM t",
+    "SELECT a, b FROM t WHERE v < 40",
+    "SELECT id FROM t WHERE v < 40 AND b < 500",
+    "SELECT id FROM t WHERE v < 10 OR b > 900",
+    "SELECT id FROM t WHERE NOT (v < 40)",
+    "SELECT id FROM t WHERE n IS NULL",
+    "SELECT id FROM t WHERE n IS NOT NULL",
+    "SELECT id FROM t WHERE n > 5",
+    "SELECT id FROM t WHERE n > 5 OR v < 3",
+    "SELECT id FROM t WHERE v BETWEEN 10 AND 20",
+    "SELECT id FROM t WHERE v IN (1, 2, 3, NULL)",
+    "SELECT id FROM t WHERE s LIKE 'name-1%'",
+    "SELECT id FROM t WHERE s LIKE '%7'",
+    # projections / expressions
+    "SELECT a + b, v * 2 FROM t WHERE v >= 5",
+    "SELECT a - b, -v FROM t",
+    "SELECT s || '-x' FROM t WHERE v < 5",
+    "SELECT CAST(v AS VARCHAR(10)) FROM t WHERE v < 5",
+    "SELECT CASE WHEN v < 10 THEN 'lo' ELSE 'hi' END FROM t",
+    "SELECT n + 1 FROM t",
+    # joins (dim.k is NOT indexed, so the planner hash-joins)
+    "SELECT t.id, dim.label FROM t JOIN dim ON t.v = dim.k",
+    "SELECT t.id, dim.label FROM t LEFT JOIN dim ON t.v = dim.k",
+    "SELECT t.id, dim.label FROM t JOIN dim ON t.v = dim.k WHERE dim.k < 20",
+    "SELECT t.id FROM t JOIN dim ON t.n = dim.k",  # NULL join keys never match
+    # aggregation
+    "SELECT COUNT(*) FROM t",
+    "SELECT COUNT(n), SUM(n), MIN(n), MAX(n), AVG(n) FROM t",
+    "SELECT v, COUNT(*), SUM(a) FROM t GROUP BY v",
+    "SELECT v, COUNT(*) FROM t GROUP BY v HAVING COUNT(*) > 3",
+    "SELECT COUNT(DISTINCT n), SUM(DISTINCT n), AVG(n) FROM t",
+    "SELECT v, COUNT(DISTINCT n), SUM(DISTINCT n), AVG(n) FROM t GROUP BY v",
+    "SELECT COUNT(*) FROM empty",
+    "SELECT SUM(k) FROM empty",
+    # sort / distinct / limit / offset / set ops
+    "SELECT v FROM t ORDER BY v DESC, id ASC",
+    "SELECT n FROM t ORDER BY n",
+    "SELECT DISTINCT v FROM t",
+    "SELECT DISTINCT n FROM t WHERE v < 10",
+    "SELECT id FROM t ORDER BY id LIMIT 7",
+    "SELECT id FROM t ORDER BY id LIMIT 5 OFFSET 95",
+    # a negative OFFSET skips nothing (it once re-emitted the batch's tail)
+    "SELECT id FROM t OFFSET -1",
+    "SELECT id FROM t OFFSET ?",
+    "SELECT id FROM t LIMIT 2 OFFSET -1",
+    "SELECT v FROM t WHERE v < 3 UNION ALL SELECT k FROM dim WHERE k < 3",
+    # a scalar subquery has no kernel: its row function runs per row
+    "SELECT v, (SELECT MAX(k) FROM dim) FROM t WHERE v < 3",
+    "SELECT v FROM t WHERE id = 4",  # primary-key index lookup
+    # a derived table and a CTE
+    "SELECT x.id FROM (SELECT id FROM t WHERE v < 5) AS x",
+    "WITH small AS (SELECT id, v FROM t WHERE v < 5) SELECT * FROM small",
+]
+
+#: Parameters of the corpus queries that take any.
+CORPUS_PARAMS = {"SELECT id FROM t OFFSET ?": (-2,)}
+
 #: Engine-corpus statements SQLite cannot parse (see the catalogue).
 NO_SQLITE_GRAMMAR = {"SELECT id FROM t OFFSET -1", "SELECT id FROM t OFFSET ?"}
+
+#: Engine-corpus statements whose ``ORDER BY`` leaves no tie between
+#: different rows: compared as lists.
+TOTAL_ORDER = {
+    "SELECT v FROM t ORDER BY v DESC, id ASC",
+    "SELECT id FROM t ORDER BY id LIMIT 7",
+    "SELECT id FROM t ORDER BY id LIMIT 5 OFFSET 95",
+}
+
+
+def sqlite_text(sql: str) -> str:
+    """*sql* as SQLite parses it: ``LIMIT -1`` before a lone ``OFFSET``."""
+    return sql.replace(" OFFSET ", " LIMIT -1 OFFSET ") if sql in NO_SQLITE_GRAMMAR else sql
+
+
+@pytest.fixture(scope="module")
+def engine_db() -> Database:
+    db = Database()
+    db.execute(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER,"
+        " v INTEGER, n INTEGER, s VARCHAR(20))"
+    )
+    db.execute("CREATE TABLE dim (k INTEGER, label VARCHAR(20))")
+    db.execute("CREATE TABLE empty (k INTEGER)")
+    rows = [
+        (i, i * 3, (i * 7) % 1000, i % 50, None if i % 3 == 0 else i % 11, f"name-{i}")
+        for i in range(500)
+    ]
+    db.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)", rows)
+    db.executemany(
+        "INSERT INTO dim VALUES (?, ?)", [(k, f"label-{k}") for k in range(0, 50, 2)]
+    )
+    return db
+
+
+@pytest.fixture(scope="module")
+def engine_oracle(engine_db):
+    """SQLite holding ``engine_db``'s tables."""
+    connection = sqlite_twin(
+        {
+            name: (
+                engine_db.catalog.lookup(name).schema.column_names,
+                engine_db.execute(f"SELECT * FROM {name}").rows,
+            )
+            for name in ("t", "dim", "empty")
+        }
+    )
+    yield connection
+    connection.close()
 
 
 def null_propagating(function):
@@ -224,31 +339,22 @@ class TestFlatTemplates:
 
 
 class TestEngineCorpus:
-    @pytest.fixture(scope="class")
-    def oracle(self, engine_db):
-        connection = sqlite_twin(
-            {
-                name: (
-                    engine_db.catalog.lookup(name).schema.column_names,
-                    engine_db.execute(f"SELECT * FROM {name}").rows,
-                )
-                for name in ("t", "dim", "empty")
-            }
-        )
-        yield connection
-        connection.close()
+    @pytest.mark.parametrize("sql", ENGINE_CORPUS)
+    def test_same_rows_as_sqlite(self, engine_db, engine_oracle, sql):
+        params = list(CORPUS_PARAMS.get(sql, ()))
+        ours = engine_db.execute(sql, params).rows
+        theirs = engine_oracle.execute(sqlite_text(sql), params).fetchall()
+        if sql in TOTAL_ORDER:
+            assert ours == theirs, sql
+        else:
+            assert Counter(ours) == Counter(theirs), sql
 
-    @pytest.mark.parametrize(
-        "sql", [sql for sql in ENGINE_CORPUS if sql not in NO_SQLITE_GRAMMAR]
-    )
-    def test_same_rows_as_sqlite(self, engine_db, oracle, sql):
-        assert_same_multiset(engine_db, oracle, sql, CORPUS_PARAMS.get(sql, ()))
-
-    def test_sqlite_rejects_only_the_catalogued_grammar(self, oracle):
+    def test_sqlite_rejects_only_the_catalogued_grammar(self, engine_oracle):
         assert NO_SQLITE_GRAMMAR <= set(ENGINE_CORPUS)
+        assert TOTAL_ORDER <= set(ENGINE_CORPUS)
         for sql in NO_SQLITE_GRAMMAR:
             with pytest.raises(sqlite3.OperationalError, match="syntax error"):
-                oracle.execute(sql, CORPUS_PARAMS.get(sql, ()))
+                engine_oracle.execute(sql, CORPUS_PARAMS.get(sql, ()))
 
 
 def matrix_databases(s_values, analyzed):
@@ -305,9 +411,9 @@ class TestInSubqueryNullMatrix:
         finally:
             oracle.close()
 
-    def test_negative_offset_skips_nothing(self, row_operators):
-        """On both of the engine's operator bodies, as in SQLite (which
-        wants a LIMIT before any OFFSET), over a scan and over a probe."""
+    def test_negative_offset_skips_nothing(self):
+        """As in SQLite (which wants a LIMIT before any OFFSET), over a
+        scan and over a probe."""
         db, oracle = matrix_databases([], analyzed=False)
         try:
             for sql, count, probes in (
@@ -315,11 +421,6 @@ class TestInSubqueryNullMatrix:
                 ("SELECT id FROM t WHERE k IN (1, 2) LIMIT 50 OFFSET -3", 9, 2),
             ):
                 assert assert_same_multiset(db, oracle, sql) == count
-                assert db.last_executor == "columnar"
-                assert db.last_counters["index_probes"] == probes
-                with row_operators():
-                    assert assert_same_multiset(db, oracle, sql) == count
-                assert db.last_executor.startswith("row (")
                 assert db.last_counters["index_probes"] == probes
         finally:
             oracle.close()

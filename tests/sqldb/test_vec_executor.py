@@ -1,11 +1,11 @@
-"""Unit tests for the vectorized executor: executor selection, whole-plan
-fallback, chunk-cache invalidation, batch boundaries, counters, EXPLAIN
-ANALYZE labelling, and the observability hooks.
+"""Unit tests for the batch executor: statement accounting, chunk-cache
+invalidation, batch boundaries, EXPLAIN ANALYZE labelling, the batch
+primitives, and the aggregate fold over groups and DISTINCT values that
+span chunks.
 
-Semantic equivalence with the row executor is covered separately by the
-differential harness (``test_differential.py``); these tests pin the
-machinery *around* the batch pipeline, and the aggregate fold over
-groups and DISTINCT values that span chunks.
+Semantics are checked against SQLite (``test_sqlite_oracle.py``) and
+against the same plan pulled a row at a time (``test_differential.py``);
+these tests pin the machinery *around* the batch pipeline.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import re
 import pytest
 
 from repro.obs import TraceRecorder
-from repro.sqldb.columnar import BATCH_SIZE, Batch, table_batches
+from repro.sqldb.columnar import BATCH_SIZE, SMALL_BATCH, Batch, Columns, table_batches
 from repro.sqldb.database import Database
 from tests.sqldb.test_differential import run_differential
+from tests.sqldb.test_sqlite_oracle import sqlite_twin
 
 
 @pytest.fixture
@@ -30,140 +31,26 @@ def db() -> Database:
     return database
 
 
-#: A one-row answer from a plan with no batch body (set difference).
+#: A one-row answer from a set difference.
 EXCEPT = "SELECT v FROM t WHERE id = 7 EXCEPT SELECT v FROM t WHERE id = 8"
 
 
 class TestExecutionModes:
-    def test_the_plan_picks_the_executor(self, db):
-        db.execute("SELECT v FROM t WHERE v < 3")
-        assert db.last_executor == "columnar"
-        db.execute("SELECT v FROM t WHERE id = 1")  # index path
-        assert db.last_executor == "columnar"
-        db.execute(EXCEPT)
-        assert db.last_executor.startswith("row (columnar fallback:")
-
     def test_statistics_track_columnar_runs_and_fallbacks(self, db):
+        """Every SELECT runs on the batch operators — a set difference
+        too — so every one counts as columnar and none as a fallback."""
         before = dict(db.statistics)
         db.execute("SELECT v FROM t WHERE v < 3")
-        db.execute(EXCEPT)
+        assert db.execute(EXCEPT).rows == [(7,)]
         after = db.statistics
-        assert after["columnar_statements"] == before["columnar_statements"] + 1
-        assert after["columnar_fallbacks"] == before["columnar_fallbacks"] + 1
-
-
-class TestWholePlanFallback:
-    def test_index_join_falls_back(self, db):
-        db.execute("CREATE TABLE u (t_id INTEGER)")
-        db.execute("INSERT INTO u VALUES (7)")
-        db.execute("SELECT t.v FROM u JOIN t ON t.id = u.t_id")
-        assert db.last_executor is not None
-        assert db.last_executor.startswith(
-            "row (columnar fallback: operator IndexNestedLoopJoin"
-        )
-
-    def test_recursive_cte_falls_back(self, db):
-        db.execute(
-            "WITH RECURSIVE c (n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM c"
-            " WHERE n < 5) SELECT n FROM c"
-        )
-        assert db.last_executor is not None
-        assert "columnar fallback" in db.last_executor
-
-    def test_derived_table_falls_back(self, db):
-        db.execute("SELECT x.v FROM (SELECT v FROM t WHERE v < 5) AS x")
-        assert db.last_executor is not None
-        assert "columnar fallback" in db.last_executor
-
-    #: One statement per family of plan that runs on the row bodies, with
-    #: the first operator (in EXPLAIN order) that has no batch body.
-    FAMILIES = {
-        "index-nested-loop": (
-            "SELECT c.x FROM c JOIN u ON u.t_id = c.x",
-            "operator IndexNestedLoopJoin has no vectorized implementation",
-        ),
-        "nested loop": (
-            "SELECT l.x FROM c AS l JOIN c AS r ON l.x < r.x",
-            "operator NestedLoopJoin has no vectorized implementation",
-        ),
-        # The join is named, not the index lookup below it: EXPLAIN order.
-        "nested loop over index lookup": (
-            "SELECT l.x FROM c AS l, t WHERE t.id = 3 AND l.x < t.v",
-            "operator NestedLoopJoin has no vectorized implementation",
-        ),
-        "cte": (
-            "WITH w (n) AS (SELECT x FROM c) SELECT n FROM w",
-            "plan materialises CTEs",
-        ),
-        "set difference": (
-            "SELECT x FROM c EXCEPT SELECT v FROM t",
-            "operator SetDifference has no vectorized implementation",
-        ),
-        "set intersection": (
-            "SELECT x FROM c INTERSECT SELECT v FROM t",
-            "operator SetIntersection has no vectorized implementation",
-        ),
-        "derived table": (
-            "SELECT d.v FROM (SELECT v FROM t WHERE v < 5) AS d",
-            "derived-table subplan runs row-at-a-time",
-        ),
-    }
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_every_fallback_family_says_why_and_is_counted(self, db, family):
-        sql, reason = self.FAMILIES[family]
-        db.execute_script(
-            "CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER);"
-            "CREATE INDEX u_t ON u (t_id);"
-            "CREATE TABLE c (x INTEGER)"
-        )
-        db.executemany("INSERT INTO c VALUES (?)", [(i,) for i in range(5)])
-        before = dict(db.statistics)
-        db.execute(sql)
-        assert db.last_executor == f"row (columnar fallback: {reason})"
-        assert db.statistics["columnar_fallbacks"] == before["columnar_fallbacks"] + 1
-        assert db.statistics["columnar_statements"] == before["columnar_statements"]
-        assert db.last_counters["vec_batches"] == 0
-        assert db.last_counters["vec_rows"] == 0
-        footer = [line for (line,) in db.execute(f"EXPLAIN ANALYZE {sql}").rows]
-        assert f"Executor: row (columnar fallback: {reason})" in footer
-
-    def test_a_plan_runs_whole_on_one_kind_of_body(self, db):
-        """The hash join has a batch body and so has everything below it,
-        but the EXCEPT above it has none: nothing in the plan emits a
-        batch."""
-        db.execute("CREATE TABLE dim (k INTEGER)")
-        db.executemany("INSERT INTO dim VALUES (?)", [(k,) for k in range(5)])
-        join = "SELECT t.id FROM t JOIN dim ON t.v = dim.k"
-        db.execute(join)
-        assert db.last_executor == "columnar"
-        assert db.last_counters["vec_batches"] > 0
-        db.execute(f"{join} EXCEPT SELECT k FROM dim")
-        assert db.last_executor.startswith("row (columnar fallback: operator SetDiff")
-        assert db.last_counters["vec_batches"] == 0
-
-    def test_columnar_counts_are_what_they_were(self, db):
-        before = dict(db.statistics)
-        db.execute("SELECT v FROM t WHERE v < 3")
-        assert db.last_executor == "columnar"
-        assert db.statistics["columnar_statements"] == before["columnar_statements"] + 1
-        assert db.statistics["columnar_fallbacks"] == before["columnar_fallbacks"]
-        # scan, filter and project each emit one batch: 100 + 30 + 30 rows
-        assert db.last_counters["vec_batches"] == 3
-        assert db.last_counters["vec_rows"] == 160
-
-    def test_fallback_result_matches_row_mode(self, db, row_operators):
-        fallback = db.execute(EXCEPT)
-        assert db.last_executor.startswith("row (columnar fallback:")
-        with row_operators():
-            row = db.execute(EXCEPT)
-        assert fallback.rows == row.rows == [(7,)]
+        assert after["columnar_statements"] == before["columnar_statements"] + 2
+        assert after["columnar_fallbacks"] == before["columnar_fallbacks"] == 0
 
 
 class TestIndexProbeBodies:
-    """An index probe has both bodies: the engine runs its batch body, the
-    oracle its row body, and both probe (a unique index is never priced
-    against the scan)."""
+    """An index probe answers the same pulled whole and a row at a time,
+    and probes each key once (a unique index is never priced against the
+    scan)."""
 
     PROBES = {
         "index lookup": ("SELECT v FROM t WHERE id = 7", 1),
@@ -171,33 +58,12 @@ class TestIndexProbeBodies:
     }
 
     @pytest.mark.parametrize("family", sorted(PROBES))
-    def test_both_bodies_probe_and_agree(self, db, row_operators, family):
+    def test_both_bodies_probe_and_agree(self, db, family):
         sql, probes = self.PROBES[family]
         before = dict(db.statistics)
-        columnar = db.execute(sql)
-        assert db.last_executor == "columnar"
+        assert run_differential(db, sql)
         assert db.statistics["columnar_statements"] == before["columnar_statements"] + 1
         assert db.last_counters["index_probes"] == probes
-        assert db.last_counters["vec_batches"] > 0
-        with row_operators():
-            row = db.execute(sql)
-        assert db.last_counters["index_probes"] == probes
-        assert db.last_counters["vec_batches"] == 0
-        assert columnar.rows == row.rows
-
-
-class TestCounters:
-    def test_vec_counters_populated_in_columnar_mode(self, db):
-        db.execute("SELECT v FROM t WHERE v < 3")
-        assert db.last_counters["vec_batches"] > 0
-        assert db.last_counters["vec_rows"] > 0
-        assert db.last_counters["rows_scanned"] == 100
-
-    def test_vec_counters_stay_zero_in_row_mode(self, db, row_operators):
-        with row_operators():
-            db.execute("SELECT v FROM t WHERE v < 3")
-        assert db.last_counters["vec_batches"] == 0
-        assert db.last_counters["vec_rows"] == 0
 
 
 class TestChunkCacheInvalidation:
@@ -249,26 +115,25 @@ class TestBatchBoundaries:
     def test_multi_batch_scan_sees_every_row(self, big_db):
         result = big_db.execute("SELECT COUNT(*) FROM big")
         assert result.rows == [(2 * BATCH_SIZE + 100,)]
-        assert big_db.last_counters["vec_batches"] >= 3
+        assert len(table_batches(big_db.catalog.lookup("big").storage)) == 3
 
-    def test_offset_and_limit_across_batch_boundary(self, big_db, row_operators):
+    def test_offset_and_limit_across_batch_boundary(self, big_db):
         sql = "SELECT id FROM big LIMIT 10 OFFSET ?"
         for offset in (BATCH_SIZE - 5, BATCH_SIZE, 2 * BATCH_SIZE + 95):
-            columnar = big_db.execute(sql, (offset,))
-            assert big_db.last_executor == "columnar"
-            with row_operators():
-                row = big_db.execute(sql, (offset,))
-            assert columnar.rows == row.rows
+            expected = [(i,) for i in range(offset, min(offset + 10, 2 * BATCH_SIZE + 100))]
+            assert big_db.execute(sql, (offset,)).rows == expected
+            assert run_differential(big_db, sql, (offset,)) == expected
 
     def test_limit_stops_consuming_batches_early(self, big_db):
         big_db.execute("SELECT id FROM big LIMIT 5")
-        assert big_db.last_counters["vec_batches"] <= 4
+        assert big_db.last_counters["rows_scanned"] == 5
 
 
 class TestAggregateFoldAcrossChunks:
     """``Aggregate.batches`` folds each group's column slice per batch;
-    the row body adds value by value.  Over three chunks both must give
-    the same rows in the same (first-seen) order."""
+    SQLite adds value by value.  Over three chunks both must give the
+    same rows, and the engine the same (first-seen) order however it is
+    pulled."""
 
     AGGREGATES = [
         # groups 5 and 6 are first seen in the second chunk; every x of
@@ -303,11 +168,18 @@ class TestAggregateFoldAcrossChunks:
         return database
 
     @pytest.mark.parametrize("sql", AGGREGATES)
-    def test_batch_fold_equals_row_adds(self, agg_db, row_operators, sql):
-        rows = run_differential(agg_db, sql, oracle=row_operators, vectorizes=True)
+    def test_batch_fold_equals_row_adds(self, agg_db, sql):
+        rows = run_differential(agg_db, sql)
         assert rows is not None
-        if "id < 0" not in sql:
-            assert agg_db.last_counters["vec_batches"] >= 3
+        oracle = sqlite_twin(
+            {"agg": (["id", "g", "d", "x", "s"], agg_db.execute("SELECT * FROM agg").rows)}
+        )
+        try:
+            theirs = oracle.execute(sql).fetchall()
+        finally:
+            oracle.close()
+        assert sorted(map(rounded, rows), key=repr) == sorted(map(rounded, theirs), key=repr)
+        assert len(table_batches(agg_db.catalog.lookup("agg").storage)) == 3
 
     def test_the_edge_cases_are_in_the_data(self, agg_db):
         rows = agg_db.execute(self.AGGREGATES[0]).rows
@@ -315,6 +187,12 @@ class TestAggregateFoldAcrossChunks:
         assert rows[-1][2:] == (0, None, None, None, None)
         assert agg_db.execute(self.AGGREGATES[-2]).rows == [(0, 0, None, None)]
         assert agg_db.execute(self.AGGREGATES[-1]).rows == []
+
+
+def rounded(row):
+    """*row* with floats to 9 places: the two engines sum in row order, but
+    an average may differ in its last bit."""
+    return tuple(round(value, 9) if isinstance(value, float) else value for value in row)
 
 
 class TestExplainAnalyze:
@@ -327,41 +205,23 @@ class TestExplainAnalyze:
         text = self.plan_text(db, self.SQL)
         assert "-> SeqScan(t) (loops=1 rows=100) (batches=1)" in text
         assert "-> Filter (loops=1 rows=30) (batches=1)" in text
-        assert "Executor: columnar" in text
-        assert "vec_batches:" in text and "vec_rows:" in text
 
-    def test_row_plan_labels_executor(self, db, row_operators):
-        with row_operators():
-            text = self.plan_text(db, self.SQL)
-        assert "Executor: row" in text
-        assert "batches" not in text
-
-    def test_fallback_plan_names_the_reason(self, db):
-        text = self.plan_text(db, EXCEPT)
-        assert "Executor: row (columnar fallback: operator SetDifference" in text
-
-    def test_one_rendering_for_both_operator_sets(self, db, row_operators):
-        """Same operator names as plain EXPLAIN; estimates, loops and rows
-        on every operator line either way; the batch operators add only
-        their batch counts and their own footer."""
+    def test_one_rendering_for_both_operator_sets(self, db):
+        """Same operator names as plain EXPLAIN; estimates, loops, rows and
+        batches on every operator line; then the footer."""
         db.execute("ANALYZE")
         plain = self.plan_text(db, self.SQL, "EXPLAIN").splitlines()
-        vectorized = self.plan_text(db, self.SQL).splitlines()
-        with row_operators():
-            rows = self.plan_text(db, self.SQL).splitlines()
-        counts = re.compile(r" loops=1 rows=\d+\)( \(batches=\d+\))?$")
-        for plain_line, vec_line, row_line in zip(plain, vectorized, rows):
+        analyzed = self.plan_text(db, self.SQL).splitlines()
+        counts = re.compile(r" loops=1 rows=\d+\) \(batches=\d+\)$")
+        for plain_line, analyzed_line in zip(plain, analyzed):
             assert "est_rows=" in plain_line
-            assert counts.sub(")", vec_line) == plain_line
-            assert vec_line.startswith(row_line + " (batches=")
+            assert counts.sub(")", analyzed_line) == plain_line
         footer = len(plain)
-        assert vectorized[footer : footer + 2] == [
+        assert analyzed[footer:] == [
             "Execution: 30 row(s) returned",
-            "Executor: columnar",
-        ]
-        assert rows[footer : footer + 2] == [
-            "Execution: 30 row(s) returned",
-            "Executor: row (columnar fallback: row oracle)",
+            "  rows_scanned: 100",
+            "  index_probes: 0",
+            "  subquery_executions: 0",
         ]
 
     def test_batch_counts_follow_the_tree_through_joins_and_unions(self, db):
@@ -376,51 +236,46 @@ class TestExplainAnalyze:
         assert text.count("-> SeqScan(dim) (loops=1 rows=5) (batches=1)") == 2
         assert "-> HashJoin(1 key(s)) (loops=1 rows=50) (batches=1)" in text
         assert "-> UnionAll (loops=1 rows=52) (batches=2)" in text
-        assert "Executor: columnar" in text
 
 
 class TestObservability:
-    def test_span_meta_carries_executor(self, db):
-        db.recorder = TraceRecorder()
-        db.execute("SELECT v FROM t WHERE v < 3")
-        spans = list(db.recorder.iter_spans())
-        assert any(span.meta.get("executor") == "columnar" for span in spans)
-
     def test_columnar_metrics_counters(self, db):
-        """One home each: the cumulative run / fallback counts in
-        ``statistics``, the batch counts per statement in
-        ``last_counters`` — with or without a recorder attached."""
+        """One home: the cumulative run / fallback counts in
+        ``statistics`` — with or without a recorder attached."""
         db.recorder = TraceRecorder()
         before = dict(db.statistics)
         db.execute("SELECT v FROM t WHERE v < 3")
-        assert db.last_counters["vec_rows"] >= 100
         db.execute(EXCEPT)
-        assert db.last_counters["vec_rows"] == 0
         assert db.statistics["columnar_statements"] == (
-            before["columnar_statements"] + 1
+            before["columnar_statements"] + 2
         )
-        assert db.statistics["columnar_fallbacks"] == (
-            before["columnar_fallbacks"] + 1
-        )
+        assert db.statistics["columnar_fallbacks"] == before["columnar_fallbacks"]
 
 
 class TestBatchPrimitives:
     def test_from_rows_pivots_and_memoises_rows(self):
-        batch = Batch.from_rows([(1, "a"), (2, "b")], arity=2)
-        assert list(batch.columns[0]) == [1, 2]
-        assert list(batch.columns[1]) == ["a", "b"]
-        assert batch.rows() == [(1, "a"), (2, "b")]
+        batch = Batch([(1, "a"), (2, "b")])
+        assert batch == [(1, "a"), (2, "b")]
+        assert batch.columns is None  # a small batch is never pivoted
+        columns = Columns(batch)
+        assert columns[0] == [1, 2]
+        assert columns[1] == ["a", "b"]
+        assert columns[0] is columns[0]
 
     def test_zero_arity_rows(self):
-        batch = Batch([], 3)
-        assert batch.rows() == [(), (), ()]
+        batch = Batch([()] * 3)
+        assert len(batch) == 3 and list(batch) == [(), (), ()]
 
     def test_gather_is_lazy_and_ordered(self):
-        batch = Batch([[10, 20, 30, 40], ["a", "b", "c", "d"]], 4)
-        picked = batch.gather([3, 1])
-        assert picked.length == 2
-        assert picked.columns[0] == [40, 20]
-        # Only the accessed column is materialised; the other stays lazy
-        # until first read, then matches an eager gather.
-        assert picked.columns[1] == ["d", "b"]
-        assert picked.rows() == [(40, "d"), (20, "b")]
+        rows = [(i, f"r{i}") for i in range(2 * SMALL_BATCH)]
+        batch = Batch(rows)
+        batch.columns = Columns(batch)
+        assert batch.gather([3, 1]) == [(3, "r3"), (1, "r1")]  # small: rows
+        picked = batch.gather(list(range(SMALL_BATCH + 1, 0, -1)))
+        assert len(picked) == SMALL_BATCH + 1
+        # A large pick reads columns out of the source's; rows and each
+        # column are gathered on first read.
+        assert picked.columns[0] == list(range(SMALL_BATCH + 1, 0, -1))
+        assert 1 not in picked.columns
+        assert picked.columns[1][0] == f"r{SMALL_BATCH + 1}"
+        assert list(picked)[:2] == [rows[SMALL_BATCH + 1], rows[SMALL_BATCH]]
