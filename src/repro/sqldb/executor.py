@@ -47,7 +47,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from heapq import nlargest, nsmallest
+from itertools import chain, compress, repeat
+from operator import ge, le, ne
 from typing import (
     Any,
     Callable,
@@ -911,25 +913,110 @@ class Aggregate(Operator):
 
 
 class Sort(Operator):
-    """Stable multi-key sort; NULLs sort last ascending, first descending."""
+    """Stable multi-key sort; NULLs sort last ascending, first descending,
+    numbers before strings.
 
-    def __init__(self, child: Operator, keys: List[Tuple[ExprFn, bool]]) -> None:
+    Each key is computed once as a column, by the keys'
+    :data:`~repro.sqldb.expressions.COLUMNS` batch loop over every row,
+    and the rows' positions are sorted stably by one key column after the
+    other, least significant first, with ``key=column.__getitem__``: no
+    Python call per row.  A column is compared raw; only where a
+    comparison raises ``TypeError`` (it holds NULL or mixes numbers and
+    strings) is it decorated with :func:`_null_safe_key` and compared
+    again.  Raw and decorated agree on every comparison that does not
+    raise, so the order is the decorated one either way.
+
+    Under a budget below its input the first batch is picked by bounded
+    selection: the budget-th value of the leading key, the positions
+    within it (ties included) and those sorted by every key.  They are a
+    prefix of the full order, which is computed only if a consumer pulls
+    past the first batch.  That holds only where the comparisons are an
+    order: a key column holding a float NaN, which compares false with
+    everything, is sorted in full from the start.
+    """
+
+    def __init__(self, child: Operator, keys: Program, descending: Sequence[bool]) -> None:
         super().__init__(child.output_names, child)
         self.child = child
-        self.keys = keys  # (row function, descending)
+        self.keys = keys
+        self.descending = list(descending)
 
     def label(self) -> str:
-        return f"Sort({len(self.keys)} key(s))"
+        return f"Sort({len(self.descending)} key(s))"
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        materialised = plan_rows(self.child, env)
-        # Stable sort by least-significant key first.
-        for key_fn, descending in reversed(self.keys):
-            materialised.sort(
-                key=lambda row: _null_safe_key(key_fn(row, env)),
-                reverse=descending,
-            )
-        return as_batches(materialised, budget)
+        rows = plan_rows(self.child, env)
+        # Every key of every row: an error in a key surfaces whatever the
+        # budget.
+        columns = self.keys.batch(Batch(rows), env)
+        count = len(rows)
+        if count < 2:
+            return as_batches(rows, budget)
+        if budget >= count or _holds_nan(columns):
+            order = _ordered(range(count), columns, self.descending)
+            return as_batches(list(map(rows.__getitem__, order)), budget)
+        return self._selected(rows, columns, budget)
+
+    def _selected(
+        self, rows: List[Row], columns: List[List[Any]], budget: int
+    ) -> Iterator[Batch]:
+        descending = self.descending
+        head = _compared(columns, 0, _leading, budget, descending[0])
+        head = _ordered(head, columns, descending)
+        yield from as_batches(list(map(rows.__getitem__, head[:budget])), budget)
+        order = _ordered(range(len(rows)), columns, descending)
+        yield from as_batches(list(map(rows.__getitem__, order[budget:])), budget)
+
+
+def _holds_nan(columns: List[List[Any]]) -> bool:
+    """Does a key column hold a float NaN, the one value unequal to
+    itself?  A column of numbers is summed, at C speed (a NaN, or an
+    infinity against its negative, sums to NaN); any other is compared
+    with itself value by value."""
+    for column in columns:
+        try:
+            total = sum(column)
+        except (TypeError, OverflowError):
+            if any(map(ne, column, column)):
+                return True
+        else:
+            if total != total:
+                return True
+    return False
+
+
+def _compared(columns: List[List[Any]], index: int, use: Callable, *args: Any) -> Any:
+    """``use(columns[index], *args)`` on the raw values; where a
+    comparison raises ``TypeError`` the column is replaced in *columns*
+    by its :func:`_null_safe_key` values and used again."""
+    try:
+        return use(columns[index], *args)
+    except TypeError:
+        column = columns[index] = list(map(_null_safe_key, columns[index]))
+        return use(column, *args)
+
+
+def _leading(column: List[Any], budget: int, descending: bool) -> List[int]:
+    """The positions, in order, whose value in *column* is no further
+    down the order than its *budget*-th: ties at the bound included."""
+    select, within = (nlargest, ge) if descending else (nsmallest, le)
+    bound = select(budget, column)[-1]
+    return list(compress(range(len(column)), map(within, column, repeat(bound))))
+
+
+def _sorted_by(column: List[Any], positions: Iterable[int], descending: bool) -> List[int]:
+    """*positions* sorted stably by their value in *column*."""
+    return sorted(positions, key=column.__getitem__, reverse=descending)
+
+
+def _ordered(
+    positions: Iterable[int], columns: List[List[Any]], descending: List[bool]
+) -> List[int]:
+    """*positions* sorted stably by the key *columns*, least significant
+    first."""
+    for index in range(len(columns) - 1, -1, -1):
+        positions = _compared(columns, index, _sorted_by, positions, descending[index])
+    return positions
 
 
 def _null_safe_key(value: Any):

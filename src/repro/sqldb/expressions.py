@@ -456,6 +456,23 @@ _Text = namedtuple("_Text", "text kind ir name", defaults=(False,))
 _BOOLEAN = ("bool", "bool3")
 
 
+#: Node kinds :meth:`_Emitter.chain` folds, and the longest left-deep
+#: chain of them emitted as nested text (Python's parser allows ~200
+#: nested parentheses; a step of the careful text opens two).
+_CHAINED = frozenset(("arith", "concat"))
+CHAIN_NESTING = 32
+
+
+def _long_chain(ir: IR) -> bool:
+    """Is the left spine of *ir* more than :data:`CHAIN_NESTING`
+    arithmetic and ``||`` nodes long?"""
+    for __ in range(CHAIN_NESTING + 1):
+        if ir[0] not in _CHAINED:
+            return False
+        ir = ir[2][0]
+    return True
+
+
 def _template(ir: IR, values: List[Any]) -> IR:
     """*ir* with each constant replaced by a ``hole`` numbering it in
     preorder, its value appended to *values*: templates hold no literal."""
@@ -594,8 +611,29 @@ class _Emitter:
         if kind == "outer":
             depth, index = data
             return _Text(f"env.outer_rows[-{depth}][{index}]", None, ir, name=True)
+        if kind in _CHAINED and _long_chain(ir):
+            return self.chain(ir)
         texts = [self.emit(child) for child in children]
         return getattr(self, f"_{kind}")(ir, data, texts)
+
+    def chain(self, ir: IR) -> _Text:
+        """A left-deep chain of arithmetic and ``||`` steps too long to
+        nest: one flat tuple binding each step's value to a name in turn,
+        so the steps run in the nested order (left operand, right
+        operand, step) at a constant depth of text."""
+        spine: List[IR] = []
+        while ir[0] in _CHAINED:
+            spine.append(ir)
+            ir = ir[2][0]
+        left = self.emit(ir)
+        steps: List[str] = []
+        for node in reversed(spine):
+            kind, data, children = node
+            step = getattr(self, f"_{kind}")(node, data, [left, self.emit(children[1])])
+            first, later = self.bind(step)
+            steps.append(first)
+            left = _Text(later, step.kind, node, name=True)
+        return _Text(f"({', '.join(steps)})[-1]", left.kind, spine[0])
 
     def operands(self, left: _Text, right: _Text) -> Tuple[str, str, str]:
         """Both operands evaluated (left first), then tested for NULL:
@@ -883,7 +921,10 @@ def _row_dependent(ir: IR) -> bool:
     kind = ir[0]
     if kind in ("outer", "exists", "scalar") or (kind == "insub" and ir[1][0].correlated):
         return True
-    return any(_row_dependent(child) for child in ir[2])
+    for child in ir[2]:
+        if _row_dependent(child):
+            return True
+    return False
 
 
 def _slots(ir: IR, found: set) -> set:
@@ -925,14 +966,26 @@ def _loop(shape: str, exprs: Sequence[IR], texts: List[_Text]) -> str:
     return f"[{', '.join(columns)}]"
 
 
-def _rows_loop(shape: str, texts: List[_Text]) -> str:
+def _rows_loop(
+    shape: str, exprs: Sequence[IR], texts: List[_Text], emitter: _Emitter
+) -> str:
     """The batch loop of *shape* over the batch's rows, with the row
-    function's text (slots read as ``r[slot]``) inline."""
+    function's text (slots read as ``r[slot]``) inline; bare slots are
+    picked at C level (``map(itemgetter)``), with no loop frame."""
     if shape == PREDICATE:
         return f"[i for i, r in enumerate(b) if {_test(texts[0])}]"
     if shape == TUPLES:
+        if exprs and all(ir[0] == "slot" for ir in exprs):
+            picked = f"map({emitter.const(itemgetter(*[ir[1] for ir in exprs]))}, b)"
+            return f"list({picked})" if exprs[1:] else f"list(zip({picked}))"
         return f"[({''.join(text.text + ', ' for text in texts)}) for r in b]"
-    return f"[{', '.join(f'[{text.text} for r in b]' for text in texts)}]"
+    columns = [
+        f"list(map({emitter.const(itemgetter(ir[1]))}, b))"
+        if ir[0] == "slot"
+        else f"[{text.text} for r in b]"
+        for ir, text in zip(exprs, texts)
+    ]
+    return f"[{', '.join(columns)}]"
 
 
 def _test(text: _Text) -> str:
@@ -954,11 +1007,7 @@ def _source(exprs: Tuple[IR, ...], shape: str) -> Tuple[str, Tuple[Recipe, ...]]
     lines = ["    def row(r, env):"] + unfetched + [f"        return {result}"]
     if shape not in (VALUE, KEYS):
         lines += ["    def batch(b, env):"] + unfetched
-        rows_loop = _rows_loop(shape, by_row)
-        if shape == TUPLES and exprs and all(ir[0] == "slot" for ir in exprs):
-            # A bare projection: C-level picking, no loop frame.
-            picked = f"map({emitter.const(itemgetter(*[ir[1] for ir in exprs]))}, b)"
-            rows_loop = f"list({picked})" if exprs[1:] else f"list(zip({picked}))"
+        rows_loop = _rows_loop(shape, exprs, by_row, emitter)
         if any(_row_dependent(ir) for ir in exprs):
             lines.append(f"        return {rows_loop}")
         else:
@@ -1024,12 +1073,13 @@ def program(exprs: Sequence[IR], shape: str) -> Program:
     with their literals taken out) and compiled once per source."""
     exprs = tuple(exprs)
     values: List[Any] = []
-    templates = tuple([_template(ir, values) for ir in exprs])
     try:
+        templates = tuple([_template(ir, values) for ir in exprs])
         source, recipes = _source(templates, shape)
         make = _compile(source)
     except (SyntaxError, RecursionError):
-        # Python's parser allows ~100 nested operators in one expression.
+        # Python's parser allows ~200 nested parentheses in one
+        # expression; only a long left-deep chain is flattened.
         raise ExecutionError("expression is too deeply nested to compile") from None
     row, batch = make(*[recipe(values) for recipe in recipes])
     return Program(row, batch, exprs, source)

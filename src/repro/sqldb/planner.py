@@ -1435,6 +1435,7 @@ class Planner:
         try:
             ctx = self._context(frames)
             keys = []
+            descending = []
             for item in order_by:
                 expression = item.expression
                 if contains_aggregate(expression):
@@ -1452,8 +1453,9 @@ class Planner:
                             f"ORDER BY position {position} is out of range"
                         )
                     expression = SlotRef(position - 1)
-                keys.append((compile_expression(expression, ctx), item.descending))
-            return Sort(child, keys)
+                keys.append(lower(expression, ctx))
+                descending.append(item.descending)
+            return Sort(child, program(keys, COLUMNS), descending)
         finally:
             frame.scope = saved
 
@@ -1515,11 +1517,8 @@ class Planner:
             distinct=False,
         )
         extended_root = self._plan_core(extended, frames)
-        keys = [
-            (program([slot(position)], VALUE).row, descending)
-            for position, descending in key_slots
-        ]
-        sorted_root = Sort(extended_root, keys)
+        keys = program([slot(position) for position, __ in key_slots], COLUMNS)
+        sorted_root = Sort(extended_root, keys, [descending for __, descending in key_slots])
         strip = program([slot(position) for position in range(len(output_names))], TUPLES)
         return Project(sorted_root, strip, output_names)
 

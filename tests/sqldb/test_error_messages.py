@@ -127,15 +127,19 @@ class TestUnaryMinusOnANonNumber:
 
 class TestExpressionDepth:
     """An expression is compiled to one Python expression, so its nesting
-    is bounded by Python's parser: past it, a typed error at plan time."""
+    is bounded by Python's parser: past it, a typed error at plan time.
+    A long left-deep chain of one kind of operator is not nested: its
+    steps are bound to names in turn (``_Emitter.chain``)."""
 
     def test_deep_sums_run_until_the_limit_then_fail_typed(self):
         db = Database()
         db.execute("CREATE TABLE t (a INTEGER)")
         db.execute("INSERT INTO t VALUES (1)")
         assert db.execute("SELECT a" + " + a" * 80 + " FROM t").scalar() == 81
+        assert db.execute("SELECT a" + " + a" * 400 + " FROM t").scalar() == 401
+        nested = "SELECT " + "a + (" * 100 + "a" + ")" * 100 + " FROM t"
         with pytest.raises(ExecutionError, match="too deeply nested"):
-            db.execute("SELECT a" + " + a" * 400 + " FROM t")
+            db.execute(nested)
 
     def test_long_case_and_coalesce_chains_are_flat(self):
         db = Database()

@@ -43,6 +43,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TypeMismatchError
 from repro.sqldb import Database
 from repro.sqldb.columnar import BATCH_SIZE
 from repro.sqldb.expressions import Program
@@ -251,3 +252,43 @@ def test_statements_differing_only_in_literals_share_code(engines):
         assert a.source == b.source
         assert a.row.__code__ is b.row.__code__
         assert a.batch.__code__ is b.batch.__code__
+
+
+# -- long operator chains --------------------------------------------------------
+
+#: 300-term left-deep chains: each cycles through its terms.  The product
+#: runs over doubles after one integer, so it stays a float in both
+#: engines, multiplied in the same order.
+CHAINS = {
+    "+": ["i", "d", "1", "i", "0.5"],
+    "*": ["i"] + ["d"] * 4,
+    "||": ["s", "'x'", "s", "'ab'"],
+}
+
+
+def _chain(operator, terms, length=300):
+    return f" {operator} ".join(terms[n % len(terms)] for n in range(length))
+
+
+class TestLongChains:
+    """A left-deep chain of one operator longer than Python's parser can
+    nest is emitted as one flat tuple of steps, each bound to a name in
+    turn, and evaluated in the nested order."""
+
+    @pytest.mark.parametrize("operator", sorted(CHAINS))
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_a_300_term_chain_matches_sqlite(self, engines, operator, table):
+        chain = _chain(operator, CHAINS[operator])
+        _assert_same(engines, f"SELECT id, {chain} FROM {table}")
+        _assert_same(engines, f"SELECT id FROM {table} WHERE {chain} IS NULL")
+
+    @pytest.mark.parametrize("length", [3, 300])
+    def test_a_step_fails_or_propagates_null_where_the_nested_form_does(self, length):
+        db = Database()
+        db.execute("CREATE TABLE t (x INTEGER, s VARCHAR(4), n INTEGER)")
+        db.execute("INSERT INTO t VALUES (2, 'x', NULL)")
+        tail = " + x" * (length - 3)
+        with pytest.raises(TypeMismatchError):
+            db.execute(f"SELECT x + s + n{tail} FROM t")
+        assert db.execute(f"SELECT n + s + x{tail} FROM t").scalar() is None
+        assert db.execute(f"SELECT s + n + x{tail} FROM t").scalar() is None

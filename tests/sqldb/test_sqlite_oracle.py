@@ -10,7 +10,7 @@ unindexed columns must return the same multiset of rows from this engine
 and from SQLite, which shares no code with it; an engine-corpus
 statement whose ``ORDER BY`` orders every row must return the same list.
 The statement text runs on SQLite verbatim, but for the one grammar gap
-below.
+and the NULL placement below.
 
 Catalogue of intentional divergences (each one neutralised here, none of
 them hides a wrong row):
@@ -22,8 +22,11 @@ them hides a wrong row):
   order, and with it ties are unordered — results are compared as
   multisets (``collections.Counter``), and as lists only where the
   ``ORDER BY`` leaves no tie between different rows (``TOTAL_ORDER``).
-  NULLs sort last ascending here and first in SQLite, so ``ORDER BY n``
-  over a nullable ``n`` is compared as a multiset.
+* **NULL placement.**  NULLs sort last ascending here and first in
+  SQLite.  SQLite's text of an engine-corpus statement gets ``NULLS
+  LAST`` appended to each ascending ``ORDER BY`` key and ``NULLS FIRST``
+  to each descending one, so ``ORDER BY n`` over a nullable ``n`` is
+  compared as a list.
 * **Type affinity.**  An SQLite column declared INTEGER converts the text
   ``'1'`` to ``1``; this engine never coerces for comparison (a string key
   simply does not match an integer column).  The oracle's tables are
@@ -129,6 +132,8 @@ ENGINE_CORPUS = [
     # sort / distinct / limit / offset / set ops
     "SELECT v FROM t ORDER BY v DESC, id ASC",
     "SELECT n FROM t ORDER BY n",
+    "SELECT id, n FROM t ORDER BY n DESC, id",
+    "SELECT n, v FROM t ORDER BY n, v DESC LIMIT 60 OFFSET 100",
     "SELECT DISTINCT v FROM t",
     "SELECT DISTINCT n FROM t WHERE v < 10",
     "SELECT id FROM t ORDER BY id LIMIT 7",
@@ -156,14 +161,29 @@ NO_SQLITE_GRAMMAR = {"SELECT id FROM t OFFSET -1", "SELECT id FROM t OFFSET ?"}
 #: different rows: compared as lists.
 TOTAL_ORDER = {
     "SELECT v FROM t ORDER BY v DESC, id ASC",
+    "SELECT n FROM t ORDER BY n",
+    "SELECT id, n FROM t ORDER BY n DESC, id",
+    "SELECT n, v FROM t ORDER BY n, v DESC LIMIT 60 OFFSET 100",
     "SELECT id FROM t ORDER BY id LIMIT 7",
     "SELECT id FROM t ORDER BY id LIMIT 5 OFFSET 95",
 }
 
 
 def sqlite_text(sql: str) -> str:
-    """*sql* as SQLite parses it: ``LIMIT -1`` before a lone ``OFFSET``."""
-    return sql.replace(" OFFSET ", " LIMIT -1 OFFSET ") if sql in NO_SQLITE_GRAMMAR else sql
+    """*sql* as SQLite parses it, with this engine's NULL placement:
+    ``LIMIT -1`` before a lone ``OFFSET``, and ``NULLS LAST`` / ``NULLS
+    FIRST`` after each ascending / descending ``ORDER BY`` key."""
+    if sql in NO_SQLITE_GRAMMAR:
+        sql = sql.replace(" OFFSET ", " LIMIT -1 OFFSET ")
+    head, order_by, tail = sql.partition(" ORDER BY ")
+    if not order_by:
+        return sql
+    keys, cut = re.fullmatch(r"(.*?)((?: LIMIT .*| OFFSET .*)?)", tail).groups()
+    placed = [
+        key + (" NULLS FIRST" if key.endswith(" DESC") else " NULLS LAST")
+        for key in keys.split(", ")
+    ]
+    return head + order_by + ", ".join(placed) + cut
 
 
 @pytest.fixture(scope="module")
