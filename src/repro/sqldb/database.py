@@ -293,8 +293,9 @@ class Database:
         """Register a stored scalar function callable from SQL (SQL/PSM
         stand-in; see :mod:`repro.sqldb.functions`)."""
         self.functions.register(name, function, propagate_null=propagate_null)
-        # Plans compile function calls through the registry at run time, so
-        # cached plans remain valid after (re)registration.
+        # Generated code calls ``functions.bound[NAME]`` and looks the
+        # guarded callable up when it runs, so cached plans see every
+        # (re)registration with no invalidation.
 
     def table_names(self) -> List[str]:
         return self.catalog.table_names()

@@ -363,16 +363,34 @@ def _negate_error(value: Any) -> Any:
     raise TypeMismatchError(f"arithmetic on non-numeric value -{value!r}")
 
 
+def _truncated(value: Any) -> Optional[int]:
+    """A ``%`` operand as SQLite reads it: truncated toward zero and
+    saturated to int64; None for NaN (which SQLite holds as NULL)."""
+    if value != value:
+        return None
+    if isinstance(value, float):
+        value = max(-(2.0**63), min(value, 2.0**63))
+    return max(-(1 << 63), min(int(value), (1 << 63) - 1))
+
+
 def _arith(operator: str, left: Any, right: Any) -> Any:
     """``/`` and ``%``: NULL propagation, the numeric check, integer
-    division truncating toward zero and the zero-divisor error."""
+    division truncating toward zero, SQL's remainder (of the operands
+    truncated toward zero, with the dividend's sign, REAL if either
+    operand is) and the zero-divisor error."""
     if left is None or right is None:
         return None
     if not isinstance(left, _NUM) or not isinstance(right, _NUM):
         _arith_error(left, operator, right)
+    if operator == "%":
+        dividend, divisor = _truncated(left), _truncated(right)
+        if dividend is None or divisor is None:
+            return None
+        if divisor == 0:
+            raise ExecutionError("division by zero")
+        remainder = abs(dividend) % abs(divisor) * (-1 if dividend < 0 else 1)
+        return float(remainder) if isinstance(left, float) or isinstance(right, float) else remainder
     try:
-        if operator == "%":
-            return left % right
         if isinstance(left, int) and isinstance(right, int):
             return int(left / right)
         return left / right
@@ -590,10 +608,16 @@ class _Emitter:
         return True
 
     def truth(self, text: _Text) -> _Text:
-        """*text* in boolean context (``to_bool``)."""
+        """*text* in boolean context: ``to_bool``, inline for NULL and a
+        bool."""
         if text.kind in _BOOLEAN:
             return text
-        return _Text(f"to_bool({text.text})", "bool3", text.ir)
+        first, later = self.bind(text)
+        return _Text(
+            f"({later} if {first} is None or {later}.__class__ is bool else to_bool({later}))",
+            "bool3",
+            text.ir,
+        )
 
     # -- nodes ---------------------------------------------------------------
 
@@ -880,7 +904,7 @@ class _Emitter:
 
     def _call(self, ir: IR, name: str, texts: List[_Text]) -> _Text:
         args = ", ".join(text.text for text in texts)
-        return _Text(f"env.functions.call({self.const(name)}, [{args}])", None, ir)
+        return _Text(f"env.functions.bound[{self.const(name)}]({args})", None, ir)
 
 
 # -- programs ----------------------------------------------------------------

@@ -28,16 +28,43 @@ ScalarFunction = Callable[..., Any]
 AGGREGATE_NAMES = frozenset({"AVG", "COUNT", "MAX", "MIN", "SUM"})
 
 
+class _Bound(dict):
+    """Upper-cased name -> guarded callable; a name never registered is
+    an ``ExecutionError`` where the call runs."""
+
+    def __missing__(self, key: str) -> ScalarFunction:
+        raise ExecutionError(f"unknown function {key!r}")
+
+
+def _guarded(name: str, function: ScalarFunction, propagate_null: bool) -> ScalarFunction:
+    """*function* as SQL calls it: NULL in, NULL out unless
+    *propagate_null* is false, and a Python error out as ``function
+    'name' failed``."""
+
+    def call(*args: Any) -> Any:
+        if propagate_null and None in args:
+            return None
+        try:
+            return function(*args)
+        except ExecutionError:
+            raise
+        except Exception as exc:  # surface stored-function bugs as SQL errors
+            raise ExecutionError(f"function {name!r} failed: {exc}") from exc
+
+    return call
+
+
 class FunctionRegistry:
     """Case-insensitive registry of scalar functions.
 
     A fresh registry starts with the built-in functions; servers register
-    additional stored functions at runtime.
+    additional stored functions at runtime.  ``bound`` maps each
+    upper-cased name to one guarded callable, so a call from generated
+    code is ``bound[NAME](*args)``: one lookup and one call.
     """
 
     def __init__(self) -> None:
-        self._functions: Dict[str, ScalarFunction] = {}
-        self._null_propagating: Dict[str, bool] = {}
+        self.bound: Dict[str, ScalarFunction] = _Bound()
         for name, function in _BUILTINS.items():
             self.register(name, function)
 
@@ -50,29 +77,16 @@ class FunctionRegistry:
         function semantics) the function is not invoked if any argument is
         NULL; the result is NULL instead.
         """
-        key = name.upper()
-        self._functions[key] = function
-        self._null_propagating[key] = propagate_null
+        self.bound[name.upper()] = _guarded(name, function, propagate_null)
 
     def is_registered(self, name: str) -> bool:
-        return name.upper() in self._functions
+        return name.upper() in self.bound
 
     def call(self, name: str, args: List[Any]) -> Any:
-        key = name.upper()
-        function = self._functions.get(key)
-        if function is None:
-            raise ExecutionError(f"unknown function {name!r}")
-        if self._null_propagating[key] and any(is_null(arg) for arg in args):
-            return None
-        try:
-            return function(*args)
-        except ExecutionError:
-            raise
-        except Exception as exc:  # surface stored-function bugs as SQL errors
-            raise ExecutionError(f"function {name!r} failed: {exc}") from exc
+        return self.bound[name.upper()](*args)
 
     def names(self) -> List[str]:
-        return sorted(self._functions)
+        return sorted(self.bound)
 
 
 def _sql_substr(text: str, start: int, length: Optional[int] = None) -> str:

@@ -23,16 +23,24 @@ lists and statement bodies, with one set of bounds checks.  Malformed
 input raises :class:`ProtocolError` naming the frame being decoded, and
 so does a value the format cannot carry (text UTF-8 cannot encode, an
 integer outside int64, a list past 65 535 values).
+
+The tag loop (:func:`encode_run` / :func:`decode_run`) is the general
+codec.  A result's rows go run by run of one *kind signature* (their
+tags as a string, ``"ISSN"``) through code generated for it, which stops
+at a row of another signature, raises no error of its own and hands a
+fault to the tag loop: the bytes and the errors are the tag loop's.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
-from typing import Any, Iterable, List, Sequence, Tuple
+from operator import is_not
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ProtocolError
+from repro.sqldb.expressions import _compile
 from repro.sqldb.result import ResultSet
 
 #: The tag table: one byte in front of every value.
@@ -277,37 +285,156 @@ def _encode_header(columns: Tuple[str, ...]) -> bytes:
     return _pack_u16(len(columns)) + b"".join(map(encode_str, columns))
 
 
+# -- result rows, by kind signature (see the module docstring) ---------------
+
+_TAGS = {type(None): "N", int: "I", float: "D", bool: "B", str: "S"}
+#: The struct code of each fixed-width kind's payload.
+_CODES = {"N": "", "I": "q", "D": "d", "B": "?"}
+#: Rows per call of a fixed-width signature's chunk loop.
+_CHUNK = 16
+
+
 @lru_cache(maxsize=256)
-def _header_columns(header: bytes) -> Tuple[str, ...]:
-    """Inverse of :func:`_encode_header`, remembered the same way: the
-    client of a cached plan meets the same header bytes every time."""
-    return tuple(decode_strs(header, 2, _unpack_u16(header, 0)[0])[0])
+def _codec(kinds: Tuple[type, ...]):
+    """``(encode_rows, decode_rows)`` of rows whose values have the types
+    *kinds*, generated once; a ``KeyError`` for a subclass.
+
+    ``encode_rows(rows, i, n, extend)`` encodes rows *i* (of *kinds*) on
+    and returns the first it left.  ``decode_rows(buffer, offset, count,
+    rows)`` appends up to *count* rows and returns the offset of the
+    first it left.  A row is one ``struct`` call per fixed-width stretch
+    between strings, the tags constants; a signature of fixed-width
+    kinds only also runs :data:`_CHUNK` rows per call, with its tags as
+    pad bytes written or checked by an extended slice per column.
+    """
+    signature = "".join(map(_TAGS.__getitem__, kinds))
+    args: Dict[str, Any] = {"T": kinds, "error": struct.error}
+    encode = ["def encode_rows(rows, i, n, extend):", "    first = i"]
+    decode = ["def decode_rows(buffer, offset, count, rows):", "    end = len(buffer)", "    try:"]
+    if "S" not in signature and signature.strip("N"):  # fixed width, some payload
+        sizes = [1 + struct.calcsize(_CODES[tag]) for tag in signature]
+        size, fmt = sum(sizes), "".join("x" + _CODES[tag] for tag in signature)
+        tags_at = [sum(sizes[:column]) for column in range(len(signature))]
+        payload = [column for column, tag in enumerate(signature) if tag != "N"]
+        columns = [
+            f"u[{payload.index(column)}::{len(payload)}]" if tag != "N" else "nones"
+            for column, tag in enumerate(signature)
+        ]
+        args.update(TC=args["T"] * _CHUNK, G=tuple((tag * _CHUNK).encode() for tag in signature))
+        args.update(nones=(None,) * _CHUNK, chained=chain.from_iterable, present=partial(is_not, None))
+        args.update(pc=struct.Struct(">" + fmt * _CHUNK).pack, uc=struct.Struct(">" + fmt * _CHUNK).unpack_from)
+        encode += [
+            f"    while i + {_CHUNK} <= n:",
+            f"        flat = tuple(chained(rows[i:i + {_CHUNK}]))",
+            "        if tuple(map(type, flat)) != TC:",
+            "            break",
+            "        b = bytearray(pc(*filter(present, flat)))",
+            f"        {''.join(f'b[{start}::{size}], ' for start in tags_at)}= G",
+            "        extend((b,))",
+            f"        i += {_CHUNK}",
+        ]
+        decode += [
+            f"        while count >= {_CHUNK}:",
+            f"            stop = offset + {size * _CHUNK}",
+            f"            if ({''.join(f'buffer[offset + {start}:stop:{size}], ' for start in tags_at)}) != G:",
+            "                break",
+            "            u = uc(buffer, offset)",
+            f"            rows.extend(zip({', '.join(columns)}))",
+            "            offset = stop",
+            f"            count -= {_CHUNK}",
+        ]
+    encode += [
+        "    for i in range(i, n):",
+        "        row = rows[i]",
+        "        if i != first and tuple(map(type, row)) != T:",
+        "            return i",
+    ]
+    if signature:
+        encode.append(f"        {''.join(f'a{column}, ' for column in range(len(signature)))}= row")
+    decode.append("        for __ in range(count):")
+    pieces: List[str] = []
+    packed: List[str] = []
+    unpacked: List[str] = []
+    tests: List[str] = []
+    codes: List[int] = []
+    fmt, at = ">", "offset"
+    for column, tag in enumerate(signature + "."):  # "." closes the last stretch
+        name, code = f"a{column}", ord(tag)
+        if tag in _CODES:
+            fmt += "B" + _CODES[tag]
+            packed.append(str(code))
+            unpacked.append(f"t{column}")
+            tests.append(f"t{column}")
+            codes.append(code)
+            if tag != "N":
+                packed.append(name)
+                unpacked.append(name)
+            continue
+        if tag == "S":
+            fmt += "BI"
+            packed += [str(code), f"len(b{column})"]
+            unpacked += [f"t{column}", f"n{column}"]
+            tests.append(f"t{column}")
+            codes.append(code)
+            encode.append(f"        b{column} = {name}.encode()")
+        if tests:
+            stretch = struct.Struct(fmt)
+            args[f"p{column}"], args[f"u{column}"] = stretch.pack, stretch.unpack_from
+            pieces.append(f"p{column}({', '.join(packed)})")
+            decode += [
+                f"            {', '.join(unpacked)}, = u{column}(buffer, {at})",
+                f"            if ({', '.join(tests)},) != {tuple(codes)}:",
+                "                return offset",
+            ]
+            at = f"{at} + {stretch.size}"
+        if tag == "S":
+            # Past the frame end, the slice is short: the next stretch's
+            # unpack fails, and after the last column this test does.
+            pieces.append(f"b{column}")
+            decode += [f"            start = {at}", f"            at{column} = start + n{column}"]
+            if column == len(signature) - 1:
+                decode += [f"            if at{column} > end:", "                return offset"]
+            decode.append(f"            {name} = buffer[start:at{column}].decode()")
+            at = f"at{column}"
+        fmt, packed, unpacked, tests, codes = ">", [], [], [], []
+    if pieces:
+        encode.append(f"        extend(({''.join(piece + ', ' for piece in pieces)}))")
+    values = "".join("None, " if tag == "N" else f"a{column}, " for column, tag in enumerate(signature))
+    decode += [
+        f"            rows.append(({values}))",
+        f"            offset = {at}",
+        "    except (error, UnicodeDecodeError):",
+        "        pass",
+        "    return offset",
+    ]
+    body = "\n".join("    " + line for line in encode + ["    return n"] + decode)
+    source = f"def make({', '.join(args)}):\n{body}\n    return encode_rows, decode_rows\n"
+    return _compile(source)(*args.values())
 
 
-def _decode_header(buffer: bytes) -> Tuple[Sequence[str], int]:
-    """Column names of a result frame and the offset just past them."""
-    end = len(buffer)
-    if end < 2:
-        raise ProtocolError("truncated value frame")
-    width = _unpack_u16(buffer, 0)[0]
-    offset = 2
-    for __ in range(width):
-        if offset + 4 > end:
-            break
-        offset += 4 + _unpack_u32(buffer, offset)[0]
-    else:
-        if offset <= end:
-            return _header_columns(buffer[:offset]), offset
-    # The names do not fit the frame: decode them one by one, so that the
-    # first fault in frame order is the one reported.
-    return decode_strs(buffer, 2, width)
+#: Column count -> (header bytes, names, last row's value types) of the
+#: last result frame decoded with that many columns: a cached plan's
+#: frame is recognised by its first bytes, with no walk over the names,
+#: and its rows' codec is guessed.
+_recent: Dict[int, Tuple[bytes, Sequence[str], Optional[Tuple[type, ...]]]] = {}
 
 
 def encode_result(result: ResultSet) -> bytes:
     """Encode a result set (columns + rows + rowcount)."""
     rows = result.rows
-    parts = [_encode_header(tuple(result.columns)), _pack_u32(len(rows))]
-    encode_run(chain.from_iterable(rows), parts)
+    n = len(rows)
+    parts = [_encode_header(tuple(result.columns)), _pack_u32(n)]
+    extend = parts.extend
+    i = 0
+    while i < n:
+        mark = len(parts)
+        try:
+            i = _codec(tuple(map(type, rows[i])))[0](rows, i, n, extend)
+        except (KeyError, struct.error, UnicodeEncodeError):  # a subclass or a fault
+            del parts[mark:]
+            break
+    if i < n:
+        encode_run(chain.from_iterable(rows[i:]), parts)
     parts.append(_pack_u32(result.rowcount))
     return b"".join(parts)
 
@@ -315,8 +442,16 @@ def encode_result(result: ResultSet) -> bytes:
 def decode_result(buffer: bytes) -> ResultSet:
     """Decode a result set frame."""
     end = len(buffer)
-    columns, offset = _decode_header(buffer)
-    width = len(columns)
+    if end < 2:
+        raise ProtocolError("truncated value frame")
+    width = _unpack_u16(buffer, 0)[0]
+    recent = _recent.get(width)
+    if recent is not None and buffer.startswith(recent[0]):
+        header, columns, guess = recent
+        offset = len(header)
+    else:
+        columns, offset = decode_strs(buffer, 2, width)
+        header, guess = buffer[:offset], None
     if offset + 4 > end:
         raise ProtocolError("truncated value frame")
     row_count = _unpack_u32(buffer, offset)[0]
@@ -326,14 +461,24 @@ def decode_result(buffer: bytes) -> ResultSet:
     # rejected before anything is allocated for it.
     if row_count * max(width, 1) > end - offset:
         raise ProtocolError("truncated value frame")
-    flat, offset = decode_run(buffer, offset, row_count * width)
-    if width:
-        rows = [tuple(flat[at : at + width]) for at in range(0, len(flat), width)]
-    else:
-        rows = [()] * row_count
+    # Run by run from the guess.  Where a run stops, one row goes through
+    # the tag loop, which raises the frame's first fault or gives the
+    # signature of the next run.
+    rows: List[Tuple[Any, ...]] = [] if width else [()] * row_count
+    while len(rows) < row_count:
+        if guess is not None:
+            offset = _codec(guess)[1](buffer, offset, row_count - len(rows), rows)
+            if len(rows) == row_count:
+                break
+        values, offset = decode_run(buffer, offset, width)
+        rows.append(tuple(values))
+        guess = tuple(map(type, values))
     if offset + 4 > end:
         raise ProtocolError("truncated value frame")
     rowcount = _unpack_u32(buffer, offset)[0]
     if offset + 4 != end:
         raise ProtocolError("trailing bytes after result frame")
+    if len(_recent) > 256:
+        _recent.clear()
+    _recent[width] = (header, columns, guess)
     return ResultSet(columns, rows, rowcount=rowcount)

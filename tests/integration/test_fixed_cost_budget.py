@@ -27,10 +27,26 @@ filter, projection, key list and residual instead of a closure per
 expression node, constants included); 137.2 once every plan ran on
 batches — the child fetch's index joins included, a round trip's rows
 passing each operator as one computed batch instead of one generator
-resumption per row — and a row function read its slots in place.  The
-budget sits above the last,
-with room for interpreter versions that count comprehensions
-differently.
+resumption per row — and a row function read its slots in place; 122.9
+once a stored function call from generated code was one lookup in the
+registry's table of guarded callables and one call (seven before: the
+registry's ``call``, an ``any`` over a generator of ``is_null``, the
+function) and a call's result was tested for NULL and bool inline
+instead of by ``to_bool``; 119.9 once the result codec was generated per
+kind signature (a run of rows is one generated call, not one loop
+iteration per value).  The budget sits above the last, with room for
+interpreter versions that count comprehensions differently.
+
+Calls miss a loop that runs per value in bytecode, so the same pass is
+also held in bytecode instructions (``sys.settrace`` with
+``frame.f_trace_opcodes``; ``sys.monitoring`` from CPython 3.12),
+counting only the result codec's: the code of ``sqldb/wire.py`` and the
+encoders and decoders it generates.  On CPython 3.11, 2 956 per cached
+navigational round trip while every value went through the tag loop
+(49 % of the round trip's 6 002), 1 122 once each run of rows of one
+kind signature is one generated straight-line encoder or decoder and a
+cached plan's header is recognised by its first bytes (1 007 on 3.10,
+1 021 on 3.12).
 
 The late half of that pass is also held on its own, because there the
 client checks the access rules of every fetched object: 254.2 calls per
@@ -39,7 +55,9 @@ relevant rules (re-matching and re-classifying every rule) and a second
 interpreter walked each condition, 230.5 once each (action, type) has one
 compiled check — the predicate early evaluation injects — run on the
 object's attribute tuple, 149.6 once that check is one generated function,
-141.6 once every plan ran on batches.
+141.6 once every plan ran on batches, 128.6 once a stored function call
+was one call, 125.7 once the result codec was generated per kind
+signature.
 
 One cached ``RECURSIVE_EARLY`` expand of the same product is held as a
 whole: the one ``WITH RECURSIVE`` statement and its fixpoint rounds.
@@ -52,7 +70,10 @@ every round filters, projects and joins row by row), 3 182 once every
 operator runs on batches — a round's rows go through each operator as
 one batch — and the outer block's ``link.left IN (SELECT obid FROM
 rtbl)`` fetches its value set once per batch instead of once per row
-(490 ``value_set`` calls before).
+(490 ``value_set`` calls before), 1 498 once each stored function call
+of the early predicate was one call of a guarded callable instead of the
+registry's ``call`` with its ``any`` over a generator of ``is_null``, and
+its result was tested for NULL and bool inline instead of by ``to_bool``.
 
 Three engine-level statements are held the same way, on the ``txn_mix``
 product (δ=6, κ=4: 1 365 assemblies, all of one product), each cached
@@ -116,6 +137,7 @@ from repro.pdm.generator import generate_product
 from repro.pdm.operations import ExpandStrategy
 from repro.pdm.schema import create_pdm_schema, load_product, new_pdm_database
 from repro.recovery import Durability, SimDisk
+from repro.sqldb import wire
 
 TREE = TreeParameters(depth=5, branching=3, visibility=0.6)
 SEED = 4
@@ -123,18 +145,23 @@ STRATEGIES = (ExpandStrategy.NAVIGATIONAL_LATE, ExpandStrategy.NAVIGATIONAL_EARL
 
 #: Python-level calls one cached navigational round trip may cost: one
 #: generated function per operator, not a closure per expression node
-#: (222.9 calls).
-CALLS_PER_ROUND_TRIP_BUDGET = 175
+#: (222.9 calls), and a stored function is one call (137.2 calls).
+CALLS_PER_ROUND_TRIP_BUDGET = 132
 
 #: Calls one cached navigational-late round trip may cost: one generated
 #: rule check per fetched object, not a rule lookup and a condition walk
 #: (254.2 calls) nor a closure per condition node (230.5 calls).
-LATE_CALLS_PER_ROUND_TRIP_BUDGET = 185
+LATE_CALLS_PER_ROUND_TRIP_BUDGET = 139
+
+#: Result codec bytecode instructions one cached navigational round trip
+#: may cost: a generated codec per kind signature, not the tag loop per
+#: value (2 956 instructions).
+CODEC_OPCODES_PER_ROUND_TRIP_BUDGET = 1_235
 
 #: Calls one cached recursive early expand of the whole product may cost
 #: (21 984 calls with a closure per expression node, 7 913 on the row
-#: operators).
-RECURSIVE_EXPAND_CALLS_BUDGET = 3_500
+#: operators, 3 182 with seven calls per stored function call).
+RECURSIVE_EXPAND_CALLS_BUDGET = 1_650
 
 #: The ``txn_mix`` product and its three engine-level statements.
 TXN_MIX_TREE = TreeParameters(depth=6, branching=4, visibility=0.6)
@@ -194,10 +221,71 @@ def count_calls(action) -> int:
     return calls
 
 
-def calls_per_round_trip(strategies=STRATEGIES):
+def _is_codec(code) -> bool:
+    """Is *code* the result codec's: ``sqldb/wire.py`` or a generated
+    encoder or decoder of a kind signature?"""
+    if code.co_filename == wire.__file__:
+        return True
+    return code.co_filename.startswith("<") and code.co_name in ("encode_rows", "decode_rows")
+
+
+def count_codec_opcodes(action) -> int:
+    """Bytecode instructions executed in the result codec's code while
+    *action* runs.  CPython 3.12 and later report no ``sys.settrace``
+    opcode event for code that ran before tracing began, so there the
+    count is of ``sys.monitoring`` INSTRUCTION events."""
+    opcodes = 0
+    monitoring = getattr(sys, "monitoring", None)
+    seen = set()
+
+    def trace(frame, event, arg):
+        nonlocal opcodes
+        if event == "call":
+            if not _is_codec(frame.f_code):
+                return None
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            opcodes += 1
+        return trace
+
+    def start(code, offset):
+        if _is_codec(code) and code not in seen:
+            seen.add(code)
+            monitoring.set_local_events(tool, code, monitoring.events.INSTRUCTION)
+
+    def step(code, offset):
+        nonlocal opcodes
+        opcodes += 1
+
+    gc.collect()
+    gc.disable()
+    if monitoring is None:
+        previous = sys.gettrace()
+        sys.settrace(trace)
+    else:
+        tool = monitoring.PROFILER_ID
+        monitoring.use_tool_id(tool, "codec opcodes")
+        monitoring.register_callback(tool, monitoring.events.PY_START, start)
+        monitoring.register_callback(tool, monitoring.events.INSTRUCTION, step)
+        monitoring.set_events(tool, monitoring.events.PY_START)
+    try:
+        action()
+    finally:
+        if monitoring is None:
+            sys.settrace(previous)
+        else:
+            monitoring.set_events(tool, 0)
+            for code in seen:
+                monitoring.set_local_events(tool, code, 0)
+            monitoring.free_tool_id(tool)
+        gc.enable()
+    return opcodes
+
+
+def per_round_trip(counter=count_calls, strategies=STRATEGIES):
     """Build the stack, warm one pass of navigational expands of the
-    whole product (one per strategy), count interpreter ``call`` events
-    over a second pass; returns ``(calls per round trip, round trips)``."""
+    whole product (one per strategy), count with *counter* over a second
+    pass; returns ``(count per round trip, round trips)``."""
     scenario = build_scenario(TREE, WAN_512, seed=SEED)
     client = scenario.client
     connection = scenario.connection
@@ -210,9 +298,9 @@ def calls_per_round_trip(strategies=STRATEGIES):
 
     one_pass()  # plan cache, SQL cache, header and shape memos are warm
     before = connection.statistics["round_trips"]
-    calls = count_calls(one_pass)
+    counted = counter(one_pass)
     round_trips = connection.statistics["round_trips"] - before
-    return calls / round_trips, round_trips
+    return counted / round_trips, round_trips
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +318,7 @@ def statement_calls(database, sql, params):
 
 
 def test_a_cached_round_trip_stays_inside_its_call_budget():
-    per_trip, round_trips = calls_per_round_trip()
+    per_trip, round_trips = per_round_trip()
     assert round_trips > 100  # one statement per visible node, two expands
     assert per_trip <= CALLS_PER_ROUND_TRIP_BUDGET, (
         f"{per_trip:.1f} Python-level calls per cached navigational round "
@@ -240,7 +328,7 @@ def test_a_cached_round_trip_stays_inside_its_call_budget():
 
 
 def test_a_cached_late_round_trip_checks_its_rules_inside_its_budget():
-    per_trip, round_trips = calls_per_round_trip((ExpandStrategy.NAVIGATIONAL_LATE,))
+    per_trip, round_trips = per_round_trip(strategies=(ExpandStrategy.NAVIGATIONAL_LATE,))
     assert round_trips > 50  # one statement per visible node
     assert per_trip <= LATE_CALLS_PER_ROUND_TRIP_BUDGET, (
         f"{per_trip:.1f} Python-level calls per cached navigational-late "
@@ -272,7 +360,22 @@ def test_a_cached_recursive_expand_stays_inside_its_call_budget():
 
 
 def test_the_count_repeats_to_the_call():
-    assert calls_per_round_trip() == calls_per_round_trip()
+    assert per_round_trip() == per_round_trip()
+
+
+def test_a_cached_round_trip_stays_inside_its_codec_opcode_budget():
+    per_trip, round_trips = per_round_trip(count_codec_opcodes)
+    assert round_trips > 100 and per_trip > 0  # the counter sees the codec
+    assert per_trip <= CODEC_OPCODES_PER_ROUND_TRIP_BUDGET, (
+        f"{per_trip:.1f} result codec bytecode instructions per cached "
+        f"navigational round trip (budget {CODEC_OPCODES_PER_ROUND_TRIP_BUDGET}): "
+        f"rows are encoded or decoded per value again, or a cached plan's "
+        f"header is walked name by name — see DESIGN.md §5, item 6"
+    )
+
+
+def test_the_opcode_count_repeats_to_the_instruction():
+    assert per_round_trip(count_codec_opcodes) == per_round_trip(count_codec_opcodes)
 
 
 def test_the_audit_runs_as_a_columnar_scan_inside_its_budget(txn_mix_db):

@@ -6,7 +6,7 @@ row operators with the batch operators compares one definition with
 itself.  This module compares it with SQLite, which shares no code with
 it: hypothesis generates well-typed expressions over every node kind the
 compiler emits — comparisons, AND / OR / NOT, IS [NOT] NULL, [NOT]
-BETWEEN, [NOT] IN lists, LIKE, CASE, COALESCE, NULLIF, ``+ - *``, ``||``,
+BETWEEN, [NOT] IN lists, LIKE, CASE, COALESCE, NULLIF, ``+ - * %``, ``||``,
 unary minus and ``CAST(NULL AS ...)`` — and checks ``SELECT <e> FROM t``
 and ``SELECT id FROM t WHERE <e>`` as multisets on two tables: one of one
 row (the row functions a one-row batch takes) and one of more than one
@@ -18,8 +18,10 @@ them hides a wrong value):
 
 * **Booleans.**  The engine returns ``True`` / ``False``, SQLite ``1`` /
   ``0``; rows are compared with Python equality, under which they agree.
-* **Division.**  ``/`` is left out: integer division truncates toward
-  zero in both, but SQLite answers NULL for a zero divisor where the
+* **Division.**  ``/`` is left out and ``%`` has literal divisors that
+  are not zero after truncation: integer division truncates toward
+  zero in both and ``%`` takes the dividend's sign in both, but SQLite
+  answers NULL for a zero divisor (``5 % 0``, ``5 % 0.5``) where the
   engine raises ``division by zero``.
 * **Types.**  Expressions are generated well-typed — numbers with
   numbers, strings with strings — because the engine raises
@@ -43,7 +45,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TypeMismatchError
+from repro.errors import ExecutionError, TypeMismatchError
 from repro.sqldb import Database
 from repro.sqldb.columnar import BATCH_SIZE
 from repro.sqldb.expressions import Program
@@ -95,6 +97,8 @@ FLOATS = st.sampled_from(["0.5", "1.25", "2.0", "3.75"])
 TEXTS = st.sampled_from(["'a'", "'ab'", "'b'", "'abc'", "''"])
 PATTERNS = st.text(alphabet="abc%_", min_size=1, max_size=3).map(lambda p: f"'{p}'")
 COMPARISONS = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
+#: ``%`` divisors: none is zero once truncated toward zero.
+DIVISORS = st.sampled_from(["2", "-3", "7", "1", "1.25", "-2.0", "3.75"])
 
 
 def _unary(template, part):
@@ -132,7 +136,10 @@ def number(depth):
     arithmetic = st.tuples(sub, st.sampled_from(["+", "-", "*"]), sub).map(
         lambda parts: "({} {} {})".format(*parts)
     )
-    return st.one_of(leaves, _unary("(- {})", sub), arithmetic, *_common(depth, number))
+    remainder = _binary("({} % {})", sub, DIVISORS)
+    return st.one_of(
+        leaves, _unary("(- {})", sub), arithmetic, remainder, *_common(depth, number)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -292,3 +299,25 @@ class TestLongChains:
             db.execute(f"SELECT x + s + n{tail} FROM t")
         assert db.execute(f"SELECT n + s + x{tail} FROM t").scalar() is None
         assert db.execute(f"SELECT s + n + x{tail} FROM t").scalar() is None
+
+
+class TestRemainderFollowsSQL:
+    """``%`` truncates both operands toward zero and gives the remainder
+    the dividend's sign, REAL when either operand is (as SQLite does);
+    Python's ``%`` follows the divisor's sign instead."""
+
+    @pytest.mark.parametrize(
+        "expression, expected",
+        [("-3 % 2", -1), ("-3.5 % 2", -1.0), ("7 % 2.5", 1.0)],
+    )
+    def test_the_reproductions_agree_with_sqlite(self, engines, expression, expected):
+        db, oracle = engines
+        ours = db.execute(f"SELECT {expression}").scalar()
+        assert ours == expected == oracle.execute(f"SELECT {expression}").fetchone()[0]
+        assert type(ours) is type(expected)
+
+    @pytest.mark.parametrize("divisor", ["0", "0.5", "-0.25"])
+    def test_a_divisor_truncating_to_zero_is_a_division_by_zero(self, engines, divisor):
+        db, __ = engines
+        with pytest.raises(ExecutionError, match="division by zero"):
+            db.execute(f"SELECT 5 % {divisor}")

@@ -93,6 +93,68 @@ class TestStoredFunctionsInSQL:
         assert result.column("obid") == [1, 2]
 
 
+class TestStoredFunctionsThroughACachedPlan:
+    """A call from generated code is ``env.functions.bound[NAME](...)``,
+    looked up when it runs: a cached plan sees every (re)registration and
+    keeps the registry's NULL rule and error wrapping.  ``small`` is one
+    batch of at most 64 rows (the row function per row), ``big`` one of
+    more (the column loop)."""
+
+    SIZES = {"small": 3, "big": 100}
+
+    @pytest.fixture(params=sorted(SIZES))
+    def db(self, request):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
+        db.executemany(
+            "INSERT INTO t VALUES (?, ?)",
+            [(n, None if n == 0 else n) for n in range(self.SIZES[request.param])],
+        )
+        return db
+
+    def run_twice(self, db, sql):
+        """Both results of *sql*, the second from the plan cache."""
+        first = db.execute(sql).rows
+        hits = db.statistics["plan_cache_hits"]
+        second = db.execute(sql).rows
+        assert db.statistics["plan_cache_hits"] == hits + 1
+        return first, second
+
+    def test_an_unregistered_name_fails_where_it_runs(self, db):
+        for __ in range(2):
+            with pytest.raises(ExecutionError, match="unknown function 'NOPE'"):
+                db.execute("SELECT id FROM t WHERE nope(v)")
+        assert db.execute("SELECT id FROM t WHERE id < 0 AND nope(v)").rows == []
+
+    def test_a_failing_function_is_an_execution_error(self, db):
+        db.register_function("boom", lambda value: 1 // (value - value))
+        for __ in range(2):
+            with pytest.raises(ExecutionError, match="function 'boom' failed"):
+                db.execute("SELECT id, boom(v) FROM t")
+
+    def test_a_non_propagating_function_sees_the_null(self, db):
+        db.register_function("missing", lambda value: value is None, propagate_null=False)
+        first, second = self.run_twice(db, "SELECT id FROM t WHERE missing(v)")
+        assert first == second == [(0,)]
+        first, second = self.run_twice(db, "SELECT COUNT(*) FROM t WHERE NOT missing(v)")
+        assert first == second == [(len(db.execute("SELECT id FROM t").rows) - 1,)]
+
+    def test_a_propagating_function_is_not_called_on_null(self, db):
+        seen = []
+        db.register_function("spy", lambda value: seen.append(value) or value > 1)
+        first, second = self.run_twice(db, "SELECT id FROM t WHERE spy(v)")
+        assert first == second and (0,) not in first and None not in seen
+
+    def test_re_registering_changes_a_cached_plan(self, db):
+        sql = "SELECT id FROM t WHERE pick(v) ORDER BY id"
+        db.register_function("pick", lambda value: value == 2)
+        assert db.execute(sql).rows == [(2,)]
+        hits = db.statistics["plan_cache_hits"]
+        db.register_function("PICK", lambda value: value in (1, 2))
+        assert db.execute(sql).rows == [(1,), (2,)]
+        assert db.statistics["plan_cache_hits"] == hits + 1
+
+
 class TestAggregatorUnit:
     def test_count_star(self):
         aggregator = Aggregator("COUNT", star=True)

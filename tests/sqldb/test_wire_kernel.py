@@ -305,6 +305,211 @@ class TestDamagedFramesFailCleanly:
             assert kind == "error" or repr(got) != whole
 
 
+# -- the result codec, per kind signature, against the per-value reference ------
+
+
+def reference_encode_result(result):
+    """A result frame, one value at a time."""
+    try:
+        names = [name.encode("utf-8") for name in result.columns]
+        body = b"".join(reference_encode_value(v) for row in result.rows for v in row)
+    except UnicodeEncodeError as exc:
+        raise ProtocolError(f"text cannot be encoded as UTF-8: {exc}") from None
+    header = struct.pack(">H", len(names)) + b"".join(
+        struct.pack(">I", len(name)) + name for name in names
+    )
+    count = struct.pack(">I", len(result.rows))
+    return header + count + body + struct.pack(">I", result.rowcount)
+
+
+def reference_decode_result(buffer):
+    """A result frame, one value at a time, with the checks and the
+    messages the frame decoder has always had."""
+    end = len(buffer)
+    if end < 2:
+        raise ProtocolError("truncated value frame")
+    width = struct.unpack_from(">H", buffer)[0]
+    offset, columns = 2, []
+    for __ in range(width):
+        _check(buffer, offset, 4)
+        length = struct.unpack_from(">I", buffer, offset)[0]
+        offset += 4
+        _check(buffer, offset, length)
+        try:
+            columns.append(buffer[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"invalid UTF-8 in value frame: {exc}") from None
+        offset += length
+    _check(buffer, offset, 4)
+    row_count = struct.unpack_from(">I", buffer, offset)[0]
+    offset += 4
+    if row_count * max(width, 1) > end - offset:
+        raise ProtocolError("truncated value frame")
+    rows = []
+    for __ in range(row_count):
+        row, offset = reference_decode_run(buffer, offset, width)
+        rows.append(tuple(row))
+    _check(buffer, offset, 4)
+    rowcount = struct.unpack_from(">I", buffer, offset)[0]
+    if offset + 4 != end:
+        raise ProtocolError("trailing bytes after result frame")
+    return ResultSet(columns, rows, rowcount=rowcount)
+
+
+KIND_VALUES = {
+    "N": st.none(),
+    "I": st.one_of(
+        st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+        st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX]),
+    ),
+    "D": st.floats(allow_nan=True, allow_infinity=True),
+    "B": st.booleans(),
+    "S": st.one_of(st.text(max_size=6), st.sampled_from(["", "日本語", "\x00"])),
+}
+
+#: Row counts: none, one, around the fixed-width chunk (16 rows) and
+#: past a small batch (64 rows).
+ROW_COUNTS = [0, 1, 2, 15, 16, 17, 31, 32, 33, 48, 70]
+
+
+@st.composite
+def result_sets(draw, row_counts=ROW_COUNTS):
+    """Rows of one kind signature, from row k on (or at row k only) of
+    another, with any wire value — NULL, a bool beside an int, an
+    ``IntEnum``, a ``str`` subclass — anywhere."""
+    width = draw(st.integers(min_value=0, max_value=5))
+    count = draw(st.sampled_from(row_counts)) if width else draw(st.sampled_from([0, 1, 3]))
+    signatures = [draw(st.text(alphabet="NIDBS", min_size=width, max_size=width))]
+    signatures.append(draw(st.text(alphabet="NIDBS", min_size=width, max_size=width)))
+    k = draw(st.integers(min_value=0, max_value=max(count - 1, 0)))
+    until = draw(st.sampled_from([k + 1, count]))
+    rows = []
+    for index in range(count):
+        signature = signatures[k <= index < until]
+        rows.append([draw(KIND_VALUES[tag]) for tag in signature])
+    for __ in range(draw(st.integers(min_value=0, max_value=3)) if count and width else 0):
+        row = draw(st.integers(min_value=0, max_value=count - 1))
+        rows[row][draw(st.integers(min_value=0, max_value=width - 1))] = draw(wire_values)
+    columns = [draw(st.sampled_from(["c", "obid", "名前", ""])) + str(i) for i in range(width)]
+    return ResultSet(columns, rows, rowcount=draw(st.sampled_from([len(rows), 0, 7])))
+
+
+def assert_results_decode_alike(buffer):
+    kind, got = outcome(wire.decode_result, buffer)
+    expected_kind, expected = outcome(reference_decode_result, buffer)
+    assert kind == expected_kind, (got, expected)
+    if kind == "error":
+        assert got == expected
+    else:
+        assert got.columns == expected.columns and got.rowcount == expected.rowcount
+        assert len(got.rows) == len(expected.rows)
+        for mine, theirs in zip(got.rows, expected.rows):
+            assert type(mine) is tuple and same_values(mine, theirs)
+
+
+class TestResultCodecMatchesPerValueCodec:
+    """``encode_result`` / ``decode_result`` split the rows into runs of
+    one kind signature, each run through a generated codec: the bytes,
+    the values and every error are the per-value reference's."""
+
+    @given(result_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_and_values_are_the_references(self, result):
+        frame = wire.encode_result(result)
+        assert frame == reference_encode_result(result)
+        for __ in range(2):  # the second read meets the remembered header
+            assert_results_decode_alike(frame)
+        decoded = wire.decode_result(frame)
+        assert {type(v) for row in decoded.rows for v in row} <= {
+            type(None), bool, int, float, str
+        }
+
+    @given(
+        result_sets(),
+        st.sampled_from(["\ud800", INT64_MAX + 1, INT64_MIN - 1, object()]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_an_unencodable_value_at_row_k_fails_like_the_reference(
+        self, result, poison, data
+    ):
+        if not result.rows or not result.columns:
+            return
+        row = data.draw(st.integers(min_value=0, max_value=len(result.rows) - 1))
+        column = data.draw(st.integers(min_value=0, max_value=len(result.columns) - 1))
+        rows = [list(values) for values in result.rows]
+        rows[row][column] = poison
+        poisoned = ResultSet(result.columns, rows, rowcount=result.rowcount)
+        with pytest.raises(ProtocolError) as expected:
+            reference_encode_result(poisoned)
+        with pytest.raises(ProtocolError) as actual:
+            wire.encode_result(poisoned)
+        assert str(actual.value) == str(expected.value)
+
+    @given(result_sets(), st.integers(min_value=1, max_value=255), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_prefix_and_mutation_fails_like_the_reference(self, result, mask, data):
+        frame = wire.encode_result(result)
+        wire.decode_result(frame)  # remembered: damaged copies meet the memo
+        if len(frame) <= 600:
+            candidates = damaged(frame, mask)
+        else:
+            positions = data.draw(
+                st.lists(st.integers(min_value=0, max_value=len(frame) - 1), max_size=40)
+            )
+            candidates = [frame[:cut] for cut in positions] + [
+                frame[:at] + bytes([frame[at] ^ mask]) + frame[at + 1 :] for at in positions
+            ]
+        for candidate in candidates:
+            assert_results_decode_alike(candidate)
+
+    @pytest.mark.parametrize("odd", [True, None, 7, 2.5, Colour.BLUE, "s"], ids=repr)
+    def test_an_odd_value_anywhere_in_a_chunked_run_is_coded_like_the_reference(self, odd):
+        for count in (16, 17, 33):
+            for row in range(count):
+                for column in range(3):
+                    rows = [[n, -0.5 * n, n % 3 == 0] for n in range(count)]
+                    rows[row][column] = odd
+                    result = ResultSet(["i", "d", "b"], rows)
+                    frame = wire.encode_result(result)
+                    assert frame == reference_encode_result(result)
+                    assert_results_decode_alike(frame)
+
+    @pytest.mark.parametrize("count", [15, 16, 17, 33, 70])
+    @pytest.mark.parametrize("bad", ["lone-surrogate", "big-string", "bad-tag"])
+    def test_a_damaged_row_k_of_a_chunked_run_fails_like_the_reference(self, count, bad):
+        rows = [(n, float(n), n % 2 == 0, None) for n in range(count)]
+        frame = bytearray(wire.encode_result(ResultSet(["i", "d", "b", "n"], rows)))
+        row_size = 9 + 9 + 2 + 1
+        at = len(frame) - 4 - row_size * (count // 2 + 1)
+        if bad == "bad-tag":
+            frame[at] = ord("X")
+        elif bad == "big-string":
+            frame[at : at + 5] = b"S\x00\x00\x00\x09"
+        else:
+            frame[at : at + 9] = b"S\x00\x00\x00\x04\xed\xa0\x80x"
+        assert_results_decode_alike(bytes(frame))
+
+    def test_alternating_headers_of_one_width_decode_to_their_own_columns(self):
+        first = ResultSet(["a", "b"], [(1, "x")])
+        second = ResultSet(["x", "yy"], [("p", None), (2.5, True)])
+        for __ in range(3):
+            for result in (first, second):
+                decoded = wire.decode_result(wire.encode_result(result))
+                assert decoded.columns == result.columns
+                assert decoded.rows == result.rows
+
+    def test_a_header_sharing_a_prefix_with_a_remembered_one_is_read_in_full(self):
+        remembered = ResultSet(["ab"], [(1,)])
+        wire.decode_result(wire.encode_result(remembered))
+        for columns in (["a"], ["abc"], ["ab\x00"]):
+            result = ResultSet(columns, [(2,), ("s",)])
+            frame = wire.encode_result(result)
+            assert wire.decode_result(frame).columns == columns
+            assert_results_decode_alike(frame)
+        assert wire.decode_result(wire.encode_result(remembered)).columns == ["ab"]
+
+
 # -- one statement codec ----------------------------------------------------------
 
 
