@@ -407,6 +407,13 @@ Statement = Union[
     SelectStatement, CreateTable, CreateIndex, DropTable, Insert, Update, Delete
 ]
 
+#: How deep an expression may nest: a parenthesised expression, a
+#: function call or CAST and its operand, a subquery, each NOT and each
+#: sign opens one level (a left-deep run of one binary operator, ``a + b +
+#: c``, opens none).  The parser and :func:`repro.sqldb.expressions.lower`
+#: raise a ``ParseError`` past it, well before Python's recursion limit.
+NESTING_LIMIT = 100
+
 
 def walk_expression(expression: Expression):
     """Yield *expression* and all its sub-expressions depth-first.

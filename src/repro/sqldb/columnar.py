@@ -6,13 +6,15 @@ interpreter overhead — generator frames, closure calls, tuple indexing —
 is paid once per batch instead of once per row.  NULLs stay in-band as
 ``None``.
 
-The generated batch loops of :mod:`repro.sqldb.expressions` read a large
-batch column-wise: ``columns`` is a lazy view pivoting each column out of
-the rows on its first read, set on the batch the first time a loop needs
-it, so a scan pays only for the columns its plan reads and a cached chunk
-pivots a column once per table version.  A batch of at most
+The generated pipeline loops of :mod:`repro.sqldb.expressions` read a
+large batch column-wise: ``columns`` is a lazy view pivoting each column
+out of the rows on its first read, set on the batch the first time a loop
+needs it, so a scan pays only for the columns its plan reads.  Beside the
+columns it keeps each column's set of value types (``columns.kinds``),
+which a loop's fast form checks before it runs.  A cached chunk pivots a
+column and collects its kinds once per table version.  A batch of at most
 :data:`SMALL_BATCH` rows (a point probe's, an index join's, a fixpoint
-round's) is never pivoted: its loops run the row function per row.
+round's) is never pivoted: its pipeline runs in row form.
 
 Base-table batches are built lazily from :class:`~repro.sqldb.storage.
 TableStorage` and cached on the storage object, keyed by its mutation
@@ -45,88 +47,41 @@ Row = Tuple[Any, ...]
 
 class Batch(list):
     """Some rows of a relation, as the list of their tuples;
-    ``columns[slot][i]`` is row *i*'s value for *slot* once a batch loop
+    ``columns[slot][i]`` is row *i*'s value for *slot* once a pipeline
     has pivoted it (None before)."""
 
     columns: Optional["Columns"] = None
 
-    def gather(self, indices: List[int]):
-        """A new batch holding the given row positions (in that order); a
-        large one picked out of a batch with columns is a :class:`_Gathered`
-        batch."""
-        if self.columns is None or len(indices) <= SMALL_BATCH:
-            return Batch(map(self.__getitem__, indices))
-        return _Gathered(self, indices)
-
-
-class _Gathered:
-    """Rows picked out of a large batch with columns: a batch whose rows,
-    and each of its columns, are gathered out of the source's on first
-    read — a filter's survivors that only a projection or an aggregate
-    reads are never built as rows."""
-
-    __slots__ = ("columns", "_source", "_indices", "_rows")
-
-    def __init__(self, source: Batch, indices: List[int]) -> None:
-        self.columns = _GatheredColumns(source.columns, indices)
-        self._source = source
-        self._indices = indices
-        self._rows: Optional[List[Row]] = None
-
-    def _picked(self) -> List[Row]:
-        rows = self._rows
-        if rows is None:
-            source = self._source
-            rows = self._rows = [source[i] for i in self._indices]
-        return rows
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def __iter__(self):
-        return iter(self._picked())
-
-    def __getitem__(self, index):
-        return self._picked()[index]
-
-    def gather(self, indices: List[int]):
-        picked = [self._indices[i] for i in indices]
-        if len(picked) <= SMALL_BATCH:
-            source = self._source
-            return Batch([source[i] for i in picked])
-        return _Gathered(self._source, picked)
-
 
 class Columns(dict):
     """A batch's columns, each pivoted out of its rows on first read
-    (``columns[slot]`` costs a call only then)."""
+    (``columns[slot]`` costs a call only then), and ``kinds[slot]``, the
+    set of value types in column *slot*, likewise computed once."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "kinds")
 
     def __init__(self, rows: List[Row]) -> None:
         super().__init__()
         self._rows = rows
+        self.kinds = _Kinds(self)
 
     def __missing__(self, slot: int) -> List[Any]:
         column = self[slot] = list(map(itemgetter(slot), self._rows))
         return column
 
 
-class _GatheredColumns(dict):
-    """The columns of a gathered batch, each gathered out of the source's
-    column on first read."""
+class _Kinds(dict):
+    """``slot -> set of the types in that column`` of one :class:`Columns`."""
 
-    __slots__ = ("_source", "_indices")
+    __slots__ = ("_columns",)
 
-    def __init__(self, source, indices: List[int]) -> None:
+    def __init__(self, columns: Columns) -> None:
         super().__init__()
-        self._source = source
-        self._indices = indices
+        self._columns = columns
 
-    def __missing__(self, slot: int) -> List[Any]:
-        source = self._source[slot]
-        column = self[slot] = [source[i] for i in self._indices]
-        return column
+    def __missing__(self, slot: int) -> set:
+        kinds = self[slot] = set(map(type, self._columns[slot]))
+        return kinds
 
 
 def table_batches(storage, batch_size: int = BATCH_SIZE, snapshot=None) -> List[Batch]:

@@ -49,7 +49,7 @@ import sys
 from dataclasses import dataclass
 from heapq import nlargest, nsmallest
 from itertools import chain, compress, repeat
-from operator import ge, le, ne
+from operator import ge, le, methodcaller, ne
 from typing import (
     Any,
     Callable,
@@ -62,9 +62,10 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ExecutionError
-from repro.sqldb.columnar import BATCH_SIZE, Batch, table_batches
-from repro.sqldb.expressions import Program
+from repro.errors import ExecutionError, TypeMismatchError
+from repro.sqldb.columnar import BATCH_SIZE, SMALL_BATCH, Batch, table_batches
+from repro.sqldb.expressions import IR, Program
+from repro.sqldb.pipelines import FILTER, GROUPS, JOIN, PROJECT, RECHECK, ROWS, pipeline
 from repro.sqldb.functions import Aggregator, FunctionRegistry
 from repro.sqldb.stats import INDEX_TUPLE_COST, PROBE_COST, SEQ_TUPLE_COST
 from repro.sqldb.storage import TableStorage
@@ -76,9 +77,24 @@ ExprFn = Callable[[Row, "ExecutionEnv"], Any]
 #: The budget of a consumer that takes every row.
 UNBOUNDED = sys.maxsize
 
+_NUMBERS = (int, float)
+
 
 class ExecutionEnv:
     """Per-execution state threaded through every operator and expression."""
+
+    #: Bumped on every CTE rebinding (see :meth:`bind_cte`).
+    cache_epoch = 0
+    #: Optional :class:`repro.obs.TraceRecorder` threaded down from the
+    #: owning :class:`~repro.sqldb.database.Database` (None keeps
+    #: execution untraced).
+    recorder = None
+    #: Optional :class:`repro.sqldb.mvcc.Snapshot`: what base-table access
+    #: paths hand to the storage so it resolves version chains at this
+    #: stamp; None reads the live heap.  Threaded through the environment
+    #: (not the plan) because plans are cached and shared across
+    #: transactions.
+    snapshot = None
 
     def __init__(
         self,
@@ -92,28 +108,19 @@ class ExecutionEnv:
         #: CTE name (lower) -> its materialised rows as one batch.
         self.cte_frames: Dict[str, Batch] = {}
         self.outer_rows: List[Row] = []
-        self.cache_epoch = 0
         self.subquery_cache: Dict[int, Tuple[int, Any]] = {}
         self.counters: Dict[str, int] = {
             "rows_scanned": 0,
             "subquery_executions": 0,
             "index_probes": 0,
         }
-        #: Optional :class:`repro.obs.TraceRecorder` threaded down from
-        #: the owning :class:`~repro.sqldb.database.Database` (None keeps
-        #: execution untraced).
-        self.recorder = None
-        #: Optional :class:`repro.sqldb.mvcc.Snapshot`: what base-table
-        #: access paths hand to the storage so it resolves version chains
-        #: at this stamp; None reads the live heap.  Threaded through the
-        #: environment (not the plan) because plans are cached and shared
-        #: across transactions.
-        self.snapshot = None
         #: ``id(operator) -> (key count, probed?)`` of the last run of each
         #: priced index probe (:meth:`_IndexProbe._priced_keys`); per
         #: execution because plans are cached and shared.  EXPLAIN ANALYZE
         #: reads it.
         self.probe_runs: Dict[int, Tuple[int, bool]] = {}
+        #: ``id(operator) -> whether the last run of an index probe scanned``.
+        self.scans: Dict[int, bool] = {}
     def bind_cte(self, name: str, frame: Batch) -> None:
         """(Re)bind a CTE name; invalidates the uncorrelated-subquery cache
         because cached results may depend on the old binding."""
@@ -151,6 +158,8 @@ class Operator:
 
     output_names: List[str]
     children: Tuple["Operator", ...]
+    #: A stage inside a pipeline, run by the pipeline's top (:func:`fuse`).
+    fused = False
 
     def __init__(self, output_names: Sequence[str], *children: "Operator") -> None:
         self.output_names = list(output_names)
@@ -191,10 +200,7 @@ def as_batches(rows: List[Row], budget: int) -> Iterable[Batch]:
 def _each(source: Iterable[Batch], step, env: ExecutionEnv) -> Iterable[Batch]:
     """*step* — ``(batch, env) -> batch or None`` — over the batches of
     *source*: at once when *source* is computed (a tuple), else as each
-    batch is pulled.  ``Filter`` and ``Project``, on every PDM statement's
-    path, spell this out in their ``batches``: the helper's frame per
-    call costs 3–5 % of the navigational and recursive statements'
-    engine time."""
+    batch is pulled (``Distinct`` and the set operations)."""
     if source.__class__ is not tuple:
         return _pulled(source, step, env)
     result = step(source[0], env) if source else None
@@ -211,8 +217,8 @@ def _pulled(source: Iterable[Batch], step, env: ExecutionEnv) -> Iterator[Batch]
 def _joined(source: Iterable[Batch], matches, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
     """The rows *matches* — ``(batch, env) -> rows`` — joins to each batch
     of *source*, in batches of at most *budget* rows: at once when
-    *source* is computed (a tuple), else as each batch is pulled.  The
-    index join spells this out, as ``Filter`` does :func:`_each`."""
+    *source* is computed (a tuple), else as each batch is pulled (the
+    hash join and the nested loop)."""
     if source.__class__ is not tuple:
         return _joined_pulled(source, matches, env, budget)
     out = matches(source[0], env) if source else None
@@ -288,7 +294,9 @@ class _IndexProbe(_TableAccess):
     scan of the table as it stands (:meth:`_priced_keys`), and when the
     scan is cheaper the node *is* a :class:`SeqScan`: the planner keeps
     the whole WHERE as the residual filter above every access path, so
-    that filter keeps exactly the rows the probes would have produced.
+    that filter keeps exactly the rows the probes would have produced
+    (a filter in the probe's pipeline tests the conjunct the probe stands
+    for only on a scan's rows: ``env.scans`` records which each run took).
     ``batches`` asks the storage for the rows its snapshot (or the live
     heap) shows under each key; ``row_ids`` — how a DML statement locates
     its target rows, always on the live heap — asks the index for the ids.
@@ -333,20 +341,26 @@ class _IndexProbe(_TableAccess):
         probed rows: probed at once for one key or an unbounded budget,
         else key by key as the batches are pulled."""
         keys = self._priced_keys(env)
+        env.scans[id(self)] = keys is None
         if keys is None:
             return SeqScan.batches(self, env, budget)
-        if len(keys) > 1 and budget < UNBOUNDED:
+        if len(keys) == 1:
+            found = self.storage.probe(self.index, keys[0], env.snapshot)
+        elif budget < UNBOUNDED:
             return self._probed(keys, env, budget)
-        probe, index, snapshot = self.storage.probe, self.index, env.snapshot
+        else:
+            probe, index, snapshot = self.storage.probe, self.index, env.snapshot
+            found = []
+            for key in keys:
+                found += probe(index, key, snapshot)
         counters = env.counters
-        found: List[Row] = []
-        for key in keys:
-            counters["index_probes"] += 1
-            found += probe(index, key, snapshot)
+        counters["index_probes"] += len(keys)
         if len(found) > budget:
             return _scanned(as_batches(found, budget), env)
         counters["rows_scanned"] += len(found)
-        return as_batches(found, budget)
+        if len(found) > BATCH_SIZE:
+            return as_batches(found, budget)
+        return (Batch(found),) if found else ()
 
     def _probed(
         self, keys: Sequence[Tuple[Any, ...]], env: ExecutionEnv, budget: int
@@ -392,8 +406,24 @@ class IndexLookup(_IndexProbe):
     def label(self) -> str:
         return f"IndexLookup({self.storage.schema.name} via {self.index.name})"
 
+    def __init__(self, storage: TableStorage, index, keys: Program) -> None:
+        super().__init__(storage, index, keys)
+        (position,) = index.column_positions
+        #: Does the probed column hold numbers (strings otherwise)?
+        self.numeric = not storage.schema.columns[position].sql_type.is_character
+
     def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
-        return [self.keys.row((), env)]
+        """The one key, checked as ``=`` checks it: a number against a
+        column of strings, or a string against one of numbers, is a
+        ``TypeMismatchError`` whether the key finds rows or not."""
+        key = self.keys.row((), env)
+        value = key[0]
+        if value is not None and isinstance(value, _NUMBERS) is not self.numeric:
+            raise TypeMismatchError(
+                f"cannot compare {'a number' if self.numeric else 'a string'} "
+                f"column with {type(value).__name__}"
+            )
+        return key,
 
 
 class MultiKeyIndexLookup(_IndexProbe):
@@ -488,34 +518,81 @@ class RowsSource(Operator):
         return as_batches(self._rows, budget)
 
 
-class Filter(Operator):
-    """Keep rows for which the predicate is TRUE (not FALSE, not UNKNOWN)."""
+class _Stage(Operator):
+    """A non-blocking operator: a ``Filter``, a ``Project`` or an
+    ``IndexNestedLoopJoin``, the stages of a pipeline.
 
-    def __init__(self, child: Operator, predicate: Program) -> None:
+    :func:`fuse` gives each stage of a pipeline the pipeline's one
+    generated loop (``program``, from :func:`~repro.sqldb.expressions.
+    pipeline`); the top stage runs it over the batches of the pipeline's
+    source — the first operator down its ``child`` chain that is not
+    ``fused`` — and nothing calls the ``batches`` of a stage below it.  A
+    source batch goes through the whole loop at once, so the rows between
+    two stages are never built, gathered or counted.
+    """
+
+    child: Operator
+    program: Optional[Program] = None
+    pipelined = False
+    #: Does the source test an index probe's key when it scans instead?
+    rechecks = False
+
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        """The pipeline's output: each source batch (the source cuts it
+        to the budget) through the loop, its rows cut to the budget."""
+        source = self.child
+        while source.fused:
+            source = source.child
+        batches = source.batches(env, budget)
+        program = self.program
+        if program is None:  # every stage reads its slots in place
+            return batches
+        if batches.__class__ is not tuple:
+            return _pipelined(batches, source, self, env, budget)
+        if not batches:
+            return ()
+        batch = batches[0]
+        scan = self.rechecks and env.scans[id(source)]
+        if batch.columns is None and len(batch) <= SMALL_BATCH:
+            out = program.row(batch, env, scan)
+        else:
+            out = program.batch(batch, env, scan)
+        if not out:
+            return ()
+        if len(out) <= budget and len(out) <= BATCH_SIZE:
+            return (Batch(out),)
+        return as_batches(out, budget)
+
+
+def _pipelined(
+    batches: Iterable[Batch], source: Operator, top: _Stage, env: ExecutionEnv, budget: int
+) -> Iterator[Batch]:
+    program = top.program
+    for batch in batches:
+        scan = top.rechecks and env.scans[id(source)]
+        if batch.columns is None and len(batch) <= SMALL_BATCH:
+            out = program.row(batch, env, scan)
+        else:
+            out = program.batch(batch, env, scan)
+        if out:
+            yield from as_batches(out, budget)
+
+
+class Filter(_Stage):
+    """Keep rows for which the predicate is TRUE (not FALSE, not UNKNOWN).
+
+    ``recheck``, when set, is the conjunct the index probe at the source
+    of the filter's pipeline stands for: tested only where the probe was
+    priced out to a scan, and before ``predicate`` (None: no other).
+    """
+
+    def __init__(
+        self, child: Operator, predicate: Optional[IR], recheck: Optional[IR] = None
+    ) -> None:
         super().__init__(child.output_names, child)
         self.child = child
         self.predicate = predicate
-
-    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        source = self.child.batches(env, budget)
-        if source.__class__ is not tuple:
-            return _pulled(source, self._kept, env)
-        kept = self._kept(source[0], env) if source else None
-        return () if kept is None else (kept,)
-
-    def _kept(self, batch: Batch, env: ExecutionEnv) -> Optional[Batch]:
-        """A batch the predicate fully accepts passes through untouched
-        (the common case for selective scans is all-or-mostly matches per
-        chunk); otherwise the positions the batch loop selects (where the
-        predicate is TRUE: a plain 1 keeps no row) are gathered into a
-        fresh batch.  A batch of one row — a point probe's — is tested
-        with the row function."""
-        if len(batch) == 1:
-            return batch if self.predicate.row(batch[0], env) is True else None
-        selected = self.predicate.batch(batch, env)
-        if len(selected) == len(batch):
-            return batch
-        return batch.gather(selected) if selected else None
+        self.recheck = recheck
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
         source = self.child
@@ -523,41 +600,27 @@ class Filter(Operator):
             raise NotImplementedError(
                 "row ids exist only directly above a base-table access path"
             )
-        predicate = self.predicate.row
+        test = self.program.row
         fetch = source.storage.fetch
         for row_id in source.row_ids(env):
-            if predicate(fetch(row_id), env) is True:
+            if test([fetch(row_id)], env, False):
                 yield row_id
 
 
-class Project(Operator):
+class Project(_Stage):
     """Compute the select list."""
 
-    def __init__(self, child: Operator, exprs: Program, names: List[str]) -> None:
+    def __init__(self, child: Operator, exprs: Sequence[IR], names: List[str]) -> None:
         super().__init__(names, child)
         self.child = child
-        self.exprs = exprs
-        #: Every output slot reads the same input slot (``SELECT *``):
-        #: batches pass through as they are.
-        self.identity = exprs.bare_slots() == list(range(len(child.output_names)))
+        self.exprs = tuple(exprs)
+        #: Every output slot reads the same input slot (``SELECT *``).
+        self.identity = self.exprs == tuple(
+            ("slot", index, ()) for index in range(len(child.output_names))
+        )
 
     def label(self) -> str:
         return f"Project({', '.join(self.output_names)})"
-
-    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        source = self.child.batches(env, budget)
-        if self.identity:
-            return source
-        if source.__class__ is not tuple:
-            return _pulled(source, self._projected, env)
-        return (self._projected(source[0], env),) if source else ()
-
-    def _projected(self, batch: Batch, env: ExecutionEnv) -> Batch:
-        """One loop over the batch building the output rows in row order —
-        a batch of one row takes the row function."""
-        if len(batch) == 1:
-            return Batch([self.exprs.row(batch[0], env)])
-        return Batch(self.exprs.batch(batch, env))
 
 
 class NestedLoopJoin(Operator):
@@ -664,15 +727,15 @@ class HashJoin(Operator):
         return _joined(self.left.batches(env, budget), matches, env, budget)
 
 
-class IndexNestedLoopJoin(Operator):
+class IndexNestedLoopJoin(_Stage):
     """Join probing a base-table hash index once per left row.
 
     This is the operator that makes the paper-scale simulations feasible:
     the navigational child fetch and the recursive branch both join the
     working set against ``link`` (and then against ``assy``/``comp``) on
-    indexed equality keys.  ``left_keys`` are compiled against the left
+    indexed equality keys.  ``left_keys`` are lowered against the left
     scope; the residual condition (the full ON clause minus the probed
-    key) is verified on the combined row.  Output is in left order, then
+    key) is tested on the joined row.  Output is in left order, then
     probe order.
     """
 
@@ -681,62 +744,23 @@ class IndexNestedLoopJoin(Operator):
         left: Operator,
         storage: TableStorage,
         index,
-        left_keys: Program,
-        residual: Optional[ExprFn],
+        left_keys: Sequence[IR],
+        residual: Optional[IR],
         kind: str = "INNER",
     ) -> None:
         super().__init__(left.output_names + list(storage.schema.column_names), left)
-        self.left = left
+        self.child = left
         self.storage = storage
         self.index = index
-        self.left_keys = left_keys
+        self.left_keys = tuple(left_keys)
         self.residual = residual
         self.kind = kind
-        #: The NULLs a LEFT join pads an unmatched left row with.
-        self.pad = (None,) * storage.schema.arity if kind == "LEFT" else None
 
     def label(self) -> str:
         return (
             f"IndexNestedLoopJoin({self.kind} probe "
             f"{self.storage.schema.name} via {self.index.name})"
         )
-
-    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        source = self.left.batches(env, budget)
-        if source.__class__ is not tuple:
-            return _joined_pulled(source, self._matches, env, budget)
-        out = self._matches(source[0], env) if source else None
-        if not out:
-            return ()
-        if len(out) <= budget and len(out) <= BATCH_SIZE:
-            return (Batch(out),)
-        return as_batches(out, budget)
-
-    def _matches(self, batch: Batch, env: ExecutionEnv) -> List[Row]:
-        """The left batch's keys come from one batch loop (a batch of one
-        row takes the row function); one ``TableStorage.probe`` per left
-        row."""
-        probe, index, snapshot = self.storage.probe, self.index, env.snapshot
-        residual, pad = self.residual, self.pad
-        if len(batch) == 1:
-            keys = [self.left_keys.row(batch[0], env)]
-        else:
-            keys = self.left_keys.batch(batch, env)
-        counters = env.counters
-        counters["index_probes"] += len(batch)
-        out: List[Row] = []
-        for left_row, key in zip(batch, keys):
-            found = probe(index, key, snapshot)
-            counters["rows_scanned"] += len(found)
-            matched = False
-            for right_row in found:
-                combined = left_row + right_row
-                if residual is None or residual(combined, env) is True:
-                    matched = True
-                    out.append(combined)
-            if pad is not None and not matched:
-                out.append(left_row + pad)
-        return out
 
 
 class UnionAll(Operator):
@@ -746,7 +770,9 @@ class UnionAll(Operator):
         super().__init__(children[0].output_names, *children)
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        return chain.from_iterable(child.batches(env, budget) for child in self.children)
+        """The branches' batches in order: a branch runs once the one
+        before it is exhausted."""
+        return chain.from_iterable(map(methodcaller("batches", env, budget), self.children))
 
 
 class Distinct(Operator):
@@ -831,36 +857,51 @@ class AggregateSpec:
 
 
 class Aggregate(Operator):
-    """Hash aggregation.
+    """Hash aggregation, the sink of the pipeline below it.
 
     Output rows are ``group key values + aggregate values``: ``groups``
-    computes the key, ``arguments`` the argument of each aggregate that is
-    not ``COUNT(*)``, in order.  The planner
-    compiles the select list and HAVING against that synthetic layout.
-    With no GROUP BY there is exactly one (possibly empty) group, matching
-    SQL's scalar-aggregate semantics.  Groups come out in first-seen
-    order; each aggregate folds its column slice per group and batch into
-    a :class:`~repro.sqldb.functions.Aggregator` with one ``add_many``,
-    which leaves the state one ``add`` per value would.
+    are the key expressions, ``arguments`` the argument of each aggregate
+    that is not ``COUNT(*)``, in order.  The planner compiles the select
+    list and HAVING against that synthetic layout.  With no GROUP BY
+    there is exactly one (possibly empty) group, matching SQL's
+    scalar-aggregate semantics.  Groups come out in first-seen order.
+
+    :func:`fuse` gives it the loop of its input pipeline, which computes
+    each row's key and arguments where the row is made and collects each
+    group's argument values per source batch; each aggregate then folds a
+    group's values per batch into a :class:`~repro.sqldb.functions.
+    Aggregator` with one ``add_many``, which leaves the state one ``add``
+    per value would.
     """
+
+    program: Optional[Program] = None
+    pipelined = False
+    rechecks = False
 
     def __init__(
         self,
         child: Operator,
-        groups: Program,
+        groups: Sequence[IR],
         aggregates: List[AggregateSpec],
-        arguments: Program,
+        arguments: Sequence[IR],
         output_names: List[str],
     ) -> None:
         super().__init__(output_names, child)
         self.child = child
-        self.groups = groups
+        self.groups = tuple(groups)
         self.aggregates = aggregates
-        self.arguments = arguments
+        self.arguments = tuple(arguments)
+        #: The collected column each aggregate folds: its argument's, or
+        #: for ``COUNT(*)`` any (only the length counts).
+        self._columns: List[int] = []
+        position = 0
+        for spec in aggregates:
+            self._columns.append(0 if spec.star else position)
+            position += not spec.star
 
     def label(self) -> str:
         return (
-            f"Aggregate({len(self.groups.exprs)} group key(s), "
+            f"Aggregate({len(self.groups)} group key(s), "
             f"{len(self.aggregates)} aggregate(s))"
         )
 
@@ -868,39 +909,24 @@ class Aggregate(Operator):
         return [spec.new_aggregator() for spec in self.aggregates]
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        """Group keys and aggregate arguments computed per batch by their
-        batch loops; each aggregate folds its column slice per group with
-        one :meth:`~repro.sqldb.functions.Aggregator.add_many` call."""
         groups: Dict[Tuple[Any, ...], List[Aggregator]] = {}
-        keyed = bool(self.groups.exprs)
-        for batch in self.child.batches(env, UNBOUNDED):
-            length = len(batch)
-            values = iter(self.arguments.batch(batch, env))
-            arg_columns = [None if spec.star else next(values) for spec in self.aggregates]
-            if keyed:
-                # Each group's row positions, groups in first-seen order.
-                positions: Dict[Tuple[Any, ...], Any] = {}
-                for i, key in enumerate(self.groups.batch(batch, env)):
-                    at = positions.get(key)
-                    if at is None:
-                        positions[key] = [i]
-                    else:
-                        at.append(i)
+        program, columns = self.program, self._columns
+        source = self.child
+        while source.fused:
+            source = source.child
+        for batch in source.batches(env, UNBOUNDED):
+            scan = self.rechecks and env.scans[id(source)]
+            if batch.columns is None and len(batch) <= SMALL_BATCH:
+                found = program.row(batch, env, scan)
             else:
-                positions = {(): range(length)}
-            for key, at in positions.items():
+                found = program.batch(batch, env, scan)
+            for key, held in found.items():
                 aggregators = groups.get(key)
                 if aggregators is None:
                     aggregators = groups[key] = self._new_group()
-                whole = len(at) == length
-                for column, aggregator in zip(arg_columns, aggregators):
-                    if column is None:
-                        aggregator.add_many(at)  # COUNT(*): only the length counts
-                    elif whole:
-                        aggregator.add_many(column)
-                    else:
-                        aggregator.add_many(list(map(column.__getitem__, at)))
-        if not keyed and not groups:
+                for aggregator, column in zip(aggregators, columns):
+                    aggregator.add_many(held[column])
+        if not self.groups and not groups:
             # SELECT COUNT(*) FROM empty_table must yield one row.
             groups[()] = self._new_group()
         return as_batches(
@@ -1075,3 +1101,76 @@ class Limit(_RowCount):
             else:
                 yield batch if len(batch) == remaining else Batch(batch[:remaining])
                 return
+
+
+#: A pipeline nests one Python block per index join it fuses (Python
+#: allows 20 in one function); a longer chain of index joins is cut
+#: into pipelines of at most this many.
+MAX_FUSED_JOINS = 8
+
+
+def fuse(operator: Operator) -> None:
+    """Give every pipeline of the tree under *operator* its generated loop.
+
+    A pipeline is a chain of stages (``Filter``, ``Project``,
+    ``IndexNestedLoopJoin``) over a source — any other operator: a scan,
+    an index probe, a CTE scan, a breaker's output — into a sink: the top
+    stage's consumer takes its rows, or an ``Aggregate`` folds them.  A
+    tree is fused once, when it is planned; a subplan's tree is fused
+    already.
+    """
+    if not isinstance(operator, (_Stage, Aggregate)):
+        for child in operator.children:
+            fuse(child)
+        return
+    if operator.pipelined:
+        return
+    stages: List[_Stage] = []
+    node = operator if isinstance(operator, _Stage) else operator.child
+    joins = 0
+    while isinstance(node, _Stage) and not node.pipelined:
+        joins += isinstance(node, IndexNestedLoopJoin)
+        if joins > MAX_FUSED_JOINS:
+            break
+        stages.append(node)
+        node = node.child
+    source = node
+    stages.reverse()
+    steps: List[tuple] = []
+    rechecks = False
+    for stage in stages:
+        if isinstance(stage, Filter):
+            if stage.recheck is not None:
+                rechecks = True
+                steps.append((RECHECK, stage.recheck))
+            if stage.predicate is not None:
+                steps.append((FILTER, stage.predicate))
+        elif isinstance(stage, Project):
+            if not stage.identity:
+                steps.append((PROJECT, stage.exprs))
+        else:
+            steps.append(
+                (
+                    JOIN,
+                    stage.left_keys,
+                    stage.residual,
+                    stage.storage.schema.arity,
+                    stage.kind == "LEFT",
+                    stage.storage,
+                    stage.index,
+                )
+            )
+    program = None
+    if isinstance(operator, Aggregate):
+        program = pipeline(
+            len(source.output_names), steps, (GROUPS, operator.groups, operator.arguments)
+        )
+    elif steps:
+        program = pipeline(len(source.output_names), steps, (ROWS,))
+    for stage in stages + [operator]:
+        stage.program = program
+        stage.pipelined = True
+        stage.rechecks = rechecks
+    for stage in stages:
+        stage.fused = stage is not operator
+    fuse(source)

@@ -32,7 +32,9 @@ def explain_analyze_plan(plan: Plan, env) -> List[str]:
     execution, so each rendered line carries the operator's invocation
     count (``loops``), the total rows it produced and the ``batches`` they
     came in; an operator the execution never pulled from is marked
-    ``(never executed)``.  The plan must be freshly built — EXPLAIN
+    ``(never executed)``.  A pipeline runs as one loop, so it reports its
+    source's counts and its top operator's; a stage inside it is marked
+    ``(fused)``.  The plan must be freshly built — EXPLAIN
     ANALYZE statements bypass the plan cache, so the instrumented
     operator instances are discarded with the plan.
     """
@@ -56,6 +58,8 @@ def explain_analyze_plan(plan: Plan, env) -> List[str]:
     def annotate(operator: Operator) -> str:
         estimate = _estimate(operator)
         prefix = "" if estimate is None else f"est_rows={estimate} "
+        if operator.fused:
+            return f" ({prefix}fused)"
         record = stats.get(id(operator))
         if record is None or record["loops"] == 0:
             return f" ({prefix}never executed)"

@@ -47,7 +47,7 @@ from collections import namedtuple
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.errors import CatalogError, ExecutionError, SQLError, TypeMismatchError
+from repro.errors import CatalogError, ExecutionError, ParseError, SQLError, TypeMismatchError
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.columnar import SMALL_BATCH, Columns
 from repro.sqldb.functions import AGGREGATE_NAMES
@@ -215,8 +215,15 @@ def slot(index: int) -> IR:
     return ("slot", index, ())
 
 
-def lower(node: ast.Expression, ctx: CompileContext) -> IR:
-    """Resolve, plan and fold *node* into IR (see module docstring)."""
+def lower(node: ast.Expression, ctx: CompileContext, depth: int = 0) -> IR:
+    """Resolve, plan and fold *node* into IR (see module docstring).
+
+    *depth* counts the levels of nesting around *node*: past
+    ``ast.NESTING_LIMIT`` it is a ``ParseError``.  A left-deep run of
+    binary operators is lowered in a loop, at one depth.
+    """
+    if depth > ast.NESTING_LIMIT:
+        raise ParseError(f"expression nests more than {ast.NESTING_LIMIT} levels deep")
     if isinstance(node, SlotRef):
         return slot(node.index)
     if isinstance(node, ast.Literal):
@@ -226,8 +233,9 @@ def lower(node: ast.Expression, ctx: CompileContext) -> IR:
     if isinstance(node, ast.ColumnRef):
         depth, index = ctx.resolve_column(node)
         return slot(index) if depth == 0 else ("outer", (depth, index), ())
+    depth += 1
     if isinstance(node, ast.UnaryOp):
-        operand = lower(node.operand, ctx)
+        operand = lower(node.operand, ctx, depth)
         if node.operator == "+":
             return operand
         if node.operator == "-":
@@ -236,22 +244,14 @@ def lower(node: ast.Expression, ctx: CompileContext) -> IR:
             return _folded(("not", None, (operand,)))
         raise ExecutionError(f"unknown unary operator {node.operator!r}")
     if isinstance(node, ast.BinaryOp):
-        operator = node.operator
-        pair = (lower(node.left, ctx), lower(node.right, ctx))
-        if operator in ("AND", "OR"):
-            # Flattened: SQL's left-to-right short-circuit is associative.
-            kind = operator.lower()
-            children: Tuple[IR, ...] = ()
-            for child in pair:
-                children += child[2] if child[0] == kind else (child,)
-            return _folded((kind, None, children))
-        if operator in _COMPARISONS:
-            return _folded(("cmp", operator, pair))
-        if operator in _ARITHMETIC:
-            return _folded(("arith", operator, pair))
-        if operator == "||":
-            return _folded(("concat", None, pair))
-        raise ExecutionError(f"unknown operator {operator!r}")
+        spine = []
+        while isinstance(node, ast.BinaryOp):
+            spine.append(node)
+            node = node.left
+        ir = lower(node, ctx, depth)
+        for step in reversed(spine):
+            ir = _binary(step.operator, ir, lower(step.right, ctx, depth))
+        return ir
     if isinstance(node, ast.FunctionCall):
         name = node.name.upper()
         if name in AGGREGATE_NAMES:
@@ -260,20 +260,20 @@ def lower(node: ast.Expression, ctx: CompileContext) -> IR:
             )
         if name == "NULLIF" and len(node.args) != 2:
             raise ExecutionError("NULLIF takes exactly two arguments")
-        args = tuple(lower(arg, ctx) for arg in node.args)
+        args = tuple(lower(arg, ctx, depth) for arg in node.args)
         if name in ("COALESCE", "NULLIF"):
             return _folded((name.lower(), None, args))
         return ("call", name, args)
     if isinstance(node, ast.Cast):
-        return _folded(("cast", node.target, (lower(node.operand, ctx),)))
+        return _folded(("cast", node.target, (lower(node.operand, ctx, depth),)))
     if isinstance(node, ast.IsNullTest):
-        return _folded(("isnull", node.negated, (lower(node.operand, ctx),)))
+        return _folded(("isnull", node.negated, (lower(node.operand, ctx, depth),)))
     if isinstance(node, ast.InList):
-        operand = lower(node.operand, ctx)
-        items = tuple(lower(item, ctx) for item in node.items)
+        operand = lower(node.operand, ctx, depth)
+        items = tuple(lower(item, ctx, depth) for item in node.items)
         return _folded(("in", node.negated, (operand,) + items))
     if isinstance(node, ast.InSubquery):
-        operand = lower(node.operand, ctx)
+        operand = lower(node.operand, ctx, depth)
         subquery = ctx.plan_subquery(node.subquery, ctx.frames)
         return ("insub", (subquery, node.negated), (operand,))
     if isinstance(node, ast.ExistsTest):
@@ -282,20 +282,39 @@ def lower(node: ast.Expression, ctx: CompileContext) -> IR:
     if isinstance(node, ast.ScalarSubquery):
         return ("scalar", ctx.plan_subquery(node.subquery, ctx.frames), ())
     if isinstance(node, ast.Between):
-        children = tuple(lower(part, ctx) for part in (node.operand, node.low, node.high))
+        children = tuple(lower(part, ctx, depth) for part in (node.operand, node.low, node.high))
         return _folded(("between", node.negated, children))
     if isinstance(node, ast.Like):
-        children = (lower(node.operand, ctx), lower(node.pattern, ctx))
+        children = (lower(node.operand, ctx, depth), lower(node.pattern, ctx, depth))
         return _folded(("like", node.negated, children))
     if isinstance(node, ast.CaseWhen):
         parts: Tuple[IR, ...] = ()
         for condition, value in node.branches:
-            parts += (lower(condition, ctx), lower(value, ctx))
+            parts += (lower(condition, ctx, depth), lower(value, ctx, depth))
         has_default = node.default is not None
         if has_default:
-            parts += (lower(node.default, ctx),)
+            parts += (lower(node.default, ctx, depth),)
         return _folded(("case", has_default, parts))
     raise ExecutionError(f"cannot compile {type(node).__name__}")
+
+
+def _binary(operator: str, left: IR, right: IR) -> IR:
+    """The IR of ``left operator right``."""
+    pair = (left, right)
+    if operator in ("AND", "OR"):
+        # Flattened: SQL's left-to-right short-circuit is associative.
+        kind = operator.lower()
+        children: Tuple[IR, ...] = ()
+        for child in pair:
+            children += child[2] if child[0] == kind else (child,)
+        return _folded((kind, None, children))
+    if operator in _COMPARISONS:
+        return _folded(("cmp", operator, pair))
+    if operator in _ARITHMETIC:
+        return _folded(("arith", operator, pair))
+    if operator == "||":
+        return _folded(("concat", None, pair))
+    raise ExecutionError(f"unknown operator {operator!r}")
 
 
 def _folded(ir: IR) -> IR:
@@ -527,6 +546,14 @@ class _Emitter:
         self.fast = False
         #: Slots read as ``_<slot>`` (bound by a column loop), not ``r[slot]``.
         self.columns = False
+        #: In a pipeline, each slot's text at the current stage and the
+        #: source column it reads unchanged (None for a computed or probed
+        #: value); ``read`` collects the source columns read.
+        self.slot_texts: Optional[List[str]] = None
+        self.slot_sources: List[Optional[int]] = []
+        self.read: set = set()
+        #: The current row's tuple, for subqueries and outer references.
+        self.row = "r"
         #: ``id(subquery) -> (name, fetch)`` of each uncorrelated ``IN
         #: (subquery)``'s value set (see :meth:`_insub`).
         self.value_sets: Dict[int, Tuple[str, str]] = {}
@@ -580,6 +607,10 @@ class _Emitter:
             return self.argument(lambda values: isinstance(values[index], _NUM))
         return f"isinstance({name}, _NUM)"
 
+    def source_slot(self, ir: IR) -> Optional[int]:
+        """The batch column a ``slot`` node reads unchanged, if any."""
+        return ir[1] if self.slot_texts is None else self.slot_sources[ir[1]]
+
     def kinds_of(self, text: _Text) -> Optional[str]:
         """Source of the set of kinds *text* can take in one batch (a
         column's, a constant's, a parameter's), "num" when it is a
@@ -588,7 +619,8 @@ class _Emitter:
         if text.kind in ("num", "bool"):
             return "num"
         if kind == "slot":
-            return f"y{data}"
+            column = self.source_slot(text.ir)
+            return None if column is None else f"y{column}"
         if kind == "hole" or (kind == "param" and self.fast):
             return f"{{type({text.text})}}"
         return None
@@ -599,7 +631,7 @@ class _Emitter:
         kinds = [self.kinds_of(text) for text in texts]
         if None in kinds:
             return False
-        self.kind_columns.update(t.ir[1] for t in texts if t.ir[0] == "slot")
+        self.kind_columns.update(self.source_slot(t.ir) for t in texts if t.ir[0] == "slot")
         sets = [found for found in kinds if found != "num"]
         if len(sets) < len(kinds):
             check = "_numeric"  # a number by construction fixes the kind
@@ -624,6 +656,11 @@ class _Emitter:
     def emit(self, ir: IR) -> _Text:
         kind, data, children = ir
         if kind == "slot":
+            if self.slot_texts is not None:
+                column = self.slot_sources[data]
+                if column is not None:
+                    self.read.add(column)
+                return _Text(self.slot_texts[data], None, ir, name=True)
             return _Text(f"_{data}" if self.columns else f"r[{data}]", None, ir, name=True)
         if kind == "hole":
             return _Text(self.literal(data), None, ir, name=True)
@@ -631,7 +668,11 @@ class _Emitter:
             if self.fast:
                 self.params.add(data)
                 return _Text(f"p{data}", None, ir, name=True)
-            return _Text(f"env.parameter({data})", None, ir)
+            return _Text(
+                f"(env.params[{data}] if len(env.params) > {data} else env.parameter({data}))",
+                None,
+                ir,
+            )
         if kind == "outer":
             depth, index = data
             return _Text(f"env.outer_rows[-{depth}][{index}]", None, ir, name=True)
@@ -822,7 +863,7 @@ class _Emitter:
         subquery, negated = data
         if subquery.correlated:
             return _Text(
-                f"_member({texts[0].text}, *{self.const(subquery)}.value_set(r, env), "
+                f"_member({texts[0].text}, *{self.const(subquery)}.value_set({self.row}, env), "
                 f"{self.const(negated)})",
                 "bool3",
                 ir,
@@ -849,11 +890,11 @@ class _Emitter:
 
     def _exists(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
         subquery, negated = data
-        test = f"{self.const(subquery)}.exists(r, env)"
+        test = f"{self.const(subquery)}.exists({self.row}, env)"
         return _Text(f"(not {test})" if negated else test, "bool", ir)
 
     def _scalar(self, ir: IR, subquery: Any, texts: List[_Text]) -> _Text:
-        return _Text(f"{self.const(subquery)}.scalar(r, env)", None, ir)
+        return _Text(f"{self.const(subquery)}.scalar({self.row}, env)", None, ir)
 
     def _like(self, ir: IR, negated: bool, texts: List[_Text]) -> _Text:
         value, pattern = texts
@@ -912,7 +953,6 @@ class _Emitter:
 #: Program shapes: what ``row`` returns and what ``batch`` builds.
 VALUE = "value"  # row -> value; no batch loop
 KEYS = "keys"  # row -> tuple; no batch loop
-PREDICATE = "predicate"  # row -> value; batch -> positions where TRUE
 TUPLES = "tuples"  # row -> tuple; batch -> list of row tuples
 COLUMNS = "columns"  # row -> tuple; batch -> list of columns
 
@@ -930,12 +970,6 @@ class Program(NamedTuple):
     exprs: Tuple[IR, ...]
     source: str
 
-    def bare_slots(self) -> Optional[List[int]]:
-        """The input slot of each expression when every one is a bare
-        read of the current row, else None."""
-        if all(ir[0] == "slot" for ir in self.exprs):
-            return [ir[1] for ir in self.exprs]
-        return None
 
 
 def _row_dependent(ir: IR) -> bool:
@@ -959,23 +993,18 @@ def _slots(ir: IR, found: set) -> set:
     return found
 
 
-def _loop_head(slots: Sequence[int], position: bool = False) -> str:
-    """``for`` clause binding each slot's value as ``_<slot>`` (and the
-    row's position as ``i``) from the batch's columns."""
+def _loop_head(slots: Sequence[int]) -> str:
+    """``for`` clause binding each slot's value as ``_<slot>`` from the
+    batch's columns."""
     if not slots:
         return "for i in range(n)"
     names = ", ".join(f"_{s}" for s in slots)
     source = f"zip({', '.join(f'cols[{s}]' for s in slots)})" if slots[1:] else f"cols[{slots[0]}]"
-    if position:
-        return f"for i, ({names}) in enumerate({source})"
     return f"for {names} in {source}"
 
 
 def _loop(shape: str, exprs: Sequence[IR], texts: List[_Text]) -> str:
     """The batch loop of *shape* over the batch's columns."""
-    if shape == PREDICATE:
-        (text,) = texts
-        return f"[i {_loop_head(sorted(_slots(exprs[0], set())), True)} if {_test(text)}]"
     if shape == TUPLES:
         if exprs and all(ir[0] == "slot" for ir in exprs):
             return f"list(zip({', '.join(f'cols[{ir[1]}]' for ir in exprs)}))"
@@ -996,8 +1025,6 @@ def _rows_loop(
     """The batch loop of *shape* over the batch's rows, with the row
     function's text (slots read as ``r[slot]``) inline; bare slots are
     picked at C level (``map(itemgetter)``), with no loop frame."""
-    if shape == PREDICATE:
-        return f"[i for i, r in enumerate(b) if {_test(texts[0])}]"
     if shape == TUPLES:
         if exprs and all(ir[0] == "slot" for ir in exprs):
             picked = f"map({emitter.const(itemgetter(*[ir[1] for ir in exprs]))}, b)"
@@ -1023,7 +1050,7 @@ def _source(exprs: Tuple[IR, ...], shape: str) -> Tuple[str, Tuple[Recipe, ...]]
     recipes of its factory's arguments."""
     emitter = _Emitter()
     by_row = [emitter.emit(ir) for ir in exprs]
-    if shape in (VALUE, PREDICATE):
+    if shape == VALUE:
         result = by_row[0].text
     else:
         result = f"({''.join(text.text + ', ' for text in by_row)})"
@@ -1050,7 +1077,7 @@ def _source(exprs: Tuple[IR, ...], shape: str) -> Tuple[str, Tuple[Recipe, ...]]
             fast = [emitter.emit(ir) for ir in exprs]
             fast_loop = _loop(shape, exprs, fast)
             if fast_loop != careful_loop:
-                lines += _fast_block(emitter, fast_loop)
+                lines += _fast_block(emitter, [f"return {fast_loop}"])
             lines.append(f"        return {careful_loop}")
     body = "\n".join(lines)
     arguments = ", ".join(f"k{index}" for index in range(len(emitter.recipes)))
@@ -1059,27 +1086,31 @@ def _source(exprs: Tuple[IR, ...], shape: str) -> Tuple[str, Tuple[Recipe, ...]]
     return source, tuple(emitter.recipes)
 
 
-def _fast_block(emitter: _Emitter, fast_loop: str) -> List[str]:
-    """Lines running *fast_loop* where its conditions hold."""
+def _fast_block(emitter: _Emitter, fast: List[str]) -> List[str]:
+    """Lines running the statements *fast*, which end in a ``return``,
+    where their conditions hold: the kinds they read are those of the
+    batch's columns (kept by :class:`~repro.sqldb.columnar.Columns`)."""
     lines: List[str] = []
     indent = "        "
     if emitter.params:
         lines.append(f"{indent}if len(env.params) > {max(emitter.params)}:")
         indent += "    "
         lines += [f"{indent}p{i} = env.params[{i}]" for i in sorted(emitter.params)]
-    lines += [f"{indent}y{s} = set(map(type, cols[{s}]))" for s in sorted(emitter.kind_columns)]
+    if emitter.kind_columns:
+        lines.append(f"{indent}kinds = cols.kinds")
+        lines += [f"{indent}y{s} = kinds[{s}]" for s in sorted(emitter.kind_columns)]
     if emitter.prechecks:
         checks = " and ".join(dict.fromkeys(emitter.prechecks))
         lines.append(f"{indent}if {checks}:")
         indent += "    "
     if not emitter.guarded:
-        return lines + [f"{indent}return {fast_loop}"]
-    return lines + [
-        f"{indent}try:",
-        f"{indent}    return {fast_loop}",
-        f"{indent}except TypeError:",
-        f"{indent}    pass",
-    ]
+        return lines + [indent + line for line in fast]
+    return (
+        lines
+        + [f"{indent}try:"]
+        + [f"{indent}    {line}" for line in fast]
+        + [f"{indent}except TypeError:", f"{indent}    pass"]
+    )
 
 
 @functools.lru_cache(maxsize=512)

@@ -71,6 +71,9 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self._param_count = 0
+        #: Levels of expression nesting open (see ``ast.NESTING_LIMIT``);
+        #: the outermost expression opens none.
+        self._depth = -1
 
     # -- token helpers ----------------------------------------------------
 
@@ -483,7 +486,7 @@ class _Parser:
     def _parse_from_primary(self) -> ast.FromItem:
         if self.accept_punct("("):
             if self.peek().matches_keyword("SELECT", "WITH"):
-                subquery = self.parse_select_statement()
+                subquery = self._subquery()
                 self.expect_punct(")")
                 self.accept_keyword("AS")
                 alias = self.expect_identifier("derived table alias")
@@ -510,8 +513,26 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
+    def _deeper(self) -> None:
+        """Open one more level of expression nesting."""
+        self._depth += 1
+        if self._depth > ast.NESTING_LIMIT:
+            raise ParseError(
+                f"expression nests more than {ast.NESTING_LIMIT} levels deep"
+            )
+
+    def _subquery(self) -> ast.SelectStatement:
+        """A nested SELECT: one level deeper, like a parenthesis."""
+        self._deeper()
+        statement = self.parse_select_statement()
+        self._depth -= 1
+        return statement
+
     def parse_expr(self) -> ast.Expression:
-        return self._parse_or()
+        self._deeper()
+        expression = self._parse_or()
+        self._depth -= 1
+        return expression
 
     def _parse_or(self) -> ast.Expression:
         left = self._parse_and()
@@ -532,7 +553,10 @@ class _Parser:
             "EXISTS"
         ):
             self.advance()
-            return ast.UnaryOp(operator="NOT", operand=self._parse_not())
+            self._deeper()
+            operand = self._parse_not()
+            self._depth -= 1
+            return ast.UnaryOp(operator="NOT", operand=operand)
         return self._parse_predicate()
 
     def _parse_predicate(self) -> ast.Expression:
@@ -543,7 +567,7 @@ class _Parser:
             negated = bool(self.accept_keyword("NOT"))
             self.expect_keyword("EXISTS")
             self.expect_punct("(")
-            subquery = self.parse_select_statement()
+            subquery = self._subquery()
             self.expect_punct(")")
             return ast.ExistsTest(subquery=subquery, negated=negated)
         left = self._parse_additive()
@@ -576,7 +600,7 @@ class _Parser:
     def _parse_in_tail(self, operand: ast.Expression, negated: bool) -> ast.Expression:
         self.expect_punct("(")
         if self.peek().matches_keyword("SELECT", "WITH"):
-            subquery = self.parse_select_statement()
+            subquery = self._subquery()
             self.expect_punct(")")
             return ast.InSubquery(operand=operand, subquery=subquery, negated=negated)
         items = [self.parse_expr()]
@@ -606,7 +630,10 @@ class _Parser:
     def _parse_unary(self) -> ast.Expression:
         token = self.accept_operator("-", "+")
         if token is not None:
-            return ast.UnaryOp(operator=token.value, operand=self._parse_unary())
+            self._deeper()
+            operand = self._parse_unary()
+            self._depth -= 1
+            return ast.UnaryOp(operator=token.value, operand=operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expression:
@@ -640,7 +667,7 @@ class _Parser:
             return self._parse_call(str(token.value))
         if self.accept_punct("("):
             if self.peek().matches_keyword("SELECT", "WITH"):
-                subquery = self.parse_select_statement()
+                subquery = self._subquery()
                 self.expect_punct(")")
                 return ast.ScalarSubquery(subquery=subquery)
             expression = self.parse_expr()
@@ -661,7 +688,9 @@ class _Parser:
     def _parse_cast(self) -> ast.Cast:
         self.expect_keyword("CAST")
         self.expect_punct("(")
+        self._deeper()
         operand = self.parse_expr()
+        self._depth -= 1
         self.expect_keyword("AS")
         type_name = self.expect_identifier("type name")
         length = None
@@ -697,10 +726,12 @@ class _Parser:
             return ast.FunctionCall(name=name, star=True)
         distinct = bool(self.accept_keyword("DISTINCT"))
         args: List[ast.Expression] = []
+        self._deeper()
         if not (self.peek().kind is TokenKind.PUNCT and self.peek().value == ")"):
             args.append(self.parse_expr())
             while self.accept_punct(","):
                 args.append(self.parse_expr())
+        self._depth -= 1
         self.expect_punct(")")
         # Aggregate names arrive as (already uppercased) keywords; plain
         # function identifiers keep their case — the registry matching is

@@ -326,6 +326,13 @@ class TableStorage:
             if row is not None:
                 yield row
 
+    def live_probe(self, index: HashIndex) -> Tuple[Callable, Callable, Dict]:
+        """``(slot -> row, key -> bucket, version chains)``: with no chain
+        to resolve, :meth:`probe` of *index* is ``list(map(slot_row,
+        bucket(key, ())))`` — what a generated loop calls in place of it
+        (every part is the storage's own object, never replaced)."""
+        return self._rows.__getitem__, index._buckets.get, self.mvcc.chains
+
     def probe(
         self,
         index: HashIndex,

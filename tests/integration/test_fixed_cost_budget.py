@@ -137,7 +137,7 @@ from repro.pdm.generator import generate_product
 from repro.pdm.operations import ExpandStrategy
 from repro.pdm.schema import create_pdm_schema, load_product, new_pdm_database
 from repro.recovery import Durability, SimDisk
-from repro.sqldb import wire
+from repro.sqldb import columnar, executor, expressions, functions, recursive, storage, wire
 
 TREE = TreeParameters(depth=5, branching=3, visibility=0.6)
 SEED = 4
@@ -229,11 +229,40 @@ def _is_codec(code) -> bool:
     return code.co_filename.startswith("<") and code.co_name in ("encode_rows", "decode_rows")
 
 
+#: The file name of the code ``expressions._compile`` generates.
+GENERATED = "<sql expression>"
+
+#: The engine's modules: what runs a statement's plan.
+ENGINE_MODULES = (executor, storage, columnar, recursive, functions, expressions)
+_ENGINE_FILES = frozenset(module.__file__ for module in ENGINE_MODULES)
+
+
+def _is_engine(code) -> bool:
+    """Is *code* the engine's: one of :data:`ENGINE_MODULES` or code it
+    generated (a pipeline, a program, a stored function's guard), the
+    result codec's excepted?"""
+    if code.co_filename in _ENGINE_FILES:
+        return True
+    return code.co_filename == GENERATED and not _is_codec(code)
+
+
 def count_codec_opcodes(action) -> int:
     """Bytecode instructions executed in the result codec's code while
-    *action* runs.  CPython 3.12 and later report no ``sys.settrace``
-    opcode event for code that ran before tracing began, so there the
-    count is of ``sys.monitoring`` INSTRUCTION events."""
+    *action* runs."""
+    return count_opcodes(action, _is_codec)
+
+
+def count_engine_opcodes(action) -> int:
+    """Bytecode instructions executed in the engine's code while *action*
+    runs."""
+    return count_opcodes(action, _is_engine)
+
+
+def count_opcodes(action, counted) -> int:
+    """Bytecode instructions executed in the code objects *counted*
+    accepts while *action* runs.  CPython 3.12 and later report no
+    ``sys.settrace`` opcode event for code that ran before tracing began,
+    so there the count is of ``sys.monitoring`` INSTRUCTION events."""
     opcodes = 0
     monitoring = getattr(sys, "monitoring", None)
     seen = set()
@@ -241,7 +270,7 @@ def count_codec_opcodes(action) -> int:
     def trace(frame, event, arg):
         nonlocal opcodes
         if event == "call":
-            if not _is_codec(frame.f_code):
+            if not counted(frame.f_code):
                 return None
             frame.f_trace_opcodes = True
         elif event == "opcode":
@@ -249,7 +278,7 @@ def count_codec_opcodes(action) -> int:
         return trace
 
     def start(code, offset):
-        if _is_codec(code) and code not in seen:
+        if counted(code) and code not in seen:
             seen.add(code)
             monitoring.set_local_events(tool, code, monitoring.events.INSTRUCTION)
 
@@ -264,7 +293,7 @@ def count_codec_opcodes(action) -> int:
         sys.settrace(trace)
     else:
         tool = monitoring.PROFILER_ID
-        monitoring.use_tool_id(tool, "codec opcodes")
+        monitoring.use_tool_id(tool, "opcodes")
         monitoring.register_callback(tool, monitoring.events.PY_START, start)
         monitoring.register_callback(tool, monitoring.events.INSTRUCTION, step)
         monitoring.set_events(tool, monitoring.events.PY_START)

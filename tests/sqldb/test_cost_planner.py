@@ -166,4 +166,7 @@ class TestJoinReordering:
                 "EXPLAIN ANALYZE " + self.SQL.replace("?", "3")
             ).rows
         )
-        assert "Filter (est_rows=2 loops=1 rows=2)" in text
+        # The filter is fused into its pipeline: the top operator reports
+        # the rows the filter kept.
+        assert "Filter (est_rows=2 fused)" in text
+        assert "Project(k, id) (est_rows=2 loops=1 rows=2)" in text

@@ -242,7 +242,10 @@ def test_corpus_estimates_within_drift_bounds(figure2_db, name, sql):
     )
     annotated = _ANNOTATION.findall(text)
     if (name, sql) == VECTORIZED_REPORT:
-        assert len(annotated) == 2  # the scan and the filter carry estimates
+        # The scan carries its estimate and counts; the filter, fused into
+        # the aggregate's pipeline, its estimate alone.
+        assert len(annotated) == 1
+        assert re.search(r"Filter \(est_rows=\d+ fused\)", text)
     for est, loops, rows in annotated:
         estimate = float(est)
         actual = float(rows) / float(loops)

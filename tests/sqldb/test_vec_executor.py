@@ -204,18 +204,22 @@ class TestExplainAnalyze:
     def test_columnar_plan_labels_operators_and_executor(self, db):
         text = self.plan_text(db, self.SQL)
         assert "-> SeqScan(t) (loops=1 rows=100) (batches=1)" in text
-        assert "-> Filter (loops=1 rows=30) (batches=1)" in text
+        assert "-> Filter (fused)" in text
+        assert "-> Project(v) (loops=1 rows=30) (batches=1)" in text
 
     def test_one_rendering_for_both_operator_sets(self, db):
-        """Same operator names as plain EXPLAIN; estimates, loops, rows and
-        batches on every operator line; then the footer."""
+        """Same operator names as plain EXPLAIN; estimates on every
+        operator line, loops, rows and batches on every line but a stage
+        fused into its pipeline; then the footer."""
         db.execute("ANALYZE")
         plain = self.plan_text(db, self.SQL, "EXPLAIN").splitlines()
         analyzed = self.plan_text(db, self.SQL).splitlines()
-        counts = re.compile(r" loops=1 rows=\d+\) \(batches=\d+\)$")
+        counts = re.compile(r" (loops=1 rows=\d+\) \(batches=\d+\)|fused\))$")
         for plain_line, analyzed_line in zip(plain, analyzed):
             assert "est_rows=" in plain_line
             assert counts.sub(")", analyzed_line) == plain_line
+        fused = [line.endswith(" fused)") for line in analyzed[: len(plain)]]
+        assert fused == [False, True, False]  # Project, Filter, SeqScan
         footer = len(plain)
         assert analyzed[footer:] == [
             "Execution: 30 row(s) returned",
@@ -265,17 +269,3 @@ class TestBatchPrimitives:
     def test_zero_arity_rows(self):
         batch = Batch([()] * 3)
         assert len(batch) == 3 and list(batch) == [(), (), ()]
-
-    def test_gather_is_lazy_and_ordered(self):
-        rows = [(i, f"r{i}") for i in range(2 * SMALL_BATCH)]
-        batch = Batch(rows)
-        batch.columns = Columns(batch)
-        assert batch.gather([3, 1]) == [(3, "r3"), (1, "r1")]  # small: rows
-        picked = batch.gather(list(range(SMALL_BATCH + 1, 0, -1)))
-        assert len(picked) == SMALL_BATCH + 1
-        # A large pick reads columns out of the source's; rows and each
-        # column are gathered on first read.
-        assert picked.columns[0] == list(range(SMALL_BATCH + 1, 0, -1))
-        assert 1 not in picked.columns
-        assert picked.columns[1][0] == f"r{SMALL_BATCH + 1}"
-        assert list(picked)[:2] == [rows[SMALL_BATCH + 1], rows[SMALL_BATCH]]
