@@ -119,8 +119,10 @@ class ExecutionEnv:
         #: execution because plans are cached and shared.  EXPLAIN ANALYZE
         #: reads it.
         self.probe_runs: Dict[int, Tuple[int, bool]] = {}
-        #: ``id(operator) -> whether the last run of an index probe scanned``.
-        self.scans: Dict[int, bool] = {}
+        #: ``id(operator)`` of each index probe priced out to a scan.  The
+        #: one probe a filter rechecks, a one-key ``IndexLookup``, is priced
+        #: the same on every run of one execution.
+        self.scans: set = set()
     def bind_cte(self, name: str, frame: Batch) -> None:
         """(Re)bind a CTE name; invalidates the uncorrelated-subquery cache
         because cached results may depend on the old binding."""
@@ -296,7 +298,8 @@ class _IndexProbe(_TableAccess):
     the whole WHERE as the residual filter above every access path, so
     that filter keeps exactly the rows the probes would have produced
     (a filter in the probe's pipeline tests the conjunct the probe stands
-    for only on a scan's rows: ``env.scans`` records which each run took).
+    for only on a scan's rows: ``env.scans`` records the probes that
+    scanned).
     ``batches`` asks the storage for the rows its snapshot (or the live
     heap) shows under each key; ``row_ids`` — how a DML statement locates
     its target rows, always on the live heap — asks the index for the ids.
@@ -341,10 +344,11 @@ class _IndexProbe(_TableAccess):
         probed rows: probed at once for one key or an unbounded budget,
         else key by key as the batches are pulled."""
         keys = self._priced_keys(env)
-        env.scans[id(self)] = keys is None
         if keys is None:
+            env.scans.add(id(self))
             return SeqScan.batches(self, env, budget)
-        if len(keys) == 1:
+        count = len(keys)
+        if count == 1:
             found = self.storage.probe(self.index, keys[0], env.snapshot)
         elif budget < UNBOUNDED:
             return self._probed(keys, env, budget)
@@ -354,11 +358,12 @@ class _IndexProbe(_TableAccess):
             for key in keys:
                 found += probe(index, key, snapshot)
         counters = env.counters
-        counters["index_probes"] += len(keys)
-        if len(found) > budget:
+        counters["index_probes"] += count
+        count = len(found)
+        if count > budget:
             return _scanned(as_batches(found, budget), env)
-        counters["rows_scanned"] += len(found)
-        if len(found) > BATCH_SIZE:
+        counters["rows_scanned"] += count
+        if count > BATCH_SIZE:
             return as_batches(found, budget)
         return (Batch(found),) if found else ()
 
@@ -552,7 +557,7 @@ class _Stage(Operator):
         if not batches:
             return ()
         batch = batches[0]
-        scan = self.rechecks and env.scans[id(source)]
+        scan = self.rechecks and id(source) in env.scans
         if batch.columns is None and len(batch) <= SMALL_BATCH:
             out = program.row(batch, env, scan)
         else:
@@ -569,7 +574,7 @@ def _pipelined(
 ) -> Iterator[Batch]:
     program = top.program
     for batch in batches:
-        scan = top.rechecks and env.scans[id(source)]
+        scan = top.rechecks and id(source) in env.scans
         if batch.columns is None and len(batch) <= SMALL_BATCH:
             out = program.row(batch, env, scan)
         else:
@@ -890,14 +895,14 @@ class Aggregate(Operator):
         self.child = child
         self.groups = tuple(groups)
         self.aggregates = aggregates
-        self.arguments = tuple(arguments)
+        #: The distinct arguments, each collected once.
+        self.arguments = tuple(dict.fromkeys(arguments))
         #: The collected column each aggregate folds: its argument's, or
         #: for ``COUNT(*)`` any (only the length counts).
-        self._columns: List[int] = []
-        position = 0
-        for spec in aggregates:
-            self._columns.append(0 if spec.star else position)
-            position += not spec.star
+        arguments = iter(arguments)
+        self._columns = [
+            0 if spec.star else self.arguments.index(next(arguments)) for spec in aggregates
+        ]
 
     def label(self) -> str:
         return (
@@ -909,13 +914,13 @@ class Aggregate(Operator):
         return [spec.new_aggregator() for spec in self.aggregates]
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        groups: Dict[Tuple[Any, ...], List[Aggregator]] = {}
+        groups: Dict[Any, List[Aggregator]] = {}
         program, columns = self.program, self._columns
         source = self.child
         while source.fused:
             source = source.child
         for batch in source.batches(env, UNBOUNDED):
-            scan = self.rechecks and env.scans[id(source)]
+            scan = self.rechecks and id(source) in env.scans
             if batch.columns is None and len(batch) <= SMALL_BATCH:
                 found = program.row(batch, env, scan)
             else:
@@ -929,9 +934,10 @@ class Aggregate(Operator):
         if not self.groups and not groups:
             # SELECT COUNT(*) FROM empty_table must yield one row.
             groups[()] = self._new_group()
+        single = len(self.groups) == 1  # a group's key is its one value
         return as_batches(
             [
-                key + tuple(aggregator.result() for aggregator in aggregators)
+                ((key,) if single else key) + tuple(aggregator.result() for aggregator in aggregators)
                 for key, aggregators in groups.items()
             ],
             budget,
@@ -1142,31 +1148,24 @@ def fuse(operator: Operator) -> None:
         if isinstance(stage, Filter):
             if stage.recheck is not None:
                 rechecks = True
-                steps.append((RECHECK, stage.recheck))
+                steps.append((RECHECK, (stage.recheck,), None))
             if stage.predicate is not None:
-                steps.append((FILTER, stage.predicate))
+                steps.append((FILTER, (stage.predicate,), None))
         elif isinstance(stage, Project):
             if not stage.identity:
-                steps.append((PROJECT, stage.exprs))
+                steps.append((PROJECT, stage.exprs, None))
         else:
+            residual = () if stage.residual is None else (stage.residual,)
+            shape = (len(stage.left_keys), stage.storage.schema.arity, stage.kind == "LEFT")
             steps.append(
-                (
-                    JOIN,
-                    stage.left_keys,
-                    stage.residual,
-                    stage.storage.schema.arity,
-                    stage.kind == "LEFT",
-                    stage.storage,
-                    stage.index,
-                )
+                (JOIN, stage.left_keys + residual, shape + (stage.storage, stage.index))
             )
     program = None
     if isinstance(operator, Aggregate):
-        program = pipeline(
-            len(source.output_names), steps, (GROUPS, operator.groups, operator.arguments)
-        )
+        sink = (GROUPS, operator.groups + operator.arguments, len(operator.groups))
+        program = pipeline(len(source.output_names), steps, sink)
     elif steps:
-        program = pipeline(len(source.output_names), steps, (ROWS,))
+        program = pipeline(len(source.output_names), steps, (ROWS, (), None))
     for stage in stages + [operator]:
         stage.program = program
         stage.pipelined = True

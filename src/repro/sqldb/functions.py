@@ -173,7 +173,8 @@ class Aggregator:
         if self.star:
             self._count += len(values)
             return
-        values = [value for value in values if value is not None]
+        if None in values:
+            values = [value for value in values if value is not None]
         seen = self._seen
         if seen is not None:
             # ``seen.add`` returns None, so a first sighting is kept.

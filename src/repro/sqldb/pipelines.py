@@ -3,21 +3,21 @@
 A *pipeline* is a source's batches run through a chain of non-blocking
 stages — filters, projections, index joins — into a sink: the rows a
 consumer takes, or an aggregate's groups.  :func:`pipeline` writes the
-whole chain as the text of one Python function, with the expression
+whole chain as the text of one Python function with the expression
 compiler's emitter (:mod:`repro.sqldb.expressions`): its literal holes,
 its careful and fast forms and its compile cache.  A row reaches the
 next stage as local names — a joined row as its left and probed tuples,
-a projected one as the names of its values — so no row is built, copied
-or gathered between two stages, only for the sink.  This is data-centric
-compilation (Neumann, "Efficiently Compiling Efficient Query Plans for
-Modern Hardware", VLDB 2011), written as Python text.
+a projected one as its values — so no row is built or gathered between
+two stages, only for the sink.  This is data-centric compilation
+(Neumann, "Efficiently Compiling Efficient Query Plans for Modern
+Hardware", VLDB 2011), written as Python text.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.sqldb.expressions import (
@@ -32,8 +32,7 @@ from repro.sqldb.expressions import (
     _test,
 )
 
-
-#: Pipeline stages and sinks (see :func:`pipeline`).
+#: Stage and sink tags (see :func:`pipeline`).
 FILTER = "filter"
 RECHECK = "recheck"
 PROJECT = "project"
@@ -46,113 +45,81 @@ def pipeline(arity: int, stages: Sequence[tuple], sink: tuple) -> Program:
     """Generate (or reuse) one loop that runs *stages* over the rows of a
     batch of *arity* slots into *sink*, and bind it to their literals.
 
-    A stage is ``(FILTER, ir)``: keep the rows where *ir* is TRUE;
-    ``(RECHECK, ir)``: the same, only when the loop's ``scan`` argument is
-    true (an index probe's key conjunct, which its probed rows pass by
-    construction); ``(PROJECT, irs)``: the slots become *irs*; or ``(JOIN,
-    key_irs, residual, arity, left, storage, index)``: the rows of
-    ``storage.probe(index, key, snapshot)`` per row, then each probed row of *arity* slots appended
-    to it where *residual* (None: none) is TRUE — and, for a LEFT join
-    (*left*), the row padded with NULLs where none is.  Where no version
-    chain is to be resolved the loop reads ``storage.live_probe(index)``
-    in place of calling ``probe``.  The sink is
-    ``(ROWS,)``: the list of the final rows; or ``(GROUPS, key_irs,
-    argument_irs)``: ``{group key: (column, ...)}`` holding each
-    argument's values, in row order (one column of ``None`` per row when
-    there is no argument).
+    Each stage and the sink is ``(tag, irs, data)``:
+
+    * ``(FILTER, (ir,), None)`` keeps the rows where *ir* is TRUE;
+      ``(RECHECK, (ir,), None)`` too, but only when the loop's ``scan``
+      argument is true (an index probe's own conjunct, which every row it
+      probed passes);
+    * ``(PROJECT, irs, None)``: the slots become *irs*;
+    * ``(JOIN, keys + residual, (key count, arity, left, storage,
+      index))``: per row, the rows of ``storage.probe(index, keys,
+      snapshot)`` — read through ``storage.live_probe(index)`` where no
+      version chain is to be resolved — each appended to it where the
+      residual (if any) is TRUE; a LEFT join pads a row none matches with
+      NULLs.  The probes and the rows they find are added to the
+      ``index_probes`` and ``rows_scanned`` counters;
+    * the sink ``(ROWS, (), None)``: the list of the final rows; or
+      ``(GROUPS, keys + arguments, key count)``: ``{group key: (column,
+      ...)}``, each argument's values in row order (one column of
+      ``None`` per row when there is no argument); the key of one group
+      key is its value, not a tuple.
 
     ``row(b, env, scan)`` runs the loop over the batch's rows,
     ``batch(b, env, scan)`` over its columns (pivoting them when the
     batch has none), fast form first where it cannot change a result; the
-    two are one function when an expression needs the whole row.  A join
-    adds the probes it made and the rows they found to the ``index_probes``
-    and ``rows_scanned`` counters.
+    two are one function when an expression needs the whole row.
     """
     values: List[Any] = []
-
-    def hole(value: Any) -> int:
-        values.append(value)
-        return len(values) - 1
-
     templates = []
-    exprs: List[IR] = []
     try:
-        for stage in stages:
-            tag, parts = stage[0], stage[1:]
+        for tag, irs, data in list(stages) + [sink]:
             if tag == JOIN:
-                keys, residual, width, left, storage, index = parts
-                exprs += list(keys) + ([residual] if residual is not None else [])
-                keys = tuple([_template(ir, values) for ir in keys])
-                if residual is not None:
-                    residual = _template(residual, values)
+                storage, index = data[3:]
                 runtime = (storage.probe, index) + storage.live_probe(index)
-                templates.append(
-                    (JOIN, keys, residual, width, left, tuple(map(hole, runtime)))
-                )
-            elif tag == PROJECT:
-                exprs += parts[0]
-                templates.append((PROJECT, tuple([_template(ir, values) for ir in parts[0]])))
-            else:
-                exprs.append(parts[0])
-                templates.append((tag, _template(parts[0], values)))
-        if sink[0] == GROUPS:
-            exprs += list(sink[1]) + list(sink[2])
-            sink = (GROUPS,) + tuple(
-                tuple([_template(ir, values) for ir in irs]) for irs in sink[1:]
-            )
-        source, recipes = _pipeline_source(arity, tuple(templates), sink)
+                data = data[:3] + tuple(values.append(v) or len(values) - 1 for v in runtime)
+            templates.append((tag, tuple([_template(ir, values) for ir in irs]), data))
+        source, recipes = _pipeline_source(arity, tuple(templates))
         make = _compile(source)
     except (SyntaxError, RecursionError):
         raise ExecutionError("expression is too deeply nested to compile") from None
     row, batch = make(*[recipe(values) for recipe in recipes])
-    return Program(row, batch, tuple(exprs), source)
-
-
-def _stage_irs(stage: tuple) -> List[IR]:
-    tag = stage[0]
-    if tag == JOIN:
-        return list(stage[1]) + ([stage[2]] if stage[2] is not None else [])
-    if tag == PROJECT:
-        return list(stage[1])
-    return [stage[1]]
+    return Program(row, batch, tuple(ir for __, irs, __ in stages for ir in irs), source)
 
 
 @functools.lru_cache(maxsize=512)
-def _pipeline_source(
-    arity: int, stages: Tuple[tuple, ...], sink: tuple
-) -> Tuple[str, Tuple[Recipe, ...]]:
-    """The module text of one pipeline template (see :func:`pipeline`)
-    and the recipes of its factory's arguments."""
+def _pipeline_source(arity: int, stages: Tuple[tuple, ...]) -> Tuple[str, Tuple[Recipe, ...]]:
+    """The module text of one pipeline template (the stages, then the
+    sink) and the recipes of its factory's arguments."""
     emitter = _Emitter()
-    irs = [ir for stage in stages for ir in _stage_irs(stage)]
-    if sink[0] == GROUPS:
-        irs += list(sink[1]) + list(sink[2])
-    by_row = _pipeline_loop(emitter, arity, stages, sink)
-    lines = ["    def row(b, env, scan):"]
-    if any(_row_dependent(ir) for ir in irs):
+    lines = ["    def row(b, env, scan):", *_indented(_loop(emitter, arity, stages))]
+    if any(_row_dependent(ir) for __, irs, __ in stages for ir in irs):
         returned = "row, row"
     else:
         emitter.columns = True
-        careful = _pipeline_loop(emitter, arity, stages, sink)
+        careful = _loop(emitter, arity, stages)
         emitter.fast = True
-        fast = _pipeline_loop(emitter, arity, stages, sink)
-        lines_batch = [
+        fast = _loop(emitter, arity, stages)
+        lines += [
             "    def batch(b, env, scan):",
             "        cols = b.columns",
             "        if cols is None:",
             "            cols = b.columns = Columns(b)",
+            *(_fast_block(emitter, fast) if fast != careful else []),
+            *_indented(careful),
         ]
-        if fast != careful:
-            lines_batch += _fast_block(emitter, fast)
-        lines_batch += ["        " + line for line in careful]
         returned = "row, batch"
+    # An uncorrelated IN (subquery) fetches its value set once per call.
     unfetched = [f"        {name} = None" for name, __ in emitter.value_sets.values()]
-    lines += unfetched + ["        " + line for line in by_row]
-    if returned == "row, batch":
-        lines += lines_batch[:1] + unfetched + lines_batch[1:]
+    for at in [i + 1 for i, text in enumerate(lines) if text.startswith("    def ")][::-1]:
+        lines[at:at] = unfetched
     arguments = ", ".join(f"k{index}" for index in range(len(emitter.recipes)))
-    body = "\n".join(lines)
-    return f"def make({arguments}):\n{body}\n    return {returned}\n", tuple(emitter.recipes)
+    source = f"def make({arguments}):\n" + "\n".join(lines) + f"\n    return {returned}\n"
+    return source, tuple(emitter.recipes)
+
+
+def _indented(lines: List[str]) -> List[str]:
+    return ["        " + line for line in lines]
 
 
 #: A slot read out of a row tuple: ``r[3]``, ``q1[0]``.
@@ -160,32 +127,33 @@ _ITEM = re.compile(r"([a-z]\w*)\[(\d+)\]\Z")
 
 
 def _tuple_text(texts: List[str]) -> str:
-    """A tuple of the values of *texts*, a run of consecutive items of one
-    row tuple (``q1[2], q1[3], q1[4]``) taken as one slice of it."""
+    """A tuple of the values of *texts*; a run of consecutive items of one
+    row tuple (``q1[2], q1[3], q1[4]``) is one slice of it."""
     parts: List[str] = []
-    loose: List[str] = []
-    run: Optional[List[Any]] = None  # [tuple, first, stop]
-    for text in texts + [""]:
+    for text in texts:
         item = _ITEM.match(text)
-        if item and run and run[0] == item.group(1) and run[2] == int(item.group(2)):
-            run[2] += 1
+        last = parts[-1] if parts and isinstance(parts[-1], list) else None
+        if item and last and last[0] == item.group(1) and last[2] == int(item.group(2)):
+            last[2] += 1
+        else:
+            parts.append([item.group(1), int(item.group(2)), int(item.group(2)) + 1] if item else text)
+    pieces: List[str] = []
+    loose: List[str] = []
+    for part in parts + [None]:
+        if isinstance(part, list) and part[2] - part[1] == 1:
+            part = f"{part[0]}[{part[1]}]"
+        if isinstance(part, str):
+            loose.append(part)
             continue
-        if run and run[2] - run[1] > 1:
-            if loose:
-                parts.append(f"({''.join(t + ', ' for t in loose)})")
-                loose = []
-            parts.append(f"{run[0]}[{run[1]}:{run[2]}]")
-        elif run:
-            loose.append(f"{run[0]}[{run[1]}]")
-        run = [item.group(1), int(item.group(2)), int(item.group(2)) + 1] if item else None
-        if not item and text:
-            loose.append(text)
-    if loose or not parts:
-        parts.append(f"({''.join(t + ', ' for t in loose)})")
-    return " + ".join(parts) if len(parts) == 1 else f"({' + '.join(parts)})"
+        if loose or (part is None and not pieces):
+            pieces.append(f"({''.join(t + ', ' for t in loose)})")
+            loose = []
+        if part is not None:
+            pieces.append(f"{part[0]}[{part[1]}:{part[2]}]")
+    return pieces[0] if len(pieces) == 1 else f"({' + '.join(pieces)})"
 
 
-def _pipeline_loop(emitter: _Emitter, arity: int, stages: Sequence[tuple], sink: tuple) -> List[str]:
+def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
     """The statements of one form of a pipeline's loop — over the rows,
     or over the columns when ``emitter.columns`` — ending in its
     ``return``."""
@@ -194,132 +162,114 @@ def _pipeline_loop(emitter: _Emitter, arity: int, stages: Sequence[tuple], sink:
     emitter.slot_sources = list(range(arity))
     emitter.read = set()
     emitter.row = "r"
-    #: Does the current row's tuple hold the source row ``r``?
-    whole = True
-    body: List[str] = []
-    #: Statements before the loop (the sink's, then the joins').
+    whole = True  # does the current row's tuple hold the source row r?
+    every_row = True  # does every source row reach the current stage?
     start: List[str] = []
-    depth = 0
-    joins = 0
-    projected = 0
+    body: List[str] = []
+    depth = joins = projected = 0
 
     def line(text: str) -> None:
         body.append("    " * depth + text)
 
-    def bind_row(irs: Sequence[IR], position: int) -> None:
-        """Name the current row's tuple before *irs* read it whole."""
-        if emitter.row != "r" and any(_row_dependent(ir) for ir in irs):
-            line(f"r{position} = {emitter.row}")
-            emitter.row = f"r{position}"
+    def emit(ir: IR) -> str:
+        return emitter.emit(ir).text
 
-    for position, stage in enumerate(stages):
-        tag = stage[0]
-        bind_row(_stage_irs(stage), position)
+    for position, (tag, irs, data) in enumerate(stages):
+        if emitter.row != "r" and any(_row_dependent(ir) for ir in irs):
+            line(f"r{position} = {emitter.row}")  # name the row a subquery reads
+            emitter.row = f"r{position}"
         if tag in (FILTER, RECHECK):
-            test = _test(emitter.emit(stage[1]))
+            every_row = False
+            test = _test(emitter.emit(irs[0]))
             line(f"if {'scan and ' if tag == RECHECK else ''}not ({test}): continue")
         elif tag == PROJECT:
-            irs = stage[1]
-            if len(irs) == len(emitter.slot_texts) and all(
-                ir == ("slot", i, ()) for i, ir in enumerate(irs)
-            ):
-                continue  # every slot read in place: nothing to compute
+            if irs == tuple(("slot", i, ()) for i in range(len(emitter.slot_texts))):
+                continue  # every slot read in place
             texts: List[str] = []
-            sources: List[Optional[int]] = []
-            last = position == len(stages) - 1 and sink[0] == ROWS
+            last = stages[position + 1][0] == ROWS
             for ir in irs:
                 text = emitter.emit(ir)
-                sources.append(emitter.source_slot(ir) if ir[0] == "slot" else None)
-                if text.name or last:
-                    texts.append(text.text)
-                else:
+                if not (text.name or last):
                     projected += 1
                     line(f"e{projected} = {text.text}")
-                    texts.append(f"e{projected}")
-            emitter.slot_texts, emitter.slot_sources = texts, sources
+                texts.append(text.text if text.name or last else f"e{projected}")
+            emitter.slot_sources = [
+                emitter.source_slot(ir) if ir[0] == "slot" else None for ir in irs
+            ]
+            emitter.slot_texts = texts
             emitter.row = _tuple_text(texts)
             whole = False
-        else:
-            keys, residual, width, left, runtime = stage[1:]
-            probe, index, slot_row, bucket, chains = map(emitter.literal, runtime)
+        elif tag == JOIN:
+            count, width, left = data[:3]
+            probe, index, slot_row, bucket, chains = map(emitter.literal, data[3:])
             joins += 1
-            key = "".join(emitter.emit(ir).text + ", " for ir in keys)
+            q, found = f"q{joins}", f"f{joins}"
             start.append(f"direct{joins} = snapshot is None or not {chains}")
-            line("probes += 1")
-            line(f"key{joins} = ({key})")
+            if every_row and joins == 1:
+                start.append("probes += len(b)")  # every source row probes
+            else:
+                line("probes += 1")
+            line(f"key{joins} = ({''.join(emit(ir) + ', ' for ir in irs[:count])})")
             line(
-                f"f{joins} = list(map({slot_row}, {bucket}(key{joins}, ()))) if direct{joins} "
+                f"{found} = list(map({slot_row}, {bucket}(key{joins}, ()))) if direct{joins} "
                 f"else {probe}({index}, key{joins}, snapshot)"
             )
-            line(f"found += len(f{joins})")
-            outer_row = emitter.row
-            emitter.slot_texts = emitter.slot_texts + [f"q{joins}[{i}]" for i in range(width)]
+            line(f"found += len({found})")
+            emitter.slot_texts = emitter.slot_texts + [f"{q}[{i}]" for i in range(width)]
             emitter.slot_sources = emitter.slot_sources + [None] * width
-            emitter.row = f"({outer_row} + q{joins})"
-            test = None if residual is None else _test(emitter.emit(residual))
-            if left:
-                pad = emitter.const(((None,) * width,))
-                if test is None:
-                    line(f"for q{joins} in f{joins} or {pad}:")
-                else:
-                    line(f"m{joins} = []")
-                    line(f"for q{joins} in f{joins}:")
-                    line(f"    if {test}: m{joins}.append(q{joins})")
-                    line(f"for q{joins} in m{joins} or {pad}:")
-                depth += 1
-            else:
-                line(f"for q{joins} in f{joins}:")
-                depth += 1
-                if test is not None:
-                    line(f"if not ({test}): continue")
-    uses_row = False
-    if sink[0] == GROUPS:
-        bind_row(list(sink[1]) + list(sink[2]), len(stages))
-    if sink[0] == ROWS:
-        uses_row = whole
-        start[:0] = ["out = []", "append = out.append"]
-        line(f"append({emitter.row})")
-        result = "out"
-    else:
-        group_keys, arguments = sink[1], sink[2]
-        lists = max(1, len(arguments))
-        values = [emitter.emit(ir).text for ir in arguments] or ["None"]
-        if group_keys:
-            start[:0] = ["groups = {}", "appends = {}"]
-            line(f"key = ({''.join(emitter.emit(ir).text + ', ' for ir in group_keys)})")
-            line("add = appends.get(key)")
-            line("if add is None:")
-            line(f"    held = groups[key] = ({'[], ' * lists})")
-            line(f"    add = appends[key] = ({''.join(f'held[{i}].append, ' for i in range(lists))})")
-            for i, value in enumerate(values):
-                line(f"add[{i}]({value})")
-            result = "groups"
+            emitter.row = f"({emitter.row} + {q})"
+            test = _test(emitter.emit(irs[count])) if irs[count:] else None
+            if left and test is not None:
+                line(f"m{joins} = [{q} for {q} in {found} if {test}]")
+                found = f"m{joins}"
+            line(f"for {q} in {found}{f' or {emitter.const(((None,) * width,))}' if left else ''}:")
+            depth += 1
+            if test is not None and not left:
+                line(f"if not ({test}): continue")
+        elif tag == ROWS:
+            start[:0] = ["out = []", "append = out.append"]
+            line(f"append({emitter.row})")
+            result = "out"
         else:
-            start[:0] = [f"held = ({'[], ' * lists})"] + [
-                f"add{i} = held[{i}].append" for i in range(lists)
-            ]
-            for i, value in enumerate(values):
-                line(f"add{i}({value})")
-            result = "{(): held} if held[0] else {}"
+            keys, arguments = irs[:data], irs[data:]
+            lists = max(1, len(arguments))
+            adds = [emit(ir) for ir in arguments] or ["None"]
+            if keys:
+                # One key is the dict key itself; more are a tuple.
+                start[:0] = ["groups = {}", "appends = {}"]
+                line(f"key = {emit(keys[0]) if len(keys) == 1 else _tuple_text([emit(ir) for ir in keys])}")
+                line("try:")
+                line("    add = appends[key]")
+                line("except KeyError:")  # a new group
+                line(f"    held = groups[key] = ({'[], ' * lists})")
+                if lists == 1:
+                    line("    add = appends[key] = held[0].append")
+                    line(f"add({adds[0]})")
+                else:
+                    line(f"    add = appends[key] = ({''.join(f'held[{i}].append, ' for i in range(lists))})")
+                    body.extend("    " * depth + f"add[{i}]({value})" for i, value in enumerate(adds))
+                result = "groups"
+            else:
+                start[:0] = [f"held = ({'[], ' * lists})"]
+                start += [f"add{i} = held[{i}].append" for i in range(lists)]
+                body.extend("    " * depth + f"add{i}({value})" for i, value in enumerate(adds))
+                result = "{(): held} if held[0] else {}"
+    end: List[str] = []
     if joins:
         start[:0] = ["probes = found = 0", "snapshot = env.snapshot"]
-    if columns:
-        reads = sorted(emitter.read)
-        names = (["r"] if uses_row else []) + [f"_{s}" for s in reads]
-        sources = (["b"] if uses_row else []) + [f"cols[{s}]" for s in reads]
-        if not names:
-            head = "for r in b:"
-        elif len(names) == 1:
-            head = f"for {names[0]} in {sources[0]}:"
-        else:
-            head = f"for {', '.join(names)} in zip({', '.join(sources)}):"
-    else:
-        head = "for r in b:"
-    end = []
-    if joins:
         end = [
             "counters = env.counters",
             'counters["index_probes"] += probes',
             'counters["rows_scanned"] += found',
         ]
+    names = (["r"] if whole and stages[-1][0] == ROWS else []) + [
+        f"_{s}" for s in sorted(emitter.read)
+    ]
+    if not columns or not names:
+        head = "for r in b:"
+    elif len(names) == 1:
+        head = f"for {names[0]} in {'b' if names[0] == 'r' else f'cols[{names[0][1:]}]'}:"
+    else:
+        iterables = ["b" if name == "r" else f"cols[{name[1:]}]" for name in names]
+        head = f"for {', '.join(names)} in zip({', '.join(iterables)}):"
     return start + [head] + ["    " + text for text in body] + end + [f"return {result}"]

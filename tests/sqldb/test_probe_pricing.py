@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.analysis.templates import template_queries
 from repro.pdm.generator import figure2_dataset
 from repro.pdm.schema import create_pdm_schema, load_product
+from repro.errors import TypeMismatchError
 from repro.sqldb import Database
 from repro.sqldb.executor import (
     ExecutionEnv,
@@ -273,3 +274,67 @@ class TestScanningIsSafe:
         scanned = run_template(db, sql)
         assert scanned == probed
 
+
+
+def lopsided() -> Database:
+    """3 000 rows, a third with ``b = 1`` and the rest NULL: one bucket,
+    whose key's probe is priced out to a scan."""
+    db = Database()
+    db.execute_script(
+        "CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER, s VARCHAR(4)); "
+        "CREATE INDEX t_b ON t (b)"
+    )
+    db.executemany(
+        "INSERT INTO t VALUES (?, ?, ?)",
+        [(i, 1 if i % 3 == 0 else None, "x") for i in range(3000)],
+    )
+    return db
+
+
+def analyzed(db, sql, params):
+    return "\n".join(line for (line,) in db.execute(f"EXPLAIN ANALYZE {sql}", params).rows)
+
+
+class TestTheProbedConjunctIsTestedOnlyOnAScan:
+    """The filter in a probe's pipeline leaves out the equality the probe
+    stands for, which every probed row satisfies, and tests it only when
+    the probe is priced out to a scan; the key's kind is checked once, as
+    ``=`` checks it."""
+
+    def test_a_priced_out_probe_keeps_only_its_key_rows(self):
+        db = lopsided()
+        sql = "SELECT a FROM t WHERE b = ?"
+        assert "keys=1 scanned" in analyzed(db, sql, [1])
+        assert db.execute(sql, [1]).rows == [(a,) for a in range(0, 3000, 3)]
+        assert db.last_counters["rows_scanned"] == 3000
+        assert db.execute(sql, [5]).rows == []  # no bucket: the scan keeps none
+        assert db.execute("SELECT COUNT(*) FROM t WHERE b = ?", [1]).scalar() == 1000
+        assert db.execute(f"{sql} AND a < 10", [1]).rows == [(0,), (3,), (6,), (9,)]
+
+    def test_probed_rows_are_not_tested_again(self):
+        db = lopsided()
+        db.executemany("INSERT INTO t VALUES (?, ?, ?)", [(3000 + i, i, "y") for i in range(3000)])
+        sql = "SELECT a, s FROM t WHERE b = ?"
+        assert "keys=1 probed" in analyzed(db, sql, [7])
+        assert db.execute(sql, [7]).rows == [(3007, "y")]
+        plan = db.plan_statement(parse_statement(sql))
+        (guard,) = [op for op in plan_operators(plan) if isinstance(op, Filter)]
+        assert guard.predicate is None and guard.recheck is not None
+        assert "if scan and not" in guard.program.source
+
+    def test_only_a_conjunct_the_pipeline_applies_is_left_out(self):
+        db = lopsided()
+        plan = db.plan_statement(parse_statement("SELECT a FROM t WHERE b = ? AND s = 'x'"))
+        (guard,) = [op for op in plan_operators(plan) if isinstance(op, Filter)]
+        assert guard.predicate is not None and guard.recheck is not None
+
+    @pytest.mark.parametrize("rows", [1, 3000])  # probed, scanned
+    def test_a_string_key_against_an_integer_column_is_a_type_error(self, rows):
+        db = lopsided() if rows > 1 else Database()
+        if rows == 1:
+            db.execute_script("CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER); CREATE INDEX t_b ON t (b)")
+            db.execute("INSERT INTO t VALUES (1, 1)")
+        for sql in ("SELECT a FROM t WHERE b = ?", "SELECT a FROM t WHERE a = ?"):
+            with pytest.raises(TypeMismatchError):
+                db.execute(sql, ["x"])
+            assert db.execute(sql, [None]).rows == []  # NULL finds no bucket
