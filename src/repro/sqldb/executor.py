@@ -2,14 +2,20 @@
 
 There is one operator hierarchy and one protocol: ``batches(env,
 budget)`` returns an operator's rows, in order, as
-:class:`~repro.sqldb.columnar.Batch` chunks, and every operator runs its
-expressions through the batch loops generated for them by
-:mod:`repro.sqldb.expressions`.  Under CPython the per-row cost of a
-pipeline (a generator resumption plus a function call per operator per
-row) dominates scan-heavy queries; a batch pays it once per chunk.  Row
-order is defined: scan order, key order of an index probe, left order
-then probe order of a join, frame order of a CTE scan, first-seen order
-of groups, DISTINCT and set operations.
+:class:`~repro.sqldb.columnar.Batch` chunks.  Row order is defined: scan
+order, key order of an index probe, left order then probe order of a
+join, frame order of a CTE scan, first-seen order of groups, DISTINCT
+and set operations.
+
+A chain of non-blocking operators — ``Filter``, ``Project`` and
+``IndexNestedLoopJoin``, the *stages* — over a *source* (any other
+operator) is a *pipeline*, and runs as one generated loop
+(:mod:`repro.sqldb.pipelines`): :func:`fuse` builds it when the plan is
+built, the top stage runs it over each batch of the source, and the
+stages below it (``fused``) run nothing themselves.  An ``Aggregate`` is
+the sink of the pipeline below it: the same loop computes each row's
+group key and arguments and collects them per group.  The rows between
+two stages are never built, gathered or counted.
 
 The *budget* is how many more rows the consumer may take.  ``Limit``,
 ``EXISTS`` (1), a scalar subquery (2) and the recursive fixpoint (its
@@ -18,11 +24,11 @@ down the tree: no operator puts more rows than the budget in one batch,
 so a producer stops where the consumer stops — ``SELECT 10 / v FROM t
 LIMIT 2`` divides twice.  Operators that must see all of an input (the
 build side of a join, a sort, an aggregate, a set operation's right
-side) read it with :data:`UNBOUNDED`.  An operator finishes the batch it
-works on: a ``Filter`` cannot know how many of its input rows will pass,
-so it hands its own budget down and may read up to a budget's worth of
-rows past the last one its consumer takes, and a join tests every match
-of its left batch (DESIGN §10).
+side) read it with :data:`UNBOUNDED`.  A pipeline hands its top's budget
+to its source and runs each batch it gets through the whole loop: a
+filter cannot know how many of its input rows will pass, so a pipeline
+may read up to a budget's worth of rows past the last one its consumer
+takes, and a join tests every match of its left batch (DESIGN §10).
 
 A body returns a tuple when its output is computed already and fits in
 one batch, else an iterator that computes each batch as it is pulled;
@@ -30,11 +36,10 @@ an operator over a computed input computes its own output at once, so a
 pipeline that sees one batch — a point query, a fixpoint round — runs
 without a generator.
 
-An operator holds the generated :class:`~repro.sqldb.expressions.
-Program` of its expressions (one per operator role: a filter's predicate,
-a projection's select list, a join's keys, an aggregate's group keys and
-arguments) or, where only rows are evaluated, plain row functions
-``(row, env) -> value``.
+A hash join, a sort and a nested loop hold the generated
+:class:`~repro.sqldb.expressions.Program` of their keys, or row
+functions ``(row, env) -> value``; a stage holds its expressions' IR,
+which its pipeline compiles.
 
 :class:`ExecutionEnv` carries everything that varies per execution:
 statement parameters, the function registry, materialised CTE frames

@@ -24,12 +24,14 @@ comparisons and ``+ - *`` as bare Python operators, where that cannot
 change a result: ordering comparisons under ``try/except TypeError``
 (Python raises it on exactly the cases SQL treats specially: NULL, a
 number against a string), ``=``, ``<>``, BETWEEN and ``+ - *`` behind one
-per-batch precheck of the kinds they read.  Otherwise, and whenever the
-guard trips, it is the row text over the columns, so errors surface in
-row order.  An expression with a correlated subquery, an EXISTS or
+per-batch precheck of the kinds they read (a column's kinds are kept with
+its batch's columns, once per table version for a cached chunk).
+Otherwise, and whenever the guard trips, it is the row text over the
+columns, so errors surface in row order.  An expression with a correlated subquery, an EXISTS or
 scalar subquery, or an outer reference runs its row function over the
 batch's rows; an uncorrelated ``IN (subquery)`` fetches its value set
-once per call and tests membership inline.
+once per call and tests membership inline.  :mod:`repro.sqldb.pipelines`
+emits a whole chain of operators as one loop with the same emitter.
 
 No SQL text becomes Python source: the source holds operator tokens,
 slot and parameter numbers and generated names.  Literals are holes of

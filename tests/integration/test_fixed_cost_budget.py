@@ -34,8 +34,12 @@ registry's ``call``, an ``any`` over a generator of ``is_null``, the
 function) and a call's result was tested for NULL and bool inline
 instead of by ``to_bool``; 119.9 once the result codec was generated per
 kind signature (a run of rows is one generated call, not one loop
-iteration per value).  The budget sits above the last, with room for
-interpreter versions that count comprehensions differently.
+iteration per value); 100.0 once each chain of filters, projections and
+index joins ran as one generated loop (the child fetch's index join
+reads the index's bucket and the heap in place, a ``?`` is read from the
+parameters in place, and a union calls its branches without a generator
+expression).  The budget sits about 10 % above the last (CPython 3.10
+counts the same, 3.12 counts 96.9).
 
 Calls miss a loop that runs per value in bytecode, so the same pass is
 also held in bytecode instructions (``sys.settrace`` with
@@ -48,6 +52,15 @@ kind signature is one generated straight-line encoder or decoder and a
 cached plan's header is recognised by its first bytes (1 007 on 3.10,
 1 021 on 3.12).
 
+The same pass is held in the engine's bytecode instructions too: the
+code of ``executor``, ``storage``, ``columnar``, ``recursive``,
+``functions``, ``expressions`` and ``pipelines`` and the code they
+generate, the result codec's excepted.  1 298 per cached navigational
+round trip on CPython 3.11 while every operator ran its own batch loop
+and the rows went from one to the next as batches, 920 once each chain
+of filters, projections and index joins is one generated loop (859 on
+3.10 and 3.12).
+
 The late half of that pass is also held on its own, because there the
 client checks the access rules of every fetched object: 254.2 calls per
 cached navigational-late round trip while each object looked up its
@@ -57,7 +70,7 @@ compiled check — the predicate early evaluation injects — run on the
 object's attribute tuple, 149.6 once that check is one generated function,
 141.6 once every plan ran on batches, 128.6 once a stored function call
 was one call, 125.7 once the result codec was generated per kind
-signature.
+signature, 105.8 once each pipeline was one generated loop.
 
 One cached ``RECURSIVE_EARLY`` expand of the same product is held as a
 whole: the one ``WITH RECURSIVE`` statement and its fixpoint rounds.
@@ -73,7 +86,9 @@ rtbl)`` fetches its value set once per batch instead of once per row
 (490 ``value_set`` calls before), 1 498 once each stored function call
 of the early predicate was one call of a guarded callable instead of the
 registry's ``call`` with its ``any`` over a generator of ``is_null``, and
-its result was tested for NULL and bool inline instead of by ``to_bool``.
+its result was tested for NULL and bool inline instead of by ``to_bool``,
+949 once each fixpoint round's chain of index joins, filter and
+projection ran as one generated loop.
 
 Three engine-level statements are held the same way, on the ``txn_mix``
 product (δ=6, κ=4: 1 365 assemblies, all of one product), each cached
@@ -90,7 +105,13 @@ and run straight on the ``Database``:
 * a grouped roll-up of the same table, ``SELECT state, COUNT(*),
   SUM(weight), MIN(weight), MAX(weight) FROM assy GROUP BY state``: 9 618
   calls with one ``add`` per row and aggregate, 70 with one ``add_many``
-  per group, aggregate and batch (67 → 52 the same way);
+  per group, aggregate and batch (67 → 52 the same way, 47 once the
+  aggregate's input was one generated loop).  It is held in engine
+  bytecode instructions per input row too: 40.7 while the keys, the
+  argument columns and each group's positions were three passes over a
+  batch, 19.7 once one loop collects each group's values (an argument
+  three aggregates share, once) and ``add_many`` drops NULLs only from a
+  column that holds one;
 * a primary-key point ``SELECT *``, the batch of one: 62 calls on the
   row operators, 45 on the batch operators, where a filter tests a
   one-row batch with its row closure and a ``SELECT *`` projection
@@ -137,21 +158,36 @@ from repro.pdm.generator import generate_product
 from repro.pdm.operations import ExpandStrategy
 from repro.pdm.schema import create_pdm_schema, load_product, new_pdm_database
 from repro.recovery import Durability, SimDisk
-from repro.sqldb import columnar, executor, expressions, functions, recursive, storage, wire
+from repro.sqldb import (
+    columnar,
+    executor,
+    expressions,
+    functions,
+    pipelines,
+    recursive,
+    storage,
+    wire,
+)
 
 TREE = TreeParameters(depth=5, branching=3, visibility=0.6)
 SEED = 4
 STRATEGIES = (ExpandStrategy.NAVIGATIONAL_LATE, ExpandStrategy.NAVIGATIONAL_EARLY)
 
 #: Python-level calls one cached navigational round trip may cost: one
-#: generated function per operator, not a closure per expression node
-#: (222.9 calls), and a stored function is one call (137.2 calls).
-CALLS_PER_ROUND_TRIP_BUDGET = 132
+#: generated loop per pipeline, not a batch loop per operator (119.9
+#: calls) nor a closure per expression node (222.9 calls).
+CALLS_PER_ROUND_TRIP_BUDGET = 110
 
 #: Calls one cached navigational-late round trip may cost: one generated
 #: rule check per fetched object, not a rule lookup and a condition walk
-#: (254.2 calls) nor a closure per condition node (230.5 calls).
-LATE_CALLS_PER_ROUND_TRIP_BUDGET = 139
+#: (254.2 calls) nor a closure per condition node (230.5 calls), and one
+#: generated loop per pipeline (125.7 calls with a loop per operator).
+LATE_CALLS_PER_ROUND_TRIP_BUDGET = 116
+
+#: Engine bytecode instructions one cached navigational round trip may
+#: cost: one generated loop per pipeline, not a batch loop per operator
+#: with the rows handed from one to the next (1 298 instructions).
+ENGINE_OPCODES_PER_ROUND_TRIP_BUDGET = 1_010
 
 #: Result codec bytecode instructions one cached navigational round trip
 #: may cost: a generated codec per kind signature, not the tag loop per
@@ -160,8 +196,9 @@ CODEC_OPCODES_PER_ROUND_TRIP_BUDGET = 1_235
 
 #: Calls one cached recursive early expand of the whole product may cost
 #: (21 984 calls with a closure per expression node, 7 913 on the row
-#: operators, 3 182 with seven calls per stored function call).
-RECURSIVE_EXPAND_CALLS_BUDGET = 1_650
+#: operators, 3 182 with seven calls per stored function call, 1 498
+#: with a batch loop per operator).
+RECURSIVE_EXPAND_CALLS_BUDGET = 1_045
 
 #: The ``txn_mix`` product and its three engine-level statements.
 TXN_MIX_TREE = TreeParameters(depth=6, branching=4, visibility=0.6)
@@ -179,6 +216,11 @@ AUDIT_CALLS_BUDGET = 200
 #: Calls one cached grouped roll-up may cost: a fold per group, aggregate
 #: and batch, not an ``add`` per row and aggregate (9 618 calls).
 GROUPED_CALLS_BUDGET = 300
+
+#: Engine bytecode instructions per input row the grouped roll-up may
+#: cost: one loop collecting each group's values, not three passes over
+#: a batch (40.7 instructions).
+GROUPED_OPCODES_PER_ROW_BUDGET = 21.7
 
 #: Calls one cached primary-key point SELECT may cost: no more than on
 #: the row operators.
@@ -233,7 +275,7 @@ def _is_codec(code) -> bool:
 GENERATED = "<sql expression>"
 
 #: The engine's modules: what runs a statement's plan.
-ENGINE_MODULES = (executor, storage, columnar, recursive, functions, expressions)
+ENGINE_MODULES = (executor, storage, columnar, recursive, functions, expressions, pipelines)
 _ENGINE_FILES = frozenset(module.__file__ for module in ENGINE_MODULES)
 
 
@@ -405,6 +447,33 @@ def test_a_cached_round_trip_stays_inside_its_codec_opcode_budget():
 
 def test_the_opcode_count_repeats_to_the_instruction():
     assert per_round_trip(count_codec_opcodes) == per_round_trip(count_codec_opcodes)
+
+
+def test_a_cached_round_trip_stays_inside_its_engine_opcode_budget():
+    per_trip, round_trips = per_round_trip(count_engine_opcodes)
+    assert round_trips > 100 and per_trip > 0  # the counter sees the engine
+    assert per_trip <= ENGINE_OPCODES_PER_ROUND_TRIP_BUDGET, (
+        f"{per_trip:.1f} engine bytecode instructions per cached navigational "
+        f"round trip (budget {ENGINE_OPCODES_PER_ROUND_TRIP_BUDGET}): the child "
+        f"fetch's operators hand rows to each other again — see DESIGN.md §10"
+    )
+
+
+def test_the_engine_opcode_count_repeats_to_the_instruction():
+    assert per_round_trip(count_engine_opcodes) == per_round_trip(count_engine_opcodes)
+
+
+def test_a_grouped_rollup_collects_its_groups_in_one_loop(txn_mix_db):
+    database, _ = txn_mix_db
+    database.execute(GROUPED_SQL)
+    opcodes = count_engine_opcodes(lambda: database.execute(GROUPED_SQL))
+    rows = database.last_counters["rows_scanned"]
+    assert rows == 1365
+    assert opcodes / rows <= GROUPED_OPCODES_PER_ROW_BUDGET, (
+        f"{opcodes / rows:.1f} engine bytecode instructions per input row of a "
+        f"cached grouped roll-up (budget {GROUPED_OPCODES_PER_ROW_BUDGET}): the "
+        f"aggregate's input is no longer collected in its pipeline's loop"
+    )
 
 
 def test_the_audit_runs_as_a_columnar_scan_inside_its_budget(txn_mix_db):
