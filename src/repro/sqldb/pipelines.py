@@ -186,17 +186,21 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
             if irs == tuple(("slot", i, ()) for i in range(len(emitter.slot_texts))):
                 continue  # every slot read in place
             texts: List[str] = []
+            sources: List[Any] = []
             last = stages[position + 1][0] == ROWS
             for ir in irs:
+                if ir[0] == "slot" and not last:
+                    # Renamed, not read: a later stage reads it if it needs it.
+                    texts.append(emitter.slot_texts[ir[1]])
+                    sources.append(emitter.slot_sources[ir[1]])
+                    continue
                 text = emitter.emit(ir)
                 if not (text.name or last):
                     projected += 1
                     line(f"e{projected} = {text.text}")
                 texts.append(text.text if text.name or last else f"e{projected}")
-            emitter.slot_sources = [
-                emitter.source_slot(ir) if ir[0] == "slot" else None for ir in irs
-            ]
-            emitter.slot_texts = texts
+                sources.append(emitter.source_slot(ir) if ir[0] == "slot" else None)
+            emitter.slot_texts, emitter.slot_sources = texts, sources
             emitter.row = _tuple_text(texts)
             whole = False
         elif tag == JOIN:
