@@ -10,7 +10,7 @@ of :class:`repro.sqldb.planner.Planner`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.errors import ParseError, SQLError
 from repro.sqldb import ast_nodes as ast
@@ -18,6 +18,12 @@ from repro.sqldb import stats as table_stats_mod
 from repro.sqldb.executor import CTEScan, IndexLookup, MultiKeyIndexLookup, Operator, SeqScan
 from repro.sqldb.expressions import KEYS, Frame, lower, program
 from repro.sqldb.subplans import SubplanOperator
+
+if TYPE_CHECKING:
+    from repro.sqldb.expressions import IR, CompileContext, Scope
+    from repro.sqldb.functions import FunctionRegistry
+    from repro.sqldb.schema import Catalog
+    from repro.sqldb.subplans import CompiledSubquery
 
 
 @dataclass
@@ -50,6 +56,40 @@ class _AccessPath:
 
 class AccessPaths:
     """The planner's access-path methods."""
+
+    if TYPE_CHECKING:  # the planner's state and helpers (repro.sqldb.planner)
+        catalog: Catalog
+        functions: FunctionRegistry
+        cte_columns: Dict[str, List[str]]
+        views: Dict[str, object]
+        stats: Optional[table_stats_mod.StatsCatalog]
+        _expanding_views: set
+        _probed_by: Dict[int, Tuple[Operator, ast.Expression, str]]
+        _applies: Dict[int, Tuple[Operator, FrozenSet[int]]]
+
+        def _context(self, frames: List[Frame]) -> CompileContext:
+            ...
+
+        def _lower_in(
+            self, expression: ast.Expression, scope: Scope, frames: List[Frame]
+        ) -> IR:
+            ...
+
+        def _plan_subquery(
+            self, statement: ast.SelectStatement, frames: List[Frame]
+        ) -> CompiledSubquery:
+            ...
+
+        def _filter(
+            self,
+            source: Operator,
+            whole: ast.Expression,
+            conjuncts: List[ast.Expression],
+            lower_one,
+            frames: List[Frame],
+            drop: bool = True,
+        ) -> Operator:
+            ...
 
     def _plan_table_ref(
         self,

@@ -65,6 +65,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
 
 from repro.errors import ExecutionError, TypeMismatchError
@@ -413,14 +414,14 @@ class IndexLookup(_IndexProbe):
     correlated lookups) but never the scanned table itself.
     """
 
-    def label(self) -> str:
-        return f"IndexLookup({self.storage.schema.name} via {self.index.name})"
-
     def __init__(self, storage: TableStorage, index, keys: Program) -> None:
         super().__init__(storage, index, keys)
         (position,) = index.column_positions
         #: Does the probed column hold numbers (strings otherwise)?
         self.numeric = not storage.schema.columns[position].sql_type.is_character
+
+    def label(self) -> str:
+        return f"IndexLookup({self.storage.schema.name} via {self.index.name})"
 
     def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
         """The one key, checked as ``=`` checks it: a number against a
@@ -533,7 +534,7 @@ class _Stage(Operator):
     ``IndexNestedLoopJoin``, the stages of a pipeline.
 
     :func:`fuse` gives each stage of a pipeline the pipeline's one
-    generated loop (``program``, from :func:`~repro.sqldb.expressions.
+    generated loop (``program``, from :func:`~repro.sqldb.pipelines.
     pipeline`); the top stage runs it over the batches of the pipeline's
     source — the first operator down its ``child`` chain that is not
     ``fused`` — and nothing calls the ``batches`` of a stage below it.  A
@@ -544,7 +545,8 @@ class _Stage(Operator):
     child: Operator
     program: Optional[Program] = None
     pipelined = False
-    #: Does the source test an index probe's key when it scans instead?
+    #: Does a filter of the pipeline test its source probe's conjunct on
+    #: a scan's rows (``Filter.recheck``)?
     rechecks = False
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
@@ -558,7 +560,7 @@ class _Stage(Operator):
         if program is None:  # every stage reads its slots in place
             return batches
         if batches.__class__ is not tuple:
-            return _pipelined(batches, source, self, env, budget)
+            return _pipelined(batches, source, program, self.rechecks, env, budget)
         if not batches:
             return ()
         batch = batches[0]
@@ -575,11 +577,15 @@ class _Stage(Operator):
 
 
 def _pipelined(
-    batches: Iterable[Batch], source: Operator, top: _Stage, env: ExecutionEnv, budget: int
+    batches: Iterable[Batch],
+    source: Operator,
+    program: Program,
+    rechecks: bool,
+    env: ExecutionEnv,
+    budget: int,
 ) -> Iterator[Batch]:
-    program = top.program
     for batch in batches:
-        scan = top.rechecks and id(source) in env.scans
+        scan = rechecks and id(source) in env.scans
         if batch.columns is None and len(batch) <= SMALL_BATCH:
             out = program.row(batch, env, scan)
         else:
@@ -610,7 +616,7 @@ class Filter(_Stage):
             raise NotImplementedError(
                 "row ids exist only directly above a base-table access path"
             )
-        test = self.program.row
+        test = cast(Program, self.program).row  # a filter always tests something
         fetch = source.storage.fetch
         for row_id in source.row_ids(env):
             if test([fetch(row_id)], env, False):
@@ -884,7 +890,8 @@ class Aggregate(Operator):
     per value would.
     """
 
-    program: Optional[Program] = None
+    #: The loop of the pipeline below, set by :func:`fuse`.
+    program: Program
     pipelined = False
     rechecks = False
 

@@ -964,7 +964,10 @@ class Program(NamedTuple):
 
     ``row(r, env)`` evaluates them on one row; ``batch(b, env)`` (None
     for :data:`VALUE` and :data:`KEYS`) on a whole batch.  ``exprs`` is
-    the IR they were generated from; ``source`` the generated text.
+    the IR they were generated from; ``source`` the generated text.  A
+    pipeline's (:func:`repro.sqldb.pipelines.pipeline`) runs a whole
+    batch either way: ``row(b, env, scan)`` over its rows and
+    ``batch(b, env, scan)`` over its columns.
     """
 
     row: Callable

@@ -37,6 +37,7 @@ from repro.sqldb.expressions import (
     program,
     slot,
 )
+from repro.sqldb.access_paths import AccessPaths
 from repro.sqldb.subplans import SubplanOperator
 
 
@@ -229,7 +230,7 @@ def _pushable(expression: ast.Expression) -> bool:
     return True
 
 
-class JoinGraphs:
+class JoinGraphs(AccessPaths):
     """The planner's join-graph methods."""
 
     def _plan_from(

@@ -129,7 +129,7 @@ _ITEM = re.compile(r"([a-z]\w*)\[(\d+)\]\Z")
 def _tuple_text(texts: List[str]) -> str:
     """A tuple of the values of *texts*; a run of consecutive items of one
     row tuple (``q1[2], q1[3], q1[4]``) is one slice of it."""
-    parts: List[str] = []
+    parts: List[Any] = []  # texts, and [tuple, first, stop] runs
     for text in texts:
         item = _ITEM.match(text)
         last = parts[-1] if parts and isinstance(parts[-1], list) else None
@@ -158,8 +158,9 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
     or over the columns when ``emitter.columns`` — ending in its
     ``return``."""
     columns = emitter.columns
-    emitter.slot_texts = [f"_{s}" if columns else f"r[{s}]" for s in range(arity)]
-    emitter.slot_sources = list(range(arity))
+    slot_texts = [f"_{s}" if columns else f"r[{s}]" for s in range(arity)]
+    slot_sources: List[Any] = list(range(arity))
+    emitter.slot_texts, emitter.slot_sources = slot_texts, slot_sources
     emitter.read = set()
     emitter.row = "r"
     whole = True  # does the current row's tuple hold the source row r?
@@ -183,7 +184,7 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
             test = _test(emitter.emit(irs[0]))
             line(f"if {'scan and ' if tag == RECHECK else ''}not ({test}): continue")
         elif tag == PROJECT:
-            if irs == tuple(("slot", i, ()) for i in range(len(emitter.slot_texts))):
+            if irs == tuple(("slot", i, ()) for i in range(len(slot_texts))):
                 continue  # every slot read in place
             texts: List[str] = []
             sources: List[Any] = []
@@ -191,8 +192,8 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
             for ir in irs:
                 if ir[0] == "slot" and not last:
                     # Renamed, not read: a later stage reads it if it needs it.
-                    texts.append(emitter.slot_texts[ir[1]])
-                    sources.append(emitter.slot_sources[ir[1]])
+                    texts.append(slot_texts[ir[1]])
+                    sources.append(slot_sources[ir[1]])
                     continue
                 text = emitter.emit(ir)
                 if not (text.name or last):
@@ -200,7 +201,8 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
                     line(f"e{projected} = {text.text}")
                 texts.append(text.text if text.name or last else f"e{projected}")
                 sources.append(emitter.source_slot(ir) if ir[0] == "slot" else None)
-            emitter.slot_texts, emitter.slot_sources = texts, sources
+            slot_texts, slot_sources = texts, sources
+            emitter.slot_texts, emitter.slot_sources = slot_texts, slot_sources
             emitter.row = _tuple_text(texts)
             whole = False
         elif tag == JOIN:
@@ -219,8 +221,9 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
                 f"else {probe}({index}, key{joins}, snapshot)"
             )
             line(f"found += len({found})")
-            emitter.slot_texts = emitter.slot_texts + [f"{q}[{i}]" for i in range(width)]
-            emitter.slot_sources = emitter.slot_sources + [None] * width
+            slot_texts = slot_texts + [f"{q}[{i}]" for i in range(width)]
+            slot_sources = slot_sources + [None] * width
+            emitter.slot_texts, emitter.slot_sources = slot_texts, slot_sources
             emitter.row = f"({emitter.row} + {q})"
             test = _test(emitter.emit(irs[count])) if irs[count:] else None
             if left and test is not None:

@@ -43,7 +43,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 from repro.errors import ParseError, SQLError
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import stats as table_stats_mod
-from repro.sqldb.access_paths import AccessPaths
 from repro.sqldb.ast_walk import (
     branch_aggregates as _branch_aggregates,
     core_predicates as _core_predicates,
@@ -71,6 +70,7 @@ from repro.sqldb.executor import (
 )
 from repro.sqldb.expressions import (
     COLUMNS,
+    IR,
     VALUE,
     CompileContext,
     Frame,
@@ -87,7 +87,7 @@ from repro.sqldb.functions import AGGREGATE_NAMES, FunctionRegistry
 from repro.sqldb.join_graph import JoinGraphs
 from repro.sqldb.render import expression_key
 from repro.sqldb.schema import Catalog
-from repro.sqldb.subplans import (  # noqa: F401 — the planner's public names
+from repro.sqldb.subplans import (
     CompiledSubquery,
     Plan,
     PlannedCTE,
@@ -96,7 +96,7 @@ from repro.sqldb.subplans import (  # noqa: F401 — the planner's public names
 )
 
 
-class Planner(JoinGraphs, AccessPaths):
+class Planner(JoinGraphs):
     """Plans one statement; child planners are spawned for subqueries.
 
     The join graph and the access paths are planned by the mixins of
@@ -374,14 +374,14 @@ class Planner(JoinGraphs, AccessPaths):
             kept.append(conjunct)
         if not kept and recheck is None:
             return source
-        if len(kept) < len(conjuncts):
-            whole = kept[0] if kept else None
+        if len(kept) < len(conjuncts) and kept:
+            whole = kept[0]
             for conjunct in kept[1:]:
                 whole = ast.BinaryOp("AND", whole, conjunct)
-        operator = Filter(source, None if whole is None else lower_one(whole), recheck)
+        operator = Filter(source, lower_one(whole) if kept else None, recheck)
         self._applies[id(operator)] = (
             operator,
-            applied | {id(conjunct) for conjunct in conjuncts},
+            frozenset(applied | {id(conjunct) for conjunct in conjuncts}),
         )
         return operator
 
@@ -426,7 +426,7 @@ class Planner(JoinGraphs, AccessPaths):
     # -- FROM clause ------------------------------------------------------------
 
 
-    def _lower_in(self, expression: ast.Expression, scope: Scope, frames: List[Frame]):
+    def _lower_in(self, expression: ast.Expression, scope: Scope, frames: List[Frame]) -> IR:
         """Lower *expression* with *scope* as the current frame's."""
         frame = frames[-1]
         saved = frame.scope
