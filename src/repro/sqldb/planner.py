@@ -59,6 +59,7 @@ from repro.sqldb.executor import (
     Filter,
     IndexNestedLoopJoin,
     Limit,
+    MAX_FUSED_JOINS,
     Offset,
     Operator,
     Project,
@@ -355,10 +356,14 @@ class Planner(JoinGraphs):
         nothing left to test there is no Filter."""
         applied: set = set()
         node = source
+        joins = 0
         while drop and isinstance(node, (Filter, Project, IndexNestedLoopJoin)):
             applied |= self._applies.get(id(node), (None, frozenset()))[1]
+            joins += isinstance(node, IndexNestedLoopJoin)
             node = node.child
-        probed = self._probed_by.get(id(node)) if drop else None
+        # Past MAX_FUSED_JOINS index joins the probe starts a pipeline of
+        # its own, whose scans this filter's pipeline does not see.
+        probed = self._probed_by.get(id(node)) if drop and joins <= MAX_FUSED_JOINS else None
         kept = []
         recheck = None
         for conjunct in conjuncts:

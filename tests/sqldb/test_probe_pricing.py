@@ -338,3 +338,23 @@ class TestTheProbedConjunctIsTestedOnlyOnAScan:
             with pytest.raises(TypeMismatchError):
                 db.execute(sql, ["x"])
             assert db.execute(sql, [None]).rows == []  # NULL finds no bucket
+
+    def test_a_probe_below_a_cut_pipeline_keeps_its_conjunct(self):
+        """Past ``MAX_FUSED_JOINS`` index joins the probe's rows reach the
+        filter through a second pipeline: the filter tests the probe's
+        conjunct on every row, probed or scanned."""
+        from repro.sqldb.executor import MAX_FUSED_JOINS
+
+        tables = MAX_FUSED_JOINS + 2
+        db = Database()
+        for n in range(tables):
+            db.execute(f"CREATE TABLE j{n} (id INTEGER PRIMARY KEY, b INTEGER, nxt INTEGER)")
+            db.executemany(
+                f"INSERT INTO j{n} VALUES (?, ?, ?)",
+                [(i, 1 if i % 3 == 0 else None, i) for i in range(300)],
+            )
+        db.execute("CREATE INDEX j0_b ON j0 (b)")
+        joins = " ".join(f"JOIN j{n} ON j{n}.id = j{n - 1}.nxt" for n in range(1, tables))
+        sql = f"SELECT j0.id, j{tables - 1}.id FROM j0 {joins} WHERE j0.b = ?"
+        assert "keys=1 scanned" in analyzed(db, sql, [1])
+        assert db.execute(sql, [1]).rows == [(i, i) for i in range(0, 300, 3)]
