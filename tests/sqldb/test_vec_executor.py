@@ -15,7 +15,7 @@ import re
 import pytest
 
 from repro.obs import TraceRecorder
-from repro.sqldb.columnar import BATCH_SIZE, SMALL_BATCH, Batch, Columns, table_batches
+from repro.sqldb.columnar import BATCH_SIZE, Batch, Columns, table_batches
 from repro.sqldb.database import Database
 from tests.sqldb.test_differential import run_differential
 from tests.sqldb.test_sqlite_oracle import sqlite_twin
