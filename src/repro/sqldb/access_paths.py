@@ -10,17 +10,25 @@ of :class:`repro.sqldb.planner.Planner`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ParseError, SQLError
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import stats as table_stats_mod
-from repro.sqldb.executor import CTEScan, IndexLookup, MultiKeyIndexLookup, Operator, SeqScan
-from repro.sqldb.expressions import KEYS, Frame, lower, program
+from repro.sqldb.executor import (
+    CTEScan,
+    Filter,
+    IndexLookup,
+    MultiKeyIndexLookup,
+    Operator,
+    SeqScan,
+    _Stage,
+)
+from repro.sqldb.expressions import KEYS, CompileContext, Frame, lower, program
 from repro.sqldb.subplans import SubplanOperator
 
 if TYPE_CHECKING:
-    from repro.sqldb.expressions import IR, CompileContext, Scope
+    from repro.sqldb.expressions import IR, Scope
     from repro.sqldb.functions import FunctionRegistry
     from repro.sqldb.schema import Catalog
     from repro.sqldb.subplans import CompiledSubquery
@@ -64,32 +72,66 @@ class AccessPaths:
         views: Dict[str, object]
         stats: Optional[table_stats_mod.StatsCatalog]
         _expanding_views: set
-        _probed_by: Dict[int, Tuple[Operator, ast.Expression, str]]
-        _applies: Dict[int, Tuple[Operator, FrozenSet[int]]]
-
-        def _context(self, frames: List[Frame]) -> CompileContext:
-            ...
-
-        def _lower_in(
-            self, expression: ast.Expression, scope: Scope, frames: List[Frame]
-        ) -> IR:
-            ...
 
         def _plan_subquery(
             self, statement: ast.SelectStatement, frames: List[Frame]
         ) -> CompiledSubquery:
             ...
 
-        def _filter(
-            self,
-            source: Operator,
-            whole: ast.Expression,
-            conjuncts: List[ast.Expression],
-            lower_one,
-            frames: List[Frame],
-            drop: bool = True,
-        ) -> Operator:
-            ...
+    def _context(self, frames: List[Frame]) -> CompileContext:
+        return CompileContext(frames, self._plan_subquery, self.functions)
+
+    def _lower_in(self, expression: ast.Expression, scope: Scope, frames: List[Frame]) -> IR:
+        """Lower *expression* with *scope* as the current frame's."""
+        frame = frames[-1]
+        saved = frame.scope
+        frame.scope = scope
+        try:
+            return lower(expression, self._context(frames))
+        finally:
+            frame.scope = saved
+
+    def _filter(
+        self,
+        source: Operator,
+        whole: ast.Expression,
+        conjuncts: List[ast.Expression],
+        lower_one,
+        frames: List[Frame],
+        drop: bool = True,
+    ) -> Operator:
+        """*source* under a Filter of *conjuncts* (whose AND is *whole*),
+        less — when *drop* — the ones every row of its pipeline satisfies
+        already: those a stage below it applies (``applies``), and the
+        equality an index probe under those stages stands for, which the
+        Filter tests as its ``recheck`` (see :class:`Filter`).  With
+        nothing left to test there is no Filter."""
+        applied: set = set()
+        node = source
+        while drop and isinstance(node, _Stage):
+            applied |= node.applies
+            node = node.child
+        probe = node if drop and isinstance(node, IndexLookup) else None
+        kept = []
+        recheck = None
+        for conjunct in conjuncts:
+            if id(conjunct) in applied:
+                continue
+            if probe is not None and id(conjunct) == probe.equality:
+                recheck = lower_one(conjunct)
+                continue
+            kept.append(conjunct)
+        if not kept and recheck is None:
+            return source
+        if len(kept) < len(conjuncts) and kept:
+            whole = kept[0]
+            for conjunct in kept[1:]:
+                whole = ast.BinaryOp("AND", whole, conjunct)
+        operator = Filter(
+            source, lower_one(whole) if kept else None, recheck, id(probe) if recheck is not None else None
+        )
+        operator.applies = frozenset(applied | {id(conjunct) for conjunct in conjuncts})
+        return operator
 
     def _plan_table_ref(
         self,
@@ -288,7 +330,7 @@ class AccessPaths:
                 if key is None:
                     continue
                 lookup = IndexLookup(entry.storage, index, program([key], KEYS))
-                self._probed_by[id(lookup)] = (lookup, conjunct, binding)
+                lookup.equality = id(conjunct)
                 paths.append(
                     _AccessPath(
                         operator=lookup,

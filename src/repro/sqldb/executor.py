@@ -59,6 +59,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -226,7 +227,7 @@ def _joined(source: Iterable[Batch], matches, env: ExecutionEnv, budget: int) ->
     """The rows *matches* — ``(batch, env) -> rows`` — joins to each batch
     of *source*, in batches of at most *budget* rows: at once when
     *source* is computed (a tuple), else as each batch is pulled (the
-    hash join and the nested loop)."""
+    hash join, the nested loop and a pipeline's top stage)."""
     if source.__class__ is not tuple:
         return _joined_pulled(source, matches, env, budget)
     out = matches(source[0], env) if source else None
@@ -414,6 +415,10 @@ class IndexLookup(_IndexProbe):
     correlated lookups) but never the scanned table itself.
     """
 
+    #: ``id`` of the ``=`` conjunct the probe stands for, which every row
+    #: it probes satisfies and a scan's rows need not (planner bookkeeping).
+    equality: Optional[int] = None
+
     def __init__(self, storage: TableStorage, index, keys: Program) -> None:
         super().__init__(storage, index, keys)
         (position,) = index.column_positions
@@ -546,8 +551,11 @@ class _Stage(Operator):
     program: Optional[Program] = None
     pipelined = False
     #: Does a filter of the pipeline test its source probe's conjunct on
-    #: a scan's rows (``Filter.recheck``)?
+    #: a scan's rows only (``Filter.recheck``)?
     rechecks = False
+    #: ``id`` of each WHERE conjunct every row the stage passes satisfies
+    #: (planner bookkeeping).
+    applies: FrozenSet[int] = frozenset()
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
         """The pipeline's output: each source batch (the source cuts it
@@ -560,7 +568,12 @@ class _Stage(Operator):
         if program is None:  # every stage reads its slots in place
             return batches
         if batches.__class__ is not tuple:
-            return _pipelined(batches, source, program, self.rechecks, env, budget)
+            loop = program
+
+            def step(batch: Batch, env: ExecutionEnv) -> Any:
+                return _run(loop, batch, env, self.rechecks and id(source) in env.scans)
+
+            return _joined_pulled(batches, step, env, budget)
         if not batches:
             return ()
         batch = batches[0]
@@ -576,39 +589,36 @@ class _Stage(Operator):
         return as_batches(out, budget)
 
 
-def _pipelined(
-    batches: Iterable[Batch],
-    source: Operator,
-    program: Program,
-    rechecks: bool,
-    env: ExecutionEnv,
-    budget: int,
-) -> Iterator[Batch]:
-    for batch in batches:
-        scan = rechecks and id(source) in env.scans
-        if batch.columns is None and len(batch) <= SMALL_BATCH:
-            out = program.row(batch, env, scan)
-        else:
-            out = program.batch(batch, env, scan)
-        if out:
-            yield from as_batches(out, budget)
+def _run(program: Program, batch: Batch, env: ExecutionEnv, scan: bool = False) -> Any:
+    """A pipeline's loop over *batch*: over its rows while it is small
+    and was never pivoted, over its columns otherwise."""
+    if batch.columns is None and len(batch) <= SMALL_BATCH:
+        return program.row(batch, env, scan)
+    return program.batch(batch, env, scan)
 
 
 class Filter(_Stage):
     """Keep rows for which the predicate is TRUE (not FALSE, not UNKNOWN).
 
-    ``recheck``, when set, is the conjunct the index probe at the source
-    of the filter's pipeline stands for: tested only where the probe was
-    priced out to a scan, and before ``predicate`` (None: no other).
+    ``recheck``, when set, is the conjunct an index probe below the filter
+    (``probe``, its ``id``) stands for, tested before ``predicate`` (None:
+    no other).  Where the probe is the source of the filter's pipeline it
+    is tested only on the rows of a probe priced out to a scan; elsewhere
+    on every row.
     """
 
     def __init__(
-        self, child: Operator, predicate: Optional[IR], recheck: Optional[IR] = None
+        self,
+        child: Operator,
+        predicate: Optional[IR],
+        recheck: Optional[IR] = None,
+        probe: Optional[int] = None,
     ) -> None:
         super().__init__(child.output_names, child)
         self.child = child
         self.predicate = predicate
         self.recheck = recheck
+        self.probe = probe
 
     def row_ids(self, env: ExecutionEnv) -> Iterator[int]:
         source = self.child
@@ -687,8 +697,9 @@ class HashJoin(Operator):
     """Equi-join: build a hash table on the right child, probe with left.
 
     ``left_keys``/``right_keys`` are evaluated against the child rows
-    *alone* (each is compiled against its own side's scope).  A residual
-    condition, if any, is checked on combined rows.
+    *alone* (each is compiled against its own side's scope), as a
+    :func:`~repro.sqldb.pipelines.key_rows` loop.  A residual condition, if
+    any, is checked on combined rows.
     """
 
     def __init__(
@@ -717,18 +728,18 @@ class HashJoin(Operator):
         walked in order."""
         table: Dict[Tuple[Any, ...], List[Row]] = {}
         for batch in self.right.batches(env, UNBOUNDED):
-            for right_row, key in zip(batch, self.right_keys.batch(batch, env)):
+            for right_row, key in zip(batch, _run(self.right_keys, batch, env)):
                 if None in key:
                     continue  # NULL never equi-joins
                 table.setdefault(key, []).append(right_row)
         pad = (None,) * len(self.right.output_names) if self.kind == "LEFT" else None
         residual = self.residual
-        left_keys = self.left_keys.batch
+        left_keys = self.left_keys
 
         def matches(batch: Batch, env: ExecutionEnv) -> List[Row]:
             out: List[Row] = []
             append = out.append
-            for left_row, key in zip(batch, left_keys(batch, env)):
+            for left_row, key in zip(batch, _run(left_keys, batch, env)):
                 matched = False
                 if None not in key:
                     for right_row in table.get(key, ()):
@@ -932,11 +943,7 @@ class Aggregate(Operator):
         while source.fused:
             source = source.child
         for batch in source.batches(env, UNBOUNDED):
-            scan = self.rechecks and id(source) in env.scans
-            if batch.columns is None and len(batch) <= SMALL_BATCH:
-                found = program.row(batch, env, scan)
-            else:
-                found = program.batch(batch, env, scan)
+            found = _run(program, batch, env, self.rechecks and id(source) in env.scans)
             for key, held in found.items():
                 aggregators = groups.get(key)
                 if aggregators is None:
@@ -961,8 +968,8 @@ class Sort(Operator):
     numbers before strings.
 
     Each key is computed once as a column, by the keys'
-    :data:`~repro.sqldb.expressions.COLUMNS` batch loop over every row,
-    and the rows' positions are sorted stably by one key column after the
+    :func:`~repro.sqldb.pipelines.key_columns` loop over every row, and the
+    rows' positions are sorted stably by one key column after the
     other, least significant first, with ``key=column.__getitem__``: no
     Python call per row.  A column is compared raw; only where a
     comparison raises ``TypeError`` (it holds NULL or mixes numbers and
@@ -992,7 +999,7 @@ class Sort(Operator):
         rows = plan_rows(self.child, env)
         # Every key of every row: an error in a key surfaces whatever the
         # budget.
-        columns = self.keys.batch(Batch(rows), env)
+        columns = _run(self.keys, Batch(rows), env)
         count = len(rows)
         if count < 2:
             return as_batches(rows, budget)
@@ -1159,8 +1166,9 @@ def fuse(operator: Operator) -> None:
     for stage in stages:
         if isinstance(stage, Filter):
             if stage.recheck is not None:
-                rechecks = True
-                steps.append((RECHECK, (stage.recheck,), None))
+                scanned = stage.probe == id(source)
+                rechecks = rechecks or scanned
+                steps.append((RECHECK if scanned else FILTER, (stage.recheck,), None))
             if stage.predicate is not None:
                 steps.append((FILTER, (stage.predicate,), None))
         elif isinstance(stage, Project):

@@ -15,11 +15,11 @@ short-circuit left to right (a side that would raise is never evaluated
 where it is skipped), NULL propagation, ``TypeMismatchError`` for a
 number against a string or arithmetic on a non-number, integer division
 truncating toward zero and ``ExecutionError("division by zero")``.
-:func:`program` wraps that one text two ways in one generated module: a
-row function ``row(r, env)``, and a batch loop ``batch(b, env)`` — the
-same text in one list comprehension over a batch's columns.
+:func:`program` wraps that text as a row function ``row(r, env)``;
+:mod:`repro.sqldb.pipelines` writes it into the loop of a whole chain of
+operators, over a batch's rows or over its columns.
 
-The batch loop may run a *fast* form of the text first, with
+The column loop may run a *fast* form of the text first, with
 comparisons and ``+ - *`` as bare Python operators, where that cannot
 change a result: ordering comparisons under ``try/except TypeError``
 (Python raises it on exactly the cases SQL treats specially: NULL, a
@@ -27,11 +27,10 @@ number against a string), ``=``, ``<>``, BETWEEN and ``+ - *`` behind one
 per-batch precheck of the kinds they read (a column's kinds are kept with
 its batch's columns, once per table version for a cached chunk).
 Otherwise, and whenever the guard trips, it is the row text over the
-columns, so errors surface in row order.  An expression with a correlated subquery, an EXISTS or
-scalar subquery, or an outer reference runs its row function over the
-batch's rows; an uncorrelated ``IN (subquery)`` fetches its value set
-once per call and tests membership inline.  :mod:`repro.sqldb.pipelines`
-emits a whole chain of operators as one loop with the same emitter.
+columns, so errors surface in row order.  An expression with a
+correlated subquery, an EXISTS or scalar subquery, or an outer reference
+runs over the batch's rows; an uncorrelated ``IN (subquery)`` fetches its
+value set once per call and tests membership inline.
 
 No SQL text becomes Python source: the source holds operator tokens,
 slot and parameter numbers and generated names.  Literals are holes of
@@ -46,12 +45,11 @@ from __future__ import annotations
 import functools
 import re
 from collections import namedtuple
-from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, ExecutionError, ParseError, SQLError, TypeMismatchError
 from repro.sqldb import ast_nodes as ast
-from repro.sqldb.columnar import SMALL_BATCH, Columns
+from repro.sqldb.columnar import Columns
 from repro.sqldb.functions import AGGREGATE_NAMES
 from repro.sqldb.types import converter
 
@@ -952,21 +950,18 @@ class _Emitter:
 
 # -- programs ----------------------------------------------------------------
 
-#: Program shapes: what ``row`` returns and what ``batch`` builds.
-VALUE = "value"  # row -> value; no batch loop
-KEYS = "keys"  # row -> tuple; no batch loop
-TUPLES = "tuples"  # row -> tuple; batch -> list of row tuples
-COLUMNS = "columns"  # row -> tuple; batch -> list of columns
+#: Program shapes: what ``row`` returns.
+VALUE = "value"  # row -> value
+KEYS = "keys"  # row -> tuple
 
 
 class Program(NamedTuple):
     """The generated functions of some expressions.
 
-    ``row(r, env)`` evaluates them on one row; ``batch(b, env)`` (None
-    for :data:`VALUE` and :data:`KEYS`) on a whole batch.  ``exprs`` is
-    the IR they were generated from; ``source`` the generated text.  A
-    pipeline's (:func:`repro.sqldb.pipelines.pipeline`) runs a whole
-    batch either way: ``row(b, env, scan)`` over its rows and
+    ``row(r, env)`` evaluates them on one row (``batch`` is None).
+    ``exprs`` is the IR they were generated from; ``source`` the generated
+    text.  A pipeline's (:func:`repro.sqldb.pipelines.pipeline`) runs a
+    whole batch either way: ``row(b, env, scan)`` over its rows and
     ``batch(b, env, scan)`` over its columns.
     """
 
@@ -990,60 +985,6 @@ def _row_dependent(ir: IR) -> bool:
     return False
 
 
-def _slots(ir: IR, found: set) -> set:
-    if ir[0] == "slot":
-        found.add(ir[1])
-    for child in ir[2]:
-        _slots(child, found)
-    return found
-
-
-def _loop_head(slots: Sequence[int]) -> str:
-    """``for`` clause binding each slot's value as ``_<slot>`` from the
-    batch's columns."""
-    if not slots:
-        return "for i in range(n)"
-    names = ", ".join(f"_{s}" for s in slots)
-    source = f"zip({', '.join(f'cols[{s}]' for s in slots)})" if slots[1:] else f"cols[{slots[0]}]"
-    return f"for {names} in {source}"
-
-
-def _loop(shape: str, exprs: Sequence[IR], texts: List[_Text]) -> str:
-    """The batch loop of *shape* over the batch's columns."""
-    if shape == TUPLES:
-        if exprs and all(ir[0] == "slot" for ir in exprs):
-            return f"list(zip({', '.join(f'cols[{ir[1]}]' for ir in exprs)}))"
-        head = _loop_head(sorted(set().union(*[_slots(ir, set()) for ir in exprs])))
-        return f"[({''.join(text.text + ', ' for text in texts)}) {head}]"
-    columns = []
-    for ir, text in zip(exprs, texts):
-        if ir[0] == "slot":
-            columns.append(f"cols[{ir[1]}]")
-        else:
-            columns.append(f"[{text.text} {_loop_head(sorted(_slots(ir, set())))}]")
-    return f"[{', '.join(columns)}]"
-
-
-def _rows_loop(
-    shape: str, exprs: Sequence[IR], texts: List[_Text], emitter: _Emitter
-) -> str:
-    """The batch loop of *shape* over the batch's rows, with the row
-    function's text (slots read as ``r[slot]``) inline; bare slots are
-    picked at C level (``map(itemgetter)``), with no loop frame."""
-    if shape == TUPLES:
-        if exprs and all(ir[0] == "slot" for ir in exprs):
-            picked = f"map({emitter.const(itemgetter(*[ir[1] for ir in exprs]))}, b)"
-            return f"list({picked})" if exprs[1:] else f"list(zip({picked}))"
-        return f"[({''.join(text.text + ', ' for text in texts)}) for r in b]"
-    columns = [
-        f"list(map({emitter.const(itemgetter(ir[1]))}, b))"
-        if ir[0] == "slot"
-        else f"[{text.text} for r in b]"
-        for ir, text in zip(exprs, texts)
-    ]
-    return f"[{', '.join(columns)}]"
-
-
 def _test(text: _Text) -> str:
     """*text* as a Python condition: SQL TRUE."""
     return text.text if text.kind == "bool" else f"{text.text} is True"
@@ -1059,35 +1000,12 @@ def _source(exprs: Tuple[IR, ...], shape: str) -> Tuple[str, Tuple[Recipe, ...]]
         result = by_row[0].text
     else:
         result = f"({''.join(text.text + ', ' for text in by_row)})"
-    unfetched = [f"        {name} = None" for name, __ in emitter.value_sets.values()]
-    lines = ["    def row(r, env):"] + unfetched + [f"        return {result}"]
-    if shape not in (VALUE, KEYS):
-        lines += ["    def batch(b, env):"] + unfetched
-        rows_loop = _rows_loop(shape, exprs, by_row, emitter)
-        if any(_row_dependent(ir) for ir in exprs):
-            lines.append(f"        return {rows_loop}")
-        else:
-            lines += [
-                "        n = len(b)",
-                "        cols = b.columns",
-                "        if cols is None:",
-                f"            if n <= {SMALL_BATCH}:",
-                f"                return {rows_loop}",
-                "            cols = b.columns = Columns(b)",
-            ]
-            emitter.columns = True
-            careful = [emitter.emit(ir) for ir in exprs]
-            careful_loop = _loop(shape, exprs, careful)
-            emitter.fast = True
-            fast = [emitter.emit(ir) for ir in exprs]
-            fast_loop = _loop(shape, exprs, fast)
-            if fast_loop != careful_loop:
-                lines += _fast_block(emitter, [f"return {fast_loop}"])
-            lines.append(f"        return {careful_loop}")
-    body = "\n".join(lines)
+    unfetched = "".join(f"        {name} = None\n" for name, __ in emitter.value_sets.values())
     arguments = ", ".join(f"k{index}" for index in range(len(emitter.recipes)))
-    returned = "batch" if shape not in (VALUE, KEYS) else "None"
-    source = f"def make({arguments}):\n{body}\n    return row, {returned}\n"
+    source = (
+        f"def make({arguments}):\n    def row(r, env):\n{unfetched}"
+        f"        return {result}\n    return row, None\n"
+    )
     return source, tuple(emitter.recipes)
 
 

@@ -28,7 +28,6 @@ from repro.sqldb.executor import (
 )
 from repro.sqldb.expressions import (
     IR,
-    TUPLES,
     VALUE,
     Frame,
     Scope,
@@ -38,6 +37,7 @@ from repro.sqldb.expressions import (
     slot,
 )
 from repro.sqldb.access_paths import AccessPaths
+from repro.sqldb.pipelines import key_rows
 from repro.sqldb.subplans import SubplanOperator
 
 
@@ -604,27 +604,24 @@ class JoinGraphs(AccessPaths):
                 kind=graph.kind,
             )
             if graph.kind == "INNER":
-                self._applies[id(operator)] = (
-                    operator,
-                    frozenset(id(conjunct.expression) for conjunct in leaf.pushed),
-                )
+                operator.applies = frozenset(id(c.expression) for c in leaf.pushed)
         elif used:
             operator = HashJoin(
                 left,
                 leaf.operator,
-                program(
+                key_rows(
+                    len(left.output_names),
                     [
                         self._lower_in(key.left, graph.scope(joined, key.conjunct), frames)
                         for key in used
                     ],
-                    TUPLES,
                 ),
-                program(
+                key_rows(
+                    len(leaf.operator.output_names),
                     [
                         self._lower_in(key.right, graph.scope([index], key.conjunct), frames)
                         for key in used
                     ],
-                    TUPLES,
                 ),
                 residual=self._compile_all(graph, residual, step_order, frames),
                 kind="INNER",

@@ -38,6 +38,7 @@ RECHECK = "recheck"
 PROJECT = "project"
 JOIN = "join"
 ROWS = "rows"
+COLUMNS = "columns"
 GROUPS = "groups"
 
 
@@ -59,7 +60,9 @@ def pipeline(arity: int, stages: Sequence[tuple], sink: tuple) -> Program:
       residual (if any) is TRUE; a LEFT join pads a row none matches with
       NULLs.  The probes and the rows they find are added to the
       ``index_probes`` and ``rows_scanned`` counters;
-    * the sink ``(ROWS, (), None)``: the list of the final rows; or
+    * the sink ``(ROWS, (), None)``: the list of the final rows;
+      ``(COLUMNS, irs, None)``, after no stage: a list of the values of
+      each of *irs*; or
       ``(GROUPS, keys + arguments, key count)``: ``{group key: (column,
       ...)}``, each argument's values in row order (one column of
       ``None`` per row when there is no argument); the key of one group
@@ -85,6 +88,18 @@ def pipeline(arity: int, stages: Sequence[tuple], sink: tuple) -> Program:
         raise ExecutionError("expression is too deeply nested to compile") from None
     row, batch = make(*[recipe(values) for recipe in recipes])
     return Program(row, batch, tuple(ir for __, irs, __ in stages for ir in irs), source)
+
+
+def key_rows(arity: int, irs: Sequence[IR]) -> Program:
+    """The loop mapping each row of a batch of *arity* slots to the tuple
+    of *irs* (a hash join's keys)."""
+    return pipeline(arity, [(PROJECT, tuple(irs), None)], (ROWS, (), None))
+
+
+def key_columns(arity: int, irs: Sequence[IR]) -> Program:
+    """The loop computing each of *irs* as a column over the rows of a
+    batch of *arity* slots (a sort's keys)."""
+    return pipeline(arity, [], (COLUMNS, tuple(irs), None))
 
 
 @functools.lru_cache(maxsize=512)
@@ -167,6 +182,7 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
     every_row = True  # does every source row reach the current stage?
     start: List[str] = []
     body: List[str] = []
+    column_texts: List[str] = []
     depth = joins = projected = 0
 
     def line(text: str) -> None:
@@ -234,9 +250,13 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
             if test is not None and not left:
                 line(f"if not ({test}): continue")
         elif tag == ROWS:
+            if not whole:  # the row's renamed slots are read here
+                emitter.read.update(s for s in slot_sources if s is not None)
             start[:0] = ["out = []", "append = out.append"]
             line(f"append({emitter.row})")
             result = "out"
+        elif tag == COLUMNS:  # one comprehension per column, below
+            column_texts = [emit(ir) for ir in irs]
         else:
             keys, arguments = irs[:data], irs[data:]
             lists = max(1, len(arguments))
@@ -279,4 +299,14 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
     else:
         iterables = ["b" if name == "r" else f"cols[{name[1:]}]" for name in names]
         head = f"for {', '.join(names)} in zip({', '.join(iterables)}):"
+    if body == [f"append({emitter.row})"]:  # a bare projection
+        if columns and not whole and None not in slot_sources:  # of columns only
+            return [f"return list(zip({', '.join(f'cols[{s}]' for s in slot_sources)}))"]
+        return [f"return [{emitter.row} {head[:-1]}]"]
+    if stages[-1][0] == COLUMNS:
+        picked = [
+            f"cols[{ir[1]}]" if columns and ir[0] == "slot" else f"[{text} {head[:-1]}]"
+            for ir, text in zip(stages[-1][1], column_texts)
+        ]
+        return [f"return [{', '.join(picked)}]"]
     return start + [head] + ["    " + text for text in body] + end + [f"return {result}"]

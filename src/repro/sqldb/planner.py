@@ -38,7 +38,7 @@ only speed.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParseError, SQLError
 from repro.sqldb import ast_nodes as ast
@@ -57,9 +57,7 @@ from repro.sqldb.executor import (
     AggregateSpec,
     Distinct,
     Filter,
-    IndexNestedLoopJoin,
     Limit,
-    MAX_FUSED_JOINS,
     Offset,
     Operator,
     Project,
@@ -70,8 +68,6 @@ from repro.sqldb.executor import (
     fuse,
 )
 from repro.sqldb.expressions import (
-    COLUMNS,
-    IR,
     VALUE,
     CompileContext,
     Frame,
@@ -86,6 +82,7 @@ from repro.sqldb.expressions import (
 )
 from repro.sqldb.functions import AGGREGATE_NAMES, FunctionRegistry
 from repro.sqldb.join_graph import JoinGraphs
+from repro.sqldb.pipelines import key_columns
 from repro.sqldb.render import expression_key
 from repro.sqldb.schema import Catalog
 from repro.sqldb.subplans import (
@@ -129,13 +126,6 @@ class Planner(JoinGraphs):
         #: :meth:`_subquery_key` (None outside a core): textually identical
         #: ones are planned — hence evaluated — once per execution.
         self._core_subqueries: Optional[Dict[object, CompiledSubquery]] = None
-        #: ``id(IndexLookup) -> (it, conjunct, binding)``: the equality
-        #: each single-key probe stands for (the operator is held, so its
-        #: id is not reused while planning).
-        self._probed_by: Dict[int, Tuple[Operator, ast.Expression, str]] = {}
-        #: ``id(stage) -> (it, ids of the WHERE conjuncts every row it
-        #: passes satisfies)`` (see :meth:`_filter`).
-        self._applies: Dict[int, Tuple[Operator, FrozenSet[int]]] = {}
 
     # -- public entry points -------------------------------------------------
 
@@ -338,58 +328,6 @@ class Planner(JoinGraphs):
             )
         return operator
 
-    def _filter(
-        self,
-        source: Operator,
-        whole: ast.Expression,
-        conjuncts: List[ast.Expression],
-        lower_one,
-        frames: List[Frame],
-        drop: bool = True,
-    ) -> Operator:
-        """*source* under a Filter of *conjuncts* (whose AND is *whole*),
-        less — when *drop* — the ones every row of its pipeline satisfies
-        already: those a Filter or an INNER index join below it in the
-        pipeline applies, and the equality the index probe at the
-        pipeline's source stands for, which the Filter then tests only on
-        the rows of a probe priced out to a scan (its ``recheck``).  With
-        nothing left to test there is no Filter."""
-        applied: set = set()
-        node = source
-        joins = 0
-        while drop and isinstance(node, (Filter, Project, IndexNestedLoopJoin)):
-            applied |= self._applies.get(id(node), (None, frozenset()))[1]
-            joins += isinstance(node, IndexNestedLoopJoin)
-            node = node.child
-        # Past MAX_FUSED_JOINS index joins the probe starts a pipeline of
-        # its own, whose scans this filter's pipeline does not see.
-        probed = self._probed_by.get(id(node)) if drop and joins <= MAX_FUSED_JOINS else None
-        kept = []
-        recheck = None
-        for conjunct in conjuncts:
-            if id(conjunct) in applied:
-                continue
-            if probed is not None and conjunct is probed[1]:
-                scope = Scope([(probed[2], list(node.output_names))])
-                try:
-                    recheck = self._lower_in(conjunct, scope, frames)
-                    continue
-                except SQLError:
-                    pass
-            kept.append(conjunct)
-        if not kept and recheck is None:
-            return source
-        if len(kept) < len(conjuncts) and kept:
-            whole = kept[0]
-            for conjunct in kept[1:]:
-                whole = ast.BinaryOp("AND", whole, conjunct)
-        operator = Filter(source, lower_one(whole) if kept else None, recheck)
-        self._applies[id(operator)] = (
-            operator,
-            frozenset(applied | {id(conjunct) for conjunct in conjuncts}),
-        )
-        return operator
-
     def plan_dml_target(
         self,
         entry,
@@ -427,20 +365,6 @@ class Planner(JoinGraphs):
         closures = [compile_expression(value, ctx) for value in assignments]
         fuse(root)
         return Plan(root=root, output_names=list(root.output_names)), closures
-
-    # -- FROM clause ------------------------------------------------------------
-
-
-    def _lower_in(self, expression: ast.Expression, scope: Scope, frames: List[Frame]) -> IR:
-        """Lower *expression* with *scope* as the current frame's."""
-        frame = frames[-1]
-        saved = frame.scope
-        frame.scope = scope
-        try:
-            return lower(expression, self._context(frames))
-        finally:
-            frame.scope = saved
-
 
     # -- projection / aggregation -----------------------------------------------
 
@@ -593,7 +517,7 @@ class Planner(JoinGraphs):
                     expression = SlotRef(position - 1)
                 keys.append(lower(expression, ctx))
                 descending.append(item.descending)
-            return Sort(child, program(keys, COLUMNS), descending)
+            return Sort(child, key_columns(len(child.output_names), keys), descending)
         finally:
             frame.scope = saved
 
@@ -655,7 +579,9 @@ class Planner(JoinGraphs):
             distinct=False,
         )
         extended_root = self._plan_core(extended, frames)
-        keys = program([slot(position) for position, __ in key_slots], COLUMNS)
+        keys = key_columns(
+            len(extended_root.output_names), [slot(position) for position, __ in key_slots]
+        )
         sorted_root = Sort(extended_root, keys, [descending for __, descending in key_slots])
         strip = [slot(position) for position in range(len(output_names))]
         return Project(sorted_root, strip, output_names)
@@ -664,9 +590,6 @@ class Planner(JoinGraphs):
         return program([self._lower_in(expression, Scope([]), frames)], VALUE).row
 
     # -- helpers -------------------------------------------------------------------
-
-    def _context(self, frames: List[Frame]) -> CompileContext:
-        return CompileContext(frames, self._plan_subquery, self.functions)
 
     def _plan_subquery(
         self, statement: ast.SelectStatement, frames: List[Frame]

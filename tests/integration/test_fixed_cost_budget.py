@@ -87,7 +87,7 @@ rtbl)`` fetches its value set once per batch instead of once per row
 of the early predicate was one call of a guarded callable instead of the
 registry's ``call`` with its ``any`` over a generator of ``is_null``, and
 its result was tested for NULL and bool inline instead of by ``to_bool``,
-949 once each fixpoint round's chain of index joins, filter and
+950 once each fixpoint round's chain of index joins, filter and
 projection ran as one generated loop.
 
 Three engine-level statements are held the same way, on the ``txn_mix``
@@ -101,11 +101,12 @@ and run straight on the ``Database``:
   aggregate folded its column slice with one ``add_many`` per batch
   instead of one ``add`` per row (65 by the time every plan ran on
   batches, 49 after: no ``_emit`` call per batch, an aggregate's result
-  one computed batch);
+  one computed batch; 43 once the aggregate's input was one generated
+  loop);
 * a grouped roll-up of the same table, ``SELECT state, COUNT(*),
   SUM(weight), MIN(weight), MAX(weight) FROM assy GROUP BY state``: 9 618
   calls with one ``add`` per row and aggregate, 70 with one ``add_many``
-  per group, aggregate and batch (67 → 52 the same way, 47 once the
+  per group, aggregate and batch (67 → 52 the same way, 48 once the
   aggregate's input was one generated loop).  It is held in engine
   bytecode instructions per input row too: 40.7 while the keys, the
   argument columns and each group's positions were three passes over a
@@ -124,7 +125,8 @@ and run straight on the ``Database``:
   keys' batch loop computes each key as one column, positions are
   sorted by ``column.__getitem__`` (a column is decorated only where a
   raw comparison raises), the key columns are checked for a NaN and the
-  first 20 are picked by bounded selection on the leading key.
+  first 20 are picked by bounded selection on the leading key (48 once
+  the key columns are the sink of a pipeline's generated loop).
 
 The two bulk paths are held per row, on the navigational product (727
 rows):

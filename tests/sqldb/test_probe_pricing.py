@@ -358,3 +358,29 @@ class TestTheProbedConjunctIsTestedOnlyOnAScan:
         sql = f"SELECT j0.id, j{tables - 1}.id FROM j0 {joins} WHERE j0.b = ?"
         assert "keys=1 scanned" in analyzed(db, sql, [1])
         assert db.execute(sql, [1]).rows == [(i, i) for i in range(0, 300, 3)]
+
+    @pytest.mark.parametrize("hot", [True, False])  # scanned, probed
+    def test_a_probe_under_a_reordering_projection(self, hot):
+        """Two ANALYZEd tables joined in the reverse of their written
+        order: the projection restoring the written order sits between
+        the probe and the filter, so the filter tests the probe's
+        conjunct on that projection's slots, not the probed table's."""
+        one = [(i, i % 3) for i in range(5000)]
+        two = [(i, (1 if i % 3 == 0 else None) if hot else i % 1000, 2 * i) for i in range(3000)]
+        db = Database()
+        db.execute_script(
+            "CREATE TABLE t1 (a INTEGER PRIMARY KEY, c INTEGER); "
+            "CREATE TABLE t2 (x INTEGER PRIMARY KEY, b INTEGER, y INTEGER); "
+            "CREATE INDEX t2_b ON t2 (b)"
+        )
+        db.executemany("INSERT INTO t1 VALUES (?, ?)", one)
+        db.executemany("INSERT INTO t2 VALUES (?, ?, ?)", two)
+        db.execute("ANALYZE")
+        oracle = sqlite_twin({"t1": (["a", "c"], one), "t2": (["x", "b", "y"], two)})
+        sql = "SELECT t1.a, t1.c, t2.x, t2.b, t2.y FROM t1 JOIN t2 ON t1.a = t2.x WHERE t2.b = ? + 0"
+        plan = analyzed(db, sql, [1])
+        assert f"keys=1 {'scanned' if hot else 'probed'}" in plan
+        assert plan.index("Project") < plan.index("Filter") < plan.rindex("Project")
+        for key in (1, 2, 7):
+            ours = Counter(db.execute(sql, [key]).rows)
+            assert ours == Counter(oracle.execute(sql, [key]).fetchall())
