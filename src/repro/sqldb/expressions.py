@@ -530,7 +530,7 @@ class _Emitter:
     """Emit the text of a template's IR nodes; collect what it reads.
 
     Every factory argument ``k<n>`` is a :data:`Recipe` over the
-    template's literals.  ``fast`` emits the batch loop's fast form:
+    template's literals.  ``fast`` emits a column loop's fast form:
     ``?`` values are read from names hoisted out of the loop, and
     ``prechecks`` / ``guarded`` record what must hold before it runs.
     """
@@ -870,7 +870,8 @@ class _Emitter:
             )
         # Uncorrelated: ``(values, has_null)`` is bound to a name on first
         # use in each call of the generated function — once per row
-        # function call, once per batch loop — and membership is inline.
+        # function call, once per batch in a pipeline — and membership is
+        # inline.
         found = self.value_sets.get(id(subquery))
         if found is None:
             found = self.value_sets[id(subquery)] = (
