@@ -206,28 +206,12 @@ def as_batches(rows: List[Row], budget: int) -> Iterable[Batch]:
     return (Batch(rows[start : start + size]) for start in range(0, len(rows), size))
 
 
-def _each(source: Iterable[Batch], step, env: ExecutionEnv) -> Iterable[Batch]:
-    """*step* — ``(batch, env) -> batch or None`` — over the batches of
-    *source*: at once when *source* is computed (a tuple), else as each
-    batch is pulled (``Distinct`` and the set operations)."""
-    if source.__class__ is not tuple:
-        return _pulled(source, step, env)
-    result = step(source[0], env) if source else None
-    return () if result is None else (result,)
-
-
-def _pulled(source: Iterable[Batch], step, env: ExecutionEnv) -> Iterator[Batch]:
-    for batch in source:
-        result = step(batch, env)
-        if result is not None:
-            yield result
-
-
 def _joined(source: Iterable[Batch], matches, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-    """The rows *matches* — ``(batch, env) -> rows`` — joins to each batch
-    of *source*, in batches of at most *budget* rows: at once when
+    """The rows *matches* — ``(batch, env) -> rows`` — gives for each
+    batch of *source*, in batches of at most *budget* rows: at once when
     *source* is computed (a tuple), else as each batch is pulled (the
-    hash join, the nested loop and a pipeline's top stage)."""
+    hash join, the nested loop, ``Distinct``, the set operations and a
+    pipeline's top stage)."""
     if source.__class__ is not tuple:
         return _joined_pulled(source, matches, env, budget)
     out = matches(source[0], env) if source else None
@@ -813,15 +797,15 @@ class Distinct(Operator):
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
         seen: set = set()
 
-        def fresh(batch: Batch, env: ExecutionEnv) -> Optional[Batch]:
+        def fresh(batch: Batch, env: ExecutionEnv) -> List[Row]:
             out: List[Row] = []
             for row in batch:
                 if row not in seen:
                     seen.add(row)
                     out.append(row)
-            return Batch(out) if out else None
+            return out
 
-        return _each(self.child.batches(env, budget), fresh, env)
+        return _joined(self.child.batches(env, budget), fresh, env, budget)
 
 
 class _SetOperation(Operator):
@@ -841,15 +825,15 @@ class _SetOperation(Operator):
         keep = self.keep_present
         seen: set = set()
 
-        def kept(batch: Batch, env: ExecutionEnv) -> Optional[Batch]:
+        def kept(batch: Batch, env: ExecutionEnv) -> List[Row]:
             out: List[Row] = []
             for row in batch:
                 if (row in right) is keep and row not in seen:
                     seen.add(row)
                     out.append(row)
-            return Batch(out) if out else None
+            return out
 
-        return _each(self.left.batches(env, budget), kept, env)
+        return _joined(self.left.batches(env, budget), kept, env, budget)
 
 
 class SetDifference(_SetOperation):

@@ -87,7 +87,7 @@ rtbl)`` fetches its value set once per batch instead of once per row
 of the early predicate was one call of a guarded callable instead of the
 registry's ``call`` with its ``any`` over a generator of ``is_null``, and
 its result was tested for NULL and bool inline instead of by ``to_bool``,
-950 once each fixpoint round's chain of index joins, filter and
+952 once each fixpoint round's chain of index joins, filter and
 projection ran as one generated loop.
 
 Three engine-level statements are held the same way, on the ``txn_mix``
