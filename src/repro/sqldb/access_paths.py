@@ -18,6 +18,7 @@ from repro.sqldb import stats as table_stats_mod
 from repro.sqldb.executor import (
     CTEScan,
     Filter,
+    HashJoin,
     IndexLookup,
     MultiKeyIndexLookup,
     Operator,
@@ -108,7 +109,7 @@ class AccessPaths:
         nothing left to test there is no Filter."""
         applied: set = set()
         node = source
-        while drop and isinstance(node, _Stage):
+        while drop and isinstance(node, _Stage) and not isinstance(node, HashJoin):
             applied |= node.applies
             node = node.child
         probe = node if drop and isinstance(node, IndexLookup) else None

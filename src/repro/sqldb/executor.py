@@ -7,15 +7,14 @@ order, key order of an index probe, left order then probe order of a
 join, frame order of a CTE scan, first-seen order of groups, DISTINCT
 and set operations.
 
-A chain of non-blocking operators — ``Filter``, ``Project`` and
-``IndexNestedLoopJoin``, the *stages* — over a *source* (any other
-operator) is a *pipeline*, and runs as one generated loop
-(:mod:`repro.sqldb.pipelines`): :func:`fuse` builds it when the plan is
-built, the top stage runs it over each batch of the source, and the
-stages below it (``fused``) run nothing themselves.  An ``Aggregate`` is
-the sink of the pipeline below it: the same loop computes each row's
-group key and arguments and collects them per group.  The rows between
-two stages are never built, gathered or counted.
+A chain of non-blocking operators — ``Filter``, ``Project`` and the
+joins, the *stages* — over a *source* (any other operator) is a
+*pipeline*, and runs as one generated loop (:mod:`repro.sqldb.pipelines`):
+:func:`fuse` builds it when the plan is built, and the top stage runs it,
+or a *sink* above the top — ``Aggregate``, ``Distinct``, a set operation,
+a hash join's build — collecting its rows; the stages below the top
+(``fused``) run nothing themselves.  The rows between two stages are
+never built, gathered or counted.
 
 The *budget* is how many more rows the consumer may take.  ``Limit``,
 ``EXISTS`` (1), a scalar subquery (2) and the recursive fixpoint (its
@@ -36,10 +35,9 @@ an operator over a computed input computes its own output at once, so a
 pipeline that sees one batch — a point query, a fixpoint round — runs
 without a generator.
 
-A hash join, a sort and a nested loop hold the generated
-:class:`~repro.sqldb.expressions.Program` of their keys, or row
-functions ``(row, env) -> value``; a stage holds its expressions' IR,
-which its pipeline compiles.
+A sort holds the generated :class:`~repro.sqldb.expressions.Program` of
+its keys; a stage or a sink holds its expressions' IR, which its
+pipeline compiles.
 
 :class:`ExecutionEnv` carries everything that varies per execution:
 statement parameters, the function registry, materialised CTE frames
@@ -69,10 +67,21 @@ from typing import (
     cast,
 )
 
-from repro.errors import ExecutionError, TypeMismatchError
-from repro.sqldb.columnar import BATCH_SIZE, SMALL_BATCH, Batch, table_batches
-from repro.sqldb.expressions import IR, Program
-from repro.sqldb.pipelines import FILTER, GROUPS, JOIN, PROJECT, RECHECK, ROWS, pipeline
+from repro.errors import ExecutionError
+from repro.sqldb.columnar import BATCH_SIZE, Batch, table_batches
+from repro.sqldb.expressions import IR, Program, _unequal
+from repro.sqldb.pipelines import (
+    BUILD,
+    DISTINCT,
+    FILTER,
+    GROUPS,
+    JOIN,
+    PROJECT,
+    RECHECK,
+    ROWS,
+    key_classes,
+    pipeline,
+)
 from repro.sqldb.functions import Aggregator, FunctionRegistry
 from repro.sqldb.stats import INDEX_TUPLE_COST, PROBE_COST, SEQ_TUPLE_COST
 from repro.sqldb.storage import TableStorage
@@ -83,8 +92,6 @@ ExprFn = Callable[[Row, "ExecutionEnv"], Any]
 
 #: The budget of a consumer that takes every row.
 UNBOUNDED = sys.maxsize
-
-_NUMBERS = (int, float)
 
 
 class ExecutionEnv:
@@ -206,33 +213,19 @@ def as_batches(rows: List[Row], budget: int) -> Iterable[Batch]:
     return (Batch(rows[start : start + size]) for start in range(0, len(rows), size))
 
 
-def _joined(source: Iterable[Batch], matches, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-    """The rows *matches* — ``(batch, env) -> rows`` — gives for each
-    batch of *source*, in batches of at most *budget* rows: at once when
-    *source* is computed (a tuple), else as each batch is pulled (the
-    hash join, the nested loop, ``Distinct``, the set operations and a
-    pipeline's top stage)."""
-    if source.__class__ is not tuple:
-        return _joined_pulled(source, matches, env, budget)
-    out = matches(source[0], env) if source else None
-    return as_batches(out, budget) if out else ()
-
-
-def _joined_pulled(
-    source: Iterable[Batch], matches, env: ExecutionEnv, budget: int
-) -> Iterator[Batch]:
-    for batch in source:
-        out = matches(batch, env)
-        if out:
-            yield from as_batches(out, budget)
-
-
 def plan_rows(operator: Operator, env: ExecutionEnv) -> List[Row]:
     """Every row of *operator*, in order."""
     rows: List[Row] = []
     for batch in operator.batches(env, UNBOUNDED):
         rows += batch
     return rows
+
+
+def declared_classes(storage: TableStorage, index) -> List[frozenset]:
+    """The :func:`~repro.sqldb.pipelines.key_classes` of each column of
+    *index*, whose declared type stands for the values it holds."""
+    columns = storage.schema.columns
+    return [key_classes(["" if columns[p].sql_type.is_character else 0]) for p in index.column_positions]
 
 
 class _TableAccess(Operator):
@@ -405,9 +398,7 @@ class IndexLookup(_IndexProbe):
 
     def __init__(self, storage: TableStorage, index, keys: Program) -> None:
         super().__init__(storage, index, keys)
-        (position,) = index.column_positions
-        #: Does the probed column hold numbers (strings otherwise)?
-        self.numeric = not storage.schema.columns[position].sql_type.is_character
+        (self.classes,) = declared_classes(storage, index)
 
     def label(self) -> str:
         return f"IndexLookup({self.storage.schema.name} via {self.index.name})"
@@ -417,12 +408,8 @@ class IndexLookup(_IndexProbe):
         column of strings, or a string against one of numbers, is a
         ``TypeMismatchError`` whether the key finds rows or not."""
         key = self.keys.row((), env)
-        value = key[0]
-        if value is not None and isinstance(value, _NUMBERS) is not self.numeric:
-            raise TypeMismatchError(
-                f"cannot compare {'a number' if self.numeric else 'a string'} "
-                f"column with {type(value).__name__}"
-            )
+        if key[0].__class__ not in self.classes:
+            _unequal(key[0], self.classes)
         return key,
 
 
@@ -518,54 +505,52 @@ class RowsSource(Operator):
         return as_batches(self._rows, budget)
 
 
-class _Stage(Operator):
-    """A non-blocking operator: a ``Filter``, a ``Project`` or an
-    ``IndexNestedLoopJoin``, the stages of a pipeline.
-
-    :func:`fuse` gives each stage of a pipeline the pipeline's one
-    generated loop (``program``, from :func:`~repro.sqldb.pipelines.
-    pipeline`); the top stage runs it over the batches of the pipeline's
-    source — the first operator down its ``child`` chain that is not
-    ``fused`` — and nothing calls the ``batches`` of a stage below it.  A
-    source batch goes through the whole loop at once, so the rows between
-    two stages are never built, gathered or counted.
-    """
+class _Pipelined:
+    """What runs a pipeline (:func:`fuse` sets it up): a top stage, a
+    :class:`_Sink` above one or a hash join's :class:`_Build`, all with
+    one runner, :meth:`run`."""
 
     child: Operator
+    children: Tuple[Operator, ...] = ()
+    #: A :func:`~repro.sqldb.pipelines.pipeline` sink.
+    sink: tuple
+    #: The loop (None: every stage reads its slots in place).
     program: Optional[Program] = None
     pipelined = False
     #: Does a filter of the pipeline test its source probe's conjunct on
     #: a scan's rows only (``Filter.recheck``)?
     rechecks = False
-    #: ``id`` of each WHERE conjunct every row the stage passes satisfies
-    #: (planner bookkeeping).
-    applies: FrozenSet[int] = frozenset()
+    #: The built joins among the stages, in order.
+    builds: Tuple["_Build", ...] = ()
+    #: Does the sink collect a dict per source batch (else rows, cut to
+    #: the budget)?
+    collects = False
 
-    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        """The pipeline's output: each source batch (the source cuts it
-        to the budget) through the loop, its rows cut to the budget."""
+    def run(self, env: ExecutionEnv, budget: int, state: tuple = ()) -> Iterable[Any]:
+        """Each source batch (the source cuts it to *budget*) through the
+        loop: its rows in batches of at most *budget*, or its one output
+        per batch; a tuple for a computed source, else an iterator.  The
+        loop's state — each built join's table, built before the source
+        is pulled, then the sink's *state* — is per call, never on the
+        plan, which is cached and shared."""
+        if self.builds:
+            state = tuple([build.table(env) for build in self.builds]) + state
         source = self.child
         while source.fused:
             source = source.child
         batches = source.batches(env, budget)
         program = self.program
-        if program is None:  # every stage reads its slots in place
+        if program is None:
             return batches
         if batches.__class__ is not tuple:
-            loop = program
-
-            def step(batch: Batch, env: ExecutionEnv) -> Any:
-                return _run(loop, batch, env, self.rechecks and id(source) in env.scans)
-
-            return _joined_pulled(batches, step, env, budget)
+            scans = env.scans
+            outs = (program.row(b, env, self.rechecks and id(source) in scans, state) for b in batches)
+            return outs if self.collects else chain.from_iterable(map(as_batches, outs, repeat(budget)))
         if not batches:
             return ()
-        batch = batches[0]
-        scan = self.rechecks and id(source) in env.scans
-        if batch.columns is None and len(batch) <= SMALL_BATCH:
-            out = program.row(batch, env, scan)
-        else:
-            out = program.batch(batch, env, scan)
+        out = program.row(batches[0], env, self.rechecks and id(source) in env.scans, state)
+        if self.collects:
+            return (out,)
         if not out:
             return ()
         if len(out) <= budget and len(out) <= BATCH_SIZE:
@@ -573,12 +558,20 @@ class _Stage(Operator):
         return as_batches(out, budget)
 
 
-def _run(program: Program, batch: Batch, env: ExecutionEnv, scan: bool = False) -> Any:
-    """A pipeline's loop over *batch*: over its rows while it is small
-    and was never pivoted, over its columns otherwise."""
-    if batch.columns is None and len(batch) <= SMALL_BATCH:
-        return program.row(batch, env, scan)
-    return program.batch(batch, env, scan)
+class _Stage(Operator, _Pipelined):
+    """A non-blocking operator: a ``Filter``, a ``Project`` or a join,
+    the stages of a pipeline.  :func:`fuse` gives each stage of a
+    pipeline its one generated loop (``program``); the top stage runs it,
+    and nothing calls the ``batches`` of a stage below it (``fused``).
+    """
+
+    child: Operator
+    #: ``id`` of each WHERE conjunct every row the stage passes satisfies
+    #: (planner bookkeeping).
+    applies: FrozenSet[int] = frozenset()
+    sink = (ROWS, (), None)
+    #: A top stage's rows are its pipeline's.
+    batches = _Pipelined.run
 
 
 class Filter(_Stage):
@@ -613,7 +606,7 @@ class Filter(_Stage):
         test = cast(Program, self.program).row  # a filter always tests something
         fetch = source.storage.fetch
         for row_id in source.row_ids(env):
-            if test([fetch(row_id)], env, False):
+            if test(Batch([fetch(row_id)]), env, False, ()):
                 yield row_id
 
 
@@ -633,121 +626,37 @@ class Project(_Stage):
         return f"Project({', '.join(self.output_names)})"
 
 
-class NestedLoopJoin(Operator):
-    """Join supporting INNER, LEFT and CROSS kinds.
-
-    The right child is materialised once (it may be an arbitrary subplan);
-    the full ON condition is evaluated on concatenated rows.
-    """
-
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        condition: Optional[ExprFn],
-        kind: str = "INNER",
-    ) -> None:
-        super().__init__(left.output_names + right.output_names, left, right)
-        self.left = left
-        self.right = right
-        self.condition = condition
-        self.kind = kind
-
-    def label(self) -> str:
-        return f"NestedLoopJoin({'CROSS' if self.condition is None else self.kind})"
-
-    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        right_rows = plan_rows(self.right, env)
-        pad = (None,) * len(self.right.output_names) if self.kind == "LEFT" else None
-        condition = self.condition
-
-        def matches(batch: Batch, env: ExecutionEnv) -> List[Row]:
-            out: List[Row] = []
-            for left_row in batch:
-                matched = False
-                for right_row in right_rows:
-                    combined = left_row + right_row
-                    if condition is None or condition(combined, env) is True:
-                        matched = True
-                        out.append(combined)
-                if pad is not None and not matched:
-                    out.append(left_row + pad)
-            return out
-
-        return _joined(self.left.batches(env, budget), matches, env, budget)
-
-
-class HashJoin(Operator):
-    """Equi-join: build a hash table on the right child, probe with left.
-
-    ``left_keys``/``right_keys`` are evaluated against the child rows
-    *alone* (each is compiled against its own side's scope), as a
-    :func:`~repro.sqldb.pipelines.key_rows` loop.  A residual condition, if
-    any, is checked on combined rows.
-    """
+class _Join(_Stage):
+    """Per left row, the rows its ``left_keys`` find in an index or in a
+    table built per call (:class:`HashJoin`), joined to it where the
+    residual is TRUE; a LEFT join pads a row none matches with NULLs.
+    Output is in left order, then found order.  A NULL key finds nothing,
+    and a key of the other kind than the probed side's raises as ``=``
+    does."""
 
     def __init__(
         self,
         left: Operator,
-        right: Operator,
-        left_keys: Program,
-        right_keys: Program,
-        residual: Optional[ExprFn] = None,
-        kind: str = "INNER",
+        right_names: Sequence[str],
+        left_keys: Sequence[IR],
+        residual: Optional[IR],
+        kind: str,
+        *children: Operator,
     ) -> None:
-        super().__init__(left.output_names + right.output_names, left, right)
-        self.left = left
-        self.right = right
-        self.left_keys = left_keys
-        self.right_keys = right_keys
+        super().__init__(left.output_names + list(right_names), left, *children)
+        self.child = left
+        self.left_keys = tuple(left_keys)
         self.residual = residual
         self.kind = kind
 
-    def label(self) -> str:
-        return f"HashJoin({len(self.left_keys.exprs)} key(s))"
 
-    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        """Batched build and probe: each batch's keys come from one batch
-        loop, right rows are inserted in scan order and the left child is
-        walked in order."""
-        table: Dict[Tuple[Any, ...], List[Row]] = {}
-        for batch in self.right.batches(env, UNBOUNDED):
-            for right_row, key in zip(batch, _run(self.right_keys, batch, env)):
-                if None in key:
-                    continue  # NULL never equi-joins
-                table.setdefault(key, []).append(right_row)
-        pad = (None,) * len(self.right.output_names) if self.kind == "LEFT" else None
-        residual = self.residual
-        left_keys = self.left_keys
-
-        def matches(batch: Batch, env: ExecutionEnv) -> List[Row]:
-            out: List[Row] = []
-            append = out.append
-            for left_row, key in zip(batch, _run(left_keys, batch, env)):
-                matched = False
-                if None not in key:
-                    for right_row in table.get(key, ()):
-                        combined = left_row + right_row
-                        if residual is None or residual(combined, env) is True:
-                            matched = True
-                            append(combined)
-                if pad is not None and not matched:
-                    append(left_row + pad)
-            return out
-
-        return _joined(self.left.batches(env, budget), matches, env, budget)
-
-
-class IndexNestedLoopJoin(_Stage):
+class IndexNestedLoopJoin(_Join):
     """Join probing a base-table hash index once per left row.
 
     This is the operator that makes the paper-scale simulations feasible:
     the navigational child fetch and the recursive branch both join the
     working set against ``link`` (and then against ``assy``/``comp``) on
-    indexed equality keys.  ``left_keys`` are lowered against the left
-    scope; the residual condition (the full ON clause minus the probed
-    key) is tested on the joined row.  Output is in left order, then
-    probe order.
+    indexed equality keys.
     """
 
     def __init__(
@@ -759,19 +668,45 @@ class IndexNestedLoopJoin(_Stage):
         residual: Optional[IR],
         kind: str = "INNER",
     ) -> None:
-        super().__init__(left.output_names + list(storage.schema.column_names), left)
-        self.child = left
+        super().__init__(left, storage.schema.column_names, left_keys, residual, kind)
         self.storage = storage
         self.index = index
-        self.left_keys = tuple(left_keys)
-        self.residual = residual
-        self.kind = kind
 
     def label(self) -> str:
         return (
             f"IndexNestedLoopJoin({self.kind} probe "
             f"{self.storage.schema.name} via {self.index.name})"
         )
+
+
+class HashJoin(_Join):
+    """Equi-join on a table of the right input's rows by ``right_keys``
+    (each side's keys lowered against its own scope), built by the right
+    input's pipeline, ``build``, before the left input is pulled."""
+
+    def __init__(
+        self,
+        left: Operator,
+        right: Operator,
+        left_keys: Sequence[IR],
+        right_keys: Sequence[IR],
+        residual: Optional[IR] = None,
+        kind: str = "INNER",
+    ) -> None:
+        super().__init__(left, right.output_names, left_keys, residual, kind, right)
+        self.build = _Build(right, tuple(right_keys))
+
+    def label(self) -> str:
+        return f"HashJoin({len(self.left_keys)} key(s))"
+
+
+class NestedLoopJoin(HashJoin):
+    """Join supporting INNER, LEFT and CROSS kinds: a :class:`HashJoin`
+    without keys, which finds every right row for every left row; the
+    full ON condition is its residual."""
+
+    def label(self) -> str:
+        return f"NestedLoopJoin({'CROSS' if self.residual is None else self.kind})"
 
 
 class UnionAll(Operator):
@@ -786,29 +721,48 @@ class UnionAll(Operator):
         return chain.from_iterable(map(methodcaller("batches", env, budget), self.children))
 
 
-class Distinct(Operator):
+class _Sink(Operator, _Pipelined):
+    """The sink of the pipeline below its ``child``: an ``Aggregate``,
+    ``Distinct`` or a set operation."""
+
+    def __init__(self, child: Operator, sink: tuple, *others: Operator) -> None:
+        super().__init__(child.output_names, child, *others)
+        self.child = child
+        self.sink = sink
+
+
+class _Build(_Pipelined):
+    """A hash join's right input's pipeline, collecting its rows by
+    ``keys``; in no plan tree."""
+
+    def __init__(self, right: Operator, keys: Tuple[IR, ...]) -> None:
+        self.child = right
+        self.sink = (BUILD, keys, None)
+
+    def table(self, env: ExecutionEnv) -> tuple:
+        """The join's state in its pipeline's loop: the right rows by key,
+        in scan order, and each key's classes."""
+        table: Dict[Any, List[Row]] = {}
+        for found in self.run(env, UNBOUNDED):
+            for key, (rows,) in found.items():
+                table.setdefault(key, []).extend(rows)
+        count = len(self.sink[1])
+        columns: List[Any] = [table] if count == 1 else list(zip(*table)) or [()] * count
+        return (table, *map(key_classes, columns))
+
+
+class Distinct(_Sink):
     """Remove duplicate rows, first occurrence wins (used for UNION and
     SELECT DISTINCT)."""
 
     def __init__(self, child: Operator) -> None:
-        super().__init__(child.output_names, child)
-        self.child = child
+        super().__init__(child, (DISTINCT, (), None))
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        seen: set = set()
-
-        def fresh(batch: Batch, env: ExecutionEnv) -> List[Row]:
-            out: List[Row] = []
-            for row in batch:
-                if row not in seen:
-                    seen.add(row)
-                    out.append(row)
-            return out
-
-        return _joined(self.child.batches(env, budget), fresh, env, budget)
+        return self.run(env, budget, (set(),))
 
 
-class _SetOperation(Operator):
+class _SetOperation(_Sink):
     """Two inputs of equal arity; the output takes the left one's names.
     Distinct left rows in first-seen order, kept when their presence in
     the right input is :attr:`keep_present`."""
@@ -816,24 +770,11 @@ class _SetOperation(Operator):
     keep_present: bool
 
     def __init__(self, left: Operator, right: Operator) -> None:
-        super().__init__(left.output_names, left, right)
-        self.left = left
+        super().__init__(left, (DISTINCT, (), self.keep_present), right)
         self.right = right
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        right = set(plan_rows(self.right, env))
-        keep = self.keep_present
-        seen: set = set()
-
-        def kept(batch: Batch, env: ExecutionEnv) -> List[Row]:
-            out: List[Row] = []
-            for row in batch:
-                if (row in right) is keep and row not in seen:
-                    seen.add(row)
-                    out.append(row)
-            return out
-
-        return _joined(self.left.batches(env, budget), kept, env, budget)
+        return self.run(env, budget, (set(plan_rows(self.right, env)), set()))
 
 
 class SetDifference(_SetOperation):
@@ -867,7 +808,7 @@ class AggregateSpec:
         return Aggregator(self.name, distinct=self.distinct, star=self.star)
 
 
-class Aggregate(Operator):
+class Aggregate(_Sink):
     """Hash aggregation, the sink of the pipeline below it.
 
     Output rows are ``group key values + aggregate values``: ``groups``
@@ -877,18 +818,12 @@ class Aggregate(Operator):
     there is exactly one (possibly empty) group, matching SQL's
     scalar-aggregate semantics.  Groups come out in first-seen order.
 
-    :func:`fuse` gives it the loop of its input pipeline, which computes
-    each row's key and arguments where the row is made and collects each
-    group's argument values per source batch; each aggregate then folds a
-    group's values per batch into a :class:`~repro.sqldb.functions.
-    Aggregator` with one ``add_many``, which leaves the state one ``add``
-    per value would.
+    The loop of its input pipeline computes each row's key and arguments
+    where the row is made and collects each group's argument values per
+    source batch; each aggregate then folds a group's values per batch
+    into a :class:`~repro.sqldb.functions.Aggregator` with one
+    ``add_many``, which leaves the state one ``add`` per value would.
     """
-
-    #: The loop of the pipeline below, set by :func:`fuse`.
-    program: Program
-    pipelined = False
-    rechecks = False
 
     def __init__(
         self,
@@ -898,8 +833,6 @@ class Aggregate(Operator):
         arguments: Sequence[IR],
         output_names: List[str],
     ) -> None:
-        super().__init__(output_names, child)
-        self.child = child
         self.groups = tuple(groups)
         self.aggregates = aggregates
         #: The distinct arguments, each collected once.
@@ -910,6 +843,8 @@ class Aggregate(Operator):
         self._columns = [
             0 if spec.star else self.arguments.index(next(arguments)) for spec in aggregates
         ]
+        super().__init__(child, (GROUPS, self.groups + self.arguments, len(self.groups)))
+        self.output_names = list(output_names)
 
     def label(self) -> str:
         return (
@@ -922,12 +857,8 @@ class Aggregate(Operator):
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
         groups: Dict[Any, List[Aggregator]] = {}
-        program, columns = self.program, self._columns
-        source = self.child
-        while source.fused:
-            source = source.child
-        for batch in source.batches(env, UNBOUNDED):
-            found = _run(program, batch, env, self.rechecks and id(source) in env.scans)
+        columns = self._columns
+        for found in self.run(env, UNBOUNDED):
             for key, held in found.items():
                 aggregators = groups.get(key)
                 if aggregators is None:
@@ -983,7 +914,7 @@ class Sort(Operator):
         rows = plan_rows(self.child, env)
         # Every key of every row: an error in a key surfaces whatever the
         # budget.
-        columns = _run(self.keys, Batch(rows), env)
+        columns = self.keys.row(Batch(rows), env, False, ())
         count = len(rows)
         if count < 2:
             return as_batches(rows, budget)
@@ -1112,23 +1043,24 @@ class Limit(_RowCount):
                 return
 
 
-#: A pipeline nests one Python block per index join it fuses (Python
-#: allows 20 in one function); a longer chain of index joins is cut
-#: into pipelines of at most this many.
+#: A pipeline nests one Python block per join it fuses (Python allows 20
+#: in one function); a longer chain of joins is cut into pipelines of at
+#: most this many.
 MAX_FUSED_JOINS = 8
 
 
 def fuse(operator: Operator) -> None:
     """Give every pipeline of the tree under *operator* its generated loop.
 
-    A pipeline is a chain of stages (``Filter``, ``Project``,
-    ``IndexNestedLoopJoin``) over a source — any other operator: a scan,
-    an index probe, a CTE scan, a breaker's output — into a sink: the top
-    stage's consumer takes its rows, or an ``Aggregate`` folds them.  A
-    tree is fused once, when it is planned; a subplan's tree is fused
-    already.
+    A pipeline is a chain of stages (``Filter``, ``Project`` and the
+    joins) over a source — any other operator: a scan, an index probe, a
+    CTE scan, a breaker's output — into a sink: the top stage's consumer
+    takes its rows, or a :class:`_Sink` above it collects them.  A hash
+    join is the top stage of its pipeline: its rows are cut to the budget
+    before a stage above it runs.  A tree is fused once, when it is
+    planned; a subplan's tree is fused already.
     """
-    if not isinstance(operator, (_Stage, Aggregate)):
+    if not isinstance(operator, _Pipelined):
         for child in operator.children:
             fuse(child)
         return
@@ -1138,42 +1070,45 @@ def fuse(operator: Operator) -> None:
     node = operator if isinstance(operator, _Stage) else operator.child
     joins = 0
     while isinstance(node, _Stage) and not node.pipelined:
-        joins += isinstance(node, IndexNestedLoopJoin)
-        if joins > MAX_FUSED_JOINS:
+        joins += isinstance(node, _Join)
+        if joins > MAX_FUSED_JOINS or (stages and isinstance(node, HashJoin)):
             break
         stages.append(node)
         node = node.child
     source = node
     stages.reverse()
     steps: List[tuple] = []
-    rechecks = False
+    builds: List[_Build] = []
     for stage in stages:
         if isinstance(stage, Filter):
             if stage.recheck is not None:
                 scanned = stage.probe == id(source)
-                rechecks = rechecks or scanned
+                operator.rechecks = operator.rechecks or scanned
                 steps.append((RECHECK if scanned else FILTER, (stage.recheck,), None))
             if stage.predicate is not None:
                 steps.append((FILTER, (stage.predicate,), None))
         elif isinstance(stage, Project):
             if not stage.identity:
                 steps.append((PROJECT, stage.exprs, None))
-        else:
+        elif isinstance(stage, _Join):
             residual = () if stage.residual is None else (stage.residual,)
-            shape = (len(stage.left_keys), stage.storage.schema.arity, stage.kind == "LEFT")
-            steps.append(
-                (JOIN, stage.left_keys + residual, shape + (stage.storage, stage.index))
-            )
-    program = None
-    if isinstance(operator, Aggregate):
-        sink = (GROUPS, operator.groups + operator.arguments, len(operator.groups))
-        program = pipeline(len(source.output_names), steps, sink)
-    elif steps:
-        program = pipeline(len(source.output_names), steps, (ROWS, (), None))
-    for stage in stages + [operator]:
-        stage.program = program
-        stage.pipelined = True
-        stage.rechecks = rechecks
+            width = len(stage.output_names) - len(stage.child.output_names)
+            shape: tuple = (len(stage.left_keys), width, stage.kind == "LEFT")
+            if isinstance(stage, IndexNestedLoopJoin):
+                classes = tuple(declared_classes(stage.storage, stage.index))
+                shape += (stage.storage, stage.index, classes)
+            elif isinstance(stage, HashJoin):
+                builds.append(stage.build)
+                fuse(stage.build)
+            steps.append((JOIN, stage.left_keys + residual, shape))
+    if steps or not isinstance(operator, _Stage):
+        operator.program = pipeline(len(source.output_names), steps, operator.sink)
+    operator.builds = tuple(builds)
+    operator.collects = operator.sink[0] in (GROUPS, BUILD)
     for stage in stages:
+        stage.program = operator.program
+        stage.pipelined = True
         stage.fused = stage is not operator
-    fuse(source)
+    operator.pipelined = True
+    for child in (source,) + operator.children[1:]:
+        fuse(child)

@@ -372,6 +372,14 @@ def _mismatch(left: Any, right: Any) -> Any:
     )
 
 
+def _unequal(key: Any, allowed: frozenset) -> None:
+    """``=`` of a join key whose class is not *allowed* (see
+    :func:`repro.sqldb.pipelines.key_classes`) and the probed side's."""
+    number = isinstance(key, _NUM)
+    if key is not None and (int if number else str) not in allowed:
+        _mismatch(key, "" if number else 0)
+
+
 def _arith_error(left: Any, operator: str, right: Any) -> Any:
     raise TypeMismatchError(
         f"arithmetic on non-numeric values {left!r} {operator} {right!r}"
@@ -476,7 +484,7 @@ def _like(value: Any, pattern: Any, negated: bool) -> Optional[bool]:
 #: The generated modules' globals.
 _RUNTIME: Dict[str, Any] = {
     name: globals()[name]
-    for name in "_NUM _uniform _numeric _mismatch _arith_error _negate_error _arith "
+    for name in "_NUM _uniform _numeric _mismatch _unequal _arith_error _negate_error _arith "
     "to_bool _member _in_static _like Columns".split()
 }
 
@@ -962,8 +970,8 @@ class Program(NamedTuple):
     ``row(r, env)`` evaluates them on one row (``batch`` is None).
     ``exprs`` is the IR they were generated from; ``source`` the generated
     text.  A pipeline's (:func:`repro.sqldb.pipelines.pipeline`) runs a
-    whole batch either way: ``row(b, env, scan)`` over its rows and
-    ``batch(b, env, scan)`` over its columns.
+    whole batch either way: ``row(b, env, scan, state)`` over its rows
+    and ``batch(b, env, scan, state)`` over its columns.
     """
 
     row: Callable

@@ -28,16 +28,13 @@ from repro.sqldb.executor import (
 )
 from repro.sqldb.expressions import (
     IR,
-    VALUE,
     Frame,
     Scope,
     UnresolvedColumnError,
     conjunction,
-    program,
     slot,
 )
 from repro.sqldb.access_paths import AccessPaths
-from repro.sqldb.pipelines import key_rows
 from repro.sqldb.subplans import SubplanOperator
 
 
@@ -605,33 +602,14 @@ class JoinGraphs(AccessPaths):
             )
             if graph.kind == "INNER":
                 operator.applies = frozenset(id(c.expression) for c in leaf.pushed)
-        elif used:
-            operator = HashJoin(
+        else:  # a LEFT join is never hashed
+            operator = (HashJoin if used else NestedLoopJoin)(
                 left,
                 leaf.operator,
-                key_rows(
-                    len(left.output_names),
-                    [
-                        self._lower_in(key.left, graph.scope(joined, key.conjunct), frames)
-                        for key in used
-                    ],
-                ),
-                key_rows(
-                    len(leaf.operator.output_names),
-                    [
-                        self._lower_in(key.right, graph.scope([index], key.conjunct), frames)
-                        for key in used
-                    ],
-                ),
-                residual=self._compile_all(graph, residual, step_order, frames),
-                kind="INNER",
-            )
-        else:
-            operator = NestedLoopJoin(
-                left,
-                leaf.operator,
-                self._compile_all(graph, residual, step_order, frames),
-                kind=graph.kind,
+                [self._lower_in(key.left, graph.scope(joined, key.conjunct), frames) for key in used],
+                [self._lower_in(key.right, graph.scope([index], key.conjunct), frames) for key in used],
+                self._conjunction(graph, residual, step_order, frames),
+                graph.kind,
             )
         if left_est is not None and right_est is not None:
             selectivity = 1.0
@@ -668,15 +646,3 @@ class JoinGraphs(AccessPaths):
                 for conjunct in conjuncts
             ]
         )
-
-    def _compile_all(
-        self,
-        graph: "_JoinGraph",
-        conjuncts: List["_Conjunct"],
-        order: List[int],
-        frames: List[Frame],
-    ):
-        """The row function of :meth:`_conjunction`; None for no
-        conjuncts."""
-        predicate = self._conjunction(graph, conjuncts, order, frames)
-        return None if predicate is None else program([predicate], VALUE).row

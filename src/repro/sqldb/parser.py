@@ -204,18 +204,21 @@ class _Parser:
             return ast.Analyze(table=table)
         raise ParseError(f"expected a statement, found {token}")
 
+    def _column_names(self) -> List[str]:
+        """``name, ...)``: the names after an opening parenthesis."""
+        columns = [self.expect_identifier("column name")]
+        while self.accept_punct(","):
+            columns.append(self.expect_identifier("column name"))
+        self.expect_punct(")")
+        return columns
+
     def _parse_create(self) -> ast.Statement:
         self.expect_keyword("CREATE")
         if self.accept_keyword("TABLE"):
             return self._parse_create_table()
         if self.accept_keyword("VIEW"):
             name = self.expect_identifier("view name")
-            columns = None
-            if self.accept_punct("("):
-                columns = [self.expect_identifier("column name")]
-                while self.accept_punct(","):
-                    columns.append(self.expect_identifier("column name"))
-                self.expect_punct(")")
+            columns = self._column_names() if self.accept_punct("(") else None
             self.expect_keyword("AS")
             select = self.parse_select_statement()
             return ast.CreateView(name=name, columns=columns, select=select)
@@ -225,10 +228,7 @@ class _Parser:
         self.expect_keyword("ON")
         table = self.expect_identifier("table name")
         self.expect_punct("(")
-        columns = [self.expect_identifier("column name")]
-        while self.accept_punct(","):
-            columns.append(self.expect_identifier("column name"))
-        self.expect_punct(")")
+        columns = self._column_names()
         return ast.CreateIndex(name=name, table=table, columns=columns, unique=unique)
 
     def _parse_create_table(self) -> ast.CreateTable:
@@ -280,12 +280,7 @@ class _Parser:
         self.expect_keyword("INSERT")
         self.expect_keyword("INTO")
         table = self.expect_identifier("table name")
-        columns: Optional[List[str]] = None
-        if self.accept_punct("("):
-            columns = [self.expect_identifier("column name")]
-            while self.accept_punct(","):
-                columns.append(self.expect_identifier("column name"))
-            self.expect_punct(")")
+        columns = self._column_names() if self.accept_punct("(") else None
         if self.accept_keyword("VALUES"):
             rows: List[List[ast.Expression]] = []
             while True:
@@ -361,12 +356,7 @@ class _Parser:
 
     def _parse_cte(self) -> ast.CommonTableExpr:
         name = self.expect_identifier("CTE name")
-        columns: List[str] = []
-        if self.accept_punct("("):
-            columns.append(self.expect_identifier("column name"))
-            while self.accept_punct(","):
-                columns.append(self.expect_identifier("column name"))
-            self.expect_punct(")")
+        columns = self._column_names() if self.accept_punct("(") else []
         self.expect_keyword("AS")
         self.expect_punct("(")
         body = self._parse_query_body()
@@ -446,12 +436,7 @@ class _Parser:
             self.advance()
             return ast.Star(qualifier=token.value)
         expression = self.parse_expr()
-        alias = None
-        if self.accept_keyword("AS"):
-            alias = self.expect_identifier("alias")
-        elif self.peek().kind is TokenKind.IDENT:
-            alias = self.advance().value
-        return ast.SelectItem(expression=expression, alias=alias)
+        return ast.SelectItem(expression=expression, alias=self._alias())
 
     def _parse_from_item(self) -> ast.FromItem:
         item = self._parse_from_primary()
@@ -487,7 +472,6 @@ class _Parser:
         if self.accept_punct("("):
             if self.peek().matches_keyword("SELECT", "WITH"):
                 subquery = self._subquery()
-                self.expect_punct(")")
                 self.accept_keyword("AS")
                 alias = self.expect_identifier("derived table alias")
                 return ast.SubqueryRef(subquery=subquery, alias=alias)
@@ -495,12 +479,13 @@ class _Parser:
             self.expect_punct(")")
             return inner
         name = self.expect_identifier("table name")
-        alias = None
+        return ast.TableRef(name=name, alias=self._alias())
+
+    def _alias(self) -> Optional[str]:
+        """An optional ``[AS] alias``."""
         if self.accept_keyword("AS"):
-            alias = self.expect_identifier("alias")
-        elif self.peek().kind is TokenKind.IDENT:
-            alias = self.advance().value
-        return ast.TableRef(name=name, alias=alias)
+            return self.expect_identifier("alias")
+        return self.advance().value if self.peek().kind is TokenKind.IDENT else None
 
     def _parse_order_item(self) -> ast.OrderItem:
         expression = self.parse_expr()
@@ -522,10 +507,12 @@ class _Parser:
             )
 
     def _subquery(self) -> ast.SelectStatement:
-        """A nested SELECT: one level deeper, like a parenthesis."""
+        """A nested SELECT and its closing parenthesis: one level deeper,
+        like a parenthesis."""
         self._deeper()
         statement = self.parse_select_statement()
         self._depth -= 1
+        self.expect_punct(")")
         return statement
 
     def parse_expr(self) -> ast.Expression:
@@ -568,7 +555,6 @@ class _Parser:
             self.expect_keyword("EXISTS")
             self.expect_punct("(")
             subquery = self._subquery()
-            self.expect_punct(")")
             return ast.ExistsTest(subquery=subquery, negated=negated)
         left = self._parse_additive()
         token = self.accept_operator(*_COMPARISON_OPERATORS)
@@ -601,7 +587,6 @@ class _Parser:
         self.expect_punct("(")
         if self.peek().matches_keyword("SELECT", "WITH"):
             subquery = self._subquery()
-            self.expect_punct(")")
             return ast.InSubquery(operand=operand, subquery=subquery, negated=negated)
         items = [self.parse_expr()]
         while self.accept_punct(","):
@@ -668,7 +653,6 @@ class _Parser:
         if self.accept_punct("("):
             if self.peek().matches_keyword("SELECT", "WITH"):
                 subquery = self._subquery()
-                self.expect_punct(")")
                 return ast.ScalarSubquery(subquery=subquery)
             expression = self.parse_expr()
             self.expect_punct(")")

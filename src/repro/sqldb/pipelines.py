@@ -1,12 +1,13 @@
 """Pipeline emission: one generated loop per chain of stages.
 
 A *pipeline* is a source's batches run through a chain of non-blocking
-stages — filters, projections, index joins — into a sink: the rows a
-consumer takes, or an aggregate's groups.  :func:`pipeline` writes the
+stages — filters, projections, joins — into a sink: the rows a consumer
+takes, an aggregate's groups, a hash join's table, or the rows DISTINCT
+or a set operation keeps.  :func:`pipeline` writes the
 whole chain as the text of one Python function with the expression
 compiler's emitter (:mod:`repro.sqldb.expressions`): its literal holes,
 its careful and fast forms and its compile cache.  A row reaches the
-next stage as local names — a joined row as its left and probed tuples,
+next stage as local names — a joined row as its left and found tuples,
 a projected one as its values — so no row is built or gathered between
 two stages, only for the sink.  This is data-centric compilation
 (Neumann, "Efficiently Compiling Efficient Query Plans for Modern
@@ -17,10 +18,12 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from repro.errors import ExecutionError
+from repro.sqldb.columnar import SMALL_BATCH
 from repro.sqldb.expressions import (
+    _NUM,
     IR,
     Program,
     Recipe,
@@ -40,6 +43,12 @@ JOIN = "join"
 ROWS = "rows"
 COLUMNS = "columns"
 GROUPS = "groups"
+BUILD = "build"
+DISTINCT = "distinct"
+
+#: The classes of SQL values; those a number (True) or a string mismatches.
+_CLASSES = frozenset((int, float, bool, str, type(None)))
+_OTHER = {True: {str}, False: {int, float, bool}}
 
 
 def pipeline(arity: int, stages: Sequence[tuple], sink: tuple) -> Program:
@@ -53,33 +62,40 @@ def pipeline(arity: int, stages: Sequence[tuple], sink: tuple) -> Program:
       argument is true (an index probe's own conjunct, which every row it
       probed passes);
     * ``(PROJECT, irs, None)``: the slots become *irs*;
-    * ``(JOIN, keys + residual, (key count, arity, left, storage,
-      index))``: per row, the rows of ``storage.probe(index, keys,
+    * ``(JOIN, keys + residual, (key count, arity, left, storage, index,
+      classes))``: per row, the rows of ``storage.probe(index, keys,
       snapshot)`` — read through ``storage.live_probe(index)`` where no
       version chain is to be resolved — each appended to it where the
       residual (if any) is TRUE; a LEFT join pads a row none matches with
       NULLs.  The probes and the rows they find are added to the
-      ``index_probes`` and ``rows_scanned`` counters;
+      ``index_probes`` and ``rows_scanned`` counters.  Without ``storage,
+      index, classes`` the rows come from a :data:`BUILD` table of the
+      loop's ``state`` (none for a NULL key, all for no key).  A key is
+      checked against the probed side's :func:`key_classes`;
     * the sink ``(ROWS, (), None)``: the list of the final rows;
       ``(COLUMNS, irs, None)``, after no stage: a list of the values of
-      each of *irs*; or
+      each of *irs*;
       ``(GROUPS, keys + arguments, key count)``: ``{group key: (column,
       ...)}``, each argument's values in row order (one column of
-      ``None`` per row when there is no argument); the key of one group
-      key is its value, not a tuple.
+      ``None`` per row when there is no argument), the key of one key its
+      value; ``(BUILD, keys, None)``: the same with the row as the
+      argument; or ``(DISTINCT, (), keep)``: the rows new to the state's
+      ``seen`` set (and, but for a *keep* of None, whose presence in its
+      ``right`` set is *keep*), added to it once the loop is done.
 
-    ``row(b, env, scan)`` runs the loop over the batch's rows,
-    ``batch(b, env, scan)`` over its columns (pivoting them when the
-    batch has none), fast form first where it cannot change a result; the
-    two are one function when an expression needs the whole row.
+    ``row(b, env, scan, state)`` (``batch`` is the same function) runs
+    the loop over the rows of a :class:`~repro.sqldb.columnar.Batch` that
+    is small and was never pivoted, else over its columns (pivoting them),
+    fast form first where it cannot change a result.  ``state`` holds each
+    built join's table, in order, then the sink's sets.
     """
     values: List[Any] = []
     templates = []
     try:
         for tag, irs, data in list(stages) + [sink]:
-            if tag == JOIN:
-                storage, index = data[3:]
-                runtime = (storage.probe, index) + storage.live_probe(index)
+            if tag == JOIN and data[3:]:
+                storage, index, classes = data[3:]
+                runtime = (storage.probe, index) + storage.live_probe(index) + classes
                 data = data[:3] + tuple(values.append(v) or len(values) - 1 for v in runtime)
             templates.append((tag, tuple([_template(ir, values) for ir in irs]), data))
         source, recipes = _pipeline_source(arity, tuple(templates))
@@ -90,16 +106,17 @@ def pipeline(arity: int, stages: Sequence[tuple], sink: tuple) -> Program:
     return Program(row, batch, tuple(ir for __, irs, __ in stages for ir in irs), source)
 
 
-def key_rows(arity: int, irs: Sequence[IR]) -> Program:
-    """The loop mapping each row of a batch of *arity* slots to the tuple
-    of *irs* (a hash join's keys)."""
-    return pipeline(arity, [(PROJECT, tuple(irs), None)], (ROWS, (), None))
-
-
 def key_columns(arity: int, irs: Sequence[IR]) -> Program:
     """The loop computing each of *irs* as a column over the rows of a
     batch of *arity* slots (a sort's keys)."""
     return pipeline(arity, [], (COLUMNS, tuple(irs), None))
+
+
+def key_classes(values: Iterable[Any]) -> frozenset:
+    """The classes of a join key that ``=`` with any of the probed side's
+    key *values* cannot make a ``TypeMismatchError``: the loop checks a
+    key of another class (``expressions._unequal``)."""
+    return _CLASSES.difference(*[_OTHER[kind] for kind in {isinstance(v, _NUM) for v in values if v is not None}])
 
 
 @functools.lru_cache(maxsize=512)
@@ -107,30 +124,29 @@ def _pipeline_source(arity: int, stages: Tuple[tuple, ...]) -> Tuple[str, Tuple[
     """The module text of one pipeline template (the stages, then the
     sink) and the recipes of its factory's arguments."""
     emitter = _Emitter()
-    lines = ["    def row(b, env, scan):", *_indented(_loop(emitter, arity, stages))]
-    if any(_row_dependent(ir) for __, irs, __ in stages for ir in irs):
-        returned = "row, row"
-    else:
+    rows = _indented(_loop(emitter, arity, stages))
+    if not any(_row_dependent(ir) for __, irs, __ in stages for ir in irs):
         emitter.columns = True
         careful = _loop(emitter, arity, stages)
+    if not emitter.columns or not emitter.read:  # no column to read
+        body = rows
+    else:
         emitter.fast = True
         fast = _loop(emitter, arity, stages)
-        lines += [
-            "    def batch(b, env, scan):",
+        body = [
             "        cols = b.columns",
             "        if cols is None:",
+            f"            if len(b) <= {SMALL_BATCH}:",  # never pivoted: over its rows
+            *["        " + line for line in rows],
             "            cols = b.columns = Columns(b)",
             *(_fast_block(emitter, fast) if fast != careful else []),
             *_indented(careful),
         ]
-        returned = "row, batch"
     # An uncorrelated IN (subquery) fetches its value set once per call.
     unfetched = [f"        {name} = None" for name, __ in emitter.value_sets.values()]
-    for at in [i + 1 for i, text in enumerate(lines) if text.startswith("    def ")][::-1]:
-        lines[at:at] = unfetched
     arguments = ", ".join(f"k{index}" for index in range(len(emitter.recipes)))
-    source = f"def make({arguments}):\n" + "\n".join(lines) + f"\n    return {returned}\n"
-    return source, tuple(emitter.recipes)
+    lines = [f"def make({arguments}):", "    def row(b, env, scan, state):", *unfetched, *body]
+    return "\n".join(lines) + "\n    return row, row\n", tuple(emitter.recipes)
 
 
 def _indented(lines: List[str]) -> List[str]:
@@ -180,10 +196,13 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
     emitter.row = "r"
     whole = True  # does the current row's tuple hold the source row r?
     every_row = True  # does every source row reach the current stage?
+    probed = False  # does an index join count probes?
     start: List[str] = []
     body: List[str] = []
+    state: List[str] = []  # the names the loop's state unpacks to
     column_texts: List[str] = []
     depth = joins = projected = 0
+    sink, __, keep = stages[-1]
 
     def line(text: str) -> None:
         body.append("    " * depth + text)
@@ -195,6 +214,8 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
         if emitter.row != "r" and any(_row_dependent(ir) for ir in irs):
             line(f"r{position} = {emitter.row}")  # name the row a subquery reads
             emitter.row = f"r{position}"
+        if tag in (ROWS, DISTINCT, BUILD) and not whole:  # the sink reads the renamed slots
+            emitter.read.update(s for s in slot_sources if s is not None)
         if tag in (FILTER, RECHECK):
             every_row = False
             test = _test(emitter.emit(irs[0]))
@@ -204,7 +225,7 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
                 continue  # every slot read in place
             texts: List[str] = []
             sources: List[Any] = []
-            last = stages[position + 1][0] == ROWS
+            last = stages[position + 1][0] in (ROWS, DISTINCT)
             for ir in irs:
                 if ir[0] == "slot" and not last:
                     # Renamed, not read: a later stage reads it if it needs it.
@@ -223,20 +244,36 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
             whole = False
         elif tag == JOIN:
             count, width, left = data[:3]
-            probe, index, slot_row, bucket, chains = map(emitter.literal, data[3:])
             joins += 1
             q, found = f"q{joins}", f"f{joins}"
-            start.append(f"direct{joins} = snapshot is None or not {chains}")
-            if every_row and joins == 1:
-                start.append("probes += len(b)")  # every source row probes
-            else:
-                line("probes += 1")
-            line(f"key{joins} = ({''.join(emit(ir) + ', ' for ir in irs[:count])})")
-            line(
-                f"{found} = list(map({slot_row}, {bucket}(key{joins}, ()))) if direct{joins} "
-                f"else {probe}({index}, key{joins}, snapshot)"
-            )
-            line(f"found += len({found})")
+            if data[3:]:  # an index join
+                probe, index, slot_row, bucket, chains, *oks = map(emitter.literal, data[3:])
+                start.append(f"direct{joins} = snapshot is None or not {chains}")
+                if every_row:
+                    start.append("probes += len(b)")  # every source row probes
+                else:
+                    line("probes += 1")
+                probed = True
+                line(f"key{joins} = ({''.join(emit(ir) + ', ' for ir in irs[:count])})")
+                line(
+                    f"{found} = list(map({slot_row}, {bucket}(key{joins}, ()))) if direct{joins} "
+                    f"else {probe}({index}, key{joins}, snapshot)"
+                )
+                line(f"found += len({found})")
+                # A key that finds a row equals a value of the column's declared kind.
+                for i, ok in enumerate(oks):
+                    line(f"if not {found} and key{joins}[{i}].__class__ not in {ok}: _unequal(key{joins}[{i}], {ok})")
+            else:  # a built table may hold both kinds: every key is checked
+                keys = [f"c{joins}_{i}" for i in range(count)]
+                oks = [f"ok{joins}_{i}" for i in range(count)]
+                state.append(f"(tab{joins}, {''.join(ok + ', ' for ok in oks)})")
+                for name, ok, ir in zip(keys, oks, irs):
+                    line(f"{name} = {emit(ir)}")
+                    line(f"if {name}.__class__ not in {ok}: _unequal({name}, {ok})")
+                key = keys[0] if count == 1 else _tuple_text(keys)
+                nulls = f"() if {' or '.join(f'{k} is None' for k in keys)} else " if keys else ""
+                line(f"{found} = {nulls}tab{joins}.get({key}, ())")
+            every_row = False
             slot_texts = slot_texts + [f"{q}[{i}]" for i in range(width)]
             slot_sources = slot_sources + [None] * width
             emitter.slot_texts, emitter.slot_sources = slot_texts, slot_sources
@@ -249,18 +286,17 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
             depth += 1
             if test is not None and not left:
                 line(f"if not ({test}): continue")
-        elif tag == ROWS:
-            if not whole:  # the row's renamed slots are read here
-                emitter.read.update(s for s in slot_sources if s is not None)
+        elif tag in (ROWS, DISTINCT):
             start[:0] = ["out = []", "append = out.append"]
             line(f"append({emitter.row})")
             result = "out"
         elif tag == COLUMNS:  # one comprehension per column, below
             column_texts = [emit(ir) for ir in irs]
         else:
-            keys, arguments = irs[:data], irs[data:]
-            lists = max(1, len(arguments))
-            adds = [emit(ir) for ir in arguments] or ["None"]
+            count = len(irs) if tag == BUILD else data
+            keys, arguments = irs[:count], irs[count:]
+            adds = [emitter.row] if tag == BUILD else [emit(ir) for ir in arguments] or ["None"]
+            lists = len(adds)
             if keys:
                 # One key is the dict key itself; more are a tuple.
                 start[:0] = ["groups = {}", "appends = {}"]
@@ -282,14 +318,17 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
                 body.extend("    " * depth + f"add{i}({value})" for i, value in enumerate(adds))
                 result = "{(): held} if held[0] else {}"
     end: List[str] = []
-    if joins:
+    if probed:
         start[:0] = ["probes = found = 0", "snapshot = env.snapshot"]
         end = [
             "counters = env.counters",
             'counters["index_probes"] += probes',
             'counters["rows_scanned"] += found',
         ]
-    names = (["r"] if whole and stages[-1][0] == ROWS else []) + [
+    if sink == DISTINCT:
+        state += ["seen"] if keep is None else ["right", "seen"]
+    unpack = [f"{''.join(name + ', ' for name in state)}= state"] if state else []
+    names = (["r"] if whole and sink in (ROWS, DISTINCT, BUILD) else []) + [
         f"_{s}" for s in sorted(emitter.read)
     ]
     if not columns or not names:
@@ -299,14 +338,23 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
     else:
         iterables = ["b" if name == "r" else f"cols[{name[1:]}]" for name in names]
         head = f"for {', '.join(names)} in zip({', '.join(iterables)}):"
-    if body == [f"append({emitter.row})"]:  # a bare projection
-        if columns and not whole and None not in slot_sources:  # of columns only
-            return [f"return list(zip({', '.join(f'cols[{s}]' for s in slot_sources)}))"]
-        return [f"return [{emitter.row} {head[:-1]}]"]
-    if stages[-1][0] == COLUMNS:
+    if sink == COLUMNS:
         picked = [
             f"cols[{ir[1]}]" if columns and ir[0] == "slot" else f"[{text} {head[:-1]}]"
             for ir, text in zip(stages[-1][1], column_texts)
         ]
         return [f"return [{', '.join(picked)}]"]
-    return start + [head] + ["    " + text for text in body] + end + [f"return {result}"]
+    if body != [f"append({emitter.row})"]:
+        lines = unpack + start + [head] + ["    " + text for text in body] + end
+    elif emitter.row == "r":  # no stage
+        lines, result = unpack, "b"
+    elif columns and not whole and None not in slot_sources:  # a projection of columns only
+        lines, result = unpack, f"list(zip({', '.join(f'cols[{s}]' for s in slot_sources)}))"
+    else:  # a bare projection
+        lines, result = unpack, f"[{emitter.row} {head[:-1]}]"
+    if sink == DISTINCT:  # first sightings (kept where their presence in right is keep)
+        kept = "" if keep is None else f" and r {'in' if keep else 'not in'} right"
+        lines += ["fresh = []", f"for r in {result}:", f"    if r not in seen{kept}:"]
+        lines += ["        seen.add(r)", "        fresh.append(r)"]
+        result = "fresh"
+    return lines + [f"return {result}"]

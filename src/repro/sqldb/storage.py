@@ -439,6 +439,3 @@ class TableStorage:
             if index.column_positions == wanted:
                 return index
         return None
-
-    def index_names(self) -> List[str]:
-        return [index.name for index in self._indexes.values()]

@@ -59,7 +59,9 @@ generate, the result codec's excepted.  1 298 per cached navigational
 round trip on CPython 3.11 while every operator ran its own batch loop
 and the rows went from one to the next as batches, 920 once each chain
 of filters, projections and index joins is one generated loop (859 on
-3.10 and 3.12).
+3.10 and 3.12), 930 once hash and nested-loop joins were that loop's
+join steps too and every join checks its key's kind as ``=`` does (an
+index join only a key that finds no row).
 
 The late half of that pass is also held on its own, because there the
 client checks the access rules of every fetched object: 254.2 calls per
@@ -126,7 +128,8 @@ and run straight on the ``Database``:
   sorted by ``column.__getitem__`` (a column is decorated only where a
   raw comparison raises), the key columns are checked for a NaN and the
   first 20 are picked by bounded selection on the leading key (48 once
-  the key columns are the sink of a pipeline's generated loop).
+  the key columns are the sink of a pipeline's generated loop, 47 once
+  that loop picks its row or column form itself).
 
 The two bulk paths are held per row, on the navigational product (727
 rows):

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TypeMismatchError
 from repro.model.parameters import TreeParameters
 from repro.pdm.generator import generate_product
 from repro.pdm.schema import load_product, new_pdm_database
@@ -190,6 +191,51 @@ def test_an_on_clause_sees_only_its_own_join():
         assert Counter(rows) == Counter(
             (a, b, c) for a, b in ((1, 10), (2, 20)) for c in (5, 6)
         )
+
+
+class TestAKeyOfTheOtherKind:
+    """``a.x = b.s`` of an INTEGER and a VARCHAR column raises as ``=`` does
+    in a filter, whichever join plans it: a hash join (INNER, or a comma
+    list's equality), a nested loop (LEFT) or, once ``b.s`` is indexed, an
+    index join, whose probed column's declared type stands for its values.
+    Adding an index never turns the error into rows.  A NULL key finds
+    nothing."""
+
+    PLANS = {
+        "SELECT * FROM a JOIN b ON a.x = b.s": ("HashJoin", "IndexNestedLoopJoin(INNER"),
+        "SELECT * FROM a LEFT JOIN b ON a.x = b.s": (
+            "NestedLoopJoin(LEFT)",
+            "IndexNestedLoopJoin(LEFT",
+        ),
+        "SELECT * FROM a, b WHERE a.x = b.s": ("HashJoin", "IndexNestedLoopJoin(INNER"),
+        "SELECT * FROM b JOIN a ON b.s = a.x": ("HashJoin", "HashJoin"),
+    }
+
+    @staticmethod
+    def build(indexed, a_rows):
+        db = Database()
+        db.execute("CREATE TABLE a (x INTEGER)")
+        db.execute("CREATE TABLE b (s VARCHAR(8))")
+        db.executemany("INSERT INTO a VALUES (?)", a_rows)
+        db.executemany("INSERT INTO b VALUES (?)", [(str(i),) for i in range(5)])
+        if indexed:
+            db.execute("CREATE INDEX b_s ON b (s)")
+        return db
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["no index", "indexed"])
+    @pytest.mark.parametrize("sql", sorted(PLANS))
+    def test_every_plan_raises(self, sql, indexed):
+        db = self.build(indexed, [(i,) for i in range(5)])
+        assert self.PLANS[sql][indexed] in "\n".join(plan_lines(db, sql))
+        with pytest.raises(TypeMismatchError, match="cannot compare"):
+            db.execute(sql)
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["no index", "indexed"])
+    def test_a_null_key_finds_nothing(self, indexed):
+        db = self.build(indexed, [(None,), (None,)])
+        assert db.execute("SELECT * FROM a JOIN b ON a.x = b.s").rows == []
+        assert db.execute("SELECT * FROM a, b WHERE a.x = b.s").rows == []
+        assert db.execute("SELECT * FROM a LEFT JOIN b ON a.x = b.s").rows == [(None, None)] * 2
 
 
 class TestLeftJoinBarrier:

@@ -23,6 +23,15 @@ The expression strategies are ``test_expression_oracle.py``'s; its
 catalogue of intentional divergences applies.  SQLite sorts NULL first
 ascending, so its ORDER BY keys carry ``NULLS LAST``.
 
+Hash joins, nested loops, DISTINCT and the set operations are steps and
+sinks of the same loops: a hash join's table is the sink of its right
+input's pipeline, DISTINCT, EXCEPT and INTERSECT the sinks of their left
+input's.  They run here over the three chunks too, also under a
+``LIMIT``, where the answer is a prefix of the one-row pull's order.  A
+filter's ordering comparison over chunk 2's NULL ``d`` makes the fast
+form raise and the careful form redo the chunk: a sink's seen set and a
+build's table must take each of its rows exactly once.
+
 The kind cache follows the table version: after an UPDATE puts a NULL
 into a chunk, and after a ROLLBACK takes it out again, ``<>`` and ``=``
 see the chunk's new kinds.
@@ -40,6 +49,9 @@ from hypothesis import strategies as st
 from repro.errors import SQLError
 from repro.sqldb import Database
 from repro.sqldb.columnar import BATCH_SIZE, table_batches
+from repro.sqldb.executor import MAX_FUSED_JOINS, HashJoin, IndexNestedLoopJoin
+from repro.sqldb.explain import plan_operators
+from repro.sqldb.parser import parse_statement
 from tests.sqldb.test_differential import one_row_at_a_time
 from tests.sqldb.test_expression_oracle import DOUBLES, STRINGS, boolean, number, string
 
@@ -63,26 +75,42 @@ def _rows():
     ]
 
 
-@pytest.fixture(scope="module")
-def engines():
+def tables(oracle=None):
+    """``p`` (three chunks) and ``w`` (seven rows, ``wv`` not indexed) in
+    the engine and, given one, in *oracle*."""
     db = Database()
-    oracle = sqlite3.connect(":memory:")
     db.execute("CREATE TABLE p (id INTEGER PRIMARY KEY, i INTEGER, d DOUBLE, s VARCHAR(8), g INTEGER)")
     db.executemany("INSERT INTO p VALUES (?, ?, ?, ?, ?)", _rows())
-    oracle.execute("CREATE TABLE p (id, i, d, s, g)")
-    oracle.executemany("INSERT INTO p VALUES (?, ?, ?, ?, ?)", _rows())
     wide = [(g, DOUBLES[g]) for g in range(7)]
     db.execute("CREATE TABLE w (wid INTEGER PRIMARY KEY, wv DOUBLE)")
     db.executemany("INSERT INTO w VALUES (?, ?)", wide)
-    oracle.execute("CREATE TABLE w (wid, wv)")
-    oracle.executemany("INSERT INTO w VALUES (?, ?)", wide)
+    if oracle is not None:
+        oracle.execute("CREATE TABLE p (id, i, d, s, g)")
+        oracle.executemany("INSERT INTO p VALUES (?, ?, ?, ?, ?)", _rows())
+        oracle.execute("CREATE TABLE w (wid, wv)")
+        oracle.executemany("INSERT INTO w VALUES (?, ?)", wide)
     assert [len(chunk) for chunk in table_batches(db.catalog.lookup("p").storage)] == [
         BATCH_SIZE,
         BATCH_SIZE,
         ROWS - 2 * BATCH_SIZE,
     ]
-    yield db, oracle
+    return db
+
+
+@pytest.fixture(scope="module")
+def engines():
+    oracle = sqlite3.connect(":memory:")
+    yield tables(oracle), oracle
     oracle.close()
+
+
+@pytest.fixture(scope="module")
+def analyzed(engines):
+    """The same tables with statistics, so a single-table conjunct runs
+    below a join (here: inside a hash join's build pipeline)."""
+    db = tables()
+    db.execute("ANALYZE")
+    return db, engines[1]
 
 
 def rounded(rows):
@@ -111,6 +139,17 @@ def check(engines, sql, sqlite_sql=None, ordered=False, typed_error=False):
         assert rounded(ours) == rounded(theirs), sql
     else:
         assert Counter(rounded(ours)) == Counter(rounded(theirs)), sql
+
+
+def check_limited(engines, sql, limit):
+    """*sql* under ``LIMIT`` *limit*: the first rows of the one-row pull's
+    order, as many as SQLite's whole answer allows, each one of its rows."""
+    db, oracle = engines
+    ours = db.execute(f"{sql} LIMIT {limit}").rows
+    assert one_row_at_a_time(db, f"{sql} LIMIT {limit}") == ours, sql
+    theirs = Counter(rounded(oracle.execute(sql).fetchall()))
+    assert len(ours) == min(limit, sum(theirs.values())), sql
+    assert not Counter(rounded(ours)) - theirs, sql
 
 
 SETTINGS = settings(
@@ -175,6 +214,111 @@ def test_index_join_in_the_pipeline(engines, where, value):
         f"SELECT p.id, w.wid, w.wv * {value} FROM p JOIN w ON w.wid = p.g "
         f"WHERE {where} AND w.wv > -1.5",
     )
+
+
+LIMITS = st.sampled_from([1, 7, 64, BATCH_SIZE + 1])
+
+
+@SETTINGS
+@given(where=boolean(1), value=number(1), limit=LIMITS)
+def test_a_hash_join_in_the_pipeline(engines, where, value, limit):
+    """``w.wv`` is not indexed: each ``p.d`` looks up a table built from
+    ``w`` (chunk 2's NULL ``d`` finds nothing)."""
+    sql = f"SELECT p.id, w.wid, {value} FROM p JOIN w ON w.wv = p.d WHERE {where}"
+    assert "HashJoin(1 key(s))" in plan_text(engines[0], sql)
+    check(engines, sql)
+    check_limited(engines, sql, limit)
+
+
+@SETTINGS
+@given(where=boolean(1), value=number(1), limit=LIMITS)
+def test_a_left_nested_loop_with_a_residual(engines, where, value, limit):
+    sql = (
+        f"SELECT p.id, w.wid, {value} FROM p LEFT JOIN w ON w.wv < p.d AND w.wid > 2 "
+        f"WHERE {where}"
+    )
+    assert "NestedLoopJoin(LEFT)" in plan_text(engines[0], sql)
+    check(engines, sql)
+    check_limited(engines, sql, limit)
+
+
+@SETTINGS
+@given(where=boolean(1), limit=LIMITS)
+def test_a_cross_join_under_a_filter(engines, where, limit):
+    sql = f"SELECT p.id, w.wid, w.wv FROM p, w WHERE {where} AND w.wid < 3"
+    assert "NestedLoopJoin(CROSS)" in plan_text(engines[0], sql)
+    check(engines, sql)
+    check_limited(engines, sql, limit)
+
+
+SET_OPERATIONS = [
+    "SELECT g, s FROM p WHERE {} UNION SELECT wid, 'x' FROM w",
+    "SELECT i, g FROM p WHERE {} EXCEPT SELECT wid, wid - 3 FROM w",
+    "SELECT g FROM p WHERE {} INTERSECT SELECT wid FROM w WHERE wv > 0",
+]
+
+
+@SETTINGS
+@given(where=boolean(2), template=st.sampled_from(SET_OPERATIONS), limit=LIMITS)
+def test_set_operations(engines, where, template, limit):
+    sql = template.format(where)
+    check(engines, sql)
+    check_limited(engines, sql, limit)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT DISTINCT id, g FROM p WHERE d < 100",
+        "SELECT id FROM p WHERE d < 100 EXCEPT SELECT wid FROM w",
+        "SELECT id FROM p WHERE d < 100 INTERSECT SELECT id FROM p WHERE d > -100",
+    ],
+)
+def test_a_sink_takes_a_redone_chunk_once(engines, sql):
+    """``d < 100`` raises in the fast form at chunk 2's NULL ``d``, after
+    the chunk's earlier rows, and the careful form redoes the chunk."""
+    check(engines, sql)
+    assert len(engines[0].execute(sql).rows) == ROWS - 1 - (sql.count("EXCEPT") * 7)
+
+
+def test_a_build_takes_a_redone_chunk_once(analyzed):
+    """With statistics ``p.d < 100`` runs in the build pipeline of ``p``,
+    whose fast form chunk 2 makes the careful form redo."""
+    sql = "SELECT w.wid, p.id FROM w JOIN p ON p.g = w.wid WHERE p.d < 100"
+    lines = plan_text(analyzed[0], sql).splitlines()
+    assert lines[2:6] == [
+        "    -> HashJoin(1 key(s)) (est_rows=4999)",
+        "      -> SeqScan(w) (est_rows=7)",
+        "      -> Filter (est_rows=4999)",
+        "        -> SeqScan(p) (est_rows=5000)",
+    ]
+    check(analyzed, sql)
+    assert len(analyzed[0].execute(sql).rows) == ROWS - 1
+
+
+def test_a_chain_of_hash_joins_is_cut_into_pipelines(engines):
+    """``MAX_FUSED_JOINS + 2`` hash joins, no index: every join step counts
+    towards the cut, each pipeline compiles, and the answer is SQLite's."""
+    db, oracle = engines
+    count = MAX_FUSED_JOINS + 2
+    for n in range(count):
+        rows = [(i, (i * 7 + n) % 40) for i in range(40)]
+        db.execute(f"CREATE TABLE h{n} (id INTEGER, nxt INTEGER)")
+        db.executemany(f"INSERT INTO h{n} VALUES (?, ?)", rows)
+        oracle.execute(f"CREATE TABLE h{n} (id, nxt)")
+        oracle.executemany(f"INSERT INTO h{n} VALUES (?, ?)", rows)
+    joins = " ".join(f"JOIN h{n} ON h{n}.id = h{n - 1}.nxt" for n in range(1, count))
+    sql = f"SELECT h0.id, h{count - 1}.id, h{count - 1}.nxt FROM h0 {joins} WHERE h0.id < 30"
+    plan = db.plan_statement(parse_statement(sql))
+    built = [op for op in plan_operators(plan) if isinstance(op, HashJoin)]
+    assert len(built) == count - 1
+    assert not any(isinstance(op, IndexNestedLoopJoin) for op in plan_operators(plan))
+    assert sum(not op.fused for op in built) >= 2
+    check(engines, sql)
+
+
+def plan_text(db, sql):
+    return "\n".join(line for (line,) in db.execute(f"EXPLAIN {sql}").rows)
 
 
 DERIVED = (

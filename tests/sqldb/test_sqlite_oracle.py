@@ -28,10 +28,12 @@ them hides a wrong row):
   to each descending one, so ``ORDER BY n`` over a nullable ``n`` is
   compared as a list.
 * **Type affinity.**  An SQLite column declared INTEGER converts the text
-  ``'1'`` to ``1``; this engine never coerces for comparison (a string key
-  simply does not match an integer column).  The oracle's tables are
-  declared without types, so SQLite stores and compares the values the
-  loader hands it, like the engine does.
+  ``'1'`` to ``1``; this engine never coerces for comparison: a string
+  compared with a number is a ``TypeMismatchError``, in a filter and as a
+  join key alike, whichever join plans it
+  (``test_join_graph.py::TestAKeyOfTheOtherKind``).  The oracle's tables
+  are declared without types, so SQLite stores and compares the values
+  the loader hands it, like the engine does.
 * **Stored functions.**  ``options_overlap`` / ``is_effective`` are not SQL:
   SQLite gets the engine's own Python implementations through
   ``create_function`` (NULL-propagating, like ``register_function``), so a

@@ -3,6 +3,16 @@
 No module of ``repro`` outside ``repro.analysis`` imports it — at module
 level or inside a function — and each top-level package imports on its
 own in a fresh interpreter, without loading the analyzer.
+
+The SQL engine has a size: no module of ``repro.sqldb`` is longer than
+:data:`SQLDB_MODULE_LINES`, and the package is no longer than
+:data:`SQLDB_LINES` (``wc -l src/repro/sqldb/*.py``).  Raising either is
+a declared change.  History of the package's count: 10 196 when the
+result codec was generated per kind signature; 10 744 once each pipeline
+ran as one generated loop (548 over, against the 150 its roadmap item
+allowed); 10 683 once the hash and nested-loop joins were that loop's
+join steps and DISTINCT, EXCEPT and INTERSECT its sinks, and their
+hand-written row loops were deleted.
 """
 
 import ast
@@ -16,6 +26,12 @@ import pytest
 import repro
 
 ROOT = Path(repro.__file__).parent
+
+#: The most lines one module of ``repro.sqldb`` may have.
+SQLDB_MODULE_LINES = 1_200
+
+#: The most lines ``repro.sqldb`` may have (see the history above).
+SQLDB_LINES = 10_683
 
 
 def imported_modules(node):
@@ -85,3 +101,22 @@ def test_package_imports_on_its_own(package):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == str(package == "analysis")
+
+
+def sqldb_lines():
+    """``{module: lines}`` of ``repro.sqldb``, counted as ``wc -l`` counts."""
+    return {
+        path.name: path.read_bytes().count(b"\n") for path in sorted((ROOT / "sqldb").glob("*.py"))
+    }
+
+
+def test_no_sqldb_module_is_over_its_size():
+    assert {name: n for name, n in sqldb_lines().items() if n > SQLDB_MODULE_LINES} == {}
+
+
+def test_sqldb_is_no_larger_than_its_count():
+    total = sum(sqldb_lines().values())
+    assert total <= SQLDB_LINES, (
+        f"src/repro/sqldb is {total} lines, over its {SQLDB_LINES}: delete "
+        f"what the change duplicates, or raise SQLDB_LINES as a declared change"
+    )
