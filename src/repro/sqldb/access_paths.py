@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 from repro.errors import ParseError, SQLError
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import stats as table_stats_mod
+from repro.sqldb.stats import range_sides
 from repro.sqldb.executor import (
     CTEScan,
     Filter,
@@ -22,14 +23,19 @@ from repro.sqldb.executor import (
     IndexLookup,
     MultiKeyIndexLookup,
     Operator,
+    Project,
+    RangeScan,
     SeqScan,
+    Sort,
     _Stage,
 )
-from repro.sqldb.expressions import KEYS, CompileContext, Frame, lower, program
+from repro.sqldb.expressions import IR, KEYS, CompileContext, Frame, lower, program
+from repro.sqldb.pipelines import key_columns
 from repro.sqldb.subplans import SubplanOperator
+from repro.sqldb.types import DOUBLE
 
 if TYPE_CHECKING:
-    from repro.sqldb.expressions import IR, Scope
+    from repro.sqldb.expressions import Scope
     from repro.sqldb.functions import FunctionRegistry
     from repro.sqldb.schema import Catalog
     from repro.sqldb.subplans import CompiledSubquery
@@ -168,11 +174,13 @@ class AccessPaths:
         conjuncts: List[ast.Expression],
         binding_stats: table_stats_mod.BindingStats,
         consumed: set,
+        dml: bool = False,
     ) -> Tuple[Operator, List[Tuple[Optional[str], List[str]]]]:
         """The cheapest access path to a base table: an index probe one of
         *conjuncts* makes available (the WHERE clause when the table drives
         the core, its pushed conjuncts inside a join graph), else the
-        sequential scan."""
+        sequential scan — a range scan where they bound a column, but for
+        the target of a *dml* statement."""
         columns = entry.schema.column_names
         table_stats = self._table_stats(entry.schema.name)
         binding_stats[binding.lower()] = table_stats
@@ -182,10 +190,61 @@ class AccessPaths:
             )
             if indexed is not None:
                 return indexed, [(binding, list(columns))]
-        scan = SeqScan(entry.storage)
+        scan = (not dml and self._range_scan(entry, binding, conjuncts, frames, binding_stats)) or SeqScan(entry.storage)
         if table_stats is not None:
             scan.est_rows = float(table_stats.row_count)
         return scan, [(binding, list(columns))]
+
+    def _range_scan(
+        self,
+        entry,
+        binding: str,
+        conjuncts: List[ast.Expression],
+        frames: List[Frame],
+        binding_stats: table_stats_mod.BindingStats,
+    ) -> Optional[RangeScan]:
+        """A :class:`RangeScan` of the column whose non-negated
+        :func:`~repro.sqldb.stats.range_sides` by table-independent bounds
+        keep the fewest rows by the estimate (on a tie, the first's)."""
+        found: Dict[int, List[tuple]] = {}
+        for conjunct in conjuncts:
+            ways = [] if getattr(conjunct, "negated", False) else range_sides(conjunct)
+            for sides in ways:
+                bounds = [self._range_bound(entry, binding, frames, *side) for side in sides]
+                if None not in bounds:
+                    found.setdefault(bounds[0][0], []).extend((conjunct, *b[1:]) for b in bounds)
+                    break
+        if not found:
+            return None
+        kept = table_stats_mod.condition_selectivity  # priced only where there is a choice
+        column = min(found, key=lambda s: len(found) > 1 and kept([c for c, __, __ in found[s]], binding_stats))
+        __, operators, bounds = zip(*found[column])
+        return RangeScan(entry.storage, column, program(list(bounds), KEYS), operators)
+
+    def _range_bound(self, entry, binding: str, frames: List[Frame], column, operator: str, value):
+        """``(slot, operator, bound)`` for the table's *column*, if *value* is independent of it."""
+        own = isinstance(column, ast.ColumnRef) and entry.schema.has_column(column.name)
+        if not own or (column.qualifier or binding).lower() != binding.lower():
+            return None
+        bound = self._lower_independent(value, frames, entry.schema)
+        return None if bound is None else (entry.schema.column_index(column.name), operator, bound)
+
+    def _sorted(self, child: Operator, keys: List[IR], descending: List[bool]) -> Sort:
+        """A :class:`Sort` of *child* by *keys*, marked to read it in
+        leading-key order when they are bare columns, only filters and
+        projections lie between it and a :class:`RangeScan` of the leading
+        one, and no other is of a type that can hold a NaN."""
+        sort = Sort(child, key_columns(len(child.output_names), keys), descending)
+        slots = [ir[1] if ir[0] == "slot" else None for ir in keys]
+        node = sort.child
+        while None not in slots and isinstance(node, (Filter, Project)):
+            if isinstance(node, Project):
+                slots = [node.exprs[s][1] if node.exprs[s][0] == "slot" else None for s in slots]
+            node = node.child
+        if None not in slots and isinstance(node, RangeScan) and slots[0] == node.column:
+            types = [node.storage.schema.columns[s].sql_type for s in slots[1:]]
+            sort.walk = None if DOUBLE in types else node.walk
+        return sort
 
     def _table_stats(self, name: str) -> Optional[table_stats_mod.TableStats]:
         if self.stats is None:
@@ -444,3 +503,4 @@ class AccessPaths:
             return lower(expr, self._context(frames))
         except SQLError:
             return None
+

@@ -23,12 +23,21 @@ replay) invalidates the cached chunks, so a scan can never see stale
 data.  Batches are immutable by convention: operators build new batches
 rather than mutate ones they received, because chunk rows and columns
 are shared between executions through the cache.
+
+A table version keeps the *sorted copy* of a column that range reads ask
+for (:func:`sorted_column`): a range is two bisections, then a gather or
+a walk in order (:func:`in_order`).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Any, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import compress, repeat
+from math import log2
+from operator import is_not, itemgetter, ne
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
+
+from repro.sqldb.stats import SEQ_TUPLE_COST
 
 #: Rows per column chunk.  Big enough that the per-batch interpreter
 #: overhead (one Python-level loop set-up per operator per batch) is
@@ -104,11 +113,87 @@ def table_batches(storage, batch_size: int = BATCH_SIZE, snapshot=None) -> List[
     cached = cache.get(slot)
     if cached is not None and cached[0] == key:
         return cached[1]
-    rows = list(storage.rows(snapshot))
-    batches = []
-    for start in range(0, len(rows), batch_size):
-        chunk = Batch(rows[start : start + batch_size])
-        chunk.columns = Columns(chunk)
-        batches.append(chunk)
+    batches = Chunks(list(storage.rows(snapshot)), batch_size)
     cache[slot] = (key, batches)
     return batches
+
+
+class Chunks(list):
+    """A table version's chunks, its ``rows`` in heap order, and per column
+    its sorted copy (``copies``) and the rows scanned toward it (``rent``)."""
+
+    def __init__(self, rows: List[Row], size: int) -> None:
+        super().__init__(Batch(rows[start : start + size]) for start in range(0, len(rows), size))
+        for chunk in self:
+            chunk.columns = Columns(chunk)
+        self.rows, self.copies, self.rent = rows, {}, {}
+
+
+#: The kinds of a sorted copy, never both: there Python's order is SQL's.
+NUMBERS, STRINGS = frozenset((int, float, bool)), frozenset((str,))
+
+
+class SortedColumn(NamedTuple):
+    """A column's non-NULL values in order, their row positions (heap order
+    among ties) and their kinds."""
+
+    values: List[Any]
+    positions: List[int]
+    kinds: frozenset
+
+    def bisected(self, operators: Sequence[str], bounds: Sequence[Any]) -> Optional[Tuple[int, int]]:
+        """The slice of ``values`` where each ``value <operator> bound``
+        holds (none for a NULL or NaN bound); None for a bound of another
+        kind than the values (the scan decides if that raises)."""
+        if any(bound is not None and bound.__class__ not in self.kinds for bound in bounds):
+            return None
+        values, low, high = self.values, 0, len(self.values)
+        for operator, bound in zip(operators, bounds):
+            if bound is None or bound != bound:
+                return 0, 0
+            if operator[0] == ">":
+                low = max(low, (bisect_left if operator == ">=" else bisect_right)(values, bound))
+            else:
+                high = min(high, (bisect_right if operator == "<=" else bisect_left)(values, bound))
+        return low, max(low, high)
+
+
+def sorted_column(chunks: Chunks, slot: int) -> Optional[SortedColumn]:
+    """The sorted copy of column *slot* (None for one mixing numbers and
+    strings, of NULLs only or holding a NaN), built once the range reads
+    of the table version have scanned as many rows as its sort costs,
+    ``n·log₂n`` (ski rental): until then each call pays one scan."""
+    copies = chunks.copies
+    if slot not in copies:
+        rows = chunks.rows
+        kinds = set().union(*[chunk.columns.kinds[slot] for chunk in chunks]) - {type(None)}
+        uniform = kinds and (kinds <= NUMBERS or kinds <= STRINGS)
+        paid = chunks.rent.get(slot, 0)
+        if uniform and paid < SEQ_TUPLE_COST * len(rows) * log2(len(rows)):
+            chunks.rent[slot] = paid + len(rows)
+            return None
+        column = list(map(itemgetter(slot), rows))
+        copies[slot] = None
+        if uniform and not any(map(ne, column, column)):
+            present = compress(range(len(rows)), map(is_not, column, repeat(None)))
+            positions = sorted(present, key=column.__getitem__)
+            kinds = NUMBERS if kinds <= NUMBERS else STRINGS
+            copies[slot] = SortedColumn(list(map(column.__getitem__, positions)), positions, kinds)
+    return copies[slot]
+
+
+def in_order(chunks: Chunks, copy: SortedColumn, low: int, high: int, descending: bool, size: int):
+    """The rows of slice *low*:*high* of *copy* in value order (from the
+    top when *descending*), ties in heap order, in batches of *size* rows
+    and then twice the last, each ending where a tie group does."""
+    rows, values, positions = chunks.rows, copy.values, copy.positions
+    while low < high:
+        if descending:
+            cut = bisect_left(values, values[max(low, high - size)], low, high)
+            order = sorted(range(cut, high), key=values.__getitem__, reverse=True)
+            part, high = list(map(positions.__getitem__, order)), cut
+        else:
+            cut = bisect_right(values, values[min(high, low + size) - 1], low, high)
+            part, low = positions[low:cut], cut
+        yield Batch(map(rows.__getitem__, part))
+        size *= 2

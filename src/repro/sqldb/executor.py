@@ -68,7 +68,7 @@ from typing import (
 )
 
 from repro.errors import ExecutionError
-from repro.sqldb.columnar import BATCH_SIZE, Batch, table_batches
+from repro.sqldb.columnar import BATCH_SIZE, Batch, in_order, sorted_column, table_batches
 from repro.sqldb.expressions import IR, Program, _unequal
 from repro.sqldb.pipelines import (
     BUILD,
@@ -82,8 +82,8 @@ from repro.sqldb.pipelines import (
     key_classes,
     pipeline,
 )
-from repro.sqldb.functions import Aggregator, FunctionRegistry
-from repro.sqldb.stats import INDEX_TUPLE_COST, PROBE_COST, SEQ_TUPLE_COST
+from repro.sqldb.functions import FunctionRegistry, fold
+from repro.sqldb.stats import GATHER_TUPLE_COST, INDEX_TUPLE_COST, PROBE_COST, SEQ_TUPLE_COST
 from repro.sqldb.storage import TableStorage
 from repro.sqldb.types import is_null
 
@@ -137,6 +137,8 @@ class ExecutionEnv:
         #: one probe a filter rechecks, a one-key ``IndexLookup``, is priced
         #: the same on every run of one execution.
         self.scans: set = set()
+        #: ``id(RangeScan) ->`` how its next read walks (:meth:`RangeScan.walk`).
+        self.orders: Dict[int, tuple] = {}
     def bind_cte(self, name: str, frame: Batch) -> None:
         """(Re)bind a CTE name; invalidates the uncorrelated-subquery cache
         because cached results may depend on the old binding."""
@@ -261,6 +263,47 @@ class SeqScan(_TableAccess):
         for row_id, __ in self.storage.scan():
             counters["rows_scanned"] += 1
             yield row_id
+
+
+class RangeScan(SeqScan):
+    """A scan whose WHERE bounds column ``column`` by table-independent
+    ``bounds`` (``col > b``: ``operators`` holds ``">"``).  Each run it
+    bisects the column's sorted copy for the k rows in range, prices them
+    as :meth:`_IndexProbe._priced_keys` prices keys, and gathers them in
+    heap order or *is* a :class:`SeqScan` (as without a copy, or for a
+    bound of another kind): the filter above tests the whole WHERE."""
+
+    def __init__(self, storage: TableStorage, column: int, bounds: Program, operators: Tuple[str, ...]) -> None:
+        super().__init__(storage)
+        self.column, self.bounds, self.operators = column, bounds, operators
+
+    def label(self) -> str:
+        return f"RangeScan({self.storage.schema.name} by {self.output_names[self.column]})"
+
+    def _range(self, env: ExecutionEnv, copy) -> Optional[tuple]:
+        """``(copy, low, high)``: *copy*'s slice in range, if any."""
+        found = copy and copy.bisected(self.operators, self.bounds.row((), env))
+        return found and (copy, *found)
+
+    def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        chunks = table_batches(self.storage, snapshot=env.snapshot)
+        order = env.orders.pop(id(self), None)
+        if order is not None:
+            env.counters["index_probes"] += 1
+            return _scanned(in_order(chunks, *order), env)
+        found = self._range(env, sorted_column(chunks, self.column))
+        gather = found and PROBE_COST + GATHER_TUPLE_COST * (found[2] - found[1])
+        if found is None or gather >= SEQ_TUPLE_COST * len(chunks.rows):
+            return SeqScan.batches(self, env, budget)
+        env.counters["index_probes"] += 1
+        rows = list(map(chunks.rows.__getitem__, sorted(found[0].positions[found[1] : found[2]])))
+        return _scanned(as_batches(rows, budget), env)
+
+    def walk(self, env: ExecutionEnv, descending: bool, size: int) -> Optional[tuple]:
+        """``(id, in_order's arguments)`` if it can walk: set in ``env.orders``."""
+        chunks = table_batches(self.storage, snapshot=env.snapshot)
+        found = self._range(env, chunks.copies.get(self.column))
+        return found and (id(self), (*found, descending, size))
 
 
 def _scanned(batches: Iterable[Batch], env: ExecutionEnv) -> Iterator[Batch]:
@@ -804,9 +847,6 @@ class AggregateSpec:
     distinct: bool = False
     star: bool = False
 
-    def new_aggregator(self) -> Aggregator:
-        return Aggregator(self.name, distinct=self.distinct, star=self.star)
-
 
 class Aggregate(_Sink):
     """Hash aggregation, the sink of the pipeline below it.
@@ -820,9 +860,8 @@ class Aggregate(_Sink):
 
     The loop of its input pipeline computes each row's key and arguments
     where the row is made and collects each group's argument values per
-    source batch; each aggregate then folds a group's values per batch
-    into a :class:`~repro.sqldb.functions.Aggregator` with one
-    ``add_many``, which leaves the state one ``add`` per value would.
+    source batch; each aggregate folds a group's values from all batches
+    once, by a :func:`~repro.sqldb.functions.fold` chosen at plan time.
     """
 
     def __init__(
@@ -837,11 +876,12 @@ class Aggregate(_Sink):
         self.aggregates = aggregates
         #: The distinct arguments, each collected once.
         self.arguments = tuple(dict.fromkeys(arguments))
-        #: The collected column each aggregate folds: its argument's, or
-        #: for ``COUNT(*)`` any (only the length counts).
+        #: Each aggregate's fold and the collected column it folds: its
+        #: argument's, or for ``COUNT(*)`` any (only the length counts).
         arguments = iter(arguments)
-        self._columns = [
-            0 if spec.star else self.arguments.index(next(arguments)) for spec in aggregates
+        self._folds = [
+            (fold(spec.name, spec.distinct, spec.star), 0 if spec.star else self.arguments.index(next(arguments)))
+            for spec in aggregates
         ]
         super().__init__(child, (GROUPS, self.groups + self.arguments, len(self.groups)))
         self.output_names = list(output_names)
@@ -852,27 +892,22 @@ class Aggregate(_Sink):
             f"{len(self.aggregates)} aggregate(s))"
         )
 
-    def _new_group(self) -> List[Aggregator]:
-        return [spec.new_aggregator() for spec in self.aggregates]
-
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
-        groups: Dict[Any, List[Aggregator]] = {}
-        columns = self._columns
+        groups: Dict[Any, Tuple[List[Any], ...]] = {}
         for found in self.run(env, UNBOUNDED):
             for key, held in found.items():
-                aggregators = groups.get(key)
-                if aggregators is None:
-                    aggregators = groups[key] = self._new_group()
-                for aggregator, column in zip(aggregators, columns):
-                    aggregator.add_many(held[column])
+                columns = groups.setdefault(key, held)
+                if columns is not held:
+                    for column, more in zip(columns, held):
+                        column += more
         if not self.groups and not groups:
             # SELECT COUNT(*) FROM empty_table must yield one row.
-            groups[()] = self._new_group()
+            groups[()] = ([],) * (len(self.arguments) or 1)
         single = len(self.groups) == 1  # a group's key is its one value
         return as_batches(
             [
-                ((key,) if single else key) + tuple(aggregator.result() for aggregator in aggregators)
-                for key, aggregators in groups.items()
+                ((key,) if single else key) + tuple([fold(held[column]) for fold, column in self._folds])
+                for key, held in groups.items()
             ],
             budget,
         )
@@ -901,6 +936,9 @@ class Sort(Operator):
     everything, is sorted in full from the start.
     """
 
+    #: The walk of a :class:`RangeScan` of the leading key (``AccessPaths._sorted``).
+    walk: Optional[Callable[..., Optional[tuple]]] = None
+
     def __init__(self, child: Operator, keys: Program, descending: Sequence[bool]) -> None:
         super().__init__(child.output_names, child)
         self.child = child
@@ -911,6 +949,9 @@ class Sort(Operator):
         return f"Sort({len(self.descending)} key(s))"
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
+        walk = self.walk and budget < UNBOUNDED and self.walk(env, self.descending[0], budget + 1)
+        if walk:
+            return self._in_order(env, budget, *walk)
         rows = plan_rows(self.child, env)
         # Every key of every row: an error in a key surfaces whatever the
         # budget.
@@ -922,6 +963,30 @@ class Sort(Operator):
             order = _ordered(range(count), columns, self.descending)
             return as_batches(list(map(rows.__getitem__, order)), budget)
         return self._selected(rows, columns, budget)
+
+    def _in_order(self, env: ExecutionEnv, budget: int, scan: int, walk: tuple) -> Iterator[Batch]:
+        """The child's rows, the *scan* walking its range in leading-key
+        order: those before the last leading value seen, whole tie groups,
+        are sorted by every key and sent on once *budget* are held."""
+        env.orders[scan] = walk
+        descending = self.descending
+        rows: List[Row] = []
+        columns: List[List[Any]] = [[] for __ in descending]
+        for batch in self.child.batches(env, UNBOUNDED):
+            rows += batch
+            for column, keys in zip(columns, self.keys.row(batch, env, False, ())):
+                column += keys
+            cut, lead = len(rows) - 1, columns[0]
+            while cut and lead[cut - 1] == lead[-1]:
+                cut -= 1
+            if cut >= budget:
+                order = _ordered(range(cut), [column[:cut] for column in columns], descending)
+                yield from as_batches(list(map(rows.__getitem__, order)), budget)
+                del rows[:cut]
+                for column in columns:
+                    del column[:cut]
+        order = _ordered(range(len(rows)), columns, descending)
+        yield from as_batches(list(map(rows.__getitem__, order)), budget)
 
     def _selected(
         self, rows: List[Row], columns: List[List[Any]], budget: int

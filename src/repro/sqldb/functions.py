@@ -15,7 +15,7 @@ layer registers domain functions such as ``options_overlap`` and
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -204,3 +204,25 @@ class Aggregator:
         if self.name == "AVG":
             return self._total / self._count
         return self._extreme
+
+
+#: Each aggregate over a group's non-NULL values (at least one but COUNT's).
+_FOLDS: Dict[str, Callable[[List[Any]], Any]] = dict(
+    COUNT=len, SUM=partial(reduce, add), AVG=lambda v: reduce(add, v) / len(v), MAX=max, MIN=min
+)
+
+
+def fold(name: str, distinct: bool = False, star: bool = False) -> Callable[[List[Any]], Any]:
+    """Aggregate *name* over all of a group's values, in row order: what an
+    :class:`Aggregator` fed them returns (NULLs dropped, DISTINCT keeping
+    first sightings, SUM and AVG a left fold, MAX and MIN the first extreme)."""
+    whole = _FOLDS[name.upper()]
+
+    def folded(values: List[Any]) -> Any:
+        if None in values:
+            values = [value for value in values if value is not None]
+        if distinct:
+            values = list(dict.fromkeys(values))
+        return whole(values) if values or whole is len else None
+
+    return len if star else folded

@@ -82,7 +82,6 @@ from repro.sqldb.expressions import (
 )
 from repro.sqldb.functions import AGGREGATE_NAMES, FunctionRegistry
 from repro.sqldb.join_graph import JoinGraphs
-from repro.sqldb.pipelines import key_columns
 from repro.sqldb.render import expression_key
 from repro.sqldb.schema import Catalog
 from repro.sqldb.subplans import (
@@ -356,6 +355,7 @@ class Planner(JoinGraphs):
             where_conjuncts,
             binding_stats,
             consumed,
+            dml=True,
         )
         frame.scope = Scope(bindings)
         ctx = self._context(frames)
@@ -517,7 +517,7 @@ class Planner(JoinGraphs):
                     expression = SlotRef(position - 1)
                 keys.append(lower(expression, ctx))
                 descending.append(item.descending)
-            return Sort(child, key_columns(len(child.output_names), keys), descending)
+            return self._sorted(child, keys, descending)
         finally:
             frame.scope = saved
 
@@ -579,10 +579,8 @@ class Planner(JoinGraphs):
             distinct=False,
         )
         extended_root = self._plan_core(extended, frames)
-        keys = key_columns(
-            len(extended_root.output_names), [slot(position) for position, __ in key_slots]
-        )
-        sorted_root = Sort(extended_root, keys, [descending for __, descending in key_slots])
+        keys = [slot(position) for position, __ in key_slots]
+        sorted_root = self._sorted(extended_root, keys, [descending for __, descending in key_slots])
         strip = [slot(position) for position in range(len(output_names))]
         return Project(sorted_root, strip, output_names)
 

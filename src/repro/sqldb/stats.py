@@ -47,6 +47,11 @@ PROBE_COST = 4.0
 #: Cost of fetching one tuple through an index after the probe.
 INDEX_TUPLE_COST = 1.0
 
+#: Cost of one tuple a ``RangeScan`` gathers by its column's sorted copy
+#: (sorted back into heap order, fetched, pivoted): a gather of a sixth
+#: of a table costs its scan.
+GATHER_TUPLE_COST = 6.0
+
 #: Selectivity of a predicate the estimator cannot price (subqueries,
 #: opaque expressions): one third, the traditional textbook default.
 DEFAULT_SELECTIVITY = 1.0 / 3.0
@@ -349,42 +354,8 @@ def _equality_selectivity(
     return DEFAULT_SELECTIVITY
 
 
-def _range_op_selectivity(
-    conjunct: ast.BinaryOp, binding_stats: BindingStats
-) -> float:
-    flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-    for column_side, value_side, operator in (
-        (conjunct.left, conjunct.right, conjunct.operator),
-        (conjunct.right, conjunct.left, flipped[conjunct.operator]),
-    ):
-        if not isinstance(column_side, ast.ColumnRef):
-            continue
-        if _has_column_refs(value_side):
-            continue
-        stats = _column_stats(column_side, binding_stats)
-        is_literal, value = _literal_value(value_side)
-        if stats is not None and is_literal and value is not None:
-            return stats.range_selectivity(operator, value)
-        return DEFAULT_RANGE_SELECTIVITY
-    return DEFAULT_SELECTIVITY
-
-
-def _between_selectivity(
-    conjunct: ast.Between, binding_stats: BindingStats
-) -> float:
-    base = DEFAULT_RANGE_SELECTIVITY * DEFAULT_RANGE_SELECTIVITY
-    if isinstance(conjunct.operand, ast.ColumnRef):
-        stats = _column_stats(conjunct.operand, binding_stats)
-        low_lit, low = _literal_value(conjunct.low)
-        high_lit, high = _literal_value(conjunct.high)
-        if stats is not None and low_lit and high_lit:
-            below_low = stats.fraction_below(low)
-            below_high = stats.fraction_below(high)
-            if below_low is not None and below_high is not None:
-                base = _clamp(
-                    (1.0 - stats.null_frac) * max(0.0, below_high - below_low)
-                )
-    return _clamp(1.0 - base) if conjunct.negated else base
+#: A range comparison with its operands swapped.
+FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def conjunct_selectivity(
@@ -407,8 +378,8 @@ def conjunct_selectivity(
         if operator in ("<>", "!="):
             equal = ast.BinaryOp("=", expression.left, expression.right)
             return _clamp(1.0 - _equality_selectivity(equal, binding_stats))
-        if operator in ("<", "<=", ">", ">="):
-            return _clamp(_range_op_selectivity(expression, binding_stats))
+        if operator in FLIPPED:
+            return _kept(_interval(expression, binding_stats), DEFAULT_RANGE_SELECTIVITY)
         return DEFAULT_SELECTIVITY
     if isinstance(expression, ast.UnaryOp):
         if expression.operator.upper() == "NOT":
@@ -435,7 +406,9 @@ def conjunct_selectivity(
                 null_frac = stats.null_frac
         return _clamp(1.0 - null_frac) if expression.negated else _clamp(null_frac)
     if isinstance(expression, ast.Between):
-        return _between_selectivity(expression, binding_stats)
+        base = DEFAULT_RANGE_SELECTIVITY * DEFAULT_RANGE_SELECTIVITY
+        base = _kept(_interval(expression, binding_stats), base)
+        return _clamp(1.0 - base) if expression.negated else base
     if isinstance(expression, ast.Like):
         if expression.negated:
             return _clamp(1.0 - DEFAULT_LIKE_SELECTIVITY)
@@ -448,13 +421,60 @@ def conjunct_selectivity(
     return DEFAULT_SELECTIVITY
 
 
+def range_sides(conjunct: ast.Expression) -> List[List[Tuple[ast.Expression, str, ast.Expression]]]:
+    """The ways *conjunct* may bound a column, each its ``(column, operator,
+    bound)``: ``a < b`` or ``b > a``; ``a [NOT] BETWEEN l AND h``, both."""
+    if isinstance(conjunct, ast.Between):
+        return [[(conjunct.operand, ">=", conjunct.low), (conjunct.operand, "<=", conjunct.high)]]
+    if isinstance(conjunct, ast.BinaryOp) and conjunct.operator in FLIPPED:
+        flipped = FLIPPED[conjunct.operator]
+        return [[(conjunct.left, conjunct.operator, conjunct.right)], [(conjunct.right, flipped, conjunct.left)]]
+    return []
+
+
+def _interval(conjunct: ast.Expression, binding_stats: BindingStats) -> Optional[tuple]:
+    """``(column, its statistics, low, high)``, *low* and *high* the
+    fractions of its values below the ends of the interval that
+    *conjunct* (:func:`range_sides`, column left first) bounds it to."""
+    for sides in range_sides(conjunct):
+        column = sides[0][0]
+        if not isinstance(column, ast.ColumnRef):
+            continue
+        stats, fractions = _column_stats(column, binding_stats), [0.0, 1.0]
+        for __, operator, end in sides:
+            is_literal, value = _literal_value(end)
+            fraction = stats.fraction_below(value) if stats and is_literal and value is not None else None
+            if fraction is None:
+                return None
+            fractions[operator[0] == "<"] = fraction
+        return (column_binding(column, binding_stats), column.name.lower()), stats, *fractions
+    return None
+
+
+def _kept(interval: Optional[tuple], default: float) -> float:
+    """The fraction of rows an :func:`_interval` keeps (*default*: None)."""
+    if interval is None:
+        return default
+    return _clamp((1.0 - interval[1].null_frac) * max(0.0, interval[3] - interval[2]))
+
+
 def condition_selectivity(
     conjuncts: Sequence[ast.Expression], binding_stats: BindingStats
 ) -> float:
-    """Combined selectivity of *conjuncts* under independence."""
+    """Combined selectivity of *conjuncts* under independence, but that
+    two or more range conjuncts on one column are one interval."""
+    found = [None if getattr(c, "negated", False) else _interval(c, binding_stats) for c in conjuncts]
+    columns: Dict[Tuple[str, str], List[tuple]] = {}
+    for interval in filter(None, found):
+        columns.setdefault(interval[0], []).append(interval)
     selectivity = 1.0
-    for conjunct in conjuncts:
-        selectivity *= conjunct_selectivity(conjunct, binding_stats)
+    for conjunct, interval in zip(conjuncts, found):
+        if interval is None:
+            selectivity *= conjunct_selectivity(conjunct, binding_stats)
+        elif columns[interval[0]][0] is interval:
+            group = columns[interval[0]]
+            ends = max(i[2] for i in group), min(i[3] for i in group)
+            selectivity *= _kept((None, interval[1], *ends), 0.0)
     return _clamp(selectivity)
 
 

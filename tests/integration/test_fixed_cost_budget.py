@@ -61,7 +61,9 @@ and the rows went from one to the next as batches, 920 once each chain
 of filters, projections and index joins is one generated loop (859 on
 3.10 and 3.12), 930 once hash and nested-loop joins were that loop's
 join steps too and every join checks its key's kind as ``=`` does (an
-index join only a key that finds no row).
+index join only a key that finds no row), 933 once every execution
+keeps the marks by which a sort has a range scan walk its range in
+order.
 
 The late half of that pass is also held on its own, because there the
 client checks the access rules of every fetched object: 254.2 calls per
@@ -104,17 +106,19 @@ and run straight on the ``Database``:
   instead of one ``add`` per row (65 by the time every plan ran on
   batches, 49 after: no ``_emit`` call per batch, an aggregate's result
   one computed batch; 43 once the aggregate's input was one generated
-  loop);
+  loop; 32 once each aggregate folds a group's values once, with a fold
+  chosen at plan time, instead of an ``Aggregator`` per group);
 * a grouped roll-up of the same table, ``SELECT state, COUNT(*),
   SUM(weight), MIN(weight), MAX(weight) FROM assy GROUP BY state``: 9 618
   calls with one ``add`` per row and aggregate, 70 with one ``add_many``
   per group, aggregate and batch (67 → 52 the same way, 48 once the
-  aggregate's input was one generated loop).  It is held in engine
+  aggregate's input was one generated loop, 29 once each group folds
+  once).  It is held in engine
   bytecode instructions per input row too: 40.7 while the keys, the
   argument columns and each group's positions were three passes over a
   batch, 19.7 once one loop collects each group's values (an argument
   three aggregates share, once) and ``add_many`` drops NULLs only from a
-  column that holds one;
+  column that holds one (19.4 once each group folds once);
 * a primary-key point ``SELECT *``, the batch of one: 62 calls on the
   row operators, 45 on the batch operators, where a filter tests a
   one-row batch with its row closure and a ``SELECT *`` projection
@@ -130,6 +134,27 @@ and run straight on the ``Database``:
   first 20 are picked by bounded selection on the leading key (48 once
   the key columns are the sink of a pipeline's generated loop, 47 once
   that loop picks its row or column form itself).
+
+Three more are held on the same product with its assembly weights
+spread out (uniform over 1–500, seeded), so that a range is selective;
+each runs until the range reads have paid for the sorted copy of
+``weight``:
+
+* a 2 % range, ``SELECT obid, name, weight FROM assy WHERE weight >= ?
+  AND weight < ?``: 1 365 rows scanned and 21 calls while the range was
+  a filter over a scan; 27 rows scanned (the range's) and one index
+  probe, 34 calls, once the range scan bisects the copy and gathers;
+* the top-k shape with a range, ``SELECT obid, name, weight FROM assy
+  WHERE weight > ? ORDER BY weight DESC, obid LIMIT 20`` (a fifth of the
+  table in range): 1 365 rows scanned and 47 calls while the sort read
+  the whole range; 21 rows scanned and 55 calls once it walks the copy
+  from the top and stops past the 20th value;
+* a GROUP BY of many groups, ``SELECT link.left, COUNT(*),
+  SUM(comp.weight) FROM link JOIN comp ON link.right = comp.obid GROUP
+  BY link.left`` (1 024 groups): 13 348 calls while each group built an
+  ``Aggregator`` per aggregate and batch and fed it with ``add_many``;
+  2 084 once each group's values are joined across the batches and each
+  aggregate folds them once, with a fold chosen at plan time.
 
 The two bulk paths are held per row, on the navigational product (727
 rows):
@@ -152,6 +177,7 @@ rows):
 """
 
 import gc
+import random
 import sys
 
 import pytest
@@ -234,6 +260,27 @@ POINT_CALLS_BUDGET = 62
 #: Calls one cached top-k sort may cost: a key column per key and a
 #: bounded selection, not calls per row and key (10 952 calls).
 SORTED_CALLS_BUDGET = 52
+
+#: The same product with seeded assembly weights, and statements on it.
+RANGE_SQL = "SELECT obid, name, weight FROM assy WHERE weight >= ? AND weight < ?"
+RANGED_TOP_SQL = (
+    "SELECT obid, name, weight FROM assy WHERE weight > ? ORDER BY weight DESC, obid LIMIT 20"
+)
+MANY_GROUPS_SQL = (
+    "SELECT link.left, COUNT(*), SUM(comp.weight) FROM link "
+    "JOIN comp ON link.right = comp.obid GROUP BY link.left"
+)
+
+#: Calls one cached 2 % range read may cost: a bisection and a gather.
+RANGE_CALLS_BUDGET = 38
+
+#: Calls one cached top-k sort over a range may cost: a walk of the copy.
+RANGED_TOP_CALLS_BUDGET = 61
+
+#: Calls one cached GROUP BY of 1 024 groups may cost: one fold per group
+#: and aggregate, not an ``Aggregator`` per group, aggregate and batch
+#: (13 348 calls).
+MANY_GROUPS_CALLS_BUDGET = 2_300
 
 #: Calls per row ``load_product`` may cost: per-statement work once per
 #: ``executemany`` call, not once per row (117.0 calls).
@@ -525,6 +572,65 @@ def test_a_top_k_sort_costs_no_call_per_row_inside_its_budget(txn_mix_db):
         f"{calls} Python-level calls for one cached top-k sort (budget "
         f"{SORTED_CALLS_BUDGET}): the sort calls per row again, or sorts "
         f"every row the LIMIT never takes"
+    )
+
+
+@pytest.fixture(scope="module")
+def weighted_db():
+    """The ``txn_mix`` product with its assembly weights spread out, and
+    the weights in order."""
+    product = generate_product(TXN_MIX_TREE, seed=SEED)
+    rng = random.Random(SEED)
+    for assembly in product.assemblies:
+        assembly.weight = round(rng.uniform(1.0, 500.0), 3)
+    database = new_pdm_database()
+    load_product(database, product)
+    return database, sorted(assembly.weight for assembly in product.assemblies)
+
+
+def copied_calls(database, sql, params):
+    """Calls of one execution of *sql*, once its range reads have built
+    the sorted copy they read."""
+    for __ in range(30):
+        database.execute(sql, params)
+    return statement_calls(database, sql, params)
+
+
+def test_a_range_reads_only_its_rows_inside_its_budget(weighted_db):
+    database, weights = weighted_db
+    count = len(weights)
+    params = [weights[count // 2], weights[count // 2 + count // 50]]
+    calls = copied_calls(database, RANGE_SQL, params)
+    assert database.last_counters["index_probes"] == 1
+    assert database.last_counters["rows_scanned"] == 27
+    assert len(database.execute(RANGE_SQL, params).rows) == 27
+    assert calls <= RANGE_CALLS_BUDGET, (
+        f"{calls} Python-level calls for one cached 2 % range read (budget "
+        f"{RANGE_CALLS_BUDGET}): the range scan no longer gathers its rows"
+    )
+
+
+def test_a_ranged_top_k_reads_only_the_top_inside_its_budget(weighted_db):
+    database, weights = weighted_db
+    params = [weights[int(0.8 * len(weights))]]
+    calls = copied_calls(database, RANGED_TOP_SQL, params)
+    assert database.last_counters["index_probes"] == 1
+    assert database.last_counters["rows_scanned"] == 21
+    assert len(database.execute(RANGED_TOP_SQL, params).rows) == 20
+    assert calls <= RANGED_TOP_CALLS_BUDGET, (
+        f"{calls} Python-level calls for one cached top-k sort over a range "
+        f"(budget {RANGED_TOP_CALLS_BUDGET}): the sort no longer walks the copy"
+    )
+
+
+def test_a_many_group_rollup_folds_once_per_group_inside_its_budget(weighted_db):
+    database, _ = weighted_db
+    calls = statement_calls(database, MANY_GROUPS_SQL, [])
+    assert len(database.execute(MANY_GROUPS_SQL).rows) == 1024
+    assert calls <= MANY_GROUPS_CALLS_BUDGET, (
+        f"{calls} Python-level calls for one cached GROUP BY of 1 024 groups "
+        f"(budget {MANY_GROUPS_CALLS_BUDGET}): the aggregate builds its state "
+        f"per group and batch again"
     )
 
 

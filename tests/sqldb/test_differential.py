@@ -186,6 +186,29 @@ def test_a_join_tests_every_match_of_its_left_batch():
         db.execute(f"{sql} LIMIT 1")
 
 
+def test_a_range_scan_tests_no_row_outside_its_range():
+    # The one difference a range scan makes, as an index probe does: the
+    # WHERE clause is tested only on the rows it reads.  While the copy of
+    # v is rented, the scan tests 10 / w on every row, w = 0 at id 900
+    # included; once it is built, the gather reads the ten rows whose v is
+    # in range, and the division never sees the zero.
+    db = Database()
+    db.execute("CREATE TABLE t (id INTEGER, v INTEGER, w INTEGER)")
+    db.executemany("INSERT INTO t VALUES (?, ?, ?)", [(i, i, int(i != 900)) for i in range(1000)])
+    sql = "SELECT id FROM t WHERE 10 / w > 1 AND v < 10"
+    raised = 0
+    while True:
+        try:
+            rows = db.execute(sql).rows
+            break
+        except ExecutionError as error:
+            assert "division by zero" in str(error)
+            raised += 1
+    assert raised == 10  # the rent: 1000 · log2(1000) rows, ten scans
+    assert rows == [(i,) for i in range(10)]
+    assert db.last_counters["index_probes"] == 1
+
+
 def test_rows_scanned_under_limit_is_the_limit():
     db = Database()
     db.execute("CREATE TABLE big (id INTEGER)")

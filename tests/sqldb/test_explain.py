@@ -175,7 +175,17 @@ OPERATOR_CORPUS = {
     "RowsSource": ("SELECT 1", ["-> Project(col1)", "  -> Values"]),
     "Filter": (
         "SELECT * FROM a WHERE v > 1",
-        ["-> Project(id, grp, v)", "  -> Filter", "    -> SeqScan(a)"],
+        ["-> Project(id, grp, v)", "  -> Filter", "    -> RangeScan(a by v)"],
+    ),
+    "RangeScan": (
+        "SELECT id, v FROM a WHERE v BETWEEN 1 AND 2 ORDER BY v DESC, id LIMIT 3",
+        [
+            "-> Limit",
+            "  -> Sort(2 key(s))",
+            "    -> Project(id, v)",
+            "      -> Filter",
+            "        -> RangeScan(a by v)",
+        ],
     ),
     "Project": ("SELECT id, v + 1 AS w FROM a", ["-> Project(id, w)", "  -> SeqScan(a)"]),
     "NestedLoopJoin": (
@@ -257,7 +267,7 @@ OPERATOR_CORPUS = {
             "  -> Subplan",
             "    -> Project(x)",
             "      -> Filter",
-            "        -> SeqScan(c)",
+            "        -> RangeScan(c by x)",
         ],
     ),
 }

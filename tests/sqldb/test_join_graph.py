@@ -357,7 +357,7 @@ class TestReportJoinShapes:
         assert lines[3:] == [
             "-> IndexNestedLoopJoin(INNER probe link via link_right_idx)",
             "-> Filter",
-            "-> SeqScan(comp)",
+            "-> RangeScan(comp by weight)",
         ]
 
     def test_join_three_way_runs_comp_then_link_then_assy(self, report):
@@ -366,7 +366,7 @@ class TestReportJoinShapes:
             "-> IndexNestedLoopJoin(INNER probe assy via assy_pk)",
             "-> IndexNestedLoopJoin(INNER probe link via link_right_idx)",
             "-> Filter",
-            "-> SeqScan(comp)",
+            "-> RangeScan(comp by weight)",
         ]
         assert lines[-5].startswith("-> Project(")
 

@@ -290,7 +290,7 @@ def test_a_build_takes_a_redone_chunk_once(analyzed):
         "    -> HashJoin(1 key(s)) (est_rows=4999)",
         "      -> SeqScan(w) (est_rows=7)",
         "      -> Filter (est_rows=4999)",
-        "        -> SeqScan(p) (est_rows=5000)",
+        "        -> RangeScan(p by d) (est_rows=5000)",
     ]
     check(analyzed, sql)
     assert len(analyzed[0].execute(sql).rows) == ROWS - 1

@@ -192,6 +192,32 @@ class TestRangeEstimates:
             estimate = int(match.group(1))
             assert actual / 2 <= estimate <= actual * 2, (threshold, estimate)
 
+    @pytest.mark.parametrize(
+        "where, actual",
+        [
+            ("v >= 5000 AND v < 5200", 200),
+            ("5200 > v AND 5000 <= v", 200),
+            ("v BETWEEN 5000 AND 5199", 200),
+            ("v >= 5000 AND v BETWEEN 4000 AND 5199", 200),
+            ("v > 100 AND v < 9000 AND v <= 1100", 1000),
+            ("v > 6000 AND v < 5000", 0),
+        ],
+    )
+    def test_two_range_conjuncts_on_one_column_within_2x(self, where, actual):
+        """The range conjuncts on one column bound one interval, priced as
+        BETWEEN is, not as independent halves (``v >= 5000 AND v < 5200``
+        was estimated at 2 600 rows)."""
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.executemany("INSERT INTO t VALUES (?, ?)", [(i, i) for i in range(10_000)])
+        db.execute("ANALYZE t")
+        assert len(db.execute(f"SELECT * FROM t WHERE {where}").rows) == actual
+        text = plan_text(db, f"SELECT * FROM t WHERE {where}")
+        match = re.search(r"Filter \(est_rows=(\d+)\)", text)
+        assert match, text
+        estimate = int(match.group(1))
+        assert actual / 2 <= estimate <= actual * 2, (where, estimate)
+
 
 # ---------------------------------------------------------------------------
 # Corpus-wide drift bound over the PDM template corpus.

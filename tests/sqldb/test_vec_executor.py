@@ -203,7 +203,7 @@ class TestExplainAnalyze:
 
     def test_columnar_plan_labels_operators_and_executor(self, db):
         text = self.plan_text(db, self.SQL)
-        assert "-> SeqScan(t) (loops=1 rows=100) (batches=1)" in text
+        assert "-> RangeScan(t by v) (loops=1 rows=100) (batches=1)" in text
         assert "-> Filter (fused)" in text
         assert "-> Project(v) (loops=1 rows=30) (batches=1)" in text
 
@@ -237,7 +237,8 @@ class TestExplainAnalyze:
             " UNION ALL SELECT k FROM dim WHERE k < 2",
         )
         assert "-> SeqScan(t) (loops=1 rows=100) (batches=1)" in text
-        assert text.count("-> SeqScan(dim) (loops=1 rows=5) (batches=1)") == 2
+        assert text.count("-> SeqScan(dim) (loops=1 rows=5) (batches=1)") == 1
+        assert text.count("-> RangeScan(dim by k) (loops=1 rows=5) (batches=1)") == 1
         assert "-> HashJoin(1 key(s)) (loops=1 rows=50) (batches=1)" in text
         assert "-> UnionAll (loops=1 rows=52) (batches=2)" in text
 
