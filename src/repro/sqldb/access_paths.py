@@ -10,7 +10,7 @@ of :class:`repro.sqldb.planner.Planner`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ParseError, SQLError
 from repro.sqldb import ast_nodes as ast
@@ -21,7 +21,6 @@ from repro.sqldb.executor import (
     Filter,
     HashJoin,
     IndexLookup,
-    MultiKeyIndexLookup,
     Operator,
     Project,
     RangeScan,
@@ -223,8 +222,7 @@ class AccessPaths:
 
     def _range_bound(self, entry, binding: str, frames: List[Frame], column, operator: str, value):
         """``(slot, operator, bound)`` for the table's *column*, if *value* is independent of it."""
-        own = isinstance(column, ast.ColumnRef) and entry.schema.has_column(column.name)
-        if not own or (column.qualifier or binding).lower() != binding.lower():
+        if not self._own_column(entry, binding, column):
             return None
         bound = self._lower_independent(value, frames, entry.schema)
         return None if bound is None else (entry.schema.column_index(column.name), operator, bound)
@@ -251,26 +249,32 @@ class AccessPaths:
             return None
         return self.stats.get(name)
 
+    def _child(self, cte_columns: Dict[str, List[str]]):
+        """A planner of a nested statement: it sees *cte_columns* and
+        shares this one's catalog, functions, views and statistics."""
+        return type(self)(
+            self.catalog,
+            self.functions,
+            cte_columns,
+            views=self.views,
+            expanding_views=self._expanding_views,
+            stats=self.stats,
+        )
+
     def _plan_view(self, ref: ast.TableRef, view):
         """Expand a view reference by planning its defining statement.
 
         The expansion happens below the current query's scope — the query
         modificator never sees the view's internals, which is precisely
-        the paper's Section 5.5 limitation.
+        the paper's Section 5.5 limitation — and without the query's CTE
+        names: a name in the view means what it meant where it was defined.
         """
         key = ref.name.lower()
         if key in self._expanding_views:
             raise ParseError(f"view {view.name!r} is recursively defined")
         self._expanding_views.add(key)
         try:
-            child = type(self)(
-                self.catalog,
-                self.functions,
-                views=self.views,
-                expanding_views=self._expanding_views,
-                stats=self.stats,
-            )
-            plan = child.plan_select(view.select)
+            plan = self._child({}).plan_select(view.select)
         finally:
             self._expanding_views.discard(key)
         columns = list(view.columns or plan.output_names)
@@ -349,138 +353,83 @@ class AccessPaths:
         frames: List[Frame],
     ) -> List["_AccessPath"]:
         """Every index probe a WHERE conjunct makes available, in
-        WHERE-clause discovery order."""
+        WHERE-clause discovery order: an indexed column of this table
+        pinned by ``=`` (either way round) to a value, by a non-negated
+        ``IN`` to a list of them, or to the value set of a non-negated
+        uncorrelated one-column subquery.
+
+        Every key must compile independently of the scanned table; duplicate
+        *literal* list items are dropped at plan time — ``IN (1, 1)`` probes
+        one key (equal values are dropped at run time by the probe).  A
+        subquery is planned with every enclosing scope hidden: if that
+        succeeds it is uncorrelated by construction, and the residual
+        filter's compilation of the same conjunct picks the same
+        :class:`CompiledSubquery` out of the core's memo, so its value set
+        is built once; one that needs an outer column (or is invalid, or
+        has another arity) is left to the residual filter to report.  The
+        full WHERE stays as the residual filter above every probe, so NULL
+        keys and three-valued logic are handled there.
+        """
         paths: List[_AccessPath] = []
         for conjunct in conjuncts:
-            if isinstance(conjunct, (ast.InList, ast.InSubquery)):
-                multi = self._try_multikey_lookup(
-                    entry, binding, conjunct, frames
-                )
-                if multi is not None:
-                    operator, index, keys, column = multi
-                    paths.append(
-                        _AccessPath(
-                            operator=operator,
-                            conjunct=conjunct,
-                            unique=index.unique,
-                            keys=keys,
-                            column=column,
-                            position=len(paths),
-                        )
-                    )
-            if not (
-                isinstance(conjunct, ast.BinaryOp) and conjunct.operator == "="
-            ):
+            if isinstance(conjunct, ast.BinaryOp) and conjunct.operator == "=":
+                sides = [(conjunct.left, [conjunct.right]), (conjunct.right, [conjunct.left])]
+            elif isinstance(conjunct, ast.InList) and not conjunct.negated:
+                sides = [(conjunct.operand, conjunct.items)]
+            elif isinstance(conjunct, ast.InSubquery) and not conjunct.negated:
+                sides = [(conjunct.operand, None)]
+            else:
                 continue
-            for column_side, value_side in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if not isinstance(column_side, ast.ColumnRef):
+            for column, items in sides:
+                if not self._own_column(entry, binding, column):
                     continue
-                if column_side.qualifier is not None:
-                    if column_side.qualifier.lower() != binding.lower():
-                        continue
-                if not entry.schema.has_column(column_side.name):
-                    continue
-                index = entry.storage.find_index([column_side.name])
+                index = entry.storage.find_index([column.name])
                 if index is None:
                     continue
-                key = self._lower_independent(value_side, frames, entry.schema)
-                if key is None:
-                    continue
-                lookup = IndexLookup(entry.storage, index, program([key], KEYS))
-                lookup.equality = id(conjunct)
+                if items is None:
+                    try:
+                        subquery = self._plan_subquery(conjunct.subquery, [Frame(None)])
+                    except SQLError:
+                        continue
+                    if len(subquery.plan.output_names) != 1:
+                        continue
+                    est = getattr(subquery.plan.root, "est_rows", None)
+                    count = None if est is None else max(1, round(est))
+                    lookup = IndexLookup(entry.storage, index, None, subquery)
+                else:
+                    keys, literals = [], []
+                    for item in items:
+                        if isinstance(item, ast.Literal):
+                            if item.value in literals:
+                                continue
+                            literals.append(item.value)
+                        keys.append(self._lower_independent(item, frames, entry.schema))
+                    if not keys or None in keys:
+                        continue
+                    count = len(keys)
+                    equality = id(conjunct) if isinstance(conjunct, ast.BinaryOp) else None
+                    lookup = IndexLookup(entry.storage, index, program(keys, KEYS), equality=equality)
                 paths.append(
                     _AccessPath(
                         operator=lookup,
                         conjunct=conjunct,
                         unique=index.unique,
-                        keys=1,
-                        column=column_side.name.lower(),
+                        keys=count,
+                        column=column.name.lower(),
                         position=len(paths),
                     )
                 )
                 break
         return paths
 
-    def _try_multikey_lookup(
-        self,
-        entry,
-        binding: str,
-        conjunct: Union[ast.InList, ast.InSubquery],
-        frames: List[Frame],
-    ) -> Optional[Tuple[Operator, object, Optional[int], str]]:
-        """``col IN (v1, ..., vN)`` or ``col IN (SELECT ...)`` on an indexed
-        column → one probe per key, returned as ``(operator, index,
-        key_count, column)``.
-
-        Only non-negated predicates qualify (NOT IN must see every row).
-        Every list item must compile independently of the scanned table;
-        duplicate *literal* items are dropped at plan time — ``IN (1, 1)``
-        probes one key, not two (equal parameter values are deduplicated
-        at run time by :class:`MultiKeyIndexLookup` itself).  The full
-        WHERE clause stays as the residual filter above, so NULL items and
-        three-valued logic are handled there; the probe only has to
-        produce every row the predicate could accept.
-        """
-        if conjunct.negated:
-            return None
-        operand = conjunct.operand
-        if not isinstance(operand, ast.ColumnRef):
-            return None
-        if operand.qualifier is not None:
-            if operand.qualifier.lower() != binding.lower():
-                return None
-        if not entry.schema.has_column(operand.name):
-            return None
-        index = entry.storage.find_index([operand.name])
-        if index is None:
-            return None
-        if isinstance(conjunct, ast.InSubquery):
-            return self._subquery_keyed_lookup(entry, index, conjunct)
-        if not conjunct.items:
-            return None
-        keys = []
-        seen_literals = set()
-        for item in conjunct.items:
-            if isinstance(item, ast.Literal) and isinstance(
-                item.value, (bool, int, float, str, type(None))
-            ):
-                if item.value in seen_literals:
-                    continue
-                seen_literals.add(item.value)
-            key = self._lower_independent(item, frames, entry.schema)
-            if key is None:
-                return None
-            keys.append(key)
-        operator = MultiKeyIndexLookup(entry.storage, index, program(keys, KEYS))
-        return operator, index, len(keys), operand.name.lower()
-
-    def _subquery_keyed_lookup(
-        self, entry, index, conjunct: ast.InSubquery
-    ) -> Optional[Tuple[Operator, object, Optional[int], str]]:
-        """The subquery side of :meth:`_try_multikey_lookup`.
-
-        The subquery is planned with every enclosing scope hidden: if that
-        succeeds it references nothing outside itself — uncorrelated by
-        construction — and the residual filter's compilation of the same
-        conjunct picks the same :class:`CompiledSubquery` out of the
-        core's memo, so the key set is built once.  A subquery that needs
-        an outer column (or is simply invalid) fails to plan here and the
-        residual compilation reports it in full context.  The key count is
-        the subquery's estimated cardinality, None when it has none.
-        """
-        try:
-            subquery = self._plan_subquery(conjunct.subquery, [Frame(None)])
-        except SQLError:
-            return None
-        if len(subquery.plan.output_names) != 1:
-            return None  # the residual filter raises the arity error
-        est = getattr(subquery.plan.root, "est_rows", None)
-        keys = None if est is None else max(1, round(est))
-        operator = MultiKeyIndexLookup(entry.storage, index, None, subquery)
-        return operator, index, keys, conjunct.operand.name.lower()
+    @staticmethod
+    def _own_column(entry, binding: str, column: ast.Expression) -> bool:
+        """Is *column* a column of *entry*'s table, read as *binding*?"""
+        return (
+            isinstance(column, ast.ColumnRef)
+            and entry.schema.has_column(column.name)
+            and (column.qualifier or binding).lower() == binding.lower()
+        )
 
     def _lower_independent(self, expr: ast.Expression, frames: List[Frame], avoid_schema):
         """Lower *expr* so that it may reference outer frames and the

@@ -129,12 +129,12 @@ class ExecutionEnv:
             "index_probes": 0,
         }
         #: ``id(operator) -> (key count, probed?)`` of the last run of each
-        #: priced index probe (:meth:`_IndexProbe._priced_keys`); per
+        #: priced index probe (:meth:`IndexLookup._priced_keys`); per
         #: execution because plans are cached and shared.  EXPLAIN ANALYZE
         #: reads it.
         self.probe_runs: Dict[int, Tuple[int, bool]] = {}
         #: ``id(operator)`` of each index probe priced out to a scan.  The
-        #: one probe a filter rechecks, a one-key ``IndexLookup``, is priced
+        #: one probe a filter rechecks, an ``=`` ``IndexLookup``, is priced
         #: the same on every run of one execution.
         self.scans: set = set()
         #: ``id(RangeScan) ->`` how its next read walks (:meth:`RangeScan.walk`).
@@ -269,7 +269,7 @@ class RangeScan(SeqScan):
     """A scan whose WHERE bounds column ``column`` by table-independent
     ``bounds`` (``col > b``: ``operators`` holds ``">"``).  Each run it
     bisects the column's sorted copy for the k rows in range, prices them
-    as :meth:`_IndexProbe._priced_keys` prices keys, and gathers them in
+    as :meth:`IndexLookup._priced_keys` prices keys, and gathers them in
     heap order or *is* a :class:`SeqScan` (as without a copy, or for a
     bound of another kind): the filter above tests the whole WHERE."""
 
@@ -314,36 +314,62 @@ def _scanned(batches: Iterable[Batch], env: ExecutionEnv) -> Iterator[Batch]:
         yield batch
 
 
-class _IndexProbe(_TableAccess):
+class IndexLookup(_TableAccess):
     """Equality probes into a hash index of a base table, one per key.
 
-    Subclasses enumerate the keys (:meth:`_keys`); everything else lives
-    here once.  The keys are priced as soon as they are known — each
-    execution, since a plan is cached across data changes — against one
-    scan of the table as it stands (:meth:`_priced_keys`), and when the
-    scan is cheaper the node *is* a :class:`SeqScan`: the planner keeps
-    the whole WHERE as the residual filter above every access path, so
-    that filter keeps exactly the rows the probes would have produced
-    (a filter in the probe's pipeline tests the conjunct the probe stands
-    for only on a scan's rows: ``env.scans`` records the probes that
-    scanned).
-    ``batches`` asks the storage for the rows its snapshot (or the live
-    heap) shows under each key; ``row_ids`` — how a DML statement locates
-    its target rows, always on the live heap — asks the index for the ids.
+    The keys come from the conjunct the probe stands for, and are
+    row-independent (evaluated on ``()``; they may read outer rows):
+
+    - ``col = v``: ``keys`` gives the one key, checked as ``=`` checks
+      it — a number against a column of strings, or a string against one
+      of numbers, is a ``TypeMismatchError`` whether it finds rows or not.
+      ``equality`` is the conjunct's ``id``: every row the probe finds
+      satisfies it, a scan's rows need not.
+    - ``col IN (v, ...)``: ``keys`` gives the list, probed once per
+      distinct non-NULL value (IN is a predicate: a row appears once).
+    - ``col IN (SELECT ...)``, uncorrelated and of one column:
+      ``subquery`` — the :class:`repro.sqldb.subplans.CompiledSubquery`
+      the residual filter tests membership against, so it runs once —
+      gives its value set, probed in first-seen order.
+
+    The keys are priced as soon as they are known — each execution, since
+    a plan is cached across data changes — against one scan of the table
+    as it stands (:meth:`_priced_keys`), and when the scan is cheaper the
+    node *is* a :class:`SeqScan`: the planner keeps the whole WHERE as the
+    residual filter above every access path, so that filter keeps exactly
+    the rows the probes would have produced (a filter in the probe's
+    pipeline tests the ``=`` conjunct only on a scan's rows: ``env.scans``
+    records the probes that scanned).  ``batches`` asks the storage for
+    the rows its snapshot (or the live heap) shows under each key;
+    ``row_ids`` — how a DML statement locates its target rows, always on
+    the live heap — asks the index for the ids.
     """
 
-    def __init__(self, storage: TableStorage, index, keys: Optional[Program]) -> None:
+    def __init__(
+        self,
+        storage: TableStorage,
+        index,
+        keys: Optional[Program],
+        subquery=None,
+        equality: Optional[int] = None,
+    ) -> None:
         super().__init__(storage)
         self.index = index
-        #: The probe key values (row-independent: evaluated on ``()``).
         self.keys = keys
+        self.subquery = subquery
+        self.equality = equality
+        (self.classes,) = declared_classes(storage, index)
 
-    def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
-        """The distinct keys to probe, in probe order."""
-        raise NotImplementedError
+    def label(self) -> str:
+        name = f"{self.storage.schema.name} via {self.index.name}"
+        if self.equality is not None:
+            return f"IndexLookup({name})"
+        keys = "keys from subquery" if self.subquery else f"{len(self.keys.exprs)} keys"
+        return f"MultiKeyIndexLookup({name}, {keys})"
 
     def _priced_keys(self, env: ExecutionEnv) -> Optional[Sequence[Tuple[Any, ...]]]:
-        """The keys to probe, or None when one scan of the table is cheaper.
+        """The keys to probe, in probe order, or None when one scan of the
+        table is cheaper.
 
         ``index_probe_cost(keys, rows_out) < seq_scan_cost(table_rows)``
         spelt out over the counts the storage keeps anyway — the live row
@@ -351,7 +377,16 @@ class _IndexProbe(_TableAccess):
         rows-per-key — so pricing needs no statistics and calls nothing.
         A unique index is never priced: a probe returns at most one row.
         """
-        keys = self._keys(env)
+        keys: Sequence[Tuple[Any, ...]]
+        if self.equality is not None:
+            key = self.keys.row((), env)
+            if key[0].__class__ not in self.classes:
+                _unequal(key[0], self.classes)
+            keys = (key,)
+        elif self.subquery is None:
+            keys = [(value,) for value in dict.fromkeys(self.keys.row((), env)) if value is not None]
+        else:  # the value set is distinct, non-NULL and in first-seen order already
+            keys = list(zip(self.subquery.value_set((), env)[0]))
         index = self.index
         if index.unique:
             return keys
@@ -426,88 +461,6 @@ class _IndexProbe(_TableAccess):
             for row_id in self.index.probe(key):
                 counters["rows_scanned"] += 1
                 yield row_id
-
-
-class IndexLookup(_IndexProbe):
-    """Equality probe into a hash index of a base table.
-
-    ``keys`` compute the probe key; they may reference outer rows (for
-    correlated lookups) but never the scanned table itself.
-    """
-
-    #: ``id`` of the ``=`` conjunct the probe stands for, which every row
-    #: it probes satisfies and a scan's rows need not (planner bookkeeping).
-    equality: Optional[int] = None
-
-    def __init__(self, storage: TableStorage, index, keys: Program) -> None:
-        super().__init__(storage, index, keys)
-        (self.classes,) = declared_classes(storage, index)
-
-    def label(self) -> str:
-        return f"IndexLookup({self.storage.schema.name} via {self.index.name})"
-
-    def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
-        """The one key, checked as ``=`` checks it: a number against a
-        column of strings, or a string against one of numbers, is a
-        ``TypeMismatchError`` whether the key finds rows or not."""
-        key = self.keys.row((), env)
-        if key[0].__class__ not in self.classes:
-            _unequal(key[0], self.classes)
-        return key,
-
-
-class MultiKeyIndexLookup(_IndexProbe):
-    """One equality probe per distinct non-NULL key of an ``IN`` predicate.
-
-    Two key sources share the probe loop.  ``keys`` (``col IN (?, ?,
-    ?)``) is the access path behind the level-at-a-time frontier fetch:
-    all children of N parents in one indexed statement instead of N
-    scans.  ``subquery`` (``col IN (SELECT ...)``, uncorrelated, one
-    column) drives the outer table from the subquery side — the outer
-    ``link`` block of the recursive expand costs what its answer costs
-    instead of a scan of every link.  A subquery's key count is exact only
-    once it has run (a CTE has no plan-time cardinality at all), which is
-    when every key source is priced anyway.
-
-    Keys are deduplicated before probing — IN is a predicate, so a row
-    must appear once even when its key is named twice — and NULL keys are
-    skipped (equality with NULL can never match; the residual filter
-    above this operator owns the three-valued semantics).  Subquery keys
-    are probed in first-seen order of the subquery's rows, so row order
-    never depends on hash layout.
-    """
-
-    def __init__(
-        self,
-        storage: TableStorage,
-        index,
-        keys: Optional[Program],
-        subquery=None,
-    ) -> None:
-        super().__init__(storage, index, keys)
-        #: :class:`repro.sqldb.planner.CompiledSubquery` supplying the
-        #: keys instead of ``keys`` (the same object the residual
-        #: filter tests membership against, so it is evaluated once).
-        self.subquery = subquery
-
-    def label(self) -> str:
-        keys = (
-            f"{len(self.keys.exprs)} keys"
-            if self.subquery is None
-            else "keys from subquery"
-        )
-        return (
-            f"MultiKeyIndexLookup({self.storage.schema.name} "
-            f"via {self.index.name}, {keys})"
-        )
-
-    def _keys(self, env: ExecutionEnv) -> Sequence[Tuple[Any, ...]]:
-        if self.subquery is None:
-            values = dict.fromkeys(self.keys.row((), env))
-            values.pop(None, None)
-        else:
-            values = self.subquery.value_set((), env)[0]
-        return list(zip(values))  # one-column keys: (value,) per value
 
 
 class CTEScan(Operator):

@@ -367,8 +367,11 @@ def _numeric(*kinds: set) -> bool:
 
 
 def _mismatch(left: Any, right: Any) -> Any:
+    """A number against a string, named number first whichever side it
+    is on, so a scan, a probe and a join give the same text."""
+    number, string = (left, right) if isinstance(left, _NUM) else (right, left)
     raise TypeMismatchError(
-        f"cannot compare {type(left).__name__} with {type(right).__name__}"
+        f"cannot compare {type(number).__name__} with {type(string).__name__}"
     )
 
 

@@ -497,16 +497,7 @@ class JoinGraphs(AccessPaths):
                 item, frames, driving, binding_stats, consumed
             )
         if isinstance(item, ast.SubqueryRef):
-            child = type(self)(
-                self.catalog,
-                self.functions,
-                dict(self.cte_columns),
-                views=self.views,
-                expanding_views=self._expanding_views,
-                stats=self.stats,
-            )
-            sub_frame = Frame(None)
-            plan = child.plan_select(item.subquery, frames + [sub_frame])
+            plan = self._child(self.cte_columns).plan_select(item.subquery, frames + [Frame(None)])
             operator = SubplanOperator(plan)
             est = getattr(plan.root, "est_rows", None)
             if est is not None:

@@ -597,16 +597,8 @@ class Planner(JoinGraphs):
             key = _subquery_key(statement)
             if key in shared:
                 return shared[key]
-        child = Planner(
-                self.catalog,
-                self.functions,
-                dict(self.cte_columns),
-                views=self.views,
-                expanding_views=self._expanding_views,
-                stats=self.stats,
-            )
         sub_frame = Frame(None)
-        plan = child.plan_select(statement, list(frames) + [sub_frame])
+        plan = self._child(self.cte_columns).plan_select(statement, list(frames) + [sub_frame])
         compiled = CompiledSubquery(plan, sub_frame.correlated)
         if shared is not None and not compiled.correlated:
             # An uncorrelated subquery reads no enclosing scope, so one

@@ -133,7 +133,7 @@ class CompiledSubquery:
 
         The values are the keys of a dict, i.e. a set that iterates in
         first-seen order of the subquery's rows: membership tests cost the
-        same, and an index probe per value (:class:`MultiKeyIndexLookup`)
+        same, and an index probe per value (:class:`IndexLookup`)
         yields rows in an order independent of hash layout.
         """
         hit = self._cached(env, "value_set")

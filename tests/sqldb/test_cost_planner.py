@@ -4,7 +4,7 @@ tests for the planner bugfix sweep:
 * ``_try_index_scan`` no longer grabs the first matching index — without
   statistics it deterministically prefers unique indexes, with
   statistics it prices every candidate against the sequential scan;
-* ``_try_multikey_lookup`` deduplicates repeated IN-list literals at
+* ``_access_paths`` deduplicates repeated IN-list literals at
   plan time (repeated *parameters* were already deduplicated at run
   time by the operator itself);
 * the greedy comma-join reordering starts from the smallest filtered

@@ -67,6 +67,36 @@ class TestExplainOutput:
         )
         assert "MultiKeyIndexLookup(b via b_a, keys from subquery)" in text
 
+    @pytest.mark.parametrize(
+        "sql,expected",
+        [
+            (
+                "SELECT * FROM b WHERE 7 = a_id",
+                ["-> Project(id, a_id)", "  -> Filter", "    -> IndexLookup(b via b_a)"],
+            ),
+            (
+                "SELECT * FROM a WHERE id IN (1, 2, 3)",
+                [
+                    "-> Project(id, grp, v)",
+                    "  -> Filter",
+                    "    -> MultiKeyIndexLookup(a via a_pk, 3 keys)",
+                ],
+            ),
+            (
+                "SELECT * FROM b WHERE a_id IN (SELECT id FROM a WHERE v > 1)",
+                [
+                    "-> Project(id, a_id)",
+                    "  -> Filter",
+                    "    -> MultiKeyIndexLookup(b via b_a, keys from subquery)",
+                ],
+            ),
+        ],
+        ids=["equality", "in-list", "in-subquery"],
+    )
+    def test_every_key_source_of_an_index_lookup(self, db, sql, expected):
+        """One ``IndexLookup`` class, labelled by its key source."""
+        assert plan_text(db, sql).splitlines() == expected
+
     def test_explain_method_facade(self, db):
         result = db.explain("SELECT * FROM a")
         assert result.columns == ["plan"]
@@ -144,14 +174,6 @@ OPERATOR_CORPUS = {
     "IndexLookup": (
         "SELECT * FROM a WHERE id = 1",
         ["-> Project(id, grp, v)", "  -> Filter", "    -> IndexLookup(a via a_pk)"],
-    ),
-    "MultiKeyIndexLookup": (
-        "SELECT * FROM a WHERE id IN (1, 2, 3)",
-        [
-            "-> Project(id, grp, v)",
-            "  -> Filter",
-            "    -> MultiKeyIndexLookup(a via a_pk, 3 keys)",
-        ],
     ),
     "IndexNestedLoopJoin": (
         "SELECT * FROM c LEFT JOIN b ON b.a_id = c.x",

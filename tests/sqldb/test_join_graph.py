@@ -197,8 +197,9 @@ class TestAKeyOfTheOtherKind:
     """``a.x = b.s`` of an INTEGER and a VARCHAR column raises as ``=`` does
     in a filter, whichever join plans it: a hash join (INNER, or a comma
     list's equality), a nested loop (LEFT) or, once ``b.s`` is indexed, an
-    index join, whose probed column's declared type stands for its values.
-    Adding an index never turns the error into rows.  A NULL key finds
+    index join, whose probed column's declared type stands for its values;
+    so does ``b.s = 1`` scanned or through ``IndexLookup``.  Adding an index
+    never turns the error into rows, nor changes its text.  A NULL key finds
     nothing."""
 
     PLANS = {
@@ -209,6 +210,8 @@ class TestAKeyOfTheOtherKind:
         ),
         "SELECT * FROM a, b WHERE a.x = b.s": ("HashJoin", "IndexNestedLoopJoin(INNER"),
         "SELECT * FROM b JOIN a ON b.s = a.x": ("HashJoin", "HashJoin"),
+        "SELECT * FROM b WHERE s = 1": ("SeqScan(b)", "IndexLookup(b via b_s)"),
+        "SELECT * FROM b WHERE 1 = s": ("SeqScan(b)", "IndexLookup(b via b_s)"),
     }
 
     @staticmethod
@@ -225,10 +228,15 @@ class TestAKeyOfTheOtherKind:
     @pytest.mark.parametrize("indexed", [False, True], ids=["no index", "indexed"])
     @pytest.mark.parametrize("sql", sorted(PLANS))
     def test_every_plan_raises(self, sql, indexed):
-        db = self.build(indexed, [(i,) for i in range(5)])
-        assert self.PLANS[sql][indexed] in "\n".join(plan_lines(db, sql))
-        with pytest.raises(TypeMismatchError, match="cannot compare"):
-            db.execute(sql)
+        """With the same message with and without the index."""
+        messages = []
+        for arm in (indexed, not indexed):
+            db = self.build(arm, [(i,) for i in range(5)])
+            assert self.PLANS[sql][arm] in "\n".join(plan_lines(db, sql))
+            with pytest.raises(TypeMismatchError, match="cannot compare") as raised:
+                db.execute(sql)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("indexed", [False, True], ids=["no index", "indexed"])
     def test_a_null_key_finds_nothing(self, indexed):

@@ -14,20 +14,20 @@ residual filter owning the three-valued logic.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SQLError, TypeMismatchError
 from repro.sqldb import Database
 
 T_ROWS = [(i, i % 5, f"row{i}") for i in range(20)] + [(100, None, "nullk")]
 
 
-def make_db(t_rows=T_ROWS, s_rows=(), index=True):
+def make_db(t_rows=T_ROWS, s_rows=(), index=True, x_type="INTEGER"):
     """``t`` (indexed nullable ``k`` unless *index* is False) and the
-    subquery-side table ``s (x INTEGER, y INTEGER, w VARCHAR)``."""
+    subquery-side table ``s (x <x_type>, y INTEGER, w VARCHAR)``."""
     db = Database()
     db.execute_script(
-        """
+        f"""
         CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v VARCHAR);
-        CREATE TABLE s (x INTEGER, y INTEGER, w VARCHAR)
+        CREATE TABLE s (x {x_type}, y INTEGER, w VARCHAR)
         """
     )
     if index:
@@ -284,22 +284,59 @@ class TestSubqueryOperatorSemantics:
 
 
 _KEYS = st.one_of(st.none(), st.integers(min_value=0, max_value=6))
+#: Probe keys: NULL, small ints, and an equal float, an equal boolean and
+#: a string.
+_PROBE_KEYS = st.one_of(_KEYS, st.sampled_from([1.0, True, "a"]))
+#: Each key source of ``IndexLookup`` (and the NOT form, which scans), with
+#: the number of ``?`` it takes.
+_PREDICATES = {
+    "k = ?": 1,
+    "k IN (?, ?, ?)": 3,
+    "k IN (SELECT x FROM s)": 0,
+    "k NOT IN (SELECT x FROM s)": 0,
+}
+
+
+def outcome(db, sql, params=()):
+    """The sorted rows of *sql*, or the type and text of its error."""
+    try:
+        return sorted(db.execute(sql, params).rows)
+    except SQLError as error:
+        return type(error), str(error)
 
 
 class TestIndexDifferential:
+    """Every key source answers as the scan does, read or deleted: the same
+    rows, or the same error.  One difference is by design: ``=`` checks its
+    key against ``k``'s declared type, so a string key raises also where
+    ``k`` holds no value for the scan to compare it with."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         t_keys=st.lists(_KEYS, max_size=25),
-        s_keys=st.lists(_KEYS, max_size=12),
-        negated=st.booleans(),
+        s_keys=st.lists(_PROBE_KEYS, max_size=12),
+        x_type=st.sampled_from(["INTEGER", "DOUBLE", "VARCHAR(4)"]),
+        predicate=st.sampled_from(sorted(_PREDICATES)),
+        params=st.lists(_PROBE_KEYS, min_size=3, max_size=3),
     )
     def test_same_statement_with_and_without_the_index(
-        self, t_keys, s_keys, negated
+        self, t_keys, s_keys, x_type, predicate, params
     ):
         t_rows = [(i, key, f"row{i}") for i, key in enumerate(t_keys)]
-        s_rows = [(key, 0, "a") for key in s_keys]
-        keyword = "NOT IN" if negated else "IN"
-        sql = f"SELECT id, k FROM t WHERE k {keyword} (SELECT x FROM s)"
-        indexed = make_db(t_rows, s_rows).execute(sql).rows
-        scanned = make_db(t_rows, s_rows, index=False).execute(sql).rows
-        assert sorted(indexed) == sorted(scanned)
+        # A numeric ``s.x`` cannot hold the string key.
+        s_rows = [
+            (key, 0, "a")
+            for key in s_keys
+            if x_type.startswith("VARCHAR") or not isinstance(key, str)
+        ]
+        params = params[: _PREDICATES[predicate]]
+        unchecked = predicate == "k = ?" and params == ["a"] and all(key is None for key in t_keys)
+        for sql in (f"SELECT id, k FROM t WHERE {predicate}", f"DELETE FROM t WHERE {predicate}"):
+            dbs = [make_db(t_rows, s_rows, index, x_type) for index in (True, False)]
+            indexed, scanned = [outcome(db, sql, params) for db in dbs]
+            if unchecked:
+                assert indexed[0] is TypeMismatchError and scanned == []
+            else:
+                assert indexed == scanned
+            indexed, scanned = [outcome(db, "SELECT id, k FROM t") for db in dbs]
+            assert indexed == scanned

@@ -30,10 +30,9 @@ from repro.sqldb.executor import (
     ExecutionEnv,
     Filter,
     HashJoin,
+    IndexLookup,
     IndexNestedLoopJoin,
-    MultiKeyIndexLookup,
     NestedLoopJoin,
-    _IndexProbe,
 )
 from repro.sqldb.explain import plan_operators
 from repro.sqldb.parser import parse_statement
@@ -225,13 +224,13 @@ def probes_with_guards(plan):
         operators = plan_operators(pending.pop())
         parents = {id(child): node for node in operators for child in node.children}
         for operator in operators:
-            if isinstance(operator, _IndexProbe):
+            if isinstance(operator, IndexLookup):
                 guard = parents.get(id(operator))
                 while isinstance(guard, JOINS):
                     guard = parents.get(id(guard))
                 found.append((operator, guard))
-            if isinstance(operator, MultiKeyIndexLookup) and operator.subquery:
-                pending.append(operator.subquery.plan)
+                if operator.subquery:
+                    pending.append(operator.subquery.plan)
     return found
 
 
@@ -270,7 +269,7 @@ class TestScanningIsSafe:
         included — changes no template's answer."""
         db = noisy_figure2()
         probed = run_template(db, sql)
-        monkeypatch.setattr(_IndexProbe, "_priced_keys", lambda self, env: None)
+        monkeypatch.setattr(IndexLookup, "_priced_keys", lambda self, env: None)
         scanned = run_template(db, sql)
         assert scanned == probed
 

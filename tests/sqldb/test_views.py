@@ -99,6 +99,15 @@ class TestExpansion:
         )
         assert result.scalar() == 2
 
+    def test_a_query_cte_does_not_shadow_a_table_the_view_reads(self, db):
+        """A view is planned without the query's CTE names: ``t`` in its
+        definition is the base table ``t``, whatever the query calls ``t``."""
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        db.execute("CREATE VIEW v AS SELECT id, k FROM t")
+        result = db.execute("WITH t AS (SELECT 99 AS id, 99 AS k) SELECT * FROM v ORDER BY id")
+        assert result.rows == [(1, 10), (2, 20)]
+
     def test_recursive_view_definition_rejected(self, db):
         db.execute("CREATE VIEW v1 AS SELECT id FROM part")
         db.execute("DROP VIEW v1")
