@@ -9,6 +9,7 @@ of :class:`repro.sqldb.planner.Planner`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -28,7 +29,7 @@ from repro.sqldb.executor import (
     Sort,
     _Stage,
 )
-from repro.sqldb.expressions import IR, KEYS, CompileContext, Frame, lower, program
+from repro.sqldb.expressions import IR, KEYS, CompileContext, Frame, _binary, lower, program
 from repro.sqldb.pipelines import key_columns
 from repro.sqldb.subplans import SubplanOperator
 from repro.sqldb.types import DOUBLE
@@ -78,6 +79,7 @@ class AccessPaths:
         views: Dict[str, object]
         stats: Optional[table_stats_mod.StatsCatalog]
         _expanding_views: set
+        estimates: Optional[list]
 
         def _plan_subquery(
             self, statement: ast.SelectStatement, frames: List[Frame]
@@ -129,13 +131,13 @@ class AccessPaths:
             kept.append(conjunct)
         if not kept and recheck is None:
             return source
-        if len(kept) < len(conjuncts) and kept:
-            whole = kept[0]
-            for conjunct in kept[1:]:
-                whole = ast.BinaryOp("AND", whole, conjunct)
-        operator = Filter(
-            source, lower_one(whole) if kept else None, recheck, id(probe) if recheck is not None else None
-        )
+        irs = [lower_one(conjunct) for conjunct in kept]
+        lowered = dict(zip(map(id, kept), irs))
+        sides = node.sides if isinstance(node, RangeScan) and node.bounds is None else ()
+        if sides and all(conjunct in lowered for conjunct, __ in sides):  # its bounds, as lowered here
+            node.bind([lowered[conjunct][2][position] for conjunct, position in sides])
+        predicate = functools.reduce(lambda a, b: _binary("AND", a, b), irs) if kept else None
+        operator = Filter(source, predicate, recheck, id(probe) if recheck is not None else None)
         operator.applies = frozenset(applied | {id(conjunct) for conjunct in conjuncts})
         return operator
 
@@ -209,23 +211,35 @@ class AccessPaths:
         for conjunct in conjuncts:
             ways = [] if getattr(conjunct, "negated", False) else range_sides(conjunct)
             for sides in ways:
-                bounds = [self._range_bound(entry, binding, frames, *side) for side in sides]
+                bounds = [self._range_bound(entry, binding, frames, conjunct, *side) for side in sides]
                 if None not in bounds:
                     found.setdefault(bounds[0][0], []).extend((conjunct, *b[1:]) for b in bounds)
                     break
         if not found:
             return None
-        kept = table_stats_mod.condition_selectivity  # priced only where there is a choice
+        kept = self._selectivity  # priced only where there is a choice
         column = min(found, key=lambda s: len(found) > 1 and kept([c for c, __, __ in found[s]], binding_stats))
-        __, operators, bounds = zip(*found[column])
-        return RangeScan(entry.storage, column, program(list(bounds), KEYS), operators)
+        conjuncts, operators, positions = zip(*found[column])
+        return RangeScan(entry.storage, column, tuple(zip(map(id, conjuncts), positions)), operators)
 
-    def _range_bound(self, entry, binding: str, frames: List[Frame], column, operator: str, value):
-        """``(slot, operator, bound)`` for the table's *column*, if *value* is independent of it."""
+    def _range_bound(self, entry, binding: str, frames: List[Frame], conjunct, column, operator: str, value):
+        """``(slot, operator, position)`` for *column* if *value*, the conjunct's
+        operand at *position*, reads no subquery, only enclosing queries' columns."""
         if not self._own_column(entry, binding, column):
             return None
-        bound = self._lower_independent(value, frames, entry.schema)
-        return None if bound is None else (entry.schema.column_index(column.name), operator, bound)
+        context = self._context(frames)
+        for node in ast.walk_expression(value):
+            if isinstance(node, (ast.ExistsTest, ast.InSubquery, ast.ScalarSubquery)):
+                return None
+            if isinstance(node, ast.ColumnRef):
+                try:
+                    if node.qualifier is None and entry.schema.has_column(node.name):
+                        return None
+                    context.resolve_column(node)
+                except SQLError:
+                    return None
+        parts = (conjunct.operand, conjunct.low, conjunct.high) if isinstance(conjunct, ast.Between) else (conjunct.left, conjunct.right)
+        return entry.schema.column_index(column.name), operator, [part is value for part in parts].index(True)
 
     def _sorted(self, child: Operator, keys: List[IR], descending: List[bool]) -> Sort:
         """A :class:`Sort` of *child* by *keys*, marked to read it in
@@ -250,8 +264,8 @@ class AccessPaths:
         return self.stats.get(name)
 
     def _child(self, cte_columns: Dict[str, List[str]]):
-        """A planner of a nested statement: it sees *cte_columns* and
-        shares this one's catalog, functions, views and statistics."""
+        """A planner of a nested statement: it sees *cte_columns* and shares
+        this one's catalog, functions, views, statistics and estimates."""
         return type(self)(
             self.catalog,
             self.functions,
@@ -259,7 +273,19 @@ class AccessPaths:
             views=self.views,
             expanding_views=self._expanding_views,
             stats=self.stats,
+            estimates=self.estimates,
         )
+
+    def _selectivity(self, conjuncts: List[ast.Expression], binding_stats: table_stats_mod.BindingStats) -> float:
+        """``condition_selectivity``, with its :func:`~repro.sqldb.stats.bucket`
+        in ``estimates`` when a conjunct reads a hidden literal: a text of
+        the shape reuses the plan where it falls in the same bucket."""
+        selectivity = table_stats_mod.condition_selectivity(conjuncts, binding_stats)
+        if self.estimates is not None and any(
+            getattr(node, "hidden", None) is not None for c in conjuncts for node in ast.walk_expression(c)
+        ):
+            self.estimates.append((conjuncts, dict(binding_stats), table_stats_mod.bucket(selectivity)))
+        return selectivity
 
     def _plan_view(self, ref: ast.TableRef, view):
         """Expand a view reference by planning its defining statement.

@@ -25,9 +25,11 @@ class Expression:
 
 @dataclass
 class Literal(Expression):
-    """A constant: number, string, boolean, or NULL."""
+    """A constant: number, string, boolean, or NULL; a plan reads one with a
+    ``hidden`` number as ``env.hidden[hidden]`` (see ``parse_statement``)."""
 
     value: object
+    hidden: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass

@@ -6,14 +6,16 @@ thousands of executions of the same parameterised child-fetch query — pays
 the parse/plan cost once, mirroring the prepared-statement behaviour of a
 production DBMS.  INSERT/UPDATE/DELETE are prepared the same way and live
 in the same cache; UPDATE and DELETE locate their rows through the
-planner's access paths, so a write costs what it changes.
+planner's access paths, so a write costs what it changes.  A SELECT is
+also kept under its *shape* (:func:`~repro.sqldb.parser.statement_shape`),
+so ad-hoc texts that differ only in their literals share a plan.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -45,12 +47,13 @@ from repro.sqldb.expressions import (
 )
 from repro.sqldb.functions import FunctionRegistry
 from repro.sqldb.mvcc import MvccManager
-from repro.sqldb.parser import parse_script, parse_statement
+from repro.sqldb.lexer import tokenize
+from repro.sqldb.parser import parse_script, parse_statement, statement_shape
 from repro.sqldb.planner import Plan, Planner
 from repro.sqldb.recursive import run_plan
 from repro.sqldb.result import ResultSet
 from repro.sqldb.schema import Catalog, Column, TableSchema
-from repro.sqldb.stats import StatsCatalog
+from repro.sqldb.stats import StatsCatalog, bucket, condition_selectivity
 from repro.sqldb.storage import TableStorage
 from repro.sqldb.types import converter
 
@@ -118,8 +121,9 @@ class Database:
         #: them can only change plan quality, not results.
         self.stats = StatsCatalog()
         #: Statement-text -> :class:`Plan` (SELECT) or :class:`_PreparedDml`
-        #: (INSERT/UPDATE/DELETE) cache: one LRU, one set of invalidations.
-        self._plan_cache: "OrderedDict[str, Union[Plan, _PreparedDml]]" = (
+        #: (INSERT/UPDATE/DELETE), and SELECT shape -> its plans (see
+        #: :meth:`_shaped`) cache: one LRU, one set of invalidations.
+        self._plan_cache: "OrderedDict[Hashable, Union[Plan, _PreparedDml, list]]" = (
             OrderedDict()
         )
         self._plan_cache_size = plan_cache_size
@@ -211,7 +215,7 @@ class Database:
             with recorder.span(
                 "db.execute",
                 kind="database",
-                sql=sql if isinstance(sql, str) else type(sql).__name__,
+                sql=sql,
             ) as span:
                 result = self._execute(sql, params, span)
                 span.meta["rows"] = len(result.rows)
@@ -225,33 +229,26 @@ class Database:
         #: reset here — a server CPU model must never be charged for a
         #: previous statement's stale scan counts.
         self.last_counters = {}
-        statement = None
-        if isinstance(sql, str):
-            cached = self._plan_cache.get(sql)
-            # Only a SELECT refreshes drifted statistics: a writer must not
-            # start taking the table-S locks ANALYZE needs.
-            if cached is not None and not (
-                isinstance(cached, Plan) and self._auto_analyze(cached.tables)
-            ):
-                self.statistics["plan_cache_hits"] += 1
-                self._plan_cache.move_to_end(sql)
-                if span is not None:
-                    span.meta["plan_cache_hit"] = True
-                if isinstance(cached, Plan):
-                    return self._run_select(cached, params)
-                return self._run_dml(cached, params)
-            # A refreshed statistics catalog emptied the plan cache: fall
-            # through and re-plan under the new estimates.
-            statement = parse_statement(sql)
-        else:
-            statement = sql  # pre-parsed AST, used by the server fast path
-        if isinstance(statement, ast.SelectStatement):
-            self._auto_analyze(self._referenced_tables(statement))
-            plan = self._plan(statement)
-            if isinstance(sql, str):
-                self._remember_plan(sql, plan)
-            return self._run_select(plan, params)
-        if isinstance(sql, str) and isinstance(statement, self._DML_STATEMENTS):
+        cached = self._plan_cache.get(sql)
+        # Only a SELECT refreshes drifted statistics: a writer must not
+        # start taking the table-S locks ANALYZE needs.
+        if cached is not None and not (
+            isinstance(cached, Plan) and self._auto_analyze(cached.tables)
+        ):
+            self.statistics["plan_cache_hits"] += 1
+            self._plan_cache.move_to_end(sql)
+            if span is not None:
+                span.meta["plan_cache_hit"] = True
+            if isinstance(cached, Plan):
+                return self._run_select(cached, params)
+            return self._run_dml(cached, params)
+        # A refreshed statistics catalog emptied the plan cache: fall
+        # through and re-plan under the new estimates.
+        tokens = tokenize(sql)
+        if tokens[0].matches_keyword("SELECT", "WITH"):
+            return self._run_select(self._shaped(sql, tokens, span), params)
+        statement = parse_statement(sql, tokens)
+        if isinstance(statement, self._DML_STATEMENTS):
             return self._write(statement, params, sql)
         return self._execute_dml(statement, params)
 
@@ -578,10 +575,55 @@ class Database:
 
     # -- planning / environments -----------------------------------------------
 
-    def _plan(self, statement: ast.SelectStatement) -> Plan:
+    #: Plans kept per statement shape (newest first).
+    _SHAPE_PLANS = 4
+
+    def _shaped(self, sql: str, tokens, span) -> Plan:
+        """The plan of the SELECT *sql* (lexed as *tokens*), remembered
+        under its text.  A hit is a plan of its shape whose shown literals
+        are *sql*'s and whose estimates, made again with *sql*'s hidden
+        literals in place, fall in the same buckets.  On a miss, *sql* is
+        planned twice: with its literals hidden, kept beside the shape's
+        other plans, and with them as literals, the plan of its text (so a
+        text that repeats runs what it ran before shapes were cached)."""
+        key, values = statement_shape(tokens)
+        shape = self._plan_cache.get(key)
+        if shape is not None and self._auto_analyze(shape[0][0].tables):
+            shape = None  # refreshed statistics emptied the cache
+        for plan, shown, literals, estimates in shape or ():
+            if any(values[i] != value for i, value in shown):
+                continue
+            for literal, number in literals:
+                literal.value = values[number]
+            if all(bucket(condition_selectivity(c, s)) == b for c, s, b in estimates):
+                self.statistics["plan_cache_hits"] += 1
+                self._plan_cache.move_to_end(key)
+                if span is not None:
+                    span.meta["plan_cache_hit"] = True
+                plan = replace(plan, hidden=tuple(values))
+                self._remember_plan(sql, plan)
+                return plan
+        literals = []
+        statement = parse_statement(sql, tokens, literals)
+        self._auto_analyze(self._referenced_tables(statement))
+        literals = [(literal, literal.hidden) for literal in literals if literal.hidden is not None]
+        if literals:
+            estimates: list = []
+            shared = self._plan(statement, estimates)
+            hidden = {number for __, number in literals}
+            shown = [(i, value) for i, value in enumerate(values) if i not in hidden]
+            shape = [(shared, shown, literals, estimates)] + (self._plan_cache.get(key) or [])[: self._SHAPE_PLANS - 1]
+            self._remember_plan(key, shape)
+            for literal, __ in literals:
+                literal.hidden = None
+        plan = self._plan(statement)
+        self._remember_plan(sql, plan)
+        return plan
+
+    def _plan(self, statement: ast.SelectStatement, estimates: Optional[list] = None) -> Plan:
         from repro.concurrency.footprint import select_footprint  # local: avoid cycle
 
-        plan = self._planner().plan_select(statement)
+        plan = self._planner(estimates).plan_select(statement)
         plan.tables = self._referenced_tables(statement)
         plan.footprint = select_footprint(plan.tables)
         return plan
@@ -604,7 +646,7 @@ class Database:
                 names.add(name)
         return tuple(sorted(names))
 
-    def _remember_plan(self, sql: str, plan: Plan) -> None:
+    def _remember_plan(self, sql: Hashable, plan) -> None:
         self._plan_cache[sql] = plan
         if len(self._plan_cache) > self._plan_cache_size:
             self._plan_cache.popitem(last=False)
@@ -621,6 +663,7 @@ class Database:
 
     def _run_select(self, plan: Plan, params: Sequence[Any]) -> ResultSet:
         env = self._environment(params)
+        env.hidden = plan.hidden
         if env.snapshot is not None:
             # Snapshot read: visibility replaces shared locks entirely —
             # no lock scope, no waits, no deadlock exposure.
@@ -847,9 +890,9 @@ class Database:
             self._attach_journal(storage)
         self.mvcc.register(storage)
 
-    def _planner(self) -> Planner:
+    def _planner(self, estimates: Optional[list] = None) -> Planner:
         return Planner(
-            self.catalog, self.functions, views=self.views, stats=self.stats
+            self.catalog, self.functions, views=self.views, stats=self.stats, estimates=estimates
         )
 
     def _reject_in_read_only(self, statement) -> None:

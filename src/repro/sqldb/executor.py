@@ -69,7 +69,7 @@ from typing import (
 
 from repro.errors import ExecutionError
 from repro.sqldb.columnar import BATCH_SIZE, Batch, in_order, sorted_column, table_batches
-from repro.sqldb.expressions import IR, Program, _unequal
+from repro.sqldb.expressions import IR, KEYS, Program, _unequal, program as compiled  # CPython 3.11: an imported "program" would cost run()'s program.row(...) its LOAD_METHOD
 from repro.sqldb.pipelines import (
     BUILD,
     DISTINCT,
@@ -85,7 +85,7 @@ from repro.sqldb.pipelines import (
 from repro.sqldb.functions import FunctionRegistry, fold
 from repro.sqldb.stats import GATHER_TUPLE_COST, INDEX_TUPLE_COST, PROBE_COST, SEQ_TUPLE_COST
 from repro.sqldb.storage import TableStorage
-from repro.sqldb.types import is_null
+from repro.sqldb.types import converter, is_null
 
 Row = Tuple[Any, ...]
 ExprFn = Callable[[Row, "ExecutionEnv"], Any]
@@ -103,6 +103,8 @@ class ExecutionEnv:
     #: owning :class:`~repro.sqldb.database.Database` (None keeps
     #: execution untraced).
     recorder = None
+    #: The literals a plan shared by a statement shape reads (``Plan.hidden``).
+    hidden: Tuple[Any, ...] = ()
     #: Optional :class:`repro.sqldb.mvcc.Snapshot`: what base-table access
     #: paths hand to the storage so it resolves version chains at this
     #: stamp; None reads the live heap.  Threaded through the environment
@@ -227,7 +229,7 @@ def declared_classes(storage: TableStorage, index) -> List[frozenset]:
     """The :func:`~repro.sqldb.pipelines.key_classes` of each column of
     *index*, whose declared type stands for the values it holds."""
     columns = storage.schema.columns
-    return [key_classes(["" if columns[p].sql_type.is_character else 0]) for p in index.column_positions]
+    return [key_classes([converter(columns[p].sql_type)(0)]) for p in index.column_positions]
 
 
 class _TableAccess(Operator):
@@ -267,22 +269,42 @@ class SeqScan(_TableAccess):
 
 class RangeScan(SeqScan):
     """A scan whose WHERE bounds column ``column`` by table-independent
-    ``bounds`` (``col > b``: ``operators`` holds ``">"``).  Each run it
+    bounds (``col > b``: ``operators`` holds ``">"``).  Each run it
     bisects the column's sorted copy for the k rows in range, prices them
     as :meth:`IndexLookup._priced_keys` prices keys, and gathers them in
     heap order or *is* a :class:`SeqScan` (as without a copy, or for a
-    bound of another kind): the filter above tests the whole WHERE."""
+    bound of another kind): the filter above tests the whole WHERE.
+    ``sides`` names each bound as ``(id of its conjunct, position of its
+    operand)``: :meth:`bind` takes them from the filter's IR."""
 
-    def __init__(self, storage: TableStorage, column: int, bounds: Program, operators: Tuple[str, ...]) -> None:
+    def __init__(self, storage: TableStorage, column: int, sides: tuple, operators: Tuple[str, ...]) -> None:
         super().__init__(storage)
-        self.column, self.bounds, self.operators = column, bounds, operators
+        self.column, self.sides, self.operators = column, sides, operators
+        self.bounds: Optional[Tuple[IR, ...]] = None  # a scan until bound
+        self.keys: Optional[Program] = None
+
+    def bind(self, bounds: List[IR]) -> None:
+        """Read *bounds* (a literal or parameter as it is, else by one
+        generated function), unless one reads the row: a join's column."""
+        if not any(map(_reads_row, bounds)):
+            self.bounds = tuple(bounds)
+            if any(ir[0] not in ("const", "param", "hidden") for ir in bounds):
+                self.keys = compiled(bounds, KEYS)
 
     def label(self) -> str:
         return f"RangeScan({self.storage.schema.name} by {self.output_names[self.column]})"
 
     def _range(self, env: ExecutionEnv, copy) -> Optional[tuple]:
         """``(copy, low, high)``: *copy*'s slice in range, if any."""
-        found = copy and copy.bisected(self.operators, self.bounds.row((), env))
+        if copy is None or self.bounds is None:
+            return None
+        if self.keys is not None:
+            values = self.keys.row((), env)
+        else:  # a loop, not a comprehension: no call of its own
+            values = []
+            for kind, data, __ in self.bounds:
+                values.append(data if kind == "const" else env.hidden[data] if kind == "hidden" else env.parameter(data))
+        found = copy.bisected(self.operators, values)
         return found and (copy, *found)
 
     def batches(self, env: ExecutionEnv, budget: int) -> Iterable[Batch]:
@@ -304,6 +326,10 @@ class RangeScan(SeqScan):
         chunks = table_batches(self.storage, snapshot=env.snapshot)
         found = self._range(env, chunks.copies.get(self.column))
         return found and (id(self), (*found, descending, size))
+
+
+def _reads_row(ir: IR) -> bool:
+    return ir[0] == "slot" or any(map(_reads_row, ir[2]))
 
 
 def _scanned(batches: Iterable[Batch], env: ExecutionEnv) -> Iterator[Batch]:

@@ -206,7 +206,7 @@ _ARITHMETIC = frozenset(("+", "-", "*", "/", "%"))
 #: Kinds that are never folded: they read the row, the statement's
 #: parameters or the database.
 _RUNTIME_KINDS = frozenset(
-    ("slot", "outer", "const", "param", "call", "exists", "scalar", "insub", "alltrue")
+    ("slot", "outer", "const", "param", "hidden", "call", "exists", "scalar", "insub", "alltrue")
 )
 
 
@@ -227,7 +227,7 @@ def lower(node: ast.Expression, ctx: CompileContext, depth: int = 0) -> IR:
     if isinstance(node, SlotRef):
         return slot(node.index)
     if isinstance(node, ast.Literal):
-        return ("const", node.value, ())
+        return ("const", node.value, ()) if node.hidden is None else ("hidden", node.hidden, ())
     if isinstance(node, ast.Parameter):
         return ("param", node.index, ())
     if isinstance(node, ast.ColumnRef):
@@ -375,12 +375,12 @@ def _mismatch(left: Any, right: Any) -> Any:
     )
 
 
-def _unequal(key: Any, allowed: frozenset) -> None:
+def _unequal(key: Any, allowed: Any) -> None:
     """``=`` of a join key whose class is not *allowed* (see
     :func:`repro.sqldb.pipelines.key_classes`) and the probed side's."""
     number = isinstance(key, _NUM)
     if key is not None and (int if number else str) not in allowed:
-        _mismatch(key, "" if number else 0)
+        _mismatch(key, "" if number else allowed.number)
 
 
 def _arith_error(left: Any, operator: str, right: Any) -> Any:
@@ -456,7 +456,10 @@ def _in_static(value: Any, env, token: object, items, negated: bool) -> Optional
     once per execution (``obid IN (?, ..thousands..)`` stays linear)."""
     cached = env.subquery_cache.get(token)
     if cached is None:
-        values = [env.parameter(item) if is_param else item for is_param, item in items]
+        values = [
+            item if kind == "hole" else env.hidden[item] if kind == "hidden" else env.parameter(item)
+            for kind, item in items
+        ]
         cached = env.subquery_cache[token] = (
             {item for item in values if item is not None},
             None in values,
@@ -568,6 +571,8 @@ class _Emitter:
         #: ``id(subquery) -> (name, fetch)`` of each uncorrelated ``IN
         #: (subquery)``'s value set (see :meth:`_insub`).
         self.value_sets: Dict[int, Tuple[str, str]] = {}
+        #: Text -> name of each value computed once per call (:meth:`once`).
+        self.bound: Dict[str, str] = {}
 
     def argument(self, recipe: Recipe) -> str:
         """The name of a new factory argument computed by *recipe*."""
@@ -578,6 +583,14 @@ class _Emitter:
         """The name of a factory argument holding *value* (plan data, not
         a literal: a converter, a subquery, a flag, a function name)."""
         return self.argument(lambda values: value)
+
+    def once(self, text: str) -> str:
+        """A name bound to *text*'s value as the generated function starts:
+        what a hidden parameter costs a row is what a hole costs."""
+        name = self.bound.get(text)
+        if name is None:
+            name = self.bound[text] = f"o{len(self.bound)}"
+        return name
 
     def literal(self, index: int) -> str:
         name = self._hole_names.get(index)
@@ -616,6 +629,8 @@ class _Emitter:
         if text.ir[0] == "hole":
             index = text.ir[1]
             return self.argument(lambda values: isinstance(values[index], _NUM))
+        if text.ir[0] == "hidden":
+            return self.once(f"isinstance({name}, _NUM)")
         return f"isinstance({name}, _NUM)"
 
     def source_slot(self, ir: IR) -> Optional[int]:
@@ -632,7 +647,7 @@ class _Emitter:
         if kind == "slot":
             column = self.source_slot(text.ir)
             return None if column is None else f"y{column}"
-        if kind == "hole" or (kind == "param" and self.fast):
+        if kind in ("hole", "hidden") or (kind == "param" and self.fast):
             return f"{{type({text.text})}}"
         return None
 
@@ -675,6 +690,8 @@ class _Emitter:
             return _Text(f"_{data}" if self.columns else f"r[{data}]", None, ir, name=True)
         if kind == "hole":
             return _Text(self.literal(data), None, ir, name=True)
+        if kind == "hidden":
+            return _Text(self.once(f"env.hidden[{data}]"), None, ir, name=True)
         if kind == "param":
             if self.fast:
                 self.params.add(data)
@@ -835,12 +852,14 @@ class _Emitter:
     def _in(self, ir: IR, negated: bool, texts: List[_Text]) -> _Text:
         value, items = texts[0], texts[1:]
         item_irs = ir[2][1:]
-        if all(item[0] == "hole" for item in item_irs):
+        if all(item[0] in ("hole", "hidden") for item in item_irs):
             holes = [item[1] for item in item_irs]
-            members = self.argument(
-                lambda values: frozenset(values[i] for i in holes) - {None}
-            )
-            has_null = self.argument(lambda values: any(values[i] is None for i in holes))
+            if any(item[0] == "hidden" for item in item_irs):
+                members = self.once(f"frozenset(({''.join(item.text + ', ' for item in items)}))")
+                has_null = self.once(f"None in {members}")
+            else:
+                members = self.argument(lambda values: frozenset(values[i] for i in holes) - {None})
+                has_null = self.argument(lambda values: any(values[i] is None for i in holes))
             x1, x2 = self.bind(value)
             hit, miss = ("False", "True") if negated else ("True", "False")
             return _Text(
@@ -849,11 +868,11 @@ class _Emitter:
                 "bool3",
                 ir,
             )
-        if all(item[0] in ("hole", "param") for item in item_irs):
-            items = [(kind == "param", data) for kind, data, __ in item_irs]
+        if all(item[0] in ("hole", "param", "hidden") for item in item_irs):
+            items = [(kind, data) for kind, data, __ in item_irs]
             listed = self.argument(
                 lambda values: tuple(
-                    (is_param, data if is_param else values[data]) for is_param, data in items
+                    (kind, values[data] if kind == "hole" else data) for kind, data in items
                 )
             )
             token = self.argument(lambda values: object())
@@ -1013,6 +1032,7 @@ def _source(exprs: Tuple[IR, ...], shape: str) -> Tuple[str, Tuple[Recipe, ...]]
     else:
         result = f"({''.join(text.text + ', ' for text in by_row)})"
     unfetched = "".join(f"        {name} = None\n" for name, __ in emitter.value_sets.values())
+    unfetched += "".join(f"        {name} = {text}\n" for text, name in emitter.bound.items())
     arguments = ", ".join(f"k{index}" for index in range(len(emitter.recipes)))
     source = (
         f"def make({arguments}):\n    def row(r, env):\n{unfetched}"

@@ -423,7 +423,7 @@ class JoinGraphs(AccessPaths):
         if filtered is operator:
             return operator
         if leaf.access_rows is not None:
-            filtered.est_rows = leaf.access_rows * table_stats_mod.condition_selectivity(
+            filtered.est_rows = leaf.access_rows * self._selectivity(
                 [e for e in pushed if id(e) not in probed],
                 {binding.lower(): leaf.stats},
             )
@@ -451,9 +451,7 @@ class JoinGraphs(AccessPaths):
             return identity  # duplicate binding names: keep the written order
         filtered = [
             leaf.stats.row_count
-            * table_stats_mod.condition_selectivity(
-                [conjunct.expression for conjunct in leaf.pushed], group
-            )
+            * self._selectivity([conjunct.expression for conjunct in leaf.pushed], group)
             for leaf, group in zip(leaves, groups)
         ]
         remaining = identity[:]
@@ -608,7 +606,7 @@ class JoinGraphs(AccessPaths):
                 selectivity *= table_stats_mod.equi_join_selectivity(
                     key.conjunct.expression, binding_stats, left_est, right_est
                 )
-            selectivity *= table_stats_mod.condition_selectivity(
+            selectivity *= self._selectivity(
                 [conjunct.expression for conjunct in residual], binding_stats
             )
             est = left_est * right_est * selectivity

@@ -1,4 +1,4 @@
-"""Hand-written SQL tokeniser.
+"""SQL tokeniser: one compiled alternation, matched token after token.
 
 The lexer converts SQL text into a list of :class:`~repro.sqldb.tokens.Token`
 objects.  It supports:
@@ -7,16 +7,41 @@ objects.  It supports:
 * string literals with ``''`` escaping,
 * integer and decimal number literals,
 * line comments (``-- ...``) and block comments (``/* ... */``),
-* the operators and punctuation listed in :mod:`repro.sqldb.tokens`,
+* the operators ``<> != <= >= || = < > + - * / %`` and ``( ) , . ;``,
 * ``?`` parameter placeholders.
+
+Each alternative of :data:`_TOKEN` is one token class, tried in order at
+each position; those in lower case match the start of a block comment,
+string or quoted identifier that never ends.  A quoted token ends at a
+quote that no quote follows, so an unterminated one is reported at its
+opening quote.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.errors import LexerError
-from repro.sqldb.tokens import KEYWORDS, OPERATORS, PUNCTUATION, Token, TokenKind
+from repro.sqldb.tokens import KEYWORDS, Token, TokenKind
+
+_TOKEN = re.compile(
+    r"""[ \t\r\n]+|--[^\n]*\n?|/\*.*?\*/
+    |(?P<STRING>'(?:[^']|'')*'(?!'))|(?P<IDENT>"(?:[^"]|"")*"(?!"))
+    |(?P<NUMBER>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)|(?P<WORD>[^\W\d]\w*)
+    |(?P<PARAM>\?)|(?P<block>/\*)|(?P<OPERATOR><>|!=|<=|>=|\|\||[=<>+\-*/%])
+    |(?P<PUNCT>[(),.;])|(?P<string>')|(?P<identifier>")""",
+    re.DOTALL | re.VERBOSE,
+)
+
+_KINDS = TokenKind.__members__
+
+#: What an unterminated token of each kind is reported as.
+_UNTERMINATED = {
+    "string": "unterminated string literal",
+    "identifier": "unterminated quoted identifier",
+    "block": "unterminated block comment",
+}
 
 
 def tokenize(sql: str) -> List[Token]:
@@ -26,141 +51,33 @@ def tokenize(sql: str) -> List[Token]:
     unexpected characters.
     """
     tokens: List[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch in " \t\r\n":
-            i += 1
+    append = tokens.append
+    end = 0
+    for found in _TOKEN.finditer(sql):
+        start = found.start()
+        if start != end:
+            break  # no alternative matched at *end*
+        end = found.end()
+        kind = found.lastgroup
+        if kind is None:  # whitespace or a comment
             continue
-        if ch == "-" and sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "/" and sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end == -1:
-                raise LexerError("unterminated block comment", i)
-            i = end + 2
-            continue
-        start = i
-        if ch == "'":
-            literal, i = _read_string(sql, i)
-            tokens.append(Token(TokenKind.STRING, literal, start))
-            continue
-        if ch == '"':
-            ident, i = _read_quoted_identifier(sql, i)
-            tokens.append(Token(TokenKind.IDENT, ident, start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            value, i = _read_number(sql, i)
-            tokens.append(Token(TokenKind.NUMBER, value, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            word, i = _read_word(sql, i)
-            upper = word.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, start))
-            else:
-                tokens.append(Token(TokenKind.IDENT, word, start))
-            continue
-        if ch == "?":
-            tokens.append(Token(TokenKind.PARAM, "?", i))
-            i += 1
-            continue
-        operator = _match_operator(sql, i)
-        if operator is not None:
-            tokens.append(Token(TokenKind.OPERATOR, operator, i))
-            i += len(operator)
-            continue
-        if ch in PUNCTUATION:
-            tokens.append(Token(TokenKind.PUNCT, ch, i))
-            i += 1
-            continue
-        raise LexerError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenKind.EOF, None, n))
-    return tokens
-
-
-def _read_string(sql: str, start: int) -> tuple:
-    """Read a ``'...'`` literal starting at *start*; return (text, next_i)."""
-    i = start + 1
-    parts: List[str] = []
-    while i < len(sql):
-        ch = sql[i]
-        if ch == "'":
-            if sql.startswith("''", i):
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise LexerError("unterminated string literal", start)
-
-
-def _read_quoted_identifier(sql: str, start: int) -> tuple:
-    """Read a ``"..."`` identifier starting at *start*; return (name, next_i)."""
-    i = start + 1
-    parts: List[str] = []
-    while i < len(sql):
-        ch = sql[i]
-        if ch == '"':
-            if sql.startswith('""', i):
-                parts.append('"')
-                i += 2
-                continue
-            if not parts:
+        text = found.group()
+        if kind == "WORD":
+            upper = text.upper()
+            append(Token(TokenKind.KEYWORD, upper, start) if upper in KEYWORDS else Token(TokenKind.IDENT, text, start))
+        elif kind == "NUMBER":
+            append(Token(TokenKind.NUMBER, float(text) if "." in text or "e" in text or "E" in text else int(text), start))
+        elif kind == "STRING":
+            append(Token(TokenKind.STRING, text[1:-1].replace("''", "'"), start))
+        elif kind == "IDENT":
+            if len(text) == 2:
                 raise LexerError("empty quoted identifier", start)
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise LexerError("unterminated quoted identifier", start)
-
-
-def _read_number(sql: str, start: int):
-    """Read a numeric literal; return (int-or-float, next_i)."""
-    i = start
-    n = len(sql)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = sql[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            # Only treat as exponent if followed by digits or a signed digit.
-            j = i + 1
-            if j < n and sql[j] in "+-":
-                j += 1
-            if j < n and sql[j].isdigit():
-                seen_exp = True
-                i = j + 1
-            else:
-                break
+            append(Token(TokenKind.IDENT, text[1:-1].replace('""', '"'), start))
+        elif kind in _UNTERMINATED:
+            raise LexerError(_UNTERMINATED[kind], start)
         else:
-            break
-    text = sql[start:i]
-    if seen_dot or seen_exp:
-        return float(text), i
-    return int(text), i
-
-
-def _read_word(sql: str, start: int):
-    """Read an identifier/keyword word; return (text, next_i)."""
-    i = start
-    n = len(sql)
-    while i < n and (sql[i].isalnum() or sql[i] == "_"):
-        i += 1
-    return sql[start:i], i
-
-
-def _match_operator(sql: str, i: int):
-    """Return the longest operator starting at *i*, or None."""
-    for operator in OPERATORS:
-        if sql.startswith(operator, i):
-            return operator
-    return None
+            append(Token(_KINDS[kind], text, start))
+    if end != len(sql):
+        raise LexerError(f"unexpected character {sql[end]!r}", end)
+    append(Token(TokenKind.EOF, None, end))
+    return tokens

@@ -17,7 +17,8 @@ Expression precedence, loosest first: OR, AND, NOT, comparison/predicates
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from itertools import accumulate
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.errors import ParseError
 from repro.sqldb import ast_nodes as ast
@@ -30,17 +31,45 @@ _AGGREGATE_KEYWORDS = ("AVG", "COUNT", "MAX", "MIN", "SUM")
 _COMPARISON_OPERATORS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 
 
-def parse_statement(sql: str) -> ast.Statement:
-    """Parse a single SQL statement and return its AST.
+def parse_statement(sql: str, tokens: Optional[List[Token]] = None, hidden: Optional[list] = None) -> ast.Statement:
+    """Parse a single SQL statement (lexed as *tokens*, if given) and
+    return its AST.
 
     A trailing semicolon is permitted.  Raises :class:`ParseError` if the
-    input is empty, malformed, or contains trailing garbage.
-    """
-    parser = _Parser(tokenize(sql))
+    input is empty, malformed, or contains trailing garbage.  Given a
+    *hidden* list, a numeral or string literal is hidden (numbered among
+    the :func:`statement_shape` values) and appended to it unless the plan
+    reads it: in ``LIMIT`` / ``OFFSET``, in a ``GROUP BY`` / ``ORDER BY``
+    item (a position), a signed literal (folded) or a ``LIKE`` pattern."""
+    parser = _Parser(tokens or tokenize(sql), hidden)
     statement = parser.parse_statement()
     parser.accept_punct(";")
     parser.expect_eof()
     return statement
+
+
+#: The token kinds :func:`statement_shape` takes the values of.
+_LITERALS = (TokenKind.NUMBER, TokenKind.STRING)
+
+
+def statement_shape(tokens: List[Token]) -> Tuple[tuple, List[Any]]:
+    """``(key, values)``: the shape key of a statement's tokens, and its
+    numeral and string literals.  The key has each literal as its type
+    and the number of the first literal equal to it (for a string, also
+    but for case): plans dedupe equal ``IN`` items and match expressions
+    by their rendered text."""
+    key: List[Any] = []
+    values: List[Any] = []
+    first: dict = {}
+    for kind, value, __ in tokens:
+        if kind in _LITERALS:
+            key += (type(value), first.setdefault(value, len(values)))
+            if kind is TokenKind.STRING:
+                key.append(first.setdefault((value.lower(),), len(values)))
+            values.append(value)
+        else:  # an identifier apart from the keyword or symbol it may spell
+            key.append((value,) if kind is TokenKind.IDENT else value)
+    return tuple(key), values
 
 
 def parse_script(sql: str) -> List[ast.Statement]:
@@ -67,10 +96,13 @@ def parse_expression(sql: str) -> ast.Expression:
 class _Parser:
     """Token-stream cursor with the actual grammar productions."""
 
-    def __init__(self, tokens: List[Token]) -> None:
+    def __init__(self, tokens: List[Token], hidden: Optional[list] = None) -> None:
         self._tokens = tokens
         self._pos = 0
         self._param_count = 0
+        #: Hidden literals, and each token's count of literals up to it.
+        self._hidden = hidden
+        self._ordinals = None if hidden is None else list(accumulate(t.kind in _LITERALS for t in tokens))
         #: Levels of expression nesting open (see ``ast.NESTING_LIMIT``);
         #: the outermost expression opens none.
         self._depth = -1
@@ -343,9 +375,9 @@ class _Parser:
         limit = None
         offset = None
         if self.accept_keyword("LIMIT"):
-            limit = self.parse_expr()
+            limit = self._shown(self.parse_expr)
         if self.accept_keyword("OFFSET"):
-            offset = self.parse_expr()
+            offset = self._shown(self.parse_expr)
         return ast.SelectStatement(
             body=body,
             with_clause=with_clause,
@@ -404,9 +436,9 @@ class _Parser:
         having = None
         if self.accept_keyword("GROUP"):
             self.expect_keyword("BY")
-            group_by.append(self.parse_expr())
+            group_by.append(self._shown(self.parse_expr))
             while self.accept_punct(","):
-                group_by.append(self.parse_expr())
+                group_by.append(self._shown(self.parse_expr))
         if self.accept_keyword("HAVING"):
             having = self.parse_expr()
         return ast.SelectCore(
@@ -488,7 +520,7 @@ class _Parser:
         return self.advance().value if self.peek().kind is TokenKind.IDENT else None
 
     def _parse_order_item(self) -> ast.OrderItem:
-        expression = self.parse_expr()
+        expression = self._shown(self.parse_expr)  # a bare literal is a position
         descending = False
         if self.accept_keyword("DESC"):
             descending = True
@@ -497,6 +529,12 @@ class _Parser:
         return ast.OrderItem(expression=expression, descending=descending)
 
     # -- expressions --------------------------------------------------------
+
+    def _shown(self, parse):
+        """What *parse* parses, with no literal hidden."""
+        ordinals, self._ordinals = self._ordinals, None
+        found, self._ordinals = parse(), ordinals
+        return found
 
     def _deeper(self) -> None:
         """Open one more level of expression nesting."""
@@ -575,7 +613,7 @@ class _Parser:
             high = self._parse_additive()
             return ast.Between(operand=left, low=low, high=high, negated=negated)
         if self.accept_keyword("LIKE"):
-            pattern = self._parse_additive()
+            pattern = self._shown(self._parse_additive)
             return ast.Like(operand=left, pattern=pattern, negated=negated)
         if negated:
             raise ParseError(
@@ -618,31 +656,28 @@ class _Parser:
             self._deeper()
             operand = self._parse_unary()
             self._depth -= 1
+            if isinstance(operand, ast.Literal):
+                operand.hidden = None  # folded with its sign
             return ast.UnaryOp(operator=token.value, operand=operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expression:
         token = self.peek()
-        if token.kind is TokenKind.NUMBER:
+        if token.kind in _LITERALS:
             self.advance()
-            return ast.Literal(value=token.value)
-        if token.kind is TokenKind.STRING:
-            self.advance()
-            return ast.Literal(value=token.value)
+            literal = ast.Literal(value=token.value)
+            if self._ordinals is not None:
+                literal.hidden = self._ordinals[self._pos - 1] - 1
+                self._hidden.append(literal)
+            return literal
         if token.kind is TokenKind.PARAM:
             self.advance()
             index = self._param_count
             self._param_count += 1
             return ast.Parameter(index=index)
-        if token.matches_keyword("NULL"):
+        if token.matches_keyword("NULL", "TRUE", "FALSE"):
             self.advance()
-            return ast.Literal(value=None)
-        if token.matches_keyword("TRUE"):
-            self.advance()
-            return ast.Literal(value=True)
-        if token.matches_keyword("FALSE"):
-            self.advance()
-            return ast.Literal(value=False)
+            return ast.Literal(value={"NULL": None, "TRUE": True, "FALSE": False}[token.value])
         if token.matches_keyword("CAST"):
             return self._parse_cast()
         if token.matches_keyword("CASE"):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Collection, List, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.sqldb.columnar import SMALL_BATCH
@@ -112,11 +112,17 @@ def key_columns(arity: int, irs: Sequence[IR]) -> Program:
     return pipeline(arity, [], (COLUMNS, tuple(irs), None))
 
 
-def key_classes(values: Iterable[Any]) -> frozenset:
+class KeyClasses(frozenset):
+    """:func:`key_classes`, and ``number``: a number of the probed side."""
+
+
+def key_classes(values: Collection[Any]) -> KeyClasses:
     """The classes of a join key that ``=`` with any of the probed side's
     key *values* cannot make a ``TypeMismatchError``: the loop checks a
     key of another class (``expressions._unequal``)."""
-    return _CLASSES.difference(*[_OTHER[kind] for kind in {isinstance(v, _NUM) for v in values if v is not None}])
+    found = KeyClasses(_CLASSES.difference(*[_OTHER[kind] for kind in {isinstance(v, _NUM) for v in values if v is not None}]))
+    found.number = next((v for v in values if isinstance(v, _NUM)), 0)
+    return found
 
 
 @functools.lru_cache(maxsize=512)
@@ -144,6 +150,7 @@ def _pipeline_source(arity: int, stages: Tuple[tuple, ...]) -> Tuple[str, Tuple[
         ]
     # An uncorrelated IN (subquery) fetches its value set once per call.
     unfetched = [f"        {name} = None" for name, __ in emitter.value_sets.values()]
+    unfetched += [f"        {name} = {text}" for text, name in emitter.bound.items()]
     arguments = ", ".join(f"k{index}" for index in range(len(emitter.recipes)))
     lines = [f"def make({arguments}):", "    def row(b, env, scan, state):", *unfetched, *body]
     return "\n".join(lines) + "\n    return row, row\n", tuple(emitter.recipes)

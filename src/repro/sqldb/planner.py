@@ -108,6 +108,7 @@ class Planner(JoinGraphs):
         views: Optional[Dict[str, "object"]] = None,
         expanding_views: Optional[set] = None,
         stats: Optional[table_stats_mod.StatsCatalog] = None,
+        estimates: Optional[list] = None,
     ) -> None:
         self.catalog = catalog
         self.functions = functions
@@ -125,6 +126,9 @@ class Planner(JoinGraphs):
         #: :meth:`_subquery_key` (None outside a core): textually identical
         #: ones are planned — hence evaluated — once per execution.
         self._core_subqueries: Optional[Dict[object, CompiledSubquery]] = None
+        #: When a list: each estimate of conjuncts with a hidden literal, as
+        #: :meth:`_selectivity` records it.
+        self.estimates = estimates
 
     # -- public entry points -------------------------------------------------
 
@@ -322,7 +326,7 @@ class Planner(JoinGraphs):
                 for conjunct in where_conjuncts
                 if id(conjunct) not in consumed
             ]
-            operator.est_rows = source_est * table_stats_mod.condition_selectivity(
+            operator.est_rows = source_est * self._selectivity(
                 residual, binding_stats
             )
         return operator

@@ -26,6 +26,7 @@ breaks cost ties by discovery order — plans stay byte-stable per seed.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -476,6 +477,11 @@ def condition_selectivity(
             ends = max(i[2] for i in group), min(i[3] for i in group)
             selectivity *= _kept((None, interval[1], *ends), 0.0)
     return _clamp(selectivity)
+
+
+def bucket(selectivity: float) -> Optional[int]:
+    """The log₂ bucket of an estimate (None for none of the rows)."""
+    return math.frexp(selectivity)[1] if selectivity else None
 
 
 def equi_join_selectivity_from_stats(

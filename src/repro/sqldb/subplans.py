@@ -54,6 +54,8 @@ class Plan:
     #: transaction analyzer shares) so that a cached plan re-acquires its
     #: locks without rebuilding them per execution.
     footprint: tuple = ()
+    #: ``env.hidden`` when it runs: the literals of the text it serves.
+    hidden: tuple = ()
 
 
 _first = itemgetter(0)

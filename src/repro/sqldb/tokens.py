@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -91,15 +91,8 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so the lexer can match greedily.
-OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
 
-#: Single-character punctuation.
-PUNCTUATION = frozenset({"(", ")", ",", ".", ";"})
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``value`` holds the uppercased keyword text for keywords, the raw

@@ -156,6 +156,17 @@ each runs until the range reads have paid for the sorted copy of
   2 084 once each group's values are joined across the batches and each
   aggregate folds them once, with a fold chosen at plan time.
 
+An ad-hoc text is held too: a ``report_scan``-like 2 % range with its
+bounds inline, ``SELECT obid, name, weight FROM assy WHERE weight >= 250.1
+AND weight < 260.2`` on the same product, analysed.  A text of a shape
+the cache holds, another text whose literals alone differ: 810 calls
+while the cache was keyed by the text alone (every such text was lexed,
+parsed and planned afresh); 121 once it is lexed, keyed by its shape,
+its estimate checked against its plan's bucket and run with its literals
+as hidden parameters.  The first text of a shape now costs 1 097: it is
+planned twice, with its literals hidden for the shape and as literals
+for its own text.
+
 The two bulk paths are held per row, on the navigational product (727
 rows):
 
@@ -281,6 +292,12 @@ RANGED_TOP_CALLS_BUDGET = 61
 #: and aggregate, not an ``Aggregator`` per group, aggregate and batch
 #: (13 348 calls).
 MANY_GROUPS_CALLS_BUDGET = 2_300
+
+#: An ad-hoc range with its bounds inline, and the calls a text of a
+#: cached shape may cost: a lex, a key and an estimate check, not a parse
+#: and a plan (810 calls).
+SHAPED_SQL = "SELECT obid, name, weight FROM assy WHERE weight >= {} AND weight < {}"
+SHAPE_HIT_CALLS_BUDGET = 136
 
 #: Calls per row ``load_product`` may cost: per-statement work once per
 #: ``executemany`` call, not once per row (117.0 calls).
@@ -631,6 +648,24 @@ def test_a_many_group_rollup_folds_once_per_group_inside_its_budget(weighted_db)
         f"{calls} Python-level calls for one cached GROUP BY of 1 024 groups "
         f"(budget {MANY_GROUPS_CALLS_BUDGET}): the aggregate builds its state "
         f"per group and batch again"
+    )
+
+
+def test_a_text_of_a_cached_shape_is_not_planned_again():
+    database, weights = weighted_db.__wrapped__()
+    middle, width = len(weights) // 2, len(weights) // 50
+    texts = [SHAPED_SQL.format(weights[middle + k], weights[middle + width + k]) for k in range(32)]
+    for sql in texts[:30]:  # the range reads pay for the sorted copy
+        database.execute(sql)
+    database.execute("ANALYZE")  # the plan cache is empty
+    database.execute(texts[30])
+    hits = database.statistics["plan_cache_hits"]
+    calls = count_calls(lambda: database.execute(texts[31]))
+    assert database.statistics["plan_cache_hits"] == hits + 1
+    assert database.last_counters["rows_scanned"] == 27
+    assert calls <= SHAPE_HIT_CALLS_BUDGET, (
+        f"{calls} Python-level calls for a text of a cached shape (budget "
+        f"{SHAPE_HIT_CALLS_BUDGET}): it is parsed or planned again"
     )
 
 

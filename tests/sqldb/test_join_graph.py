@@ -238,6 +238,33 @@ class TestAKeyOfTheOtherKind:
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 
+    @pytest.mark.parametrize(
+        "column_type, value, key, message",
+        [
+            ("INTEGER", lambda i: i, "'a'", "cannot compare int with str"),
+            ("DOUBLE", lambda i: i * 0.5, "'a'", "cannot compare float with str"),
+            ("BOOLEAN", lambda i: i % 2 == 0, "'a'", "cannot compare bool with str"),
+            ("VARCHAR(8)", lambda i: f"v{i}", "1.5", "cannot compare float with str"),
+        ],
+        ids=["INTEGER", "DOUBLE", "BOOLEAN", "VARCHAR"],
+    )
+    def test_a_probe_names_the_declared_kind(self, column_type, value, key, message):
+        """``w = key`` scanned and through ``IndexLookup`` on 300 rows (so
+        the probe is not priced out): one message, which names the kind of
+        ``w``'s values for a key of the other kind."""
+        sql = f"SELECT * FROM d WHERE w = {key}"
+        for indexed in (False, True):
+            db = Database()
+            db.execute(f"CREATE TABLE d (id INTEGER PRIMARY KEY, w {column_type})")
+            db.executemany("INSERT INTO d VALUES (?, ?)", [(i, value(i)) for i in range(300)])
+            if indexed:
+                db.execute("CREATE INDEX d_w ON d (w)")
+            access = "IndexLookup(d via d_w)" if indexed else "SeqScan(d)"
+            assert access in "\n".join(plan_lines(db, sql))
+            with pytest.raises(TypeMismatchError) as raised:
+                db.execute(sql)
+            assert str(raised.value) == message
+
     @pytest.mark.parametrize("indexed", [False, True], ids=["no index", "indexed"])
     def test_a_null_key_finds_nothing(self, indexed):
         db = self.build(indexed, [(None,), (None,)])

@@ -340,3 +340,25 @@ class TestIndexDifferential:
                 assert indexed == scanned
             indexed, scanned = [outcome(db, "SELECT id, k FROM t") for db in dbs]
             assert indexed == scanned
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t_keys=st.lists(st.one_of(st.none(), st.integers(0, 30)), min_size=200, max_size=240),
+        s_keys=st.lists(st.one_of(st.none(), st.integers(0, 30)), min_size=1, max_size=12),
+        predicate=st.sampled_from(sorted(_PREDICATES)),
+        params=st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=3, max_size=3),
+    )
+    def test_probes_that_run_answer_as_the_scan(self, t_keys, s_keys, predicate, params):
+        """The same on a ``t`` of 200 rows or more, where 31 keys keep each
+        probe cheaper than the scan: ``IndexLookup`` runs and probes (a
+        list of three of five keys often repeats one)."""
+        t_rows = [(i, key, f"row{i}") for i, key in enumerate(t_keys)]
+        s_rows = [(key, 0, "a") for key in s_keys]
+        params = params[: _PREDICATES[predicate]]
+        sql = f"SELECT id, k FROM t WHERE {predicate}"
+        indexed, scanned = [make_db(t_rows, s_rows, index) for index in (True, False)]
+        assert "IndexLookup(t via t_k" in plan_text(indexed, sql) or "NOT IN" in predicate
+        assert outcome(indexed, sql, params) == outcome(scanned, sql, params)
+        keys = params if predicate != "k IN (SELECT x FROM s)" else s_keys
+        if "NOT IN" not in predicate and any(key is not None for key in keys):
+            assert indexed.last_counters["index_probes"] > 0

@@ -18,7 +18,11 @@ change allowed) once a range conjunct read a sorted copy of its column
 sort), two range conjuncts on one column were estimated as one
 interval, and an aggregate folded each group once; 10 821 once one
 ``IndexLookup`` took every key source (``=``, IN-list, IN-subquery), the
-planner found them in one pass, and one method built a child planner.
+planner found them in one pass, and one method built a child planner;
+10 900 (79 more, within the 80 its change allowed) once a SELECT's plan
+was cached by statement shape with its literals as hidden parameters,
+the lexer was one compiled alternation (81 lines fewer) and a range
+scan took its bounds from its filter's lowered conjuncts.
 """
 
 import ast
@@ -37,7 +41,7 @@ ROOT = Path(repro.__file__).parent
 SQLDB_MODULE_LINES = 1_200
 
 #: The most lines ``repro.sqldb`` may have (see the history above).
-SQLDB_LINES = 10_821
+SQLDB_LINES = 10_900
 
 
 def imported_modules(node):
