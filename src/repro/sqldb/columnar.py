@@ -26,16 +26,17 @@ are shared between executions through the cache.
 
 A table version keeps the *sorted copy* of a column that range reads ask
 for (:func:`sorted_column`): a range is two bisections, then a gather or
-a walk in order (:func:`in_order`).
+a walk in order (:func:`in_order`), and the *group numbers* a grouped
+loop indexes instead of hashing each row's key (:func:`group_numbers`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from math import log2
 from operator import is_not, itemgetter, ne
-from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.sqldb.stats import SEQ_TUPLE_COST
 
@@ -65,16 +66,19 @@ class Batch(list):
 class Columns(dict):
     """A batch's columns, each pivoted out of its rows on first read
     (``columns[slot]`` costs a call only then), and ``kinds[slot]``, the
-    set of value types in column *slot*, likewise computed once."""
+    set of value types in column *slot*, likewise computed once; in a
+    chunk of *table*, ``columns[slots]`` are :func:`group_numbers`."""
 
-    __slots__ = ("_rows", "kinds")
+    __slots__ = ("_rows", "kinds", "_table")
 
-    def __init__(self, rows: List[Row]) -> None:
+    def __init__(self, rows: List[Row], table: Optional["Chunks"] = None) -> None:
         super().__init__()
-        self._rows = rows
+        self._rows, self._table = rows, table
         self.kinds = _Kinds(self)
 
-    def __missing__(self, slot: int) -> List[Any]:
+    def __missing__(self, slot: Any) -> Any:
+        if slot.__class__ is tuple:  # a GROUP BY's key slots
+            return self._table and group_numbers(self._table, slot, self._rows)
         column = self[slot] = list(map(itemgetter(slot), self._rows))
         return column
 
@@ -120,13 +124,30 @@ def table_batches(storage, batch_size: int = BATCH_SIZE, snapshot=None) -> List[
 
 class Chunks(list):
     """A table version's chunks, its ``rows`` in heap order, and per column
-    its sorted copy (``copies``) and the rows scanned toward it (``rent``)."""
+    its sorted copy (``copies``) and the rows scanned toward it (``rent``,
+    also per tuple of key slots toward their group numbers)."""
 
     def __init__(self, rows: List[Row], size: int) -> None:
         super().__init__(Batch(rows[start : start + size]) for start in range(0, len(rows), size))
         for chunk in self:
-            chunk.columns = Columns(chunk)
+            chunk.columns = Columns(chunk, self)
         self.rows, self.copies, self.rent = rows, {}, {}
+
+
+def group_numbers(chunks: Chunks, slots: Tuple[int, ...], chunk: Batch) -> Optional[List[int]]:
+    """*chunk*'s group numbers for key *slots*: per row, the position in
+    the chunk of the first row whose key (the value of one slot, the tuple
+    of more) is equal to its own as a dict key.  Each chunk's are built
+    once the grouped reads of the table version have scanned as many rows
+    as it holds (a version read once pays nothing more); None until then."""
+    paid = chunks.rent.get(slots, 0)
+    if paid < len(chunks.rows):
+        chunks.rent[slots] = paid + len(chunk)
+        return None
+    for each in chunks:
+        first: Dict[Any, int] = {}
+        each.columns[slots] = list(map(first.setdefault, map(itemgetter(*slots), each), count()))
+    return chunk.columns[slots]
 
 
 #: The kinds of a sorted copy, never both: there Python's order is SQL's.

@@ -215,7 +215,10 @@ _FOLDS: Dict[str, Callable[[List[Any]], Any]] = dict(
 def fold(name: str, distinct: bool = False, star: bool = False) -> Callable[[List[Any]], Any]:
     """Aggregate *name* over all of a group's values, in row order: what an
     :class:`Aggregator` fed them returns (NULLs dropped, DISTINCT keeping
-    first sightings, SUM and AVG a left fold, MAX and MIN the first extreme)."""
+    first sightings, SUM and AVG a left fold, MAX and MIN the first extreme).
+    SUM, AVG, MAX and MIN fold the values as they are, and drop the NULLs
+    only where that raises ``TypeError``, as two or more values holding a
+    NULL do (a lone NULL folds to None either way)."""
     whole = _FOLDS[name.upper()]
 
     def folded(values: List[Any]) -> Any:
@@ -225,4 +228,10 @@ def fold(name: str, distinct: bool = False, star: bool = False) -> Callable[[Lis
             values = list(dict.fromkeys(values))
         return whole(values) if values or whole is len else None
 
-    return len if star else folded
+    def optimistic(values: List[Any]) -> Any:
+        try:
+            return whole(values) if values else None
+        except TypeError:
+            return folded(values)
+
+    return len if star else folded if distinct or whole is len else optimistic

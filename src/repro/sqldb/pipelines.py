@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Any, Collection, List, Sequence, Tuple
+from typing import Any, Collection, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.sqldb.columnar import SMALL_BATCH
@@ -78,7 +78,10 @@ def pipeline(arity: int, stages: Sequence[tuple], sink: tuple) -> Program:
       ``(GROUPS, keys + arguments, key count)``: ``{group key: (column,
       ...)}``, each argument's values in row order (one column of
       ``None`` per row when there is no argument), the key of one key its
-      value; ``(BUILD, keys, None)``: the same with the row as the
+      value, from the group's first row the loop keeps (in a chunk with
+      :func:`~repro.sqldb.columnar.group_numbers` for keys that are
+      source slots, a row finds its group by a list index);
+      ``(BUILD, keys, None)``: the same with the row as the
       argument; or ``(DISTINCT, (), keep)``: the rows new to the state's
       ``seen`` set (and, but for a *keep* of None, whose presence in its
       ``right`` set is *keep*), added to it once the loop is done.
@@ -139,12 +142,23 @@ def _pipeline_source(arity: int, stages: Tuple[tuple, ...]) -> Tuple[str, Tuple[
     else:
         emitter.fast = True
         fast = _loop(emitter, arity, stages)
+        grouped = _group_slots(arity, stages)
+        numbered: List[str] = []
+        if grouped:  # over a chunk's group numbers, once they are built
+            emitter.fast = False
+            careful_numbered = _loop(emitter, arity, stages, numbered=True)
+            emitter.fast = True
+            fast_numbered = _loop(emitter, arity, stages, numbered=True)
+            forms = _fast_block(emitter, fast_numbered) if fast_numbered != careful_numbered else []
+            numbered = [f"        numbers = cols[{grouped}]", "        if numbers is not None:"]
+            numbered += ["    " + line for line in forms + _indented(careful_numbered)]
         body = [
             "        cols = b.columns",
             "        if cols is None:",
             f"            if len(b) <= {SMALL_BATCH}:",  # never pivoted: over its rows
             *["        " + line for line in rows],
             "            cols = b.columns = Columns(b)",
+            *numbered,
             *(_fast_block(emitter, fast) if fast != careful else []),
             *_indented(careful),
         ]
@@ -158,6 +172,20 @@ def _pipeline_source(arity: int, stages: Tuple[tuple, ...]) -> Tuple[str, Tuple[
 
 def _indented(lines: List[str]) -> List[str]:
     return ["        " + line for line in lines]
+
+
+def _group_slots(arity: int, stages: Sequence[tuple]) -> Optional[Tuple[int, ...]]:
+    """The source slots a :data:`GROUPS` sink's keys read unchanged, if
+    there are keys and no join (each row the sink takes is a source row)."""
+    *steps, (sink, keys, count) = stages
+    if sink != GROUPS or any(step[0] == JOIN for step in steps):
+        return None
+    sources: List[Optional[int]] = list(range(arity))
+    for step, irs, __ in steps:
+        if step == PROJECT:
+            sources = [sources[ir[1]] if ir[0] == "slot" else None for ir in irs]
+    slots = tuple(sources[ir[1]] if ir[0] == "slot" else None for ir in keys[:count])
+    return slots if slots and None not in slots else None
 
 
 #: A slot read out of a row tuple: ``r[3]``, ``q1[0]``.
@@ -191,9 +219,10 @@ def _tuple_text(texts: List[str]) -> str:
     return pieces[0] if len(pieces) == 1 else f"({' + '.join(pieces)})"
 
 
-def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
+def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple], numbered: bool = False) -> List[str]:
     """The statements of one form of a pipeline's loop — over the rows,
-    or over the columns when ``emitter.columns`` — ending in its
+    or over the columns when ``emitter.columns`` (and a :data:`GROUPS`
+    sink's group numbers ``_g`` when *numbered*) — ending in its
     ``return``."""
     columns = emitter.columns
     slot_texts = [f"_{s}" if columns else f"r[{s}]" for s in range(arity)]
@@ -306,17 +335,25 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
             lists = len(adds)
             if keys:
                 # One key is the dict key itself; more are a tuple.
-                start[:0] = ["groups = {}", "appends = {}"]
-                line(f"key = {emit(keys[0]) if len(keys) == 1 else _tuple_text([emit(ir) for ir in keys])}")
-                line("try:")
-                line("    add = appends[key]")
-                line("except KeyError:")  # a new group
-                line(f"    held = groups[key] = ({'[], ' * lists})")
+                key = emit(keys[0]) if len(keys) == 1 else _tuple_text([emit(ir) for ir in keys])
+                if numbered:  # the row's group number finds its appenders
+                    start[:0] = ["groups = {}", "adds = [None] * len(numbers)"]
+                    line("add = adds[_g]")
+                    line("if add is None:")  # a new group, keyed by this row
+                    found = "adds[_g]"
+                else:
+                    start[:0] = ["groups = {}", "appends = {}"]
+                    line(f"key = {key}")
+                    line("try:")
+                    line("    add = appends[key]")
+                    line("except KeyError:")  # a new group
+                    found, key = "appends[key]", "key"
+                line(f"    held = groups[{key}] = ({'[], ' * lists})")
                 if lists == 1:
-                    line("    add = appends[key] = held[0].append")
+                    line(f"    add = {found} = held[0].append")
                     line(f"add({adds[0]})")
                 else:
-                    line(f"    add = appends[key] = ({''.join(f'held[{i}].append, ' for i in range(lists))})")
+                    line(f"    add = {found} = ({''.join(f'held[{i}].append, ' for i in range(lists))})")
                     body.extend("    " * depth + f"add[{i}]({value})" for i, value in enumerate(adds))
                 result = "groups"
             else:
@@ -335,16 +372,15 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple]) -> List[str]:
     if sink == DISTINCT:
         state += ["seen"] if keep is None else ["right", "seen"]
     unpack = [f"{''.join(name + ', ' for name in state)}= state"] if state else []
-    names = (["r"] if whole and sink in (ROWS, DISTINCT, BUILD) else []) + [
-        f"_{s}" for s in sorted(emitter.read)
-    ]
+    names = (["_g"] if numbered else []) + (["r"] if whole and sink in (ROWS, DISTINCT, BUILD) else [])
+    names += [f"_{s}" for s in sorted(emitter.read)]
+    iterables = {"_g": "numbers", "r": "b", **{f"_{s}": f"cols[{s}]" for s in emitter.read}}
     if not columns or not names:
         head = "for r in b:"
     elif len(names) == 1:
-        head = f"for {names[0]} in {'b' if names[0] == 'r' else f'cols[{names[0][1:]}]'}:"
+        head = f"for {names[0]} in {iterables[names[0]]}:"
     else:
-        iterables = ["b" if name == "r" else f"cols[{name[1:]}]" for name in names]
-        head = f"for {', '.join(names)} in zip({', '.join(iterables)}):"
+        head = f"for {', '.join(names)} in zip({', '.join(map(iterables.__getitem__, names))}):"
     if sink == COLUMNS:
         picked = [
             f"cols[{ir[1]}]" if columns and ir[0] == "slot" else f"[{text} {head[:-1]}]"

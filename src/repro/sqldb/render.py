@@ -9,6 +9,7 @@ determines the request byte counts the experiments measure.
 
 from __future__ import annotations
 
+import re
 from typing import List, Union
 
 from repro.sqldb import ast_nodes as ast
@@ -272,7 +273,13 @@ def _render_literal(value: object) -> str:
     return repr(value)
 
 
+#: A rendered string literal (``''`` is a quote inside one).
+_STRING = re.compile(r"('(?:[^']|'')*')")
+
+
 def expression_key(expression: ast.Expression) -> str:
-    """Canonical case-insensitive key for structural expression equality
-    (GROUP BY matching)."""
-    return render_expression(expression).lower()
+    """Canonical key for structural expression equality (GROUP BY
+    matching): identifiers and keywords match in any case, string
+    literals only as written."""
+    parts = _STRING.split(render_expression(expression))
+    return "".join(part if index % 2 else part.lower() for index, part in enumerate(parts))

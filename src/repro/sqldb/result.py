@@ -19,7 +19,8 @@ class ResultSet:
         rowcount: Optional[int] = None,
     ) -> None:
         self.columns: List[str] = list(columns)
-        self.rows: List[Tuple[Any, ...]] = [tuple(row) for row in rows]
+        # A fresh list (an engine's rows may be a cached chunk); a tuple row is kept as it is.
+        self.rows: List[Tuple[Any, ...]] = list(map(tuple, rows))
         self.rowcount: int = len(self.rows) if rowcount is None else rowcount
         #: Lower-cased name -> first position; built by the first
         #: :meth:`column_index` call, since most results are read by

@@ -38,7 +38,10 @@ iteration per value); 100.0 once each chain of filters, projections and
 index joins ran as one generated loop (the child fetch's index join
 reads the index's bucket and the heap in place, a ``?`` is read from the
 parameters in place, and a union calls its branches without a generator
-expression).  The budget sits about 10 % above the last (CPython 3.10
+expression); 98.0 once one ``IndexLookup`` took every key source; 96.0
+once ``ResultSet`` copied its rows with ``list(map(tuple, rows))``, not
+a comprehension (a call on the server's side and one on the client's).
+The budget sits about 10 % above the last (CPython 3.10
 counts the same, 3.12 counts 96.9).
 
 Calls miss a loop that runs per value in bytecode, so the same pass is
@@ -113,12 +116,16 @@ and run straight on the ``Database``:
   calls with one ``add`` per row and aggregate, 70 with one ``add_many``
   per group, aggregate and batch (67 → 52 the same way, 48 once the
   aggregate's input was one generated loop, 29 once each group folds
-  once).  It is held in engine
+  once, 28 once the result's rows are copied without a comprehension).
+  It is held in engine
   bytecode instructions per input row too: 40.7 while the keys, the
   argument columns and each group's positions were three passes over a
   batch, 19.7 once one loop collects each group's values (an argument
   three aggregates share, once) and ``add_many`` drops NULLs only from a
-  column that holds one (19.4 once each group folds once);
+  column that holds one (19.36 once each group folds once; 18.41 once
+  the loop finds a row's group by a list index into the chunk's group
+  numbers, built in the measured execution, 18.36 in the ones after it,
+  and a fold scans for NULL only where folding raised);
 * a primary-key point ``SELECT *``, the batch of one: 62 calls on the
   row operators, 45 on the batch operators, where a filter tests a
   one-row batch with its row closure and a ``SELECT *`` projection

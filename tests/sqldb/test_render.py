@@ -4,6 +4,7 @@
 import pytest
 
 from repro.sqldb import Database
+from repro.sqldb.expressions import UnresolvedColumnError
 from repro.sqldb.parser import parse_expression, parse_statement
 from repro.sqldb.render import (
     expression_key,
@@ -87,3 +88,21 @@ class TestExpressionKey:
         assert expression_key(
             parse_expression("val % 2")
         ) == expression_key(parse_expression("VAL % 2"))
+
+    def test_string_literals_keep_their_case(self):
+        assert expression_key(parse_expression("s = 'A'")) != expression_key(
+            parse_expression("s = 'a'")
+        )
+        assert expression_key(parse_expression("S = 'it''s'")) == expression_key(
+            parse_expression("s = 'it''s'")
+        )
+
+    def test_group_by_matches_a_literal_only_as_written(self):
+        db = Database()
+        db.execute("CREATE TABLE t (s VARCHAR(4))")
+        db.executemany("INSERT INTO t VALUES (?)", [("a",), ("A",), ("b",)])
+        for literal in ("A", "b"):
+            with pytest.raises(UnresolvedColumnError):
+                db.execute(f"SELECT s = '{literal}', COUNT(*) FROM t GROUP BY s = 'a'")
+        found = db.execute("SELECT S = 'a', COUNT(*) FROM t GROUP BY s = 'a'").rows
+        assert found == [(True, 1), (False, 2)]

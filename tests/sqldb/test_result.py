@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sqldb import Database
 from repro.sqldb.result import ResultSet
 
 
@@ -84,3 +85,18 @@ class TestAccessors:
 
     def test_repr_mentions_shape(self, result):
         assert "rows=2" in repr(result)
+
+
+class TestRowsAreTheCallersOwn:
+    def test_mutating_rows_leaves_a_rerun_unchanged(self):
+        # A bare SELECT * hands back the table's cached chunk: the result
+        # must be a copy of the list, though not of its tuples.
+        db = Database()
+        db.execute("CREATE TABLE t (a INTEGER, b VARCHAR(4))")
+        db.executemany("INSERT INTO t VALUES (?, ?)", [(1, "x"), (2, "y")])
+        first = db.execute("SELECT * FROM t")
+        first.rows[0] = (9, "q")
+        first.rows.append((3, "z"))
+        again = db.execute("SELECT * FROM t")
+        assert again.rows == [(1, "x"), (2, "y")]
+        assert ResultSet(["a", "b"], again.rows).rows[1] is again.rows[1]

@@ -22,7 +22,11 @@ planner found them in one pass, and one method built a child planner;
 10 900 (79 more, within the 80 its change allowed) once a SELECT's plan
 was cached by statement shape with its literals as hidden parameters,
 the lexer was one compiled alternation (81 lines fewer) and a range
-scan took its bounds from its filter's lowered conjuncts.
+scan took its bounds from its filter's lowered conjuncts; 10 974 (74
+more, within the 80 its change allowed) once a GROUP BY over a table
+version's cached chunks found each row's group by a list index into
+rented group numbers, a fold dropped NULLs only where folding raised,
+and GROUP BY matching kept the case of string literals.
 """
 
 import ast
@@ -41,7 +45,7 @@ ROOT = Path(repro.__file__).parent
 SQLDB_MODULE_LINES = 1_200
 
 #: The most lines ``repro.sqldb`` may have (see the history above).
-SQLDB_LINES = 10_900
+SQLDB_LINES = 10_974
 
 
 def imported_modules(node):
