@@ -13,9 +13,12 @@ so ad-hoc texts that differ only in their literals share a plan.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import chain, starmap
+from operator import lt
 from typing import (
     Any,
     Callable,
@@ -55,7 +58,7 @@ from repro.sqldb.result import ResultSet
 from repro.sqldb.schema import Catalog, Column, TableSchema
 from repro.sqldb.stats import StatsCatalog, bucket, condition_selectivity
 from repro.sqldb.storage import TableStorage
-from repro.sqldb.types import converter
+from repro.sqldb.types import converter, row_converter
 
 
 class _Transaction:
@@ -257,16 +260,12 @@ class Database:
         the total number of affected rows.
 
         Parses and prepares once.  Each parameter row is still one
-        statement, exactly as if :meth:`execute` ran it: outside a
-        transaction it autocommits on its own — its own implicit WAL
-        transaction and commit record, one tick of the commit clock, and
-        versions for an open snapshot — so an error at row *k* raises with
-        the rows before *k* committed.  Inside a transaction every row logs
-        to that transaction.  Only what no row can change is done once per
-        call: the read-only check, the transaction lookup, and the lock
-        scope and footprint (no other statement runs between two rows).
-        This is the bulk-load path a scenario database is generated
-        through.
+        statement, as if :meth:`execute` ran it: outside a transaction its
+        own implicit WAL transaction and commit record, one clock tick and
+        versions for an open snapshot, so an error at row *k* raises with
+        the rows before *k* committed; inside one, every row logs to it.
+        An INSERT converts, checks and places a list of rows as one batch
+        (:meth:`_insert`): the bulk load of a scenario database.
         """
         self._check_aborted(self._current_session)
         statement = parse_statement(sql)
@@ -933,15 +932,13 @@ class Database:
             positions = [schema.column_index(name) for name in statement.columns]
         else:
             positions = list(range(schema.arity))
-        targets = [
-            (position, converter(schema.columns[position].sql_type))
-            for position in positions
-        ]
         select = None
-        value_rows: List[list] = []
+        value_rows: List[Sequence[Any]] = []
         needs_env = False
         if statement.rows is None:
+            # The SELECT's rows are converted as parameter rows of ?s.
             select = self._plan(statement.select)
+            value_rows.append(range(len(positions)))
         else:
             ctx = CompileContext(
                 [Frame(Scope([]))], self._reject_subquery, self.functions
@@ -952,22 +949,21 @@ class Database:
                         f"INSERT supplies {len(value_exprs)} values for "
                         f"{len(positions)} columns"
                     )
-                readers: list = []
-                for expr in value_exprs:
-                    if isinstance(expr, ast.Parameter):
-                        readers.append(expr.index)
-                    else:
-                        readers.append(compile_expression(expr, ctx))
-                        needs_env = needs_env or not isinstance(expr, ast.Literal)
-                value_rows.append(readers)
+                # What each value reads: a bare ? its index, else a closure.
+                value_rows.append([
+                    expr.index if isinstance(expr, ast.Parameter) else compile_expression(expr, ctx)
+                    for expr in value_exprs
+                ])
+                needs_env = needs_env or not all(
+                    isinstance(expr, (ast.Parameter, ast.Literal)) for expr in value_exprs
+                )
+        targets = [(position, schema.columns[position].sql_type) for position in positions]
+        convert = row_converter(
+            schema.arity, targets, value_rows, needs_env and self._environment, unbound_parameter
+        )
+        rows_per_statement = 0 if select else len(value_rows)
         return _PreparedInsert(
-            statement,
-            entry,
-            self._footprint(statement),
-            targets,
-            value_rows,
-            needs_env,
-            select,
+            statement, entry, self._footprint(statement), convert, len(positions), rows_per_statement, select
         )
 
     def _prepare_modify(self, statement) -> "_PreparedModify":
@@ -993,26 +989,19 @@ class Database:
     def _run_dml(self, prepared: "_PreparedDml", params: Sequence[Any]) -> ResultSet:
         return ResultSet([], [], rowcount=self._run_writes(prepared, (params,)))
 
-    def _run_writes(
-        self, prepared: "_PreparedDml", param_rows: Iterable[Sequence[Any]]
-    ) -> int:
+    def _run_writes(self, prepared: "_PreparedDml", param_rows: Iterable[Sequence[Any]]) -> int:
         """Run *prepared* once per parameter row, each run one statement
         (see :meth:`executemany`); return the rows affected."""
         self._reject_in_read_only(prepared.statement)
-        storage = prepared.entry.storage
-        mvcc = self.mvcc
-        wal = self.wal
+        storage, mvcc, wal = prepared.entry.storage, self.mvcc, self.wal
         txn = self._transactions.get(self._current_session)
-        # No statement of another session runs inside this call, so whether
-        # a snapshot is open holds for all of it.
+        # No other session's statement runs inside this call, so whether a
+        # snapshot is open holds for all of it.
         capturing = mvcc.open_snapshots > 0
-        # Mutations log their inverses to the executing transaction's log.
-        # An autocommit statement has nothing to undo and logs only while
-        # a snapshot is open, because the entries are also the pre-images
-        # its versions are built from (DESIGN §14) — otherwise it detaches,
-        # so its writes are never captured by a stale attached log.
+        # Mutations log their inverses to the transaction's log.  An
+        # autocommit statement logs only while a snapshot is open, for the
+        # pre-images its versions are built from (DESIGN §14).
         log = txn.log_for(storage) if txn is not None else None
-        run = self._insert if isinstance(prepared, _PreparedInsert) else self._modify
         affected = 0
         with self._lock_scope() as (owner, parkable):
             # An INSERT takes table-level X on its target (which closes the
@@ -1020,37 +1009,30 @@ class Database:
             # table-level S on INSERT ... SELECT sources; an UPDATE or
             # DELETE adds row locks once it knows its rows.
             self._acquire_footprint(owner, parkable, prepared.requests)
+            if isinstance(prepared, _PreparedInsert):
+                storage.attach_undo(log)
+                if prepared.select is None and isinstance(param_rows, (list, tuple)):
+                    return self._insert(prepared, param_rows, txn, capturing)
+                # A SELECT reads what the statements before it wrote, and
+                # an iterator is pulled no further than its failing row.
+                return sum(self._insert(prepared, (params,), txn, capturing) for params in param_rows)
             for params in param_rows:
                 if txn is None and capturing:
                     log = []
                 storage.attach_undo(log)
                 logged = len(log) if log else 0
                 version = storage.version
-                # The statement's WAL transaction: its transaction's id, or
-                # an implicit id committed at statement end — even when the
-                # statement raised, because a multi-row autocommit INSERT
-                # keeps its pre-error rows in memory and the log must agree
-                # with memory.  (After a disk crash the commit append is a
-                # silent no-op: the log ends where the power died, and the
-                # in-flight implicit transaction is discarded at recovery.)
+                # Its WAL transaction commits even when it raised.
                 if wal is not None:
-                    if txn is None:
-                        self._implicit_txn_seq += 1
-                        self._wal_txn_id = self._IMPLICIT_TXN_BASE + self._implicit_txn_seq
-                    else:
-                        self._wal_txn_id = txn.txn_id
+                    self._wal_txn_id = self._statement_txn(txn)
                 try:
-                    affected += run(prepared, params, owner, parkable)
+                    affected += self._modify(prepared, params, owner, parkable)
                 finally:
                     if wal is not None:
-                        txn_id = self._wal_txn_id
-                        self._wal_txn_id = None
+                        txn_id, self._wal_txn_id = self._wal_txn_id, None
                         if txn is None:
                             wal.commit(txn_id)
-                    # Even on error: a partially-applied autocommit INSERT
-                    # keeps its pre-error rows, and the version store must
-                    # agree with memory.
-                    if capturing:
+                    if capturing:  # even on error: versions agree with memory
                         mvcc.capture(storage, log[logged:])
                     # After the implicit WAL commit, the same order as
                     # commit(): one clock tick per autocommit statement.
@@ -1058,41 +1040,69 @@ class Database:
                         mvcc.commit([(storage, log)] if capturing else ())
         return affected
 
-    def _insert(
-        self, prepared: "_PreparedInsert", params: Sequence[Any], owner, parkable
-    ) -> int:
-        """One INSERT statement: read every source row, then convert and
-        insert them one by one."""
-        targets = prepared.targets
-        if prepared.select is None:
-            env = self._environment(params) if prepared.needs_env else None
-            bound = len(params)
-            source_rows: List[Sequence[Any]] = []
-            for readers in prepared.value_rows:
-                values = []
-                for reader in readers:
-                    if reader.__class__ is int:
-                        if reader >= bound:
-                            raise unbound_parameter(reader, bound)
-                        values.append(params[reader])
-                    else:
-                        values.append(reader((), env))
-                source_rows.append(values)
-        else:
-            env = self._environment(params)
-            source_rows = run_plan(prepared.select, env)
-            # What the SELECT scanned, as an UPDATE reports its search.
-            self.last_counters = dict(env.counters)
-            if source_rows and len(source_rows[0]) != len(targets):
-                raise IntegrityError("INSERT ... SELECT column count mismatch")
+    def _statement_txn(self, txn: Optional[_Transaction]) -> int:
+        """A statement's WAL transaction: its transaction's, or a new
+        implicit one that the statement's end commits."""
+        if txn is None:
+            self._implicit_txn_seq += 1
+        return txn.txn_id if txn else self._IMPLICIT_TXN_BASE + self._implicit_txn_seq
+
+    def _insert(self, prepared: "_PreparedInsert", param_rows, txn, capturing: bool) -> int:
+        """INSERT statements, one per parameter row, in three steps: every
+        row converted, all checked in order (:meth:`TableStorage.check`),
+        and those before the first bad one placed in one append; then that
+        row's error is raised.  Each statement keeps what one ``execute``
+        gives it: a WAL transaction whose records precede memory (a record
+        the log refuses cuts the rows placed there), versions, a tick."""
         storage = prepared.entry.storage
-        arity = storage.schema.arity
-        for values in source_rows:
-            row: List[Any] = [None] * arity
-            for (position, convert), value in zip(targets, values):
-                row[position] = convert(value)
-            storage.insert(row)
-        return len(source_rows)
+        rows: List[tuple] = []
+        error: Optional[Exception] = None  # raised once the rows before it are placed
+        try:
+            if prepared.select is not None:
+                env = self._environment(param_rows[0])
+                param_rows = run_plan(prepared.select, env)
+                # What the SELECT scanned, as an UPDATE reports its search.
+                self.last_counters = dict(env.counters)
+                if param_rows and len(param_rows[0]) != prepared.width:
+                    raise IntegrityError("INSERT ... SELECT column count mismatch")
+            prepared.convert(param_rows, rows)
+        except Exception as exc:
+            error = exc
+        k = prepared.rows_per_statement  # where each statement converted whole ends
+        ends = range(k, len(rows) + 1, k) if k else [len(rows)][: error is None]
+        placed, bad = storage.check(rows)
+        if bad is not None:
+            ends, error = ends[: bisect_right(ends, placed)], bad
+        tail = [placed][: error is not None]  # the failing statement, cut at its bad row
+        statements = lambda: zip(chain((0,), ends), chain(ends, tail))  # noqa: E731
+        start, wal = len(storage._rows), self.wal
+        if wal is not None:
+            k, at, committed = 0, 0, True
+            try:
+                for k, (begin, end) in enumerate(statements()):
+                    txn_id, at, committed = self._statement_txn(txn), begin, False
+                    try:
+                        for at in range(begin, end):
+                            wal.log_insert(txn_id, storage.schema.name, start + at, rows[at])
+                        at = end
+                    finally:
+                        if txn is None:
+                            wal.commit(txn_id)
+                        committed = True
+            except Exception as exc:  # a commit lost with the disk: no versions, no tick
+                error, ends, tail, placed = exc, ends[:k], [at][:committed], at
+        del rows[placed:]
+        storage.append(rows)
+        for begin, end in statements() if capturing else ():
+            entries = [("insert", row_id) for row_id in range(start + begin, start + end)]
+            self.mvcc.capture(storage, entries)
+            if txn is None and end > begin:
+                self.mvcc.commit([(storage, entries)])
+        if txn is None and not capturing:
+            self.mvcc.tick(sum(starmap(lt, statements())))
+        if error is not None:
+            raise error
+        return placed
 
     def _reject_subquery(self, statement, frames):
         # INSERT ... VALUES may not embed subqueries in this dialect; the
@@ -1145,14 +1155,11 @@ class _PreparedDml:
 
 @dataclass
 class _PreparedInsert(_PreparedDml):
-    #: ``(column position, converter)`` per supplied value, in order.
-    targets: List[Tuple[int, Callable[[Any], Any]]]
-    #: INSERT ... VALUES: per row, what each value reads — the index of a
-    #: bare ``?``, else a closure ``(row, env)``.
-    value_rows: List[list]
-    #: Whether a value closure may read the environment (a literal does
-    #: not); without one no environment is built.
-    needs_env: bool
+    #: ``convert(parameter rows, out)`` (:func:`types.row_converter`).
+    convert: Callable[[Iterable[Sequence[Any]], List[tuple]], None]
+    #: Values per row, and rows per statement (0: all a SELECT gives).
+    width: int
+    rows_per_statement: int
     #: INSERT ... SELECT: the source query's plan (None for VALUES).
     select: Optional[Plan]
 

@@ -19,7 +19,7 @@ from functools import partial, reduce
 from operator import add
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TypeMismatchError
 from repro.sqldb.types import is_null
 
 ScalarFunction = Callable[..., Any]
@@ -150,14 +150,17 @@ class Aggregator:
                 return
             self._seen.add(value)
         self._count += 1
-        if self.name in ("SUM", "AVG"):
-            self._total = value if self._total is None else self._total + value
-        elif self.name == "MAX":
-            if self._extreme is None or value > self._extreme:
-                self._extreme = value
-        elif self.name == "MIN":
-            if self._extreme is None or value < self._extreme:
-                self._extreme = value
+        try:
+            if self.name in ("SUM", "AVG"):
+                self._total = value if self._total is None else self._total + value
+            elif self.name == "MAX":
+                if self._extreme is None or value > self._extreme:
+                    self._extreme = value
+            elif self.name == "MIN":
+                if self._extreme is None or value < self._extreme:
+                    self._extreme = value
+        except TypeError as exc:
+            raise _unfoldable(self.name, exc) from None
 
     def add_many(self, values: Sequence[Any]) -> None:
         """Feed a column slice, leaving exactly the state that one
@@ -185,13 +188,16 @@ class Aggregator:
             return
         self._count += len(values)
         name = self.name
-        if name in ("SUM", "AVG"):
-            total = self._total
-            self._total = reduce(add, values) if total is None else reduce(add, values, total)
-        elif name in ("MAX", "MIN"):
-            fold = max if name == "MAX" else min
-            extreme = self._extreme
-            self._extreme = fold(values) if extreme is None else fold((extreme, *values))
+        try:
+            if name in ("SUM", "AVG"):
+                total = self._total
+                self._total = reduce(add, values) if total is None else reduce(add, values, total)
+            elif name in ("MAX", "MIN"):
+                fold = max if name == "MAX" else min
+                extreme = self._extreme
+                self._extreme = fold(values) if extreme is None else fold((extreme, *values))
+        except TypeError as exc:
+            raise _unfoldable(name, exc) from None
 
     def result(self) -> Any:
         """Return the aggregate value for the rows fed so far."""
@@ -202,8 +208,17 @@ class Aggregator:
         if self.name == "SUM":
             return self._total
         if self.name == "AVG":
-            return self._total / self._count
+            try:
+                return self._total / self._count
+            except TypeError as exc:
+                raise _unfoldable(self.name, exc) from None
         return self._extreme
+
+
+def _unfoldable(name: str, exc: TypeError) -> TypeMismatchError:
+    """The error of an aggregate over values it cannot fold (numbers and
+    strings in one group, or AVG of strings)."""
+    return TypeMismatchError(f"{name}: {exc}")
 
 
 #: Each aggregate over a group's non-NULL values (at least one but COUNT's).
@@ -226,7 +241,10 @@ def fold(name: str, distinct: bool = False, star: bool = False) -> Callable[[Lis
             values = [value for value in values if value is not None]
         if distinct:
             values = list(dict.fromkeys(values))
-        return whole(values) if values or whole is len else None
+        try:
+            return whole(values) if values or whole is len else None
+        except TypeError as exc:
+            raise _unfoldable(name.upper(), exc) from None
 
     def optimistic(values: List[Any]) -> Any:
         try:

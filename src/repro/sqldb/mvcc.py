@@ -364,6 +364,11 @@ class MvccManager:
             self._collect()
         return self.clock
 
+    def tick(self, count: int) -> None:
+        """*count* writers commit one after another while no snapshot is
+        open: what *count* :meth:`commit` calls with no writes leave."""
+        self.clock += count
+
     def abort(self, writes: Writes) -> None:
         """One writer rolled back (the heap is already restored)."""
         if not self._open:

@@ -724,9 +724,14 @@ class _Parser:
 
     def _parse_case(self) -> ast.CaseWhen:
         self.expect_keyword("CASE")
+        # A simple CASE is the searched one testing ``operand = value``:
+        # a NULL on either side never matches, as in SQLite.
+        operand = None if self.peek().matches_keyword("WHEN") else self.parse_expr()
         branches = []
         while self.accept_keyword("WHEN"):
             condition = self.parse_expr()
+            if operand is not None:
+                condition = ast.BinaryOp(operator="=", left=operand, right=condition)
             self.expect_keyword("THEN")
             value = self.parse_expr()
             branches.append((condition, value))

@@ -8,13 +8,13 @@ workload (``WHERE link.left = ?``) and the engine's hash joins.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import indexOf, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, IntegrityError
 from repro.sqldb.mvcc import Snapshot, VersionStore
 from repro.sqldb.schema import TableSchema
-from repro.sqldb.types import is_null
 
 Row = Tuple[object, ...]
 
@@ -31,28 +31,30 @@ class HashIndex:
         self.column_positions = tuple(column_positions)
         self.unique = unique
         self._buckets: Dict[Tuple[object, ...], List[int]] = {}
-        #: ``row -> key``, or None when a key column is NULL; built once
-        #: here, so maintaining the index costs one call per row.
-        self.key: Callable[[Row], Optional[Tuple[object, ...]]] = _key_function(
-            self.column_positions
-        )
+        self._pick = itemgetter(*self.column_positions)
+
+    def key(self, row: Row) -> Optional[Tuple[object, ...]]:
+        """*row*'s key, or None when one of its columns is NULL."""
+        key = self._pick(row)
+        if len(self.column_positions) == 1:
+            return None if key is None else (key,)
+        return None if None in key else key
 
     def add(self, row_id: int, row: Row) -> None:
-        key = self.key(row)
-        if key is None:
-            return
-        self.check_unique(key)
-        self._buckets.setdefault(key, []).append(row_id)
+        self.fill((row_id,), (row,))
 
-    def fill(self, rows: Iterable[Tuple[int, Row]]) -> None:
-        """Index every ``(row_id, row)`` of *rows*, in their order — what
-        one :meth:`add` per row leaves, in one pass."""
-        key_of = self.key
+    def keys(self, rows: Iterable[Row]) -> Iterator[Tuple[object, ...]]:
+        """The key tuple of each of *rows*, NULL parts included, read with
+        no Python call per row."""
+        keys = map(self._pick, rows)
+        return zip(keys) if len(self.column_positions) == 1 else keys
+
+    def fill(self, row_ids: Iterable[int], rows: Iterable[Row]) -> None:
+        """Index each of *rows* under its row id, in their order."""
         buckets = self._buckets
         unique = self.unique
-        for row_id, row in rows:
-            key = key_of(row)
-            if key is None:
+        for row_id, key in zip(row_ids, self.keys(rows)):
+            if None in key:
                 continue
             bucket = buckets.get(key)
             if bucket is None:
@@ -62,12 +64,21 @@ class HashIndex:
             else:
                 bucket.append(row_id)
 
-    def check_unique(self, key: Tuple[object, ...]) -> None:
-        """Raise if indexing one more row under *key* would break
-        uniqueness (callable before anything is modified).  A bucket is
-        never empty — a removal that empties one deletes it."""
-        if self.unique and key in self._buckets:
-            raise self._violation(key)
+    def first_taken(self, rows: Iterable[Row]) -> Optional[Tuple[int, IntegrityError]]:
+        """The position in *rows* of the first whose key this (unique)
+        index or an earlier row holds, with its error; None when every key
+        is free (one with a NULL part always is)."""
+        keys = list(self.keys(rows))
+        buckets = self._buckets
+        if len(set(keys)) == len(keys) and buckets.keys().isdisjoint(keys):
+            return None  # the common case, at C speed
+        seen: set = set()
+        for at, key in enumerate(keys):
+            if None not in key:
+                if key in buckets or key in seen:
+                    return at, self._violation(key)
+                seen.add(key)
+        return None
 
     def _violation(self, key: Tuple[object, ...]) -> IntegrityError:
         return IntegrityError(f"unique index {self.name!r} violated by key {key!r}")
@@ -84,31 +95,17 @@ class HashIndex:
 
     def probe(self, key: Tuple[object, ...]) -> List[int]:
         """Return the row ids whose indexed columns equal *key*."""
-        if any(is_null(part) for part in key):
+        if None in key:
             return []
         return list(self._buckets.get(key, ()))
 
 
-def _key_function(
-    positions: Tuple[int, ...]
-) -> Callable[[Row], Optional[Tuple[object, ...]]]:
-    """``row -> tuple of the values at *positions*``, or None when one of
-    them is NULL."""
-    if len(positions) == 1:
-        (position,) = positions
-
-        def single(row: Row) -> Optional[Tuple[object, ...]]:
-            value = row[position]
-            return None if value is None else (value,)
-
-        return single
-    pick = itemgetter(*positions)
-
-    def composite(row: Row) -> Optional[Tuple[object, ...]]:
-        key = pick(row)
-        return None if None in key else key
-
-    return composite
+def _first(values: Iterable[object], wanted: object) -> Optional[int]:
+    """The position of the first of *values* that is *wanted*, or None."""
+    try:
+        return indexOf(values, wanted)
+    except ValueError:
+        return None
 
 
 class TableStorage:
@@ -158,49 +155,60 @@ class TableStorage:
         return self._live_count
 
     def insert(self, row: Sequence[object]) -> int:
-        """Validate and insert *row*; return its row id."""
+        """Check, journal and insert one row; return its row id."""
         if len(row) != self.schema.arity:
             raise IntegrityError(
                 f"table {self.schema.name!r} expects {self.schema.arity} values, "
                 f"got {len(row)}"
             )
-        stored = tuple(row)
-        self._check_not_null(stored)
-        row_id = len(self._rows)
-        self._place(row_id, stored)
-        return row_id
-
-    def _check_not_null(self, row: Row) -> None:
-        for position in self._not_null:
-            if row[position] is None:
-                raise IntegrityError(
-                    f"column {self.schema.name}.{self.schema.columns[position].name} "
-                    f"is NOT NULL"
-                )
-
-    def _place(self, row_id: int, row: Row) -> None:
-        """Put *row* in the free slot *row_id* (the next one, for an
-        insert) and under it in every index — after checking every unique
-        index and journaling the insert, so a violation or a record the
-        journal refuses leaves the heap and every index untouched."""
-        indexes = self._indexes.values()
-        keys = [index.key(row) for index in indexes]
-        for index, key in zip(indexes, keys):
-            if index.unique and key is not None and key in index._buckets:
-                raise index._violation(key)
+        rows = [tuple(row)]
+        error = self.check(rows)[1]
+        if error is not None:
+            raise error
         if self._journal is not None:
-            self._journal("insert", row_id, row)
-        for index, key in zip(indexes, keys):
-            if key is not None:
-                index._buckets.setdefault(key, []).append(row_id)
-        if row_id == len(self._rows):
-            self._rows.append(row)
-        else:
-            self._rows[row_id] = row
-        self._live_count += 1
-        self.version += 1
+            self._journal("insert", len(self._rows), rows[0])
+        self.append(rows)
+        return len(self._rows) - 1
+
+    def check(self, rows: List[Row]) -> Tuple[int, Optional[IntegrityError]]:
+        """How many of *rows* (of the table's arity), from the first, can
+        be inserted in their order, and the first bad row's error (None
+        when all can): no NULL in a NOT NULL column, and no unique key that
+        its index or an earlier row holds.  Each check reads only the rows
+        before the first bad one so far, in the order one row's checks
+        run, so the error is the one inserting row by row meets first."""
+        good, error = len(rows), None
+        for position in self._not_null:
+            at = _first(map(itemgetter(position), islice(rows, good)), None)
+            if at is not None:
+                good, error = at, self._null_error(position)
+        for index in self._indexes.values():
+            taken = index.first_taken(islice(rows, good)) if index.unique else None
+            if taken is not None:
+                good, error = taken
+        return good, error
+
+    def _null_error(self, position: int) -> IntegrityError:
+        return IntegrityError(
+            f"column {self.schema.name}.{self.schema.columns[position].name} is NOT NULL"
+        )
+
+    def append(self, rows: Sequence[Row]) -> None:
+        """Put checked, journaled *rows* in the next slots: the heap
+        extended once, each index filled once, one undo entry per row."""
+        row_ids = range(len(self._rows), len(self._rows) + len(rows))
+        self._rows.extend(rows)
+        self._index(row_ids, rows)
         if self._undo is not None:
-            self._undo.append(("insert", row_id))
+            self._undo.extend(zip(repeat("insert"), row_ids))
+
+    def _index(self, row_ids: Sequence[int], rows: Sequence[Row]) -> None:
+        """Fill each index with *rows*, newly in slots *row_ids*, and
+        count them — what placing them one at a time leaves."""
+        for index in self._indexes.values():
+            index.fill(row_ids, rows)
+        self._live_count += len(rows)
+        self.version += len(rows)
 
     def load(self, rows: Sequence[Tuple[int, Row]]) -> None:
         """Re-materialise ``(row_id, row)`` pairs in their slots (the
@@ -231,10 +239,7 @@ class TableStorage:
                     f"cannot replay insert into occupied slot {row_id} of "
                     f"{self.schema.name!r}"
                 )
-        for index in self._indexes.values():
-            index.fill(rows)
-        self._live_count += len(rows)
-        self.version += len(rows)
+        self._index([row_id for row_id, __ in rows], [row for __, row in rows])
 
     def pad_slots(self, total_slots: int) -> None:
         """Extend the heap with dead slots up to *total_slots* (restoring
@@ -261,7 +266,9 @@ class TableStorage:
         if old_row is None:
             raise IntegrityError(f"row {row_id} of {self.schema.name!r} is deleted")
         stored = tuple(new_row)
-        self._check_not_null(stored)
+        for position in self._not_null:
+            if stored[position] is None:
+                raise self._null_error(position)
         # Only indexes whose key changed are touched — a non-key update
         # leaves the row's place in every bucket alone — and uniqueness is
         # checked, and the update journaled, before the first of them is,
@@ -270,8 +277,8 @@ class TableStorage:
         for index in self._indexes.values():
             new_key = index.key(stored)
             if new_key != index.key(old_row):
-                if new_key is not None:
-                    index.check_unique(new_key)
+                if index.unique and new_key in index._buckets:  # never a NULL key
+                    raise index._violation(new_key)
                 moved.append(index)
         if self._journal is not None:
             self._journal("update", row_id, stored, old_row)
@@ -311,14 +318,14 @@ class TableStorage:
         return snapshot.stamp
 
     def rows(self, snapshot: Optional[Snapshot] = None) -> Iterator[Row]:
-        """Yield every row visible to *snapshot*, in slot order."""
+        """Every row visible to *snapshot*, in slot order."""
         chains = self.mvcc.chains
         if snapshot is None or not chains:
-            for row in self._rows:
-                if row is not None:
-                    yield row
-            return
-        stamp = snapshot.stamp
+            # A slot is None or a row of arity >= 1: its truth is liveness.
+            return filter(None, self._rows)
+        return self._visible(snapshot.stamp, chains)
+
+    def _visible(self, stamp: int, chains: Dict) -> Iterator[Row]:
         for row_id, row in enumerate(self._rows):
             chain = chains.get(row_id)
             if chain is not None:
@@ -419,7 +426,10 @@ class TableStorage:
                 f"cannot restore row {row_id} of {self.schema.name!r}: "
                 f"slot is occupied"
             )
-        self._place(row_id, row)  # undo and journal are detached here
+        error = self.check([row])[1]
+        if error is not None:
+            raise error
+        self.load([(row_id, row)])
 
     # -- indexes -------------------------------------------------------------
 
@@ -429,7 +439,8 @@ class TableStorage:
             raise CatalogError(f"index {name!r} already exists")
         positions = [self.schema.column_index(column) for column in column_names]
         index = HashIndex(name, positions, unique=unique)
-        index.fill(self.scan())
+        live = [row_id for row_id, row in enumerate(self._rows) if row is not None]
+        index.fill(live, map(self._rows.__getitem__, live))
         self._indexes[key] = index
 
     def find_index(self, column_names: Sequence[str]) -> Optional[HashIndex]:

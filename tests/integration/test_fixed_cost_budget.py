@@ -186,12 +186,18 @@ rows):
   read straight from the parameter row and each index has a key
   function; 27.2 by the time the frame format had one owner, and still
   27.2 once the storage journals a row before it changes the heap and
-  its indexes (check, journal, then mutate, in one ``_place`` call);
+  its indexes (check, journal, then mutate, in one ``_place`` call); 4.9
+  once ``executemany`` converts the whole list with one generated row
+  converter (a value already of its column's class passes with no call),
+  checks it set-wise and places it with the routine checkpoint restore
+  uses (the heap extended once, each index filled once, its key read with
+  no call per row): what is left per row is mostly ``to_row``;
 * restarting from its checkpoint (decode included): 34.2 calls per row
   while each ``I`` record went through ``insert_at`` and one
   ``HashIndex.add`` per index; 13.8 once each table's run of rows is
-  loaded in one append and each index is filled once.  Decoding is
-  about seven of the calls left.
+  loaded in one append and each index is filled once; 11.0 once an index
+  reads its key with no call per row.  Decoding is about seven of the
+  calls left.
 """
 
 import gc
@@ -307,8 +313,9 @@ SHAPED_SQL = "SELECT obid, name, weight FROM assy WHERE weight >= {} AND weight 
 SHAPE_HIT_CALLS_BUDGET = 136
 
 #: Calls per row ``load_product`` may cost: per-statement work once per
-#: ``executemany`` call, not once per row (117.0 calls).
-LOAD_CALLS_PER_ROW_BUDGET = 40
+#: ``executemany`` call, not once per row (117.0 calls), and the list
+#: converted, checked and placed as one batch (27.2 calls row by row).
+LOAD_CALLS_PER_ROW_BUDGET = 8
 
 #: Calls per row restoring a checkpoint may cost, decoding included: a
 #: table's rows in one append and each index filled once (34.2 calls).
