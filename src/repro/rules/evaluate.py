@@ -37,7 +37,7 @@ from repro.sqldb.expressions import (
     compile_expression,
     to_bool,
 )
-from repro.sqldb.functions import Aggregator
+from repro.sqldb.functions import fold
 
 #: An object is a plain mapping of lowercase attribute names to values;
 #: ``type`` and ``obid`` are always present.
@@ -128,8 +128,7 @@ def aggregate_holds(
     if condition.attribute is not None:
         attribute = (condition.attribute.lower(),)
         values = [_row(attrs, attribute)[0] for attrs in values]
-    aggregator = Aggregator(condition.function, star=condition.attribute is None)
-    aggregator.add_many(values)
+    aggregate = fold(condition.function, star=condition.attribute is None)(values)
     compare = _compile(
         ast.BinaryOp(
             operator=condition.operator,
@@ -138,4 +137,4 @@ def aggregate_holds(
         ),
         (),
     )
-    return compare((aggregator.result(),), env) is True
+    return compare((aggregate,), env) is True

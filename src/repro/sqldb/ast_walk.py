@@ -122,58 +122,16 @@ def iter_subqueries(
             yield node, node.subquery
 
 
-def expression_references(expression: ast.Expression, wanted: str) -> bool:
-    """True if a subquery inside *expression* references table *wanted*."""
-    for __, subquery in iter_subqueries(expression):
-        if statement_references(subquery, wanted):
-            return True
-    return False
-
-
 def core_references(core: ast.SelectCore, table_name: str) -> bool:
     """True if *core* references *table_name* anywhere (FROM items, join
     trees, subqueries in any clause)."""
-    wanted = table_name.lower()
-
-    def from_item_references(item: ast.FromItem) -> bool:
-        if isinstance(item, ast.TableRef):
-            return item.name.lower() == wanted
-        if isinstance(item, ast.SubqueryRef):
-            return statement_references(item.subquery, wanted)
-        if isinstance(item, ast.Join):
-            if from_item_references(item.left) or from_item_references(item.right):
-                return True
-            if item.condition is not None and expression_references(
-                item.condition, wanted
-            ):
-                return True
-            return False
-        return False
-
-    for item in core.from_items:
-        if from_item_references(item):
-            return True
-    for clause in (core.where, core.having):
-        if clause is not None and expression_references(clause, wanted):
-            return True
-    for select_item in core.items:
-        if isinstance(select_item, ast.SelectItem) and expression_references(
-            select_item.expression, wanted
-        ):
-            return True
-    return False
+    return count_table_refs(core, table_name) > 0
 
 
 def statement_references(statement: ast.SelectStatement, wanted: str) -> bool:
     """True if any core of *statement* (CTE bodies included) references
     table *wanted*."""
-    branches, __ = flatten_set_operations(statement.body)
-    if statement.with_clause is not None:
-        for cte in statement.with_clause.ctes:
-            cte_branches, __ = flatten_set_operations(cte.body)
-            if any(core_references(branch, wanted) for branch in cte_branches):
-                return True
-    return any(core_references(branch, wanted) for branch in branches)
+    return count_statement_refs(statement, wanted.lower()) > 0
 
 
 def count_table_refs(core: ast.SelectCore, table_name: str) -> int:

@@ -13,18 +13,16 @@ so ad-hoc texts that differ only in their literals share a plan.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from itertools import chain, starmap
-from operator import lt
+from dataclasses import replace
+from functools import partial
 from typing import (
     Any,
-    Callable,
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -47,6 +45,7 @@ from repro.sqldb.expressions import (
     Frame,
     Scope,
     compile_expression,
+    row_converter,
 )
 from repro.sqldb.functions import FunctionRegistry
 from repro.sqldb.mvcc import MvccManager
@@ -58,7 +57,8 @@ from repro.sqldb.result import ResultSet
 from repro.sqldb.schema import Catalog, Column, TableSchema
 from repro.sqldb.stats import StatsCatalog, bucket, condition_selectivity
 from repro.sqldb.storage import TableStorage
-from repro.sqldb.types import converter, row_converter
+from repro.sqldb.subplans import _PreparedDml, _PreparedInsert, _PreparedModify
+from repro.sqldb.types import converter
 
 
 class _Transaction:
@@ -183,10 +183,6 @@ class Database:
         #: Optional :class:`repro.recovery.WalWriter` (see
         #: :meth:`attach_wal`); None keeps the database purely in-memory.
         self.wal = None
-        #: WAL transaction id of the statement currently executing (set by
-        #: :meth:`_run_writes`); the storage journal sinks stamp it onto
-        #: every logged operation.
-        self._wal_txn_id: Optional[int] = None
         #: Implicit (autocommit) WAL transaction ids are drawn from a
         #: disjoint high range so they can never collide with explicit
         #: transaction ids and merge in the log.
@@ -260,12 +256,17 @@ class Database:
         the total number of affected rows.
 
         Parses and prepares once.  Each parameter row is still one
-        statement, as if :meth:`execute` ran it: outside a transaction its
-        own implicit WAL transaction and commit record, one clock tick and
-        versions for an open snapshot, so an error at row *k* raises with
-        the rows before *k* committed; inside one, every row logs to it.
-        An INSERT converts, checks and places a list of rows as one batch
-        (:meth:`_insert`): the bulk load of a scenario database.
+        statement, exactly as if :meth:`execute` ran it: outside a
+        transaction it autocommits on its own — its own implicit WAL
+        transaction and commit record, one tick of the commit clock, and
+        versions for an open snapshot — so an error at row *k* raises with
+        the rows before *k* committed.  Inside a transaction every row logs
+        to that transaction.  Only what no row can change is done once per
+        call: the read-only check, the transaction lookup, and the lock
+        scope and footprint (no other statement runs between two rows).
+        This is the bulk-load path a scenario database is generated
+        through: an INSERT converts, checks and places a list of rows as
+        one batch (:meth:`_insert`).
         """
         self._check_aborted(self._current_session)
         statement = parse_statement(sql)
@@ -344,35 +345,14 @@ class Database:
         """Make every mutation durable through *writer* (a
         :class:`repro.recovery.WalWriter`).
 
-        Hooks a journal sink onto every table's storage (tables created
-        later get theirs in :meth:`_create_table`): before each insert,
-        update or delete changes memory — after its constraints are
-        checked — the sink appends a redo record under the executing
-        statement's WAL transaction id.  Explicit transactions
-        log COMMIT/ABORT from :meth:`commit`/:meth:`rollback`; autocommit
-        statements run as implicit single-statement transactions committed
-        at statement end.
+        Every write logs its redo record under the executing statement's
+        WAL transaction id before it changes memory — after its
+        constraints are checked (:meth:`_insert`, :meth:`_modify`).
+        Explicit transactions log COMMIT/ABORT from
+        :meth:`commit`/:meth:`rollback`; autocommit statements run as
+        implicit single-statement transactions committed at statement end.
         """
         self.wal = writer
-        for name in self.catalog.table_names():
-            self._attach_journal(self.catalog.lookup(name).storage)
-
-    def _attach_journal(self, storage) -> None:
-        table = storage.schema.name
-
-        def sink(op: str, row_id: int, row, old_row=None) -> None:
-            wal = self.wal
-            txn_id = self._wal_txn_id
-            if wal is None or txn_id is None:
-                return
-            if op == "insert":
-                wal.log_insert(txn_id, table, row_id, row)
-            elif op == "update":
-                wal.log_update(txn_id, table, row_id, old_row, row)
-            else:
-                wal.log_delete(txn_id, table, row_id)
-
-        storage._journal = sink
 
     def begin(self, session: Hashable = None, read_only: bool = False) -> int:
         """Start a transaction on *session* (DML becomes undoable until
@@ -446,6 +426,7 @@ class Database:
             raise ExecutionError("no transaction is active")
         self._rollback_txn(txn)
 
+    @contextmanager
     def transaction(self, session: Hashable = None):
         """Context manager: commit on success, roll back on exception.
 
@@ -456,7 +437,19 @@ class Database:
         >>> db.table_rowcount("t")
         1
         """
-        return _TransactionContext(self, session)
+        self.begin(session)
+        try:
+            yield self
+        except BaseException:
+            try:
+                self.rollback(session)
+            except ExecutionError:
+                # The transaction may already be gone: a deadlock/timeout
+                # victim is rolled back at the point of the conflict, so
+                # there is nothing left to undo here.
+                pass
+            raise
+        self.commit(session)
 
     def _rollback_txn(self, txn: _Transaction) -> None:
         for storage in reversed(txn.storages):
@@ -885,8 +878,6 @@ class Database:
         )
         storage = TableStorage(schema)
         self.catalog.create(schema, storage)
-        if self.wal is not None:
-            self._attach_journal(storage)
         self.mvcc.register(storage)
 
     def _planner(self, estimates: Optional[list] = None) -> Planner:
@@ -933,6 +924,8 @@ class Database:
         else:
             positions = list(range(schema.arity))
         select = None
+        # Per VALUES row, what each value reads: the index of a bare
+        # ``?``, else a closure ``(row, env)``.
         value_rows: List[Sequence[Any]] = []
         needs_env = False
         if statement.rows is None:
@@ -949,21 +942,31 @@ class Database:
                         f"INSERT supplies {len(value_exprs)} values for "
                         f"{len(positions)} columns"
                     )
-                # What each value reads: a bare ? its index, else a closure.
-                value_rows.append([
-                    expr.index if isinstance(expr, ast.Parameter) else compile_expression(expr, ctx)
-                    for expr in value_exprs
-                ])
-                needs_env = needs_env or not all(
-                    isinstance(expr, (ast.Parameter, ast.Literal)) for expr in value_exprs
-                )
-        targets = [(position, schema.columns[position].sql_type) for position in positions]
+                readers: list = []
+                for expr in value_exprs:
+                    if isinstance(expr, ast.Parameter):
+                        readers.append(expr.index)
+                    else:
+                        readers.append(compile_expression(expr, ctx))
+                        needs_env = needs_env or not isinstance(expr, ast.Literal)
+                value_rows.append(readers)
         convert = row_converter(
-            schema.arity, targets, value_rows, needs_env and self._environment, unbound_parameter
+            schema.arity,
+            [(position, schema.columns[position].sql_type) for position in positions],
+            value_rows,
+            # Without a value closure that may read the environment (a
+            # literal does not), no environment is built.
+            self._environment if needs_env else None,
+            unbound_parameter,
         )
-        rows_per_statement = 0 if select else len(value_rows)
         return _PreparedInsert(
-            statement, entry, self._footprint(statement), convert, len(positions), rows_per_statement, select
+            statement,
+            entry,
+            self._footprint(statement),
+            convert,
+            len(positions),
+            0 if select else len(value_rows),
+            select,
         )
 
     def _prepare_modify(self, statement) -> "_PreparedModify":
@@ -989,18 +992,24 @@ class Database:
     def _run_dml(self, prepared: "_PreparedDml", params: Sequence[Any]) -> ResultSet:
         return ResultSet([], [], rowcount=self._run_writes(prepared, (params,)))
 
-    def _run_writes(self, prepared: "_PreparedDml", param_rows: Iterable[Sequence[Any]]) -> int:
+    def _run_writes(
+        self, prepared: "_PreparedDml", param_rows: Iterable[Sequence[Any]]
+    ) -> int:
         """Run *prepared* once per parameter row, each run one statement
         (see :meth:`executemany`); return the rows affected."""
         self._reject_in_read_only(prepared.statement)
-        storage, mvcc, wal = prepared.entry.storage, self.mvcc, self.wal
+        storage = prepared.entry.storage
+        mvcc = self.mvcc
+        wal = self.wal
         txn = self._transactions.get(self._current_session)
-        # No other session's statement runs inside this call, so whether a
-        # snapshot is open holds for all of it.
+        # No statement of another session runs inside this call, so whether
+        # a snapshot is open holds for all of it.
         capturing = mvcc.open_snapshots > 0
-        # Mutations log their inverses to the transaction's log.  An
-        # autocommit statement logs only while a snapshot is open, for the
-        # pre-images its versions are built from (DESIGN §14).
+        # Mutations log their inverses to the executing transaction's log.
+        # An autocommit statement has nothing to undo and logs only while
+        # a snapshot is open, because the entries are also the pre-images
+        # its versions are built from (DESIGN §14) — otherwise it detaches,
+        # so its writes are never captured by a stale attached log.
         log = txn.log_for(storage) if txn is not None else None
         affected = 0
         with self._lock_scope() as (owner, parkable):
@@ -1010,29 +1019,40 @@ class Database:
             # DELETE adds row locks once it knows its rows.
             self._acquire_footprint(owner, parkable, prepared.requests)
             if isinstance(prepared, _PreparedInsert):
+                # An INSERT names its new slots to the version store
+                # itself, so only a transaction's undo log is attached.
                 storage.attach_undo(log)
                 if prepared.select is None and isinstance(param_rows, (list, tuple)):
                     return self._insert(prepared, param_rows, txn, capturing)
                 # A SELECT reads what the statements before it wrote, and
                 # an iterator is pulled no further than its failing row.
-                return sum(self._insert(prepared, (params,), txn, capturing) for params in param_rows)
+                for params in param_rows:
+                    affected += self._insert(prepared, (params,), txn, capturing)
+                return affected
             for params in param_rows:
                 if txn is None and capturing:
                     log = []
                 storage.attach_undo(log)
                 logged = len(log) if log else 0
                 version = storage.version
-                # Its WAL transaction commits even when it raised.
-                if wal is not None:
-                    self._wal_txn_id = self._statement_txn(txn)
+                # The statement's WAL transaction: its transaction's id, or
+                # an implicit id committed at statement end — even when the
+                # statement raised, because a multi-row autocommit statement
+                # keeps its pre-error changes in memory and the log must
+                # agree with memory.  (After a disk crash the commit append
+                # is a silent no-op: the log ends where the power died, and
+                # the in-flight implicit transaction is discarded at
+                # recovery.)
+                txn_id = self._statement_txn(txn) if wal is not None else None
                 try:
-                    affected += self._modify(prepared, params, owner, parkable)
+                    affected += self._modify(prepared, params, owner, parkable, txn_id)
                 finally:
-                    if wal is not None:
-                        txn_id, self._wal_txn_id = self._wal_txn_id, None
-                        if txn is None:
-                            wal.commit(txn_id)
-                    if capturing:  # even on error: versions agree with memory
+                    if wal is not None and txn is None:
+                        wal.commit(txn_id)
+                    # Even on error: a partially-applied autocommit
+                    # statement keeps its pre-error changes, and the
+                    # version store must agree with memory.
+                    if capturing:
                         mvcc.capture(storage, log[logged:])
                     # After the implicit WAL commit, the same order as
                     # commit(): one clock tick per autocommit statement.
@@ -1041,19 +1061,22 @@ class Database:
         return affected
 
     def _statement_txn(self, txn: Optional[_Transaction]) -> int:
-        """A statement's WAL transaction: its transaction's, or a new
+        """A statement's WAL transaction id: its transaction's, or a new
         implicit one that the statement's end commits."""
-        if txn is None:
-            self._implicit_txn_seq += 1
-        return txn.txn_id if txn else self._IMPLICIT_TXN_BASE + self._implicit_txn_seq
+        if txn is not None:
+            return txn.txn_id
+        self._implicit_txn_seq += 1
+        return self._IMPLICIT_TXN_BASE + self._implicit_txn_seq
 
-    def _insert(self, prepared: "_PreparedInsert", param_rows, txn, capturing: bool) -> int:
+    def _insert(
+        self, prepared: "_PreparedInsert", param_rows: Sequence[Sequence[Any]], txn, capturing: bool
+    ) -> int:
         """INSERT statements, one per parameter row, in three steps: every
         row converted, all checked in order (:meth:`TableStorage.check`),
         and those before the first bad one placed in one append; then that
         row's error is raised.  Each statement keeps what one ``execute``
-        gives it: a WAL transaction whose records precede memory (a record
-        the log refuses cuts the rows placed there), versions, a tick."""
+        gives it: its WAL records before memory changes, versions while a
+        snapshot is open, and a tick of the commit clock."""
         storage = prepared.entry.storage
         rows: List[tuple] = []
         error: Optional[Exception] = None  # raised once the rows before it are placed
@@ -1068,41 +1091,61 @@ class Database:
             prepared.convert(param_rows, rows)
         except Exception as exc:
             error = exc
-        k = prepared.rows_per_statement  # where each statement converted whole ends
-        ends = range(k, len(rows) + 1, k) if k else [len(rows)][: error is None]
         placed, bad = storage.check(rows)
         if bad is not None:
-            ends, error = ends[: bisect_right(ends, placed)], bad
-        tail = [placed][: error is not None]  # the failing statement, cut at its bad row
-        statements = lambda: zip(chain((0,), ends), chain(ends, tail))  # noqa: E731
-        start, wal = len(storage._rows), self.wal
-        if wal is not None:
-            k, at, committed = 0, 0, True
-            try:
-                for k, (begin, end) in enumerate(statements()):
-                    txn_id, at, committed = self._statement_txn(txn), begin, False
-                    try:
-                        for at in range(begin, end):
-                            wal.log_insert(txn_id, storage.schema.name, start + at, rows[at])
-                        at = end
-                    finally:
-                        if txn is None:
-                            wal.commit(txn_id)
-                        committed = True
-            except Exception as exc:  # a commit lost with the disk: no versions, no tick
-                error, ends, tail, placed = exc, ends[:k], [at][:committed], at
+            error = bad
+        # The statements end at row *placed*, the last one cut there when
+        # a row failed; *timed* ends the ones that get a tick and versions.
+        cut = error is not None
+        timed = placed
+        start = len(storage._rows)  # the slot of rows[0]
+        if self.wal is not None:
+            placed, timed, cut, error = self._log_inserts(
+                storage, rows, start, prepared.rows_per_statement, placed, cut, txn, error
+            )
         del rows[placed:]
         storage.append(rows)
-        for begin, end in statements() if capturing else ():
-            entries = [("insert", row_id) for row_id in range(start + begin, start + end)]
-            self.mvcc.capture(storage, entries)
-            if txn is None and end > begin:
-                self.mvcc.commit([(storage, entries)])
-        if txn is None and not capturing:
-            self.mvcc.tick(sum(starmap(lt, statements())))
+        statements = _statements(prepared.rows_per_statement, timed, cut)
+        if capturing:
+            for begin, end in statements:
+                entries = [("insert", row_id) for row_id in range(start + begin, start + end)]
+                self.mvcc.capture(storage, entries)
+                # After the implicit WAL commit, the same order as
+                # commit(): one clock tick per autocommit statement.
+                if txn is None and end > begin:
+                    self.mvcc.commit([(storage, entries)])
+        elif txn is None:
+            self.mvcc.tick(sum(end > begin for begin, end in statements))
         if error is not None:
             raise error
         return placed
+
+    def _log_inserts(self, storage, rows, start, k, count, cut, txn, error):
+        """Log the statements of ``rows[:count]`` (see :func:`_statements`)
+        before any row is placed: each row's I record (``rows[i]`` goes to
+        slot ``start + i``), then the C record of the statement's implicit
+        transaction.  Returns ``(placed, timed, cut, error)`` again, cut
+        where the log refused a record (that statement commits with the
+        rows before it) or lost a commit (its rows stay, untimed)."""
+        wal = self.wal
+        table = storage.schema.name
+        for begin, end in _statements(k, count, cut):
+            txn_id = self._statement_txn(txn)
+            try:
+                for at in range(begin, end):
+                    wal.log_insert(txn_id, table, start + at, rows[at])
+                at = end
+            except Exception as exc:  # a record the log refuses
+                count, cut, error = at, True, exc
+            try:
+                # Committed even when the statement raised (see _run_writes).
+                if txn is None:
+                    wal.commit(txn_id)
+            except Exception as exc:  # the disk died on it
+                return at, begin, False, exc
+            if at < end:  # refused: no statement after it runs
+                break
+        return count, count, cut, error
 
     def _reject_subquery(self, statement, frames):
         # INSERT ... VALUES may not embed subqueries in this dialect; the
@@ -1110,9 +1153,10 @@ class Database:
         raise ExecutionError("subqueries are not allowed in VALUES lists")
 
     def _modify(
-        self, prepared: "_PreparedModify", params: Sequence[Any], owner, parkable
+        self, prepared: "_PreparedModify", params: Sequence[Any], owner, parkable, txn_id
     ) -> int:
-        """One UPDATE or DELETE statement: locate, lock, mutate."""
+        """One UPDATE or DELETE statement: locate, lock, mutate — each
+        change logged under WAL transaction *txn_id* before it is made."""
         storage = prepared.entry.storage
         env = self._environment(params)
         # Every match is known, in heap order, before the first lock or
@@ -1125,9 +1169,15 @@ class Database:
         # rows are re-fetched below after the grant, so an assignment
         # like ``v = v + 1`` always reads the latest committed value.
         self._acquire_row_locks(owner, parkable, prepared.requests, row_ids)
-        if isinstance(prepared.statement, ast.Delete):
+        wal = self.wal
+        delete = isinstance(prepared.statement, ast.Delete)
+        journal = None
+        if wal is not None:
+            log = wal.log_delete if delete else wal.log_update
+            journal = partial(log, txn_id, storage.schema.name)
+        if delete:
             for row_id in row_ids:
-                storage.delete(row_id)
+                storage.delete(row_id, journal)
         else:
             for row_id in row_ids:
                 old_row = storage.fetch(row_id)
@@ -1135,66 +1185,16 @@ class Database:
                 # SQL semantics: every assignment sees the pre-update row.
                 for position, closure, convert in prepared.assignments:
                     row[position] = convert(closure(old_row, env))
-                storage.update(row_id, row)
+                storage.update(row_id, row, journal)
         self.last_counters = dict(env.counters)
         return len(row_ids)
 
 
-@dataclass
-class _PreparedDml:
-    """A parsed INSERT/UPDATE/DELETE with everything about it that does
-    not depend on parameter values, built once per statement text and kept
-    in the plan cache beside SELECT plans."""
-
-    statement: Any
-    #: Catalog entry of the target table.
-    entry: Any
-    #: The static lock footprint (:mod:`repro.concurrency.footprint`).
-    requests: tuple
-
-
-@dataclass
-class _PreparedInsert(_PreparedDml):
-    #: ``convert(parameter rows, out)`` (:func:`types.row_converter`).
-    convert: Callable[[Iterable[Sequence[Any]], List[tuple]], None]
-    #: Values per row, and rows per statement (0: all a SELECT gives).
-    width: int
-    rows_per_statement: int
-    #: INSERT ... SELECT: the source query's plan (None for VALUES).
-    select: Optional[Plan]
-
-
-@dataclass
-class _PreparedModify(_PreparedDml):
-    """An UPDATE or DELETE."""
-
-    #: The target-row access plan; its root answers ``row_ids``.
-    plan: Plan
-    #: UPDATE: ``(column position, closure over the pre-update row,
-    #: converter)`` per SET clause; empty for DELETE.
-    assignments: List[Tuple[int, Any, Callable[[Any], Any]]]
-
-
-class _TransactionContext:
-    """Context manager returned by :meth:`Database.transaction`."""
-
-    def __init__(self, database: Database, session: Hashable = None) -> None:
-        self._database = database
-        self._session = session
-
-    def __enter__(self) -> Database:
-        self._database.begin(self._session)
-        return self._database
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self._database.commit(self._session)
-        else:
-            try:
-                self._database.rollback(self._session)
-            except ExecutionError:
-                # The transaction may already be gone: a deadlock/timeout
-                # victim is rolled back at the point of the conflict, so
-                # there is nothing left to undo here.
-                pass
-        return False
+def _statements(k: int, count: int, cut: bool) -> Iterator[Tuple[int, int]]:
+    """The ``(begin, end)`` rows of each INSERT statement among the first
+    *count* of a parameter list: *k* VALUES rows each (0: one INSERT ...
+    SELECT, all of them), the last one *cut* short at *count* when a row
+    failed there."""
+    if not k:
+        return iter(((0, count),))
+    return ((begin, min(begin + k, count)) for begin in range(0, count + cut, k))

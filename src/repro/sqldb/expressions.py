@@ -51,7 +51,7 @@ from repro.errors import CatalogError, ExecutionError, ParseError, SQLError, Typ
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb.columnar import Columns
 from repro.sqldb.functions import AGGREGATE_NAMES
-from repro.sqldb.types import converter
+from repro.sqldb.types import STORED_CLASS, SQLType, converter
 
 ExprFn = Callable[[Tuple[Any, ...], Any], Any]
 
@@ -1093,6 +1093,75 @@ def program(exprs: Sequence[IR], shape: str) -> Program:
         raise ExecutionError("expression is too deeply nested to compile") from None
     row, batch = make(*[recipe(values) for recipe in recipes])
     return Program(row, batch, exprs, source)
+
+
+def row_converter(
+    arity: int,
+    targets: Sequence[Tuple[int, SQLType]],
+    value_rows: Sequence[Sequence[Any]],
+    environment: Optional[Callable[[Sequence[Any]], Any]],
+    unbound: Callable[[int, int], Exception],
+) -> Callable[[Sequence[Sequence[Any]], List[tuple]], None]:
+    """The generated loop ``convert(param_rows, out)`` of an INSERT.
+
+    Per parameter row ``v`` it reads every value of *value_rows* in order
+    (a ``?`` index reads ``v``, a closure ``(row, env)`` is called with
+    ``env = environment(v)``; a ``?`` past the end of ``v`` raises
+    ``unbound(index, len(v))``), then converts each value row to the
+    *targets*' ``(position, type)`` and appends it to *out* as a tuple of
+    *arity* columns, NULL where no value goes.  A value whose class
+    already is its column's passes with no call (a ``str`` only within
+    its length); any other goes through :func:`converter`, whose error
+    stops the loop with the rows before it in *out*.  Converters, lengths
+    and closures are factory arguments."""
+    args: Dict[str, Any] = {"environment": environment, "unbound": unbound}
+    reads = ["env = environment(v)" if environment else "env = None"]
+    converts: List[str] = []
+    run: List[Tuple[int, str]] = []  # the ``?`` reads since the last closure
+
+    def flush() -> None:
+        # One length check per run of ``?`` reads: the first index past
+        # the row's end raises, as reading them one by one would.
+        if run:
+            name = f"u{len(reads)}"
+            args[name] = tuple(index for index, __ in run)
+            reads.append(
+                f"if len(v) <= {max(args[name])}: "
+                f"raise unbound(next(i for i in {name} if i >= len(v)), len(v))"
+            )
+            reads.extend(f"{a} = v[{index}]" for index, a in run)
+            run.clear()
+
+    for j, (__, sql_type) in enumerate(targets):
+        stored = STORED_CLASS.get(sql_type.name)
+        args[f"c{j}"], args[f"k{j}"] = converter(sql_type), stored
+        args[f"n{j}"] = sql_type.length if stored is str else None
+    for r, readers in enumerate(value_rows):
+        columns = ["None"] * arity
+        for j, ((position, __), reader) in enumerate(zip(targets, readers)):
+            a = columns[position] = f"a{r}_{j}"
+            if isinstance(reader, int):
+                run.append((reader, a))
+            else:
+                flush()
+                args[f"r{a}"] = reader
+                reads.append(f"{a} = r{a}((), env)")
+            converts.append(f"if {a}.__class__ is not k{j}:")
+            converts.append(f"    if {a} is not None: {a} = c{j}({a})")
+            if args[f"n{j}"] is not None:
+                converts.append(f"elif len({a}) > n{j}: {a} = c{j}({a})")
+        converts.append(f"append(({', '.join(columns)},))")
+    flush()
+    body = "".join(f"            {line}\n" for line in reads + converts)
+    source = (
+        f"def make({', '.join(args)}):\n"
+        "    def convert(param_rows, out):\n"
+        "        append = out.append\n"
+        "        for v in param_rows:\n"
+        f"{body}"
+        "    return convert\n"
+    )
+    return _compile(source)(*args.values())
 
 
 def compile_expression(node: ast.Expression, ctx: CompileContext) -> ExprFn:

@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from functools import partial, reduce
 from operator import add
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ExecutionError, TypeMismatchError
-from repro.sqldb.types import is_null
 
 ScalarFunction = Callable[..., Any]
 
@@ -120,107 +119,6 @@ _BUILTINS: Dict[str, ScalarFunction] = {
 }
 
 
-class Aggregator:
-    """Incremental computation of one aggregate function.
-
-    SQL semantics: NULL inputs are ignored; COUNT(*) counts rows; an empty
-    group yields NULL for AVG/MAX/MIN/SUM and 0 for COUNT.
-    """
-
-    def __init__(self, name: str, distinct: bool = False, star: bool = False) -> None:
-        self.name = name.upper()
-        if self.name not in AGGREGATE_NAMES:
-            raise ExecutionError(f"{name!r} is not an aggregate function")
-        self.distinct = distinct
-        self.star = star
-        self._count = 0
-        self._total: Any = None
-        self._extreme: Any = None
-        self._seen = set() if distinct else None
-
-    def add(self, value: Any) -> None:
-        """Feed one input value (ignored if NULL, unless COUNT(*))."""
-        if self.star:
-            self._count += 1
-            return
-        if is_null(value):
-            return
-        if self._seen is not None:
-            if value in self._seen:
-                return
-            self._seen.add(value)
-        self._count += 1
-        try:
-            if self.name in ("SUM", "AVG"):
-                self._total = value if self._total is None else self._total + value
-            elif self.name == "MAX":
-                if self._extreme is None or value > self._extreme:
-                    self._extreme = value
-            elif self.name == "MIN":
-                if self._extreme is None or value < self._extreme:
-                    self._extreme = value
-        except TypeError as exc:
-            raise _unfoldable(self.name, exc) from None
-
-    def add_many(self, values: Sequence[Any]) -> None:
-        """Feed a column slice, leaving exactly the state that one
-        :meth:`add` per value, in order, would.
-
-        COUNT(*) counts ``len(values)``.  Otherwise NULLs (``None``) are
-        dropped, DISTINCT screens the rest against ``_seen`` in input
-        order, SUM/AVG fold left with ``+`` from the running total and
-        MIN/MAX fold with the builtin into the running extreme.  Never
-        ``sum()`` or ``math.fsum``: both round floats differently from a
-        left fold (``sum`` compensates from Python 3.12).
-        """
-        if self.star:
-            self._count += len(values)
-            return
-        if None in values:
-            values = [value for value in values if value is not None]
-        seen = self._seen
-        if seen is not None:
-            # ``seen.add`` returns None, so a first sighting is kept.
-            values = [
-                value for value in values if not (value in seen or seen.add(value))
-            ]
-        if not values:
-            return
-        self._count += len(values)
-        name = self.name
-        try:
-            if name in ("SUM", "AVG"):
-                total = self._total
-                self._total = reduce(add, values) if total is None else reduce(add, values, total)
-            elif name in ("MAX", "MIN"):
-                fold = max if name == "MAX" else min
-                extreme = self._extreme
-                self._extreme = fold(values) if extreme is None else fold((extreme, *values))
-        except TypeError as exc:
-            raise _unfoldable(name, exc) from None
-
-    def result(self) -> Any:
-        """Return the aggregate value for the rows fed so far."""
-        if self.name == "COUNT":
-            return self._count
-        if self._count == 0:
-            return None
-        if self.name == "SUM":
-            return self._total
-        if self.name == "AVG":
-            try:
-                return self._total / self._count
-            except TypeError as exc:
-                raise _unfoldable(self.name, exc) from None
-        return self._extreme
-
-
-def _unfoldable(name: str, exc: TypeError) -> TypeMismatchError:
-    """The error of an aggregate over values it cannot fold (numbers and
-    strings in one group, or AVG of strings)."""
-    return TypeMismatchError(f"{name}: {exc}")
-
-
 #: Each aggregate over a group's non-NULL values (at least one but COUNT's).
 _FOLDS: Dict[str, Callable[[List[Any]], Any]] = dict(
     COUNT=len, SUM=partial(reduce, add), AVG=lambda v: reduce(add, v) / len(v), MAX=max, MIN=min
@@ -228,9 +126,10 @@ _FOLDS: Dict[str, Callable[[List[Any]], Any]] = dict(
 
 
 def fold(name: str, distinct: bool = False, star: bool = False) -> Callable[[List[Any]], Any]:
-    """Aggregate *name* over all of a group's values, in row order: what an
-    :class:`Aggregator` fed them returns (NULLs dropped, DISTINCT keeping
-    first sightings, SUM and AVG a left fold, MAX and MIN the first extreme).
+    """Aggregate *name* over all of a group's values, in row order (NULLs
+    dropped, DISTINCT keeping first sightings, SUM and AVG a left fold, MAX
+    and MIN the first extreme; COUNT(*) counts every value): a GROUP BY's
+    aggregates, and a rule's tree aggregate (:mod:`repro.rules.evaluate`).
     SUM, AVG, MAX and MIN fold the values as they are, and drop the NULLs
     only where that raises ``TypeError``, as two or more values holding a
     NULL do (a lone NULL folds to None either way)."""
@@ -243,8 +142,8 @@ def fold(name: str, distinct: bool = False, star: bool = False) -> Callable[[Lis
             values = list(dict.fromkeys(values))
         try:
             return whole(values) if values or whole is len else None
-        except TypeError as exc:
-            raise _unfoldable(name.upper(), exc) from None
+        except TypeError as exc:  # numbers and strings in one group
+            raise TypeMismatchError(f"{name.upper()}: {exc}") from None
 
     def optimistic(values: List[Any]) -> Any:
         try:

@@ -64,18 +64,22 @@ class HashIndex:
             else:
                 bucket.append(row_id)
 
-    def first_taken(self, rows: Iterable[Row]) -> Optional[Tuple[int, IntegrityError]]:
-        """The position in *rows* of the first whose key this (unique)
-        index or an earlier row holds, with its error; None when every key
-        is free (one with a NULL part always is)."""
-        keys = list(self.keys(rows))
-        buckets = self._buckets
-        if len(set(keys)) == len(keys) and buckets.keys().isdisjoint(keys):
-            return None  # the common case, at C speed
+    def first_taken(self, rows: Sequence[Row], count: int) -> Optional[Tuple[int, IntegrityError]]:
+        """The position among the first *count* of *rows* of the first
+        whose key this (unique) index or an earlier row holds, with its
+        error; None when every key is free (one with a NULL part always
+        is).  The common case builds no key tuple: the distinct keys (a
+        single column's values as they are) are tested as a set."""
+        distinct = set(map(self._pick, islice(rows, count)))
+        single = len(self.column_positions) == 1
+        if len(distinct) == count and self._buckets.keys().isdisjoint(
+            zip(distinct) if single else distinct
+        ):
+            return None
         seen: set = set()
-        for at, key in enumerate(keys):
+        for at, key in enumerate(self.keys(islice(rows, count))):
             if None not in key:
-                if key in buckets or key in seen:
+                if key in self._buckets or key in seen:
                     return at, self._violation(key)
                 seen.add(key)
         return None
@@ -100,14 +104,6 @@ class HashIndex:
         return list(self._buckets.get(key, ()))
 
 
-def _first(values: Iterable[object], wanted: object) -> Optional[int]:
-    """The position of the first of *values* that is *wanted*, or None."""
-    try:
-        return indexOf(values, wanted)
-    except ValueError:
-        return None
-
-
 class TableStorage:
     """Heap storage for one table, with optional hash indexes.
 
@@ -123,14 +119,6 @@ class TableStorage:
         self._indexes: Dict[str, HashIndex] = {}
         #: Undo log for the enclosing transaction; None when not enlisted.
         self._undo: Optional[List[tuple]] = None
-        #: Redo journal sink (the database's WAL hook): called as
-        #: ``journal(op, row_id, row)`` once a mutation passed its checks
-        #: and before it changes the heap or an index (an update also
-        #: passes the row it replaced), so a record the journal refuses
-        #: leaves memory as it was.
-        #: Detached (like ``_undo``) while a rollback replays inverses —
-        #: an abort is logged as one ABORT record, not as compensation.
-        self._journal = None
         #: Mutation counter: bumped by every insert/update/delete/restore.
         #: Derived caches (the columnar chunk cache) key on it to detect
         #: staleness without hooking every mutation path individually.
@@ -154,22 +142,6 @@ class TableStorage:
     def __len__(self) -> int:
         return self._live_count
 
-    def insert(self, row: Sequence[object]) -> int:
-        """Check, journal and insert one row; return its row id."""
-        if len(row) != self.schema.arity:
-            raise IntegrityError(
-                f"table {self.schema.name!r} expects {self.schema.arity} values, "
-                f"got {len(row)}"
-            )
-        rows = [tuple(row)]
-        error = self.check(rows)[1]
-        if error is not None:
-            raise error
-        if self._journal is not None:
-            self._journal("insert", len(self._rows), rows[0])
-        self.append(rows)
-        return len(self._rows) - 1
-
     def check(self, rows: List[Row]) -> Tuple[int, Optional[IntegrityError]]:
         """How many of *rows* (of the table's arity), from the first, can
         be inserted in their order, and the first bad row's error (None
@@ -179,11 +151,13 @@ class TableStorage:
         run, so the error is the one inserting row by row meets first."""
         good, error = len(rows), None
         for position in self._not_null:
-            at = _first(map(itemgetter(position), islice(rows, good)), None)
-            if at is not None:
-                good, error = at, self._null_error(position)
+            try:  # the first NULL among the rows still good
+                at = indexOf(map(itemgetter(position), islice(rows, good)), None)
+            except ValueError:
+                continue
+            good, error = at, self._null_error(position)
         for index in self._indexes.values():
-            taken = index.first_taken(islice(rows, good)) if index.unique else None
+            taken = index.first_taken(rows, good) if index.unique else None
             if taken is not None:
                 good, error = taken
         return good, error
@@ -196,7 +170,8 @@ class TableStorage:
     def append(self, rows: Sequence[Row]) -> None:
         """Put checked, journaled *rows* in the next slots: the heap
         extended once, each index filled once, one undo entry per row."""
-        row_ids = range(len(self._rows), len(self._rows) + len(rows))
+        # A list: each row id is one int, shared by every index's bucket.
+        row_ids = list(range(len(self._rows), len(self._rows) + len(rows)))
         self._rows.extend(rows)
         self._index(row_ids, rows)
         if self._undo is not None:
@@ -247,12 +222,15 @@ class TableStorage:
         while len(self._rows) < total_slots:
             self._rows.append(None)
 
-    def delete(self, row_id: int) -> None:
+    def delete(self, row_id: int, journal: Optional[Callable[[int], None]] = None) -> None:
+        """Delete the row in slot *row_id* (a free slot is left as it is),
+        first calling ``journal(row_id)`` when given (the WAL's redo
+        record, written before memory changes)."""
         row = self._rows[row_id]
         if row is None:
             return
-        if self._journal is not None:
-            self._journal("delete", row_id, row)
+        if journal is not None:
+            journal(row_id)
         for index in self._indexes.values():
             index.remove(row_id, row)
         self._rows[row_id] = None
@@ -261,7 +239,13 @@ class TableStorage:
         if self._undo is not None:
             self._undo.append(("delete", row_id, row))
 
-    def update(self, row_id: int, new_row: Sequence[object]) -> None:
+    def update(
+        self, row_id: int, new_row: Sequence[object], journal: Optional[Callable] = None
+    ) -> None:
+        """Replace the row in slot *row_id* with *new_row*, first calling
+        ``journal(row_id, old_row, new_row)`` when given, once the row
+        passed its checks (a record the journal refuses leaves it as it
+        was)."""
         old_row = self._rows[row_id]
         if old_row is None:
             raise IntegrityError(f"row {row_id} of {self.schema.name!r} is deleted")
@@ -280,8 +264,8 @@ class TableStorage:
                 if index.unique and new_key in index._buckets:  # never a NULL key
                     raise index._violation(new_key)
                 moved.append(index)
-        if self._journal is not None:
-            self._journal("update", row_id, stored, old_row)
+        if journal is not None:
+            journal(row_id, old_row, stored)
         for index in moved:
             index.remove(row_id, old_row)
             index.add(row_id, stored)
@@ -396,16 +380,15 @@ class TableStorage:
         self._undo = None
 
     def rollback_entries(self, entries: List[tuple]) -> None:
-        """Replay *entries* backwards with logging detached.
+        """Replay *entries* backwards with undo logging detached, and
+        unjournaled: the WAL sees one ABORT, not compensation ops.
 
         Used by per-session transactions: the rolled-back transaction's
         log is replayed without disturbing whichever log happens to be
         attached (it is re-attached by the next statement anyway).
         """
         attached = self._undo
-        journal = self._journal
         self._undo = None  # replay must not log
-        self._journal = None  # the WAL sees one ABORT, not compensation ops
         try:
             for entry in reversed(entries):
                 kind = entry[0]
@@ -417,7 +400,6 @@ class TableStorage:
                     self.update(entry[1], entry[2])
         finally:
             self._undo = None if attached is entries else attached
-            self._journal = journal
 
     def _restore(self, row_id: int, row: Row) -> None:
         """Re-materialise a deleted row in its original slot."""

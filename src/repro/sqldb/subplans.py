@@ -4,14 +4,15 @@ A :class:`Plan` is what the planner hands the executor: CTEs to
 materialise, then the root tree.  A subquery in an expression becomes a
 :class:`CompiledSubquery` (EXISTS, IN-set and scalar access, cached per
 execution when uncorrelated); a derived table or a view, a
-:class:`SubplanOperator`.
+:class:`SubplanOperator`.  An INSERT, UPDATE or DELETE is prepared once
+as a :class:`_PreparedDml` that the database runs per parameter row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.sqldb import ast_nodes as ast
@@ -210,3 +211,40 @@ def _subquery_key(statement: ast.SelectStatement) -> object:
     identifies only its own AST node."""
     text = render_select(statement)
     return id(statement) if "?" in text else text
+
+
+@dataclass
+class _PreparedDml:
+    """A parsed INSERT/UPDATE/DELETE with everything about it that does
+    not depend on parameter values, built once per statement text and kept
+    in the plan cache beside SELECT plans."""
+
+    statement: Any
+    #: Catalog entry of the target table.
+    entry: Any
+    #: The static lock footprint (:mod:`repro.concurrency.footprint`).
+    requests: tuple
+
+
+@dataclass
+class _PreparedInsert(_PreparedDml):
+    #: ``convert(parameter rows, out)`` (:func:`expressions.row_converter`).
+    convert: Callable[[Iterable[Sequence[Any]], List[tuple]], None]
+    #: Values per row.
+    width: int
+    #: VALUES rows per statement; 0 for INSERT ... SELECT, whose every
+    #: row is one statement's.
+    rows_per_statement: int
+    #: INSERT ... SELECT: the source query's plan (None for VALUES).
+    select: Optional[Plan]
+
+
+@dataclass
+class _PreparedModify(_PreparedDml):
+    """An UPDATE or DELETE."""
+
+    #: The target-row access plan; its root answers ``row_ids``.
+    plan: Plan
+    #: UPDATE: ``(column position, closure over the pre-update row,
+    #: converter)`` per SET clause; empty for DELETE.
+    assignments: List[Tuple[int, Any, Callable[[Any], Any]]]

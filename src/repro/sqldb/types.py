@@ -9,7 +9,7 @@ comparison rules used by :mod:`repro.sqldb.expressions`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional
 
 from repro.errors import TypeMismatchError
 
@@ -152,55 +152,7 @@ def converter(sql_type: SQLType) -> Callable[[Any], Any]:
 
 #: Type name -> the class :func:`converter` returns a value of unchanged
 #: (a ``str`` only within the type's length).
-_STORED_CLASS = {"INTEGER": int, "DOUBLE": float, "BOOLEAN": bool, "VARCHAR": str, "CHAR": str}
-
-
-def row_converter(arity: int, targets: Sequence[Tuple[int, SQLType]], value_rows, environment, unbound):
-    """``convert(param_rows, out)``: per parameter row, read every value
-    of *value_rows* (a ``?`` index, or a closure ``(row, env)`` given
-    ``environment(params)``; a ``?`` past the row's end raises *unbound*),
-    then convert each value row to the *targets*' ``(position, type)``
-    and append it to *out* as a row of *arity* columns, NULL where no
-    value goes.  A value whose class already is its column's passes with
-    no call; any other goes through :func:`converter`, whose error stops
-    the loop.  What varies is in factory arguments, not in the source."""
-    from repro.sqldb.expressions import _compile  # the one home of generated code
-
-    args: Dict[str, Any] = {"environment": environment, "unbound": unbound}
-    reads: List[str] = ["env = environment(v)" if environment else "env = None"]
-    converts: List[str] = []
-    run: List[Tuple[int, str]] = []  # the ``?`` reads since the last closure
-
-    def flush() -> None:  # one length check per run; the first short ``?`` raises
-        if run:
-            name = f"u{len(reads)}"
-            args[name] = tuple(index for index, __ in run)
-            reads.append(f"if len(v) <= {max(args[name])}: "
-                         f"raise unbound(next(i for i in {name} if i >= len(v)), len(v))")
-            reads.extend(f"{a} = v[{index}]" for index, a in run)
-            run.clear()
-
-    for j, (position, sql_type) in enumerate(targets):
-        args[f"c{j}"], args[f"k{j}"] = converter(sql_type), _STORED_CLASS.get(sql_type.name)
-        args[f"n{j}"] = sql_type.length if args[f"k{j}"] is str else None
-    for r, readers in enumerate(value_rows):
-        columns = ["None"] * arity
-        for j, ((position, __), reader) in enumerate(zip(targets, readers)):
-            a = columns[position] = f"a{r}_{j}"
-            if isinstance(reader, int):
-                run.append((reader, a))
-            else:
-                flush()
-                args[f"r{a}"] = reader
-                reads.append(f"{a} = r{a}((), env)")
-            converts += [f"if {a}.__class__ is not k{j}:", f"    if {a} is not None: {a} = c{j}({a})"]
-            if args[f"n{j}"] is not None:
-                converts.append(f"elif len({a}) > n{j}: {a} = c{j}({a})")
-        converts.append(f"append(({', '.join(columns)},))")
-    flush()
-    lines = "".join(f"            {line}\n" for line in reads + converts)
-    source = f"def make({', '.join(args)}):\n    def convert(param_rows, out):\n        append = out.append\n        for v in param_rows:\n{lines}    return convert\n"
-    return _compile(source)(*args.values())
+STORED_CLASS = {"INTEGER": int, "DOUBLE": float, "BOOLEAN": bool, "VARCHAR": str, "CHAR": str}
 
 
 def coerce_value(value: Any, sql_type: SQLType) -> Any:

@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from repro.errors import ProtocolError, SQLError
-from repro.recovery import Durability, SimDisk
+from repro.errors import DurabilityError, ProtocolError, SQLError
+from repro.recovery import PERFECT_DISK, DiskFaultProfile, Durability, SimDisk
 from repro.sqldb import Database
 
 SCHEMA = (
@@ -101,7 +101,7 @@ def image(durability, db):
 def outcome(run):
     try:
         run()
-    except (SQLError, ProtocolError) as exc:
+    except (SQLError, ProtocolError, DurabilityError) as exc:
         return type(exc), str(exc)
     return None
 
@@ -187,3 +187,61 @@ def test_a_refused_wal_record_cuts_the_rows_placed_there():
     assert many.table_rowcount("t") == len(SEEDED) + 123
     recovered = many_disk.recover()
     assert recovered.execute("SELECT COUNT(*) FROM t").scalar() == len(SEEDED) + 123
+
+
+#: Two VALUES rows per parameter row, so a statement can fail between its rows.
+PAIRS = "INSERT INTO t (id, n, s) VALUES (?, ?, 'p'), (? + 1000, ?, ?)"
+
+
+@pytest.mark.parametrize("mode", ["wal", "transaction", "snapshot"])
+def test_a_refused_record_in_a_statements_second_row(mode):
+    """The log refuses a statement's second row: its first row stays
+    (committed outside a transaction), and nothing after it runs."""
+    rows = [(id_, id_, id_, id_, "q") for id_ in range(2, 40)]
+    rows[17] = (19, 19, 19, 19, "\ud800")
+    many_disk, many = open_database(mode)
+    loop_disk, loop = open_database(mode)
+
+    def loop_of_execute():
+        for row in rows:
+            loop.execute(PAIRS, row)
+
+    failed = outcome(lambda: many.executemany(PAIRS, rows))
+    assert failed is not None and failed == outcome(loop_of_execute)
+    assert image(many_disk, many) == image(loop_disk, loop)
+    assert many.table_rowcount("t") == len(SEEDED) + 2 * 17 + 1
+
+
+@pytest.mark.parametrize("mode", ["wal", "transaction", "snapshot"])
+def test_a_disk_crash_on_any_append_of_a_list(mode):
+    """Power lost on any append of a batch — a BEGIN, an insert record or
+    a commit record — leaves memory, versions, clock and log where one
+    ``execute`` per parameter row leaves them; so does recovery."""
+    rows = [(id_, id_, id_, id_, "q") for id_ in range(2, 8)]
+    for crash_at in range(1, 4 * len(rows) + 2):  # the last: no crash
+        many_disk, many = open_database(mode)
+        loop_disk, loop = open_database(mode)
+        for durability in (many_disk, loop_disk):
+            durability.disk.arm(DiskFaultProfile("crash", crash_at_append=crash_at))
+
+        def loop_of_execute():
+            for row in rows:
+                loop.execute(PAIRS, row)
+
+        clock = many.mvcc.clock
+        assert outcome(lambda: many.executemany(PAIRS, rows)) == outcome(loop_of_execute)
+        assert image(many_disk, many) == image(loop_disk, loop), crash_at
+        if mode == "wal":
+            # Statement s appends B, I, I, C.  Power lost on one of them
+            # keeps the rows whose I record went out, and ticks the clock
+            # once per statement that changed memory, but for the one
+            # whose C record was lost.
+            s, k = divmod(min(crash_at, 4 * len(rows) + 1) - 1, 4)
+            placed = 2 * s + (0, 0, 1, 2)[k] if s < len(rows) else 2 * len(rows)
+            ticks = s + (k == 2) if s < len(rows) else len(rows)
+            assert many.table_rowcount("t") == len(SEEDED) + placed, crash_at
+            assert many.mvcc.clock == clock + ticks, crash_at
+        read = "SELECT * FROM t ORDER BY id"
+        for durability in (many_disk, loop_disk):
+            durability.disk.arm(PERFECT_DISK)
+        assert many_disk.recover().execute(read).rows == loop_disk.recover().execute(read).rows

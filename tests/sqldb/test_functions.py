@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.sqldb import Database
-from repro.sqldb.functions import Aggregator, FunctionRegistry
+from repro.sqldb.functions import FunctionRegistry
+from tests.sqldb.aggregator_oracle import Aggregator
 
 
 class TestRegistry:

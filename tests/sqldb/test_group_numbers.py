@@ -33,7 +33,8 @@ from hypothesis import strategies as st
 
 from repro.sqldb import Database
 from repro.sqldb.columnar import BATCH_SIZE, table_batches
-from repro.sqldb.functions import Aggregator, fold
+from repro.sqldb.functions import fold
+from tests.sqldb.aggregator_oracle import Aggregator
 from tests.sqldb.test_pipelines import ROWS, _rows, rounded
 
 NAN = float("nan")

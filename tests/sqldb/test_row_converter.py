@@ -1,6 +1,6 @@
 """The generated row converter converts each value as ``converter(type)``.
 
-``types.row_converter`` lets a value whose class already is its column's
+``expressions.row_converter`` lets a value whose class already is its column's
 pass with no call (``int`` for INTEGER, ``float`` for DOUBLE, ``bool`` for
 BOOLEAN, a ``str`` within a VARCHAR's length) and hands every other value
 to the type's converter.  Whatever the declared type and the value's
@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.errors import SQLError
 from repro.sqldb.executor import unbound_parameter
-from repro.sqldb.types import BOOLEAN, DOUBLE, INTEGER, SQLType, VARCHAR, CHAR, converter, row_converter
+from repro.sqldb.expressions import row_converter
+from repro.sqldb.types import BOOLEAN, CHAR, DOUBLE, INTEGER, VARCHAR, SQLType, converter
 
 
 class Level(enum.IntEnum):

@@ -25,6 +25,16 @@ def storage(schema):
     return TableStorage(schema)
 
 
+def insert(storage, row):
+    """Check and place one row as an INSERT does; return its row id."""
+    rows = [tuple(row)]
+    error = storage.check(rows)[1]
+    if error is not None:
+        raise error
+    storage.append(rows)
+    return len(storage._rows) - 1
+
+
 class TestSchema:
     def test_column_index_case_insensitive(self, schema):
         assert schema.column_index("GRP") == 1
@@ -42,73 +52,78 @@ class TestSchema:
 
 class TestStorage:
     def test_insert_scan_roundtrip(self, storage):
-        storage.insert((1, 10, "a"))
-        storage.insert((2, 10, "b"))
+        insert(storage, (1, 10, "a"))
+        insert(storage, (2, 10, "b"))
         assert list(storage.rows()) == [(1, 10, "a"), (2, 10, "b")]
         assert len(storage) == 2
 
     def test_primary_key_auto_index_unique(self, storage):
-        storage.insert((1, 10, "a"))
+        insert(storage, (1, 10, "a"))
         with pytest.raises(IntegrityError):
-            storage.insert((1, 20, "b"))
+            insert(storage, (1, 20, "b"))
         assert len(storage) == 1  # failed insert leaves no trace
 
     def test_delete_frees_slot(self, storage):
-        row_id = storage.insert((1, 10, "a"))
+        row_id = insert(storage, (1, 10, "a"))
         storage.delete(row_id)
         assert len(storage) == 0
         assert list(storage.rows()) == []
 
     def test_delete_is_idempotent(self, storage):
-        row_id = storage.insert((1, 10, "a"))
+        row_id = insert(storage, (1, 10, "a"))
         storage.delete(row_id)
         storage.delete(row_id)
         assert len(storage) == 0
 
     def test_update_replaces_row(self, storage):
-        row_id = storage.insert((1, 10, "a"))
+        row_id = insert(storage, (1, 10, "a"))
         storage.update(row_id, (1, 20, "z"))
         assert storage.fetch(row_id) == (1, 20, "z")
 
     def test_update_deleted_row_raises(self, storage):
-        row_id = storage.insert((1, 10, "a"))
+        row_id = insert(storage, (1, 10, "a"))
         storage.delete(row_id)
         with pytest.raises(IntegrityError):
             storage.update(row_id, (1, 20, "z"))
 
-    def test_wrong_arity_rejected(self, storage):
+    def test_wrong_arity_rejected(self):
+        from repro.sqldb import Database
+
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, name VARCHAR(10))")
         with pytest.raises(IntegrityError):
-            storage.insert((1, 10))
+            db.execute("INSERT INTO t VALUES (1, 10)")
+        assert db.table_rowcount("t") == 0
 
 
 class TestIndexes:
     def test_index_probe(self, storage):
         storage.create_index("t_grp", ["grp"])
-        ids = [storage.insert((i, i % 2, "x")) for i in range(6)]
+        ids = [insert(storage, (i, i % 2, "x")) for i in range(6)]
         index = storage.find_index(["grp"])
         assert sorted(index.probe((0,))) == [ids[0], ids[2], ids[4]]
 
     def test_index_built_over_existing_rows(self, storage):
         for i in range(4):
-            storage.insert((i, 7, "x"))
+            insert(storage, (i, 7, "x"))
         storage.create_index("late", ["grp"])
         assert len(storage.find_index(["grp"]).probe((7,))) == 4
 
     def test_null_keys_not_indexed(self, storage):
         storage.create_index("t_grp", ["grp"])
-        storage.insert((1, None, "a"))
+        insert(storage, (1, None, "a"))
         index = storage.find_index(["grp"])
         assert index.probe((None,)) == []
 
     def test_index_maintained_on_delete(self, storage):
         storage.create_index("t_grp", ["grp"])
-        row_id = storage.insert((1, 5, "a"))
+        row_id = insert(storage, (1, 5, "a"))
         storage.delete(row_id)
         assert storage.find_index(["grp"]).probe((5,)) == []
 
     def test_index_maintained_on_update(self, storage):
         storage.create_index("t_grp", ["grp"])
-        row_id = storage.insert((1, 5, "a"))
+        row_id = insert(storage, (1, 5, "a"))
         storage.update(row_id, (1, 6, "a"))
         index = storage.find_index(["grp"])
         assert index.probe((5,)) == []
@@ -126,7 +141,7 @@ class TestIndexes:
 
     def test_multi_column_index(self, storage):
         storage.create_index("multi", ["grp", "name"])
-        row_id = storage.insert((1, 5, "a"))
+        row_id = insert(storage, (1, 5, "a"))
         index = storage.find_index(["grp", "name"])
         assert index.probe((5, "a")) == [row_id]
         assert index.probe((5, "b")) == []
@@ -151,8 +166,8 @@ class TestUpdateIndexMaintenance:
 
     def test_failed_update_leaves_every_index_intact(self, storage):
         storage.create_index("t_grp", ["grp"])
-        first = storage.insert((1, 10, "a"))
-        second = storage.insert((2, 20, "b"))
+        first = insert(storage, (1, 10, "a"))
+        second = insert(storage, (2, 20, "b"))
         with pytest.raises(IntegrityError):
             storage.update(first, (2, 30, "a"))  # pk collides with `second`
         assert storage.fetch(first) == (1, 10, "a")
@@ -175,13 +190,13 @@ class TestUpdateIndexMaintenance:
 
     def test_non_key_update_leaves_bucket_order_unchanged(self, storage):
         storage.create_index("t_grp", ["grp"])
-        ids = [storage.insert((i, 7, "x")) for i in range(4)]
+        ids = [insert(storage, (i, 7, "x")) for i in range(4)]
         storage.update(ids[1], (1, 7, "renamed"))
         assert storage.find_index(["grp"]).probe((7,)) == ids
 
     def test_key_update_moves_the_row_between_buckets(self, storage):
         storage.create_index("t_grp", ["grp"])
-        ids = [storage.insert((i, 7, "x")) for i in range(3)]
+        ids = [insert(storage, (i, 7, "x")) for i in range(3)]
         storage.update(ids[0], (0, 8, "x"))
         index = storage.find_index(["grp"])
         assert index.probe((7,)) == ids[1:]
@@ -189,7 +204,7 @@ class TestUpdateIndexMaintenance:
 
     def test_update_to_and_from_null_key(self, storage):
         storage.create_index("t_grp", ["grp"])
-        row_id = storage.insert((1, 5, "a"))
+        row_id = insert(storage, (1, 5, "a"))
         index = storage.find_index(["grp"])
         storage.update(row_id, (1, None, "a"))
         assert index.probe((5,)) == []
@@ -198,8 +213,8 @@ class TestUpdateIndexMaintenance:
 
     def test_rollback_restores_rows_and_indexes(self, storage):
         storage.create_index("t_grp", ["grp"])
-        first = storage.insert((1, 10, "a"))
-        second = storage.insert((2, 20, "b"))
+        first = insert(storage, (1, 10, "a"))
+        second = insert(storage, (2, 20, "b"))
         log = []
         storage.attach_undo(log)
         storage.update(first, (3, 11, "a"))
@@ -219,19 +234,19 @@ class TestInsertIndexMaintenance:
 
     def test_a_violation_on_a_later_unique_index_touches_no_index(self, storage):
         storage.create_index("t_name", ["name"], unique=True)
-        storage.insert((1, 10, "a"))
+        insert(storage, (1, 10, "a"))
         with pytest.raises(IntegrityError, match="t_name"):
-            storage.insert((2, 20, "a"))  # the pk index would take id 2
+            insert(storage, (2, 20, "a"))  # the pk index would take id 2
         pk = storage.find_index(["id"])
         assert pk.probe((2,)) == []
-        reused = storage.insert((3, 30, "b"))  # the failed insert's slot
+        reused = insert(storage, (3, 30, "b"))  # the failed insert's slot
         assert pk.probe((2,)) == []
         assert pk.probe((3,)) == [reused]
         assert len(storage) == 2
 
     def test_a_restored_delete_is_indexed_again(self, storage):
         storage.create_index("t_grp", ["grp"])
-        row_id = storage.insert((1, 10, "a"))
+        row_id = insert(storage, (1, 10, "a"))
         log = []
         storage.attach_undo(log)
         storage.delete(row_id)
