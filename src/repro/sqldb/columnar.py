@@ -6,15 +6,16 @@ interpreter overhead — generator frames, closure calls, tuple indexing —
 is paid once per batch instead of once per row.  NULLs stay in-band as
 ``None``.
 
-The generated pipeline loops of :mod:`repro.sqldb.expressions` read a
+The generated pipeline loops of :mod:`repro.sqldb.pipelines` read a
 large batch column-wise: ``columns`` is a lazy view pivoting each column
 out of the rows on its first read, set on the batch the first time a loop
 needs it, so a scan pays only for the columns its plan reads.  Beside the
 columns it keeps each column's set of value types (``columns.kinds``),
-which a loop's fast form checks before it runs.  A cached chunk pivots a
-column and collects its kinds once per table version.  A batch of at most
-:data:`SMALL_BATCH` rows (a point probe's, an index join's, a fixpoint
-round's) is never pivoted: its pipeline runs in row form.
+which a column loop checks before it runs (a batch it refuses runs the
+row loop).  A cached chunk pivots a column and collects its kinds once
+per table version.  A batch of at most :data:`SMALL_BATCH` rows (a point
+probe's, an index join's, a fixpoint round's) is never pivoted: its
+pipeline runs the row loop.
 
 Base-table batches are built lazily from :class:`~repro.sqldb.storage.
 TableStorage` and cached on the storage object, keyed by its mutation

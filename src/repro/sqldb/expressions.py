@@ -19,18 +19,19 @@ truncating toward zero and ``ExecutionError("division by zero")``.
 :mod:`repro.sqldb.pipelines` writes it into the loop of a whole chain of
 operators, over a batch's rows or over its columns.
 
-The column loop may run a *fast* form of the text first, with
-comparisons and ``+ - *`` as bare Python operators, where that cannot
-change a result: ordering comparisons under ``try/except TypeError``
-(Python raises it on exactly the cases SQL treats specially: NULL, a
-number against a string), ``=``, ``<>``, BETWEEN and ``+ - *`` behind one
-per-batch precheck of the kinds they read (a column's kinds are kept with
-its batch's columns, once per table version for a cached chunk).
-Otherwise, and whenever the guard trips, it is the row text over the
-columns, so errors surface in row order.  An expression with a
-correlated subquery, an EXISTS or scalar subquery, or an outer reference
-runs over the batch's rows; an uncorrelated ``IN (subquery)`` fetches its
-value set once per call and tests membership inline.
+The row text is the one with SQL's semantics.  A pipeline's column loop
+writes comparisons and ``+ - *`` as bare Python operators where that
+cannot change a result: ordering comparisons under ``try/except
+TypeError`` (Python raises it on exactly the cases SQL treats specially:
+NULL, a number against a string), ``=``, ``<>``, BETWEEN and ``+ - *``
+behind one per-batch precheck of the kinds they read (a column's kinds
+are kept with its batch's columns, once per table version for a cached
+chunk); every other node keeps its row text.  A batch whose precheck
+fails, that binds fewer ``?`` values than the loop reads, or whose guard
+trips runs the row loop, so errors surface in row order.  An expression
+with a correlated subquery, an EXISTS or scalar subquery, or an outer
+reference runs over the batch's rows; an uncorrelated ``IN (subquery)``
+fetches its value set once per call and tests membership inline.
 
 No SQL text becomes Python source: the source holds operator tokens,
 slot and parameter numbers and generated names.  Literals are holes of
@@ -509,7 +510,7 @@ _BOOLEAN = ("bool", "bool3")
 
 #: Node kinds :meth:`_Emitter.chain` folds, and the longest left-deep
 #: chain of them emitted as nested text (Python's parser allows ~200
-#: nested parentheses; a step of the careful text opens two).
+#: nested parentheses; a step of the row text opens two).
 _CHAINED = frozenset(("arith", "concat"))
 CHAIN_NESTING = 32
 
@@ -544,9 +545,9 @@ class _Emitter:
     """Emit the text of a template's IR nodes; collect what it reads.
 
     Every factory argument ``k<n>`` is a :data:`Recipe` over the
-    template's literals.  ``fast`` emits a column loop's fast form:
+    template's literals.  ``columns`` emits a pipeline's column loop:
     ``?`` values are read from names hoisted out of the loop, and
-    ``prechecks`` / ``guarded`` record what must hold before it runs.
+    ``prechecks`` / ``guarded`` record what must hold for it to run.
     """
 
     def __init__(self) -> None:
@@ -557,8 +558,7 @@ class _Emitter:
         self.prechecks: List[str] = []
         self.kind_columns: set = set()
         self.guarded = False
-        self.fast = False
-        #: Slots read as ``_<slot>`` (bound by a column loop), not ``r[slot]``.
+        #: Emit a column loop: slots bound as names, bare where prechecked.
         self.columns = False
         #: In a pipeline, each slot's text at the current stage and the
         #: source column it reads unchanged (None for a computed or probed
@@ -635,7 +635,7 @@ class _Emitter:
 
     def source_slot(self, ir: IR) -> Optional[int]:
         """The batch column a ``slot`` node reads unchanged, if any."""
-        return ir[1] if self.slot_texts is None else self.slot_sources[ir[1]]
+        return self.slot_sources[ir[1]]
 
     def kinds_of(self, text: _Text) -> Optional[str]:
         """Source of the set of kinds *text* can take in one batch (a
@@ -647,12 +647,12 @@ class _Emitter:
         if kind == "slot":
             column = self.source_slot(text.ir)
             return None if column is None else f"y{column}"
-        if kind in ("hole", "hidden") or (kind == "param" and self.fast):
+        if kind in ("hole", "hidden", "param"):
             return f"{{type({text.text})}}"
         return None
 
     def precheck(self, check: str, texts: Sequence[_Text]) -> bool:
-        """Record that the fast form of *texts*' node needs *check* over
+        """Record that the column text of *texts*' node needs *check* over
         their kinds; False when some kind cannot be prechecked."""
         kinds = [self.kinds_of(text) for text in texts]
         if None in kinds:
@@ -687,13 +687,13 @@ class _Emitter:
                 if column is not None:
                     self.read.add(column)
                 return _Text(self.slot_texts[data], None, ir, name=True)
-            return _Text(f"_{data}" if self.columns else f"r[{data}]", None, ir, name=True)
+            return _Text(f"r[{data}]", None, ir, name=True)
         if kind == "hole":
             return _Text(self.literal(data), None, ir, name=True)
         if kind == "hidden":
             return _Text(self.once(f"env.hidden[{data}]"), None, ir, name=True)
         if kind == "param":
-            if self.fast:
+            if self.columns:
                 self.params.add(data)
                 return _Text(f"p{data}", None, ir, name=True)
             return _Text(
@@ -750,7 +750,7 @@ class _Emitter:
     def _cmp(self, ir: IR, operator: str, texts: List[_Text]) -> _Text:
         left, right = texts
         python = _COMPARISONS[operator]
-        if self.fast:
+        if self.columns:
             if operator in _ORDERING:
                 self.guarded = True
                 return _Text(f"({left.text} {python} {right.text})", "bool", ir)
@@ -762,7 +762,7 @@ class _Emitter:
         left, right = texts
         if operator in ("/", "%"):
             return _Text(f"_arith('{operator}', {left.text}, {right.text})", None, ir)
-        if self.fast and self.precheck("_numeric", texts):
+        if self.columns and self.precheck("_numeric", texts):
             return _Text(f"({left.text} {operator} {right.text})", "num", ir)
         null, a2, b2 = self.operands(left, right)
         numbers = f"{self.is_number(left, a2)} and {self.is_number(right, b2)}"
@@ -775,7 +775,7 @@ class _Emitter:
 
     def _neg(self, ir: IR, data: Any, texts: List[_Text]) -> _Text:
         (operand,) = texts
-        if self.fast and self.precheck("_numeric", texts):
+        if self.columns and self.precheck("_numeric", texts):
             return _Text(f"(-{operand.text})", "num", ir)
         x1, x2 = self.bind(operand)
         return _Text(
@@ -830,7 +830,7 @@ class _Emitter:
 
     def _between(self, ir: IR, negated: bool, texts: List[_Text]) -> _Text:
         value, low, high = texts
-        if self.fast and self.precheck("_uniform", texts):
+        if self.columns and self.precheck("_uniform", texts):
             inside = f"({low.text} <= {value.text} <= {high.text})"
             return _Text(f"(not {inside})" if negated else inside, "bool", ir)
         # Both comparisons are made (either may raise), then combined.
@@ -989,15 +989,13 @@ KEYS = "keys"  # row -> tuple
 class Program(NamedTuple):
     """The generated functions of some expressions.
 
-    ``row(r, env)`` evaluates them on one row (``batch`` is None).
-    ``exprs`` is the IR they were generated from; ``source`` the generated
-    text.  A pipeline's (:func:`repro.sqldb.pipelines.pipeline`) runs a
-    whole batch either way: ``row(b, env, scan, state)`` over its rows
-    and ``batch(b, env, scan, state)`` over its columns.
+    ``row(r, env)`` evaluates them on one row; a pipeline's
+    (:func:`repro.sqldb.pipelines.pipeline`) ``row(b, env, scan, state)``
+    runs a whole batch.  ``exprs`` is the IR they were generated from;
+    ``source`` the generated text.
     """
 
     row: Callable
-    batch: Optional[Callable]
     exprs: Tuple[IR, ...]
     source: str
 
@@ -1036,36 +1034,9 @@ def _source(exprs: Tuple[IR, ...], shape: str) -> Tuple[str, Tuple[Recipe, ...]]
     arguments = ", ".join(f"k{index}" for index in range(len(emitter.recipes)))
     source = (
         f"def make({arguments}):\n    def row(r, env):\n{unfetched}"
-        f"        return {result}\n    return row, None\n"
+        f"        return {result}\n    return row\n"
     )
     return source, tuple(emitter.recipes)
-
-
-def _fast_block(emitter: _Emitter, fast: List[str]) -> List[str]:
-    """Lines running the statements *fast*, which end in a ``return``,
-    where their conditions hold: the kinds they read are those of the
-    batch's columns (kept by :class:`~repro.sqldb.columnar.Columns`)."""
-    lines: List[str] = []
-    indent = "        "
-    if emitter.params:
-        lines.append(f"{indent}if len(env.params) > {max(emitter.params)}:")
-        indent += "    "
-        lines += [f"{indent}p{i} = env.params[{i}]" for i in sorted(emitter.params)]
-    if emitter.kind_columns:
-        lines.append(f"{indent}kinds = cols.kinds")
-        lines += [f"{indent}y{s} = kinds[{s}]" for s in sorted(emitter.kind_columns)]
-    if emitter.prechecks:
-        checks = " and ".join(dict.fromkeys(emitter.prechecks))
-        lines.append(f"{indent}if {checks}:")
-        indent += "    "
-    if not emitter.guarded:
-        return lines + [indent + line for line in fast]
-    return (
-        lines
-        + [f"{indent}try:"]
-        + [f"{indent}    {line}" for line in fast]
-        + [f"{indent}except TypeError:", f"{indent}    pass"]
-    )
 
 
 @functools.lru_cache(maxsize=512)
@@ -1091,8 +1062,7 @@ def program(exprs: Sequence[IR], shape: str) -> Program:
         # Python's parser allows ~200 nested parentheses in one
         # expression; only a long left-deep chain is flattened.
         raise ExecutionError("expression is too deeply nested to compile") from None
-    row, batch = make(*[recipe(values) for recipe in recipes])
-    return Program(row, batch, exprs, source)
+    return Program(make(*[recipe(values) for recipe in recipes]), exprs, source)
 
 
 def row_converter(

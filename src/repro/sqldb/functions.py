@@ -119,21 +119,24 @@ _BUILTINS: Dict[str, ScalarFunction] = {
 }
 
 
-#: Each aggregate over a group's non-NULL values (at least one but COUNT's).
-_FOLDS: Dict[str, Callable[[List[Any]], Any]] = dict(
-    COUNT=len, SUM=partial(reduce, add), AVG=lambda v: reduce(add, v) / len(v), MAX=max, MIN=min
+#: Each aggregate over a group's non-NULL values (at least one but COUNT's),
+#: then any further argument it takes (SUM's start, integer 0).
+_FOLDS: Dict[str, tuple] = dict(
+    COUNT=(len,), SUM=(partial(reduce, add), 0), AVG=(lambda v: reduce(add, v, 0) / len(v),),
+    MAX=(max,), MIN=(min,),
 )
 
 
 def fold(name: str, distinct: bool = False, star: bool = False) -> Callable[[List[Any]], Any]:
     """Aggregate *name* over all of a group's values, in row order (NULLs
-    dropped, DISTINCT keeping first sightings, SUM and AVG a left fold, MAX
-    and MIN the first extreme; COUNT(*) counts every value): a GROUP BY's
-    aggregates, and a rule's tree aggregate (:mod:`repro.rules.evaluate`).
+    dropped, DISTINCT keeping first sightings, SUM and AVG a left fold from
+    integer 0 as in SQLite — a BOOLEAN sums to an integer, but text raises
+    — MAX and MIN the first extreme; COUNT(*) counts every value): a GROUP
+    BY's aggregates, and a rule's tree aggregate (:mod:`repro.rules.evaluate`).
     SUM, AVG, MAX and MIN fold the values as they are, and drop the NULLs
-    only where that raises ``TypeError``, as two or more values holding a
-    NULL do (a lone NULL folds to None either way)."""
-    whole = _FOLDS[name.upper()]
+    only where that raises ``TypeError``, as a NULL does in a sum or beside
+    another value (a lone NULL folds to None either way)."""
+    whole, *start = _FOLDS[name.upper()]
 
     def folded(values: List[Any]) -> Any:
         if None in values:
@@ -141,13 +144,13 @@ def fold(name: str, distinct: bool = False, star: bool = False) -> Callable[[Lis
         if distinct:
             values = list(dict.fromkeys(values))
         try:
-            return whole(values) if values or whole is len else None
-        except TypeError as exc:  # numbers and strings in one group
+            return whole(values, *start) if values or whole is len else None
+        except TypeError as exc:  # text summed, or numbers and strings in one group
             raise TypeMismatchError(f"{name.upper()}: {exc}") from None
 
     def optimistic(values: List[Any]) -> Any:
         try:
-            return whole(values) if values else None
+            return whole(values, *start) if values else None
         except TypeError:
             return folded(values)
 

@@ -3,15 +3,15 @@
 A *pipeline* is a source's batches run through a chain of non-blocking
 stages — filters, projections, joins — into a sink: the rows a consumer
 takes, an aggregate's groups, a hash join's table, or the rows DISTINCT
-or a set operation keeps.  :func:`pipeline` writes the
-whole chain as the text of one Python function with the expression
-compiler's emitter (:mod:`repro.sqldb.expressions`): its literal holes,
-its careful and fast forms and its compile cache.  A row reaches the
-next stage as local names — a joined row as its left and found tuples,
-a projected one as its values — so no row is built or gathered between
-two stages, only for the sink.  This is data-centric compilation
-(Neumann, "Efficiently Compiling Efficient Query Plans for Modern
-Hardware", VLDB 2011), written as Python text.
+or a set operation keeps.  :func:`pipeline` writes the whole chain as
+the text of one Python function with the expression compiler's emitter
+(:mod:`repro.sqldb.expressions`): one row loop, the one form with SQL's
+semantics, and a column loop for a large batch, which hands the row loop
+any batch it refuses.  A row reaches the next stage as local names — a
+joined row as its left and found tuples, a projected one as its values —
+so no row is built or gathered between two stages, only for the sink.
+This is data-centric compilation (Neumann, "Efficiently Compiling
+Efficient Query Plans for Modern Hardware", VLDB 2011), as Python text.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.sqldb.expressions import (
     Recipe,
     _compile,
     _Emitter,
-    _fast_block,
     _row_dependent,
     _template,
     _test,
@@ -86,11 +85,11 @@ def pipeline(arity: int, stages: Sequence[tuple], sink: tuple) -> Program:
       ``seen`` set (and, but for a *keep* of None, whose presence in its
       ``right`` set is *keep*), added to it once the loop is done.
 
-    ``row(b, env, scan, state)`` (``batch`` is the same function) runs
-    the loop over the rows of a :class:`~repro.sqldb.columnar.Batch` that
-    is small and was never pivoted, else over its columns (pivoting them),
-    fast form first where it cannot change a result.  ``state`` holds each
-    built join's table, in order, then the sink's sets.
+    ``row(b, env, scan, state)`` runs a :class:`~repro.sqldb.columnar.Batch`
+    over its columns (pivoting them) where it is large or pivoted, the
+    column loop's prechecks hold and its guard does not trip, else over
+    its rows.  ``state`` holds each built join's table, in order, then the
+    sink's sets.
     """
     values: List[Any] = []
     templates = []
@@ -105,8 +104,8 @@ def pipeline(arity: int, stages: Sequence[tuple], sink: tuple) -> Program:
         make = _compile(source)
     except (SyntaxError, RecursionError):
         raise ExecutionError("expression is too deeply nested to compile") from None
-    row, batch = make(*[recipe(values) for recipe in recipes])
-    return Program(row, batch, tuple(ir for __, irs, __ in stages for ir in irs), source)
+    exprs = tuple(ir for __, irs, __ in stages for ir in irs)
+    return Program(make(*[recipe(values) for recipe in recipes]), exprs, source)
 
 
 def key_columns(arity: int, irs: Sequence[IR]) -> Program:
@@ -133,45 +132,53 @@ def _pipeline_source(arity: int, stages: Tuple[tuple, ...]) -> Tuple[str, Tuple[
     """The module text of one pipeline template (the stages, then the
     sink) and the recipes of its factory's arguments."""
     emitter = _Emitter()
-    rows = _indented(_loop(emitter, arity, stages))
+    body = _indented(_loop(emitter, arity, stages))  # over the rows: SQL's semantics
     if not any(_row_dependent(ir) for __, irs, __ in stages for ir in irs):
         emitter.columns = True
-        careful = _loop(emitter, arity, stages)
-    if not emitter.columns or not emitter.read:  # no column to read
-        body = rows
-    else:
-        emitter.fast = True
         fast = _loop(emitter, arity, stages)
-        grouped = _group_slots(arity, stages)
-        numbered: List[str] = []
-        if grouped:  # over a chunk's group numbers, once they are built
-            emitter.fast = False
-            careful_numbered = _loop(emitter, arity, stages, numbered=True)
-            emitter.fast = True
-            fast_numbered = _loop(emitter, arity, stages, numbered=True)
-            forms = _fast_block(emitter, fast_numbered) if fast_numbered != careful_numbered else []
-            numbered = [f"        numbers = cols[{grouped}]", "        if numbers is not None:"]
-            numbered += ["    " + line for line in forms + _indented(careful_numbered)]
-        body = [
-            "        cols = b.columns",
-            "        if cols is None:",
-            f"            if len(b) <= {SMALL_BATCH}:",  # never pivoted: over its rows
-            *["        " + line for line in rows],
-            "            cols = b.columns = Columns(b)",
-            *numbered,
-            *(_fast_block(emitter, fast) if fast != careful else []),
-            *_indented(careful),
-        ]
+        if emitter.read:  # a column to read
+            fast = _fast_block(emitter, fast)
+            grouped = _group_slots(arity, stages)
+            if grouped:  # over a chunk's group numbers, once they are built
+                numbered = _fast_block(emitter, _loop(emitter, arity, stages, numbered=True))
+                numbered = [f"numbers = cols[{grouped}]", "if numbers is not None:", *_indented(numbered, 1)]
+                fast = numbered + ["else:"] + _indented(fast, 1)
+            body = [
+                "        cols = b.columns",
+                f"        if cols is not None or len(b) > {SMALL_BATCH}:",  # else small, never pivoted
+                "            if cols is None:",
+                "                cols = b.columns = Columns(b)",
+                *_indented(fast, 3),
+                *body,  # what the column loop refuses
+            ]
     # An uncorrelated IN (subquery) fetches its value set once per call.
     unfetched = [f"        {name} = None" for name, __ in emitter.value_sets.values()]
     unfetched += [f"        {name} = {text}" for text, name in emitter.bound.items()]
     arguments = ", ".join(f"k{index}" for index in range(len(emitter.recipes)))
     lines = [f"def make({arguments}):", "    def row(b, env, scan, state):", *unfetched, *body]
-    return "\n".join(lines) + "\n    return row, row\n", tuple(emitter.recipes)
+    return "\n".join(lines) + "\n    return row\n", tuple(emitter.recipes)
 
 
-def _indented(lines: List[str]) -> List[str]:
-    return ["        " + line for line in lines]
+def _indented(lines: List[str], depth: int = 2) -> List[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _fast_block(emitter: _Emitter, loop: List[str]) -> List[str]:
+    """The column *loop*, which ends in its ``return``, where it runs: its
+    ``?`` values bound and hoisted, the kinds of the batch's columns
+    (:class:`~repro.sqldb.columnar.Columns`) passing its prechecks, and
+    under ``try`` where an ordering comparison guards it.  Where one of
+    these fails, control falls past the lines (to the row loop)."""
+    if emitter.guarded:
+        loop = ["try:", *_indented(loop, 1), "except TypeError:", "    pass"]
+    if emitter.prechecks:
+        loop = [f"if {' and '.join(dict.fromkeys(emitter.prechecks))}:", *_indented(loop, 1)]
+    kinds = sorted(emitter.kind_columns)
+    loop = (["kinds = cols.kinds"] if kinds else []) + [f"y{s} = kinds[{s}]" for s in kinds] + loop
+    if emitter.params:
+        hoisted = [f"p{i} = env.params[{i}]" for i in sorted(emitter.params)]
+        loop = [f"if len(env.params) > {max(emitter.params)}:", *_indented(hoisted + loop, 1)]
+    return loop
 
 
 def _group_slots(arity: int, stages: Sequence[tuple]) -> Optional[Tuple[int, ...]]:

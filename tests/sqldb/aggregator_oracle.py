@@ -19,8 +19,10 @@ from repro.sqldb.functions import AGGREGATE_NAMES
 class Aggregator:
     """Incremental computation of one aggregate function.
 
-    SQL semantics: NULL inputs are ignored; COUNT(*) counts rows; an empty
-    group yields NULL for AVG/MAX/MIN/SUM and 0 for COUNT.
+    SQL semantics: NULL inputs are ignored; COUNT(*) counts rows; SUM and
+    AVG add from integer 0, as SQLite does (but text raises, where SQLite
+    reads it as 0); an empty group yields NULL for AVG/MAX/MIN/SUM and 0
+    for COUNT.
     """
 
     def __init__(self, name: str, distinct: bool = False, star: bool = False) -> None:
@@ -30,7 +32,7 @@ class Aggregator:
         self.distinct = distinct
         self.star = star
         self._count = 0
-        self._total: Any = None
+        self._total: Any = 0
         self._extreme: Any = None
         self._seen = set() if distinct else None
 
@@ -48,7 +50,7 @@ class Aggregator:
         self._count += 1
         try:
             if self.name in ("SUM", "AVG"):
-                self._total = value if self._total is None else self._total + value
+                self._total = self._total + value
             elif self.name == "MAX":
                 if self._extreme is None or value > self._extreme:
                     self._extreme = value
@@ -64,7 +66,8 @@ class Aggregator:
 
         COUNT(*) counts ``len(values)``.  Otherwise NULLs (``None``) are
         dropped, DISTINCT screens the rest against ``_seen`` in input
-        order, SUM/AVG fold left with ``+`` from the running total and
+        order, SUM/AVG fold left with ``+`` from the running total (integer
+        0 at first, so text raises and a BOOLEAN sums to an integer) and
         MIN/MAX fold with the builtin into the running extreme.  Never
         ``sum()`` or ``math.fsum``: both round floats differently from a
         left fold (``sum`` compensates from Python 3.12).
@@ -86,8 +89,7 @@ class Aggregator:
         name = self.name
         try:
             if name in ("SUM", "AVG"):
-                total = self._total
-                self._total = reduce(add, values) if total is None else reduce(add, values, total)
+                self._total = reduce(add, values, self._total)
             elif name in ("MAX", "MIN"):
                 fold = max if name == "MAX" else min
                 extreme = self._extreme

@@ -1,12 +1,14 @@
 """Function registry: builtins, stored functions, aggregator unit tests."""
 
+import sqlite3
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TypeMismatchError
 from repro.sqldb import Database
-from repro.sqldb.functions import FunctionRegistry
+from repro.sqldb.functions import FunctionRegistry, fold
 from tests.sqldb.aggregator_oracle import Aggregator
 
 
@@ -286,3 +288,58 @@ class TestAddMany:
         aggregator = Aggregator("SUM")
         aggregator.add_many([0.1] * 10)
         assert aggregator.result() == 0.9999999999999999
+
+
+class TestSumAndAvgFoldFromIntegerZero:
+    """SUM and AVG add from integer 0, as SQLite does: text raises, as
+    ``s + 1`` does (SQLite reads it as 0), a BOOLEAN sums to an integer
+    and ``-0.0`` to ``0.0``, one row or many."""
+
+    @pytest.mark.parametrize("values", [["a"], ["a", "b"], [None, "a"], ["a", 1], [2, "b"]], ids=repr)
+    @pytest.mark.parametrize("name", ["SUM", "AVG"])
+    def test_text_raises(self, name, values):
+        for aggregate in (lambda: fold(name)(list(values)), lambda: aggregated(name, values)):
+            with pytest.raises(TypeMismatchError, match=f"^{name}: .*'int' and 'str'"):
+                aggregate()
+
+    @pytest.mark.parametrize(
+        "name, values, expected",
+        [
+            ("SUM", [True], 1),
+            ("SUM", [True, True], 2),
+            ("SUM", [False, None], 0),
+            ("SUM", [-0.0], 0.0),
+            ("SUM", [-0.0, -0.0], 0.0),
+            ("AVG", [-0.0], 0.0),
+            ("SUM", [0.1] * 3, 0.30000000000000004),
+            ("SUM", [2, 3], 5),
+        ],
+        ids=repr,
+    )
+    def test_the_fold_starts_from_integer_zero(self, name, values, expected):
+        assert same_result(fold(name)(list(values)), expected)
+        assert same_result(aggregated(name, values), expected)
+
+    def test_as_sqlite_in_sql(self):
+        db = Database()
+        db.execute("CREATE TABLE f (id INTEGER PRIMARY KEY, b BOOLEAN, z DOUBLE, s VARCHAR(4))")
+        oracle = sqlite3.connect(":memory:")
+        oracle.execute("CREATE TABLE f (id, b, z, s)")
+        rows = [(1, True, -0.0, "a"), (2, True, -0.0, "b"), (3, None, None, None)]
+        for engine in (db, oracle):
+            engine.executemany("INSERT INTO f VALUES (?, ?, ?, ?)", rows)
+        for where in ("id = 1", "id < 3", "1 = 1"):
+            sql = f"SELECT SUM(b), SUM(z), AVG(z), COUNT(s) FROM f WHERE {where}"
+            ours, theirs = db.execute(sql).rows[0], oracle.execute(sql).fetchone()
+            assert all(map(same_result, ours, theirs)), (sql, ours, theirs)
+        for name in ("SUM", "AVG"):
+            with pytest.raises(TypeMismatchError):
+                db.execute(f"SELECT {name}(s) FROM f WHERE id = 1")
+        oracle.close()
+
+
+def aggregated(name, values):
+    aggregator = Aggregator(name)
+    for value in values:
+        aggregator.add(value)
+    return aggregator.result()

@@ -28,7 +28,7 @@ import sqlite3
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.sqldb import Database
@@ -189,6 +189,14 @@ AGGREGATE = st.one_of(
     aggregates=st.lists(AGGREGATE, min_size=1, max_size=4),
     filters=st.lists(st.sampled_from(FILTERS), max_size=2),
 )
+# Chunk 2 holds a NULL in the key ``i``, a group of its own over the
+# numbers too.  Later in the chunk its NULL ``d`` trips the numbered loop's
+# guard (``i < 3`` trips it at the NULL key), and ``z``'s NULLs fail the
+# precheck of ``=``: the row loop runs the chunk, no group taking a row twice.
+@example(keys=["i"], aggregates=[("COUNT", None, False), ("SUM", "d", False)], filters=["d > -3.0"])
+@example(keys=["i", "c"], aggregates=[("SUM", "i", False), ("MIN", "c", False)], filters=["i < 3"])
+@example(keys=["g", "i"], aggregates=[("COUNT", None, False), ("MAX", "d", False)], filters=[])
+@example(keys=["i"], aggregates=[("AVG", "d", False), ("MIN", "c", False)], filters=["z = 0.0", "g = 0"])
 def test_grouped_aggregates(engines, keys, aggregates, filters):
     db, oracle = engines
     where = " AND ".join(filters) or "1 = 1"
@@ -324,11 +332,15 @@ FOLDED = [
     [None, 1, 2.5],
     [2.5, None, 1],
     ["a", None, "b"],
+    ["a"],
+    ["b", "a"],
     [1, "a"],
     ["a", 1],
     [1, None, "a"],
     [None, "a", 1],
     [True, 2],
+    [True],
+    [-0.0],
     [0.0, -0.0],
     [-0.0, 0.0, None],
     [NAN, 1.0],

@@ -1,9 +1,12 @@
 """Pipelines against SQLite, across chunks and column kinds.
 
 Every chain of filters, projections and index joins runs as one
-generated loop (``repro.sqldb.pipelines``), whose fast form runs only
-where one check of each column's kinds (``Columns.kinds``, kept once per
-table version) says it cannot change a result.  These tests run
+generated function (``repro.sqldb.pipelines``) holding one row loop, the
+one form with SQL's semantics, and for a large batch a column loop,
+which runs only where one check of each column's kinds
+(``Columns.kinds``, kept once per table version) says it cannot change a
+result; a batch it refuses, or whose guard trips, runs the row loop
+(``test_each_pipeline_has_one_row_loop_last``).  These tests run
 generated WHERE clauses, select lists, GROUP BY aggregates, DISTINCT and
 ``ORDER BY … LIMIT`` over a table of three chunks in which the kinds
 differ from chunk to chunk, and hold each answer to SQLite and to the
@@ -28,9 +31,12 @@ sinks of the same loops: a hash join's table is the sink of its right
 input's pipeline, DISTINCT, EXCEPT and INTERSECT the sinks of their left
 input's.  They run here over the three chunks too, also under a
 ``LIMIT``, where the answer is a prefix of the one-row pull's order.  A
-filter's ordering comparison over chunk 2's NULL ``d`` makes the fast
-form raise and the careful form redo the chunk: a sink's seen set and a
-build's table must take each of its rows exactly once.
+filter's ordering comparison over chunk 2's NULL ``d`` makes the column
+loop raise and the row loop redo the chunk: a sink's seen set and a
+build's table must take each of its rows exactly once.  Each way a
+column loop refuses a chunk — a NULL, mixed kinds, an ordering
+``TypeError`` mid-chunk, too few ``?`` values — gives the row loop's
+rows or error text (``test_a_refused_chunk_answers_as_the_row_loop``).
 
 The kind cache follows the table version: after an UPDATE puts a NULL
 into a chunk, and after a ROLLBACK takes it out again, ``<>`` and ``=``
@@ -39,6 +45,7 @@ see the chunk's new kinds.
 
 from __future__ import annotations
 
+import re
 import sqlite3
 from collections import Counter
 
@@ -46,14 +53,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import perfbench.stack as perfbench_stack
+from perfbench import workloads
 from repro.errors import SQLError
-from repro.sqldb import Database
+from repro.sqldb import Database, pipelines
 from repro.sqldb.columnar import BATCH_SIZE, table_batches
 from repro.sqldb.executor import MAX_FUSED_JOINS, HashJoin, IndexNestedLoopJoin
 from repro.sqldb.explain import plan_operators
+from repro.sqldb.expressions import _compile
 from repro.sqldb.parser import parse_statement
 from tests.sqldb.test_differential import one_row_at_a_time
 from tests.sqldb.test_expression_oracle import DOUBLES, STRINGS, boolean, number, string
+from tests.sqldb.test_sqlite_oracle import ENGINE_CORPUS, engine_db  # noqa: F401 — a fixture
 
 ROWS = 2 * BATCH_SIZE + 904
 #: The rows of chunk 2 holding a NULL in ``i`` and in ``d``.
@@ -266,24 +277,30 @@ def test_set_operations(engines, where, template, limit):
     check_limited(engines, sql, limit)
 
 
-@pytest.mark.parametrize(
-    "sql",
-    [
-        "SELECT DISTINCT id, g FROM p WHERE d < 100",
-        "SELECT id FROM p WHERE d < 100 EXCEPT SELECT wid FROM w",
-        "SELECT id FROM p WHERE d < 100 INTERSECT SELECT id FROM p WHERE d > -100",
-    ],
-)
+#: Statements whose column loop chunk 2 makes raise or refuse, and the
+#: number of rows each returns.
+REDONE = {
+    "SELECT DISTINCT id, g FROM p WHERE d < 100": ROWS - 1,
+    "SELECT id FROM p WHERE d < 100 EXCEPT SELECT wid FROM w": ROWS - 8,
+    "SELECT id FROM p WHERE d < 100 INTERSECT SELECT id FROM p WHERE d > -100": ROWS - 1,
+    "SELECT g FROM p WHERE d < 100 UNION SELECT wid + 5 FROM w": 12,
+    "SELECT DISTINCT g, i FROM p WHERE i + 0 > -100": 7 * 23,
+}
+
+
+@pytest.mark.parametrize("sql", REDONE)
 def test_a_sink_takes_a_redone_chunk_once(engines, sql):
-    """``d < 100`` raises in the fast form at chunk 2's NULL ``d``, after
-    the chunk's earlier rows, and the careful form redoes the chunk."""
+    """``d < 100`` raises in the column loop at chunk 2's NULL ``d``, after
+    the chunk's earlier rows, and the row loop redoes the chunk; the
+    precheck of ``i + 0`` refuses chunk 2 up front (its ``i`` holds a
+    NULL).  The seen set holds only the rows the row loop adds."""
     check(engines, sql)
-    assert len(engines[0].execute(sql).rows) == ROWS - 1 - (sql.count("EXCEPT") * 7)
+    assert len(engines[0].execute(sql).rows) == REDONE[sql]
 
 
 def test_a_build_takes_a_redone_chunk_once(analyzed):
     """With statistics ``p.d < 100`` runs in the build pipeline of ``p``,
-    whose fast form chunk 2 makes the careful form redo."""
+    whose column loop chunk 2 makes the row loop redo."""
     sql = "SELECT w.wid, p.id FROM w JOIN p ON p.g = w.wid WHERE p.d < 100"
     lines = plan_text(analyzed[0], sql).splitlines()
     assert lines[2:6] == [
@@ -341,6 +358,100 @@ def test_the_derived_string_fails_only_where_it_is_read(engines):
     assert len(db.execute(f"SELECT id FROM {DERIVED} WHERE i > 100").rows) == 0
     with pytest.raises(SQLError):
         db.execute(f"SELECT id FROM {DERIVED} WHERE d > 100")
+
+
+#: ``(sql, params, SQLite compares it)``: a chunk the column loop refuses.
+REFUSED = [
+    # a NULL: chunk 2's ``i`` and ``d`` fail the prechecks of ``+ - *``
+    ("SELECT id, i * 2 + 1, d - 0.5 FROM p WHERE g <> 3", (), True),
+    # mixed kinds: chunk 3 of the derived ``d`` holds a string
+    (f"SELECT id, d FROM {DERIVED} WHERE s <> 'ab'", (), True),
+    (f"SELECT id FROM {DERIVED} WHERE d <> 0.5", (), False),
+    # an ordering TypeError mid-chunk, at chunk 2's NULL ``d``
+    ("SELECT id, d FROM p WHERE d >= -100", (), True),
+    ("SELECT id, i FROM p WHERE i < 5 AND d > -100", (), True),
+    # too few ``?`` values: none reached, or one reached
+    ("SELECT id FROM p WHERE g > 100 AND i < ?", (), False),
+    ("SELECT id, i + ? FROM p WHERE d < ?", (1,), False),
+    ("SELECT id, i + ? FROM p WHERE d < ?", (1, 0.5), True),
+]
+
+
+@pytest.mark.parametrize("sql, params, compared", REFUSED)
+def test_a_refused_chunk_answers_as_the_row_loop(engines, sql, params, compared):
+    """Each way the column loop refuses a chunk of more than
+    ``SMALL_BATCH`` rows gives the rows or the error text of the plan
+    pulled one row at a time (its batches run the row loop only), and
+    SQLite's rows where it runs the statement as this engine does."""
+    db, oracle = engines
+
+    def outcome(run):
+        try:
+            return run()
+        except SQLError as error:
+            return type(error), str(error)
+
+    ours = outcome(lambda: db.execute(sql, list(params)).rows)
+    assert ours == outcome(lambda: one_row_at_a_time(db, sql, params)), sql
+    if compared:
+        assert Counter(rounded(ours)) == Counter(rounded(oracle.execute(sql, params).fetchall())), sql
+
+
+# -- one row loop per pipeline ------------------------------------------------
+
+#: A line looping over a batch's rows, and one looping over its columns
+#: (with the chunk's group numbers ``_g`` when numbered).
+ROW_LOOP = re.compile(r"\bfor r in b\b")
+COLUMN_LOOP = re.compile(r"\bfor \w+(?:, \w+)* in (?:zip\(|cols\[|numbers\b)")
+
+
+def loops(source):
+    """The line numbers of *source*'s row loops, plain column loops and
+    numbered column loops."""
+    lines = source.splitlines()
+    rows = [n for n, line in enumerate(lines) if ROW_LOOP.search(line)]
+    columns = [n for n, line in enumerate(lines) if COLUMN_LOOP.search(line)]
+    numbered = [n for n in columns if "_g" in lines[n]]
+    return rows, [n for n in columns if n not in numbered], numbered
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The source of each pipeline planned while the test runs."""
+    sources = []
+
+    def compiled(source):
+        sources.append(source)
+        return _compile(source)
+
+    monkeypatch.setattr(pipelines, "_compile", compiled)
+    return sources
+
+
+@pytest.fixture(scope="module")
+def report_stack():
+    return perfbench_stack.build_stack("report_scan", 1)
+
+
+def test_each_pipeline_has_one_row_loop_last(engine_db, report_stack, generated):
+    """Over the engine corpus and ``report_scan``'s eight families, each
+    pipeline holds one row loop, at most one plain and one numbered
+    column loop, and its row loop last: the one form with SQL's
+    semantics, where every batch a column loop refuses goes."""
+    for sql in ENGINE_CORPUS:
+        engine_db.plan_statement(parse_statement(sql))
+    db = report_stack.database
+    ops = workloads.report_ops(workloads.GroundTruth.of(report_stack.product), 1)
+    assert {op.kind for op in ops} == set(workloads.REPORT_KINDS)
+    for op in ops:
+        db.plan_statement(parse_statement(op.target))
+    forms = Counter()
+    for source in set(generated):
+        rows, columns, numbered = loops(source)
+        assert len(rows) == 1 and len(columns) <= 1 and len(numbered) <= 1, source
+        assert rows[0] > max(columns + numbered, default=-1), source
+        forms.update(columns=len(columns), numbered=len(numbered))
+    assert forms["columns"] >= 10 and forms["numbered"] >= 1, forms
 
 
 # -- the kind cache follows the table version ----------------------------------

@@ -42,6 +42,11 @@ them hides a wrong row):
   with a string; this engine raises.  No statement compared here
   evaluates either; ``test_differential.py`` pins the errors, and that a
   ``LIMIT`` stops evaluation where the rows it returns end (DESIGN §10).
+* **Text in SUM and AVG.**  It raises ``TypeMismatchError`` here, as
+  ``s + 1`` does; SQLite reads it as 0.  No statement compared here sums
+  text.  Otherwise both fold from integer 0, so a BOOLEAN sums to an
+  integer and ``-0.0`` to ``0.0`` in both
+  (``test_functions.py::TestSumAndAvgFoldFromIntegerZero``).
 * **OFFSET without LIMIT.**  The engine accepts ``SELECT ... OFFSET n``;
   SQLite's grammar wants a ``LIMIT`` first and rejects the text.  The two
   such statements of the engine corpus (``NO_SQLITE_GRAMMAR``) run on
