@@ -1105,17 +1105,17 @@ class Database:
             )
         del rows[placed:]
         storage.append(rows)
-        statements = _statements(prepared.rows_per_statement, timed, cut)
+        k = prepared.rows_per_statement
         if capturing:
-            for begin, end in statements:
+            for begin, end in _statements(k, timed, cut):
                 entries = [("insert", row_id) for row_id in range(start + begin, start + end)]
                 self.mvcc.capture(storage, entries)
                 # After the implicit WAL commit, the same order as
                 # commit(): one clock tick per autocommit statement.
                 if txn is None and end > begin:
                     self.mvcc.commit([(storage, entries)])
-        elif txn is None:
-            self.mvcc.tick(sum(end > begin for begin, end in statements))
+        elif txn is None:  # a tick per statement with a row
+            self.mvcc.tick(-(-timed // k) if k else int(timed > 0))
         if error is not None:
             raise error
         return placed

@@ -393,7 +393,7 @@ class IndexLookup(_TableAccess):
         keys = "keys from subquery" if self.subquery else f"{len(self.keys.exprs)} keys"
         return f"MultiKeyIndexLookup({name}, {keys})"
 
-    def _priced_keys(self, env: ExecutionEnv) -> Optional[Sequence[Tuple[Any, ...]]]:
+    def _priced_keys(self, env: ExecutionEnv) -> Optional[Sequence[Any]]:
         """The keys to probe, in probe order, or None when one scan of the
         table is cheaper.
 
@@ -403,22 +403,20 @@ class IndexLookup(_TableAccess):
         rows-per-key — so pricing needs no statistics and calls nothing.
         A unique index is never priced: a probe returns at most one row.
         """
-        keys: Sequence[Tuple[Any, ...]]
+        keys: Sequence[Any]  # the one column's values
         if self.equality is not None:
-            key = self.keys.row((), env)
-            if key[0].__class__ not in self.classes:
-                _unequal(key[0], self.classes)
-            keys = (key,)
+            keys = self.keys.row((), env)  # a tuple of the one value
+            if keys[0].__class__ not in self.classes:
+                _unequal(keys[0], self.classes)
         elif self.subquery is None:
-            keys = [(value,) for value in dict.fromkeys(self.keys.row((), env)) if value is not None]
+            keys = [value for value in dict.fromkeys(self.keys.row((), env)) if value is not None]
         else:  # the value set is distinct, non-NULL and in first-seen order already
-            keys = list(zip(self.subquery.value_set((), env)[0]))
-        index = self.index
-        if index.unique:
+            keys = list(self.subquery.value_set((), env)[0])
+        if self.index.unique:
             return keys
         count = len(keys)
         table_rows = self.storage._live_count
-        distinct = len(index._buckets)
+        distinct = len(self.index._buckets)
         rows_out = count * table_rows / distinct if distinct else 0.0
         probed = (
             PROBE_COST * count + INDEX_TUPLE_COST * rows_out
@@ -455,9 +453,7 @@ class IndexLookup(_TableAccess):
             return as_batches(found, budget)
         return (Batch(found),) if found else ()
 
-    def _probed(
-        self, keys: Sequence[Tuple[Any, ...]], env: ExecutionEnv, budget: int
-    ) -> Iterator[Batch]:
+    def _probed(self, keys: Sequence[Any], env: ExecutionEnv, budget: int) -> Iterator[Batch]:
         """The rows under each key in key order; a key is probed once the
         batches before it are taken."""
         probe, index, snapshot = self.storage.probe, self.index, env.snapshot
@@ -480,7 +476,7 @@ class IndexLookup(_TableAccess):
             return SeqScan.row_ids(self, env)
         return self._probed_ids(keys, env)
 
-    def _probed_ids(self, keys: Sequence[Tuple[Any, ...]], env: ExecutionEnv) -> Iterator[int]:
+    def _probed_ids(self, keys: Sequence[Any], env: ExecutionEnv) -> Iterator[int]:
         counters = env.counters
         for key in keys:
             counters["index_probes"] += 1

@@ -297,15 +297,20 @@ def _loop(emitter: _Emitter, arity: int, stages: Sequence[tuple], numbered: bool
                 else:
                     line("probes += 1")
                 probed = True
-                line(f"key{joins} = ({''.join(emit(ir) + ', ' for ir in irs[:count])})")
+                key = emit(irs[0]) if count == 1 else _tuple_text([emit(ir) for ir in irs[:count]])
+                if not (key.isidentifier() or _ITEM.match(key)):  # else read where it is used
+                    line(f"key{joins} = {key}")
+                    key = f"key{joins}"
+                # A bucket is a row id while one row holds the key, else a list.
                 line(
-                    f"{found} = list(map({slot_row}, {bucket}(key{joins}, ()))) if direct{joins} "
-                    f"else {probe}({index}, key{joins}, snapshot)"
+                    f"{found} = {probe}({index}, {key}, snapshot) if not direct{joins} else [{slot_row}(h{joins})] "
+                    f"if (h{joins} := {bucket}({key}, ())).__class__ is int else list(map({slot_row}, h{joins}))"
                 )
                 line(f"found += len({found})")
                 # A key that finds a row equals a value of the column's declared kind.
                 for i, ok in enumerate(oks):
-                    line(f"if not {found} and key{joins}[{i}].__class__ not in {ok}: _unequal(key{joins}[{i}], {ok})")
+                    part = key if count == 1 else f"{key}[{i}]"
+                    line(f"if not {found} and {part}.__class__ not in {ok}: _unequal({part}, {ok})")
             else:  # a built table may hold both kinds: every key is checked
                 keys = [f"c{joins}_{i}" for i in range(count)]
                 oks = [f"ok{joins}_{i}" for i in range(count)]

@@ -1,16 +1,17 @@
 """Row storage: an in-memory heap of tuples plus hash indexes.
 
 Rows are stored as Python tuples in insertion order.  Hash indexes map a
-key (tuple of column values) to the list of row ids holding that key; they
-accelerate the equality lookups that dominate the paper's navigational
-workload (``WHERE link.left = ?``) and the engine's hash joins.
+key (a column's value, or a tuple of several) to the row id holding it,
+or the list of row ids when more rows do; they accelerate the equality
+lookups that dominate the paper's navigational workload (``WHERE
+link.left = ?``) and the engine's hash joins.
 """
 
 from __future__ import annotations
 
 from itertools import islice, repeat
 from operator import indexOf, itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import CatalogError, IntegrityError
 from repro.sqldb.mvcc import Snapshot, VersionStore
@@ -22,6 +23,10 @@ Row = Tuple[object, ...]
 class HashIndex:
     """An equality index over one or more columns of a heap.
 
+    A key is what ``itemgetter`` reads of the columns: the value itself
+    for one column, a tuple for more.  Its bucket is the row id itself
+    while one row holds the key, and the list of their ids, in insertion
+    order, once more do: an int iff one row, so each bucket has one form.
     NULL keys are never indexed (SQL equality with NULL is UNKNOWN, so an
     equality probe can never match them anyway).
     """
@@ -30,78 +35,79 @@ class HashIndex:
         self.name = name
         self.column_positions = tuple(column_positions)
         self.unique = unique
-        self._buckets: Dict[Tuple[object, ...], List[int]] = {}
+        self._buckets: Dict[object, Union[int, List[int]]] = {}
         self._pick = itemgetter(*self.column_positions)
+        self._single = len(self.column_positions) == 1
 
-    def key(self, row: Row) -> Optional[Tuple[object, ...]]:
+    def key(self, row: Row) -> object:
         """*row*'s key, or None when one of its columns is NULL."""
         key = self._pick(row)
-        if len(self.column_positions) == 1:
-            return None if key is None else (key,)
-        return None if None in key else key
+        return None if not self._single and None in key else key
 
     def add(self, row_id: int, row: Row) -> None:
         self.fill((row_id,), (row,))
 
-    def keys(self, rows: Iterable[Row]) -> Iterator[Tuple[object, ...]]:
-        """The key tuple of each of *rows*, NULL parts included, read with
-        no Python call per row."""
-        keys = map(self._pick, rows)
-        return zip(keys) if len(self.column_positions) == 1 else keys
-
-    def fill(self, row_ids: Iterable[int], rows: Iterable[Row]) -> None:
-        """Index each of *rows* under its row id, in their order."""
+    def fill(self, row_ids: Sequence[int], rows: Iterable[Row]) -> None:
+        """Index each of *rows* under its row id, in their order: a unique
+        one-column index's values in one update when none is NULL or held,
+        else row by row, the first key already held raising."""
+        keys = list(map(self._pick, rows))
         buckets = self._buckets
-        unique = self.unique
-        for row_id, key in zip(row_ids, self.keys(rows)):
-            if None in key:
+        single = self._single
+        if self.unique and single and None not in keys and buckets.keys().isdisjoint(keys):
+            size = len(buckets)
+            buckets.update(zip(keys, row_ids))
+            if len(buckets) == size + len(keys):  # no value twice
+                return
+            for key in keys:  # a key twice among them: undone, raised below
+                buckets.pop(key, None)
+        for row_id, key in zip(row_ids, keys):
+            if key is None or not single and None in key:
                 continue
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [row_id]
-            elif unique:
+            held = buckets.setdefault(key, row_id)
+            if held is row_id:  # a new key
+                continue
+            if self.unique:
                 raise self._violation(key)
+            if held.__class__ is int:
+                buckets[key] = [held, row_id]
             else:
-                bucket.append(row_id)
+                held.append(row_id)
 
     def first_taken(self, rows: Sequence[Row], count: int) -> Optional[Tuple[int, IntegrityError]]:
         """The position among the first *count* of *rows* of the first
         whose key this (unique) index or an earlier row holds, with its
-        error; None when every key is free (one with a NULL part always
-        is).  The common case builds no key tuple: the distinct keys (a
-        single column's values as they are) are tested as a set."""
+        error; None when every key is free (a NULL one always is).  The
+        common case tests the distinct keys as a set."""
         distinct = set(map(self._pick, islice(rows, count)))
-        single = len(self.column_positions) == 1
-        if len(distinct) == count and self._buckets.keys().isdisjoint(
-            zip(distinct) if single else distinct
-        ):
+        if len(distinct) == count and self._buckets.keys().isdisjoint(distinct):
             return None
         seen: set = set()
-        for at, key in enumerate(self.keys(islice(rows, count))):
-            if None not in key:
+        for at, key in enumerate(map(self.key, islice(rows, count))):
+            if key is not None:
                 if key in self._buckets or key in seen:
                     return at, self._violation(key)
                 seen.add(key)
         return None
 
-    def _violation(self, key: Tuple[object, ...]) -> IntegrityError:
-        return IntegrityError(f"unique index {self.name!r} violated by key {key!r}")
+    def _violation(self, key: object) -> IntegrityError:
+        shown = (key,) if self._single else key
+        return IntegrityError(f"unique index {self.name!r} violated by key {shown!r}")
 
     def remove(self, row_id: int, row: Row) -> None:
         key = self.key(row)
-        if key is None:
-            return
-        bucket = self._buckets.get(key)
-        if bucket and row_id in bucket:
-            bucket.remove(row_id)
-            if not bucket:
-                del self._buckets[key]
+        held = self._buckets.get(key)  # None for a NULL key
+        if held == row_id:
+            del self._buckets[key]
+        elif held.__class__ is list and row_id in held:
+            held.remove(row_id)
+            if len(held) == 1:
+                self._buckets[key] = held[0]
 
-    def probe(self, key: Tuple[object, ...]) -> List[int]:
+    def probe(self, key: object) -> List[int]:
         """Return the row ids whose indexed columns equal *key*."""
-        if None in key:
-            return []
-        return list(self._buckets.get(key, ()))
+        held = self._buckets.get(key, ())
+        return [held] if held.__class__ is int else list(held)
 
 
 class TableStorage:
@@ -219,8 +225,7 @@ class TableStorage:
     def pad_slots(self, total_slots: int) -> None:
         """Extend the heap with dead slots up to *total_slots* (restoring
         a checkpoint's row-id space, trailing deleted rows included)."""
-        while len(self._rows) < total_slots:
-            self._rows.append(None)
+        self._rows.extend([None] * (total_slots - len(self._rows)))
 
     def delete(self, row_id: int, journal: Optional[Callable[[int], None]] = None) -> None:
         """Delete the row in slot *row_id* (a free slot is left as it is),
@@ -319,15 +324,16 @@ class TableStorage:
 
     def live_probe(self, index: HashIndex) -> Tuple[Callable, Callable, Dict]:
         """``(slot -> row, key -> bucket, version chains)``: with no chain
-        to resolve, :meth:`probe` of *index* is ``list(map(slot_row,
-        bucket(key, ())))`` — what a generated loop calls in place of it
-        (every part is the storage's own object, never replaced)."""
+        to resolve, :meth:`probe` of *index* is the rows in the slots of
+        ``bucket(key, ())`` (a row id, or a list of them) — what a generated
+        loop reads in place of it (every part is the storage's own object,
+        never replaced)."""
         return self._rows.__getitem__, index._buckets.get, self.mvcc.chains
 
     def probe(
         self,
         index: HashIndex,
-        key: Tuple[object, ...],
+        key: object,
         snapshot: Optional[Snapshot] = None,
     ) -> List[Row]:
         """The rows visible to *snapshot* whose *index* columns equal *key*.
@@ -339,25 +345,19 @@ class TableStorage:
         slot's visible version is re-verified against the key; chainless
         slots are taken as the bucket gives them.
         """
-        rows = self._rows
         # A key with a NULL part is never indexed, so it finds no bucket.
         bucket = index._buckets.get(key, ())
-        chains = self.mvcc.chains
-        if snapshot is None or not chains:
-            return list(map(rows.__getitem__, bucket))
-        stamp = snapshot.stamp
+        if snapshot is None or key is None or not self.mvcc.chains:
+            if bucket.__class__ is int:  # the one row holding the key
+                return [self._rows[bucket]]
+            return list(map(self._rows.__getitem__, bucket))
+        rows, chains = self._rows, self.mvcc.chains
+        ids = (bucket,) if bucket.__class__ is int else bucket
         matched = []
-        for row_id in bucket:
-            chain = chains.get(row_id)
-            if chain is None:
-                matched.append(rows[row_id])
-            else:
-                row = chain.visible(stamp)
-                if row is not None and index.key(row) == key:
-                    matched.append(row)
-        for row_id in sorted(chains.keys() - bucket):
-            row = chains[row_id].visible(stamp)
-            if row is not None and index.key(row) == key:
+        for row_id in [*ids, *sorted(chains.keys() - ids)]:
+            chain = chains.get(row_id)  # never None outside the bucket
+            row = rows[row_id] if chain is None else chain.visible(snapshot.stamp)
+            if chain is None or row is not None and index.key(row) == key:
                 matched.append(row)
         return matched
 

@@ -363,7 +363,7 @@ class TestBulkRestore:
         db.execute("DELETE FROM p WHERE id IN (3, 4, 7)")  # dead slots mid-heap
         db.execute("DELETE FROM p WHERE id >= 17")  # and at the tail
         db.execute("DELETE FROM q WHERE id = 4")
-        db.execute("UPDATE p SET k = 0 WHERE id = 1")  # bucket (0,) out of slot order
+        db.execute("UPDATE p SET k = 0 WHERE id = 1")  # bucket 0 out of slot order
         before = {
             name: (list(storage._rows), storage._live_count)
             for name, storage in (
@@ -381,7 +381,8 @@ class TestBulkRestore:
             expected = reference.catalog.lookup(name).storage
             for key, index in storage._indexes.items():
                 twin = expected._indexes[key]
-                for probe in list(twin._buckets) + [(None,) * len(index.column_positions)]:
+                width = len(index.column_positions)
+                for probe in list(twin._buckets) + [None if width == 1 else (None,) * width]:
                     assert storage.probe(index, probe) == expected.probe(twin, probe)
 
     @pytest.mark.parametrize(

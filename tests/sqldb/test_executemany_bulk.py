@@ -245,3 +245,39 @@ def test_a_disk_crash_on_any_append_of_a_list(mode):
         for durability in (many_disk, loop_disk):
             durability.disk.arm(PERFECT_DISK)
         assert many_disk.recover().execute(read).rows == loop_disk.recover().execute(read).rows
+
+
+#: An INSERT ... SELECT: one statement per parameter row, of as many rows
+#: as the SELECT finds (none when the offset lands on an existing id).
+COPY = "INSERT INTO t (id, n) SELECT id + ?, n + ? FROM t WHERE id < ?"
+
+
+@pytest.mark.parametrize("mode", ["plain", "wal", "transaction"])
+@pytest.mark.parametrize(
+    "sql, rows, ticks",
+    [
+        (INSERT, [(id_, id_, None, None, None, None) for id_ in range(2, 50)], 48),
+        (INSERT, [(id_, id_ % 30, "s", None, None, None) for id_ in range(2, 50)], 30),
+        (PAIRS, [(id_, id_, id_, id_, "q") for id_ in range(2, 40)], 38),
+        (PAIRS, [(id_, id_, id_, None if id_ == 21 else id_, "q") for id_ in range(2, 40)], 20),
+        (COPY, [(100, 100, 2), (200, 200, 0), (300, 300, 2), (0, 0, 2)], 2),
+    ],
+    ids=["one-row", "one-row-failing", "pairs", "pairs-cut", "insert-select"],
+)
+def test_the_commit_clock_ticks_once_per_statement_that_placed_a_row(mode, sql, rows, ticks):
+    """``executemany`` ticks the commit clock as one ``execute`` per
+    parameter row does: once per autocommit statement that placed a row,
+    a statement cut by a failing row included, and not at all inside a
+    transaction."""
+    many_disk, many = open_database(mode)
+    loop_disk, loop = open_database(mode)
+    clock = many.mvcc.clock
+
+    def loop_of_execute():
+        for row in rows:
+            loop.execute(sql, row)
+
+    assert outcome(lambda: many.executemany(sql, rows)) == outcome(loop_of_execute)
+    assert many.mvcc.clock == loop.mvcc.clock
+    assert many.mvcc.clock - clock == (0 if mode == "transaction" else ticks)
+    assert image(many_disk, many) == image(loop_disk, loop)

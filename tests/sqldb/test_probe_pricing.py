@@ -185,7 +185,7 @@ class TestPricedOutUnderASnapshot:
 
         snapshot = db._transactions["reader"].snapshot
         storage = db.catalog.lookup("t").storage
-        probed = storage.probe(storage.find_index(["product"]), (0,), snapshot)
+        probed = storage.probe(storage.find_index(["product"]), 0, snapshot)
         assert answer == Counter(probed)
         assert answer == Counter(row for row in at_begin if row[1] == 0)
         oracle = sqlite_twin({"t": (("id", "product", "w"), at_begin)})

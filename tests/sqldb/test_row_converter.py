@@ -9,6 +9,7 @@ subclass is not its base class — the stored value, its type and the
 error text are the converter's.
 """
 
+import collections
 import enum
 import math
 
@@ -106,3 +107,45 @@ def test_a_short_parameter_row_is_an_unbound_parameter():
         convert([(1, 2, 3, 4), (1, 2)], out)
     assert str(raised.value) == str(unbound_parameter(3, 2))
     assert out == [(1, 4)]
+
+
+def test_a_tuple_that_needs_no_conversion_is_kept_and_any_other_row_is_built():
+    convert = row_converter(
+        3, [(0, INTEGER), (1, VARCHAR(2)), (2, DOUBLE)], [[0, 1, 2]], None, unbound_parameter
+    )
+    Pair = collections.namedtuple("Pair", "a b c")
+    rows = [
+        (1, "ab", None),  # every value already its column's: kept
+        [2, "cd", 1.5],  # a list
+        (Level.HIGH, "ef", 2.5),  # an IntEnum
+        (4, Text("gh"), 3.5),  # a str mix-in
+        (5, "abc", 4.5),  # overlong
+        (6, "ij", 7),  # an int for a DOUBLE
+        (7, "kl", 1.0, "extra"),  # longer than the table
+        Pair(8, "mn", 0.5),  # a tuple subclass
+    ]
+    out = []
+    convert(rows, out)
+    assert out == [
+        (1, "ab", None),
+        (2, "cd", 1.5),
+        (7, "ef", 2.5),
+        (4, "gh", 3.5),
+        (5, "ab", 4.5),
+        (6, "ij", 7.0),
+        (7, "kl", 1.0),
+        (8, "mn", 0.5),
+    ]
+    assert [row is given for row, given in zip(out, rows)] == [True] + [False] * 7
+    assert [[type(value) for value in row] for row in out[1:]] == [[int, str, float]] * 7
+
+
+def test_a_row_of_reordered_or_missing_columns_is_always_built():
+    rows = [(1, 2)]
+    for targets, readers in (([(1, INTEGER), (0, INTEGER)], [0, 1]), ([(0, INTEGER)], [0])):
+        out = []
+        row_converter(2, targets, [readers], None, unbound_parameter)(rows, out)
+        assert out[0] is not rows[0]
+    out = []
+    row_converter(2, [(0, INTEGER), (1, INTEGER)], [[1, 0]], None, unbound_parameter)(rows, out)
+    assert out == [(2, 1)]
