@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import islice, repeat
 from operator import indexOf, itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, IntegrityError
 from repro.sqldb.mvcc import Snapshot, VersionStore
@@ -35,7 +35,7 @@ class HashIndex:
         self.name = name
         self.column_positions = tuple(column_positions)
         self.unique = unique
-        self._buckets: Dict[object, Union[int, List[int]]] = {}
+        self._buckets: Dict[object, Any] = {}  # a row id, or a list of them
         self._pick = itemgetter(*self.column_positions)
         self._single = len(self.column_positions) == 1
 
