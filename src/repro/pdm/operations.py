@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     CheckOutError,
@@ -207,21 +207,14 @@ class PDMClient:
         """The stack's :class:`repro.obs.TraceRecorder` (None when off)."""
         return getattr(self.connection, "recorder", None)
 
-    def _action(
-        self, name: str, meta: Dict[str, Any], run: Callable[[], ActionResult]
-    ) -> ActionResult:
-        """One user action, ``run()``, in its root span *name* when
-        tracing is on (no span, not even a no-op one, when it is off).
+    def _action_span(self, name: str, **meta: Any):
+        """Root span for one user action.
 
-        The span opens at the same simulated instant as :meth:`_begin` and
-        closes after :meth:`_finish` reads the clock, so its duration
+        Opened at the same simulated instant as :meth:`_begin` and closed
+        after :meth:`_finish` reads the clock, so the root span's duration
         equals the returned ``ActionResult.seconds`` exactly.
         """
-        recorder = self.recorder
-        if recorder is None:
-            return run()
-        with recorder.span(name, kind="pdm", **meta):
-            return run()
+        return maybe_span(self.recorder, name, kind="pdm", **meta)
 
     def _begin(self) -> Tuple[TrafficStats, float, int]:
         link = self.connection.link
@@ -409,8 +402,9 @@ class PDMClient:
     ) -> ActionResult:
         """The 'Query' action: all nodes of a product, no structure info."""
         early = strategy is not ExpandStrategy.NAVIGATIONAL_LATE
-
-        def run() -> ActionResult:
+        with self._action_span(
+            "pdm.query", strategy=strategy.value, product_id=product_id
+        ):
             begin = self._begin()
             sql = self._navigational_sql("set_query", early, Actions.QUERY)
             result = self.connection.execute(sql, [product_id, product_id])
@@ -423,9 +417,6 @@ class PDMClient:
                 ]
             return self._finish(begin, objects=objects)
 
-        meta = {"strategy": strategy.value, "product_id": product_id}
-        return self._action("pdm.query", meta, run)
-
     def single_level_expand(
         self,
         parent_obid: int,
@@ -433,17 +424,17 @@ class PDMClient:
     ) -> ActionResult:
         """Expand one level below *parent_obid* (one round trip)."""
         early = strategy is not ExpandStrategy.NAVIGATIONAL_LATE
-
-        def run() -> ActionResult:
+        with self._action_span(
+            "pdm.single_level_expand",
+            strategy=strategy.value,
+            parent_obid=parent_obid,
+        ):
             begin = self._begin()
             children = self._fetch_children(parent_obid, early, Actions.EXPAND)
             return self._finish(
                 begin,
                 objects=[child for __, child in children],
             )
-
-        meta = {"strategy": strategy.value, "parent_obid": parent_obid}
-        return self._action("pdm.single_level_expand", meta, run)
 
     def multi_level_expand(
         self,
@@ -473,14 +464,18 @@ class PDMClient:
         """
         if root_attrs is None:
             root_attrs = self.fetch_object(root_obid)
-        attrs: Attrs = root_attrs
-
-        def run() -> ActionResult:
-            nonlocal strategy  # a lost recursive response falls back
+        with self._action_span(
+            "pdm.multi_level_expand",
+            strategy=strategy.value,
+            root_obid=root_obid,
+            max_depth=max_depth,
+        ):
             begin = self._begin()
             if strategy is ExpandStrategy.RECURSIVE_EARLY:
                 try:
-                    tree = self._expand_recursive(root_obid, attrs, max_depth)
+                    tree = self._expand_recursive(
+                        root_obid, root_attrs, max_depth
+                    )
                 except (TimeoutError, CircuitOpenError):
                     self.statistics["recursive_fallbacks"] += 1
                     if self.recorder is not None:
@@ -490,23 +485,16 @@ class PDMClient:
                 else:
                     return self._finish(begin, tree=tree)
             if strategy is ExpandStrategy.EXPAND_BATCHED:
-                tree = self._expand_batched(root_obid, attrs, max_depth)
+                tree = self._expand_batched(root_obid, root_attrs, max_depth)
             else:
                 early = strategy is ExpandStrategy.NAVIGATIONAL_EARLY
                 tree = self._expand_navigational(
-                    root_obid, attrs, early, max_depth
+                    root_obid, root_attrs, early, max_depth
                 )
             tree = self._apply_tree_conditions_late(
                 tree, Actions.MULTI_LEVEL_EXPAND
             )
             return self._finish(begin, tree=tree)
-
-        meta = {
-            "strategy": strategy.value,
-            "root_obid": root_obid,
-            "max_depth": max_depth,
-        }
-        return self._action("pdm.multi_level_expand", meta, run)
 
     def _wait_for_circuit(self) -> None:
         """Advance the simulated clock until the breaker allows a trial."""
@@ -719,8 +707,9 @@ class PDMClient:
         ``via_link`` and ``distance``), nearest first; *obid* itself is
         not included.
         """
-
-        def run() -> ActionResult:
+        with self._action_span(
+            "pdm.where_used", strategy=strategy.value, obid=obid
+        ):
             begin = self._begin()
             if strategy is ExpandStrategy.RECURSIVE_EARLY:
                 result = self.connection.execute(
@@ -734,9 +723,6 @@ class PDMClient:
             else:
                 ancestors = self._where_used_navigational(obid)
             return self._finish(begin, objects=ancestors)
-
-        meta = {"strategy": strategy.value, "obid": obid}
-        return self._action("pdm.where_used", meta, run)
 
     def _where_used_navigational(self, obid: int) -> List[Attrs]:
         sql = queries.where_used_parents_sql()
@@ -778,10 +764,10 @@ class PDMClient:
         flags with one UPDATE per node table: 3 round trips.
         SERVER_PROCEDURE ships the whole operation to the server: 1.
         """
-        meta = {"mode": mode.value, "root_obid": root_obid}
         if mode is CheckOutMode.SERVER_PROCEDURE:
-
-            def procedure() -> ActionResult:
+            with self._action_span(
+                "pdm.check_out", mode=mode.value, root_obid=root_obid
+            ):
                 begin = self._begin()
                 obids = self.connection.call_procedure(
                     "check_out_tree", [root_obid, self.user]
@@ -789,17 +775,17 @@ class PDMClient:
                 return self._finish(
                     begin, checked_out=[int(o) for o in obids]
                 )
-
-            return self._action("pdm.check_out", meta, procedure)
         if root_attrs is None:
             root_attrs = self.fetch_object(root_obid)
-        attrs: Attrs = root_attrs
-
-        def run() -> ActionResult:
+        with self._action_span(
+            "pdm.check_out", mode=mode.value, root_obid=root_obid
+        ):
             begin = self._begin()
             sql = self._recursive_sql(Actions.CHECK_OUT)
             result = self.connection.execute(sql, [root_obid])
-            tree = build_tree(result.columns, result.rows, root_obid, attrs)
+            tree = build_tree(
+                result.columns, result.rows, root_obid, root_attrs
+            )
             if tree is None:
                 raise CheckOutError(
                     f"check-out of {root_obid} denied: the rule conditions "
@@ -819,14 +805,13 @@ class PDMClient:
                 checked.extend(obids)
             return self._finish(begin, checked_out=checked, tree=tree)
 
-        return self._action("pdm.check_out", meta, run)
-
     def check_in(
         self, root_obid: int, mode: CheckOutMode = CheckOutMode.TWO_PHASE
     ) -> ActionResult:
         """Release a previously checked-out subtree."""
-
-        def run() -> ActionResult:
+        with self._action_span(
+            "pdm.check_in", mode=mode.value, root_obid=root_obid
+        ):
             begin = self._begin()
             if mode is CheckOutMode.SERVER_PROCEDURE:
                 obids = self.connection.call_procedure(
@@ -852,6 +837,3 @@ class PDMClient:
                 )
             released = obids
             return self._finish(begin, checked_out=released)
-
-        meta = {"mode": mode.value, "root_obid": root_obid}
-        return self._action("pdm.check_in", meta, run)

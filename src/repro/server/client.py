@@ -40,7 +40,7 @@ from repro.errors import (
 )
 from repro.network.faults import CircuitBreaker, RetryPolicy
 from repro.network.link import NetworkLink
-from repro.obs import BYTES_BUCKETS
+from repro.obs import BYTES_BUCKETS, maybe_span
 from repro.server import protocol
 from repro.server.protocol import Opcode
 from repro.server.server import DatabaseServer
@@ -180,39 +180,33 @@ class RemoteConnection:
         return self._attempt(request)
 
     def _attempt(self, request: bytes) -> bytes:
-        """One bare request/response exchange (no failure handling), in
-        an ``rpc.attempt`` span when tracing is on."""
+        """One bare request/response exchange (no failure handling)."""
         self.statistics["attempts"] += 1
-        recorder = self.recorder
-        if recorder is None:
-            return self._carry(request)
-        with recorder.span(
-            "rpc.attempt", kind="client", request_bytes=len(request)
+        with maybe_span(
+            self.recorder,
+            "rpc.attempt",
+            kind="client",
+            request_bytes=len(request),
         ) as span:
-            response = self._carry(request)
-            span.meta["response_bytes"] = len(response)
+            delivered = self.link.deliver(
+                request, is_request=True, opcode=protocol.opcode_label(request)
+            )
+            response = self.server.handle(delivered)
+            cpu_seconds = getattr(self.server, "last_cpu_seconds", 0.0)
+            if cpu_seconds:
+                # Server-side evaluation time (zero unless a CPU cost model
+                # is configured, matching the paper's Section 6 convention).
+                self.link.clock.advance(cpu_seconds, "server_cpu")
+                self.link.stats.server_seconds += cpu_seconds
+            response = self.link.deliver(
+                response,
+                is_request=False,
+                opcode=protocol.opcode_label(response),
+            )
+            if span is not None:
+                span.meta["response_bytes"] = len(response)
+            self.statistics["round_trips"] += 1
             return response
-
-    def _carry(self, request: bytes) -> bytes:
-        """Deliver *request*, have the server handle it and deliver its
-        response back."""
-        delivered = self.link.deliver(
-            request, is_request=True, opcode=protocol.opcode_label(request)
-        )
-        response = self.server.handle(delivered)
-        cpu_seconds = getattr(self.server, "last_cpu_seconds", 0.0)
-        if cpu_seconds:
-            # Server-side evaluation time (zero unless a CPU cost model
-            # is configured, matching the paper's Section 6 convention).
-            self.link.clock.advance(cpu_seconds, "server_cpu")
-            self.link.stats.server_seconds += cpu_seconds
-        response = self.link.deliver(
-            response,
-            is_request=False,
-            opcode=protocol.opcode_label(response),
-        )
-        self.statistics["round_trips"] += 1
-        return response
 
     def _sequenced_attempt(self, request: bytes) -> bytes:
         """One sequenced exchange without retries (session mode on a

@@ -26,7 +26,7 @@ from repro.errors import (
     ServerUnavailable,
     SessionError,
 )
-from repro.obs import ROWS_BUCKETS
+from repro.obs import ROWS_BUCKETS, maybe_span
 from repro.server import protocol
 from repro.server.protocol import Opcode
 from repro.sqldb import wire
@@ -160,53 +160,46 @@ class DatabaseServer:
             return self._handle_sequenced(frame[1:])
         self.last_cpu_seconds = 0.0
         self._request_rows_scanned = 0
-        recorder = self.recorder
-        if recorder is None:
-            return self._dispatch(frame, None)
-        with recorder.span(
-            "server.handle", kind="server", frame_bytes=len(frame)
-        ) as span:
-            return self._dispatch(frame, span)
-
-    def _dispatch(self, frame: bytes, span) -> bytes:
-        """Decode and answer one unsequenced request envelope, noting its
-        opcode and any error on *span* (None when tracing is off)."""
         statements_before = self.database.statistics["statements"]
-        try:
-            opcode, body = protocol.decode_envelope(frame)
-            if span is not None:
-                span.meta["opcode"] = opcode.name
-            if opcode is Opcode.QUERY:
-                response = self._handle_query(body)
-            elif opcode is Opcode.CALL_PROCEDURE:
-                response = self._handle_procedure(body)
-            elif opcode is Opcode.BATCH:
-                response = self._handle_batch(body)
-            elif opcode is Opcode.STATS:
-                response = self._handle_stats(body)
-            elif opcode is Opcode.PING:
-                response = protocol.encode_envelope(Opcode.PONG)
-            elif opcode in protocol.SESSION_OPCODES:
-                response = self._handle_session_op(opcode, body)
-            else:
-                raise ProtocolError(
-                    f"unexpected request opcode {opcode.name}"
+        recorder = self.recorder
+        with maybe_span(
+            recorder, "server.handle", kind="server", frame_bytes=len(frame)
+        ) as span:
+            try:
+                opcode, body = protocol.decode_envelope(frame)
+                if span is not None:
+                    span.meta["opcode"] = opcode.name
+                if opcode is Opcode.QUERY:
+                    response = self._handle_query(body)
+                elif opcode is Opcode.CALL_PROCEDURE:
+                    response = self._handle_procedure(body)
+                elif opcode is Opcode.BATCH:
+                    response = self._handle_batch(body)
+                elif opcode is Opcode.STATS:
+                    response = self._handle_stats(body)
+                elif opcode is Opcode.PING:
+                    response = protocol.encode_envelope(Opcode.PONG)
+                elif opcode in protocol.SESSION_OPCODES:
+                    response = self._handle_session_op(opcode, body)
+                else:
+                    raise ProtocolError(
+                        f"unexpected request opcode {opcode.name}"
+                    )
+            except Exception as error:  # noqa: BLE001 — last-resort guard
+                if span is not None:
+                    span.meta["error"] = type(error).__name__
+                    if not isinstance(error, ReproError):
+                        span.meta["unexpected"] = True
+                return self._error_reply(self._answer_for(error))
+            if self.cpu_cost.enabled:
+                statements = (
+                    self.database.statistics["statements"] - statements_before
                 )
-        except Exception as error:  # noqa: BLE001 — last-resort guard
-            if span is not None:
-                span.meta["error"] = type(error).__name__
-                if not isinstance(error, ReproError):
-                    span.meta["unexpected"] = True
-            return self._error_reply(self._answer_for(error))
-        if self.cpu_cost.enabled:
-            statements = (
-                self.database.statistics["statements"] - statements_before
-            )
-            self.last_cpu_seconds = self.cpu_cost.cost(
-                statements, self._request_rows_scanned
-            )
-            self.statistics["cpu_seconds"] += self.last_cpu_seconds
-        return response
+                self.last_cpu_seconds = self.cpu_cost.cost(
+                    statements, self._request_rows_scanned
+                )
+                self.statistics["cpu_seconds"] += self.last_cpu_seconds
+            return response
 
     def _handle_sequenced(self, body: bytes) -> bytes:
         """At-most-once execution for sequenced requests.
@@ -236,16 +229,16 @@ class DatabaseServer:
         if cached is not None:
             self.statistics["duplicates_suppressed"] += 1
             self.last_cpu_seconds = 0.0
-            if recorder is not None:
-                with recorder.span(
-                    "server.handle",
-                    kind="server",
-                    sequenced=True,
-                    client_id=client_id,
-                    seq=seq,
-                    replay_hit=True,
-                ):
-                    pass
+            with maybe_span(
+                recorder,
+                "server.handle",
+                kind="server",
+                sequenced=True,
+                client_id=client_id,
+                seq=seq,
+                replay_hit=True,
+            ):
+                pass
             return cached
         wal = self.database.wal
         if wal is not None and 0 < seq <= wal.hwm.get(client_id, 0):
@@ -265,13 +258,27 @@ class DatabaseServer:
             )
             self._replay_cache[key] = wrapped
             return wrapped
-        if recorder is None:
-            response = self._handle_for(client_id, seq, inner)
-        else:
-            with recorder.span(
-                "server.sequenced", kind="server", client_id=client_id, seq=seq
-            ):
-                response = self._handle_for(client_id, seq, inner)
+        with maybe_span(
+            recorder,
+            "server.sequenced",
+            kind="server",
+            client_id=client_id,
+            seq=seq,
+        ):
+            previous = self._active_client
+            previous_origin = wal.origin if wal is not None else None
+            self._active_client = client_id
+            if wal is not None:
+                # Commits performed while handling this request carry its
+                # (client, seq) into the log — the durable twin of the
+                # replay cache.
+                wal.origin = (client_id, seq)
+            try:
+                response = self.handle(inner)
+            finally:
+                self._active_client = previous
+                if wal is not None:
+                    wal.origin = previous_origin
         wrapped = self._sequenced_reply(client_id, seq, response)
         if self.crashed:
             # The request crashed the server: never cache the refusal —
@@ -282,24 +289,6 @@ class DatabaseServer:
         while len(self._replay_cache) > self.replay_cache_size:
             self._replay_cache.popitem(last=False)
         return wrapped
-
-    def _handle_for(self, client_id: int, seq: int, inner: bytes) -> bytes:
-        """:meth:`handle` *inner* as request *seq* of client *client_id*."""
-        wal = self.database.wal
-        previous = self._active_client
-        previous_origin = wal.origin if wal is not None else None
-        self._active_client = client_id
-        if wal is not None:
-            # Commits performed while handling this request carry its
-            # (client, seq) into the log — the durable twin of the
-            # replay cache.
-            wal.origin = (client_id, seq)
-        try:
-            return self.handle(inner)
-        finally:
-            self._active_client = previous
-            if wal is not None:
-                wal.origin = previous_origin
 
     # -- crash / restart ----------------------------------------------------
 

@@ -1082,15 +1082,10 @@ def row_converter(
     *arity* columns, NULL where no value goes.  A value whose class
     already is its column's passes with no call (a ``str`` only within
     its length); any other goes through :func:`converter`, whose error
-    stops the loop with the rows before it in *out*.  Where one row of
-    ``?`` fills every column in order, a tuple ``v`` of *arity* values
-    that all pass is appended itself.  Converters, lengths and closures
-    are factory arguments."""
+    stops the loop with the rows before it in *out*.  Converters, lengths
+    and closures are factory arguments."""
     args: Dict[str, Any] = {"environment": environment, "unbound": unbound}
     reads = ["env = environment(v)" if environment else "env = None"]
-    whole = [list(readers) for readers in value_rows] == [[p for p, __ in targets]] == [list(range(arity))]
-    reads += [f"fresh = v.__class__ is not tuple or len(v) != {arity}"] if whole else []
-    fresh = "; fresh = True" if whole else ""  # set where a value is converted
     converts: List[str] = []
     run: List[Tuple[int, str]] = []  # the ``?`` reads since the last closure
 
@@ -1122,10 +1117,10 @@ def row_converter(
                 args[f"r{a}"] = reader
                 reads.append(f"{a} = r{a}((), env)")
             converts.append(f"if {a}.__class__ is not k{j}:")
-            converts.append(f"    if {a} is not None: {a} = c{j}({a}){fresh}")
+            converts.append(f"    if {a} is not None: {a} = c{j}({a})")
             if args[f"n{j}"] is not None:
-                converts.append(f"elif len({a}) > n{j}: {a} = c{j}({a}){fresh}")
-        converts.append(f"append(({', '.join(columns)},){' if fresh else v' if whole else ''})")
+                converts.append(f"elif len({a}) > n{j}: {a} = c{j}({a})")
+        converts.append(f"append(({', '.join(columns)},))")
     flush()
     body = "".join(f"            {line}\n" for line in reads + converts)
     source = (

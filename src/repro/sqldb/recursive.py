@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.errors import ExecutionError
+from repro.obs import maybe_span
 from repro.sqldb.columnar import Batch
 from repro.sqldb.executor import ExecutionEnv, Operator, plan_rows
 from repro.sqldb.planner import Plan, PlannedCTE
@@ -65,8 +66,11 @@ def materialize_cte(planned: PlannedCTE, env: ExecutionEnv) -> Batch:
             for batch in branch.batches(env, limit - len(accumulated) + 1):
                 rows = batch
                 if planned.distinct:
-                    rows = [row for row in dict.fromkeys(batch) if row not in seen]
-                    seen.update(rows)
+                    rows = []
+                    for row in batch:
+                        if row not in seen:
+                            seen.add(row)
+                            rows.append(row)
                 accumulated.extend(rows)
                 if len(accumulated) > limit:
                     raise _limit_error(planned, limit)
@@ -84,14 +88,17 @@ def materialize_cte(planned: PlannedCTE, env: ExecutionEnv) -> Batch:
             )
         # Semi-naive: the recursive branches see only last round's new rows.
         env.bind_cte(planned.name, Batch(delta))
-        if env.recorder is None:
-            delta = run(planned.recursive_plans)
-            continue
-        with env.recorder.span(
-            "cte.fixpoint_round", kind="executor", cte=planned.name, round=iterations, delta_in=len(delta)
+        with maybe_span(
+            env.recorder,
+            "cte.fixpoint_round",
+            kind="executor",
+            cte=planned.name,
+            round=iterations,
+            delta_in=len(delta),
         ) as span:
             delta = run(planned.recursive_plans)
-            span.meta["delta_out"] = len(delta)
+            if span is not None:
+                span.meta["delta_out"] = len(delta)
     frame = Batch(accumulated)
     env.bind_cte(planned.name, frame)
     return frame

@@ -47,21 +47,12 @@ class HashIndex:
     def add(self, row_id: int, row: Row) -> None:
         self.fill((row_id,), (row,))
 
-    def fill(self, row_ids: Sequence[int], rows: Iterable[Row]) -> None:
-        """Index each of *rows* under its row id, in their order: a unique
-        one-column index's values in one update when none is NULL or held,
-        else row by row, the first key already held raising."""
-        keys = list(map(self._pick, rows))
+    def fill(self, row_ids: Iterable[int], rows: Iterable[Row]) -> None:
+        """Index each of *rows* under its row id, in their order; a unique
+        index raises at the first key already held."""
         buckets = self._buckets
         single = self._single
-        if self.unique and single and None not in keys and buckets.keys().isdisjoint(keys):
-            size = len(buckets)
-            buckets.update(zip(keys, row_ids))
-            if len(buckets) == size + len(keys):  # no value twice
-                return
-            for key in keys:  # a key twice among them: undone, raised below
-                buckets.pop(key, None)
-        for row_id, key in zip(row_ids, keys):
+        for row_id, key in zip(row_ids, map(self._pick, rows)):
             if key is None or not single and None in key:
                 continue
             held = buckets.setdefault(key, row_id)
@@ -225,7 +216,8 @@ class TableStorage:
     def pad_slots(self, total_slots: int) -> None:
         """Extend the heap with dead slots up to *total_slots* (restoring
         a checkpoint's row-id space, trailing deleted rows included)."""
-        self._rows.extend([None] * (total_slots - len(self._rows)))
+        while len(self._rows) < total_slots:
+            self._rows.append(None)
 
     def delete(self, row_id: int, journal: Optional[Callable[[int], None]] = None) -> None:
         """Delete the row in slot *row_id* (a free slot is left as it is),
@@ -325,9 +317,8 @@ class TableStorage:
     def live_probe(self, index: HashIndex) -> Tuple[Callable, Callable, Dict]:
         """``(slot -> row, key -> bucket, version chains)``: with no chain
         to resolve, :meth:`probe` of *index* is the rows in the slots of
-        ``bucket(key, ())`` (a row id, or a list of them) — what a generated
-        loop reads in place of it (every part is the storage's own object,
-        never replaced)."""
+        ``bucket(key, ())``, a row id or a list — what a generated loop
+        reads in place of it (each part the storage's own, never replaced)."""
         return self._rows.__getitem__, index._buckets.get, self.mvcc.chains
 
     def probe(
@@ -345,19 +336,27 @@ class TableStorage:
         slot's visible version is re-verified against the key; chainless
         slots are taken as the bucket gives them.
         """
-        # A key with a NULL part is never indexed, so it finds no bucket.
+        # A key with a NULL part is never indexed, so it finds no bucket,
+        # and a NULL key matches no chained version either.
         bucket = index._buckets.get(key, ())
         if snapshot is None or key is None or not self.mvcc.chains:
             if bucket.__class__ is int:  # the one row holding the key
                 return [self._rows[bucket]]
             return list(map(self._rows.__getitem__, bucket))
-        rows, chains = self._rows, self.mvcc.chains
+        rows, chains, stamp = self._rows, self.mvcc.chains, snapshot.stamp
         ids = (bucket,) if bucket.__class__ is int else bucket
         matched = []
-        for row_id in [*ids, *sorted(chains.keys() - ids)]:
-            chain = chains.get(row_id)  # never None outside the bucket
-            row = rows[row_id] if chain is None else chain.visible(snapshot.stamp)
-            if chain is None or row is not None and index.key(row) == key:
+        for row_id in ids:
+            chain = chains.get(row_id)
+            if chain is None:
+                matched.append(rows[row_id])
+            else:
+                row = chain.visible(stamp)
+                if row is not None and index.key(row) == key:
+                    matched.append(row)
+        for row_id in sorted(chains.keys() - ids):
+            row = chains[row_id].visible(stamp)
+            if row is not None and index.key(row) == key:
                 matched.append(row)
         return matched
 

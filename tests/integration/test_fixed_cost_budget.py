@@ -40,13 +40,9 @@ reads the index's bucket and the heap in place, a ``?`` is read from the
 parameters in place, and a union calls its branches without a generator
 expression); 98.0 once one ``IndexLookup`` took every key source; 96.0
 once ``ResultSet`` copied its rows with ``list(map(tuple, rows))``, not
-a comprehension (a call on the server's side and one on the client's);
-92.0 once a round trip with tracing off tested ``recorder is None`` where
-it would open a span, instead of entering a shared no-op context (three
-calls each on the client's and the server's side, against the one each
-that now carries the untraced body).  The budget was about 10 % above
-the count until then (CPython 3.10 counted the same, 3.12 96.9); it is
-the count since (3.10 the same, 3.12 90.9).
+a comprehension (a call on the server's side and one on the client's).
+The budget sits about 10 % above the last (CPython 3.10
+counts the same, 3.12 counts 96.9).
 
 Calls miss a loop that runs per value in bytecode, so the same pass is
 also held in bytecode instructions (``sys.settrace`` with
@@ -81,9 +77,7 @@ compiled check — the predicate early evaluation injects — run on the
 object's attribute tuple, 149.6 once that check is one generated function,
 141.6 once every plan ran on batches, 128.6 once a stored function call
 was one call, 125.7 once the result codec was generated per kind
-signature, 105.8 once each pipeline was one generated loop, 101.8 by the
-time ``ResultSet`` copied its rows without a comprehension, 97.8 once a
-span costs nothing with tracing off (the budget is that count since).
+signature, 105.8 once each pipeline was one generated loop.
 
 One cached ``RECURSIVE_EARLY`` expand of the same product is held as a
 whole: the one ``WITH RECURSIVE`` statement and its fixpoint rounds.
@@ -213,9 +207,9 @@ objects it tracks after ``load_product`` of the same product (727 rows),
 counted as ``len(gc.get_objects())`` around it with a collection before
 each count.  1 225 (1.685 per row) while every index bucket was a list
 of row ids under a tuple key (a one-element list for each of the 1 090
-of 1 213 keys that one row holds); 132 (0.182 per row; 127 once the row
-converter's generated code is cached) once a bucket is the row id itself
-while one row holds its key and a one-column key is the value itself.
+of 1 213 keys that one row holds); 131 (0.180 per row) once a bucket is
+the row id itself while one row holds its key and a one-column key is
+the value itself.
 What is left is a list per key that several rows hold, and the heaps.
 Every full collection walks what is tracked, so during the load of
 ``nav_flood``'s product the collector's share of the build fell with it
@@ -252,16 +246,14 @@ STRATEGIES = (ExpandStrategy.NAVIGATIONAL_LATE, ExpandStrategy.NAVIGATIONAL_EARL
 
 #: Python-level calls one cached navigational round trip may cost: one
 #: generated loop per pipeline, not a batch loop per operator (119.9
-#: calls) nor a closure per expression node (222.9 calls), and no span,
-#: not even a no-op one, with tracing off (95.987 calls).
-CALLS_PER_ROUND_TRIP_BUDGET = 92
+#: calls) nor a closure per expression node (222.9 calls).
+CALLS_PER_ROUND_TRIP_BUDGET = 110
 
 #: Calls one cached navigational-late round trip may cost: one generated
 #: rule check per fetched object, not a rule lookup and a condition walk
 #: (254.2 calls) nor a closure per condition node (230.5 calls), and one
-#: generated loop per pipeline (125.7 calls with a loop per operator),
-#: and no span with tracing off (101.756 calls).
-LATE_CALLS_PER_ROUND_TRIP_BUDGET = 98
+#: generated loop per pipeline (125.7 calls with a loop per operator).
+LATE_CALLS_PER_ROUND_TRIP_BUDGET = 116
 
 #: Engine bytecode instructions one cached navigational round trip may
 #: cost: one generated loop per pipeline, not a batch loop per operator

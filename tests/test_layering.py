@@ -37,10 +37,7 @@ tests' oracle; rules fold as SQL does); 10 952 once each pipeline held
 one row loop, the one form with SQL's semantics, that every batch a
 column loop refuses runs: the careful column and numbered loops, the
 emitter's ``fast`` flag and ``Program.batch`` were deleted (SUM and
-AVG folding from integer 0 beside it); 10 951 once an index bucket was
-the row id itself while one row holds its key and a one-column key the
-value itself, with a snapshot probe's two loops merged into one and a
-fixpoint round traced without a no-op span.
+AVG folding from integer 0 beside it).
 """
 
 import ast
