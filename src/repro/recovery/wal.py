@@ -41,10 +41,16 @@ shape has one encoding, whether it sits in the log or in a checkpoint.
 
 Strings (table names, DDL text) and rows are the wire codec's
 length-prefixed strings and counted lists (:func:`repro.sqldb.wire.encode_str`,
-:func:`~repro.sqldb.wire.encode_list`); this module keeps only its record
-layouts.  So a WAL byte stream — like a wire frame — is a pure function
-of the operations that produced it, and a value the wire cannot carry is
-a :class:`~repro.errors.ProtocolError` before any byte is appended.
+:func:`~repro.sqldb.wire.encode_list`, which encodes a row through the
+generated codec of its kind signature, the tag loop taking a subclass or
+a fault); this module keeps only its record layouts.  The writer frames
+each record from its payload bytes and builds no :class:`WalRecord`; a
+batch INSERT's statements are logged by one call
+(:meth:`WalWriter.log_inserts`), each statement's record prefix encoded
+once, one disk append per record still.  So a WAL byte stream — like a
+wire frame — is a pure function of the operations that produced it, and
+a value the wire cannot carry is a :class:`~repro.errors.ProtocolError`
+before any byte is appended.
 
 The scanner (:func:`scan_wal`) verifies each record's CRC and framing.
 Damage *at the tail* (a torn final write, a flipped bit in the last
@@ -59,7 +65,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DurabilityError, ProtocolError, WalCorruptError
 from repro.recovery.simdisk import SimDisk
@@ -218,65 +224,102 @@ def _dec_changes(buffer: bytes, offset: int) -> Tuple[Changes, int]:
 
 
 # -- record encoding ---------------------------------------------------------
+#
+# The writer frames each record from its payload bytes (the payload
+# functions below, :func:`_frame`); :func:`encode_record` is the same
+# bytes from a :class:`WalRecord`, for tests and readers.
+
+_pack_head = struct.Struct(">cQ").pack
+_pack_u32 = struct.Struct(">I").pack
+_pack_u64 = struct.Struct(">Q").pack
+
+
+def _frame(payload: bytes) -> bytes:
+    """A record: *payload* behind its magic, length and CRC."""
+    return _HEADER.pack(MAGIC, len(payload), zlib.crc32(payload)) + payload
+
+
+def _head(kind: str, txn_id: int) -> bytes:
+    """What every payload starts with: kind(1) | u64 txn_id — the whole
+    payload of a ``B``, ``A`` or ``F`` record."""
+    return _pack_head(kind.encode("ascii"), txn_id)
+
+
+def _commit_payload(txn_id: int, origin: Optional[Tuple[int, int]]) -> bytes:
+    if origin is None:
+        return _head(KIND_COMMIT, txn_id) + b"\x00"
+    return _head(KIND_COMMIT, txn_id) + b"\x01" + struct.pack(">II", *origin)
+
+
+def _row_payload(head: bytes, row_id: int, row: Row) -> bytes:
+    """An ``I`` payload: *head* (kind, txn id and table, built once per
+    statement or per checkpointed table), the row id and the row."""
+    parts = [head, _pack_u64(row_id)]
+    encode_list(row, parts)
+    return b"".join(parts)
+
+
+def _update_payload(txn_id: int, table: str, row_id: int, changes: Changes) -> bytes:
+    return (
+        _head(KIND_UPDATE, txn_id) + encode_str(table) + _pack_u64(row_id) + _enc_changes(changes)
+    )
+
+
+def _delete_payload(txn_id: int, table: str, row_id: int) -> bytes:
+    return _head(KIND_DELETE, txn_id) + encode_str(table) + _pack_u64(row_id)
+
+
+def _checkpoint_payload(txn_id: int, checkpoint: Checkpoint) -> bytes:
+    """A ``K`` payload, less its embedded records."""
+    parts = [_head(KIND_CHECKPOINT, txn_id), _pack_u32(len(checkpoint.hwm))]
+    parts.extend(struct.pack(">II", *pair) for pair in checkpoint.hwm)
+    parts.append(struct.pack(">QI", checkpoint.clock, len(checkpoint.slots)))
+    for table, count in checkpoint.slots:
+        parts.append(encode_str(table) + _pack_u64(count))
+    return b"".join(parts)
+
+
+def _frame_checkpoint(payload: bytes, embedded: bytes) -> bytes:
+    """A ``K`` record.  Its embedded records are framed where they lie,
+    not first copied into one payload: the checkpoint is the one record
+    as large as the database."""
+    crc = zlib.crc32(embedded, zlib.crc32(payload))
+    header = _HEADER.pack(MAGIC, len(payload) + len(embedded), crc)
+    return b"".join((header, payload, embedded))
 
 
 def encode_record(record: WalRecord) -> bytes:
     """Encode one record, CRC frame included."""
     payload = _encode_payload(record)
     if record.checkpoint is None:
-        return _HEADER.pack(MAGIC, len(payload), zlib.crc32(payload)) + payload
-    embedded = record.checkpoint.embedded
-    # A checkpoint's embedded records are framed where they lie, not first
-    # copied into one payload: the checkpoint is the one record as large
-    # as the database.
-    crc = zlib.crc32(embedded, zlib.crc32(payload))
-    header = _HEADER.pack(MAGIC, len(payload) + len(embedded), crc)
-    return b"".join((header, payload, embedded))
+        return _frame(payload)
+    return _frame_checkpoint(payload, record.checkpoint.embedded)
 
 
 def _encode_payload(record: WalRecord) -> bytes:
     """The payload of *record*, less a checkpoint's embedded records."""
-    body: bytes
-    kind = record.kind
+    kind, txn_id = record.kind, record.txn_id
     if kind in (KIND_BEGIN, KIND_ABORT, KIND_FENCE):
-        body = b""
-    elif kind == KIND_COMMIT:
-        if record.origin is None:
-            body = b"\x00"
-        else:
-            body = b"\x01" + struct.pack(">II", *record.origin)
-    elif kind == KIND_INSERT:
-        assert record.table is not None and record.row_id is not None
-        assert record.row is not None
-        parts = [encode_str(record.table), struct.pack(">Q", record.row_id)]
-        encode_list(record.row, parts)
-        body = b"".join(parts)
-    elif kind == KIND_UPDATE:
-        assert record.table is not None and record.row_id is not None
-        assert record.changes is not None
-        body = (
-            encode_str(record.table)
-            + struct.pack(">Q", record.row_id)
-            + _enc_changes(record.changes)
-        )
-    elif kind == KIND_DELETE:
-        assert record.table is not None and record.row_id is not None
-        body = encode_str(record.table) + struct.pack(">Q", record.row_id)
-    elif kind == KIND_DDL:
+        return _head(kind, txn_id)
+    if kind == KIND_COMMIT:
+        return _commit_payload(txn_id, record.origin)
+    if kind == KIND_CHECKPOINT:
+        assert record.checkpoint is not None
+        return _checkpoint_payload(txn_id, record.checkpoint)
+    if kind == KIND_DDL:
         assert record.sql is not None
-        body = encode_str(record.sql)
-    elif kind == KIND_CHECKPOINT:
-        checkpoint = record.checkpoint
-        assert checkpoint is not None
-        parts = [struct.pack(">I", len(checkpoint.hwm))]
-        parts.extend(struct.pack(">II", *pair) for pair in checkpoint.hwm)
-        parts.append(struct.pack(">QI", checkpoint.clock, len(checkpoint.slots)))
-        for table, count in checkpoint.slots:
-            parts.append(encode_str(table) + struct.pack(">Q", count))
-        body = b"".join(parts)
-    else:
+        return _head(kind, txn_id) + encode_str(record.sql)
+    if kind not in (KIND_INSERT, KIND_UPDATE, KIND_DELETE):
         raise ProtocolError(f"unknown WAL record kind {kind!r}")
-    return kind.encode("ascii") + struct.pack(">Q", record.txn_id) + body
+    table, row_id = record.table, record.row_id
+    assert table is not None and row_id is not None
+    if kind == KIND_INSERT:
+        assert record.row is not None
+        return _row_payload(_head(kind, txn_id) + encode_str(table), row_id, record.row)
+    if kind == KIND_UPDATE:
+        assert record.changes is not None
+        return _update_payload(txn_id, table, row_id, record.changes)
+    return _delete_payload(txn_id, table, row_id)
 
 
 def decode_payload(payload: bytes) -> WalRecord:
@@ -362,32 +405,37 @@ def checkpoint_record(
 ) -> WalRecord:
     """A ``K`` record: one ``Q`` per statement of *ddl*, then one ``I``
     per ``(row_id, row)`` of each ``(table, slot count, rows)`` in
-    *tables*, behind the header.
+    *tables*, behind the header (see :func:`_checkpoint`)."""
+    return WalRecord(kind=KIND_CHECKPOINT, checkpoint=_checkpoint(hwm, clock, ddl, tables))
 
-    Each row's payload is the one :func:`encode_record` writes for
-    ``WalRecord(kind="I", table=..., row_id=..., row=...)``, its fixed
-    prefix encoded once per table rather than once per row.
-    """
+
+def _checkpoint(
+    hwm: Dict[int, int],
+    clock: int,
+    ddl: Iterable[str],
+    tables: Iterable[CheckpointTable],
+) -> Checkpoint:
+    """A ``K`` record's body.  Each row's payload is the one
+    :func:`encode_record` writes for ``WalRecord(kind="I", table=...,
+    row_id=..., row=...)``, its fixed prefix encoded once per table
+    rather than once per row (:func:`_row_payload`, inline: a row costs
+    three calls, not four)."""
     embedded = bytearray()
-
-    def embed(payload: bytes) -> None:
-        embedded.extend(struct.pack(">I", len(payload)))
-        embedded.extend(payload)
-
     for sql in ddl:
-        embed(_encode_payload(WalRecord(kind=KIND_DDL, sql=sql)))
+        payload = _head(KIND_DDL, 0) + encode_str(sql)
+        embedded += _pack_u32(len(payload))
+        embedded += payload
     slots: List[Tuple[str, int]] = []
     for table, count, rows in tables:
         slots.append((table, count))
-        prefix = KIND_INSERT.encode("ascii") + struct.pack(">Q", 0) + encode_str(table)
+        head = _head(KIND_INSERT, 0) + encode_str(table)
         for row_id, row in rows:
-            parts = [prefix, struct.pack(">Q", row_id)]
+            parts = [head, _pack_u64(row_id)]
             encode_list(row, parts)
-            embed(b"".join(parts))
-    checkpoint = Checkpoint(
-        tuple(sorted(hwm.items())), clock, tuple(slots), bytes(embedded)
-    )
-    return WalRecord(kind=KIND_CHECKPOINT, checkpoint=checkpoint)
+            payload = b"".join(parts)
+            embedded += _pack_u32(len(payload))
+            embedded += payload
+    return Checkpoint(tuple(sorted(hwm.items())), clock, tuple(slots), bytes(embedded))
 
 
 def embedded_records(checkpoint: Checkpoint) -> Iterator[WalRecord]:
@@ -532,24 +580,21 @@ class WalWriter:
     def appends(self) -> int:
         return self.statistics["appends"]
 
-    def _append(self, record: WalRecord) -> None:
-        self._write(encode_record(record))
-
-    def _write(self, framed: bytes) -> None:
+    def _append(self, payload: bytes) -> None:
+        """Frame a record's *payload* and append it: one disk append."""
         if not self.disk.crashed:
-            self.disk.append(framed)
+            self.disk.append(_frame(payload))
             self.statistics["appends"] += 1
 
-    def _log(self, txn_id: int, **fields: Any) -> None:
+    def _log(self, txn_id: int, payload: bytes) -> None:
         """Append a data record, behind its transaction's BEGIN when it
-        is the first.  The record is encoded before anything is written:
-        a value the log refuses (:class:`ProtocolError`) leaves no byte
-        behind, not even the BEGIN."""
-        framed = encode_record(WalRecord(txn_id=txn_id, **fields))
+        is the first.  The caller encodes the payload before anything is
+        written: a value the log refuses (:class:`ProtocolError`) leaves
+        no byte behind, not even the BEGIN."""
         if txn_id not in self._begun:
             self._begun[txn_id] = True
-            self._append(WalRecord(kind=KIND_BEGIN, txn_id=txn_id))
-        self._write(framed)
+            self._append(_head(KIND_BEGIN, txn_id))
+        self._append(payload)
 
     # -- logging hooks ------------------------------------------------------
     #
@@ -558,7 +603,54 @@ class WalWriter:
     # memory either.
 
     def log_insert(self, txn_id: int, table: str, row_id: int, row: Row) -> None:
-        self._log(txn_id, kind=KIND_INSERT, table=table, row_id=row_id, row=row)
+        head = _head(KIND_INSERT, txn_id) + encode_str(table)
+        self._log(txn_id, _row_payload(head, row_id, row))
+
+    def log_inserts(
+        self,
+        table: str,
+        rows: Sequence[Row],
+        start: int,
+        statements: Iterable[Tuple[int, int]],
+        next_txn: Callable[[], int],
+        autocommit: bool,
+    ) -> Optional[Tuple[int, int, bool, Exception]]:
+        """Log INSERT statements before their rows are placed: for each
+        ``(begin, end)`` of *statements*, under the WAL transaction
+        ``next_txn()`` gives it, the ``I`` record of each ``rows[i]`` (for
+        slot ``start + i``) and, when *autocommit*, its COMMIT — the
+        records and appends of :meth:`log_insert` per row and
+        :meth:`commit`, with the kind, txn id and table encoded once per
+        statement.
+
+        Returns None when every statement was logged.  Otherwise
+        ``(placed, timed, cut, error)``: the rows that stay, the end of
+        the statements that committed, whether the last statement was
+        cut short, and why — cut where the log refused a record (that
+        statement still commits with the rows before it), or, uncut, a
+        commit the disk lost (its rows stay, past *timed*).
+        """
+        name = encode_str(table)
+        stop: Optional[Tuple[int, int, bool, Exception]] = None
+        for begin, end in statements:
+            txn_id = next_txn()
+            head = _head(KIND_INSERT, txn_id) + name
+            try:
+                for at in range(begin, end):
+                    self._log(txn_id, _row_payload(head, start + at, rows[at]))
+                at = end
+            except Exception as exc:  # a record the log refuses
+                stop = (at, at, True, exc)
+            try:
+                # Committed even when the statement raised: its rows
+                # before the refused one stay in memory.
+                if autocommit:
+                    self.commit(txn_id)
+            except Exception as exc:  # the disk died on it
+                return at, begin, False, exc
+            if stop is not None:  # no statement after it runs
+                return stop
+        return None
 
     def log_update(
         self, txn_id: int, table: str, row_id: int, old_row: Row, new_row: Row
@@ -566,30 +658,29 @@ class WalWriter:
         """Log what the update changed (:func:`row_delta`).  An update
         that changed nothing still logs its (empty) record, so replay
         bumps the same counters the original execution did."""
-        changes = row_delta(old_row, new_row)
-        self._log(txn_id, kind=KIND_UPDATE, table=table, row_id=row_id, changes=changes)
+        self._log(txn_id, _update_payload(txn_id, table, row_id, row_delta(old_row, new_row)))
 
     def log_delete(self, txn_id: int, table: str, row_id: int) -> None:
-        self._log(txn_id, kind=KIND_DELETE, table=table, row_id=row_id)
+        self._log(txn_id, _delete_payload(txn_id, table, row_id))
 
     @staticmethod
     def ddl_record(sql: str) -> bytes:
-        """The framed ``Q`` record of *sql*.  Encode it before the catalog
+        """The ``Q`` payload of *sql*.  Encode it before the catalog
         changes — text the log cannot hold is a :class:`ProtocolError`
         there — and append it with :meth:`log_ddl` after."""
-        return encode_record(WalRecord(kind=KIND_DDL, sql=sql))
+        return _head(KIND_DDL, 0) + encode_str(sql)
 
     def log_ddl(self, record: bytes) -> None:
         """Append a :meth:`ddl_record`.  DDL is durable immediately: it is
         rejected inside transactions by the engine, so there is nothing
         to buffer or undo."""
-        self._write(record)
+        self._append(record)
 
     def commit(self, txn_id: int) -> None:
         if self._begun.pop(txn_id, None) is None:
             return  # read-only transaction: nothing was logged
         origin = self.origin
-        self._append(WalRecord(kind=KIND_COMMIT, txn_id=txn_id, origin=origin))
+        self._append(_commit_payload(txn_id, origin))
         self.statistics["commits"] += 1
         if origin is not None:
             client_id, seq = origin
@@ -599,7 +690,7 @@ class WalWriter:
     def abort(self, txn_id: int) -> None:
         if self._begun.pop(txn_id, None) is None:
             return
-        self._append(WalRecord(kind=KIND_ABORT, txn_id=txn_id))
+        self._append(_head(KIND_ABORT, txn_id))
         self.statistics["aborts"] += 1
 
     def fence(self) -> None:
@@ -607,7 +698,7 @@ class WalWriter:
         died with the crash and must never merge with post-restart
         transactions that happen to reuse their ids."""
         self._begun.clear()
-        self._append(WalRecord(kind=KIND_FENCE))
+        self._append(_head(KIND_FENCE, 0))
 
     def checkpoint(
         self,
@@ -622,11 +713,13 @@ class WalWriter:
         A crash on the append itself raises before the cut and leaves the
         old log whole.  So does a record too large to be read back — the
         scanner would take it for framing garbage and cut it off — which
-        is refused before anything is written.  The record is framed in
-        one expression so that only its bytes, not a second copy of the
+        is refused before anything is written.  The body is dropped once
+        framed, so that only the record's bytes, not a second copy of the
         database, are alive while the disk grows.
         """
-        framed = encode_record(checkpoint_record(self.hwm, clock, ddl, tables))
+        body = _checkpoint(self.hwm, clock, ddl, tables)
+        framed = _frame_checkpoint(_checkpoint_payload(0, body), body.embedded)
+        del body
         if len(framed) - _HEADER.size > MAX_PAYLOAD:
             raise DurabilityError(
                 f"checkpoint of {len(framed) - _HEADER.size} bytes exceeds "

@@ -1099,13 +1099,16 @@ class Database:
         cut = error is not None
         timed = placed
         start = len(storage._rows)  # the slot of rows[0]
-        if self.wal is not None:
-            placed, timed, cut, error = self._log_inserts(
-                storage, rows, start, prepared.rows_per_statement, placed, cut, txn, error
+        k = prepared.rows_per_statement
+        if self.wal is not None:  # each statement's records, cut where the log fails
+            stop = self.wal.log_inserts(
+                storage.schema.name, rows, start, _statements(k, placed, cut),
+                partial(self._statement_txn, txn), txn is None,
             )
+            if stop is not None:
+                placed, timed, cut, error = stop
         del rows[placed:]
         storage.append(rows)
-        k = prepared.rows_per_statement
         if capturing:
             for begin, end in _statements(k, timed, cut):
                 entries = [("insert", row_id) for row_id in range(start + begin, start + end)]
@@ -1119,33 +1122,6 @@ class Database:
         if error is not None:
             raise error
         return placed
-
-    def _log_inserts(self, storage, rows, start, k, count, cut, txn, error):
-        """Log the statements of ``rows[:count]`` (see :func:`_statements`)
-        before any row is placed: each row's I record (``rows[i]`` goes to
-        slot ``start + i``), then the C record of the statement's implicit
-        transaction.  Returns ``(placed, timed, cut, error)`` again, cut
-        where the log refused a record (that statement commits with the
-        rows before it) or lost a commit (its rows stay, untimed)."""
-        wal = self.wal
-        table = storage.schema.name
-        for begin, end in _statements(k, count, cut):
-            txn_id = self._statement_txn(txn)
-            try:
-                for at in range(begin, end):
-                    wal.log_insert(txn_id, table, start + at, rows[at])
-                at = end
-            except Exception as exc:  # a record the log refuses
-                count, cut, error = at, True, exc
-            try:
-                # Committed even when the statement raised (see _run_writes).
-                if txn is None:
-                    wal.commit(txn_id)
-            except Exception as exc:  # the disk died on it
-                return at, begin, False, exc
-            if at < end:  # refused: no statement after it runs
-                break
-        return count, count, cut, error
 
     def _reject_subquery(self, statement, frames):
         # INSERT ... VALUES may not embed subqueries in this dialect; the

@@ -28,7 +28,10 @@ The tag loop (:func:`encode_run` / :func:`decode_run`) is the general
 codec.  A result's rows go run by run of one *kind signature* (their
 tags as a string, ``"ISSN"``) through code generated for it, which stops
 at a row of another signature, raises no error of its own and hands a
-fault to the tag loop: the bytes and the errors are the tag loop's.
+fault to the tag loop: the bytes and the errors are the tag loop's.  A
+counted list (:func:`encode_list`: a WAL row, a procedure's result) is
+one such row, encoded the same way; a subclass, a fault or a list of
+more than :data:`_WIDEST_ROW` values goes through the tag loop.
 """
 
 from __future__ import annotations
@@ -224,10 +227,21 @@ def decode_strs(
 
 
 def encode_list(values: Sequence[Any], parts: List[bytes]) -> None:
-    """Append a counted list — u16 count + run of values — to *parts*."""
-    if len(values) > _MAX_COUNT:
-        raise _too_long(len(values))
-    parts.append(_pack_u16(len(values)))
+    """Append a counted list — u16 count + run of values — to *parts*:
+    through the codec of its kind signature as a row of one, or the tag
+    loop (see the module docstring)."""
+    count = len(values)
+    if count > _MAX_COUNT:
+        raise _too_long(count)
+    parts.append(_pack_u16(count))
+    if count <= _WIDEST_ROW:
+        try:
+            # One row is one ``extend`` of pieces built first: a fault
+            # leaves *parts* as it was.
+            _codec(tuple(map(type, values)))[0]((values,), 0, 1, parts.extend)
+            return
+        except (KeyError, struct.error, UnicodeEncodeError):  # a subclass or a fault
+            pass
     encode_run(values, parts)
 
 
@@ -292,6 +306,10 @@ _TAGS = {type(None): "N", int: "I", float: "D", bool: "B", str: "S"}
 _CODES = {"N": "", "I": "q", "D": "d", "B": "?"}
 #: Rows per call of a fixed-width signature's chunk loop.
 _CHUNK = 16
+#: Most values a counted list encodes as a row.  A longer list (a
+#: procedure's result of many ids) would compile a codec per length, and
+#: a long one costs more to compile than to encode (57 ms for 1 000 ids).
+_WIDEST_ROW = 64
 
 
 @lru_cache(maxsize=256)

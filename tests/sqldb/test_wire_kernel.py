@@ -510,6 +510,48 @@ class TestResultCodecMatchesPerValueCodec:
         assert wire.decode_result(wire.encode_result(remembered)).columns == ["ab"]
 
 
+# -- a counted list, as one row of its kind signature -----------------------------
+
+
+def reference_encode_list(values):
+    """A counted list as the tag loop writes it: u16 count + run."""
+    parts = [struct.pack(">H", len(values))]
+    wire.encode_run(values, parts)
+    return b"".join(parts)
+
+
+def encode_list(values):
+    parts = [b"ahead"]
+    wire.encode_list(values, parts)
+    assert parts[0] == b"ahead"
+    return b"".join(parts[1:])
+
+
+class TestCountedListMatchesTheTagLoop:
+    """``encode_list`` (a WAL row, a procedure's result) encodes its values
+    through the generated codec of their kind signature, as a one-row
+    result: the bytes, and every error, are the tag loop's — for lists
+    and tuples, subclasses, faults and lists wider than the codec takes."""
+
+    @given(
+        st.one_of(runs, st.lists(wire_values, min_size=60, max_size=70)),
+        st.sampled_from([None, "\ud800", INT64_MAX + 1, INT64_MIN - 1, object()]),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_or_error_are_the_tag_loops(self, values, poison, as_tuple, data):
+        if values and poison is not None:
+            values[data.draw(st.integers(min_value=0, max_value=len(values) - 1))] = poison
+        values = tuple(values) if as_tuple else values
+        assert outcome(encode_list, values) == outcome(reference_encode_list, values)
+
+    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65])
+    def test_every_width_around_the_widest_row(self, width):
+        for values in ([n for n in range(width)], [None, "é", 2.5, True] * (width // 4)):
+            assert encode_list(values) == reference_encode_list(values)
+
+
 # -- one statement codec ----------------------------------------------------------
 
 

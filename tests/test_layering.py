@@ -37,7 +37,10 @@ tests' oracle; rules fold as SQL does); 10 952 once each pipeline held
 one row loop, the one form with SQL's semantics, that every batch a
 column loop refuses runs: the careful column and numbered loops, the
 emitter's ``fast`` flag and ``Program.batch`` were deleted (SUM and
-AVG folding from integer 0 beside it).
+AVG folding from integer 0 beside it); 10 946 once a batch INSERT's WAL
+records were written by one ``WalWriter.log_inserts`` call (the
+statement loop moved out of ``Database``) and a counted list went
+through the generated codec of its kind signature.
 """
 
 import ast
@@ -56,7 +59,7 @@ ROOT = Path(repro.__file__).parent
 SQLDB_MODULE_LINES = 1_200
 
 #: The most lines ``repro.sqldb`` may have (see the history above).
-SQLDB_LINES = 10_952
+SQLDB_LINES = 10_946
 
 
 def imported_modules(node):
