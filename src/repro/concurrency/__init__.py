@@ -24,7 +24,7 @@ from repro.concurrency.footprint import (
     update_footprint,
 )
 from repro.concurrency.locks import LockManager, LockMode, compatible
-from repro.concurrency.sessions import Session, SessionManager
+from repro.concurrency.sessions import SessionManager
 from repro.concurrency.sim import (
     ContentionConfig,
     ContentionSim,
@@ -44,7 +44,6 @@ __all__ = [
     "LockManager",
     "LockMode",
     "LockRequest",
-    "Session",
     "SessionManager",
     "ContentionConfig",
     "ContentionSim",

@@ -1,12 +1,14 @@
 """Per-client server sessions mapping wire clients onto transactions.
 
 A session is keyed by the ``client_id`` every SEQUENCED frame already
-carries (and which the OPEN_SESSION handshake states explicitly).  Each
+carries (and which the OPEN_SESSION handshake states explicitly), and the
+database runs the client's statements on the session of that id.  Each
 session owns at most one open transaction inside the shared
-:class:`~repro.sqldb.database.Database`; the session token handed to the
-database *is* the client id, so two clients hold independent undo logs
-and lock sets while the local default session (token ``None``) keeps
-working for server procedures and embedded use.
+:class:`~repro.sqldb.database.Database`, so two clients hold independent
+undo logs and lock sets while the default session (``None``) keeps
+working for server procedures and embedded use.  The manager knows only
+which client ids are open or were evicted; their transactions live in
+``Database.transactions``, which ends them.
 """
 
 from __future__ import annotations
@@ -17,28 +19,11 @@ from repro.errors import SessionError
 from repro.sqldb.database import Database
 
 
-class Session:
-    """State of one wire client's session."""
-
-    __slots__ = ("client_id", "transactions", "commits", "rollbacks")
-
-    def __init__(self, client_id: int) -> None:
-        self.client_id = client_id
-        self.transactions = 0
-        self.commits = 0
-        self.rollbacks = 0
-
-    @property
-    def token(self) -> int:
-        """The database session token (the client id itself)."""
-        return self.client_id
-
-
 class SessionManager:
     """Session registry for one :class:`DatabaseServer`.
 
     Constructing it with a lock manager attaches that manager to the
-    database, turning on strict 2PL for every session (the local default
+    database, turning on strict 2PL for every session (the default
     session included).
     """
 
@@ -49,7 +34,9 @@ class SessionManager:
         self.lock_manager = lock_manager
         if lock_manager is not None:
             database.attach_lock_manager(lock_manager)
-        self._sessions: Dict[int, Session] = {}
+        #: Client ids with an open session, in the order they opened (a
+        #: dict, not a set: :meth:`evict_all` tears them down in that order).
+        self._open: Dict[int, None] = {}
         #: Client ids whose session the *server* tore down (eviction or
         #: crash).  Their later statements must fail with SessionError —
         #: silently routing them to the default session would commit what
@@ -64,31 +51,23 @@ class SessionManager:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def open(self, client_id: int) -> Session:
-        """Open (or return the already-open) session for *client_id*.
+    def open(self, client_id: int) -> None:
+        """Open the session for *client_id*, unless it is open already.
 
         Idempotent: a retransmitted OPEN_SESSION must not fail, and the
         replay cache cannot cover the unsequenced first handshake.
         """
-        session = self._sessions.get(client_id)
-        if session is None:
-            session = self._sessions[client_id] = Session(client_id)
+        if client_id not in self._open:
+            self._open[client_id] = None
             self.statistics["opened"] += 1
         self._evicted.discard(client_id)
-        return session
 
     def close(self, client_id: int) -> None:
         """Close the session, rolling back any transaction it left open."""
-        session = self._sessions.pop(client_id, None)
-        if session is None:
+        if client_id not in self._open:
             raise SessionError(f"no open session for client {client_id}")
         self.statistics["closed"] += 1
-        if self.database.session_in_transaction(session.token):
-            self.database.rollback(session.token)
-        else:
-            # Consume a pending force-abort flag, if any: the session is
-            # going away, nobody is left to observe the DeadlockError.
-            self.database._aborted.pop(session.token, None)
+        self._teardown(client_id)
 
     def evict(self, client_id: int) -> bool:
         """Server-side close of a session whose client went away.
@@ -101,23 +80,26 @@ class SessionManager:
         but is idempotent (returns False for unknown sessions) because
         the server calls it for *every* client at crash time.
         """
-        session = self._sessions.pop(client_id, None)
-        if session is None:
+        if client_id not in self._open:
             return False
         self._evicted.add(client_id)
         self.statistics["evicted"] += 1
-        if self.database.session_in_transaction(session.token):
-            self.database.rollback(session.token)
-        else:
-            self.database._aborted.pop(session.token, None)
+        self._teardown(client_id)
         return True
+
+    def _teardown(self, client_id: int) -> None:
+        """Forget the session and end its transaction: roll back what it
+        left open, or consume a pending force-abort flag — the session is
+        going away, nobody is left to observe the DeadlockError."""
+        del self._open[client_id]
+        self.database.transactions.end(client_id)
 
     def evict_all(self) -> int:
         """Evict every open session (server crash/restart); returns the
         number evicted.  Uses the same per-session path as :meth:`evict`,
         so restart cannot leak locks any more than a single eviction can."""
         count = 0
-        for client_id in list(self._sessions):
+        for client_id in list(self._open):
             if self.evict(client_id):
                 count += 1
         return count
@@ -125,52 +107,45 @@ class SessionManager:
     def rebind(self, database: Database) -> None:
         """Point the manager at the recovered database after a restart.
 
-        All sessions must have been evicted first (a session token refers
-        to transaction state inside the old, discarded database)."""
-        if self._sessions:
+        All sessions must have been evicted first (a session refers to
+        transaction state inside the old, discarded database)."""
+        if self._open:
             raise SessionError(
-                f"cannot rebind with {len(self._sessions)} session(s) "
+                f"cannot rebind with {len(self._open)} session(s) "
                 f"still open; evict them first"
             )
         self.database = database
         if self.lock_manager is not None:
             database.attach_lock_manager(self.lock_manager)
 
-    def get(self, client_id: Optional[int]) -> Optional[Session]:
-        if client_id is None:
-            return None
-        return self._sessions.get(client_id)
+    def is_open(self, client_id: Optional[int]) -> bool:
+        return client_id in self._open
 
     def was_evicted(self, client_id: int) -> bool:
         """Whether the server tore this client's session down (and the
         client has not re-opened one since)."""
         return client_id in self._evicted
 
-    def require(self, client_id: int) -> Session:
-        session = self._sessions.get(client_id)
-        if session is None:
+    def require(self, client_id: int) -> None:
+        if client_id not in self._open:
             raise SessionError(
                 f"client {client_id} has no open session "
                 f"(send OPEN_SESSION first)"
             )
-        return session
 
     @property
     def open_count(self) -> int:
-        return len(self._sessions)
+        return len(self._open)
 
     # -- transactions --------------------------------------------------------
 
     def begin(self, client_id: int, read_only: bool = False) -> int:
-        session = self.require(client_id)
-        txn_id = self.database.begin(session.token, read_only=read_only)
-        session.transactions += 1
-        return txn_id
+        self.require(client_id)
+        return self.database.begin(client_id, read_only=read_only)
 
     def commit(self, client_id: int) -> None:
-        session = self.require(client_id)
-        self.database.commit(session.token)
-        session.commits += 1
+        self.require(client_id)
+        self.database.commit(client_id)
 
     def rollback(self, client_id: int) -> None:
         """Roll back the session's transaction.
@@ -180,12 +155,5 @@ class SessionManager:
         transaction, and a rollback must never fail for already being
         done.
         """
-        session = self.require(client_id)
-        token = session.token
-        if self.database._aborted.pop(token, None) is not None:
-            session.rollbacks += 1
-            return
-        if not self.database.session_in_transaction(token):
-            return
-        self.database.rollback(token)
-        session.rollbacks += 1
+        self.require(client_id)
+        self.database.transactions.end(client_id)

@@ -417,7 +417,7 @@ class Durability:
             raise DurabilityError("open() the database before checkpointing")
         # A checkpoint is a clean point in the log, so replay never has to
         # stitch a transaction across one.
-        if database._transactions:
+        if database.transactions.any_open():
             raise DurabilityError(
                 "cannot checkpoint with open transactions; commit or roll "
                 "back first"

@@ -412,27 +412,25 @@ class DatabaseServer:
             self.statistics["txn_aborts"] += 1
 
     def _session_token(self):
-        """Database session token for the statement being handled.
+        """Database session for the statement being handled.
 
-        A client with an open session executes on that session's
-        transaction; everything else (no session manager, unsequenced
+        A client with an open session executes on the session of its
+        client id; everything else (no session manager, unsequenced
         requests, clients that never opened a session) runs on the
         default session, preserving the pre-session behaviour.
         """
         if self.sessions is None:
             return None
-        session = self.sessions.get(self._active_client)
-        if session is None:
-            if self._active_client is not None and self.sessions.was_evicted(
-                self._active_client
-            ):
-                raise SessionError(
-                    f"session of client {self._active_client} was evicted "
-                    f"by the server (idle teardown or crash); send "
-                    f"OPEN_SESSION to continue"
-                )
-            return None
-        return session.token
+        client_id = self._active_client
+        if self.sessions.is_open(client_id):
+            return client_id
+        if self.sessions.was_evicted(client_id):
+            raise SessionError(
+                f"session of client {client_id} was evicted "
+                f"by the server (idle teardown or crash); send "
+                f"OPEN_SESSION to continue"
+            )
+        return None
 
     def _handle_session_op(self, opcode: Opcode, body: bytes) -> bytes:
         if self.sessions is None:

@@ -8,7 +8,9 @@ production DBMS.  INSERT/UPDATE/DELETE are prepared the same way and live
 in the same cache; UPDATE and DELETE locate their rows through the
 planner's access paths, so a write costs what it changes.  A SELECT is
 also kept under its *shape* (:func:`~repro.sqldb.parser.statement_shape`),
-so ad-hoc texts that differ only in their literals share a plan.
+so ad-hoc texts that differ only in their literals share a plan.  Each
+session's transaction and locks are held by ``self.transactions``
+(:mod:`repro.sqldb.transactions`); the public transaction methods call it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import replace
 from functools import partial
 from typing import (
     Any,
-    Dict,
     Hashable,
     Iterable,
     Iterator,
@@ -30,13 +31,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import (
-    CatalogError,
-    DeadlockError,
-    ExecutionError,
-    IntegrityError,
-    LockTimeout,
-)
+from repro.errors import CatalogError, ExecutionError, IntegrityError
 from repro.sqldb import ast_nodes as ast
 from repro.sqldb import ast_walk
 from repro.sqldb.executor import ExecutionEnv, unbound_parameter
@@ -58,44 +53,8 @@ from repro.sqldb.schema import Catalog, Column, TableSchema
 from repro.sqldb.stats import StatsCatalog, bucket, condition_selectivity
 from repro.sqldb.storage import TableStorage
 from repro.sqldb.subplans import _PreparedDml, _PreparedInsert, _PreparedModify
+from repro.sqldb.transactions import Transactions
 from repro.sqldb.types import converter
-
-
-class _Transaction:
-    """One open transaction: its undo logs, keyed by the session that
-    owns it (``None`` is the local/legacy default session)."""
-
-    __slots__ = ("session", "txn_id", "storages", "logs", "read_only", "snapshot")
-
-    def __init__(self, session: Hashable, txn_id: int, read_only: bool = False) -> None:
-        self.session = session
-        self.txn_id = txn_id
-        #: Storages in first-enlist order (rollback replays in reverse).
-        self.storages: list = []
-        #: id(storage) -> that storage's undo entries for this transaction.
-        self.logs: Dict[int, list] = {}
-        #: READ ONLY transactions reject DML and read a snapshot instead
-        #: of taking shared locks.
-        self.read_only = read_only
-        #: The :class:`repro.sqldb.mvcc.Snapshot` captured at BEGIN for a
-        #: read-only transaction; None otherwise.
-        self.snapshot = None
-
-    def log_for(self, storage) -> list:
-        log = self.logs.get(id(storage))
-        if log is None:
-            log = self.logs[id(storage)] = []
-            self.storages.append(storage)
-        return log
-
-    def writes(self) -> list:
-        """``(storage, undo entries)`` for every storage this transaction
-        changed: what it must undo, and what its versions are built from."""
-        return [
-            (storage, self.logs[id(storage)])
-            for storage in self.storages
-            if self.logs[id(storage)]
-        ]
 
 
 class Database:
@@ -160,19 +119,8 @@ class Database:
         #: probes, subquery executions) — the input to a server-side CPU
         #: cost model.
         self.last_counters: dict = {}
-        #: session token -> open :class:`_Transaction`.  Token ``None`` is
-        #: the local default session (the legacy single-transaction API);
-        #: a server maps each wire session to its client id.
-        self._transactions: Dict[Hashable, _Transaction] = {}
-        #: Monotonic transaction ids when no lock manager issues them
-        #: (larger id = younger transaction).
-        self._txn_seq = 0
-        #: Session the currently executing statement belongs to.
-        self._current_session: Hashable = None
-        #: Sessions whose transaction was force-aborted (deadlock victim,
-        #: lock timeout) -> reason; surfaced as :class:`DeadlockError` on
-        #: the session's next statement or commit.
-        self._aborted: Dict[Hashable, str] = {}
+        #: Every session's open transaction, its locks, and how it ends.
+        self.transactions = Transactions(self)
         #: Optional :class:`repro.concurrency.LockManager` enforcing
         #: strict 2PL across sessions (see :meth:`attach_lock_manager`).
         self.locks = None
@@ -183,10 +131,6 @@ class Database:
         #: Optional :class:`repro.recovery.WalWriter` (see
         #: :meth:`attach_wal`); None keeps the database purely in-memory.
         self.wal = None
-        #: Implicit (autocommit) WAL transaction ids are drawn from a
-        #: disjoint high range so they can never collide with explicit
-        #: transaction ids and merge in the log.
-        self._implicit_txn_seq = 0
 
     # -- public API -----------------------------------------------------------
 
@@ -204,10 +148,10 @@ class Database:
         raises :class:`DeadlockError` so the owner learns about the abort
         and can restart.
         """
-        previous = self._current_session
-        self._current_session = session
+        previous = self.transactions.session
+        self.transactions.session = session
         try:
-            self._check_aborted(session)
+            self.transactions.check_aborted(session)
             recorder = self.recorder
             if recorder is None:
                 return self._execute(sql, params)
@@ -220,7 +164,7 @@ class Database:
                 span.meta["rows"] = len(result.rows)
                 return result
         finally:
-            self._current_session = previous
+            self.transactions.session = previous
 
     def _execute(self, sql: str, params: Sequence[Any], span=None) -> ResultSet:
         self.statistics["statements"] += 1
@@ -268,13 +212,13 @@ class Database:
         through: an INSERT converts, checks and places a list of rows as
         one batch (:meth:`_insert`).
         """
-        self._check_aborted(self._current_session)
+        self.transactions.check_aborted(self.transactions.session)
         statement = parse_statement(sql)
         if not isinstance(statement, self._DML_STATEMENTS):
             return sum(
                 self._execute_dml(statement, params).rowcount for params in rows
             )
-        self._reject_in_read_only(statement)  # before any planning
+        self._write_txn(statement)  # refused before any planning
         return self._run_writes(self._prepare_dml(statement), rows)
 
     def execute_script(self, sql: str) -> None:
@@ -319,27 +263,23 @@ class Database:
             return self._prepare_modify(statement).plan
         return self._plan(statement)
 
-    # -- transactions ------------------------------------------------------------
+    # -- transactions (held by self.transactions) ---------------------------------
 
     @property
     def in_transaction(self) -> bool:
-        """Whether the local default session has an open transaction."""
-        return None in self._transactions
+        """Whether the default session has an open transaction."""
+        return self.transactions.get(None) is not None
 
     def session_in_transaction(self, session: Hashable = None) -> bool:
-        return session in self._transactions
+        return self.transactions.get(session) is not None
 
     def attach_lock_manager(self, manager) -> None:
         """Enforce strict 2PL with *manager* (a
         :class:`repro.concurrency.LockManager`): SELECTs take table-level
         shared locks, DML takes row/table exclusive locks, all released
-        at commit/rollback.  The manager's deadlock victims are aborted
-        through :meth:`_abort_txn`."""
+        at commit/rollback; a deadlock victim's transaction is aborted."""
         self.locks = manager
-        manager.abort_callback = self._abort_txn
-
-    #: Base of the implicit-transaction id range (see ``_implicit_txn_seq``).
-    _IMPLICIT_TXN_BASE = 1 << 32
+        self.transactions.attach(manager)
 
     def attach_wal(self, writer) -> None:
         """Make every mutation durable through *writer* (a
@@ -363,54 +303,11 @@ class Database:
         :class:`repro.sqldb.mvcc.Snapshot`: every SELECT inside the
         transaction reads that snapshot without taking locks.
         """
-        self._check_aborted(session)
-        if session in self._transactions:
-            raise ExecutionError("a transaction is already active")
-        if self.locks is not None:
-            txn_id = self.locks.begin(owner=session)
-        else:
-            self._txn_seq += 1
-            txn_id = self._txn_seq
-        txn = _Transaction(session, txn_id, read_only=read_only)
-        if read_only:
-            self.statistics["readonly_txns"] += 1
-            txn.snapshot = self.mvcc.open_snapshot(
-                written
-                for other in self._transactions.values()
-                for written in other.writes()
-            )
-        self._transactions[session] = txn
-        return txn_id
+        return self.transactions.begin(session, read_only)
 
     def commit(self, session: Hashable = None) -> None:
         """Make the session's transaction permanent."""
-        self._check_aborted(session)
-        txn = self._transactions.pop(session, None)
-        if txn is None:
-            raise ExecutionError("no transaction is active")
-        for storage in txn.storages:
-            # Detach only if this transaction's log is still the one
-            # attached — another session's statement may have re-pointed
-            # the storage since our last write.
-            if storage._undo is txn.logs[id(storage)]:
-                storage.detach_undo()
-        if self.wal is not None and not txn.read_only:
-            # The commit record is the durability point: if the disk dies
-            # on this very append (DiskCrashed propagates), the outcome is
-            # ambiguous on purpose — exactly like a real commit racing a
-            # power cut — and recovery decides by what hit the platter.
-            self.wal.commit(txn.txn_id)
-        # Versions install only after the commit record is durable, so a
-        # crash between the two leaves no committed-but-unlogged version
-        # for a snapshot to see after recovery.
-        if txn.snapshot is not None:
-            self.mvcc.close_snapshot(txn.snapshot)
-        else:
-            writes = txn.writes()
-            if writes:
-                self.mvcc.commit(writes)
-        if self.locks is not None:
-            self.locks.release_all(txn.txn_id)
+        self.transactions.commit(session)
 
     def rollback(self, session: Hashable = None) -> None:
         """Undo every change the session's transaction made.
@@ -419,12 +316,8 @@ class Database:
         (deadlock victim) is a no-op success — the work is already undone
         and the client is merely acknowledging the abort.
         """
-        if self._aborted.pop(session, None) is not None:
-            return
-        txn = self._transactions.pop(session, None)
-        if txn is None:
+        if not self.transactions.end(session):
             raise ExecutionError("no transaction is active")
-        self._rollback_txn(txn)
 
     @contextmanager
     def transaction(self, session: Hashable = None):
@@ -441,129 +334,9 @@ class Database:
         try:
             yield self
         except BaseException:
-            try:
-                self.rollback(session)
-            except ExecutionError:
-                # The transaction may already be gone: a deadlock/timeout
-                # victim is rolled back at the point of the conflict, so
-                # there is nothing left to undo here.
-                pass
+            self.transactions.end(session)  # a lock victim has nothing left
             raise
         self.commit(session)
-
-    def _rollback_txn(self, txn: _Transaction) -> None:
-        for storage in reversed(txn.storages):
-            storage.rollback_entries(txn.logs[id(storage)])
-        if self.wal is not None and not txn.read_only:
-            self.wal.abort(txn.txn_id)
-        if txn.snapshot is not None:
-            self.mvcc.close_snapshot(txn.snapshot)
-        else:
-            self.mvcc.abort(txn.writes())
-        if self.locks is not None:
-            self.locks.release_all(txn.txn_id)
-
-    def _abort_txn(self, txn_id: int) -> None:
-        """Force-abort the transaction with *txn_id* (deadlock victim).
-
-        Called back by the lock manager while some *other* session's
-        acquire is in progress; the victim's session learns about it via
-        :class:`DeadlockError` on its next statement, commit, or (as a
-        no-op) rollback.
-        """
-        for session, txn in list(self._transactions.items()):
-            if txn.txn_id == txn_id:
-                del self._transactions[session]
-                self._rollback_txn(txn)
-                self._aborted[session] = (
-                    f"transaction {txn_id} was aborted as a deadlock victim; "
-                    f"restart the transaction"
-                )
-                return
-
-    def _check_aborted(self, session: Hashable) -> None:
-        reason = self._aborted.pop(session, None)
-        if reason is not None:
-            raise DeadlockError(reason)
-
-    def _current_snapshot(self):
-        """The executing session's snapshot, when it is a read-only
-        transaction; else None (locking reads of the live heap)."""
-        txn = self._transactions.get(self._current_session)
-        if txn is None:
-            return None
-        return txn.snapshot
-
-    # -- locking ------------------------------------------------------------------
-
-    @contextmanager
-    def _lock_scope(self):
-        """Lock-owner scope of one statement.
-
-        Inside a transaction, locks attach to it and live until
-        commit/rollback (strict 2PL).  Autocommit statements get an
-        ephemeral owner released at statement end; their conflicts fail
-        fast (``park=False``) because there is no transaction to keep a
-        queue position for.  Yields ``(owner_id, parkable)`` or
-        ``(None, False)`` when no lock manager is attached.
-        """
-        if self.locks is None:
-            yield None, False
-            return
-        txn = self._transactions.get(self._current_session)
-        if txn is not None:
-            yield txn.txn_id, True
-            return
-        owner = self.locks.begin(owner="autocommit")
-        try:
-            yield owner, False
-        finally:
-            self.locks.release_all(owner)
-
-    def _acquire_lock(self, owner, parkable, table, row_id, mode) -> None:
-        if owner is None:
-            return
-        try:
-            self.locks.acquire(owner, table, row_id, mode, park=parkable)
-        except (DeadlockError, LockTimeout):
-            # This session is the victim: its transaction (if any) is
-            # rolled back here so the raised error leaves a clean slate.
-            txn = self._transactions.pop(self._current_session, None)
-            if txn is not None:
-                self._rollback_txn(txn)
-            raise
-
-    def _acquire_footprint(self, owner, parkable, requests) -> None:
-        """Acquire the table-granularity part of a static lock footprint
-        (see :mod:`repro.concurrency.footprint`, the shared source of
-        truth with the transaction analyzer).  ROWS-granularity requests
-        are bound to actual row ids by :meth:`_acquire_row_locks` once
-        the matching rows are known."""
-        from repro.concurrency.footprint import Granularity  # local: avoid cycle
-
-        for request in requests:
-            if request.granularity is Granularity.TABLE:
-                self._acquire_lock(
-                    owner, parkable, request.table, None, request.mode
-                )
-
-    def _acquire_row_locks(self, owner, parkable, requests, row_ids) -> None:
-        """Bind every ROWS-granularity request of a footprint to the
-        matched *row_ids*, acquiring one row lock per row *before* the
-        first mutation (a conflict aborts with nothing to undo)."""
-        from repro.concurrency.footprint import Granularity  # local: avoid cycle
-
-        for request in requests:
-            if request.granularity is Granularity.ROWS:
-                for row_id in row_ids:
-                    self._acquire_lock(
-                        owner, parkable, request.table, row_id, request.mode
-                    )
-
-    def _lock_tables_shared(self, owner, parkable, tables) -> None:
-        from repro.concurrency.footprint import select_footprint  # local: avoid cycle
-
-        self._acquire_footprint(owner, parkable, select_footprint(tables))
 
     # -- planning / environments -----------------------------------------------
 
@@ -650,7 +423,8 @@ class Database:
             recursion_limit=self.recursion_limit,
         )
         env.recorder = self.recorder
-        env.snapshot = self._current_snapshot()
+        txn = self.transactions.get(self.transactions.session)
+        env.snapshot = None if txn is None else txn.snapshot
         return env
 
     def _run_select(self, plan: Plan, params: Sequence[Any]) -> ResultSet:
@@ -664,8 +438,7 @@ class Database:
         elif self.locks is None:
             rows = self._run_plan(plan, env)
         else:
-            with self._lock_scope() as (owner, parkable):
-                self._acquire_footprint(owner, parkable, plan.footprint)
+            with self.transactions.lock_scope(plan.footprint):
                 rows = self._run_plan(plan, env)
         self.statistics["rows_returned"] += len(rows)
         self.last_counters = dict(env.counters)
@@ -698,13 +471,13 @@ class Database:
         if isinstance(statement, self._DML_STATEMENTS):
             return self._write(statement, params)
         if isinstance(statement, ast.BeginTransaction):
-            self.begin(self._current_session, read_only=statement.read_only)
+            self.begin(self.transactions.session, read_only=statement.read_only)
             return ResultSet([], [], rowcount=0)
         if isinstance(statement, ast.CommitTransaction):
-            self.commit(self._current_session)
+            self.commit(self.transactions.session)
             return ResultSet([], [], rowcount=0)
         if isinstance(statement, ast.RollbackTransaction):
-            self.rollback(self._current_session)
+            self.rollback(self.transactions.session)
             return ResultSet([], [], rowcount=0)
         if isinstance(statement, ast.Explain):
             from repro.sqldb.explain import explain_analyze_plan, explain_plan
@@ -740,7 +513,7 @@ class Database:
         after, so a statement the catalog refuses is never logged.  DDL
         is rejected inside transactions, so a logged statement is durable
         the moment it succeeds."""
-        if self.session_in_transaction(self._current_session):
+        if self.session_in_transaction(self.transactions.session):
             raise ExecutionError(
                 f"DDL ({type(statement).__name__}) is not allowed inside a "
                 f"transaction: catalog changes are not covered by the undo "
@@ -792,22 +565,22 @@ class Database:
                 self.catalog.lookup(name)
                 for name in sorted(self.catalog.table_names(), key=str.lower)
             ]
-        rows: List[tuple] = []
-        with self._lock_scope() as (owner, parkable):
-            self._lock_tables_shared(
-                owner, parkable, tuple(entry.schema.name for entry in entries)
-            )
-            for entry in entries:
-                table_stats = self.stats.analyze_table(entry.schema, entry.storage)
-                rows.append(
-                    (
-                        entry.schema.name,
-                        table_stats.row_count,
-                        len(table_stats.columns),
-                    )
-                )
+        rows = [
+            (entry.schema.name, table_stats.row_count, len(table_stats.columns))
+            for entry, table_stats in zip(entries, self._analyze_tables(entries))
+        ]
         self._plan_cache.clear()
         return ResultSet(["table", "rows", "columns"], rows)
+
+    def _analyze_tables(self, entries) -> list:
+        """Collect the statistics of the catalog *entries* under
+        table-level shared locks; return them."""
+        from repro.concurrency.footprint import select_footprint  # local: avoid cycle
+
+        with self.transactions.lock_scope(
+            select_footprint(entry.schema.name for entry in entries)
+        ):
+            return [self.stats.analyze_table(entry.schema, entry.storage) for entry in entries]
 
     def _auto_analyze(self, tables: Tuple[str, ...]) -> bool:
         """Refresh statistics of any of *tables* whose storage drifted
@@ -822,7 +595,8 @@ class Database:
         lock-free.
         """
         threshold = self.auto_analyze_threshold
-        if threshold <= 0 or self._current_snapshot() is not None:
+        txn = self.transactions.get(self.transactions.session)
+        if threshold <= 0 or (txn is not None and txn.snapshot is not None):
             return False
         stale = []
         for name in tables:
@@ -834,12 +608,7 @@ class Database:
                 stale.append(entry)
         if not stale:
             return False
-        with self._lock_scope() as (owner, parkable):
-            self._lock_tables_shared(
-                owner, parkable, tuple(entry.schema.name for entry in stale)
-            )
-            for entry in stale:
-                self.stats.analyze_table(entry.schema, entry.storage)
+        self._analyze_tables(stale)
         self.statistics["auto_analyze"] += len(stale)
         self._plan_cache.clear()
         return True
@@ -885,20 +654,23 @@ class Database:
             self.catalog, self.functions, views=self.views, stats=self.stats, estimates=estimates
         )
 
-    def _reject_in_read_only(self, statement) -> None:
-        txn = self._transactions.get(self._current_session)
+    def _write_txn(self, statement):
+        """The executing session's transaction (None in autocommit), once
+        *statement* is refused inside a READ ONLY one."""
+        txn = self.transactions.get(self.transactions.session)
         if txn is not None and txn.read_only:
             raise ExecutionError(
                 f"{type(statement).__name__.upper()} is not allowed "
                 f"inside a READ ONLY transaction"
             )
+        return txn
 
     def _write(
         self, statement, params: Sequence[Any], sql: Optional[str] = None
     ) -> ResultSet:
         """Prepare an INSERT/UPDATE/DELETE — remembering the prepared form
         under its text *sql*, when it came as text — and run it."""
-        self._reject_in_read_only(statement)  # before any planning
+        self._write_txn(statement)  # refused before any planning
         prepared = self._prepare_dml(statement)
         if sql is not None:
             self._remember_plan(sql, prepared)
@@ -997,11 +769,10 @@ class Database:
     ) -> int:
         """Run *prepared* once per parameter row, each run one statement
         (see :meth:`executemany`); return the rows affected."""
-        self._reject_in_read_only(prepared.statement)
+        txn = self._write_txn(prepared.statement)
         storage = prepared.entry.storage
         mvcc = self.mvcc
         wal = self.wal
-        txn = self._transactions.get(self._current_session)
         # No statement of another session runs inside this call, so whether
         # a snapshot is open holds for all of it.
         capturing = mvcc.open_snapshots > 0
@@ -1012,12 +783,11 @@ class Database:
         # so its writes are never captured by a stale attached log.
         log = txn.log_for(storage) if txn is not None else None
         affected = 0
-        with self._lock_scope() as (owner, parkable):
-            # An INSERT takes table-level X on its target (which closes the
-            # phantom window against scans holding table-level S) and
-            # table-level S on INSERT ... SELECT sources; an UPDATE or
-            # DELETE adds row locks once it knows its rows.
-            self._acquire_footprint(owner, parkable, prepared.requests)
+        # An INSERT takes table-level X on its target (which closes the
+        # phantom window against scans holding table-level S) and
+        # table-level S on INSERT ... SELECT sources; an UPDATE or
+        # DELETE adds row locks once it knows its rows.
+        with self.transactions.lock_scope(prepared.requests) as (owner, parkable):
             if isinstance(prepared, _PreparedInsert):
                 # An INSERT names its new slots to the version store
                 # itself, so only a transaction's undo log is attached.
@@ -1043,7 +813,7 @@ class Database:
                 # is a silent no-op: the log ends where the power died, and
                 # the in-flight implicit transaction is discarded at
                 # recovery.)
-                txn_id = self._statement_txn(txn) if wal is not None else None
+                txn_id = self.transactions.statement_txn(txn) if wal is not None else None
                 try:
                     affected += self._modify(prepared, params, owner, parkable, txn_id)
                 finally:
@@ -1059,14 +829,6 @@ class Database:
                     if txn is None and storage.version != version:
                         mvcc.commit([(storage, log)] if capturing else ())
         return affected
-
-    def _statement_txn(self, txn: Optional[_Transaction]) -> int:
-        """A statement's WAL transaction id: its transaction's, or a new
-        implicit one that the statement's end commits."""
-        if txn is not None:
-            return txn.txn_id
-        self._implicit_txn_seq += 1
-        return self._IMPLICIT_TXN_BASE + self._implicit_txn_seq
 
     def _insert(
         self, prepared: "_PreparedInsert", param_rows: Sequence[Sequence[Any]], txn, capturing: bool
@@ -1103,7 +865,7 @@ class Database:
         if self.wal is not None:  # each statement's records, cut where the log fails
             stop = self.wal.log_inserts(
                 storage.schema.name, rows, start, _statements(k, placed, cut),
-                partial(self._statement_txn, txn), txn is None,
+                partial(self.transactions.statement_txn, txn), txn is None,
             )
             if stop is not None:
                 placed, timed, cut, error = stop
@@ -1144,7 +906,7 @@ class Database:
         # a conflict aborts the statement with nothing to undo, and the
         # rows are re-fetched below after the grant, so an assignment
         # like ``v = v + 1`` always reads the latest committed value.
-        self._acquire_row_locks(owner, parkable, prepared.requests, row_ids)
+        self.transactions.acquire(owner, parkable, prepared.requests, row_ids)
         wal = self.wal
         delete = isinstance(prepared.statement, ast.Delete)
         journal = None

@@ -101,14 +101,24 @@ class TestEvict:
         assert sessions.open_count == 0
 
     def test_idle_session_eviction_consumes_abort_flag(self, stack):
-        """Evicting a session parked on a force-abort flag (deadlock
-        victim that never acknowledged) must not leave the flag behind
-        for an unrelated future session with the same client id."""
-        db, sessions, (dead, __c) = stack
-        session = sessions.open(dead.client_id)
-        db._aborted[session.token] = True
-        sessions.evict(dead.client_id)
-        assert session.token not in db._aborted
+        """Evicting a deadlock victim that never acknowledged its abort
+        must not leave the abort behind for an unrelated future session
+        with the same client id."""
+        db, sessions, (survivor, victim) = stack
+        survivor.begin()
+        victim.begin()  # the younger transaction: the deadlock's victim
+        victim.execute("UPDATE acct SET balance = 0 WHERE id = 1")
+        survivor.execute("UPDATE acct SET balance = 0 WHERE id = 2")
+        with pytest.raises(LockUnavailable):
+            victim.execute("UPDATE acct SET balance = 1 WHERE id = 2")
+        # Closing the cycle aborts the victim and grants the survivor.
+        survivor.execute("UPDATE acct SET balance = 1 WHERE id = 1")
+        survivor.commit()
+        assert sessions.evict(victim.client_id)
+        sessions.open(victim.client_id)
+        sessions.begin(victim.client_id)  # no DeadlockError
+        sessions.rollback(victim.client_id)
+        assert db.execute("SELECT balance FROM acct ORDER BY id").rows == [(1,), (0,)]
 
     def test_rebind_requires_empty_registry(self, stack):
         __, sessions, (a, __c) = stack

@@ -67,7 +67,7 @@ def image(durability, db):
         storage.version,
         db.mvcc.clock,
         db.mvcc.dump(),
-        db._implicit_txn_seq,
+        db.transactions.statement_txn(None),  # the next implicit WAL id
         db.statistics["versions_created"],
         db.statistics["versions_gc"],
         durability.disk.read_all(),
@@ -123,14 +123,15 @@ def test_executemany_equals_a_loop_of_execute(mode, rows):
 
 def test_each_row_is_its_own_autocommit_statement():
     durability, db = open_database("wal")
-    clock, seq = db.mvcc.clock, db._implicit_txn_seq
+    clock, seq = db.mvcc.clock, db.transactions.statement_txn(None)
     commits = durability.wal.statistics["commits"]
     with pytest.raises(SQLError):
         db.executemany(INSERT, [(2, 2, "b", 0), (3, 3, "c", 0), (0, 9, "d", 0)])
     # The duplicate primary key fails the third row; the first two stay.
     assert db.execute("SELECT id FROM t ORDER BY id").rows == [(0,), (1,), (2,), (3,)]
     assert db.mvcc.clock - clock == 2
-    assert db._implicit_txn_seq - seq == 3
+    # Three implicit ids drawn by the rows, one by this lookup.
+    assert db.transactions.statement_txn(None) - seq == 4
     assert durability.wal.statistics["commits"] - commits == 2
     recovered = durability.recover()
     assert recovered.execute("SELECT COUNT(*) FROM t").scalar() == 4

@@ -91,7 +91,7 @@ def image(durability, db):
         storage.version,
         db.mvcc.clock,
         db.mvcc.dump(),
-        db._implicit_txn_seq,
+        db.transactions.statement_txn(None),  # the next implicit WAL id
         db.statistics["versions_created"],
         db.statistics["versions_gc"],
         None if durability is None else durability.disk.read_all(),

@@ -84,7 +84,7 @@ def engines():
 
 def chunks(db, session=None):
     storage = db.catalog.lookup("q").storage
-    snapshot = None if session is None else db._transactions[session].snapshot
+    snapshot = None if session is None else db.transactions.get(session).snapshot
     return table_batches(storage, snapshot=snapshot)
 
 

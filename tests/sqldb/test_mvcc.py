@@ -369,7 +369,7 @@ class TestRowColumnarDifferential:
         db.execute("UPDATE t SET v = 99 WHERE id = 1")
         db.execute("DELETE FROM t WHERE id = 2")
         db.execute("INSERT INTO t VALUES (4, 40)")
-        snapshot = db._transactions["reader"].snapshot
+        snapshot = db.transactions.get("reader").snapshot
         for (sql, params), expected in zip(self.QUERIES, begin_state):
             assert db.execute(sql, params, session="reader").rows == expected, sql
             plan = db.plan_statement(parse_statement(sql))
@@ -401,7 +401,7 @@ class TestRowColumnarDifferential:
         db = make_db()
         storage = db.catalog.lookup("t").storage
         db.execute("BEGIN TRANSACTION READ ONLY", session="reader")
-        snapshot = db._transactions["reader"].snapshot
+        snapshot = db.transactions.get("reader").snapshot
         live = table_batches(storage)
         # No chain to resolve: the snapshot read is a live read.
         assert table_batches(storage, snapshot=snapshot) is live

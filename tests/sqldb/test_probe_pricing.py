@@ -183,7 +183,7 @@ class TestPricedOutUnderASnapshot:
         priced_out = index_probe_cost(1, rows_out) >= seq_scan_cost(table_rows)
         assert probes == (0 if priced_out else 1)
 
-        snapshot = db._transactions["reader"].snapshot
+        snapshot = db.transactions.get("reader").snapshot
         storage = db.catalog.lookup("t").storage
         probed = storage.probe(storage.find_index(["product"]), 0, snapshot)
         assert answer == Counter(probed)

@@ -4,6 +4,10 @@ No module of ``repro`` outside ``repro.analysis`` imports it — at module
 level or inside a function — and each top-level package imports on its
 own in a fresh interpreter, without loading the analyzer.
 
+Transaction state has one owner, ``repro.sqldb.transactions``: no other
+module reads a private attribute of it (through ``.transactions``) or
+one of the names ``Database`` kept that state under before.
+
 The SQL engine has a size: no module of ``repro.sqldb`` is longer than
 :data:`SQLDB_MODULE_LINES`, and the package is no longer than
 :data:`SQLDB_LINES` (``wc -l src/repro/sqldb/*.py``).  Raising either is
@@ -40,7 +44,10 @@ emitter's ``fast`` flag and ``Program.batch`` were deleted (SUM and
 AVG folding from integer 0 beside it); 10 946 once a batch INSERT's WAL
 records were written by one ``WalWriter.log_inserts`` call (the
 statement loop moved out of ``Database``) and a counted list went
-through the generated codec of its kind signature.
+through the generated codec of its kind signature; 10 942 once
+sessions, transactions and their lock glue left ``Database`` for one
+owner in ``sqldb/transactions.py`` (its undo logs one dict, its id
+sequences counters, one acquire over a footprint).
 """
 
 import ast
@@ -59,7 +66,7 @@ ROOT = Path(repro.__file__).parent
 SQLDB_MODULE_LINES = 1_200
 
 #: The most lines ``repro.sqldb`` may have (see the history above).
-SQLDB_LINES = 10_946
+SQLDB_LINES = 10_942
 
 
 def imported_modules(node):
@@ -129,6 +136,66 @@ def test_package_imports_on_its_own(package):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == str(package == "analysis")
+
+
+#: The names ``Database`` held transaction state under before it had an
+#: owner; no module reads them.
+FORMER_TRANSACTION_STATE = frozenset(
+    {"_aborted", "_transactions", "_current_session", "_txn_seq", "_implicit_txn_seq"}
+)
+
+TRANSACTIONS = ROOT / "sqldb" / "transactions.py"
+
+
+def owner_privates():
+    """Private methods and ``self`` attributes of ``sqldb/transactions.py``."""
+    names = set()
+    for node in ast.walk(ast.parse(TRANSACTIONS.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def transaction_state_reads(path, privates):
+    """Line numbers in *path* that read a former transaction-state name,
+    or a private attribute of the owner through ``<x>.transactions``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and (
+            node.attr in FORMER_TRANSACTION_STATE
+            or node.attr in privates
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "transactions"
+        )
+    ]
+
+
+def test_nothing_outside_the_owner_reads_transaction_state():
+    privates = owner_privates()
+    offenders = {
+        path.relative_to(ROOT).as_posix(): lines
+        for path in sorted(ROOT.rglob("*.py"))
+        if path != TRANSACTIONS
+        for lines in [transaction_state_reads(path, privates)]
+        if lines
+    }
+    assert offenders == {}
+
+
+def test_the_transaction_scan_sees_every_reach(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(self, database):\n"
+        "    database._transactions.get(1)\n"
+        "    self.database._aborted.pop(1, None)\n"
+        "    database.transactions._open.clear()\n"
+        "    return self._open, database.transactions.get(1)\n"
+    )
+    assert transaction_state_reads(module, owner_privates()) == [2, 3, 4]
 
 
 def sqldb_lines():
