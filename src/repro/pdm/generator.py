@@ -24,9 +24,11 @@ until the wire-encoded row hits the target).
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from itertools import compress, repeat
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.errors import PDMError
 from repro.model.parameters import TreeParameters
@@ -85,7 +87,7 @@ class GeneratedProduct:
             "type": "assy",
             "obid": root.obid,
             "name": root.name,
-            "dec": "+" if root.decomposable else "-",
+            "dec": root.dec,
             "make_or_buy": root.make_or_buy,
             "weight": root.weight,
             "state": root.state,
@@ -107,6 +109,13 @@ def payload_length_for(target_bytes: int, sample_name: str = "Assy1000000") -> i
     return max(0, target_bytes - base)
 
 
+def payloads(obids: Iterable[int], padding: int) -> List[str]:
+    """The ``payload`` of each of *obids*: a deterministic filler of
+    *padding* characters, varied by the obid so rows are not identical."""
+    fillers = [f"payload-{obid}-" for obid in obids]
+    return [(filler * (padding // len(filler) + 1))[:padding] for filler in fillers]
+
+
 def generate_product(
     tree: TreeParameters,
     seed: int = 0,
@@ -125,6 +134,13 @@ def generate_product(
 
     ``spec_probability`` attaches a specification document to that share
     of nodes (for ∃structure experiments).
+
+    A level is built at once: its children have consecutive obids and
+    link ids, in their parents' order, and draw their random numbers in
+    that order (a link's visibility, then, with specifications, whether
+    the child gets one), so each record is one positional construction
+    mapped over the level's columns: no function is called per child but
+    its two records' ``__init__``.
     """
     if tree.depth < 1:
         raise PDMError("tree depth must be at least 1")
@@ -136,97 +152,71 @@ def generate_product(
         raise PDMError(
             "user_options must not overlap the generator's hidden mask"
         )
-
-    next_obid = root_obid
+    options = (hidden_options, user_options)  # by visibility
+    branching = tree.branching
+    draws_per_child = 2 if spec_probability > 0 else 1
+    product.assemblies.append(
+        Assembly(
+            obid=root_obid,
+            name=f"Assy{root_obid}",
+            product=root_obid,
+            strc_opt=user_options,
+            payload=payloads((root_obid,), padding)[0],
+        )
+    )
+    product.visible_obids.add(root_obid)
+    # The frontier being expanded: its obids and whether each is visible.
+    parents: List[int] = [root_obid]
+    parents_visible: List[bool] = [True]
+    next_obid = root_obid + 1
     next_link = LINK_OBID_BASE
     next_spec = SPEC_OBID_BASE
-
-    def make_payload(obid: int) -> str:
-        # Deterministic filler; varied slightly so rows are not identical.
-        filler = f"payload-{obid}-"
-        repeats = padding // len(filler) + 1
-        return (filler * repeats)[:padding]
-
-    root = Assembly(
-        obid=root_obid,
-        name=f"Assy{root_obid}",
-        product=root_obid,
-        strc_opt=user_options,
-        payload=make_payload(root_obid),
-    )
-    product.assemblies.append(root)
-    product.visible_obids.add(root_obid)
-
-    #: (obid, level, visible) of the frontier being expanded.
-    frontier: List[Tuple[int, bool]] = [(root_obid, True)]
-    next_obid = root_obid + 1
     for level in range(1, tree.depth + 1):
-        is_leaf_level = level == tree.depth
-        new_frontier: List[Tuple[int, bool]] = []
-        for parent_obid, parent_visible in frontier:
-            child_entries: List[Tuple[LinkRow, int]] = []
-            for __ in range(tree.branching):
-                child_obid = next_obid
-                next_obid += 1
-                link_visible = rng.random() < tree.visibility
-                node_visible = parent_visible and link_visible
-                link = LinkRow(
-                    obid=next_link,
-                    left=parent_obid,
-                    right=child_obid,
-                    eff_from=1,
-                    eff_to=999_999,
-                    strc_opt=(
-                        user_options if link_visible else hidden_options
-                    ),
+        count = len(parents) * branching
+        # Lists, so a record, its link, ``children`` and the visible sets
+        # share each id's int object.
+        obids = list(range(next_obid, next_obid + count))
+        link_ids = list(range(next_link, next_link + count))
+        next_obid += count
+        next_link += count
+        draws = [rng.random() for __ in range(count * draws_per_child)]
+        link_visible = [draw < tree.visibility for draw in draws[::draws_per_child]]
+        # Each parent's visibility, once per child.
+        inherited = [visible for visible in parents_visible for __ in range(branching)]
+        node_visible = list(map(operator.and_, inherited, link_visible))
+        links = list(map(
+            LinkRow, link_ids, [p for p in parents for __ in range(branching)],
+            obids, repeat(1), repeat(999_999),
+            map(options.__getitem__, link_visible),
+        ))
+        rest = (
+            repeat("in_work"), repeat(False), repeat(""), repeat(root_obid),
+            map(options.__getitem__, node_visible), payloads(obids, padding),
+        )
+        if level < tree.depth:
+            product.assemblies.extend(map(
+                Assembly, obids, [f"Assy{obid}" for obid in obids],
+                repeat(True), repeat("make"), repeat(1.0), *rest,
+            ))
+        else:
+            product.components.extend(map(
+                Component, obids, [f"Comp{obid}" for obid in obids],
+                repeat("make"), repeat(0.1), *rest,
+            ))
+        product.links.extend(links)
+        product.visible_links.update(compress(link_ids, link_visible))
+        product.visible_obids.update(compress(obids, node_visible))
+        # Each parent's children: the next *branching* (link, obid) pairs.
+        pairs = zip(links, obids)
+        product.children.update(zip(parents, map(list, zip(*[pairs] * branching))))
+        if draws_per_child == 2:
+            for child_obid in compress(obids, [draw < spec_probability for draw in draws[1::2]]):
+                product.specifications.append(
+                    Specification(next_spec, f"Spec{next_spec}", f"doc-{child_obid}")
                 )
-                next_link += 1
-                product.links.append(link)
-                child_entries.append((link, child_obid))
-                if link_visible:
-                    product.visible_links.add(link.obid)
-                node_options = user_options if node_visible else hidden_options
-                if is_leaf_level:
-                    product.components.append(
-                        Component(
-                            obid=child_obid,
-                            name=f"Comp{child_obid}",
-                            product=root_obid,
-                            strc_opt=node_options,
-                            payload=make_payload(child_obid),
-                        )
-                    )
-                else:
-                    product.assemblies.append(
-                        Assembly(
-                            obid=child_obid,
-                            name=f"Assy{child_obid}",
-                            product=root_obid,
-                            strc_opt=node_options,
-                            payload=make_payload(child_obid),
-                        )
-                    )
-                if node_visible:
-                    product.visible_obids.add(child_obid)
-                if spec_probability > 0 and rng.random() < spec_probability:
-                    specification = Specification(
-                        obid=next_spec,
-                        name=f"Spec{next_spec}",
-                        document=f"doc-{child_obid}",
-                    )
-                    next_spec += 1
-                    product.specifications.append(specification)
-                    product.specified_by.append(
-                        SpecifiedBy(
-                            obid=next_spec,
-                            left=child_obid,
-                            right=specification.obid,
-                        )
-                    )
-                    next_spec += 1
-                new_frontier.append((child_obid, node_visible))
-            product.children[parent_obid] = child_entries
-        frontier = new_frontier
+                product.specified_by.append(SpecifiedBy(next_spec + 1, child_obid, next_spec))
+                next_spec += 2
+        parents, parents_visible = obids, node_visible
     return product
 
 
@@ -267,24 +257,22 @@ def generate_irregular_product(
             "user_options must not overlap the generator's hidden mask"
         )
 
-    def make_payload(obid: int) -> str:
-        filler = f"payload-{obid}-"
-        repeats = padding // len(filler) + 1
-        return (filler * repeats)[:padding]
-
     # Placeholder tree parameters; replaced with the realised shape below.
     product = GeneratedProduct(
         tree=TreeParameters(depth=1, branching=1, visibility=visibility),
         root_obid=root_obid,
     )
-    root = Assembly(
-        obid=root_obid,
-        name=f"Assy{root_obid}",
-        product=root_obid,
-        strc_opt=user_options,
-        payload=make_payload(root_obid),
+    options = (hidden_options, user_options)  # by visibility
+    padded = payloads(range(root_obid, root_obid + node_count), padding)
+    product.assemblies.append(
+        Assembly(
+            obid=root_obid,
+            name=f"Assy{root_obid}",
+            product=root_obid,
+            strc_opt=user_options,
+            payload=padded[0],
+        )
     )
-    product.assemblies.append(root)
     product.visible_obids.add(root_obid)
     #: (obid, depth, visible) of assemblies that may receive children.
     attachable = [(root_obid, 0, True)]
@@ -299,54 +287,30 @@ def generate_irregular_product(
         max_depth = max(max_depth, parent_depth + 1)
         link_visible = rng.random() < visibility
         node_visible = parent_visible and link_visible
-        link = LinkRow(
-            obid=next_link,
-            left=parent_obid,
-            right=child_obid,
-            strc_opt=user_options if link_visible else hidden_options,
-        )
+        link = LinkRow(next_link, parent_obid, child_obid, 1, 999_999, options[link_visible])
         next_link += 1
         product.links.append(link)
         product.children.setdefault(parent_obid, []).append((link, child_obid))
         if link_visible:
             product.visible_links.add(link.obid)
-        node_options = user_options if node_visible else hidden_options
-        is_leaf = rng.random() < leaf_probability
-        if is_leaf:
+        node_options = options[node_visible]
+        if rng.random() < leaf_probability:
             product.components.append(
-                Component(
-                    obid=child_obid,
-                    name=f"Comp{child_obid}",
-                    product=root_obid,
-                    strc_opt=node_options,
-                    payload=make_payload(child_obid),
-                )
+                Component(child_obid, f"Comp{child_obid}", "make", 0.1, "in_work", False, "",
+                          root_obid, node_options, padded[offset])
             )
         else:
             product.assemblies.append(
-                Assembly(
-                    obid=child_obid,
-                    name=f"Assy{child_obid}",
-                    product=root_obid,
-                    strc_opt=node_options,
-                    payload=make_payload(child_obid),
-                )
+                Assembly(child_obid, f"Assy{child_obid}", True, "make", 1.0, "in_work", False,
+                         "", root_obid, node_options, padded[offset])
             )
             attachable.append((child_obid, parent_depth + 1, node_visible))
         if node_visible:
             product.visible_obids.add(child_obid)
         if spec_probability > 0 and rng.random() < spec_probability:
-            specification = Specification(
-                obid=next_spec, name=f"Spec{next_spec}"
-            )
-            next_spec += 1
-            product.specifications.append(specification)
-            product.specified_by.append(
-                SpecifiedBy(
-                    obid=next_spec, left=child_obid, right=specification.obid
-                )
-            )
-            next_spec += 1
+            product.specifications.append(Specification(next_spec, f"Spec{next_spec}"))
+            product.specified_by.append(SpecifiedBy(next_spec + 1, child_obid, next_spec))
+            next_spec += 2
     product.tree = TreeParameters(
         depth=max(1, max_depth),
         branching=max(1, max(fanout.values(), default=1)),

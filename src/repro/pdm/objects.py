@@ -3,14 +3,18 @@
 The PDM philosophy stores heterogeneous objects (assemblies, components,
 specifications) and the relations between them in "ordinary, normalized
 tables" (paper Section 1); these dataclasses are the typed client-side
-view and know how to serialise themselves into the row layout of
-:mod:`repro.pdm.schema`.
+view.  Each class names its row layout of :mod:`repro.pdm.schema` once,
+as the ``row`` getter of its attributes: :meth:`_Record.to_row` reads a
+record through it, and :func:`~repro.pdm.schema.load_product` maps it
+over a whole list, so no row costs a Python frame.  The records are
+slotted: a product is tens of thousands of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from operator import attrgetter
+from typing import Any, ClassVar, Tuple
 
 #: Type discriminator values used in the ``type`` column.
 TYPE_ASSEMBLY = "assy"
@@ -23,8 +27,19 @@ OPTION_STANDARD = 1
 OPTION_ALTERNATE = 2
 
 
-@dataclass
-class Assembly:
+class _Record:
+    """What every record shares: its row, read through its class's layout."""
+
+    __slots__ = ()
+    #: The record's row: an ``attrgetter`` of its columns, in order.
+    row: ClassVar[attrgetter[Any]]
+
+    def to_row(self) -> Tuple[Any, ...]:
+        return self.row(self)
+
+
+@dataclass(slots=True)
+class Assembly(_Record):
     """An assembly — an inner node of the product structure."""
 
     obid: int
@@ -39,25 +54,20 @@ class Assembly:
     strc_opt: int = OPTION_STANDARD
     payload: str = ""
 
-    def to_row(self) -> Tuple[Any, ...]:
-        return (
-            TYPE_ASSEMBLY,
-            self.obid,
-            self.name,
-            "+" if self.decomposable else "-",
-            self.make_or_buy,
-            self.weight,
-            self.state,
-            self.checked_out,
-            self.checked_out_by,
-            self.product,
-            self.strc_opt,
-            self.payload,
-        )
+    type: ClassVar[str] = TYPE_ASSEMBLY
+    row = attrgetter(
+        "type", "obid", "name", "dec", "make_or_buy", "weight", "state",
+        "checked_out", "checked_out_by", "product", "strc_opt", "payload",
+    )
+
+    @property
+    def dec(self) -> str:
+        """The ``dec`` column: ``+`` for a decomposable assembly."""
+        return "+" if self.decomposable else "-"
 
 
-@dataclass
-class Component:
+@dataclass(slots=True)
+class Component(_Record):
     """A component — a single part, a leaf of the product structure."""
 
     obid: int
@@ -71,24 +81,15 @@ class Component:
     strc_opt: int = OPTION_STANDARD
     payload: str = ""
 
-    def to_row(self) -> Tuple[Any, ...]:
-        return (
-            TYPE_COMPONENT,
-            self.obid,
-            self.name,
-            self.make_or_buy,
-            self.weight,
-            self.state,
-            self.checked_out,
-            self.checked_out_by,
-            self.product,
-            self.strc_opt,
-            self.payload,
-        )
+    type: ClassVar[str] = TYPE_COMPONENT
+    row = attrgetter(
+        "type", "obid", "name", "make_or_buy", "weight", "state",
+        "checked_out", "checked_out_by", "product", "strc_opt", "payload",
+    )
 
 
-@dataclass
-class LinkRow:
+@dataclass(slots=True)
+class LinkRow(_Record):
     """A structural relation between a parent object and a child object.
 
     Links carry the configuration management data: effectivities (valid
@@ -102,37 +103,28 @@ class LinkRow:
     eff_to: int = 999_999
     strc_opt: int = OPTION_STANDARD
 
-    def to_row(self) -> Tuple[Any, ...]:
-        return (
-            TYPE_LINK,
-            self.obid,
-            self.left,
-            self.right,
-            self.eff_from,
-            self.eff_to,
-            self.strc_opt,
-        )
+    type: ClassVar[str] = TYPE_LINK
+    row = attrgetter("type", "obid", "left", "right", "eff_from", "eff_to", "strc_opt")
 
 
-@dataclass
-class Specification:
+@dataclass(slots=True)
+class Specification(_Record):
     """A specification document attachable to assemblies/components."""
 
     obid: int
     name: str
     document: str = ""
 
-    def to_row(self) -> Tuple[Any, ...]:
-        return (TYPE_SPEC, self.obid, self.name, self.document)
+    type: ClassVar[str] = TYPE_SPEC
+    row = attrgetter("type", "obid", "name", "document")
 
 
-@dataclass
-class SpecifiedBy:
+@dataclass(slots=True)
+class SpecifiedBy(_Record):
     """The relation linking objects to their specifications."""
 
     obid: int
     left: int  # the specified object
     right: int  # the specification
 
-    def to_row(self) -> Tuple[Any, ...]:
-        return (self.obid, self.left, self.right)
+    row = attrgetter("obid", "left", "right")

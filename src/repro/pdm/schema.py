@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.errors import CheckOutError, LockUnavailable
+from repro.pdm.objects import Assembly, Component, LinkRow, Specification, SpecifiedBy
 from repro.sqldb.database import Database
 from repro.sqldb.functions import FunctionRegistry
 
@@ -143,26 +144,28 @@ def new_pdm_database() -> Database:
 
 
 def load_product(db: Database, product) -> None:
-    """Bulk-load a :class:`~repro.pdm.generator.GeneratedProduct`."""
+    """Bulk-load a :class:`~repro.pdm.generator.GeneratedProduct`: each
+    table's records mapped through their class's row layout, one list
+    per ``executemany``."""
     db.executemany(
         "INSERT INTO assy VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        [assembly.to_row() for assembly in product.assemblies],
+        list(map(Assembly.row, product.assemblies)),
     )
     db.executemany(
         "INSERT INTO comp VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        [component.to_row() for component in product.components],
+        list(map(Component.row, product.components)),
     )
     db.executemany(
         "INSERT INTO link VALUES (?, ?, ?, ?, ?, ?, ?)",
-        [link.to_row() for link in product.links],
+        list(map(LinkRow.row, product.links)),
     )
     db.executemany(
         "INSERT INTO spec VALUES (?, ?, ?, ?)",
-        [spec.to_row() for spec in product.specifications],
+        list(map(Specification.row, product.specifications)),
     )
     db.executemany(
         "INSERT INTO specified_by VALUES (?, ?, ?)",
-        [rel.to_row() for rel in product.specified_by],
+        list(map(SpecifiedBy.row, product.specified_by)),
     )
 
 

@@ -96,10 +96,6 @@ class RemoteConnection:
     locally once consecutive failures cross its threshold.
     """
 
-    #: Distinct client ids so several connections to one server never
-    #: collide in its replay cache.
-    _next_client_id = itertools.count(1)
-
     def __init__(
         self,
         server: DatabaseServer,
@@ -114,7 +110,9 @@ class RemoteConnection:
         if circuit_breaker is None and retry_policy is not None:
             circuit_breaker = CircuitBreaker()
         self.circuit_breaker = circuit_breaker
-        self.client_id = next(self._next_client_id) & 0xFFFFFFFF
+        # The server numbers its clients, so several connections to one
+        # server never collide in its replay cache.
+        self.client_id = server.new_client_id()
         self._seq = itertools.count(1)
         self._backoff_rng = retry_policy.rng() if retry_policy else None
         self.statistics = {"round_trips": 0, "attempts": 0}

@@ -111,6 +111,8 @@ class DatabaseServer:
         #: retransmission from here (instead of re-executing) is what
         #: makes retried EXECUTE/BATCH requests idempotent.
         self._replay_cache: "OrderedDict[Tuple[int, int], bytes]" = OrderedDict()
+        #: The least client id :meth:`new_client_id` may hand out next.
+        self._next_client_id = 1
         self.replay_cache_size = 512
         #: Events that happen *here*.  What happens in the engine, the
         #: WAL, the lock manager or the session manager is counted there
@@ -400,6 +402,17 @@ class DatabaseServer:
             self.statistics["replayed_records"] += report.replayed_records
         self.crashed = False
         return database
+
+    def new_client_id(self) -> int:
+        """A client id for a new connection: above every id this server
+        handed out, also before a restart, and above every client whose
+        high-water mark the database's WAL recovered, so a new client
+        never inherits an old client's sequence numbers."""
+        wal = self.database.wal
+        recovered = max(wal.hwm, default=0) if wal is not None else 0
+        client_id = max(self._next_client_id, recovered + 1)
+        self._next_client_id = client_id + 1
+        return client_id & 0xFFFFFFFF
 
     def _note_concurrency_error(self, error: ReproError) -> None:
         """Attribute concurrency-control outcomes to the STATS counters."""

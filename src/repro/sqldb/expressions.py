@@ -1082,25 +1082,18 @@ def row_converter(
     *arity* columns, NULL where no value goes.  A value whose class
     already is its column's passes with no call (a ``str`` only within
     its length); any other goes through :func:`converter`, whose error
-    stops the loop with the rows before it in *out*.  Converters, lengths
-    and closures are factory arguments."""
+    stops the loop with the rows before it in *out*.  When one value row
+    reads ``?`` 0, 1, ... into every column in order, a ``v`` that already
+    is its stored row (a tuple of *arity* such values) is appended as it
+    is.  Converters, lengths and closures are factory arguments."""
     args: Dict[str, Any] = {"environment": environment, "unbound": unbound}
     reads = ["env = environment(v)" if environment else "env = None"]
     converts: List[str] = []
-    run: List[Tuple[int, str]] = []  # the ``?`` reads since the last closure
 
-    def flush() -> None:
-        # One length check per run of ``?`` reads: the first index past
-        # the row's end raises, as reading them one by one would.
-        if run:
-            name = f"u{len(reads)}"
-            args[name] = tuple(index for index, __ in run)
-            reads.append(
-                f"if len(v) <= {max(args[name])}: "
-                f"raise unbound(next(i for i in {name} if i >= len(v)), len(v))"
-            )
-            reads.extend(f"{a} = v[{index}]" for index, a in run)
-            run.clear()
+    def is_stored(j: int, value: str) -> str:
+        # Column *j* stores *value* as it is: of its class, a str within its length.
+        fits = "" if args[f"n{j}"] is None else f" and len({value}) <= n{j}"
+        return f"{value}.__class__ is k{j}{fits}"
 
     for j, (__, sql_type) in enumerate(targets):
         stored = STORED_CLASS.get(sql_type.name)
@@ -1111,17 +1104,18 @@ def row_converter(
         for j, ((position, __), reader) in enumerate(zip(targets, readers)):
             a = columns[position] = f"a{r}_{j}"
             if isinstance(reader, int):
-                run.append((reader, a))
+                reads.append(f"if len(v) <= {reader}: raise unbound({reader}, len(v))")
+                reads.append(f"{a} = v[{reader}]")
             else:
-                flush()
                 args[f"r{a}"] = reader
                 reads.append(f"{a} = r{a}((), env)")
-            converts.append(f"if {a}.__class__ is not k{j}:")
+            converts.append(f"if not ({is_stored(j, a)}):")
             converts.append(f"    if {a} is not None: {a} = c{j}({a})")
-            if args[f"n{j}"] is not None:
-                converts.append(f"elif len({a}) > n{j}: {a} = c{j}({a})")
         converts.append(f"append(({', '.join(columns)},))")
-    flush()
+    if [list(r) for r in value_rows] == [list(range(arity))] == [[p for p, __ in targets]]:
+        kept = [f"v.__class__ is tuple and len(v) == {arity}"]
+        kept += [is_stored(j, f"v[{j}]") for j in range(arity)]
+        reads.insert(0, f"if {' and '.join(kept)}: append(v); continue")
     body = "".join(f"            {line}\n" for line in reads + converts)
     source = (
         f"def make({', '.join(args)}):\n"

@@ -194,7 +194,10 @@ rows):
   no call per row): what is left per row is mostly ``to_row``; 6.8 once
   each statement of the list was accounted for exactly (two generator
   steps per row counting the commit clock's ticks), 4.8 once the ticks
-  are a division;
+  are a division; 3.9 once ``load_product`` maps each table's records
+  through their class's row layout (an ``attrgetter``) instead of a
+  ``to_row`` call per record: one call per assembly is left, its ``dec``
+  property, and the rest is the five statements' parse and prepare;
 * restarting from its checkpoint (decode included): 34.2 calls per row
   while each ``I`` record went through ``insert_at`` and one
   ``HashIndex.add`` per index; 13.8 once each table's run of rows is
@@ -227,6 +230,16 @@ What is left is a list per key that several rows hold, and the heaps.
 Every full collection walks what is tracked, so during the load of
 ``nav_flood``'s product the collector's share of the build fell with it
 (CPython 3.10 and 3.12 count the same).
+
+The product generator is held per node, on ``txn_mix``'s product (5 461
+nodes): 3.0 calls per node while every record was built by keyword, one
+child at a time, and its payload by a closure call; 2.0 once a level is
+built at once, its links and nodes each by one positional construction
+mapped over the level's columns, so what is left per node is the two
+``__init__`` calls.  What it leaves for the collector: 3.25 GC-tracked
+objects per node, before and after the records were slotted — the link,
+the node and the ``(link, child)`` tuple ``children`` keeps per link,
+and a list per parent.
 """
 
 import gc
@@ -344,8 +357,20 @@ SHAPE_HIT_CALLS_BUDGET = 136
 #: Calls per row ``load_product`` may cost: per-statement work once per
 #: ``executemany`` call, not once per row (117.0 calls), the list
 #: converted, checked and placed as one batch (27.2 calls row by row),
-#: and the commit clock's ticks counted without a step per row (6.8).
-LOAD_CALLS_PER_ROW_BUDGET = 5.5
+#: the commit clock's ticks counted without a step per row (6.8), and a
+#: record's row read through its class's layout, not a ``to_row`` call
+#: per record (4.8).
+LOAD_CALLS_PER_ROW_BUDGET = 4.3
+
+#: Calls per generated node ``generate_product`` may cost: two positional
+#: constructions, a node and its link, not a keyword construction of each
+#: and a payload closure call (3.0 calls).
+GENERATE_CALLS_PER_NODE_BUDGET = 2.2
+
+#: GC-tracked objects per node a generated product may hold: its link,
+#: itself and the tuple ``children`` keeps per link (3.25), not a
+#: container per record.
+GENERATED_OBJECTS_PER_NODE_BUDGET = 3.5
 
 #: Calls per row restoring a checkpoint may cost, decoding included: a
 #: table's rows in one append and each index filled once (34.2 calls).
@@ -815,4 +840,29 @@ def test_loading_a_product_leaves_few_objects_to_the_collector(product_rows):
         f"{tracked / rows:.3f} GC-tracked objects left per row loaded (budget "
         f"{TRACKED_OBJECTS_PER_ROW_BUDGET}): an index keeps a container per "
         f"key again, and every full collection walks them"
+    )
+
+
+def test_generating_a_product_stays_inside_its_per_node_budget():
+    generated = []
+    calls = count_calls(lambda: generated.append(generate_product(TXN_MIX_TREE, seed=SEED)))
+    nodes = generated[0].node_count
+    assert nodes == 5_461
+    assert calls / nodes <= GENERATE_CALLS_PER_NODE_BUDGET, (
+        f"{calls / nodes:.2f} Python-level calls per generated node (budget "
+        f"{GENERATE_CALLS_PER_NODE_BUDGET}): the generator calls per child "
+        f"again, or builds a record by keyword"
+    )
+
+
+def test_a_generated_product_leaves_few_objects_to_the_collector():
+    gc.collect()
+    before = len(gc.get_objects())
+    product = generate_product(TXN_MIX_TREE, seed=SEED)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    assert tracked / product.node_count <= GENERATED_OBJECTS_PER_NODE_BUDGET, (
+        f"{tracked / product.node_count:.3f} GC-tracked objects per generated "
+        f"node (budget {GENERATED_OBJECTS_PER_NODE_BUDGET}): a record keeps a "
+        f"container of its own again, and every full collection walks it"
     )
