@@ -7,8 +7,9 @@ The simulated response time of an action is linear in its traffic:
 so one end-to-end run per (tree, action, strategy) yields a traffic trace
 that :func:`price_traffic` can re-price for every network profile of the
 evaluation grid — the heavy simulations run once, not once per network.
-(The PAPER_MODEL packet accounting makes wire bytes independent of
-latency and bandwidth; they depend only on the 4 kB packet size, which is
+(The link's one packet accounting, whole packets per request and payload
+plus half a packet per response, makes wire bytes independent of latency
+and bandwidth; they depend only on the 4 kB packet size, which is
 constant across the grid.)
 """
 

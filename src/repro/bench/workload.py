@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.model.parameters import TreeParameters
 from repro.network.faults import FaultProfile, FaultyLink, RetryPolicy
-from repro.network.link import NetworkLink, PacketAccounting
+from repro.network.link import NetworkLink
 from repro.network.profiles import LinkProfile, WAN_256
 from repro.pdm.generator import GeneratedProduct, generate_product
 from repro.pdm.objects import OPTION_STANDARD
@@ -90,7 +90,6 @@ def build_scenario(
     tree: TreeParameters,
     profile: LinkProfile = WAN_256,
     seed: int = 0,
-    accounting: PacketAccounting = PacketAccounting.PAPER_MODEL,
     rule_table: Optional[RuleTable] = None,
     spec_probability: float = 0.0,
     node_bytes: int = 512,
@@ -130,7 +129,7 @@ def build_scenario(
     load_product(database, product)
     server = DatabaseServer(database)
     install_checkout_procedures(server)
-    link = profile.create_link(accounting=accounting)
+    link = profile.create_link()
     if fault_profile is not None:
         link = FaultyLink.wrap(link, fault_profile, seed=fault_seed)
     connection = RemoteConnection(server, link, retry_policy=retry_policy)

@@ -24,7 +24,7 @@ from repro.network.faults import (
     FaultyLink,
     RetryPolicy,
 )
-from repro.network.link import NetworkLink, PacketAccounting
+from repro.network.link import NetworkLink
 from repro.network.profiles import (
     LAN,
     WAN_256,
@@ -38,7 +38,6 @@ from repro.network.stats import TrafficStats
 __all__ = [
     "SimulatedClock",
     "NetworkLink",
-    "PacketAccounting",
     "LinkProfile",
     "LAN",
     "WAN_256",

@@ -27,7 +27,7 @@ from repro.errors import (
     MessageDropped,
 )
 from repro.network.clock import SimulatedClock
-from repro.network.link import NetworkLink, PacketAccounting
+from repro.network.link import NetworkLink
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -200,7 +200,6 @@ class FaultyLink(NetworkLink):
         dtr_kbit_s: float,
         packet_bytes: int = 4096,
         clock: Optional[SimulatedClock] = None,
-        accounting: PacketAccounting = PacketAccounting.PAPER_MODEL,
         profile: FaultProfile = PERFECT,
         seed: int = 0,
     ) -> None:
@@ -209,7 +208,6 @@ class FaultyLink(NetworkLink):
             dtr_kbit_s=dtr_kbit_s,
             packet_bytes=packet_bytes,
             clock=clock,
-            accounting=accounting,
         )
         self.profile = profile
         self.fault_seed = seed
@@ -225,7 +223,6 @@ class FaultyLink(NetworkLink):
             dtr_kbit_s=link.dtr_kbit_s,
             packet_bytes=link.packet_bytes,
             clock=link.clock,
-            accounting=link.accounting,
             profile=profile,
             seed=seed,
         )

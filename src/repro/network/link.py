@@ -7,20 +7,15 @@ Transmitting a message advances the simulated clock by
 
     T_Lat + wire_bits / (dtr * 1024)
 
-where ``wire_bits`` depends on the selected :class:`PacketAccounting`:
-
-* ``PAYLOAD`` — exact payload bytes, no padding (idealised).
-* ``PADDED`` — whole packets: ``ceil(payload / size_p) * size_p``.
-* ``PAPER_MODEL`` — the paper's average-case convention: requests occupy
-  whole packets; responses cost ``payload + size_p / 2`` (the correcting
-  term of equation (3): "in the average we expect the last package of each
-  response to be filled only half").
+where ``wire_bits`` follows the paper's average-case convention: requests
+occupy whole packets; responses cost ``payload + size_p / 2`` (the
+correcting term of equation (3): "in the average we expect the last
+package of each response to be filled only half").
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Optional
 
 from repro.errors import LinkConfigurationError
@@ -32,14 +27,6 @@ from repro.network.stats import TrafficStats
 BITS_PER_KBIT = 1024
 
 
-class PacketAccounting(Enum):
-    """How payload bytes translate into on-wire bytes."""
-
-    PAYLOAD = "payload"
-    PADDED = "padded"
-    PAPER_MODEL = "paper-model"
-
-
 class NetworkLink:
     """A bidirectional point-to-point link with shared clock and stats."""
 
@@ -49,7 +36,6 @@ class NetworkLink:
         dtr_kbit_s: float,
         packet_bytes: int = 4096,
         clock: Optional[SimulatedClock] = None,
-        accounting: PacketAccounting = PacketAccounting.PAPER_MODEL,
     ) -> None:
         if latency_s < 0:
             raise LinkConfigurationError("latency must be non-negative")
@@ -61,7 +47,6 @@ class NetworkLink:
         self.dtr_kbit_s = float(dtr_kbit_s)
         self.packet_bytes = int(packet_bytes)
         self.clock = clock if clock is not None else SimulatedClock()
-        self.accounting = accounting
         self.stats = TrafficStats()
         #: Optional :class:`repro.obs.TraceRecorder`; when set, fault
         #: subclasses annotate the current span with injected events.
@@ -77,12 +62,8 @@ class NetworkLink:
         return max(1, math.ceil(payload_bytes / self.packet_bytes))
 
     def wire_bytes_for(self, payload_bytes: int, is_request: bool) -> float:
-        """On-wire byte cost of a payload under the accounting mode."""
-        if self.accounting is PacketAccounting.PAYLOAD:
-            return float(payload_bytes)
-        if self.accounting is PacketAccounting.PADDED:
-            return float(self.packets_for(payload_bytes) * self.packet_bytes)
-        # PAPER_MODEL
+        """On-wire byte cost of a payload: whole packets for a request, the
+        payload plus half a packet for a response (module docstring)."""
         if is_request:
             return float(self.packets_for(payload_bytes) * self.packet_bytes)
         return float(payload_bytes) + self.packet_bytes / 2.0
@@ -163,6 +144,5 @@ class NetworkLink:
     def __repr__(self) -> str:
         return (
             f"NetworkLink(latency_s={self.latency_s}, "
-            f"dtr_kbit_s={self.dtr_kbit_s}, packet_bytes={self.packet_bytes}, "
-            f"accounting={self.accounting.value})"
+            f"dtr_kbit_s={self.dtr_kbit_s}, packet_bytes={self.packet_bytes})"
         )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.network.clock import SimulatedClock
-from repro.network.link import NetworkLink, PacketAccounting
+from repro.network.link import NetworkLink
 
 
 @dataclass(frozen=True)
@@ -22,17 +22,12 @@ class LinkProfile:
     dtr_kbit_s: float
     packet_bytes: int = 4096
 
-    def create_link(
-        self,
-        clock: Optional[SimulatedClock] = None,
-        accounting: PacketAccounting = PacketAccounting.PAPER_MODEL,
-    ) -> NetworkLink:
+    def create_link(self, clock: Optional[SimulatedClock] = None) -> NetworkLink:
         return NetworkLink(
             latency_s=self.latency_s,
             dtr_kbit_s=self.dtr_kbit_s,
             packet_bytes=self.packet_bytes,
             clock=clock,
-            accounting=accounting,
         )
 
     def __str__(self) -> str:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
     CheckOutError,
@@ -162,24 +162,12 @@ class PDMClient:
         rule_table: Optional[RuleTable] = None,
         user: str = "scott",
         user_env: Optional[Dict[str, Any]] = None,
-        default_permit: bool = True,
         exists_placement: ExistsPlacement = ExistsPlacement.INSIDE,
-        configurator=None,
-        selected_options: Optional[Sequence[str]] = None,
     ) -> None:
         self.connection = connection
         self.rule_table = rule_table if rule_table is not None else RuleTable()
         self.user = user
         self.user_env = dict(user_env or {})
-        if configurator is not None and selected_options is not None:
-            # Configuration rules are evaluated client-side on the selected
-            # options only — no product data, no WAN messages (paper §3.1).
-            from repro.rules.presets import USER_OPTIONS_VAR
-
-            self.user_env[USER_OPTIONS_VAR] = configurator.validate(
-                selected_options
-            )
-        self.default_permit = default_permit
         self.exists_placement = exists_placement
         self.modificator = QueryModificator(
             self.rule_table, self.user, self.user_env
@@ -250,7 +238,8 @@ class PDMClient:
     def _permitted(self, attrs: Attrs, action: str) -> bool:
         """Late row-rule check of one fetched object: the OR of the
         relevant row rules, compiled from the predicate early evaluation
-        injects; no relevant rule falls back to ``default_permit``."""
+        injects.  An object no row rule governs is permitted, as the
+        server-side translations inject nothing for it."""
         key = (action, str(attrs.get("type")), self.rule_table.generation)
         check = self._rule_cache.get(key, _UNCOMPILED)
         if check is _UNCOMPILED:
@@ -263,9 +252,7 @@ class PDMClient:
                 if rules
                 else None,
             )
-        if check is None:
-            return self.default_permit
-        return check.value(attrs, self._env) is True
+        return check is None or check.value(attrs, self._env) is True
 
     def _related_exists(self, obid, relation_table: str, related_table: str) -> bool:
         sql = (

@@ -384,7 +384,7 @@ class Durability:
         report = RecoveryReport()
         data = disk.read_all()
         report.log_bytes = len(data)
-        scan = scan_wal(data, strict=True)
+        scan = scan_wal(data)
         report.records_scanned = len(scan.records)
         report.tail_status = scan.tail_status
         report.truncated_bytes = len(data) - scan.clean_length

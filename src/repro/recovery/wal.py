@@ -494,12 +494,12 @@ def _try_record(data: bytes, offset: int) -> Tuple[Optional[WalRecord], int, str
     return record, start + length, ""
 
 
-def scan_wal(data: bytes, strict: bool = True) -> WalScan:
+def scan_wal(data: bytes) -> WalScan:
     """Scan a WAL byte stream into its clean prefix of records.
 
-    With ``strict`` (the default), damage followed by any intact record
-    raises :class:`~repro.errors.WalCorruptError` — the damage is *in
-    the middle* of the log and recovering only the prefix would silently
+    Damage followed by any intact record raises
+    :class:`~repro.errors.WalCorruptError` — the damage is *in the
+    middle* of the log and recovering only the prefix would silently
     lose the committed work behind it.  Damage with nothing valid after
     it is an ordinary crash tail: the scan stops cleanly and reports how
     the tail died.
@@ -514,14 +514,13 @@ def scan_wal(data: bytes, strict: bool = True) -> WalScan:
                 f"{status} record at offset {offset} "
                 f"({len(data) - offset} trailing bytes)"
             )
-            if strict:
-                resync = _find_valid_record_after(data, offset)
-                if resync is not None:
-                    raise WalCorruptError(
-                        f"WAL damaged mid-log: {scan.tail_error}, but an "
-                        f"intact record follows at offset {resync} — "
-                        f"refusing to silently drop it"
-                    )
+            resync = _find_valid_record_after(data, offset)
+            if resync is not None:
+                raise WalCorruptError(
+                    f"WAL damaged mid-log: {scan.tail_error}, but an "
+                    f"intact record follows at offset {resync} — "
+                    f"refusing to silently drop it"
+                )
             break
         scan.records.append(record)
         offset = next_offset
@@ -532,7 +531,7 @@ def scan_wal(data: bytes, strict: bool = True) -> WalScan:
 def _find_valid_record_after(data: bytes, failed_at: int) -> Optional[int]:
     """First offset past *failed_at* where an intact record parses.
 
-    The resync probe behind strict mode: a hit means the damage is
+    The resync probe behind the mid-log check: a hit means the damage is
     mid-log.  Probing is bounded to candidate magic bytes, so garbage
     tails cost one linear pass.
     """

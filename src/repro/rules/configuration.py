@@ -11,8 +11,9 @@ product data need to be retrieved from the database."
 Accordingly this module is purely client-side: an :class:`OptionCatalog`
 names the option bits, configuration rules constrain selections, and a
 :class:`Configurator` validates a user's selection before any query is
-built.  The PDM client refuses to start a session with an invalid
-selection — the cheapest possible rule evaluation, zero WAN messages.
+built.  A caller passes the mask :meth:`Configurator.validate` returns to
+the PDM client in ``user_env``; an invalid selection fails before the
+client exists — the cheapest possible rule evaluation, zero WAN messages.
 """
 
 from __future__ import annotations

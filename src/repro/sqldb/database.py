@@ -56,6 +56,14 @@ from repro.sqldb.subplans import _PreparedDml, _PreparedInsert, _PreparedModify
 from repro.sqldb.transactions import Transactions
 from repro.sqldb.types import converter
 
+#: Statement texts, DML preparations and SELECT shapes the LRU plan cache
+#: holds.
+PLAN_CACHE_SIZE = 512
+
+#: Re-ANALYZE a table before planning when its storage ``version`` drifted
+#: this far past the version its statistics were collected at.
+AUTO_ANALYZE_THRESHOLD = 256
+
 
 class Database:
     """An in-memory SQL database.
@@ -67,15 +75,9 @@ class Database:
     'two'
     """
 
-    def __init__(
-        self,
-        plan_cache_size: int = 512,
-        recursion_limit: int = 1_000_000,
-        auto_analyze_threshold: int = 256,
-    ) -> None:
+    def __init__(self) -> None:
         self.catalog = Catalog()
         self.functions = FunctionRegistry()
-        self.recursion_limit = recursion_limit
         #: ANALYZE-collected optimizer statistics; the planner prices access
         #: paths and join orders for the tables that have them and keeps its
         #: deterministic rules for the rest.  In-memory and advisory
@@ -88,7 +90,6 @@ class Database:
         self._plan_cache: "OrderedDict[Hashable, Union[Plan, _PreparedDml, list]]" = (
             OrderedDict()
         )
-        self._plan_cache_size = plan_cache_size
         #: Counters a server can report: statements executed, cache hits.
         self.statistics = {
             "statements": 0,
@@ -107,12 +108,6 @@ class Database:
         #: Snapshot reads (DESIGN §14): commit clock, open snapshots and,
         #: only while one is open, the version chains it reads.
         self.mvcc = MvccManager(self.statistics)
-        #: Re-ANALYZE a table before planning when its storage ``version``
-        #: drifted this far past the version the statistics were collected
-        #: at.  Only tables that *have* statistics re-collect — a never-
-        #: ANALYZEd database stays statistics-free (and deterministic).
-        #: <= 0 disables the trigger.
-        self.auto_analyze_threshold = auto_analyze_threshold
         #: name (lower) -> ast.CreateView records, expanded at plan time.
         self.views: dict = {}
         #: Counters of the most recent execution (rows scanned, index
@@ -413,15 +408,11 @@ class Database:
 
     def _remember_plan(self, sql: Hashable, plan) -> None:
         self._plan_cache[sql] = plan
-        if len(self._plan_cache) > self._plan_cache_size:
+        if len(self._plan_cache) > PLAN_CACHE_SIZE:
             self._plan_cache.popitem(last=False)
 
     def _environment(self, params: Sequence[Any]) -> ExecutionEnv:
-        env = ExecutionEnv(
-            params=params,
-            functions=self.functions,
-            recursion_limit=self.recursion_limit,
-        )
+        env = ExecutionEnv(params=params, functions=self.functions)
         env.recorder = self.recorder
         txn = self.transactions.get(self.transactions.session)
         env.snapshot = None if txn is None else txn.snapshot
@@ -584,7 +575,7 @@ class Database:
 
     def _auto_analyze(self, tables: Tuple[str, ...]) -> bool:
         """Refresh statistics of any of *tables* whose storage drifted
-        ``auto_analyze_threshold`` mutations past its last ANALYZE.
+        :data:`AUTO_ANALYZE_THRESHOLD` mutations past its last ANALYZE.
 
         Only tables that already have statistics qualify — the trigger
         keeps estimates fresh, it never introduces them — so a database
@@ -594,9 +585,8 @@ class Database:
         re-plan).  Skipped under a snapshot read, which must stay
         lock-free.
         """
-        threshold = self.auto_analyze_threshold
         txn = self.transactions.get(self.transactions.session)
-        if threshold <= 0 or (txn is not None and txn.snapshot is not None):
+        if txn is not None and txn.snapshot is not None:
             return False
         stale = []
         for name in tables:
@@ -604,7 +594,7 @@ class Database:
             if table_stats is None or not self.catalog.exists(name):
                 continue
             entry = self.catalog.lookup(name)
-            if entry.storage.version - table_stats.version >= threshold:
+            if entry.storage.version - table_stats.version >= AUTO_ANALYZE_THRESHOLD:
                 stale.append(entry)
         if not stale:
             return False

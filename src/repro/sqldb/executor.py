@@ -116,11 +116,9 @@ class ExecutionEnv:
         self,
         params: Sequence[Any] = (),
         functions: Optional[FunctionRegistry] = None,
-        recursion_limit: int = 1_000_000,
     ) -> None:
         self.params = tuple(params)
         self.functions = functions if functions is not None else FunctionRegistry()
-        self.recursion_limit = recursion_limit
         #: CTE name (lower) -> its materialised rows as one batch.
         self.cte_frames: Dict[str, Batch] = {}
         self.outer_rows: List[Row] = []

@@ -31,6 +31,9 @@ from repro.sqldb.planner import Plan, PlannedCTE
 #: Safety bound on fixpoint rounds; a δ=9 product tree needs 9.
 MAX_ITERATIONS = 10_000
 
+#: Rows a recursive CTE may accumulate before it aborts.
+RECURSION_LIMIT = 1_000_000
+
 
 def _limit_error(planned: PlannedCTE, limit: int) -> ExecutionError:
     return ExecutionError(
@@ -55,7 +58,7 @@ def materialize_cte(planned: PlannedCTE, env: ExecutionEnv) -> Batch:
         frame = Batch(plan_rows(planned.seed_plans[0], env))
         env.bind_cte(planned.name, frame)
         return frame
-    limit = env.recursion_limit
+    limit = RECURSION_LIMIT
     seen: set = set()
     accumulated: List[tuple] = []
 

@@ -137,14 +137,6 @@ class ColumnStats:
             return None
         return None
 
-    def range_selectivity(self, operator: str, value: object) -> float:
-        """Selectivity of ``col <op> value`` for ``<``/``<=``/``>``/``>=``."""
-        below = self.fraction_below(value)
-        if below is None:
-            return DEFAULT_RANGE_SELECTIVITY
-        fraction = below if operator in ("<", "<=") else 1.0 - below
-        return _clamp((1.0 - self.null_frac) * fraction)
-
 
 def _safely_comparable(a: object, b: object) -> bool:
     if _is_number(a) and _is_number(b):

@@ -1,9 +1,9 @@
-"""SQL type system and three-valued logic primitives.
+"""SQL type system: type names, and conversion of values to a type.
 
 SQL NULL is represented by Python ``None``.  Boolean expressions evaluate
-to one of ``True``, ``False`` or ``None`` (UNKNOWN); the helpers in this
-module implement Kleene three-valued AND/OR/NOT and the null-aware
-comparison rules used by :mod:`repro.sqldb.expressions`.
+to one of ``True``, ``False`` or ``None`` (UNKNOWN); the code
+:mod:`repro.sqldb.expressions` generates implements Kleene three-valued
+AND/OR/NOT and the null-aware comparison rules.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class SQLType:
         if self.length is not None:
             return f"{self.name}({self.length})"
         return self.name
-
-    @property
-    def is_numeric(self) -> bool:
-        return self.name in ("INTEGER", "DOUBLE")
 
     @property
     def is_character(self) -> bool:
@@ -153,71 +149,3 @@ def converter(sql_type: SQLType) -> Callable[[Any], Any]:
 #: Type name -> the class :func:`converter` returns a value of unchanged
 #: (a ``str`` only within the type's length).
 STORED_CLASS = {"INTEGER": int, "DOUBLE": float, "BOOLEAN": bool, "VARCHAR": str, "CHAR": str}
-
-
-def coerce_value(value: Any, sql_type: SQLType) -> Any:
-    """Coerce one Python value to the representation of *sql_type* (see
-    :func:`converter`)."""
-    return converter(sql_type)(value)
-
-
-def infer_type(value: Any) -> SQLType:
-    """Infer the SQLType of a literal Python value (NULL maps to INTEGER,
-    which is as good a guess as any for an untyped NULL)."""
-    if is_null(value):
-        return INTEGER
-    if isinstance(value, bool):
-        return BOOLEAN
-    if isinstance(value, int):
-        return INTEGER
-    if isinstance(value, float):
-        return DOUBLE
-    return SQLType("VARCHAR", None)
-
-
-def logical_and(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
-    """Kleene three-valued AND."""
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
-        return None
-    return True
-
-
-def logical_or(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
-    """Kleene three-valued OR."""
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return False
-
-
-def logical_not(value: Optional[bool]) -> Optional[bool]:
-    """Kleene three-valued NOT."""
-    if value is None:
-        return None
-    return not value
-
-
-def compare_values(left: Any, right: Any) -> Optional[int]:
-    """Compare two SQL values; return -1/0/1, or None if either is NULL.
-
-    Numbers compare numerically (booleans count as numbers per the engine's
-    permissive model), strings lexicographically.  Comparing a number with
-    a string raises :class:`TypeMismatchError` — silent cross-type ordering
-    is a classic source of wrong results.
-    """
-    if is_null(left) or is_null(right):
-        return None
-    left_num = isinstance(left, (int, float, bool))
-    right_num = isinstance(right, (int, float, bool))
-    if left_num != right_num:
-        raise TypeMismatchError(
-            f"cannot compare {type(left).__name__} with {type(right).__name__}"
-        )
-    if left < right:
-        return -1
-    if left > right:
-        return 1
-    return 0

@@ -11,7 +11,7 @@ paper's performance claims are only meaningful if this holds.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.workload import build_scenario
+from repro.bench.workload import build_scenario, scenario_rules
 from repro.errors import SQLError, TypeMismatchError
 from repro.model.parameters import TreeParameters
 from repro.network.profiles import WAN_1024
@@ -144,6 +144,42 @@ class TestStrategyEquivalence:
             root, ExpandStrategy.RECURSIVE_EARLY, root_attrs=root_attrs
         ).tree
         assert trees_equal(late, recursive)
+
+    @given(scenarios(), st.sampled_from([(), ("assy",), ("comp",), ("link",)]))
+    @settings(max_examples=20, deadline=None)
+    def test_a_type_no_rule_governs_is_permitted_by_every_strategy(
+        self, scenario, governed
+    ):
+        """With an empty rule table, or the option rule on one object type
+        only, late evaluation permits what no rule governs, as the
+        server-side translations do: every action returns one object set
+        whatever the strategy."""
+        client = scenario.fresh_client(
+            rule_table=RuleTable(
+                [rule for rule in scenario_rules() if rule.object_type in governed]
+            )
+        )
+        root = scenario.product.root_obid
+        root_attrs = scenario.product.root_attributes()
+        outcomes = set()
+        for strategy in ExpandStrategy:
+            query = client.query(root, strategy).objects
+            children = client.single_level_expand(root, strategy).objects
+            tree = client.multi_level_expand(
+                root, strategy, root_attrs=root_attrs
+            ).tree
+            outcomes.add(
+                (
+                    frozenset(attrs["obid"] for attrs in query),
+                    frozenset(attrs["obid"] for attrs in children),
+                    frozenset(tree.obids()),
+                )
+            )
+        assert len(outcomes) == 1
+        if not governed:
+            product = scenario.product
+            every = {node.obid for node in product.assemblies + product.components}
+            assert outcomes.pop()[2] == every
 
 
 #: The strategies a divergence case runs: late, early, recursive.

@@ -1,4 +1,4 @@
-"""Network link: timing arithmetic, packetisation, accounting modes."""
+"""Network link: timing arithmetic, packetisation, the paper's accounting."""
 
 import dataclasses
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import LinkConfigurationError, NetworkError
 from repro.network.clock import SimulatedClock
-from repro.network.link import BITS_PER_KBIT, NetworkLink, PacketAccounting
+from repro.network.link import BITS_PER_KBIT, NetworkLink
 from repro.network.profiles import LAN, PAPER_PROFILES, WAN_256, WAN_512, WAN_1024
 from repro.network.stats import TrafficStats
 
@@ -62,41 +62,18 @@ class TestTiming:
         assert link.stats.messages == 2
 
     def test_paper_model_request_is_whole_packets(self):
-        link = NetworkLink(
-            latency_s=0.0,
-            dtr_kbit_s=256,
-            packet_bytes=4096,
-            accounting=PacketAccounting.PAPER_MODEL,
-        )
+        link = NetworkLink(latency_s=0.0, dtr_kbit_s=256, packet_bytes=4096)
         delay = link.transmit(100, is_request=True)
         assert delay == pytest.approx(4096 * 8 / (256 * 1024))
 
     def test_paper_model_response_half_packet_correction(self):
-        link = NetworkLink(
-            latency_s=0.0,
-            dtr_kbit_s=256,
-            packet_bytes=4096,
-            accounting=PacketAccounting.PAPER_MODEL,
-        )
+        link = NetworkLink(latency_s=0.0, dtr_kbit_s=256, packet_bytes=4096)
         delay = link.transmit(512, is_request=False)
         assert delay == pytest.approx((512 + 2048) * 8 / (256 * 1024))
 
-    def test_payload_accounting_exact(self):
-        link = NetworkLink(
-            latency_s=0.0,
-            dtr_kbit_s=1,
-            accounting=PacketAccounting.PAYLOAD,
-        )
-        assert link.transmit(128, is_request=False) == pytest.approx(1.0)
-
-    def test_padded_accounting_rounds_up(self):
-        link = NetworkLink(
-            latency_s=0.0,
-            dtr_kbit_s=256,
-            packet_bytes=1000,
-            accounting=PacketAccounting.PADDED,
-        )
-        link.transmit(1500, is_request=False)
+    def test_paper_model_request_rounds_up_to_whole_packets(self):
+        link = NetworkLink(latency_s=0.0, dtr_kbit_s=256, packet_bytes=1000)
+        link.transmit(1500, is_request=True)
         assert link.stats.wire_bytes == 2000
 
     def test_packets_for(self):

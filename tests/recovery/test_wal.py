@@ -158,10 +158,6 @@ class TestScan:
         data = bytes(first) + frame(SAMPLE_RECORDS[4])
         with pytest.raises(WalCorruptError):
             scan_wal(data)
-        # Non-strict recovers the (empty) prefix without raising.
-        scan = scan_wal(data, strict=False)
-        assert scan.records == []
-        assert scan.tail_status == "corrupt"
 
     def test_crc_is_actually_checked(self):
         framed = bytearray(frame(SAMPLE_RECORDS[0]))

@@ -90,15 +90,11 @@ class TestValidation:
 
 
 class TestPDMClientIntegration:
-    def test_client_rejects_invalid_configuration(self, small_scenario, car):
-        from repro.pdm.operations import PDMClient
+    """A caller validates the selection, then hands the client the mask."""
 
+    def test_client_rejects_invalid_configuration(self, small_scenario, car):
         with pytest.raises(RuleError):
-            PDMClient(
-                small_scenario.connection,
-                configurator=car,
-                selected_options=["cabriolet", "sunroof", "v6"],
-            )
+            car.validate(["cabriolet", "sunroof", "v6"])
         # Validation happened before any message crossed the WAN.
         assert small_scenario.link.stats.messages == 0
 
@@ -108,8 +104,7 @@ class TestPDMClientIntegration:
 
         client = PDMClient(
             small_scenario.connection,
-            configurator=car,
-            selected_options=["sedan", "v6"],
+            user_env={USER_OPTIONS_VAR: car.validate(["sedan", "v6"])},
         )
         assert client.user_env[USER_OPTIONS_VAR] == car.catalog.mask_of(
             ["sedan", "v6"]

@@ -125,21 +125,19 @@ class TestObjectPermitted:
         defaults.update(kw)
         return Rule(condition=condition, **defaults)
 
-    def permitted(self, scenario, rules, attrs, default_permit=True):
-        client = scenario.fresh_client(
-            rule_table=RuleTable(rules), default_permit=default_permit
-        )
+    def permitted(self, scenario, rules, attrs):
+        client = scenario.fresh_client(rule_table=RuleTable(rules))
         return client._permitted(attrs, Actions.QUERY)
 
     def test_no_rules_default_permit(self, tiny_scenario):
         assert self.permitted(tiny_scenario, [], ASSY)
 
-    def test_no_rules_strict_mode_denies(self, tiny_scenario):
-        assert not self.permitted(tiny_scenario, [], ASSY, default_permit=False)
-        # A rule on another type leaves the default in charge.
-        rules = [self.rule(Comparison(">", Attribute("weight"), Const(0)))]
-        assert self.permitted(tiny_scenario, rules, ASSY, default_permit=False)
-        assert not self.permitted(tiny_scenario, rules, COMP, default_permit=False)
+    def test_a_type_no_rule_governs_is_permitted(self, tiny_scenario):
+        # A rule on another type leaves this one ungoverned: permitted, as
+        # the server-side translations inject nothing for it.
+        rules = [self.rule(Comparison("<", Attribute("weight"), Const(0)))]
+        assert not self.permitted(tiny_scenario, rules, ASSY)
+        assert self.permitted(tiny_scenario, rules, COMP)
 
     def test_single_rule(self, tiny_scenario):
         rules = [self.rule(Comparison("<>", Attribute("make_or_buy"), Const("buy")))]

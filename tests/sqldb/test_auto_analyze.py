@@ -2,7 +2,7 @@
 
 A table that has been ANALYZEd once keeps its statistics fresh by
 itself: when ``TableStorage.version`` has advanced at least
-``auto_analyze_threshold`` ticks past the version the stats were
+``AUTO_ANALYZE_THRESHOLD`` ticks past the version the stats were
 collected at, the next planning pass re-collects before planning.
 Never-ANALYZEd tables are deliberately left alone (rule-based planning
 stays byte-identical for workloads that never opt into statistics).
@@ -11,6 +11,7 @@ stays byte-identical for workloads that never opt into statistics).
 import pytest
 
 from repro.sqldb import Database
+from repro.sqldb import database as database_module
 
 
 def plan_text(db, sql, params=()):
@@ -19,9 +20,14 @@ def plan_text(db, sql, params=()):
     )
 
 
+@pytest.fixture(autouse=True)
+def threshold(monkeypatch):
+    monkeypatch.setattr(database_module, "AUTO_ANALYZE_THRESHOLD", 100)
+
+
 @pytest.fixture
 def db():
-    database = Database(auto_analyze_threshold=100)
+    database = Database()
     database.execute("CREATE TABLE tiny (x INTEGER)")
     database.execute("CREATE INDEX tiny_x ON tiny (x)")
     database.executemany(
@@ -64,14 +70,6 @@ class TestAutoAnalyze:
         db.execute("SELECT * FROM tiny WHERE x = ?", (1,))
         assert db.statistics["auto_analyze"] == 0
 
-    def test_threshold_zero_disables_the_trigger(self):
-        db = Database(auto_analyze_threshold=0)
-        db.execute("CREATE TABLE t (x INTEGER)")
-        db.execute("ANALYZE t")
-        db.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(500)])
-        db.execute("SELECT * FROM t WHERE x = ?", (1,))
-        assert db.statistics["auto_analyze"] == 0
-
     def test_refresh_updates_the_stored_statistics(self, db):
         db.execute("ANALYZE tiny")
         assert db.stats.get("tiny").row_count == 3
@@ -85,7 +83,7 @@ class TestAutoAnalyze:
         """A READ ONLY snapshot read is lock-free by contract, and an
         auto-ANALYZE would take shared locks mid-transaction — the
         trigger must sit the snapshot out (and catch up afterwards)."""
-        db = Database(auto_analyze_threshold=100)
+        db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)")
         db.execute("CREATE INDEX t_x ON t (x)")
         db.execute("INSERT INTO t VALUES (1, 1)")

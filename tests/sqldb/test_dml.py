@@ -446,8 +446,11 @@ class TestPreparedDmlCache:
         assert db.last_counters["index_probes"] == 1
         assert db.last_counters["rows_scanned"] == 1
 
-    def test_lru_eviction_is_shared_with_select(self):
-        db = Database(plan_cache_size=2)
+    def test_lru_eviction_is_shared_with_select(self, monkeypatch):
+        from repro.sqldb import database as database_module
+
+        monkeypatch.setattr(database_module, "PLAN_CACHE_SIZE", 2)
+        db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER)")
         select = "SELECT n FROM t WHERE id = ?"
         update = "UPDATE t SET n = 0 WHERE id = ?"

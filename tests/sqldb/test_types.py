@@ -1,23 +1,29 @@
-"""Type system and three-valued logic tests."""
+"""Type names, value conversion, and the engine's three-valued logic."""
 
 import pytest
 
 from repro.errors import TypeMismatchError
+from repro.sqldb import Database
 from repro.sqldb.types import (
     BOOLEAN,
     CHAR,
     DOUBLE,
     INTEGER,
     VARCHAR,
-    coerce_value,
-    compare_values,
-    infer_type,
+    converter,
     is_null,
-    logical_and,
-    logical_not,
-    logical_or,
     type_from_name,
 )
+
+
+def coerce(value, sql_type):
+    return converter(sql_type)(value)
+
+
+def row(sql):
+    """The one row of a FROM-less SELECT."""
+    (result,) = Database().execute(sql).rows
+    return result
 
 
 class TestTypeNames:
@@ -50,49 +56,47 @@ class TestTypeNames:
             type_from_name("blob")
 
     def test_predicates(self):
-        assert INTEGER.is_numeric
-        assert DOUBLE.is_numeric
         assert VARCHAR(5).is_character
         assert CHAR(1).is_character
-        assert not BOOLEAN.is_numeric
+        assert not INTEGER.is_character
 
 
 class TestCoercion:
     def test_null_passes_through(self):
-        assert coerce_value(None, INTEGER) is None
+        assert coerce(None, INTEGER) is None
 
     def test_int_from_string(self):
-        assert coerce_value("42", INTEGER) == 42
+        assert coerce("42", INTEGER) == 42
 
     def test_float_from_int(self):
-        assert coerce_value(3, DOUBLE) == 3.0
+        assert coerce(3, DOUBLE) == 3.0
 
     def test_bool_from_string(self):
-        assert coerce_value("true", BOOLEAN) is True
-        assert coerce_value("F", BOOLEAN) is False
+        assert coerce("true", BOOLEAN) is True
+        assert coerce("F", BOOLEAN) is False
 
     def test_bool_from_number(self):
-        assert coerce_value(1, BOOLEAN) is True
-        assert coerce_value(0, BOOLEAN) is False
+        assert coerce(1, BOOLEAN) is True
+        assert coerce(0, BOOLEAN) is False
 
     def test_string_from_number(self):
-        assert coerce_value(5, VARCHAR(10)) == "5"
+        assert coerce(5, VARCHAR(10)) == "5"
 
     def test_varchar_truncates_on_cast(self):
-        assert coerce_value("abcdef", VARCHAR(3)) == "abc"
+        assert coerce("abcdef", VARCHAR(3)) == "abc"
 
     def test_invalid_int_raises(self):
         with pytest.raises(TypeMismatchError):
-            coerce_value("not-a-number", INTEGER)
+            coerce("not-a-number", INTEGER)
 
     def test_invalid_bool_raises(self):
         with pytest.raises(TypeMismatchError):
-            coerce_value("maybe", BOOLEAN)
+            coerce("maybe", BOOLEAN)
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
     def test_infinity_into_integer_is_a_type_error(self, value):
         with pytest.raises(TypeMismatchError, match="cannot coerce -?inf to INTEGER"):
-            coerce_value(value, INTEGER)
+            coerce(value, INTEGER)
 
     def test_cast_of_infinity_to_integer_is_a_type_error(self):
         from repro.sqldb import Database
@@ -102,12 +106,6 @@ class TestCoercion:
 
 
 class TestInference:
-    def test_infer(self):
-        assert infer_type(1).name == "INTEGER"
-        assert infer_type(1.5).name == "DOUBLE"
-        assert infer_type(True).name == "BOOLEAN"
-        assert infer_type("x").name == "VARCHAR"
-
     def test_is_null(self):
         assert is_null(None)
         assert not is_null(0)
@@ -116,44 +114,36 @@ class TestInference:
 
 class TestThreeValuedLogic:
     def test_and_truth_table(self):
-        assert logical_and(True, True) is True
-        assert logical_and(True, False) is False
-        assert logical_and(False, None) is False  # False dominates
-        assert logical_and(True, None) is None
-        assert logical_and(None, None) is None
+        assert row(
+            "SELECT TRUE AND TRUE, TRUE AND FALSE, FALSE AND NULL, "
+            "TRUE AND NULL, NULL AND NULL"
+        ) == (True, False, False, None, None)  # False dominates
 
     def test_or_truth_table(self):
-        assert logical_or(False, False) is False
-        assert logical_or(True, None) is True  # True dominates
-        assert logical_or(False, None) is None
-        assert logical_or(None, None) is None
+        assert row(
+            "SELECT FALSE OR FALSE, TRUE OR NULL, FALSE OR NULL, NULL OR NULL"
+        ) == (False, True, None, None)  # True dominates
 
     def test_not(self):
-        assert logical_not(True) is False
-        assert logical_not(False) is True
-        assert logical_not(None) is None
+        assert row("SELECT NOT TRUE, NOT FALSE, NOT NULL") == (False, True, None)
 
 
 class TestComparison:
     def test_numbers(self):
-        assert compare_values(1, 2) == -1
-        assert compare_values(2, 2) == 0
-        assert compare_values(3, 2) == 1
+        assert row("SELECT 1 < 2, 2 = 2, 3 > 2, 3 < 2") == (True, True, True, False)
 
     def test_mixed_numeric_types(self):
-        assert compare_values(1, 1.0) == 0
+        assert row("SELECT 1 = 1.0") == (True,)
 
     def test_strings(self):
-        assert compare_values("a", "b") == -1
+        assert row("SELECT 'a' < 'b'") == (True,)
 
     def test_null_propagates(self):
-        assert compare_values(None, 1) is None
-        assert compare_values("x", None) is None
+        assert row("SELECT NULL < 1, 'x' = NULL") == (None, None)
 
     def test_cross_type_raises(self):
         with pytest.raises(TypeMismatchError):
-            compare_values(1, "1")
+            row("SELECT 1 < '1'")
 
     def test_bool_compares_as_number(self):
-        assert compare_values(True, 1) == 0
-        assert compare_values(False, 1) == -1
+        assert row("SELECT TRUE = 1, FALSE < 1") == (True, True)

@@ -37,17 +37,71 @@ class TestExports:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def parameters(callable_):
+    return tuple(inspect.signature(callable_).parameters)
+
+
 class TestEngineOptions:
     """The plan picks the executor, the statistics pick the planner and
     snapshots are always on: none is an option, and this is what keeps
-    one from creeping back."""
+    one from creeping back.  Every parameter pinned here is set by some
+    workload, benchmark, example or tool; a new one is a declared change
+    of these signatures."""
 
     def test_database_signature(self):
-        assert tuple(inspect.signature(repro.Database).parameters) == (
-            "plan_cache_size",
-            "recursion_limit",
-            "auto_analyze_threshold",
+        assert parameters(repro.Database) == ()
+
+    def test_link_signatures(self):
+        from repro.network import FaultyLink, LinkProfile, NetworkLink
+
+        assert parameters(NetworkLink) == (
+            "latency_s",
+            "dtr_kbit_s",
+            "packet_bytes",
+            "clock",
         )
+        assert parameters(LinkProfile.create_link) == ("self", "clock")
+        assert parameters(FaultyLink) == (
+            "latency_s",
+            "dtr_kbit_s",
+            "packet_bytes",
+            "clock",
+            "profile",
+            "seed",
+        )
+        assert parameters(FaultyLink.wrap) == ("link", "profile", "seed")
+
+    def test_build_scenario_signature(self):
+        assert parameters(repro.build_scenario) == (
+            "tree",
+            "profile",
+            "seed",
+            "rule_table",
+            "spec_probability",
+            "node_bytes",
+            "user",
+            "product",
+            "fault_profile",
+            "fault_seed",
+            "retry_policy",
+            "recorder",
+        )
+
+    def test_pdm_client_signature(self):
+        from repro.pdm.operations import PDMClient
+
+        assert parameters(PDMClient) == (
+            "connection",
+            "rule_table",
+            "user",
+            "user_env",
+            "exists_placement",
+        )
+
+    def test_scan_wal_signature(self):
+        from repro.recovery.wal import scan_wal
+
+        assert parameters(scan_wal) == ("data",)
 
     def test_durability_signature(self):
         from repro.recovery import Durability
